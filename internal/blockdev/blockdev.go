@@ -8,6 +8,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -66,13 +67,18 @@ func (s *Store) ReadAt(lba int64, buf []byte) error {
 	return nil
 }
 
-// WriteAt stores data (len == blockSize) at block lba.
+// WriteAt stores data (len == blockSize) at block lba. An absent block
+// already reads as zeros, so writing zeros to one stores nothing: formatting
+// a journal costs the host no memory.
 func (s *Store) WriteAt(lba int64, data []byte) error {
 	if lba < 0 || lba >= s.numBlocks {
 		return fmt.Errorf("blockdev: write beyond store: lba=%d cap=%d", lba, s.numBlocks)
 	}
 	b, ok := s.blocks[lba]
 	if !ok {
+		if allZero(data) {
+			return nil
+		}
 		b = make([]byte, s.blockSize)
 		s.blocks[lba] = b
 	}
@@ -80,7 +86,15 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 	return nil
 }
 
-// Populated reports how many blocks have been written (for tests).
+// allZero reports whether b holds only zero bytes: the first byte is zero
+// and every byte equals its predecessor, which bytes.Equal checks at
+// memory-compare speed and leaves at the first difference.
+func allZero(b []byte) bool {
+	return len(b) == 0 || b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1])
+}
+
+// Populated reports how many blocks hold data: blocks written with something
+// other than zeros while absent, and not since dropped (for tests).
 func (s *Store) Populated() int { return len(s.blocks) }
 
 // Local is a directly-attached device: a Store for content plus a RAID-5
@@ -191,6 +205,9 @@ func (l *Local) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Dur
 		return start, fmt.Errorf("blockdev: read buffer not block-multiple: %d", len(buf))
 	}
 	n := len(buf) / bs
+	if err := l.checkRange("read", lba, n); err != nil {
+		return start, err
+	}
 	for i := 0; i < n; i++ {
 		if err := l.store.ReadAt(lba+int64(i), buf[i*bs:(i+1)*bs]); err != nil {
 			return start, err
@@ -209,12 +226,24 @@ func (l *Local) WriteBlocks(start time.Duration, lba int64, data []byte) (time.D
 		return start, fmt.Errorf("blockdev: write buffer not block-multiple: %d", len(data))
 	}
 	n := len(data) / bs
+	if err := l.checkRange("write", lba, n); err != nil {
+		return start, err
+	}
 	for i := 0; i < n; i++ {
 		if err := l.store.WriteAt(lba+int64(i), data[i*bs:(i+1)*bs]); err != nil {
 			return start, err
 		}
 	}
 	return l.raid.Write(start, l.offset+lba, n)
+}
+
+// checkRange rejects a request that is not wholly inside the device before
+// any block is touched, so a write crossing the end stores no prefix.
+func (l *Local) checkRange(op string, lba int64, n int) error {
+	if lba < 0 || lba+int64(n) > l.store.numBlocks {
+		return fmt.Errorf("blockdev: %s beyond device: lba=%d n=%d cap=%d", op, lba, n, l.store.numBlocks)
+	}
+	return nil
 }
 
 // Flush implements Device; the local array's write-back cache drains by

@@ -97,3 +97,67 @@ func TestUnalignedBuffersRejected(t *testing.T) {
 		t.Fatal("unaligned write accepted")
 	}
 }
+
+// A zero write to an absent block stores nothing (absent already reads as
+// zeros); a zero write over a present block really zeroes it.
+func TestStoreZeroWrites(t *testing.T) {
+	s := NewStore(16, 4096)
+	zero := make([]byte, 4096)
+	got := make([]byte, 4096)
+	if err := s.WriteAt(3, zero); err != nil {
+		t.Fatal(err)
+	}
+	if s.Populated() != 0 {
+		t.Fatalf("zero write to an absent block populated %d blocks", s.Populated())
+	}
+	if err := s.ReadAt(3, got); err != nil || !bytes.Equal(got, zero) {
+		t.Fatalf("absent block after zero write: err=%v", err)
+	}
+	// A single non-zero byte anywhere, the last one included, is data.
+	for i, at := range []int{0, 1, 4095} {
+		data := make([]byte, 4096)
+		data[at] = 1
+		if err := s.WriteAt(int64(4+i), data); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadAt(int64(4+i), got); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("block with byte %d set not stored", at)
+		}
+	}
+	if s.Populated() != 3 {
+		t.Fatalf("populated = %d, want 3", s.Populated())
+	}
+	if err := s.WriteAt(4, zero); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadAt(4, got); err != nil || !bytes.Equal(got, zero) {
+		t.Fatal("zero write over a present block did not zero it")
+	}
+	if err := s.WriteAt(16, zero); err == nil {
+		t.Fatal("out-of-range zero write accepted")
+	}
+}
+
+// A request that crosses the end of the device fails whole: no prefix is
+// stored or read, and the array is not charged.
+func TestLocalRejectsRequestsCrossingTheEnd(t *testing.T) {
+	dev := NewTestbedArray(1024)
+	data := bytes.Repeat([]byte{9}, 4*4096)
+	for _, lba := range []int64{1022, 1024, -1} {
+		if _, err := dev.WriteBlocks(0, lba, data); err == nil {
+			t.Fatalf("write of 4 blocks at lba %d accepted", lba)
+		}
+		if _, err := dev.ReadBlocks(0, lba, make([]byte, len(data))); err == nil {
+			t.Fatalf("read of 4 blocks at lba %d accepted", lba)
+		}
+	}
+	if n := dev.Store().Populated(); n != 0 {
+		t.Fatalf("rejected writes stored %d blocks", n)
+	}
+	if st := dev.Stats(); st.Writes != 0 || st.Reads != 0 {
+		t.Fatalf("rejected requests charged the array: %+v", st)
+	}
+	if _, err := dev.WriteBlocks(0, 1020, data); err != nil {
+		t.Fatalf("write ending at the last block: %v", err)
+	}
+}

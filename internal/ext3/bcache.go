@@ -18,6 +18,7 @@ type buffer struct {
 	pins    int           // committed-but-not-checkpointed; not evictable
 	readyAt time.Duration // async read-ahead completion time
 	elem    *list.Element
+	stamp   uint64 // recency: bcache.clock at the last move to the LRU front
 }
 
 // bcacheStats counts cache behaviour.
@@ -29,11 +30,25 @@ type bcacheStats struct {
 // bcache is the client-memory block cache: a unified page/buffer cache the
 // way Linux treats ext3 data and meta-data blocks. Dirty and pinned blocks
 // are never evicted; the journal cleans them at commit/checkpoint time.
+//
+// Eviction: the victim is always the least-recently-used buffer that is
+// clean and unpinned. It is found without rescanning the dirty tail: blocked
+// marks a buffer such that it and every buffer behind it (older) is dirty or
+// pinned, and the search starts in front of it. blocked only moves towards
+// the front, except when a buffer at or behind it becomes evictable
+// (cleanData, unpin), which moves it to just behind that buffer; stamps
+// order any two buffers without walking the list.
+//
+// Buffer ownership: a slice passed to Device.WriteBlocks may be reused by
+// the caller on return (every device here copies synchronously); a slice
+// given to insertPrefetch is owned by the cache from then on.
 type bcache struct {
 	dev       blockdev.Device
 	max       int
 	blocks    map[int64]*buffer
 	lru       *list.List // front = most recently used
+	clock     uint64     // last stamp handed out
+	blocked   *list.Element
 	stats     bcacheStats
 	dirtyData map[int64]*buffer // dirty non-journaled (file data) blocks
 	tracer    *tracing.Tracer   // cache-miss spans (nil = tracing off)
@@ -50,32 +65,64 @@ func newBcache(dev blockdev.Device, max int) *bcache {
 }
 
 func (c *bcache) touch(b *buffer) {
+	c.leaving(b.elem)
 	c.lru.MoveToFront(b.elem)
+	c.clock++
+	b.stamp = c.clock
+}
+
+// pushFront links b in as the most recently used buffer for its lba.
+func (c *bcache) pushFront(b *buffer) {
+	b.elem = c.lru.PushFront(b)
+	c.clock++
+	b.stamp = c.clock
+	c.blocks[b.lba] = b
 }
 
 func (c *bcache) insert(b *buffer) {
-	b.elem = c.lru.PushFront(b)
-	c.blocks[b.lba] = b
+	c.pushFront(b)
 	c.evictIfNeeded()
+}
+
+// leaving keeps blocked valid when e is about to leave its LRU position:
+// the buffers behind e are still all dirty or pinned.
+func (c *bcache) leaving(e *list.Element) {
+	if c.blocked == e {
+		c.blocked = e.Next()
+	}
+}
+
+// unblock tells the cache that b may have just become clean and unpinned.
+// If b sits at or behind blocked, the search must resume at b. A buffer
+// that is no longer resident has no place in the list and is ignored.
+func (c *bcache) unblock(b *buffer) {
+	if b.dirty || b.pins > 0 || c.blocked == nil || c.blocks[b.lba] != b {
+		return
+	}
+	if b.stamp <= c.blocked.Value.(*buffer).stamp {
+		c.blocked = b.elem.Next()
+	}
 }
 
 func (c *bcache) evictIfNeeded() {
 	for len(c.blocks) > c.max {
-		evicted := false
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			b := e.Value.(*buffer)
-			if b.dirty || b.pins > 0 {
-				continue
-			}
-			c.lru.Remove(e)
-			delete(c.blocks, b.lba)
-			c.stats.Evictions++
-			evicted = true
-			break
+		e := c.lru.Back()
+		if c.blocked != nil {
+			e = c.blocked.Prev()
 		}
-		if !evicted {
+		for ; e != nil; e = e.Prev() {
+			if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+				break
+			}
+			c.blocked = e
+		}
+		if e == nil {
 			return // everything dirty/pinned; allow temporary overflow
 		}
+		b := e.Value.(*buffer)
+		c.lru.Remove(e)
+		delete(c.blocks, b.lba)
+		c.stats.Evictions++
 	}
 }
 
@@ -145,13 +192,13 @@ func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 func (c *bcache) markDirty(b *buffer, meta bool) {
 	if cur, ok := c.blocks[b.lba]; !ok || cur != b {
 		if ok {
+			c.leaving(cur.elem)
 			c.lru.Remove(cur.elem)
 			if cur.dirty && !cur.meta {
 				delete(c.dirtyData, cur.lba)
 			}
 		}
-		b.elem = c.lru.PushFront(b)
-		c.blocks[b.lba] = b
+		c.pushFront(b)
 	}
 	if b.dirty && b.meta == meta {
 		return
@@ -171,6 +218,15 @@ func (c *bcache) markDirty(b *buffer, meta bool) {
 func (c *bcache) cleanData(b *buffer) {
 	b.dirty = false
 	delete(c.dirtyData, b.lba)
+	c.unblock(b)
+}
+
+// unpin drops one checkpoint pin from the resident buffer for lba, if any.
+func (c *bcache) unpin(lba int64) {
+	if b := c.blocks[lba]; b != nil && b.pins > 0 {
+		b.pins--
+		c.unblock(b)
+	}
 }
 
 // dropAll discards every cached block — the crash model. Dirty state is
@@ -180,4 +236,5 @@ func (c *bcache) dropAll() {
 	c.blocks = make(map[int64]*buffer)
 	c.dirtyData = make(map[int64]*buffer)
 	c.lru.Init()
+	c.blocked = nil
 }

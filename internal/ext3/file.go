@@ -219,9 +219,8 @@ func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 		}
 		done = d2
 		for k := 0; k < run; k++ {
-			blk := make([]byte, BlockSize)
-			copy(blk, data[k*BlockSize:])
-			fs.bc.insertPrefetch(lbas[i+k], blk, done)
+			// The run buffer is not used again: the cache owns its blocks.
+			fs.bc.insertPrefetch(lbas[i+k], data[k*BlockSize:(k+1)*BlockSize:(k+1)*BlockSize], done)
 		}
 		i += run
 	}
@@ -339,9 +338,7 @@ func (fs *FS) readahead(at time.Duration, ino Ino, n *Inode, first, count int64)
 			break
 		}
 		for k := int64(0); k < run; k++ {
-			blk := make([]byte, BlockSize)
-			copy(blk, data[k*BlockSize:])
-			fs.bc.insertPrefetch(lba+k, blk, done)
+			fs.bc.insertPrefetch(lba+k, data[k*BlockSize:(k+1)*BlockSize:(k+1)*BlockSize], done)
 		}
 		fb += run
 	}

@@ -48,7 +48,25 @@ type FS struct {
 	async   sim.Pending
 	crashed bool
 	mounted bool
+
+	// coalesce assembles contiguous runs for one device write at a time
+	// (flushData, checkpoint); see the ownership rule on bcache.
+	coalesce []byte
 }
+
+// runBuf returns the coalescing buffer sized for run blocks. Its content is
+// whatever the previous run left; callers overwrite all of it.
+func (fs *FS) runBuf(run int) []byte {
+	if n := run * BlockSize; n > len(fs.coalesce) {
+		fs.coalesce = make([]byte, n)
+	}
+	return fs.coalesce[:run*BlockSize]
+}
+
+// zeroRun is the journal-zeroing write unit; never written to.
+const zeroRunBlocks = 64
+
+var zeroRun [zeroRunBlocks * BlockSize]byte
 
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
 func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, error) {
@@ -86,13 +104,12 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	done := at
 	var err error
 	// Zero the journal so stale records can never replay.
-	zero := make([]byte, 64*BlockSize)
 	for off := int64(0); off < opts.JournalBlocks; {
 		n := opts.JournalBlocks - off
-		if n > 64 {
-			n = 64
+		if n > zeroRunBlocks {
+			n = zeroRunBlocks
 		}
-		done, err = dev.WriteBlocks(done, jStart+off, zero[:n*BlockSize])
+		done, err = dev.WriteBlocks(done, jStart+off, zeroRun[:n*BlockSize])
 		if err != nil {
 			return done, err
 		}
@@ -100,6 +117,7 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	}
 
 	gdt := make([]byte, BlockSize)
+	bm := make([]byte, BlockSize) // every bitmap in turn; WriteBlocks does not retain it
 	var freeBlocksTotal, freeInodesTotal uint64
 	for g := int64(0); g < groupCount; g++ {
 		gStart := firstGroup + g*bpg
@@ -108,7 +126,7 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 			gBlocks = total - gStart
 		}
 		// Block bitmap: overhead blocks and past-device tail marked used.
-		bm := make([]byte, BlockSize)
+		clear(bm)
 		used := overhead
 		if used > gBlocks {
 			used = gBlocks
@@ -128,13 +146,13 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 			return done, err
 		}
 		// Inode bitmap: inodes 1 (reserved) and 2 (root) used in group 0.
-		ibm := make([]byte, BlockSize)
+		clear(bm)
 		freeI := ipg
 		if g == 0 {
-			ibm[0] |= 0b11 // inode indices 0,1 => inos 1,2
+			bm[0] |= 0b11 // inode indices 0,1 => inos 1,2
 			freeI -= 2
 		}
-		done, err = dev.WriteBlocks(done, gStart+1, ibm)
+		done, err = dev.WriteBlocks(done, gStart+1, bm)
 		if err != nil {
 			return done, err
 		}
@@ -147,7 +165,6 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	// Root directory: inode 2, one data block with "." and "..".
 	rootDataLBA := firstGroup + overhead // first data block of group 0
 	// Mark it used in group 0's bitmap.
-	bm := make([]byte, BlockSize)
 	done, err = dev.ReadBlocks(done, firstGroup, bm)
 	if err != nil {
 		return done, err
@@ -515,7 +532,7 @@ func (fs *FS) flushData(at time.Duration) (time.Duration, error) {
 		for i+run < len(lbas) && lbas[i+run] == lbas[i]+int64(run) && run < fs.opts.MaxCoalesce {
 			run++
 		}
-		buf := make([]byte, run*BlockSize)
+		buf := fs.runBuf(run)
 		for k := 0; k < run; k++ {
 			copy(buf[k*BlockSize:], fs.bc.dirtyData[lbas[i+k]].data)
 		}

@@ -479,3 +479,52 @@ func itoa(v int) string {
 	}
 	return string(b[i:])
 }
+
+// TestMkfsOverDirtyJournalReplaysNothing is the property Mkfs zeroes the
+// journal for: a committed transaction left by an earlier filesystem on the
+// same device must never replay into a new one. The zero blocks Mkfs writes
+// have to land on the device even though the store keeps no zero blocks.
+func TestMkfsOverDirtyJournalReplaysNothing(t *testing.T) {
+	fs, dev := newTestFS(t)
+	if _, err := fs.Mkdir(0, "/old", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Sync(0); err != nil { // transaction 1, at the journal's start
+		t.Fatal(err)
+	}
+	fs.Crash()
+	blk := make([]byte, BlockSize)
+	if _, err := dev.ReadBlocks(0, jStart, blk); err != nil || bytes.Equal(blk, make([]byte, BlockSize)) {
+		t.Fatalf("no journal record left to go stale (err=%v)", err)
+	}
+
+	if _, err := Mkfs(0, dev, Options{}); err != nil {
+		t.Fatalf("second mkfs: %v", err)
+	}
+	for off := int64(0); off < 2048; off++ {
+		if _, err := dev.ReadBlocks(0, jStart+off, blk); err != nil || !bytes.Equal(blk, make([]byte, BlockSize)) {
+			t.Fatalf("journal block %d not zero after mkfs (err=%v)", off, err)
+		}
+	}
+	// The new filesystem's first recovery expects transaction 1 too: crash
+	// it with nothing committed and recover.
+	fs2, _, err := Mount(0, dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeB, freeI := fs2.FreeBlocks(), fs2.FreeInodes()
+	fs2.Crash()
+	fs3, _, err := Mount(0, dev, Options{})
+	if err != nil {
+		t.Fatalf("mount after crash: %v", err)
+	}
+	if _, _, err := fs3.Stat(0, "/old"); err != vfs.ErrNotExist {
+		t.Fatalf("stale transaction replayed: stat /old = %v", err)
+	}
+	if ents, _, err := fs3.ReadDir(0, "/"); err != nil || len(ents) != 0 {
+		t.Fatalf("root not empty after recovery: %v %v", ents, err)
+	}
+	if fs3.FreeBlocks() != freeB || fs3.FreeInodes() != freeI {
+		t.Fatalf("free counts moved: blocks %d->%d inodes %d->%d", freeB, fs3.FreeBlocks(), freeI, fs3.FreeInodes())
+	}
+}

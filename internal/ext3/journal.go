@@ -104,21 +104,22 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		lbas := j.runningOrder[:chunk]
 		seq := j.seq + 1
 
-		// Build descriptor + frozen images as one contiguous write.
+		// Build descriptor + frozen images as one contiguous write. The
+		// images must outlive the buffers' later mutations until they are
+		// checkpointed, so the body is the transaction's own allocation and
+		// each image is copied once, into its place in the body.
 		body := make([]byte, (1+chunk)*BlockSize)
 		binary.BigEndian.PutUint32(body[0:], jMagic)
 		binary.BigEndian.PutUint32(body[4:], jDescriptor)
 		binary.BigEndian.PutUint64(body[8:], seq)
 		binary.BigEndian.PutUint32(body[16:], uint32(chunk))
-		txn := &jtxn{seq: seq}
+		txn := &jtxn{seq: seq, homes: make([]int64, chunk), images: make([][]byte, chunk)}
 		for i, lba := range lbas {
 			binary.BigEndian.PutUint64(body[20+8*i:], uint64(lba))
-			b := j.running[lba]
-			img := make([]byte, BlockSize)
-			copy(img, b.data)
-			copy(body[(1+i)*BlockSize:], img)
-			txn.homes = append(txn.homes, lba)
-			txn.images = append(txn.images, img)
+			img := body[(1+i)*BlockSize : (2+i)*BlockSize : (2+i)*BlockSize]
+			copy(img, j.running[lba].data)
+			txn.homes[i] = lba
+			txn.images[i] = img
 		}
 		done, err = j.fs.dev.WriteBlocks(done, j.start+j.head, body)
 		if err != nil {
@@ -129,7 +130,9 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 			return done, ErrCrashed
 		}
 		// Commit record: separate write, after the body (write barrier).
-		cb := make([]byte, BlockSize)
+		// The descriptor block is on disk, so its memory carries the record.
+		cb := body[:BlockSize]
+		clear(cb)
 		binary.BigEndian.PutUint32(cb[0:], jMagic)
 		binary.BigEndian.PutUint32(cb[4:], jCommitRec)
 		binary.BigEndian.PutUint64(cb[8:], seq)
@@ -180,7 +183,7 @@ func (j *journal) checkpointAll(at time.Duration) (time.Duration, error) {
 			for i+run < len(lbas) && lbas[i+run] == lbas[i]+int64(run) && run < j.fs.opts.MaxCoalesce {
 				run++
 			}
-			buf := make([]byte, run*BlockSize)
+			buf := j.fs.runBuf(run)
 			for k := 0; k < run; k++ {
 				copy(buf[k*BlockSize:], final[lbas[i+k]])
 			}

@@ -467,6 +467,10 @@ func (p *rdPipe) step() {
 			s.tracer.EndDetached(p.cspan, svcDone)
 			return
 		}
+		// The payload lives in the target's reused Data-In buffer, and other
+		// pipes' commands run before this transfer ends: take it now. The
+		// caller sees buf only if every transfer is delivered.
+		copy(p.buf[cmd.blockOff*p.bs:], resp.Data)
 		p.resp = resp
 		p.tspan = s.tracer.BeginDetached(svcDone, tracing.LayerTCP, "data-in")
 		p.xfer = p.conn.StartTransfer(svcDone, BHSSize+pad4(len(resp.Data)), simnet.ServerToClient)
@@ -487,8 +491,6 @@ func (p *rdPipe) step() {
 		s.tracer.EndDetached(p.cspan, p.xfer.Delivered())
 		return
 	}
-	cmd := p.cmds[p.i]
-	copy(p.buf[cmd.blockOff*p.bs:], p.resp.Data)
 	s.expStatSN = p.resp.StatSN
 	done := p.xfer.Delivered()
 	s.tracer.EndDetached(p.cspan, done)

@@ -48,6 +48,8 @@ type Target struct {
 	down     bool
 	// FailCommands injects CHECK CONDITION on every command when set.
 	FailCommands bool
+
+	dataIn []byte // READ(10) payload buffer, reused (see HandleCommand)
 }
 
 // SharedLUN is the LUN number the shared contention volume is exported
@@ -127,6 +129,8 @@ func (t *Target) HandleLogin(at time.Duration, req *PDU) (*PDU, time.Duration) {
 
 // HandleCommand executes one SCSI command PDU and returns the response PDU
 // (with inline Data-In payload for reads) and the service completion time.
+// A READ(10) payload is the target's one Data-In buffer: it is valid until
+// the next HandleCommand, so initiators copy it out before issuing another.
 func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration) {
 	if t.down {
 		return t.check(req, "target: down"), at
@@ -191,7 +195,11 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 		if req.LUN == SharedLUN && !t.rsv.AllowRead(t.clientID) {
 			return t.conflict(req, done)
 		}
-		buf := make([]byte, int(cdb.Length)*bs)
+		n := int(cdb.Length) * bs
+		if n > len(t.dataIn) {
+			t.dataIn = make([]byte, n)
+		}
+		buf := t.dataIn[:n]
 		done = t.charge(done, time.Duration(len(buf)/1024)*t.cost.PerKB)
 		done, err = dev.ReadBlocks(done, int64(cdb.LBA), buf)
 		if err != nil {

@@ -38,6 +38,10 @@ func newPageCache(max int) *pageCache {
 
 func (pc *pageCache) peek(k pageKey) *page { return pc.pages[k] }
 
+// insert caches data as page k. A full page of data that is not cached yet
+// is adopted, not copied: the cache owns it from then on, so callers pass
+// capped slices of a reply they will not touch again. Short data (the tail
+// of a file, or none) is zero-extended into a fresh page.
 func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page {
 	if p, ok := pc.pages[k]; ok {
 		copy(p.data, data)
@@ -47,12 +51,23 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		pc.lru.MoveToFront(p.elem)
 		return p
 	}
-	p := &page{key: k, data: make([]byte, pageSize), readyAt: readyAt}
-	copy(p.data, data)
+	if len(data) != pageSize {
+		full := make([]byte, pageSize)
+		copy(full, data)
+		data = full
+	}
+	p := &page{key: k, data: data, readyAt: readyAt}
 	p.elem = pc.lru.PushFront(p)
 	pc.pages[k] = p
 	pc.evict()
 	return p
+}
+
+// pageOf returns page j of a READ reply, capped so the page cache can adopt
+// it; short or empty past the end of the reply.
+func pageOf(reply []byte, j int) []byte {
+	lo, hi := min(j*pageSize, len(reply)), min((j+1)*pageSize, len(reply))
+	return reply[lo:hi:hi]
 }
 
 func (pc *pageCache) getOrCreate(k pageKey) *page {
@@ -128,6 +143,10 @@ type writeBehind struct {
 
 	// flushTrigger starts background flushing once this many pages queue.
 	flushTrigger int
+
+	// payload assembles one WRITE's payload at a time: the server copies it
+	// into its buffer cache before Write returns.
+	payload []byte
 }
 
 func newWriteBehind(c *Client) *writeBehind {
@@ -215,14 +234,17 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 		}
 		// Assemble payload from the page cache, clamping the final page to
 		// the file size so flushing never extends the file.
-		data := make([]byte, 0, run*pageSize)
+		if len(wb.payload) < run*pageSize {
+			wb.payload = make([]byte, maxPages*pageSize)
+		}
+		data := wb.payload[:run*pageSize]
 		for j := 0; j < run; j++ {
-			p := c.pages.peek(pageKey{k.ino, k.idx + int64(j)})
-			if p == nil {
-				data = append(data, make([]byte, pageSize)...)
-				continue
+			dst := data[j*pageSize : (j+1)*pageSize]
+			if p := c.pages.peek(pageKey{k.ino, k.idx + int64(j)}); p != nil {
+				copy(dst, p.data)
+			} else {
+				clear(dst)
 			}
-			data = append(data, p.data...)
 		}
 		if size := c.cachedSize(FH{Ino: k.ino}); size > 0 {
 			off := k.idx * pageSize
@@ -527,11 +549,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 		}
 		done = d2
 		for j := 0; j < run; j++ {
-			pdata := make([]byte, pageSize)
-			if j*pageSize < len(data) {
-				copy(pdata, data[j*pageSize:])
-			}
-			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pdata, done)
+			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pageOf(data, j), done)
 		}
 		idx += int64(run)
 	}
@@ -600,11 +618,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 			break
 		}
 		for j := 0; j < run; j++ {
-			pdata := make([]byte, pageSize)
-			if j*pageSize < len(data) {
-				copy(pdata, data[j*pageSize:])
-			}
-			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pdata, raDone)
+			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pageOf(data, j), raDone)
 		}
 		idx += int64(run)
 	}
@@ -646,9 +660,7 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 				return written, d2, err
 			}
 			done = d2
-			pdata := make([]byte, pageSize)
-			copy(pdata, rdata)
-			p = c.pages.insert(k, pdata, done)
+			p = c.pages.insert(k, pageOf(rdata, 0), done)
 		} else if p == nil {
 			p = c.pages.getOrCreate(k)
 		}

@@ -185,7 +185,9 @@ func (s *Server) Readlink(at time.Duration, fh FH) (string, time.Duration, error
 	return s.fs.ReadlinkAt(at, ext3.Ino(fh.Ino))
 }
 
-// Read serves READ: up to count bytes from off.
+// Read serves READ: up to count bytes from off. The returned slice is
+// freshly allocated and the caller's to keep (the client's page cache
+// adopts it).
 func (s *Server) Read(at time.Duration, fh FH, off int64, count int) ([]byte, bool, time.Duration, error) {
 	at, err := s.begin(at, ProcRead, count)
 	if err != nil {

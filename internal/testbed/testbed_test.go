@@ -255,3 +255,19 @@ func TestWriteMessageAsymmetry(t *testing.T) {
 			counts[ISCSI], counts[NFSv3])
 	}
 }
+
+// TestFreshTestbedStoresOnlyMetadata guards the host cost of a build: the
+// 2048 zeroed journal blocks of Mkfs must not be materialised in the sparse
+// store, only the handful of blocks that hold data (superblock, group
+// descriptors, group 0's bitmaps, root inode and directory).
+func TestFreshTestbedStoresOnlyMetadata(t *testing.T) {
+	for _, k := range []Kind{NFSv3, ISCSI} {
+		tb, err := New(Config{Kind: k, DeviceBlocks: 131072})
+		if err != nil {
+			t.Fatalf("testbed %v: %v", k, err)
+		}
+		if n := tb.dev.Store().Populated(); n > 64 {
+			t.Errorf("%v: fresh 131072-block testbed holds %d blocks, want <= 64", k, n)
+		}
+	}
+}
