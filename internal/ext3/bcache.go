@@ -221,6 +221,15 @@ func (c *bcache) cleanData(b *buffer) {
 	c.unblock(b)
 }
 
+// pinCommitted turns a journaled buffer clean but pinned: its image is
+// durable in the journal and must stay resident until checkpointed home.
+// pins changes only here and in unpin, so the cursor cannot miss a buffer
+// becoming evictable.
+func (c *bcache) pinCommitted(b *buffer) {
+	b.dirty = false
+	b.pins++
+}
+
 // unpin drops one checkpoint pin from the resident buffer for lba, if any.
 func (c *bcache) unpin(lba int64) {
 	if b := c.blocks[lba]; b != nil && b.pins > 0 {

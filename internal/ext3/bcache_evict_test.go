@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/blockdev"
 )
@@ -199,8 +200,7 @@ func TestBcacheEvictionMatchesLinearScan(t *testing.T) {
 				op = "commit"
 				for _, b := range bc.blocks {
 					if b.dirty && b.meta {
-						b.dirty = false
-						b.pins++
+						bc.pinCommitted(b)
 					}
 				}
 				for _, b := range p.ref.lru {
@@ -229,6 +229,217 @@ func TestBcacheEvictionMatchesLinearScan(t *testing.T) {
 		}
 		if p.ref.evictions == 0 {
 			t.Fatalf("seed %d: nothing was evicted", seed)
+		}
+	}
+}
+
+// checkCursor asserts what the eviction cursor rests on, on a cache in any
+// state: nothing at or behind it is evictable.
+func checkCursor(t *testing.T, bc *bcache, when string) {
+	t.Helper()
+	for e := bc.blocked; e != nil; e = e.Next() {
+		if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+			t.Fatalf("%s: evictable buffer %d at or behind the cursor", when, b.lba)
+		}
+	}
+}
+
+// scanVictim is the reference rule on a live cache: walk from the LRU end
+// to the first buffer that is clean and unpinned.
+func scanVictim(bc *bcache) *buffer {
+	for e := bc.lru.Back(); e != nil; e = e.Prev() {
+		if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+			return b
+		}
+	}
+	return nil
+}
+
+// smallCacheFS mounts a filesystem whose cache and journal are small enough
+// that eviction, commit and journal-wrap checkpoints all happen within a few
+// hundred operations.
+func smallCacheFS(t *testing.T, cacheBlocks int) *FS {
+	t.Helper()
+	dev := blockdev.NewTestbedArray(32768)
+	opts := Options{CacheBlocks: cacheBlocks, JournalBlocks: 64}
+	if _, err := Mkfs(0, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, _, err := Mount(0, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestCheckpointedBuffersAreNextVictims goes through journal.commit and
+// journal.checkpointAll themselves: meta-data buffers age to the LRU end
+// while dirty, the cursor walks past them, and once they are checkpointed
+// home they, being the oldest, must be the next buffers evicted.
+func TestCheckpointedBuffersAreNextVictims(t *testing.T) {
+	fs := smallCacheFS(t, 64)
+	bc := fs.bc
+	f, at, err := fs.Create(0, "/data", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err = f.WriteAt(at, 0, make([]byte, 200*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fs.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fs.journal.checkpointAll(at); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if at, err = fs.Mkdir(at, fmt.Sprintf("/d%d", i), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Clean inserts push the dirty meta-data to the LRU end and, the cache
+	// being full, walk the cursor over it.
+	buf := make([]byte, BlockSize)
+	for blk := int64(0); blk < 150; blk++ {
+		if _, at, err = f.ReadAt(at, blk*BlockSize, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bc.blocked == nil {
+		t.Fatal("setup: the cursor never moved off the LRU end")
+	}
+	var stuck []int64 // dirty meta-data at or behind the cursor, oldest first
+	for e := bc.lru.Back(); e != nil && len(stuck) < 8; e = e.Prev() {
+		if b := e.Value.(*buffer); b.dirty && b.meta && b.stamp <= bc.blocked.Value.(*buffer).stamp {
+			stuck = append(stuck, b.lba)
+		}
+	}
+	if len(stuck) < 4 {
+		t.Fatalf("setup: only %d dirty meta-data buffers behind the cursor", len(stuck))
+	}
+	checkCursor(t, bc, "before commit")
+
+	if at, err = fs.Sync(at); err != nil { // commit: clean but pinned
+		t.Fatal(err)
+	}
+	checkCursor(t, bc, "after commit")
+	for _, lba := range stuck {
+		if b := bc.peek(lba); b == nil || b.pins == 0 {
+			t.Fatalf("committed buffer %d not pinned in the cache", lba)
+		}
+	}
+	if _, err = fs.journal.checkpointAll(at); err != nil {
+		t.Fatal(err)
+	}
+	checkCursor(t, bc, "after checkpoint")
+
+	// Each insert of a block the filesystem has never cached must now evict
+	// the oldest checkpointed buffer, which the reference scan names.
+	evictions := bc.stats.Evictions
+	for i := range stuck {
+		want := scanVictim(bc)
+		if want == nil || want.lba != stuck[i] {
+			t.Fatalf("insert %d: reference victim is %v, want checkpointed buffer %d", i, want, stuck[i])
+		}
+		if _, _, err := bc.get(0, 30000+int64(i), true); err != nil {
+			t.Fatal(err)
+		}
+		if bc.peek(stuck[i]) != nil {
+			t.Fatalf("insert %d: checkpointed buffer %d survived; a newer buffer was evicted instead", i, stuck[i])
+		}
+		checkCursor(t, bc, fmt.Sprint("after insert ", i))
+	}
+	if got := bc.stats.Evictions - evictions; got != int64(len(stuck)) {
+		t.Fatalf("%d evictions for %d inserts", got, len(stuck))
+	}
+	if len(bc.blocks) > bc.max {
+		t.Fatalf("%d blocks cached, max %d", len(bc.blocks), bc.max)
+	}
+}
+
+// TestCursorInvariantUnderFSOperations drives the cache only through FS
+// operations (create, write, read, mkdir, unlink, Sync, and the checkpoints
+// a 64-block journal forces) and checks the cursor after every one. Before
+// each cache-missing read it also names the reference victim and checks
+// that this is the buffer that left.
+func TestCursorInvariantUnderFSOperations(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := smallCacheFS(t, 24+rng.Intn(40))
+		bc := fs.bc
+		const fileBlocks = 96
+		files := []string{"/f0", "/f1", "/f2"}
+		at := time.Duration(0)
+		for _, name := range files {
+			f, d, err := fs.Create(at, name, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, at, err = f.WriteAt(d, 0, make([]byte, fileBlocks*BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirs := 0
+		for step := 0; step < 1500; step++ {
+			var err error
+			when := fmt.Sprintf("seed %d step %d", seed, step)
+			switch k := rng.Intn(100); {
+			case k < 40: // read: clean inserts, evictions
+				f, d, err := fs.Open(at, files[rng.Intn(len(files))])
+				if err != nil {
+					t.Fatalf("%s open: %v", when, err)
+				}
+				buf := make([]byte, (1+rng.Intn(8))*BlockSize)
+				_, at, err = f.ReadAt(d, rng.Int63n(fileBlocks-8)*BlockSize, buf)
+				if err != nil {
+					t.Fatalf("%s read: %v", when, err)
+				}
+			case k < 60: // write: dirty data
+				f, d, err := fs.Open(at, files[rng.Intn(len(files))])
+				if err != nil {
+					t.Fatalf("%s open: %v", when, err)
+				}
+				data := make([]byte, (1+rng.Intn(4))*BlockSize)
+				data[0] = byte(step) | 1
+				_, at, err = f.WriteAt(d, rng.Int63n(fileBlocks-4)*BlockSize, data)
+				if err != nil {
+					t.Fatalf("%s write: %v", when, err)
+				}
+			case k < 80: // mkdir: dirty meta-data
+				at, err = fs.Mkdir(at, fmt.Sprintf("/d%d", dirs), 0o755)
+				dirs++
+			case k < 88:
+				if dirs == 0 {
+					continue
+				}
+				dirs--
+				at, err = fs.Rmdir(at, fmt.Sprintf("/d%d", dirs))
+			case k < 96: // commit; wraps the journal every few commits
+				at, err = fs.Sync(at)
+			default: // a cold insert, victim named beforehand
+				if len(bc.blocks) < bc.max {
+					continue
+				}
+				want := scanVictim(bc)
+				if _, _, err = bc.get(at, 31000+int64(step), true); err != nil {
+					break
+				}
+				if want != nil && bc.peek(want.lba) != nil {
+					t.Fatalf("%s: reference victim %d survived the insert", when, want.lba)
+				}
+				// An insert shrinks the cache to its bound unless everything
+				// left is dirty or pinned.
+				if v := scanVictim(bc); len(bc.blocks) > bc.max && v != nil {
+					t.Fatalf("%s: %d blocks cached (max %d) after an insert while buffer %d is evictable", when, len(bc.blocks), bc.max, v.lba)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			checkCursor(t, bc, when)
+		}
+		if _, checkpoints := fs.JournalStats(); checkpoints == 0 || bc.stats.Evictions == 0 {
+			t.Fatalf("seed %d: %d checkpoints, %d evictions; the run exercised nothing", seed, checkpoints, bc.stats.Evictions)
 		}
 	}
 }

@@ -63,11 +63,6 @@ func (fs *FS) runBuf(run int) []byte {
 	return fs.coalesce[:run*BlockSize]
 }
 
-// zeroRun is the journal-zeroing write unit; never written to.
-const zeroRunBlocks = 64
-
-var zeroRun [zeroRunBlocks * BlockSize]byte
-
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
 func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, error) {
 	opts.fill()
@@ -104,12 +99,13 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	done := at
 	var err error
 	// Zero the journal so stale records can never replay.
+	zero := make([]byte, 64*BlockSize)
 	for off := int64(0); off < opts.JournalBlocks; {
 		n := opts.JournalBlocks - off
-		if n > zeroRunBlocks {
-			n = zeroRunBlocks
+		if n > 64 {
+			n = 64
 		}
-		done, err = dev.WriteBlocks(done, jStart+off, zeroRun[:n*BlockSize])
+		done, err = dev.WriteBlocks(done, jStart+off, zero[:n*BlockSize])
 		if err != nil {
 			return done, err
 		}

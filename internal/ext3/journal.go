@@ -144,9 +144,7 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		// Bookkeeping: buffers are clean (their images are durable) but
 		// pinned until checkpointed home.
 		for _, lba := range lbas {
-			b := j.running[lba]
-			b.dirty = false
-			b.pins++
+			j.fs.bc.pinCommitted(j.running[lba])
 			delete(j.running, lba)
 		}
 		j.runningOrder = j.runningOrder[chunk:]
@@ -199,9 +197,7 @@ func (j *journal) checkpointAll(at time.Duration) (time.Duration, error) {
 		// Unpin checkpointed buffers.
 		for _, t := range j.unCheckpointed {
 			for _, h := range t.homes {
-				if b := j.fs.bc.peek(h); b != nil && b.pins > 0 {
-					b.pins--
-				}
+				j.fs.bc.unpin(h)
 			}
 		}
 		j.unCheckpointed = nil
