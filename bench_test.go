@@ -691,11 +691,13 @@ func BenchmarkContention(b *testing.B) {
 			}
 		}
 		cl, err := testbed.NewCluster(testbed.ClusterConfig{
-			Kind:         testbed.NFSv4,
-			Clients:      4,
-			DeviceBlocks: 8192,
-			Seed:         11,
-			Sharing:      &testbed.SharingConfig{Delegation: true},
+			Config: testbed.Config{
+				Kind:         testbed.NFSv4,
+				DeviceBlocks: 8192,
+				Seed:         11,
+			},
+			Clients: 4,
+			Sharing: &testbed.SharingConfig{Delegation: true},
 		})
 		if err != nil {
 			b.Fatal(err)

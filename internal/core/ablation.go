@@ -43,12 +43,12 @@ func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]A
 			CommitInterval: iv,
 			Seed:           opts.Seed,
 			Metrics: cellRecorder(opts.Metrics, "ablate", ISCSI,
-				metrics.Tags{"knob": "commit-interval", "setting": durTag(iv)}),
+				metrics.Tags{"knob": "commit-interval", "setting": iv.String()}),
 		})
 		if err != nil {
 			return nil, err
 		}
-		beginCell(tb, nil)
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		for i := 0; i < ops; i++ {
 			if err := tb.Mkdir(fmt.Sprintf("/ci%d", i)); err != nil {
@@ -61,7 +61,7 @@ func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]A
 			return nil, err
 		}
 		d := tb.Since(before)
-		endCell(tb, nil, map[string]float64{
+		tb.Cluster.EndWindow(nil, map[string]float64{
 			"elapsed_ns": float64(d.Elapsed),
 			"messages":   float64(d.Messages),
 		})
@@ -97,8 +97,8 @@ func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err er
 		if err != nil {
 			return AblationResult{}, err
 		}
-		tb.NFSServer.SyncMetadataUpdates = syncMode
-		beginCell(tb, nil)
+		tb.Stack.NFSServer().SyncMetadataUpdates = syncMode
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		for i := 0; i < ops; i++ {
 			if err := tb.Mkdir(fmt.Sprintf("/se%d", i)); err != nil {
@@ -109,7 +109,7 @@ func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err er
 			return AblationResult{}, err
 		}
 		d := tb.Since(before)
-		endCell(tb, nil, map[string]float64{
+		tb.Cluster.EndWindow(nil, map[string]float64{
 			"elapsed_ns": float64(d.Elapsed),
 			"messages":   float64(d.Messages),
 		})
@@ -145,7 +145,7 @@ func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResu
 		if err != nil {
 			return nil, err
 		}
-		tb.NFSClient.MaxPendingWrites = bound
+		tb.Stack.NFSClient().MaxPendingWrites = bound
 		res, err := workload.SequentialWrite(tb, workload.SeqRandConfig{
 			FileSize: fileSize, ChunkSize: 4096, Seed: 7,
 		})
@@ -191,7 +191,7 @@ func AblateNoAtime(opts Options, reads int) (withAtime, noAtime AblationResult, 
 		if err := tb.Drain(); err != nil {
 			return AblationResult{}, err
 		}
-		beginCell(tb, nil)
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		f, err := tb.Open("/hot")
 		if err != nil {
@@ -208,7 +208,7 @@ func AblateNoAtime(opts Options, reads int) (withAtime, noAtime AblationResult, 
 			return AblationResult{}, err
 		}
 		d := tb.Since(before)
-		endCell(tb, nil, map[string]float64{
+		tb.Cluster.EndWindow(nil, map[string]float64{
 			"elapsed_ns": float64(d.Elapsed),
 			"messages":   float64(d.Messages),
 		})

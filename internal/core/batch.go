@@ -119,7 +119,7 @@ func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
 			if err := tb.ColdCache(); err != nil {
 				return nil, err
 			}
-			beginCell(tb, nil)
+			tb.Cluster.BeginWindow(nil)
 			before := tb.Snap()
 			for i := 0; i < n; i++ {
 				if err := op.Run(tb, i); err != nil {
@@ -130,7 +130,7 @@ func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
 				return nil, err
 			}
 			total := tb.Since(before).Messages
-			endCell(tb, nil, map[string]float64{
+			tb.Cluster.EndWindow(nil, map[string]float64{
 				"messages":    float64(total),
 				"msgs_per_op": float64(total) / float64(n),
 			})

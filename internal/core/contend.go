@@ -107,12 +107,7 @@ type ContendCell struct {
 }
 
 // Label names the variant the way the tables print it.
-func (c ContendCell) Label() string {
-	if c.Stack == ISCSI && c.Transport == testbed.TransportTCP {
-		return fmt.Sprintf("%s/tcp", c.Stack)
-	}
-	return fmt.Sprintf("%s/%s", c.Stack, c.Transport)
-}
+func (c ContendCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 
 // RunContention sweeps contention workloads over stacks and transports.
 // Cells come out in deterministic order; identical seeds give
@@ -122,17 +117,12 @@ func RunContention(cfg ContendConfig) ([]ContendCell, error) {
 	cfg.fill()
 	var cells []ContendCell
 	for _, wl := range cfg.Workloads {
-		for _, stack := range cfg.Stacks {
-			for _, tr := range cfg.Transports {
-				if stack == ISCSI && tr == testbed.TransportUDP {
-					continue
-				}
-				cell, err := runContendCell(cfg, wl, stack, tr)
-				if err != nil {
-					return nil, fmt.Errorf("contend %s/%v(%v): %w", wl, stack, tr, err)
-				}
-				cells = append(cells, cell)
+		for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
+			cell, err := runContendCell(cfg, wl, v)
+			if err != nil {
+				return nil, fmt.Errorf("contend %s/%v(%v): %w", wl, v.stack, v.transport, err)
 			}
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
@@ -154,126 +144,95 @@ func shareCounters(cl *testbed.Cluster) (grants, denials int64) {
 
 // runContendCell builds one sharing-enabled cluster and drives one
 // contention workload across its clients.
-func runContendCell(cfg ContendConfig, wl string, stack Stack, tr testbed.Transport) (ContendCell, error) {
-	conns := 1
-	if stack == ISCSI && tr == testbed.TransportTCP {
-		conns = cfg.Conns
-	}
-	tags := metrics.Tags{
-		"workload": wl,
-		"clients":  itoa(cfg.Clients),
-		"conns":    itoa(conns),
-	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         stack,
-		Clients:      cfg.Clients,
-		DeviceBlocks: cfg.DeviceBlocks,
-		Seed:         cfg.Seed,
-		Transport:    tr,
-		Conns:        conns,
-		WindowBytes:  cfg.WindowBytes,
-		Sharing:      &testbed.SharingConfig{},
-		Metrics:      cellRecorder(cfg.Metrics, "contend", stack, tags),
-		Tracer:       cfg.Tracer,
-	})
-	if err != nil {
-		return ContendCell{}, err
-	}
+func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error) {
 	wcfg := workload.ContendConfig{
 		Iters:        cfg.Iters,
 		RecordSize:   cfg.RecordSize,
 		PollInterval: cfg.PollInterval,
 	}
-	if err := workload.SetupShared(cl.Clients, wcfg); err != nil {
-		return ContendCell{}, err
-	}
-
-	var steps []workload.Steps
-	var stats *workload.ContendStats
-	switch wl {
-	case ContendPingPong:
-		steps, stats = workload.LockPingPong(cl.Clients, wcfg)
-	case ContendAppend:
-		steps, stats = workload.SharedAppend(cl.Clients, wcfg)
-	case ContendRW:
-		steps, stats = workload.ReaderWriter(cl.Clients, wcfg)
-	default:
-		return ContendCell{}, fmt.Errorf("unknown contention workload %q", wl)
-	}
-
-	beginClusterCell(cl, nil)
-	g0, d0 := shareCounters(cl)
-	t0 := cl.Align()
-	if err := cl.Run(workload.Drivers(steps)); err != nil {
-		return ContendCell{}, err
-	}
-	t1 := cl.Align()
-	g1, d1 := shareCounters(cl)
-
 	cell := ContendCell{
 		Workload:  wl,
-		Stack:     stack,
-		Transport: tr,
+		Stack:     v.stack,
+		Transport: v.transport,
 		Clients:   cfg.Clients,
 		Ops:       int64(cfg.Iters) * int64(cfg.Clients),
-		Elapsed:   t1 - t0,
-		Grants:    g1 - g0,
-		Denials:   d1 - d0,
 	}
-	if cell.Elapsed > 0 {
-		cell.Rate = float64(cell.Ops) / cell.Elapsed.Seconds()
-	}
-	for _, w := range stats.Waits {
-		cell.WaitTotal += w
-		if w > cell.WaitMax {
-			cell.WaitMax = w
+	var steps []workload.Steps
+	var stats *workload.ContendStats
+	err := mustComplete(runCell(cellSpec{
+		experiment: "contend",
+		v:          v,
+		clients:    cfg.Clients,
+		tags:       metrics.Tags{"workload": wl},
+		metrics:    cfg.Metrics,
+		cluster: testbed.ClusterConfig{
+			Config: testbed.Config{
+				DeviceBlocks: cfg.DeviceBlocks,
+				Seed:         cfg.Seed,
+				WindowBytes:  cfg.WindowBytes,
+				Tracer:       cfg.Tracer,
+			},
+			Sharing: &testbed.SharingConfig{},
+		},
+	}, func(cl *testbed.Cluster) error {
+		if err := workload.SetupShared(cl.Clients, wcfg); err != nil {
+			return err
 		}
-	}
-	endClusterCell(cl, nil, map[string]float64{
-		"ops_per_sec":   cell.Rate,
-		"ops":           float64(cell.Ops),
-		"elapsed_ns":    float64(cell.Elapsed),
-		"lock_grants":   float64(cell.Grants),
-		"lock_denials":  float64(cell.Denials),
-		"wait_total_ns": float64(cell.WaitTotal),
-		"wait_max_ns":   float64(cell.WaitMax),
-	})
-	return cell, nil
+		switch wl {
+		case ContendPingPong:
+			steps, stats = workload.LockPingPong(cl.Clients, wcfg)
+		case ContendAppend:
+			steps, stats = workload.SharedAppend(cl.Clients, wcfg)
+		case ContendRW:
+			steps, stats = workload.ReaderWriter(cl.Clients, wcfg)
+		default:
+			return fmt.Errorf("unknown contention workload %q", wl)
+		}
+		return nil
+	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+		g0, d0 := shareCounters(cl)
+		t0 := cl.Align()
+		if err := cl.Run(workload.Drivers(steps)); err != nil {
+			return nil, err
+		}
+		cell.Elapsed = cl.Align() - t0
+		g1, d1 := shareCounters(cl)
+		cell.Grants, cell.Denials = g1-g0, d1-d0
+		if cell.Elapsed > 0 {
+			cell.Rate = float64(cell.Ops) / cell.Elapsed.Seconds()
+		}
+		for _, w := range stats.Waits {
+			cell.WaitTotal += w
+			if w > cell.WaitMax {
+				cell.WaitMax = w
+			}
+		}
+		return map[string]float64{
+			"ops_per_sec":   cell.Rate,
+			"ops":           float64(cell.Ops),
+			"elapsed_ns":    float64(cell.Elapsed),
+			"lock_grants":   float64(cell.Grants),
+			"lock_denials":  float64(cell.Denials),
+			"wait_total_ns": float64(cell.WaitTotal),
+			"wait_max_ns":   float64(cell.WaitMax),
+		}, nil
+	}))
+	return cell, err
 }
 
 // RenderContention prints the sweep: one panel per workload, one row per
 // stack/transport variant.
 func RenderContention(w io.Writer, cells []ContendCell) {
-	var wls []string
-	seenW := map[string]bool{}
-	var labels []string
-	seenL := map[string]bool{}
-	byCell := map[string]map[string]ContendCell{}
-	for _, c := range cells {
-		if !seenW[c.Workload] {
-			seenW[c.Workload] = true
-			wls = append(wls, c.Workload)
-			byCell[c.Workload] = map[string]ContendCell{}
-		}
-		if l := c.Label(); !seenL[l] {
-			seenL[l] = true
-			labels = append(labels, l)
-		}
-		byCell[c.Workload][c.Label()] = c
-	}
-	for _, wl := range wls {
+	g := groupCells(cells, func(c ContendCell) (string, string) { return c.Workload, c.Label() })
+	for _, wl := range g.keys {
 		fmt.Fprintf(w, "contend: %s\n", wl)
 		fmt.Fprintf(w, "%-16s %10s %10s %8s %8s %12s %12s\n",
 			"stack", "ops/s", "elapsed", "grants", "denials", "wait(total)", "wait(max)")
-		for _, l := range labels {
-			c, ok := byCell[wl][l]
-			if !ok {
-				continue
-			}
+		g.rows(wl, func(l string, c ContendCell) {
 			fmt.Fprintf(w, "%-16s %10.1f %10s %8d %8d %12s %12s\n",
 				l, c.Rate, c.Elapsed.Round(time.Millisecond), c.Grants, c.Denials,
 				c.WaitTotal.Round(time.Millisecond), c.WaitMax.Round(time.Millisecond))
-		}
+		})
 		fmt.Fprintln(w)
 	}
 }

@@ -2,18 +2,17 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/testbed"
 )
 
 // EmitEvents: the shared telemetry path of the Run* harnesses. Every
 // experiment derives a per-cell recorder (tagged with the experiment name,
 // stack and cell axes) and hands it to the testbed or cluster it builds;
 // the instrumented layers then stream counter samples, and the harness
-// closes each cell with a result point. docs/METRICS.md documents the
-// resulting schema; cmd/metrics summarizes the streams.
+// frames each measured window with Cluster.BeginWindow/EndWindow, closing
+// it with a result point. docs/METRICS.md documents the resulting schema;
+// cmd/metrics summarizes the streams.
 
 // cellRecorder derives the recorder one experiment cell emits through:
 // events carry {experiment, stack} plus the cell's extra axis tags.
@@ -26,49 +25,3 @@ func itoa(n int) string { return strconv.Itoa(n) }
 
 // ftoa tags a float axis value ("0.01", not "1e-02").
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// beginCell opens one instrumented measurement window on a testbed:
-// setup-phase deltas are flushed into their own samples, then the begin
-// mark separates them from measured traffic.
-func beginCell(tb *testbed.Testbed, extra metrics.Tags) {
-	tb.EmitSample()
-	tb.Metrics().Mark(tb.Clock.Now(), mergePhase("begin", extra))
-}
-
-// endCell closes the window: measured deltas are sampled, the cell's
-// derived results (if any) land as a point event, and the end mark
-// delimits the cell.
-func endCell(tb *testbed.Testbed, extra metrics.Tags, results map[string]float64) {
-	tb.EmitSample()
-	if len(results) > 0 {
-		tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, extra, results)
-	}
-	tb.Metrics().Mark(tb.Clock.Now(), mergePhase("end", extra))
-}
-
-// beginClusterCell / endClusterCell are the cluster-shaped versions of the
-// same window protocol, stamped at the cluster horizon.
-func beginClusterCell(cl *testbed.Cluster, extra metrics.Tags) {
-	cl.EmitSample()
-	cl.Metrics().Mark(cl.Horizon(), mergePhase("begin", extra))
-}
-
-func endClusterCell(cl *testbed.Cluster, extra metrics.Tags, results map[string]float64) {
-	cl.EmitSample()
-	if len(results) > 0 {
-		cl.Metrics().Point(cl.Horizon(), metrics.SubsysRun, extra, results)
-	}
-	cl.Metrics().Mark(cl.Horizon(), mergePhase("end", extra))
-}
-
-// mergePhase overlays a phase tag on the cell's extra tags.
-func mergePhase(phase string, extra metrics.Tags) metrics.Tags {
-	t := metrics.Tags{"phase": phase}
-	for k, v := range extra {
-		t[k] = v
-	}
-	return t
-}
-
-// durTag tags a duration axis value ("40ms").
-func durTag(d time.Duration) string { return d.String() }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
 )
@@ -106,12 +104,7 @@ type FaultCell struct {
 }
 
 // Label names the variant the way the tables print it.
-func (c FaultCell) Label() string {
-	if c.Stack == ISCSI && c.Transport == testbed.TransportTCP {
-		return fmt.Sprintf("%s/tcp", c.Stack)
-	}
-	return fmt.Sprintf("%s/%s", c.Stack, c.Transport)
-}
+func (c FaultCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 
 // RunFault sweeps fault families over stacks and transports. Cells come
 // out in deterministic order; identical seeds give byte-identical cells
@@ -122,64 +115,27 @@ func RunFault(cfg FaultConfig) ([]FaultCell, error) {
 	cfg.fill()
 	var cells []FaultCell
 	for _, f := range cfg.Families {
-		for _, stack := range cfg.Stacks {
-			for _, tr := range cfg.Transports {
-				if stack == ISCSI && tr == testbed.TransportUDP {
-					continue
-				}
-				cell, err := runFaultCell(cfg, f, stack, tr)
-				if err != nil {
-					return nil, fmt.Errorf("fault %s/%v(%v): %w", f, stack, tr, err)
-				}
-				cells = append(cells, cell)
+		for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
+			cell, err := runFaultCell(cfg, f, v)
+			if err != nil {
+				return nil, fmt.Errorf("fault %s/%v(%v): %w", f, v.stack, v.transport, err)
 			}
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
 }
 
-// runFaultCell builds one cluster and runs one fault plan against it.
-// The whole cell — working-set setup, fault timeline, recovery — sits
-// between the cell's begin/end marks; the end mark carries the recovery
-// measurements (or collapsed=1).
-func runFaultCell(cfg FaultConfig, f fault.Family, stack Stack, tr testbed.Transport) (FaultCell, error) {
-	axes := FaultCell{Family: f, Stack: stack, Transport: tr, Clients: cfg.Clients}
-	conns := 1
-	if stack == ISCSI && tr == testbed.TransportTCP {
-		conns = cfg.Conns
-	}
-	tags := metrics.Tags{
-		"family":  string(f),
-		"clients": itoa(cfg.Clients),
-		"conns":   itoa(conns),
-	}
-	var mon *health.Monitor
-	if cfg.Health != nil {
-		var err error
-		if mon, err = health.New(*cfg.Health); err != nil {
-			return FaultCell{}, err
-		}
-	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         stack,
-		Clients:      cfg.Clients,
-		DeviceBlocks: cfg.DeviceBlocks,
-		Seed:         cfg.Seed,
-		Transport:    tr,
-		Conns:        conns,
-		WindowBytes:  cfg.WindowBytes,
-		Metrics:      cellRecorder(cfg.Metrics, "fault", stack, tags),
-		Tracer:       cfg.Tracer,
-		Health:       mon,
-	})
-	if err != nil {
-		if errors.Is(err, simnet.ErrTransportBroken) {
-			axes.Collapsed = true
-			return axes, nil
-		}
-		return FaultCell{}, err
-	}
-	plan, err := fault.NewPlan(f, fault.PlanConfig{
+// runPlanCell is the fault-plan cell the fault and health sweeps share:
+// a fresh cluster (with its own monitor when cfg.Health is set), family
+// f's seeded plan run against it under run's cooldown/dry-run settings,
+// and results deriving the end mark's values. The whole cell — working-
+// set setup, fault timeline, recovery — sits between the begin/end marks.
+// tag is the family the stream carries (the health sweep's dry-run
+// control cells replay a real family's timeline under their own name).
+func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Family, run fault.Config,
+	results func(*testbed.Cluster, fault.Result) map[string]float64) (collapsed bool, err error) {
+	run.Plan, err = fault.NewPlan(f, fault.PlanConfig{
 		Warmup: cfg.Warmup,
 		Outage: cfg.Outage,
 		Flaps:  cfg.Flaps,
@@ -187,80 +143,76 @@ func runFaultCell(cfg FaultConfig, f fault.Family, stack Stack, tr testbed.Trans
 		Seed:   cfg.Seed,
 	})
 	if err != nil {
-		return FaultCell{}, err
+		return false, err
 	}
-
-	beginClusterCell(cl, nil)
-	res, err := fault.Run(cl, fault.Config{Plan: plan})
-	if err != nil {
-		if errors.Is(err, simnet.ErrTransportBroken) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
-			axes.Collapsed = true
-			return axes, nil
+	return runCell(cellSpec{
+		experiment: experiment,
+		v:          v,
+		clients:    cfg.Clients,
+		tags:       metrics.Tags{"family": string(tag)},
+		health:     cfg.Health,
+		metrics:    cfg.Metrics,
+		cluster: testbed.ClusterConfig{Config: testbed.Config{
+			DeviceBlocks: cfg.DeviceBlocks,
+			Seed:         cfg.Seed,
+			WindowBytes:  cfg.WindowBytes,
+			Tracer:       cfg.Tracer,
+		}},
+	}, nil, func(cl *testbed.Cluster) (map[string]float64, error) {
+		res, err := fault.Run(cl, run)
+		if err != nil {
+			return nil, err
 		}
-		return FaultCell{}, err
-	}
-
-	cell := axes
-	cell.Inject, cell.Healed, cell.Recovered, cell.TTR = res.Inject, res.Healed, res.Recovered, res.TTR
-	cell.PreRate, cell.DegradedRate, cell.PostRate = res.PreRate, res.DegradedRate, res.PostRate
-	cell.PreOps, cell.DegradedOps, cell.PostOps = res.PreOps, res.DegradedOps, res.PostOps
-	cell.FailedOps, cell.LostOps = res.FailedOps, res.LostOps
-	cell.RebuildBlocks, cell.Retransmits, cell.Dropped = res.RebuildBlocks, res.Retransmits, res.Dropped
-	cell.Collapsed = res.Collapsed
-	if cell.Collapsed {
-		endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
-		return cell, nil
-	}
-	endClusterCell(cl, nil, map[string]float64{
-		"ttr_ns":               float64(cell.TTR),
-		"inject_ns":            float64(cell.Inject),
-		"recovered_ns":         float64(cell.Recovered),
-		"pre_ops_per_sec":      cell.PreRate,
-		"degraded_ops_per_sec": cell.DegradedRate,
-		"post_ops_per_sec":     cell.PostRate,
-		"degraded_ops":         float64(cell.DegradedOps),
-		"failed_ops":           float64(cell.FailedOps),
-		"lost_ops":             float64(cell.LostOps),
-		"rebuild_blocks":       float64(cell.RebuildBlocks),
-		"retransmits":          float64(cell.Retransmits),
-		"dropped_frames":       float64(cell.Dropped),
+		return results(cl, res), nil
 	})
-	return cell, nil
+}
+
+// runFaultCell runs one fault plan and reports the recovery measurements
+// (or Collapsed: the service never recovered, or a transport died).
+func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error) {
+	cell := FaultCell{Family: f, Stack: v.stack, Transport: v.transport, Clients: cfg.Clients}
+	collapsed, err := runPlanCell("fault", cfg, v, f, f, fault.Config{},
+		func(_ *testbed.Cluster, res fault.Result) map[string]float64 {
+			cell.Inject, cell.Healed, cell.Recovered, cell.TTR = res.Inject, res.Healed, res.Recovered, res.TTR
+			cell.PreRate, cell.DegradedRate, cell.PostRate = res.PreRate, res.DegradedRate, res.PostRate
+			cell.PreOps, cell.DegradedOps, cell.PostOps = res.PreOps, res.DegradedOps, res.PostOps
+			cell.FailedOps, cell.LostOps = res.FailedOps, res.LostOps
+			cell.RebuildBlocks, cell.Retransmits, cell.Dropped = res.RebuildBlocks, res.Retransmits, res.Dropped
+			cell.Collapsed = res.Collapsed
+			if cell.Collapsed {
+				return map[string]float64{"collapsed": 1}
+			}
+			return map[string]float64{
+				"ttr_ns":               float64(cell.TTR),
+				"inject_ns":            float64(cell.Inject),
+				"recovered_ns":         float64(cell.Recovered),
+				"pre_ops_per_sec":      cell.PreRate,
+				"degraded_ops_per_sec": cell.DegradedRate,
+				"post_ops_per_sec":     cell.PostRate,
+				"degraded_ops":         float64(cell.DegradedOps),
+				"failed_ops":           float64(cell.FailedOps),
+				"lost_ops":             float64(cell.LostOps),
+				"rebuild_blocks":       float64(cell.RebuildBlocks),
+				"retransmits":          float64(cell.Retransmits),
+				"dropped_frames":       float64(cell.Dropped),
+			}
+		})
+	cell.Collapsed = cell.Collapsed || collapsed
+	return cell, err
 }
 
 // RenderFault prints the sweep: one panel per fault family, one row
 // group per stack/transport variant.
 func RenderFault(w io.Writer, cells []FaultCell) {
-	var families []fault.Family
-	seenF := map[fault.Family]bool{}
-	var labels []string
-	seenL := map[string]bool{}
-	byCell := map[fault.Family]map[string]FaultCell{}
-	for _, c := range cells {
-		if !seenF[c.Family] {
-			seenF[c.Family] = true
-			families = append(families, c.Family)
-			byCell[c.Family] = map[string]FaultCell{}
-		}
-		if l := c.Label(); !seenL[l] {
-			seenL[l] = true
-			labels = append(labels, l)
-		}
-		byCell[c.Family][c.Label()] = c
-	}
-	for _, f := range families {
+	g := groupCells(cells, func(c FaultCell) (fault.Family, string) { return c.Family, c.Label() })
+	for _, f := range g.keys {
 		fmt.Fprintf(w, "fault: %s\n", f)
 		fmt.Fprintf(w, "%-16s %10s %10s %10s %10s %7s %7s %9s\n",
 			"stack", "ttr", "pre/s", "degr/s", "post/s", "failed", "lost", "recovery")
-		for _, l := range labels {
-			c, ok := byCell[f][l]
-			if !ok {
-				continue
-			}
+		g.rows(f, func(l string, c FaultCell) {
 			if c.Collapsed {
 				fmt.Fprintf(w, "%-16s %10s\n", l, "collapse")
-				continue
+				return
 			}
 			extra := ""
 			switch f {
@@ -275,7 +227,7 @@ func RenderFault(w io.Writer, cells []FaultCell) {
 				l, c.TTR.Round(time.Millisecond), c.PreRate, c.DegradedRate,
 				c.PostRate, c.FailedOps, c.LostOps,
 				(c.Recovered - c.Healed).Round(time.Millisecond), extra)
-		}
+		})
 		fmt.Fprintln(w)
 	}
 }

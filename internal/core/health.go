@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
 )
@@ -126,12 +124,7 @@ type HealthCell struct {
 }
 
 // Label names the variant the way the tables print it.
-func (c HealthCell) Label() string {
-	if c.Stack == ISCSI && c.Transport == testbed.TransportTCP {
-		return fmt.Sprintf("%s/tcp", c.Stack)
-	}
-	return fmt.Sprintf("%s/%s", c.Stack, c.Transport)
-}
+func (c HealthCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 
 // controlFamily tags the fault-free dry-run cells.
 const controlFamily = fault.Family("control")
@@ -145,130 +138,94 @@ const controlFamily = fault.Family("control")
 func RunHealth(cfg HealthConfig) ([]HealthCell, error) {
 	cfg.fill()
 	var cells []HealthCell
-	for _, stack := range cfg.Stacks {
-		for _, tr := range cfg.Transports {
-			if stack == ISCSI && tr == testbed.TransportUDP {
-				continue
-			}
-			cell, err := runHealthCell(cfg, fault.ServerCrash, stack, tr, true)
+	for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
+		cell, err := runHealthCell(cfg, fault.ServerCrash, v, true)
+		if err != nil {
+			return nil, fmt.Errorf("health control %v(%v): %w", v.stack, v.transport, err)
+		}
+		cells = append(cells, cell)
+		for _, f := range cfg.Families {
+			cell, err := runHealthCell(cfg, f, v, false)
 			if err != nil {
-				return nil, fmt.Errorf("health control %v(%v): %w", stack, tr, err)
+				return nil, fmt.Errorf("health %s/%v(%v): %w", f, v.stack, v.transport, err)
 			}
 			cells = append(cells, cell)
-			for _, f := range cfg.Families {
-				cell, err := runHealthCell(cfg, f, stack, tr, false)
-				if err != nil {
-					return nil, fmt.Errorf("health %s/%v(%v): %w", f, stack, tr, err)
-				}
-				cells = append(cells, cell)
-			}
 		}
 	}
 	return cells, nil
 }
 
-// runHealthCell builds one cluster with its own monitor (alert state is
-// per-cell), replays one fault plan — dry-run for the control — and
-// scores the alert timeline against the plan's ground truth.
-func runHealthCell(cfg HealthConfig, f fault.Family, stack Stack, tr testbed.Transport, control bool) (HealthCell, error) {
+// planConfig is the fault-plan cell this sweep runs: the fault sweep's,
+// with a monitor on every cell.
+func (c HealthConfig) planConfig() FaultConfig {
+	return FaultConfig{
+		Clients:      c.Clients,
+		Warmup:       c.Warmup,
+		Outage:       c.Outage,
+		Flaps:        c.Flaps,
+		Victim:       c.Victim,
+		WindowBytes:  c.WindowBytes,
+		DeviceBlocks: c.DeviceBlocks,
+		Seed:         c.Seed,
+		Health:       &health.Config{Interval: c.Interval, Objectives: c.Objectives},
+		Metrics:      c.Metrics,
+		Tracer:       c.Tracer,
+	}
+}
+
+// runHealthCell is a fault-plan cell with a mandatory monitor (alert
+// state is per-cell), a cooldown, a dry-run for the control, and the
+// alert timeline scored against the plan's ground truth.
+func runHealthCell(cfg HealthConfig, f fault.Family, v variant, control bool) (HealthCell, error) {
 	family := f
 	if control {
 		family = controlFamily
 	}
-	axes := HealthCell{Family: family, Stack: stack, Transport: tr, Control: control}
-	conns := 1
-	if stack == ISCSI && tr == testbed.TransportTCP {
-		conns = cfg.Conns
-	}
-	tags := metrics.Tags{
-		"family":  string(family),
-		"clients": itoa(cfg.Clients),
-		"conns":   itoa(conns),
-	}
-	mon, err := health.New(health.Config{Interval: cfg.Interval, Objectives: cfg.Objectives})
-	if err != nil {
-		return HealthCell{}, err
-	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         stack,
-		Clients:      cfg.Clients,
-		DeviceBlocks: cfg.DeviceBlocks,
-		Seed:         cfg.Seed,
-		Transport:    tr,
-		Conns:        conns,
-		WindowBytes:  cfg.WindowBytes,
-		Metrics:      cellRecorder(cfg.Metrics, "health", stack, tags),
-		Tracer:       cfg.Tracer,
-		Health:       mon,
-	})
-	if err != nil {
-		if errors.Is(err, simnet.ErrTransportBroken) {
-			axes.Collapsed = true
-			return axes, nil
-		}
-		return HealthCell{}, err
-	}
-	plan, err := fault.NewPlan(f, fault.PlanConfig{
-		Warmup: cfg.Warmup,
-		Outage: cfg.Outage,
-		Flaps:  cfg.Flaps,
-		Victim: cfg.Victim,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return HealthCell{}, err
-	}
+	cell := HealthCell{Family: family, Stack: v.stack, Transport: v.transport, Control: control}
+	collapsed, err := runPlanCell("health", cfg.planConfig(), v, family, f,
+		fault.Config{Cooldown: cfg.Cooldown, DryRun: control},
+		func(cl *testbed.Cluster, res fault.Result) map[string]float64 {
+			mon := cl.Health()
+			cell.Scrapes, cell.GaugeEvents = mon.Scrapes(), mon.GaugeEvents()
+			var sc health.Score
+			if control {
+				sc = health.ScoreControl(mon.Transitions())
+			} else {
+				cell.Inject, cell.Recovered, cell.TTR = res.Inject, res.Recovered, res.TTR
+				cell.Collapsed = res.Collapsed
+				sc = health.ScoreTimeline(mon.Transitions(), res.Inject, res.Recovered)
+			}
+			cell.Detected, cell.TTD = sc.Detected, sc.TTD
+			cell.Resolved, cell.TTResolve = sc.Resolved, sc.TTResolve
+			cell.Fires, cell.FalsePositives, cell.FalseNegatives = sc.Fires, sc.FalsePositives, sc.FalseNegatives
 
-	beginClusterCell(cl, nil)
-	res, err := fault.Run(cl, fault.Config{Plan: plan, Cooldown: cfg.Cooldown, DryRun: control})
-	if err != nil {
-		if errors.Is(err, simnet.ErrTransportBroken) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
-			axes.Collapsed = true
-			return axes, nil
-		}
-		return HealthCell{}, err
-	}
-
-	cell := axes
-	cell.Scrapes, cell.GaugeEvents = mon.Scrapes(), mon.GaugeEvents()
-	var sc health.Score
-	if control {
-		sc = health.ScoreControl(mon.Transitions())
-	} else {
-		cell.Inject, cell.Recovered, cell.TTR = res.Inject, res.Recovered, res.TTR
-		cell.Collapsed = res.Collapsed
-		sc = health.ScoreTimeline(mon.Transitions(), res.Inject, res.Recovered)
-	}
-	cell.Detected, cell.TTD = sc.Detected, sc.TTD
-	cell.Resolved, cell.TTResolve = sc.Resolved, sc.TTResolve
-	cell.Fires, cell.FalsePositives, cell.FalseNegatives = sc.Fires, sc.FalsePositives, sc.FalseNegatives
-
-	results := map[string]float64{
-		"fires":           float64(cell.Fires),
-		"false_positives": float64(cell.FalsePositives),
-		"scrapes":         float64(cell.Scrapes),
-		"gauge_events":    float64(cell.GaugeEvents),
-	}
-	if control {
-		results["control"] = 1
-	} else {
-		results["detected"] = b2f(cell.Detected)
-		results["false_negatives"] = float64(cell.FalseNegatives)
-		if cell.Detected {
-			results["ttd_ns"] = float64(cell.TTD)
-		}
-		if cell.Resolved {
-			results["tt_resolve_ns"] = float64(cell.TTResolve)
-		}
-		if !cell.Collapsed {
-			results["ttr_ns"] = float64(cell.TTR)
-		} else {
-			results["collapsed"] = 1
-		}
-	}
-	endClusterCell(cl, nil, results)
-	return cell, nil
+			results := map[string]float64{
+				"fires":           float64(cell.Fires),
+				"false_positives": float64(cell.FalsePositives),
+				"scrapes":         float64(cell.Scrapes),
+				"gauge_events":    float64(cell.GaugeEvents),
+			}
+			if control {
+				results["control"] = 1
+				return results
+			}
+			results["detected"] = b2f(cell.Detected)
+			results["false_negatives"] = float64(cell.FalseNegatives)
+			if cell.Detected {
+				results["ttd_ns"] = float64(cell.TTD)
+			}
+			if cell.Resolved {
+				results["tt_resolve_ns"] = float64(cell.TTResolve)
+			}
+			if !cell.Collapsed {
+				results["ttr_ns"] = float64(cell.TTR)
+			} else {
+				results["collapsed"] = 1
+			}
+			return results
+		})
+	cell.Collapsed = cell.Collapsed || collapsed
+	return cell, err
 }
 
 // b2f converts a bool result to its event-stream value.
@@ -282,49 +239,25 @@ func b2f(b bool) float64 {
 // RenderHealth prints the detection-quality table: one panel per fault
 // family (control first), one row per stack/transport variant.
 func RenderHealth(w io.Writer, cells []HealthCell) {
-	var families []fault.Family
-	seenF := map[fault.Family]bool{}
-	var labels []string
-	seenL := map[string]bool{}
-	byCell := map[fault.Family]map[string]HealthCell{}
-	for _, c := range cells {
-		if !seenF[c.Family] {
-			seenF[c.Family] = true
-			families = append(families, c.Family)
-			byCell[c.Family] = map[string]HealthCell{}
-		}
-		if l := c.Label(); !seenL[l] {
-			seenL[l] = true
-			labels = append(labels, l)
-		}
-		byCell[c.Family][c.Label()] = c
-	}
-	for _, f := range families {
+	g := groupCells(cells, func(c HealthCell) (fault.Family, string) { return c.Family, c.Label() })
+	for _, f := range g.keys {
 		if f == controlFamily {
 			fmt.Fprintf(w, "health: control (fault-free)\n")
 			fmt.Fprintf(w, "%-16s %7s %7s %9s\n", "stack", "fires", "fp", "verdict")
-			for _, l := range labels {
-				c, ok := byCell[f][l]
-				if !ok {
-					continue
-				}
+			g.rows(f, func(l string, c HealthCell) {
 				verdict := "quiet"
 				if c.FalsePositives > 0 {
 					verdict = "NOISY"
 				}
 				fmt.Fprintf(w, "%-16s %7d %7d %9s\n", l, c.Fires, c.FalsePositives, verdict)
-			}
+			})
 			fmt.Fprintln(w)
 			continue
 		}
 		fmt.Fprintf(w, "health: %s\n", f)
 		fmt.Fprintf(w, "%-16s %10s %10s %9s %10s %6s %4s %4s\n",
 			"stack", "ttd", "ttr", "ttd/ttr", "resolve", "fires", "fp", "fn")
-		for _, l := range labels {
-			c, ok := byCell[f][l]
-			if !ok {
-				continue
-			}
+		g.rows(f, func(l string, c HealthCell) {
 			ttd, ratio := "miss", "-"
 			if c.Detected {
 				ttd = c.TTD.Round(time.Millisecond).String()
@@ -342,7 +275,7 @@ func RenderHealth(w io.Writer, cells []HealthCell) {
 			}
 			fmt.Fprintf(w, "%-16s %10s %10s %9s %10s %6d %4d %4d\n",
 				l, ttd, ttr, ratio, resolve, c.Fires, c.FalsePositives, c.FalseNegatives)
-		}
+		})
 		fmt.Fprintln(w)
 	}
 }

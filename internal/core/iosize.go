@@ -73,7 +73,7 @@ func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64,
 	// windows below each end with the message-count delta).
 	defer func() {
 		if err == nil {
-			endCell(tb, nil, map[string]float64{"messages": float64(msgs)})
+			tb.Cluster.EndWindow(nil, map[string]float64{"messages": float64(msgs)})
 		}
 	}()
 	// The target file always holds 64 KB so every read size is in-file.
@@ -85,7 +85,7 @@ func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64,
 	}
 	switch panel {
 	case "cold-read":
-		beginCell(tb, nil)
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		f, err := tb.Open("/io.dat")
 		if err != nil {
@@ -115,7 +115,7 @@ func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64,
 		}
 		opts.fill()
 		tb.Idle(opts.WarmGap)
-		beginCell(tb, nil)
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		buf := make([]byte, size)
 		if _, err := tb.ReadFileAt(f, 0, buf); err != nil {
@@ -126,7 +126,7 @@ func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64,
 		}
 		return tb.Since(before).Messages, nil
 	case "cold-write":
-		beginCell(tb, nil)
+		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
 		f, err := tb.Open("/io.dat")
 		if err != nil {

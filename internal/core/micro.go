@@ -324,7 +324,7 @@ func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (in
 		opts.fill()
 		tb.Idle(opts.WarmGap)
 	}
-	beginCell(tb, nil)
+	tb.Cluster.BeginWindow(nil)
 	before := tb.Snap()
 	run := op.Cold
 	if warm {
@@ -337,7 +337,7 @@ func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (in
 		return 0, err
 	}
 	msgs := tb.Since(before).Messages
-	endCell(tb, nil, map[string]float64{"messages": float64(msgs)})
+	tb.Cluster.EndWindow(nil, map[string]float64{"messages": float64(msgs)})
 	return msgs, nil
 }
 

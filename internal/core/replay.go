@@ -128,10 +128,11 @@ type ReplayCell struct {
 
 // Label names the cell's variant the way the tables print it.
 func (c ReplayCell) Label() string {
+	l := variantLabel(c.Stack, c.Transport)
 	if c.Stack == ISCSI && c.Conns > 1 {
-		return fmt.Sprintf("%s/%s x%d", c.Stack, c.Transport, c.Conns)
+		l += fmt.Sprintf(" x%d", c.Conns)
 	}
-	return fmt.Sprintf("%s/%s", c.Stack, c.Transport)
+	return l
 }
 
 // RunReplay sweeps every (trace, stack, transport) combination. Cells are
@@ -160,131 +161,98 @@ func RunReplay(cfg ReplayConfig) ([]ReplayCell, error) {
 	}
 	var cells []ReplayCell
 	for _, b := range blocks {
-		for _, stack := range cfg.Stacks {
-			for _, tr := range cfg.Transports {
-				if stack == ISCSI && tr == testbed.TransportUDP {
-					continue // no UDP transport exists for iSCSI
-				}
-				cell, err := runReplayCell(cfg, b.name, b.recs, stack, tr)
-				if err != nil {
-					return nil, fmt.Errorf("replay %s/%v/%v: %w", b.name, stack, tr, err)
-				}
-				cells = append(cells, cell)
+		for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
+			cell, err := runReplayCell(cfg, b.name, b.recs, v)
+			if err != nil {
+				return nil, fmt.Errorf("replay %s/%v/%v: %w", b.name, v.stack, v.transport, err)
 			}
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
 }
 
 // runReplayCell builds one cluster and replays one trace through it.
-func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record,
-	stack Stack, tr testbed.Transport) (ReplayCell, error) {
-	dev := cfg.DeviceBlocks
-	if stack != ISCSI {
-		dev *= int64(cfg.Clients) // one shared export
-	}
-	conns := 1
-	if stack == ISCSI && tr == testbed.TransportTCP {
-		conns = cfg.Conns
-	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         stack,
-		Clients:      cfg.Clients,
-		DeviceBlocks: dev,
-		Seed:         cfg.Seed,
-		Transport:    tr,
-		Conns:        conns,
-		WindowBytes:  cfg.WindowBytes,
-		Metrics: cellRecorder(cfg.Metrics, "replay", stack,
-			metrics.Tags{"profile": name, "conns": itoa(conns), "clients": itoa(cfg.Clients)}),
-		Tracer: cfg.Tracer,
-	})
-	if err != nil {
-		return ReplayCell{}, err
-	}
+func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record, v variant) (ReplayCell, error) {
 	maxOps := cfg.MaxOps
 	if maxOps < 0 {
 		maxOps = 0 // replay.Options spells "everything" as 0
 	}
-	beginClusterCell(cl, nil)
-	res, err := replay.Run(cl, recs, replay.Options{DirMod: cfg.DirMod, MaxOps: maxOps})
-	if err != nil {
-		return ReplayCell{}, err
-	}
-	if len(res.Ops) > 0 {
-		lats := make([]time.Duration, len(res.Ops))
-		for i, op := range res.Ops {
-			lats[i] = op.Latency()
-		}
-		cl.Metrics().Emit(cl.Horizon(), metrics.SubsysHist, metrics.KindSample,
-			nil, metrics.LatencyHistogram(lats), nil)
-	}
-	endClusterCell(cl, nil, map[string]float64{
-		"ops":         float64(len(res.Ops)),
-		"elapsed_ns":  float64(res.Elapsed),
-		"p50_ns":      float64(res.P50),
-		"p90_ns":      float64(res.P90),
-		"p99_ns":      float64(res.P99),
-		"mean_ns":     float64(res.Mean),
-		"ops_per_sec": res.OpsPerSec,
-	})
 	cell := ReplayCell{
 		Profile:   name,
-		Stack:     stack,
-		Transport: tr,
-		Conns:     conns,
+		Stack:     v.stack,
+		Transport: v.transport,
+		Conns:     v.conns,
 		Clients:   cfg.Clients,
-		Ops:       len(res.Ops),
-		Elapsed:   res.Elapsed,
-		P50:       res.P50,
-		P90:       res.P90,
-		P99:       res.P99,
-		Mean:      res.Mean,
-		OpsPerSec: res.OpsPerSec,
 	}
-	for _, c := range res.PerClient {
-		if c.Mean > cell.SlowestClientMean {
-			cell.SlowestClientMean = c.Mean
+	err := mustComplete(runCell(cellSpec{
+		experiment: "replay",
+		v:          v,
+		clients:    cfg.Clients,
+		tags:       metrics.Tags{"profile": name},
+		metrics:    cfg.Metrics,
+		cluster: testbed.ClusterConfig{Config: testbed.Config{
+			DeviceBlocks: exportBlocks(cfg.DeviceBlocks, v.stack, cfg.Clients),
+			Seed:         cfg.Seed,
+			WindowBytes:  cfg.WindowBytes,
+			Tracer:       cfg.Tracer,
+		}},
+	}, nil, func(cl *testbed.Cluster) (map[string]float64, error) {
+		res, err := replay.Run(cl, recs, replay.Options{DirMod: cfg.DirMod, MaxOps: maxOps})
+		if err != nil {
+			return nil, err
 		}
-	}
-	return cell, nil
+		if len(res.Ops) > 0 {
+			lats := make([]time.Duration, len(res.Ops))
+			for i, op := range res.Ops {
+				lats[i] = op.Latency()
+			}
+			cl.Metrics().Emit(cl.Horizon(), metrics.SubsysHist, metrics.KindSample,
+				nil, metrics.LatencyHistogram(lats), nil)
+		}
+		cell.Ops, cell.Elapsed = len(res.Ops), res.Elapsed
+		cell.P50, cell.P90, cell.P99, cell.Mean = res.P50, res.P90, res.P99, res.Mean
+		cell.OpsPerSec = res.OpsPerSec
+		for _, c := range res.PerClient {
+			if c.Mean > cell.SlowestClientMean {
+				cell.SlowestClientMean = c.Mean
+			}
+		}
+		return map[string]float64{
+			"ops":         float64(len(res.Ops)),
+			"elapsed_ns":  float64(res.Elapsed),
+			"p50_ns":      float64(res.P50),
+			"p90_ns":      float64(res.P90),
+			"p99_ns":      float64(res.P99),
+			"mean_ns":     float64(res.Mean),
+			"ops_per_sec": res.OpsPerSec,
+		}, nil
+	}))
+	return cell, err
 }
 
 // RenderReplay prints the sweep grouped by trace: one row per (stack,
 // transport) variant with latency percentiles and throughput.
 func RenderReplay(w io.Writer, cells []ReplayCell) {
-	var profiles []string
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if !seen[c.Profile] {
-			seen[c.Profile] = true
-			profiles = append(profiles, c.Profile)
-		}
-	}
-	for _, p := range profiles {
-		var clients, ops int
-		for _, c := range cells {
-			if c.Profile == p {
-				clients, ops = c.Clients, c.Ops
-				break
-			}
-		}
-		fmt.Fprintf(w, "Trace replay: %s (open-loop, %d clients, %d ops)\n", p, clients, ops)
-		fmt.Fprintf(w, "%-18s %9s %9s %9s %9s %9s %10s\n",
-			"variant", "p50", "p90", "p99", "mean", "slowest", "ops/s")
-		for _, c := range cells {
-			if c.Profile != p {
-				continue
+	g := groupCells(cells, func(c ReplayCell) (string, string) { return c.Profile, c.Label() })
+	for _, p := range g.keys {
+		titled := false
+		g.rows(p, func(l string, c ReplayCell) {
+			if !titled {
+				titled = true
+				fmt.Fprintf(w, "Trace replay: %s (open-loop, %d clients, %d ops)\n", p, c.Clients, c.Ops)
+				fmt.Fprintf(w, "%-18s %9s %9s %9s %9s %9s %10s\n",
+					"variant", "p50", "p90", "p99", "mean", "slowest", "ops/s")
 			}
 			fmt.Fprintf(w, "%-18s %9s %9s %9s %9s %9s %10.1f\n",
-				c.Label(),
+				l,
 				c.P50.Round(time.Microsecond).String(),
 				c.P90.Round(time.Microsecond).String(),
 				c.P99.Round(time.Microsecond).String(),
 				c.Mean.Round(time.Microsecond).String(),
 				c.SlowestClientMean.Round(time.Microsecond).String(),
 				c.OpsPerSec)
-		}
+		})
 		fmt.Fprintln(w)
 	}
 }

@@ -171,50 +171,47 @@ type calibration map[string]fleet.Demand
 // n clients, running the one-client measurement on a miss. The
 // calibration cluster's storage is sized for the full population so the
 // measured client pays the same seek distances the target cell's clients
-// will.
+// will. It runs as an untagged, untraced cell.
 func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (fleet.Demand, error) {
 	key := fmt.Sprintf("%s|%s|%d", wl, stack, n)
 	if d, ok := cal[key]; ok {
 		return d, nil
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:            stack,
-		Clients:         1,
-		DeviceBlocks:    exportBlocks(cfg.DeviceBlocks, stack, n),
-		Seed:            cfg.Seed,
-		CapacityClients: n,
-	})
-	if err != nil {
-		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
-	}
-	drivers, aggBytes, err := scaleDrivers(cl, cfg, wl)
-	if err != nil {
-		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
-	}
-	before := cl.Snap()
-	beforeDisk := cl.DiskBusy()
-	startOps := cl.Clients[0].Ops()
-	if err := cl.Run(drivers); err != nil {
-		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
-	}
-	if err := cl.Drain(); err != nil {
-		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
-	}
-	after := cl.Snap()
-	d := cl.Since(before)
-	m := fleet.Measured{
-		Elapsed:       d.Elapsed,
-		Ops:           cl.Clients[0].Ops() - startOps,
-		ServerCPUBusy: d.ServerBusy,
-		DiskBusy:      cl.DiskBusy() - beforeDisk,
-		UpBytes:       after.Net.BytesSent - before.Net.BytesSent,
-		DownBytes:     after.Net.BytesRecv - before.Net.BytesRecv,
-		Messages:      d.Messages,
-		DataBytes:     aggBytes,
-	}
-	// The homogeneous cluster multiplexes every client over one segment,
-	// so the wire is a shared station calibrated at segment bandwidth.
-	dem, err := fleet.Calibrate(m, cl.Net.Bandwidth())
+	var drivers []func() (bool, error)
+	var aggBytes int64
+	var dem fleet.Demand
+	err := mustComplete(runCell(cellSpec{
+		experiment: "scale",
+		v:          variant{stack: stack},
+		clients:    1,
+		cluster: testbed.ClusterConfig{
+			Config:          testbed.Config{DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n), Seed: cfg.Seed},
+			CapacityClients: n,
+		},
+	}, func(cl *testbed.Cluster) (err error) {
+		drivers, aggBytes, err = scaleDrivers(cl, cfg, wl)
+		return err
+	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+		beforeDisk := cl.Array().Busy()
+		r, err := runDrivers(cl, drivers)
+		if err != nil {
+			return nil, err
+		}
+		after := cl.Snap()
+		// The homogeneous cluster multiplexes every client over one segment,
+		// so the wire is a shared station calibrated at segment bandwidth.
+		dem, err = fleet.Calibrate(fleet.Measured{
+			Elapsed:       r.Delta.Elapsed,
+			Ops:           r.Ops,
+			ServerCPUBusy: r.ServerBusy,
+			DiskBusy:      cl.Array().Busy() - beforeDisk,
+			UpBytes:       after.Net.BytesSent - r.Before.Net.BytesSent,
+			DownBytes:     after.Net.BytesRecv - r.Before.Net.BytesRecv,
+			Messages:      r.Messages,
+			DataBytes:     aggBytes,
+		}, cl.Net.Bandwidth())
+		return nil, err
+	}))
 	if err != nil {
 		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
 	}
@@ -300,7 +297,7 @@ func scaleDrivers(cl *testbed.Cluster, cfg ScaleConfig, wl string) ([]func() (bo
 func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibration) (ScaleCell, error) {
 	k := n
 	var cohorts []fleet.Cohort
-	cellTags := metrics.Tags{"workload": wl, "clients": itoa(n)}
+	tags := metrics.Tags{"workload": wl}
 	if cfg.Foreground > 0 && n > cfg.Foreground {
 		k = cfg.Foreground
 		dem, err := cal.demand(cfg, wl, stack, n)
@@ -308,165 +305,97 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 			return ScaleCell{}, err
 		}
 		cohorts = []fleet.Cohort{{Clients: n - k, Demand: dem}}
-		cellTags["background"] = itoa(n - k)
+		tags["background"] = itoa(n - k)
 	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:            stack,
-		Clients:         k,
-		DeviceBlocks:    exportBlocks(cfg.DeviceBlocks, stack, n),
-		Seed:            cfg.Seed,
-		Background:      cohorts,
-		CapacityClients: n,
-		Metrics:         cellRecorder(cfg.Metrics, "scale", stack, cellTags),
-		Tracer:          cfg.Tracer,
-	})
-	if err != nil {
-		return ScaleCell{}, err
-	}
-
-	drivers, aggBytes, err := scaleDrivers(cl, cfg, wl)
-	if err != nil {
-		return ScaleCell{}, err
-	}
-
-	// Measured window: interleaved run, then drain to quiescence.
-	beginClusterCell(cl, nil)
-	before := cl.Snap()
-	startOps := make([]int64, k)
-	startT := make([]time.Duration, k)
-	for i, c := range cl.Clients {
-		startOps[i] = c.Ops()
-		startT[i] = c.Clock.Now()
-	}
-	if err := cl.Run(drivers); err != nil {
-		return ScaleCell{}, err
-	}
-	var latSum time.Duration
-	var totalOps int64
-	for i, c := range cl.Clients {
-		ops := c.Ops() - startOps[i]
-		totalOps += ops
-		if ops > 0 {
-			latSum += (c.Clock.Now() - startT[i]) / time.Duration(ops)
+	cell := ScaleCell{Workload: wl, Stack: stack, Clients: n}
+	var drivers []func() (bool, error)
+	var aggBytes int64
+	err := mustComplete(runCell(cellSpec{
+		experiment: "scale",
+		v:          variant{stack: stack},
+		clients:    n,
+		tags:       tags,
+		metrics:    cfg.Metrics,
+		cluster: testbed.ClusterConfig{
+			Config: testbed.Config{
+				DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n),
+				Seed:         cfg.Seed,
+				Tracer:       cfg.Tracer,
+			},
+			Clients:         k,
+			Background:      cohorts,
+			CapacityClients: n,
+		},
+	}, func(cl *testbed.Cluster) (err error) {
+		drivers, aggBytes, err = scaleDrivers(cl, cfg, wl)
+		return err
+	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+		// Measured window: interleaved run, then drain to quiescence.
+		r, err := runDrivers(cl, drivers)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := cl.Drain(); err != nil {
-		return ScaleCell{}, err
-	}
-	d := cl.Since(before)
-	elapsed := d.Elapsed
-	if elapsed <= 0 {
-		elapsed = time.Millisecond
-	}
-	secs := elapsed.Seconds()
-	cell := ScaleCell{
-		Workload:         wl,
-		Stack:            stack,
-		Clients:          n,
-		Elapsed:          elapsed,
-		AggBytesPerSec:   float64(aggBytes) / secs,
-		AggOpsPerSec:     float64(totalOps) / secs,
-		PerClientLatency: latSum / time.Duration(k),
-		ServerCPU:        float64(d.ServerBusy) / float64(elapsed),
-		Messages:         d.Messages,
-	}
-	if op := cl.Fluid(); op != nil {
-		// The fleet is homogeneous, so the k mechanistic clients — running
-		// against the injected background load — are a sample of the full
-		// population: per-client figures (latency) carry over directly and
-		// aggregate rates scale by population over sample. The solved
-		// operating point's job was setting the injected utilizations; the
-		// reported numbers come from the measured sample. Server CPU adds
-		// the background share on top of the capacity the foreground left:
-		// utilization = fg + rho*(1-fg) under processor sharing.
-		scale := float64(n) / float64(k)
-		cell.Background = op.Background
-		cell.AggOpsPerSec *= scale
-		cell.AggBytesPerSec *= scale
-		cell.Messages = int64(float64(cell.Messages) * scale)
-		rho := op.BackgroundUtil[fleet.StationCPU]
-		cell.ServerCPU = cell.ServerCPU + rho*(1-cell.ServerCPU)
-	}
-	endClusterCell(cl, nil, map[string]float64{
-		"elapsed_ns":            float64(cell.Elapsed),
-		"agg_bytes_per_sec":     cell.AggBytesPerSec,
-		"agg_ops_per_sec":       cell.AggOpsPerSec,
-		"per_client_latency_ns": float64(cell.PerClientLatency),
-		"server_cpu":            cell.ServerCPU,
-		"messages":              float64(cell.Messages),
-	})
-	return cell, nil
+		secs := r.Elapsed.Seconds()
+		cell.Elapsed = r.Elapsed
+		cell.AggBytesPerSec = float64(aggBytes) / secs
+		cell.AggOpsPerSec = float64(r.Ops) / secs
+		cell.PerClientLatency = r.LatMean
+		cell.ServerCPU = float64(r.ServerBusy) / float64(r.Elapsed)
+		cell.Messages = r.Messages
+		if op := cl.Fluid(); op != nil {
+			// The fleet is homogeneous, so the k mechanistic clients — running
+			// against the injected background load — are a sample of the full
+			// population: per-client figures (latency) carry over directly and
+			// aggregate rates scale by population over sample. The solved
+			// operating point's job was setting the injected utilizations; the
+			// reported numbers come from the measured sample. Server CPU adds
+			// the background share on top of the capacity the foreground left:
+			// utilization = fg + rho*(1-fg) under processor sharing.
+			scale := float64(n) / float64(k)
+			cell.Background = op.Background
+			cell.AggOpsPerSec *= scale
+			cell.AggBytesPerSec *= scale
+			cell.Messages = int64(float64(cell.Messages) * scale)
+			rho := op.BackgroundUtil[fleet.StationCPU]
+			cell.ServerCPU = cell.ServerCPU + rho*(1-cell.ServerCPU)
+		}
+		return map[string]float64{
+			"elapsed_ns":            float64(cell.Elapsed),
+			"agg_bytes_per_sec":     cell.AggBytesPerSec,
+			"agg_ops_per_sec":       cell.AggOpsPerSec,
+			"per_client_latency_ns": float64(cell.PerClientLatency),
+			"server_cpu":            cell.ServerCPU,
+			"messages":              float64(cell.Messages),
+		}, nil
+	}))
+	return cell, err
 }
 
 // RenderScaling prints the sweep grouped by workload: one row block per
 // metric, stacks as rows, client counts as columns.
 func RenderScaling(w io.Writer, cells []ScaleCell) {
-	// Preserve encounter order of workloads and counts.
-	var workloads []string
-	var counts []int
-	seenW := map[string]bool{}
-	seenC := map[int]bool{}
-	cell := map[string]map[Stack]map[int]ScaleCell{}
-	for _, c := range cells {
-		if !seenW[c.Workload] {
-			seenW[c.Workload] = true
-			workloads = append(workloads, c.Workload)
-			cell[c.Workload] = map[Stack]map[int]ScaleCell{}
-		}
-		if !seenC[c.Clients] {
-			seenC[c.Clients] = true
-			counts = append(counts, c.Clients)
-		}
-		if cell[c.Workload][c.Stack] == nil {
-			cell[c.Workload][c.Stack] = map[int]ScaleCell{}
-		}
-		cell[c.Workload][c.Stack][c.Clients] = c
-	}
-
-	row := func(byCount map[int]ScaleCell, f func(ScaleCell) string) string {
-		out := ""
-		for _, n := range counts {
-			c, ok := byCount[n]
-			if !ok {
-				out += fmt.Sprintf(" %9s", "-")
-				continue
-			}
-			out += fmt.Sprintf(" %9s", f(c))
-		}
-		return out
-	}
-
-	for _, wl := range workloads {
+	count := func(c ScaleCell) int { return c.Clients }
+	cols := countsOf(cells, count)
+	g := groupCells(cells, func(c ScaleCell) (string, string) { return c.Workload, c.Stack.String() })
+	for _, wl := range g.keys {
 		fmt.Fprintf(w, "Scaling: %s (clients sharing one server)\n", wl)
-		fmt.Fprintf(w, "%-22s", "clients")
-		for _, n := range counts {
-			fmt.Fprintf(w, " %9d", n)
-		}
-		fmt.Fprintln(w)
+		cols.header(w)
 		for _, stack := range testbed.AllKinds {
-			byCount := cell[wl][stack]
-			if byCount == nil {
+			cs := g.at[wl][stack.String()]
+			if cs == nil {
 				continue
 			}
 			if wl == "postmark" {
-				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" kops/s",
-					row(byCount, func(c ScaleCell) string {
-						return fmt.Sprintf("%.1f", c.AggOpsPerSec/1000)
-					}))
+				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" kops/s", row(cols, cs, count,
+					func(c ScaleCell) string { return fmt.Sprintf("%.1f", c.AggOpsPerSec/1000) }))
 			} else {
-				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" MB/s",
-					row(byCount, func(c ScaleCell) string {
-						return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6)
-					}))
+				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" MB/s", row(cols, cs, count,
+					func(c ScaleCell) string { return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6) }))
 			}
-			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency",
-				row(byCount, func(c ScaleCell) string {
-					return c.PerClientLatency.Round(time.Microsecond).String()
-				}))
-			fmt.Fprintf(w, "%-22s%s\n", "  server CPU",
-				row(byCount, func(c ScaleCell) string {
-					return fmt.Sprintf("%.0f%%", c.ServerCPU*100)
-				}))
+			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", row(cols, cs, count,
+				func(c ScaleCell) string { return c.PerClientLatency.Round(time.Microsecond).String() }))
+			fmt.Fprintf(w, "%-22s%s\n", "  server CPU", row(cols, cs, count,
+				func(c ScaleCell) string { return fmt.Sprintf("%.0f%%", c.ServerCPU*100) }))
 		}
 		fmt.Fprintln(w)
 	}

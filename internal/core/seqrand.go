@@ -98,7 +98,7 @@ func RunFigure6(opts Options, fileSize int64, rtts []time.Duration) ([]LatencyPo
 			pt.Seconds[stack] = map[string]float64{}
 			for _, r := range runners {
 				tb, err := opts.newBed("figure6", stack,
-					metrics.Tags{"workload": r.name, "rtt": durTag(rtt)})
+					metrics.Tags{"workload": r.name, "rtt": rtt.String()})
 				if err != nil {
 					return nil, err
 				}

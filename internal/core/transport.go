@@ -86,23 +86,17 @@ func (c *TransportConfig) fill() {
 	}
 }
 
-// variant is one transport arrangement of a stack.
-type variant struct {
-	transport testbed.Transport
-	conns     int
-}
-
 // variants returns the transport arrangements swept for a stack: NFS
 // compares datagram UDP against stream TCP; iSCSI scales MC/S connections.
 func (c TransportConfig) variants(stack Stack) []variant {
 	if stack == ISCSI {
 		vs := make([]variant, 0, len(c.Conns))
 		for _, n := range c.Conns {
-			vs = append(vs, variant{testbed.TransportTCP, n})
+			vs = append(vs, variant{stack, testbed.TransportTCP, n})
 		}
 		return vs
 	}
-	return []variant{{testbed.TransportUDP, 1}, {testbed.TransportTCP, 1}}
+	return []variant{{stack, testbed.TransportUDP, 1}, {stack, testbed.TransportTCP, 1}}
 }
 
 // TransportCell is one (stack, transport, workload, rtt, loss, window)
@@ -156,7 +150,7 @@ func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 				for _, window := range windows {
 					for _, rtt := range cfg.RTTs {
 						for _, loss := range cfg.LossRates {
-							cell, err := runTransportCell(cfg, wl, stack, v, rtt, loss, window)
+							cell, err := runTransportCell(cfg, wl, v, rtt, loss, window)
 							if err != nil {
 								return nil, fmt.Errorf("transport %s/%v(%v x%d)/rtt=%v/loss=%g: %w",
 									wl, stack, v.transport, v.conns, rtt, loss, err)
@@ -172,11 +166,12 @@ func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 }
 
 // runTransportCell builds one testbed and measures one workload on it.
-func runTransportCell(cfg TransportConfig, wl string, stack Stack, v variant,
+func runTransportCell(cfg TransportConfig, wl string, v variant,
 	rtt time.Duration, loss float64, window int) (TransportCell, error) {
+	stack := v.stack
 	cell := metrics.Tags{
 		"workload": wl,
-		"rtt":      durTag(rtt),
+		"rtt":      rtt.String(),
 		"loss":     ftoa(loss),
 		"window":   itoa(window),
 		"conns":    itoa(v.conns),
@@ -242,22 +237,12 @@ func runTransportCell(cfg TransportConfig, wl string, stack Stack, v variant,
 // RenderTransport prints the sweep grouped by workload: one row per
 // (variant, window, rtt, loss) cell in sweep order.
 func RenderTransport(w io.Writer, cells []TransportCell) {
-	var workloads []string
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if !seen[c.Workload] {
-			seen[c.Workload] = true
-			workloads = append(workloads, c.Workload)
-		}
-	}
-	for _, wl := range workloads {
+	g := groupCells(cells, func(c TransportCell) (string, string) { return c.Workload, c.Label() })
+	for _, wl := range g.keys {
 		fmt.Fprintf(w, "Transport sweep: %s (virtual-time TCP under every stack)\n", wl)
 		fmt.Fprintf(w, "%-16s %-8s %-8s %-6s %10s %12s %8s %8s %8s\n",
 			"variant", "window", "rtt", "loss", "MB/s", "elapsed", "msgs", "rpc-rt", "tcp-rt")
-		for _, c := range cells {
-			if c.Workload != wl {
-				continue
-			}
+		g.rows(wl, func(_ string, c TransportCell) {
 			window := "-"
 			if c.Window > 0 {
 				window = fmt.Sprintf("%dK", c.Window>>10)
@@ -270,7 +255,7 @@ func RenderTransport(w io.Writer, cells []TransportCell) {
 				c.BytesPerSec/1e6,
 				c.Elapsed.Round(time.Millisecond).String(),
 				c.Messages, c.RPCRetrans, c.TCPRetrans)
-		}
+		})
 		fmt.Fprintln(w)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,10 +9,8 @@ import (
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/netqueue"
-	"repro/internal/simnet"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
-	"repro/internal/workload"
 )
 
 // WAN experiment: the congestion-coupled cluster sweep. Every client's
@@ -198,12 +195,7 @@ type WANCell struct {
 }
 
 // Label names the variant the way the tables print it.
-func (c WANCell) Label() string {
-	if c.Stack == ISCSI && c.Transport == testbed.TransportTCP {
-		return fmt.Sprintf("%s/tcp", c.Stack)
-	}
-	return fmt.Sprintf("%s/%s", c.Stack, c.Transport)
-}
+func (c WANCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 
 // RunWAN sweeps the shared-bottleneck cluster across every axis. Cells
 // come out in deterministic order; identical seeds give identical cells.
@@ -220,19 +212,14 @@ func RunWAN(cfg WANConfig) ([]WANCell, error) {
 		for _, mix := range cfg.Mixes {
 			for _, q := range cfg.Disciplines {
 				for _, capacity := range cfg.Capacities {
-					for _, stack := range cfg.Stacks {
-						for _, tr := range cfg.Transports {
-							if stack == ISCSI && tr == testbed.TransportUDP {
-								continue
+					for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
+						for _, n := range cfg.Counts {
+							cell, err := runWANCell(cfg, wl, mix, q, capacity, v, n)
+							if err != nil {
+								return nil, fmt.Errorf("wan %s/%s/%s/%d B/s/%v(%v)/%d: %w",
+									wl, mix, q, capacity, v.stack, v.transport, n, err)
 							}
-							for _, n := range cfg.Counts {
-								cell, err := runWANCell(cfg, wl, mix, q, capacity, stack, tr, n)
-								if err != nil {
-									return nil, fmt.Errorf("wan %s/%s/%s/%d B/s/%v(%v)/%d: %w",
-										wl, mix, q, capacity, stack, tr, n, err)
-								}
-								cells = append(cells, cell)
-							}
+							cells = append(cells, cell)
 						}
 					}
 				}
@@ -243,184 +230,75 @@ func RunWAN(cfg WANConfig) ([]WANCell, error) {
 }
 
 // runWANCell builds one congestion-coupled cluster and measures one
-// workload on it. A transport-broken error anywhere in the cell (mount,
-// setup or the measured window) marks it Collapsed instead of failing;
-// a collapse inside the measured window still emits the cell's end mark
-// (collapsed=1) so the stream's begin/end pairs stay balanced.
+// workload on it (the scaling sweep's drivers, over a shared bottleneck).
 func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
-	capacity int64, stack Stack, tr testbed.Transport, n int) (WANCell, error) {
-	axes := WANCell{Workload: wl, Stack: stack, Transport: tr,
+	capacity int64, v variant, n int) (WANCell, error) {
+	cell := WANCell{Workload: wl, Stack: v.stack, Transport: v.transport,
 		Clients: n, Capacity: capacity, Discipline: q, Mix: mix}
-	collapsed := func(err error) bool { return errors.Is(err, simnet.ErrTransportBroken) }
 	perClient, err := MixClients(mix, n)
 	if err != nil {
 		return WANCell{}, err
 	}
-	dev := cfg.DeviceBlocks
-	if stack != ISCSI {
-		dev *= int64(n)
-	}
-	conns := 1
-	if stack == ISCSI && tr == testbed.TransportTCP {
-		conns = cfg.Conns
-	}
-	tags := metrics.Tags{
-		"workload": wl,
-		"clients":  itoa(n),
-		"capacity": strconv.FormatInt(capacity, 10),
-		"qdisc":    q.String(),
-		"mix":      mix,
-		"conns":    itoa(conns),
-	}
-	var mon *health.Monitor
-	if cfg.Health != nil {
-		if mon, err = health.New(*cfg.Health); err != nil {
-			return WANCell{}, err
-		}
-	}
-	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         stack,
-		Clients:      n,
-		DeviceBlocks: dev,
-		Seed:         cfg.Seed,
-		Transport:    tr,
-		Conns:        conns,
-		WindowBytes:  cfg.WindowBytes,
-		Shared: &netqueue.Config{
-			Bandwidth:  capacity,
-			QueueBytes: cfg.QueueBytes,
-			Discipline: q,
-		},
-		PerClient: perClient,
-		Metrics:   cellRecorder(cfg.Metrics, "wan", stack, tags),
-		Tracer:    cfg.Tracer,
-		Health:    mon,
-	})
-	if err != nil {
-		if collapsed(err) {
-			axes.Collapsed = true
-			return axes, nil
-		}
-		return WANCell{}, err
-	}
-
-	src := workload.SeqRandConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize}
-
-	// Unmeasured setup: per-client directories, plus layout and a cold
-	// cache for the read workloads.
-	for i, c := range cl.Clients {
-		if err := c.Mkdir(clientDir(i)); err != nil {
-			if collapsed(err) {
-				axes.Collapsed = true
-				return axes, nil
-			}
-			return WANCell{}, err
-		}
-	}
-	if wl == "seq-read" || wl == "rand-read" {
-		prep := make([]func() (bool, error), n)
-		for i, c := range cl.Clients {
-			pc := src
-			pc.Seed = cfg.Seed + int64(i)
-			prep[i] = workload.PrepareFileSteps(c, clientDir(i)+"/f", pc)
-		}
-		err := cl.Run(prep)
-		if err == nil {
-			err = cl.ColdCache()
-		}
-		if err != nil {
-			if collapsed(err) {
-				axes.Collapsed = true
-				return axes, nil
-			}
-			return WANCell{}, err
-		}
-	}
-	cl.Align()
-
-	drivers := make([]func() (bool, error), n)
+	scfg := ScaleConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
+	var drivers []func() (bool, error)
 	var aggBytes int64
-	for i, c := range cl.Clients {
-		pc := src
-		pc.Seed = cfg.Seed + int64(i)
-		path := clientDir(i) + "/f"
-		switch wl {
-		case "seq-write":
-			drivers[i] = workload.SequentialWriteSteps(c, path, pc)
-			aggBytes += pc.SeqBytes()
-		case "seq-read":
-			drivers[i] = workload.SequentialReadSteps(c, path, pc)
-			aggBytes += pc.SeqBytes()
-		case "rand-read":
-			drivers[i] = workload.RandomReadSteps(c, path, pc)
-			aggBytes += pc.RandBytes()
-		case "rand-write":
-			drivers[i] = workload.RandomWriteSteps(c, path, pc)
-			aggBytes += pc.RandBytes()
-		default:
-			return WANCell{}, fmt.Errorf("unknown WAN workload %q", wl)
+	cell.Collapsed, err = runCell(cellSpec{
+		experiment: "wan",
+		v:          v,
+		clients:    n,
+		tags: metrics.Tags{
+			"workload": wl,
+			"capacity": strconv.FormatInt(capacity, 10),
+			"qdisc":    q.String(),
+			"mix":      mix,
+		},
+		health:  cfg.Health,
+		metrics: cfg.Metrics,
+		cluster: testbed.ClusterConfig{
+			Config: testbed.Config{
+				DeviceBlocks: exportBlocks(cfg.DeviceBlocks, v.stack, n),
+				Seed:         cfg.Seed,
+				WindowBytes:  cfg.WindowBytes,
+				Tracer:       cfg.Tracer,
+			},
+			Shared: &netqueue.Config{
+				Bandwidth:  capacity,
+				QueueBytes: cfg.QueueBytes,
+				Discipline: q,
+			},
+			PerClient: perClient,
+		},
+	}, func(cl *testbed.Cluster) (err error) {
+		drivers, aggBytes, err = scaleDrivers(cl, scfg, wl)
+		return err
+	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+		cl.Link.RearmDepth() // window-scoped peak backlog, setup excluded
+		linkBefore := cl.Link.Stats()
+		r, err := runDrivers(cl, drivers)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	// Measured window: interleaved run, then drain to quiescence.
-	beginClusterCell(cl, nil)
-	cl.Link.RearmDepth() // window-scoped peak backlog, setup excluded
-	before := cl.Snap()
-	linkBefore := cl.Link.Stats()
-	startOps := make([]int64, n)
-	startT := make([]time.Duration, n)
-	for i, c := range cl.Clients {
-		startOps[i] = c.Ops()
-		startT[i] = c.Clock.Now()
-	}
-	err = cl.Run(drivers)
-	var latSum, latMax time.Duration
-	for i, c := range cl.Clients {
-		if ops := c.Ops() - startOps[i]; ops > 0 {
-			lat := (c.Clock.Now() - startT[i]) / time.Duration(ops)
-			latSum += lat
-			if lat > latMax {
-				latMax = lat
-			}
-		}
-	}
-	if err == nil {
-		err = cl.Drain()
-	}
-	if err != nil {
-		if collapsed(err) {
-			endClusterCell(cl, nil, map[string]float64{"collapsed": 1})
-			axes.Collapsed = true
-			return axes, nil
-		}
-		return WANCell{}, err
-	}
-	d := cl.Since(before)
-	link := cl.Link.Stats()
-	elapsed := d.Elapsed
-	if elapsed <= 0 {
-		elapsed = time.Millisecond
-	}
-	cell := axes
-	cell.Elapsed = elapsed
-	cell.AggBytesPerSec = float64(aggBytes) / elapsed.Seconds()
-	cell.PerClientLatency = latSum / time.Duration(n)
-	cell.StragglerLatency = latMax
-	cell.ServerCPU = float64(d.ServerBusy) / float64(elapsed)
-	cell.QueueDrops = link.Drops() - linkBefore.Drops()
-	cell.HOLWait = link.HOLWait() - linkBefore.HOLWait()
-	cell.MaxDepthBytes = cl.Link.DepthHighWater()
-	endClusterCell(cl, nil, map[string]float64{
-		"elapsed_ns":            float64(cell.Elapsed),
-		"agg_bytes_per_sec":     cell.AggBytesPerSec,
-		"per_client_latency_ns": float64(cell.PerClientLatency),
-		"straggler_latency_ns":  float64(cell.StragglerLatency),
-		"server_cpu":            cell.ServerCPU,
-		"queue_drops":           float64(cell.QueueDrops),
-		"hol_wait_ns":           float64(cell.HOLWait),
-		"depth_max_bytes":       float64(cell.MaxDepthBytes),
+		link := cl.Link.Stats()
+		cell.Elapsed = r.Elapsed
+		cell.AggBytesPerSec = float64(aggBytes) / r.Elapsed.Seconds()
+		cell.PerClientLatency = r.LatMean
+		cell.StragglerLatency = r.LatMax
+		cell.ServerCPU = float64(r.ServerBusy) / float64(r.Elapsed)
+		cell.QueueDrops = link.Drops() - linkBefore.Drops()
+		cell.HOLWait = link.HOLWait() - linkBefore.HOLWait()
+		cell.MaxDepthBytes = cl.Link.DepthHighWater()
+		return map[string]float64{
+			"elapsed_ns":            float64(cell.Elapsed),
+			"agg_bytes_per_sec":     cell.AggBytesPerSec,
+			"per_client_latency_ns": float64(cell.PerClientLatency),
+			"straggler_latency_ns":  float64(cell.StragglerLatency),
+			"server_cpu":            cell.ServerCPU,
+			"queue_drops":           float64(cell.QueueDrops),
+			"hol_wait_ns":           float64(cell.HOLWait),
+			"depth_max_bytes":       float64(cell.MaxDepthBytes),
+		}, nil
 	})
-	return cell, nil
+	return cell, err
 }
 
 // RenderWAN prints the sweep: one block per (workload, mix, discipline,
@@ -431,89 +309,38 @@ func RenderWAN(w io.Writer, cells []WANCell) {
 		q        netqueue.Discipline
 		capacity int64
 	}
-	var panels []panel
-	var counts []int
-	seenP := map[panel]bool{}
-	seenC := map[int]bool{}
-	byPanel := map[panel]map[string]map[int]WANCell{}
-	var labels []string
-	seenL := map[string]bool{}
-	for _, c := range cells {
-		p := panel{c.Workload, c.Mix, c.Discipline, c.Capacity}
-		if !seenP[p] {
-			seenP[p] = true
-			panels = append(panels, p)
-			byPanel[p] = map[string]map[int]WANCell{}
-		}
-		if !seenC[c.Clients] {
-			seenC[c.Clients] = true
-			counts = append(counts, c.Clients)
-		}
-		l := c.Label()
-		if !seenL[l] {
-			seenL[l] = true
-			labels = append(labels, l)
-		}
-		if byPanel[p][l] == nil {
-			byPanel[p][l] = map[int]WANCell{}
-		}
-		byPanel[p][l][c.Clients] = c
-	}
-
-	row := func(byCount map[int]WANCell, f func(WANCell) string) string {
-		out := ""
-		for _, n := range counts {
-			c, ok := byCount[n]
-			if !ok {
-				out += fmt.Sprintf(" %9s", "-")
-				continue
+	count := func(c WANCell) int { return c.Clients }
+	cols := countsOf(cells, count)
+	g := groupCells(cells, func(c WANCell) (panel, string) {
+		return panel{c.Workload, c.Mix, c.Discipline, c.Capacity}, c.Label()
+	})
+	// measured renders a cell's measurement, or what a collapsed cell
+	// prints in its place.
+	measured := func(collapsed string, f func(WANCell) string) func(WANCell) string {
+		return func(c WANCell) string {
+			if c.Collapsed {
+				return collapsed
 			}
-			out += fmt.Sprintf(" %9s", f(c))
+			return f(c)
 		}
-		return out
 	}
-
-	for _, p := range panels {
+	for _, p := range g.keys {
 		fmt.Fprintf(w, "WAN sweep: %s, mix=%s, qdisc=%s, pipe=%.1f MB/s, shared bottleneck\n",
 			p.wl, p.mix, p.q, float64(p.capacity)/1e6)
-		fmt.Fprintf(w, "%-22s", "clients")
-		for _, n := range counts {
-			fmt.Fprintf(w, " %9d", n)
-		}
-		fmt.Fprintln(w)
-		for _, l := range labels {
-			byCount := byPanel[p][l]
-			if byCount == nil {
+		cols.header(w)
+		for _, l := range g.labels {
+			cs := g.at[p][l]
+			if cs == nil {
 				continue
 			}
-			fmt.Fprintf(w, "%-22s%s\n", l+" agg MB/s",
-				row(byCount, func(c WANCell) string {
-					if c.Collapsed {
-						return "collapse"
-					}
-					return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6)
-				}))
-			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency",
-				row(byCount, func(c WANCell) string {
-					if c.Collapsed {
-						return "-"
-					}
-					return c.PerClientLatency.Round(time.Microsecond).String()
-				}))
-			fmt.Fprintf(w, "%-22s%s\n", "  straggler",
-				row(byCount, func(c WANCell) string {
-					if c.Collapsed {
-						return "-"
-					}
-					return c.StragglerLatency.Round(time.Microsecond).String()
-				}))
-			fmt.Fprintf(w, "%-22s%s\n", "  queue drops",
-				row(byCount, func(c WANCell) string {
-					if c.Collapsed {
-						return "-"
-					}
-					return fmt.Sprintf("%d", c.QueueDrops)
-				}))
+			fmt.Fprintf(w, "%-22s%s\n", l+" agg MB/s", row(cols, cs, count, measured("collapse",
+				func(c WANCell) string { return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6) })))
+			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", row(cols, cs, count, measured("-",
+				func(c WANCell) string { return c.PerClientLatency.Round(time.Microsecond).String() })))
+			fmt.Fprintf(w, "%-22s%s\n", "  straggler", row(cols, cs, count, measured("-",
+				func(c WANCell) string { return c.StragglerLatency.Round(time.Microsecond).String() })))
+			fmt.Fprintf(w, "%-22s%s\n", "  queue drops", row(cols, cs, count, measured("-",
+				func(c WANCell) string { return fmt.Sprintf("%d", c.QueueDrops) })))
 		}
 		fmt.Fprintln(w)
 	}

@@ -14,12 +14,15 @@ import (
 func newCluster(t *testing.T, kind testbed.Kind, tr testbed.Transport, rec *metrics.Recorder) *testbed.Cluster {
 	t.Helper()
 	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         kind,
-		Clients:      2,
-		DeviceBlocks: 16384, // 64 MB: a rebuild finishes inside the run
-		Transport:    tr,
-		Seed:         7,
-		Metrics:      rec,
+		Config: testbed.Config{
+			Kind:         kind,
+			DeviceBlocks: 16384,
+			// 64 MB: a rebuild finishes inside the run
+			Transport: tr,
+			Seed:      7,
+			Metrics:   rec,
+		},
+		Clients: 2,
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)

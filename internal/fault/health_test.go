@@ -24,12 +24,14 @@ func healthRun(t *testing.T, f fault.Family, withHealth, dryRun bool) ([]byte, *
 		}
 	}
 	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         testbed.NFSv3,
-		Clients:      2,
-		DeviceBlocks: 16384,
-		Seed:         7,
-		Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
-		Health:       mon,
+		Config: testbed.Config{
+			Kind:         testbed.NFSv3,
+			DeviceBlocks: 16384,
+			Seed:         7,
+			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		},
+		Clients: 2,
+		Health:  mon,
 	})
 	if err != nil {
 		t.Fatal(err)

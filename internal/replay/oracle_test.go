@@ -72,11 +72,13 @@ func runOracle(t *testing.T, p trace.Profile, clients int, opt Options) oracleCe
 	sim := trace.SimulateDelegation(folded)
 
 	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         testbed.NFSv4,
-		Clients:      clients,
-		DeviceBlocks: 16384,
-		Seed:         11,
-		Sharing:      &testbed.SharingConfig{Delegation: true},
+		Config: testbed.Config{
+			Kind:         testbed.NFSv4,
+			DeviceBlocks: 16384,
+			Seed:         11,
+		},
+		Clients: clients,
+		Sharing: &testbed.SharingConfig{Delegation: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +171,13 @@ func TestDelegationReducesMessages(t *testing.T) {
 			sh = &testbed.SharingConfig{Delegation: true}
 		}
 		cl, err := testbed.NewCluster(testbed.ClusterConfig{
-			Kind:         testbed.NFSv4,
-			Clients:      4,
-			DeviceBlocks: 16384,
-			Seed:         11,
-			Sharing:      sh,
+			Config: testbed.Config{
+				Kind:         testbed.NFSv4,
+				DeviceBlocks: 16384,
+				Seed:         11,
+			},
+			Clients: 4,
+			Sharing: sh,
 		})
 		if err != nil {
 			t.Fatal(err)

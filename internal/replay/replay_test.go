@@ -36,11 +36,13 @@ func testTrace(t *testing.T) []trace.Record {
 func newTestCluster(t *testing.T, kind testbed.Kind, tr testbed.Transport) *testbed.Cluster {
 	t.Helper()
 	cl, err := testbed.NewCluster(testbed.ClusterConfig{
-		Kind:         kind,
-		Clients:      3,
-		DeviceBlocks: 16384,
-		Seed:         11,
-		Transport:    tr,
+		Config: testbed.Config{
+			Kind:         kind,
+			DeviceBlocks: 16384,
+			Seed:         11,
+			Transport:    tr,
+		},
+		Clients: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

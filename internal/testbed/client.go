@@ -10,8 +10,9 @@ import (
 
 // Client is one simulated client machine: its own virtual clock and CPU, a
 // mounted protocol stack, and the clock-advancing syscall surface the
-// workloads drive. A Testbed embeds one Client; a Cluster holds N of them
-// sharing the server-side hardware.
+// workloads drive. A Cluster holds N of them sharing the server-side
+// hardware; a Testbed is a one-client cluster that embeds its only Client,
+// so single-client workloads call the same methods unqualified.
 type Client struct {
 	// ID distinguishes clients within a cluster (0 in a single testbed).
 	ID int
@@ -37,11 +38,6 @@ type Client struct {
 	sharedF vfs.File
 
 	ops int64
-}
-
-// newClient assembles an unmounted client around a stack.
-func newClient(id int, st Stack) *Client {
-	return &Client{ID: id, Clock: sim.NewClock(), Stack: st}
 }
 
 // mount brings the client's stack up at the clock's current time.
@@ -74,21 +70,6 @@ func (c *Client) Drain() error {
 		return err
 	}
 	c.Clock.AdvanceTo(done)
-	return nil
-}
-
-// ColdCache empties every cache the client's stack controls (client
-// remount plus server restart for NFS) after draining.
-func (c *Client) ColdCache() error {
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	done, err := c.Stack.ColdCache(c.Clock.Now())
-	if err != nil {
-		return err
-	}
-	c.Clock.AdvanceTo(done)
-	c.syncFS()
 	return nil
 }
 

@@ -29,32 +29,13 @@ type ClientNet struct {
 	LossRate float64
 }
 
-// ClusterConfig parameterizes a multi-client testbed: N client machines
-// driving one server over a shared Gigabit segment.
+// ClusterConfig parameterizes an assembly: N client machines driving one
+// server over a shared Gigabit segment. The embedded Config carries
+// everything the clients have in common.
 type ClusterConfig struct {
-	Kind Kind
+	Config
 	// Clients is the number of concurrent client machines (default 1).
 	Clients int
-	// DeviceBlocks sizes each client's iSCSI LUN, or the shared NFS
-	// export, in 4 KB blocks (default 524288 = 2 GB).
-	DeviceBlocks int64
-	// RTT overrides the LAN round-trip time.
-	RTT time.Duration
-	// LossRate injects frame loss on every client's path (failure and
-	// WAN testing; per-client overrides via PerClient).
-	LossRate float64
-	// CommitInterval overrides ext3's journal commit interval (5 s).
-	CommitInterval time.Duration
-	// ClientCacheBlocks / ServerCacheBlocks bound the caches.
-	ClientCacheBlocks int
-	ServerCacheBlocks int
-	// Seed for loss injection and workloads.
-	Seed int64
-	// Transport selects the wire model every client uses; Conns and
-	// WindowBytes parameterize TransportTCP (see Config).
-	Transport   Transport
-	Conns       int
-	WindowBytes int
 	// Shared, when non-nil, multiplexes every client's traffic through
 	// one capacity-limited bottleneck (see internal/netqueue): each
 	// client gets its own simnet network — carrying its RTT and loss —
@@ -68,10 +49,6 @@ type ClusterConfig struct {
 	// Shared bottleneck, and tags each client's metric sources with its
 	// rtt/loss so straggler attribution is a -by client query.
 	PerClient []ClientNet
-	// Metrics, when non-nil, receives the cluster's telemetry: shared
-	// hardware and per-client protocol sources are registered at
-	// construction and EmitSample streams the deltas (see docs/METRICS.md).
-	Metrics *metrics.Recorder
 	// Background, when non-empty, adds fluid client cohorts: their
 	// calibrated demand is solved to a fleet operating point
 	// (internal/fleet) and injected as background load on the server CPU,
@@ -91,11 +68,6 @@ type ClusterConfig struct {
 	// (docs/METRICS.md). 0 means DefaultTelemetryFanIn; negative disables
 	// sampling and registers every client.
 	TelemetryFanIn int
-	// Tracer, when non-nil, threads virtual-time span tracing through
-	// every client's stack and the shared hardware; root spans carry the
-	// issuing client's id (see docs/TRACING.md). The scheduler runs one
-	// client's syscall to completion per step, so one tracer serves all.
-	Tracer *tracing.Tracer
 	// Health, when non-nil, attaches a virtual-time health monitor: the
 	// cluster registers its per-station gauge sources on it (see
 	// gauges.go) and Run spawns its scrape loop alongside the drivers,
@@ -119,9 +91,19 @@ type ClusterConfig struct {
 // only engages on fleet-scale runs.
 const DefaultTelemetryFanIn = 64
 
-// validateCluster rejects unusable cluster-only parameters (base
-// parameters are checked by Config.validate).
-func (c *ClusterConfig) validateCluster() error {
+// fill applies the defaults of the embedded Config plus the client count.
+func (c *ClusterConfig) fill() {
+	c.Config.fill()
+	if c.Clients <= 0 {
+		c.Clients = 1
+	}
+}
+
+// validate rejects unusable parameters.
+func (c *ClusterConfig) validate() error {
+	if err := c.Config.validate(); err != nil {
+		return err
+	}
 	if len(c.PerClient) > c.Clients {
 		return fmt.Errorf("testbed: %d PerClient entries for %d clients", len(c.PerClient), c.Clients)
 	}
@@ -149,33 +131,11 @@ func (c *ClusterConfig) validateCluster() error {
 	return nil
 }
 
-// base converts to a single-client Config carrying the shared knobs.
-func (c *ClusterConfig) base() Config {
-	b := Config{
-		Kind:              c.Kind,
-		DeviceBlocks:      c.DeviceBlocks,
-		RTT:               c.RTT,
-		LossRate:          c.LossRate,
-		CommitInterval:    c.CommitInterval,
-		ClientCacheBlocks: c.ClientCacheBlocks,
-		ServerCacheBlocks: c.ServerCacheBlocks,
-		Seed:              c.Seed,
-		Transport:         c.Transport,
-		Conns:             c.Conns,
-		WindowBytes:       c.WindowBytes,
-		Tracer:            c.Tracer,
-	}
-	b.fill()
-	c.DeviceBlocks = b.DeviceBlocks
-	if c.Clients <= 0 {
-		c.Clients = 1
-	}
-	return b
-}
-
 // Cluster is N concurrent clients sharing one server: one network segment,
 // one server CPU and one RAID-5 array. NFS clients mount the same export;
-// iSCSI clients each own a LUN partition of the shared array.
+// iSCSI clients each own a LUN partition of the shared array. It is the
+// one assembly: the paper's single-client testbed is a Cluster of one
+// (see Testbed).
 type Cluster struct {
 	Kind Kind
 	Cfg  ClusterConfig
@@ -186,14 +146,18 @@ type Cluster struct {
 	Net *simnet.Network
 	// Link is the shared bottleneck every client's network admits
 	// through (nil unless Cfg.Shared was set).
-	Link      *netqueue.Link
+	Link *netqueue.Link
+	// ServerCPU is the server's two 933 MHz processors folded into one
+	// resource.
 	ServerCPU *sim.CPU
 	Clients   []*Client
 
 	nets []*simnet.Network // one per client when heterogeneous; else len 1
-	dev  *blockdev.Local   // NFS export device (nil for iSCSI)
-	luns []*blockdev.Local // iSCSI LUNs (nil for NFS)
-	srv  *nfsServer        // shared NFS server state (nil for iSCSI)
+	// vols are the filesystem volumes carved from the one shared array:
+	// the NFS export, or one LUN per iSCSI client. Array-level state
+	// (timing, counters) is common to all, so vols[0] speaks for it.
+	vols []*blockdev.Local
+	srv  *nfsServer // shared NFS server state (nil for iSCSI)
 
 	// Cross-client sharing state (nil unless Cfg.Sharing was set).
 	locks  *lockmgr.Manager     // NFS byte-range lock table (on the server)
@@ -207,13 +171,13 @@ type Cluster struct {
 	health *health.Monitor // nil unless Cfg.Health was set
 }
 
-// clientNetCfg derives client i's network parameters from the base
+// clientNetCfg derives client i's network parameters from the shared
 // config plus its PerClient override.
-func (c *ClusterConfig) clientNetCfg(base Config, i int) Config {
-	cc := base
+func (c *ClusterConfig) clientNetCfg(i int) Config {
+	cc := c.Config
 	// Decorrelate per-client loss RNGs (one shared network draws from a
 	// single stream; N networks must not mirror each other).
-	cc.Seed = base.Seed + int64(i+1)*7919
+	cc.Seed = c.Seed + int64(i+1)*7919
 	if i < len(c.PerClient) {
 		if p := c.PerClient[i]; p.RTT > 0 {
 			cc.RTT = p.RTT
@@ -225,13 +189,11 @@ func (c *ClusterConfig) clientNetCfg(base Config, i int) Config {
 	return cc
 }
 
-// NewCluster builds and mounts an N-client cluster.
+// NewCluster builds and mounts an N-client cluster. It is the only place
+// volumes are formatted and protocol stacks are built.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	base := cfg.base()
-	if err := base.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateCluster(); err != nil {
+	cfg.fill()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cl := &Cluster{
@@ -247,65 +209,57 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// bottleneck (if any) couples their serialization.
 		cl.nets = make([]*simnet.Network, cfg.Clients)
 		for i := range cl.nets {
-			n := cfg.clientNetCfg(base, i).network()
+			n := cfg.clientNetCfg(i).network()
 			if cl.Link != nil {
 				n.AttachShared(cl.Link.Endpoint(netqueue.EndpointConfig{}))
 			}
 			cl.nets[i] = n
 		}
 	} else {
-		cl.Net = base.network()
+		cl.Net = cfg.network()
 		cl.nets = []*simnet.Network{cl.Net}
+	}
+
+	if cfg.Kind == ISCSI {
+		capacity := cfg.CapacityClients
+		if capacity == 0 {
+			capacity = cfg.Clients
+			for _, co := range cfg.Background {
+				capacity += co.Clients
+			}
+		}
+		nluns := cfg.Clients
+		if cfg.Sharing != nil {
+			// One extra raw LUN on the same array, exported by every
+			// client's target and guarded by one reservation table.
+			nluns++
+			capacity++
+		}
+		cl.vols = blockdev.NewClusterArraySized(nluns, cfg.DeviceBlocks, capacity)
+		if cfg.Sharing != nil {
+			cl.shared = cl.vols[nluns-1]
+			cl.vols = cl.vols[:cfg.Clients]
+			cl.rsv = scsi.NewReservations()
+		}
+	} else {
+		cl.vols = []*blockdev.Local{blockdev.NewTestbedArray(cfg.DeviceBlocks)}
+	}
+	for i, v := range cl.vols {
+		if _, err := ext3.Mkfs(0, v, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
+			return nil, fmt.Errorf("testbed: mkfs volume %d: %w", i, err)
+		}
 	}
 	if cfg.Tracer != nil {
 		for _, n := range cl.nets {
 			n.SetTracer(cfg.Tracer)
 		}
 		cl.ServerCPU.SetTracer(cfg.Tracer, tracing.LayerCPUServer)
-	}
-
-	capacity := cfg.CapacityClients
-	if capacity == 0 {
-		capacity = cfg.Clients
-		for _, co := range cfg.Background {
-			capacity += co.Clients
-		}
+		cl.Array().SetTracer(cfg.Tracer)
 	}
 
 	var serverReady time.Duration
-	switch cfg.Kind {
-	case ISCSI:
-		nluns, arrayCap := cfg.Clients, capacity
-		if cfg.Sharing != nil {
-			// One extra raw LUN on the same array, exported by every
-			// client's target and guarded by one reservation table.
-			nluns++
-			arrayCap++
-		}
-		cl.luns = blockdev.NewClusterArraySized(nluns, base.DeviceBlocks, arrayCap)
-		if cfg.Sharing != nil {
-			cl.shared = cl.luns[nluns-1]
-			cl.luns = cl.luns[:cfg.Clients]
-			cl.rsv = scsi.NewReservations()
-		}
-		for i, lun := range cl.luns {
-			if _, err := ext3.Mkfs(0, lun, ext3.Options{CommitInterval: base.CommitInterval}); err != nil {
-				return nil, fmt.Errorf("testbed: cluster mkfs lun %d: %w", i, err)
-			}
-		}
-		if cfg.Tracer != nil && len(cl.luns) > 0 {
-			// The LUNs partition one shared array; one SetTracer covers it.
-			cl.luns[0].RAID().SetTracer(cfg.Tracer)
-		}
-	default:
-		cl.dev = blockdev.NewTestbedArray(base.DeviceBlocks)
-		if _, err := ext3.Mkfs(0, cl.dev, ext3.Options{CommitInterval: base.CommitInterval}); err != nil {
-			return nil, fmt.Errorf("testbed: cluster mkfs: %w", err)
-		}
-		if cfg.Tracer != nil {
-			cl.dev.RAID().SetTracer(cfg.Tracer)
-		}
-		cl.srv = &nfsServer{dev: cl.dev, cpu: cl.ServerCPU, cfg: base}
+	if cfg.Kind != ISCSI {
+		cl.srv = &nfsServer{dev: cl.vols[0], cpu: cl.ServerCPU, cfg: cfg.Config}
 		done, err := cl.srv.mount(0)
 		if err != nil {
 			return nil, err
@@ -337,11 +291,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Tracer != nil {
 			cpu.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
 		}
-		h := hw{net: cl.ClientNetwork(i), cpu: cpu, cfg: base}
+		h := hw{net: cl.ClientNetwork(i), cpu: cpu, cfg: cfg.Config}
 		var st Stack
 		if cfg.Kind == ISCSI {
 			name := fmt.Sprintf("iqn.2004.repro:vol%d", i)
-			tgt := iscsi.NewTarget(name, cl.luns[i], cl.ServerCPU)
+			tgt := iscsi.NewTarget(name, cl.vols[i], cl.ServerCPU)
 			if cl.rsv != nil {
 				tgt.SetShared(cl.shared, cl.rsv, i)
 			}
@@ -355,18 +309,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 			st = ns
 		}
-		c := newClient(i, st)
-		c.CPU = cpu
-		c.Tracer = cfg.Tracer
+		c := &Client{ID: i, Clock: sim.NewClock(), CPU: cpu, Stack: st, Tracer: cfg.Tracer}
 		// Clients boot once the server is up; mounts then contend for
 		// the shared segment and server CPU in client order.
 		c.Clock.AdvanceTo(serverReady)
 		if err := c.mount(); err != nil {
-			return nil, fmt.Errorf("testbed: cluster client %d: %w", i, err)
+			return nil, fmt.Errorf("testbed: client %d: %w", i, err)
 		}
 		cl.Clients = append(cl.Clients, c)
 	}
-	cl.rec = cfg.Metrics.With(metrics.Tags{"transport": base.Transport.String()})
+	cl.rec = cfg.Metrics.With(metrics.Tags{"transport": cfg.Transport.String()})
 	cl.instrument()
 	cl.attachHealth(cfg.Health)
 	return cl, nil
@@ -391,11 +343,7 @@ func (cl *Cluster) applyFluid() error {
 		return err
 	}
 	cl.ServerCPU.SetBackground(op.BackgroundUtil[fleet.StationCPU])
-	if cl.dev != nil {
-		cl.dev.RAID().SetBackground(op.BackgroundUtil[fleet.StationDisk])
-	} else if len(cl.luns) > 0 {
-		cl.luns[0].RAID().SetBackground(op.BackgroundUtil[fleet.StationDisk])
-	}
+	cl.Array().SetBackground(op.BackgroundUtil[fleet.StationDisk])
 	switch {
 	case cl.Link != nil:
 		up := int64(op.BackgroundUtil[fleet.StationUp] * float64(linkBps))
@@ -414,18 +362,6 @@ func (cl *Cluster) applyFluid() error {
 // Fluid exposes the solved background operating point (nil when the
 // cluster is purely mechanistic).
 func (cl *Cluster) Fluid() *fleet.Operating { return cl.fluid }
-
-// DiskBusy reports the shared array's bottleneck-member busy time: the
-// disk-station demand a fleet calibration divides per op.
-func (cl *Cluster) DiskBusy() time.Duration {
-	if cl.dev != nil {
-		return cl.dev.RAID().Busy()
-	}
-	if len(cl.luns) > 0 {
-		return cl.luns[0].RAID().Busy()
-	}
-	return 0
-}
 
 // fleetCounters derives the fluid cohorts' cumulative activity at the
 // cluster horizon: the closed-form counterpart of a mechanistic client's
@@ -469,17 +405,16 @@ func (cl *Cluster) clientAxisTags(i int) metrics.Tags {
 // heterogeneous mode every client's sources — including its own network
 // — carry that client's rtt/loss tags.
 func (cl *Cluster) instrument() {
+	if cl.rec == nil {
+		return
+	}
 	if cl.Link != nil {
 		cl.rec.Register(metrics.SubsysNet, metrics.Tags{"link": "shared"}, cl.Link.Counters)
 	}
 	if cl.Net != nil {
 		cl.rec.Register(metrics.SubsysNet, nil, cl.Net.Counters)
 	}
-	if cl.dev != nil {
-		cl.rec.Register(metrics.SubsysDisk, nil, cl.dev.Counters)
-	} else if len(cl.luns) > 0 {
-		cl.rec.Register(metrics.SubsysDisk, nil, cl.luns[0].Counters)
-	}
+	cl.rec.Register(metrics.SubsysDisk, nil, cl.vols[0].Counters)
 	cl.rec.Register(metrics.SubsysCPU, metrics.Tags{"host": "server"}, cl.ServerCPU.Counters)
 	if cl.locks != nil {
 		cl.rec.Register(metrics.SubsysLock, nil, cl.locks.Counters)
@@ -494,28 +429,22 @@ func (cl *Cluster) instrument() {
 		cl.rec.Register(metrics.SubsysFleet,
 			metrics.Tags{"background": strconv.Itoa(cl.fluid.Background)}, cl.fleetCounters)
 	}
-	if len(cl.Clients) > 0 {
-		registerServerSources(cl.rec, cl.Clients[0].Stack)
+	if cl.srv != nil {
+		cl.srv.registerSources(cl.rec)
 	}
 	for _, s := range cl.strata() {
-		sel := s.members
+		sel := cl.sampled(s)
 		var sampleTags metrics.Tags
-		if fanIn := cl.fanIn(); fanIn > 0 && len(s.members) > fanIn {
-			// Stride-select fanIn clients spread across the stratum, and
-			// tag their sources so summaries re-weight counter totals by
-			// population/sample (docs/METRICS.md).
-			sel = make([]int, fanIn)
-			for j := range sel {
-				sel[j] = s.members[j*len(s.members)/fanIn]
-			}
+		if len(sel) < len(s.members) {
+			// Tag the sampled sources so summaries re-weight counter
+			// totals by population/sample (docs/METRICS.md).
 			sampleTags = metrics.Tags{
 				metrics.TagSampled:    "true",
 				metrics.TagPopulation: strconv.Itoa(len(s.members)),
-				metrics.TagSample:     strconv.Itoa(fanIn),
+				metrics.TagSample:     strconv.Itoa(len(sel)),
 			}
 		}
 		for _, i := range sel {
-			c := cl.Clients[i]
 			extra := cl.clientAxisTags(i)
 			if extra == nil && sampleTags != nil {
 				extra = metrics.Tags{}
@@ -523,25 +452,28 @@ func (cl *Cluster) instrument() {
 			for k, v := range sampleTags {
 				extra[k] = v
 			}
-			if cl.Net == nil {
-				tags := metrics.Tags{"client": strconv.Itoa(c.ID)}
-				for k, v := range extra {
-					tags[k] = v
-				}
-				cl.rec.Register(metrics.SubsysNet, tags, cl.nets[i].Counters)
-			}
-			registerClientSources(cl.rec, c, extra)
+			cl.registerClient(i, extra)
 		}
 	}
 }
 
-// fanIn resolves the configured telemetry fan-in: 0 means the default,
-// negative means unlimited (no sampling).
-func (cl *Cluster) fanIn() int {
-	if cl.Cfg.TelemetryFanIn == 0 {
-		return DefaultTelemetryFanIn
+// sampled returns the stratum members that carry telemetry sources: all
+// of them up to the configured fan-in (0 means DefaultTelemetryFanIn,
+// negative unlimited), above it a stride-selected fan-in's worth spread
+// across the stratum. Counter and gauge sources share the selection.
+func (cl *Cluster) sampled(s *stratum) []int {
+	fanIn := cl.Cfg.TelemetryFanIn
+	if fanIn == 0 {
+		fanIn = DefaultTelemetryFanIn
 	}
-	return cl.Cfg.TelemetryFanIn
+	if fanIn < 0 || len(s.members) <= fanIn {
+		return s.members
+	}
+	sel := make([]int, fanIn)
+	for j := range sel {
+		sel[j] = s.members[j*len(s.members)/fanIn]
+	}
+	return sel
 }
 
 // stratum is one telemetry sampling stratum: the clients sharing a
@@ -591,7 +523,7 @@ func (cl *Cluster) Reservations() *scsi.Reservations { return cl.rsv }
 // iSCSI clusters): the message-side counter the delegation oracle
 // differences across a measurement window.
 func (cl *Cluster) ServerRequests() int64 {
-	if cl.srv == nil || cl.srv.srv == nil {
+	if cl.srv == nil {
 		return 0
 	}
 	return cl.srv.srv.Counters()["requests"]
@@ -600,6 +532,36 @@ func (cl *Cluster) ServerRequests() int64 {
 // EmitSample streams every registered counter's delta since the previous
 // sample, stamped at the cluster horizon.
 func (cl *Cluster) EmitSample() { cl.rec.Sample(cl.Horizon()) }
+
+// BeginWindow opens one measurement window in the telemetry stream:
+// whatever the setup phase moved is flushed into its own samples, then a
+// begin mark (carrying extra) separates it from measured traffic. With
+// EndWindow it is the one window protocol every harness shares, stamped
+// at the cluster horizon.
+func (cl *Cluster) BeginWindow(extra metrics.Tags) {
+	cl.EmitSample()
+	cl.rec.Mark(cl.Horizon(), phaseTags("begin", extra))
+}
+
+// EndWindow closes the window: measured deltas are sampled, the derived
+// results (if any) land as one point event tagged extra, and the end mark
+// delimits the cell.
+func (cl *Cluster) EndWindow(extra metrics.Tags, results map[string]float64) {
+	cl.EmitSample()
+	if len(results) > 0 {
+		cl.rec.Point(cl.Horizon(), metrics.SubsysRun, extra, results)
+	}
+	cl.rec.Mark(cl.Horizon(), phaseTags("end", extra))
+}
+
+// phaseTags overlays a phase tag on a window's extra tags.
+func phaseTags(phase string, extra metrics.Tags) metrics.Tags {
+	t := metrics.Tags{"phase": phase}
+	for k, v := range extra {
+		t[k] = v
+	}
+	return t
+}
 
 // Run interleaves one step function per client (index-aligned with
 // Clients) in virtual-time order until every driver finishes. Each step
@@ -656,10 +618,12 @@ func (cl *Cluster) Drain() error {
 	return nil
 }
 
-// ColdCache empties every cache in the cluster: all clients drain and
-// remount, and the NFS server (if any) restarts exactly once. The
-// quiesced pre-reset counters are flushed into a sample before any
-// protocol client is rebuilt (see Testbed.ColdCache).
+// ColdCache empties every cache in the cluster, the protocol the paper
+// uses before each cold-cache measurement (Section 4.1): all clients
+// drain, the NFS server (if any) restarts exactly once, and every client
+// drops its caches and remounts. The quiesced pre-reset counters are
+// flushed into a sample before any protocol client is rebuilt, so the
+// rebuild (which re-zeroes protocol clients) can never lose deltas.
 func (cl *Cluster) ColdCache() error {
 	if err := cl.Drain(); err != nil {
 		return err
@@ -670,34 +634,23 @@ func (cl *Cluster) ColdCache() error {
 	// should close their windows on the old instances before the
 	// protocol clients are torn down (the gauge analogue of the counter
 	// flush above).
-	cl.health.Scrape(cl.Horizon())
+	now := cl.Horizon()
+	cl.health.Scrape(now)
 	if cl.srv != nil {
-		// One server restart, then every client drops caches and
-		// re-mounts against the fresh export.
-		now := cl.Align()
 		done, err := cl.srv.restart(now)
 		if err != nil {
 			return err
 		}
-		for _, c := range cl.Clients {
-			c.Clock.AdvanceTo(done)
-			st := c.Stack.(*nfsStack)
-			d2, err := st.remount(c.Clock.Now())
-			if err != nil {
-				return err
-			}
-			c.Clock.AdvanceTo(d2)
-			c.syncFS()
+		now = done
+	}
+	for _, c := range cl.Clients {
+		c.Clock.AdvanceTo(now)
+		done, err := c.Stack.ColdCache(c.Clock.Now())
+		if err != nil {
+			return err
 		}
-	} else {
-		for _, c := range cl.Clients {
-			done, err := c.Stack.ColdCache(c.Clock.Now())
-			if err != nil {
-				return err
-			}
-			c.Clock.AdvanceTo(done)
-			c.syncFS()
-		}
+		c.Clock.AdvanceTo(done)
+		c.syncFS()
 	}
 	cl.Align()
 	return nil
@@ -709,24 +662,16 @@ func (cl *Cluster) ColdCache() error {
 // SunRPC counters.
 func (cl *Cluster) Snap() Snapshot {
 	s := Snapshot{
+		Disk:       cl.vols[0].Stats(),
 		ServerBusy: cl.ServerCPU.Busy(),
 		Time:       cl.Horizon(),
 	}
 	for _, n := range cl.nets {
 		s.Net.Add(n.Stats())
 	}
-	if cl.dev != nil {
-		s.Disk = cl.dev.Stats()
-	} else if len(cl.luns) > 0 {
-		s.Disk = cl.luns[0].Stats() // shared array counters
-	}
 	for _, c := range cl.Clients {
 		s.ClientBusy += c.CPU.Busy()
-		r := c.Stack.Counters().RPC
-		s.RPC.Calls += r.Calls
-		s.RPC.Retransmits += r.Retransmits
-		s.RPC.Timeouts += r.Timeouts
-		s.RPC.Failures += r.Failures
+		s.RPC.Add(c.Stack.Counters().RPC)
 	}
 	return s
 }

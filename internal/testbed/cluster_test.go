@@ -55,7 +55,7 @@ func TestDrainColdCacheAllStacks(t *testing.T) {
 func TestClusterBasicOps(t *testing.T) {
 	for _, kind := range AllKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			cl, err := NewCluster(ClusterConfig{Kind: kind, Clients: 3, DeviceBlocks: 65536})
+			cl, err := NewCluster(ClusterConfig{Config: Config{Kind: kind, DeviceBlocks: 65536}, Clients: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestClusterBasicOps(t *testing.T) {
 // TestClusterSharedNamespaceNFS verifies NFS clients share one export: a
 // file written by client 0 (and drained) is visible to client 1.
 func TestClusterSharedNamespaceNFS(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Kind: NFSv3, Clients: 2, DeviceBlocks: 65536})
+	cl, err := NewCluster(ClusterConfig{Config: Config{Kind: NFSv3, DeviceBlocks: 65536}, Clients: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestClusterDeterministic(t *testing.T) {
 	for _, kind := range []Kind{NFSv3, ISCSI} {
 		t.Run(kind.String(), func(t *testing.T) {
 			run := func() string {
-				cl, err := NewCluster(ClusterConfig{Kind: kind, Clients: 4, DeviceBlocks: 65536, Seed: 11})
+				cl, err := NewCluster(ClusterConfig{Config: Config{Kind: kind, DeviceBlocks: 65536, Seed: 11}, Clients: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func TestClusterDeterministic(t *testing.T) {
 // than alone, and the server CPU does strictly more total work.
 func TestClusterContentionSlowsClients(t *testing.T) {
 	elapsed := func(n int) (perClient time.Duration, serverBusy time.Duration) {
-		cl, err := NewCluster(ClusterConfig{Kind: NFSv3, Clients: n, DeviceBlocks: 131072})
+		cl, err := NewCluster(ClusterConfig{Config: Config{Kind: NFSv3, DeviceBlocks: 131072}, Clients: n})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/iscsi"
 	"repro/internal/simdisk"
 )
 
@@ -19,12 +18,7 @@ import (
 // the NFS export device, or the array whose LUNs the iSCSI clients
 // partition. Disk-failure faults go straight to it (FailDisk,
 // StartRebuild, RebuildStep).
-func (cl *Cluster) Array() *simdisk.RAID5 {
-	if cl.dev != nil {
-		return cl.dev.RAID()
-	}
-	return cl.luns[0].RAID()
-}
+func (cl *Cluster) Array() *simdisk.RAID5 { return cl.vols[0].RAID() }
 
 // CrashServer models a server power failure: the NFS export filesystem
 // loses all volatile state (dirty buffers, the running transaction) and
@@ -38,9 +32,8 @@ func (cl *Cluster) CrashServer() {
 		return
 	}
 	for _, c := range cl.Clients {
-		st := c.Stack.(*iscsiStack)
-		st.target.Crash()
-		if s, ok := st.endpoint.(*iscsi.Session); ok {
+		c.Stack.Target().Crash()
+		if s := c.Stack.Session(); s != nil {
 			s.Abort()
 		}
 	}
@@ -72,7 +65,7 @@ func (cl *Cluster) RestartServer(now time.Duration) (time.Duration, error) {
 		return done, nil
 	}
 	for _, c := range cl.Clients {
-		c.Stack.(*iscsiStack).target.Restart()
+		c.Stack.Target().Restart()
 	}
 	return now, nil
 }
@@ -117,7 +110,7 @@ func (cl *Cluster) RecoverClient(i int, now time.Duration, force bool) (time.Dur
 		if !st.fs.Mounted() || !st.target.LoggedIn() {
 			broken = true
 		}
-		if s, ok := st.endpoint.(*iscsi.Session); ok && s.Broken() {
+		if s := st.Session(); s != nil && s.Broken() {
 			broken = true
 		}
 	}

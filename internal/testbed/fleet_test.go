@@ -55,12 +55,14 @@ func TestClusterHybridBackground(t *testing.T) {
 	run := func(bg []fleet.Cohort) (*Cluster, []byte) {
 		var buf bytes.Buffer
 		cl, err := NewCluster(ClusterConfig{
-			Kind:         NFSv3,
-			Clients:      2,
-			DeviceBlocks: 8192,
-			Seed:         7,
-			Background:   bg,
-			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			Config: Config{
+				Kind:         NFSv3,
+				DeviceBlocks: 8192,
+				Seed:         7,
+				Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			},
+			Clients:    2,
+			Background: bg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -124,12 +126,14 @@ func TestClusterHybridDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
 		cl, err := NewCluster(ClusterConfig{
-			Kind:         ISCSI,
-			Clients:      2,
-			DeviceBlocks: 8192,
-			Seed:         3,
-			Background:   []fleet.Cohort{bgCohort(14)},
-			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			Config: Config{
+				Kind:         ISCSI,
+				DeviceBlocks: 8192,
+				Seed:         3,
+				Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			},
+			Clients:    2,
+			Background: []fleet.Cohort{bgCohort(14)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -156,13 +160,15 @@ func TestClusterTelemetrySampling(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cl, err := NewCluster(ClusterConfig{
-		Kind:           NFSv3,
+		Config: Config{
+			Kind:         NFSv3,
+			DeviceBlocks: 8192,
+			Seed:         11,
+			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		},
 		Clients:        8,
-		DeviceBlocks:   8192,
-		Seed:           11,
 		PerClient:      per,
 		TelemetryFanIn: 2,
-		Metrics:        metrics.NewRecorder(metrics.NewSink(&buf), nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,12 +231,14 @@ func TestClusterTelemetrySamplingDisabled(t *testing.T) {
 	for _, fanIn := range []int{-1, 8} {
 		var buf bytes.Buffer
 		cl, err := NewCluster(ClusterConfig{
-			Kind:           NFSv3,
+			Config: Config{
+				Kind:         NFSv3,
+				DeviceBlocks: 8192,
+				Seed:         11,
+				Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			},
 			Clients:        8,
-			DeviceBlocks:   8192,
-			Seed:           11,
 			TelemetryFanIn: fanIn,
-			Metrics:        metrics.NewRecorder(metrics.NewSink(&buf), nil),
 		})
 		if err != nil {
 			t.Fatal(err)

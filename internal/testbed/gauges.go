@@ -1,12 +1,9 @@
 package testbed
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/health"
-	"repro/internal/iscsi"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simdisk"
 )
@@ -65,10 +62,18 @@ func (st *nfsStack) tcpGauges(now time.Duration) map[string]float64 {
 // tcpGauges reports the MC/S session's aggregate congestion state (nil
 // under the fluid initiator: the station skips that scrape).
 func (st *iscsiStack) tcpGauges(now time.Duration) map[string]float64 {
-	if s, ok := st.endpoint.(*iscsi.Session); ok {
+	if s := st.Session(); s != nil {
 		return s.Gauges(now)
 	}
 	return nil
+}
+
+func (st *nfsStack) gaugeSources() []health.Source {
+	return []health.Source{{Station: "rpc", Fn: st.rpcGauges}, {Station: "tcp", Fn: st.tcpGauges}}
+}
+
+func (st *iscsiStack) gaugeSources() []health.Source {
+	return []health.Source{{Station: "tcp", Fn: st.tcpGauges}}
 }
 
 // attachHealth wires a monitor into the cluster: binds it to the
@@ -85,31 +90,19 @@ func (cl *Cluster) attachHealth(m *health.Monitor) {
 	if cl.Link != nil {
 		m.Register(health.Source{Station: "net.shared", Fn: cl.Link.Gauges})
 	}
-	if arr := cl.Array(); arr != nil {
-		m.Register(health.Source{Station: "disk", Fn: arrayGauges(arr)})
-	}
+	m.Register(health.Source{Station: "disk", Fn: arrayGauges(cl.Array())})
 	m.Register(health.Source{Station: "cpu.server", Fn: cpuGauges(cl.ServerCPU)})
 	if cl.locks != nil {
 		m.Register(health.Source{Station: "lock", Fn: cl.locks.Gauges})
 	}
 	for _, s := range cl.strata() {
-		sel := s.members
-		if fanIn := cl.fanIn(); fanIn > 0 && len(s.members) > fanIn {
-			sel = make([]int, fanIn)
-			for j := range sel {
-				sel[j] = s.members[j*len(s.members)/fanIn]
-			}
-		}
-		for _, i := range sel {
+		for _, i := range cl.sampled(s) {
 			c := cl.Clients[i]
-			tags := metrics.Tags{"client": strconv.Itoa(c.ID)}
+			tags := clientTag(c.ID)
 			m.Register(health.Source{Station: "cpu.client", Tags: tags, Fn: cpuGauges(c.CPU)})
-			switch st := c.Stack.(type) {
-			case *nfsStack:
-				m.Register(health.Source{Station: "rpc", Tags: tags, Fn: st.rpcGauges})
-				m.Register(health.Source{Station: "tcp", Tags: tags, Fn: st.tcpGauges})
-			case *iscsiStack:
-				m.Register(health.Source{Station: "tcp", Tags: tags, Fn: st.tcpGauges})
+			for _, g := range c.Stack.gaugeSources() {
+				g.Tags = tags
+				m.Register(g)
 			}
 		}
 	}

@@ -20,13 +20,15 @@ func gaugeRun(t *testing.T, kind Kind, tr Transport) ([]byte, *health.Monitor) {
 		t.Fatal(err)
 	}
 	cl, err := NewCluster(ClusterConfig{
-		Kind:         kind,
-		Clients:      2,
-		DeviceBlocks: 8192,
-		Seed:         7,
-		Transport:    tr,
-		Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
-		Health:       mon,
+		Config: Config{
+			Kind:         kind,
+			DeviceBlocks: 8192,
+			Seed:         7,
+			Transport:    tr,
+			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		},
+		Clients: 2,
+		Health:  mon,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +134,15 @@ func TestGaugesSurviveColdCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl, err := NewCluster(ClusterConfig{
-				Kind:         kind,
-				Clients:      1,
-				DeviceBlocks: 8192,
-				Seed:         7,
-				Transport:    TransportTCP,
-				Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
-				Health:       mon,
+				Config: Config{
+					Kind:         kind,
+					DeviceBlocks: 8192,
+					Seed:         7,
+					Transport:    TransportTCP,
+					Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+				},
+				Clients: 1,
+				Health:  mon,
 			})
 			if err != nil {
 				t.Fatal(err)

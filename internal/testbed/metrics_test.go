@@ -161,11 +161,13 @@ func TestClusterMetricsStream(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
 		cl, err := NewCluster(ClusterConfig{
-			Kind:         NFSv3,
-			Clients:      2,
-			DeviceBlocks: 8192,
-			Seed:         7,
-			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			Config: Config{
+				Kind:         NFSv3,
+				DeviceBlocks: 8192,
+				Seed:         7,
+				Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+			},
+			Clients: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -228,14 +230,14 @@ func TestSlotTableBindsFlushPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.RPC.SlotEntries = slots
+		tb.Stack.RPC().SlotEntries = slots
 		if err := tb.WriteFile("/big", make([]byte, 2<<20)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.RPC.Stats().SlotWaits
+		return tb.Stack.RPC().Stats().SlotWaits
 	}
 	if w := run(sunrpc.DefaultSlotEntries); w != 0 {
 		t.Fatalf("default slot table queued %d calls under write-behind", w)

@@ -16,14 +16,16 @@ func sharedCluster(t *testing.T, kind Kind, tr Transport, n int, link netqueue.C
 	perClient []ClientNet, sink *metrics.Sink) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
-		Kind:         kind,
-		Clients:      n,
-		DeviceBlocks: 16384,
-		Seed:         11,
-		Transport:    tr,
-		Shared:       &link,
-		PerClient:    perClient,
-		Metrics:      metrics.NewRecorder(sink, nil),
+		Config: Config{
+			Kind:         kind,
+			DeviceBlocks: 16384,
+			Seed:         11,
+			Transport:    tr,
+			Metrics:      metrics.NewRecorder(sink, nil),
+		},
+		Clients:   n,
+		Shared:    &link,
+		PerClient: perClient,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +216,14 @@ func TestClusterStragglerTags(t *testing.T) {
 func TestClusterPerClientWithoutBottleneck(t *testing.T) {
 	var buf bytes.Buffer
 	cl, err := NewCluster(ClusterConfig{
-		Kind:         ISCSI,
-		Clients:      2,
-		DeviceBlocks: 16384,
-		Seed:         3,
-		PerClient:    []ClientNet{{}, {RTT: 20 * time.Millisecond}},
-		Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		Config: Config{
+			Kind:         ISCSI,
+			DeviceBlocks: 16384,
+			Seed:         3,
+			Metrics:      metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		},
+		Clients:   2,
+		PerClient: []ClientNet{{}, {RTT: 20 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,11 +241,12 @@ func TestClusterPerClientWithoutBottleneck(t *testing.T) {
 
 // TestClusterConfigValidation rejects malformed heterogeneity configs.
 func TestClusterConfigValidation(t *testing.T) {
+	nfs := Config{Kind: NFSv3}
 	bad := []ClusterConfig{
-		{Kind: NFSv3, Clients: 1, PerClient: []ClientNet{{}, {}}},
-		{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{LossRate: 1.5}}},
-		{Kind: NFSv3, Clients: 2, PerClient: []ClientNet{{RTT: -time.Second}}},
-		{Kind: NFSv3, Clients: 2, Shared: &netqueue.Config{Bandwidth: -1}},
+		{Config: nfs, Clients: 1, PerClient: []ClientNet{{}, {}}},
+		{Config: nfs, Clients: 2, PerClient: []ClientNet{{LossRate: 1.5}}},
+		{Config: nfs, Clients: 2, PerClient: []ClientNet{{RTT: -time.Second}}},
+		{Config: nfs, Clients: 2, Shared: &netqueue.Config{Bandwidth: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {

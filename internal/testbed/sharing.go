@@ -171,10 +171,9 @@ func (c *Client) TryLockShared(off, length int64, excl bool) (bool, error) {
 		c.Tracer.End(ref, done)
 		return got, c.run(done, err)
 	}
-	st := c.Stack.(*nfsStack)
 	now := c.Clock.Now()
 	ref := c.beginOp(now, "lock")
-	got, done, err := st.client.Lock(now, SharedPath, off, length, excl, false)
+	got, done, err := c.Stack.NFSClient().Lock(now, SharedPath, off, length, excl, false)
 	c.Tracer.End(ref, done)
 	return got, c.run(done, err)
 }
@@ -191,10 +190,9 @@ func (c *Client) UnlockShared(off, length int64, excl bool) error {
 		c.Tracer.End(ref, done)
 		return c.run(done, err)
 	}
-	st := c.Stack.(*nfsStack)
 	now := c.Clock.Now()
 	ref := c.beginOp(now, "unlock")
-	done, err := st.client.Unlock(now, SharedPath, off, length)
+	done, err := c.Stack.NFSClient().Unlock(now, SharedPath, off, length)
 	c.Tracer.End(ref, done)
 	return c.run(done, err)
 }

@@ -13,7 +13,9 @@ import (
 func TestLockGracePeriod(t *testing.T) {
 	const grace = 500 * time.Millisecond
 	cl, err := NewCluster(ClusterConfig{
-		Kind:    NFSv3,
+		Config: Config{
+			Kind: NFSv3,
+		},
 		Clients: 2,
 		Sharing: &SharingConfig{GracePeriod: grace},
 	})
@@ -109,7 +111,9 @@ func TestLockGracePeriod(t *testing.T) {
 // the fresh bytes visible.
 func TestSharedFileVisibility(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
-		Kind:    NFSv3,
+		Config: Config{
+			Kind: NFSv3,
+		},
 		Clients: 2,
 		Sharing: &SharingConfig{},
 	})
@@ -157,7 +161,9 @@ func TestSharedFileVisibility(t *testing.T) {
 // access.
 func TestSharedLUNReservations(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
-		Kind:    ISCSI,
+		Config: Config{
+			Kind: ISCSI,
+		},
 		Clients: 2,
 		Sharing: &SharingConfig{},
 	})

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/ext3"
+	"repro/internal/health"
 	"repro/internal/iscsi"
 	"repro/internal/lockmgr"
 	"repro/internal/nfs"
@@ -20,8 +21,9 @@ import (
 // Stack is the protocol-specific half of one client: the client-visible
 // filesystem plus the control operations a harness needs around it. Both
 // the NFS path (v2/v3/v4 over SunRPC) and the iSCSI path (local ext3 on a
-// remote block device) implement it, so the testbed and the multi-client
-// cluster assemble stacks without protocol switches.
+// remote block device) implement it, so the cluster assembles, measures
+// and instruments stacks without protocol switches: a new stack is a new
+// implementation of these methods.
 //
 // All methods take and return virtual times; the caller owns the clock.
 type Stack interface {
@@ -35,12 +37,34 @@ type Stack interface {
 	// Drain flushes all dirty client state to stable server storage and
 	// returns the quiescence time (the paper's measurement boundary).
 	Drain(now time.Duration) (time.Duration, error)
-	// ColdCache empties every cache the stack controls — client remount
-	// plus, for NFS, a server restart (Section 4.1's protocol).
+	// ColdCache empties every cache the client controls and remounts
+	// against the running server: the client half of Section 4.1's
+	// protocol. The server half (one export restart, however many
+	// clients) belongs to the Cluster, which owns the server.
 	ColdCache(now time.Duration) (time.Duration, error)
 	// Counters reports protocol-level statistics beyond the shared
-	// network/disk/CPU counters.
+	// network/disk/CPU counters, cumulative across every rebuild.
 	Counters() StackCounters
+
+	// The live protocol objects, for experiment code that tunes or
+	// breaks one of them. They are read through the stack at call time —
+	// Mount rebuilds the protocol clients, ColdCache the client
+	// filesystem — and are nil on a stack that has no such part (an
+	// iSCSI stack has exactly one of Initiator, the fluid path, and
+	// Session, the MC/S TCP path).
+	RPC() *sunrpc.Client
+	NFSClient() *nfs.Client
+	NFSServer() *nfs.Server
+	Initiator() *iscsi.Initiator
+	Session() *iscsi.Session
+	Target() *iscsi.Target
+	ClientFS() *ext3.FS
+
+	// counterSources and gaugeSources list what the stack contributes
+	// per client to the metrics stream and to a health monitor, in
+	// registration order (telemetry.go, gauges.go).
+	counterSources() []counterSource
+	gaugeSources() []health.Source
 }
 
 // StackCounters are the protocol-level statistics a stack exposes.
@@ -59,28 +83,29 @@ type hw struct {
 	cfg Config
 }
 
-// clientFSOpts returns the ext3 options for an iSCSI client mount: the
-// filesystem (VFS + FS + block layers) runs on the *client* CPU.
-func (h hw) clientFSOpts() ext3.Options {
+// fsOpts returns the ext3 mount options for a filesystem whose VFS, FS
+// and block layers charge cpu the given per-op and per-block demand.
+func (c Config) fsOpts(cpu *sim.CPU, cacheBlocks int, perOp, perBlock time.Duration) ext3.Options {
 	return ext3.Options{
-		CommitInterval: h.cfg.CommitInterval,
-		NoAtime:        h.cfg.NoAtime,
-		CacheBlocks:    h.cfg.ClientCacheBlocks,
-		CPU: &ext3.CPUConfig{
-			Run:      h.cpu.Run,
-			PerOp:    30 * time.Microsecond,
-			PerBlock: 5 * time.Microsecond,
-		},
-		Tracer: h.cfg.Tracer,
+		CommitInterval: c.CommitInterval,
+		NoAtime:        c.NoAtime,
+		CacheBlocks:    cacheBlocks,
+		CPU:            &ext3.CPUConfig{Run: cpu.Run, PerOp: perOp, PerBlock: perBlock},
+		Tracer:         c.Tracer,
 	}
+}
+
+// clientFSOpts returns the ext3 options for an iSCSI client mount: the
+// filesystem runs on the *client* CPU.
+func (h hw) clientFSOpts() ext3.Options {
+	return h.cfg.fsOpts(h.cpu, h.cfg.ClientCacheBlocks, 30*time.Microsecond, 5*time.Microsecond)
 }
 
 // ---- NFS ----
 
 // nfsServer is the shared server half of one or more NFS stacks: the
 // export device, the server ext3 and the protocol server, all charging one
-// server CPU. A single-client testbed owns one; a cluster shares one among
-// all its clients. fsBase carries the counters of export filesystems a
+// server CPU. A cluster has one, shared among all its clients. fsBase carries the counters of export filesystems a
 // restart has retired, keeping the cumulative counters monotonic for
 // telemetry.
 type nfsServer struct {
@@ -95,17 +120,7 @@ type nfsServer struct {
 
 // serverFSOpts returns the ext3 options for the server's local mount.
 func (s *nfsServer) serverFSOpts() ext3.Options {
-	return ext3.Options{
-		CommitInterval: s.cfg.CommitInterval,
-		NoAtime:        s.cfg.NoAtime,
-		CacheBlocks:    s.cfg.ServerCacheBlocks,
-		CPU: &ext3.CPUConfig{
-			Run:      s.cpu.Run,
-			PerOp:    25 * time.Microsecond,
-			PerBlock: 4 * time.Microsecond,
-		},
-		Tracer: s.cfg.Tracer,
-	}
+	return s.cfg.fsOpts(s.cpu, s.cfg.ServerCacheBlocks, 25*time.Microsecond, 4*time.Microsecond)
 }
 
 // mount brings the export up (first boot or after restart).
@@ -185,13 +200,6 @@ func (st *nfsStack) Counters() StackCounters {
 }
 
 func (st *nfsStack) Mount(now time.Duration) (time.Duration, error) {
-	if st.srv.fs == nil {
-		done, err := st.srv.mount(now)
-		if err != nil {
-			return now, err
-		}
-		now = done
-	}
 	transport := sunrpc.TCP
 	ver := nfs.V3
 	switch st.kind {
@@ -251,22 +259,18 @@ func (st *nfsStack) Drain(now time.Duration) (time.Duration, error) {
 	return st.srv.sync(done)
 }
 
-// remount drops the client's caches and re-mounts against the running
-// server — the client half of the cold-cache protocol. A cluster uses it
-// after restarting the shared server once.
-func (st *nfsStack) remount(now time.Duration) (time.Duration, error) {
+func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
 	st.client.DropCaches()
 	return st.client.Mount(now)
 }
 
-func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
-	st.client.DropCaches()
-	done, err := st.srv.restart(now)
-	if err != nil {
-		return now, err
-	}
-	return st.client.Mount(done)
-}
+func (st *nfsStack) RPC() *sunrpc.Client         { return st.rpc }
+func (st *nfsStack) NFSClient() *nfs.Client      { return st.client }
+func (st *nfsStack) NFSServer() *nfs.Server      { return st.srv.srv }
+func (st *nfsStack) Initiator() *iscsi.Initiator { return nil }
+func (st *nfsStack) Session() *iscsi.Session     { return nil }
+func (st *nfsStack) Target() *iscsi.Target       { return nil }
+func (st *nfsStack) ClientFS() *ext3.FS          { return nil }
 
 // ---- iSCSI ----
 
@@ -277,6 +281,7 @@ type iscsiEndpoint interface {
 	blockdev.Device
 	Login(at time.Duration) (time.Duration, error)
 	SetTracer(*tracing.Tracer)
+	Counters() map[string]int64
 }
 
 // iscsiStack is one client's iSCSI session: an initiator (or MC/S session
@@ -298,48 +303,42 @@ func (st *iscsiStack) Kind() Kind         { return ISCSI }
 func (st *iscsiStack) FS() vfs.FileSystem { return st.fs }
 func (st *iscsiStack) Counters() StackCounters {
 	c := StackCounters{TCP: st.tcpBase}
-	if s, ok := st.endpoint.(*iscsi.Session); ok {
+	if s := st.Session(); s != nil {
 		c.TCP.Add(s.Stats())
 	}
 	return c
 }
 
+func (st *iscsiStack) RPC() *sunrpc.Client    { return nil }
+func (st *iscsiStack) NFSClient() *nfs.Client { return nil }
+func (st *iscsiStack) NFSServer() *nfs.Server { return nil }
+func (st *iscsiStack) Initiator() *iscsi.Initiator {
+	ep, _ := st.endpoint.(*iscsi.Initiator)
+	return ep
+}
+func (st *iscsiStack) Session() *iscsi.Session {
+	ep, _ := st.endpoint.(*iscsi.Session)
+	return ep
+}
+func (st *iscsiStack) Target() *iscsi.Target { return st.target }
+func (st *iscsiStack) ClientFS() *ext3.FS    { return st.fs }
+
 // endpointCounters exports the cumulative iSCSI command counters across
 // every endpoint this stack has had.
 func (st *iscsiStack) endpointCounters() map[string]int64 {
-	cur := map[string]int64{}
-	switch ep := st.endpoint.(type) {
-	case *iscsi.Initiator:
-		cur = ep.Counters()
-	case *iscsi.Session:
-		cur = ep.Counters()
-	}
-	for k, v := range st.epBase {
-		cur[k] += v
-	}
-	return cur
+	return addCounterMap(st.endpoint.Counters(), st.epBase)
 }
 
 // fsCounters exports the cumulative client-ext3 counters across remounts.
 func (st *iscsiStack) fsCounters() map[string]int64 {
-	cur := map[string]int64{}
-	if st.fs != nil {
-		cur = st.fs.Counters()
-	}
-	for k, v := range st.fsBase {
-		cur[k] += v
-	}
-	return cur
+	return addCounterMap(st.fs.Counters(), st.fsBase)
 }
 
 func (st *iscsiStack) Mount(now time.Duration) (time.Duration, error) {
 	if st.endpoint != nil {
-		switch ep := st.endpoint.(type) {
-		case *iscsi.Initiator:
-			st.epBase = addCounterMap(st.epBase, ep.Counters())
-		case *iscsi.Session:
-			st.epBase = addCounterMap(st.epBase, ep.Counters())
-			st.tcpBase.Add(ep.Stats())
+		st.epBase = addCounterMap(st.epBase, st.endpoint.Counters())
+		if s := st.Session(); s != nil {
+			st.tcpBase.Add(s.Stats())
 		}
 	}
 	if st.hw.cfg.Transport == TransportTCP {

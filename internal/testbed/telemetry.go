@@ -34,63 +34,71 @@ func addCounterMap(dst, src map[string]int64) map[string]int64 {
 	return dst
 }
 
-// registerClientSources registers the per-client sources: the client CPU
-// plus the mounted stack's protocol counters (SunRPC and the NFS client's
-// TCP connection, or the iSCSI endpoint, its TCP connections and the
-// client-side ext3). extra tags (a heterogeneous cluster's per-client
-// rtt/loss axes) are merged onto every source; nil leaves the
-// homogeneous tag set untouched.
-func registerClientSources(rec *metrics.Recorder, c *Client, extra metrics.Tags) {
-	if rec == nil {
-		return
+// counterSource is one per-client counter source a stack contributes.
+// onHost sources are the client-side twins of machinery the server also
+// has (a filesystem) and carry {client, host=client}; the rest carry
+// {client}.
+type counterSource struct {
+	subsys string
+	onHost bool
+	fn     func() map[string]int64
+}
+
+// tcpCounters adapts a stack's cumulative TCP counters to a source.
+func tcpCounters(st Stack) func() map[string]int64 {
+	return func() map[string]int64 { return st.Counters().TCP.Counters() }
+}
+
+func (st *nfsStack) counterSources() []counterSource {
+	return []counterSource{
+		{subsys: metrics.SubsysRPC, fn: func() map[string]int64 { return st.Counters().RPC.Counters() }},
+		{subsys: metrics.SubsysTCP, fn: tcpCounters(st)},
 	}
+}
+
+func (st *iscsiStack) counterSources() []counterSource {
+	return []counterSource{
+		{subsys: metrics.SubsysISCSI, fn: st.endpointCounters},
+		{subsys: metrics.SubsysTCP, fn: tcpCounters(st)},
+		{subsys: metrics.SubsysExt3, onHost: true, fn: st.fsCounters},
+	}
+}
+
+// registerClient registers client i's sources: its own network (when
+// clients do not ride one shared segment), its CPU, plus whatever the
+// mounted stack contributes (SunRPC and the NFS client's TCP connection,
+// or the iSCSI endpoint, its TCP connections and the client-side ext3).
+// extra tags (a heterogeneous cluster's per-client rtt/loss axes, the
+// sampling tags) are merged onto every source; nil leaves the homogeneous
+// tag set untouched.
+func (cl *Cluster) registerClient(i int, extra metrics.Tags) {
+	c, rec := cl.Clients[i], cl.rec
 	tags := clientTag(c.ID)
 	host := metrics.Tags{"client": tags["client"], "host": "client"}
 	for k, v := range extra {
 		tags[k] = v
 		host[k] = v
 	}
+	if cl.Net == nil {
+		rec.Register(metrics.SubsysNet, tags, cl.nets[i].Counters)
+	}
 	rec.Register(metrics.SubsysCPU, host, c.CPU.Counters)
-	switch st := c.Stack.(type) {
-	case *nfsStack:
-		rec.Register(metrics.SubsysRPC, tags, func() map[string]int64 {
-			return st.Counters().RPC.Counters()
-		})
-		rec.Register(metrics.SubsysTCP, tags, func() map[string]int64 {
-			return st.Counters().TCP.Counters()
-		})
-	case *iscsiStack:
-		rec.Register(metrics.SubsysISCSI, tags, st.endpointCounters)
-		rec.Register(metrics.SubsysTCP, tags, func() map[string]int64 {
-			return st.Counters().TCP.Counters()
-		})
-		rec.Register(metrics.SubsysExt3, host, st.fsCounters)
+	for _, s := range c.Stack.counterSources() {
+		if s.onHost {
+			rec.Register(s.subsys, host, s.fn)
+		} else {
+			rec.Register(s.subsys, tags, s.fn)
+		}
 	}
 }
 
-// registerServerSources registers the server-side protocol sources an NFS
-// stack shares: the nfsd per-procedure counts and the export's ext3
-// caches. iSCSI has no server-side filesystem — its target serves raw
-// blocks — so it contributes nothing here.
-func registerServerSources(rec *metrics.Recorder, st Stack) {
-	ns, ok := st.(*nfsStack)
-	if rec == nil || !ok {
-		return
-	}
-	rec.Register(metrics.SubsysNFS, nil, func() map[string]int64 {
-		if ns.srv.srv == nil {
-			return nil
-		}
-		return ns.srv.srv.Counters()
-	})
+// registerSources registers the server-side protocol sources every NFS
+// client of the export shares: the nfsd per-procedure counts and the
+// export's ext3 caches. (iSCSI has no server-side filesystem — its
+// target serves raw blocks — so there is no iSCSI counterpart.)
+func (s *nfsServer) registerSources(rec *metrics.Recorder) {
+	rec.Register(metrics.SubsysNFS, nil, s.srv.Counters)
 	rec.Register(metrics.SubsysExt3, metrics.Tags{"host": "server"}, func() map[string]int64 {
-		cur := map[string]int64{}
-		if ns.srv.fs != nil {
-			cur = ns.srv.fs.Counters()
-		}
-		for k, v := range ns.srv.fsBase {
-			cur[k] += v
-		}
-		return cur
+		return addCounterMap(s.fs.Counters(), s.fsBase)
 	})
 }

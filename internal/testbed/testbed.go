@@ -4,25 +4,24 @@
 // simulated hardware: a Gigabit Ethernet link, a 4+p RAID-5 array of 10K
 // RPM drives, a dual-CPU server and a uniprocessor client.
 //
-// The protocol-specific plumbing lives behind the Stack interface
-// (stack.go); the per-client machine and syscall surface is Client
-// (client.go); Cluster (cluster.go) scales the same parts to N concurrent
-// clients sharing one server.
+// There is one assembly: Cluster (cluster.go) builds N client machines
+// around one server, and the paper's testbed is a one-client cluster.
+// Testbed (this file) is that cluster seen through its only client, so
+// N = 1 runs exactly the code N = 16 does. The protocol-specific plumbing
+// lives behind the Stack interface (stack.go); the per-client machine and
+// syscall surface is Client (client.go).
 //
-// The testbed also provides the paper's measurement controls: cold-cache
+// The cluster also provides the paper's measurement controls: cold-cache
 // emulation (unmount/remount plus server restart), warm-cache gaps, drain
-// points, and delta-snapshots of every counter.
+// points, delta-snapshots of every counter, and the begin/end window
+// protocol of the telemetry stream.
 package testbed
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/blockdev"
-	"repro/internal/ext3"
-	"repro/internal/iscsi"
 	"repro/internal/metrics"
-	"repro/internal/nfs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
@@ -104,11 +103,14 @@ func (t Transport) String() string {
 	}
 }
 
-// Config parameterizes a testbed.
+// Config parameterizes what every client of an assembly shares: the
+// stack under test, the volume, the wire and the caches. New takes it
+// alone (one client); ClusterConfig embeds it and adds the multi-client
+// axes.
 type Config struct {
 	Kind Kind
-	// DeviceBlocks is the logical volume size in 4 KB blocks
-	// (default 524288 = 2 GB).
+	// DeviceBlocks sizes each client's iSCSI LUN, or the (shared) NFS
+	// export, in 4 KB blocks (default 524288 = 2 GB).
 	DeviceBlocks int64
 	// RTT overrides the LAN round-trip time (default ~200 us; the
 	// latency sweep raises it).
@@ -124,7 +126,8 @@ type Config struct {
 	ServerCacheBlocks int
 	// Seed for loss injection and workloads.
 	Seed int64
-	// LossRate injects frame loss (failure testing).
+	// LossRate injects frame loss on every client's path (failure and WAN
+	// testing; per-client overrides via ClusterConfig.PerClient).
 	LossRate float64
 	// Transport selects the wire model (default TransportFluid).
 	Transport Transport
@@ -134,14 +137,17 @@ type Config struct {
 	// WindowBytes caps each TCP connection's window — the rmem/wmem
 	// tuning knob from Section 3.1 (default 64 KB).
 	WindowBytes int
-	// Metrics, when non-nil, receives the testbed's telemetry: every
-	// layer's counter source is registered on it at construction and
-	// EmitSample streams the deltas (see docs/METRICS.md). Events are
-	// additionally tagged with the wire transport.
+	// Metrics, when non-nil, receives the assembly's telemetry: shared
+	// hardware, server and per-client protocol sources are registered on
+	// it at construction and EmitSample streams the deltas (see
+	// docs/METRICS.md). Events are additionally tagged with the wire
+	// transport.
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, threads virtual-time span tracing through
-	// every layer: syscall roots, cache decisions, RPC/iSCSI exchanges,
-	// wire frames, CPU service and disk phases (see docs/TRACING.md).
+	// every layer: syscall roots (carrying the issuing client's id), cache
+	// decisions, RPC/iSCSI exchanges, wire frames, CPU service and disk
+	// phases (see docs/TRACING.md). The scheduler runs one client's
+	// syscall to completion per step, so one tracer serves all clients.
 	Tracer *tracing.Tracer
 }
 
@@ -199,157 +205,62 @@ func (c Config) network() *simnet.Network {
 	})
 }
 
-// Testbed is one assembled client/server configuration: a single Client
-// plus the server-side hardware it drives.
+// Testbed is the paper's setup (Figure 2): a one-client Cluster, viewed
+// through its only client. The embedded Client carries the syscall
+// surface the single-client workloads drive; everything else — assembly,
+// instrumentation, the measurement controls — is the cluster's, and the
+// methods here only delegate.
 type Testbed struct {
 	*Client
+	// Cluster is the assembly this testbed is a view of.
+	Cluster *Cluster
 
 	Kind Kind
-	Cfg  Config
 	Net  *simnet.Network
-
 	// ClientCPU is the 1 GHz client processor; ServerCPU the server's
 	// two 933 MHz processors folded into one resource.
 	ClientCPU *sim.CPU
 	ServerCPU *sim.CPU
-
-	dev *blockdev.Local
-
-	// iSCSI internals. Initiator carries the fluid path; Session the
-	// MC/S TCP path (exactly one is non-nil for an iSCSI testbed).
-	Initiator *iscsi.Initiator
-	Session   *iscsi.Session
-	Target    *iscsi.Target
-	ClientFS  *ext3.FS // client-side ext3 (iSCSI only)
-
-	// NFS internals.
-	NFSClient *nfs.Client
-	NFSServer *nfs.Server
-	ServerFS  *ext3.FS // server-side ext3 (NFS only)
-	RPC       *sunrpc.Client
-
-	rec *metrics.Recorder
 }
 
-// New builds and mounts a testbed.
+// New builds and mounts a testbed: NewCluster with one client.
 func New(cfg Config) (*Testbed, error) {
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
+	cl, err := NewCluster(ClusterConfig{Config: cfg, Clients: 1})
+	if err != nil {
 		return nil, err
 	}
-	net := cfg.network()
-	clientCPU := sim.NewCPU(1.0)
-	serverCPU := sim.NewCPU(1.87) // 2 x 933 MHz
-
-	dev := blockdev.NewTestbedArray(cfg.DeviceBlocks)
-	if cfg.Tracer != nil {
-		net.SetTracer(cfg.Tracer)
-		clientCPU.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
-		serverCPU.SetTracer(cfg.Tracer, tracing.LayerCPUServer)
-		dev.RAID().SetTracer(cfg.Tracer)
-	}
-	if _, err := ext3.Mkfs(0, dev, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
-		return nil, fmt.Errorf("testbed: mkfs: %w", err)
-	}
-
-	h := hw{net: net, cpu: clientCPU, cfg: cfg}
-	var st Stack
-	switch cfg.Kind {
-	case ISCSI:
-		st = &iscsiStack{hw: h, target: iscsi.NewTarget("iqn.2004.repro:vol0", dev, serverCPU)}
-	default:
-		st = &nfsStack{kind: cfg.Kind, hw: h, srv: &nfsServer{dev: dev, cpu: serverCPU, cfg: cfg}}
-	}
-	c := newClient(0, st)
-	c.CPU = clientCPU
-	c.Tracer = cfg.Tracer
-	tb := &Testbed{
-		Client:    c,
-		Kind:      cfg.Kind,
-		Cfg:       cfg,
-		Net:       net,
-		ClientCPU: clientCPU,
-		ServerCPU: serverCPU,
-		dev:       dev,
-	}
-	if err := c.mount(); err != nil {
-		return nil, err
-	}
-	tb.syncCompat()
-	tb.rec = cfg.Metrics.With(metrics.Tags{"transport": cfg.Transport.String()})
-	tb.instrument()
-	return tb, nil
-}
-
-// instrument registers every counter source on the testbed's recorder:
-// shared hardware (link, array, the two processors) plus the client's
-// protocol stack. Closures read through the stack at sample time, so
-// sources survive the identity changes ColdCache causes; the recorder's
-// reset rule absorbs rebuilt (re-zeroed) protocol clients.
-func (tb *Testbed) instrument() {
-	tb.rec.Register(metrics.SubsysNet, nil, tb.Net.Counters)
-	tb.rec.Register(metrics.SubsysDisk, nil, tb.dev.Counters)
-	tb.rec.Register(metrics.SubsysCPU, metrics.Tags{"host": "server"}, tb.ServerCPU.Counters)
-	registerClientSources(tb.rec, tb.Client, nil)
-	registerServerSources(tb.rec, tb.Client.Stack)
-}
-
-// Metrics exposes the testbed's recorder (nil when un-instrumented), so
-// harnesses can emit marks and result points into the same stream.
-func (tb *Testbed) Metrics() *metrics.Recorder { return tb.rec }
-
-// EmitSample streams every registered counter's delta since the previous
-// sample, stamped at the client clock — one closed measurement window in
-// the telemetry stream.
-func (tb *Testbed) EmitSample() { tb.rec.Sample(tb.Clock.Now()) }
-
-// syncCompat refreshes the exported protocol-internal handles from the
-// stack (their identities can change across ColdCache).
-func (tb *Testbed) syncCompat() {
-	switch st := tb.Stack.(type) {
-	case *iscsiStack:
-		tb.Initiator, tb.Session = nil, nil
-		switch ep := st.endpoint.(type) {
-		case *iscsi.Initiator:
-			tb.Initiator = ep
-		case *iscsi.Session:
-			tb.Session = ep
-		}
-		tb.Target = st.target
-		tb.ClientFS = st.fs
-	case *nfsStack:
-		tb.RPC = st.rpc
-		tb.NFSClient = st.client
-		tb.NFSServer = st.srv.srv
-		tb.ServerFS = st.srv.fs
-	}
+	c := cl.Clients[0]
+	return &Testbed{Client: c, Cluster: cl, Kind: cl.Kind, Net: cl.Net,
+		ClientCPU: c.CPU, ServerCPU: cl.ServerCPU}, nil
 }
 
 // SetRTT adjusts network latency mid-run (the NISTNet knob of Figure 6).
 func (tb *Testbed) SetRTT(rtt time.Duration) { tb.Net.SetRTT(rtt) }
 
+// Metrics exposes the testbed's recorder (nil when un-instrumented), so
+// harnesses can emit marks and result points into the same stream.
+func (tb *Testbed) Metrics() *metrics.Recorder { return tb.Cluster.Metrics() }
+
+// EmitSample streams every registered counter's delta since the previous
+// sample: one closed measurement window in the telemetry stream.
+func (tb *Testbed) EmitSample() { tb.Cluster.EmitSample() }
+
 // Drain brings the system to quiescence: all dirty client state flushed
 // and durable at the server, the virtual clock advanced past all
 // background work. This is the measurement boundary for the paper's
-// message counts. A crashed client filesystem has nothing to drain.
-func (tb *Testbed) Drain() error { return tb.Client.Drain() }
+// message counts.
+func (tb *Testbed) Drain() error { return tb.Cluster.Drain() }
 
 // ColdCache empties every cache: the client filesystem is unmounted and
 // remounted and the server restarted, the protocol the paper uses before
-// each cold-cache measurement (Section 4.1). On an instrumented testbed
-// the quiesced pre-reset counters are flushed into a sample first, so the
-// rebuild (which re-zeroes protocol clients) can never lose deltas.
-func (tb *Testbed) ColdCache() error {
-	if err := tb.Drain(); err != nil {
-		return err
-	}
-	tb.EmitSample()
-	if err := tb.Client.ColdCache(); err != nil {
-		return err
-	}
-	tb.syncCompat()
-	return nil
-}
+// each cold-cache measurement (Section 4.1).
+func (tb *Testbed) ColdCache() error { return tb.Cluster.ColdCache() }
+
+// Snap returns the current counters.
+func (tb *Testbed) Snap() Snapshot { return tb.Cluster.Snap() }
+
+// Since computes the measurement window from a prior snapshot.
+func (tb *Testbed) Since(prev Snapshot) Delta { return tb.Cluster.Since(prev) }
 
 // Snapshot captures every counter for delta measurement.
 type Snapshot struct {
@@ -358,21 +269,6 @@ type Snapshot struct {
 	RPC                    sunrpc.Stats
 	ClientBusy, ServerBusy time.Duration
 	Time                   time.Duration
-}
-
-// Snap returns the current counters.
-func (tb *Testbed) Snap() Snapshot {
-	s := Snapshot{
-		Net:        tb.Net.Stats(),
-		Disk:       tb.dev.Stats(),
-		ClientBusy: tb.ClientCPU.Busy(),
-		ServerBusy: tb.ServerCPU.Busy(),
-		Time:       tb.Clock.Now(),
-	}
-	if tb.RPC != nil {
-		s.RPC = tb.RPC.Stats()
-	}
-	return s
 }
 
 // Delta is the difference between two snapshots: one measurement window.
@@ -385,12 +281,6 @@ type Delta struct {
 	Elapsed     time.Duration
 	ClientBusy  time.Duration
 	ServerBusy  time.Duration
-}
-
-// Since computes the measurement window from a prior snapshot.
-func (tb *Testbed) Since(prev Snapshot) Delta {
-	cur := tb.Snap()
-	return delta(prev, cur)
 }
 
 // delta subtracts two snapshots.

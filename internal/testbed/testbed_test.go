@@ -266,7 +266,7 @@ func TestFreshTestbedStoresOnlyMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatalf("testbed %v: %v", k, err)
 		}
-		if n := tb.dev.Store().Populated(); n > 64 {
+		if n := tb.Cluster.vols[0].Store().Populated(); n > 64 {
 			t.Errorf("%v: fresh 131072-block testbed holds %d blocks, want <= 64", k, n)
 		}
 	}

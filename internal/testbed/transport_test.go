@@ -61,7 +61,7 @@ func TestTransportValidation(t *testing.T) {
 	if _, err := New(Config{Kind: ISCSI, Transport: TransportFluid, Conns: 4}); err == nil {
 		t.Fatal("fluid MC/S accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Kind: ISCSI, Clients: 2, Transport: TransportUDP}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Config: Config{Kind: ISCSI, Transport: TransportUDP}, Clients: 2}); err == nil {
 		t.Fatal("cluster iSCSI over UDP accepted")
 	}
 }
@@ -79,7 +79,7 @@ func TestNFSUDPTransportForced(t *testing.T) {
 	if err := tb.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.RPC.Stats().Retransmits == 0 {
+	if tb.Stack.RPC().Stats().Retransmits == 0 {
 		t.Fatal("5% frame loss on the UDP transport produced no RPC retransmissions")
 	}
 	if tb.Client.Stack.Counters().TCP.Segments != 0 {
@@ -87,27 +87,98 @@ func TestNFSUDPTransportForced(t *testing.T) {
 	}
 }
 
-// TestSessionExportedOnTestbed: the MC/S session is reachable for
-// experiment code and the fluid initiator is not built.
-func TestSessionExportedOnTestbed(t *testing.T) {
-	tb := mkTCP(t, ISCSI, 4)
-	if tb.Session == nil || tb.Initiator != nil {
-		t.Fatalf("session=%v initiator=%v, want session-only", tb.Session, tb.Initiator)
+// TestAccessorsReadThroughTheStack: the protocol objects the Stack
+// accessors hand out are the live ones, whatever rebuilt them. ColdCache
+// replaces the iSCSI client filesystem and keeps sessions and RPC
+// clients; a forced recovery (the remount a reboot does) rebuilds the
+// MC/S session and the RPC client, whose own statistics restart while
+// the stack's Counters stay cumulative.
+func TestAccessorsReadThroughTheStack(t *testing.T) {
+	work := func(tb *Testbed) {
+		t.Helper()
+		if err := tb.WriteFile("/f", make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.ColdCache(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tb.Session.Conns() != 4 {
-		t.Fatalf("conns = %d", tb.Session.Conns())
+	recover := func(tb *Testbed) {
+		t.Helper()
+		done, repaired, err := tb.Cluster.RecoverClient(0, tb.Clock.Now(), true)
+		if err != nil || !repaired {
+			t.Fatalf("forced recovery: repaired=%v err=%v", repaired, err)
+		}
+		tb.Clock.AdvanceTo(done)
 	}
+
+	t.Run("iscsi", func(t *testing.T) {
+		tb := mkTCP(t, ISCSI, 4)
+		st := tb.Stack
+		if st.Initiator() != nil || st.RPC() != nil || st.NFSClient() != nil || st.NFSServer() != nil {
+			t.Fatal("iSCSI/TCP stack exposes a fluid initiator or NFS parts")
+		}
+		fs0, s0 := st.ClientFS(), st.Session()
+		if fs0 == nil || s0 == nil || s0.Conns() != 4 || st.Target() == nil {
+			t.Fatalf("fs=%v session=%v target=%v, want all live and 4 conns", fs0, s0, st.Target())
+		}
+		work(tb)
+		if st.ClientFS() == fs0 || st.ClientFS() != tb.FS {
+			t.Fatal("ClientFS does not follow the cold-cache remount")
+		}
+		if st.Session() != s0 {
+			t.Fatal("ColdCache rebuilt the session")
+		}
+		before := st.Counters().TCP.Segments
+		recover(tb)
+		if s := st.Session(); s == s0 || s.Conns() != 4 {
+			t.Fatalf("Session() after recovery: rebuilt=%v conns=%d", s != s0, s.Conns())
+		}
+		if st.Session().Stats().Segments >= before || st.Counters().TCP.Segments <= before {
+			t.Fatalf("segments: live session %d, cumulative %d, before recovery %d",
+				st.Session().Stats().Segments, st.Counters().TCP.Segments, before)
+		}
+	})
+
+	t.Run("nfs", func(t *testing.T) {
+		tb := mkTCP(t, NFSv3, 1)
+		st := tb.Stack
+		if st.Initiator() != nil || st.Session() != nil || st.Target() != nil || st.ClientFS() != nil {
+			t.Fatal("NFS stack exposes iSCSI parts")
+		}
+		rpc0, c0 := st.RPC(), st.NFSClient()
+		if rpc0 == nil || c0 == nil || st.NFSServer() == nil {
+			t.Fatal("NFS accessors nil on a mounted stack")
+		}
+		work(tb)
+		if st.RPC() != rpc0 || st.NFSClient() != c0 {
+			t.Fatal("ColdCache rebuilt the protocol client")
+		}
+		before := st.Counters().RPC.Calls
+		if before == 0 || rpc0.Stats().Calls != before {
+			t.Fatalf("calls before recovery: live %d, cumulative %d", rpc0.Stats().Calls, before)
+		}
+		recover(tb)
+		if st.RPC() == rpc0 || st.NFSClient() == c0 || st.NFSClient() != tb.FS {
+			t.Fatal("accessors still return the retired protocol client")
+		}
+		if live, cum := st.RPC().Stats().Calls, st.Counters().RPC.Calls; live >= before || cum != before+live {
+			t.Fatalf("calls after recovery: live %d, cumulative %d, before %d", live, cum, before)
+		}
+	})
 }
 
 // TestTCPClusterRuns: N clients over TCP transports share one server.
 func TestTCPClusterRuns(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
-		Kind:         ISCSI,
-		Clients:      3,
-		DeviceBlocks: 16384,
-		Transport:    TransportTCP,
-		Conns:        2,
-		Seed:         11,
+		Config: Config{
+			Kind:         ISCSI,
+			DeviceBlocks: 16384,
+			Transport:    TransportTCP,
+			Conns:        2,
+			Seed:         11,
+		},
+		Clients: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,15 +36,14 @@ func (r Result) String() string {
 		r.ServerCPU*100, r.ClientCPU*100)
 }
 
-// measure wraps a run with snapshots and CPU percentiles. On an
-// instrumented testbed it also closes the telemetry window: setup-phase
-// counter deltas are flushed before the begin mark, the run's deltas are
-// sampled after the drain, and the headline result lands as a point event
-// (the shared EmitEvents path every Run* harness inherits).
+// measure wraps a run with snapshots and CPU percentiles, inside the one
+// telemetry window protocol every harness shares (Cluster.BeginWindow /
+// EndWindow): setup-phase counter deltas are flushed before the begin
+// mark, the run's deltas are sampled after the drain, and the headline
+// result lands as a point event.
 func measure(tb *testbed.Testbed, name string, run func() error) (Result, error) {
 	wl := metrics.Tags{"workload": name}
-	tb.EmitSample()
-	tb.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "begin", "workload": name})
+	tb.Cluster.BeginWindow(wl)
 	before := tb.Snap()
 	if err := run(); err != nil {
 		return Result{}, fmt.Errorf("%s on %v: %w", name, tb.Kind, err)
@@ -66,14 +65,12 @@ func measure(tb *testbed.Testbed, name string, run func() error) (Result, error)
 		ServerCPU: tb.ServerCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
 		ClientCPU: tb.ClientCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
 	}
-	tb.EmitSample()
-	tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, wl, map[string]float64{
+	tb.Cluster.EndWindow(wl, map[string]float64{
 		"elapsed_ns": float64(res.Elapsed),
 		"messages":   float64(res.Messages),
 		"bytes":      float64(res.Bytes),
 		"server_cpu": res.ServerCPU,
 		"client_cpu": res.ClientCPU,
 	})
-	tb.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "end", "workload": name})
 	return res, nil
 }
