@@ -75,30 +75,23 @@ type cellSpec struct {
 	cluster testbed.ClusterConfig
 }
 
-// errCollapsed reports a collapsed cell from a sweep whose cell type has
-// no way to say so.
-var errCollapsed = errors.New("cell collapsed: a transport connection died")
-
-// mustComplete turns a collapse into an error, for sweeps whose cells
-// carry no Collapsed field.
-func mustComplete(collapsed bool, err error) error {
-	if err == nil && collapsed {
-		return errCollapsed
-	}
-	return err
-}
+// collapsed reports whether a cell's error is a collapse rather than a
+// failure: a transport connection died (TCP retransmissions exhausted, a
+// datagram retry budget spent) before the cell completed. The paper's
+// harness would report "server not responding" here; a sweep whose cells
+// can say so reports the regime boundary instead of aborting.
+func collapsed(err error) bool { return errors.Is(err, simnet.ErrTransportBroken) }
 
 // runCell builds one cluster and runs one cell on it: the unmeasured
 // setup (may be nil), then measure inside the telemetry window, whose end
-// mark carries the results measure returns. A transport that breaks
-// (TCP retransmissions exhausted, a datagram retry budget spent) marks
-// the cell collapsed instead of failing it, wherever it happens: during
-// build or setup the stream carries no marks for the cell, inside the
-// window the end mark carries collapsed=1 so begin/end stay paired.
+// mark carries the results measure returns. A collapse comes back as the
+// error it is, wherever it happens — test it with collapsed — and leaves
+// the stream balanced: during build or setup the cell has no marks yet,
+// inside the window its end mark carries collapsed=1.
 func runCell(spec cellSpec, setup func(*testbed.Cluster) error,
-	measure func(*testbed.Cluster) (map[string]float64, error)) (collapsed bool, err error) {
+	measure func(*testbed.Cluster) (map[string]float64, error)) error {
 	if spec.clients < 1 {
-		return false, fmt.Errorf("%s: client count %d, need at least 1", spec.experiment, spec.clients)
+		return fmt.Errorf("%s: client count %d, need at least 1", spec.experiment, spec.clients)
 	}
 	tags := metrics.Tags{"clients": itoa(spec.clients)}
 	if spec.v.conns > 0 {
@@ -114,42 +107,51 @@ func runCell(spec cellSpec, setup func(*testbed.Cluster) error,
 	}
 	cc.Metrics = cellRecorder(spec.metrics, spec.experiment, spec.v.stack, tags)
 	if spec.health != nil {
-		if cc.Health, err = health.New(*spec.health); err != nil {
-			return false, err
+		mon, err := health.New(*spec.health)
+		if err != nil {
+			return err
 		}
-	}
-	classify := func(err error) (bool, error) {
-		if errors.Is(err, simnet.ErrTransportBroken) {
-			return true, nil
-		}
-		return false, err
+		cc.Health = mon
 	}
 	cl, err := testbed.NewCluster(cc)
 	if err == nil && setup != nil {
 		err = setup(cl)
 	}
 	if err != nil {
-		return classify(err)
+		return err
 	}
 	cl.BeginWindow(nil)
 	results, err := measure(cl)
-	if err != nil {
-		if collapsed, err = classify(err); collapsed {
-			cl.EndWindow(nil, map[string]float64{"collapsed": 1})
-		}
-		return collapsed, err
+	if collapsed(err) {
+		results = map[string]float64{"collapsed": 1}
+	} else if err != nil {
+		return err
 	}
 	cl.EndWindow(nil, results)
-	return false, nil
+	return err
+}
+
+// runDriverCell is runCell for the cells whose setup is scaleDrivers (the
+// scaling and WAN sweeps, and the fleet calibration): measure gets the
+// drivers setup built and the nominal data volume they will move.
+func runDriverCell(spec cellSpec, cfg ScaleConfig, wl string, measure func(cl *testbed.Cluster,
+	drivers []func() (bool, error), aggBytes int64) (map[string]float64, error)) error {
+	var drivers []func() (bool, error)
+	var aggBytes int64
+	return runCell(spec, func(cl *testbed.Cluster) (err error) {
+		drivers, aggBytes, err = scaleDrivers(cl, cfg, wl)
+		return err
+	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+		return measure(cl, drivers, aggBytes)
+	})
 }
 
 // driverRun is what one interleaved run of per-client drivers measured.
 type driverRun struct {
 	Before testbed.Snapshot
+	// Delta is the window from Before to quiescence; its Elapsed is never
+	// below a millisecond, so rates over it are finite.
 	testbed.Delta
-	// Elapsed shadows the delta's: never below a millisecond, so rates
-	// over it are finite.
-	Elapsed time.Duration
 	// Ops is the syscall count across clients during the run phase;
 	// LatMean the mean over clients of each client's mean per-syscall
 	// latency (drain excluded), LatMax the slowest client's.
@@ -187,7 +189,7 @@ func runDrivers(cl *testbed.Cluster, drivers []func() (bool, error)) (driverRun,
 		return r, err
 	}
 	r.Delta = cl.Since(r.Before)
-	if r.Elapsed = r.Delta.Elapsed; r.Elapsed <= 0 {
+	if r.Elapsed <= 0 {
 		r.Elapsed = time.Millisecond
 	}
 	return r, nil
@@ -229,27 +231,30 @@ func (p panels[K, C]) rows(k K, f func(label string, c C)) {
 	}
 }
 
-// countColumns is the client-count pivot of a sweep table: the distinct
-// counts in first-seen order, one 10-wide column each.
-type countColumns []int
+// countPivot is the client-count pivot of a sweep table: the distinct
+// counts of its cells in first-seen order, one 10-wide column each.
+type countPivot[C any] struct {
+	counts []int
+	of     func(C) int
+}
 
-// countsOf collects the distinct client counts of a sweep's cells.
-func countsOf[C any](cells []C, count func(C) int) countColumns {
-	var cols countColumns
+// pivotByCount collects the distinct client counts of a sweep's cells.
+func pivotByCount[C any](cells []C, of func(C) int) countPivot[C] {
+	p := countPivot[C]{of: of}
 	seen := map[int]bool{}
 	for _, c := range cells {
-		if n := count(c); !seen[n] {
+		if n := of(c); !seen[n] {
 			seen[n] = true
-			cols = append(cols, n)
+			p.counts = append(p.counts, n)
 		}
 	}
-	return cols
+	return p
 }
 
 // header prints the column-heading line.
-func (cols countColumns) header(w io.Writer) {
+func (p countPivot[C]) header(w io.Writer) {
 	fmt.Fprintf(w, "%-22s", "clients")
-	for _, n := range cols {
+	for _, n := range p.counts {
 		fmt.Fprintf(w, " %9d", n)
 	}
 	fmt.Fprintln(w)
@@ -257,12 +262,12 @@ func (cols countColumns) header(w io.Writer) {
 
 // row formats one table row from the cells of a row group: f renders the
 // cell at each count, "-" fills counts the group has no cell for.
-func row[C any](cols countColumns, cells []C, count func(C) int, f func(C) string) string {
+func (p countPivot[C]) row(cells []C, f func(C) string) string {
 	out := ""
-	for _, n := range cols {
+	for _, n := range p.counts {
 		s := "-"
 		for _, c := range cells {
-			if count(c) == n {
+			if p.of(c) == n {
 				s = f(c)
 			}
 		}

@@ -159,7 +159,7 @@ func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error
 	}
 	var steps []workload.Steps
 	var stats *workload.ContendStats
-	err := mustComplete(runCell(cellSpec{
+	err := runCell(cellSpec{
 		experiment: "contend",
 		v:          v,
 		clients:    cfg.Clients,
@@ -216,7 +216,7 @@ func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error
 			"wait_total_ns": float64(cell.WaitTotal),
 			"wait_max_ns":   float64(cell.WaitMax),
 		}, nil
-	}))
+	})
 	return cell, err
 }
 

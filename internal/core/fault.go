@@ -133,8 +133,9 @@ func RunFault(cfg FaultConfig) ([]FaultCell, error) {
 // set setup, fault timeline, recovery — sits between the begin/end marks.
 // tag is the family the stream carries (the health sweep's dry-run
 // control cells replay a real family's timeline under their own name).
+// Like runCell, it returns a transport collapse as the error it is.
 func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Family, run fault.Config,
-	results func(*testbed.Cluster, fault.Result) map[string]float64) (collapsed bool, err error) {
+	results func(*testbed.Cluster, fault.Result) map[string]float64) (err error) {
 	run.Plan, err = fault.NewPlan(f, fault.PlanConfig{
 		Warmup: cfg.Warmup,
 		Outage: cfg.Outage,
@@ -143,7 +144,7 @@ func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Fam
 		Seed:   cfg.Seed,
 	})
 	if err != nil {
-		return false, err
+		return err
 	}
 	return runCell(cellSpec{
 		experiment: experiment,
@@ -171,7 +172,7 @@ func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Fam
 // (or Collapsed: the service never recovered, or a transport died).
 func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error) {
 	cell := FaultCell{Family: f, Stack: v.stack, Transport: v.transport, Clients: cfg.Clients}
-	collapsed, err := runPlanCell("fault", cfg, v, f, f, fault.Config{},
+	err := runPlanCell("fault", cfg, v, f, f, fault.Config{},
 		func(_ *testbed.Cluster, res fault.Result) map[string]float64 {
 			cell.Inject, cell.Healed, cell.Recovered, cell.TTR = res.Inject, res.Healed, res.Recovered, res.TTR
 			cell.PreRate, cell.DegradedRate, cell.PostRate = res.PreRate, res.DegradedRate, res.PostRate
@@ -197,7 +198,9 @@ func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error)
 				"dropped_frames":       float64(cell.Dropped),
 			}
 		})
-	cell.Collapsed = cell.Collapsed || collapsed
+	if collapsed(err) {
+		cell.Collapsed, err = true, nil
+	}
 	return cell, err
 }
 

@@ -182,7 +182,7 @@ func runHealthCell(cfg HealthConfig, f fault.Family, v variant, control bool) (H
 		family = controlFamily
 	}
 	cell := HealthCell{Family: family, Stack: v.stack, Transport: v.transport, Control: control}
-	collapsed, err := runPlanCell("health", cfg.planConfig(), v, family, f,
+	err := runPlanCell("health", cfg.planConfig(), v, family, f,
 		fault.Config{Cooldown: cfg.Cooldown, DryRun: control},
 		func(cl *testbed.Cluster, res fault.Result) map[string]float64 {
 			mon := cl.Health()
@@ -224,7 +224,9 @@ func runHealthCell(cfg HealthConfig, f fault.Family, v variant, control bool) (H
 			}
 			return results
 		})
-	cell.Collapsed = cell.Collapsed || collapsed
+	if collapsed(err) {
+		cell.Collapsed, err = true, nil
+	}
 	return cell, err
 }
 

@@ -185,7 +185,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record, v variant
 		Conns:     v.conns,
 		Clients:   cfg.Clients,
 	}
-	err := mustComplete(runCell(cellSpec{
+	err := runCell(cellSpec{
 		experiment: "replay",
 		v:          v,
 		clients:    cfg.Clients,
@@ -227,7 +227,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record, v variant
 			"mean_ns":     float64(res.Mean),
 			"ops_per_sec": res.OpsPerSec,
 		}, nil
-	}))
+	})
 	return cell, err
 }
 

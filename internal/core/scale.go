@@ -177,10 +177,8 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 	if d, ok := cal[key]; ok {
 		return d, nil
 	}
-	var drivers []func() (bool, error)
-	var aggBytes int64
 	var dem fleet.Demand
-	err := mustComplete(runCell(cellSpec{
+	err := runDriverCell(cellSpec{
 		experiment: "scale",
 		v:          variant{stack: stack},
 		clients:    1,
@@ -188,10 +186,8 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 			Config:          testbed.Config{DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n), Seed: cfg.Seed},
 			CapacityClients: n,
 		},
-	}, func(cl *testbed.Cluster) (err error) {
-		drivers, aggBytes, err = scaleDrivers(cl, cfg, wl)
-		return err
-	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+	}, cfg, wl, func(cl *testbed.Cluster, drivers []func() (bool, error),
+		aggBytes int64) (map[string]float64, error) {
 		beforeDisk := cl.Array().Busy()
 		r, err := runDrivers(cl, drivers)
 		if err != nil {
@@ -201,7 +197,7 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 		// The homogeneous cluster multiplexes every client over one segment,
 		// so the wire is a shared station calibrated at segment bandwidth.
 		dem, err = fleet.Calibrate(fleet.Measured{
-			Elapsed:       r.Delta.Elapsed,
+			Elapsed:       r.Elapsed,
 			Ops:           r.Ops,
 			ServerCPUBusy: r.ServerBusy,
 			DiskBusy:      cl.Array().Busy() - beforeDisk,
@@ -211,7 +207,7 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 			DataBytes:     aggBytes,
 		}, cl.Net.Bandwidth())
 		return nil, err
-	}))
+	})
 	if err != nil {
 		return fleet.Demand{}, fmt.Errorf("calibrate: %w", err)
 	}
@@ -308,9 +304,7 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 		tags["background"] = itoa(n - k)
 	}
 	cell := ScaleCell{Workload: wl, Stack: stack, Clients: n}
-	var drivers []func() (bool, error)
-	var aggBytes int64
-	err := mustComplete(runCell(cellSpec{
+	err := runDriverCell(cellSpec{
 		experiment: "scale",
 		v:          variant{stack: stack},
 		clients:    n,
@@ -326,10 +320,8 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 			Background:      cohorts,
 			CapacityClients: n,
 		},
-	}, func(cl *testbed.Cluster) (err error) {
-		drivers, aggBytes, err = scaleDrivers(cl, cfg, wl)
-		return err
-	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+	}, cfg, wl, func(cl *testbed.Cluster, drivers []func() (bool, error),
+		aggBytes int64) (map[string]float64, error) {
 		// Measured window: interleaved run, then drain to quiescence.
 		r, err := runDrivers(cl, drivers)
 		if err != nil {
@@ -367,15 +359,14 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 			"server_cpu":            cell.ServerCPU,
 			"messages":              float64(cell.Messages),
 		}, nil
-	}))
+	})
 	return cell, err
 }
 
 // RenderScaling prints the sweep grouped by workload: one row block per
 // metric, stacks as rows, client counts as columns.
 func RenderScaling(w io.Writer, cells []ScaleCell) {
-	count := func(c ScaleCell) int { return c.Clients }
-	cols := countsOf(cells, count)
+	cols := pivotByCount(cells, func(c ScaleCell) int { return c.Clients })
 	g := groupCells(cells, func(c ScaleCell) (string, string) { return c.Workload, c.Stack.String() })
 	for _, wl := range g.keys {
 		fmt.Fprintf(w, "Scaling: %s (clients sharing one server)\n", wl)
@@ -386,15 +377,15 @@ func RenderScaling(w io.Writer, cells []ScaleCell) {
 				continue
 			}
 			if wl == "postmark" {
-				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" kops/s", row(cols, cs, count,
+				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" kops/s", cols.row(cs,
 					func(c ScaleCell) string { return fmt.Sprintf("%.1f", c.AggOpsPerSec/1000) }))
 			} else {
-				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" MB/s", row(cols, cs, count,
+				fmt.Fprintf(w, "%-22s%s\n", stack.String()+" MB/s", cols.row(cs,
 					func(c ScaleCell) string { return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6) }))
 			}
-			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", row(cols, cs, count,
+			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", cols.row(cs,
 				func(c ScaleCell) string { return c.PerClientLatency.Round(time.Microsecond).String() }))
-			fmt.Fprintf(w, "%-22s%s\n", "  server CPU", row(cols, cs, count,
+			fmt.Fprintf(w, "%-22s%s\n", "  server CPU", cols.row(cs,
 				func(c ScaleCell) string { return fmt.Sprintf("%.0f%%", c.ServerCPU*100) }))
 		}
 		fmt.Fprintln(w)

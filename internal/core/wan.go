@@ -240,9 +240,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 		return WANCell{}, err
 	}
 	scfg := ScaleConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
-	var drivers []func() (bool, error)
-	var aggBytes int64
-	cell.Collapsed, err = runCell(cellSpec{
+	err = runDriverCell(cellSpec{
 		experiment: "wan",
 		v:          v,
 		clients:    n,
@@ -268,10 +266,8 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 			},
 			PerClient: perClient,
 		},
-	}, func(cl *testbed.Cluster) (err error) {
-		drivers, aggBytes, err = scaleDrivers(cl, scfg, wl)
-		return err
-	}, func(cl *testbed.Cluster) (map[string]float64, error) {
+	}, scfg, wl, func(cl *testbed.Cluster, drivers []func() (bool, error),
+		aggBytes int64) (map[string]float64, error) {
 		cl.Link.RearmDepth() // window-scoped peak backlog, setup excluded
 		linkBefore := cl.Link.Stats()
 		r, err := runDrivers(cl, drivers)
@@ -298,6 +294,9 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 			"depth_max_bytes":       float64(cell.MaxDepthBytes),
 		}, nil
 	})
+	if collapsed(err) {
+		cell.Collapsed, err = true, nil
+	}
 	return cell, err
 }
 
@@ -309,8 +308,7 @@ func RenderWAN(w io.Writer, cells []WANCell) {
 		q        netqueue.Discipline
 		capacity int64
 	}
-	count := func(c WANCell) int { return c.Clients }
-	cols := countsOf(cells, count)
+	cols := pivotByCount(cells, func(c WANCell) int { return c.Clients })
 	g := groupCells(cells, func(c WANCell) (panel, string) {
 		return panel{c.Workload, c.Mix, c.Discipline, c.Capacity}, c.Label()
 	})
@@ -333,13 +331,13 @@ func RenderWAN(w io.Writer, cells []WANCell) {
 			if cs == nil {
 				continue
 			}
-			fmt.Fprintf(w, "%-22s%s\n", l+" agg MB/s", row(cols, cs, count, measured("collapse",
+			fmt.Fprintf(w, "%-22s%s\n", l+" agg MB/s", cols.row(cs, measured("collapse",
 				func(c WANCell) string { return fmt.Sprintf("%.1f", c.AggBytesPerSec/1e6) })))
-			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", row(cols, cs, count, measured("-",
+			fmt.Fprintf(w, "%-22s%s\n", "  per-op latency", cols.row(cs, measured("-",
 				func(c WANCell) string { return c.PerClientLatency.Round(time.Microsecond).String() })))
-			fmt.Fprintf(w, "%-22s%s\n", "  straggler", row(cols, cs, count, measured("-",
+			fmt.Fprintf(w, "%-22s%s\n", "  straggler", cols.row(cs, measured("-",
 				func(c WANCell) string { return c.StragglerLatency.Round(time.Microsecond).String() })))
-			fmt.Fprintf(w, "%-22s%s\n", "  queue drops", row(cols, cs, count, measured("-",
+			fmt.Fprintf(w, "%-22s%s\n", "  queue drops", cols.row(cs, measured("-",
 				func(c WANCell) string { return fmt.Sprintf("%d", c.QueueDrops) })))
 		}
 		fmt.Fprintln(w)

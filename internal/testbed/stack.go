@@ -103,11 +103,10 @@ func (h hw) clientFSOpts() ext3.Options {
 
 // ---- NFS ----
 
-// nfsServer is the shared server half of one or more NFS stacks: the
+// nfsServer is the server half every NFS stack of a cluster shares: the
 // export device, the server ext3 and the protocol server, all charging one
-// server CPU. A cluster has one, shared among all its clients. fsBase carries the counters of export filesystems a
-// restart has retired, keeping the cumulative counters monotonic for
-// telemetry.
+// server CPU. fsBase carries the counters of export filesystems a restart
+// has retired, keeping the cumulative counters monotonic for telemetry.
 type nfsServer struct {
 	dev *blockdev.Local
 	cpu *sim.CPU
