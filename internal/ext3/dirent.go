@@ -40,9 +40,7 @@ func direntRecLen(nameLen int) int {
 
 // direntInitBlock formats an empty directory block containing "." and "..".
 func direntInitBlock(block []byte, self, parent Ino) {
-	for i := range block {
-		block[i] = 0
-	}
+	clear(block)
 	// "."
 	binary.BigEndian.PutUint32(block[0:], uint32(self))
 	binary.BigEndian.PutUint16(block[4:], uint16(direntRecLen(1)))
@@ -62,99 +60,111 @@ func direntInitBlock(block []byte, self, parent Ino) {
 // direntInitEmpty formats a block as one free record spanning it (used when
 // a directory grows a fresh block).
 func direntInitEmpty(block []byte) {
-	for i := range block {
-		block[i] = 0
-	}
+	clear(block)
 	binary.BigEndian.PutUint16(block[4:], uint16(len(block)))
 }
 
-// direntScan walks entries in a block, calling fn with each live entry's
-// offset; fn returns true to stop.
-func direntScan(block []byte, fn func(off int, ino Ino, ftype byte, name string) bool) error {
-	off := 0
-	for off < len(block) {
-		if off+direntHeader > len(block) {
-			return fmt.Errorf("ext3: corrupt dirent block: header overruns at %d", off)
-		}
-		ino := Ino(binary.BigEndian.Uint32(block[off:]))
-		rec := int(binary.BigEndian.Uint16(block[off+4:]))
-		nlen := int(block[off+6])
-		ft := block[off+7]
-		if rec < direntHeader || off+rec > len(block) || (rec%4) != 0 {
-			return fmt.Errorf("ext3: corrupt dirent block: bad reclen %d at %d", rec, off)
-		}
-		if ino != 0 && nlen > 0 {
-			if off+direntHeader+nlen > len(block) {
-				return fmt.Errorf("ext3: corrupt dirent block: name overruns at %d", off)
-			}
-			name := string(block[off+direntHeader : off+direntHeader+nlen])
-			if fn(off, ino, ft, name) {
-				return nil
-			}
-		}
-		off += rec
-	}
-	return nil
+// direntWalker is the one walk over a directory block; every entry point
+// below steps it rather than decoding records itself. next checks a record
+// before yielding it, so after it returns true
+//
+//	off+direntHeader <= off+rec <= len(block), rec%4 == 0, and
+//	name (nil for a free record) lies inside block,
+//
+// and callers index block[off:off+rec] without further checks. name aliases
+// the block: is compares it in place (string(b) == s does not allocate) and
+// only direntList copies it. A record that fails a check ends the walk with
+// err set, after the records before it were yielded and before anything is
+// written through it.
+type direntWalker struct {
+	block     []byte
+	prev, off int    // previous (if off > 0) and current record
+	rec       int    // current record length
+	name      []byte // current live entry's name, in place
+	err       error
 }
 
-// direntFind locates name in a block.
-func direntFind(block []byte, name string) (ino Ino, ftype byte, ok bool) {
-	_ = direntScan(block, func(_ int, i Ino, ft byte, n string) bool {
-		if n == name {
-			ino, ftype, ok = i, ft, true
-			return true
-		}
+func (w *direntWalker) next() bool {
+	b, off := w.block, w.off+w.rec
+	if w.err != nil || off >= len(b) {
 		return false
-	})
-	return ino, ftype, ok
+	}
+	if off+direntHeader > len(b) {
+		w.err = fmt.Errorf("ext3: corrupt dirent block: header overruns at %d", off)
+		return false
+	}
+	rec := int(binary.BigEndian.Uint16(b[off+4:]))
+	if rec < direntHeader || off+rec > len(b) || rec%4 != 0 {
+		w.err = fmt.Errorf("ext3: corrupt dirent block: bad reclen %d at %d", rec, off)
+		return false
+	}
+	var name []byte
+	if nlen := int(b[off+6]); nlen > 0 && binary.BigEndian.Uint32(b[off:]) != 0 {
+		if off+direntHeader+nlen > len(b) {
+			w.err = fmt.Errorf("ext3: corrupt dirent block: name overruns at %d", off)
+			return false
+		}
+		name = b[off+direntHeader : off+direntHeader+nlen]
+	}
+	w.prev, w.off, w.rec, w.name = w.off, off, rec, name
+	return true
 }
 
-// direntList returns all live entries in a block.
+func (w *direntWalker) ino() Ino    { return Ino(binary.BigEndian.Uint32(w.block[w.off:])) }
+func (w *direntWalker) ftype() byte { return w.block[w.off+7] }
+
+// is reports whether the current record is the live entry called name.
+func (w *direntWalker) is(name string) bool { return w.name != nil && string(w.name) == name }
+
+// direntFind locates name in a block (before its first bad record, if any).
+func direntFind(block []byte, name string) (ino Ino, ftype byte, ok bool) {
+	w := direntWalker{block: block}
+	for w.next() {
+		if w.is(name) {
+			return w.ino(), w.ftype(), true
+		}
+	}
+	return 0, 0, false
+}
+
+// direntList returns all live entries in a block, and the walk's error.
 func direntList(block []byte) ([]Dirent, error) {
 	var out []Dirent
-	err := direntScan(block, func(_ int, i Ino, ft byte, n string) bool {
-		out = append(out, Dirent{Ino: i, FType: ft, Name: n})
-		return false
-	})
-	return out, err
+	w := direntWalker{block: block}
+	for w.next() {
+		if w.name != nil {
+			out = append(out, Dirent{Ino: w.ino(), FType: w.ftype(), Name: string(w.name)})
+		}
+	}
+	return out, w.err
 }
 
 // direntAdd inserts an entry into a block if space permits, splitting an
-// existing record's slack. Returns false if the block is full.
+// existing record's slack. Returns false if no record before the end of the
+// walk has room.
 func direntAdd(block []byte, name string, ino Ino, ftype byte) bool {
 	need := direntRecLen(len(name))
-	off := 0
-	for off < len(block) {
-		eIno := Ino(binary.BigEndian.Uint32(block[off:]))
-		rec := int(binary.BigEndian.Uint16(block[off+4:]))
-		nlen := int(block[off+6])
-		if rec < direntHeader || off+rec > len(block) {
-			return false // corrupt; caller surfaces errors via direntScan
+	w := direntWalker{block: block}
+	for w.next() {
+		used := 0
+		if w.name != nil {
+			used = direntRecLen(len(w.name))
 		}
-		var used int
-		if eIno == 0 || nlen == 0 {
-			used = 0
-		} else {
-			used = direntRecLen(nlen)
+		if w.rec-used < need {
+			continue
 		}
-		if rec-used >= need {
-			var insOff int
-			if used == 0 {
-				// Reuse the free record in place.
-				insOff = off
-			} else {
-				// Split: shrink the live record, insert after it.
-				binary.BigEndian.PutUint16(block[off+4:], uint16(used))
-				insOff = off + used
-				binary.BigEndian.PutUint16(block[insOff+4:], uint16(rec-used))
-			}
-			binary.BigEndian.PutUint32(block[insOff:], uint32(ino))
-			block[insOff+6] = byte(len(name))
-			block[insOff+7] = ftype
-			copy(block[insOff+direntHeader:], name)
-			return true
+		// Reuse a free record in place; shrink a live one and insert after.
+		insOff := w.off
+		if used > 0 {
+			binary.BigEndian.PutUint16(block[w.off+4:], uint16(used))
+			insOff = w.off + used
+			binary.BigEndian.PutUint16(block[insOff+4:], uint16(w.rec-used))
 		}
-		off += rec
+		binary.BigEndian.PutUint32(block[insOff:], uint32(ino))
+		block[insOff+6] = byte(len(name))
+		block[insOff+7] = ftype
+		copy(block[insOff+direntHeader:], name)
+		return true
 	}
 	return false
 }
@@ -162,41 +172,31 @@ func direntAdd(block []byte, name string, ino Ino, ftype byte) bool {
 // direntRemove deletes name from a block, merging its space into the
 // predecessor record. Returns false if the name is not present.
 func direntRemove(block []byte, name string) bool {
-	prev := -1
-	off := 0
-	for off < len(block) {
-		ino := Ino(binary.BigEndian.Uint32(block[off:]))
-		rec := int(binary.BigEndian.Uint16(block[off+4:]))
-		nlen := int(block[off+6])
-		if rec < direntHeader || off+rec > len(block) {
-			return false
+	w := direntWalker{block: block}
+	for w.next() {
+		if !w.is(name) {
+			continue
 		}
-		if ino != 0 && nlen > 0 && string(block[off+direntHeader:off+direntHeader+nlen]) == name {
-			if prev >= 0 {
-				prec := int(binary.BigEndian.Uint16(block[prev+4:]))
-				binary.BigEndian.PutUint16(block[prev+4:], uint16(prec+rec))
-			} else {
-				binary.BigEndian.PutUint32(block[off:], 0)
-				block[off+6] = 0
-			}
-			return true
+		if w.off > 0 {
+			prec := int(binary.BigEndian.Uint16(block[w.prev+4:]))
+			binary.BigEndian.PutUint16(block[w.prev+4:], uint16(prec+w.rec))
+		} else {
+			binary.BigEndian.PutUint32(block[w.off:], 0)
+			block[w.off+6] = 0
 		}
-		prev = off
-		off += rec
+		return true
 	}
 	return false
 }
 
 // direntEmpty reports whether a directory block holds no live entries other
-// than "." and "..".
+// than "." and ".."; a corrupt block is not empty (rmdir must not free it).
 func direntEmpty(block []byte) bool {
-	empty := true
-	_ = direntScan(block, func(_ int, _ Ino, _ byte, n string) bool {
-		if n != "." && n != ".." {
-			empty = false
-			return true
+	w := direntWalker{block: block}
+	for w.next() {
+		if w.name != nil && !w.is(".") && !w.is("..") {
+			return false
 		}
-		return false
-	})
-	return empty
+	}
+	return w.err == nil
 }

@@ -34,7 +34,6 @@ const (
 	InodesPerBlock = BlockSize / InodeSize
 	DirectBlocks   = 12
 	PtrsPerBlock   = BlockSize / 4
-	MaxNameLen     = 255
 
 	// RootIno is the root directory's inode number (as in ext2).
 	RootIno  Ino = 2

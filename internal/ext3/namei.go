@@ -10,26 +10,6 @@ import (
 // maxSymlinkDepth bounds symlink recursion during resolution.
 const maxSymlinkDepth = 8
 
-// splitPath validates an absolute cleaned path and returns its components.
-func splitPath(p string) ([]string, error) {
-	if p == "" || p[0] != '/' {
-		return nil, vfs.ErrInvalid
-	}
-	if p == "/" {
-		return nil, nil
-	}
-	parts := strings.Split(p[1:], "/")
-	for _, c := range parts {
-		if c == "" {
-			return nil, vfs.ErrInvalid
-		}
-		if len(c) > MaxNameLen {
-			return nil, vfs.ErrNameTooLong
-		}
-	}
-	return parts, nil
-}
-
 // dcacheKey identifies a dentry.
 type dcacheKey struct {
 	dir  Ino
@@ -96,24 +76,27 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 // symlink in the final component is followed (stat) or returned (lstat,
 // unlink, readlink).
 func (fs *FS) namei(at time.Duration, path string, followFinal bool) (Ino, time.Duration, error) {
-	parts, err := splitPath(path)
+	rel, err := vfs.RelPath(path)
 	if err != nil {
 		return 0, at, err
 	}
-	return fs.walk(at, RootIno, parts, followFinal, 0)
+	return fs.walk(at, RootIno, rel, followFinal, 0)
 }
 
-// walk resolves components starting from dir.
-func (fs *FS) walk(at time.Duration, dir Ino, parts []string, followFinal bool, depth int) (Ino, time.Duration, error) {
+// walk resolves the components of rel (validated: vfs.RelPath, vfs.CheckRel)
+// starting from dir, stepping through the string in place.
+func (fs *FS) walk(at time.Duration, dir Ino, rel string, followFinal bool, depth int) (Ino, time.Duration, error) {
 	cur := dir
 	done := at
-	for i, comp := range parts {
+	for rel != "" {
+		var comp string
+		comp, rel, _ = strings.Cut(rel, "/")
 		ino, ft, d2, err := fs.dirLookup(done, cur, comp)
 		if err != nil {
 			return 0, d2, err
 		}
 		done = d2
-		final := i == len(parts)-1
+		final := rel == ""
 		if ft == FTSymlink && (!final || followFinal) {
 			if depth >= maxSymlinkDepth {
 				return 0, done, vfs.ErrInvalid
@@ -123,11 +106,11 @@ func (fs *FS) walk(at time.Duration, dir Ino, parts []string, followFinal bool, 
 				return 0, d3, err
 			}
 			done = d3
-			tparts, base, err := fs.linkParts(target, cur)
+			trel, base, err := fs.linkParts(target, cur)
 			if err != nil {
 				return 0, done, err
 			}
-			resolved, d4, err := fs.walk(done, base, tparts, true, depth+1)
+			resolved, d4, err := fs.walk(done, base, trel, true, depth+1)
 			if err != nil {
 				return 0, d4, err
 			}
@@ -141,39 +124,26 @@ func (fs *FS) walk(at time.Duration, dir Ino, parts []string, followFinal bool, 
 }
 
 // linkParts interprets a symlink target relative to dir (or root when
-// absolute) and returns the component list plus starting directory.
-func (fs *FS) linkParts(target string, dir Ino) ([]string, Ino, error) {
+// absolute) and returns the validated relative path plus starting directory.
+func (fs *FS) linkParts(target string, dir Ino) (string, Ino, error) {
 	if target == "" {
-		return nil, 0, vfs.ErrInvalid
+		return "", 0, vfs.ErrInvalid
 	}
 	if target[0] == '/' {
-		parts, err := splitPath(target)
-		return parts, RootIno, err
+		rel, err := vfs.RelPath(target)
+		return rel, RootIno, err
 	}
-	parts := strings.Split(target, "/")
-	for _, c := range parts {
-		if c == "" {
-			return nil, 0, vfs.ErrInvalid
-		}
-	}
-	return parts, dir, nil
+	return target, dir, vfs.CheckRel(target)
 }
 
 // nameiParent resolves everything but the final component, returning the
 // parent directory inode and the final name.
 func (fs *FS) nameiParent(at time.Duration, path string) (Ino, string, time.Duration, error) {
-	parts, err := splitPath(path)
+	rel, name, err := vfs.ParentRel(path) // cannot operate on "/" itself
 	if err != nil {
 		return 0, "", at, err
 	}
-	if len(parts) == 0 {
-		return 0, "", at, vfs.ErrInvalid // cannot operate on "/" itself
-	}
-	name := parts[len(parts)-1]
-	if name == "." || name == ".." {
-		return 0, "", at, vfs.ErrInvalid
-	}
-	dir, done, err := fs.walk(at, RootIno, parts[:len(parts)-1], true, 0)
+	dir, done, err := fs.walk(at, RootIno, rel, true, 0)
 	if err != nil {
 		return 0, "", done, err
 	}

@@ -242,7 +242,14 @@ func (c *Client) callCharged(at time.Duration, p Proc, nameLen, argPayload, resP
 
 // ---- cache plumbing ----
 
+// putAttrs caches fh's attributes, refreshing an existing entry in place:
+// nothing holds an *attrEntry across a call that can reach here and then
+// reads the old values.
 func (c *Client) putAttrs(fh FH, st vfs.Stat, now time.Duration) {
+	if a := c.attrs[fh.Ino]; a != nil {
+		a.st, a.fetchedAt = st, now
+		return
+	}
 	c.attrs[fh.Ino] = &attrEntry{st: st, fetchedAt: now}
 }
 
@@ -351,27 +358,31 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 // handling on the last component. v4 performs its ACCESS checks on every
 // directory traversed, starting with the root.
 func (c *Client) resolve(at time.Duration, path string, followFinal bool) (FH, time.Duration, error) {
-	parts, err := splitPath(path)
+	rel, err := vfs.RelPath(path)
 	if err != nil {
 		return FH{}, at, err
 	}
-	return c.walk(at, c.rootFH, parts, followFinal, 0)
+	return c.walk(at, c.rootFH, rel, followFinal, 0)
 }
 
-func (c *Client) walk(at time.Duration, start FH, parts []string, followFinal bool, depth int) (FH, time.Duration, error) {
+// walk resolves the components of rel (validated: vfs.RelPath, vfs.CheckRel)
+// from start, stepping through the string in place.
+func (c *Client) walk(at time.Duration, start FH, rel string, followFinal bool, depth int) (FH, time.Duration, error) {
 	cur := start
 	done := at
 	var err error
 	if done, err = c.accessRPC(done, cur); err != nil {
 		return FH{}, done, err
 	}
-	for i, comp := range parts {
+	for rel != "" {
+		var comp string
+		comp, rel, _ = strings.Cut(rel, "/")
 		var fh FH
 		fh, done, err = c.lookupComponent(done, cur, comp)
 		if err != nil {
 			return FH{}, done, err
 		}
-		final := i == len(parts)-1
+		final := rel == ""
 		st := c.attrs[fh.Ino]
 		isLink := st != nil && st.st.Mode.IsSymlink()
 		if isLink && (!final || followFinal) {
@@ -383,11 +394,11 @@ func (c *Client) walk(at time.Duration, start FH, parts []string, followFinal bo
 			if err != nil {
 				return FH{}, done, err
 			}
-			tparts, base, err := c.linkBase(target, cur)
+			trel, base, err := c.linkBase(target, cur)
 			if err != nil {
 				return FH{}, done, err
 			}
-			fh, done, err = c.walk(done, base, tparts, true, depth+1)
+			fh, done, err = c.walk(done, base, trel, true, depth+1)
 			if err != nil {
 				return FH{}, done, err
 			}
@@ -407,37 +418,26 @@ func (c *Client) walk(at time.Duration, start FH, parts []string, followFinal bo
 	return cur, done, nil
 }
 
-func (c *Client) linkBase(target string, dir FH) ([]string, FH, error) {
+// linkBase interprets a symlink target relative to dir (or the root when
+// absolute): the validated relative path plus the directory it starts in.
+func (c *Client) linkBase(target string, dir FH) (string, FH, error) {
 	if target == "" {
-		return nil, FH{}, vfs.ErrInvalid
+		return "", FH{}, vfs.ErrInvalid
 	}
 	if target[0] == '/' {
-		parts, err := splitPath(target)
-		return parts, c.rootFH, err
+		rel, err := vfs.RelPath(target)
+		return rel, c.rootFH, err
 	}
-	parts := strings.Split(target, "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, FH{}, vfs.ErrInvalid
-		}
-	}
-	return parts, dir, nil
+	return target, dir, vfs.CheckRel(target)
 }
 
 // resolveParent resolves the directory containing path's final component.
 func (c *Client) resolveParent(at time.Duration, path string) (FH, string, time.Duration, error) {
-	parts, err := splitPath(path)
+	rel, name, err := vfs.ParentRel(path)
 	if err != nil {
 		return FH{}, "", at, err
 	}
-	if len(parts) == 0 {
-		return FH{}, "", at, vfs.ErrInvalid
-	}
-	name := parts[len(parts)-1]
-	if name == "." || name == ".." {
-		return FH{}, "", at, vfs.ErrInvalid
-	}
-	dir, done, err := c.walk(at, c.rootFH, parts[:len(parts)-1], true, 0)
+	dir, done, err := c.walk(at, c.rootFH, rel, true, 0)
 	if err != nil {
 		return FH{}, "", done, err
 	}
@@ -452,26 +452,6 @@ func (c *Client) readlinkRPC(at time.Duration, fh FH) (string, time.Duration, er
 		return arrive, e
 	})
 	return target, done, err
-}
-
-// splitPath mirrors the ext3 path validation.
-func splitPath(p string) ([]string, error) {
-	if p == "" || p[0] != '/' {
-		return nil, vfs.ErrInvalid
-	}
-	if p == "/" {
-		return nil, nil
-	}
-	parts := strings.Split(p[1:], "/")
-	for _, c := range parts {
-		if c == "" {
-			return nil, vfs.ErrInvalid
-		}
-		if len(c) > 255 {
-			return nil, vfs.ErrNameTooLong
-		}
-	}
-	return parts, nil
 }
 
 const maxSymlinkDepth = 8

@@ -1,7 +1,6 @@
 package nfs
 
 import (
-	"container/list"
 	"time"
 
 	"repro/internal/ext3"
@@ -21,22 +20,76 @@ type page struct {
 	data    []byte
 	dirty   bool
 	readyAt time.Duration
-	elem    *list.Element
+
+	newer, older *page // LRU ring through pageCache.lru
+	fnext, fprev *page // the other cached pages of key.ino
 }
 
 // pageCache is the client's file data cache with LRU eviction; dirty pages
 // are pinned until the write-behind pool flushes them.
+//
+// Every cached page is in three places at once: the pages map (by key), the
+// LRU ring (lru is its sentinel: lru.older is the most recently used page,
+// lru.newer the eviction end) and the chain of its file (byFile holds the
+// head; a file with no cached page has no entry). Only link puts a page
+// there, and only unlink (one page) and dropFile (a whole chain) take pages
+// out, of all three. So dropFile follows one chain: it costs the dropped
+// file's pages, and nothing for a file with none, whatever else is cached.
 type pageCache struct {
-	max   int
-	pages map[pageKey]*page
-	lru   *list.List
+	max    int
+	pages  map[pageKey]*page
+	byFile map[uint64]*page
+	lru    page
 }
 
 func newPageCache(max int) *pageCache {
-	return &pageCache{max: max, pages: make(map[pageKey]*page), lru: list.New()}
+	pc := &pageCache{max: max, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
+	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
+	return pc
 }
 
 func (pc *pageCache) peek(k pageKey) *page { return pc.pages[k] }
+
+// touch makes p the most recently used page.
+func (pc *pageCache) touch(p *page) {
+	lruRemove(p)
+	pc.pushFront(p)
+}
+
+func (pc *pageCache) pushFront(p *page) {
+	p.newer, p.older = &pc.lru, pc.lru.older
+	p.older.newer, pc.lru.older = p, p
+}
+
+func lruRemove(p *page) { p.newer.older, p.older.newer = p.older, p.newer }
+
+// link adds a new page as the most recently used one and the head of its
+// file's chain.
+func (pc *pageCache) link(p *page) {
+	pc.pages[p.key] = p
+	pc.pushFront(p)
+	if p.fnext = pc.byFile[p.key.ino]; p.fnext != nil {
+		p.fnext.fprev = p
+	}
+	pc.byFile[p.key.ino] = p
+}
+
+// unlink removes p from the map, the LRU ring and its file's chain.
+func (pc *pageCache) unlink(p *page) {
+	delete(pc.pages, p.key)
+	lruRemove(p)
+	if p.fnext != nil {
+		p.fnext.fprev = p.fprev
+	}
+	switch {
+	case p.fprev != nil:
+		p.fprev.fnext = p.fnext
+	case p.fnext != nil:
+		pc.byFile[p.key.ino] = p.fnext
+	default:
+		delete(pc.byFile, p.key.ino)
+	}
+}
 
 // insert caches data as page k. A full page of data that is not cached yet
 // is adopted, not copied: the cache owns it from then on, so callers pass
@@ -48,7 +101,7 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		if readyAt > p.readyAt {
 			p.readyAt = readyAt
 		}
-		pc.lru.MoveToFront(p.elem)
+		pc.touch(p)
 		return p
 	}
 	if len(data) != pageSize {
@@ -57,8 +110,7 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		data = full
 	}
 	p := &page{key: k, data: data, readyAt: readyAt}
-	p.elem = pc.lru.PushFront(p)
-	pc.pages[k] = p
+	pc.link(p)
 	pc.evict()
 	return p
 }
@@ -72,38 +124,38 @@ func pageOf(reply []byte, j int) []byte {
 
 func (pc *pageCache) getOrCreate(k pageKey) *page {
 	if p, ok := pc.pages[k]; ok {
-		pc.lru.MoveToFront(p.elem)
+		pc.touch(p)
 		return p
 	}
 	return pc.insert(k, nil, 0)
 }
 
+// evict drops least recently used clean pages until the cache fits; with
+// only dirty pages left it stays over its bound.
 func (pc *pageCache) evict() {
 	for len(pc.pages) > pc.max {
-		evicted := false
-		for e := pc.lru.Back(); e != nil; e = e.Prev() {
-			p := e.Value.(*page)
-			if p.dirty {
-				continue
-			}
-			pc.lru.Remove(e)
-			delete(pc.pages, p.key)
-			evicted = true
-			break
+		p := pc.lru.newer
+		for p != &pc.lru && p.dirty {
+			p = p.newer
 		}
-		if !evicted {
+		if p == &pc.lru {
 			return
 		}
+		pc.unlink(p)
 	}
 }
 
+// dropFile uncaches every page of a file: its whole chain at once.
 func (pc *pageCache) dropFile(ino uint64) {
-	for k, p := range pc.pages {
-		if k.ino == ino {
-			pc.lru.Remove(p.elem)
-			delete(pc.pages, k)
-		}
+	head := pc.byFile[ino]
+	if head == nil {
+		return
 	}
+	for p := head; p != nil; p = p.fnext {
+		delete(pc.pages, p.key)
+		lruRemove(p)
+	}
+	delete(pc.byFile, ino)
 }
 
 // fileState tracks per-file read-ahead and validation.
@@ -161,8 +213,9 @@ func (wb *writeBehind) add(k pageKey) {
 	wb.dirtySinceCommit = true
 }
 
+// dropFile forgets a file's queued pages, filtering the queue in place.
 func (wb *writeBehind) dropFile(ino uint64) {
-	var keep []pageKey
+	keep := wb.queue[:0]
 	for _, k := range wb.queue {
 		if k.ino == ino {
 			delete(wb.queued, k)

@@ -1,0 +1,249 @@
+package nfs
+
+import (
+	"container/list"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// refPageCache is the page cache as it was before it grew a per-file index:
+// container/list for the LRU order, a walk from the back of the list for
+// eviction, and a scan of the whole page map in dropFile. pageCache must
+// keep the same pages in the same order and pick the same victims.
+type refPageCache struct {
+	max     int
+	pages   map[pageKey]*refPage
+	lru     *list.List
+	victims []pageKey
+}
+
+type refPage struct {
+	key     pageKey
+	dirty   bool
+	readyAt time.Duration
+	elem    *list.Element
+}
+
+func newRefPageCache(max int) *refPageCache {
+	return &refPageCache{max: max, pages: make(map[pageKey]*refPage), lru: list.New()}
+}
+
+func (pc *refPageCache) insert(k pageKey, readyAt time.Duration) *refPage {
+	if p, ok := pc.pages[k]; ok {
+		if readyAt > p.readyAt {
+			p.readyAt = readyAt
+		}
+		pc.lru.MoveToFront(p.elem)
+		return p
+	}
+	p := &refPage{key: k, readyAt: readyAt}
+	p.elem = pc.lru.PushFront(p)
+	pc.pages[k] = p
+	pc.evict()
+	return p
+}
+
+func (pc *refPageCache) getOrCreate(k pageKey) *refPage {
+	if p, ok := pc.pages[k]; ok {
+		pc.lru.MoveToFront(p.elem)
+		return p
+	}
+	return pc.insert(k, 0)
+}
+
+func (pc *refPageCache) evict() {
+	for len(pc.pages) > pc.max {
+		evicted := false
+		for e := pc.lru.Back(); e != nil; e = e.Prev() {
+			p := e.Value.(*refPage)
+			if p.dirty {
+				continue
+			}
+			pc.lru.Remove(e)
+			delete(pc.pages, p.key)
+			pc.victims = append(pc.victims, p.key)
+			evicted = true
+			break
+		}
+		if !evicted {
+			return
+		}
+	}
+}
+
+func (pc *refPageCache) dropFile(ino uint64) {
+	for k, p := range pc.pages {
+		if k.ino == ino {
+			pc.lru.Remove(p.elem)
+			delete(pc.pages, k)
+		}
+	}
+}
+
+// order lists the cache front (most recent) first, walking the ring in both
+// directions and checking the three places a page lives against each other.
+func (pc *pageCache) order(t *testing.T) (keys []pageKey, state []string) {
+	t.Helper()
+	for p := pc.lru.older; p != &pc.lru; p = p.older {
+		keys = append(keys, p.key)
+		state = append(state, fmt.Sprint(p.key, p.dirty, p.readyAt))
+		if pc.pages[p.key] != p {
+			t.Fatalf("page %v is on the LRU ring but not in the map", p.key)
+		}
+		if p.older.newer != p || p.newer.older != p {
+			t.Fatalf("LRU ring broken at %v", p.key)
+		}
+	}
+	if len(keys) != len(pc.pages) {
+		t.Fatalf("%d pages on the LRU ring, %d in the map", len(keys), len(pc.pages))
+	}
+	chained := 0
+	for ino, head := range pc.byFile {
+		if head == nil || head.fprev != nil {
+			t.Fatalf("file %d: bad chain head", ino)
+		}
+		for p := head; p != nil; p = p.fnext {
+			chained++
+			if p.key.ino != ino || pc.pages[p.key] != p {
+				t.Fatalf("file %d: chain holds %v, which is not its cached page", ino, p.key)
+			}
+			if p.fnext != nil && p.fnext.fprev != p {
+				t.Fatalf("file %d: chain broken at %v", ino, p.key)
+			}
+		}
+	}
+	if chained != len(pc.pages) {
+		t.Fatalf("%d pages on file chains, %d in the map", chained, len(pc.pages))
+	}
+	return keys, state
+}
+
+// TestPageCacheMatchesReference drives pageCache and the reference with the
+// same random operations and compares resident pages, LRU order and the
+// victims of every eviction after each one.
+func TestPageCacheMatchesReference(t *testing.T) {
+	for _, max := range []int{1, 8, 64} {
+		t.Run(fmt.Sprint("max", max), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(max)))
+			pc, ref := newPageCache(max), newRefPageCache(max)
+			var victims []pageKey
+			randKey := func() pageKey {
+				return pageKey{ino: uint64(1 + rng.Intn(6)), idx: int64(rng.Intn(4 * max))}
+			}
+			// mutate runs one cache-changing operation on pc and records
+			// its victims: the pages that vanished, oldest first.
+			mutate := func(k pageKey, op func()) {
+				before, _ := pc.order(t)
+				op()
+				for i := len(before) - 1; i >= 0; i-- {
+					if pc.peek(before[i]) == nil {
+						victims = append(victims, before[i])
+					}
+				}
+				if pc.peek(k) == nil { // the new page itself was the victim
+					victims = append(victims, k)
+				}
+			}
+			for step := 0; step < 20000; step++ {
+				var op string
+				switch k := randKey(); rng.Intn(10) {
+				case 0, 1, 2:
+					op = fmt.Sprint("insert ", k)
+					at := time.Duration(rng.Intn(1000))
+					var data []byte
+					if rng.Intn(2) == 0 {
+						data = make([]byte, pageSize)
+					}
+					mutate(k, func() { pc.insert(k, data, at) })
+					ref.insert(k, at)
+				case 3, 4, 5:
+					op = fmt.Sprint("getOrCreate ", k)
+					mutate(k, func() { pc.getOrCreate(k) })
+					ref.getOrCreate(k)
+				case 6, 7:
+					op = fmt.Sprint("dirty ", k)
+					if p := pc.peek(k); p != nil {
+						p.dirty = true
+					}
+					if p := ref.pages[k]; p != nil {
+						p.dirty = true
+					}
+				case 8:
+					op = fmt.Sprint("clean ", k)
+					if p := pc.peek(k); p != nil {
+						p.dirty = false
+					}
+					if p := ref.pages[k]; p != nil {
+						p.dirty = false
+					}
+				case 9:
+					op = fmt.Sprint("dropFile ", k.ino)
+					pc.dropFile(k.ino)
+					ref.dropFile(k.ino)
+					if pc.byFile[k.ino] != nil {
+						t.Fatalf("step %d %s: the file still has a chain", step, op)
+					}
+				}
+				_, got := pc.order(t)
+				var want []string
+				for e := ref.lru.Front(); e != nil; e = e.Next() {
+					p := e.Value.(*refPage)
+					want = append(want, fmt.Sprint(p.key, p.dirty, p.readyAt))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("step %d %s: LRU (key dirty readyAt, front first)\n got %v\nwant %v", step, op, got, want)
+				}
+				if fmt.Sprint(victims) != fmt.Sprint(ref.victims) {
+					t.Fatalf("step %d %s: victims\n got %v\nwant %v", step, op, victims, ref.victims)
+				}
+				victims, ref.victims = victims[:0], ref.victims[:0]
+			}
+		})
+	}
+}
+
+// TestDropFileTouchesOnlyThatFile: dropping one file among 10 000 cached
+// pages of other files reaches its pages through its own chain. The page
+// map is swapped for an empty one and every other page is relabelled as the
+// dropped file's, so a drop that found pages by scanning the map would find
+// none, and one that looked at any other page, through the map, the LRU
+// ring or another chain, would take it for the file's and drop it too.
+func TestDropFileTouchesOnlyThatFile(t *testing.T) {
+	const target, others = 7, 10000
+	pc := newPageCache(1 << 20)
+	for i := 0; i < others; i++ {
+		pc.getOrCreate(pageKey{ino: uint64(100 + i%50), idx: int64(i)})
+		if i%2500 == 0 {
+			pc.getOrCreate(pageKey{ino: target, idx: int64(i)})
+		}
+	}
+	pc.order(t)
+	var kept []*page
+	for p := pc.lru.older; p != &pc.lru; p = p.older {
+		if p.key.ino != target {
+			p.key.ino = target
+			kept = append(kept, p)
+		}
+	}
+	pc.pages = map[pageKey]*page{}
+
+	pc.dropFile(target)
+
+	var got []*page
+	for p := pc.lru.older; p != &pc.lru; p = p.older {
+		got = append(got, p)
+	}
+	if len(got) != others || len(kept) != others {
+		t.Fatalf("%d of %d other pages left on the LRU ring", len(got), len(kept))
+	}
+	for i := range got {
+		if got[i] != kept[i] {
+			t.Fatalf("LRU position %d changed", i)
+		}
+	}
+	if _, ok := pc.byFile[target]; ok {
+		t.Error("the dropped file still has a chain")
+	}
+}

@@ -131,9 +131,9 @@ func NewClient(net *simnet.Network, tr Transport) *Client {
 
 // acquireSlot admits one call into the transport slot table no earlier
 // than start: with every slot occupied it waits for the earliest-freeing
-// one (accounted in the slot-wait counters). The returned release
-// function records the call's completion in the chosen slot.
-func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, release func(done time.Duration)) {
+// one (accounted in the slot-wait counters). The caller records the call's
+// completion time in c.slots[slot].
+func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int) {
 	n := c.SlotEntries
 	if n <= 0 {
 		n = DefaultSlotEntries
@@ -153,7 +153,7 @@ func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, release 
 		c.stats.SlotWaits++
 		c.stats.SlotWaitNs += int64(free - start)
 	}
-	return admit, func(done time.Duration) { c.slots[idx] = done }
+	return admit, idx
 }
 
 // SetTracer attaches a tracer that records slot-table waits
@@ -237,7 +237,7 @@ func (c *Client) Call(start time.Duration, argBytes int,
 	serve func(arrive time.Duration) (resultBytes int, done time.Duration)) (time.Duration, error) {
 	callOH, replyOH := c.overhead()
 	c.stats.Calls++
-	admit, release := c.acquireSlot(start)
+	admit, slot := c.acquireSlot(start)
 	if admit > start {
 		c.tracer.Record(start, admit, tracing.LayerRPC, "slot-wait")
 	}
@@ -248,7 +248,7 @@ func (c *Client) Call(start time.Duration, argBytes int,
 	} else {
 		done, err = c.callDatagram(admit, callOH+argBytes, replyOH, serve)
 	}
-	release(done)
+	c.slots[slot] = done
 	return done, err
 }
 
