@@ -3,7 +3,9 @@ package main
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -34,5 +36,36 @@ func TestPostMarkAllocBudget(t *testing.T) {
 		t.Errorf("PostMark 500/5000 on NFSv3+iSCSI allocated %d objects, budget %d", n, budget)
 	} else {
 		t.Logf("%d objects (budget %d)", n, budget)
+	}
+}
+
+// TestSweepAllocBudget keeps a sweep's block memory following content, not
+// copies: the hostbench `cluster` RunTransport shape (32 cells, a 2 MB
+// pattern file each, a fresh testbed per cell) allocated 257 MB when every
+// cached block and every stored block was a fresh 4 KB, and about 82 MB now
+// that constant blocks cost the Store nothing and the cells hand their
+// blocks to each other through the sweep's pool. The budget has room for
+// noise, not for one of those copies to come back.
+func TestSweepAllocBudget(t *testing.T) {
+	const budget = 120e6
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cells, err := core.RunTransport(core.TransportConfig{
+		Stacks:    []testbed.Kind{testbed.NFSv3, testbed.ISCSI},
+		Workloads: []string{"seq-read", "seq-write"},
+		RTTs:      []time.Duration{10 * time.Millisecond, 40 * time.Millisecond},
+		LossRates: []float64{0, 0.01},
+		Conns:     []int{1, 4},
+		FileSize:  2 << 20,
+		Seed:      42,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil || len(cells) == 0 {
+		t.Fatalf("%d cells, err %v", len(cells), err)
+	}
+	if n := float64(after.TotalAlloc - before.TotalAlloc); n > budget {
+		t.Errorf("RunTransport (%d cells) allocated %.0f MB, budget %.0f MB", len(cells), n/1e6, budget/1e6)
+	} else {
+		t.Logf("%d cells, %.0f MB (budget %.0f MB)", len(cells), n/1e6, budget/1e6)
 	}
 }

@@ -5,6 +5,12 @@
 // Devices carry real bytes: the ext3 implementation in this repository lays
 // out genuine superblocks, bitmaps, inode tables and directory blocks, so a
 // device's content can be unmounted, "crashed", remounted and recovered.
+//
+// What those bytes cost the host follows their content: a Store keeps no
+// memory for a block that is one byte repeated (zeros, or the fill byte of a
+// synthetic payload), and the blocks it does own can come from and return to
+// a Pool, the explicit free list that the block owners of successive
+// short-lived assemblies share (see Store and Pool for the ownership rules).
 package blockdev
 
 import (
@@ -33,17 +39,56 @@ type Device interface {
 }
 
 // Store is a sparse in-memory block image: the "platters". It carries no
-// timing; wrap it in a Local device for timed access. Unwritten blocks read
-// as zeros.
+// timing; wrap it in a Local device for timed access.
+//
+// Memory follows content, not copies. A block is in one of three states:
+//
+//   - absent: it reads as zeros (never written, or last written with zeros);
+//   - constant: its last write was one non-zero byte repeated, and the map
+//     holds a reference to the shared read-only block of that byte;
+//   - private: its last write mixed bytes, and the map holds the store's own
+//     copy.
+//
+// So a synthetic payload (one fill byte per chunk) costs the host no bytes
+// however much of it is written, while ReadAt returns exactly what was
+// written through crash, remount and recovery. A private block always holds
+// mixed bytes: the state depends only on the last write to that lba.
+//
+// Ownership: the store never hands out a block (ReadAt copies), so it may
+// return a private block to its Pool the moment a constant write replaces it
+// and, wholesale, in Release. Shared blocks are never written and never
+// pooled.
 type Store struct {
 	blockSize int
 	numBlocks int64
-	blocks    map[int64][]byte
+	blocks    map[int64][]byte // nil once released
+	pool      *Pool
 }
+
+// shared holds, for every fill byte, one block of that byte repeated: what a
+// constant block's map entry refers to. Built here, never written again.
+var shared = func() *[256][BlockSize]byte {
+	var t [256][BlockSize]byte
+	for v := range t {
+		for i := range t[v] {
+			t[v][i] = byte(v)
+		}
+	}
+	return &t
+}()
 
 // NewStore creates a sparse image of numBlocks blocks of blockSize bytes.
 func NewStore(numBlocks int64, blockSize int) *Store {
 	return &Store{blockSize: blockSize, numBlocks: numBlocks, blocks: make(map[int64][]byte)}
+}
+
+// SetPool makes the store take its private blocks from p and return them to
+// it (nil: allocate, and leave them to the collector). A store whose blocks
+// are not BlockSize bytes ignores the pool.
+func (s *Store) SetPool(p *Pool) {
+	if s.blockSize == BlockSize {
+		s.pool = p
+	}
 }
 
 // BlockSize returns the block size in bytes.
@@ -52,50 +97,95 @@ func (s *Store) BlockSize() int { return s.blockSize }
 // NumBlocks returns capacity in blocks.
 func (s *Store) NumBlocks() int64 { return s.numBlocks }
 
+// check rejects a request outside the store, on a released store, or whose
+// buffer is not exactly one block: the representation depends on the whole
+// block's content, so a short or long buffer has no meaning.
+func (s *Store) check(op string, lba int64, n int) error {
+	if s.blocks == nil {
+		return fmt.Errorf("blockdev: %s on a released store", op)
+	}
+	if lba < 0 || lba >= s.numBlocks {
+		return fmt.Errorf("blockdev: %s beyond store: lba=%d cap=%d", op, lba, s.numBlocks)
+	}
+	if n != s.blockSize {
+		return fmt.Errorf("blockdev: %s of %d bytes, block size is %d", op, n, s.blockSize)
+	}
+	return nil
+}
+
 // ReadAt copies block lba into buf (len buf == blockSize).
 func (s *Store) ReadAt(lba int64, buf []byte) error {
-	if lba < 0 || lba >= s.numBlocks {
-		return fmt.Errorf("blockdev: read beyond store: lba=%d cap=%d", lba, s.numBlocks)
+	if err := s.check("read", lba, len(buf)); err != nil {
+		return err
 	}
 	if b, ok := s.blocks[lba]; ok {
 		copy(buf, b)
 	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 	}
 	return nil
 }
 
-// WriteAt stores data (len == blockSize) at block lba. An absent block
-// already reads as zeros, so writing zeros to one stores nothing: formatting
-// a journal costs the host no memory.
+// WriteAt stores data (len == blockSize) at block lba. One byte repeated
+// stores no bytes: zeros make the block absent, any other byte makes it a
+// reference to that byte's shared block, and a private block it replaces
+// goes back to the pool. Mixed data is copied into a private block.
 func (s *Store) WriteAt(lba int64, data []byte) error {
-	if lba < 0 || lba >= s.numBlocks {
-		return fmt.Errorf("blockdev: write beyond store: lba=%d cap=%d", lba, s.numBlocks)
+	if err := s.check("write", lba, len(data)); err != nil {
+		return err
 	}
-	b, ok := s.blocks[lba]
-	if !ok {
-		if allZero(data) {
-			return nil
+	old, present := s.blocks[lba]
+	private := present && !isShared(old)
+	if s.blockSize <= BlockSize && uniform(data) {
+		if private {
+			s.pool.Put(old)
 		}
-		b = make([]byte, s.blockSize)
-		s.blocks[lba] = b
+		if v := data[0]; v != 0 {
+			s.blocks[lba] = shared[v][:s.blockSize:s.blockSize]
+		} else if present {
+			delete(s.blocks, lba)
+		}
+		return nil
 	}
-	copy(b, data)
+	if !private {
+		if s.pool != nil {
+			old = s.pool.Get(false)
+		} else {
+			old = make([]byte, s.blockSize)
+		}
+		s.blocks[lba] = old
+	}
+	copy(old, data)
 	return nil
 }
 
-// allZero reports whether b holds only zero bytes: the first byte is zero
-// and every byte equals its predecessor, which bytes.Equal checks at
-// memory-compare speed and leaves at the first difference.
-func allZero(b []byte) bool {
-	return len(b) == 0 || b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1])
+// uniform reports whether b is one byte repeated: every byte equals its
+// predecessor, which bytes.Equal checks at memory-compare speed and leaves
+// at the first difference, so mixed data pays for a few bytes.
+func uniform(b []byte) bool {
+	return len(b) > 0 && bytes.Equal(b[1:], b[:len(b)-1])
 }
 
-// Populated reports how many blocks hold data: blocks written with something
-// other than zeros while absent, and not since dropped (for tests).
+// isShared reports whether b (a block out of a store's map, never empty)
+// refers to a shared block rather than to memory the store owns.
+func isShared(b []byte) bool { return &b[0] == &shared[b[0]][0] }
+
+// Populated reports how many blocks are constant or private, that is, how
+// many do not currently read as all zeros (for tests).
 func (s *Store) Populated() int { return len(s.blocks) }
+
+// Release returns every private block to the pool and leaves the store
+// unusable: reads and writes fail from then on. It is the store's share of
+// tearing a whole assembly down (testbed's Cluster.Close); skipping it costs
+// garbage, nothing else.
+func (s *Store) Release() {
+	for _, b := range s.blocks {
+		if !isShared(b) {
+			s.pool.Put(b)
+		}
+	}
+	s.blocks = nil
+}
 
 // Local is a directly-attached device: a Store for content plus a RAID-5
 // array for timing. This is the device the NFS server's ext3 uses, and the

@@ -138,6 +138,49 @@ func TestStoreZeroWrites(t *testing.T) {
 	}
 }
 
+// A buffer that is not exactly one block is an error in both directions,
+// before anything changes: once the representation depends on the whole
+// block's content, a short write (stale tail), a long write (silent
+// truncation) or a long read buffer (stale bytes past the block) has no
+// meaning. Local already rejects non-multiples; this is the Store itself.
+func TestStoreRejectsWrongLengths(t *testing.T) {
+	s := NewStore(8, 4096)
+	mixed := make([]byte, 4096)
+	for i := range mixed {
+		mixed[i] = byte(i)
+	}
+	if err := s.WriteAt(1, mixed); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteAt(2, bytes.Repeat([]byte{0x5A}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 4095, 4097, 8192} {
+		for lba := int64(0); lba < 3; lba++ { // absent, private, constant
+			if err := s.WriteAt(lba, bytes.Repeat([]byte{7}, n)); err == nil {
+				t.Errorf("write of %d bytes to block %d accepted", n, lba)
+			}
+			buf := bytes.Repeat([]byte{0xCC}, n)
+			if err := s.ReadAt(lba, buf); err == nil {
+				t.Errorf("read into %d bytes from block %d accepted", n, lba)
+			}
+			if !bytes.Equal(buf, bytes.Repeat([]byte{0xCC}, n)) {
+				t.Errorf("rejected read of %d bytes touched the buffer", n)
+			}
+		}
+	}
+	got := make([]byte, 4096)
+	if err := s.ReadAt(1, got); err != nil || !bytes.Equal(got, mixed) {
+		t.Fatal("rejected writes changed the private block")
+	}
+	if err := s.ReadAt(2, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 4096)) {
+		t.Fatal("rejected writes changed the constant block")
+	}
+	if s.Populated() != 2 {
+		t.Fatalf("populated = %d after rejected writes, want 2", s.Populated())
+	}
+}
+
 // A request that crosses the end of the device fails whole: no prefix is
 // stored or read, and the array is not charged.
 func TestLocalRejectsRequestsCrossingTheEnd(t *testing.T) {

@@ -1,0 +1,82 @@
+package blockdev
+
+// BlockSize is the size of the blocks a Pool recycles and of the shared
+// constant blocks a Store refers to: the 4 KB block every device, buffer
+// cache and page cache in this repository uses.
+const BlockSize = 4096
+
+// poolCap bounds how many free blocks a Pool keeps (16 MB). A cell's caches
+// can die holding far more; what does not fit is left to the collector, so
+// a pool never makes one cell's high-water footprint permanent.
+const poolCap = 4096
+
+// Pool is a free list of BlockSize-byte blocks shared by the block owners of
+// the cells one sweep builds one after another: the Stores, the ext3 buffer
+// caches and the NFS client page caches (testbed.Config.Pool hands it down).
+// Each cell's blocks die with the cell a few milliseconds after they were
+// allocated, so the next cell takes them from here instead of from the heap.
+//
+// A nil *Pool is valid and inert: Get allocates, Put does nothing. That is
+// the state of every assembly built without one.
+//
+// Ownership rules, which callers keep and the pool cannot check:
+//
+//   - Put is for the death of a whole owner (bcache.dropAll, nfs
+//     Client.DropCaches, Store.Release, a Store block replaced by a
+//     constant), where no reference to the block can survive. It is never
+//     called on eviction: cache users hold buffers across evictions.
+//   - Only blocks Get handed out go back. A cache also adopts sub-slices of
+//     read buffers; pooling one keeps its whole run alive for as long as the
+//     pool lives (a prototype that did took a sweep's peak Sys from 60 to
+//     500 MB), so owners remember which of their blocks are pool-born.
+//   - After Put the owner drops its reference (data = nil).
+//
+// The zero Pool is empty and ready. A Pool is not safe for concurrent use;
+// concurrent sweeps take one each.
+type Pool struct {
+	free [][]byte
+	// Poison makes Put overwrite the block with 0xEE, a byte no workload
+	// writes, so a reference that outlived its owner reads bytes no golden
+	// expects. Tests set it.
+	Poison bool
+}
+
+// Get returns a block the caller owns. With zeroed set it reads as zeros;
+// otherwise its content is unspecified and the caller overwrites all of it.
+func (p *Pool) Get(zeroed bool) []byte {
+	if p == nil || len(p.free) == 0 {
+		return make([]byte, BlockSize)
+	}
+	n := len(p.free) - 1
+	b := p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	if zeroed {
+		clear(b)
+	}
+	return b
+}
+
+// Len reports how many free blocks the pool holds (for tests).
+func (p *Pool) Len() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.free)
+}
+
+// Put takes back a block Get handed out. Anything that is not exactly one
+// whole block is refused, and so is everything beyond the cap.
+func (p *Pool) Put(b []byte) {
+	if p == nil || len(b) != BlockSize || cap(b) != BlockSize {
+		return
+	}
+	if p.Poison {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	if len(p.free) < poolCap {
+		p.free = append(p.free, b)
+	}
+}

@@ -29,6 +29,7 @@ type AblationResult struct {
 // behind Figure 3 and Table 3.
 func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]AblationResult, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	if len(intervals) == 0 {
 		intervals = []time.Duration{100 * time.Millisecond, time.Second, 5 * time.Second, 30 * time.Second}
 	}
@@ -44,6 +45,7 @@ func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]A
 			Seed:           opts.Seed,
 			Metrics: cellRecorder(opts.Metrics, "ablate", ISCSI,
 				metrics.Tags{"knob": "commit-interval", "setting": iv.String()}),
+			Pool: opts.pool,
 		})
 		if err != nil {
 			return nil, err
@@ -70,6 +72,7 @@ func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]A
 			Elapsed:  d.Elapsed,
 			Messages: d.Messages,
 		})
+		tb.Cluster.Close()
 	}
 	return out, nil
 }
@@ -79,6 +82,7 @@ func AblateCommitInterval(opts Options, intervals []time.Duration, ops int) ([]A
 // durability the paper discusses in Section 2.3, priced.
 func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	if ops <= 0 {
 		ops = 200
 	}
@@ -93,10 +97,12 @@ func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err er
 			Seed:         opts.Seed,
 			Metrics: cellRecorder(opts.Metrics, "ablate", NFSv3,
 				metrics.Tags{"knob": "export-durability", "setting": setting}),
+			Pool: opts.pool,
 		})
 		if err != nil {
 			return AblationResult{}, err
 		}
+		defer tb.Cluster.Close()
 		tb.Stack.NFSServer().SyncMetadataUpdates = syncMode
 		tb.Cluster.BeginWindow(nil)
 		before := tb.Snap()
@@ -127,6 +133,7 @@ func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err er
 // degeneration: small pools stall the writer early and often.
 func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResult, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	if len(bounds) == 0 {
 		bounds = []int{64, 256, 1024, 4096}
 	}
@@ -141,6 +148,7 @@ func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResu
 			Seed:         opts.Seed,
 			Metrics: cellRecorder(opts.Metrics, "ablate", NFSv3,
 				metrics.Tags{"knob": "write-pool", "setting": itoa(bound)}),
+			Pool: opts.pool,
 		})
 		if err != nil {
 			return nil, err
@@ -157,6 +165,7 @@ func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResu
 			Elapsed:  res.Elapsed,
 			Messages: res.Messages,
 		})
+		tb.Cluster.Close()
 	}
 	return out, nil
 }
@@ -166,6 +175,7 @@ func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResu
 // (the paper's warm-read observation in Section 4.4).
 func AblateNoAtime(opts Options, reads int) (withAtime, noAtime AblationResult, err error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	if reads <= 0 {
 		reads = 100
 	}
@@ -181,10 +191,12 @@ func AblateNoAtime(opts Options, reads int) (withAtime, noAtime AblationResult, 
 			Seed:         opts.Seed,
 			Metrics: cellRecorder(opts.Metrics, "ablate", ISCSI,
 				metrics.Tags{"knob": "atime", "setting": setting}),
+			Pool: opts.pool,
 		})
 		if err != nil {
 			return AblationResult{}, err
 		}
+		defer tb.Cluster.Close()
 		if err := tb.WriteFile("/hot", make([]byte, 64<<10)); err != nil {
 			return AblationResult{}, err
 		}

@@ -99,6 +99,7 @@ type BatchSeries struct {
 // RunFigure3 reproduces Figure 3 on the iSCSI stack (aggregation is a
 // client-filesystem property; the stack argument defaults to iSCSI).
 func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
+	opts.pool = sweepPool(opts.pool)
 	if len(batches) == 0 {
 		batches = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	}
@@ -139,6 +140,7 @@ func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
 				TotalMsgs: total,
 				PerOpMsgs: float64(total) / float64(n),
 			})
+			tb.Cluster.Close()
 		}
 		out = append(out, s)
 	}

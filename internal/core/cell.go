@@ -87,7 +87,8 @@ func collapsed(err error) bool { return errors.Is(err, simnet.ErrTransportBroken
 // mark carries the results measure returns. A collapse comes back as the
 // error it is, wherever it happens — test it with collapsed — and leaves
 // the stream balanced: during build or setup the cell has no marks yet,
-// inside the window its end mark carries collapsed=1.
+// inside the window its end mark carries collapsed=1. The cluster is closed
+// on return: measure reads everything it reports before it returns.
 func runCell(spec cellSpec, setup func(*testbed.Cluster) error,
 	measure func(*testbed.Cluster) (map[string]float64, error)) error {
 	if spec.clients < 1 {
@@ -114,11 +115,14 @@ func runCell(spec cellSpec, setup func(*testbed.Cluster) error,
 		cc.Health = mon
 	}
 	cl, err := testbed.NewCluster(cc)
-	if err == nil && setup != nil {
-		err = setup(cl)
-	}
 	if err != nil {
 		return err
+	}
+	defer cl.Close()
+	if setup != nil {
+		if err := setup(cl); err != nil {
+			return err
+		}
 	}
 	cl.BeginWindow(nil)
 	results, err := measure(cl)

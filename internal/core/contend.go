@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
@@ -59,6 +60,8 @@ type ContendConfig struct {
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, records per-op span trees for every cell.
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *ContendConfig) fill() {
@@ -115,6 +118,7 @@ func (c ContendCell) Label() string { return variantLabel(c.Stack, c.Transport) 
 // enforces this). Invalid pairs (iSCSI over UDP) are skipped.
 func RunContention(cfg ContendConfig) ([]ContendCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	var cells []ContendCell
 	for _, wl := range cfg.Workloads {
 		for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
@@ -171,6 +175,7 @@ func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error
 				Seed:         cfg.Seed,
 				WindowBytes:  cfg.WindowBytes,
 				Tracer:       cfg.Tracer,
+				Pool:         cfg.pool,
 			},
 			Sharing: &testbed.SharingConfig{},
 		},

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 )
@@ -56,6 +57,21 @@ type Options struct {
 	// run with these Options: each cell's testbed streams tagged counter
 	// samples and result points (see docs/METRICS.md).
 	Metrics *metrics.Recorder
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
+}
+
+// sweepPool returns the block pool (testbed.Config.Pool) the cells one
+// exported Run* or Ablate* call builds one after another share: a fresh one,
+// which dies with the call, unless the config already carries one (an
+// enclosing call's, or the poisoning pool a test planted). So there is no
+// package-level pool, counts repeat from call to call, and concurrent calls
+// never share one.
+func sweepPool(p *blockdev.Pool) *blockdev.Pool {
+	if p == nil {
+		p = &blockdev.Pool{}
+	}
+	return p
 }
 
 func (o *Options) fill() {
@@ -68,7 +84,8 @@ func (o *Options) fill() {
 }
 
 // newBed builds a testbed for one stack, instrumented as one telemetry
-// cell: its events carry {experiment, stack} plus the extra axis tags.
+// cell: its events carry {experiment, stack} plus the extra axis tags. The
+// caller closes the testbed's cluster when the cell is done.
 func (o Options) newBed(experiment string, k Stack, extra metrics.Tags) (*testbed.Testbed, error) {
 	o.fill()
 	return testbed.New(testbed.Config{
@@ -77,6 +94,7 @@ func (o Options) newBed(experiment string, k Stack, extra metrics.Tags) (*testbe
 		Seed:         o.Seed,
 		LossRate:     o.LossRate,
 		Metrics:      cellRecorder(o.Metrics, experiment, k, extra),
+		Pool:         o.pool,
 	})
 }
 

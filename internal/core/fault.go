@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/metrics"
@@ -56,6 +57,8 @@ type FaultConfig struct {
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, records per-op span trees for every cell.
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *FaultConfig) fill() {
@@ -113,6 +116,7 @@ func (c FaultCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 // Collapsed set rather than aborting the sweep.
 func RunFault(cfg FaultConfig) ([]FaultCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	var cells []FaultCell
 	for _, f := range cfg.Families {
 		for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
@@ -158,6 +162,7 @@ func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Fam
 			Seed:         cfg.Seed,
 			WindowBytes:  cfg.WindowBytes,
 			Tracer:       cfg.Tracer,
+			Pool:         cfg.pool,
 		}},
 	}, nil, func(cl *testbed.Cluster) (map[string]float64, error) {
 		res, err := fault.Run(cl, run)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/metrics"
@@ -64,6 +65,8 @@ type HealthConfig struct {
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, records per-op span trees for every cell.
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *HealthConfig) fill() {
@@ -137,6 +140,7 @@ const controlFamily = fault.Family("control")
 // skipped.
 func RunHealth(cfg HealthConfig) ([]HealthCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	var cells []HealthCell
 	for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
 		cell, err := runHealthCell(cfg, fault.ServerCrash, v, true)
@@ -170,6 +174,7 @@ func (c HealthConfig) planConfig() FaultConfig {
 		Health:       &health.Config{Interval: c.Interval, Objectives: c.Objectives},
 		Metrics:      c.Metrics,
 		Tracer:       c.Tracer,
+		pool:         c.pool,
 	}
 }
 

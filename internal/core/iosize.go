@@ -39,6 +39,7 @@ func figure5Sizes() []int {
 
 // RunFigure5 reproduces the three Figure 5 panels.
 func RunFigure5(opts Options, sizes []int) ([]SizeSeries, error) {
+	opts.pool = sweepPool(opts.pool)
 	if len(sizes) == 0 {
 		sizes = figure5Sizes()
 	}
@@ -69,6 +70,7 @@ func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64,
 	if err != nil {
 		return 0, err
 	}
+	defer tb.Cluster.Close()
 	// Close the telemetry cell on every successful exit (the measured
 	// windows below each end with the message-count delta).
 	defer func() {

@@ -48,6 +48,7 @@ type Table5Row struct {
 // 100,000 transactions.
 func RunTable5(opts Options, scale MacroScale) ([]Table5Row, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	var rows []Table5Row
 	for _, files := range []int{1000, 5000, 25000} {
 		cfg := workload.DefaultPostMark(scale.apply(files))
@@ -59,6 +60,7 @@ func RunTable5(opts Options, scale MacroScale) ([]Table5Row, error) {
 				return nil, err
 			}
 			res, _, err := workload.PostMark(tb, cfg)
+			tb.Cluster.Close()
 			if err != nil {
 				return nil, fmt.Errorf("table5 %d files on %v: %w", files, stack, err)
 			}
@@ -75,7 +77,7 @@ func RunTable5(opts Options, scale MacroScale) ([]Table5Row, error) {
 
 // dbBed builds a testbed whose cache-to-database ratio mirrors the paper's
 // (the 30 GB TPC-C and 1 GB TPC-H databases dwarfed the 512 MB client and
-// 1 GB server).
+// 1 GB server). The caller closes the testbed's cluster, as for newBed.
 func (o Options) dbBed(experiment string, k Stack, dbSize int64) (*testbed.Testbed, error) {
 	o.fill()
 	dbBlocks := int(dbSize / 4096)
@@ -86,6 +88,7 @@ func (o Options) dbBed(experiment string, k Stack, dbSize int64) (*testbed.Testb
 		ClientCacheBlocks: maxInt(dbBlocks/8, 512),
 		ServerCacheBlocks: maxInt(dbBlocks/4, 1024),
 		Metrics:           cellRecorder(o.Metrics, experiment, k, nil),
+		Pool:              o.pool,
 	})
 }
 
@@ -107,6 +110,7 @@ type TPCRow struct {
 
 // RunTable6 reproduces Table 6 (TPC-C).
 func RunTable6(opts Options, scale MacroScale) (TPCRow, error) {
+	opts.pool = sweepPool(opts.pool)
 	cfg := workload.DefaultTPCC()
 	cfg.DBSize = scale.applyI64(cfg.DBSize)
 	cfg.Transactions = scale.apply(cfg.Transactions)
@@ -117,6 +121,7 @@ func RunTable6(opts Options, scale MacroScale) (TPCRow, error) {
 			return row, err
 		}
 		res, err := workload.TPCC(tb, cfg)
+		tb.Cluster.Close()
 		if err != nil {
 			return row, fmt.Errorf("table6 on %v: %w", stack, err)
 		}
@@ -132,6 +137,7 @@ func RunTable6(opts Options, scale MacroScale) (TPCRow, error) {
 
 // RunTable7 reproduces Table 7 (TPC-H).
 func RunTable7(opts Options, scale MacroScale) (TPCRow, error) {
+	opts.pool = sweepPool(opts.pool)
 	cfg := workload.DefaultTPCH()
 	cfg.DBSize = scale.applyI64(cfg.DBSize)
 	cfg.Queries = scale.apply(cfg.Queries)
@@ -145,6 +151,7 @@ func RunTable7(opts Options, scale MacroScale) (TPCRow, error) {
 			return row, err
 		}
 		res, err := workload.TPCH(tb, cfg)
+		tb.Cluster.Close()
 		if err != nil {
 			return row, fmt.Errorf("table7 on %v: %w", stack, err)
 		}
@@ -168,6 +175,7 @@ type Table8Row struct {
 // RunTable8 reproduces Table 8: tar -xzf, ls -lR, kernel compile, rm -rf.
 func RunTable8(opts Options, scale MacroScale) ([]Table8Row, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	cfg := workload.DefaultKernel()
 	cfg.Dirs = scale.apply(cfg.Dirs)
 	cfg.FilesPerDir = scale.apply(cfg.FilesPerDir)
@@ -197,6 +205,7 @@ func RunTable8(opts Options, scale MacroScale) ([]Table8Row, error) {
 		}
 		rs = append(rs, r)
 		results[stack] = rs
+		tb.Cluster.Close()
 	}
 	var rows []Table8Row
 	for i, n := range names {
@@ -222,6 +231,7 @@ type CPURow struct {
 // utilization percentiles for PostMark, TPC-C and TPC-H.
 func RunTable9And10(opts Options, scale MacroScale) ([]CPURow, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	var rows []CPURow
 
 	// PostMark (1,000-file configuration, as the CPU tables report).
@@ -234,6 +244,7 @@ func RunTable9And10(opts Options, scale MacroScale) ([]CPURow, error) {
 			return nil, err
 		}
 		res, _, err := workload.PostMark(tb, pm)
+		tb.Cluster.Close()
 		if err != nil {
 			return nil, fmt.Errorf("cpu postmark on %v: %w", stack, err)
 		}

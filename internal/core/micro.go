@@ -302,6 +302,7 @@ func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (in
 	if err != nil {
 		return 0, err
 	}
+	defer tb.Cluster.Close()
 	if err := buildChain(tb, depth); err != nil {
 		return 0, err
 	}
@@ -351,6 +352,7 @@ type SyscallRow struct {
 
 // runSyscallTable produces Table 2 (warm=false) or Table 3 (warm=true).
 func runSyscallTable(opts Options, warm bool) ([]SyscallRow, error) {
+	opts.pool = sweepPool(opts.pool)
 	var rows []SyscallRow
 	for _, op := range MicroOps {
 		row := SyscallRow{Op: op.Name, Depth0: map[Stack]int64{}, Depth3: map[Stack]int64{}}
@@ -394,6 +396,7 @@ type DepthSeries struct {
 // RunFigure4 reproduces Figure 4: message counts for mkdir, chdir and
 // readdir as directory depth varies, cold and warm.
 func RunFigure4(opts Options, depths []int) ([]DepthSeries, error) {
+	opts.pool = sweepPool(opts.pool)
 	if len(depths) == 0 {
 		depths = []int{0, 2, 4, 6, 8, 10, 12, 14, 16}
 	}

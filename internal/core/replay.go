@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/replay"
 	"repro/internal/testbed"
@@ -64,6 +65,8 @@ type ReplayConfig struct {
 	// Tracer, when non-nil, records per-op span trees for every cell
 	// (see docs/TRACING.md).
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *ReplayConfig) fill() {
@@ -139,6 +142,7 @@ func (c ReplayCell) Label() string {
 // emitted in deterministic order; identical seeds give identical cells.
 func RunReplay(cfg ReplayConfig) ([]ReplayCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	type block struct {
 		name string
 		recs []trace.Record
@@ -196,6 +200,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record, v variant
 			Seed:         cfg.Seed,
 			WindowBytes:  cfg.WindowBytes,
 			Tracer:       cfg.Tracer,
+			Pool:         cfg.pool,
 		}},
 	}, nil, func(cl *testbed.Cluster) (map[string]float64, error) {
 		res, err := replay.Run(cl, recs, replay.Options{DirMod: cfg.DirMod, MaxOps: maxOps})

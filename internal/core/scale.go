@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
@@ -57,6 +58,8 @@ type ScaleConfig struct {
 	// Tracer, when non-nil, records per-op span trees for every measured
 	// cell (calibration runs stay untraced; see docs/TRACING.md).
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *ScaleConfig) fill() {
@@ -123,6 +126,7 @@ type ScaleCell struct {
 // RunScaling sweeps client counts for every stack and workload.
 func RunScaling(cfg ScaleConfig) ([]ScaleCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	if cfg.Foreground < 0 {
 		return nil, fmt.Errorf("scale: negative foreground count %d", cfg.Foreground)
 	}
@@ -183,7 +187,7 @@ func (cal calibration) demand(cfg ScaleConfig, wl string, stack Stack, n int) (f
 		v:          variant{stack: stack},
 		clients:    1,
 		cluster: testbed.ClusterConfig{
-			Config:          testbed.Config{DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n), Seed: cfg.Seed},
+			Config:          testbed.Config{DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n), Seed: cfg.Seed, Pool: cfg.pool},
 			CapacityClients: n,
 		},
 	}, cfg, wl, func(cl *testbed.Cluster, drivers []func() (bool, error),
@@ -315,6 +319,7 @@ func runScaleCell(cfg ScaleConfig, wl string, stack Stack, n int, cal calibratio
 				DeviceBlocks: exportBlocks(cfg.DeviceBlocks, stack, n),
 				Seed:         cfg.Seed,
 				Tracer:       cfg.Tracer,
+				Pool:         cfg.pool,
 			},
 			Clients:         k,
 			Background:      cohorts,

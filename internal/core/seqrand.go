@@ -23,6 +23,7 @@ type Table4Row struct {
 // RunTable4 reproduces Table 4. fileSize 0 selects the paper's 128 MB.
 func RunTable4(opts Options, fileSize int64) ([]Table4Row, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	cfg := workload.DefaultSeqRand()
 	if fileSize > 0 {
 		cfg.FileSize = fileSize
@@ -47,6 +48,7 @@ func RunTable4(opts Options, fileSize int64) ([]Table4Row, error) {
 				return nil, err
 			}
 			res, err := r.fn(tb, cfg)
+			tb.Cluster.Close()
 			if err != nil {
 				return nil, fmt.Errorf("table4 %s on %v: %w", r.name, stack, err)
 			}
@@ -72,6 +74,7 @@ type LatencyPoint struct {
 // fileSize 0 selects the paper's 128 MB (slow; benchmarks shrink it).
 func RunFigure6(opts Options, fileSize int64, rtts []time.Duration) ([]LatencyPoint, error) {
 	opts.fill()
+	opts.pool = sweepPool(opts.pool)
 	if len(rtts) == 0 {
 		for ms := 10; ms <= 90; ms += 20 {
 			rtts = append(rtts, time.Duration(ms)*time.Millisecond)
@@ -104,6 +107,7 @@ func RunFigure6(opts Options, fileSize int64, rtts []time.Duration) ([]LatencyPo
 				}
 				tb.SetRTT(rtt)
 				res, err := r.fn(tb, cfg)
+				tb.Cluster.Close()
 				if err != nil {
 					return nil, fmt.Errorf("figure6 %s rtt=%v on %v: %w", r.name, rtt, stack, err)
 				}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fault"
 	"repro/internal/health"
 	"repro/internal/metrics"
@@ -27,7 +28,19 @@ var update = flag.Bool("update", false, "rewrite the sweep goldens under testdat
 // batches may order their sources differently from one assembly to
 // another, so its stream is hashed as sorted lines. Regenerate with
 // go test ./internal/core -run SweepGoldens -update.
-func TestSweepGoldens(t *testing.T) {
+func TestSweepGoldens(t *testing.T) { sweepGoldens(t, nil) }
+
+// TestSweepGoldensOnRecycledBlocks runs the same sweeps against the same
+// goldens with a planted pool that poisons every block as it is released
+// (production sweeps make their own, unpoisoned): each cell but the first is
+// built from blocks earlier cells closed, crashed or cold-cached away, so a
+// reference that outlived its owner, or a recycled block taken for a zero
+// one, drifts a table or a stream hash.
+func TestSweepGoldensOnRecycledBlocks(t *testing.T) {
+	sweepGoldens(t, &blockdev.Pool{Poison: true})
+}
+
+func sweepGoldens(t *testing.T, pool *blockdev.Pool) {
 	fluidTCP := []testbed.Transport{testbed.TransportFluid, testbed.TransportTCP}
 	pair := []Stack{NFSv3, ISCSI}
 	sweeps := []struct {
@@ -50,6 +63,7 @@ func TestSweepGoldens(t *testing.T) {
 				Foreground:           2,
 				Seed:                 3,
 				Metrics:              rec,
+				pool:                 pool,
 			})
 			RenderScaling(out, cells)
 			return err
@@ -62,6 +76,7 @@ func TestSweepGoldens(t *testing.T) {
 				FileSize:  256 << 10,
 				Seed:      3,
 				Metrics:   rec,
+				pool:      pool,
 			})
 			RenderTransport(out, cells)
 			return err
@@ -79,6 +94,7 @@ func TestSweepGoldens(t *testing.T) {
 				DeviceBlocks: 8192,
 				Seed:         3,
 				Metrics:      rec,
+				pool:         pool,
 			})
 			RenderReplay(out, cells)
 			return err
@@ -97,6 +113,7 @@ func TestSweepGoldens(t *testing.T) {
 				Seed:        5,
 				Health:      &health.Config{},
 				Metrics:     rec,
+				pool:        pool,
 			})
 			if err != nil {
 				return err
@@ -115,6 +132,7 @@ func TestSweepGoldens(t *testing.T) {
 				FileSize:    256 << 10,
 				Seed:        5,
 				Metrics:     rec,
+				pool:        pool,
 			})
 			if err == nil && (len(collapsed) != 1 || !collapsed[0].Collapsed) {
 				err = fmt.Errorf("starved-pipe cell did not collapse: %+v", collapsed)
@@ -131,6 +149,7 @@ func TestSweepGoldens(t *testing.T) {
 				Seed:       5,
 				Health:     &health.Config{},
 				Metrics:    rec,
+				pool:       pool,
 			})
 			RenderFault(out, cells)
 			return err
@@ -145,6 +164,7 @@ func TestSweepGoldens(t *testing.T) {
 				Conns:      2,
 				Seed:       5,
 				Metrics:    rec,
+				pool:       pool,
 			})
 			RenderContention(out, cells)
 			return err
@@ -157,6 +177,7 @@ func TestSweepGoldens(t *testing.T) {
 				Conns:      2,
 				Seed:       5,
 				Metrics:    rec,
+				pool:       pool,
 			})
 			RenderHealth(out, cells)
 			return err
@@ -186,7 +207,7 @@ func TestSweepGoldens(t *testing.T) {
 			got.Write(table.Bytes())
 
 			path := filepath.Join("testdata", "sweep_"+s.name+".golden")
-			if *update {
+			if *update && pool == nil {
 				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
@@ -51,6 +52,8 @@ type TransportConfig struct {
 	// Tracer, when non-nil, records per-op span trees for every cell
 	// (see docs/TRACING.md).
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *TransportConfig) fill() {
@@ -137,6 +140,7 @@ func (c TransportCell) Label() string {
 // deterministic order; identical seeds give identical cells.
 func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	var cells []TransportCell
 	for _, wl := range cfg.Workloads {
 		for _, stack := range cfg.Stacks {
@@ -187,10 +191,12 @@ func runTransportCell(cfg TransportConfig, wl string, v variant,
 		WindowBytes:  window,
 		Metrics:      cellRecorder(cfg.Metrics, "transport", stack, cell),
 		Tracer:       cfg.Tracer,
+		Pool:         cfg.pool,
 	})
 	if err != nil {
 		return TransportCell{}, err
 	}
+	defer tb.Cluster.Close()
 	src := workload.SeqRandConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
 	var res workload.Result
 	var bytes int64

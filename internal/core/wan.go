@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/netqueue"
@@ -115,6 +116,8 @@ type WANConfig struct {
 	// Tracer, when non-nil, records per-op span trees for every cell
 	// (see docs/TRACING.md).
 	Tracer *tracing.Tracer
+
+	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
 func (c *WANConfig) fill() {
@@ -207,6 +210,7 @@ func (c WANCell) Label() string { return variantLabel(c.Stack, c.Transport) }
 // the collapse boundary is a finding.
 func RunWAN(cfg WANConfig) ([]WANCell, error) {
 	cfg.fill()
+	cfg.pool = sweepPool(cfg.pool)
 	var cells []WANCell
 	for _, wl := range cfg.Workloads {
 		for _, mix := range cfg.Mixes {
@@ -258,6 +262,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 				Seed:         cfg.Seed,
 				WindowBytes:  cfg.WindowBytes,
 				Tracer:       cfg.Tracer,
+				Pool:         cfg.pool,
 			},
 			Shared: &netqueue.Config{
 				Bandwidth:  capacity,

@@ -19,6 +19,7 @@ type buffer struct {
 	readyAt time.Duration // async read-ahead completion time
 	elem    *list.Element
 	stamp   uint64 // recency: bcache.clock at the last move to the LRU front
+	pooled  bool   // data is a whole block from bcache.pool, not an adopted sub-slice
 }
 
 // bcacheStats counts cache behaviour.
@@ -42,6 +43,14 @@ type bcacheStats struct {
 // Buffer ownership: a slice passed to Device.WriteBlocks may be reused by
 // the caller on return (every device here copies synchronously); a slice
 // given to insertPrefetch is owned by the cache from then on.
+//
+// Block memory: get takes the blocks it allocates from pool (nil: the heap)
+// and only dropAll gives them back, when the whole cache dies and nothing
+// can still refer to a buffer. Eviction never recycles: markDirty documents
+// that callers hold buffers across evictions, so an evicted block is left
+// to the collector. Blocks adopted by insertPrefetch are sub-slices of a run
+// buffer and never go to the pool (one pooled 4 KB would keep its whole run
+// alive for as long as the pool lives); buffer.pooled tells the two apart.
 type bcache struct {
 	dev       blockdev.Device
 	max       int
@@ -52,12 +61,14 @@ type bcache struct {
 	stats     bcacheStats
 	dirtyData map[int64]*buffer // dirty non-journaled (file data) blocks
 	tracer    *tracing.Tracer   // cache-miss spans (nil = tracing off)
+	pool      *blockdev.Pool
 }
 
-func newBcache(dev blockdev.Device, max int) *bcache {
+func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
 	return &bcache{
 		dev:       dev,
 		max:       max,
+		pool:      pool,
 		blocks:    make(map[int64]*buffer),
 		lru:       list.New(),
 		dirtyData: make(map[int64]*buffer),
@@ -156,7 +167,8 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 		return nil, at, fmt.Errorf("ext3: implausible block address %d (device holds %d)", lba, c.dev.NumBlocks())
 	}
 	c.stats.Misses++
-	b := &buffer{lba: lba, data: make([]byte, BlockSize)}
+	// A recycled block is cleared only when nothing is about to fill it.
+	b := &buffer{lba: lba, data: c.pool.Get(zero), pooled: true}
 	done := at
 	if !zero {
 		// The miss span parents the device I/O it forces (iSCSI exchange
@@ -240,8 +252,20 @@ func (c *bcache) unpin(lba int64) {
 
 // dropAll discards every cached block — the crash model. Dirty state is
 // lost, exactly as client RAM contents are lost in the paper's reliability
-// discussion (Section 2.3).
+// discussion (Section 2.3). It is the one place blocks return to the pool:
+// callers (Unmount, Crash) leave the filesystem unmounted and drop the
+// running transaction, so no path reaches a resident buffer afterwards, and
+// a buffer someone still holds by mistake has no data rather than recycled
+// data. Without a pool nothing is recycled, and nothing is touched.
 func (c *bcache) dropAll() {
+	if c.pool != nil {
+		for _, b := range c.blocks {
+			if b.pooled {
+				c.pool.Put(b.data)
+			}
+			b.data = nil
+		}
+	}
 	c.blocks = make(map[int64]*buffer)
 	c.dirtyData = make(map[int64]*buffer)
 	c.lru.Init()

@@ -451,7 +451,7 @@ func BenchmarkBcacheEvictDirtyTail(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		b.Run(fmt.Sprintf("dirty=%d", n), func(b *testing.B) {
 			const clean = 64
-			bc := newBcache(blockdev.NewTestbedArray(1<<22), n+clean)
+			bc := newBcache(blockdev.NewTestbedArray(1<<22), n+clean, nil)
 			data := make([]byte, BlockSize) // shared: nothing reads it back
 			for lba := int64(0); lba < int64(n); lba++ {
 				buf, _, err := bc.get(0, lba, true)

@@ -10,7 +10,7 @@ import (
 func newCache(t *testing.T, max int) (*bcache, *blockdev.Local) {
 	t.Helper()
 	dev := blockdev.NewTestbedArray(4096)
-	return newBcache(dev, max), dev
+	return newBcache(dev, max, nil), dev
 }
 
 func TestBcacheReadThroughAndHit(t *testing.T) {
@@ -144,5 +144,63 @@ func TestDirtyDataTracking(t *testing.T) {
 	bc.markDirty(b, true)
 	if len(bc.dirtyData) != 0 {
 		t.Fatal("promotion left block in dirty data set")
+	}
+}
+
+// dropAll gives the pool back exactly the resident blocks get took from it:
+// not the capped sub-slices insertPrefetch adopted (pooling one would keep
+// its whole run buffer alive), and not a buffer eviction dropped earlier,
+// which a caller may still hold. Every buffer it releases loses its data.
+func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
+	dev := blockdev.NewTestbedArray(4096)
+	pool := &blockdev.Pool{Poison: true}
+	bc := newBcache(dev, 4, pool)
+	var born []*buffer
+	for lba := int64(10); lba < 13; lba++ {
+		b, _, err := bc.get(0, lba, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		born = append(born, b)
+	}
+	run := make([]byte, 2*BlockSize)
+	run[0], run[BlockSize] = 1, 2
+	bc.insertPrefetch(20, run[:BlockSize:BlockSize], 0)
+	bc.insertPrefetch(21, run[BlockSize:2*BlockSize:2*BlockSize], 0) // evicts lba 10
+	evicted := born[0]
+	if bc.peek(10) != nil || bc.stats.Evictions != 1 {
+		t.Fatalf("expected lba 10 evicted once, evictions=%d", bc.stats.Evictions)
+	}
+	adopted := []*buffer{bc.peek(20), bc.peek(21)}
+	if pool.Len() != 0 {
+		t.Fatalf("eviction put %d blocks in the pool; only dropAll may", pool.Len())
+	}
+	bc.dropAll()
+	if pool.Len() != 2 {
+		t.Fatalf("pool holds %d blocks after dropAll, want the 2 resident pool-born ones", pool.Len())
+	}
+	for _, b := range append(born[1:], adopted...) {
+		if b.data != nil {
+			t.Fatalf("released buffer %d still has data", b.lba)
+		}
+	}
+	if evicted.data == nil || len(evicted.data) != BlockSize {
+		t.Fatal("dropAll touched a buffer that eviction had already dropped")
+	}
+	if run[0] != 1 || run[BlockSize] != 2 {
+		t.Fatal("an adopted sub-slice was poisoned: it went to the pool")
+	}
+	// The recycled blocks come back from get, zeroed on request.
+	b, _, err := bc.get(0, 30, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.Len() != 1 {
+		t.Fatalf("get did not take its block from the pool (%d left)", pool.Len())
+	}
+	for _, v := range b.data {
+		if v != 0 {
+			t.Fatalf("zero get on a recycled (poisoned) block returned %#x", v)
+		}
 	}
 }

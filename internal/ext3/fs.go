@@ -63,6 +63,11 @@ func (fs *FS) runBuf(run int) []byte {
 	return fs.coalesce[:run*BlockSize]
 }
 
+// journalZeros is what Mkfs writes over the journal area, 64 blocks at a
+// time. It is never written: WriteBlocks does not retain or modify its
+// argument.
+var journalZeros [64 * BlockSize]byte
+
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
 func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, error) {
 	opts.fill()
@@ -99,7 +104,7 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	done := at
 	var err error
 	// Zero the journal so stale records can never replay.
-	zero := make([]byte, 64*BlockSize)
+	zero := journalZeros[:]
 	for off := int64(0); off < opts.JournalBlocks; {
 		n := opts.JournalBlocks - off
 		if n > 64 {
@@ -216,7 +221,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 	if err != nil {
 		return nil, done, err
 	}
-	bc := newBcache(dev, opts.CacheBlocks)
+	bc := newBcache(dev, opts.CacheBlocks, opts.Pool)
 	bc.tracer = opts.Tracer
 	fs := &FS{
 		dev:      dev,

@@ -528,3 +528,79 @@ func TestMkfsOverDirtyJournalReplaysNothing(t *testing.T) {
 		t.Fatalf("free counts moved: blocks %d->%d inodes %d->%d", freeB, fs3.FreeBlocks(), freeI, fs3.FreeInodes())
 	}
 }
+
+// A filesystem whose caches recycle blocks through a pool (poisoned on every
+// release) keeps its content through unmount, remount, crash and recovery:
+// nothing reads a block after dropAll gave it away, and nothing relies on a
+// recycled block being zero.
+func TestRemountOnRecycledBlocks(t *testing.T) {
+	dev := blockdev.NewTestbedArray(32768)
+	pool := &blockdev.Pool{Poison: true}
+	dev.Store().SetPool(pool)
+	opts := Options{Pool: pool}
+	if _, err := Mkfs(0, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, at, err := Mount(0, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 300*1024+123)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	check := func(fs *FS, at time.Duration, when string) time.Duration {
+		t.Helper()
+		f, at, err := fs.Open(at, "/d/data")
+		if err != nil {
+			t.Fatalf("%s: open: %v", when, err)
+		}
+		got := make([]byte, len(want)+10)
+		n, at, err := f.ReadAt(at, 0, got)
+		if err != nil || n != len(want) || !bytes.Equal(got[:n], want) {
+			t.Fatalf("%s: read %d bytes, err %v, equal %v", when, n, err, bytes.Equal(got[:n], want))
+		}
+		return at
+	}
+	if at, err = fs.Mkdir(at, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, at, err := fs.Create(at, "/d/data", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err = f.WriteAt(at, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	at = check(fs, at, "before unmount")
+	if at, err = fs.Unmount(at); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Len() == 0 {
+		t.Fatal("unmount returned no block to the pool")
+	}
+	if _, _, err := f.ReadAt(at, 0, make([]byte, 10)); err == nil {
+		t.Fatal("read on an unmounted filesystem succeeded")
+	}
+	fs, at, err = Mount(at, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at = check(fs, at, "after remount")
+	// Dirty more state, commit it, crash before checkpoint, recover.
+	if at, err = fs.Rename(at, "/d/data", "/d/moved"); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fs.Rename(at, "/d/moved", "/d/data"); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = fs.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	fs, at, err = Mount(at, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(fs, at, "after crash recovery")
+}

@@ -24,12 +24,13 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/tracing"
 )
 
 // Fundamental layout constants.
 const (
-	BlockSize      = 4096
+	BlockSize      = blockdev.BlockSize
 	InodeSize      = 128
 	InodesPerBlock = BlockSize / InodeSize
 	DirectBlocks   = 12
@@ -204,6 +205,10 @@ type Options struct {
 	// tracing.LayerCache spans, parenting the device I/O the miss forces
 	// (nil = tracing off; see docs/TRACING.md).
 	Tracer *tracing.Tracer
+	// Pool, when set, is where the buffer cache takes the blocks it
+	// allocates and returns them when the whole cache dies (Unmount, Crash);
+	// see the ownership rules on bcache. Nil allocates from the heap.
+	Pool *blockdev.Pool
 }
 
 // CPUConfig attaches a simulated CPU and the per-operation demands the

@@ -541,6 +541,21 @@ func (fs *FS) ReadDirAt(at time.Duration, ino Ino) ([]vfs.DirEntry, time.Duratio
 	return out, done, err
 }
 
+// FileSizeAt returns a file's size after the timed inode fetch every read
+// starts with: a ReadFileAt that follows finds the inode cached, so asking
+// first moves no virtual time. The NFS server sizes its READ replies with it
+// instead of trusting the caller's count.
+func (fs *FS) FileSizeAt(at time.Duration, ino Ino) (int64, time.Duration, error) {
+	if !fs.mounted {
+		return 0, at, vfs.ErrStale
+	}
+	n, done, err := fs.getInode(at, ino)
+	if err != nil {
+		return 0, done, err
+	}
+	return int64(n.Size), done, nil
+}
+
 // ReadFileAt reads file content by inode (the NFS READ procedure's engine).
 func (fs *FS) ReadFileAt(at time.Duration, ino Ino, off int64, buf []byte) (int, time.Duration, error) {
 	f := &File{fs: fs, ino: ino}

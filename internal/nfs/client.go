@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/ext3"
 	"repro/internal/lockmgr"
 	"repro/internal/sim"
@@ -116,7 +117,7 @@ func NewClient(ver Version, rpcc *sunrpc.Client, srv *Server, cpu *sim.CPU) *Cli
 		access:           make(map[uint64]time.Duration),
 		listings:         make(map[uint64]*dirListing),
 		files:            make(map[uint64]*fileState),
-		pages:            newPageCache(131072), // 512 MB client RAM
+		pages:            newPageCache(131072, nil), // 512 MB client RAM
 		attrTTL:          attrTTL,
 		dataTTL:          DataTimeout,
 		ReadAheadPages:   16,
@@ -143,6 +144,10 @@ func (c *Client) SetCacheCapacity(pages int) {
 	}
 }
 
+// SetPool makes the page cache take the pages it allocates from p and
+// return them in DropCaches (see the ownership rules on pageCache).
+func (c *Client) SetPool(p *blockdev.Pool) { c.pages.pool = p }
+
 // RPCStats exposes the RPC layer counters.
 func (c *Client) RPCStats() sunrpc.Stats { return c.rpc.Stats() }
 
@@ -167,12 +172,22 @@ func (c *Client) DropCaches() {
 	c.access = make(map[uint64]time.Duration)
 	c.listings = make(map[uint64]*dirListing)
 	c.files = make(map[uint64]*fileState)
-	c.pages = newPageCache(c.pages.max)
+	c.pages.release()
+	c.pages = newPageCache(c.pages.max, c.pages.pool)
 	c.wb = newWriteBehind(c)
 	if c.deleg != nil {
 		c.delegFH = make(map[string]FH)
 		c.delegAttrs = make(map[string]vfs.Stat)
 	}
+}
+
+// Abort detaches the mount without flushing anything: the caches are dropped
+// as in DropCaches and every later call fails with vfs.ErrStale. It is the
+// client's share of powering a whole assembly off (testbed's Cluster.Close);
+// Unmount is the orderly version.
+func (c *Client) Abort() {
+	c.DropCaches()
+	c.mounted = false
 }
 
 // charge bills client CPU for one call handling payload bytes.

@@ -3,12 +3,13 @@ package nfs
 import (
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/ext3"
 	"repro/internal/vfs"
 )
 
 // pageSize is the client page cache granularity (4 KB, like Linux).
-const pageSize = 4096
+const pageSize = blockdev.BlockSize
 
 type pageKey struct {
 	ino uint64
@@ -20,6 +21,7 @@ type page struct {
 	data    []byte
 	dirty   bool
 	readyAt time.Duration
+	pooled  bool // data is a whole block from pageCache.pool, not an adopted reply slice
 
 	newer, older *page // LRU ring through pageCache.lru
 	fnext, fprev *page // the other cached pages of key.ino
@@ -35,15 +37,23 @@ type page struct {
 // there, and only unlink (one page) and dropFile (a whole chain) take pages
 // out, of all three. So dropFile follows one chain: it costs the dropped
 // file's pages, and nothing for a file with none, whatever else is cached.
+//
+// Block memory: pages the cache allocates itself come from pool (nil: the
+// heap) and go back only in release, when the client drops the whole cache
+// and no syscall is in flight to hold a page. evict and dropFile leave their
+// pages to the collector, and so does release for the pages adopted from a
+// READ reply: those are sub-slices of a larger buffer, which a pooled page
+// would keep alive for as long as the pool lives.
 type pageCache struct {
 	max    int
 	pages  map[pageKey]*page
 	byFile map[uint64]*page
 	lru    page
+	pool   *blockdev.Pool
 }
 
-func newPageCache(max int) *pageCache {
-	pc := &pageCache{max: max, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
+func newPageCache(max int, pool *blockdev.Pool) *pageCache {
+	pc := &pageCache{max: max, pool: pool, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
 	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
 	return pc
 }
@@ -104,12 +114,11 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		pc.touch(p)
 		return p
 	}
-	if len(data) != pageSize {
-		full := make([]byte, pageSize)
-		copy(full, data)
-		data = full
-	}
 	p := &page{key: k, data: data, readyAt: readyAt}
+	if len(data) != pageSize {
+		p.data, p.pooled = pc.pool.Get(true), true
+		copy(p.data, data)
+	}
 	pc.link(p)
 	pc.evict()
 	return p
@@ -142,6 +151,21 @@ func (pc *pageCache) evict() {
 			return
 		}
 		pc.unlink(p)
+	}
+}
+
+// release gives the cache's own blocks back to the pool and leaves every
+// page without data: the cache is dead, the caller replaces it. Without a
+// pool nothing is recycled, and nothing is touched.
+func (pc *pageCache) release() {
+	if pc.pool == nil {
+		return
+	}
+	for _, p := range pc.pages {
+		if p.pooled {
+			pc.pool.Put(p.data)
+		}
+		p.data = nil
 	}
 }
 
@@ -565,6 +589,9 @@ func (c *Client) revalidate(at time.Duration, fh FH) (time.Duration, error) {
 // triggers asynchronous read-ahead.
 func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Duration, error) {
 	c := f.c
+	if !c.mounted {
+		return 0, at, vfs.ErrStale
+	}
 	done, err := c.revalidate(at, f.fh)
 	if err != nil {
 		return 0, done, err
@@ -683,6 +710,9 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 // write into the page cache and the bounded async pool.
 func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
 	c := f.c
+	if !c.mounted {
+		return 0, at, vfs.ErrStale
+	}
 	if c.ver == V2 {
 		return f.writeSync(at, off, data)
 	}

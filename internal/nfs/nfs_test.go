@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -214,5 +215,56 @@ func TestMetadataFractionAccounting(t *testing.T) {
 	}
 	if frac := srv.MetadataMessageFraction(); frac < 0.9 {
 		t.Fatalf("pure meta-data run classified at %.2f", frac)
+	}
+}
+
+// A hostile READ count is an error or a short read, never a panic
+// (makeslice: len out of range) or an allocation the size of the count: the
+// reply is sized by what the file holds past the offset.
+func TestServerReadHostileCounts(t *testing.T) {
+	c, srv, _ := rig(t, V3)
+	f, at, err := c.Create(0, "/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("0123456789"), 1000) // 10000 bytes: not page-aligned
+	if _, at, err = f.WriteAt(at, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = f.Close(at); err != nil {
+		t.Fatal(err)
+	}
+	fh := f.(*nfsFile).fh
+	requests := srv.ProcCounts[ProcRead]
+	for _, bad := range []struct {
+		off   int64
+		count int
+	}{{0, -1}, {0, math.MinInt}, {-1, 10}, {-4096, 4096}} {
+		if _, _, _, err := srv.Read(at, fh, bad.off, bad.count); err == nil {
+			t.Errorf("READ off=%d count=%d accepted", bad.off, bad.count)
+		}
+	}
+	if srv.ProcCounts[ProcRead] != requests {
+		t.Error("rejected READs were counted and charged as requests")
+	}
+	for _, tc := range []struct {
+		off  int64
+		want []byte
+	}{{0, payload}, {9000, payload[9000:]}, {10000, nil}, {1 << 50, nil}} {
+		for _, count := range []int{1 << 40, math.MaxInt} {
+			data, eof, _, err := srv.Read(at, fh, tc.off, count)
+			if err != nil || !bytes.Equal(data, tc.want) || !eof {
+				t.Errorf("READ off=%d count=%d: %d bytes, eof=%v, err=%v; want %d bytes at EOF",
+					tc.off, count, len(data), eof, err, len(tc.want))
+			}
+			if cap(data) > len(payload) {
+				t.Errorf("READ off=%d count=%d allocated %d bytes for a %d-byte file", tc.off, count, cap(data), len(payload))
+			}
+		}
+	}
+	// An ordinary short count still gets exactly what it asked for.
+	data, eof, _, err := srv.Read(at, fh, 100, 50)
+	if err != nil || !bytes.Equal(data, payload[100:150]) || eof {
+		t.Errorf("READ off=100 count=50: %q eof=%v err=%v", data, eof, err)
 	}
 }

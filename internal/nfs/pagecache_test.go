@@ -1,11 +1,14 @@
 package nfs
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/blockdev"
 )
 
 // refPageCache is the page cache as it was before it grew a per-file index:
@@ -127,7 +130,7 @@ func TestPageCacheMatchesReference(t *testing.T) {
 	for _, max := range []int{1, 8, 64} {
 		t.Run(fmt.Sprint("max", max), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(max)))
-			pc, ref := newPageCache(max), newRefPageCache(max)
+			pc, ref := newPageCache(max, nil), newRefPageCache(max)
 			var victims []pageKey
 			randKey := func() pageKey {
 				return pageKey{ino: uint64(1 + rng.Intn(6)), idx: int64(rng.Intn(4 * max))}
@@ -212,7 +215,7 @@ func TestPageCacheMatchesReference(t *testing.T) {
 // ring or another chain, would take it for the file's and drop it too.
 func TestDropFileTouchesOnlyThatFile(t *testing.T) {
 	const target, others = 7, 10000
-	pc := newPageCache(1 << 20)
+	pc := newPageCache(1<<20, nil)
 	for i := 0; i < others; i++ {
 		pc.getOrCreate(pageKey{ino: uint64(100 + i%50), idx: int64(i)})
 		if i%2500 == 0 {
@@ -246,4 +249,97 @@ func TestDropFileTouchesOnlyThatFile(t *testing.T) {
 	if _, ok := pc.byFile[target]; ok {
 		t.Error("the dropped file still has a chain")
 	}
+}
+
+// DropCaches gives the pool back exactly the pages the cache allocated
+// itself (written pages, zero-extended file tails), not the pages it adopted
+// from READ replies, and not what evict or dropFile dropped earlier; after
+// it the client works on recycled (poisoned) pages and still reads its data.
+func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
+	c, _, _ := rig(t, V3)
+	pool := &blockdev.Pool{Poison: true}
+	c.SetPool(pool)
+	payload := make([]byte, 9*pageSize+100) // nine full pages and a tail
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	write := func(path string) time.Duration {
+		f, at, err := c.Create(0, path, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, at, err = f.WriteAt(at, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = f.Close(at); err != nil {
+			t.Fatal(err)
+		}
+		return at
+	}
+	read := func(at time.Duration, path string) time.Duration {
+		t.Helper()
+		f, at, err := c.Open(at, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(payload))
+		if _, at, err = f.ReadAt(at, 0, got); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read %s: err %v, equal %v", path, err, bytes.Equal(got, payload))
+		}
+		return at
+	}
+	at := write("/written") // ten pool-born pages
+	c.DropCaches()
+	if pool.Len() != 10 {
+		t.Fatalf("pool holds %d pages after dropping 10 written ones", pool.Len())
+	}
+	at = read(at, "/written") // nine adopted reply pages, one pool-born tail
+	pooled, adopted := 0, 0
+	var replyPage *page
+	for _, p := range c.pages.pages {
+		if p.pooled {
+			pooled++
+		} else {
+			adopted++
+			replyPage = p
+		}
+	}
+	if pooled != 1 || adopted != 9 {
+		t.Fatalf("after a cold read: %d pool-born and %d adopted pages, want 1 and 9", pooled, adopted)
+	}
+	before := pool.Len()
+	held := replyPage.data
+	c.DropCaches()
+	if pool.Len() != before+1 {
+		t.Fatalf("pool grew by %d, want 1 (the tail page only)", pool.Len()-before)
+	}
+	if replyPage.data != nil {
+		t.Fatal("a released page kept its data")
+	}
+	if i := int(replyPage.key.idx) * pageSize; !bytes.Equal(held, payload[i:i+pageSize]) {
+		t.Fatal("an adopted reply page was poisoned: it went to the pool")
+	}
+	// A page created on a recycled block is zero where nothing was written.
+	g, at, err := c.Create(at, "/sparse", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 3000} {
+		if _, at, err = g.WriteAt(at, off, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sparse := make([]byte, 3004)
+	if _, at, err = g.ReadAt(at, 0, sparse); err != nil || !bytes.Equal(sparse[4:3000], make([]byte, 2996)) {
+		t.Fatalf("gap inside a page on a recycled block is not zero (err %v)", err)
+	}
+	// dropFile is not the death of the whole cache: someone may hold one of
+	// its pages, so they are left to the collector.
+	at = read(at, "/written")
+	before, cached := pool.Len(), len(c.pages.pages)
+	c.pages.dropFile(replyPage.key.ino)
+	if len(c.pages.pages) != cached-10 || pool.Len() != before {
+		t.Fatalf("dropFile dropped %d pages and moved the pool by %d", cached-len(c.pages.pages), pool.Len()-before)
+	}
+	read(at, "/written")
 }

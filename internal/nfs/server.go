@@ -186,14 +186,23 @@ func (s *Server) Readlink(at time.Duration, fh FH) (string, time.Duration, error
 }
 
 // Read serves READ: up to count bytes from off. The returned slice is
-// freshly allocated and the caller's to keep (the client's page cache
-// adopts it).
+// freshly allocated, never larger than what the file holds past off, and
+// the caller's to keep (the client's page cache adopts it). A negative
+// offset or count is an error.
 func (s *Server) Read(at time.Duration, fh FH, off int64, count int) ([]byte, bool, time.Duration, error) {
+	if off < 0 || count < 0 {
+		return nil, false, at, vfs.ErrInvalid
+	}
 	at, err := s.begin(at, ProcRead, count)
 	if err != nil {
 		return nil, false, at, err
 	}
-	buf := make([]byte, count)
+	// The reply holds what the file has past off, however much was asked for.
+	size, at, err := s.fs.FileSizeAt(at, ext3.Ino(fh.Ino))
+	if err != nil {
+		return nil, false, at, err
+	}
+	buf := make([]byte, min(int64(count), max(size-off, 0)))
 	n, done, err := s.fs.ReadFileAt(at, ext3.Ino(fh.Ino), off, buf)
 	if err != nil {
 		return nil, false, done, err

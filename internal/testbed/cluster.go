@@ -244,7 +244,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	} else {
 		cl.vols = []*blockdev.Local{blockdev.NewTestbedArray(cfg.DeviceBlocks)}
 	}
+	if cl.shared != nil {
+		cl.shared.Store().SetPool(cfg.Pool)
+	}
 	for i, v := range cl.vols {
+		v.Store().SetPool(cfg.Pool)
 		if _, err := ext3.Mkfs(0, v, ext3.Options{CommitInterval: cfg.CommitInterval}); err != nil {
 			return nil, fmt.Errorf("testbed: mkfs volume %d: %w", i, err)
 		}
@@ -322,6 +326,29 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.instrument()
 	cl.attachHealth(cfg.Health)
 	return cl, nil
+}
+
+// Close powers the whole assembly off and gives its block memory back to
+// Cfg.Pool: every client stack and the NFS server lose their caches as in a
+// crash, and the volumes release their blocks. It consumes no virtual time,
+// emits nothing and leaves every filesystem unmounted, so any later syscall
+// fails with an error rather than reaching recycled memory. It is the one
+// teardown; a harness calls it when it is done reading the cell's results.
+// Forgetting it (or having no pool) costs garbage, never correctness, and
+// calling it twice is harmless.
+func (cl *Cluster) Close() {
+	for _, c := range cl.Clients {
+		c.Stack.shutdown()
+	}
+	if cl.srv != nil {
+		cl.srv.fs.Crash()
+	}
+	for _, v := range cl.vols {
+		v.Store().Release()
+	}
+	if cl.shared != nil {
+		cl.shared.Store().Release()
+	}
 }
 
 // applyFluid solves the background cohorts to their operating point and

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 	"repro/internal/tracing"
@@ -25,7 +26,19 @@ import (
 // one sample batch is an assembly detail (docs/METRICS.md), everything
 // else is behaviour. Regenerate with go test ./internal/testbed -run
 // OneClientGolden -update.
+//
+// The whole protocol runs twice against the one golden: on the heap (no
+// pool), and with every block owner on one pool that poisons each block as
+// it is released, the testbeds closed one after another so that every cell
+// but the first is built from the previous cell's poisoned blocks. A
+// reference that outlives its owner, or a recycled block taken for a zero
+// one, shows up as a drifted snapshot or hash.
 func TestOneClientGolden(t *testing.T) {
+	t.Run("heap", func(t *testing.T) { oneClientGolden(t, nil) })
+	t.Run("poisoned-pool", func(t *testing.T) { oneClientGolden(t, &blockdev.Pool{Poison: true}) })
+}
+
+func oneClientGolden(t *testing.T, pool *blockdev.Pool) {
 	var got bytes.Buffer
 	for _, kind := range testbed.AllKinds {
 		for _, tr := range []testbed.Transport{testbed.TransportFluid, testbed.TransportUDP, testbed.TransportTCP} {
@@ -34,14 +47,14 @@ func TestOneClientGolden(t *testing.T) {
 			}
 			for _, loss := range []float64{0, 0.01} {
 				fmt.Fprintf(&got, "== %s/%s loss=%g\n", kind.Tag(), tr, loss)
-				if err := oneClientScript(&got, kind, tr, loss); err != nil {
+				if err := oneClientScript(&got, kind, tr, loss, pool); err != nil {
 					t.Fatalf("%s/%s loss=%g: %v", kind.Tag(), tr, loss, err)
 				}
 			}
 		}
 	}
 	path := filepath.Join("testdata", "oneclient.golden")
-	if *updateGolden {
+	if *updateGolden && pool == nil {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +78,7 @@ func TestOneClientGolden(t *testing.T) {
 
 // oneClientScript runs the measurement protocol on one testbed and
 // appends the per-step snapshots and the stream hashes to out.
-func oneClientScript(out *bytes.Buffer, kind testbed.Kind, tr testbed.Transport, loss float64) error {
+func oneClientScript(out *bytes.Buffer, kind testbed.Kind, tr testbed.Transport, loss float64, pool *blockdev.Pool) error {
 	var stream bytes.Buffer
 	tracer := tracing.New(tracing.Config{})
 	tb, err := testbed.New(testbed.Config{
@@ -76,10 +89,12 @@ func oneClientScript(out *bytes.Buffer, kind testbed.Kind, tr testbed.Transport,
 		Transport:    tr,
 		Metrics:      metrics.NewRecorder(metrics.NewSink(&stream), metrics.Tags{"cmd": "oneclient"}),
 		Tracer:       tracer,
+		Pool:         pool,
 	})
 	if err != nil {
 		return err
 	}
+	defer tb.Cluster.Close()
 	src := workload.SeqRandConfig{FileSize: 2 << 20, ChunkSize: 4096, Seed: 11}
 	pm, _, err := workload.PostMarkSteps(tb, workload.PostMarkConfig{
 		Files: 50, Transactions: 300, MinSize: 500, MaxSize: 10000, Seed: 11,

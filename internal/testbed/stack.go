@@ -60,6 +60,11 @@ type Stack interface {
 	Target() *iscsi.Target
 	ClientFS() *ext3.FS
 
+	// shutdown powers the client off without I/O: caches are dropped (their
+	// blocks go back to the pool) and the filesystem is left unmounted, so
+	// every later syscall fails. Cluster.Close calls it.
+	shutdown()
+
 	// counterSources and gaugeSources list what the stack contributes
 	// per client to the metrics stream and to a health monitor, in
 	// registration order (telemetry.go, gauges.go).
@@ -92,6 +97,7 @@ func (c Config) fsOpts(cpu *sim.CPU, cacheBlocks int, perOp, perBlock time.Durat
 		CacheBlocks:    cacheBlocks,
 		CPU:            &ext3.CPUConfig{Run: cpu.Run, PerOp: perOp, PerBlock: perBlock},
 		Tracer:         c.Tracer,
+		Pool:           c.Pool,
 	}
 }
 
@@ -239,6 +245,7 @@ func (st *nfsStack) Mount(now time.Duration) (time.Duration, error) {
 	st.client = nfs.NewClient(ver, st.rpc, st.srv.srv, st.hw.cpu)
 	st.client.SetTracer(st.hw.cfg.Tracer)
 	st.client.SetCacheCapacity(st.hw.cfg.ClientCacheBlocks)
+	st.client.SetPool(st.hw.cfg.Pool)
 	if st.sharing {
 		st.client.SetSharing(st.shareID, st.deleg)
 		st.client.AdoptLocks(old)
@@ -262,6 +269,8 @@ func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
 	st.client.DropCaches()
 	return st.client.Mount(now)
 }
+
+func (st *nfsStack) shutdown() { st.client.Abort() }
 
 func (st *nfsStack) RPC() *sunrpc.Client         { return st.rpc }
 func (st *nfsStack) NFSClient() *nfs.Client      { return st.client }
@@ -307,6 +316,8 @@ func (st *iscsiStack) Counters() StackCounters {
 	}
 	return c
 }
+
+func (st *iscsiStack) shutdown() { st.fs.Crash() }
 
 func (st *iscsiStack) RPC() *sunrpc.Client    { return nil }
 func (st *iscsiStack) NFSClient() *nfs.Client { return nil }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -149,6 +150,14 @@ type Config struct {
 	// phases (see docs/TRACING.md). The scheduler runs one client's
 	// syscall to completion per step, so one tracer serves all clients.
 	Tracer *tracing.Tracer
+	// Pool, when non-nil, is the free list of 4 KB blocks the assembly's
+	// block owners share: the volume Stores, every ext3 buffer cache and
+	// every NFS client page cache take blocks from it, and give them back
+	// where a whole cache dies (unmount, crash, cold cache) and in
+	// Cluster.Close. A sweep passes one pool to the cells it builds one
+	// after another, so a cell starts on the previous cell's blocks. Nil is
+	// inert: everything allocates from the heap, as it always has.
+	Pool *blockdev.Pool
 }
 
 func (c *Config) fill() {
@@ -209,7 +218,9 @@ func (c Config) network() *simnet.Network {
 // through its only client. The embedded Client carries the syscall
 // surface the single-client workloads drive; everything else — assembly,
 // instrumentation, the measurement controls — is the cluster's, and the
-// methods here only delegate.
+// methods here only delegate. Tear it down with Cluster.Close: Testbed has no
+// Close of its own, because the embedded Client's Close(f) is the close(2)
+// syscall the workloads call on it.
 type Testbed struct {
 	*Client
 	// Cluster is the assembly this testbed is a view of.

@@ -181,6 +181,25 @@ type SharingPoint struct {
 	WrittenMultiple float64 // written (or read-write shared) by >1 client
 }
 
+// upToTwo counts distinct clients as none, one or more than one: all a
+// sharing class asks.
+type upToTwo struct {
+	first int // the only client seen so far, while n == 1
+	n     int // 0, 1, or 2 for "two or more"
+}
+
+func (s *upToTwo) add(client int) {
+	switch {
+	case s.n == 0:
+		s.first, s.n = client, 1
+	case s.n == 1 && s.first != client:
+		s.n = 2
+	}
+}
+
+// dirStat is who touched one directory inside one window.
+type dirStat struct{ readers, writers, clients upToTwo }
+
 // AnalyzeSharing computes the paper's Figure 7 curves: for each interval
 // length T, partition the trace into windows of T and classify every
 // directory accessed in a window by who read and wrote it; report the mean
@@ -192,11 +211,8 @@ func AnalyzeSharing(recs []Record, intervals []time.Duration) []SharingPoint {
 		}
 	}
 	var out []SharingPoint
+	stats := map[int]dirStat{} // cleared per window
 	for _, T := range intervals {
-		type dirStat struct {
-			readers map[int]bool
-			writers map[int]bool
-		}
 		var acc SharingPoint
 		acc.Interval = T
 		windows := 0
@@ -204,42 +220,34 @@ func AnalyzeSharing(recs []Record, intervals []time.Duration) []SharingPoint {
 		i := 0
 		for i < len(recs) {
 			end := start + T
-			stats := map[int]*dirStat{}
+			clear(stats)
 			for i < len(recs) && recs[i].At < end {
 				r := recs[i]
 				ds := stats[r.Dir]
-				if ds == nil {
-					ds = &dirStat{readers: map[int]bool{}, writers: map[int]bool{}}
-					stats[r.Dir] = ds
-				}
 				if r.Kind == OpRead {
-					ds.readers[r.Client] = true
+					ds.readers.add(r.Client)
 				} else {
-					ds.writers[r.Client] = true
+					ds.writers.add(r.Client)
 				}
+				ds.clients.add(r.Client)
+				stats[r.Dir] = ds
 				i++
 			}
 			if len(stats) > 0 {
 				var r1, w1, rm, wm int
 				for _, ds := range stats {
-					if len(ds.readers) == 1 {
+					if ds.readers.n == 1 {
 						r1++
 					}
-					if len(ds.writers) == 1 {
+					if ds.writers.n == 1 {
 						w1++
 					}
-					if len(ds.readers) > 1 {
+					if ds.readers.n > 1 {
 						rm++
 					}
 					// Read-write shared: updated by someone and touched by
 					// more than one distinct client overall.
-					distinct := len(ds.writers)
-					for cl := range ds.readers {
-						if !ds.writers[cl] {
-							distinct++
-						}
-					}
-					if len(ds.writers) >= 1 && distinct > 1 {
+					if ds.writers.n >= 1 && ds.clients.n > 1 {
 						wm++
 					}
 				}
