@@ -3,6 +3,8 @@ package ext3
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/vfs"
 )
 
 // Directory blocks use ext2-style packed entries:
@@ -25,6 +27,28 @@ const (
 	FTDir     byte = 2
 	FTSymlink byte = 7
 )
+
+// ftypeOfMode maps an inode mode to its directory-entry type byte, and
+// modeOfFtype maps the byte back to the mode's type bits.
+func ftypeOfMode(m vfs.Mode) byte {
+	switch m & vfs.TypeMask {
+	case vfs.ModeDir:
+		return FTDir
+	case vfs.ModeSymlink:
+		return FTSymlink
+	}
+	return FTRegular
+}
+
+func modeOfFtype(ft byte) vfs.Mode {
+	switch ft {
+	case FTDir:
+		return vfs.ModeDir
+	case FTSymlink:
+		return vfs.ModeSymlink
+	}
+	return vfs.ModeRegular
+}
 
 // Dirent is a decoded directory entry.
 type Dirent struct {

@@ -1,15 +1,173 @@
 package ext3
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/vfs"
 )
 
-// This file exposes the inode-granularity operations an NFS server needs:
-// NFS requests name (directory-filehandle, name) pairs rather than paths,
-// because path resolution happens at the *client* in file-access protocols
-// — one of the two architectural differences the paper studies.
+// This file is the namespace engine: every operation that reads or changes
+// the directory tree, addressed the way NFS addresses it, by inode and by
+// (directory inode, name). Both of the paper's stacks reach it and nothing
+// beside it. nfs.Server calls it directly, because in a file-access protocol
+// the *client* resolves paths and sends handles (one of the two architectural
+// differences the paper studies); the iSCSI client's mounted file system calls
+// it through ops.go, which puts a path walk (namei.go) in front of the same
+// calls. One file system, two places to put it.
+//
+// The engine is also the trust boundary. Handles, names, targets and sizes
+// arrive from clients that need not have checked them (nfsplus.Client sends
+// what it is given), so they are checked here and only here: every operation
+// that adds or removes an entry runs its names through enter, SymlinkAt checks
+// its target, SetAttrAt its size, RenameAt that a directory does not move
+// below itself. Each check comes before anything is allocated or written, the
+// argument checks before any virtual time passes. ops.go validates path
+// syntax (vfs.RelPath) and nothing else.
+
+// maxFileSize is the largest size bmap can address.
+const maxFileSize = (DirectBlocks + PtrsPerBlock + PtrsPerBlock*PtrsPerBlock) * BlockSize
+
+// enter admits an operation that adds or removes the entry called name:
+// the filesystem is mounted and name can be one directory entry.
+func (fs *FS) enter(name string) error {
+	switch {
+	case !fs.mounted:
+		return vfs.ErrStale
+	case name == "" || name == "." || name == ".." || strings.IndexByte(name, '/') >= 0:
+		return vfs.ErrInvalid
+	case len(name) > vfs.MaxNameLen:
+		return vfs.ErrNameTooLong
+	}
+	return nil
+}
+
+// checkSize refuses a file size no block map can hold.
+func checkSize(size int64) error {
+	if size < 0 || size > maxFileSize {
+		return vfs.ErrInvalid
+	}
+	return nil
+}
+
+// statFromInode converts an inode to a vfs.Stat.
+func statFromInode(ino Ino, n *Inode) vfs.Stat {
+	return vfs.Stat{
+		Ino:    uint64(ino),
+		Mode:   vfs.Mode(n.Mode),
+		Nlink:  int(n.Links),
+		UID:    n.UID,
+		GID:    n.GID,
+		Size:   int64(n.Size),
+		Blocks: int64(n.Blocks),
+		Atime:  time.Duration(n.Atime),
+		Mtime:  time.Duration(n.Mtime),
+		Ctime:  time.Duration(n.Ctime),
+	}
+}
+
+// dirBlocks steps through the mapped blocks of a directory, each fetched
+// through the buffer cache: the one loop under lookup, insert, remove, list
+// and the emptiness test. Declare it before the loop that steps it (a value
+// in a for header is copied every iteration). After next returns false, err
+// tells a finished walk from a failed one; done is the time so far either way.
+type dirBlocks struct {
+	fs      *FS
+	n       *Inode
+	fb, nfb int64   // next block to map, blocks in the directory
+	b       *buffer // current block
+	done    time.Duration
+	err     error
+}
+
+func (fs *FS) dirBlocks(at time.Duration, n *Inode) dirBlocks {
+	return dirBlocks{fs: fs, n: n, nfb: int64((n.Size + BlockSize - 1) / BlockSize), done: at}
+}
+
+func (it *dirBlocks) next() bool {
+	for it.err == nil && it.fb < it.nfb {
+		var lba int64
+		lba, it.done, it.err = it.fs.bmap(it.done, it.n, it.fb, false, 0)
+		it.fb++
+		if it.err != nil || lba == 0 {
+			continue
+		}
+		it.b, it.done, it.err = it.fs.bc.get(it.done, lba, false)
+		return it.err == nil
+	}
+	return false
+}
+
+// touchDir journals a block of directory dir that an entry was just added to
+// or removed from, and the directory's new times.
+func (fs *FS) touchDir(at time.Duration, dir Ino, dn *Inode, b *buffer) (time.Duration, error) {
+	fs.bc.markDirty(b, true)
+	fs.journal.add(b)
+	dn.Mtime = int64(at)
+	dn.Ctime = int64(at)
+	return fs.putInode(at, dir, dn)
+}
+
+// addEntry inserts (name -> ino) into directory dir, growing it if needed.
+func (fs *FS) addEntry(at time.Duration, dir Ino, dn *Inode, name string, ino Ino, ftype byte) (time.Duration, error) {
+	it := fs.dirBlocks(at, dn)
+	for it.next() {
+		if direntAdd(it.b.data, name, ino, ftype) {
+			fs.dcache[dcacheKey{dir, name}] = ino
+			return fs.touchDir(it.done, dir, dn, it.b)
+		}
+	}
+	if it.err != nil {
+		return it.done, it.err
+	}
+	// Grow the directory by one block.
+	lba, done, err := fs.bmap(it.done, dn, it.nfb, true, 0)
+	if err != nil {
+		return done, err
+	}
+	b, done, err := fs.bc.get(done, lba, true)
+	if err != nil {
+		return done, err
+	}
+	direntInitEmpty(b.data)
+	if !direntAdd(b.data, name, ino, ftype) {
+		return done, vfs.ErrNameTooLong
+	}
+	fs.dcache[dcacheKey{dir, name}] = ino
+	dn.Size = uint64((it.nfb + 1) * BlockSize)
+	return fs.touchDir(done, dir, dn, b)
+}
+
+// removeEntry deletes name from directory dir.
+func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *Inode, name string) (time.Duration, error) {
+	it := fs.dirBlocks(at, dn)
+	for it.next() {
+		if direntRemove(it.b.data, name) {
+			delete(fs.dcache, dcacheKey{dir, name})
+			return fs.touchDir(it.done, dir, dn, it.b)
+		}
+	}
+	if it.err != nil {
+		return it.done, it.err
+	}
+	return it.done, vfs.ErrNotExist
+}
+
+// absent is the prelude of an operation about to add name to dir: it returns
+// dir's inode once a lookup has shown that dir is a directory and holds no
+// such name.
+func (fs *FS) absent(at time.Duration, dir Ino, name string) (*Inode, time.Duration, error) {
+	pn, done, err := fs.getInode(at, dir)
+	if err != nil {
+		return nil, done, err
+	}
+	if _, _, done, err = fs.dirLookup(done, dir, name); err == nil {
+		err = vfs.ErrExist
+	} else if err == vfs.ErrNotExist {
+		err = nil
+	}
+	return pn, done, err
+}
 
 // LookupAt resolves name within directory dir.
 func (fs *FS) LookupAt(at time.Duration, dir Ino, name string) (Ino, vfs.Stat, time.Duration, error) {
@@ -42,7 +200,7 @@ func (fs *FS) GetAttrAt(at time.Duration, ino Ino) (vfs.Stat, time.Duration, err
 	return statFromInode(ino, n), fs.charge(done, 1), nil
 }
 
-// SetAttrAt applies a partial attribute update (chmod/chown/utimes/truncate
+// SetAttr is a partial attribute update (chmod/chown/utimes/truncate
 // combined, like the NFS SETATTR procedure).
 type SetAttr struct {
 	Mode     *vfs.Mode
@@ -57,11 +215,19 @@ func (fs *FS) SetAttrAt(at time.Duration, ino Ino, sa SetAttr) (vfs.Stat, time.D
 	if !fs.mounted {
 		return vfs.Stat{}, at, vfs.ErrStale
 	}
+	if sa.Size != nil {
+		if err := checkSize(*sa.Size); err != nil {
+			return vfs.Stat{}, at, err
+		}
+	}
 	n, done, err := fs.getInode(at, ino)
 	if err != nil {
 		return vfs.Stat{}, done, err
 	}
-	if sa.Size != nil && !vfs.Mode(n.Mode).IsDir() {
+	if sa.Size != nil {
+		if vfs.Mode(n.Mode).IsDir() {
+			return vfs.Stat{}, done, vfs.ErrIsDir
+		}
 		if done, err = fs.truncateTo(done, ino, n, *sa.Size); err != nil {
 			return vfs.Stat{}, done, err
 		}
@@ -90,29 +256,20 @@ func (fs *FS) SetAttrAt(at time.Duration, ino Ino, sa SetAttr) (vfs.Stat, time.D
 	return statFromInode(ino, n), done, err
 }
 
-// MkdirAt creates a directory entry name in dir.
+// MkdirAt creates directory name in dir.
 func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (Ino, vfs.Stat, time.Duration, error) {
-	if !fs.mounted {
-		return 0, vfs.Stat{}, at, vfs.ErrStale
+	if err := fs.enter(name); err != nil {
+		return 0, vfs.Stat{}, at, err
 	}
-	pn, done, err := fs.getInode(at, dir)
+	pn, done, err := fs.absent(at, dir, name)
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
-	}
-	if !vfs.Mode(pn.Mode).IsDir() {
-		return 0, vfs.Stat{}, done, vfs.ErrNotDir
-	}
-	if _, _, d2, err := fs.dirLookup(done, dir, name); err == nil {
-		return 0, vfs.Stat{}, d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return 0, vfs.Stat{}, d2, err
-	} else {
-		done = d2
 	}
 	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), dir)
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
+	// Allocate the directory's first block in the directory's own group.
 	lba, done, err := fs.allocBlock(done, fs.inodeGroupGoal(ino))
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
@@ -139,41 +296,37 @@ func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (In
 	if done, err = fs.addEntry(done, dir, pn, name, ino, FTDir); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	done = fs.charge(done, 4)
-	done, err = fs.tick(done)
+	done, err = fs.tick(fs.charge(done, 4))
 	return ino, statFromInode(ino, n), done, err
 }
 
-// CreateAt creates a regular file name in dir (exclusive).
+// CreateAt creates regular file name in dir, or truncates the file already
+// there (creat(2): O_CREAT|O_TRUNC, not exclusive).
 func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (Ino, vfs.Stat, time.Duration, error) {
-	if !fs.mounted {
-		return 0, vfs.Stat{}, at, vfs.ErrStale
+	if err := fs.enter(name); err != nil {
+		return 0, vfs.Stat{}, at, err
 	}
 	pn, done, err := fs.getInode(at, dir)
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	if !vfs.Mode(pn.Mode).IsDir() {
-		return 0, vfs.Stat{}, done, vfs.ErrNotDir
-	}
-	if existing, _, d2, err := fs.dirLookup(done, dir, name); err == nil {
-		// Non-exclusive semantics: truncate and return it.
-		n, d3, err := fs.getInode(d2, existing)
+	existing, ft, done, err := fs.dirLookup(done, dir, name)
+	if err == nil {
+		if ft == FTDir {
+			return 0, vfs.Stat{}, done, vfs.ErrIsDir
+		}
+		n, done, err := fs.getInode(done, existing)
 		if err != nil {
-			return 0, vfs.Stat{}, d3, err
+			return 0, vfs.Stat{}, done, err
 		}
-		if vfs.Mode(n.Mode).IsDir() {
-			return 0, vfs.Stat{}, d3, vfs.ErrIsDir
+		if done, err = fs.truncateTo(done, existing, n, 0); err != nil {
+			return 0, vfs.Stat{}, done, err
 		}
-		if d3, err = fs.truncateTo(d3, existing, n, 0); err != nil {
-			return 0, vfs.Stat{}, d3, err
-		}
-		d3, err = fs.tick(fs.charge(d3, 2))
-		return existing, statFromInode(existing, n), d3, err
-	} else if err != vfs.ErrNotExist {
-		return 0, vfs.Stat{}, d2, err
-	} else {
-		done = d2
+		done, err = fs.tick(fs.charge(done, 2))
+		return existing, statFromInode(existing, n), done, err
+	}
+	if err != vfs.ErrNotExist {
+		return 0, vfs.Stat{}, done, err
 	}
 	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), 0)
 	if err != nil {
@@ -190,27 +343,21 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 	if done, err = fs.addEntry(done, dir, pn, name, ino, FTRegular); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	done = fs.charge(done, 3)
-	done, err = fs.tick(done)
+	done, err = fs.tick(fs.charge(done, 3))
 	return ino, statFromInode(ino, n), done, err
 }
 
-// SymlinkAt creates a symlink name -> target in dir.
+// SymlinkAt creates symlink name -> target in dir.
 func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vfs.Stat, time.Duration, error) {
-	if !fs.mounted {
-		return 0, vfs.Stat{}, at, vfs.ErrStale
+	if err := fs.enter(name); err != nil {
+		return 0, vfs.Stat{}, at, err
 	}
-	// Reuse the path-based implementation mechanics via direct calls.
-	pn, done, err := fs.getInode(at, dir)
+	if target == "" || len(target) > BlockSize {
+		return 0, vfs.Stat{}, at, vfs.ErrInvalid
+	}
+	pn, done, err := fs.absent(at, dir, name)
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
-	}
-	if _, _, d2, err := fs.dirLookup(done, dir, name); err == nil {
-		return 0, vfs.Stat{}, d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return 0, vfs.Stat{}, d2, err
-	} else {
-		done = d2
 	}
 	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), 0)
 	if err != nil {
@@ -224,10 +371,7 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	for i := range b.data {
-		b.data[i] = 0
-	}
-	copy(b.data, target)
+	copy(b.data, target) // get zeroed the rest
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
 	n := &Inode{
@@ -244,8 +388,7 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 	if done, err = fs.addEntry(done, dir, pn, name, ino, FTSymlink); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	done = fs.charge(done, 3)
-	done, err = fs.tick(done)
+	done, err = fs.tick(fs.charge(done, 3))
 	return ino, statFromInode(ino, n), done, err
 }
 
@@ -261,10 +404,38 @@ func (fs *FS) ReadlinkAt(at time.Duration, ino Ino) (string, time.Duration, erro
 	return target, fs.charge(done, 1), nil
 }
 
-// RemoveAt unlinks a non-directory name from dir.
+// LinkAt adds a hard link (dir, name) -> target.
+func (fs *FS) LinkAt(at time.Duration, target Ino, dir Ino, name string) (vfs.Stat, time.Duration, error) {
+	if err := fs.enter(name); err != nil {
+		return vfs.Stat{}, at, err
+	}
+	n, done, err := fs.getInode(at, target)
+	if err != nil {
+		return vfs.Stat{}, done, err
+	}
+	if vfs.Mode(n.Mode).IsDir() {
+		return vfs.Stat{}, done, vfs.ErrIsDir
+	}
+	pn, done, err := fs.absent(done, dir, name)
+	if err != nil {
+		return vfs.Stat{}, done, err
+	}
+	if done, err = fs.addEntry(done, dir, pn, name, target, ftypeOfMode(vfs.Mode(n.Mode))); err != nil {
+		return vfs.Stat{}, done, err
+	}
+	n.Links++
+	n.Ctime = int64(done)
+	if done, err = fs.putInode(done, target, n); err != nil {
+		return vfs.Stat{}, done, err
+	}
+	done, err = fs.tick(fs.charge(done, 2))
+	return statFromInode(target, n), done, err
+}
+
+// RemoveAt unlinks non-directory name from dir.
 func (fs *FS) RemoveAt(at time.Duration, dir Ino, name string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
+	if err := fs.enter(name); err != nil {
+		return at, err
 	}
 	ino, ft, done, err := fs.dirLookup(at, dir, name)
 	if err != nil {
@@ -298,14 +469,13 @@ func (fs *FS) RemoveAt(at time.Duration, dir Ino, name string) (time.Duration, e
 			return done, err
 		}
 	}
-	done = fs.charge(done, 3)
-	return fs.tick(done)
+	return fs.tick(fs.charge(done, 3))
 }
 
-// RmdirAt removes an empty directory name from dir.
+// RmdirAt removes empty directory name from dir.
 func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
+	if err := fs.enter(name); err != nil {
+		return at, err
 	}
 	ino, ft, done, err := fs.dirLookup(at, dir, name)
 	if err != nil {
@@ -318,26 +488,16 @@ func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, er
 	if err != nil {
 		return done, err
 	}
-	nblocks := int64((n.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, n, fb, false, 0)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return d3, err
-		}
-		done = d3
-		if !direntEmpty(b.data) {
-			return done, vfs.ErrNotEmpty
+	it := fs.dirBlocks(done, n)
+	for it.next() {
+		if !direntEmpty(it.b.data) {
+			return it.done, vfs.ErrNotEmpty
 		}
 	}
-	pn, done, err := fs.getInode(done, dir)
+	if it.err != nil {
+		return it.done, it.err
+	}
+	pn, done, err := fs.getInode(it.done, dir)
 	if err != nil {
 		return done, err
 	}
@@ -348,7 +508,8 @@ func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, er
 	if done, err = fs.putInode(done, dir, pn); err != nil {
 		return done, err
 	}
-	for fb := int64(0); fb < nblocks; fb++ {
+	// Free the directory's blocks and inode.
+	for fb := int64(0); fb < it.nfb; fb++ {
 		lba, d2, err := fs.bmap(done, n, fb, false, 0)
 		if err != nil {
 			return d2, err
@@ -363,38 +524,39 @@ func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, er
 	if done, err = fs.freeInode(done, ino); err != nil {
 		return done, err
 	}
-	done = fs.charge(done, 3)
-	return fs.tick(done)
+	return fs.tick(fs.charge(done, 3))
 }
 
-// RenameAt moves (odir, oname) to (ndir, nname) with replace semantics.
+// RenameAt moves (odir, oname) to (ndir, nname), replacing what nname holds
+// when the types allow (POSIX rename).
 func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
+	if err := fs.enter(oname); err != nil {
+		return at, err
+	}
+	if err := fs.enter(nname); err != nil {
+		return at, err
 	}
 	ino, ft, done, err := fs.dirLookup(at, odir, oname)
 	if err != nil {
 		return done, err
 	}
+	// Handle an existing target.
 	if tIno, tFt, d2, err := fs.dirLookup(done, ndir, nname); err == nil {
 		done = d2
-		if tIno != ino {
-			switch {
-			case ft == FTDir && tFt != FTDir:
-				return done, vfs.ErrNotDir
-			case ft != FTDir && tFt == FTDir:
-				return done, vfs.ErrIsDir
-			case tFt == FTDir:
-				if done, err = fs.RmdirAt(done, ndir, nname); err != nil {
-					return done, err
-				}
-			default:
-				if done, err = fs.RemoveAt(done, ndir, nname); err != nil {
-					return done, err
-				}
-			}
-		} else {
-			return fs.tick(done)
+		switch {
+		case tIno == ino:
+			return fs.tick(done) // same object: no-op
+		case ft == FTDir && tFt != FTDir:
+			return done, vfs.ErrNotDir
+		case ft != FTDir && tFt == FTDir:
+			return done, vfs.ErrIsDir
+		case tFt == FTDir:
+			done, err = fs.RmdirAt(done, ndir, nname)
+		default:
+			done, err = fs.RemoveAt(done, ndir, nname)
+		}
+		if err != nil {
+			return done, err
 		}
 	} else if err != vfs.ErrNotExist {
 		return d2, err
@@ -415,6 +577,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 	if done, err = fs.addEntry(done, ndir, npn, nname, ino, ft); err != nil {
 		return done, err
 	}
+	// Directory moved across parents: fix ".." and link counts.
 	if ft == FTDir && odir != ndir {
 		n, d2, err := fs.getInode(done, ino)
 		if err != nil {
@@ -442,44 +605,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 			return done, err
 		}
 	}
-	done = fs.charge(done, 4)
-	return fs.tick(done)
-}
-
-// LinkAt adds a hard link (dir, name) -> target.
-func (fs *FS) LinkAt(at time.Duration, target Ino, dir Ino, name string) (vfs.Stat, time.Duration, error) {
-	if !fs.mounted {
-		return vfs.Stat{}, at, vfs.ErrStale
-	}
-	n, done, err := fs.getInode(at, target)
-	if err != nil {
-		return vfs.Stat{}, done, err
-	}
-	if vfs.Mode(n.Mode).IsDir() {
-		return vfs.Stat{}, done, vfs.ErrIsDir
-	}
-	pn, done, err := fs.getInode(done, dir)
-	if err != nil {
-		return vfs.Stat{}, done, err
-	}
-	if _, _, d2, err := fs.dirLookup(done, dir, name); err == nil {
-		return vfs.Stat{}, d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return vfs.Stat{}, d2, err
-	} else {
-		done = d2
-	}
-	if done, err = fs.addEntry(done, dir, pn, name, target, ftypeFor(vfs.Mode(n.Mode))); err != nil {
-		return vfs.Stat{}, done, err
-	}
-	n.Links++
-	n.Ctime = int64(done)
-	if done, err = fs.putInode(done, target, n); err != nil {
-		return vfs.Stat{}, done, err
-	}
-	done = fs.charge(done, 2)
-	done, err = fs.tick(done)
-	return statFromInode(target, n), done, err
+	return fs.tick(fs.charge(done, 4))
 }
 
 // ReadDirAt lists directory ino ("." and ".." omitted).
@@ -495,42 +621,22 @@ func (fs *FS) ReadDirAt(at time.Duration, ino Ino) ([]vfs.DirEntry, time.Duratio
 		return nil, done, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
-	nblocks := int64((n.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, n, fb, false, 0)
+	it := fs.dirBlocks(done, n)
+	for it.next() {
+		ents, err := direntList(it.b.data)
 		if err != nil {
-			return nil, d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return nil, d3, err
-		}
-		done = d3
-		ents, err := direntList(b.data)
-		if err != nil {
-			return nil, done, err
+			return nil, it.done, err
 		}
 		for _, e := range ents {
-			if e.Name == "." || e.Name == ".." {
-				continue
+			if e.Name != "." && e.Name != ".." {
+				out = append(out, vfs.DirEntry{Name: e.Name, Ino: uint64(e.Ino), Mode: modeOfFtype(e.FType)})
 			}
-			var m vfs.Mode
-			switch e.FType {
-			case FTDir:
-				m = vfs.ModeDir
-			case FTSymlink:
-				m = vfs.ModeSymlink
-			default:
-				m = vfs.ModeRegular
-			}
-			out = append(out, vfs.DirEntry{Name: e.Name, Ino: uint64(e.Ino), Mode: m})
 		}
 	}
-	done = fs.charge(done, int(nblocks))
+	if it.err != nil {
+		return nil, it.done, it.err
+	}
+	done = fs.charge(it.done, int(it.nfb))
 	if !fs.opts.NoAtime {
 		n.Atime = int64(done)
 		if d2, err := fs.putInode(done, ino, n); err == nil {

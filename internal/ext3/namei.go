@@ -16,18 +16,6 @@ type dcacheKey struct {
 	name string
 }
 
-// ftypeOfMode maps an inode mode to a dirent file type byte.
-func ftypeOfMode(m vfs.Mode) byte {
-	switch m & vfs.TypeMask {
-	case vfs.ModeDir:
-		return FTDir
-	case vfs.ModeSymlink:
-		return FTSymlink
-	default:
-		return FTRegular
-	}
-}
-
 // dirLookup scans directory dirIno for name. Each directory data block and
 // inode-table block touched is fetched through the buffer cache, so cold
 // lookups generate the two-transactions-per-level pattern of Figure 4.
@@ -49,33 +37,30 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 			return ino, ftypeOfMode(vfs.Mode(n.Mode)), d2, nil
 		}
 	}
-	nblocks := int64((dn.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, dn, fb, false, 0)
-		if err != nil {
-			return 0, 0, d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return 0, 0, d3, err
-		}
-		done = d3
-		if ino, ft, ok := direntFind(b.data, name); ok {
-			fs.dcache[dcacheKey{dirIno, name}] = ino
-			return ino, ft, done, nil
+	it := fs.dirBlocks(done, dn)
+	for it.next() {
+		if ino, ft, ok := direntFind(it.b.data, name); ok {
+			// "." and ".." are not cached: a directory's ".." changes when it
+			// moves, and both outlive an rmdir under a reusable inode number.
+			if name != "." && name != ".." {
+				fs.dcache[dcacheKey{dirIno, name}] = ino
+			}
+			return ino, ft, it.done, nil
 		}
 	}
-	return 0, 0, done, vfs.ErrNotExist
+	if it.err != nil {
+		return 0, 0, it.done, it.err
+	}
+	return 0, 0, it.done, vfs.ErrNotExist
 }
 
 // namei resolves path to an inode number. followFinal selects whether a
 // symlink in the final component is followed (stat) or returned (lstat,
 // unlink, readlink).
 func (fs *FS) namei(at time.Duration, path string, followFinal bool) (Ino, time.Duration, error) {
+	if !fs.mounted {
+		return 0, at, vfs.ErrStale
+	}
 	rel, err := vfs.RelPath(path)
 	if err != nil {
 		return 0, at, err
@@ -139,6 +124,9 @@ func (fs *FS) linkParts(target string, dir Ino) (string, Ino, error) {
 // nameiParent resolves everything but the final component, returning the
 // parent directory inode and the final name.
 func (fs *FS) nameiParent(at time.Duration, path string) (Ino, string, time.Duration, error) {
+	if !fs.mounted {
+		return 0, "", at, vfs.ErrStale
+	}
 	rel, name, err := vfs.ParentRel(path) // cannot operate on "/" itself
 	if err != nil {
 		return 0, "", at, err

@@ -6,624 +6,143 @@ import (
 	"repro/internal/vfs"
 )
 
-// statFromInode converts an inode to a vfs.Stat.
-func statFromInode(ino Ino, n *Inode) vfs.Stat {
-	return vfs.Stat{
-		Ino:    uint64(ino),
-		Mode:   vfs.Mode(n.Mode),
-		Nlink:  int(n.Links),
-		UID:    n.UID,
-		GID:    n.GID,
-		Size:   int64(n.Size),
-		Blocks: int64(n.Blocks),
-		Atime:  time.Duration(n.Atime),
-		Mtime:  time.Duration(n.Mtime),
-		Ctime:  time.Duration(n.Ctime),
-	}
-}
-
-func ftypeFor(mode vfs.Mode) byte {
-	switch mode & vfs.TypeMask {
-	case vfs.ModeDir:
-		return FTDir
-	case vfs.ModeSymlink:
-		return FTSymlink
-	default:
-		return FTRegular
-	}
-}
-
-// addEntry inserts (name -> ino) into directory dir, growing it if needed.
-func (fs *FS) addEntry(at time.Duration, dir Ino, dn *Inode, name string, ino Ino, ftype byte) (time.Duration, error) {
-	done := at
-	nblocks := int64((dn.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, dn, fb, false, 0)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return d3, err
-		}
-		done = d3
-		if direntAdd(b.data, name, ino, ftype) {
-			fs.bc.markDirty(b, true)
-			fs.journal.add(b)
-			fs.dcache[dcacheKey{dir, name}] = ino
-			dn.Mtime = int64(done)
-			dn.Ctime = int64(done)
-			return fs.putInode(done, dir, dn)
-		}
-	}
-	// Grow the directory by one block.
-	lba, done, err := fs.bmap(done, dn, nblocks, true, 0)
-	if err != nil {
-		return done, err
-	}
-	b, done, err := fs.bc.get(done, lba, true)
-	if err != nil {
-		return done, err
-	}
-	direntInitEmpty(b.data)
-	if !direntAdd(b.data, name, ino, ftype) {
-		return done, vfs.ErrNameTooLong
-	}
-	fs.bc.markDirty(b, true)
-	fs.journal.add(b)
-	fs.dcache[dcacheKey{dir, name}] = ino
-	dn.Size = uint64((nblocks + 1) * BlockSize)
-	dn.Mtime = int64(done)
-	dn.Ctime = int64(done)
-	return fs.putInode(done, dir, dn)
-}
-
-// removeEntry deletes name from directory dir.
-func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *Inode, name string) (time.Duration, error) {
-	done := at
-	nblocks := int64((dn.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, dn, fb, false, 0)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return d3, err
-		}
-		done = d3
-		if direntRemove(b.data, name) {
-			fs.bc.markDirty(b, true)
-			fs.journal.add(b)
-			delete(fs.dcache, dcacheKey{dir, name})
-			dn.Mtime = int64(done)
-			dn.Ctime = int64(done)
-			return fs.putInode(done, dir, dn)
-		}
-	}
-	return done, vfs.ErrNotExist
-}
+// This file adapts the namespace engine (inodeops.go) to vfs.FileSystem, the
+// surface the iSCSI client's mounted file system offers: a path operation is
+// a path walk (namei.go; it refuses an unmounted filesystem and bad path
+// syntax) followed by the by-inode operation the NFS server calls for the
+// same syscall, minus the results vfs does not return. Nothing here touches
+// an inode table, a bitmap or a directory block. Truncate and Open keep a few
+// lines of their own: no by-inode call has their contract (SetAttrAt writes
+// the inode once more than truncate(2) needs; the server opens nothing).
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	parent, name, done, err := fs.nameiParent(at, path)
+	dir, name, done, err := fs.nameiParent(at, path)
 	if err != nil {
 		return done, err
 	}
-	pn, done, err := fs.getInode(done, parent)
-	if err != nil {
-		return done, err
-	}
-	if _, _, d2, err := fs.dirLookup(done, parent, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), parent)
-	if err != nil {
-		return done, err
-	}
-	// Allocate the directory's first block in the directory's own group.
-	lba, done, err := fs.allocBlock(done, fs.inodeGroupGoal(ino))
-	if err != nil {
-		return done, err
-	}
-	b, done, err := fs.bc.get(done, lba, true)
-	if err != nil {
-		return done, err
-	}
-	direntInitBlock(b.data, ino, parent)
-	fs.bc.markDirty(b, true)
-	fs.journal.add(b)
-	n := &Inode{
-		Mode:   uint16((mode & vfs.PermMask) | vfs.ModeDir),
-		Links:  2,
-		Size:   BlockSize,
-		Blocks: 1,
-		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
-	n.Direct[0] = uint32(lba)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return done, err
-	}
-	pn.Links++
-	if done, err = fs.addEntry(done, parent, pn, name, ino, FTDir); err != nil {
-		return done, err
-	}
-	done = fs.charge(done, 4)
-	return fs.tick(done)
+	_, _, done, err = fs.MkdirAt(done, dir, name, mode)
+	return done, err
 }
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(at time.Duration, path string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	parent, name, done, err := fs.nameiParent(at, path)
+	dir, name, done, err := fs.nameiParent(at, path)
 	if err != nil {
 		return done, err
 	}
-	ino, ft, done, err := fs.dirLookup(done, parent, name)
-	if err != nil {
-		return done, err
-	}
-	if ft != FTDir {
-		return done, vfs.ErrNotDir
-	}
-	n, done, err := fs.getInode(done, ino)
-	if err != nil {
-		return done, err
-	}
-	// Check emptiness.
-	nblocks := int64((n.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, n, fb, false, 0)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return d3, err
-		}
-		done = d3
-		if !direntEmpty(b.data) {
-			return done, vfs.ErrNotEmpty
-		}
-	}
-	pn, done, err := fs.getInode(done, parent)
-	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, parent, pn, name); err != nil {
-		return done, err
-	}
-	pn.Links--
-	if done, err = fs.putInode(done, parent, pn); err != nil {
-		return done, err
-	}
-	// Free the directory's blocks and inode.
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, n, fb, false, 0)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if lba != 0 {
-			if done, err = fs.freeBlock(done, lba); err != nil {
-				return done, err
-			}
-		}
-	}
-	if done, err = fs.freeInode(done, ino); err != nil {
-		return done, err
-	}
-	done = fs.charge(done, 3)
-	return fs.tick(done)
+	return fs.RmdirAt(done, dir, name)
 }
 
 // Symlink implements vfs.FileSystem.
 func (fs *FS) Symlink(at time.Duration, target, path string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	if target == "" || len(target) > BlockSize {
-		return at, vfs.ErrInvalid
-	}
-	parent, name, done, err := fs.nameiParent(at, path)
+	dir, name, done, err := fs.nameiParent(at, path)
 	if err != nil {
 		return done, err
 	}
-	pn, done, err := fs.getInode(done, parent)
-	if err != nil {
-		return done, err
-	}
-	if _, _, d2, err := fs.dirLookup(done, parent, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), 0)
-	if err != nil {
-		return done, err
-	}
-	lba, done, err := fs.allocBlock(done, int64(pn.Direct[0]))
-	if err != nil {
-		return done, err
-	}
-	b, done, err := fs.bc.get(done, lba, true)
-	if err != nil {
-		return done, err
-	}
-	for i := range b.data {
-		b.data[i] = 0
-	}
-	copy(b.data, target)
-	fs.bc.markDirty(b, true)
-	fs.journal.add(b)
-	n := &Inode{
-		Mode:   uint16(vfs.ModeSymlink | 0o777),
-		Links:  1,
-		Size:   uint64(len(target)),
-		Blocks: 1,
-		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
-	n.Direct[0] = uint32(lba)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return done, err
-	}
-	if done, err = fs.addEntry(done, parent, pn, name, ino, FTSymlink); err != nil {
-		return done, err
-	}
-	done = fs.charge(done, 3)
-	return fs.tick(done)
+	_, _, done, err = fs.SymlinkAt(done, dir, name, target)
+	return done, err
 }
 
 // Readlink implements vfs.FileSystem.
 func (fs *FS) Readlink(at time.Duration, path string) (string, time.Duration, error) {
-	if !fs.mounted {
-		return "", at, vfs.ErrStale
-	}
 	ino, done, err := fs.namei(at, path, false)
 	if err != nil {
 		return "", done, err
 	}
-	target, done, err := fs.readlinkIno(done, ino)
-	if err != nil {
-		return "", done, err
-	}
-	return target, fs.charge(done, 1), nil
+	return fs.ReadlinkAt(done, ino)
 }
 
 // Link implements vfs.FileSystem (hard link).
 func (fs *FS) Link(at time.Duration, oldpath, newpath string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	ino, done, err := fs.namei(at, oldpath, false)
+	target, done, err := fs.namei(at, oldpath, false)
 	if err != nil {
 		return done, err
 	}
-	n, done, err := fs.getInode(done, ino)
+	dir, name, done, err := fs.nameiParent(done, newpath)
 	if err != nil {
 		return done, err
 	}
-	if vfs.Mode(n.Mode).IsDir() {
-		return done, vfs.ErrIsDir
-	}
-	parent, name, done, err := fs.nameiParent(done, newpath)
-	if err != nil {
-		return done, err
-	}
-	pn, done, err := fs.getInode(done, parent)
-	if err != nil {
-		return done, err
-	}
-	if _, _, d2, err := fs.dirLookup(done, parent, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	if done, err = fs.addEntry(done, parent, pn, name, ino, ftypeFor(vfs.Mode(n.Mode))); err != nil {
-		return done, err
-	}
-	n.Links++
-	n.Ctime = int64(done)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return done, err
-	}
-	done = fs.charge(done, 2)
-	return fs.tick(done)
+	_, done, err = fs.LinkAt(done, target, dir, name)
+	return done, err
 }
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(at time.Duration, path string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	parent, name, done, err := fs.nameiParent(at, path)
+	dir, name, done, err := fs.nameiParent(at, path)
 	if err != nil {
 		return done, err
 	}
-	ino, ft, done, err := fs.dirLookup(done, parent, name)
-	if err != nil {
-		return done, err
-	}
-	if ft == FTDir {
-		return done, vfs.ErrIsDir
-	}
-	pn, done, err := fs.getInode(done, parent)
-	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, parent, pn, name); err != nil {
-		return done, err
-	}
-	n, done, err := fs.getInode(done, ino)
-	if err != nil {
-		return done, err
-	}
-	n.Links--
-	if n.Links == 0 {
-		if done, err = fs.truncateTo(done, ino, n, 0); err != nil {
-			return done, err
-		}
-		if done, err = fs.freeInode(done, ino); err != nil {
-			return done, err
-		}
-	} else {
-		n.Ctime = int64(done)
-		if done, err = fs.putInode(done, ino, n); err != nil {
-			return done, err
-		}
-	}
-	done = fs.charge(done, 3)
-	return fs.tick(done)
+	return fs.RemoveAt(done, dir, name)
 }
 
 // Rename implements vfs.FileSystem with POSIX replace semantics.
 func (fs *FS) Rename(at time.Duration, oldpath, newpath string) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	oldParent, oldName, done, err := fs.nameiParent(at, oldpath)
+	odir, oname, done, err := fs.nameiParent(at, oldpath)
 	if err != nil {
 		return done, err
 	}
-	ino, ft, done, err := fs.dirLookup(done, oldParent, oldName)
+	ndir, nname, done, err := fs.nameiParent(done, newpath)
 	if err != nil {
 		return done, err
 	}
-	newParent, newName, done, err := fs.nameiParent(done, newpath)
-	if err != nil {
-		return done, err
-	}
-	// Handle an existing target.
-	if tIno, tFt, d2, err := fs.dirLookup(done, newParent, newName); err == nil {
-		done = d2
-		if tIno == ino {
-			return fs.tick(done) // same object: no-op
-		}
-		switch {
-		case ft == FTDir && tFt != FTDir:
-			return done, vfs.ErrNotDir
-		case ft != FTDir && tFt == FTDir:
-			return done, vfs.ErrIsDir
-		case tFt == FTDir:
-			if d3, err := fs.Rmdir(done, newpath); err != nil {
-				return d3, err
-			} else {
-				done = d3
-			}
-		default:
-			if d3, err := fs.Unlink(done, newpath); err != nil {
-				return d3, err
-			} else {
-				done = d3
-			}
-		}
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-
-	opn, done, err := fs.getInode(done, oldParent)
-	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, oldParent, opn, oldName); err != nil {
-		return done, err
-	}
-	npn, done, err := fs.getInode(done, newParent)
-	if err != nil {
-		return done, err
-	}
-	if done, err = fs.addEntry(done, newParent, npn, newName, ino, ft); err != nil {
-		return done, err
-	}
-	// Directory moved across parents: fix ".." and link counts.
-	if ft == FTDir && oldParent != newParent {
-		n, d2, err := fs.getInode(done, ino)
-		if err != nil {
-			return d2, err
-		}
-		done = d2
-		if n.Direct[0] != 0 {
-			b, d3, err := fs.bc.get(done, int64(n.Direct[0]), false)
-			if err != nil {
-				return d3, err
-			}
-			done = d3
-			if direntRemove(b.data, "..") {
-				direntAdd(b.data, "..", newParent, FTDir)
-			}
-			fs.bc.markDirty(b, true)
-			fs.journal.add(b)
-		}
-		opn.Links--
-		if done, err = fs.putInode(done, oldParent, opn); err != nil {
-			return done, err
-		}
-		npn.Links++
-		if done, err = fs.putInode(done, newParent, npn); err != nil {
-			return done, err
-		}
-	}
-	done = fs.charge(done, 4)
-	return fs.tick(done)
+	return fs.RenameAt(done, odir, oname, ndir, nname)
 }
 
 // ReadDir implements vfs.FileSystem; "." and ".." are omitted.
 func (fs *FS) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Duration, error) {
-	if !fs.mounted {
-		return nil, at, vfs.ErrStale
-	}
 	ino, done, err := fs.namei(at, path, true)
 	if err != nil {
 		return nil, done, err
 	}
-	n, done, err := fs.getInode(done, ino)
-	if err != nil {
-		return nil, done, err
-	}
-	if !vfs.Mode(n.Mode).IsDir() {
-		return nil, done, vfs.ErrNotDir
-	}
-	var out []vfs.DirEntry
-	nblocks := int64((n.Size + BlockSize - 1) / BlockSize)
-	for fb := int64(0); fb < nblocks; fb++ {
-		lba, d2, err := fs.bmap(done, n, fb, false, 0)
-		if err != nil {
-			return nil, d2, err
-		}
-		done = d2
-		if lba == 0 {
-			continue
-		}
-		b, d3, err := fs.bc.get(done, lba, false)
-		if err != nil {
-			return nil, d3, err
-		}
-		done = d3
-		ents, err := direntList(b.data)
-		if err != nil {
-			return nil, done, err
-		}
-		for _, e := range ents {
-			if e.Name == "." || e.Name == ".." {
-				continue
-			}
-			var m vfs.Mode
-			switch e.FType {
-			case FTDir:
-				m = vfs.ModeDir
-			case FTSymlink:
-				m = vfs.ModeSymlink
-			default:
-				m = vfs.ModeRegular
-			}
-			out = append(out, vfs.DirEntry{Name: e.Name, Ino: uint64(e.Ino), Mode: m})
-		}
-	}
-	done = fs.charge(done, int(nblocks))
-	if !fs.opts.NoAtime {
-		n.Atime = int64(done)
-		if d2, err := fs.putInode(done, ino, n); err == nil {
-			done = d2
-		}
-	}
-	done, err = fs.tick(done)
-	return out, done, err
+	return fs.ReadDirAt(done, ino)
 }
 
 // Stat implements vfs.FileSystem (follows symlinks).
 func (fs *FS) Stat(at time.Duration, path string) (vfs.Stat, time.Duration, error) {
-	if !fs.mounted {
-		return vfs.Stat{}, at, vfs.ErrStale
-	}
 	ino, done, err := fs.namei(at, path, true)
 	if err != nil {
 		return vfs.Stat{}, done, err
 	}
-	n, done, err := fs.getInode(done, ino)
-	if err != nil {
-		return vfs.Stat{}, done, err
-	}
-	return statFromInode(ino, n), fs.charge(done, 1), nil
+	return fs.GetAttrAt(done, ino)
 }
 
-// setattr applies fn to the inode at path and journals the update.
-func (fs *FS) setattr(at time.Duration, path string, fn func(n *Inode, now time.Duration)) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
+// Access implements vfs.FileSystem: resolution plus a (trivially granted)
+// permission check, generating the same lookup traffic as access(2).
+func (fs *FS) Access(at time.Duration, path string, _ int) (time.Duration, error) {
+	_, done, err := fs.Stat(at, path)
+	return done, err
+}
+
+// setattr applies sa to what path names (following symlinks).
+func (fs *FS) setattr(at time.Duration, path string, sa SetAttr) (time.Duration, error) {
 	ino, done, err := fs.namei(at, path, true)
 	if err != nil {
 		return done, err
 	}
-	n, done, err := fs.getInode(done, ino)
-	if err != nil {
-		return done, err
-	}
-	fn(n, done)
-	n.Ctime = int64(done)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return done, err
-	}
-	done = fs.charge(done, 1)
-	return fs.tick(done)
+	_, done, err = fs.SetAttrAt(done, ino, sa)
+	return done, err
 }
 
 // Chmod implements vfs.FileSystem.
 func (fs *FS) Chmod(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
-	return fs.setattr(at, path, func(n *Inode, _ time.Duration) {
-		n.Mode = uint16(vfs.Mode(n.Mode)&vfs.TypeMask | mode&vfs.PermMask)
-	})
+	return fs.setattr(at, path, SetAttr{Mode: &mode})
 }
 
 // Chown implements vfs.FileSystem.
 func (fs *FS) Chown(at time.Duration, path string, uid, gid uint32) (time.Duration, error) {
-	return fs.setattr(at, path, func(n *Inode, _ time.Duration) {
-		n.UID, n.GID = uid, gid
-	})
+	return fs.setattr(at, path, SetAttr{UID: &uid, GID: &gid})
 }
 
 // Utimes implements vfs.FileSystem.
 func (fs *FS) Utimes(at time.Duration, path string, atime, mtime time.Duration) (time.Duration, error) {
-	return fs.setattr(at, path, func(n *Inode, _ time.Duration) {
-		n.Atime = int64(atime)
-		n.Mtime = int64(mtime)
-	})
+	return fs.setattr(at, path, SetAttr{Atime: &atime, Mtime: &mtime})
 }
 
 // Truncate implements vfs.FileSystem.
 func (fs *FS) Truncate(at time.Duration, path string, size int64) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	if size < 0 {
-		return at, vfs.ErrInvalid
+	if err := checkSize(size); err != nil {
+		return at, err
 	}
 	ino, done, err := fs.namei(at, path, true)
 	if err != nil {
@@ -639,82 +158,24 @@ func (fs *FS) Truncate(at time.Duration, path string, size int64) (time.Duration
 	if done, err = fs.truncateTo(done, ino, n, size); err != nil {
 		return done, err
 	}
-	done = fs.charge(done, 1)
-	return fs.tick(done)
-}
-
-// Access implements vfs.FileSystem: resolution plus a (trivially granted)
-// permission check, generating the same lookup traffic as access(2).
-func (fs *FS) Access(at time.Duration, path string, _ int) (time.Duration, error) {
-	if !fs.mounted {
-		return at, vfs.ErrStale
-	}
-	ino, done, err := fs.namei(at, path, true)
-	if err != nil {
-		return done, err
-	}
-	if _, done, err = fs.getInode(done, ino); err != nil {
-		return done, err
-	}
-	return fs.charge(done, 1), nil
+	return fs.tick(fs.charge(done, 1))
 }
 
 // Create implements vfs.FileSystem (creat(2): O_CREAT|O_TRUNC).
 func (fs *FS) Create(at time.Duration, path string, mode vfs.Mode) (vfs.File, time.Duration, error) {
-	if !fs.mounted {
-		return nil, at, vfs.ErrStale
-	}
-	parent, name, done, err := fs.nameiParent(at, path)
+	dir, name, done, err := fs.nameiParent(at, path)
 	if err != nil {
 		return nil, done, err
 	}
-	if ino, ft, d2, err := fs.dirLookup(done, parent, name); err == nil {
-		if ft == FTDir {
-			return nil, d2, vfs.ErrIsDir
-		}
-		n, d3, err := fs.getInode(d2, ino)
-		if err != nil {
-			return nil, d3, err
-		}
-		if d3, err = fs.truncateTo(d3, ino, n, 0); err != nil {
-			return nil, d3, err
-		}
-		d3, err = fs.tick(fs.charge(d3, 2))
-		return &File{fs: fs, ino: ino}, d3, err
-	} else if err != vfs.ErrNotExist {
-		return nil, d2, err
-	} else {
-		done = d2
-	}
-	pn, done, err := fs.getInode(done, parent)
+	ino, _, done, err := fs.CreateAt(done, dir, name, mode)
 	if err != nil {
 		return nil, done, err
 	}
-	ino, done, err := fs.allocInode(done, fs.blockGroup(int64(pn.Direct[0])), 0)
-	if err != nil {
-		return nil, done, err
-	}
-	n := &Inode{
-		Mode:  uint16((mode & vfs.PermMask) | vfs.ModeRegular),
-		Links: 1,
-		Atime: int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return nil, done, err
-	}
-	if done, err = fs.addEntry(done, parent, pn, name, ino, FTRegular); err != nil {
-		return nil, done, err
-	}
-	done = fs.charge(done, 3)
-	done, err = fs.tick(done)
-	return &File{fs: fs, ino: ino}, done, err
+	return &File{fs: fs, ino: ino}, done, nil
 }
 
 // Open implements vfs.FileSystem (existing regular files).
 func (fs *FS) Open(at time.Duration, path string) (vfs.File, time.Duration, error) {
-	if !fs.mounted {
-		return nil, at, vfs.ErrStale
-	}
 	ino, done, err := fs.namei(at, path, true)
 	if err != nil {
 		return nil, done, err
