@@ -402,6 +402,14 @@ func (f *File) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 	if err != nil {
 		return 0, done, err
 	}
+	// A handle the NFS server was sent may name anything: a removed file's
+	// inode is free for reuse, and only a regular file's blocks are data.
+	if n.Links == 0 {
+		return 0, done, vfs.ErrStale
+	}
+	if !vfs.Mode(n.Mode).IsRegular() {
+		return 0, done, vfs.ErrInvalid
+	}
 	// Extending past EOF: zero the stale tail of the old final block so
 	// previously-truncated content never resurfaces.
 	if off > int64(n.Size) {

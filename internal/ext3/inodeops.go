@@ -540,6 +540,19 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 	if err != nil {
 		return done, err
 	}
+	// A directory that changes parents must not land in its own subtree: the
+	// new parent's chain of ".." reaches the root without meeting it. The
+	// bound ends the walk on a chain corrupted into a cycle.
+	if ft == FTDir && odir != ndir {
+		for up, steps := ndir, uint32(0); up != RootIno; steps++ {
+			if up == ino || steps > fs.sb.InodesCount {
+				return done, vfs.ErrInvalid
+			}
+			if up, _, done, err = fs.dirLookup(done, up, ".."); err != nil {
+				return done, err
+			}
+		}
+	}
 	// Handle an existing target.
 	if tIno, tFt, d2, err := fs.dirLookup(done, ndir, nname); err == nil {
 		done = d2

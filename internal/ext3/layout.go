@@ -17,6 +17,12 @@
 //
 // All operations run in virtual time against a blockdev.Device, which is
 // either local (NFS server side) or an iSCSI initiator (client side).
+//
+// The namespace is one engine with two ways in. inodeops.go holds every
+// operation on the directory tree, addressed by inode and (directory, name)
+// as NFS addresses them, and owns the validation of what it is handed;
+// nfs.Server calls it directly. namei.go resolves paths. ops.go is the
+// vfs.FileSystem the iSCSI client mounts: a path walk, then the same call.
 package ext3
 
 import (

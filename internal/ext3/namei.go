@@ -7,6 +7,14 @@ import (
 	"repro/internal/vfs"
 )
 
+// This file is the resolver: it turns a path into the inode, or the (parent
+// directory, final name) pair, that the namespace engine (inodeops.go) is
+// called with. Only a client that runs the file system itself walks paths
+// here, which is the iSCSI side of the paper's comparison; the NFS client walks
+// them with one LOOKUP per component and the server sees dirLookup alone. The
+// two entry points, namei and nameiParent, refuse an unmounted filesystem and
+// a malformed path (vfs.RelPath, vfs.ParentRel) before anything is read.
+
 // maxSymlinkDepth bounds symlink recursion during resolution.
 const maxSymlinkDepth = 8
 

@@ -276,7 +276,13 @@ func (c *Client) freshAttrs(fh FH, now time.Duration) (*attrEntry, bool) {
 	return a, now-a.fetchedAt <= c.attrTTL
 }
 
+// putDentry caches (dir, name) -> fh. "." and ".." are looked up every time,
+// as in ext3's dentry cache: a directory's ".." changes when it is renamed
+// under another parent, and revalidating the old parent's handle succeeds.
 func (c *Client) putDentry(dir FH, name string, fh FH, now time.Duration) {
+	if name == "." || name == ".." {
+		return
+	}
 	c.dc[dcKey{dir.Ino, name}] = &dentry{fh: fh, cachedAt: now}
 }
 

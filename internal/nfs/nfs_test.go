@@ -2,7 +2,9 @@ package nfs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -266,5 +268,151 @@ func TestServerReadHostileCounts(t *testing.T) {
 	data, eof, _, err := srv.Read(at, fh, 100, 50)
 	if err != nil || !bytes.Equal(data, payload[100:150]) || eof {
 		t.Errorf("READ off=100 count=50: %q eof=%v err=%v", data, eof, err)
+	}
+}
+
+// TestServerRefusesHostileArguments sends the server what a client that
+// validates nothing could send (nfsplus.Client sends what it is given): entry
+// names that are empty, dot, dot-dot, over-long or contain a slash, symlink
+// targets that are empty or larger than a block, sizes no file can have, a
+// size on a directory, a directory renamed into itself, data for a directory
+// or for a file that is gone. Each is refused with the error the iSCSI
+// client's file system returns for the same mistake, and a refused request
+// leaves no trace: free counts and the listing are what they were. A bad
+// name, target or size is refused before the export is looked at: no virtual
+// time passes (this server charges no CPU) and no block is fetched. Unchecked,
+// a 300-byte name is stored as its first 44 bytes (the length byte wraps),
+// every bad name costs an inode, and the bad targets and sizes succeed.
+func TestServerRefusesHostileArguments(t *testing.T) {
+	_, srv, _ := rig(t, V3)
+	root := srv.RootFH()
+	dir, _, _, err := srv.Mkdir(0, root, "d", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, _, _, err := srv.Create(0, root, "f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, _, _, err := srv.Create(0, dir, "gone", 0o644)
+	if err == nil {
+		_, err = srv.Remove(0, dir, "gone")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		t.Helper()
+		ents, _, err := srv.Readdir(0, root, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name)
+		}
+		return strings.Join(names, " ")
+	}
+
+	type request struct {
+		what  string
+		want  error
+		early bool // refused on its arguments alone
+		send  func(at time.Duration) (time.Duration, error)
+	}
+	var requests []request
+	for _, n := range []struct {
+		name string
+		want error
+	}{
+		{"", vfs.ErrInvalid}, {".", vfs.ErrInvalid}, {"..", vfs.ErrInvalid}, {"a/b", vfs.ErrInvalid}, {"/", vfs.ErrInvalid},
+		{strings.Repeat("n", 256), vfs.ErrNameTooLong}, {strings.Repeat("n", 300), vfs.ErrNameTooLong},
+	} {
+		name := n.name
+		for what, send := range map[string]func(at time.Duration) (time.Duration, error){
+			"CREATE": func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.Create(at, root, name, 0o644)
+				return d, e
+			},
+			"OPEN(create)": func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.Open(at, root, name, true, 0o644)
+				return d, e
+			},
+			"MKDIR": func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.Mkdir(at, root, name, 0o755)
+				return d, e
+			},
+			"SYMLINK": func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.Symlink(at, root, name, "t")
+				return d, e
+			},
+			"LINK":        func(at time.Duration) (time.Duration, error) { _, d, e := srv.Link(at, file, root, name); return d, e },
+			"REMOVE":      func(at time.Duration) (time.Duration, error) { return srv.Remove(at, root, name) },
+			"RMDIR":       func(at time.Duration) (time.Duration, error) { return srv.Rmdir(at, root, name) },
+			"RENAME from": func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, name, root, "g") },
+			"RENAME to":   func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, "f", root, name) },
+		} {
+			requests = append(requests, request{fmt.Sprintf("%s %.8q", what, name), n.want, true, send})
+		}
+	}
+	for _, target := range []string{"", strings.Repeat("t", ext3.BlockSize+1), strings.Repeat("t", 5000)} {
+		requests = append(requests, request{fmt.Sprintf("SYMLINK to %.8q", target), vfs.ErrInvalid, true,
+			func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.Symlink(at, root, "s", target)
+				return d, e
+			}})
+	}
+	for _, size := range []int64{-1, -1 << 62, 1 << 33, 1 << 62} {
+		requests = append(requests, request{fmt.Sprintf("SETATTR size %d", size), vfs.ErrInvalid, true,
+			func(at time.Duration) (time.Duration, error) {
+				_, d, e := srv.Setattr(at, file, ext3.SetAttr{Size: &size})
+				return d, e
+			}})
+	}
+	zero := int64(0)
+	requests = append(requests,
+		request{"SETATTR size on a directory", vfs.ErrIsDir, false,
+			func(at time.Duration) (time.Duration, error) {
+				_, d, e := srv.Setattr(at, dir, ext3.SetAttr{Size: &zero})
+				return d, e
+			}},
+		request{"SETATTR by name, size on a directory", vfs.ErrIsDir, false,
+			func(at time.Duration) (time.Duration, error) {
+				_, _, d, e := srv.SetattrNamed(at, root, "d", ext3.SetAttr{Size: &zero})
+				return d, e
+			}},
+		request{"RENAME a directory into itself", vfs.ErrInvalid, false,
+			func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, "d", dir, "inside") }},
+		request{"WRITE to a directory", vfs.ErrInvalid, false,
+			func(at time.Duration) (time.Duration, error) {
+				_, d, e := srv.Write(at, dir, 0, []byte("not entries"), true)
+				return d, e
+			}},
+		request{"WRITE to a removed file", vfs.ErrStale, false,
+			func(at time.Duration) (time.Duration, error) {
+				_, d, e := srv.Write(at, gone, 0, []byte("freed inode"), true)
+				return d, e
+			}})
+
+	freeB, freeI, before := srv.FS().FreeBlocks(), srv.FS().FreeInodes(), listing()
+	const at = time.Hour
+	for _, r := range requests {
+		hits, misses, _ := srv.FS().CacheStats()
+		done, err := r.send(at)
+		if err != r.want {
+			t.Errorf("%s: %v, want %v", r.what, err, r.want)
+		}
+		if h, m, _ := srv.FS().CacheStats(); r.early && (done != at || h != hits || m != misses) {
+			t.Errorf("%s: refused after %v and %d block fetches, want neither", r.what, done-at, h-hits+m-misses)
+		}
+	}
+	if b, i := srv.FS().FreeBlocks(), srv.FS().FreeInodes(); b != freeB || i != freeI {
+		t.Errorf("refused requests moved the free counts: %d/%d -> %d/%d", freeB, freeI, b, i)
+	}
+	if after := listing(); after != before {
+		t.Errorf("refused requests changed the export's root: %q -> %q", before, after)
+	}
+	if st, _, err := srv.Getattr(0, file); err != nil || st.Size != 0 {
+		t.Errorf("file after the refused requests: size %d, %v", st.Size, err)
 	}
 }

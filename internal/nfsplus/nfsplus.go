@@ -234,42 +234,39 @@ func (c *Client) lookup(at time.Duration, dir nfs.FH, name string) (nfs.FH, time
 
 // resolve walks a path through the consistent cache.
 func (c *Client) resolve(at time.Duration, path string) (nfs.FH, time.Duration, error) {
+	rel, err := vfs.RelPath(path)
+	if err != nil {
+		return nfs.FH{}, at, err
+	}
+	return c.walk(at, rel)
+}
+
+// walk looks up the components of rel (validated: vfs.RelPath) from the
+// root, stepping through the string in place.
+func (c *Client) walk(at time.Duration, rel string) (nfs.FH, time.Duration, error) {
 	if !c.mounted {
 		return nfs.FH{}, at, vfs.ErrStale
 	}
-	if path == "/" {
-		return c.rootFH, at, nil
-	}
-	if path == "" || path[0] != '/' {
-		return nfs.FH{}, at, vfs.ErrInvalid
-	}
-	cur := c.rootFH
-	done := at
-	for _, comp := range strings.Split(path[1:], "/") {
-		if comp == "" {
-			return nfs.FH{}, done, vfs.ErrInvalid
-		}
+	cur, done := c.rootFH, at
+	for rel != "" {
+		var comp string
+		comp, rel, _ = strings.Cut(rel, "/")
 		var err error
-		cur, done, err = c.lookup(done, cur, comp)
-		if err != nil {
+		if cur, done, err = c.lookup(done, cur, comp); err != nil {
 			return nfs.FH{}, done, err
 		}
 	}
 	return cur, done, nil
 }
 
-// resolveParent resolves all but the final component.
+// resolveParent resolves all but the final component, which must name an
+// entry (vfs.ParentRel).
 func (c *Client) resolveParent(at time.Duration, path string) (nfs.FH, string, time.Duration, error) {
-	if path == "" || path[0] != '/' || path == "/" {
-		return nfs.FH{}, "", at, vfs.ErrInvalid
+	rel, name, err := vfs.ParentRel(path)
+	if err != nil {
+		return nfs.FH{}, "", at, err
 	}
-	idx := strings.LastIndexByte(path, '/')
-	dirPath := path[:idx]
-	if dirPath == "" {
-		dirPath = "/"
-	}
-	name := path[idx+1:]
-	dir, done, err := c.resolve(at, dirPath)
+	dir, done, err := c.walk(at, rel)
 	return dir, name, done, err
 }
 
