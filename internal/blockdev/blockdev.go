@@ -9,8 +9,12 @@
 // What those bytes cost the host follows their content: a Store keeps no
 // memory for a block that is one byte repeated (zeros, or the fill byte of a
 // synthetic payload), and the blocks it does own can come from and return to
-// a Pool, the explicit free list that the block owners of successive
-// short-lived assemblies share (see Store and Pool for the ownership rules).
+// a Pool, the explicit free list that the block owners of an assembly and of
+// the short-lived assemblies after it share. The one rule for every owner
+// (Store, ext3 buffer cache, NFS page cache): it holds whole pool blocks only,
+// a block it drops is retired, and retired blocks go back to the pool between
+// operations, when only dirty or pinned blocks, which are never dropped, can
+// still be referred to (see Store and Pool).
 package blockdev
 
 import (

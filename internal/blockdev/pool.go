@@ -13,22 +13,26 @@ const poolCap = 4096
 // Pool is a free list of BlockSize-byte blocks shared by the block owners of
 // the cells one sweep builds one after another: the Stores, the ext3 buffer
 // caches and the NFS client page caches (testbed.Config.Pool hands it down).
-// Each cell's blocks die with the cell a few milliseconds after they were
-// allocated, so the next cell takes them from here instead of from the heap.
+// A block goes back where its owner drops it, so the next fetch, or the next
+// cell, takes it from here instead of from the heap.
 //
-// A nil *Pool is valid and inert: Get allocates, Put does nothing. That is
-// the state of every assembly built without one.
+// A nil *Pool is valid and inert: Get allocates, Put does nothing, and the
+// caches retire nothing. That is the state of every assembly built without
+// one.
 //
 // Ownership rules, which callers keep and the pool cannot check:
 //
-//   - Put is for the death of a whole owner (bcache.dropAll, nfs
-//     Client.DropCaches, Store.Release, a Store block replaced by a
-//     constant), where no reference to the block can survive. It is never
-//     called on eviction: cache users hold buffers across evictions.
-//   - Only blocks Get handed out go back. A cache also adopts sub-slices of
-//     read buffers; pooling one keeps its whole run alive for as long as the
-//     pool lives (a prototype that did took a sweep's peak Sys from 60 to
-//     500 MB), so owners remember which of their blocks are pool-born.
+//   - Only whole blocks Get handed out go back: every block an owner holds
+//     is one (what arrives in a run or reply buffer is copied into one), so
+//     there is nothing an owner must remember about where a block came from.
+//   - Put is called where nothing can still refer to the block. A Store
+//     block replaced by a constant and a released Store are that at once. A
+//     cache drops blocks (eviction, a superseded copy, a dropped file) while
+//     the operation that obtained them may still use them, so it only
+//     retires them there and puts them between operations (bcache.reclaim,
+//     nfs pageCache.reclaim) or when the whole cache dies (dropAll, release).
+//     What outlives an operation refers only to dirty or pinned blocks, and
+//     those are never dropped.
 //   - After Put the owner drops its reference (data = nil).
 //
 // The zero Pool is empty and ready. A Pool is not safe for concurrent use;

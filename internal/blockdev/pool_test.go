@@ -55,7 +55,8 @@ func TestPoolNeverHandsOutABlockTwice(t *testing.T) {
 
 // Anything that is not exactly one whole block is refused. (A capped
 // sub-slice of a larger buffer has the same len and cap as a block of its
-// own; only its owner knows, which is why owners track pool-born blocks.)
+// own and would pass; no owner holds one: what arrives in a run or reply
+// buffer is copied into a block Get handed out.)
 func TestPoolRefusesWrongSizes(t *testing.T) {
 	p := &Pool{}
 	run := make([]byte, 4*BlockSize)

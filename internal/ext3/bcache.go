@@ -1,7 +1,6 @@
 package ext3
 
 import (
-	"container/list"
 	"fmt"
 	"time"
 
@@ -17,9 +16,9 @@ type buffer struct {
 	meta    bool          // part of the running journal transaction when dirty
 	pins    int           // committed-but-not-checkpointed; not evictable
 	readyAt time.Duration // async read-ahead completion time
-	elem    *list.Element
-	stamp   uint64 // recency: bcache.clock at the last move to the LRU front
-	pooled  bool   // data is a whole block from bcache.pool, not an adopted sub-slice
+	stamp   uint64        // recency: bcache.clock at the last move to the LRU front
+
+	newer, older *buffer // LRU ring through bcache.lru; stale once unlinked
 }
 
 // bcacheStats counts cache behaviour.
@@ -38,55 +37,65 @@ type bcacheStats struct {
 // pinned, and the search starts in front of it. blocked only moves towards
 // the front, except when a buffer at or behind it becomes evictable
 // (cleanData, unpin), which moves it to just behind that buffer; stamps
-// order any two buffers without walking the list.
+// order any two buffers without walking the ring.
 //
-// Buffer ownership: a slice passed to Device.WriteBlocks may be reused by
-// the caller on return (every device here copies synchronously); a slice
-// given to insertPrefetch is owned by the cache from then on.
+// Buffer ownership: a slice passed to Device.WriteBlocks or insertPrefetch
+// may be reused by the caller on return (every device here copies
+// synchronously, and so does insertPrefetch).
 //
-// Block memory: get takes the blocks it allocates from pool (nil: the heap)
-// and only dropAll gives them back, when the whole cache dies and nothing
-// can still refer to a buffer. Eviction never recycles: markDirty documents
-// that callers hold buffers across evictions, so an evicted block is left
-// to the collector. Blocks adopted by insertPrefetch are sub-slices of a run
-// buffer and never go to the pool (one pooled 4 KB would keep its whole run
-// alive for as long as the pool lives); buffer.pooled tells the two apart.
+// Block memory: every buffer's data is one whole block from pool (nil: the
+// heap), and it goes back where the cache drops the buffer. The hold rule
+// that makes this safe is scoped to the operation: a *buffer obtained during
+// one file-system operation is not used after the operation returns. What
+// outlives an operation (journal.running, committed buffers awaiting their
+// checkpoint, dirtyData) refers only to dirty or pinned buffers, which are
+// never victims. Inside an operation a caller does hold buffers across
+// evictions (see markDirty), so a buffer the cache unlinks is only retired;
+// reclaim, which FS.tick runs on entry (every operation's tail call, when
+// none is in flight) and dropAll runs first, gives retired blocks to the
+// pool. Without a pool nothing is retired.
 type bcache struct {
 	dev       blockdev.Device
 	max       int
 	blocks    map[int64]*buffer
-	lru       *list.List // front = most recently used
-	clock     uint64     // last stamp handed out
-	blocked   *list.Element
+	lru       buffer  // ring sentinel: lru.older is the most recently used buffer, lru.newer the least
+	clock     uint64  // last stamp handed out
+	blocked   *buffer // nil: nothing known to be blocked
 	stats     bcacheStats
 	dirtyData map[int64]*buffer // dirty non-journaled (file data) blocks
 	tracer    *tracing.Tracer   // cache-miss spans (nil = tracing off)
 	pool      *blockdev.Pool
+	retired   []*buffer // unlinked since the last reclaim; a reinstated buffer may be among them
 }
 
 func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
-	return &bcache{
+	c := &bcache{
 		dev:       dev,
 		max:       max,
 		pool:      pool,
 		blocks:    make(map[int64]*buffer),
-		lru:       list.New(),
 		dirtyData: make(map[int64]*buffer),
 	}
+	c.lru.newer, c.lru.older = &c.lru, &c.lru
+	return c
 }
 
 func (c *bcache) touch(b *buffer) {
-	c.leaving(b.elem)
-	c.lru.MoveToFront(b.elem)
+	c.unlink(b)
+	c.front(b)
+}
+
+// front puts b, which is not on the ring, at its most recently used end.
+func (c *bcache) front(b *buffer) {
+	b.newer, b.older = &c.lru, c.lru.older
+	b.older.newer, c.lru.older = b, b
 	c.clock++
 	b.stamp = c.clock
 }
 
 // pushFront links b in as the most recently used buffer for its lba.
 func (c *bcache) pushFront(b *buffer) {
-	b.elem = c.lru.PushFront(b)
-	c.clock++
-	b.stamp = c.clock
+	c.front(b)
 	c.blocks[b.lba] = b
 }
 
@@ -95,46 +104,75 @@ func (c *bcache) insert(b *buffer) {
 	c.evictIfNeeded()
 }
 
-// leaving keeps blocked valid when e is about to leave its LRU position:
-// the buffers behind e are still all dirty or pinned.
-func (c *bcache) leaving(e *list.Element) {
-	if c.blocked == e {
-		c.blocked = e.Next()
+// unlink takes b out of the LRU ring. It keeps blocked valid: the buffers
+// behind b are still all dirty or pinned.
+func (c *bcache) unlink(b *buffer) {
+	if c.blocked == b {
+		c.blocked = c.behind(b)
 	}
+	b.newer.older, b.older.newer = b.older, b.newer
+}
+
+// behind returns the next older buffer, or nil when b is the oldest.
+func (c *bcache) behind(b *buffer) *buffer {
+	if b.older == &c.lru {
+		return nil
+	}
+	return b.older
 }
 
 // unblock tells the cache that b may have just become clean and unpinned.
 // If b sits at or behind blocked, the search must resume at b. A buffer
-// that is no longer resident has no place in the list and is ignored.
+// that is no longer resident has no place in the ring and is ignored.
 func (c *bcache) unblock(b *buffer) {
 	if b.dirty || b.pins > 0 || c.blocked == nil || c.blocks[b.lba] != b {
 		return
 	}
-	if b.stamp <= c.blocked.Value.(*buffer).stamp {
-		c.blocked = b.elem.Next()
+	if b.stamp <= c.blocked.stamp {
+		c.blocked = c.behind(b)
 	}
 }
 
 func (c *bcache) evictIfNeeded() {
 	for len(c.blocks) > c.max {
-		e := c.lru.Back()
+		b := c.lru.newer
 		if c.blocked != nil {
-			e = c.blocked.Prev()
+			b = c.blocked.newer
 		}
-		for ; e != nil; e = e.Prev() {
-			if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
-				break
-			}
-			c.blocked = e
+		for b != &c.lru && (b.dirty || b.pins > 0) {
+			c.blocked = b
+			b = b.newer
 		}
-		if e == nil {
+		if b == &c.lru {
 			return // everything dirty/pinned; allow temporary overflow
 		}
-		b := e.Value.(*buffer)
-		c.lru.Remove(e)
+		c.unlink(b)
 		delete(c.blocks, b.lba)
 		c.stats.Evictions++
+		c.retire(b)
 	}
+}
+
+// retire remembers an unlinked buffer for reclaim: whoever obtained it during
+// the operation in flight may still be using it.
+func (c *bcache) retire(b *buffer) {
+	if c.pool != nil {
+		c.retired = append(c.retired, b)
+	}
+}
+
+// reclaim gives the blocks of retired buffers to the pool. Callers guarantee
+// that no operation is in flight. A buffer markDirty reinstated is resident
+// again and keeps its block; one retired twice is put once.
+func (c *bcache) reclaim() {
+	for i, b := range c.retired {
+		if b.data != nil && c.blocks[b.lba] != b {
+			c.pool.Put(b.data)
+			b.data = nil
+		}
+		c.retired[i] = nil
+	}
+	c.retired = c.retired[:0]
 }
 
 // peek returns the cached buffer without device access, or nil.
@@ -168,7 +206,7 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 	}
 	c.stats.Misses++
 	// A recycled block is cleared only when nothing is about to fill it.
-	b := &buffer{lba: lba, data: c.pool.Get(zero), pooled: true}
+	b := &buffer{lba: lba, data: c.pool.Get(zero)}
 	done := at
 	if !zero {
 		// The miss span parents the device I/O it forces (iSCSI exchange
@@ -185,12 +223,13 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 	return b, done, nil
 }
 
-// insertPrefetch caches data for lba arriving at readyAt (read-ahead).
+// insertPrefetch caches a copy of data for lba arriving at readyAt (read-ahead).
 func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 	if _, ok := c.blocks[lba]; ok {
 		return
 	}
-	b := &buffer{lba: lba, data: data, readyAt: readyAt}
+	b := &buffer{lba: lba, data: c.pool.Get(false), readyAt: readyAt}
+	copy(b.data, data)
 	c.insert(b)
 }
 
@@ -200,15 +239,15 @@ func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 // block across a bitmap fetch, say) during which eviction can drop the
 // clean buffer — or a re-read can supersede it. Marking dirty reinstates
 // the caller's copy as the authoritative resident one, so mutations are
-// never silently lost.
+// never silently lost; the copy it supersedes is retired like a victim.
 func (c *bcache) markDirty(b *buffer, meta bool) {
 	if cur, ok := c.blocks[b.lba]; !ok || cur != b {
 		if ok {
-			c.leaving(cur.elem)
-			c.lru.Remove(cur.elem)
+			c.unlink(cur)
 			if cur.dirty && !cur.meta {
 				delete(c.dirtyData, cur.lba)
 			}
+			c.retire(cur)
 		}
 		c.pushFront(b)
 	}
@@ -252,22 +291,21 @@ func (c *bcache) unpin(lba int64) {
 
 // dropAll discards every cached block — the crash model. Dirty state is
 // lost, exactly as client RAM contents are lost in the paper's reliability
-// discussion (Section 2.3). It is the one place blocks return to the pool:
-// callers (Unmount, Crash) leave the filesystem unmounted and drop the
-// running transaction, so no path reaches a resident buffer afterwards, and
-// a buffer someone still holds by mistake has no data rather than recycled
-// data. Without a pool nothing is recycled, and nothing is touched.
+// discussion (Section 2.3). Callers (Unmount, Crash) leave the filesystem
+// unmounted and drop the running transaction, so no path reaches a buffer
+// afterwards: every retired and every resident block goes back to the pool,
+// and a buffer someone still holds by mistake has no data rather than
+// recycled data. Without a pool nothing is recycled, and nothing is touched.
 func (c *bcache) dropAll() {
+	c.reclaim()
 	if c.pool != nil {
 		for _, b := range c.blocks {
-			if b.pooled {
-				c.pool.Put(b.data)
-			}
+			c.pool.Put(b.data)
 			b.data = nil
 		}
 	}
 	c.blocks = make(map[int64]*buffer)
 	c.dirtyData = make(map[int64]*buffer)
-	c.lru.Init()
+	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	c.blocked = nil
 }

@@ -101,8 +101,7 @@ type cachePair struct {
 }
 
 func (p *cachePair) order() (lbas []int64, state []string) {
-	for e := p.bc.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*buffer)
+	for b := p.bc.lru.older; b != &p.bc.lru; b = b.older {
 		lbas = append(lbas, b.lba)
 		state = append(state, fmt.Sprint(b.lba, b.dirty, b.meta, b.pins))
 	}
@@ -149,8 +148,8 @@ func (p *cachePair) check(op string) {
 		p.t.Fatalf("after %s: %d blocks mapped, %d on the LRU list", op, len(p.bc.blocks), len(p.ref.lru))
 	}
 	// The invariant the cursor rests on.
-	for e := p.bc.blocked; e != nil; e = e.Next() {
-		if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+	for b := p.bc.blocked; b != nil; b = p.bc.behind(b) {
+		if !b.dirty && b.pins == 0 {
 			p.t.Fatalf("after %s: evictable buffer %d at or behind the cursor", op, b.lba)
 		}
 	}
@@ -237,8 +236,8 @@ func TestBcacheEvictionMatchesLinearScan(t *testing.T) {
 // state: nothing at or behind it is evictable.
 func checkCursor(t *testing.T, bc *bcache, when string) {
 	t.Helper()
-	for e := bc.blocked; e != nil; e = e.Next() {
-		if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+	for b := bc.blocked; b != nil; b = bc.behind(b) {
+		if !b.dirty && b.pins == 0 {
 			t.Fatalf("%s: evictable buffer %d at or behind the cursor", when, b.lba)
 		}
 	}
@@ -247,8 +246,8 @@ func checkCursor(t *testing.T, bc *bcache, when string) {
 // scanVictim is the reference rule on a live cache: walk from the LRU end
 // to the first buffer that is clean and unpinned.
 func scanVictim(bc *bcache) *buffer {
-	for e := bc.lru.Back(); e != nil; e = e.Prev() {
-		if b := e.Value.(*buffer); !b.dirty && b.pins == 0 {
+	for b := bc.lru.newer; b != &bc.lru; b = b.newer {
+		if !b.dirty && b.pins == 0 {
 			return b
 		}
 	}
@@ -257,11 +256,13 @@ func scanVictim(bc *bcache) *buffer {
 
 // smallCacheFS mounts a filesystem whose cache and journal are small enough
 // that eviction, commit and journal-wrap checkpoints all happen within a few
-// hundred operations.
+// hundred operations, on a pool that poisons every block given back: one
+// recycled while an operation still holds it breaks that operation.
 func smallCacheFS(t *testing.T, cacheBlocks int) *FS {
 	t.Helper()
 	dev := blockdev.NewTestbedArray(32768)
-	opts := Options{CacheBlocks: cacheBlocks, JournalBlocks: 64}
+	opts := Options{CacheBlocks: cacheBlocks, JournalBlocks: 64, Pool: &blockdev.Pool{Poison: true}}
+	dev.Store().SetPool(opts.Pool)
 	if _, err := Mkfs(0, dev, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +310,8 @@ func TestCheckpointedBuffersAreNextVictims(t *testing.T) {
 		t.Fatal("setup: the cursor never moved off the LRU end")
 	}
 	var stuck []int64 // dirty meta-data at or behind the cursor, oldest first
-	for e := bc.lru.Back(); e != nil && len(stuck) < 8; e = e.Prev() {
-		if b := e.Value.(*buffer); b.dirty && b.meta && b.stamp <= bc.blocked.Value.(*buffer).stamp {
+	for b := bc.lru.newer; b != &bc.lru && len(stuck) < 8; b = b.newer {
+		if b.dirty && b.meta && b.stamp <= bc.blocked.stamp {
 			stuck = append(stuck, b.lba)
 		}
 	}

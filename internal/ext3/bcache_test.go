@@ -147,55 +147,58 @@ func TestDirtyDataTracking(t *testing.T) {
 	}
 }
 
-// dropAll gives the pool back exactly the resident blocks get took from it:
-// not the capped sub-slices insertPrefetch adopted (pooling one would keep
-// its whole run buffer alive), and not a buffer eviction dropped earlier,
-// which a caller may still hold. Every buffer it releases loses its data.
+// dropAll gives the pool every block the cache still knows: the resident
+// ones and what eviction retired since the last reclaim. Every buffer's data
+// is one whole pool block whichever way it came in (insertPrefetch copies, so
+// the caller's run buffer never reaches the pool), and every buffer released
+// loses its data.
 func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
 	dev := blockdev.NewTestbedArray(4096)
 	pool := &blockdev.Pool{Poison: true}
 	bc := newBcache(dev, 4, pool)
-	var born []*buffer
+	var all []*buffer
 	for lba := int64(10); lba < 13; lba++ {
 		b, _, err := bc.get(0, lba, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		born = append(born, b)
+		all = append(all, b)
 	}
 	run := make([]byte, 2*BlockSize)
 	run[0], run[BlockSize] = 1, 2
-	bc.insertPrefetch(20, run[:BlockSize:BlockSize], 0)
-	bc.insertPrefetch(21, run[BlockSize:2*BlockSize:2*BlockSize], 0) // evicts lba 10
-	evicted := born[0]
+	bc.insertPrefetch(20, run[:BlockSize], 0)
+	bc.insertPrefetch(21, run[BlockSize:], 0) // evicts lba 10
+	evicted := all[0]
 	if bc.peek(10) != nil || bc.stats.Evictions != 1 {
 		t.Fatalf("expected lba 10 evicted once, evictions=%d", bc.stats.Evictions)
 	}
-	adopted := []*buffer{bc.peek(20), bc.peek(21)}
-	if pool.Len() != 0 {
-		t.Fatalf("eviction put %d blocks in the pool; only dropAll may", pool.Len())
+	if pool.Len() != 0 || len(evicted.data) != BlockSize {
+		t.Fatalf("eviction recycled at once (pool %d, data %d bytes); a victim is only retired", pool.Len(), len(evicted.data))
+	}
+	for i, b := range []*buffer{bc.peek(20), bc.peek(21)} {
+		if len(b.data) != BlockSize || cap(b.data) != BlockSize || b.data[0] != byte(i+1) {
+			t.Fatalf("prefetched buffer %d: len %d cap %d first byte %d, want a whole block holding the copy", b.lba, len(b.data), cap(b.data), b.data[0])
+		}
+		all = append(all, b)
 	}
 	bc.dropAll()
-	if pool.Len() != 2 {
-		t.Fatalf("pool holds %d blocks after dropAll, want the 2 resident pool-born ones", pool.Len())
+	if pool.Len() != 5 || len(bc.retired) != 0 {
+		t.Fatalf("after dropAll: pool holds %d blocks (want 4 resident + 1 retired), %d still retired", pool.Len(), len(bc.retired))
 	}
-	for _, b := range append(born[1:], adopted...) {
+	for _, b := range all {
 		if b.data != nil {
 			t.Fatalf("released buffer %d still has data", b.lba)
 		}
 	}
-	if evicted.data == nil || len(evicted.data) != BlockSize {
-		t.Fatal("dropAll touched a buffer that eviction had already dropped")
-	}
 	if run[0] != 1 || run[BlockSize] != 2 {
-		t.Fatal("an adopted sub-slice was poisoned: it went to the pool")
+		t.Fatal("the caller's run buffer was poisoned: part of it went to the pool")
 	}
 	// The recycled blocks come back from get, zeroed on request.
 	b, _, err := bc.get(0, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Len() != 1 {
+	if pool.Len() != 4 {
 		t.Fatalf("get did not take its block from the pool (%d left)", pool.Len())
 	}
 	for _, v := range b.data {
@@ -203,4 +206,97 @@ func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
 			t.Fatalf("zero get on a recycled (poisoned) block returned %#x", v)
 		}
 	}
+}
+
+// reclaim puts each retired block exactly once and never a resident one.
+func TestReclaim(t *testing.T) {
+	fill := func(bc *bcache, from, n int64) {
+		t.Helper()
+		for lba := from; lba < from+n; lba++ {
+			if _, _, err := bc.get(0, lba, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("N evictions put N blocks", func(t *testing.T) {
+		pool := &blockdev.Pool{Poison: true}
+		bc := newBcache(blockdev.NewTestbedArray(4096), 3, pool)
+		fill(bc, 100, 10)
+		if bc.stats.Evictions != 7 || len(bc.retired) != 7 || pool.Len() != 0 {
+			t.Fatalf("%d evictions, %d retired, pool %d; want 7, 7, 0", bc.stats.Evictions, len(bc.retired), pool.Len())
+		}
+		bc.reclaim()
+		if pool.Len() != 7 || len(bc.retired) != 0 {
+			t.Fatalf("after reclaim: pool %d, %d retired; want 7, 0", pool.Len(), len(bc.retired))
+		}
+		bc.reclaim()
+		if pool.Len() != 7 {
+			t.Fatalf("a second reclaim moved the pool to %d", pool.Len())
+		}
+	})
+	t.Run("a reinstated buffer keeps its block", func(t *testing.T) {
+		pool := &blockdev.Pool{Poison: true}
+		bc := newBcache(blockdev.NewTestbedArray(4096), 2, pool)
+		held, _, _ := bc.get(0, 1, true)
+		fill(bc, 2, 2) // evicts lba 1
+		if bc.peek(1) != nil {
+			t.Fatal("setup: lba 1 not evicted")
+		}
+		held.data[0] = 0x77
+		bc.markDirty(held, true) // resident again, and on the retired list
+		bc.reclaim()
+		if held.data == nil || held.data[0] != 0x77 {
+			t.Fatal("reclaim took the block of a buffer markDirty had reinstated")
+		}
+		if pool.Len() != 0 {
+			t.Fatalf("pool holds %d blocks, want 0: the only retired buffer is resident", pool.Len())
+		}
+	})
+	t.Run("a superseded copy is retired", func(t *testing.T) {
+		pool := &blockdev.Pool{Poison: true}
+		bc := newBcache(blockdev.NewTestbedArray(4096), 2, pool)
+		held, _, _ := bc.get(0, 1, true)
+		fill(bc, 2, 2)                     // evicts lba 1
+		reread, _, _ := bc.get(0, 1, true) // a second copy; evicts lba 2
+		bc.markDirty(held, true)           // supersedes it
+		bc.reclaim()
+		if reread.data != nil || held.data == nil || bc.peek(1) != held {
+			t.Fatal("the superseded copy kept its block, or the reinstated one lost it")
+		}
+		if pool.Len() != 2 { // lba 2 and the superseded copy
+			t.Fatalf("pool holds %d blocks, want 2", pool.Len())
+		}
+	})
+	t.Run("evicted twice, put once", func(t *testing.T) {
+		pool := &blockdev.Pool{Poison: true}
+		bc := newBcache(blockdev.NewTestbedArray(4096), 2, pool)
+		held, _, _ := bc.get(0, 1, true)
+		fill(bc, 2, 2) // evicts lba 1
+		bc.markDirty(held, false)
+		bc.cleanData(held)
+		fill(bc, 4, 2) // evicts lba 1 again
+		twice := 0
+		for _, b := range bc.retired {
+			if b == held {
+				twice++
+			}
+		}
+		if twice != 2 {
+			t.Fatalf("setup: held buffer retired %d times, want 2", twice)
+		}
+		retired := len(bc.retired)
+		bc.reclaim()
+		if pool.Len() != retired-1 || held.data != nil {
+			t.Fatalf("pool holds %d blocks for %d retired entries with one duplicate", pool.Len(), retired)
+		}
+	})
+	t.Run("no pool, nothing retired", func(t *testing.T) {
+		bc := newBcache(blockdev.NewTestbedArray(4096), 2, nil)
+		fill(bc, 1, 6)
+		if bc.stats.Evictions != 4 || bc.retired != nil {
+			t.Fatalf("%d evictions, retired %v", bc.stats.Evictions, bc.retired)
+		}
+		bc.reclaim()
+		bc.dropAll()
+	})
 }

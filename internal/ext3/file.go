@@ -208,7 +208,7 @@ func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 			fs.bc.peek(lbas[i+run]) == nil && run < fs.opts.MaxCoalesce {
 			run++
 		}
-		data := make([]byte, run*BlockSize)
+		data := fs.runBuf(run)
 		// The miss span parents the device I/O the uncached run forces,
 		// like bcache.get does for single-block misses.
 		ref := fs.opts.Tracer.Begin(done, tracing.LayerCache, "miss")
@@ -219,8 +219,7 @@ func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 		}
 		done = d2
 		for k := 0; k < run; k++ {
-			// The run buffer is not used again: the cache owns its blocks.
-			fs.bc.insertPrefetch(lbas[i+k], data[k*BlockSize:(k+1)*BlockSize:(k+1)*BlockSize], done)
+			fs.bc.insertPrefetch(lbas[i+k], data[k*BlockSize:(k+1)*BlockSize], done)
 		}
 		i += run
 	}
@@ -328,7 +327,7 @@ func (fs *FS) readahead(at time.Duration, ino Ino, n *Inode, first, count int64)
 			}
 			run++
 		}
-		data := make([]byte, run*BlockSize)
+		data := fs.runBuf(int(run))
 		// Prefetch I/O bills to the cache layer: the op that triggered it
 		// does not wait, but the wire and disk work it causes is real.
 		ref := fs.opts.Tracer.Begin(issueAt, tracing.LayerCache, "readahead")
@@ -338,7 +337,7 @@ func (fs *FS) readahead(at time.Duration, ino Ino, n *Inode, first, count int64)
 			break
 		}
 		for k := int64(0); k < run; k++ {
-			fs.bc.insertPrefetch(lba+k, data[k*BlockSize:(k+1)*BlockSize:(k+1)*BlockSize], done)
+			fs.bc.insertPrefetch(lba+k, data[k*BlockSize:(k+1)*BlockSize], done)
 		}
 		fb += run
 	}

@@ -49,8 +49,9 @@ type FS struct {
 	crashed bool
 	mounted bool
 
-	// coalesce assembles contiguous runs for one device write at a time
-	// (flushData, checkpoint); see the ownership rule on bcache.
+	// coalesce carries one contiguous run to or from the device at a time
+	// (flushData, checkpoint, ReadAt, readahead); see the ownership rule on
+	// bcache.
 	coalesce []byte
 }
 
@@ -205,7 +206,7 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	}
 	sb.FreeBlocks = freeBlocksTotal
 	sb.FreeInodes = freeInodesTotal
-	return dev.WriteBlocks(done, sbBlock, sb.encode())
+	return dev.WriteBlocks(done, sbBlock, sb.encode(bm))
 }
 
 // Mount attaches a filesystem, recovering the journal if the previous
@@ -269,7 +270,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 // writeSuperblock persists the superblock (direct write, not journaled —
 // matching how ext3 treats its own superblock fields we model).
 func (fs *FS) writeSuperblock(at time.Duration) (time.Duration, error) {
-	return fs.dev.WriteBlocks(at, sbBlock, fs.sb.encode())
+	return fs.dev.WriteBlocks(at, sbBlock, fs.sb.encode(fs.runBuf(1)))
 }
 
 // writeGDT persists group free counts.
@@ -562,7 +563,11 @@ func (fs *FS) dirtyWork() bool {
 // throttling when too much dirty data accumulates (pdflush backpressure).
 // With SyncMetadata set, every transaction commits before returning — the
 // NFS server's export mode. Returns the (possibly delayed) caller time.
+//
+// Being every operation's tail call, its entry is where no operation holds a
+// buffer any more: the blocks of what the cache dropped go back to the pool.
 func (fs *FS) tick(at time.Duration) (time.Duration, error) {
+	fs.bc.reclaim()
 	if !fs.dirtyWork() {
 		return at, nil
 	}

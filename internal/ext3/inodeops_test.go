@@ -55,12 +55,18 @@ func TestDotEntriesAreNeverServedStale(t *testing.T) {
 // groups, 512 inodes, a journal that wraps within one input.
 var fuzzGeometry = Options{JournalBlocks: 256, BlocksPerGroup: 512, InodesPerGroup: 128}
 
+// fuzzFS mounts it with a cache that evicts within one input, on a pool that
+// poisons what is given back: a buffer recycled while an operation still uses
+// it turns into a bitmap, pointer or directory block of 0xEE bytes.
 func fuzzFS(t testing.TB) (*FS, *blockdev.Local) {
 	dev := blockdev.NewTestbedArray(2048)
-	if _, err := Mkfs(0, dev, fuzzGeometry); err != nil {
+	opts := fuzzGeometry
+	opts.CacheBlocks, opts.Pool = 16, &blockdev.Pool{Poison: true}
+	dev.Store().SetPool(opts.Pool)
+	if _, err := Mkfs(0, dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, _, err := Mount(0, dev, fuzzGeometry)
+	fs, _, err := Mount(0, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +216,15 @@ func FuzzInodeOps(f *testing.F) {
 	e.op(fzMkdir, RootIno).str("a").op(fzMkdir, 129).str("b").op(fzRename, RootIno, 257).str("a").str("c")
 	e.op(fzRmdir, RootIno).str("a").op(fzMkdir, 129).str("stale").op(fzSetattr, 129).WriteByte(1)
 	f.Add(e.Bytes())
+	// A file (inode 3) that grows past its direct blocks on the 16-block
+	// cache, 160 KB and after a remount 200 KB: with everything else dirty the
+	// now clean indirect block is evicted by its own insert and stays in use
+	// across the bitmap fetches that follow.
+	var big fuzzEnc
+	big.op(fzCreate, RootIno).str("big").op(fzWrite, 3).WriteByte(253)
+	big.op(fzRemount).op(fzWrite, 3).WriteByte(255)
+	big.op(fzRemove, RootIno).str("big")
+	f.Add(big.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, dev := fuzzFS(t)
@@ -288,7 +303,7 @@ func fuzzRemount(t *testing.T, fs *FS, dev *blockdev.Local, now time.Duration) (
 	if err != nil {
 		t.Fatalf("unmount: %v", err)
 	}
-	if fs, now, err = Mount(now, dev, fuzzGeometry); err != nil {
+	if fs, now, err = Mount(now, dev, fs.opts); err != nil {
 		t.Fatalf("mount: %v", err)
 	}
 	return fs, now

@@ -222,7 +222,7 @@ func recoverJournal(at time.Duration, fs *FS) (replayed int, done time.Duration,
 	off := int64(0)
 	start := int64(fs.sb.JournalStart)
 	size := int64(fs.sb.JournalBlocks)
-	blk := make([]byte, BlockSize)
+	blk := fs.runBuf(1) // the descriptor, then (its homes copied out) the commit record
 	for off+2 <= size {
 		done, err = fs.dev.ReadBlocks(done, start+off, blk)
 		if err != nil {
@@ -242,14 +242,13 @@ func recoverJournal(at time.Duration, fs *FS) (replayed int, done time.Duration,
 			homes[i] = int64(binary.BigEndian.Uint64(blk[20+8*i:]))
 		}
 		// Validate the commit record before replaying.
-		cb := make([]byte, BlockSize)
-		done, err = fs.dev.ReadBlocks(done, start+off+count+1, cb)
+		done, err = fs.dev.ReadBlocks(done, start+off+count+1, blk)
 		if err != nil {
 			return replayed, done, err
 		}
-		if binary.BigEndian.Uint32(cb[0:]) != jMagic ||
-			binary.BigEndian.Uint32(cb[4:]) != jCommitRec ||
-			binary.BigEndian.Uint64(cb[8:]) != expected {
+		if binary.BigEndian.Uint32(blk[0:]) != jMagic ||
+			binary.BigEndian.Uint32(blk[4:]) != jCommitRec ||
+			binary.BigEndian.Uint64(blk[8:]) != expected {
 			break // crashed mid-commit: discard this and later txns
 		}
 		// Replay: copy images home.

@@ -71,8 +71,9 @@ type superblock struct {
 	FreeInodes        uint64
 }
 
-func (sb *superblock) encode() []byte {
-	b := make([]byte, BlockSize)
+// encode fills the block b with the superblock's image and returns it.
+func (sb *superblock) encode(b []byte) []byte {
+	clear(b)
 	binary.BigEndian.PutUint64(b[0:], sb.Magic)
 	binary.BigEndian.PutUint64(b[8:], sb.BlocksCount)
 	binary.BigEndian.PutUint32(b[16:], sb.InodesCount)
@@ -211,9 +212,9 @@ type Options struct {
 	// tracing.LayerCache spans, parenting the device I/O the miss forces
 	// (nil = tracing off; see docs/TRACING.md).
 	Tracer *tracing.Tracer
-	// Pool, when set, is where the buffer cache takes the blocks it
-	// allocates and returns them when the whole cache dies (Unmount, Crash);
-	// see the ownership rules on bcache. Nil allocates from the heap.
+	// Pool, when set, is where the buffer cache takes its blocks and returns
+	// them where it drops them (eviction, Unmount, Crash); see the ownership
+	// rules on bcache. Nil allocates from the heap.
 	Pool *blockdev.Pool
 }
 

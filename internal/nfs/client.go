@@ -69,6 +69,7 @@ type Client struct {
 	access   map[uint64]time.Duration // v4 per-directory ACCESS cache
 	listings map[uint64]*dirListing
 	pages    *pageCache
+	held     []*page // the pages of the read in progress (nfsFile.readRun)
 	files    map[uint64]*fileState
 	wb       *writeBehind
 
@@ -144,8 +145,8 @@ func (c *Client) SetCacheCapacity(pages int) {
 	}
 }
 
-// SetPool makes the page cache take the pages it allocates from p and
-// return them in DropCaches (see the ownership rules on pageCache).
+// SetPool makes the page cache take its pages from p and return them where
+// it drops them (see the ownership rules on pageCache).
 func (c *Client) SetPool(p *blockdev.Pool) { c.pages.pool = p }
 
 // RPCStats exposes the RPC layer counters.

@@ -21,7 +21,6 @@ type page struct {
 	data    []byte
 	dirty   bool
 	readyAt time.Duration
-	pooled  bool // data is a whole block from pageCache.pool, not an adopted reply slice
 
 	newer, older *page // LRU ring through pageCache.lru
 	fnext, fprev *page // the other cached pages of key.ino
@@ -38,18 +37,23 @@ type page struct {
 // out, of all three. So dropFile follows one chain: it costs the dropped
 // file's pages, and nothing for a file with none, whatever else is cached.
 //
-// Block memory: pages the cache allocates itself come from pool (nil: the
-// heap) and go back only in release, when the client drops the whole cache
-// and no syscall is in flight to hold a page. evict and dropFile leave their
-// pages to the collector, and so does release for the pages adopted from a
-// READ reply: those are sub-slices of a larger buffer, which a pooled page
-// would keep alive for as long as the pool lives.
+// Block memory: every page's data is one whole block from pool (nil: the
+// heap), and it goes back where the cache drops the page. The hold rule is
+// scoped to the syscall: a *page obtained during one client syscall is not
+// used after it returns. Write-behind, the only thing that outlives a
+// syscall, queues page keys, and its pages are dirty, which evict never
+// picks. Inside a syscall pages are held across evictions (ReadAt copies out
+// of pages its own later inserts evicted), so evict and dropFile only retire
+// what they unlink; reclaim, which nfsFile.ReadAt and WriteAt run on entry
+// and release runs first, gives retired blocks to the pool. Without a pool
+// nothing is retired.
 type pageCache struct {
-	max    int
-	pages  map[pageKey]*page
-	byFile map[uint64]*page
-	lru    page
-	pool   *blockdev.Pool
+	max     int
+	pages   map[pageKey]*page
+	byFile  map[uint64]*page
+	lru     page
+	pool    *blockdev.Pool
+	retired []*page // unlinked since the last reclaim
 }
 
 func newPageCache(max int, pool *blockdev.Pool) *pageCache {
@@ -101,10 +105,9 @@ func (pc *pageCache) unlink(p *page) {
 	}
 }
 
-// insert caches data as page k. A full page of data that is not cached yet
-// is adopted, not copied: the cache owns it from then on, so callers pass
-// capped slices of a reply they will not touch again. Short data (the tail
-// of a file, or none) is zero-extended into a fresh page.
+// insert caches a copy of data as page k, zero-extended to a whole page when
+// data is short (the tail of a file, or none). The new page is never its own
+// insert's victim: the caller is about to fill or read it.
 func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page {
 	if p, ok := pc.pages[k]; ok {
 		copy(p.data, data)
@@ -114,21 +117,11 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		pc.touch(p)
 		return p
 	}
-	p := &page{key: k, data: data, readyAt: readyAt}
-	if len(data) != pageSize {
-		p.data, p.pooled = pc.pool.Get(true), true
-		copy(p.data, data)
-	}
+	p := &page{key: k, data: pc.pool.Get(len(data) < pageSize), readyAt: readyAt}
+	copy(p.data, data)
 	pc.link(p)
-	pc.evict()
+	pc.evict(p)
 	return p
-}
-
-// pageOf returns page j of a READ reply, capped so the page cache can adopt
-// it; short or empty past the end of the reply.
-func pageOf(reply []byte, j int) []byte {
-	lo, hi := min(j*pageSize, len(reply)), min((j+1)*pageSize, len(reply))
-	return reply[lo:hi:hi]
 }
 
 func (pc *pageCache) getOrCreate(k pageKey) *page {
@@ -139,32 +132,51 @@ func (pc *pageCache) getOrCreate(k pageKey) *page {
 	return pc.insert(k, nil, 0)
 }
 
-// evict drops least recently used clean pages until the cache fits; with
-// only dirty pages left it stays over its bound.
-func (pc *pageCache) evict() {
+// evict drops least recently used clean pages other than keep until the
+// cache fits; with only dirty pages left it stays over its bound.
+func (pc *pageCache) evict(keep *page) {
 	for len(pc.pages) > pc.max {
 		p := pc.lru.newer
-		for p != &pc.lru && p.dirty {
+		for p != &pc.lru && (p.dirty || p == keep) {
 			p = p.newer
 		}
 		if p == &pc.lru {
 			return
 		}
 		pc.unlink(p)
+		pc.retire(p)
 	}
 }
 
-// release gives the cache's own blocks back to the pool and leaves every
-// page without data: the cache is dead, the caller replaces it. Without a
-// pool nothing is recycled, and nothing is touched.
+// retire remembers an unlinked page for reclaim: the syscall in flight may
+// still be using it.
+func (pc *pageCache) retire(p *page) {
+	if pc.pool != nil {
+		pc.retired = append(pc.retired, p)
+	}
+}
+
+// reclaim gives the blocks of retired pages to the pool. Callers guarantee
+// that no syscall is in flight.
+func (pc *pageCache) reclaim() {
+	for i, p := range pc.retired {
+		pc.pool.Put(p.data)
+		p.data = nil
+		pc.retired[i] = nil
+	}
+	pc.retired = pc.retired[:0]
+}
+
+// release gives every retired and resident block back to the pool and leaves
+// every page without data: the cache is dead, the caller replaces it. Without
+// a pool nothing is recycled, and nothing is touched.
 func (pc *pageCache) release() {
 	if pc.pool == nil {
 		return
 	}
+	pc.reclaim()
 	for _, p := range pc.pages {
-		if p.pooled {
-			pc.pool.Put(p.data)
-		}
+		pc.pool.Put(p.data)
 		p.data = nil
 	}
 }
@@ -178,6 +190,7 @@ func (pc *pageCache) dropFile(ino uint64) {
 	for p := head; p != nil; p = p.fnext {
 		delete(pc.pages, p.key)
 		lruRemove(p)
+		pc.retire(p)
 	}
 	delete(pc.byFile, ino)
 }
@@ -584,6 +597,28 @@ func (c *Client) revalidate(at time.Duration, fh FH) (time.Duration, error) {
 	return done, nil
 }
 
+// readRun READs pages idx to idx+run-1 of f and caches what the reply holds
+// of each (nothing past the end of the file), arriving when the reply does.
+// The pages are appended to c.held. The reply is the server's buffer: it is
+// copied into the cache before anything else reaches the server.
+func (f *nfsFile) readRun(at time.Duration, idx int64, run int) (time.Duration, error) {
+	c := f.c
+	var data []byte
+	done, err := c.call(at, ProcRead, 0, 0, run*pageSize, func(arrive time.Duration) (time.Duration, error) {
+		var e error
+		data, _, arrive, e = c.srv.Read(arrive, f.fh, idx*pageSize, run*pageSize)
+		return arrive, e
+	})
+	if err != nil {
+		return done, err
+	}
+	for j := 0; j < run; j++ {
+		lo, hi := min(j*pageSize, len(data)), min((j+1)*pageSize, len(data))
+		c.held = append(c.held, c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, data[lo:hi], done))
+	}
+	return done, nil
+}
+
 // ReadAt implements vfs.File: cached pages are served locally (after the
 // consistency check); misses fetch transfer-size READs; sequential access
 // triggers asynchronous read-ahead.
@@ -592,6 +627,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	if !c.mounted {
 		return 0, at, vfs.ErrStale
 	}
+	c.pages.reclaim()
 	done, err := c.revalidate(at, f.fh)
 	if err != nil {
 		return 0, done, err
@@ -607,9 +643,13 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	last := (off + int64(len(buf)) - 1) / pageSize
 	maxPages := TransferSize(c.ver) / pageSize
 
-	// Fetch missing runs.
+	// Fetch missing runs, holding every page of the request: a later insert
+	// of this call may evict one, and a retired page keeps its bytes until
+	// the next syscall reclaims it.
+	c.held = c.held[:0]
 	for idx := first; idx <= last; {
-		if c.pages.peek(pageKey{f.fh.Ino, idx}) != nil {
+		if p := c.pages.peek(pageKey{f.fh.Ino, idx}); p != nil {
+			c.held = append(c.held, p)
 			idx++
 			continue
 		}
@@ -618,18 +658,8 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 			c.pages.peek(pageKey{f.fh.Ino, idx + int64(run)}) == nil {
 			run++
 		}
-		var data []byte
-		d2, err := c.call(done, ProcRead, 0, 0, run*pageSize, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			data, _, arrive, e = c.srv.Read(arrive, f.fh, idx*pageSize, run*pageSize)
-			return arrive, e
-		})
-		if err != nil {
-			return 0, d2, err
-		}
-		done = d2
-		for j := 0; j < run; j++ {
-			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pageOf(data, j), done)
+		if done, err = f.readRun(done, idx, run); err != nil {
+			return 0, done, err
 		}
 		idx += int64(run)
 	}
@@ -637,17 +667,13 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	// Copy out, waiting for any in-flight read-ahead.
 	copied := 0
 	for idx := first; idx <= last; idx++ {
-		p := c.pages.peek(pageKey{f.fh.Ino, idx})
+		p := c.held[idx-first]
 		bs, be := int64(0), int64(pageSize)
 		if idx == first {
 			bs = off % pageSize
 		}
 		if idx == last {
 			be = (off+int64(len(buf))-1)%pageSize + 1
-		}
-		if p == nil {
-			copied += int(be - bs) // should not happen; zero fill
-			continue
 		}
 		if p.readyAt > done {
 			done = p.readyAt
@@ -688,17 +714,8 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 			c.pages.peek(pageKey{f.fh.Ino, idx + int64(run)}) == nil {
 			run++
 		}
-		var data []byte
-		raDone, err := c.call(done, ProcRead, 0, 0, run*pageSize, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			data, _, arrive, e = c.srv.Read(arrive, f.fh, idx*pageSize, run*pageSize)
-			return arrive, e
-		})
-		if err != nil {
+		if _, err := f.readRun(done, idx, run); err != nil {
 			break
-		}
-		for j := 0; j < run; j++ {
-			c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, pageOf(data, j), raDone)
 		}
 		idx += int64(run)
 	}
@@ -713,6 +730,7 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 	if !c.mounted {
 		return 0, at, vfs.ErrStale
 	}
+	c.pages.reclaim()
 	if c.ver == V2 {
 		return f.writeSync(at, off, data)
 	}
@@ -733,17 +751,12 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 		p := c.pages.peek(k)
 		if p == nil && !(bs == 0 && be == pageSize) && idx*pageSize < size {
 			// Partial write of an uncached existing page: read it first.
-			var rdata []byte
-			d2, err := c.call(done, ProcRead, 0, 0, pageSize, func(arrive time.Duration) (time.Duration, error) {
-				var e error
-				rdata, _, arrive, e = c.srv.Read(arrive, f.fh, idx*pageSize, pageSize)
-				return arrive, e
-			})
-			if err != nil {
-				return written, d2, err
+			var err error
+			c.held = c.held[:0]
+			if done, err = f.readRun(done, idx, 1); err != nil {
+				return written, done, err
 			}
-			done = d2
-			p = c.pages.insert(k, pageOf(rdata, 0), done)
+			p = c.held[0]
 		} else if p == nil {
 			p = c.pages.getOrCreate(k)
 		}

@@ -14,7 +14,8 @@ import (
 // refPageCache is the page cache as it was before it grew a per-file index:
 // container/list for the LRU order, a walk from the back of the list for
 // eviction, and a scan of the whole page map in dropFile. pageCache must
-// keep the same pages in the same order and pick the same victims.
+// keep the same pages in the same order and pick the same victims. It has
+// the one rule added since: an insert never evicts the page it inserts.
 type refPageCache struct {
 	max     int
 	pages   map[pageKey]*refPage
@@ -44,7 +45,7 @@ func (pc *refPageCache) insert(k pageKey, readyAt time.Duration) *refPage {
 	p := &refPage{key: k, readyAt: readyAt}
 	p.elem = pc.lru.PushFront(p)
 	pc.pages[k] = p
-	pc.evict()
+	pc.evict(p)
 	return p
 }
 
@@ -56,12 +57,12 @@ func (pc *refPageCache) getOrCreate(k pageKey) *refPage {
 	return pc.insert(k, 0)
 }
 
-func (pc *refPageCache) evict() {
+func (pc *refPageCache) evict(keep *refPage) {
 	for len(pc.pages) > pc.max {
 		evicted := false
 		for e := pc.lru.Back(); e != nil; e = e.Prev() {
 			p := e.Value.(*refPage)
-			if p.dirty {
+			if p.dirty || p == keep {
 				continue
 			}
 			pc.lru.Remove(e)
@@ -151,7 +152,7 @@ func TestPageCacheMatchesReference(t *testing.T) {
 			}
 			for step := 0; step < 20000; step++ {
 				var op string
-				switch k := randKey(); rng.Intn(10) {
+				switch k := randKey(); rng.Intn(11) {
 				case 0, 1, 2:
 					op = fmt.Sprint("insert ", k)
 					at := time.Duration(rng.Intn(1000))
@@ -180,6 +181,15 @@ func TestPageCacheMatchesReference(t *testing.T) {
 					}
 					if p := ref.pages[k]; p != nil {
 						p.dirty = false
+					}
+				case 10:
+					// The next inserts find no victim but themselves.
+					op = "all others dirty"
+					for _, p := range pc.pages {
+						p.dirty = true
+					}
+					for _, p := range ref.pages {
+						p.dirty = true
 					}
 				case 9:
 					op = fmt.Sprint("dropFile ", k.ino)
@@ -251,10 +261,11 @@ func TestDropFileTouchesOnlyThatFile(t *testing.T) {
 	}
 }
 
-// DropCaches gives the pool back exactly the pages the cache allocated
-// itself (written pages, zero-extended file tails), not the pages it adopted
-// from READ replies, and not what evict or dropFile dropped earlier; after
-// it the client works on recycled (poisoned) pages and still reads its data.
+// DropCaches gives the pool every page the cache still knows, resident or
+// retired; every page is one whole pool block whichever way it came in (READ
+// replies are copied, so the server's reply buffer never reaches the pool);
+// after it the client works on recycled (poisoned) pages and still reads its
+// data. evict and dropFile retire, and the next read or write reclaims.
 func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	c, _, _ := rig(t, V3)
 	pool := &blockdev.Pool{Poison: true}
@@ -288,36 +299,35 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 		}
 		return at
 	}
-	at := write("/written") // ten pool-born pages
+	at := write("/written")
 	c.DropCaches()
 	if pool.Len() != 10 {
 		t.Fatalf("pool holds %d pages after dropping 10 written ones", pool.Len())
 	}
-	at = read(at, "/written") // nine adopted reply pages, one pool-born tail
-	pooled, adopted := 0, 0
-	var replyPage *page
+	at = read(at, "/written") // ten pages copied out of READ replies
+	if pool.Len() != 0 {
+		t.Fatalf("a cold read of 10 pages left %d of 10 pool blocks unused", pool.Len())
+	}
+	var pages []*page
 	for _, p := range c.pages.pages {
-		if p.pooled {
-			pooled++
-		} else {
-			adopted++
-			replyPage = p
+		if len(p.data) != pageSize || cap(p.data) != pageSize {
+			t.Fatalf("page %v: len %d cap %d, want one whole block", p.key, len(p.data), cap(p.data))
+		}
+		pages = append(pages, p)
+	}
+	reply := c.srv.reply[:pageSize]
+	last := append([]byte(nil), reply...)
+	c.DropCaches()
+	if pool.Len() != 10 {
+		t.Fatalf("pool holds %d pages after dropping 10 read ones", pool.Len())
+	}
+	for _, p := range pages {
+		if p.data != nil {
+			t.Fatal("a released page kept its data")
 		}
 	}
-	if pooled != 1 || adopted != 9 {
-		t.Fatalf("after a cold read: %d pool-born and %d adopted pages, want 1 and 9", pooled, adopted)
-	}
-	before := pool.Len()
-	held := replyPage.data
-	c.DropCaches()
-	if pool.Len() != before+1 {
-		t.Fatalf("pool grew by %d, want 1 (the tail page only)", pool.Len()-before)
-	}
-	if replyPage.data != nil {
-		t.Fatal("a released page kept its data")
-	}
-	if i := int(replyPage.key.idx) * pageSize; !bytes.Equal(held, payload[i:i+pageSize]) {
-		t.Fatal("an adopted reply page was poisoned: it went to the pool")
+	if !bytes.Equal(reply, last) {
+		t.Fatal("the server's reply buffer was poisoned: part of it went to the pool")
 	}
 	// A page created on a recycled block is zero where nothing was written.
 	g, at, err := c.Create(at, "/sparse", 0o644)
@@ -333,13 +343,80 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	if _, at, err = g.ReadAt(at, 0, sparse); err != nil || !bytes.Equal(sparse[4:3000], make([]byte, 2996)) {
 		t.Fatalf("gap inside a page on a recycled block is not zero (err %v)", err)
 	}
-	// dropFile is not the death of the whole cache: someone may hold one of
-	// its pages, so they are left to the collector.
+	// dropFile retires a file's pages; the next syscall's reclaim puts them.
 	at = read(at, "/written")
 	before, cached := pool.Len(), len(c.pages.pages)
-	c.pages.dropFile(replyPage.key.ino)
-	if len(c.pages.pages) != cached-10 || pool.Len() != before {
-		t.Fatalf("dropFile dropped %d pages and moved the pool by %d", cached-len(c.pages.pages), pool.Len()-before)
+	c.pages.dropFile(pages[0].key.ino)
+	if len(c.pages.pages) != cached-10 || len(c.pages.retired) != 10 || pool.Len() != before {
+		t.Fatalf("dropFile dropped %d pages, retired %d and moved the pool by %d", cached-len(c.pages.pages), len(c.pages.retired), pool.Len()-before)
 	}
-	read(at, "/written")
+	read(at, "/written") // reclaims 10, takes 10
+	if len(c.pages.retired) != 0 || pool.Len() != before {
+		t.Fatalf("after the next read: %d retired, pool %d, want 0 and %d", len(c.pages.retired), pool.Len(), before)
+	}
+	c.pages.dropFile(pages[0].key.ino)
+	c.DropCaches()
+	if len(c.pages.retired) != 0 || pool.Len() != before+10+1 {
+		t.Fatalf("DropCaches left %d retired pages, pool %d, want 0 and %d", len(c.pages.retired), pool.Len(), before+11)
+	}
+}
+
+// reclaim after N evictions puts N blocks; a victim keeps its bytes until
+// then; without a pool nothing is retired.
+func TestPageCacheReclaim(t *testing.T) {
+	pool := &blockdev.Pool{Poison: true}
+	pc := newPageCache(3, pool)
+	first := pc.insert(pageKey{1, 0}, []byte("first"), 0)
+	for i := int64(1); i < 10; i++ {
+		pc.getOrCreate(pageKey{1, i})
+	}
+	if len(pc.pages) != 3 || len(pc.retired) != 7 || pool.Len() != 0 {
+		t.Fatalf("%d pages cached, %d retired, pool %d; want 3, 7, 0", len(pc.pages), len(pc.retired), pool.Len())
+	}
+	if pc.retired[0] != first || string(first.data[:5]) != "first" {
+		t.Fatal("the first victim lost its bytes before reclaim")
+	}
+	pc.reclaim()
+	if pool.Len() != 7 || len(pc.retired) != 0 || first.data != nil {
+		t.Fatalf("after reclaim: pool %d, %d retired", pool.Len(), len(pc.retired))
+	}
+	pc.reclaim()
+	if pool.Len() != 7 {
+		t.Fatalf("a second reclaim moved the pool to %d", pool.Len())
+	}
+
+	heap := newPageCache(3, nil)
+	for i := int64(0); i < 10; i++ {
+		heap.getOrCreate(pageKey{1, i})
+	}
+	heap.dropFile(1)
+	if heap.retired != nil {
+		t.Fatalf("a cache without a pool retired %d pages", len(heap.retired))
+	}
+	heap.reclaim()
+	heap.release()
+}
+
+// An insert with every other page dirty overflows the cache: the page being
+// inserted, the only clean one, is not the victim.
+func TestInsertNeverEvictsItsOwnPage(t *testing.T) {
+	pc := newPageCache(2, nil)
+	for i := int64(0); i < 2; i++ {
+		pc.getOrCreate(pageKey{1, i}).dirty = true
+	}
+	p := pc.getOrCreate(pageKey{1, 2})
+	if pc.peek(p.key) != p || len(pc.pages) != 3 {
+		t.Fatalf("the new page was evicted by its own insert (%d pages cached)", len(pc.pages))
+	}
+	p.dirty = true
+	q := pc.insert(pageKey{1, 3}, nil, 0)
+	if pc.peek(q.key) != q || len(pc.pages) != 4 {
+		t.Fatalf("the second new page was evicted by its own insert (%d pages cached)", len(pc.pages))
+	}
+	// A clean older page is still the victim, as before.
+	p.dirty, q.dirty = false, true
+	pc.getOrCreate(pageKey{1, 4})
+	if pc.peek(p.key) != nil || pc.peek(q.key) != q {
+		t.Fatal("with a clean older page present, that page is the victim")
+	}
 }

@@ -56,6 +56,9 @@ type Server struct {
 	// lock table and open an NSM-style grace period while the journal
 	// replays.
 	Locks *lockmgr.Manager
+
+	// reply carries every READ reply; see Read.
+	reply []byte
 }
 
 // syncMeta commits the server filesystem after a meta-data mutation.
@@ -185,10 +188,10 @@ func (s *Server) Readlink(at time.Duration, fh FH) (string, time.Duration, error
 	return s.fs.ReadlinkAt(at, ext3.Ino(fh.Ino))
 }
 
-// Read serves READ: up to count bytes from off. The returned slice is
-// freshly allocated, never larger than what the file holds past off, and
-// the caller's to keep (the client's page cache adopts it). A negative
-// offset or count is an error.
+// Read serves READ: up to count bytes from off. The returned slice is never
+// larger than what the file holds past off. It is the server's reply buffer,
+// valid until the next Read: callers copy what they keep before anything
+// else reaches the server. A negative offset or count is an error.
 func (s *Server) Read(at time.Duration, fh FH, off int64, count int) ([]byte, bool, time.Duration, error) {
 	if off < 0 || count < 0 {
 		return nil, false, at, vfs.ErrInvalid
@@ -202,7 +205,11 @@ func (s *Server) Read(at time.Duration, fh FH, off int64, count int) ([]byte, bo
 	if err != nil {
 		return nil, false, at, err
 	}
-	buf := make([]byte, min(int64(count), max(size-off, 0)))
+	want := int(min(int64(count), max(size-off, 0)))
+	if want > len(s.reply) {
+		s.reply = make([]byte, want)
+	}
+	buf := s.reply[:want]
 	n, done, err := s.fs.ReadFileAt(at, ext3.Ino(fh.Ino), off, buf)
 	if err != nil {
 		return nil, false, done, err

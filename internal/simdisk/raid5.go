@@ -39,6 +39,10 @@ type RAID5 struct {
 	// each keep their own stream).
 	streamTails [8]int64
 	streamNext  int
+
+	// runs is what split returns, reused by the next request: Read and
+	// Write finish with one split before anything asks for another.
+	runs []diskRun
 }
 
 // NewRAID5 builds an array from n identical member disks (n >= 3) with the
@@ -140,7 +144,7 @@ type diskRun struct {
 }
 
 func (r *RAID5) split(lba int64, blocks int) []diskRun {
-	var runs []diskRun
+	runs := r.runs[:0]
 	for blocks > 0 {
 		d, plba, stripe := r.locate(lba)
 		su := int64(r.stripeUnit)
@@ -162,6 +166,7 @@ func (r *RAID5) split(lba int64, blocks int) []diskRun {
 		lba += int64(inUnit)
 		blocks -= inUnit
 	}
+	r.runs = runs
 	return runs
 }
 

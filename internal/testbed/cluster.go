@@ -328,11 +328,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// Close powers the whole assembly off and gives its block memory back to
-// Cfg.Pool: every client stack and the NFS server lose their caches as in a
-// crash, and the volumes release their blocks. It consumes no virtual time,
-// emits nothing and leaves every filesystem unmounted, so any later syscall
-// fails with an error rather than reaching recycled memory. It is the one
+// Close powers the whole assembly off and gives the block memory it still
+// holds back to Cfg.Pool (what its caches dropped while it ran went back
+// then): every client stack and the NFS server lose their caches as in a
+// crash, retired and resident blocks alike, and the volumes release their
+// blocks. It consumes no virtual time, emits nothing and leaves every
+// filesystem unmounted, so any later syscall fails with an error rather than
+// reaching recycled memory. It is the one
 // teardown; a harness calls it when it is done reading the cell's results.
 // Forgetting it (or having no pool) costs garbage, never correctness, and
 // calling it twice is harmless.

@@ -153,10 +153,11 @@ type Config struct {
 	// Pool, when non-nil, is the free list of 4 KB blocks the assembly's
 	// block owners share: the volume Stores, every ext3 buffer cache and
 	// every NFS client page cache take blocks from it, and give them back
-	// where a whole cache dies (unmount, crash, cold cache) and in
-	// Cluster.Close. A sweep passes one pool to the cells it builds one
-	// after another, so a cell starts on the previous cell's blocks. Nil is
-	// inert: everything allocates from the heap, as it always has.
+	// where they drop them (eviction, a dropped file, unmount, crash, cold
+	// cache) and in Cluster.Close. A sweep passes one pool to the cells it
+	// builds one after another, so a cell starts on the previous cell's
+	// blocks. Nil is inert: everything allocates from the heap and nothing
+	// is recycled, as it always has been.
 	Pool *blockdev.Pool
 }
 

@@ -41,6 +41,7 @@ func (cfg KernelConfig) object(d, f int) string { return fmt.Sprintf("/src/dir%0
 // small-file writes), a meta-data intensive workload.
 func KernelUntar(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 	rng := sim.NewRNG(cfg.Seed)
+	var text []byte
 	return firstResult(measure(tb, "tar -xzf", func() error {
 		if err := tb.Mkdir("/src"); err != nil {
 			return err
@@ -51,7 +52,8 @@ func KernelUntar(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 			}
 			for f := 0; f < cfg.FilesPerDir; f++ {
 				size := cfg.MeanSize/2 + rng.Intn(cfg.MeanSize)
-				if err := tb.WriteFile(cfg.file(d, f), randomText(rng, size)); err != nil {
+				text = randomText(rng, text, size)
+				if err := tb.WriteFile(cfg.file(d, f), text); err != nil {
 					return err
 				}
 			}
@@ -91,6 +93,7 @@ func lsR(tb *testbed.Testbed, path string) error {
 // write an object file of comparable size.
 func KernelCompile(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 	rng := sim.NewRNG(cfg.Seed + 1)
+	var text []byte
 	return firstResult(measure(tb, "kernel compile", func() error {
 		for d := 0; d < cfg.Dirs; d++ {
 			for f := 0; f < cfg.FilesPerDir; f++ {
@@ -100,7 +103,8 @@ func KernelCompile(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 				}
 				tb.Compute(cfg.CompileCPU)
 				objSize := len(src)/2 + rng.Intn(len(src)+1)
-				if err := tb.WriteFile(cfg.object(d, f), randomText(rng, objSize)); err != nil {
+				text = randomText(rng, text, objSize)
+				if err := tb.WriteFile(cfg.object(d, f), text); err != nil {
 					return err
 				}
 			}

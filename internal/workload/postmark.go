@@ -60,6 +60,8 @@ type postmarkRun struct {
 	sizes   map[int]int
 	next    int
 	nameBuf []byte
+	text    []byte // every write's payload in turn: no layer keeps a WriteAt argument
+	readBuf []byte
 }
 
 func newPostmarkRun(c Ops, cfg PostMarkConfig) (*postmarkRun, error) {
@@ -94,7 +96,8 @@ func (p *postmarkRun) createFile() error {
 	id := p.next
 	p.next++
 	size := p.cfg.MinSize + p.rng.Intn(p.cfg.MaxSize-p.cfg.MinSize+1)
-	if err := p.c.WriteFile(p.name(id), randomText(p.rng, size)); err != nil {
+	p.text = randomText(p.rng, p.text, size)
+	if err := p.c.WriteFile(p.name(id), p.text); err != nil {
 		return err
 	}
 	p.live = append(p.live, id)
@@ -130,8 +133,11 @@ func (p *postmarkRun) transaction() error {
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, p.sizes[id])
-		if _, err := p.c.ReadFileAt(f, 0, buf); err != nil {
+		n := p.sizes[id]
+		if n > len(p.readBuf) {
+			p.readBuf = make([]byte, n)
+		}
+		if _, err := p.c.ReadFileAt(f, 0, p.readBuf[:n]); err != nil {
 			return err
 		}
 		if err := p.c.Close(f); err != nil {
@@ -145,7 +151,8 @@ func (p *postmarkRun) transaction() error {
 		return err
 	}
 	app := p.cfg.MinSize + p.rng.Intn(p.cfg.MaxSize-p.cfg.MinSize+1)
-	if _, err := p.c.WriteFileAt(f, int64(p.sizes[id]), randomText(p.rng, app)); err != nil {
+	p.text = randomText(p.rng, p.text, app)
+	if _, err := p.c.WriteFileAt(f, int64(p.sizes[id]), p.text); err != nil {
 		return err
 	}
 	if err := p.c.Close(f); err != nil {
@@ -233,12 +240,16 @@ func PostMark(tb *testbed.Testbed, cfg PostMarkConfig) (Result, PostMarkStats, e
 	return res, p.stats, nil
 }
 
-// randomText produces PostMark-style filler bytes: one rng draw per 8-byte
-// stride (the pinned sizes downstream depend on the draw sequence), the drawn
-// character repeated across the stride with a single store.
-func randomText(rng *rand.Rand, n int) []byte {
+// randomText produces n PostMark-style filler bytes in buf, which it replaces
+// when too short: one rng draw per 8-byte stride (the pinned sizes downstream
+// depend on the draw sequence), the drawn character repeated across the
+// stride with a single store.
+func randomText(rng *rand.Rand, buf []byte, n int) []byte {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz \n"
-	b := make([]byte, n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	b := buf[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		ch := alphabet[rng.Intn(len(alphabet))]
