@@ -69,7 +69,6 @@ type Client struct {
 	access   map[uint64]time.Duration // v4 per-directory ACCESS cache
 	listings map[uint64]*dirListing
 	pages    *pageCache
-	held     []*page // the pages of the read in progress (nfsFile.readRun)
 	files    map[uint64]*fileState
 	wb       *writeBehind
 

@@ -599,9 +599,9 @@ func (c *Client) revalidate(at time.Duration, fh FH) (time.Duration, error) {
 
 // readRun READs pages idx to idx+run-1 of f and caches what the reply holds
 // of each (nothing past the end of the file), arriving when the reply does.
-// The pages are appended to c.held. The reply is the server's buffer: it is
-// copied into the cache before anything else reaches the server.
-func (f *nfsFile) readRun(at time.Duration, idx int64, run int) (time.Duration, error) {
+// It returns held with the pages appended. The reply is the server's buffer:
+// it is copied into the cache before anything else reaches the server.
+func (f *nfsFile) readRun(at time.Duration, idx int64, run int, held []*page) ([]*page, time.Duration, error) {
 	c := f.c
 	var data []byte
 	done, err := c.call(at, ProcRead, 0, 0, run*pageSize, func(arrive time.Duration) (time.Duration, error) {
@@ -610,13 +610,13 @@ func (f *nfsFile) readRun(at time.Duration, idx int64, run int) (time.Duration, 
 		return arrive, e
 	})
 	if err != nil {
-		return done, err
+		return held, done, err
 	}
 	for j := 0; j < run; j++ {
 		lo, hi := min(j*pageSize, len(data)), min((j+1)*pageSize, len(data))
-		c.held = append(c.held, c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, data[lo:hi], done))
+		held = append(held, c.pages.insert(pageKey{f.fh.Ino, idx + int64(j)}, data[lo:hi], done))
 	}
-	return done, nil
+	return held, done, nil
 }
 
 // ReadAt implements vfs.File: cached pages are served locally (after the
@@ -645,11 +645,14 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 
 	// Fetch missing runs, holding every page of the request: a later insert
 	// of this call may evict one, and a retired page keeps its bytes until
-	// the next syscall reclaims it.
-	c.held = c.held[:0]
+	// the next syscall reclaims it. The array serves requests up to 128 KB
+	// and goes with the call: a longer-lived slot would keep a dropped page,
+	// and through its ring links the whole dropped cache, reachable.
+	var heldBuf [32]*page
+	held := heldBuf[:0]
 	for idx := first; idx <= last; {
 		if p := c.pages.peek(pageKey{f.fh.Ino, idx}); p != nil {
-			c.held = append(c.held, p)
+			held = append(held, p)
 			idx++
 			continue
 		}
@@ -658,7 +661,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 			c.pages.peek(pageKey{f.fh.Ino, idx + int64(run)}) == nil {
 			run++
 		}
-		if done, err = f.readRun(done, idx, run); err != nil {
+		if held, done, err = f.readRun(done, idx, run, held); err != nil {
 			return 0, done, err
 		}
 		idx += int64(run)
@@ -667,7 +670,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	// Copy out, waiting for any in-flight read-ahead.
 	copied := 0
 	for idx := first; idx <= last; idx++ {
-		p := c.held[idx-first]
+		p := held[idx-first]
 		bs, be := int64(0), int64(pageSize)
 		if idx == first {
 			bs = off % pageSize
@@ -714,7 +717,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 			c.pages.peek(pageKey{f.fh.Ino, idx + int64(run)}) == nil {
 			run++
 		}
-		if _, err := f.readRun(done, idx, run); err != nil {
+		if _, _, err := f.readRun(done, idx, run, held[:0]); err != nil {
 			break
 		}
 		idx += int64(run)
@@ -751,12 +754,12 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 		p := c.pages.peek(k)
 		if p == nil && !(bs == 0 && be == pageSize) && idx*pageSize < size {
 			// Partial write of an uncached existing page: read it first.
-			var err error
-			c.held = c.held[:0]
-			if done, err = f.readRun(done, idx, 1); err != nil {
-				return written, done, err
+			var one [1]*page
+			held, d2, err := f.readRun(done, idx, 1, one[:0])
+			if err != nil {
+				return written, d2, err
 			}
-			p = c.held[0]
+			done, p = d2, held[0]
 		} else if p == nil {
 			p = c.pages.getOrCreate(k)
 		}
