@@ -8,6 +8,7 @@ import (
 	"repro/internal/scsi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/tcpsim"
 	"repro/internal/tracing"
 )
 
@@ -39,6 +40,8 @@ func opName(op byte) string {
 // the way NFS clients poll a denied lock.
 var ErrReservationConflict = errors.New("iscsi: reservation conflict")
 
+var errNotLoggedIn = errors.New("iscsi: command before login")
+
 // MaxTransferBlocks caps a single SCSI command's transfer (256 KB of 4 KB
 // blocks), matching the MaxRecvDataSegmentLength we negotiate at login.
 // The filesystem's write coalescing (mean ~128 KB requests, per the paper's
@@ -49,28 +52,29 @@ const MaxTransferBlocks = 64
 // blockdev.Device over the simulated network, so the client's ext3 mounts
 // it like a local disk — the essence of the block-access architecture in
 // the paper's Figure 1(b).
+//
+// There is one initiator: it owns everything that is SCSI or iSCSI and
+// not transport — task tags and sequence numbers, PDU build, login
+// discovery, the block command set, the shared-LUN reservation commands
+// and the mapping from what came back to the caller's error — and runs it
+// over one of two wires (wire.go): the fluid datagram NewInitiator gives
+// it, or the MC/S session of N tcpsim connections NewSession gives it,
+// the configuration Kumar et al. vary under one initiator.
 type Initiator struct {
 	net    *simnet.Network
 	target *Target
 	cpu    *sim.CPU
 	cost   CostModel
 	tracer *tracing.Tracer
+	wire   wire
 
 	itt       uint32
 	cmdSN     uint32
 	expStatSN uint32
 	loggedIn  bool
-	retries   int64
 
 	blockSize int
 	numBlocks int64
-}
-
-// Counters exports initiator-level counters for the metrics event stream
-// (metrics.SubsysISCSI): SCSI commands issued and loss-recovery retries
-// on the fluid wire model.
-func (i *Initiator) Counters() map[string]int64 {
-	return map[string]int64{"commands": int64(i.cmdSN), "retries": i.retries}
 }
 
 // DefaultInitiatorCosts returns the iSCSI client path cost (network +
@@ -79,19 +83,113 @@ func DefaultInitiatorCosts() CostModel {
 	return CostModel{PerCommand: 25 * time.Microsecond, PerKB: 4 * time.Microsecond}
 }
 
-// NewInitiator creates an initiator speaking to target over net, charging
-// client CPU demand to cpu (nil for untimed tests).
+// NewInitiator creates an initiator speaking to target over net as one
+// fluid datagram per PDU, charging client CPU demand to cpu (nil for
+// untimed tests). A frame lost under failure injection is recovered by
+// re-driving the exchange after a doubling timeout.
 func NewInitiator(net *simnet.Network, target *Target, cpu *sim.CPU) *Initiator {
-	return &Initiator{net: net, target: target, cpu: cpu, cost: DefaultInitiatorCosts()}
+	i := &Initiator{net: net, target: target, cpu: cpu, cost: DefaultInitiatorCosts()}
+	i.wire = &fluidWire{i: i}
+	return i
 }
 
-// SetCosts overrides the client CPU cost model.
-func (i *Initiator) SetCosts(c CostModel) { i.cost = c }
+// NewSession creates an initiator whose wire is an MC/S session (multiple
+// connections per session) of nConns TCP connections to target over net:
+// commands are dispatched round-robin across the connections and each
+// connection carries its command's PDUs start to finish (connection
+// allegiance, RFC 3720 §3.2.2); a multi-command transfer is dealt across
+// the connections and the data phases proceed concurrently, modeling the
+// command-queue depth a real initiator keeps outstanding. Window
+// dynamics, delayed ACKs and RTO-driven retransmission shape every
+// transfer, and loss is recovered below the SCSI layer.
+func NewSession(net *simnet.Network, target *Target, cpu *sim.CPU, nConns int, tcpCfg tcpsim.Config) *Initiator {
+	i := &Initiator{net: net, target: target, cpu: cpu, cost: DefaultInitiatorCosts()}
+	w := &tcpWire{i: i}
+	for n := 0; n < max(nConns, 1); n++ {
+		w.lanes = append(w.lanes, tcpsim.NewConn(net, tcpCfg))
+	}
+	i.wire = w
+	return i
+}
+
+// Counters exports initiator-level counters for the metrics event stream
+// (metrics.SubsysISCSI): SCSI commands issued (CmdSN-numbered, so MC/S
+// striped sub-commands count individually) and, on the fluid wire only,
+// loss-recovery retries. The TCP wire's per-connection counters are
+// reported separately under metrics.SubsysTCP via Stats.
+func (i *Initiator) Counters() map[string]int64 {
+	m := map[string]int64{"commands": int64(i.cmdSN)}
+	i.wire.counters(m)
+	return m
+}
 
 // SetTracer attaches a tracer: every SCSI command becomes a
-// tracing.LayerISCSI span covering the whole exchange, loss-recovery
-// timeouts included, with network frames and target work nested beneath.
+// tracing.LayerISCSI span with the network frames and target work it
+// causes nested beneath. The fluid wire's span covers the whole exchange,
+// loss-recovery timeouts included; the TCP wire's synchronous commands
+// add request/response tracing.LayerTCP legs, and its striped
+// sub-commands — whose pipelines interleave and complete out of issue
+// order — are detached spans opened at issue time, each synchronous
+// pipeline step bracketed by Enter/Exit. Critical-path attribution
+// therefore breaks an op down per layer on both wires.
 func (i *Initiator) SetTracer(t *tracing.Tracer) { i.tracer = t }
+
+// Conns reports the wire's TCP connection count (0 on the fluid wire).
+func (i *Initiator) Conns() int { return len(i.wire.conns()) }
+
+// Abort severs every TCP connection of the wire — the target crashed or
+// reset them (fault injection) — and the login goes with them: the
+// endpoint needs a fresh login (a new initiator) afterwards, like a real
+// MC/S initiator recovering a dropped session. The fluid wire holds no
+// connection state to sever; its commands find the target down instead.
+func (i *Initiator) Abort() {
+	conns := i.wire.conns()
+	for _, c := range conns {
+		c.Break()
+	}
+	if len(conns) > 0 {
+		i.loggedIn = false
+	}
+}
+
+// Broken reports whether the wire has TCP connections and every one of
+// them has died — fault recovery uses it to decide a remount is needed.
+func (i *Initiator) Broken() bool {
+	conns := i.wire.conns()
+	for _, c := range conns {
+		if c.Established() {
+			return false
+		}
+	}
+	return len(conns) > 0
+}
+
+// Stats returns the TCP counters aggregated across the wire's
+// connections (zero on the fluid wire).
+func (i *Initiator) Stats() tcpsim.Stats {
+	var agg tcpsim.Stats
+	for _, c := range i.wire.conns() {
+		agg.Add(c.Stats())
+	}
+	return agg
+}
+
+// Gauges exports the wire's instantaneous congestion state for the
+// health scraper (metrics.SubsysGauge): congestion window and un-ACKed
+// bytes summed across the MC/S connections, nil on the fluid wire (the
+// station skips that scrape).
+func (i *Initiator) Gauges(now time.Duration) map[string]float64 {
+	var agg map[string]float64
+	for _, c := range i.wire.conns() {
+		if agg == nil {
+			agg = map[string]float64{"cwnd_segs": 0, "inflight_bytes": 0}
+		}
+		for k, v := range c.Gauges(now) {
+			agg[k] += v
+		}
+	}
+	return agg
+}
 
 func (i *Initiator) charge(at time.Duration, d time.Duration) time.Duration {
 	if i.cpu == nil {
@@ -100,39 +198,15 @@ func (i *Initiator) charge(at time.Duration, d time.Duration) time.Duration {
 	return i.cpu.Run(at, d)
 }
 
-// recoveryRTO is the fluid-path stand-in for TCP's retransmission timer:
-// a frame lost under failure injection is recovered by re-driving the
-// exchange after this (doubling) timeout. The tcpsim transport recovers
-// below the SCSI layer instead and never takes this path.
-const recoveryRTO = 200 * time.Millisecond
-
-// maxCommandRetries bounds loss recovery before a command errors out.
-const maxCommandRetries = 6
-
-// Login establishes the session and discovers capacity via READ
-// CAPACITY(10). It performs one login exchange and two discovery commands
-// (INQUIRY, READ CAPACITY), as a real initiator does at mount time.
+// Login brings the wire up, performs the login exchange and discovers
+// capacity with two commands on the leading connection (INQUIRY, READ
+// CAPACITY(10)), as a real initiator does at mount time.
 func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 	i.itt++
-	req := &PDU{Opcode: OpLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
-		Data: []byte("InitiatorName=iqn.2004.repro.client\x00SessionType=Normal\x00")}
-	var resp *PDU
-	var done time.Duration
-	ok := false
-	rto := recoveryRTO
-	for attempt := 0; attempt <= maxCommandRetries && !ok; attempt++ {
-		done, ok = i.net.RoundTrip(at, req.WireSize(), 128, func(arrive time.Duration) time.Duration {
-			r, t := i.target.HandleLogin(arrive, req)
-			resp = r
-			return t
-		})
-		if !ok {
-			at = done + rto
-			rto *= 2
-		}
-	}
-	if !ok || resp == nil {
-		return done, fmt.Errorf("iscsi: login failed (network loss): %w", simnet.ErrTransportBroken)
+	done, resp, err := i.wire.login(at, PDU{Opcode: OpLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
+		Data: []byte("InitiatorName=iqn.2004.repro.client\x00SessionType=Normal\x00")})
+	if err != nil {
+		return done, err
 	}
 	if resp.Status != scsi.StatusGood {
 		return done, fmt.Errorf("iscsi: login rejected: %s", resp.Data)
@@ -140,42 +214,31 @@ func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 	i.loggedIn = true
 	i.expStatSN = resp.StatSN
 
-	// INQUIRY
-	if done, _, ok = i.command(done, scsi.Inquiry(96), nil, 96); !ok {
-		return done, fmt.Errorf("iscsi: inquiry lost: %w", simnet.ErrTransportBroken)
+	done, _, err = i.run(done, i.nextPDU(0, scsi.Inquiry(96), nil, 96), true)
+	if err != nil {
+		return done, err
 	}
-	// READ CAPACITY
-	var data []byte
-	done, data, ok = i.command(done, scsi.ReadCapacity10(), nil, 8)
-	if !ok || len(data) < 8 {
-		return done, fmt.Errorf("iscsi: read capacity failed: %w", simnet.ErrTransportBroken)
+	done, data, err := i.run(done, i.nextPDU(0, scsi.ReadCapacity10(), nil, 8), true)
+	if err != nil {
+		return done, err
 	}
 	var cap8 [8]byte
-	copy(cap8[:], data)
+	if copy(cap8[:], data) < len(cap8) {
+		return done, fmt.Errorf("iscsi: short READ CAPACITY data: %d bytes", len(data))
+	}
 	last, bs := scsi.ParseCapacityData(cap8)
 	i.numBlocks = int64(last) + 1
 	i.blockSize = int(bs)
 	return done, nil
 }
 
-// command performs one SCSI command round trip; returns completion time,
-// inline Data-In payload, and whether the command succeeded. A frame lost
-// under failure injection is retried with the same task tag after a
-// doubling recovery timeout (as TCP retransmission would recover it on a
-// real initiator); CHECK CONDITION responses are never retried.
-func (i *Initiator) command(at time.Duration, cdb scsi.CDB, data []byte, expectIn int) (time.Duration, []byte, bool) {
-	done, payload, status, ok := i.commandLUN(at, 0, cdb, data, expectIn)
-	return done, payload, ok && status == scsi.StatusGood
-}
-
-// commandLUN is command with an explicit LUN and the SCSI status exposed:
-// the shared-LUN paths need to distinguish RESERVATION CONFLICT (retry
-// later) from CHECK CONDITION (hard error). ok=false means transport
-// loss; when ok, status and the response payload are valid.
-func (i *Initiator) commandLUN(at time.Duration, lun uint64, cdb scsi.CDB, data []byte, expectIn int) (time.Duration, []byte, byte, bool) {
+// nextPDU allocates the task tag and command sequence number of one SCSI
+// command and builds its PDU. Command PDUs travel by value so that one
+// command costs the host no allocation of its own.
+func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int) PDU {
 	i.itt++
 	i.cmdSN++
-	req := &PDU{
+	return PDU{
 		Opcode:      OpSCSICommand,
 		Flags:       FlagFinal,
 		LUN:         lun,
@@ -186,38 +249,62 @@ func (i *Initiator) commandLUN(at time.Duration, lun uint64, cdb scsi.CDB, data 
 		Data:        data,
 		ExpectedLen: uint32(expectIn),
 	}
-	at = i.charge(at, i.cost.PerCommand+time.Duration(len(data)/1024)*i.cost.PerKB)
-	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(cdb.Op))
-	rto := recoveryRTO
-	for attempt := 0; ; attempt++ {
-		var resp *PDU
-		done, ok := i.net.RoundTrip(at, req.WireSize(), BHSSize+pad4(expectIn), func(arrive time.Duration) time.Duration {
-			r, t := i.target.HandleCommand(arrive, req)
-			resp = r
-			return t
-		})
-		if !ok || resp == nil {
-			// Request or response frame lost: recover after the timeout.
-			if attempt >= maxCommandRetries {
-				i.tracer.End(ref, done)
-				return done, nil, 0, false
-			}
-			i.retries++
-			at = done + rto
-			rto *= 2
-			continue
-		}
-		if resp.Status != scsi.StatusGood {
-			i.tracer.End(ref, done)
-			return done, resp.Data, resp.Status, true
-		}
-		i.expStatSN = resp.StatSN
-		if expectIn > 0 {
-			done = i.charge(done, time.Duration(expectIn/1024)*i.cost.PerKB)
-		}
-		i.tracer.End(ref, done)
-		return done, resp.Data, resp.Status, true
+}
+
+// rwPDU builds the one READ(10) or WRITE(10) that moves ext, a run of
+// whole blocks no longer than MaxTransferBlocks, at lba.
+func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) PDU {
+	blocks := uint16(len(ext) / i.BlockSize())
+	if write {
+		return i.nextPDU(lun, scsi.Write10(uint32(lba), blocks), ext, 0)
 	}
+	return i.nextPDU(lun, scsi.Read10(uint32(lba), blocks), nil, len(ext))
+}
+
+// status is the one mapping from what a wire brought back for req to the
+// error the caller sees. ok=false means the frames were lost for good
+// (recovery retries exhausted, or a dead connection): a collapse, which
+// wraps simnet.ErrTransportBroken. RESERVATION CONFLICT is the sentinel
+// shared-LUN callers poll on; any other status is a hard error carrying
+// the target's sense text.
+func status(req, resp *PDU, ok bool) error {
+	switch {
+	case !ok:
+		return fmt.Errorf("iscsi: %s lost: %w", describe(req), simnet.ErrTransportBroken)
+	case resp.Status == scsi.StatusGood:
+		return nil
+	case resp.Status == scsi.StatusReservationConflict:
+		return ErrReservationConflict
+	}
+	return fmt.Errorf("iscsi: %s failed: %s", describe(req), resp.Data)
+}
+
+// describe names a command PDU for an error message.
+func describe(req *PDU) string {
+	cdb, _ := scsi.DecodeCDB(req.CDB)
+	return fmt.Sprintf("%s lun=%d lba=%d", opName(cdb.Op), req.LUN, cdb.LBA)
+}
+
+// run carries one synchronous command over the wire (on the leading
+// connection when leading is set: login-time discovery) and returns its
+// completion time and Data-In payload. The payload is the target's
+// buffer: valid until the next command.
+func (i *Initiator) run(at time.Duration, req PDU, leading bool) (time.Duration, []byte, error) {
+	done, resp, ok := i.wire.command(at, req, leading)
+	if err := status(&req, resp, ok); err != nil {
+		return done, nil, err
+	}
+	i.expStatSN = resp.StatSN
+	return done, resp.Data, nil
+}
+
+// rw moves ext with one command: READ(10) into it or WRITE(10) from it.
+func (i *Initiator) rw(at time.Duration, lun uint64, lba int64, ext []byte, write bool) (time.Duration, error) {
+	done, data, err := i.run(at, i.rwPDU(lun, lba, ext, write), false)
+	if err == nil && !write {
+		copy(ext, data)
+	}
+	return done, err
 }
 
 // BlockSize implements blockdev.Device.
@@ -236,72 +323,45 @@ func (i *Initiator) NumBlocks() int64 {
 	return i.numBlocks
 }
 
-// ReadBlocks implements blockdev.Device: one READ(10) per MaxTransferBlocks
-// chunk.
+// ReadBlocks implements blockdev.Device: READ(10) commands of at most
+// MaxTransferBlocks each, one after another on the fluid wire, dealt
+// across the connections with overlapping Data-In phases on the TCP wire.
 func (i *Initiator) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Duration, error) {
+	return i.transfer(start, lba, buf, false)
+}
+
+// WriteBlocks implements blockdev.Device: WRITE(10) commands, chunked
+// and scheduled like ReadBlocks.
+func (i *Initiator) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
+	return i.transfer(start, lba, data, true)
+}
+
+// transfer splits an extent into commands: it divides across the wire's
+// connections so their data phases overlap, each command capped at
+// MaxTransferBlocks; how the commands are scheduled is the wire's.
+func (i *Initiator) transfer(start time.Duration, lba int64, buf []byte, write bool) (time.Duration, error) {
 	if !i.loggedIn {
-		return start, fmt.Errorf("iscsi: read before login")
+		return start, errNotLoggedIn
 	}
 	bs := i.BlockSize()
 	if len(buf)%bs != 0 {
-		return start, fmt.Errorf("iscsi: read not block-multiple: %d", len(buf))
+		return start, fmt.Errorf("iscsi: transfer not block-multiple: %d", len(buf))
 	}
-	n := len(buf) / bs
-	at := start
-	for off := 0; off < n; off += MaxTransferBlocks {
-		chunk := n - off
-		if chunk > MaxTransferBlocks {
-			chunk = MaxTransferBlocks
-		}
-		done, data, ok := i.command(at, scsi.Read10(uint32(lba+int64(off)), uint16(chunk)), nil, chunk*bs)
-		if !ok {
-			if data == nil { // loss-recovery retries exhausted, not a SCSI error
-				return done, fmt.Errorf("iscsi: READ(10) lost at lba=%d: %w", lba+int64(off), simnet.ErrTransportBroken)
-			}
-			return done, fmt.Errorf("iscsi: READ(10) failed at lba=%d: %s", lba+int64(off), string(data))
-		}
-		copy(buf[off*bs:], data)
-		at = done
+	if len(buf) == 0 {
+		return start, nil
 	}
-	return at, nil
-}
-
-// WriteBlocks implements blockdev.Device: one WRITE(10) per chunk.
-func (i *Initiator) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
-	if !i.loggedIn {
-		return start, fmt.Errorf("iscsi: write before login")
-	}
-	bs := i.BlockSize()
-	if len(data)%bs != 0 {
-		return start, fmt.Errorf("iscsi: write not block-multiple: %d", len(data))
-	}
-	n := len(data) / bs
-	at := start
-	for off := 0; off < n; off += MaxTransferBlocks {
-		chunk := n - off
-		if chunk > MaxTransferBlocks {
-			chunk = MaxTransferBlocks
-		}
-		done, sense, ok := i.command(at, scsi.Write10(uint32(lba+int64(off)), uint16(chunk)),
-			data[off*bs:(off+chunk)*bs], 0)
-		if !ok {
-			if sense == nil { // loss-recovery retries exhausted, not a SCSI error
-				return done, fmt.Errorf("iscsi: WRITE(10) lost at lba=%d: %w", lba+int64(off), simnet.ErrTransportBroken)
-			}
-			return done, fmt.Errorf("iscsi: WRITE(10) failed at lba=%d: %s", lba+int64(off), string(sense))
-		}
-		at = done
-	}
-	return at, nil
+	lanes := max(i.Conns(), 1)
+	unit := min((len(buf)/bs+lanes-1)/lanes, MaxTransferBlocks)
+	return i.wire.transfer(start, lba, buf, unit*bs, write)
 }
 
 // Flush implements blockdev.Device via SYNCHRONIZE CACHE(10).
 func (i *Initiator) Flush(start time.Duration) (time.Duration, error) {
-	done, sense, ok := i.command(start, scsi.SyncCache10(0, 0), nil, 0)
-	if !ok {
-		return done, fmt.Errorf("iscsi: SYNCHRONIZE CACHE failed: %s", string(sense))
+	if !i.loggedIn {
+		return start, errNotLoggedIn
 	}
-	return done, nil
+	done, _, err := i.run(start, i.nextPDU(0, scsi.SyncCache10(0, 0), nil, 0), false)
+	return done, err
 }
 
 // ---- shared-LUN operations (cross-client contention) ----
@@ -310,78 +370,44 @@ func (i *Initiator) Flush(start time.Duration) (time.Duration, error) {
 // return with nil error means another initiator holds it — poll again,
 // like a denied NFS lock.
 func (i *Initiator) Reserve(at time.Duration, rtype byte) (bool, time.Duration, error) {
-	if !i.loggedIn {
-		return false, at, fmt.Errorf("iscsi: reserve before login")
-	}
-	done, sense, status, ok := i.commandLUN(at, SharedLUN, scsi.PersistentReserveOut(scsi.PRActionReserve, rtype), nil, 0)
-	if !ok {
-		return false, done, fmt.Errorf("iscsi: PR OUT lost: %w", simnet.ErrTransportBroken)
-	}
-	switch status {
-	case scsi.StatusGood:
-		return true, done, nil
-	case scsi.StatusReservationConflict:
+	done, err := i.reserveOut(at, scsi.PRActionReserve, rtype)
+	if errors.Is(err, ErrReservationConflict) {
 		return false, done, nil
 	}
-	return false, done, fmt.Errorf("iscsi: PR OUT failed: %s", string(sense))
+	return err == nil, done, err
 }
 
 // Release drops this initiator's reservation on the shared LUN.
 func (i *Initiator) Release(at time.Duration) (time.Duration, error) {
+	return i.reserveOut(at, scsi.PRActionRelease, 0)
+}
+
+func (i *Initiator) reserveOut(at time.Duration, action, rtype byte) (time.Duration, error) {
 	if !i.loggedIn {
-		return at, fmt.Errorf("iscsi: release before login")
+		return at, errNotLoggedIn
 	}
-	done, sense, status, ok := i.commandLUN(at, SharedLUN, scsi.PersistentReserveOut(scsi.PRActionRelease, 0), nil, 0)
-	if !ok {
-		return done, fmt.Errorf("iscsi: PR OUT lost: %w", simnet.ErrTransportBroken)
-	}
-	if status != scsi.StatusGood {
-		return done, fmt.Errorf("iscsi: release failed: %s", string(sense))
-	}
-	return done, nil
+	done, _, err := i.run(at, i.nextPDU(SharedLUN, scsi.PersistentReserveOut(action, rtype), nil, 0), false)
+	return done, err
 }
 
 // SharedRead reads from the shared LUN (raw blocks, no filesystem —
 // block storage has no sharable cache coherence, which is the paper's
-// point). Returns ErrReservationConflict when excluded by another
-// initiator's exclusive-access reservation.
+// point) with a single command. Returns ErrReservationConflict when
+// excluded by another initiator's exclusive-access reservation.
 func (i *Initiator) SharedRead(at time.Duration, lba int64, buf []byte) (time.Duration, error) {
-	bs := i.BlockSize()
-	if len(buf)%bs != 0 || len(buf)/bs > MaxTransferBlocks {
-		return at, fmt.Errorf("iscsi: bad shared read extent %d", len(buf))
-	}
-	n := len(buf) / bs
-	done, data, status, ok := i.commandLUN(at, SharedLUN, scsi.Read10(uint32(lba), uint16(n)), nil, len(buf))
-	if !ok {
-		return done, fmt.Errorf("iscsi: shared READ(10) lost: %w", simnet.ErrTransportBroken)
-	}
-	switch status {
-	case scsi.StatusGood:
-		copy(buf, data)
-		return done, nil
-	case scsi.StatusReservationConflict:
-		return done, ErrReservationConflict
-	}
-	return done, fmt.Errorf("iscsi: shared READ(10) failed: %s", string(data))
+	return i.sharedRW(at, lba, buf, false)
 }
 
 // SharedWrite writes to the shared LUN; ErrReservationConflict when a
 // foreign reservation excludes the write.
 func (i *Initiator) SharedWrite(at time.Duration, lba int64, data []byte) (time.Duration, error) {
+	return i.sharedRW(at, lba, data, true)
+}
+
+func (i *Initiator) sharedRW(at time.Duration, lba int64, ext []byte, write bool) (time.Duration, error) {
 	bs := i.BlockSize()
-	if len(data)%bs != 0 || len(data)/bs > MaxTransferBlocks {
-		return at, fmt.Errorf("iscsi: bad shared write extent %d", len(data))
+	if len(ext)%bs != 0 || len(ext)/bs > MaxTransferBlocks {
+		return at, fmt.Errorf("iscsi: bad shared extent %d", len(ext))
 	}
-	n := len(data) / bs
-	done, sense, status, ok := i.commandLUN(at, SharedLUN, scsi.Write10(uint32(lba), uint16(n)), data, 0)
-	if !ok {
-		return done, fmt.Errorf("iscsi: shared WRITE(10) lost: %w", simnet.ErrTransportBroken)
-	}
-	switch status {
-	case scsi.StatusGood:
-		return done, nil
-	case scsi.StatusReservationConflict:
-		return done, ErrReservationConflict
-	}
-	return done, fmt.Errorf("iscsi: shared WRITE(10) failed: %s", string(sense))
+	return i.rw(at, SharedLUN, lba, ext, write)
 }

@@ -2,6 +2,12 @@ package iscsi
 
 import (
 	"bytes"
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +15,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/scsi"
 	"repro/internal/simnet"
+	"repro/internal/tcpsim"
 )
 
 func TestPDURoundTrip(t *testing.T) {
@@ -68,75 +75,296 @@ func TestDecodeShortBufferFails(t *testing.T) {
 	}
 }
 
-// rig builds an initiator/target pair over an in-memory device.
-func rig(t *testing.T) (*Initiator, *Target, *simnet.Network) {
-	t.Helper()
-	dev := blockdev.NewTestbedArray(8192)
-	target := NewTarget("iqn.test:vol", dev, nil)
-	net := simnet.New(simnet.DefaultLAN())
-	ini := NewInitiator(net, target, nil)
-	if _, err := ini.Login(0); err != nil {
-		t.Fatalf("login: %v", err)
+// wires is the table every command-path test runs over: the one initiator
+// on the fluid datagram, on a single TCP connection and on a two-connection
+// MC/S session.
+var wires = []struct {
+	name string
+	dial func(*simnet.Network, *Target) *Initiator
+}{
+	{"fluid", func(n *simnet.Network, t *Target) *Initiator { return NewInitiator(n, t, nil) }},
+	{"tcp", func(n *simnet.Network, t *Target) *Initiator { return NewSession(n, t, nil, 1, tcpsim.Config{}) }},
+	{"mcs2", func(n *simnet.Network, t *Target) *Initiator { return NewSession(n, t, nil, 2, tcpsim.Config{}) }},
+}
+
+// onWires runs f once per wire against a logged-in initiator/target pair
+// over an 8192-block in-memory device.
+func onWires(t *testing.T, f func(t *testing.T, ini *Initiator, target *Target, net *simnet.Network, at time.Duration)) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			target := NewTarget("iqn.test:vol", blockdev.NewTestbedArray(8192), nil)
+			net := simnet.New(simnet.DefaultLAN())
+			ini := w.dial(net, target)
+			at, err := ini.Login(0)
+			if err != nil {
+				t.Fatalf("login: %v", err)
+			}
+			f(t, ini, target, net, at)
+		})
 	}
-	return ini, target, net
 }
 
 func TestLoginDiscoversGeometry(t *testing.T) {
-	ini, _, _ := rig(t)
-	if ini.BlockSize() != 4096 {
-		t.Fatalf("block size %d", ini.BlockSize())
-	}
-	if ini.NumBlocks() != 8192 {
-		t.Fatalf("blocks %d", ini.NumBlocks())
-	}
+	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, _ *simnet.Network, _ time.Duration) {
+		var dev blockdev.Device = ini
+		if dev.BlockSize() != 4096 || dev.NumBlocks() != 8192 {
+			t.Fatalf("geometry %d x %d, want 8192 x 4096", dev.NumBlocks(), dev.BlockSize())
+		}
+	})
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	ini, _, _ := rig(t)
-	data := bytes.Repeat([]byte{0xAB, 0xCD}, 4096) // 2 blocks
-	done, err := ini.WriteBlocks(0, 100, data)
-	if err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got := make([]byte, len(data))
-	if _, err := ini.ReadBlocks(done, 100, got); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data corrupted over iSCSI")
-	}
+	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, _ *simnet.Network, at time.Duration) {
+		data := bytes.Repeat([]byte{0xAB, 0xCD}, 96*2048) // 96 blocks: two commands
+		done, err := ini.WriteBlocks(at, 100, data)
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got := make([]byte, len(data))
+		done, err = ini.ReadBlocks(done, 100, got)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("data corrupted over iSCSI")
+		}
+		if done <= at {
+			t.Fatal("virtual time did not advance")
+		}
+		if _, err := ini.Flush(done); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+	})
 }
 
 func TestOneCommandPerTransferChunk(t *testing.T) {
-	ini, _, net := rig(t)
-	before := net.Stats().Messages
-	// 128 blocks = 2 chunks of MaxTransferBlocks (64).
-	buf := make([]byte, 128*4096)
-	if _, err := ini.ReadBlocks(0, 0, buf); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got := net.Stats().Messages - before; got != 2 {
-		t.Fatalf("128-block read used %d commands, want 2", got)
-	}
+	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, net *simnet.Network, at time.Duration) {
+		before, cmds := net.Stats().Messages, ini.Counters()["commands"]
+		// 128 blocks = 2 chunks of MaxTransferBlocks (64), on one lane or two.
+		if _, err := ini.ReadBlocks(at, 0, make([]byte, 128*4096)); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if got := net.Stats().Messages - before; got != 2 {
+			t.Fatalf("128-block read used %d messages, want 2", got)
+		}
+		if got := ini.Counters()["commands"] - cmds; got != 2 {
+			t.Fatalf("128-block read issued %d commands, want 2", got)
+		}
+	})
 }
 
 func TestWriteBeforeLoginFails(t *testing.T) {
-	dev := blockdev.NewTestbedArray(1024)
-	target := NewTarget("iqn.test:v", dev, nil)
-	ini := NewInitiator(simnet.New(simnet.DefaultLAN()), target, nil)
-	if _, err := ini.WriteBlocks(0, 0, make([]byte, 4096)); err == nil {
-		t.Fatal("write before login accepted")
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			net := simnet.New(simnet.DefaultLAN())
+			ini := w.dial(net, NewTarget("iqn.test:v", blockdev.NewTestbedArray(1024), nil))
+			blk := make([]byte, 4096)
+			_, rerr := ini.ReadBlocks(0, 0, blk)
+			_, werr := ini.WriteBlocks(0, 0, blk)
+			_, ferr := ini.Flush(0)
+			_, _, verr := ini.Reserve(0, scsi.TypeWriteExclusive)
+			_, lerr := ini.Release(0)
+			for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr, "reserve": verr, "release": lerr} {
+				if err == nil {
+					t.Errorf("%s before login accepted", op)
+				}
+			}
+			if got := net.Stats().Messages; got != 0 {
+				t.Fatalf("refused commands still sent %d messages", got)
+			}
+		})
 	}
 }
 
 func TestInjectedCommandFailure(t *testing.T) {
-	ini, target, _ := rig(t)
-	target.FailCommands = true
-	if _, err := ini.ReadBlocks(0, 0, make([]byte, 4096)); err == nil {
-		t.Fatal("injected failure not surfaced")
+	onWires(t, func(t *testing.T, ini *Initiator, target *Target, _ *simnet.Network, at time.Duration) {
+		target.FailCommands = true
+		blk := make([]byte, 4096)
+		_, rerr := ini.ReadBlocks(at, 0, blk)
+		_, werr := ini.WriteBlocks(at, 0, blk)
+		_, ferr := ini.Flush(at)
+		_, lerr := ini.Login(at)
+		for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr, "discovery": lerr} {
+			// A CHECK CONDITION is a hard error, never a collapse.
+			if err == nil || errors.Is(err, simnet.ErrTransportBroken) {
+				t.Errorf("%s under injected failure: %v, want a hard error", op, err)
+			}
+		}
+		target.FailCommands = false
+		if _, err := ini.ReadBlocks(at+time.Millisecond, 0, blk); err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+	})
+}
+
+func TestTargetCrashRejectsUntilRestartAndRelogin(t *testing.T) {
+	onWires(t, func(t *testing.T, ini *Initiator, target *Target, _ *simnet.Network, at time.Duration) {
+		if !target.LoggedIn() {
+			t.Fatal("rig not logged in")
+		}
+		target.Crash()
+		if !target.Down() || target.LoggedIn() {
+			t.Fatal("crash left target serving or logged in")
+		}
+		// Commands and logins both bounce while the machine is down.
+		if _, err := ini.ReadBlocks(at, 0, make([]byte, 4096)); err == nil {
+			t.Fatal("read against a crashed target succeeded")
+		}
+		if _, err := ini.Login(time.Second); err == nil {
+			t.Fatal("login against a crashed target succeeded")
+		}
+
+		target.Restart()
+		if target.Down() {
+			t.Fatal("restart left target down")
+		}
+		// Session state died with the target: commands need a fresh login.
+		req := &PDU{Opcode: OpSCSICommand, Flags: FlagFinal, ITT: 1, CDB: scsi.TestUnitReady().Encode()}
+		if resp, _ := target.HandleCommand(2*time.Second, req); resp.Status == scsi.StatusGood {
+			t.Fatal("command accepted before re-login")
+		}
+		done, err := ini.Login(3 * time.Second)
+		if err != nil {
+			t.Fatalf("re-login after restart: %v", err)
+		}
+		if _, err := ini.ReadBlocks(done, 0, make([]byte, 4096)); err != nil {
+			t.Fatalf("read after recovery: %v", err)
+		}
+	})
+}
+
+// Two initiators, each with its own target, share one LUN and one
+// reservation table, as testbed.Cluster wires them.
+func TestSharedLUNReservations(t *testing.T) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			shared, rsv := blockdev.NewTestbedArray(1024), scsi.NewReservations()
+			var ini [2]*Initiator
+			var at time.Duration
+			for c := range ini {
+				target := NewTarget("iqn.test:vol", blockdev.NewTestbedArray(1024), nil)
+				target.SetShared(shared, rsv, c)
+				ini[c] = w.dial(simnet.New(simnet.DefaultLAN()), target)
+				done, err := ini[c].Login(0)
+				if err != nil {
+					t.Fatalf("login %d: %v", c, err)
+				}
+				at = max(at, done)
+			}
+			blk := bytes.Repeat([]byte{0x5A}, 4096)
+			reserve := func(c int, rtype byte, want bool) {
+				t.Helper()
+				got, done, err := ini[c].Reserve(at, rtype)
+				if err != nil || got != want {
+					t.Fatalf("client %d reserve type %#x = %v, %v; want %v", c, rtype, got, err, want)
+				}
+				at = done
+			}
+			rw := func(c int, write bool, want error) {
+				t.Helper()
+				f := ini[c].SharedRead
+				if write {
+					f = ini[c].SharedWrite
+				}
+				done, err := f(at, 7, blk)
+				if !errors.Is(err, want) || (want == nil && err != nil) {
+					t.Fatalf("client %d shared rw (write=%v): %v, want %v", c, write, err, want)
+				}
+				at = done
+			}
+
+			reserve(0, scsi.TypeWriteExclusive, true)
+			reserve(1, scsi.TypeWriteExclusive, false) // held by 0: poll again, not an error
+			rw(0, true, nil)
+			rw(1, true, ErrReservationConflict)
+			rw(1, false, nil) // write-exclusive lets foreign reads pass
+			if got := make([]byte, 4096); true {
+				if _, err := ini[1].SharedRead(at, 7, got); err != nil || !bytes.Equal(got, blk) {
+					t.Fatalf("foreign read of the holder's write: %v", err)
+				}
+			}
+			done, err := ini[0].Release(at)
+			if err != nil {
+				t.Fatalf("release: %v", err)
+			}
+			at = done
+			reserve(1, scsi.TypeExclusiveAccess, true)
+			rw(0, false, ErrReservationConflict)
+			rw(0, true, ErrReservationConflict)
+			rw(1, true, nil)
+			if _, err := ini[0].SharedRead(at, 0, make([]byte, 100)); err == nil || errors.Is(err, ErrReservationConflict) {
+				t.Fatalf("ragged shared extent: %v, want a hard error", err)
+			}
+		})
 	}
-	target.FailCommands = false
-	if _, err := ini.ReadBlocks(time.Millisecond, 0, make([]byte, 4096)); err != nil {
-		t.Fatalf("recovery failed: %v", err)
+}
+
+// A command whose frames are lost for good is a collapse whatever the
+// command: core.collapsed must see SYNCHRONIZE CACHE on a partitioned link
+// or a dead session the way it sees READ and WRITE there.
+func TestLostFlushIsTransportBroken(t *testing.T) {
+	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, net *simnet.Network, at time.Duration) {
+		if ini.Conns() == 0 {
+			// The retry ladder (0.2 s doubling, six retries) ends inside the outage.
+			net.SetOutage(at, at+time.Minute)
+		} else {
+			for _, c := range ini.wire.conns() {
+				c.Break()
+			}
+		}
+		blk := make([]byte, 4096)
+		_, rerr := ini.ReadBlocks(at, 0, blk)
+		_, werr := ini.WriteBlocks(at, 0, blk)
+		_, ferr := ini.Flush(at)
+		for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr} {
+			if !errors.Is(err, simnet.ErrTransportBroken) {
+				t.Errorf("%s with every frame lost: %v, want simnet.ErrTransportBroken", op, err)
+			}
+		}
+		if ini.Conns() == 0 && ini.Counters()["retries"] != 3*maxCommandRetries {
+			t.Errorf("retries = %d, want %d", ini.Counters()["retries"], 3*maxCommandRetries)
+		}
+	})
+}
+
+// There is one command path: one type in the package implements
+// blockdev.Device on both wires, and each command-set method is declared
+// once, on it. A second endpoint type growing ReadBlocks, WriteBlocks or
+// Reserve fails here.
+func TestOneCommandPath(t *testing.T) {
+	for _, w := range wires {
+		var _ blockdev.Device = w.dial(simnet.New(simnet.DefaultLAN()), NewTarget("iqn.test:v", blockdev.NewTestbedArray(64), nil))
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := map[string]int{"Login": 0, "ReadBlocks": 0, "WriteBlocks": 0, "Flush": 0, "BlockSize": 0, "NumBlocks": 0,
+		"Reserve": 0, "Release": 0, "SharedRead": 0, "SharedWrite": 0}
+	for _, f := range pkgs["iscsi"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			if _, tracked := once[fn.Name.Name]; !tracked {
+				continue
+			}
+			once[fn.Name.Name]++
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); !ok || id.Name != "Initiator" {
+				t.Errorf("%s is declared on %v: the command set belongs to Initiator alone", fn.Name.Name, recv)
+			}
+		}
+	}
+	for name, n := range once {
+		if n != 1 {
+			t.Errorf("%s declared %d times in internal/iscsi, want once", name, n)
+		}
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"repro/internal/tcpsim"
 )
 
+// The tests in this file are about what only the TCP wire has: overlapping
+// data phases, TCP loss recovery, per-connection statistics.
+
 func sessionNet(rtt time.Duration, loss float64, seed int64) *simnet.Network {
 	return simnet.New(simnet.Config{
 		RTT:              rtt,
@@ -20,7 +23,7 @@ func sessionNet(rtt time.Duration, loss float64, seed int64) *simnet.Network {
 	})
 }
 
-func newSessionPair(t *testing.T, n *simnet.Network, conns int, window int) (*Session, *Target, time.Duration) {
+func newSessionPair(t *testing.T, n *simnet.Network, conns int, window int) (*Initiator, *Target, time.Duration) {
 	t.Helper()
 	dev := blockdev.NewTestbedArray(4096)
 	tgt := NewTarget("iqn.2004.repro:mcs", dev, nil)
@@ -30,41 +33,6 @@ func newSessionPair(t *testing.T, n *simnet.Network, conns int, window int) (*Se
 		t.Fatalf("login: %v", err)
 	}
 	return s, tgt, done
-}
-
-func TestSessionReadWriteRoundTrip(t *testing.T) {
-	s, _, at := newSessionPair(t, sessionNet(200*time.Microsecond, 0, 1), 2, 0)
-	bs := s.BlockSize()
-	data := bytes.Repeat([]byte{0xCD}, 96*bs)
-	done, err := s.WriteBlocks(at, 100, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(data))
-	done, err = s.ReadBlocks(done, 100, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("read-back mismatch across striped connections")
-	}
-	if done <= at {
-		t.Fatal("virtual time did not advance")
-	}
-	if _, err := s.Flush(done); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSessionDeviceInterface(t *testing.T) {
-	var _ blockdev.Device = (*Session)(nil)
-	s, _, _ := newSessionPair(t, sessionNet(200*time.Microsecond, 0, 1), 1, 0)
-	if s.BlockSize() != 4096 {
-		t.Fatalf("block size %d", s.BlockSize())
-	}
-	if s.NumBlocks() != 4096 {
-		t.Fatalf("capacity %d blocks", s.NumBlocks())
-	}
 }
 
 func TestMCSOverlapsDataPhases(t *testing.T) {

@@ -62,9 +62,6 @@ func NewTarget(name string, dev *blockdev.Local, cpu *sim.CPU) *Target {
 	return &Target{Name: name, dev: dev, cpu: cpu, cost: DefaultTargetCosts()}
 }
 
-// SetCosts overrides the CPU cost model.
-func (t *Target) SetCosts(c CostModel) { t.cost = c }
-
 // SetShared exports dev as SharedLUN under the reservation table rsv,
 // identifying commands from this target's (sole) initiator as client.
 // The reservation table is persistent SCSI state: it survives target
@@ -106,6 +103,14 @@ func (t *Target) charge(at time.Duration, d time.Duration) time.Duration {
 		return at
 	}
 	return t.cpu.Run(at, d)
+}
+
+// handle serves one initiator PDU: a login request or a SCSI command.
+func (t *Target) handle(at time.Duration, req *PDU) (*PDU, time.Duration) {
+	if req.Opcode == OpLoginRequest {
+		return t.HandleLogin(at, req)
+	}
+	return t.HandleCommand(at, req)
 }
 
 // HandleLogin processes a login request PDU and returns the response (a

@@ -33,9 +33,7 @@ func (cl *Cluster) CrashServer() {
 	}
 	for _, c := range cl.Clients {
 		c.Stack.Target().Crash()
-		if s := c.Stack.Session(); s != nil {
-			s.Abort()
-		}
+		c.Stack.Initiator().Abort()
 	}
 }
 
@@ -75,17 +73,7 @@ func (cl *Cluster) RestartServer(now time.Duration) (time.Duration, error) {
 // client's ext3 crashes outright (journal left dirty on the LUN, to be
 // replayed at the reboot remount); an NFS client loses its caches and
 // its connection while the server keeps serving everyone else.
-func (cl *Cluster) CrashClient(i int) {
-	switch st := cl.Clients[i].Stack.(type) {
-	case *nfsStack:
-		st.client.DropCaches()
-		if st.conn != nil {
-			st.conn.Break()
-		}
-	case *iscsiStack:
-		st.fs.Crash()
-	}
-}
+func (cl *Cluster) CrashClient(i int) { cl.Clients[i].Stack.crash() }
 
 // RecoverClient repairs client i's stack at now after a fault and
 // returns the completion time plus whether any repair was performed.
@@ -100,27 +88,13 @@ func (cl *Cluster) CrashClient(i int) {
 // the clock and should advance it to the returned time.
 func (cl *Cluster) RecoverClient(i int, now time.Duration, force bool) (time.Duration, bool, error) {
 	c := cl.Clients[i]
-	broken := force
-	switch st := c.Stack.(type) {
-	case *nfsStack:
-		if st.conn != nil && !st.conn.Established() {
-			broken = true
-		}
-	case *iscsiStack:
-		if !st.fs.Mounted() || !st.target.LoggedIn() {
-			broken = true
-		}
-		if s := st.Session(); s != nil && s.Broken() {
-			broken = true
-		}
-	}
-	if !broken {
+	if !force && !c.Stack.damaged() {
 		return now, false, nil
 	}
-	if st, ok := c.Stack.(*iscsiStack); ok && st.fs.Mounted() {
+	if fs := c.Stack.ClientFS(); fs != nil && fs.Mounted() {
 		// Failed writes aborted the journal; only a crash-remount
 		// (replaying the committed records) brings the fs back.
-		st.fs.Crash()
+		fs.Crash()
 	}
 	done, err := c.Stack.Mount(now)
 	if err != nil {

@@ -60,12 +60,9 @@ func (st *nfsStack) tcpGauges(now time.Duration) map[string]float64 {
 }
 
 // tcpGauges reports the MC/S session's aggregate congestion state (nil
-// under the fluid initiator: the station skips that scrape).
+// on the fluid wire: the station skips that scrape).
 func (st *iscsiStack) tcpGauges(now time.Duration) map[string]float64 {
-	if s := st.Session(); s != nil {
-		return s.Gauges(now)
-	}
-	return nil
+	return st.endpoint.Gauges(now)
 }
 
 func (st *nfsStack) gaugeSources() []health.Source {

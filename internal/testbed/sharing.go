@@ -67,24 +67,10 @@ const SharedPath = "/shared0"
 // another client's lock or reservation; the caller should poll.
 var ErrBusy = errors.New("testbed: shared object busy")
 
-// sharedEndpoint is the shared-LUN surface both iSCSI endpoints
-// (Initiator and Session) implement.
-type sharedEndpoint interface {
-	Reserve(at time.Duration, rtype byte) (bool, time.Duration, error)
-	Release(at time.Duration) (time.Duration, error)
-	SharedRead(at time.Duration, lba int64, buf []byte) (time.Duration, error)
-	SharedWrite(at time.Duration, lba int64, data []byte) (time.Duration, error)
-	BlockSize() int
-}
-
 // sharedEP resolves the client's shared-LUN endpoint (iSCSI stacks only).
-func (c *Client) sharedEP() (sharedEndpoint, bool) {
-	st, ok := c.Stack.(*iscsiStack)
-	if !ok {
-		return nil, false
-	}
-	ep, ok := st.endpoint.(sharedEndpoint)
-	return ep, ok
+func (c *Client) sharedEP() (*iscsi.Initiator, bool) {
+	ep := c.Stack.Initiator()
+	return ep, ep != nil
 }
 
 // OpenShared opens the cluster's shared object. On NFS this opens (or,

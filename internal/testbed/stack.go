@@ -14,7 +14,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
 	"repro/internal/tcpsim"
-	"repro/internal/tracing"
 	"repro/internal/vfs"
 )
 
@@ -50,13 +49,12 @@ type Stack interface {
 	// breaks one of them. They are read through the stack at call time —
 	// Mount rebuilds the protocol clients, ColdCache the client
 	// filesystem — and are nil on a stack that has no such part (an
-	// iSCSI stack has exactly one of Initiator, the fluid path, and
-	// Session, the MC/S TCP path).
+	// iSCSI stack's Initiator rides the fluid wire or, under
+	// TransportTCP, an MC/S session of Config.Conns connections).
 	RPC() *sunrpc.Client
 	NFSClient() *nfs.Client
 	NFSServer() *nfs.Server
 	Initiator() *iscsi.Initiator
-	Session() *iscsi.Session
 	Target() *iscsi.Target
 	ClientFS() *ext3.FS
 
@@ -64,6 +62,12 @@ type Stack interface {
 	// blocks go back to the pool) and the filesystem is left unmounted, so
 	// every later syscall fails. Cluster.Close calls it.
 	shutdown()
+	// crash powers the client off the way a fault does (Cluster.CrashClient):
+	// volatile state vanishes, durable state stays for the recovery remount.
+	crash()
+	// damaged reports whether a fault left the stack needing a remount
+	// (Cluster.RecoverClient).
+	damaged() bool
 
 	// counterSources and gaugeSources list what the stack contributes
 	// per client to the metrics stream and to a health monitor, in
@@ -272,35 +276,36 @@ func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
 
 func (st *nfsStack) shutdown() { st.client.Abort() }
 
+// crash loses the caches and the connection; the server keeps serving
+// everyone else.
+func (st *nfsStack) crash() {
+	st.client.DropCaches()
+	if st.conn != nil {
+		st.conn.Break()
+	}
+}
+
+// damaged: the TCP connection died.
+func (st *nfsStack) damaged() bool { return st.conn != nil && !st.conn.Established() }
+
 func (st *nfsStack) RPC() *sunrpc.Client         { return st.rpc }
 func (st *nfsStack) NFSClient() *nfs.Client      { return st.client }
 func (st *nfsStack) NFSServer() *nfs.Server      { return st.srv.srv }
 func (st *nfsStack) Initiator() *iscsi.Initiator { return nil }
-func (st *nfsStack) Session() *iscsi.Session     { return nil }
 func (st *nfsStack) Target() *iscsi.Target       { return nil }
 func (st *nfsStack) ClientFS() *ext3.FS          { return nil }
 
 // ---- iSCSI ----
 
-// iscsiEndpoint is the client half of an iSCSI stack: a block device that
-// must log in before use. Initiator (fluid path) and Session (MC/S TCP
-// path) both satisfy it.
-type iscsiEndpoint interface {
-	blockdev.Device
-	Login(at time.Duration) (time.Duration, error)
-	SetTracer(*tracing.Tracer)
-	Counters() map[string]int64
-}
-
-// iscsiStack is one client's iSCSI session: an initiator (or MC/S session
-// under TransportTCP) logged into a target LUN, with the client's own ext3
-// mounted on the remote volume. The *Base fields carry the counters of
+// iscsiStack is one client's iSCSI session: an initiator (over the fluid
+// wire, or an MC/S session under TransportTCP) logged into a target LUN,
+// with the client's own ext3 mounted on the remote volume. The *Base fields carry the counters of
 // endpoints and filesystems this stack has already retired (remounts
 // rebuild them), keeping the cumulative counters monotonic for telemetry.
 type iscsiStack struct {
 	hw       hw
 	target   *iscsi.Target
-	endpoint iscsiEndpoint
+	endpoint *iscsi.Initiator
 	fs       *ext3.FS
 	epBase   map[string]int64
 	fsBase   map[string]int64
@@ -311,27 +316,28 @@ func (st *iscsiStack) Kind() Kind         { return ISCSI }
 func (st *iscsiStack) FS() vfs.FileSystem { return st.fs }
 func (st *iscsiStack) Counters() StackCounters {
 	c := StackCounters{TCP: st.tcpBase}
-	if s := st.Session(); s != nil {
-		c.TCP.Add(s.Stats())
-	}
+	c.TCP.Add(st.endpoint.Stats())
 	return c
 }
 
 func (st *iscsiStack) shutdown() { st.fs.Crash() }
 
+// crash: the client ext3 crashes outright, its journal left dirty on the
+// LUN for the reboot remount to replay.
+func (st *iscsiStack) crash() { st.fs.Crash() }
+
+// damaged: the filesystem crashed, the session's connections all died,
+// or the target forgot the login (a target crash).
+func (st *iscsiStack) damaged() bool {
+	return !st.fs.Mounted() || !st.target.LoggedIn() || st.endpoint.Broken()
+}
+
 func (st *iscsiStack) RPC() *sunrpc.Client    { return nil }
 func (st *iscsiStack) NFSClient() *nfs.Client { return nil }
 func (st *iscsiStack) NFSServer() *nfs.Server { return nil }
-func (st *iscsiStack) Initiator() *iscsi.Initiator {
-	ep, _ := st.endpoint.(*iscsi.Initiator)
-	return ep
-}
-func (st *iscsiStack) Session() *iscsi.Session {
-	ep, _ := st.endpoint.(*iscsi.Session)
-	return ep
-}
-func (st *iscsiStack) Target() *iscsi.Target { return st.target }
-func (st *iscsiStack) ClientFS() *ext3.FS    { return st.fs }
+func (st *iscsiStack) Initiator() *iscsi.Initiator { return st.endpoint }
+func (st *iscsiStack) Target() *iscsi.Target       { return st.target }
+func (st *iscsiStack) ClientFS() *ext3.FS          { return st.fs }
 
 // endpointCounters exports the cumulative iSCSI command counters across
 // every endpoint this stack has had.
@@ -347,9 +353,7 @@ func (st *iscsiStack) fsCounters() map[string]int64 {
 func (st *iscsiStack) Mount(now time.Duration) (time.Duration, error) {
 	if st.endpoint != nil {
 		st.epBase = addCounterMap(st.epBase, st.endpoint.Counters())
-		if s := st.Session(); s != nil {
-			st.tcpBase.Add(s.Stats())
-		}
+		st.tcpBase.Add(st.endpoint.Stats())
 	}
 	if st.hw.cfg.Transport == TransportTCP {
 		st.endpoint = iscsi.NewSession(st.hw.net, st.target, st.hw.cpu,

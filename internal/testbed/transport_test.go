@@ -115,35 +115,35 @@ func TestAccessorsReadThroughTheStack(t *testing.T) {
 	t.Run("iscsi", func(t *testing.T) {
 		tb := mkTCP(t, ISCSI, 4)
 		st := tb.Stack
-		if st.Initiator() != nil || st.RPC() != nil || st.NFSClient() != nil || st.NFSServer() != nil {
-			t.Fatal("iSCSI/TCP stack exposes a fluid initiator or NFS parts")
+		if st.RPC() != nil || st.NFSClient() != nil || st.NFSServer() != nil {
+			t.Fatal("iSCSI/TCP stack exposes NFS parts")
 		}
-		fs0, s0 := st.ClientFS(), st.Session()
+		fs0, s0 := st.ClientFS(), st.Initiator()
 		if fs0 == nil || s0 == nil || s0.Conns() != 4 || st.Target() == nil {
-			t.Fatalf("fs=%v session=%v target=%v, want all live and 4 conns", fs0, s0, st.Target())
+			t.Fatalf("fs=%v initiator=%v target=%v, want all live and 4 conns", fs0, s0, st.Target())
 		}
 		work(tb)
 		if st.ClientFS() == fs0 || st.ClientFS() != tb.FS {
 			t.Fatal("ClientFS does not follow the cold-cache remount")
 		}
-		if st.Session() != s0 {
-			t.Fatal("ColdCache rebuilt the session")
+		if st.Initiator() != s0 {
+			t.Fatal("ColdCache rebuilt the initiator")
 		}
 		before := st.Counters().TCP.Segments
 		recover(tb)
-		if s := st.Session(); s == s0 || s.Conns() != 4 {
-			t.Fatalf("Session() after recovery: rebuilt=%v conns=%d", s != s0, s.Conns())
+		if s := st.Initiator(); s == s0 || s.Conns() != 4 {
+			t.Fatalf("Initiator() after recovery: rebuilt=%v conns=%d", s != s0, s.Conns())
 		}
-		if st.Session().Stats().Segments >= before || st.Counters().TCP.Segments <= before {
+		if st.Initiator().Stats().Segments >= before || st.Counters().TCP.Segments <= before {
 			t.Fatalf("segments: live session %d, cumulative %d, before recovery %d",
-				st.Session().Stats().Segments, st.Counters().TCP.Segments, before)
+				st.Initiator().Stats().Segments, st.Counters().TCP.Segments, before)
 		}
 	})
 
 	t.Run("nfs", func(t *testing.T) {
 		tb := mkTCP(t, NFSv3, 1)
 		st := tb.Stack
-		if st.Initiator() != nil || st.Session() != nil || st.Target() != nil || st.ClientFS() != nil {
+		if st.Initiator() != nil || st.Target() != nil || st.ClientFS() != nil {
 			t.Fatal("NFS stack exposes iSCSI parts")
 		}
 		rpc0, c0 := st.RPC(), st.NFSClient()
