@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/testbed"
 )
 
 // Renderers print results in the paper's table/figure layouts.
@@ -151,13 +149,4 @@ func byteSize(n int) string {
 		return fmt.Sprintf("%dKB", n>>10)
 	}
 	return fmt.Sprintf("%dB", n)
-}
-
-// StacksHeader names the four stacks in table order (for custom output).
-func StacksHeader() []string {
-	out := make([]string, 0, len(testbed.AllKinds))
-	for _, k := range testbed.AllKinds {
-		out = append(out, k.String())
-	}
-	return out
 }

@@ -686,6 +686,3 @@ func (fs *FS) WriteFileAt(at time.Duration, ino Ino, off int64, data []byte) (in
 	f := &File{fs: fs, ino: ino}
 	return f.WriteAt(at, off, data)
 }
-
-// Root returns the root directory inode number (for filehandle roots).
-func (fs *FS) Root() Ino { return RootIno }

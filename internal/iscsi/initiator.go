@@ -179,11 +179,12 @@ func (i *Initiator) Stats() tcpsim.Stats {
 // bytes summed across the MC/S connections, nil on the fluid wire (the
 // station skips that scrape).
 func (i *Initiator) Gauges(now time.Duration) map[string]float64 {
-	var agg map[string]float64
-	for _, c := range i.wire.conns() {
-		if agg == nil {
-			agg = map[string]float64{"cwnd_segs": 0, "inflight_bytes": 0}
-		}
+	conns := i.wire.conns()
+	if len(conns) == 0 {
+		return nil
+	}
+	agg := map[string]float64{"cwnd_segs": 0, "inflight_bytes": 0}
+	for _, c := range conns {
 		for k, v := range c.Gauges(now) {
 			agg[k] += v
 		}
@@ -196,6 +197,12 @@ func (i *Initiator) charge(at time.Duration, d time.Duration) time.Duration {
 		return at
 	}
 	return i.cpu.Run(at, d)
+}
+
+// issue charges the client CPU for issuing one command that handles n
+// bytes of data (copy and checksum) at issue time.
+func (i *Initiator) issue(at time.Duration, n int) time.Duration {
+	return i.charge(at, i.cost.PerCommand+time.Duration(n/1024)*i.cost.PerKB)
 }
 
 // Login brings the wire up, performs the login exchange and discovers

@@ -4,6 +4,12 @@
 // so a client-side filesystem can mount a remote volume exactly as in the
 // paper's Figure 2(b).
 //
+// There is one Initiator and it runs over one of two wires: a fluid
+// datagram per PDU (NewInitiator), or an MC/S session of N tcpsim
+// connections (NewSession). Everything that is SCSI or iSCSI is written
+// once in initiator.go; what a frame costs and how loss is recovered is
+// the wire's (wire.go).
+//
 // One SCSI command round trip counts as one protocol transaction
 // ("message" in the paper's tables), regardless of how many data PDUs the
 // transfer needs; frame and byte counters capture the rest.

@@ -97,7 +97,7 @@ func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error
 // the expected transfer length.
 func (w *fluidWire) command(at time.Duration, req PDU, _ bool) (time.Duration, *PDU, bool) {
 	i, expectIn := w.i, int(req.ExpectedLen)
-	at = i.charge(at, i.cost.PerCommand+time.Duration(len(req.Data)/1024)*i.cost.PerKB)
+	at = i.issue(at, len(req.Data))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	done, resp, retries := w.roundTrip(at, &req, BHSSize+pad4(expectIn))
 	w.retries += retries
@@ -180,7 +180,7 @@ func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duratio
 		c = w.lanes[w.rr]
 		w.rr = (w.rr + 1) % len(w.lanes)
 	}
-	at = i.charge(at, i.cost.PerCommand+time.Duration((len(req.Data)+int(req.ExpectedLen))/1024)*i.cost.PerKB)
+	at = i.issue(at, len(req.Data)+int(req.ExpectedLen))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	i.net.CountMessage()
 	done, ok := w.leg(c, at, "request", req.WireSize(), simnet.ClientToServer)
@@ -284,7 +284,7 @@ func (p *pipe) step() {
 	if p.xfer == nil {
 		ext := p.buf[p.off:min(p.off+p.unit, len(p.buf))]
 		p.req = i.rwPDU(0, p.lba+int64(p.off/i.BlockSize()), ext, p.write)
-		at := i.charge(p.at, i.cost.PerCommand+time.Duration(len(ext)/1024)*i.cost.PerKB)
+		at := i.issue(p.at, len(ext))
 		p.cspan = tr.BeginDetached(at, tracing.LayerISCSI, opName(p.req.CDB[0]))
 		tr.Enter(p.cspan)
 		defer tr.Exit(p.cspan)

@@ -179,12 +179,6 @@ func (m *Manager) Unlock(now time.Duration, client int, ino uint64, off, length 
 	return false
 }
 
-// Renew refreshes the client's lease without lock traffic.
-func (m *Manager) Renew(now time.Duration, client int) {
-	m.expire(now)
-	m.renew(now, client)
-}
-
 func (m *Manager) renew(now time.Duration, client int) {
 	m.lastRenew[client] = now
 }

@@ -194,7 +194,7 @@ func TestLeaseExpiry(t *testing.T) {
 	// Renewal keeps a lease alive.
 	m2 := NewManager(Config{LeaseTTL: time.Second})
 	m2.TryLock(0, 0, 1, 0, 0, true)
-	m2.Renew(900*time.Millisecond, 0)
+	m2.renew(900*time.Millisecond, 0)
 	if m2.TryLock(1500*time.Millisecond, 1, 1, 0, 0, true) {
 		t.Fatal("lock granted despite holder's renewed lease")
 	}

@@ -148,9 +148,6 @@ func (c *Client) SetCacheCapacity(pages int) {
 // it drops them (see the ownership rules on pageCache).
 func (c *Client) SetPool(p *blockdev.Pool) { c.pages.pool = p }
 
-// RPCStats exposes the RPC layer counters.
-func (c *Client) RPCStats() sunrpc.Stats { return c.rpc.Stats() }
-
 // Mount obtains the root filehandle and its attributes (MOUNT + GETATTR +
 // FSINFO in real life; message accounting starts after mount in all
 // experiments, as the paper counts per-syscall traffic).

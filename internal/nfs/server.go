@@ -82,9 +82,6 @@ func NewServer(fs *ext3.FS, cpu *sim.CPU) *Server {
 // cold-cache protocol re-mounts the export).
 func (s *Server) Attach(fs *ext3.FS) { s.fs = fs }
 
-// SetCosts overrides the CPU cost model.
-func (s *Server) SetCosts(c ServerCosts) { s.cost = c }
-
 // FS exposes the exported filesystem (tests inspect it directly).
 func (s *Server) FS() *ext3.FS { return s.fs }
 
@@ -135,7 +132,7 @@ func (s *Server) begin(at time.Duration, p Proc, payload int) (time.Duration, er
 }
 
 // RootFH returns the export's root filehandle (what MOUNT would return).
-func (s *Server) RootFH() FH { return FH{Ino: uint64(s.fs.Root())} }
+func (s *Server) RootFH() FH { return FH{Ino: uint64(ext3.RootIno)} }
 
 // Getattr serves GETATTR.
 func (s *Server) Getattr(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// Percentile returns the nearest-rank percentile of a latency sample:
+// percentile returns the nearest-rank percentile of a latency sample:
 // with the sample sorted ascending, P(p) is the value at rank
 // ceil(p/100 * N) (1-based). This is the convention storage benchmarks
 // (and the paper's latency tables) use: every reported percentile is an
 // observed latency, never an interpolation. An empty sample reports 0;
 // p <= 0 reports the minimum and p >= 100 the maximum.
-func Percentile(sample []time.Duration, p float64) time.Duration {
+func percentile(sample []time.Duration, p float64) time.Duration {
 	return sortedPercentile(sortSample(sample), p)
 }
 

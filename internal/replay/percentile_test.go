@@ -27,7 +27,7 @@ func TestPercentileNearestRankGolden(t *testing.T) {
 		{100, ms(10)},
 	}
 	for _, c := range cases {
-		if got := Percentile(sample, c.p); got != c.want {
+		if got := percentile(sample, c.p); got != c.want {
 			t.Errorf("P%g = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -39,12 +39,12 @@ func TestPercentileNearestRankGolden(t *testing.T) {
 
 // TestPercentileEdgeCases covers empty and single-sample vectors.
 func TestPercentileEdgeCases(t *testing.T) {
-	if got := Percentile(nil, 50); got != 0 {
+	if got := percentile(nil, 50); got != 0 {
 		t.Errorf("empty sample P50 = %v, want 0", got)
 	}
 	one := []time.Duration{ms(4)}
 	for _, p := range []float64{0, 1, 50, 99, 100} {
-		if got := Percentile(one, p); got != ms(4) {
+		if got := percentile(one, p); got != ms(4) {
 			t.Errorf("single sample P%g = %v, want 4ms", p, got)
 		}
 	}

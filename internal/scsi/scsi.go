@@ -131,11 +131,6 @@ func PersistentReserveOut(action, rtype byte) CDB {
 	return CDB{Op: OpPersistentReserveOut, Action: action, RType: rtype}
 }
 
-// PersistentReserveIn builds a PR IN CDB (READ RESERVATION).
-func PersistentReserveIn(alloc uint16) CDB {
-	return CDB{Op: OpPersistentReserveIn, Length: alloc}
-}
-
 // CapacityData encodes the 8-byte READ CAPACITY(10) response: the LBA of
 // the last block and the block size in bytes.
 func CapacityData(lastLBA uint32, blockSize uint32) [8]byte {

@@ -155,9 +155,6 @@ func (n *Network) SetRTT(rtt time.Duration) { n.cfg.RTT = rtt }
 // RTT reports the configured round-trip propagation delay.
 func (n *Network) RTT() time.Duration { return n.cfg.RTT }
 
-// SetLossRate adjusts frame loss probability (failure injection).
-func (n *Network) SetLossRate(p float64) { n.cfg.LossRate = p }
-
 // LossRate reports the configured frame loss probability.
 func (n *Network) LossRate() float64 { return n.cfg.LossRate }
 

@@ -332,9 +332,9 @@ func (st *iscsiStack) damaged() bool {
 	return !st.fs.Mounted() || !st.target.LoggedIn() || st.endpoint.Broken()
 }
 
-func (st *iscsiStack) RPC() *sunrpc.Client    { return nil }
-func (st *iscsiStack) NFSClient() *nfs.Client { return nil }
-func (st *iscsiStack) NFSServer() *nfs.Server { return nil }
+func (st *iscsiStack) RPC() *sunrpc.Client         { return nil }
+func (st *iscsiStack) NFSClient() *nfs.Client      { return nil }
+func (st *iscsiStack) NFSServer() *nfs.Server      { return nil }
 func (st *iscsiStack) Initiator() *iscsi.Initiator { return st.endpoint }
 func (st *iscsiStack) Target() *iscsi.Target       { return st.target }
 func (st *iscsiStack) ClientFS() *ext3.FS          { return st.fs }

@@ -16,9 +16,6 @@ type Env struct {
 // NewEnv returns an environment rooted at "/".
 func NewEnv(fs FileSystem) *Env { return &Env{FS: fs, cwd: "/"} }
 
-// Cwd returns the current working directory.
-func (e *Env) Cwd() string { return e.cwd }
-
 // Abs resolves p against the cwd and cleans it.
 func (e *Env) Abs(p string) string {
 	if p == "" {

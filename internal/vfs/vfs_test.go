@@ -39,8 +39,8 @@ func (f *fakeFS) Stat(at time.Duration, path string) (Stat, time.Duration, error
 func TestEnvChdirAndAbs(t *testing.T) {
 	fs := &fakeFS{dirs: map[string]bool{"/": true, "/a": true, "/a/b": true}}
 	env := NewEnv(fs)
-	if env.Cwd() != "/" {
-		t.Fatalf("initial cwd %q", env.Cwd())
+	if env.cwd != "/" {
+		t.Fatalf("initial cwd %q", env.cwd)
 	}
 	if _, err := env.Chdir(0, "/a"); err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestEnvChdirAndAbs(t *testing.T) {
 	if _, err := env.Chdir(0, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if env.Cwd() != "/a/b" {
-		t.Fatalf("cwd %q", env.Cwd())
+	if env.cwd != "/a/b" {
+		t.Fatalf("cwd %q", env.cwd)
 	}
 	if got := env.Abs(".."); got != "/a" {
 		t.Fatalf("dotdot: %q", got)

@@ -140,11 +140,4 @@ func rmRF(tb *testbed.Testbed, path string) error {
 	return tb.Rmdir(path)
 }
 
-// KernelBuildTree creates the tree outside a measurement window (setup for
-// the list/compile/remove benchmarks).
-func KernelBuildTree(tb *testbed.Testbed, cfg KernelConfig) error {
-	_, err := KernelUntar(tb, cfg)
-	return err
-}
-
 func firstResult(r Result, err error) (Result, error) { return r, err }

@@ -41,10 +41,10 @@ func runSteps(s Steps) func() error {
 	return func() error { return RunSteps(s) }
 }
 
-// Chain sequences step machines: each runs to completion before the next
+// chain sequences step machines: each runs to completion before the next
 // starts, preserving one-operation-per-step granularity so a scheduler
 // still interleaves the chained phases fairly against other clients.
-func Chain(steps ...Steps) Steps {
+func chain(steps ...Steps) Steps {
 	i := 0
 	return func() (bool, error) {
 		if i >= len(steps) {

@@ -220,7 +220,7 @@ func TestChainSequencesStepMachines(t *testing.T) {
 			return i < n, nil
 		}
 	}
-	if err := RunSteps(Chain(mk("a", 2), mk("b", 1), mk("c", 3))); err != nil {
+	if err := RunSteps(chain(mk("a", 2), mk("b", 1), mk("c", 3))); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a", "a", "b", "c", "c", "c"}
@@ -233,7 +233,7 @@ func TestChainSequencesStepMachines(t *testing.T) {
 		}
 	}
 	// A finished chain keeps reporting done without re-running machines.
-	chain := Chain(mk("d", 1))
+	chain := chain(mk("d", 1))
 	if err := RunSteps(chain); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestChainStopsOnError(t *testing.T) {
 	ran := 0
 	boom := func() (bool, error) { return false, errFailed }
 	tail := func() (bool, error) { ran++; return false, nil }
-	if err := RunSteps(Chain(boom, tail)); err != errFailed {
+	if err := RunSteps(chain(boom, tail)); err != errFailed {
 		t.Fatalf("err = %v, want errFailed", err)
 	}
 	if ran != 0 {
