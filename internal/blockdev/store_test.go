@@ -17,8 +17,9 @@ var ramp = func() (r [BlockSize + 256]byte) {
 // dense []byte image of the same device: every read must return exactly what
 // the image holds. One op is three bytes: lba, kind, value. Kinds cover the
 // three representations in every order: zeros, one non-zero byte repeated,
-// mixed bytes (derived from value, never constant), and a mixed block whose
-// bytes differ only in the last position (the constant test's worst case).
+// mixed bytes (derived from value, never constant), a mixed block whose
+// bytes differ only in the last position (the constant test's worst case),
+// and zeroAt, which must leave what a write of zeros leaves.
 func storeOps(t *testing.T, s *Store, ops []byte) {
 	t.Helper()
 	const blocks = 8
@@ -33,7 +34,7 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 		}
 	}
 	for ; len(ops) >= 3; ops = ops[3:] {
-		lba, kind, v := int64(ops[0]%blocks), ops[1]%5, ops[2]
+		lba, kind, v := int64(ops[0]%blocks), ops[1]%6, ops[2]
 		switch kind {
 		case 0:
 			check(lba)
@@ -47,8 +48,16 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 		case 4:
 			copy(data, bytes.Repeat([]byte{v}, BlockSize))
 			data[BlockSize-1] = v + 1
+		case 5:
+			clear(data)
 		}
-		if err := s.WriteAt(lba, data); err != nil {
+		var err error
+		if kind == 5 {
+			err = s.zeroAt(lba)
+		} else {
+			err = s.WriteAt(lba, data)
+		}
+		if err != nil {
 			t.Fatalf("write %d: %v", lba, err)
 		}
 		copy(dense[lba*BlockSize:], data)
@@ -88,6 +97,7 @@ func FuzzStoreMatchesDenseImage(f *testing.F) {
 	f.Add([]byte{1, 2, 0x5A, 1, 3, 9, 1, 2, 0xA5, 1, 1, 0, 1, 0, 0})          // constant, mixed, constant, zero, read
 	f.Add([]byte{0, 3, 7, 1, 3, 7, 0, 2, 0xDB, 1, 4, 0xDB, 0, 1, 0, 1, 2, 0}) // private blocks recycled through the pool
 	f.Add([]byte{2, 4, 0xFF, 2, 2, 0xFF, 2, 4, 0, 2, 1, 0, 3, 2, 0, 3, 0, 0}) // last byte differs; constant 0 is zero
+	f.Add([]byte{4, 3, 1, 4, 5, 0, 5, 2, 9, 5, 5, 0, 6, 5, 0, 4, 3, 2})       // zeroAt over private, constant, absent
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		storeOps(t, NewStore(8, BlockSize), ops)
 		pooled := NewStore(8, BlockSize)

@@ -3,6 +3,7 @@ package ext3
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -64,13 +65,10 @@ func (fs *FS) runBuf(run int) []byte {
 	return fs.coalesce[:run*BlockSize]
 }
 
-// journalZeros is what Mkfs writes over the journal area, 64 blocks at a
-// time. It is never written: WriteBlocks does not retain or modify its
-// argument.
-var journalZeros [64 * BlockSize]byte
-
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
-func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, error) {
+// What is formatted is always the array itself (an export, or a LUN before its
+// target serves it): the concrete type is what offers WriteZeros.
+func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, error) {
 	opts.fill()
 	if dev.BlockSize() != BlockSize {
 		return at, fmt.Errorf("ext3: device block size %d != %d", dev.BlockSize(), BlockSize)
@@ -85,9 +83,6 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 	itableBlocks := ipg / InodesPerBlock
 	overhead := 2 + itableBlocks // bitmap + ibitmap + itable
 	groupCount := (total - firstGroup + bpg - 1) / bpg
-	if groupCount > BlockSize/gdtEntrySize {
-		return at, fmt.Errorf("ext3: too many groups (%d) for one GDT block", groupCount)
-	}
 
 	sb := &superblock{
 		Magic:            sbMagic,
@@ -101,21 +96,18 @@ func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, e
 		CommitIntervalNs: int64(opts.CommitInterval),
 		State:            sbStateClean,
 	}
+	if err := sb.checkGeometry(total); err != nil {
+		return at, err
+	}
 
 	done := at
 	var err error
-	// Zero the journal so stale records can never replay.
-	zero := journalZeros[:]
-	for off := int64(0); off < opts.JournalBlocks; {
-		n := opts.JournalBlocks - off
-		if n > 64 {
-			n = 64
-		}
-		done, err = dev.WriteBlocks(done, jStart+off, zero[:n*BlockSize])
-		if err != nil {
+	// Zero the journal so stale records can never replay, 64 blocks a request.
+	for off := int64(0); off < opts.JournalBlocks; off += 64 {
+		n := min(opts.JournalBlocks-off, 64)
+		if done, err = dev.WriteZeros(done, jStart+off, int(n)); err != nil {
 			return done, err
 		}
-		off += n
 	}
 
 	gdt := make([]byte, BlockSize)
@@ -219,6 +211,9 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 		return nil, done, err
 	}
 	sb, err := decodeSuperblock(blk)
+	if err == nil {
+		err = sb.checkGeometry(dev.NumBlocks())
+	}
 	if err != nil {
 		return nil, done, err
 	}
@@ -349,24 +344,43 @@ func (fs *FS) allocBlock(at time.Duration, goal int64) (int64, time.Duration, er
 				from = 0
 			}
 		}
-		for pass := 0; pass < 2; pass++ {
-			lo, hi := from, bpg
-			if pass == 1 {
-				lo, hi = 0, from
-			}
-			for idx := lo; idx < hi; idx++ {
-				if b.data[idx/8]&(1<<uint(idx%8)) == 0 {
-					b.data[idx/8] |= 1 << uint(idx%8)
-					fs.bc.markDirty(b, true)
-					fs.journal.add(b)
-					fs.groupFreeBlocks[g]--
-					fs.sb.FreeBlocks--
-					return gStart + int64(idx), at, nil
-				}
-			}
+		idx := firstClear(b.data, from, bpg)
+		if idx < 0 {
+			idx = firstClear(b.data, 0, from) // wrap around below the goal
 		}
+		if idx < 0 {
+			continue
+		}
+		b.data[idx/8] |= 1 << uint(idx%8)
+		fs.bc.markDirty(b, true)
+		fs.journal.add(b)
+		fs.groupFreeBlocks[g]--
+		fs.sb.FreeBlocks--
+		return gStart + int64(idx), at, nil
 	}
 	return 0, at, vfs.ErrNoSpace
+}
+
+// firstClear returns the lowest clear bit of bitmap bm in [lo, hi), or -1: bit
+// by bit up to a 64-bit boundary, a word at a time (Linux's find_next_zero_bit),
+// then the tail. A file grown by 4 KB writes searches from its indirect block
+// across every block it owns on each call: thousands of bits an allocation.
+// hi ≤ 8·len(bm): bm is one block, and checkGeometry bounds both per-group
+// counts by a block's bits.
+func firstClear(bm []byte, lo, hi int) int {
+	for lo < hi {
+		if lo%64 == 0 && hi-lo >= 64 {
+			if w := ^binary.LittleEndian.Uint64(bm[lo/8:]); w != 0 {
+				return lo + bits.TrailingZeros64(w)
+			}
+			lo += 64
+		} else if bm[lo/8]&(1<<uint(lo%8)) == 0 {
+			return lo
+		} else {
+			lo++
+		}
+	}
+	return -1
 }
 
 // freeBlock releases a data block.
@@ -429,16 +443,16 @@ func (fs *FS) allocInode(at time.Duration, goalGroup int, dirParent Ino) (Ino, t
 		}
 		at = done
 		ipg := int(fs.sb.InodesPerGroup)
-		for idx := 0; idx < ipg; idx++ {
-			if b.data[idx/8]&(1<<uint(idx%8)) == 0 {
-				b.data[idx/8] |= 1 << uint(idx%8)
-				fs.bc.markDirty(b, true)
-				fs.journal.add(b)
-				fs.groupFreeInodes[g]--
-				fs.sb.FreeInodes--
-				return Ino(g*ipg+idx) + 1, at, nil
-			}
+		idx := firstClear(b.data, 0, ipg)
+		if idx < 0 {
+			continue
 		}
+		b.data[idx/8] |= 1 << uint(idx%8)
+		fs.bc.markDirty(b, true)
+		fs.journal.add(b)
+		fs.groupFreeInodes[g]--
+		fs.sb.FreeInodes--
+		return Ino(g*ipg+idx) + 1, at, nil
 	}
 	return 0, at, vfs.ErrNoSpace
 }

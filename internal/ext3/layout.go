@@ -115,6 +115,25 @@ func decodeSuperblock(b []byte) (*superblock, error) {
 	return sb, nil
 }
 
+// checkGeometry rejects a superblock the code cannot index: a group's block and
+// inode bitmaps are one block each, the group descriptor table is one block,
+// and the journal and every group's bitmaps lie inside the file system, which
+// lies inside the device. Mkfs runs it on what its options produce and Mount on
+// what it read; every division by and index from these fields relies on it.
+func (sb *superblock) checkGeometry(devBlocks int64) error {
+	const maxBits = 8 * BlockSize
+	bpg, ipg, groups := uint64(sb.BlocksPerGroup), sb.InodesPerGroup, uint64(sb.GroupCount)
+	fg := sb.JournalStart + sb.JournalBlocks
+	if bpg == 0 || bpg > maxBits || ipg == 0 || ipg > maxBits || ipg%InodesPerBlock != 0 ||
+		groups == 0 || groups > BlockSize/gdtEntrySize || sb.InodesCount != sb.GroupCount*ipg ||
+		sb.BlocksCount > uint64(devBlocks) || sb.JournalStart != jStart || sb.JournalBlocks > sb.BlocksCount ||
+		fg+(groups-1)*bpg+2 > sb.BlocksCount || fg+groups*bpg < sb.BlocksCount {
+		return fmt.Errorf("ext3: bad geometry: %d groups of %d blocks and %d inodes (%d inodes in all) behind %d journal blocks at %d do not tile %d blocks on a device of %d",
+			groups, bpg, ipg, sb.InodesCount, sb.JournalBlocks, sb.JournalStart, sb.BlocksCount, devBlocks)
+	}
+	return nil
+}
+
 // Inode is the in-memory (and, encoded, on-disk) inode.
 type Inode struct {
 	Mode   uint16 // type + permissions (vfs.Mode layout)

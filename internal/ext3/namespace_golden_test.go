@@ -18,6 +18,32 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 
+// checkGolden compares got with testdata/name line by line, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Errorf("%s line %d drifted:\n got: %s\nwant: %s", name, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("%s: %d lines, golden has %d", name, len(gl), len(wl))
+	}
+}
+
 // namespaceScript drives every namespace syscall through the path entry
 // points (what the iSCSI client's mounted file system runs), one syscall per
 // line. "cold" remounts first, so the syscall starts from empty caches; the
@@ -250,27 +276,5 @@ func TestNamespaceOpsGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%-44s err=%v t=%d cache=%d/%d/%d journal=%d/%d disk=%+v free=%d/%d\n",
 			line+val, err, done, hits, misses, evictions, commits, checkpoints, dev.Stats(), fs.FreeBlocks(), fs.FreeInodes())
 	}
-	path := filepath.Join("testdata", "namespace_ops.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Errorf("line %d drifted:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	if len(gl) != len(wl) {
-		t.Errorf("golden length differs: %d vs %d lines", len(gl), len(wl))
-	}
+	checkGolden(t, "namespace_ops.golden", got.String())
 }
