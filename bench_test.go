@@ -4,7 +4,7 @@
 // quantities as custom metrics (messages, virtual seconds, ratios), so
 // `go test -bench=. -benchmem` reproduces the entire evaluation.
 //
-// The paper-faithful full-scale runs live in the cmd/ tools; see
+// The paper-faithful full-scale runs are cmd/repro experiments; see
 // EXPERIMENTS.md for the side-by-side against the paper's numbers.
 package main
 

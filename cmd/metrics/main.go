@@ -5,7 +5,7 @@
 // time rate windows come out of the stream without re-running the
 // simulation.
 //
-//	go run ./cmd/transport -size 1 -metrics transport.jsonl
+//	go run ./cmd/repro transport -size 1 -metrics transport.jsonl
 //	go run ./cmd/metrics transport.jsonl                    # roll-up
 //	go run ./cmd/metrics -by stack,transport transport.jsonl
 //	go run ./cmd/metrics -rate 100ms transport.jsonl        # rate windows

@@ -1,0 +1,165 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strings"
+	"time"
+
+	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/testbed"
+	"repro/internal/tracing"
+	"repro/internal/workload"
+)
+
+func traceCell(fs *flag.FlagSet) func(*env) error {
+	var cell testbed.Config
+	var src workload.SeqRandConfig
+	stack := fs.String("stack", "nfsv3", "protocol stack (nfsv2, nfsv3, nfsv4, iscsi)")
+	transport := fs.String("transport", "tcp", "wire model (fluid, udp, tcp)")
+	wl := fs.String("workload", "seq-read", "workload ("+strings.Join(core.TransportWorkloads, ",")+")")
+	sizeFlag(fs, &src.FileSize, 1<<10, 256, 1<<20, "file size in KB per workload pass")
+	chunkFlag(fs, &src.ChunkSize)
+	fs.DurationVar(&cell.RTT, "rtt", 200*time.Microsecond, "network round-trip time")
+	loss := lossFlag(fs)
+	wireFlags(fs, &cell.Conns, &cell.WindowBytes)
+	seedFlag(fs, &cell.Seed, 42)
+	chromePath := fs.String("chrome", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
+	from := fs.String("from", "", "analyze an existing span JSONL instead of running a cell")
+	return func(e *env) error {
+		var spans []tracing.Span
+		label := *from
+		if *from != "" {
+			f, err := os.Open(*from)
+			if err != nil {
+				return err
+			}
+			spans, err = tracing.ReadSpans(f)
+			f.Close()
+			if err != nil {
+				return fmt.Errorf("%s: %w", *from, err)
+			}
+			e.trace.Replay(spans)
+		} else {
+			stacks, err := cliutil.Stacks(*stack)
+			if err != nil || len(stacks) != 1 {
+				return fmt.Errorf("bad -stack value %q (one of nfsv2, nfsv3, nfsv4, iscsi)", *stack)
+			}
+			transports, err := cliutil.Transports(*transport)
+			if err != nil || len(transports) != 1 {
+				return fmt.Errorf("bad -transport value %q (one of fluid, udp, tcp)", *transport)
+			}
+			if cell.RTT < 0 {
+				return fmt.Errorf("bad -rtt value %v (must not be negative)", cell.RTT)
+			}
+			cell.Kind, cell.Transport = stacks[0], transports[0]
+			cell.LossRate = *loss / 100
+			cell.Tracer = e.tracer
+			cell.DeviceBlocks = 16384
+			if need := src.FileSize / 4096 * 4; need > cell.DeviceBlocks {
+				cell.DeviceBlocks = need
+			}
+			tb, err := testbed.New(cell)
+			if err != nil {
+				return err
+			}
+			src.Seed = cell.Seed
+			switch *wl {
+			case "seq-read":
+				_, err = workload.SequentialRead(tb, src)
+			case "seq-write":
+				_, err = workload.SequentialWrite(tb, src)
+			case "rand-read":
+				_, err = workload.RandomRead(tb, src)
+			case "rand-write":
+				_, err = workload.RandomWrite(tb, src)
+			default:
+				err = fmt.Errorf("bad -workload value %q (have %s)", *wl, strings.Join(core.TransportWorkloads, ", "))
+			}
+			if err != nil {
+				return err
+			}
+			spans = e.tracer.Spans()
+			label = fmt.Sprintf("%s/%s %s", *stack, *transport, *wl)
+		}
+		if *chromePath != "" {
+			err := writeFile(*chromePath, func(f *os.File) error { return tracing.WriteChrome(f, spans) })
+			if err != nil {
+				return fmt.Errorf("-chrome: %w", err)
+			}
+		}
+		return renderCriticalPath(e.out, label, spans)
+	}
+}
+
+// renderCriticalPath prints the per-layer critical-path table: for every
+// traced op the analyzer bills each nanosecond to one layer, and the table
+// aggregates the per-op bills as mean/p50/p99 with each layer's share of
+// the total.
+func renderCriticalPath(w io.Writer, label string, spans []tracing.Span) error {
+	roots := tracing.Roots(spans)
+	fmt.Fprintf(w, "Critical-path attribution: %s (%d spans, %d ops)\n",
+		label, len(spans), len(roots))
+	if len(roots) == 0 {
+		fmt.Fprintln(w, "no traced ops (sampled out?)")
+		return nil
+	}
+	perLayer := make(map[string][]time.Duration, len(tracing.Layers))
+	var latencies []time.Duration
+	var total time.Duration
+	for _, r := range roots {
+		attr, err := tracing.CriticalPath(spans, r.ID)
+		if err != nil {
+			return err
+		}
+		for _, l := range tracing.Layers {
+			perLayer[l] = append(perLayer[l], attr[l])
+		}
+		latencies = append(latencies, r.End-r.Start)
+		total += r.End - r.Start
+	}
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %7s\n", "layer", "mean", "p50", "p99", "share")
+	for _, l := range tracing.Layers {
+		var sum time.Duration
+		for _, d := range perLayer[l] {
+			sum += d
+		}
+		if sum == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-12s %10s %10s %10s %6.1f%%\n", l,
+			fmtDur(sum/time.Duration(len(roots))),
+			fmtDur(percentile(perLayer[l], 50)),
+			fmtDur(percentile(perLayer[l], 99)),
+			100*float64(sum)/float64(total))
+	}
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %6.1f%%\n", "op latency",
+		fmtDur(total/time.Duration(len(roots))),
+		fmtDur(percentile(latencies, 50)),
+		fmtDur(percentile(latencies, 99)),
+		100.0)
+	return nil
+}
+
+// percentile is the nearest-rank p-th percentile (copies before sorting).
+func percentile(ds []time.Duration, p int) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	rank := (len(s)*p + 99) / 100
+	if rank < 1 {
+		rank = 1
+	}
+	return s[rank-1]
+}
+
+// fmtDur rounds for the table without losing sub-microsecond bills.
+func fmtDur(d time.Duration) string {
+	if d >= time.Millisecond {
+		return d.Round(time.Microsecond).String()
+	}
+	return d.Round(10 * time.Nanosecond).String()
+}

@@ -1,9 +1,11 @@
-// Package cliutil holds the flag parsing and validation the cmds share:
-// comma-separated axis lists (client counts, connection counts, loss
-// rates, RTTs) with uniform range checks, and the stack/transport name
-// vocabularies. Before it existed each cmd rejected out-of-range values
-// differently (or not at all); harnesses now fail fast with one message
-// shape: `bad -<flag> value "x" (...)`.
+// Package cliutil is the flag vocabulary of cmd/repro: comma-separated
+// axis lists (client counts, connection counts, loss rates, RTTs) with
+// uniform range checks, the stack/transport name vocabularies, flags that
+// apply those checks as they are parsed (flags.go), and the three flag
+// groups an experiment may be offered: profiles, span traces, the health
+// monitor. Every flag registers on the flag.FlagSet it is given, and a
+// value outside its range fails with one message shape:
+// `bad -<flag> value "x" (...)`.
 package cliutil
 
 import (
@@ -32,6 +34,61 @@ const (
 	MaxLossPercent = 50
 )
 
+// Each returns the parser of -flag's comma-separated value: item parses
+// one element, blank elements are skipped, "all" stands for every value
+// when all is non-nil, and an empty list is refused.
+func Each[T any](flag string, all []T, item func(string) (T, error)) func(string) ([]T, error) {
+	return func(list string) ([]T, error) {
+		if all != nil && strings.ToLower(strings.TrimSpace(list)) == "all" {
+			return append([]T(nil), all...), nil
+		}
+		var out []T
+		for _, s := range strings.Split(list, ",") {
+			if s = strings.TrimSpace(s); s == "" {
+				continue
+			}
+			v, err := item(s)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		if len(out) == 0 {
+			return nil, fmt.Errorf("-%s needs at least one value", flag)
+		}
+		return out, nil
+	}
+}
+
+// number returns the parser of one numeric value of -flag in [min, max].
+func number[T int | int64 | float64](flag string, min, max T) func(string) (T, error) {
+	return func(s string) (T, error) {
+		var v T
+		var err error
+		switch p := any(&v).(type) {
+		case *int:
+			*p, err = strconv.Atoi(s)
+		case *int64:
+			*p, err = strconv.ParseInt(s, 10, 64)
+		case *float64:
+			*p, err = strconv.ParseFloat(s, 64)
+		}
+		if err != nil {
+			return v, fmt.Errorf("bad -%s value %q (not a number)", flag, s)
+		}
+		if v < min || v > max {
+			return v, fmt.Errorf("bad -%s value %v (range %v..%v)", flag, v, min, max)
+		}
+		return v, nil
+	}
+}
+
+// Ints parses a comma-separated integer list, requiring every value in
+// [min, max] and at least one value.
+func Ints(list, flag string, min, max int) ([]int, error) {
+	return Each(flag, nil, number(flag, min, max))(list)
+}
+
 // ClientCounts parses a -clients list. In background (hybrid) mode
 // counts range up to MaxClients; mechanistic-only sweeps cap at
 // MaxMechClients, and oversized counts get an error pointing at
@@ -53,155 +110,59 @@ func ClientCounts(list string, background bool) ([]int, error) {
 	return counts, nil
 }
 
-// Ints parses a comma-separated integer list, requiring every value in
-// [min, max] and at least one value.
-func Ints(list, flag string, min, max int) ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s value %q (not an integer)", flag, s)
-		}
-		if err := Int(n, flag, min, max); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s needs at least one value", flag)
-	}
-	return out, nil
-}
-
-// Int validates a single integer flag value against [min, max].
-func Int(n int, flag string, min, max int) error {
-	if n < min || n > max {
-		return fmt.Errorf("bad -%s value %d (range %d..%d)", flag, n, min, max)
-	}
-	return nil
-}
-
-// Float validates a single float flag value against [min, max].
-func Float(v float64, flag string, min, max float64) error {
-	if v < min || v > max {
-		return fmt.Errorf("bad -%s value %g (range %g..%g)", flag, v, min, max)
-	}
-	return nil
-}
-
-// Floats parses a comma-separated float list, requiring every value in
-// [min, max] and at least one value.
-func Floats(list, flag string, min, max float64) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s value %q (not a number)", flag, s)
-		}
-		if v < min || v > max {
-			return nil, fmt.Errorf("bad -%s value %g (range %g..%g)", flag, v, min, max)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s needs at least one value", flag)
-	}
-	return out, nil
-}
-
 // LossPercents parses a comma-separated list of loss rates given in
 // percent (the cmds' convention), bounds them to [0, MaxLossPercent],
 // and returns fractions.
 func LossPercents(list, flag string) ([]float64, error) {
-	ps, err := Floats(list, flag, 0, MaxLossPercent)
-	if err != nil {
-		return nil, err
+	ps, err := Each(flag, nil, number[float64](flag, 0, MaxLossPercent))(list)
+	for i := range ps {
+		ps[i] /= 100
 	}
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = p / 100
-	}
-	return out, nil
+	return ps, err
 }
 
 // Stacks parses a comma-separated stack list ("all" for every stack;
 // names are the metrics tag vocabulary nfsv2..nfsv4, iscsi).
 func Stacks(list string) ([]testbed.Kind, error) {
-	if strings.ToLower(strings.TrimSpace(list)) == "all" {
-		return append([]testbed.Kind(nil), testbed.AllKinds...), nil
-	}
-	var out []testbed.Kind
-	for _, s := range strings.Split(list, ",") {
-		switch strings.ToLower(strings.TrimSpace(s)) {
+	return Each("stacks", testbed.AllKinds, func(s string) (testbed.Kind, error) {
+		switch strings.ToLower(s) {
 		case "nfsv2":
-			out = append(out, testbed.NFSv2)
+			return testbed.NFSv2, nil
 		case "nfsv3":
-			out = append(out, testbed.NFSv3)
+			return testbed.NFSv3, nil
 		case "nfsv4":
-			out = append(out, testbed.NFSv4)
+			return testbed.NFSv4, nil
 		case "iscsi":
-			out = append(out, testbed.ISCSI)
-		case "":
-		default:
-			return nil, fmt.Errorf("bad -stacks value %q (all, nfsv2, nfsv3, nfsv4, iscsi)", strings.TrimSpace(s))
+			return testbed.ISCSI, nil
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-stacks needs at least one stack")
-	}
-	return out, nil
+		return 0, fmt.Errorf("bad -stacks value %q (all, nfsv2, nfsv3, nfsv4, iscsi)", s)
+	})(list)
 }
 
 // Transports parses a comma-separated wire-model list (fluid, udp, tcp).
 func Transports(list string) ([]testbed.Transport, error) {
-	var out []testbed.Transport
-	for _, s := range strings.Split(list, ",") {
-		switch strings.ToLower(strings.TrimSpace(s)) {
+	return Each("transports", nil, func(s string) (testbed.Transport, error) {
+		switch strings.ToLower(s) {
 		case "fluid":
-			out = append(out, testbed.TransportFluid)
+			return testbed.TransportFluid, nil
 		case "udp":
-			out = append(out, testbed.TransportUDP)
+			return testbed.TransportUDP, nil
 		case "tcp":
-			out = append(out, testbed.TransportTCP)
-		case "":
-		default:
-			return nil, fmt.Errorf("bad -transports value %q (fluid, udp, tcp)", strings.TrimSpace(s))
+			return testbed.TransportTCP, nil
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-transports needs at least one wire model")
-	}
-	return out, nil
+		return 0, fmt.Errorf("bad -transports value %q (fluid, udp, tcp)", s)
+	})(list)
 }
 
-// Workloads validates a comma-separated workload list against the
-// harness's known set.
+// Workloads validates a comma-separated workload list ("all" for every
+// one) against the harness's known set.
 func Workloads(list string, known []string) ([]string, error) {
-	var out []string
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		found := false
+	return Each("workloads", known, func(s string) (string, error) {
 		for _, k := range known {
-			found = found || s == k
+			if s == k {
+				return s, nil
+			}
 		}
-		if !found {
-			return nil, fmt.Errorf("bad -workloads value %q (have %s)", s, strings.Join(known, ", "))
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workloads needs at least one value")
-	}
-	return out, nil
+		return "", fmt.Errorf("bad -workloads value %q (have %s)", s, strings.Join(known, ", "))
+	})(list)
 }

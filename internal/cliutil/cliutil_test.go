@@ -20,12 +20,13 @@ func TestInts(t *testing.T) {
 }
 
 func TestFloat(t *testing.T) {
-	if err := Float(12.5, "loss", 0, MaxLossPercent); err != nil {
-		t.Fatalf("Float(12.5): %v", err)
+	loss := number[float64]("loss", 0, MaxLossPercent)
+	if v, err := loss("12.5"); err != nil || v != 12.5 {
+		t.Fatalf("loss 12.5: %v, %v", v, err)
 	}
-	for _, bad := range []float64{-0.1, 50.01} {
-		if err := Float(bad, "loss", 0, MaxLossPercent); err == nil {
-			t.Errorf("Float(%g) accepted", bad)
+	for _, bad := range []string{"-0.1", "50.01", "lots"} {
+		if _, err := loss(bad); err == nil || !strings.Contains(err.Error(), "bad -loss value") {
+			t.Errorf("loss %s: %v", bad, err)
 		}
 	}
 }

@@ -17,15 +17,15 @@ type Health struct {
 	interval time.Duration
 }
 
-// HealthFlags registers -health and -health-interval on the default
-// flag set and returns the Health that drives them. Call Config after
-// flag.Parse to build the monitor spec for the sweep config.
-func HealthFlags() *Health {
+// HealthFlags registers -health and -health-interval on fs and returns
+// the Health that drives them. Call Config after fs.Parse to build the
+// monitor spec for the sweep config.
+func HealthFlags(fs *flag.FlagSet) *Health {
 	h := &Health{}
-	flag.StringVar(&h.spec, "health", "",
+	fs.StringVar(&h.spec, "health", "",
 		"attach the SLO health monitor: 'default' for the built-in objectives, "+
 			"or a path to an SLO spec JSON (see docs/HEALTH.md; requires -metrics)")
-	flag.DurationVar(&h.interval, "health-interval", 0,
+	fs.DurationVar(&h.interval, "health-interval", 0,
 		"gauge scrape period, e.g. 50ms (requires -health; default 100ms)")
 	return h
 }
@@ -34,7 +34,7 @@ func HealthFlags() *Health {
 // configure, or nil when -health was not given. metricsPath is the
 // cmd's -metrics value: gauges and alerts are metric events, so a
 // monitor without a stream would observe into the void. Call once,
-// after flag.Parse.
+// after fs.Parse.
 func (h *Health) Config(metricsPath string) (*health.Config, error) {
 	if h.spec == "" {
 		if h.interval != 0 {

@@ -17,13 +17,13 @@ type Profile struct {
 	f   *os.File
 }
 
-// ProfileFlags registers -cpuprofile and -memprofile on the default flag
-// set and returns the Profile that drives them. Call Start after
-// flag.Parse and Stop (usually deferred) before exit.
-func ProfileFlags() *Profile {
+// ProfileFlags registers -cpuprofile and -memprofile on fs and returns
+// the Profile that drives them. Call Start after fs.Parse and Stop
+// (usually deferred) before exit.
+func ProfileFlags(fs *flag.FlagSet) *Profile {
 	p := &Profile{}
-	flag.StringVar(&p.cpu, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&p.mem, "memprofile", "", "write a pprof heap profile to this file at exit")
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a pprof heap profile to this file at exit")
 	return p
 }
 

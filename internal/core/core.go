@@ -51,7 +51,7 @@ type Options struct {
 	// Seed for workload randomness.
 	Seed int64
 	// LossRate injects frame loss on the testbed link, so the WAN sweeps
-	// (Figure 6 and cmd/latency) can model lossy long-haul paths.
+	// (Figure 6 and repro latency) can model lossy long-haul paths.
 	LossRate float64
 	// Metrics, when non-nil, receives telemetry from every experiment
 	// run with these Options: each cell's testbed streams tagged counter

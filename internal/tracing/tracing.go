@@ -19,7 +19,7 @@ package tracing
 import "time"
 
 // Layer vocabulary: every span names the layer that did the work. The
-// critical-path analyzer and cmd/trace group by these strings, and
+// critical-path analyzer and repro trace group by these strings, and
 // Span.Validate rejects anything outside the set.
 const (
 	LayerSyscall   = "syscall"    // testbed.Client syscall surface (root spans)
