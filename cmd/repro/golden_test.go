@@ -27,8 +27,12 @@ var goldenCases = []string{
 	"microbench -table 2 -metrics $T/microbench-t2.jsonl",
 	"microbench -table 3 -check -metrics $T/microbench-t3.jsonl",
 	"microbench -figure 4 -metrics $T/microbench-f4.jsonl",
+	"microbench -figure 3 -metrics $T/microbench-f3.jsonl",
+	"microbench -figure 5 -metrics $T/microbench-f5.jsonl",
 	"macrobench -bench tpcc -scale 0.02 -metrics $T/macrobench-tpcc.jsonl",
 	"macrobench -cpu -scale 0.02 -metrics $T/macrobench-cpu.jsonl",
+	"macrobench -bench tpch -scale 0.02 -metrics $T/macrobench-tpch.jsonl",
+	"macrobench -bench kernel -scale 0.05 -metrics $T/macrobench-kernel.jsonl",
 	"postmark -scale 0.01 -metrics $T/postmark.jsonl",
 	"seqrand -size 1 -metrics $T/seqrand.jsonl",
 	"latency -size 1 -step 80 -metrics $T/latency.jsonl",
