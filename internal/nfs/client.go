@@ -796,6 +796,14 @@ func (c *Client) setattr(at time.Duration, path string, sa ext3.SetAttr, postGet
 	if err != nil {
 		return done, err
 	}
+	if sa.Size != nil {
+		// A size change writes the file's dirty pages back first, as Linux
+		// does: what the server truncates is then what the client wrote, and
+		// no queued page is left to land past the new end.
+		if done, err = c.flushFile(done, fh.Ino); err != nil {
+			return done, err
+		}
+	}
 	var st vfs.Stat
 	done, err = c.call(done, ProcSetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
 		var e error
@@ -804,6 +812,9 @@ func (c *Client) setattr(at time.Duration, path string, sa ext3.SetAttr, postGet
 	})
 	if err != nil {
 		return done, err
+	}
+	if sa.Size != nil {
+		c.pages.truncate(fh.Ino, *sa.Size)
 	}
 	c.putAttrs(fh, st, done)
 	if postGetattr {
@@ -838,12 +849,7 @@ func (c *Client) Utimes(at time.Duration, path string, atime, mtime time.Duratio
 
 // Truncate implements vfs.FileSystem.
 func (c *Client) Truncate(at time.Duration, path string, size int64) (time.Duration, error) {
-	s := size
-	done, err := c.setattr(at, path, ext3.SetAttr{Size: &s}, true)
-	if err != nil {
-		return done, err
-	}
-	return done, nil
+	return c.setattr(at, path, ext3.SetAttr{Size: &size}, true)
 }
 
 // Access implements vfs.FileSystem: v3/v4 use the ACCESS procedure, v2

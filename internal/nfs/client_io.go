@@ -195,6 +195,22 @@ func (pc *pageCache) dropFile(ino uint64) {
 	delete(pc.byFile, ino)
 }
 
+// truncate uncaches a file's pages past size and zeroes the rest of the page
+// size falls inside, so a file that grows again reads zeros there, not what
+// it held before. The caller has flushed the file: no page of it is dirty.
+func (pc *pageCache) truncate(ino uint64, size int64) {
+	for p, next := pc.byFile[ino], (*page)(nil); p != nil; p = next {
+		next = p.fnext
+		switch off := p.key.idx * pageSize; {
+		case off >= size:
+			pc.unlink(p)
+			pc.retire(p)
+		case off+pageSize > size:
+			clear(p.data[size-off:])
+		}
+	}
+}
+
 // fileState tracks per-file read-ahead and validation.
 type fileState struct {
 	raNext       int64
@@ -837,29 +853,26 @@ func (f *nfsFile) Fsync(at time.Duration) (time.Duration, error) {
 	return f.c.wb.drain(at)
 }
 
+// flushFile drains the write-behind pool if it holds a page of the file (v2
+// writes through and never does).
+func (c *Client) flushFile(at time.Duration, ino uint64) (time.Duration, error) {
+	for k := range c.wb.queued {
+		if k.ino == ino {
+			return c.wb.drain(at)
+		}
+	}
+	return at, nil
+}
+
 // Close implements vfs.File: close-to-open consistency flushes dirty data
 // (v3/v4); v4 additionally sends CLOSE to release open state.
 func (f *nfsFile) Close(at time.Duration) (time.Duration, error) {
 	c := f.c
-	done := at
-	if c.ver >= V3 {
-		hasDirty := false
-		for k := range c.wb.queued {
-			if k.ino == f.fh.Ino {
-				hasDirty = true
-				break
-			}
-		}
-		if hasDirty {
-			var err error
-			done, err = c.wb.drain(done)
-			if err != nil {
-				return done, err
-			}
-		}
+	done, err := c.flushFile(at, f.fh.Ino)
+	if err != nil {
+		return done, err
 	}
 	if c.ver == V4 {
-		var err error
 		done, err = c.call(done, ProcClose, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
 			return c.srv.Close(arrive)
 		})

@@ -83,14 +83,13 @@ func TestSyscallLargerThanClientCache(t *testing.T) {
 // holds it has returned, or a page dropped while its bytes are still owed to
 // the server or to the caller, is a byte the image does not have.
 //
-// The script stays clear of two defects it found in its first form and this
-// test does not cover (ROADMAP item 5 has both): the NFS client keeps cached
-// pages past the new end of a file it truncates to a shorter non-zero size,
-// and the journal has no revoke, so an indirect block that is freed and reused
-// for data is overwritten by its committed image at the next checkpoint. So
-// truncate here is creat(2) over the file or a truncate that grows it, and
-// only /big, which is never truncated or unlinked, grows past its direct
-// blocks (it is what makes calls hold an indirect block across evictions).
+// The script stays clear of a defect it found in its first form and this test
+// does not cover (ROADMAP item 1): the journal has no revoke, so an indirect
+// block that is freed and reused for data is overwritten by its committed
+// image at the next checkpoint. So only /big, which is never truncated or
+// unlinked, grows past its direct blocks (it is what makes calls hold an
+// indirect block across evictions); the other files are truncated to any
+// length their direct blocks hold, shorter or longer, and by creat(2).
 func TestSmallCachesAgainstModel(t *testing.T) {
 	const direct = 48 << 10 // what a file's direct blocks hold
 	for _, kind := range testbed.AllKinds {
@@ -180,11 +179,11 @@ func TestSmallCachesAgainstModel(t *testing.T) {
 						if err := tb.Close(f); err != nil {
 							t.Fatalf("%s close %s: %v", when, name, err)
 						}
-					case op < 9 && exists && off+n > len(img): // truncate, growing
+					case op < 9 && exists && step%4 != 0: // truncate, growing or shrinking
 						if err := tb.Truncate(name, int64(off+n)); err != nil {
 							t.Fatalf("%s truncate %s to %d: %v", when, name, off+n, err)
 						}
-						image[name] = append(img, make([]byte, off+n-len(img))...)
+						image[name] = append(img[:min(off+n, len(img))], make([]byte, max(off+n-len(img), 0))...)
 					case op < 9: // truncate to nothing: creat(2)
 						f, err := tb.Create(name)
 						if err != nil {
@@ -200,6 +199,86 @@ func TestSmallCachesAgainstModel(t *testing.T) {
 							t.Fatalf("%s unlink %s (exists %v): %v", when, name, exists, err)
 						}
 						delete(image, name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTruncateDropsWhatItCutOff: bytes past the end a truncate leaves are
+// gone on every stack, whether the client holds them clean or still owes them
+// to the server, and a file that grows again reads zeros where they were.
+// The NFS v3 and v4 clients used to send SETATTR and keep their cached pages:
+// the first script read 4096 bytes of 0x77 back.
+func TestTruncateDropsWhatItCutOff(t *testing.T) {
+	old := bytes.Repeat([]byte{0x77}, 32<<10)
+	for _, script := range []struct {
+		name     string
+		closed   bool  // close(2) the written file before the truncate
+		size     int64 // truncate to
+		regrow   int64 // then write one byte here (0: do not)
+		wantSize int64
+	}{
+		{"written back, cut inside a page, regrown", true, 5000, 30000, 30001},
+		{"dirty, cut inside a page, regrown", false, 5000, 30000, 30001},
+		{"dirty, cut to nothing", false, 0, 0, 0},
+	} {
+		for _, kind := range testbed.AllKinds {
+			t.Run(fmt.Sprint(script.name, "/", kind.Tag()), func(t *testing.T) {
+				tb, err := testbed.New(testbed.Config{Kind: kind, DeviceBlocks: 32768})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tb.Cluster.Close()
+				f, err := tb.Create("/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tb.WriteFileAt(f, 0, old); err != nil {
+					t.Fatal(err)
+				}
+				if script.closed {
+					if err := tb.Close(f); err != nil {
+						t.Fatal(err)
+					}
+					if f, err = tb.Open("/f"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tb.Truncate("/f", script.size); err != nil {
+					t.Fatal(err)
+				}
+				want := append(old[:script.size:script.size], make([]byte, script.wantSize-script.size)...)
+				if script.regrow > 0 {
+					if _, err := tb.WriteFileAt(f, script.regrow, []byte{1}); err != nil {
+						t.Fatal(err)
+					}
+					want[script.regrow] = 1
+				}
+				// Once from the client's cache, once from the server.
+				for _, from := range []string{"warm", "cold"} {
+					got := make([]byte, len(old)+1)
+					n, err := tb.ReadFileAt(f, 0, got)
+					if err != nil || n != len(want) {
+						t.Fatalf("%s read: %d bytes, err %v; the file holds %d", from, n, err, len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s read: byte %d (page %d) is %#x, want %#x", from, i, i/4096, got[i], want[i])
+						}
+					}
+					if err := tb.Close(f); err != nil {
+						t.Fatal(err)
+					}
+					if err := tb.Drain(); err != nil {
+						t.Fatal(err)
+					}
+					if err := tb.ColdCache(); err != nil {
+						t.Fatal(err)
+					}
+					if f, err = tb.Open("/f"); err != nil {
+						t.Fatal(err)
 					}
 				}
 			})
