@@ -5,29 +5,28 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/testbed"
 	"repro/internal/tracing"
-	"repro/internal/workload"
 )
 
 func traceCell(fs *flag.FlagSet) func(*env) error {
-	var cell testbed.Config
-	var src workload.SeqRandConfig
+	var cfg core.TransportConfig
+	var cell core.TransportCell
 	stack := fs.String("stack", "nfsv3", "protocol stack (nfsv2, nfsv3, nfsv4, iscsi)")
 	transport := fs.String("transport", "tcp", "wire model (fluid, udp, tcp)")
-	wl := fs.String("workload", "seq-read", "workload ("+strings.Join(core.TransportWorkloads, ",")+")")
-	sizeFlag(fs, &src.FileSize, 1<<10, 256, 1<<20, "file size in KB per workload pass")
-	chunkFlag(fs, &src.ChunkSize)
+	fs.StringVar(&cell.Workload, "workload", "seq-read", "workload ("+strings.Join(core.TransportWorkloads, ",")+")")
+	sizeFlag(fs, &cfg.FileSize, 1<<10, 256, 1<<20, "file size in KB per workload pass")
+	chunkFlag(fs, &cfg.ChunkSize)
 	fs.DurationVar(&cell.RTT, "rtt", 200*time.Microsecond, "network round-trip time")
 	loss := lossFlag(fs)
-	wireFlags(fs, &cell.Conns, &cell.WindowBytes)
-	seedFlag(fs, &cell.Seed, 42)
+	wireFlags(fs, &cell.Conns, &cell.Window)
+	seedFlag(fs, &cfg.Seed, 42)
 	chromePath := fs.String("chrome", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
 	from := fs.String("from", "", "analyze an existing span JSONL instead of running a cell")
 	return func(e *env) error {
@@ -56,35 +55,17 @@ func traceCell(fs *flag.FlagSet) func(*env) error {
 			if cell.RTT < 0 {
 				return fmt.Errorf("bad -rtt value %v (must not be negative)", cell.RTT)
 			}
-			cell.Kind, cell.Transport = stacks[0], transports[0]
-			cell.LossRate = *loss / 100
-			cell.Tracer = e.tracer
-			cell.DeviceBlocks = 16384
-			if need := src.FileSize / 4096 * 4; need > cell.DeviceBlocks {
-				cell.DeviceBlocks = need
+			if !slices.Contains(core.TransportWorkloads, cell.Workload) {
+				return fmt.Errorf("bad -workload value %q (have %s)", cell.Workload, strings.Join(core.TransportWorkloads, ", "))
 			}
-			tb, err := testbed.New(cell)
-			if err != nil {
-				return err
-			}
-			src.Seed = cell.Seed
-			switch *wl {
-			case "seq-read":
-				_, err = workload.SequentialRead(tb, src)
-			case "seq-write":
-				_, err = workload.SequentialWrite(tb, src)
-			case "rand-read":
-				_, err = workload.RandomRead(tb, src)
-			case "rand-write":
-				_, err = workload.RandomWrite(tb, src)
-			default:
-				err = fmt.Errorf("bad -workload value %q (have %s)", *wl, strings.Join(core.TransportWorkloads, ", "))
-			}
-			if err != nil {
+			// The cell of the transport sweep, with the tracer attached.
+			cell.Stack, cell.Transport, cell.Loss = stacks[0], transports[0], *loss/100
+			cfg.Tracer = e.tracer
+			if _, err := core.RunTransportCell(cfg, cell); err != nil {
 				return err
 			}
 			spans = e.tracer.Spans()
-			label = fmt.Sprintf("%s/%s %s", *stack, *transport, *wl)
+			label = fmt.Sprintf("%s/%s %s", *stack, *transport, cell.Workload)
 		}
 		if *chromePath != "" {
 			err := writeFile(*chromePath, func(f *os.File) error { return tracing.WriteChrome(f, spans) })

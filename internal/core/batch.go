@@ -107,40 +107,39 @@ func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
 	for _, op := range BatchOps {
 		s := BatchSeries{Op: op.Name}
 		for _, n := range batches {
-			cell := metrics.Tags{"op": op.Name, "batch": itoa(n)}
-			tb, err := opts.newBed("figure3", ISCSI, cell)
+			tags := metrics.Tags{"op": op.Name, "batch": itoa(n)}
+			err := opts.onBed("figure3", tags, testbed.Config{Kind: ISCSI}, func(tb *testbed.Testbed) error {
+				if op.Setup != nil {
+					if err := op.Setup(tb); err != nil {
+						return fmt.Errorf("setup: %w", err)
+					}
+				}
+				if err := tb.ColdCache(); err != nil {
+					return err
+				}
+				d, err := window(tb, false, func() error {
+					for i := 0; i < n; i++ {
+						if err := op.Run(tb, i); err != nil {
+							return fmt.Errorf("[%d]: %w", i, err)
+						}
+					}
+					return nil
+				}, func(d testbed.Delta, results map[string]float64) {
+					results["msgs_per_op"] = float64(d.Messages) / float64(n)
+				})
+				if err != nil {
+					return err
+				}
+				s.Points = append(s.Points, BatchPoint{
+					Batch:     n,
+					TotalMsgs: d.Messages,
+					PerOpMsgs: float64(d.Messages) / float64(n),
+				})
+				return nil
+			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("figure3 %s: %w", op.Name, err)
 			}
-			if op.Setup != nil {
-				if err := op.Setup(tb); err != nil {
-					return nil, fmt.Errorf("figure3 %s setup: %w", op.Name, err)
-				}
-			}
-			if err := tb.ColdCache(); err != nil {
-				return nil, err
-			}
-			tb.Cluster.BeginWindow(nil)
-			before := tb.Snap()
-			for i := 0; i < n; i++ {
-				if err := op.Run(tb, i); err != nil {
-					return nil, fmt.Errorf("figure3 %s[%d]: %w", op.Name, i, err)
-				}
-			}
-			if err := tb.Drain(); err != nil {
-				return nil, err
-			}
-			total := tb.Since(before).Messages
-			tb.Cluster.EndWindow(nil, map[string]float64{
-				"messages":    float64(total),
-				"msgs_per_op": float64(total) / float64(n),
-			})
-			s.Points = append(s.Points, BatchPoint{
-				Batch:     n,
-				TotalMsgs: total,
-				PerOpMsgs: float64(total) / float64(n),
-			})
-			tb.Cluster.Close()
 		}
 		out = append(out, s)
 	}

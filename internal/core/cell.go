@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/health"
@@ -12,12 +13,117 @@ import (
 	"repro/internal/testbed"
 )
 
-// One cell: the skeleton the cluster sweeps (scaling, replay, WAN, fault,
-// contention, health) share. A sweep is a loop over its axes; what happens
-// inside one iteration — which stack/transport variants exist, how a cell
-// is tagged, built, framed in the telemetry stream and classified when its
-// transport dies — is decided here once, so a sweep only supplies its own
-// setup and measurement.
+// One cell: the skeleton every experiment shares. A sweep is a loop over its
+// axes; what happens inside one iteration — which stack/transport variants
+// exist, how a cell is tagged, built, framed in the telemetry stream, closed
+// and classified when its transport dies — is decided here once, so an
+// experiment only supplies its own setup and measurement. runCell is the
+// cluster half (scaling, replay, WAN, fault, contention, health); onBed,
+// window and onPair are the one-client half (the paper's tables and figures,
+// the ablations and the transport sweep).
+
+// cellRecorder derives the recorder one experiment cell emits through:
+// events carry {experiment, stack} plus the cell's extra axis tags. The
+// instrumented layers stream counter samples through it and the cell's
+// window closes with a result point; docs/METRICS.md documents the schema,
+// cmd/metrics summarizes the streams.
+func cellRecorder(rec *metrics.Recorder, experiment string, k Stack, extra metrics.Tags) *metrics.Recorder {
+	return rec.With(metrics.Tags{"experiment": experiment, "stack": k.Tag()}).With(extra)
+}
+
+// itoa tags an integer axis value.
+func itoa(n int) string { return strconv.Itoa(n) }
+
+// ftoa tags a float axis value ("0.01", not "1e-02").
+func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+// onBed builds the one-client cell cfg describes and runs body on it. The
+// cell's events carry {experiment, stack} plus tags; the cluster is closed
+// whatever body returns, so its blocks go back to the sweep's pool and body
+// reads everything it reports before it returns.
+func onBed(experiment string, rec *metrics.Recorder, tags metrics.Tags, cfg testbed.Config,
+	body func(*testbed.Testbed) error) error {
+	cfg.Metrics = cellRecorder(rec, experiment, cfg.Kind, tags)
+	tb, err := testbed.New(cfg)
+	if err != nil {
+		return err
+	}
+	defer tb.Cluster.Close()
+	return body(tb)
+}
+
+// onBed is the package's onBed on the paper's testbed: cfg names the stack
+// and whatever the experiment varies, the Options supply volume size, seed,
+// frame loss, recorder and pool.
+func (o Options) onBed(experiment string, tags metrics.Tags, cfg testbed.Config,
+	body func(*testbed.Testbed) error) error {
+	cfg.DeviceBlocks, cfg.Seed, cfg.LossRate, cfg.Pool = o.DeviceBlocks, o.Seed, o.LossRate, o.pool
+	return onBed(experiment, o.Metrics, tags, cfg, body)
+}
+
+// onPair runs one cell on NFS v3 and one on iSCSI, the pair Section 5
+// compares, and returns what run measured on each.
+func onPair[R any](o Options, experiment string, tags metrics.Tags, cfg testbed.Config,
+	run func(*testbed.Testbed) (R, error)) (nfs, iscsi R, err error) {
+	for _, stack := range []Stack{NFSv3, ISCSI} {
+		cfg.Kind = stack
+		var r R
+		err = o.onBed(experiment, tags, cfg, func(tb *testbed.Testbed) (err error) {
+			r, err = run(tb)
+			return err
+		})
+		if err != nil {
+			return nfs, iscsi, fmt.Errorf("%s on %v: %w", experiment, stack, err)
+		}
+		if stack == NFSv3 {
+			nfs = r
+		} else {
+			iscsi = r
+		}
+	}
+	return nfs, iscsi, nil
+}
+
+// window frames one measured window on a one-client cell: begin mark, body,
+// drain to quiescence (the paper's measurement boundary), end mark. toReturn
+// skips the drain for the one panel that counts to syscall return. The end
+// mark carries the window's message count plus whatever extra adds.
+func window(tb *testbed.Testbed, toReturn bool, body func() error,
+	extra func(d testbed.Delta, results map[string]float64)) (testbed.Delta, error) {
+	tb.Cluster.BeginWindow(nil)
+	before := tb.Snap()
+	if err := body(); err != nil {
+		return testbed.Delta{}, err
+	}
+	if !toReturn {
+		if err := tb.Drain(); err != nil {
+			return testbed.Delta{}, err
+		}
+	}
+	d := tb.Since(before)
+	results := map[string]float64{"messages": float64(d.Messages)}
+	if extra != nil {
+		extra(d, results)
+	}
+	tb.Cluster.EndWindow(nil, results)
+	return d, nil
+}
+
+// warmGap is the idle time between the priming and the measured invocation
+// of a warm-cache pair. It exceeds the client attribute-cache timeout (3 s)
+// and the journal commit interval (5 s), as wall-clock time did between the
+// paper's manual runs.
+const warmGap = 6 * time.Second
+
+// settle ends the priming half of a warm-cache pair: drain, then sit idle
+// for warmGap.
+func settle(tb *testbed.Testbed) error {
+	if err := tb.Drain(); err != nil {
+		return err
+	}
+	tb.Idle(warmGap)
+	return nil
+}
 
 // variant is one stack/transport arrangement of a sweep, with the iSCSI
 // MC/S connection count it runs at.

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/fault"
 	"repro/internal/netqueue"
 	"repro/internal/testbed"
+	"repro/internal/vfs"
 )
 
 // TestClientCountsNeverPanic: a zero or negative client count reaching
@@ -69,5 +77,101 @@ func TestVariants(t *testing.T) {
 	}
 	if l := variantLabel(ISCSI, testbed.TransportTCP); l != "iSCSI/tcp" {
 		t.Errorf("label = %q", l)
+	}
+}
+
+// TestOneCellPath: source-level guard, as TestOneCommandPath is for iSCSI.
+// Every experiment builds its cell, frames its window and assigns the NFS v3 /
+// iSCSI pair through cell.go; a second builder, a hand-framed window or
+// another copy of the pair assignment in this package or in cmd/repro fails
+// here.
+func TestOneCellPath(t *testing.T) {
+	rules := []struct {
+		pattern  string
+		max      int  // occurrences allowed across both directories (-1: any)
+		cellOnly bool // and only in cell.go
+	}{
+		{`testbed\.New\(`, 1, true},
+		{`testbed\.NewCluster\(`, 1, true},
+		{`BeginWindow`, -1, true},
+		{`if stack == NFSv3`, 1, false},
+		{`\b(newBed|dbBed)\b`, 0, false},
+	}
+	var files []string
+	for _, dir := range []string{".", filepath.Join("..", "..", "cmd", "repro")} {
+		found, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(found) == 0 {
+			t.Fatalf("no sources in %s: %v", dir, err)
+		}
+		files = append(files, found...)
+	}
+	for _, r := range rules {
+		re, total := regexp.MustCompile(r.pattern), 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(re.FindAll(src, -1))
+			total += n
+			if n > 0 && r.cellOnly && f != "cell.go" {
+				t.Errorf("%s matches %s: only cell.go builds and frames cells", f, r.pattern)
+			}
+		}
+		if r.max >= 0 && total > r.max {
+			t.Errorf("%s appears %d times, want at most %d", r.pattern, total, r.max)
+		}
+	}
+}
+
+// TestFailedCellIsClosed: a cell whose body fails is torn down like any
+// other. Driven directly, every syscall on the captured testbed then fails
+// and its blocks are back in the pool; through the four entry points that
+// used to return without Cluster.Close (a volume too small for the workload
+// fails each), the planted pool has the cell's blocks when the call returns.
+func TestFailedCellIsClosed(t *testing.T) {
+	boom := errors.New("boom")
+	pool := &blockdev.Pool{Poison: true}
+	var captured *testbed.Testbed
+	err := Options{DeviceBlocks: 8192, pool: pool}.onBed("test", nil, testbed.Config{Kind: ISCSI},
+		func(tb *testbed.Testbed) error {
+			captured = tb
+			if err := tb.WriteFile("/f", make([]byte, 8192)); err != nil {
+				return err
+			}
+			return boom
+		})
+	if err != boom {
+		t.Fatalf("onBed returned %v, want the body's error", err)
+	}
+	if pool.Len() == 0 {
+		t.Error("the failed cell returned no block to the pool")
+	}
+	if _, err := captured.Stat("/f"); err == nil {
+		t.Error("stat succeeds on the failed cell's testbed: it was not closed")
+	}
+	if err := captured.Mkdir("/d"); err == nil {
+		t.Error("mkdir succeeds on the failed cell's testbed: it was not closed")
+	}
+
+	for name, run := range map[string]func(Options) error{
+		"RunTable8":  func(o Options) error { _, err := RunTable8(o, 1); return err },
+		"RunFigure3": func(o Options) error { _, err := RunFigure3(o, []int{100000}); return err },
+		"AblateCommitInterval": func(o Options) error {
+			_, err := AblateCommitInterval(o, []time.Duration{time.Second}, 100000)
+			return err
+		},
+		"AblateWritePool": func(o Options) error { _, err := AblateWritePool(o, []int{64}, 64<<20); return err },
+	} {
+		pool := &blockdev.Pool{Poison: true}
+		if err := run(Options{DeviceBlocks: 4096, pool: pool}); !errors.Is(err, vfs.ErrNoSpace) {
+			t.Errorf("%s on a 16 MB volume: %v, want it to run out of space", name, err)
+		}
+		if pool.Len() == 0 {
+			t.Errorf("%s: the failed cell returned no block to the pool", name)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 // Package core is the comparison framework that reproduces every table and
-// figure in the paper's evaluation (Sections 4 and 5): it builds testbeds,
-// runs the micro- and macro-benchmarks on each protocol stack, counts
-// protocol transactions over the paper's measurement windows, and renders
-// the results in the papers' table/figure layouts.
+// figure in the paper's evaluation (Sections 4 and 5): it runs the micro- and
+// macro-benchmarks on each protocol stack, counts protocol transactions over
+// the paper's measurement windows, and renders the results in the papers'
+// table/figure layouts. As the paper measures everything with one protocol
+// on one testbed, every experiment here builds, frames and closes its cells
+// in one place (cell.go): onBed for a one-client testbed, runCell for a
+// cluster.
 //
 // Experiment index (see DESIGN.md for the full mapping):
 //
@@ -20,7 +23,7 @@ package core
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
 	"repro/internal/blockdev"
 	"repro/internal/metrics"
@@ -41,13 +44,8 @@ const (
 // Options configures experiment scale. Zero values select paper-faithful
 // parameters; tests and benchmarks shrink them for speed.
 type Options struct {
-	// DeviceBlocks sizes the volume (default 524288 = 2 GB).
+	// DeviceBlocks sizes the volume (default: testbed's, 524288 = 2 GB).
 	DeviceBlocks int64
-	// WarmGap is the idle time between the priming and measured
-	// invocation of a warm-cache pair. It must exceed the client
-	// attribute-cache timeout (3 s) and the journal commit interval
-	// (5 s), as wall-clock time did between the paper's manual runs.
-	WarmGap time.Duration
 	// Seed for workload randomness.
 	Seed int64
 	// LossRate injects frame loss on the testbed link, so the WAN sweeps
@@ -72,30 +70,6 @@ func sweepPool(p *blockdev.Pool) *blockdev.Pool {
 		p = &blockdev.Pool{}
 	}
 	return p
-}
-
-func (o *Options) fill() {
-	if o.DeviceBlocks == 0 {
-		o.DeviceBlocks = 524288
-	}
-	if o.WarmGap == 0 {
-		o.WarmGap = 6 * time.Second
-	}
-}
-
-// newBed builds a testbed for one stack, instrumented as one telemetry
-// cell: its events carry {experiment, stack} plus the extra axis tags. The
-// caller closes the testbed's cluster when the cell is done.
-func (o Options) newBed(experiment string, k Stack, extra metrics.Tags) (*testbed.Testbed, error) {
-	o.fill()
-	return testbed.New(testbed.Config{
-		Kind:         k,
-		DeviceBlocks: o.DeviceBlocks,
-		Seed:         o.Seed,
-		LossRate:     o.LossRate,
-		Metrics:      cellRecorder(o.Metrics, experiment, k, extra),
-		Pool:         o.pool,
-	})
 }
 
 // chainPath returns the directory-chain path for a given depth: depth 0 is
@@ -124,9 +98,4 @@ func buildChain(tb *testbed.Testbed, depth int) error {
 }
 
 // join concatenates a chain path and a name.
-func join(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
-}
+func join(dir, name string) string { return strings.TrimSuffix(dir, "/") + "/" + name }

@@ -94,3 +94,21 @@ func TestRenderers(t *testing.T) {
 		t.Fatal("empty render")
 	}
 }
+
+// TestPairShapes runs the paper's conformance checks for the two NFS v3 /
+// iSCSI tables at reduced scale: a pair stored under the wrong stack fails
+// every one of them.
+func TestPairShapes(t *testing.T) {
+	t4, err := RunTable4(testOpts(), 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t5, err := RunTable5(testOpts(), 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if fails := RenderChecks(&out, "Tables 4 and 5", append(CheckTable4Shapes(t4), CheckTable5Shapes(t5)...)); fails > 0 {
+		t.Errorf("%d shape checks failed:\n%s", fails, out.String())
+	}
+}

@@ -98,7 +98,7 @@ func CheckTable4Shapes(rows []Table4Row) []ShapeCheck {
 	for _, r := range rows {
 		switch r.Workload {
 		case "Sequential writes":
-			ratio := float64(r.NFS.Messages) / float64(maxI64(r.ISCSI.Messages, 1))
+			ratio := float64(r.NFS.Messages) / float64(max(r.ISCSI.Messages, 1))
 			out = append(out, ShapeCheck{
 				Claim:    "seq writes: iSCSI coalesces (~29:1 message ratio)",
 				Pass:     ratio > 10,
@@ -110,7 +110,7 @@ func CheckTable4Shapes(rows []Table4Row) []ShapeCheck {
 				Evidence: fmt.Sprintf("NFS %v vs iSCSI %v", r.NFS.Elapsed, r.ISCSI.Elapsed),
 			})
 		case "Sequential reads":
-			ratio := float64(r.NFS.Messages) / float64(maxI64(r.ISCSI.Messages, 1))
+			ratio := float64(r.NFS.Messages) / float64(max(r.ISCSI.Messages, 1))
 			out = append(out, ShapeCheck{
 				Claim:    "seq reads: comparable message counts",
 				Pass:     ratio > 0.5 && ratio < 2,
@@ -141,8 +141,8 @@ func CheckTable5Shapes(rows []Table5Row) []ShapeCheck {
 	}
 	if len(rows) >= 2 {
 		first, last := rows[0], rows[len(rows)-1]
-		growN := float64(last.NFS.Messages) / float64(maxI64(first.NFS.Messages, 1))
-		growI := float64(last.ISCSI.Messages) / float64(maxI64(first.ISCSI.Messages, 1))
+		growN := float64(last.NFS.Messages) / float64(max(first.NFS.Messages, 1))
+		growI := float64(last.ISCSI.Messages) / float64(max(first.ISCSI.Messages, 1))
 		out = append(out, ShapeCheck{
 			Claim:    "iSCSI message count grows faster with pool size (cache dilution)",
 			Pass:     growI > growN,
@@ -165,11 +165,4 @@ func RenderChecks(w io.Writer, title string, checks []ShapeCheck) int {
 		fmt.Fprintf(w, "  [%s] %s (%s)\n", mark, c.Claim, c.Evidence)
 	}
 	return fail
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

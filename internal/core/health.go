@@ -69,25 +69,12 @@ type HealthConfig struct {
 	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
 }
 
+// fill defaults the fields shared with FaultConfig as the fault sweep does.
 func (c *HealthConfig) fill() {
-	if len(c.Families) == 0 {
-		c.Families = append([]fault.Family(nil), fault.Families...)
-	}
-	if len(c.Stacks) == 0 {
-		c.Stacks = testbed.AllKinds
-	}
-	if len(c.Transports) == 0 {
-		c.Transports = []testbed.Transport{testbed.TransportFluid, testbed.TransportTCP}
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Conns == 0 {
-		c.Conns = 1
-	}
-	if c.DeviceBlocks == 0 {
-		c.DeviceBlocks = 16384
-	}
+	p := c.planConfig()
+	p.fill()
+	c.Families, c.Stacks, c.Transports = p.Families, p.Stacks, p.Transports
+	c.Clients, c.Conns, c.DeviceBlocks = p.Clients, p.Conns, p.DeviceBlocks
 	if c.Cooldown <= 0 {
 		c.Cooldown = DefaultHealthCooldown
 	}
@@ -163,7 +150,11 @@ func RunHealth(cfg HealthConfig) ([]HealthCell, error) {
 // with a monitor on every cell.
 func (c HealthConfig) planConfig() FaultConfig {
 	return FaultConfig{
+		Families:     c.Families,
+		Stacks:       c.Stacks,
+		Transports:   c.Transports,
 		Clients:      c.Clients,
+		Conns:        c.Conns,
 		Warmup:       c.Warmup,
 		Outage:       c.Outage,
 		Flaps:        c.Flaps,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/testbed"
+	"repro/internal/vfs"
 )
 
 // Figure 5 measures read and write message overheads against request size
@@ -27,25 +28,17 @@ type SizeSeries struct {
 	Points []SizePoint
 }
 
-// figure5Sizes returns the paper's request sizes: powers of two from 128
-// bytes to 64 KB.
-func figure5Sizes() []int {
-	var out []int
-	for s := 128; s <= 64<<10; s *= 2 {
-		out = append(out, s)
-	}
-	return out
-}
-
 // RunFigure5 reproduces the three Figure 5 panels.
 func RunFigure5(opts Options, sizes []int) ([]SizeSeries, error) {
 	opts.pool = sweepPool(opts.pool)
 	if len(sizes) == 0 {
-		sizes = figure5Sizes()
+		// The paper's request sizes: powers of two from 128 bytes to 64 KB.
+		for s := 128; s <= 64<<10; s *= 2 {
+			sizes = append(sizes, s)
+		}
 	}
-	panels := []string{"cold-read", "warm-read", "cold-write"}
 	var out []SizeSeries
-	for _, panel := range panels {
+	for _, panel := range []string{"cold-read", "warm-read", "cold-write"} {
 		s := SizeSeries{Panel: panel}
 		for _, size := range sizes {
 			pt := SizePoint{Size: size, Messages: map[Stack]int64{}}
@@ -65,81 +58,52 @@ func RunFigure5(opts Options, sizes []int) ([]SizeSeries, error) {
 
 // ioSizeCount measures one Figure 5 cell.
 func ioSizeCount(opts Options, stack Stack, panel string, size int) (msgs int64, err error) {
-	tb, err := opts.newBed("figure5", stack,
-		metrics.Tags{"panel": panel, "size": itoa(size)})
-	if err != nil {
-		return 0, err
+	write, warm := panel == "cold-write", panel == "warm-read"
+	if !write && !warm && panel != "cold-read" {
+		return 0, fmt.Errorf("core: unknown figure 5 panel %q", panel)
 	}
-	defer tb.Cluster.Close()
-	// Close the telemetry cell on every successful exit (the measured
-	// windows below each end with the message-count delta).
-	defer func() {
-		if err == nil {
-			tb.Cluster.EndWindow(nil, map[string]float64{"messages": float64(msgs)})
+	tags := metrics.Tags{"panel": panel, "size": itoa(size)}
+	err = opts.onBed("figure5", tags, testbed.Config{Kind: stack}, func(tb *testbed.Testbed) error {
+		// The target file always holds 64 KB so every read size is in-file.
+		if err := tb.WriteFile("/io.dat", make([]byte, 64<<10)); err != nil {
+			return err
 		}
-	}()
-	// The target file always holds 64 KB so every read size is in-file.
-	if err := tb.WriteFile("/io.dat", make([]byte, 64<<10)); err != nil {
-		return 0, err
-	}
-	if err := tb.ColdCache(); err != nil {
-		return 0, err
-	}
-	switch panel {
-	case "cold-read":
-		tb.Cluster.BeginWindow(nil)
-		before := tb.Snap()
-		f, err := tb.Open("/io.dat")
-		if err != nil {
-			return 0, err
+		if err := tb.ColdCache(); err != nil {
+			return err
 		}
-		buf := make([]byte, size)
-		if _, err := tb.ReadFileAt(f, 0, buf); err != nil {
-			return 0, err
+		var f vfs.File
+		if warm {
+			// Prime: read the whole file, then sequential reads of increasing
+			// size per the paper; we measure the target size after the prime.
+			var err error
+			if f, err = tb.Open("/io.dat"); err != nil {
+				return err
+			}
+			if _, err := tb.ReadFileAt(f, 0, make([]byte, 64<<10)); err != nil {
+				return err
+			}
+			if err := settle(tb); err != nil {
+				return err
+			}
 		}
-		if err := tb.Drain(); err != nil {
-			return 0, err
-		}
-		return tb.Since(before).Messages, nil
-	case "warm-read":
-		// Prime: read the whole file, then sequential reads of increasing
-		// size per the paper; we measure the target size after the prime.
-		f, err := tb.Open("/io.dat")
-		if err != nil {
-			return 0, err
-		}
-		whole := make([]byte, 64<<10)
-		if _, err := tb.ReadFileAt(f, 0, whole); err != nil {
-			return 0, err
-		}
-		if err := tb.Drain(); err != nil {
-			return 0, err
-		}
-		opts.fill()
-		tb.Idle(opts.WarmGap)
-		tb.Cluster.BeginWindow(nil)
-		before := tb.Snap()
-		buf := make([]byte, size)
-		if _, err := tb.ReadFileAt(f, 0, buf); err != nil {
-			return 0, err
-		}
-		if err := tb.Drain(); err != nil {
-			return 0, err
-		}
-		return tb.Since(before).Messages, nil
-	case "cold-write":
-		tb.Cluster.BeginWindow(nil)
-		before := tb.Snap()
-		f, err := tb.Open("/io.dat")
-		if err != nil {
-			return 0, err
-		}
-		if _, err := tb.WriteFileAt(f, 0, make([]byte, size)); err != nil {
-			return 0, err
-		}
-		// Counted to syscall return: asynchronous write-back traffic that
-		// fires later is what makes v3/v4 flat in the paper's panel (c).
-		return tb.Since(before).Messages, nil
-	}
-	return 0, fmt.Errorf("core: unknown figure 5 panel %q", panel)
+		// Writes are counted to syscall return: asynchronous write-back
+		// traffic that fires later is what makes v3/v4 flat in the paper's
+		// panel (c).
+		d, err := window(tb, write, func() (err error) {
+			if !warm { // the cold panels pay for the open
+				if f, err = tb.Open("/io.dat"); err != nil {
+					return err
+				}
+			}
+			if write {
+				_, err = tb.WriteFileAt(f, 0, make([]byte, size))
+			} else {
+				_, err = tb.ReadFileAt(f, 0, make([]byte, size))
+			}
+			return err
+		}, nil)
+		msgs = d.Messages
+		return err
+	})
+	return msgs, err
 }

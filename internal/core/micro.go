@@ -5,21 +5,31 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/testbed"
+	"repro/internal/vfs"
 )
 
 // MicroOp defines one of the paper's Table 1 system calls as a
 // cold/warm-measurable experiment. Setup creates whatever objects the call
-// needs (before the cache is emptied); Cold is the cold-cache invocation;
-// WarmPrime and Warm form the warm-cache pair — a priming call followed,
-// after a gap, by a "similar though not identical" call, exactly the
-// paper's protocol (Section 4.1 and its footnote).
+// needs (before the cache is emptied); Run makes one invocation: Cold is the
+// cold-cache one, WarmPrime and Warm form the warm-cache pair — a priming
+// call followed, after a gap, by a "similar though not identical" call,
+// exactly the paper's protocol (Section 4.1 and its footnote).
 type MicroOp struct {
-	Name      string
-	Setup     func(tb *testbed.Testbed, dir string) error
-	Cold      func(tb *testbed.Testbed, dir string) error
-	WarmPrime func(tb *testbed.Testbed, dir string) error
-	Warm      func(tb *testbed.Testbed, dir string) error
+	Name  string
+	Setup func(tb *testbed.Testbed, dir string) error
+	Run   func(tb *testbed.Testbed, dir string, which MicroPhase) error
 }
+
+// MicroPhase says which of a MicroOp's three invocations Run makes. Each call
+// below indexes its object name or argument by it.
+type MicroPhase int
+
+// The invocations of a MicroOp.
+const (
+	Cold MicroPhase = iota
+	WarmPrime
+	Warm
+)
 
 // touch creates an empty file.
 func touch(tb *testbed.Testbed, path string) error {
@@ -30,14 +40,24 @@ func touch(tb *testbed.Testbed, path string) error {
 	return tb.Close(f)
 }
 
+// each calls f on every name under dir until one fails.
+func each(dir string, names [3]string, f func(string) error) error {
+	for _, n := range names {
+		if err := f(join(dir, n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MicroOps lists the paper's sixteen file and directory calls (Table 1;
 // rename appears in Table 2 as a seventeenth row).
 var MicroOps = []MicroOp{
 	{
-		Name:      "mkdir",
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Mkdir(join(d, "n0")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Mkdir(join(d, "w1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Mkdir(join(d, "w2")) },
+		Name: "mkdir",
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Mkdir(join(d, [3]string{"n0", "w1", "w2"}[w]))
+		},
 	},
 	{
 		Name: "chdir",
@@ -47,9 +67,9 @@ var MicroOps = []MicroOp{
 			}
 			return tb.Mkdir(join(d, "t2"))
 		},
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Chdir(join(d, "t1")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Chdir(join(d, "t1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Chdir(join(d, "t2")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Chdir(join(d, [3]string{"t1", "t1", "t2"}[w]))
+		},
 	},
 	{
 		Name: "readdir",
@@ -57,46 +77,23 @@ var MicroOps = []MicroOp{
 			if err := tb.Mkdir(join(d, "t1")); err != nil {
 				return err
 			}
-			for i := 0; i < 3; i++ {
-				if err := touch(tb, join(d, fmt.Sprintf("t1/e%d", i))); err != nil {
-					return err
-				}
-			}
-			return nil
+			return each(d, [3]string{"t1/e0", "t1/e1", "t1/e2"}, func(p string) error { return touch(tb, p) })
 		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.ReadDir(join(d, "t1"))
-			return err
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.ReadDir(join(d, "t1"))
-			return err
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
+		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
 			_, err := tb.ReadDir(join(d, "t1"))
 			return err
 		},
 	},
 	{
-		Name:      "symlink",
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Symlink("target", join(d, "s0")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Symlink("target", join(d, "s1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Symlink("target", join(d, "s2")) },
+		Name: "symlink",
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Symlink("target", join(d, [3]string{"s0", "s1", "s2"}[w]))
+		},
 	},
 	{
-		Name: "readlink",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return tb.Symlink("target", join(d, "l1"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.Readlink(join(d, "l1"))
-			return err
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.Readlink(join(d, "l1"))
-			return err
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
+		Name:  "readlink",
+		Setup: func(tb *testbed.Testbed, d string) error { return tb.Symlink("target", join(d, "l1")) },
+		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
 			_, err := tb.Readlink(join(d, "l1"))
 			return err
 		},
@@ -104,57 +101,31 @@ var MicroOps = []MicroOp{
 	{
 		Name: "unlink",
 		Setup: func(tb *testbed.Testbed, d string) error {
-			for _, n := range []string{"u0", "u1", "u2"} {
-				if err := touch(tb, join(d, n)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return each(d, [3]string{"u0", "u1", "u2"}, func(p string) error { return touch(tb, p) })
 		},
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Unlink(join(d, "u0")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Unlink(join(d, "u1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Unlink(join(d, "u2")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Unlink(join(d, [3]string{"u0", "u1", "u2"}[w]))
+		},
 	},
 	{
 		Name: "rmdir",
 		Setup: func(tb *testbed.Testbed, d string) error {
-			for _, n := range []string{"r0", "r1", "r2"} {
-				if err := tb.Mkdir(join(d, n)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return each(d, [3]string{"r0", "r1", "r2"}, tb.Mkdir)
 		},
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Rmdir(join(d, "r0")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Rmdir(join(d, "r1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Rmdir(join(d, "r2")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Rmdir(join(d, [3]string{"r0", "r1", "r2"}[w]))
+		},
 	},
 	{
-		Name:      "creat",
-		Cold:      func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "c0")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "c1")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "c2")) },
+		Name: "creat",
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return touch(tb, join(d, [3]string{"c0", "c1", "c2"}[w]))
+		},
 	},
 	{
-		Name: "open",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "o1"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			f, err := tb.Open(join(d, "o1"))
-			if err != nil {
-				return err
-			}
-			return tb.Close(f)
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			f, err := tb.Open(join(d, "o1"))
-			if err != nil {
-				return err
-			}
-			return tb.Close(f)
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
+		Name:  "open",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "o1")) },
+		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
 			f, err := tb.Open(join(d, "o1"))
 			if err != nil {
 				return err
@@ -163,38 +134,20 @@ var MicroOps = []MicroOp{
 		},
 	},
 	{
-		Name: "link",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "src"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			return tb.Link(join(d, "src"), join(d, "l0"))
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			return tb.Link(join(d, "src"), join(d, "la"))
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
-			return tb.Link(join(d, "src"), join(d, "lb"))
+		Name:  "link",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "src")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Link(join(d, "src"), join(d, [3]string{"l0", "la", "lb"}[w]))
 		},
 	},
 	{
 		Name: "rename",
 		Setup: func(tb *testbed.Testbed, d string) error {
-			for _, n := range []string{"m0", "m1", "m2"} {
-				if err := touch(tb, join(d, n)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return each(d, [3]string{"m0", "m1", "m2"}, func(p string) error { return touch(tb, p) })
 		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			return tb.Rename(join(d, "m0"), join(d, "m0x"))
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			return tb.Rename(join(d, "m1"), join(d, "m1x"))
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
-			return tb.Rename(join(d, "m2"), join(d, "m2x"))
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			from := join(d, [3]string{"m0", "m1", "m2"}[w])
+			return tb.Rename(from, from+"x")
 		},
 	},
 	{
@@ -202,81 +155,42 @@ var MicroOps = []MicroOp{
 		Setup: func(tb *testbed.Testbed, d string) error {
 			return tb.WriteFile(join(d, "tr"), make([]byte, 8192))
 		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			return tb.Truncate(join(d, "tr"), 4096)
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			return tb.Truncate(join(d, "tr"), 2048)
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
-			return tb.Truncate(join(d, "tr"), 1024)
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Truncate(join(d, "tr"), [3]int64{4096, 2048, 1024}[w])
 		},
 	},
 	{
-		Name: "chmod",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "ch"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			return tb.Chmod(join(d, "ch"), 0o640)
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			return tb.Chmod(join(d, "ch"), 0o600)
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
-			return tb.Chmod(join(d, "ch"), 0o644)
+		Name:  "chmod",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ch")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			return tb.Chmod(join(d, "ch"), [3]vfs.Mode{0o640, 0o600, 0o644}[w])
 		},
 	},
 	{
-		Name: "chown",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "cw"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			return tb.Chown(join(d, "cw"), 10, 10)
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			return tb.Chown(join(d, "cw"), 11, 11)
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
-			return tb.Chown(join(d, "cw"), 12, 12)
+		Name:  "chown",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "cw")) },
+		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+			id := [3]uint32{10, 11, 12}[w]
+			return tb.Chown(join(d, "cw"), id, id)
 		},
 	},
 	{
-		Name: "access",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "ac"))
-		},
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Access(join(d, "ac")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Access(join(d, "ac")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Access(join(d, "ac")) },
+		Name:  "access",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ac")) },
+		Run:   func(tb *testbed.Testbed, d string, _ MicroPhase) error { return tb.Access(join(d, "ac")) },
 	},
 	{
-		Name: "stat",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "stt"))
-		},
-		Cold: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.Stat(join(d, "stt"))
-			return err
-		},
-		WarmPrime: func(tb *testbed.Testbed, d string) error {
-			_, err := tb.Stat(join(d, "stt"))
-			return err
-		},
-		Warm: func(tb *testbed.Testbed, d string) error {
+		Name:  "stat",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "stt")) },
+		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
 			_, err := tb.Stat(join(d, "stt"))
 			return err
 		},
 	},
 	{
-		Name: "utime",
-		Setup: func(tb *testbed.Testbed, d string) error {
-			return touch(tb, join(d, "ut"))
-		},
-		Cold:      func(tb *testbed.Testbed, d string) error { return tb.Utimes(join(d, "ut")) },
-		WarmPrime: func(tb *testbed.Testbed, d string) error { return tb.Utimes(join(d, "ut")) },
-		Warm:      func(tb *testbed.Testbed, d string) error { return tb.Utimes(join(d, "ut")) },
+		Name:  "utime",
+		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ut")) },
+		Run:   func(tb *testbed.Testbed, d string, _ MicroPhase) error { return tb.Utimes(join(d, "ut")) },
 	},
 }
 
@@ -292,54 +206,41 @@ func FindMicroOp(name string) (MicroOp, error) {
 
 // MicroCount measures one (op, depth, stack, warm) cell: the number of
 // protocol transactions from invocation to quiescence.
-func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (int64, error) {
-	mode := "cold"
+func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (msgs int64, err error) {
+	mode, which := "cold", Cold
 	if warm {
-		mode = "warm"
+		mode, which = "warm", Warm
 	}
-	tb, err := opts.newBed("micro", stack,
-		metrics.Tags{"op": op.Name, "depth": itoa(depth), "mode": mode})
-	if err != nil {
-		return 0, err
-	}
-	defer tb.Cluster.Close()
-	if err := buildChain(tb, depth); err != nil {
-		return 0, err
-	}
-	dir := chainPath(depth)
-	if op.Setup != nil {
-		if err := op.Setup(tb, dir); err != nil {
-			return 0, fmt.Errorf("%s setup: %w", op.Name, err)
+	tags := metrics.Tags{"op": op.Name, "depth": itoa(depth), "mode": mode}
+	err = opts.onBed("micro", tags, testbed.Config{Kind: stack}, func(tb *testbed.Testbed) error {
+		if err := buildChain(tb, depth); err != nil {
+			return err
 		}
-	}
-	if err := tb.ColdCache(); err != nil {
-		return 0, err
-	}
-	if warm {
-		if err := op.WarmPrime(tb, dir); err != nil {
-			return 0, fmt.Errorf("%s warm prime: %w", op.Name, err)
+		dir := chainPath(depth)
+		if op.Setup != nil {
+			if err := op.Setup(tb, dir); err != nil {
+				return fmt.Errorf("%s setup: %w", op.Name, err)
+			}
 		}
-		if err := tb.Drain(); err != nil {
-			return 0, err
+		if err := tb.ColdCache(); err != nil {
+			return err
 		}
-		opts.fill()
-		tb.Idle(opts.WarmGap)
-	}
-	tb.Cluster.BeginWindow(nil)
-	before := tb.Snap()
-	run := op.Cold
-	if warm {
-		run = op.Warm
-	}
-	if err := run(tb, dir); err != nil {
-		return 0, fmt.Errorf("%s run: %w", op.Name, err)
-	}
-	if err := tb.Drain(); err != nil {
-		return 0, err
-	}
-	msgs := tb.Since(before).Messages
-	tb.Cluster.EndWindow(nil, map[string]float64{"messages": float64(msgs)})
-	return msgs, nil
+		if warm {
+			if err := op.Run(tb, dir, WarmPrime); err != nil {
+				return fmt.Errorf("%s warm prime: %w", op.Name, err)
+			}
+			if err := settle(tb); err != nil {
+				return err
+			}
+		}
+		d, err := window(tb, false, func() error { return op.Run(tb, dir, which) }, nil)
+		msgs = d.Messages
+		if err != nil {
+			return fmt.Errorf("%s run: %w", op.Name, err)
+		}
+		return nil
+	})
+	return msgs, err
 }
 
 // SyscallRow is one row of Table 2 or Table 3: message counts for the four

@@ -234,7 +234,8 @@ func scaleDrivers(cl *testbed.Cluster, cfg ScaleConfig, wl string) ([]func() (bo
 			return nil, 0, err
 		}
 	}
-	if wl == "seq-read" || wl == "rand-read" {
+	w := seqRandIndex(wl)
+	if w >= 0 && seqRand[w].reads {
 		prep := make([]func() (bool, error), k)
 		for i, c := range cl.Clients {
 			pc := src
@@ -256,20 +257,11 @@ func scaleDrivers(cl *testbed.Cluster, cfg ScaleConfig, wl string) ([]func() (bo
 		pc := src
 		pc.Seed = cfg.Seed + int64(i)
 		path := clientDir(i) + "/f"
-		switch wl {
-		case "seq-write":
-			drivers[i] = workload.SequentialWriteSteps(c, path, pc)
-			aggBytes += pc.SeqBytes()
-		case "rand-write":
-			drivers[i] = workload.RandomWriteSteps(c, path, pc)
-			aggBytes += pc.RandBytes()
-		case "seq-read":
-			drivers[i] = workload.SequentialReadSteps(c, path, pc)
-			aggBytes += pc.SeqBytes()
-		case "rand-read":
-			drivers[i] = workload.RandomReadSteps(c, path, pc)
-			aggBytes += pc.RandBytes()
-		case "postmark":
+		switch {
+		case w >= 0:
+			drivers[i] = seqRand[w].steps(c, path, pc)
+			aggBytes += seqRand[w].bytes(pc)
+		case wl == "postmark":
 			pm := workload.PostMarkConfig{
 				Files:        cfg.PostMarkFiles,
 				Transactions: cfg.PostMarkTransactions,

@@ -19,8 +19,9 @@ import (
 // scales MC/S connection counts — the Kumar et al. experiment — and the
 // window axis is the paper's Section 3.1 rmem/wmem knob.
 
-// TransportWorkloads lists the supported transport-sweep workloads.
-var TransportWorkloads = []string{"seq-read", "seq-write", "rand-read", "rand-write"}
+// TransportWorkloads lists the supported transport-sweep workloads: the
+// seqRand table, each read beside its write.
+var TransportWorkloads = []string{seqRand[0].slug, seqRand[2].slug, seqRand[1].slug, seqRand[3].slug}
 
 // TransportConfig parameterizes the sweep.
 type TransportConfig struct {
@@ -154,7 +155,8 @@ func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 				for _, window := range windows {
 					for _, rtt := range cfg.RTTs {
 						for _, loss := range cfg.LossRates {
-							cell, err := runTransportCell(cfg, wl, v, rtt, loss, window)
+							cell, err := RunTransportCell(cfg, TransportCell{Stack: stack, Transport: v.transport,
+								Conns: v.conns, Workload: wl, RTT: rtt, Loss: loss, Window: window})
 							if err != nil {
 								return nil, fmt.Errorf("transport %s/%v(%v x%d)/rtt=%v/loss=%g: %w",
 									wl, stack, v.transport, v.conns, rtt, loss, err)
@@ -169,75 +171,48 @@ func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 	return cells, nil
 }
 
-// runTransportCell builds one testbed and measures one workload on it.
-func runTransportCell(cfg TransportConfig, wl string, v variant,
-	rtt time.Duration, loss float64, window int) (TransportCell, error) {
-	stack := v.stack
-	cell := metrics.Tags{
-		"workload": wl,
-		"rtt":      rtt.String(),
-		"loss":     ftoa(loss),
-		"window":   itoa(window),
-		"conns":    itoa(v.conns),
+// RunTransportCell builds one testbed and measures one workload on it: c
+// names the cell (every field above Elapsed) and comes back with its
+// measurements filled in. It is one iteration of RunTransport, and the cell
+// repro trace records; of cfg it reads the sizes, the seed and the sinks.
+func RunTransportCell(cfg TransportConfig, c TransportCell) (TransportCell, error) {
+	cfg.fill()
+	w := seqRandIndex(c.Workload)
+	if w < 0 {
+		return c, fmt.Errorf("unknown transport workload %q", c.Workload)
 	}
-	tb, err := testbed.New(testbed.Config{
-		Kind:         stack,
+	tags := metrics.Tags{
+		"workload": c.Workload,
+		"rtt":      c.RTT.String(),
+		"loss":     ftoa(c.Loss),
+		"window":   itoa(c.Window),
+		"conns":    itoa(c.Conns),
+	}
+	err := onBed("transport", cfg.Metrics, tags, testbed.Config{
+		Kind:         c.Stack,
 		DeviceBlocks: cfg.DeviceBlocks,
-		RTT:          rtt,
-		LossRate:     loss,
+		RTT:          c.RTT,
+		LossRate:     c.Loss,
 		Seed:         cfg.Seed,
-		Transport:    v.transport,
-		Conns:        v.conns,
-		WindowBytes:  window,
-		Metrics:      cellRecorder(cfg.Metrics, "transport", stack, cell),
+		Transport:    c.Transport,
+		Conns:        c.Conns,
+		WindowBytes:  c.Window,
 		Tracer:       cfg.Tracer,
-		Pool:         cfg.pool,
+		Pool:         sweepPool(cfg.pool),
+	}, func(tb *testbed.Testbed) error {
+		src := workload.SeqRandConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
+		res, err := seqRand[w].run(tb, src)
+		if err != nil {
+			return err
+		}
+		counters := tb.Client.Stack.Counters()
+		c.Elapsed, c.Messages = res.Elapsed, res.Messages
+		c.BytesPerSec = float64(seqRand[w].bytes(src)) / res.Elapsed.Seconds()
+		c.RPCRetrans, c.TCPRetrans, c.TCPTimeouts = counters.RPC.Retransmits, counters.TCP.Retransmits, counters.TCP.Timeouts
+		tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, nil, map[string]float64{"bytes_per_sec": c.BytesPerSec})
+		return nil
 	})
-	if err != nil {
-		return TransportCell{}, err
-	}
-	defer tb.Cluster.Close()
-	src := workload.SeqRandConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
-	var res workload.Result
-	var bytes int64
-	switch wl {
-	case "seq-read":
-		res, err = workload.SequentialRead(tb, src)
-		bytes = src.SeqBytes()
-	case "seq-write":
-		res, err = workload.SequentialWrite(tb, src)
-		bytes = src.SeqBytes()
-	case "rand-read":
-		res, err = workload.RandomRead(tb, src)
-		bytes = src.RandBytes()
-	case "rand-write":
-		res, err = workload.RandomWrite(tb, src)
-		bytes = src.RandBytes()
-	default:
-		return TransportCell{}, fmt.Errorf("unknown transport workload %q", wl)
-	}
-	if err != nil {
-		return TransportCell{}, err
-	}
-	counters := tb.Client.Stack.Counters()
-	tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, nil, map[string]float64{
-		"bytes_per_sec": float64(bytes) / res.Elapsed.Seconds(),
-	})
-	return TransportCell{
-		Stack:       stack,
-		Transport:   v.transport,
-		Conns:       v.conns,
-		Workload:    wl,
-		RTT:         rtt,
-		Loss:        loss,
-		Window:      window,
-		Elapsed:     res.Elapsed,
-		BytesPerSec: float64(bytes) / res.Elapsed.Seconds(),
-		Messages:    res.Messages,
-		RPCRetrans:  counters.RPC.Retransmits,
-		TCPRetrans:  counters.TCP.Retransmits,
-		TCPTimeouts: counters.TCP.Timeouts,
-	}, nil
+	return c, err
 }
 
 // RenderTransport prints the sweep grouped by workload: one row per

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/vfs"
@@ -166,11 +164,4 @@ func patternChunk(n int, fill byte) []byte {
 		b[i] = fill
 	}
 	return b
-}
-
-// guard against silly configs in callers.
-func init() {
-	if DefaultSeqRand().FileSize%int64(DefaultSeqRand().ChunkSize) != 0 {
-		panic(fmt.Sprintf("workload: default seqrand misconfigured"))
-	}
 }

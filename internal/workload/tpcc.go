@@ -21,14 +21,7 @@ type TPCCConfig struct {
 	PagesPerTxn  int   // page touches per transaction (default 12)
 	ReadFraction float64
 	TxnCPU       time.Duration // client compute per transaction
-	// GroupCommit issues an explicit log fsync every N transactions.
-	// 0 (the default) relies on the filesystem's commit interval instead,
-	// which is how the measured configuration behaved: the async-export
-	// NFS server acknowledged COMMIT from memory, and ext3's 5 s journal
-	// commit bounded the iSCSI side. Non-zero values are the durability
-	// ablation (and show ext3's fsync-flushes-everything entanglement).
-	GroupCommit int
-	Seed        int64
+	Seed         int64
 }
 
 // DefaultTPCC returns a laptop-scale configuration preserving the paper's
@@ -103,19 +96,16 @@ func TPCC(tb *testbed.Testbed, cfg TPCCConfig) (Result, error) {
 					}
 				}
 			}
-			// Write-ahead log record; group commit every GroupCommit txns.
+			// Write-ahead log record. The log is never fsynced: durability
+			// rides on the filesystem's commit interval, which is how the
+			// measured configuration behaved (the async-export NFS server
+			// acknowledged COMMIT from memory, and ext3's 5 s journal commit
+			// bounded the iSCSI side).
 			rec := patternChunk(512, byte(t))
 			if _, err := tb.WriteFileAt(log, logOff, rec); err != nil {
 				return err
 			}
 			logOff += int64(len(rec))
-			if cfg.GroupCommit > 0 && t%cfg.GroupCommit == cfg.GroupCommit-1 {
-				done, err := log.Fsync(tb.Clock.Now())
-				if err != nil {
-					return err
-				}
-				tb.Clock.AdvanceTo(done)
-			}
 		}
 		if err := tb.Close(db); err != nil {
 			return err

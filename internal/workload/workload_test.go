@@ -255,3 +255,14 @@ func TestChainStopsOnError(t *testing.T) {
 		t.Fatal("chain ran machines past the failure")
 	}
 }
+
+// TestDefaultSeqRandIsWholeChunks: the paper's file is a whole number of
+// chunks, so the sequential and the random pass move the same bytes (the
+// random drivers permute whole chunks only).
+func TestDefaultSeqRandIsWholeChunks(t *testing.T) {
+	cfg := DefaultSeqRand()
+	if cfg.FileSize%int64(cfg.ChunkSize) != 0 || cfg.SeqBytes() != cfg.RandBytes() {
+		t.Fatalf("%d-byte file in %d-byte chunks: sequential pass %d bytes, random pass %d",
+			cfg.FileSize, cfg.ChunkSize, cfg.SeqBytes(), cfg.RandBytes())
+	}
+}
