@@ -1,0 +1,320 @@
+package nfs
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/blockdev"
+	"repro/internal/ext3"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/sunrpc"
+	"repro/internal/tracing"
+	"repro/internal/vfs"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden")
+
+// rpcScript is ext3's namespace script seen from an NFS client: one syscall
+// per line, "cold" drops the client's caches first (the line after it repeats
+// the syscall warm on a sibling), "sleep N" lets N seconds of virtual time
+// pass with nothing sent. The sleeps carry stat and open of a symlink past
+// every version's attribute timeout, so the revalidation path runs too.
+const rpcScript = `
+mkdir /a
+mkdir /a/b
+mkdir /a/b/c
+mkdir /a
+mkdir /missing/x
+cold mkdir /a/d
+mkdir /a/e
+cold create /a/f
+create /a/g
+write /a/f 9000
+write /a/g 5000
+cold create /a/f
+create /a/g
+cold create /a/b
+create /a/d
+write /a/f 20000
+write /a/g 70000
+cold symlink b/c /a/s
+symlink /a/f /a/s2
+symlink x /a/s
+cold readlink /a/s
+readlink /a/s2
+readlink /a/f
+cold stat /a/s/.
+stat /a/s2
+sleep 61
+stat /a/s2
+sleep 61
+open /a/s2
+cold access /a/s2
+access /a/b/c
+cold link /a/f /a/b/h
+link /a/g /a/b/h2
+cold link /a/f /a/b/h
+link /a/b /a/b/h3
+cold open /a/b/h
+open /a/b/h2
+open /a/b
+cold readdir /a
+readdir /a
+readdir /a/f
+cold chmod /a/f 600
+chmod /a/g 640
+cold chown /a/f 7
+chown /a/g 8
+cold utimes /a/f 1000
+utimes /a/g 2000
+cold truncate /a/f 5000
+truncate /a/g 100
+cold truncate /a/f 30000
+truncate /a/g 0
+truncate /a/b 0
+truncate /a/f -1
+cold rename /a/f /a/f2
+rename /a/g /a/g2
+cold rename /a/f2 /a/g2
+cold rename /a/g2 /a/g2
+rename /a/g2 /a/b/h
+create /a/k
+write /a/k 9000
+rename /a/g2 /a/k
+cold rename /a/d /a/e
+mkdir /a/d
+rename /a/d /a/e
+cold rename /a/e /a/b
+rename /a/e /a/b
+cold rename /a/k /a/e
+rename /a/e /a/k
+cold rename /a/b/c /a/e/c
+rename /a/e/c /a/c
+cold rename /a/c /a/b/c
+rename /a/nope /a/x
+cold rmdir /a/b
+rmdir /a
+rmdir /a/k
+cold rmdir /a/e
+mkdir /a/e
+rmdir /a/e
+cold unlink /a/b/h
+unlink /a/k
+unlink /a/b/h2
+cold unlink /a/b
+unlink /a/s
+unlink /a/nope
+cold stat /
+readdir /
+mkdir /big
+populate /big 40
+cold readdir /big
+cold create /big/another-long-enough-name-to-need-room
+cold unlink /big/file-with-a-long-name-to-fill-blocks-0039
+cold rename /big/file-with-a-long-name-to-fill-blocks-0001 /big/file-with-a-long-name-to-fill-blocks-0040
+cold rmdir /big
+cold rename /big /a/big
+readdir /a/big
+sync
+`
+
+// timedRig builds a client/server pair the way testbed's NFS stacks are
+// built, CPUs included, with a tracer on the client and its RPC layer: v2
+// over UDP, v3 and v4 over TCP.
+func timedRig(t *testing.T, ver Version) (*Client, *simnet.Network, *tracing.Tracer) {
+	t.Helper()
+	dev := blockdev.NewTestbedArray(32768)
+	if _, err := ext3.Mkfs(0, dev, ext3.Options{}); err != nil {
+		t.Fatalf("mkfs: %v", err)
+	}
+	cpu := sim.NewCPU(1.87)
+	fs, at, err := ext3.Mount(0, dev, ext3.Options{CPU: &ext3.CPUConfig{Run: cpu.Run, PerOp: 25 * time.Microsecond, PerBlock: 4 * time.Microsecond}})
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	net := simnet.New(simnet.DefaultLAN())
+	tr := sunrpc.TCP
+	if ver == V2 {
+		tr = sunrpc.UDP
+	}
+	tracer := tracing.New(tracing.Config{})
+	rpc := sunrpc.NewClient(net, tr)
+	rpc.SetTracer(tracer)
+	c := NewClient(ver, rpc, NewServer(fs, cpu), sim.NewCPU(1))
+	c.SetTracer(tracer)
+	if _, err := c.Mount(at); err != nil {
+		t.Fatalf("client mount: %v", err)
+	}
+	return c, net, tracer
+}
+
+// rpcExec runs one script line on c at time at. Lines that produce a value
+// (readlink, readdir, stat) append it to the label so the golden pins it.
+func rpcExec(c *Client, at time.Duration, f []string) (string, time.Duration, error) {
+	num := func(i int) int64 { n, _ := strconv.ParseInt(f[i], 10, 64); return n }
+	switch f[0] {
+	case "mkdir":
+		done, err := c.Mkdir(at, f[1], 0o755)
+		return "", done, err
+	case "rmdir":
+		done, err := c.Rmdir(at, f[1])
+		return "", done, err
+	case "create":
+		_, done, err := c.Create(at, f[1], 0o644)
+		return "", done, err
+	case "open":
+		_, done, err := c.Open(at, f[1])
+		return "", done, err
+	case "write":
+		file, done, err := c.Open(at, f[1])
+		if err != nil {
+			return "", done, err
+		}
+		_, done, err = file.WriteAt(done, 0, bytes.Repeat([]byte("namespace"), int(num(2))/9+1)[:num(2)])
+		return "", done, err
+	case "symlink":
+		done, err := c.Symlink(at, f[1], f[2])
+		return "", done, err
+	case "readlink":
+		target, done, err := c.Readlink(at, f[1])
+		return " -> " + target, done, err
+	case "link":
+		done, err := c.Link(at, f[1], f[2])
+		return "", done, err
+	case "unlink":
+		done, err := c.Unlink(at, f[1])
+		return "", done, err
+	case "rename":
+		done, err := c.Rename(at, f[1], f[2])
+		return "", done, err
+	case "readdir":
+		ents, done, err := c.ReadDir(at, f[1])
+		return fmt.Sprintf(" -> %d entries", len(ents)), done, err
+	case "stat":
+		st, done, err := c.Stat(at, f[1])
+		return fmt.Sprintf(" -> mode=%o nlink=%d size=%d", st.Mode, st.Nlink, st.Size), done, err
+	case "access":
+		done, err := c.Access(at, f[1], vfs.AccessRead)
+		return "", done, err
+	case "chmod":
+		mode, _ := strconv.ParseUint(f[2], 8, 16)
+		done, err := c.Chmod(at, f[1], vfs.Mode(mode))
+		return "", done, err
+	case "chown":
+		done, err := c.Chown(at, f[1], uint32(num(2)), uint32(num(2))+1)
+		return "", done, err
+	case "utimes":
+		done, err := c.Utimes(at, f[1], time.Duration(num(2)), time.Duration(num(2))+1)
+		return "", done, err
+	case "truncate":
+		done, err := c.Truncate(at, f[1], num(2))
+		return "", done, err
+	case "populate":
+		done := at
+		for i := 0; i < int(num(2)); i++ {
+			var err error
+			if _, done, err = c.Create(done, fmt.Sprintf("%s/file-with-a-long-name-to-fill-blocks-%04d", f[1], i), 0o644); err != nil {
+				return "", done, err
+			}
+		}
+		return "", done, nil
+	case "sync":
+		done, err := c.Sync(at)
+		return "", done, err
+	}
+	return "", at, fmt.Errorf("rpc script: unknown verb %q", f[0])
+}
+
+// procSequence names the RPCs of spans in order, from the client's rpc-layer
+// spans. A long sequence is summarised as counts in order of first use.
+func procSequence(spans []tracing.Span) string {
+	var procs []string
+	for _, s := range spans {
+		if s.Layer == tracing.LayerRPC && s.Op != "slot-wait" {
+			procs = append(procs, s.Op)
+		}
+	}
+	if len(procs) <= 12 {
+		return "[" + strings.Join(procs, " ") + "]"
+	}
+	var order []string
+	count := map[string]int{}
+	for _, p := range procs {
+		if count[p] == 0 {
+			order = append(order, p)
+		}
+		count[p]++
+	}
+	for i, p := range order {
+		order[i] = fmt.Sprintf("%s*%d", p, count[p])
+	}
+	return "[" + strings.Join(order, " ") + "]"
+}
+
+// TestRPCSequenceGolden pins what each namespace syscall sends on NFS v2, v3
+// and v4, cold and warm: per line the error, the completion time, the message
+// count, the bytes in each direction and the procedures in the order the
+// client called them. Generated before the client's namespace operations
+// were rewritten around one final-name probe; regenerate with
+// go test ./internal/nfs -run RPCSequenceGolden -update.
+func TestRPCSequenceGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, ver := range []Version{V2, V3, V4} {
+		c, net, tracer := timedRig(t, ver)
+		fmt.Fprintf(&got, "== %v\n", ver)
+		now := time.Duration(0)
+		for _, line := range strings.Split(strings.TrimSpace(rpcScript), "\n") {
+			f := strings.Fields(line)
+			if f[0] == "sleep" {
+				n, _ := strconv.Atoi(f[1])
+				now += time.Duration(n) * time.Second
+				continue
+			}
+			if f[0] == "cold" {
+				c.DropCaches()
+				f = f[1:]
+			}
+			now += time.Second
+			before, spans := net.Stats(), len(tracer.Spans())
+			root := tracer.BeginOp(now, tracing.LayerSyscall, f[0], 0)
+			val, done, err := rpcExec(c, now, f)
+			tracer.End(root, done)
+			now = done
+			st := net.Stats()
+			fmt.Fprintf(&got, "%-44s err=%v t=%d msgs=%d up=%d down=%d %s\n", line+val, err, done,
+				st.Messages-before.Messages, st.BytesSent-before.BytesSent, st.BytesRecv-before.BytesRecv,
+				procSequence(tracer.Spans()[spans:]))
+		}
+	}
+	path := filepath.Join("testdata", "rpc_sequence.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Errorf("line %d drifted:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("%d lines, golden has %d", len(gl), len(wl))
+	}
+}
