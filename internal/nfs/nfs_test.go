@@ -206,6 +206,130 @@ func TestServerFailureInjection(t *testing.T) {
 	}
 }
 
+// A write that reaches the server from elsewhere (another client, a local
+// process) is seen once the attribute timeout has passed: the revalidation
+// GETATTR brings a new mtime, and the cached pages go. The comparison is
+// against the attributes the client held before that GETATTR.
+func TestForeignWriteSeenAfterAttrTimeout(t *testing.T) {
+	for _, ver := range []Version{V2, V3, V4} {
+		c, srv, _ := rig(t, ver)
+		f, at, err := c.Create(0, "/f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine, theirs := bytes.Repeat([]byte("a"), 8192), bytes.Repeat([]byte("b"), 8192)
+		if _, at, err = f.WriteAt(at, 0, mine); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = f.Fsync(at); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(mine))
+		if _, at, err = f.ReadAt(at, 0, got); err != nil || !bytes.Equal(got, mine) {
+			t.Fatalf("%v: own write read back as %.8q, %v", ver, got, err)
+		}
+		if _, at, err = srv.Write(at+time.Second, f.(*nfsFile).fh, 0, theirs, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err = f.ReadAt(at+2*time.Minute, 0, got); err != nil || !bytes.Equal(got, theirs) {
+			t.Errorf("%v: after the attribute timeout a foreign write reads as %.8q, %v", ver, got, err)
+		}
+	}
+}
+
+// Unlinking a file forgets its queued writes and cached pages: the inode
+// number comes back for the next file created, and what the dead file still
+// had queued must not land in the new one.
+func TestUnlinkForgetsQueuedWritesOfAReusedInode(t *testing.T) {
+	for _, ver := range []Version{V2, V3, V4} {
+		c, _, _ := rig(t, ver)
+		x, at, err := c.Create(0, "/x", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, at, err = x.WriteAt(at, 0, bytes.Repeat([]byte("x"), 8192)); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = c.Unlink(at, "/x"); err != nil {
+			t.Fatal(err)
+		}
+		y, at, err := c.Create(at, "/y", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if xi, yi := x.(*nfsFile).fh.Ino, y.(*nfsFile).fh.Ino; xi != yi {
+			t.Fatalf("%v: /y got inode %d, not /x's %d: the test needs the reuse", ver, yi, xi)
+		}
+		if at, err = c.Sync(at); err != nil {
+			t.Fatal(err)
+		}
+		c.DropCaches()
+		if at, err = c.Mount(at); err != nil {
+			t.Fatal(err)
+		}
+		st, at, err := c.Stat(at, "/y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, at, err := c.Open(at, "/y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _, err := g.ReadAt(at, 0, make([]byte, 8192)); err != nil || n != 0 || st.Size != 0 {
+			t.Errorf("%v: a new file on a reused inode holds %d bytes (read %d, %v) of the unlinked one", ver, st.Size, n, err)
+		}
+	}
+}
+
+// After Abort every namespace call and open fails with ErrStale and sends
+// nothing, whatever the caches held.
+func TestAbortedClientSendsNothing(t *testing.T) {
+	for _, ver := range []Version{V2, V3, V4} {
+		c, _, net := rig(t, ver)
+		at, err := c.Mkdir(0, "/d", 0o755)
+		if err == nil {
+			var f vfs.File
+			if f, at, err = c.Create(at, "/d/f", 0o644); err == nil {
+				_, err = f.Close(at)
+			}
+		}
+		if err == nil {
+			at, err = c.Symlink(at, "/d/f", "/l")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Abort()
+		before := net.Stats().Messages
+		calls := map[string]func() error{
+			"mkdir":    func() error { _, err := c.Mkdir(at, "/x", 0o755); return err },
+			"rmdir":    func() error { _, err := c.Rmdir(at, "/d"); return err },
+			"symlink":  func() error { _, err := c.Symlink(at, "/d/f", "/l2"); return err },
+			"readlink": func() error { _, _, err := c.Readlink(at, "/l"); return err },
+			"link":     func() error { _, err := c.Link(at, "/d/f", "/h"); return err },
+			"unlink":   func() error { _, err := c.Unlink(at, "/d/f"); return err },
+			"rename":   func() error { _, err := c.Rename(at, "/d/f", "/d/g"); return err },
+			"readdir":  func() error { _, _, err := c.ReadDir(at, "/d"); return err },
+			"stat":     func() error { _, _, err := c.Stat(at, "/d/f"); return err },
+			"chmod":    func() error { _, err := c.Chmod(at, "/d/f", 0o600); return err },
+			"chown":    func() error { _, err := c.Chown(at, "/d/f", 1, 1); return err },
+			"utimes":   func() error { _, err := c.Utimes(at, "/d/f", 1, 2); return err },
+			"truncate": func() error { _, err := c.Truncate(at, "/d/f", 10); return err },
+			"access":   func() error { _, err := c.Access(at, "/d/f", vfs.AccessRead); return err },
+			"create":   func() error { _, _, err := c.Create(at, "/new", 0o644); return err },
+			"open":     func() error { _, _, err := c.Open(at, "/d/f"); return err },
+		}
+		for name, call := range calls {
+			if err := call(); err != vfs.ErrStale {
+				t.Errorf("%v: %s on an aborted client: %v, want %v", ver, name, err, vfs.ErrStale)
+			}
+		}
+		if sent := net.Stats().Messages - before; sent != 0 {
+			t.Errorf("%v: an aborted client sent %d messages", ver, sent)
+		}
+	}
+}
+
 func TestMetadataFractionAccounting(t *testing.T) {
 	c, srv, _ := rig(t, V3)
 	at := time.Duration(0)
