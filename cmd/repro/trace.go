@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/tracing"
 )
 
@@ -112,29 +112,20 @@ func renderCriticalPath(w io.Writer, label string, spans []tracing.Span) error {
 		if sum == 0 {
 			continue
 		}
+		slices.Sort(perLayer[l])
 		fmt.Fprintf(w, "%-12s %10s %10s %10s %6.1f%%\n", l,
 			fmtDur(sum/time.Duration(len(roots))),
-			fmtDur(percentile(perLayer[l], 50)),
-			fmtDur(percentile(perLayer[l], 99)),
+			fmtDur(metrics.Percentile(perLayer[l], 50)),
+			fmtDur(metrics.Percentile(perLayer[l], 99)),
 			100*float64(sum)/float64(total))
 	}
+	slices.Sort(latencies)
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %6.1f%%\n", "op latency",
 		fmtDur(total/time.Duration(len(roots))),
-		fmtDur(percentile(latencies, 50)),
-		fmtDur(percentile(latencies, 99)),
+		fmtDur(metrics.Percentile(latencies, 50)),
+		fmtDur(metrics.Percentile(latencies, 99)),
 		100.0)
 	return nil
-}
-
-// percentile is the nearest-rank p-th percentile (copies before sorting).
-func percentile(ds []time.Duration, p int) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := (len(s)*p + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
 }
 
 // fmtDur rounds for the table without losing sub-microsecond bills.

@@ -23,8 +23,8 @@ import (
 // share a window when the folded text is equal. The scan ranks files by the
 // windows they repeat inside themselves and pairs of files by the windows
 // they share; refactoring issues take their candidates from the log, and the
-// ceilings below keep internal/core and cmd/, which have been through that,
-// from growing a new copy.
+// ceilings below keep the directories that have been through that from
+// growing a new copy.
 const (
 	cloneWindow   = 8
 	cloneMinIdent = 12
@@ -35,7 +35,7 @@ const (
 	cloneCeiling = 4
 )
 
-var guardedDirs = []string{"internal/core/", "cmd/"}
+var guardedDirs = []string{"internal/core/", "cmd/", "internal/nfs/", "internal/replay/"}
 
 // codeLine is one source line of a file after folding.
 type codeLine struct {

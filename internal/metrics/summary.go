@@ -132,26 +132,24 @@ func sampleWeight(tags Tags) float64 {
 	return float64(pop) / float64(n)
 }
 
-// percentile returns the nearest-rank p-th percentile of sorted xs: the
-// value at rank ceil(p/100 * N), 1-based — the same convention the
-// replay engine's latency percentiles use (internal/replay), so stream
-// roll-ups and simulation output never disagree on a definition.
-func percentile(sorted []float64, p float64) float64 {
+// Percentile returns the nearest-rank p-th percentile of an ascending
+// sample: the value at rank ceil(p/100 * N), 1-based, so every reported
+// percentile is an observed value, never an interpolation (the convention
+// storage benchmarks and the paper's latency tables use). An empty sample
+// reports 0; p <= 0 reports the minimum and p >= 100 the maximum. Stream
+// roll-ups, replay latencies and repro trace's table all use it, so they
+// never disagree on a definition.
+func Percentile[T ~int64 | ~float64](sorted []T, p float64) T {
 	n := len(sorted)
-	if n == 0 {
+	switch {
+	case n == 0:
 		return 0
-	}
-	if p <= 0 {
+	case p <= 0:
 		return sorted[0]
-	}
-	if p >= 100 {
+	case p >= 100:
 		return sorted[n-1]
 	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return sorted[max(int(math.Ceil(p/100*float64(n))), 1)-1]
 }
 
 // Render prints the summary: one block per group with counter totals,
@@ -194,7 +192,7 @@ func (s *Summary) Render(w io.Writer) {
 			}
 			fmt.Fprintf(w, "  %-24s n=%-6d mean=%-12.4g p50=%-12.4g p90=%-12.4g p99=%.4g\n",
 				k, len(xs), sum/float64(len(xs)),
-				percentile(xs, 50), percentile(xs, 90), percentile(xs, 99))
+				Percentile(xs, 50), Percentile(xs, 90), Percentile(xs, 99))
 		}
 	}
 }

@@ -152,11 +152,11 @@ func TestPercentileNearestRank(t *testing.T) {
 		want float64
 	}{{50, 5}, {90, 9}, {99, 10}, {100, 10}, {1, 1}}
 	for _, c := range cases {
-		if got := percentile(xs, c.p); got != c.want {
+		if got := Percentile(xs, c.p); got != c.want {
 			t.Errorf("p%g = %g, want %g", c.p, got, c.want)
 		}
 	}
-	if got := percentile(nil, 50); got != 0 {
+	if got := Percentile([]float64(nil), 50); got != 0 {
 		t.Errorf("empty percentile = %g", got)
 	}
 }

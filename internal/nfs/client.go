@@ -153,11 +153,10 @@ func (c *Client) SetPool(p *blockdev.Pool) { c.pages.pool = p }
 // experiments, as the paper counts per-syscall traffic).
 func (c *Client) Mount(at time.Duration) (time.Duration, error) {
 	c.rootFH = c.srv.RootFH()
-	st, done, err := c.getattrRPC(at, c.rootFH)
+	_, done, err := c.attrCall(at, c.rootFH, ProcGetattr)
 	if err != nil {
 		return done, err
 	}
-	c.putAttrs(c.rootFH, st, done)
 	c.mounted = true
 	return done, nil
 }
@@ -252,6 +251,58 @@ func (c *Client) callCharged(at time.Duration, p Proc, nameLen, argPayload, resP
 	return done, opErr
 }
 
+// fhCall performs one RPC whose reply carries a handle and its attributes
+// (LOOKUP, the creating calls, OPEN, GETATTR, ACCESS, SETATTR, a v2 WRITE)
+// and caches the attributes. A failed call returns neither.
+func (c *Client) fhCall(at time.Duration, p Proc, nameLen, argPayload int,
+	serve func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error)) (FH, vfs.Stat, time.Duration, error) {
+	var fh FH
+	var st vfs.Stat
+	done, err := c.call(at, p, nameLen, argPayload, 0, func(arrive time.Duration) (time.Duration, error) {
+		var e error
+		fh, st, arrive, e = serve(arrive)
+		return arrive, e
+	})
+	if err != nil {
+		return FH{}, vfs.Stat{}, done, err
+	}
+	c.putAttrs(fh, st, done)
+	return fh, st, done, nil
+}
+
+// attrCall fetches fh's attributes with GETATTR, or with ACCESS when p is
+// ProcAccess (the server checks permission and replies with the same
+// attributes).
+func (c *Client) attrCall(at time.Duration, fh FH, p Proc) (vfs.Stat, time.Duration, error) {
+	serve := c.srv.Getattr
+	if p == ProcAccess {
+		serve = c.srv.Access
+	}
+	_, st, done, err := c.fhCall(at, p, 0, 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+		st, done, err := serve(arrive, fh)
+		return fh, st, done, err
+	})
+	return st, done, err
+}
+
+// setattrCall sends SETATTR for fh.
+func (c *Client) setattrCall(at time.Duration, fh FH, sa ext3.SetAttr) (vfs.Stat, time.Duration, error) {
+	_, st, done, err := c.fhCall(at, ProcSetattr, 0, 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+		st, done, err := c.srv.Setattr(arrive, fh, sa)
+		return fh, st, done, err
+	})
+	return st, done, err
+}
+
+// refresh is the post-op GETATTR the Linux client sends after some updates;
+// a failed one leaves the caller's time as it was.
+func (c *Client) refresh(at time.Duration, fh FH) time.Duration {
+	if _, done, err := c.attrCall(at, fh, ProcGetattr); err == nil {
+		return done
+	}
+	return at
+}
+
 // ---- cache plumbing ----
 
 // putAttrs caches fh's attributes, refreshing an existing entry in place:
@@ -283,23 +334,9 @@ func (c *Client) putDentry(dir FH, name string, fh FH, now time.Duration) {
 	c.dc[dcKey{dir.Ino, name}] = &dentry{fh: fh, cachedAt: now}
 }
 
-func (c *Client) putNegative(dir FH, name string, now time.Duration) {
-	c.dc[dcKey{dir.Ino, name}] = &dentry{negative: true, cachedAt: now}
-}
-
-func (c *Client) dropDentry(dir FH, name string) {
-	delete(c.dc, dcKey{dir.Ino, name})
-}
-
-// getattrRPC fetches attributes over the wire.
-func (c *Client) getattrRPC(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {
-	var st vfs.Stat
-	done, err := c.call(at, ProcGetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		st, arrive, e = c.srv.Getattr(arrive, fh)
-		return arrive, e
-	})
-	return st, done, err
+// invalidateDir drops cached state for a directory whose content changed.
+func (c *Client) invalidateDir(dir FH) {
+	delete(c.listings, dir.Ino)
 }
 
 // accessRPC performs the v4 per-directory ACCESS check when its cache
@@ -312,18 +349,14 @@ func (c *Client) accessRPC(at time.Duration, fh FH) (time.Duration, error) {
 	if t, ok := c.access[fh.Ino]; ok && at-t <= c.attrTTL {
 		return at, nil
 	}
-	var st vfs.Stat
-	done, err := c.call(at, ProcAccess, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		st, arrive, e = c.srv.Access(arrive, fh)
-		return arrive, e
-	})
+	_, done, err := c.attrCall(at, fh, ProcAccess)
 	if err == nil {
 		c.access[fh.Ino] = done
-		c.putAttrs(fh, st, done)
 	}
 	return done, err
 }
+
+// ---- name resolution ----
 
 // lookupComponent resolves one name in dir using the dentry cache, the
 // attribute-cache revalidation rule, and a LOOKUP RPC on a miss.
@@ -340,9 +373,8 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 		} else {
 			// Stale: one revalidation GETATTR (the consistency check the
 			// paper identifies as NFS's warm-cache overhead).
-			st, done, err := c.getattrRPC(at, d.fh)
+			_, done, err := c.attrCall(at, d.fh, ProcGetattr)
 			if err == nil {
-				c.putAttrs(d.fh, st, done)
 				d.cachedAt = done
 				return d.fh, done, nil
 			}
@@ -353,22 +385,16 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 			at = done
 		}
 	}
-	var fh FH
-	var st vfs.Stat
-	done, err := c.call(at, ProcLookup, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		fh, st, arrive, e = c.srv.Lookup(arrive, dir, name)
-		return arrive, e
+	fh, _, done, err := c.fhCall(at, ProcLookup, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+		return c.srv.Lookup(arrive, dir, name)
 	})
 	if err == vfs.ErrNotExist {
-		c.putNegative(dir, name, done)
-		return FH{}, done, err
+		c.dc[key] = &dentry{negative: true, cachedAt: done}
 	}
 	if err != nil {
 		return FH{}, done, err
 	}
 	c.putDentry(dir, name, fh, done)
-	c.putAttrs(fh, st, done)
 	return fh, done, nil
 }
 
@@ -384,8 +410,13 @@ func (c *Client) resolve(at time.Duration, path string, followFinal bool) (FH, t
 }
 
 // walk resolves the components of rel (validated: vfs.RelPath, vfs.CheckRel)
-// from start, stepping through the string in place.
+// from start, stepping through the string in place. Every path operation
+// comes through here, so this is where a detached client (Abort, Unmount)
+// fails with vfs.ErrStale before anything is sent.
 func (c *Client) walk(at time.Duration, start FH, rel string, followFinal bool, depth int) (FH, time.Duration, error) {
+	if !c.mounted {
+		return FH{}, at, vfs.ErrStale
+	}
 	cur := start
 	done := at
 	var err error
@@ -422,11 +453,7 @@ func (c *Client) walk(at time.Duration, start FH, rel string, followFinal bool, 
 			}
 		}
 		cur = fh
-		if !final {
-			if done, err = c.accessRPC(done, cur); err != nil {
-				return FH{}, done, err
-			}
-		} else if st != nil && st.st.Mode.IsDir() {
+		if !final || st != nil && st.st.Mode.IsDir() {
 			// v4 checks access on a directory target too.
 			if done, err = c.accessRPC(done, cur); err != nil {
 				return FH{}, done, err
@@ -456,10 +483,34 @@ func (c *Client) resolveParent(at time.Duration, path string) (FH, string, time.
 		return FH{}, "", at, err
 	}
 	dir, done, err := c.walk(at, c.rootFH, rel, true, 0)
+	return dir, name, done, err
+}
+
+// want is what the final-name probe expects to find.
+type want int
+
+const (
+	absent  want = iota // mkdir, symlink, link: a hit is EEXIST
+	anyName             // creat, rename's destination
+	present             // rmdir, unlink, rename's source
+)
+
+// lookupLast resolves path's parent and LOOKUPs the final name: the probe
+// every namespace update of Table 2 starts with. A miss is an error only
+// when w is present; a hit is EEXIST when w is absent.
+func (c *Client) lookupLast(at time.Duration, path string, w want) (FH, string, FH, time.Duration, error) {
+	dir, name, done, err := c.resolveParent(at, path)
 	if err != nil {
-		return FH{}, "", done, err
+		return dir, name, FH{}, done, err
 	}
-	return dir, name, done, nil
+	fh, done, err := c.lookupComponent(done, dir, name)
+	switch {
+	case err == nil && w == absent:
+		err = vfs.ErrExist
+	case err == vfs.ErrNotExist && w != present:
+		err = nil
+	}
+	return dir, name, fh, done, err
 }
 
 func (c *Client) readlinkRPC(at time.Duration, fh FH) (string, time.Duration, error) {
@@ -474,126 +525,80 @@ func (c *Client) readlinkRPC(at time.Duration, fh FH) (string, time.Duration, er
 
 const maxSymlinkDepth = 8
 
-// invalidateDir drops cached state for a directory whose content changed.
-func (c *Client) invalidateDir(dir FH) {
-	delete(c.listings, dir.Ino)
-}
-
 // ---- namespace operations (vfs.FileSystem) ----
 
-// Mkdir implements vfs.FileSystem.
-func (c *Client) Mkdir(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
+// addName creates path's final name after a negative probe. serve is the
+// creating call (MKDIR, SYMLINK or LINK in dir), which replies with the new
+// name's handle and attributes.
+func (c *Client) addName(at time.Duration, path string, p Proc, argPayload int,
+	serve func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error)) (FH, time.Duration, error) {
+	dir, name, _, done, err := c.lookupLast(at, path, absent)
+	if err != nil {
+		return FH{}, done, err
 	}
-	dir, name, done, err := c.resolveParent(at, path)
+	fh, _, done, err := c.fhCall(done, p, len(name), argPayload, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+		return serve(arrive, dir, name)
+	})
+	if err != nil {
+		return FH{}, done, err
+	}
+	c.putDentry(dir, name, fh, done)
+	c.invalidateDir(dir)
+	return fh, done, nil
+}
+
+// removeName removes path's final name after a positive probe (serve is
+// RMDIR or REMOVE in dir) and forgets everything cached of the object: its
+// dentry, attributes and listing, and its queued writes and pages, which
+// must not reach a file that later gets the same inode.
+func (c *Client) removeName(at time.Duration, path string, p Proc,
+	serve func(arrive time.Duration, dir FH, name string) (time.Duration, error)) (time.Duration, error) {
+	dir, name, fh, done, err := c.lookupLast(at, path, present)
 	if err != nil {
 		return done, err
 	}
-	// The client looks the name up first (a negative LOOKUP on success).
-	if _, d2, err := c.lookupComponent(done, dir, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	var fh FH
-	var st vfs.Stat
-	done, err = c.call(done, ProcMkdir, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		fh, st, arrive, e = c.srv.Mkdir(arrive, dir, name, mode)
-		return arrive, e
+	done, err = c.call(done, p, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
+		return serve(arrive, dir, name)
 	})
 	if err != nil {
 		return done, err
 	}
-	c.putDentry(dir, name, fh, done)
-	c.putAttrs(fh, st, done)
+	delete(c.dc, dcKey{dir.Ino, name})
+	delete(c.attrs, fh.Ino)
+	delete(c.listings, fh.Ino)
+	c.wb.dropFile(fh.Ino)
+	c.pages.dropFile(fh.Ino)
 	c.invalidateDir(dir)
-	if c.ver == V4 {
-		// Post-op attribute refresh (observed v4 client behaviour).
-		if st2, d2, err := c.getattrRPC(done, fh); err == nil {
-			c.putAttrs(fh, st2, d2)
-			done = d2
-		}
-	}
 	return done, nil
+}
+
+// Mkdir implements vfs.FileSystem.
+func (c *Client) Mkdir(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
+	fh, done, err := c.addName(at, path, ProcMkdir, 0, func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
+		return c.srv.Mkdir(arrive, dir, name, mode)
+	})
+	if err == nil && c.ver == V4 {
+		// Post-op attribute refresh (observed v4 client behaviour).
+		done = c.refresh(done, fh)
+	}
+	return done, err
 }
 
 // Rmdir implements vfs.FileSystem.
 func (c *Client) Rmdir(at time.Duration, path string) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
-	dir, name, done, err := c.resolveParent(at, path)
-	if err != nil {
-		return done, err
-	}
-	fh, done, err := c.lookupComponent(done, dir, name)
-	if err != nil {
-		return done, err
-	}
-	done, err = c.call(done, ProcRmdir, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		arrive, e = c.srv.Rmdir(arrive, dir, name)
-		return arrive, e
-	})
-	if err != nil {
-		return done, err
-	}
-	c.dropDentry(dir, name)
-	delete(c.attrs, fh.Ino)
-	delete(c.listings, fh.Ino)
-	c.invalidateDir(dir)
-	return done, nil
+	return c.removeName(at, path, ProcRmdir, c.srv.Rmdir)
 }
 
 // Symlink implements vfs.FileSystem.
 func (c *Client) Symlink(at time.Duration, target, path string) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
-	dir, name, done, err := c.resolveParent(at, path)
-	if err != nil {
-		return done, err
-	}
-	if _, d2, err := c.lookupComponent(done, dir, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	var fh FH
-	var st vfs.Stat
-	done, err = c.call(done, ProcSymlink, len(name), len(target), 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		fh, st, arrive, e = c.srv.Symlink(arrive, dir, name, target)
-		return arrive, e
+	_, done, err := c.addName(at, path, ProcSymlink, len(target), func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
+		return c.srv.Symlink(arrive, dir, name, target)
 	})
-	if err != nil {
-		return done, err
-	}
-	c.putDentry(dir, name, fh, done)
-	c.putAttrs(fh, st, done)
-	c.invalidateDir(dir)
-	if c.ver == V2 {
-		// The v2 client follows SYMLINK with a LOOKUP (no post-op attrs
-		// in the v2 reply), matching its extra message in Table 2.
-		if fh2, d2, err := c.lookupComponent(done, dir, name); err == nil {
-			_ = fh2
-			done = d2
-		}
-	}
-	return done, nil
+	return done, err
 }
 
 // Readlink implements vfs.FileSystem.
 func (c *Client) Readlink(at time.Duration, path string) (string, time.Duration, error) {
-	if !c.mounted {
-		return "", at, vfs.ErrStale
-	}
 	fh, done, err := c.resolve(at, path, false)
 	if err != nil {
 		return "", done, err
@@ -603,122 +608,53 @@ func (c *Client) Readlink(at time.Duration, path string) (string, time.Duration,
 
 // Link implements vfs.FileSystem.
 func (c *Client) Link(at time.Duration, oldpath, newpath string) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
 	target, done, err := c.resolve(at, oldpath, false)
 	if err != nil {
 		return done, err
 	}
-	dir, name, done, err := c.resolveParent(done, newpath)
-	if err != nil {
-		return done, err
-	}
-	if _, d2, err := c.lookupComponent(done, dir, name); err == nil {
-		return d2, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
-		return d2, err
-	} else {
-		done = d2
-	}
-	var st vfs.Stat
-	done, err = c.call(done, ProcLink, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		st, arrive, e = c.srv.Link(arrive, target, dir, name)
-		return arrive, e
+	_, done, err = c.addName(done, newpath, ProcLink, 0, func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
+		st, done, err := c.srv.Link(arrive, target, dir, name)
+		return FH{Ino: st.Ino}, st, done, err
 	})
 	if err != nil {
 		return done, err
 	}
-	c.putDentry(dir, name, FH{Ino: st.Ino}, done)
-	c.putAttrs(FH{Ino: st.Ino}, st, done)
-	c.invalidateDir(dir)
 	// Post-op attribute refresh of the link target (Linux behaviour).
-	if st2, d2, err := c.getattrRPC(done, target); err == nil {
-		c.putAttrs(target, st2, d2)
-		done = d2
-	}
-	return done, nil
+	return c.refresh(done, target), nil
 }
 
 // Unlink implements vfs.FileSystem.
 func (c *Client) Unlink(at time.Duration, path string) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
-	dir, name, done, err := c.resolveParent(at, path)
-	if err != nil {
-		return done, err
-	}
-	fh, done, err := c.lookupComponent(done, dir, name)
-	if err != nil {
-		return done, err
-	}
-	done, err = c.call(done, ProcRemove, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		arrive, e = c.srv.Remove(arrive, dir, name)
-		return arrive, e
-	})
-	if err != nil {
-		return done, err
-	}
-	c.dropDentry(dir, name)
-	delete(c.attrs, fh.Ino)
-	c.wb.dropFile(fh.Ino)
-	c.pages.dropFile(fh.Ino)
-	c.invalidateDir(dir)
-	return done, nil
+	return c.removeName(at, path, ProcRemove, c.srv.Remove)
 }
 
 // Rename implements vfs.FileSystem.
 func (c *Client) Rename(at time.Duration, oldpath, newpath string) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
-	odir, oname, done, err := c.resolveParent(at, oldpath)
+	odir, oname, fh, done, err := c.lookupLast(at, oldpath, present)
 	if err != nil {
 		return done, err
 	}
-	fh, done, err := c.lookupComponent(done, odir, oname)
+	ndir, nname, _, done, err := c.lookupLast(done, newpath, anyName)
 	if err != nil {
 		return done, err
-	}
-	ndir, nname, done, err := c.resolveParent(done, newpath)
-	if err != nil {
-		return done, err
-	}
-	// LOOKUP of the destination (usually negative).
-	if _, d2, err := c.lookupComponent(done, ndir, nname); err == nil || err == vfs.ErrNotExist {
-		done = d2
-	} else {
-		return d2, err
 	}
 	done, err = c.call(done, ProcRename, len(oname)+len(nname), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		arrive, e = c.srv.Rename(arrive, odir, oname, ndir, nname)
-		return arrive, e
+		return c.srv.Rename(arrive, odir, oname, ndir, nname)
 	})
 	if err != nil {
 		return done, err
 	}
-	c.dropDentry(odir, oname)
+	delete(c.dc, dcKey{odir.Ino, oname})
 	c.putDentry(ndir, nname, fh, done)
 	c.invalidateDir(odir)
 	c.invalidateDir(ndir)
 	// Post-op refresh of the moved object.
-	if st, d2, err := c.getattrRPC(done, fh); err == nil {
-		c.putAttrs(fh, st, d2)
-		done = d2
-	}
-	return done, nil
+	return c.refresh(done, fh), nil
 }
 
 // ReadDir implements vfs.FileSystem, with listing caching: a warm readdir
 // costs only the revalidation GETATTR (Table 3's readdir row).
 func (c *Client) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Duration, error) {
-	if !c.mounted {
-		return nil, at, vfs.ErrStale
-	}
 	fh, done, err := c.resolve(at, path, true)
 	if err != nil {
 		return nil, done, err
@@ -730,6 +666,9 @@ func (c *Client) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Du
 	var ents []vfs.DirEntry
 	plus := c.ver >= V3
 	payload := 0
+	// The reply is charged as empty: payload reaches c.call by value before
+	// the serve closure sums the entries. A known defect, kept because the
+	// fix moves pinned results (ROADMAP item 6, "READDIR replies").
 	done, err = c.call(done, ProcReaddir, 0, 0, payload, func(arrive time.Duration) (time.Duration, error) {
 		var e error
 		ents, arrive, e = c.srv.Readdir(arrive, fh, plus)
@@ -753,13 +692,8 @@ func (c *Client) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Du
 
 // Stat implements vfs.FileSystem.
 func (c *Client) Stat(at time.Duration, path string) (vfs.Stat, time.Duration, error) {
-	if !c.mounted {
-		return vfs.Stat{}, at, vfs.ErrStale
-	}
-	if c.deleg != nil {
-		if st, done, err, handled := c.delegStat(at, path); handled {
-			return st, done, err
-		}
+	if name, ok := c.delegated(path); ok {
+		return c.delegStat(at, path, name)
 	}
 	fh, done, err := c.resolve(at, path, true)
 	if err != nil {
@@ -767,31 +701,15 @@ func (c *Client) Stat(at time.Duration, path string) (vfs.Stat, time.Duration, e
 	}
 	// stat(2) fetches attributes even when the cache is fresh for v2/v3
 	// (observed client behaviour: a GETATTR accompanies the syscall).
-	if c.ver != V4 {
-		st, d2, err := c.getattrRPC(done, fh)
-		if err != nil {
-			return vfs.Stat{}, d2, err
-		}
-		c.putAttrs(fh, st, d2)
-		return st, d2, nil
-	}
-	if a, fresh := c.freshAttrs(fh, done); fresh {
+	if a, fresh := c.freshAttrs(fh, done); fresh && c.ver == V4 {
 		return a.st, done, nil
 	}
-	st, done, err := c.getattrRPC(done, fh)
-	if err != nil {
-		return vfs.Stat{}, done, err
-	}
-	c.putAttrs(fh, st, done)
-	return st, done, nil
+	return c.attrCall(done, fh, ProcGetattr)
 }
 
 // setattr sends SETATTR plus the post-op GETATTR the Linux client issues
 // for mode/owner/size changes.
 func (c *Client) setattr(at time.Duration, path string, sa ext3.SetAttr, postGetattr bool) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
 	fh, done, err := c.resolve(at, path, true)
 	if err != nil {
 		return done, err
@@ -804,32 +722,21 @@ func (c *Client) setattr(at time.Duration, path string, sa ext3.SetAttr, postGet
 			return done, err
 		}
 	}
-	var st vfs.Stat
-	done, err = c.call(done, ProcSetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		st, arrive, e = c.srv.Setattr(arrive, fh, sa)
-		return arrive, e
-	})
-	if err != nil {
+	if _, done, err = c.setattrCall(done, fh, sa); err != nil {
 		return done, err
 	}
 	if sa.Size != nil {
 		c.pages.truncate(fh.Ino, *sa.Size)
 	}
-	c.putAttrs(fh, st, done)
 	if postGetattr {
-		if st2, d2, err := c.getattrRPC(done, fh); err == nil {
-			c.putAttrs(fh, st2, d2)
-			done = d2
-		}
+		done = c.refresh(done, fh)
 	}
 	return done, nil
 }
 
 // Chmod implements vfs.FileSystem.
 func (c *Client) Chmod(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
-	m := mode
-	return c.setattr(at, path, ext3.SetAttr{Mode: &m}, true)
+	return c.setattr(at, path, ext3.SetAttr{Mode: &mode}, true)
 }
 
 // Chown implements vfs.FileSystem.
@@ -839,10 +746,8 @@ func (c *Client) Chown(at time.Duration, path string, uid, gid uint32) (time.Dur
 
 // Utimes implements vfs.FileSystem.
 func (c *Client) Utimes(at time.Duration, path string, atime, mtime time.Duration) (time.Duration, error) {
-	if c.deleg != nil && c.mounted {
-		if done, err, handled := c.delegUtimes(at, path, atime, mtime); handled {
-			return done, err
-		}
+	if name, ok := c.delegated(path); ok {
+		return c.delegUtimes(at, path, name, atime, mtime)
 	}
 	return c.setattr(at, path, ext3.SetAttr{Atime: &atime, Mtime: &mtime}, false)
 }
@@ -855,30 +760,15 @@ func (c *Client) Truncate(at time.Duration, path string, size int64) (time.Durat
 // Access implements vfs.FileSystem: v3/v4 use the ACCESS procedure, v2
 // falls back to GETATTR-based permission checking.
 func (c *Client) Access(at time.Duration, path string, _ int) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
 	fh, done, err := c.resolve(at, path, true)
 	if err != nil {
 		return done, err
 	}
+	p := ProcAccess
 	if c.ver == V2 {
-		st, d2, err := c.getattrRPC(done, fh)
-		if err != nil {
-			return d2, err
-		}
-		c.putAttrs(fh, st, d2)
-		return d2, nil
+		p = ProcGetattr
 	}
-	var st vfs.Stat
-	done, err = c.call(done, ProcAccess, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		st, arrive, e = c.srv.Access(arrive, fh)
-		return arrive, e
-	})
-	if err == nil {
-		c.putAttrs(fh, st, done)
-	}
+	_, done, err = c.attrCall(done, fh, p)
 	return done, err
 }
 

@@ -454,85 +454,59 @@ type nfsFile struct {
 
 // Create implements vfs.FileSystem (creat(2)).
 func (c *Client) Create(at time.Duration, path string, mode vfs.Mode) (vfs.File, time.Duration, error) {
-	if !c.mounted {
-		return nil, at, vfs.ErrStale
-	}
-	dir, name, done, err := c.resolveParent(at, path)
+	dir, name, _, done, err := c.lookupLast(at, path, anyName)
 	if err != nil {
 		return nil, done, err
 	}
-	// Negative LOOKUP precedes creation.
-	if _, d2, err := c.lookupComponent(done, dir, name); err == nil || err == vfs.ErrNotExist {
-		done = d2
-	} else {
-		return nil, d2, err
-	}
 	var fh FH
-	var st vfs.Stat
+	zero := int64(0)
+	truncate := ext3.SetAttr{Size: &zero}
 	if c.ver == V4 {
 		// v4: OPEN(create) + OPEN_CONFIRM + SETATTR + attribute refreshes
 		// (the Linux/UMich client's observed chattiness).
-		done, err = c.call(done, ProcOpen, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			fh, st, arrive, e = c.srv.Open(arrive, dir, name, true, mode)
-			return arrive, e
-		})
-		if err != nil {
-			return nil, done, err
+		if fh, done, err = c.open(done, dir, name, true, mode); err == nil {
+			_, done, err = c.setattrCall(done, fh, truncate)
 		}
-		done, err = c.call(done, ProcOpenConfirm, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			return c.srv.OpenConfirm(arrive)
-		})
-		if err != nil {
-			return nil, done, err
-		}
-		zero := int64(0)
-		done, err = c.call(done, ProcSetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			st, arrive, e = c.srv.Setattr(arrive, fh, ext3.SetAttr{Size: &zero})
-			return arrive, e
-		})
-		if err != nil {
-			return nil, done, err
-		}
-		for i := 0; i < 2; i++ {
-			if st2, d2, err := c.getattrRPC(done, fh); err == nil {
-				st = st2
-				done = d2
-			}
+		for i := 0; i < 2 && err == nil; i++ {
+			done = c.refresh(done, fh)
 		}
 	} else {
-		done, err = c.call(done, ProcCreate, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			fh, st, arrive, e = c.srv.Create(arrive, dir, name, mode)
-			return arrive, e
+		// creat(2) truncates: the client follows CREATE with SETATTR(size=0).
+		fh, _, done, err = c.fhCall(done, ProcCreate, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+			return c.srv.Create(arrive, dir, name, mode)
 		})
-		if err != nil {
-			return nil, done, err
-		}
-		// creat(2) truncates: the client issues SETATTR(size=0).
-		zero := int64(0)
-		done, err = c.call(done, ProcSetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			st, arrive, e = c.srv.Setattr(arrive, fh, ext3.SetAttr{Size: &zero})
-			return arrive, e
-		})
-		if err != nil {
-			return nil, done, err
+		if err == nil {
+			_, done, err = c.setattrCall(done, fh, truncate)
 		}
 	}
+	if err != nil {
+		return nil, done, err
+	}
 	c.putDentry(dir, name, fh, done)
-	c.putAttrs(fh, st, done)
 	c.invalidateDir(dir)
 	c.pages.dropFile(fh.Ino)
 	return &nfsFile{c: c, fh: fh}, done, nil
 }
 
+// open sends v4's OPEN of name in dir (creating it when create is set) and
+// the OPEN_CONFIRM that follows; the attributes in OPEN's reply are cached
+// as of the confirmation.
+func (c *Client) open(at time.Duration, dir FH, name string, create bool, mode vfs.Mode) (FH, time.Duration, error) {
+	fh, st, done, err := c.fhCall(at, ProcOpen, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+		return c.srv.Open(arrive, dir, name, create, mode)
+	})
+	if err != nil {
+		return FH{}, done, err
+	}
+	if done, err = c.call(done, ProcOpenConfirm, 0, 0, 0, c.srv.OpenConfirm); err != nil {
+		return FH{}, done, err
+	}
+	c.putAttrs(fh, st, done)
+	return fh, done, nil
+}
+
 // Open implements vfs.FileSystem.
 func (c *Client) Open(at time.Duration, path string) (vfs.File, time.Duration, error) {
-	if !c.mounted {
-		return nil, at, vfs.ErrStale
-	}
 	fh, done, err := c.resolve(at, path, true)
 	if err != nil {
 		return nil, done, err
@@ -546,41 +520,13 @@ func (c *Client) Open(at time.Duration, path string) (vfs.File, time.Duration, e
 		if err != nil {
 			return nil, d2, err
 		}
-		done = d2
-		var st vfs.Stat
-		done, err = c.call(done, ProcOpen, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			fh, st, arrive, e = c.srv.Open(arrive, dir, name, false, 0)
-			return arrive, e
-		})
-		if err != nil {
-			return nil, done, err
-		}
-		done, err = c.call(done, ProcOpenConfirm, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			return c.srv.OpenConfirm(arrive)
-		})
-		if err != nil {
-			return nil, done, err
-		}
-		c.putAttrs(fh, st, done)
-		return &nfsFile{c: c, fh: fh}, done, nil
+		fh, done, err = c.open(d2, dir, name, false, 0)
+	} else {
+		// Close-to-open consistency: open(2) revalidates attributes.
+		_, done, err = c.attrCall(done, fh, ProcGetattr)
 	}
-	// Close-to-open consistency: open(2) revalidates attributes unless
-	// they were fetched this instant.
-	if _, fresh := c.freshAttrs(fh, done); !fresh {
-		st, d2, err := c.getattrRPC(done, fh)
-		if err != nil {
-			return nil, d2, err
-		}
-		c.putAttrs(fh, st, d2)
-		done = d2
-	} else if c.ver <= V3 {
-		st, d2, err := c.getattrRPC(done, fh)
-		if err != nil {
-			return nil, d2, err
-		}
-		c.putAttrs(fh, st, d2)
-		done = d2
+	if err != nil {
+		return nil, done, err
 	}
 	return &nfsFile{c: c, fh: fh}, done, nil
 }
@@ -602,15 +548,17 @@ func (c *Client) revalidate(at time.Duration, fh FH) (time.Duration, error) {
 	if fresh {
 		return at, nil
 	}
-	st, done, err := c.getattrRPC(at, fh)
-	if err != nil {
-		return done, err
+	// The GETATTR refreshes a in place: compare against what it held before.
+	known := a != nil
+	var mtime time.Duration
+	if known {
+		mtime = a.st.Mtime
 	}
-	if a != nil && st.Mtime != a.st.Mtime {
+	st, done, err := c.attrCall(at, fh, ProcGetattr)
+	if err == nil && known && st.Mtime != mtime {
 		c.pages.dropFile(fh.Ino)
 	}
-	c.putAttrs(fh, st, done)
-	return done, nil
+	return done, err
 }
 
 // readRun READs pages idx to idx+run-1 of f and caches what the reply holds
@@ -815,17 +763,14 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 		}
 		part := data[written : written+n]
 		o := off + int64(written)
-		var st vfs.Stat
-		d2, err := c.call(done, ProcWrite, 0, n, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			st, arrive, e = c.srv.Write(arrive, f.fh, o, part, true)
-			return arrive, e
+		_, _, d2, err := c.fhCall(done, ProcWrite, 0, n, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+			st, done, err := c.srv.Write(arrive, f.fh, o, part, true)
+			return f.fh, st, done, err
 		})
 		if err != nil {
 			return written, d2, err
 		}
 		done = d2
-		c.putAttrs(f.fh, st, done)
 		// Keep the page cache coherent with what we wrote.
 		for p := o / pageSize; p <= (o+int64(n)-1)/pageSize; p++ {
 			if pg := c.pages.peek(pageKey{f.fh.Ino, p}); pg != nil {
@@ -873,10 +818,7 @@ func (f *nfsFile) Close(at time.Duration) (time.Duration, error) {
 		return done, err
 	}
 	if c.ver == V4 {
-		done, err = c.call(done, ProcClose, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			return c.srv.Close(arrive)
-		})
-		if err != nil {
+		if done, err = c.call(done, ProcClose, 0, 0, 0, c.srv.Close); err != nil {
 			return done, err
 		}
 	}

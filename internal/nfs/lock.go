@@ -71,6 +71,9 @@ func (c *Client) AdoptLocks(old *Client) {
 // repeated polls for a contended lock cost one LOCK RPC each rather
 // than a path walk.
 func (c *Client) lockTarget(at time.Duration, path string) (FH, time.Duration, error) {
+	if !c.mounted {
+		return FH{}, at, vfs.ErrStale
+	}
 	if c.lockFH == nil {
 		c.lockFH = make(map[string]FH)
 	}
@@ -90,9 +93,6 @@ func (c *Client) lockTarget(at time.Duration, path string) (FH, time.Duration, e
 // should poll again. Set reclaim to re-assert a pre-restart lock during
 // the server's grace period.
 func (c *Client) Lock(at time.Duration, path string, off, length int64, excl, reclaim bool) (bool, time.Duration, error) {
-	if !c.mounted {
-		return false, at, vfs.ErrStale
-	}
 	fh, at, err := c.lockTarget(at, path)
 	if err != nil {
 		return false, at, err
@@ -116,17 +116,13 @@ func (c *Client) Lock(at time.Duration, path string, off, length int64, excl, re
 
 // Unlock releases a lock previously granted to this client.
 func (c *Client) Unlock(at time.Duration, path string, off, length int64) (time.Duration, error) {
-	if !c.mounted {
-		return at, vfs.ErrStale
-	}
 	fh, at, err := c.lockTarget(at, path)
 	if err != nil {
 		return at, err
 	}
 	span := c.tracer.Begin(at, tracing.LayerLock, "unlock")
 	done, err := c.call(at, ProcUnlock, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		arrive, e := c.srv.Unlock(arrive, fh, c.shareID, off, length)
-		return arrive, e
+		return c.srv.Unlock(arrive, fh, c.shareID, off, length)
 	})
 	c.tracer.End(span, done)
 	if err != nil {
@@ -176,18 +172,15 @@ func (c *Client) forgetLock(path string, off, length int64) {
 	}
 }
 
-// singleComponent splits "/name" paths — the only shape the delegation
-// fast path serves (the replay namespace is flat; anything deeper falls
-// through to the ordinary resolution path).
-func singleComponent(path string) (string, bool) {
-	if len(path) < 2 || path[0] != '/' {
+// delegated reports whether the delegation fast path serves path, and the
+// name it serves: delegations on, the client mounted, and a "/name" path (the
+// replay namespace is flat; anything deeper goes through the walk).
+func (c *Client) delegated(path string) (string, bool) {
+	if c.deleg == nil || !c.mounted || len(path) < 2 || path[0] != '/' {
 		return "", false
 	}
 	name := path[1:]
-	if strings.ContainsRune(name, '/') {
-		return "", false
-	}
-	return name, true
+	return name, !strings.ContainsRune(name, '/')
 }
 
 // recallWait stalls the conflicting op for the server's CB_RECALL round
@@ -207,43 +200,31 @@ func (c *Client) recallWait(at time.Duration, recalls int) time.Duration {
 // a GETATTR when the handle is cached, a LOOKUP (which returns handle
 // plus attributes) when it is not. The lease acquisition rides that one
 // message, mirroring the oracle's accounting.
-func (c *Client) delegStat(at time.Duration, path string) (vfs.Stat, time.Duration, error, bool) {
-	name, ok := singleComponent(path)
-	if !ok {
-		return vfs.Stat{}, at, nil, false
-	}
+func (c *Client) delegStat(at time.Duration, path, name string) (vfs.Stat, time.Duration, error) {
 	local, recalls := c.deleg.Read(c.shareID, path)
 	at = c.recallWait(at, recalls)
 	if local {
 		if st, ok := c.delegAttrs[path]; ok {
-			return st, c.charge(at, 0), nil, true
+			return st, c.charge(at, 0), nil
 		}
 		// Lease held but attributes lost to a cache drop: refetch (one
 		// message; cannot happen inside an oracle measurement window).
 	}
-	if fh, ok := c.delegFH[path]; ok {
-		st, done, err := c.getattrRPC(at, fh)
-		if err != nil {
-			return vfs.Stat{}, done, err, true
-		}
-		c.delegAttrs[path] = st
-		c.putAttrs(fh, st, done)
-		return st, done, err, true
-	}
-	var fh FH
+	fh, cached := c.delegFH[path]
 	var st vfs.Stat
-	done, err := c.call(at, ProcLookup, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		fh, st, arrive, e = c.srv.Lookup(arrive, c.rootFH, name)
-		return arrive, e
-	})
-	if err != nil {
-		return vfs.Stat{}, done, err, true
+	var done time.Duration
+	var err error
+	if cached {
+		st, done, err = c.attrCall(at, fh, ProcGetattr)
+	} else {
+		fh, st, done, err = c.fhCall(at, ProcLookup, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+			return c.srv.Lookup(arrive, c.rootFH, name)
+		})
 	}
-	c.delegFH[path] = fh
-	c.delegAttrs[path] = st
-	c.putAttrs(fh, st, done)
-	return st, done, nil, true
+	if err == nil {
+		c.delegFH[path], c.delegAttrs[path] = fh, st
+	}
+	return st, done, err
 }
 
 // delegUtimes serves utimes(2) under the delegation regime: a holder of
@@ -251,47 +232,30 @@ func (c *Client) delegStat(at time.Duration, path string) (vfs.Stat, time.Durati
 // messages); otherwise one message carries the update — SETATTR on a
 // cached handle, or the SetattrNamed COMPOUND when the handle is
 // unknown — and the write delegation rides it.
-func (c *Client) delegUtimes(at time.Duration, path string, atime, mtime time.Duration) (time.Duration, error, bool) {
-	name, ok := singleComponent(path)
-	if !ok {
-		return at, nil, false
-	}
+func (c *Client) delegUtimes(at time.Duration, path, name string, atime, mtime time.Duration) (time.Duration, error) {
 	local, recalls := c.deleg.Write(c.shareID, path)
 	at = c.recallWait(at, recalls)
 	if local {
 		if st, ok := c.delegAttrs[path]; ok {
 			st.Atime, st.Mtime = atime, mtime
 			c.delegAttrs[path] = st
-			return c.charge(at, 0), nil, true
+			return c.charge(at, 0), nil
 		}
 	}
 	sa := ext3.SetAttr{Atime: &atime, Mtime: &mtime}
-	if fh, ok := c.delegFH[path]; ok {
-		var st vfs.Stat
-		done, err := c.call(at, ProcSetattr, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			var e error
-			st, arrive, e = c.srv.Setattr(arrive, fh, sa)
-			return arrive, e
-		})
-		if err != nil {
-			return done, err, true
-		}
-		c.delegAttrs[path] = st
-		c.putAttrs(fh, st, done)
-		return done, nil, true
-	}
-	var fh FH
+	fh, cached := c.delegFH[path]
 	var st vfs.Stat
-	done, err := c.call(at, ProcSetattr, len(name), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		var e error
-		fh, st, arrive, e = c.srv.SetattrNamed(arrive, c.rootFH, name, sa)
-		return arrive, e
-	})
-	if err != nil {
-		return done, err, true
+	var done time.Duration
+	var err error
+	if cached {
+		st, done, err = c.setattrCall(at, fh, sa)
+	} else {
+		fh, st, done, err = c.fhCall(at, ProcSetattr, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
+			return c.srv.SetattrNamed(arrive, c.rootFH, name, sa)
+		})
 	}
-	c.delegFH[path] = fh
-	c.delegAttrs[path] = st
-	c.putAttrs(fh, st, done)
-	return done, nil, true
+	if err == nil {
+		c.delegFH[path], c.delegAttrs[path] = fh, st
+	}
+	return done, err
 }

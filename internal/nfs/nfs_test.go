@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/blockdev"
@@ -54,33 +53,6 @@ func TestWireSizeSanity(t *testing.T) {
 	}
 	if ArgSize(V4, ProcGetattr, 0, 0) <= ArgSize(V3, ProcGetattr, 0, 0) {
 		t.Fatal("v4 COMPOUND framing not reflected in sizes")
-	}
-}
-
-func TestProcClassification(t *testing.T) {
-	if ProcRead.IsMetadata() || ProcWrite.IsMetadata() || ProcCommit.IsMetadata() {
-		t.Fatal("data procs classified as meta-data")
-	}
-	for _, p := range []Proc{ProcLookup, ProcGetattr, ProcMkdir, ProcReaddir} {
-		if !p.IsMetadata() {
-			t.Fatalf("%v not classified as meta-data", p)
-		}
-	}
-}
-
-// Property: the fattr helper round-trips any Stat.
-func TestQuickFattrRoundTrip(t *testing.T) {
-	f := func(ino uint64, mode uint16, nlink uint8, size int64, uid, gid uint32) bool {
-		st := vfs.Stat{
-			Ino: ino, Mode: vfs.Mode(mode), Nlink: int(nlink),
-			UID: uid, GID: gid, Size: size,
-			Atime: time.Second, Mtime: 2 * time.Second, Ctime: 3 * time.Second,
-		}
-		got, err := FattrToStat(StatToFattr(st))
-		return err == nil && got == st
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -327,20 +299,6 @@ func TestAbortedClientSendsNothing(t *testing.T) {
 		if sent := net.Stats().Messages - before; sent != 0 {
 			t.Errorf("%v: an aborted client sent %d messages", ver, sent)
 		}
-	}
-}
-
-func TestMetadataFractionAccounting(t *testing.T) {
-	c, srv, _ := rig(t, V3)
-	at := time.Duration(0)
-	var err error
-	for i := 0; i < 5; i++ {
-		if at, err = c.Mkdir(at, "/m"+string(rune('a'+i)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if frac := srv.MetadataMessageFraction(); frac < 0.9 {
-		t.Fatalf("pure meta-data run classified at %.2f", frac)
 	}
 }
 

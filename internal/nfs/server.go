@@ -85,25 +85,6 @@ func (s *Server) Attach(fs *ext3.FS) { s.fs = fs }
 // FS exposes the exported filesystem (tests inspect it directly).
 func (s *Server) FS() *ext3.FS { return s.fs }
 
-// MetadataMessageFraction reports the fraction of handled requests that
-// were meta-data procedures.
-func (s *Server) MetadataMessageFraction() float64 {
-	var meta, total int64
-	for p, n := range s.ProcCounts {
-		total += n
-		if p.IsMetadata() {
-			meta += n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(meta) / float64(total)
-}
-
-// ResetStats zeroes the per-procedure counters.
-func (s *Server) ResetStats() { s.ProcCounts = make(map[Proc]int64) }
-
 // Counters exports the nfsstat-style per-procedure counts for the metrics
 // event stream (metrics.SubsysNFS; see docs/METRICS.md): one
 // "proc_<name>" counter per procedure handled plus a "requests" total.

@@ -17,12 +17,7 @@
 // read-ahead, and a bounded write-behind pool.
 package nfs
 
-import (
-	"time"
-
-	"repro/internal/vfs"
-	"repro/internal/xdr"
-)
+import "time"
 
 // Version selects the protocol generation.
 type Version int
@@ -98,16 +93,6 @@ func (p Proc) String() string {
 	return "UNKNOWN"
 }
 
-// IsMetadata classifies a procedure the way the paper's traffic analysis
-// does: everything except READ/WRITE/COMMIT is meta-data traffic.
-func (p Proc) IsMetadata() bool {
-	switch p {
-	case ProcRead, ProcWrite, ProcCommit:
-		return false
-	}
-	return true
-}
-
 // FH is an NFS file handle: the server-side inode number plus generation.
 type FH struct {
 	Ino uint64
@@ -144,13 +129,6 @@ func compoundOverhead(v Version) int {
 		return 28 // tag + op count + PUTFH wrapping
 	}
 	return 0
-}
-
-// encodeName measures the XDR size of a name argument.
-func encodeName(name string) int {
-	e := xdr.NewEncoder()
-	e.String(name)
-	return e.Len()
 }
 
 // ArgSize returns the encoded argument size for (proc, name, payload).
@@ -249,68 +227,3 @@ const AttrTimeout = 3 * time.Second
 
 // DataTimeout is the client's cached-data consistency window (30 s).
 const DataTimeout = 30 * time.Second
-
-// StatToFattr is a helper tying vfs.Stat to the wire attr representation
-// (used by tests to confirm attribute plumbing).
-func StatToFattr(st vfs.Stat) []byte {
-	e := xdr.NewEncoder()
-	e.Uint32(uint32(st.Mode))
-	e.Uint32(uint32(st.Nlink))
-	e.Uint32(st.UID)
-	e.Uint32(st.GID)
-	e.Uint64(uint64(st.Size))
-	e.Uint64(uint64(st.Blocks))
-	e.Uint64(uint64(st.Ino))
-	e.Int64(int64(st.Atime))
-	e.Int64(int64(st.Mtime))
-	e.Int64(int64(st.Ctime))
-	return e.Bytes()
-}
-
-// FattrToStat decodes StatToFattr's encoding.
-func FattrToStat(b []byte) (vfs.Stat, error) {
-	d := xdr.NewDecoder(b)
-	var st vfs.Stat
-	var err error
-	var u32 uint32
-	var u64 uint64
-	var i64 int64
-	if u32, err = d.Uint32(); err != nil {
-		return st, err
-	}
-	st.Mode = vfs.Mode(u32)
-	if u32, err = d.Uint32(); err != nil {
-		return st, err
-	}
-	st.Nlink = int(u32)
-	if st.UID, err = d.Uint32(); err != nil {
-		return st, err
-	}
-	if st.GID, err = d.Uint32(); err != nil {
-		return st, err
-	}
-	if u64, err = d.Uint64(); err != nil {
-		return st, err
-	}
-	st.Size = int64(u64)
-	if u64, err = d.Uint64(); err != nil {
-		return st, err
-	}
-	st.Blocks = int64(u64)
-	if st.Ino, err = d.Uint64(); err != nil {
-		return st, err
-	}
-	if i64, err = d.Int64(); err != nil {
-		return st, err
-	}
-	st.Atime = time.Duration(i64)
-	if i64, err = d.Int64(); err != nil {
-		return st, err
-	}
-	st.Mtime = time.Duration(i64)
-	if i64, err = d.Int64(); err != nil {
-		return st, err
-	}
-	st.Ctime = time.Duration(i64)
-	return st, nil
-}

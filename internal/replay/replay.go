@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -269,15 +270,15 @@ func Run(cl *testbed.Cluster, recs []trace.Record, opt Options) (*Result, error)
 			Client: i,
 			Ops:    len(results[i]),
 			Mean:   meanDuration(sorted),
-			P50:    sortedPercentile(sorted, 50),
-			P99:    sortedPercentile(sorted, 99),
+			P50:    metrics.Percentile(sorted, 50),
+			P99:    metrics.Percentile(sorted, 99),
 		})
 	}
 	sorted := sortSample(Latencies(res.Ops))
 	res.Mean = meanDuration(sorted)
-	res.P50 = sortedPercentile(sorted, 50)
-	res.P90 = sortedPercentile(sorted, 90)
-	res.P99 = sortedPercentile(sorted, 99)
+	res.P50 = metrics.Percentile(sorted, 50)
+	res.P90 = metrics.Percentile(sorted, 90)
+	res.P99 = metrics.Percentile(sorted, 99)
 	if res.Elapsed > 0 {
 		res.OpsPerSec = float64(len(res.Ops)) / res.Elapsed.Seconds()
 	}
