@@ -334,11 +334,6 @@ func (c *Client) putDentry(dir FH, name string, fh FH, now time.Duration) {
 	c.dc[dcKey{dir.Ino, name}] = &dentry{fh: fh, cachedAt: now}
 }
 
-// invalidateDir drops cached state for a directory whose content changed.
-func (c *Client) invalidateDir(dir FH) {
-	delete(c.listings, dir.Ino)
-}
-
 // accessRPC performs the v4 per-directory ACCESS check when its cache
 // entry is stale — the behaviour behind NFS v4's higher message counts in
 // Table 2 and Figure 4 (the paper's footnote 3).
@@ -525,6 +520,11 @@ func (c *Client) readlinkRPC(at time.Duration, fh FH) (string, time.Duration, er
 
 const maxSymlinkDepth = 8
 
+// invalidateDir drops cached state for a directory whose content changed.
+func (c *Client) invalidateDir(dir FH) {
+	delete(c.listings, dir.Ino)
+}
+
 // ---- namespace operations (vfs.FileSystem) ----
 
 // addName creates path's final name after a negative probe. serve is the
@@ -666,9 +666,7 @@ func (c *Client) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Du
 	var ents []vfs.DirEntry
 	plus := c.ver >= V3
 	payload := 0
-	// The reply is charged as empty: payload reaches c.call by value before
-	// the serve closure sums the entries. A known defect, kept because the
-	// fix moves pinned results (ROADMAP item 6, "READDIR replies").
+	// Known defect, kept: the reply is charged as empty (ROADMAP, "READDIR replies").
 	done, err = c.call(done, ProcReaddir, 0, 0, payload, func(arrive time.Duration) (time.Duration, error) {
 		var e error
 		ents, arrive, e = c.srv.Readdir(arrive, fh, plus)
