@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // setRec overwrites the record header at off.
@@ -107,7 +109,8 @@ func TestDirentFindAllocatesNothing(t *testing.T) {
 
 // TestWarmLookupAllocatesNothing: resolving an existing name in a 500-entry
 // directory allocates nothing once the blocks are cached, through the dentry
-// cache and, with its entry dropped, through the directory scan.
+// cache and, with its entry dropped, through the directory scan; nor does a
+// miss once the miss before it has indexed the directory.
 func TestWarmLookupAllocatesNothing(t *testing.T) {
 	fs, _ := newTestFS(t)
 	if _, err := fs.Mkdir(0, "/d", 0o755); err != nil {
@@ -140,6 +143,18 @@ func TestWarmLookupAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, scan); n != 0 {
 		t.Errorf("directory-scan lookup: %v allocs/op, want 0", n)
+	}
+	miss := func() {
+		if _, _, err := fs.namei(0, "/d/absent", true); err != vfs.ErrNotExist {
+			t.Fatal(err)
+		}
+	}
+	miss() // builds the index
+	if fs.names[dir] == nil {
+		t.Fatal("a miss in a directory of two blocks built no index")
+	}
+	if n := testing.AllocsPerRun(100, miss); n != 0 {
+		t.Errorf("miss in an indexed directory: %v allocs/op, want 0", n)
 	}
 }
 

@@ -42,9 +42,11 @@ type FS struct {
 	dirGroup     map[Ino]int // parent dir -> block group for its child dirs
 
 	// dcache maps (directory, name) to an inode, like the Linux dentry
-	// cache: it avoids rescanning directory blocks on every lookup but
-	// never substitutes for block reads the buffer cache would miss.
+	// cache, and is simulated behaviour: a hit fetches none of the
+	// directory's blocks. names holds the index of each directory past one
+	// block, which is host CPU only: the blocks are fetched as without it.
 	dcache map[dcacheKey]Ino
+	names  map[Ino]dirIndex
 
 	async   sim.Pending
 	crashed bool
@@ -228,6 +230,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 		ra:       make(map[Ino]*raState),
 		dirGroup: make(map[Ino]int),
 		dcache:   make(map[dcacheKey]Ino),
+		names:    make(map[Ino]dirIndex),
 	}
 	fs.journal = newJournal(fs, int64(sb.JournalStart), int64(sb.JournalBlocks))
 	fs.journal.lastCommit = at
@@ -475,6 +478,7 @@ func (fs *FS) freeInode(at time.Duration, ino Ino) (time.Duration, error) {
 	fs.groupFreeInodes[g]++
 	fs.sb.FreeInodes++
 	delete(fs.icache, ino)
+	delete(fs.names, ino)
 	return done, nil
 }
 
@@ -648,6 +652,7 @@ func (fs *FS) Unmount(at time.Duration) (time.Duration, error) {
 	fs.bc.dropAll()
 	fs.icache = make(map[Ino]*Inode)
 	fs.dcache = make(map[dcacheKey]Ino)
+	fs.names = make(map[Ino]dirIndex)
 	fs.mounted = false
 	return done, nil
 }
@@ -660,6 +665,7 @@ func (fs *FS) Crash() {
 	fs.bc.dropAll()
 	fs.icache = make(map[Ino]*Inode)
 	fs.dcache = make(map[dcacheKey]Ino)
+	fs.names = make(map[Ino]dirIndex)
 	fs.journal.running = make(map[int64]*buffer)
 	fs.journal.runningOrder = nil
 	fs.journal.unCheckpointed = nil

@@ -75,6 +75,7 @@ type dirBlocks struct {
 	fs      *FS
 	n       *Inode
 	fb, nfb int64   // next block to map, blocks in the directory
+	cur     int64   // file block of b
 	b       *buffer // current block
 	done    time.Duration
 	err     error
@@ -87,6 +88,7 @@ func (fs *FS) dirBlocks(at time.Duration, n *Inode) dirBlocks {
 func (it *dirBlocks) next() bool {
 	for it.err == nil && it.fb < it.nfb {
 		var lba int64
+		it.cur = it.fb
 		lba, it.done, it.err = it.fs.bmap(it.done, it.n, it.fb, false, 0)
 		it.fb++
 		if it.err != nil || lba == 0 {
@@ -113,7 +115,7 @@ func (fs *FS) addEntry(at time.Duration, dir Ino, dn *Inode, name string, ino In
 	it := fs.dirBlocks(at, dn)
 	for it.next() {
 		if direntAdd(it.b.data, name, ino, ftype) {
-			fs.dcache[dcacheKey{dir, name}] = ino
+			fs.entered(dir, name, dirSlot{it.cur, ino, ftype})
 			return fs.touchDir(it.done, dir, dn, it.b)
 		}
 	}
@@ -133,17 +135,29 @@ func (fs *FS) addEntry(at time.Duration, dir Ino, dn *Inode, name string, ino In
 	if !direntAdd(b.data, name, ino, ftype) {
 		return done, vfs.ErrNameTooLong
 	}
-	fs.dcache[dcacheKey{dir, name}] = ino
+	fs.entered(dir, name, dirSlot{it.nfb, ino, ftype})
 	dn.Size = uint64((it.nfb + 1) * BlockSize)
 	return fs.touchDir(done, dir, dn, b)
 }
 
-// removeEntry deletes name from directory dir.
+// entered records a new entry of dir in the dcache and in dir's index.
+func (fs *FS) entered(dir Ino, name string, s dirSlot) {
+	fs.dcache[dcacheKey{dir, name}] = s.ino
+	if idx := fs.names[dir]; idx != nil {
+		idx[name] = s
+	}
+}
+
+// removeEntry deletes name from directory dir. In an indexed directory it
+// steps to the block the index names and removes the entry there.
 func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *Inode, name string) (time.Duration, error) {
+	idx := fs.names[dir]
+	slot, indexed := idx[name]
 	it := fs.dirBlocks(at, dn)
 	for it.next() {
-		if direntRemove(it.b.data, name) {
+		if (idx == nil || indexed && it.cur == slot.fb) && direntRemove(it.b.data, name) {
 			delete(fs.dcache, dcacheKey{dir, name})
+			delete(idx, name)
 			return fs.touchDir(it.done, dir, dn, it.b)
 		}
 	}
@@ -606,6 +620,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 			if direntRemove(b.data, "..") {
 				direntAdd(b.data, "..", ndir, FTDir)
 			}
+			delete(fs.names, ino)
 			fs.bc.markDirty(b, true)
 			fs.journal.add(b)
 		}

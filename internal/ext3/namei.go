@@ -24,11 +24,41 @@ type dcacheKey struct {
 	name string
 }
 
-// dirLookup scans directory dirIno for name. Each directory data block and
+// dirIndex is the name index of one directory larger than one block: every
+// live name, "." and ".." included, with the file block holding its entry.
+// It is host CPU only. A lookup or removal still fetches the blocks a scan
+// would, in the same order, and only stops comparing names in each of them.
+// The dcache, by contrast, is simulated behaviour: its hit fetches none of
+// the directory's blocks.
+//
+// Invariant: while mounted, a directory's blocks change only through
+// addEntry and removeEntry, which keep its index current, and RenameAt's ".."
+// rewrite, which drops it. WriteFileAt and SetAttrAt refuse directories, and
+// the shared LUN carries no file system. freeInode drops the index, because
+// inode numbers are reused; Unmount and Crash drop every index.
+type dirIndex map[string]dirSlot
+
+type dirSlot struct {
+	fb  int64 // file block holding the entry
+	ino Ino
+	ft  byte
+}
+
+// dirRef is a block a lookup walked past, kept to build the index from.
+type dirRef struct {
+	fb   int64
+	data []byte
+}
+
+// dirLookup looks up name in directory dirIno. Each directory data block and
 // inode-table block touched is fetched through the buffer cache, so cold
-// lookups generate the two-transactions-per-level pattern of Figure 4.
-// A dentry cache short-circuits repeated scans (CPU, not wire traffic: the
-// inode read still goes through the buffer cache).
+// lookups generate the two-transactions-per-level pattern of Figure 4. A
+// dentry-cache hit, as in Linux, fetches none of the directory's blocks (the
+// inode read still goes through the buffer cache). Otherwise the walk fetches
+// the blocks up to the one holding name, or all of them on a miss, and the
+// directory's dirIndex, if it has one, says which block that is; the first
+// miss in an unindexed directory past one block builds its index from the
+// blocks the walk fetched.
 func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, time.Duration, error) {
 	dn, done, err := fs.getInode(at, dirIno)
 	if err != nil {
@@ -45,9 +75,18 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 			return ino, ftypeOfMode(vfs.Mode(n.Mode)), d2, nil
 		}
 	}
+	idx := fs.names[dirIno]
+	slot, indexed := idx[name]
+	build := idx == nil && dn.Size > BlockSize
+	var local [4]dirRef
+	walked := local[:0]
 	it := fs.dirBlocks(done, dn)
 	for it.next() {
-		if ino, ft, ok := direntFind(it.b.data, name); ok {
+		ino, ft, ok := slot.ino, slot.ft, indexed && it.cur == slot.fb
+		if idx == nil {
+			ino, ft, ok = direntFind(it.b.data, name)
+		}
+		if ok {
 			// "." and ".." are not cached: a directory's ".." changes when it
 			// moves, and both outlive an rmdir under a reusable inode number.
 			if name != "." && name != ".." {
@@ -55,11 +94,39 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 			}
 			return ino, ft, it.done, nil
 		}
+		if build {
+			walked = append(walked, dirRef{it.cur, it.b.data})
+		}
 	}
 	if it.err != nil {
 		return 0, 0, it.done, it.err
 	}
+	if build {
+		fs.indexDir(dirIno, walked)
+	}
 	return 0, 0, it.done, vfs.ErrNotExist
+}
+
+// indexDir gives directory dir the index of the blocks a lookup walked. A
+// corrupt record or a repeated name leaves it unindexed, and lookups scan.
+func (fs *FS) indexDir(dir Ino, blocks []dirRef) {
+	idx := make(dirIndex)
+	for _, b := range blocks {
+		w := direntWalker{block: b.data}
+		for w.next() {
+			if w.name == nil {
+				continue
+			}
+			if _, dup := idx[string(w.name)]; dup {
+				return
+			}
+			idx[string(w.name)] = dirSlot{b.fb, w.ino(), w.ftype()}
+		}
+		if w.err != nil {
+			return
+		}
+	}
+	fs.names[dir] = idx
 }
 
 // namei resolves path to an inode number. followFinal selects whether a
