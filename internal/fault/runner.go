@@ -127,6 +127,9 @@ type runner struct {
 	fc   *sim.Clock // the fault process timeline
 	next int
 	data []byte
+	// read is every driver's read buffer: the drivers step one at a time
+	// and discard what they read, so one buffer serves the whole run.
+	read []byte
 
 	rebuilding  bool
 	rebuildDone time.Duration
@@ -276,7 +279,10 @@ func (r *runner) driver(i int) func() (bool, error) {
 		case seq%2 == 0:
 			err = c.WriteFile(r.fileName(i, seq), r.data)
 		default:
-			_, err = c.ReadFile(r.fileName(i, seq))
+			var b []byte
+			if b, err = c.ReadFileInto(r.fileName(i, seq), r.read); err == nil {
+				r.read = b
+			}
 		}
 		done := c.Clock.Now()
 		st.ops = append(st.ops, opRec{done: done, ok: err == nil})

@@ -303,8 +303,16 @@ func (c *Client) WriteFile(path string, data []byte) error {
 	return c.Close(f)
 }
 
-// ReadFile opens path and reads it fully.
+// ReadFile opens path and reads it fully into a new buffer.
 func (c *Client) ReadFile(path string) ([]byte, error) {
+	return c.ReadFileInto(path, nil)
+}
+
+// ReadFileInto opens path and reads it fully into buf's storage, growing
+// it only when the file does not fit, and returns the file's Size bytes.
+// A caller reading in a loop passes back what the last call returned. On
+// error it returns nil.
+func (c *Client) ReadFileInto(path string, buf []byte) ([]byte, error) {
 	st, err := c.Stat(path)
 	if err != nil {
 		return nil, err
@@ -313,7 +321,10 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, st.Size)
+	if buf == nil || int64(cap(buf)) < st.Size { // ReadFile: non-nil even when empty
+		buf = make([]byte, st.Size)
+	}
+	buf = buf[:st.Size]
 	if _, err := c.ReadFileAt(f, 0, buf); err != nil {
 		return nil, err
 	}

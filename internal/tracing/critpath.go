@@ -1,7 +1,9 @@
 package tracing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -40,44 +42,60 @@ func Roots(spans []Span) []Span {
 // CriticalPath bills every nanosecond of the operation rooted at rootID to
 // exactly one layer: within a span's interval, time covered by a child is
 // billed (recursively) inside that child, and uncovered time is billed to
-// the span's own layer. Children are walked in start order (record order
-// breaking ties), each clipped to the time not already consumed by an
-// earlier sibling — so overlapping children (pipelined MC/S commands,
-// read-ahead) never double-bill. The attribution always sums exactly to
-// the root's End-Start.
+// the span's own layer. Children are walked in start order (ID, then
+// record order, breaking ties), each clipped to the time not already
+// consumed by an earlier sibling — so overlapping children (pipelined MC/S
+// commands, read-ahead) never double-bill. The attribution always sums
+// exactly to the root's End-Start. When several spans share rootID the
+// last one is the root; a span's children are every span naming its ID as
+// parent.
 func CriticalPath(spans []Span, rootID int64) (Attribution, error) {
-	byID := make(map[int64]Span, len(spans))
-	children := make(map[int64][]Span)
-	for _, s := range spans {
-		byID[s.ID] = s
-		if s.Parent != 0 {
-			children[s.Parent] = append(children[s.Parent], s)
+	root := -1
+	for i := range spans {
+		if spans[i].ID == rootID {
+			root = i
 		}
 	}
-	root, ok := byID[rootID]
-	if !ok {
+	if root < 0 {
 		return nil, fmt.Errorf("tracing: no span with id %d", rootID)
 	}
-	for _, kids := range children {
-		kids := kids
-		sort.Slice(kids, func(i, j int) bool {
-			if kids[i].Start != kids[j].Start {
-				return kids[i].Start < kids[j].Start
-			}
-			return kids[i].ID < kids[j].ID
-		})
+	// Every span with a parent, sorted by (parent, start, id, index): the
+	// children of one span are one contiguous run.
+	kids := make([]int32, 0, len(spans))
+	for i := range spans {
+		if spans[i].Parent != 0 {
+			kids = append(kids, int32(i))
+		}
 	}
+	slices.SortFunc(kids, func(a, b int32) int {
+		x, y := &spans[a], &spans[b]
+		if c := cmp.Compare(x.Parent, y.Parent); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.ID, y.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	r := &spans[root]
 	out := make(Attribution)
-	bill(out, children, root, root.Start, root.End)
+	bill(out, spans, kids, r, r.Start, r.End)
 	return out, nil
 }
 
 // bill attributes the window [lo, hi) of span s: child-covered time
 // recurses, the rest lands on s.Layer. horizon tracks how far billing has
 // advanced, clipping each child to its unconsumed remainder.
-func bill(out Attribution, children map[int64][]Span, s Span, lo, hi time.Duration) {
+func bill(out Attribution, spans []Span, kids []int32, s *Span, lo, hi time.Duration) {
 	horizon := lo
-	for _, c := range children[s.ID] {
+	i, _ := slices.BinarySearchFunc(kids, s.ID, func(k int32, id int64) int {
+		return cmp.Compare(spans[k].Parent, id)
+	})
+	for ; i < len(kids) && spans[kids[i]].Parent == s.ID; i++ {
+		c := &spans[kids[i]]
 		cs, ce := c.Start, c.End
 		if cs < horizon {
 			cs = horizon
@@ -89,7 +107,7 @@ func bill(out Attribution, children map[int64][]Span, s Span, lo, hi time.Durati
 			continue
 		}
 		out[s.Layer] += cs - horizon
-		bill(out, children, c, cs, ce)
+		bill(out, spans, kids, c, cs, ce)
 		horizon = ce
 	}
 	if hi > horizon {

@@ -270,6 +270,14 @@ func (t *Tracer) commit() {
 		t.cur = t.cur[:0]
 		return
 	}
+	if need := len(t.spans) + len(t.cur); need > cap(t.spans) {
+		// Double into a new array, copying the stream once. Slices
+		// Spans returned earlier keep the old array, which is never
+		// written again.
+		grown := make([]Span, len(t.spans), max(2*cap(t.spans), need))
+		copy(grown, t.spans)
+		t.spans = grown
+	}
 	base := t.nextID
 	for i, s := range t.cur {
 		if s.End < s.Start {
@@ -290,7 +298,8 @@ func (t *Tracer) commit() {
 }
 
 // Spans returns the committed spans (do not mutate). Valid any time; the
-// in-flight operation's tentative spans are not included.
+// in-flight operation's tentative spans are not included. Later commits
+// and Reset never change the spans of a slice already returned.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
