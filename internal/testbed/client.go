@@ -321,7 +321,7 @@ func (c *Client) ReadFileInto(path string, buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if buf == nil || int64(cap(buf)) < st.Size { // ReadFile: non-nil even when empty
+	if buf == nil || int64(cap(buf)) < st.Size { // ReadFile returns []byte{}, not nil, for an empty file
 		buf = make([]byte, st.Size)
 	}
 	buf = buf[:st.Size]
