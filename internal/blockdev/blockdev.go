@@ -6,15 +6,20 @@
 // out genuine superblocks, bitmaps, inode tables and directory blocks, so a
 // device's content can be unmounted, "crashed", remounted and recovered.
 //
-// What those bytes cost the host follows their content: a Store keeps no
-// memory for a block that is one byte repeated (zeros, or the fill byte of a
-// synthetic payload), and the blocks it does own can come from and return to
-// a Pool, the explicit free list that the block owners of an assembly and of
-// the short-lived assemblies after it share. The one rule for every owner
-// (Store, ext3 buffer cache, NFS page cache): it holds whole pool blocks only,
-// a block it drops is retired, and retired blocks go back to the pool between
-// operations, when only dirty or pinned blocks, which are never dropped, can
-// still be referred to (see Store and Pool).
+// What those bytes cost the host follows their content, in every owner of
+// blocks (Store, ext3 buffer cache, NFS page cache): a block that is one byte
+// repeated (zeros, or the fill byte of a synthetic payload) is a reference to
+// the shared read-only block of that byte, which costs no memory and is never
+// written, and only a block of mixed bytes is the owner's own (private). A
+// cached shared block becomes private the first time a partial write lands in
+// it (Pool.Writable); a whole-block write makes it whatever the new content
+// is (Pool.Replace). Private blocks can come from and return to a Pool, the
+// explicit free list that the block owners of an assembly and of the
+// short-lived assemblies after it share. The one rule for every owner: it
+// holds whole pool blocks or shared ones only, a private block it drops is
+// retired, and retired blocks go back to the pool between operations, when
+// only dirty or pinned blocks, which are never dropped, can still be referred
+// to (see Store and Pool).
 package blockdev
 
 import (
@@ -60,8 +65,8 @@ type Device interface {
 //
 // Ownership: the store never hands out a block (ReadAt copies), so it may
 // return a private block to its Pool the moment a constant write replaces it
-// and, wholesale, in Release. Shared blocks are never written and never
-// pooled.
+// and, wholesale, in Release. Shared blocks are never written, and Put
+// refuses them.
 type Store struct {
 	blockSize int
 	numBlocks int64
@@ -70,7 +75,8 @@ type Store struct {
 }
 
 // shared holds, for every fill byte, one block of that byte repeated: what a
-// constant block's map entry refers to. Built here, never written again.
+// constant block's map entry, and a cache block of one byte repeated, refers
+// to. Built here, never written again.
 var shared = func() *[256][BlockSize]byte {
 	var t [256][BlockSize]byte
 	for v := range t {
@@ -141,9 +147,7 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 	old, present := s.blocks[lba]
 	private := present && !isShared(old)
 	if s.blockSize <= BlockSize && uniform(data) {
-		if private {
-			s.pool.Put(old)
-		}
+		s.pool.Put(old) // refuses a shared block, and nil
 		if v := data[0]; v != 0 {
 			s.blocks[lba] = shared[v][:s.blockSize:s.blockSize]
 		} else if present {
@@ -170,9 +174,7 @@ func (s *Store) zeroAt(lba int64) error {
 		return err
 	}
 	if old, present := s.blocks[lba]; present {
-		if !isShared(old) {
-			s.pool.Put(old)
-		}
+		s.pool.Put(old)
 		delete(s.blocks, lba)
 	}
 	return nil
@@ -185,8 +187,8 @@ func uniform(b []byte) bool {
 	return len(b) > 0 && bytes.Equal(b[1:], b[:len(b)-1])
 }
 
-// isShared reports whether b (a block out of a store's map, never empty)
-// refers to a shared block rather than to memory the store owns.
+// isShared reports whether b (a block a store or cache holds, never empty)
+// refers to a shared block rather than to memory its owner owns.
 func isShared(b []byte) bool { return &b[0] == &shared[b[0]][0] }
 
 // Populated reports how many blocks are constant or private, that is, how
@@ -199,9 +201,7 @@ func (s *Store) Populated() int { return len(s.blocks) }
 // garbage, nothing else.
 func (s *Store) Release() {
 	for _, b := range s.blocks {
-		if !isShared(b) {
-			s.pool.Put(b)
-		}
+		s.pool.Put(b)
 	}
 	s.blocks = nil
 }

@@ -1,8 +1,8 @@
 package blockdev
 
 // BlockSize is the size of the blocks a Pool recycles and of the shared
-// constant blocks a Store refers to: the 4 KB block every device, buffer
-// cache and page cache in this repository uses.
+// constant blocks a Store or a cache refers to: the 4 KB block every device,
+// buffer cache and page cache in this repository uses.
 const BlockSize = 4096
 
 // poolCap bounds how many free blocks a Pool keeps (16 MB). A cell's caches
@@ -20,19 +20,28 @@ const poolCap = 4096
 // caches retire nothing. That is the state of every assembly built without
 // one.
 //
+// An owner holds two kinds of block. A private block is one Get handed out;
+// the owner writes it and gives it back. A shared block is the read-only block
+// of one byte repeated (the same table a Store's constant blocks refer to):
+// Load and Replace hand one out for content that is one byte repeated, it is
+// never written, and Writable swaps it for a private copy before a partial
+// write.
+//
 // Ownership rules, which callers keep and the pool cannot check:
 //
-//   - Only whole blocks Get handed out go back: every block an owner holds
-//     is one (what arrives in a run or reply buffer is copied into one), so
-//     there is nothing an owner must remember about where a block came from.
+//   - Only whole blocks Get handed out go back: every private block an owner
+//     holds is one (what arrives in a run or reply buffer is copied into one),
+//     so there is nothing an owner must remember about where a block came
+//     from. Shared blocks never reach the free list: Put refuses them, which
+//     also keeps Poison off them.
 //   - Put is called where nothing can still refer to the block. A Store
 //     block replaced by a constant and a released Store are that at once. A
-//     cache drops blocks (eviction, a superseded copy, a dropped file) while
-//     the operation that obtained them may still use them, so it only
-//     retires them there and puts them between operations (bcache.reclaim,
-//     nfs pageCache.reclaim) or when the whole cache dies (dropAll, release).
-//     What outlives an operation refers only to dirty or pinned blocks, and
-//     those are never dropped.
+//     cache drops blocks (eviction, a superseded copy, a dropped file, a
+//     private block a shared one replaced) while the operation that obtained
+//     them may still use them, so it only retires them there and puts them
+//     between operations (bcache.reclaim, nfs pageCache.reclaim) or when the
+//     whole cache dies (dropAll, release). What outlives an operation refers
+//     only to dirty or pinned blocks, and those are never dropped.
 //   - After Put the owner drops its reference (data = nil).
 //
 // The zero Pool is empty and ready. A Pool is not safe for concurrent use;
@@ -70,9 +79,10 @@ func (p *Pool) Len() int {
 }
 
 // Put takes back a block Get handed out. Anything that is not exactly one
-// whole block is refused, and so is everything beyond the cap.
+// whole block is refused, and so is a shared block and everything beyond the
+// cap.
 func (p *Pool) Put(b []byte) {
-	if p == nil || len(b) != BlockSize || cap(b) != BlockSize {
+	if p == nil || len(b) != BlockSize || cap(b) != BlockSize || isShared(b) {
 		return
 	}
 	if p.Poison {
@@ -83,4 +93,71 @@ func (p *Pool) Put(b []byte) {
 	if len(p.free) < poolCap {
 		p.free = append(p.free, b)
 	}
+}
+
+// Load returns a block holding src (at most BlockSize bytes) zero-extended to
+// a whole block: the shared block of that byte when the result is one byte
+// repeated, else a private block from the pool.
+func (p *Pool) Load(src []byte) []byte {
+	if v, ok := repeats(src); ok {
+		return shared[v][:]
+	}
+	b := p.Get(len(src) < BlockSize)
+	copy(b, src)
+	return b
+}
+
+// Replace returns the block that holds src (at most BlockSize bytes,
+// zero-extended) in place of cur, a block Get or Load handed out: a shared
+// block when the result is one byte repeated, else cur itself overwritten
+// when it is private, else a private block from the pool. A shared block is
+// never written. A private block a shared one displaces is retired: appended
+// to *retired, for PutAll once the operation is over (a nil pool retires
+// nothing).
+func (p *Pool) Replace(cur, src []byte, retired *[][]byte) []byte {
+	if v, ok := repeats(src); ok {
+		if p != nil && !isShared(cur) {
+			*retired = append(*retired, cur)
+		}
+		return shared[v][:]
+	}
+	if isShared(cur) {
+		return p.Load(src)
+	}
+	clear(cur[copy(cur, src):])
+	return cur
+}
+
+// PutAll puts every block of retired and returns it emptied, its references
+// dropped, for reuse.
+func (p *Pool) PutAll(retired [][]byte) [][]byte {
+	for i, b := range retired {
+		p.Put(b)
+		retired[i] = nil
+	}
+	return retired[:0]
+}
+
+// Writable returns b, a block Get or Load handed out, when it is private,
+// and otherwise a private block holding a copy of it: the copy-on-write a
+// partial write into a shared block takes first.
+func (p *Pool) Writable(b []byte) []byte {
+	if !isShared(b) {
+		return b
+	}
+	w := p.Get(false)
+	copy(w, b)
+	return w
+}
+
+// repeats reports the byte that src zero-extended to BlockSize repeats, if it
+// is one byte repeated.
+func repeats(src []byte) (byte, bool) {
+	switch {
+	case len(src) == 0:
+		return 0, true
+	case !uniform(src), len(src) < BlockSize && src[0] != 0:
+		return 0, false
+	}
+	return src[0], true
 }

@@ -43,14 +43,23 @@ type bcacheStats struct {
 // may be reused by the caller on return (every device here copies
 // synchronously, and so does insertPrefetch).
 //
-// Block memory: every buffer's data is one whole block from pool (nil: the
-// heap), and it goes back where the cache drops the buffer. The hold rule
-// that makes this safe is scoped to the operation: a *buffer obtained during
-// one file-system operation is not used after the operation returns. What
+// Block memory follows content (see package blockdev): a buffer's data is
+// either the shared read-only block of one byte repeated or one whole private
+// block from pool (nil: the heap). Only the data path makes shared buffers:
+// insertPrefetch and set take whatever their source is, and view hands out
+// data only to be read. get keeps the contract every meta-data writer relies
+// on, that the data it returns is private and writable: a shared buffer
+// becomes private there, the first time a partial write, a meta-data update
+// or a zero get lands in it. Nothing else writes a buffer's data.
+//
+// A private block goes back where the cache drops it. The hold rule that
+// makes this safe is scoped to the operation: a *buffer obtained during one
+// file-system operation is not used after the operation returns. What
 // outlives an operation (journal.running, committed buffers awaiting their
 // checkpoint, dirtyData) refers only to dirty or pinned buffers, which are
 // never victims. Inside an operation a caller does hold buffers across
-// evictions (see markDirty), so a buffer the cache unlinks is only retired;
+// evictions (see markDirty), so a buffer the cache unlinks is only retired,
+// and so is a private block a shared one replaces in a resident buffer (set);
 // reclaim, which FS.tick runs on entry (every operation's tail call, when
 // none is in flight) and dropAll runs first, gives retired blocks to the
 // pool. Without a pool nothing is retired.
@@ -66,6 +75,7 @@ type bcache struct {
 	tracer    *tracing.Tracer   // cache-miss spans (nil = tracing off)
 	pool      *blockdev.Pool
 	retired   []*buffer // unlinked since the last reclaim; a reinstated buffer may be among them
+	replaced  [][]byte  // private blocks Pool.Replace swapped out of resident buffers since the last reclaim
 }
 
 func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
@@ -161,9 +171,10 @@ func (c *bcache) retire(b *buffer) {
 	}
 }
 
-// reclaim gives the blocks of retired buffers to the pool. Callers guarantee
-// that no operation is in flight. A buffer markDirty reinstated is resident
-// again and keeps its block; one retired twice is put once.
+// reclaim gives the blocks of retired buffers, and the replaced blocks, to
+// the pool. Callers guarantee that no operation is in flight. A buffer
+// markDirty reinstated is resident again and keeps its block; one retired
+// twice is put once.
 func (c *bcache) reclaim() {
 	for i, b := range c.retired {
 		if b.data != nil && c.blocks[b.lba] != b {
@@ -173,25 +184,19 @@ func (c *bcache) reclaim() {
 		c.retired[i] = nil
 	}
 	c.retired = c.retired[:0]
+	c.replaced = c.pool.PutAll(c.replaced)
 }
 
 // peek returns the cached buffer without device access, or nil.
 func (c *bcache) peek(lba int64) *buffer { return c.blocks[lba] }
 
-// get returns the block at lba, reading through the device on a miss. With
-// zero set, a miss produces a zero-filled block without device I/O (fresh
-// allocations). The returned done time accounts for the device read and for
-// waiting on an in-flight read-ahead.
-func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Duration, error) {
+// lookup is the one search get, view and set share, so all three count and
+// order alike: a hit moves the buffer to the front, counts, and waits for a
+// read-ahead in flight; a miss checks the address and counts, and the caller
+// fills the block.
+func (c *bcache) lookup(at time.Duration, lba int64) (*buffer, time.Duration, error) {
 	if b, ok := c.blocks[lba]; ok {
 		c.touch(b)
-		if zero {
-			// Fresh allocation of a block with stale cached content (it
-			// was freed and reallocated): the caller expects zeroes.
-			for i := range b.data {
-				b.data[i] = 0
-			}
-		}
 		done := at
 		if b.readyAt > at {
 			// Read-ahead in flight: wait for it.
@@ -205,6 +210,60 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 		return nil, at, fmt.Errorf("ext3: implausible block address %d (device holds %d)", lba, c.dev.NumBlocks())
 	}
 	c.stats.Misses++
+	return nil, at, nil
+}
+
+// get returns the block at lba, reading through the device on a miss, with
+// data the caller may write (private). With zero set, a miss produces a
+// zero-filled block without device I/O (fresh allocations). The returned
+// done time accounts for the device read and for waiting on an in-flight
+// read-ahead.
+func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Duration, error) {
+	b, done, err := c.lookup(at, lba)
+	if err != nil {
+		return nil, done, err
+	}
+	if b == nil {
+		return c.fill(at, lba, zero)
+	}
+	b.data = c.pool.Writable(b.data)
+	if zero {
+		// Fresh allocation of a block with stale cached content (it
+		// was freed and reallocated): the caller expects zeroes.
+		clear(b.data)
+	}
+	return b, done, nil
+}
+
+// view is get for a caller that only reads the data, which may be shared.
+func (c *bcache) view(at time.Duration, lba int64) (*buffer, time.Duration, error) {
+	b, done, err := c.lookup(at, lba)
+	if b != nil || err != nil {
+		return b, done, err
+	}
+	return c.fill(at, lba, false)
+}
+
+// set makes src, one whole block, the content of lba without reading it: a
+// get with zero set followed by a copy, in every counter, wait and eviction,
+// except that uniform src makes the data shared.
+func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Duration, error) {
+	b, done, err := c.lookup(at, lba)
+	if err != nil {
+		return nil, done, err
+	}
+	if b == nil {
+		b = &buffer{lba: lba, data: c.pool.Load(src)}
+		c.insert(b)
+		return b, at, nil
+	}
+	b.data = c.pool.Replace(b.data, src, &c.replaced)
+	return b, done, nil
+}
+
+// fill caches lba after a lookup missed: a private block, zeroed when zero is
+// set, else read from the device.
+func (c *bcache) fill(at time.Duration, lba int64, zero bool) (*buffer, time.Duration, error) {
 	// A recycled block is cleared only when nothing is about to fill it.
 	b := &buffer{lba: lba, data: c.pool.Get(zero)}
 	done := at
@@ -223,14 +282,13 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 	return b, done, nil
 }
 
-// insertPrefetch caches a copy of data for lba arriving at readyAt (read-ahead).
+// insertPrefetch caches a copy of data for lba arriving at readyAt
+// (read-ahead): shared when data is one byte repeated.
 func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 	if _, ok := c.blocks[lba]; ok {
 		return
 	}
-	b := &buffer{lba: lba, data: c.pool.Get(false), readyAt: readyAt}
-	copy(b.data, data)
-	c.insert(b)
+	c.insert(&buffer{lba: lba, data: c.pool.Load(data), readyAt: readyAt})
 }
 
 // markDirty flags a buffer dirty; meta selects the journaled class.

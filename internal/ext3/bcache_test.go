@@ -1,11 +1,36 @@
 package ext3
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
 )
+
+// sharedIntact writes a block of each byte 0-255 to a fresh store through the
+// public API and reads it back, and loads each from a pool: a write that
+// landed in one of the shared read-only blocks shows as a byte the block was
+// not built with.
+func sharedIntact(t *testing.T) {
+	t.Helper()
+	s := blockdev.NewStore(256, BlockSize)
+	got := make([]byte, BlockSize)
+	for v := 0; v < 256; v++ {
+		want := bytes.Repeat([]byte{byte(v)}, BlockSize)
+		if err := s.WriteAt(int64(v), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadAt(int64(v), got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a stored block of %#x reads back otherwise (err %v): a write landed in a shared block", v, err)
+		}
+		if !bytes.Equal((*blockdev.Pool)(nil).Load(want), want) {
+			t.Fatalf("the shared block of %#x was written", v)
+		}
+	}
+}
 
 func newCache(t *testing.T, max int) (*bcache, *blockdev.Local) {
 	t.Helper()
@@ -299,4 +324,128 @@ func TestReclaim(t *testing.T) {
 		bc.reclaim()
 		bc.dropAll()
 	})
+}
+
+// Read-ahead of one byte repeated caches shared blocks; get still hands out
+// data the caller may write, so neither a meta-data write nor a zero get on
+// such a hit reaches the other blocks of that byte.
+func TestBcacheGetMakesSharedDataPrivate(t *testing.T) {
+	pool := &blockdev.Pool{Poison: true}
+	bc := newBcache(blockdev.NewTestbedArray(4096), 16, pool)
+	fill := bytes.Repeat([]byte{0x41}, BlockSize)
+	for lba := int64(1); lba <= 3; lba++ {
+		bc.insertPrefetch(lba, fill, 0)
+	}
+	if pool.Len() != 0 || bc.stats.Misses != 0 {
+		t.Fatalf("setup: pool %d, misses %d", pool.Len(), bc.stats.Misses)
+	}
+	v, _, err := bc.view(0, 1)
+	if err != nil || !bytes.Equal(v.data, fill) {
+		t.Fatalf("view: err %v", err)
+	}
+	w, _, err := bc.get(0, 1, false)
+	if err != nil || w != v || !bytes.Equal(w.data, fill) {
+		t.Fatalf("get after view: err %v, same buffer %v", err, w == v)
+	}
+	w.data[0] = 0x99 // what a meta-data update does to a block get returned
+	z, _, err := bc.get(0, 2, true)
+	if err != nil || !bytes.Equal(z.data, make([]byte, BlockSize)) {
+		t.Fatalf("zero get on a shared hit: err %v", err)
+	}
+	if o, _, _ := bc.view(0, 3); !bytes.Equal(o.data, fill) {
+		t.Fatal("a write through get reached another cached block of the same byte")
+	}
+	if d := bc.peek(1).data; d[0] != 0x99 || !bytes.Equal(d[1:], fill[1:]) {
+		t.Fatal("the written block lost its bytes")
+	}
+	sharedIntact(t)
+}
+
+// set is get with zero set followed by a copy in everything the simulation
+// sees: hits, misses, read-ahead hits and their waits, evictions, LRU order
+// and bytes. Twin caches on twin devices take one random script, one through
+// set and view, the other through get and a copy.
+func TestBcacheSetMatchesZeroGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := newBcache(blockdev.NewTestbedArray(4096), 6, &blockdev.Pool{Poison: true})
+	b := newBcache(blockdev.NewTestbedArray(4096), 6, &blockdev.Pool{Poison: true})
+	content := func() []byte {
+		if rng.Intn(2) == 0 {
+			return bytes.Repeat([]byte{byte(rng.Intn(3))}, BlockSize)
+		}
+		src := make([]byte, BlockSize)
+		rng.Read(src)
+		return src
+	}
+	order := func(c *bcache) string {
+		var s []string
+		for x := c.lru.older; x != &c.lru; x = x.older {
+			s = append(s, fmt.Sprint(x.lba, x.dirty, x.data[:4], x.data[BlockSize-1]))
+		}
+		return fmt.Sprint(s)
+	}
+	for step := 0; step < 20000; step++ {
+		lba := int64(rng.Intn(16))
+		at := time.Duration(step) * time.Microsecond
+		var da, db time.Duration
+		var op string
+		switch rng.Intn(6) {
+		case 0, 1:
+			op = fmt.Sprint("write ", lba)
+			src := content()
+			x, d1, err := a.set(at, lba, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, d2, err := b.get(at, lba, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(y.data, src)
+			da, db = d1, d2
+			if rng.Intn(2) == 0 {
+				a.markDirty(x, false)
+				b.markDirty(y, false)
+			}
+		case 2:
+			op = fmt.Sprint("read ", lba)
+			x, d1, err := a.view(at, lba)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, d2, err := b.get(at, lba, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(x.data, y.data) {
+				t.Fatalf("step %d %s: bytes differ", step, op)
+			}
+			da, db = d1, d2
+		case 3:
+			op = fmt.Sprint("prefetch ", lba)
+			src, ready := content(), at+time.Duration(rng.Intn(50))*time.Microsecond
+			a.insertPrefetch(lba, src, ready)
+			b.insertPrefetch(lba, src, ready)
+		case 4:
+			op = fmt.Sprint("clean ", lba)
+			if x, y := a.peek(lba), b.peek(lba); x != nil && y != nil && x.dirty {
+				a.cleanData(x)
+				b.cleanData(y)
+			}
+		case 5:
+			op = "reclaim"
+			a.reclaim()
+			b.reclaim()
+		}
+		if da != db || a.stats != b.stats {
+			t.Fatalf("step %d %s: set/view took %v with %+v, get took %v with %+v", step, op, da, a.stats, db, b.stats)
+		}
+		if oa, ob := order(a), order(b); oa != ob {
+			t.Fatalf("step %d %s: LRU (front first)\n set %s\n get %s", step, op, oa, ob)
+		}
+	}
+	if a.stats.Hits == 0 || a.stats.Misses == 0 || a.stats.ReadAheadHits == 0 || a.stats.Evictions == 0 {
+		t.Fatalf("the script missed a counter: %+v", a.stats)
+	}
+	sharedIntact(t)
 }

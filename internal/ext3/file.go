@@ -241,7 +241,7 @@ func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 			}
 			continue
 		}
-		b, d2, err := fs.bc.get(done, lbas[i], false)
+		b, d2, err := fs.bc.view(done, lbas[i])
 		if err != nil {
 			return copied, d2, err
 		}
@@ -444,17 +444,21 @@ func (f *File) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 		done = d2
 		goal = lba
 		var b *buffer
-		if fullBlock || !hadBlock {
-			// No read needed: full overwrite or fresh allocation.
-			b, d2, err = fs.bc.get(done, lba, true)
+		if fullBlock {
+			// No read needed, and a block of one byte repeated is shared.
+			b, d2, err = fs.bc.set(done, lba, data[written:written+BlockSize])
 		} else {
-			b, d2, err = fs.bc.get(done, lba, false)
+			// A fresh allocation reads as zeros without a read.
+			b, d2, err = fs.bc.get(done, lba, !hadBlock)
 		}
 		if err != nil {
 			return written, d2, err
 		}
 		done = d2
-		written += copy(b.data[bs:be], data[written:])
+		if !fullBlock {
+			copy(b.data[bs:be], data[written:])
+		}
+		written += int(be - bs)
 		fs.bc.markDirty(b, false)
 	}
 	if newSize := uint64(off + int64(len(data))); newSize > n.Size {

@@ -1,6 +1,7 @@
 package ext3
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -133,7 +134,10 @@ type modelFile struct {
 // is a byte the model does not have. The small caches add eviction: every
 // operation evicts buffers it still holds (an indirect block across a bitmap
 // fetch), so a victim recycled before the operation ends is handed to someone
-// else while in use.
+// else while in use. About a third of the writes are block-aligned runs of one
+// byte, zeros or not, which the caches hold as shared read-only blocks: later
+// partial writes and truncates land inside them, and the shared blocks must
+// come out of every run unwritten.
 func TestRandomizedOpsAgainstModel(t *testing.T) {
 	t.Run("heap", func(t *testing.T) { randomizedOpsAgainstModel(t, nil, 0) })
 	for _, cacheBlocks := range []int{0, 12, 40} {
@@ -149,6 +153,17 @@ func TestRandomizedOpsAgainstModel(t *testing.T) {
 			randomizedOpsAgainstModel(t, pool, cacheBlocks)
 		})
 	}
+	sharedIntact(t)
+}
+
+// uniformBlock reports whether file block fb of data is whole and one byte
+// repeated.
+func uniformBlock(data []byte, fb int) bool {
+	if (fb+1)*BlockSize > len(data) {
+		return false
+	}
+	b := data[fb*BlockSize : (fb+1)*BlockSize]
+	return bytes.Count(b, b[:1]) == BlockSize
 }
 
 func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks int) {
@@ -163,6 +178,10 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(12345)
+	// shape draws which writes are uniform runs, so rng draws what it always
+	// did and the mixed-data cases stay as they were.
+	shape := sim.NewRNG(54321)
+	landed := 0 // partial writes and truncates inside a uniform block
 	model := map[string]*modelFile{}
 	// /big is only written and read, at offsets past its direct blocks: its
 	// indirect block is what an operation holds across other fetches. It is
@@ -211,6 +230,16 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 			data := make([]byte, n)
 			for i := range data {
 				data[i] = byte(rng.Intn(256))
+			}
+			if shape.Intn(3) == 0 {
+				// A run of whole blocks of one byte, zeros half the time.
+				end := (off + n + BlockSize - 1) / BlockSize * BlockSize
+				off -= off % BlockSize
+				n = end - off
+				data = bytes.Repeat([]byte{byte(shape.Intn(2) * (1 + shape.Intn(255)))}, n)
+			} else if off%BlockSize != 0 && uniformBlock(mf.data, off/BlockSize) ||
+				(off+n)%BlockSize != 0 && uniformBlock(mf.data, (off+n)/BlockSize) {
+				landed++
 			}
 			if _, d3, err := f.WriteAt(at, int64(off), data); err != nil {
 				t.Fatalf("step %d write: %v", step, err)
@@ -264,6 +293,9 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 				continue
 			}
 			size := rng.Intn(25000)
+			if size%BlockSize != 0 && uniformBlock(mf.data, size/BlockSize) {
+				landed++
+			}
 			if _, err := fs.Truncate(at, name, int64(size)); err != nil {
 				t.Fatalf("step %d truncate: %v", step, err)
 			}
@@ -273,6 +305,9 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 				mf.data = append(mf.data, make([]byte, size-len(mf.data))...)
 			}
 		}
+	}
+	if landed == 0 {
+		t.Fatal("no partial write or truncate landed inside a uniform block")
 	}
 	// Free-space invariant: unlinking everything returns to the baseline.
 	for name := range model {

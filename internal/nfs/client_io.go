@@ -37,23 +37,31 @@ type page struct {
 // out, of all three. So dropFile follows one chain: it costs the dropped
 // file's pages, and nothing for a file with none, whatever else is cached.
 //
-// Block memory: every page's data is one whole block from pool (nil: the
-// heap), and it goes back where the cache drops the page. The hold rule is
-// scoped to the syscall: a *page obtained during one client syscall is not
-// used after it returns. Write-behind, the only thing that outlives a
-// syscall, queues page keys, and its pages are dirty, which evict never
-// picks. Inside a syscall pages are held across evictions (ReadAt copies out
-// of pages its own later inserts evicted), so evict and dropFile only retire
-// what they unlink; reclaim, which nfsFile.ReadAt and WriteAt run on entry
-// and release runs first, gives retired blocks to the pool. Without a pool
-// nothing is retired.
+// Block memory follows content (see package blockdev): a page's data is
+// either the shared read-only block of one byte repeated or one whole private
+// block from pool (nil: the heap). insert and a whole-page write make a page
+// whatever its new content is (Pool.Load, Pool.Replace); a page becomes private
+// where bytes land in only part of it: WriteAt's partial pages, writeSync's
+// coherence copy and truncate's clear (Pool.Writable). Nothing else writes a
+// page's data.
+//
+// A private block goes back where the cache drops it. The hold rule is scoped
+// to the syscall: a *page obtained during one client syscall is not used
+// after it returns. Write-behind, the only thing that outlives a syscall,
+// queues page keys, and its pages are dirty, which evict never picks. Inside
+// a syscall pages are held across evictions (ReadAt copies out of pages its
+// own later inserts evicted), so evict and dropFile only retire what they
+// unlink, and a private block a shared one replaces is only retired too;
+// reclaim, which nfsFile.ReadAt and WriteAt run on entry and release runs
+// first, gives retired blocks to the pool. Without a pool nothing is retired.
 type pageCache struct {
-	max     int
-	pages   map[pageKey]*page
-	byFile  map[uint64]*page
-	lru     page
-	pool    *blockdev.Pool
-	retired []*page // unlinked since the last reclaim
+	max      int
+	pages    map[pageKey]*page
+	byFile   map[uint64]*page
+	lru      page
+	pool     *blockdev.Pool
+	retired  []*page  // unlinked since the last reclaim
+	replaced [][]byte // private blocks Pool.Replace swapped out of resident pages since the last reclaim
 }
 
 func newPageCache(max int, pool *blockdev.Pool) *pageCache {
@@ -110,15 +118,14 @@ func (pc *pageCache) unlink(p *page) {
 // insert's victim: the caller is about to fill or read it.
 func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page {
 	if p, ok := pc.pages[k]; ok {
-		copy(p.data, data)
+		p.data = pc.pool.Replace(p.data, data, &pc.replaced)
 		if readyAt > p.readyAt {
 			p.readyAt = readyAt
 		}
 		pc.touch(p)
 		return p
 	}
-	p := &page{key: k, data: pc.pool.Get(len(data) < pageSize), readyAt: readyAt}
-	copy(p.data, data)
+	p := &page{key: k, data: pc.pool.Load(data), readyAt: readyAt}
 	pc.link(p)
 	pc.evict(p)
 	return p
@@ -156,8 +163,8 @@ func (pc *pageCache) retire(p *page) {
 	}
 }
 
-// reclaim gives the blocks of retired pages to the pool. Callers guarantee
-// that no syscall is in flight.
+// reclaim gives the blocks of retired pages, and the replaced blocks, to the
+// pool. Callers guarantee that no syscall is in flight.
 func (pc *pageCache) reclaim() {
 	for i, p := range pc.retired {
 		pc.pool.Put(p.data)
@@ -165,6 +172,7 @@ func (pc *pageCache) reclaim() {
 		pc.retired[i] = nil
 	}
 	pc.retired = pc.retired[:0]
+	pc.replaced = pc.pool.PutAll(pc.replaced)
 }
 
 // release gives every retired and resident block back to the pool and leaves
@@ -206,6 +214,7 @@ func (pc *pageCache) truncate(ino uint64, size int64) {
 			pc.unlink(p)
 			pc.retire(p)
 		case off+pageSize > size:
+			p.data = pc.pool.Writable(p.data)
 			clear(p.data[size-off:])
 		}
 	}
@@ -716,18 +725,29 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 		}
 		k := pageKey{f.fh.Ino, idx}
 		p := c.pages.peek(k)
-		if p == nil && !(bs == 0 && be == pageSize) && idx*pageSize < size {
-			// Partial write of an uncached existing page: read it first.
-			var one [1]*page
-			held, d2, err := f.readRun(done, idx, 1, one[:0])
-			if err != nil {
-				return written, d2, err
+		if bs == 0 && be == pageSize {
+			// A whole page: what it held does not matter.
+			if src := data[written : written+pageSize]; p == nil {
+				p = c.pages.insert(k, src, 0)
+			} else {
+				p.data = c.pages.pool.Replace(p.data, src, &c.pages.replaced)
 			}
-			done, p = d2, held[0]
-		} else if p == nil {
-			p = c.pages.getOrCreate(k)
+			written += pageSize
+		} else {
+			if p == nil && idx*pageSize < size {
+				// Partial write of an uncached existing page: read it first.
+				var one [1]*page
+				held, d2, err := f.readRun(done, idx, 1, one[:0])
+				if err != nil {
+					return written, d2, err
+				}
+				done, p = d2, held[0]
+			} else if p == nil {
+				p = c.pages.getOrCreate(k)
+			}
+			p.data = c.pages.pool.Writable(p.data)
+			written += copy(p.data[bs:be], data[written:])
 		}
-		written += copy(p.data[bs:be], data[written:])
 		p.dirty = true
 		c.wb.add(k)
 	}
@@ -784,6 +804,7 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 					end = pageSize - bs
 				}
 				if end > 0 {
+					pg.data = c.pages.pool.Writable(pg.data)
 					copy(pg.data[bs:bs+end], part[srcOff:srcOff+end])
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/vfs"
 )
 
 // refPageCache is the page cache as it was before it grew a per-file index:
@@ -361,14 +362,21 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	}
 }
 
-// reclaim after N evictions puts N blocks; a victim keeps its bytes until
-// then; without a pool nothing is retired.
+// reclaim after N evictions puts the private blocks among them: a page of
+// mixed bytes is pooled, a zero or uniform one is shared and never reaches
+// the pool. A victim keeps its bytes until then, and so does a private block
+// a shared one replaced in a resident page. Without a pool nothing is
+// retired.
 func TestPageCacheReclaim(t *testing.T) {
 	pool := &blockdev.Pool{Poison: true}
 	pc := newPageCache(3, pool)
-	first := pc.insert(pageKey{1, 0}, []byte("first"), 0)
-	for i := int64(1); i < 10; i++ {
-		pc.getOrCreate(pageKey{1, i})
+	first := pc.insert(pageKey{1, 0}, []byte("first"), 0) // mixed once zero-extended
+	uniform := bytes.Repeat([]byte{0x41}, pageSize)
+	for i := int64(1); i < 4; i++ {
+		pc.insert(pageKey{1, i}, uniform, 0)
+	}
+	for i := int64(4); i < 10; i++ {
+		pc.getOrCreate(pageKey{1, i}) // zeros
 	}
 	if len(pc.pages) != 3 || len(pc.retired) != 7 || pool.Len() != 0 {
 		t.Fatalf("%d pages cached, %d retired, pool %d; want 3, 7, 0", len(pc.pages), len(pc.retired), pool.Len())
@@ -377,24 +385,113 @@ func TestPageCacheReclaim(t *testing.T) {
 		t.Fatal("the first victim lost its bytes before reclaim")
 	}
 	pc.reclaim()
-	if pool.Len() != 7 || len(pc.retired) != 0 || first.data != nil {
-		t.Fatalf("after reclaim: pool %d, %d retired", pool.Len(), len(pc.retired))
+	if pool.Len() != 1 || len(pc.retired) != 0 || first.data != nil {
+		t.Fatalf("after reclaim: pool %d, %d retired; want 1 (the mixed page), 0", pool.Len(), len(pc.retired))
 	}
 	pc.reclaim()
-	if pool.Len() != 7 {
+	if pool.Len() != 1 {
 		t.Fatalf("a second reclaim moved the pool to %d", pool.Len())
+	}
+
+	// Mixed content over a shared page takes a pool block; uniform content
+	// over it retires that block until the next reclaim.
+	p := pc.peek(pageKey{1, 9})
+	p.data = pool.Replace(p.data, bytes.Repeat([]byte("mixed"), pageSize/5), &pc.replaced)
+	if pool.Len() != 0 || len(pc.replaced) != 0 {
+		t.Fatalf("mixed over a shared page: pool %d, %d replaced; want 0, 0", pool.Len(), len(pc.replaced))
+	}
+	block := p.data
+	p.data = pool.Replace(p.data, uniform, &pc.replaced)
+	if len(pc.replaced) != 1 || pool.Len() != 0 || string(block[:5]) != "mixed" {
+		t.Fatal("uniform over a private page: its block must wait for reclaim")
+	}
+	pc.reclaim()
+	if pool.Len() != 1 || len(pc.replaced) != 0 || !bytes.Equal(p.data, uniform) {
+		t.Fatalf("after reclaim: pool %d, %d replaced; want 1, 0", pool.Len(), len(pc.replaced))
+	}
+	pc.release()
+	if pool.Len() != 1 {
+		t.Fatalf("release of three shared pages moved the pool to %d", pool.Len())
 	}
 
 	heap := newPageCache(3, nil)
 	for i := int64(0); i < 10; i++ {
 		heap.getOrCreate(pageKey{1, i})
 	}
+	last := heap.peek(pageKey{1, 9})
+	last.data = heap.pool.Replace(last.data, []byte("mixed"), &heap.replaced)
+	last.data = heap.pool.Replace(last.data, nil, &heap.replaced)
 	heap.dropFile(1)
-	if heap.retired != nil {
-		t.Fatalf("a cache without a pool retired %d pages", len(heap.retired))
+	if heap.retired != nil || heap.replaced != nil {
+		t.Fatalf("a cache without a pool retired %d pages and %d blocks", len(heap.retired), len(heap.replaced))
 	}
 	heap.reclaim()
 	heap.release()
+}
+
+// sharedIntact fails the test if a block of one byte repeated no longer reads
+// as its byte: a write landed in a shared block.
+func sharedIntact(t *testing.T) {
+	t.Helper()
+	for v := 0; v < 256; v++ {
+		want := bytes.Repeat([]byte{byte(v)}, pageSize)
+		if !bytes.Equal((*blockdev.Pool)(nil).Load(want), want) {
+			t.Fatalf("the shared block of %#x was written", v)
+		}
+	}
+}
+
+// Pages of one byte repeated are shared; a partial write (v3's page write,
+// v2's coherence copy) or a truncate inside one makes that page private
+// first, so the other pages of the same byte, in this file and another, still
+// read as that byte.
+func TestPartialWritesCopySharedPages(t *testing.T) {
+	for _, ver := range []Version{V2, V3} {
+		t.Run(fmt.Sprint(ver), func(t *testing.T) {
+			c, _, _ := rig(t, ver)
+			c.SetPool(&blockdev.Pool{Poison: true})
+			fill := bytes.Repeat([]byte{0x41}, 3*pageSize)
+			at := time.Duration(0)
+			var files []vfs.File
+			for _, name := range []string{"/u", "/v"} {
+				f, d, err := c.Create(at, name, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, d, err = f.WriteAt(d, 0, fill); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, len(fill)) // v2 caches pages only when read
+				if _, at, err = f.ReadAt(d, 0, got); err != nil || !bytes.Equal(got, fill) {
+					t.Fatalf("%s reads back wrong (err %v)", name, err)
+				}
+				files = append(files, f)
+			}
+			u, v := files[0], files[1]
+			if _, d, err := u.WriteAt(at, 10, []byte("xyz")); err != nil {
+				t.Fatal(err)
+			} else {
+				at = d
+			}
+			c.pages.truncate(u.(*nfsFile).fh.Ino, pageSize+100)
+			want := append([]byte(nil), fill...)
+			copy(want[10:], "xyz")
+			clear(want[pageSize+100 : 2*pageSize])
+			for i, page := range []*page{
+				c.pages.peek(pageKey{u.(*nfsFile).fh.Ino, 0}),
+				c.pages.peek(pageKey{u.(*nfsFile).fh.Ino, 1}),
+			} {
+				if page == nil || !bytes.Equal(page.data, want[i*pageSize:(i+1)*pageSize]) {
+					t.Fatalf("page %d of /u does not hold what was written", i)
+				}
+			}
+			got := make([]byte, len(fill))
+			if _, _, err := v.ReadAt(at, 0, got); err != nil || !bytes.Equal(got, fill) {
+				t.Fatalf("/v, never written since, reads otherwise (err %v)", err)
+			}
+			sharedIntact(t)
+		})
+	}
 }
 
 // An insert with every other page dirty overflows the cache: the page being

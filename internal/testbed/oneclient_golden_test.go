@@ -32,10 +32,15 @@ import (
 // it is released, the testbeds closed one after another so that every cell
 // but the first is built from the previous cell's poisoned blocks. A
 // reference that outlives its owner, or a recycled block taken for a zero
-// one, shows up as a drifted snapshot or hash.
+// one, shows up as a drifted snapshot or hash, and a write that landed in one
+// of the shared blocks of one byte repeated as a shared block that no longer
+// reads as its byte.
 func TestOneClientGolden(t *testing.T) {
 	t.Run("heap", func(t *testing.T) { oneClientGolden(t, nil) })
-	t.Run("poisoned-pool", func(t *testing.T) { oneClientGolden(t, &blockdev.Pool{Poison: true}) })
+	t.Run("poisoned-pool", func(t *testing.T) {
+		oneClientGolden(t, &blockdev.Pool{Poison: true})
+		sharedIntact(t)
+	})
 }
 
 func oneClientGolden(t *testing.T, pool *blockdev.Pool) {

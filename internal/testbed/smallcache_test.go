@@ -11,6 +11,37 @@ import (
 	"repro/internal/vfs"
 )
 
+// sharedIntact writes a block of each byte 0-255 to a fresh store through the
+// public API and reads it back, and loads each from a pool: a write that
+// landed in one of the shared read-only blocks the caches and stores refer to
+// shows as a byte the block was not built with.
+func sharedIntact(t *testing.T) {
+	t.Helper()
+	s := blockdev.NewStore(256, blockdev.BlockSize)
+	got := make([]byte, blockdev.BlockSize)
+	for v := 0; v < 256; v++ {
+		want := bytes.Repeat([]byte{byte(v)}, blockdev.BlockSize)
+		if err := s.WriteAt(int64(v), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadAt(int64(v), got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a stored block of %#x reads back otherwise (err %v): a write landed in a shared block", v, err)
+		}
+		if !bytes.Equal((*blockdev.Pool)(nil).Load(want), want) {
+			t.Fatalf("the shared block of %#x was written", v)
+		}
+	}
+}
+
+// uniformPage reports whether page pg of img is whole and one byte repeated.
+func uniformPage(img []byte, pg int) bool {
+	if (pg+1)*4096 > len(img) {
+		return false
+	}
+	p := img[pg*4096 : (pg+1)*4096]
+	return bytes.Count(p, p[:1]) == 4096
+}
+
 // pattern is n bytes no two pages of which are alike and none of which is
 // zero or the poison byte, so a page that is missing, stale, misplaced or
 // recycled shows.
@@ -90,12 +121,21 @@ func TestSyscallLargerThanClientCache(t *testing.T) {
 // unlinked, grows past its direct blocks (it is what makes calls hold an
 // indirect block across evictions); the other files are truncated to any
 // length their direct blocks hold, shorter or longer, and by creat(2).
+//
+// About a third of the writes are page-aligned runs of one byte, zeros or not,
+// which every cache and store holds as shared read-only blocks: later partial
+// writes and truncates land inside them, and the shared blocks must come out
+// of every run unwritten.
 func TestSmallCachesAgainstModel(t *testing.T) {
 	const direct = 48 << 10 // what a file's direct blocks hold
 	for _, kind := range testbed.AllKinds {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprint(kind.Tag(), "/seed", seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
+				// shape draws which writes are uniform runs, so rng draws what
+				// it always did and the mixed-data cases stay as they were.
+				shape := rand.New(rand.NewSource(seed + 100))
+				landed := 0 // partial writes and truncates inside a uniform page
 				cfg := testbed.Config{
 					Kind:              kind,
 					DeviceBlocks:      32768,
@@ -140,6 +180,15 @@ func TestSmallCachesAgainstModel(t *testing.T) {
 							t.Fatalf("%s open %s for writing: %v", when, name, err)
 						}
 						data := pattern(rng, n)
+						if shape.Intn(3) == 0 {
+							// A run of whole pages of one byte, zeros half the time.
+							end := (off + n + 4095) / 4096 * 4096
+							off -= off % 4096
+							n = end - off
+							data = bytes.Repeat([]byte{byte(shape.Intn(2) * (1 + shape.Intn(200)))}, n)
+						} else if off%4096 != 0 && uniformPage(img, off/4096) || (off+n)%4096 != 0 && uniformPage(img, (off+n)/4096) {
+							landed++
+						}
 						if _, err := tb.WriteFileAt(f, int64(off), data); err != nil {
 							t.Fatalf("%s pwrite %s: %v", when, name, err)
 						}
@@ -180,6 +229,9 @@ func TestSmallCachesAgainstModel(t *testing.T) {
 							t.Fatalf("%s close %s: %v", when, name, err)
 						}
 					case op < 9 && exists && step%4 != 0: // truncate, growing or shrinking
+						if (off+n)%4096 != 0 && uniformPage(img, (off+n)/4096) {
+							landed++
+						}
 						if err := tb.Truncate(name, int64(off+n)); err != nil {
 							t.Fatalf("%s truncate %s to %d: %v", when, name, off+n, err)
 						}
@@ -201,9 +253,13 @@ func TestSmallCachesAgainstModel(t *testing.T) {
 						delete(image, name)
 					}
 				}
+				if landed == 0 {
+					t.Fatal("no partial write or truncate landed inside a uniform page")
+				}
 			})
 		}
 	}
+	sharedIntact(t)
 }
 
 // TestTruncateDropsWhatItCutOff: bytes past the end a truncate leaves are
