@@ -94,7 +94,11 @@ func flushBenchJSON() error {
 			Tags:   metrics.Tags{"bench": r.bench, "metric": r.metric},
 			Values: map[string]float64{"value": r.value, "n": float64(r.n)},
 		}
-		if err := metrics.WriteEvent(f, e); err != nil {
+		line, err := e.Encode()
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}

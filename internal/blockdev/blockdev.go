@@ -219,14 +219,14 @@ type Local struct {
 	FailReads, FailWrites bool
 }
 
-// NewLocal wraps store with raid timing.
-func NewLocal(store *Store, raid *simdisk.RAID5) *Local {
+// newLocal wraps store with raid timing.
+func newLocal(store *Store, raid *simdisk.RAID5) *Local {
 	return &Local{store: store, raid: raid}
 }
 
-// NewLocalAt wraps store with raid timing, mapping the device's block 0 to
+// newLocalAt wraps store with raid timing, mapping the device's block 0 to
 // physical block offset on the array: one LUN of a shared array.
-func NewLocalAt(store *Store, raid *simdisk.RAID5, offset int64) *Local {
+func newLocalAt(store *Store, raid *simdisk.RAID5, offset int64) *Local {
 	return &Local{store: store, raid: raid, offset: offset}
 }
 
@@ -240,19 +240,14 @@ func NewTestbedArray(numBlocks int64) *Local {
 	if err != nil {
 		panic(err) // static configuration; cannot fail
 	}
-	return NewLocal(NewStore(numBlocks, 4096), raid)
+	return newLocal(NewStore(numBlocks, 4096), raid)
 }
 
-// NewClusterArray builds one shared 4+p RAID-5 array partitioned into n
-// LUNs of numBlocks 4 KB blocks each: the storage side of a multi-client
+// NewClusterArraySized builds one shared 4+p RAID-5 array partitioned into
+// n LUNs of numBlocks 4 KB blocks each: the storage side of a multi-client
 // iSCSI testbed, where every client owns a volume but all volumes contend
-// for the same spindles.
-func NewClusterArray(n int, numBlocks int64) []*Local {
-	return NewClusterArraySized(n, numBlocks, n)
-}
-
-// NewClusterArraySized is NewClusterArray with the member capacity sized
-// for capacityClients volumes while materializing only n LUNs: the hybrid
+// for the same spindles. The member capacity is sized for capacityClients
+// volumes while only n LUNs are materialized: the hybrid
 // fleet case, where a handful of mechanistic clients must see the same
 // seek distances a full mechanistic fleet of capacityClients would. The
 // Store behind each LUN is sparse, so the extra address space costs
@@ -279,7 +274,7 @@ func NewClusterArraySized(n int, numBlocks int64, capacityClients int) []*Local 
 	}
 	luns := make([]*Local, n)
 	for i := range luns {
-		luns[i] = NewLocalAt(NewStore(numBlocks, 4096), raid, int64(i)*numBlocks)
+		luns[i] = newLocalAt(NewStore(numBlocks, 4096), raid, int64(i)*numBlocks)
 	}
 	return luns
 }

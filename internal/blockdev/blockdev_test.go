@@ -217,7 +217,7 @@ func TestWriteZerosMatchesWriteBlocksOfZeros(t *testing.T) {
 		zeros func(at time.Duration, lba int64, n int) (time.Duration, error)
 	}
 	mk := func() *dev {
-		d := &dev{Local: NewClusterArray(2, 1024)[1], pool: &Pool{}} // a LUN at an offset
+		d := &dev{Local: NewClusterArraySized(2, 1024, 2)[1], pool: &Pool{}} // a LUN at an offset
 		d.Store().SetPool(d.pool)
 		return d
 	}

@@ -8,7 +8,7 @@ import (
 // TestClusterArrayLUNIsolation verifies the LUNs of a shared array hold
 // independent content but contend for the same spindles.
 func TestClusterArrayLUNIsolation(t *testing.T) {
-	luns := NewClusterArray(3, 1024)
+	luns := NewClusterArraySized(3, 1024, 3)
 	if len(luns) != 3 {
 		t.Fatalf("%d luns", len(luns))
 	}
@@ -51,7 +51,7 @@ func TestClusterArrayLUNIsolation(t *testing.T) {
 // capacity still allows I/O at the very top of each LUN (member capacity
 // is rounded up to the stripe unit).
 func TestClusterArrayOddCapacityTop(t *testing.T) {
-	luns := NewClusterArray(1, 1028)
+	luns := NewClusterArraySized(1, 1028, 1)
 	buf := make([]byte, 4096)
 	if _, err := luns[0].WriteBlocks(0, 1027, buf); err != nil {
 		t.Fatalf("top-of-LUN write: %v", err)

@@ -154,9 +154,9 @@ func Transports(list string) ([]testbed.Transport, error) {
 	})(list)
 }
 
-// Workloads validates a comma-separated workload list ("all" for every
+// workloads validates a comma-separated workload list ("all" for every
 // one) against the harness's known set.
-func Workloads(list string, known []string) ([]string, error) {
+func workloads(list string, known []string) ([]string, error) {
 	return Each("workloads", known, func(s string) (string, error) {
 		for _, k := range known {
 			if s == k {

@@ -85,13 +85,13 @@ func TestStacksAndTransports(t *testing.T) {
 
 func TestWorkloads(t *testing.T) {
 	known := []string{"seq-read", "seq-write"}
-	if _, err := Workloads("seq-read", known); err != nil {
+	if _, err := workloads("seq-read", known); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Workloads("postmark", known); err == nil {
+	if _, err := workloads("postmark", known); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := Workloads("", known); err == nil {
+	if _, err := workloads("", known); err == nil {
 		t.Error("empty workload list accepted")
 	}
 }

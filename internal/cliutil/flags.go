@@ -87,7 +87,7 @@ func TransportsVar(fs *flag.FlagSet, p *[]testbed.Transport, def string) {
 // WorkloadsVar registers -workloads against the experiment's known set.
 func WorkloadsVar(fs *flag.FlagSet, p *[]string, def string, known []string) {
 	ListVar(fs, p, "workloads", def, "workloads (all or "+strings.Join(known, ",")+")",
-		func(s string) ([]string, error) { return Workloads(s, known) })
+		func(s string) ([]string, error) { return workloads(s, known) })
 }
 
 // NumbersVar registers a comma-separated numeric list with every value in

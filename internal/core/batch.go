@@ -13,15 +13,15 @@ import (
 // amortized messages per operation. The paper sweeps N from 1 to 1024 for
 // eight operations (Section 4.2).
 
-// BatchOp is one Figure 3 operation: run invocation i of a batch.
-type BatchOp struct {
+// batchOp is one Figure 3 operation: run invocation i of a batch.
+type batchOp struct {
 	Name  string
 	Setup func(tb *testbed.Testbed) error
 	Run   func(tb *testbed.Testbed, i int) error
 }
 
-// BatchOps lists the paper's eight batched operations.
-var BatchOps = []BatchOp{
+// batchOps lists the paper's eight batched operations.
+var batchOps = []batchOp{
 	{
 		Name: "create",
 		Run:  func(tb *testbed.Testbed, i int) error { return touch(tb, fmt.Sprintf("/c%d", i)) },
@@ -104,7 +104,7 @@ func RunFigure3(opts Options, batches []int) ([]BatchSeries, error) {
 		batches = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	}
 	var out []BatchSeries
-	for _, op := range BatchOps {
+	for _, op := range batchOps {
 		s := BatchSeries{Op: op.Name}
 		for _, n := range batches {
 			tags := metrics.Tags{"op": op.Name, "batch": itoa(n)}

@@ -52,10 +52,10 @@ type HealthConfig struct {
 	DeviceBlocks int64
 	// Seed drives fault-instant jitter, loss and workload randomness.
 	Seed int64
-	// Interval is the gauge scrape period (default health.DefaultInterval).
+	// Interval is the gauge scrape period (default: the monitor's, 100 ms).
 	Interval time.Duration
-	// Objectives is the SLO set each cell evaluates (default
-	// health.DefaultObjectives).
+	// Objectives is the SLO set each cell evaluates (default: the
+	// monitor's own set).
 	Objectives []health.Objective
 	// Cooldown extends each run past the last heal (default
 	// DefaultHealthCooldown).

@@ -50,9 +50,9 @@ func each(dir string, names [3]string, f func(string) error) error {
 	return nil
 }
 
-// MicroOps lists the paper's sixteen file and directory calls (Table 1;
+// microOps lists the paper's sixteen file and directory calls (Table 1;
 // rename appears in Table 2 as a seventeenth row).
-var MicroOps = []MicroOp{
+var microOps = []MicroOp{
 	{
 		Name: "mkdir",
 		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
@@ -196,7 +196,7 @@ var MicroOps = []MicroOp{
 
 // FindMicroOp looks an operation up by name.
 func FindMicroOp(name string) (MicroOp, error) {
-	for _, op := range MicroOps {
+	for _, op := range microOps {
 		if op.Name == name {
 			return op, nil
 		}
@@ -255,7 +255,7 @@ type SyscallRow struct {
 func runSyscallTable(opts Options, warm bool) ([]SyscallRow, error) {
 	opts.pool = sweepPool(opts.pool)
 	var rows []SyscallRow
-	for _, op := range MicroOps {
+	for _, op := range microOps {
 		row := SyscallRow{Op: op.Name, Depth0: map[Stack]int64{}, Depth3: map[Stack]int64{}}
 		for _, stack := range testbed.AllKinds {
 			for _, depth := range []int{0, 3} {

@@ -24,8 +24,8 @@ import (
 // ReplayProfiles lists the built-in trace profiles the sweep accepts.
 var ReplayProfiles = []string{"eecs", "campus"}
 
-// ReplayTransports are the wire models swept by default.
-var ReplayTransports = []testbed.Transport{testbed.TransportFluid, testbed.TransportTCP}
+// replayTransports are the wire models swept by default.
+var replayTransports = []testbed.Transport{testbed.TransportFluid, testbed.TransportTCP}
 
 // ReplayConfig parameterizes the replay sweep.
 type ReplayConfig struct {
@@ -77,7 +77,7 @@ func (c *ReplayConfig) fill() {
 		c.Stacks = testbed.AllKinds
 	}
 	if len(c.Transports) == 0 {
-		c.Transports = ReplayTransports
+		c.Transports = replayTransports
 	}
 	if c.Clients <= 0 {
 		c.Clients = 4

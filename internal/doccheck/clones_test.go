@@ -29,9 +29,9 @@ const (
 	cloneWindow   = 8
 	cloneMinIdent = 12
 	// cloneCeiling is the most windows a file under guardedDirs may repeat
-	// within itself or share with any other file: what PR 24 left behind
-	// (fault.go and health.go, the twelve config fields hostbench sets by
-	// name: ROADMAP item 4).
+	// within itself or share with any other file: the one pair left is
+	// fault.go and health.go, the twelve config fields hostbench sets by
+	// name (ROADMAP, "Unfreeze the design", its cluster half).
 	cloneCeiling = 4
 )
 

@@ -23,7 +23,7 @@ type allocLog struct {
 	out bytes.Buffer
 }
 
-func (l *allocLog) inode(path string) (Ino, *Inode) {
+func (l *allocLog) inode(path string) (Ino, *inode) {
 	l.t.Helper()
 	st, _, err := l.fs.Stat(l.at, path)
 	if err != nil {

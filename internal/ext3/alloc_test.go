@@ -89,7 +89,7 @@ func TestFirstClearMatchesBitLoop(t *testing.T) {
 
 // BenchmarkAllocBlockBehindFullRun allocates with the goal at the start of a
 // group whose first 6000 blocks are taken: what every 4 KB write to a file
-// that already owns 6000 blocks of the group pays (File.WriteAt restarts the
+// that already owns 6000 blocks of the group pays (file.WriteAt restarts the
 // goal at the indirect block on each call). Each iteration allocates the
 // first free block and frees it again, so the run stays 6000 long.
 func BenchmarkAllocBlockBehindFullRun(b *testing.B) {

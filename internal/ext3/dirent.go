@@ -22,10 +22,10 @@ const direntHeader = 8
 
 // File type bytes stored in directory entries.
 const (
-	FTUnknown byte = 0
-	FTRegular byte = 1
-	FTDir     byte = 2
-	FTSymlink byte = 7
+	ftUnknown byte = 0
+	ftRegular byte = 1
+	ftDir     byte = 2
+	ftSymlink byte = 7
 )
 
 // ftypeOfMode maps an inode mode to its directory-entry type byte, and
@@ -33,25 +33,25 @@ const (
 func ftypeOfMode(m vfs.Mode) byte {
 	switch m & vfs.TypeMask {
 	case vfs.ModeDir:
-		return FTDir
+		return ftDir
 	case vfs.ModeSymlink:
-		return FTSymlink
+		return ftSymlink
 	}
-	return FTRegular
+	return ftRegular
 }
 
 func modeOfFtype(ft byte) vfs.Mode {
 	switch ft {
-	case FTDir:
+	case ftDir:
 		return vfs.ModeDir
-	case FTSymlink:
+	case ftSymlink:
 		return vfs.ModeSymlink
 	}
 	return vfs.ModeRegular
 }
 
-// Dirent is a decoded directory entry.
-type Dirent struct {
+// dirent is a decoded directory entry.
+type dirent struct {
 	Ino   Ino
 	FType byte
 	Name  string
@@ -69,14 +69,14 @@ func direntInitBlock(block []byte, self, parent Ino) {
 	binary.BigEndian.PutUint32(block[0:], uint32(self))
 	binary.BigEndian.PutUint16(block[4:], uint16(direntRecLen(1)))
 	block[6] = 1
-	block[7] = FTDir
+	block[7] = ftDir
 	block[8] = '.'
 	// ".." consumes the rest of the block.
 	off := direntRecLen(1)
 	binary.BigEndian.PutUint32(block[off:], uint32(parent))
 	binary.BigEndian.PutUint16(block[off+4:], uint16(len(block)-off))
 	block[off+6] = 2
-	block[off+7] = FTDir
+	block[off+7] = ftDir
 	block[off+8] = '.'
 	block[off+9] = '.'
 }
@@ -152,12 +152,12 @@ func direntFind(block []byte, name string) (ino Ino, ftype byte, ok bool) {
 }
 
 // direntList returns all live entries in a block, and the walk's error.
-func direntList(block []byte) ([]Dirent, error) {
-	var out []Dirent
+func direntList(block []byte) ([]dirent, error) {
+	var out []dirent
 	w := direntWalker{block: block}
 	for w.next() {
 		if w.name != nil {
-			out = append(out, Dirent{Ino: w.ino(), FType: w.ftype(), Name: string(w.name)})
+			out = append(out, dirent{Ino: w.ino(), FType: w.ftype(), Name: string(w.name)})
 		}
 	}
 	return out, w.err

@@ -15,7 +15,7 @@ func setRec(block []byte, off int, ino Ino, rec int, nlen byte) {
 	binary.BigEndian.PutUint32(block[off:], uint32(ino))
 	binary.BigEndian.PutUint16(block[off+4:], uint16(rec))
 	block[off+6] = nlen
-	block[off+7] = FTRegular
+	block[off+7] = ftRegular
 }
 
 // TestDirentCorruptBlocks: every entry point shares the walker's checks, so
@@ -53,7 +53,7 @@ func TestDirentCorruptBlocks(t *testing.T) {
 			if direntRemove(block, "victim") {
 				t.Error("direntRemove reported success")
 			}
-			if direntAdd(block, "victim", 77, FTRegular) {
+			if direntAdd(block, "victim", 77, ftRegular) {
 				t.Error("direntAdd reported success")
 			}
 			if direntEmpty(block) {
@@ -89,7 +89,7 @@ func fullDirBlock() (block []byte, last string) {
 	direntInitBlock(block, 2, 2)
 	for i := 0; ; i++ {
 		name := fmt.Sprintf("f%d", i)
-		if !direntAdd(block, name, Ino(10+i), FTRegular) {
+		if !direntAdd(block, name, Ino(10+i), ftRegular) {
 			return block, last
 		}
 		last = name
@@ -165,8 +165,8 @@ func FuzzDirentBlock(f *testing.F) {
 	block := make([]byte, BlockSize)
 	direntInitBlock(block, 2, 2)
 	f.Add(bytes.Clone(block), "a")
-	direntAdd(block, "some-file.txt", 12, FTRegular)
-	direntAdd(block, "x", 13, FTDir)
+	direntAdd(block, "some-file.txt", 12, ftRegular)
+	direntAdd(block, "x", 13, ftDir)
 	f.Add(bytes.Clone(block), "x")
 	direntInitEmpty(block)
 	f.Add(bytes.Clone(block), "fresh")
@@ -186,9 +186,9 @@ func FuzzDirentBlock(f *testing.F) {
 		if removed := direntRemove(block, name); removed != found {
 			t.Fatalf("direntFind = %v but direntRemove = %v", found, removed)
 		}
-		added := len(name) > 0 && len(name) <= 255 && direntAdd(block, name, 99, FTRegular)
+		added := len(name) > 0 && len(name) <= 255 && direntAdd(block, name, 99, ftRegular)
 		if added {
-			if ino, ft, ok := direntFind(block, name); !ok || ino != 99 || ft != FTRegular {
+			if ino, ft, ok := direntFind(block, name); !ok || ino != 99 || ft != ftRegular {
 				t.Fatalf("added %q, found (%d, %d, %v)", name, ino, ft, ok)
 			}
 		}

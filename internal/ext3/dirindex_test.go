@@ -224,7 +224,7 @@ func (h *indexHarness) randomOp() {
 	case op < 14:
 		src := h.dirs[r.Intn(len(h.dirs))]
 		target, ft, err := h.scan(src, h.pick(src))
-		if err != nil || ft != FTRegular {
+		if err != nil || ft != ftRegular {
 			return
 		}
 		_, done, err := h.fs.LinkAt(h.at, target, dir, name)

@@ -12,7 +12,7 @@ import (
 // are meta-data: they are fetched through the buffer cache (cold misses
 // cost wire transactions) and journaled when modified. Returns lba 0 for
 // holes.
-func (fs *FS) bmap(at time.Duration, n *Inode, fb int64, alloc bool, goal int64) (int64, time.Duration, error) {
+func (fs *FS) bmap(at time.Duration, n *inode, fb int64, alloc bool, goal int64) (int64, time.Duration, error) {
 	done := at
 	if fb < 0 {
 		return 0, done, vfs.ErrInvalid
@@ -85,7 +85,7 @@ func (fs *FS) bmap(at time.Duration, n *Inode, fb int64, alloc bool, goal int64)
 // alloc. fresh reports whether the entry's block was allocated by this
 // call (the caller initializes interior blocks it plans to use as further
 // indirect levels).
-func (fs *FS) indirectLookup(at time.Duration, n *Inode, slot *uint32, idx int64, alloc bool, goal int64) (lba int64, fresh bool, done time.Duration, err error) {
+func (fs *FS) indirectLookup(at time.Duration, n *inode, slot *uint32, idx int64, alloc bool, goal int64) (lba int64, fresh bool, done time.Duration, err error) {
 	done = at
 	if *slot == 0 {
 		if !alloc {
@@ -154,21 +154,21 @@ type raState struct {
 	prefetched int64 // highest file block prefetched (exclusive)
 }
 
-// File is an open regular file.
-type File struct {
+// file is an open regular file.
+type file struct {
 	fs  *FS
 	ino Ino
 }
 
 // Ino exposes the file's inode number.
-func (f *File) Ino() uint64 { return uint64(f.ino) }
+func (f *file) Ino() uint64 { return uint64(f.ino) }
 
 // ReadAt implements vfs.File. Contiguous uncached block runs within one
 // call coalesce into single device reads (a 32 KB database extent read is
 // one SCSI command, per the paper's TPC-H traffic analysis); sequential
 // access triggers per-block asynchronous read-ahead, matching the
 // one-command-per-4KB pattern of Table 4's sequential scans.
-func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Duration, error) {
+func (f *file) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Duration, error) {
 	fs := f.fs
 	if !fs.mounted {
 		return 0, at, vfs.ErrStale
@@ -272,7 +272,7 @@ func (f *File) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 // sized commands (the 4:1 NFS:iSCSI message ratio of Table 7). Prefetch
 // never blocks the caller; completions land in the buffer cache with
 // their arrival times.
-func (fs *FS) readahead(at time.Duration, ino Ino, n *Inode, first, count int64) {
+func (fs *FS) readahead(at time.Duration, ino Ino, n *inode, first, count int64) {
 	ra := fs.ra[ino]
 	if ra == nil {
 		ra = &raState{window: 4}
@@ -347,7 +347,7 @@ func (fs *FS) readahead(at time.Duration, ino Ino, n *Inode, first, count int64)
 // bmapPeek maps a file block without device I/O (returns 0 if the mapping
 // would require reading an uncached indirect block — read-ahead never
 // triggers synchronous meta-data reads).
-func (fs *FS) bmapPeek(n *Inode, fb int64) int64 {
+func (fs *FS) bmapPeek(n *inode, fb int64) int64 {
 	if fb < DirectBlocks {
 		return int64(n.Direct[fb])
 	}
@@ -389,7 +389,7 @@ func (fs *FS) bmapPeek(n *Inode, fb int64) int64 {
 // contents first (cold misses cost wire transactions). Dirty blocks stay
 // in the cache until the next journal commit flushes them — the update
 // aggregation and write coalescing at the heart of the paper's results.
-func (f *File) WriteAt(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
+func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
 	fs := f.fs
 	if !fs.mounted {
 		return 0, at, vfs.ErrStale
@@ -478,17 +478,17 @@ func (f *File) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 
 // Fsync implements vfs.File: ext3 fsync commits the whole journal (ordered
 // data included), so a single fsync makes everything durable.
-func (f *File) Fsync(at time.Duration) (time.Duration, error) { return f.fs.Sync(at) }
+func (f *file) Fsync(at time.Duration) (time.Duration, error) { return f.fs.Sync(at) }
 
 // Close implements vfs.File.
-func (f *File) Close(at time.Duration) (time.Duration, error) {
+func (f *file) Close(at time.Duration) (time.Duration, error) {
 	delete(f.fs.ra, f.ino)
 	return at, nil
 }
 
 // zeroEOFTail clears the bytes past EOF in the file's final partial block
 // (stale content from an earlier, larger incarnation of the file).
-func (fs *FS) zeroEOFTail(at time.Duration, n *Inode) (time.Duration, error) {
+func (fs *FS) zeroEOFTail(at time.Duration, n *inode) (time.Duration, error) {
 	size := int64(n.Size)
 	if size%BlockSize == 0 {
 		return at, nil
@@ -509,7 +509,7 @@ func (fs *FS) zeroEOFTail(at time.Duration, n *Inode) (time.Duration, error) {
 }
 
 // truncateTo shrinks or extends the file backing inode n to size.
-func (fs *FS) truncateTo(at time.Duration, ino Ino, n *Inode, size int64) (time.Duration, error) {
+func (fs *FS) truncateTo(at time.Duration, ino Ino, n *inode, size int64) (time.Duration, error) {
 	done := at
 	oldBlocks := (int64(n.Size) + BlockSize - 1) / BlockSize
 	newBlocks := (size + BlockSize - 1) / BlockSize
@@ -546,7 +546,7 @@ func (fs *FS) truncateTo(at time.Duration, ino Ino, n *Inode, size int64) (time.
 }
 
 // clearMapping zeroes the block pointer for fb (inode or indirect entry).
-func (fs *FS) clearMapping(at time.Duration, n *Inode, fb int64) {
+func (fs *FS) clearMapping(at time.Duration, n *inode, fb int64) {
 	if fb < DirectBlocks {
 		n.Direct[fb] = 0
 		return
@@ -583,7 +583,7 @@ func (fs *FS) clearMapping(at time.Duration, n *Inode, fb int64) {
 }
 
 // pruneIndirects frees indirect blocks wholly beyond newBlocks.
-func (fs *FS) pruneIndirects(at time.Duration, n *Inode, newBlocks int64) time.Duration {
+func (fs *FS) pruneIndirects(at time.Duration, n *inode, newBlocks int64) time.Duration {
 	done := at
 	if n.Ind != 0 && newBlocks <= DirectBlocks {
 		if d2, err := fs.freeBlock(done, int64(n.Ind)); err == nil {

@@ -34,7 +34,7 @@ type FS struct {
 	groupFreeBlocks []uint32
 	groupFreeInodes []uint32
 
-	icache  map[Ino]*Inode
+	icache  map[Ino]*inode
 	journal *journal
 	ra      map[Ino]*raState
 
@@ -180,7 +180,7 @@ func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, e
 	if err != nil {
 		return done, err
 	}
-	root := &Inode{
+	root := &inode{
 		Mode:   uint16(vfs.ModeDir | 0o755),
 		Links:  2,
 		Size:   BlockSize,
@@ -226,7 +226,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 		opts:     opts,
 		sb:       sb,
 		bc:       bc,
-		icache:   make(map[Ino]*Inode),
+		icache:   make(map[Ino]*inode),
 		ra:       make(map[Ino]*raState),
 		dirGroup: make(map[Ino]int),
 		dcache:   make(map[dcacheKey]Ino),
@@ -496,7 +496,7 @@ func (fs *FS) inodeLBA(ino Ino) (lba int64, slotOff int, err error) {
 }
 
 // getInode fetches an inode (icache first, then inode-table block).
-func (fs *FS) getInode(at time.Duration, ino Ino) (*Inode, time.Duration, error) {
+func (fs *FS) getInode(at time.Duration, ino Ino) (*inode, time.Duration, error) {
 	if n, ok := fs.icache[ino]; ok {
 		return n, at, nil
 	}
@@ -514,7 +514,7 @@ func (fs *FS) getInode(at time.Duration, ino Ino) (*Inode, time.Duration, error)
 }
 
 // putInode writes an inode through to its table block and the journal.
-func (fs *FS) putInode(at time.Duration, ino Ino, n *Inode) (time.Duration, error) {
+func (fs *FS) putInode(at time.Duration, ino Ino, n *inode) (time.Duration, error) {
 	lba, off, err := fs.inodeLBA(ino)
 	if err != nil {
 		return at, err
@@ -650,7 +650,7 @@ func (fs *FS) Unmount(at time.Duration) (time.Duration, error) {
 		return done, err
 	}
 	fs.bc.dropAll()
-	fs.icache = make(map[Ino]*Inode)
+	fs.icache = make(map[Ino]*inode)
 	fs.dcache = make(map[dcacheKey]Ino)
 	fs.names = make(map[Ino]dirIndex)
 	fs.mounted = false
@@ -663,7 +663,7 @@ func (fs *FS) Unmount(at time.Duration) (time.Duration, error) {
 // dirty, so the next Mount runs recovery.
 func (fs *FS) Crash() {
 	fs.bc.dropAll()
-	fs.icache = make(map[Ino]*Inode)
+	fs.icache = make(map[Ino]*inode)
 	fs.dcache = make(map[dcacheKey]Ino)
 	fs.names = make(map[Ino]dirIndex)
 	fs.journal.running = make(map[int64]*buffer)

@@ -379,7 +379,7 @@ func TestCrashDuringCommitDiscardsTxn(t *testing.T) {
 	fs.Sync(0)
 	fs.Mkdir(time.Second, "/during", 0o755)
 	fs.InjectCrashDuringCommit(true)
-	if _, err := fs.Sync(2 * time.Second); err != ErrCrashed {
+	if _, err := fs.Sync(2 * time.Second); err != errCrashed {
 		t.Fatalf("expected injected crash, got %v", err)
 	}
 	fs.Crash()

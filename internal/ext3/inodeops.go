@@ -51,7 +51,7 @@ func checkSize(size int64) error {
 }
 
 // statFromInode converts an inode to a vfs.Stat.
-func statFromInode(ino Ino, n *Inode) vfs.Stat {
+func statFromInode(ino Ino, n *inode) vfs.Stat {
 	return vfs.Stat{
 		Ino:    uint64(ino),
 		Mode:   vfs.Mode(n.Mode),
@@ -73,7 +73,7 @@ func statFromInode(ino Ino, n *Inode) vfs.Stat {
 // tells a finished walk from a failed one; done is the time so far either way.
 type dirBlocks struct {
 	fs      *FS
-	n       *Inode
+	n       *inode
 	fb, nfb int64   // next block to map, blocks in the directory
 	cur     int64   // file block of b
 	b       *buffer // current block
@@ -81,7 +81,7 @@ type dirBlocks struct {
 	err     error
 }
 
-func (fs *FS) dirBlocks(at time.Duration, n *Inode) dirBlocks {
+func (fs *FS) dirBlocks(at time.Duration, n *inode) dirBlocks {
 	return dirBlocks{fs: fs, n: n, nfb: int64((n.Size + BlockSize - 1) / BlockSize), done: at}
 }
 
@@ -102,7 +102,7 @@ func (it *dirBlocks) next() bool {
 
 // touchDir journals a block of directory dir that an entry was just added to
 // or removed from, and the directory's new times.
-func (fs *FS) touchDir(at time.Duration, dir Ino, dn *Inode, b *buffer) (time.Duration, error) {
+func (fs *FS) touchDir(at time.Duration, dir Ino, dn *inode, b *buffer) (time.Duration, error) {
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
 	dn.Mtime = int64(at)
@@ -111,7 +111,7 @@ func (fs *FS) touchDir(at time.Duration, dir Ino, dn *Inode, b *buffer) (time.Du
 }
 
 // addEntry inserts (name -> ino) into directory dir, growing it if needed.
-func (fs *FS) addEntry(at time.Duration, dir Ino, dn *Inode, name string, ino Ino, ftype byte) (time.Duration, error) {
+func (fs *FS) addEntry(at time.Duration, dir Ino, dn *inode, name string, ino Ino, ftype byte) (time.Duration, error) {
 	it := fs.dirBlocks(at, dn)
 	for it.next() {
 		if direntAdd(it.b.data, name, ino, ftype) {
@@ -150,7 +150,7 @@ func (fs *FS) entered(dir Ino, name string, s dirSlot) {
 
 // removeEntry deletes name from directory dir. In an indexed directory it
 // steps to the block the index names and removes the entry there.
-func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *Inode, name string) (time.Duration, error) {
+func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *inode, name string) (time.Duration, error) {
 	idx := fs.names[dir]
 	slot, indexed := idx[name]
 	it := fs.dirBlocks(at, dn)
@@ -170,7 +170,7 @@ func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *Inode, name string) (ti
 // absent is the prelude of an operation about to add name to dir: it returns
 // dir's inode once a lookup has shown that dir is a directory and holds no
 // such name.
-func (fs *FS) absent(at time.Duration, dir Ino, name string) (*Inode, time.Duration, error) {
+func (fs *FS) absent(at time.Duration, dir Ino, name string) (*inode, time.Duration, error) {
 	pn, done, err := fs.getInode(at, dir)
 	if err != nil {
 		return nil, done, err
@@ -295,7 +295,7 @@ func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (In
 	direntInitBlock(b.data, ino, dir)
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
-	n := &Inode{
+	n := &inode{
 		Mode:   uint16((mode & vfs.PermMask) | vfs.ModeDir),
 		Links:  2,
 		Size:   BlockSize,
@@ -307,7 +307,7 @@ func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (In
 		return 0, vfs.Stat{}, done, err
 	}
 	pn.Links++
-	if done, err = fs.addEntry(done, dir, pn, name, ino, FTDir); err != nil {
+	if done, err = fs.addEntry(done, dir, pn, name, ino, ftDir); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
 	done, err = fs.tick(fs.charge(done, 4))
@@ -326,7 +326,7 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 	}
 	existing, ft, done, err := fs.dirLookup(done, dir, name)
 	if err == nil {
-		if ft == FTDir {
+		if ft == ftDir {
 			return 0, vfs.Stat{}, done, vfs.ErrIsDir
 		}
 		n, done, err := fs.getInode(done, existing)
@@ -346,7 +346,7 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	n := &Inode{
+	n := &inode{
 		Mode:  uint16((mode & vfs.PermMask) | vfs.ModeRegular),
 		Links: 1,
 		Atime: int64(done), Mtime: int64(done), Ctime: int64(done),
@@ -354,7 +354,7 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 	if done, err = fs.putInode(done, ino, n); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	if done, err = fs.addEntry(done, dir, pn, name, ino, FTRegular); err != nil {
+	if done, err = fs.addEntry(done, dir, pn, name, ino, ftRegular); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
 	done, err = fs.tick(fs.charge(done, 3))
@@ -388,7 +388,7 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 	copy(b.data, target) // get zeroed the rest
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
-	n := &Inode{
+	n := &inode{
 		Mode:   uint16(vfs.ModeSymlink | 0o777),
 		Links:  1,
 		Size:   uint64(len(target)),
@@ -399,7 +399,7 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 	if done, err = fs.putInode(done, ino, n); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	if done, err = fs.addEntry(done, dir, pn, name, ino, FTSymlink); err != nil {
+	if done, err = fs.addEntry(done, dir, pn, name, ino, ftSymlink); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
 	done, err = fs.tick(fs.charge(done, 3))
@@ -455,7 +455,7 @@ func (fs *FS) RemoveAt(at time.Duration, dir Ino, name string) (time.Duration, e
 	if err != nil {
 		return done, err
 	}
-	if ft == FTDir {
+	if ft == ftDir {
 		return done, vfs.ErrIsDir
 	}
 	pn, done, err := fs.getInode(done, dir)
@@ -495,7 +495,7 @@ func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, er
 	if err != nil {
 		return done, err
 	}
-	if ft != FTDir {
+	if ft != ftDir {
 		return done, vfs.ErrNotDir
 	}
 	n, done, err := fs.getInode(done, ino)
@@ -557,7 +557,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 	// A directory that changes parents must not land in its own subtree: the
 	// new parent's chain of ".." reaches the root without meeting it. The
 	// bound ends the walk on a chain corrupted into a cycle.
-	if ft == FTDir && odir != ndir {
+	if ft == ftDir && odir != ndir {
 		for up, steps := ndir, uint32(0); up != RootIno; steps++ {
 			if up == ino || steps > fs.sb.InodesCount {
 				return done, vfs.ErrInvalid
@@ -573,11 +573,11 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 		switch {
 		case tIno == ino:
 			return fs.tick(done) // same object: no-op
-		case ft == FTDir && tFt != FTDir:
+		case ft == ftDir && tFt != ftDir:
 			return done, vfs.ErrNotDir
-		case ft != FTDir && tFt == FTDir:
+		case ft != ftDir && tFt == ftDir:
 			return done, vfs.ErrIsDir
-		case tFt == FTDir:
+		case tFt == ftDir:
 			done, err = fs.RmdirAt(done, ndir, nname)
 		default:
 			done, err = fs.RemoveAt(done, ndir, nname)
@@ -605,7 +605,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 		return done, err
 	}
 	// Directory moved across parents: fix ".." and link counts.
-	if ft == FTDir && odir != ndir {
+	if ft == ftDir && odir != ndir {
 		n, d2, err := fs.getInode(done, ino)
 		if err != nil {
 			return d2, err
@@ -618,7 +618,7 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 			}
 			done = d3
 			if direntRemove(b.data, "..") {
-				direntAdd(b.data, "..", ndir, FTDir)
+				direntAdd(b.data, "..", ndir, ftDir)
 			}
 			delete(fs.names, ino)
 			fs.bc.markDirty(b, true)
@@ -692,12 +692,12 @@ func (fs *FS) FileSizeAt(at time.Duration, ino Ino) (int64, time.Duration, error
 
 // ReadFileAt reads file content by inode (the NFS READ procedure's engine).
 func (fs *FS) ReadFileAt(at time.Duration, ino Ino, off int64, buf []byte) (int, time.Duration, error) {
-	f := &File{fs: fs, ino: ino}
+	f := &file{fs: fs, ino: ino}
 	return f.ReadAt(at, off, buf)
 }
 
 // WriteFileAt writes file content by inode (the NFS WRITE engine).
 func (fs *FS) WriteFileAt(at time.Duration, ino Ino, off int64, data []byte) (int, time.Duration, error) {
-	f := &File{fs: fs, ino: ino}
+	f := &file{fs: fs, ino: ino}
 	return f.WriteAt(at, off, data)
 }

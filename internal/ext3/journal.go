@@ -72,8 +72,8 @@ func (j *journal) add(b *buffer) {
 	}
 }
 
-// ErrCrashed is returned by commit when a crash is injected mid-commit.
-var ErrCrashed = fmt.Errorf("ext3: crashed during journal commit")
+// errCrashed is returned by commit when a crash is injected mid-commit.
+var errCrashed = fmt.Errorf("ext3: crashed during journal commit")
 
 // commit flushes ordered data, then writes the running transaction to the
 // journal. It returns the time stable storage is reached.
@@ -127,7 +127,7 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		}
 		if j.failAfterBody {
 			// Injected crash: body is on disk, commit record is not.
-			return done, ErrCrashed
+			return done, errCrashed
 		}
 		// Commit record: separate write, after the body (write barrier).
 		// The descriptor block is on disk, so its memory carries the record.

@@ -134,8 +134,8 @@ func (sb *superblock) checkGeometry(devBlocks int64) error {
 	return nil
 }
 
-// Inode is the in-memory (and, encoded, on-disk) inode.
-type Inode struct {
+// inode is the in-memory (and, encoded, on-disk) inode.
+type inode struct {
 	Mode   uint16 // type + permissions (vfs.Mode layout)
 	Links  uint16
 	UID    uint32
@@ -153,7 +153,7 @@ type Inode struct {
 }
 
 // encodeInode writes the inode into a 128-byte slot.
-func encodeInode(ino *Inode, slot []byte) {
+func encodeInode(ino *inode, slot []byte) {
 	binary.BigEndian.PutUint16(slot[0:], ino.Mode)
 	binary.BigEndian.PutUint16(slot[2:], ino.Links)
 	binary.BigEndian.PutUint32(slot[4:], ino.UID)
@@ -173,8 +173,8 @@ func encodeInode(ino *Inode, slot []byte) {
 }
 
 // decodeInode parses a 128-byte slot.
-func decodeInode(slot []byte) *Inode {
-	ino := &Inode{
+func decodeInode(slot []byte) *inode {
+	ino := &inode{
 		Mode:  binary.BigEndian.Uint16(slot[0:]),
 		Links: binary.BigEndian.Uint16(slot[2:]),
 		UID:   binary.BigEndian.Uint32(slot[4:]),

@@ -157,7 +157,7 @@ func (fs *FS) walk(at time.Duration, dir Ino, rel string, followFinal bool, dept
 		}
 		done = d2
 		final := rel == ""
-		if ft == FTSymlink && (!final || followFinal) {
+		if ft == ftSymlink && (!final || followFinal) {
 			if depth >= maxSymlinkDepth {
 				return 0, done, vfs.ErrInvalid
 			}

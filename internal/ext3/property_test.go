@@ -25,7 +25,7 @@ func TestQuickDirentPackUnpack(t *testing.T) {
 			}
 			name := fmt.Sprintf("n%d-%d", i, b)
 			ino := Ino(100 + i)
-			if direntAdd(block, name, ino, FTRegular) {
+			if direntAdd(block, name, ino, ftRegular) {
 				want[name] = ino
 			}
 		}
@@ -73,7 +73,7 @@ func TestQuickDirentAddRemove(t *testing.T) {
 				}
 				delete(live, name)
 			} else if !live[name] {
-				if direntAdd(block, name, Ino(3+int(op)), FTRegular) {
+				if direntAdd(block, name, Ino(3+int(op)), ftRegular) {
 					live[name] = true
 				}
 			}
@@ -101,7 +101,7 @@ func TestQuickDirentAddRemove(t *testing.T) {
 // TestQuickInodeEncode: inodes round-trip through their 128-byte slots.
 func TestQuickInodeEncode(t *testing.T) {
 	f := func(mode, links uint16, uid, gid, blocks, gen uint32, size uint64, a, m, c int64) bool {
-		in := &Inode{
+		in := &inode{
 			Mode: mode, Links: links, UID: uid, GID: gid,
 			Size: size, Atime: a, Mtime: m, Ctime: c,
 			Blocks: blocks, Gen: gen,
@@ -185,7 +185,8 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 	model := map[string]*modelFile{}
 	// /big is only written and read, at offsets past its direct blocks: its
 	// indirect block is what an operation holds across other fetches. It is
-	// never freed: the journal has no revoke records (ROADMAP item 5).
+	// never freed: the journal has no revoke records (ROADMAP, "The journal
+	// is right by enumeration").
 	names := []string{"/a", "/b", "/c", "/d", "/e", "/big"}
 	at := time.Duration(0)
 	if _, at, err = fs.Create(at, "/big", 0o644); err != nil {

@@ -62,9 +62,11 @@ func stripHealth(t *testing.T, stream []byte) []byte {
 		if e.Subsys == metrics.SubsysGauge || e.Subsys == metrics.SubsysAlert {
 			continue
 		}
-		if err := metrics.WriteEvent(&out, e); err != nil {
+		line, err := e.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
+		out.Write(append(line, '\n'))
 	}
 	return out.Bytes()
 }

@@ -28,10 +28,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultInterval is the gauge scrape period: fine enough to catch
+// defaultInterval is the gauge scrape period: fine enough to catch
 // sub-second outages (the fast burn window spans five scrapes), coarse
 // enough that scraping stays a rounding error next to op traffic.
-const DefaultInterval = 100 * time.Millisecond
+const defaultInterval = 100 * time.Millisecond
 
 // Source is one station's gauge provider: a named resource plus a
 // function reporting its instantaneous state at a virtual time. The
@@ -52,12 +52,12 @@ type Source struct {
 }
 
 // Config parameterizes a Monitor: the scrape interval and the objective
-// set it evaluates. The zero value means DefaultInterval and
-// DefaultObjectives.
+// set it evaluates. The zero value means defaultInterval and
+// defaultObjectives.
 type Config struct {
-	// Interval is the scrape period (default DefaultInterval).
+	// Interval is the scrape period (default defaultInterval).
 	Interval time.Duration
-	// Objectives is the SLO set (default DefaultObjectives). Each is
+	// Objectives is the SLO set (default defaultObjectives). Each is
 	// validated and defaulted by New.
 	Objectives []Objective
 }
@@ -102,14 +102,14 @@ type Monitor struct {
 // (unbound: gauge and alert events go nowhere until Bind).
 func New(cfg Config) (*Monitor, error) {
 	if cfg.Interval == 0 {
-		cfg.Interval = DefaultInterval
+		cfg.Interval = defaultInterval
 	}
 	if cfg.Interval < 0 {
 		return nil, fmt.Errorf("health: negative scrape interval %v", cfg.Interval)
 	}
 	objectives := cfg.Objectives
 	if len(objectives) == 0 {
-		objectives = DefaultObjectives()
+		objectives = defaultObjectives()
 	}
 	m := &Monitor{
 		interval: cfg.Interval,

@@ -12,7 +12,7 @@ import (
 // avail returns a validated single-objective availability config.
 func avail(t *testing.T) *Monitor {
 	t.Helper()
-	m, err := New(Config{Objectives: []Objective{{Name: "avail", Kind: KindAvailability}}})
+	m, err := New(Config{Objectives: []Objective{{Name: "avail", Kind: kindAvailability}}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -25,15 +25,15 @@ func TestNewValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"negative interval", Config{Interval: -time.Second}},
-		{"no name", Config{Objectives: []Objective{{Kind: KindAvailability}}}},
+		{"no name", Config{Objectives: []Objective{{Kind: kindAvailability}}}},
 		{"unknown kind", Config{Objectives: []Objective{{Name: "x", Kind: "weird"}}}},
-		{"bad target", Config{Objectives: []Objective{{Name: "x", Kind: KindAvailability, Target: 1.5}}}},
+		{"bad target", Config{Objectives: []Objective{{Name: "x", Kind: kindAvailability, Target: 1.5}}}},
 		{"windows inverted", Config{Objectives: []Objective{{
-			Name: "x", Kind: KindAvailability, FastWindow: time.Second, SlowWindow: time.Second}}}},
-		{"latency without threshold", Config{Objectives: []Objective{{Name: "x", Kind: KindLatency}}}},
-		{"saturation without station", Config{Objectives: []Objective{{Name: "x", Kind: KindSaturation}}}},
+			Name: "x", Kind: kindAvailability, FastWindow: time.Second, SlowWindow: time.Second}}}},
+		{"latency without threshold", Config{Objectives: []Objective{{Name: "x", Kind: kindLatency}}}},
+		{"saturation without station", Config{Objectives: []Objective{{Name: "x", Kind: kindSaturation}}}},
 		{"duplicate names", Config{Objectives: []Objective{
-			{Name: "x", Kind: KindAvailability}, {Name: "x", Kind: KindAvailability}}}},
+			{Name: "x", Kind: kindAvailability}, {Name: "x", Kind: kindAvailability}}}},
 	}
 	for _, tc := range bad {
 		if _, err := New(tc.cfg); err == nil {
@@ -44,8 +44,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(zero): %v", err)
 	}
-	if m.Interval() != DefaultInterval {
-		t.Fatalf("default interval = %v, want %v", m.Interval(), DefaultInterval)
+	if m.Interval() != defaultInterval {
+		t.Fatalf("default interval = %v, want %v", m.Interval(), defaultInterval)
 	}
 }
 
@@ -59,9 +59,9 @@ func TestSpecParse(t *testing.T) {
 			 "ceiling": 0.9, "fast_window": "200ms", "slow_window": "1s"}
 		]
 	}`
-	cfg, err := ParseSpec([]byte(spec))
+	cfg, err := parseSpec([]byte(spec))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	if cfg.Interval != 50*time.Millisecond {
 		t.Fatalf("interval = %v, want 50ms", cfg.Interval)
@@ -85,17 +85,17 @@ func TestSpecParse(t *testing.T) {
 		"bad duration":     `{"slos": [{"name": "x", "kind": "availability", "stall": "fast"}]}`,
 		"trailing content": `{"slos": [{"name": "x", "kind": "availability"}]} {}`,
 	} {
-		if _, err := ParseSpec([]byte(bad)); err == nil {
-			t.Errorf("%s: ParseSpec accepted %s", name, bad)
+		if _, err := parseSpec([]byte(bad)); err == nil {
+			t.Errorf("%s: parseSpec accepted %s", name, bad)
 		}
 	}
 }
 
 func TestObjectiveJSONRoundTrip(t *testing.T) {
 	in := `{"slos": [{"name": "slow", "kind": "latency", "latency": "5ms", "fast_window": "250ms", "slow_window": "2s"}]}`
-	cfg, err := ParseSpec([]byte(in))
+	cfg, err := parseSpec([]byte(in))
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	data, err := cfg.Objectives[0].MarshalJSON()
 	if err != nil {
@@ -145,7 +145,7 @@ func TestBurnRateFireAndResolve(t *testing.T) {
 	if len(trans) != 2 || trans[1].Fire {
 		t.Fatalf("want fire then resolve, got %+v", trans)
 	}
-	if got := trans[1].At; got <= 600*time.Millisecond+DefaultSlowWindow/2 {
+	if got := trans[1].At; got <= 600*time.Millisecond+defaultSlowWindow/2 {
 		t.Fatalf("resolve at %v: hysteresis should outlast half the slow window", got)
 	}
 }
@@ -183,7 +183,7 @@ func TestStallRule(t *testing.T) {
 // TestSaturationObjective drives a gauge through its ceiling and back.
 func TestSaturationObjective(t *testing.T) {
 	m, err := New(Config{Objectives: []Objective{
-		{Name: "hot", Kind: KindSaturation, Station: "disk", Value: "degraded", Ceiling: 0.5},
+		{Name: "hot", Kind: kindSaturation, Station: "disk", Value: "degraded", Ceiling: 0.5},
 	}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -331,7 +331,7 @@ func TestNilMonitor(t *testing.T) {
 // TestSpecErrorsMentionObjective: spec errors must carry enough context
 // to find the bad entry.
 func TestSpecErrorsMentionObjective(t *testing.T) {
-	_, err := ParseSpec([]byte(`{"slos": [{"name": "myslo", "kind": "latency", "latency": "xx"}]}`))
+	_, err := parseSpec([]byte(`{"slos": [{"name": "myslo", "kind": "latency", "latency": "xx"}]}`))
 	if err == nil || !strings.Contains(err.Error(), "myslo") {
 		t.Fatalf("error %v does not name the objective", err)
 	}

@@ -10,22 +10,22 @@ import (
 
 // Objective kinds: what an SLO's bad-fraction measures each scrape.
 const (
-	// KindAvailability tracks the failed fraction of completed ops, with
+	// kindAvailability tracks the failed fraction of completed ops, with
 	// a stall rule: once ops have been seen, a window with none completed
 	// for longer than Stall counts as fully bad — a hung service emits no
 	// errors at all.
-	KindAvailability = "availability"
-	// KindLatency tracks the fraction of completed ops slower than
+	kindAvailability = "availability"
+	// kindLatency tracks the fraction of completed ops slower than
 	// Latency (failed ops count as slow). Windows with no ops are good —
 	// the stall rule belongs to availability.
-	KindLatency = "latency"
-	// KindSaturation tracks a station gauge against a ceiling: the
+	kindLatency = "latency"
+	// kindSaturation tracks a station gauge against a ceiling: the
 	// window is fully bad while Station's Value gauge exceeds Ceiling
 	// (max across sources sharing the station, e.g. per-client CPUs).
-	KindSaturation = "saturation"
+	kindSaturation = "saturation"
 )
 
-// Burn-rate evaluation defaults, sized for the DefaultInterval scrape
+// Burn-rate evaluation defaults, sized for the defaultInterval scrape
 // grid: the fast window spans five scrapes and catches a sub-second
 // outage, the slow window spans fifteen and gates flapping. The default
 // target's error budget (0.1%) means a single fully-bad scrape saturates
@@ -33,20 +33,20 @@ const (
 // binary — while the 0.5x resolve hysteresis keeps an alert latched
 // until the slow window has fully drained of badness.
 const (
-	// DefaultTarget is the objective's good-fraction target (99.9%).
-	DefaultTarget = 0.999
-	// DefaultFastWindow is the fast burn-rate averaging window.
-	DefaultFastWindow = 500 * time.Millisecond
-	// DefaultSlowWindow is the slow burn-rate averaging window (and the
+	// defaultTarget is the objective's good-fraction target (99.9%).
+	defaultTarget = 0.999
+	// defaultFastWindow is the fast burn-rate averaging window.
+	defaultFastWindow = 500 * time.Millisecond
+	// defaultSlowWindow is the slow burn-rate averaging window (and the
 	// horizon after which old scrape samples are pruned).
-	DefaultSlowWindow = 1500 * time.Millisecond
-	// DefaultFastBurn is the fast-window burn-rate fire threshold.
-	DefaultFastBurn = 10.0
-	// DefaultSlowBurn is the slow-window burn-rate fire threshold.
-	DefaultSlowBurn = 2.0
-	// DefaultStall is the availability stall tolerance: how long the op
+	defaultSlowWindow = 1500 * time.Millisecond
+	// defaultFastBurn is the fast-window burn-rate fire threshold.
+	defaultFastBurn = 10.0
+	// defaultSlowBurn is the slow-window burn-rate fire threshold.
+	defaultSlowBurn = 2.0
+	// defaultStall is the availability stall tolerance: how long the op
 	// stream may go silent before the window counts as bad.
-	DefaultStall = 400 * time.Millisecond
+	defaultStall = 400 * time.Millisecond
 )
 
 // resolveFactor is the fire/resolve hysteresis: a firing alert resolves
@@ -60,36 +60,36 @@ const resolveFactor = 0.5
 type Objective struct {
 	// Name identifies the objective in alert events and scoring.
 	Name string
-	// Kind is KindAvailability, KindLatency or KindSaturation.
+	// Kind is kindAvailability, kindLatency or kindSaturation.
 	Kind string
 	// Target is the good-fraction target in (0, 1); 1-Target is the
 	// error budget burn rates are measured against (default
-	// DefaultTarget).
+	// defaultTarget).
 	Target float64
-	// Latency is the per-op latency threshold (KindLatency only,
+	// Latency is the per-op latency threshold (kindLatency only,
 	// required).
 	Latency time.Duration
-	// Stall is the availability stall tolerance (KindAvailability only,
-	// default DefaultStall).
+	// Stall is the availability stall tolerance (kindAvailability only,
+	// default defaultStall).
 	Stall time.Duration
 	// Station and Value address the gauge a saturation objective
-	// watches, e.g. station "disk" value "degraded" (KindSaturation
+	// watches, e.g. station "disk" value "degraded" (kindSaturation
 	// only, required).
 	Station string
-	// Value is the gauge key within the station (KindSaturation only).
+	// Value is the gauge key within the station (kindSaturation only).
 	Value string
 	// Ceiling is the saturation threshold the gauge must exceed to count
-	// as bad (KindSaturation only).
+	// as bad (kindSaturation only).
 	Ceiling float64
 	// FastWindow/SlowWindow are the burn-rate averaging windows
-	// (defaults DefaultFastWindow/DefaultSlowWindow).
+	// (defaults defaultFastWindow/defaultSlowWindow).
 	FastWindow time.Duration
 	// SlowWindow is the slow averaging window; it must exceed
 	// FastWindow.
 	SlowWindow time.Duration
 	// FastBurn/SlowBurn are the fire thresholds: the alert fires when
 	// both windows burn at least this fast, and resolves once both fall
-	// to half (defaults DefaultFastBurn/DefaultSlowBurn).
+	// to half (defaults defaultFastBurn/defaultSlowBurn).
 	FastBurn float64
 	// SlowBurn is the slow-window fire threshold.
 	SlowBurn float64
@@ -101,43 +101,43 @@ func (o Objective) fill() (Objective, error) {
 		return o, fmt.Errorf("health: objective with no name")
 	}
 	if o.Target == 0 {
-		o.Target = DefaultTarget
+		o.Target = defaultTarget
 	}
 	if o.Target <= 0 || o.Target >= 1 {
 		return o, fmt.Errorf("health: objective %q target %g out of (0, 1)", o.Name, o.Target)
 	}
 	if o.FastWindow == 0 {
-		o.FastWindow = DefaultFastWindow
+		o.FastWindow = defaultFastWindow
 	}
 	if o.SlowWindow == 0 {
-		o.SlowWindow = DefaultSlowWindow
+		o.SlowWindow = defaultSlowWindow
 	}
 	if o.FastWindow <= 0 || o.SlowWindow <= o.FastWindow {
 		return o, fmt.Errorf("health: objective %q windows fast=%v slow=%v (need 0 < fast < slow)",
 			o.Name, o.FastWindow, o.SlowWindow)
 	}
 	if o.FastBurn == 0 {
-		o.FastBurn = DefaultFastBurn
+		o.FastBurn = defaultFastBurn
 	}
 	if o.SlowBurn == 0 {
-		o.SlowBurn = DefaultSlowBurn
+		o.SlowBurn = defaultSlowBurn
 	}
 	if o.FastBurn <= 0 || o.SlowBurn <= 0 {
 		return o, fmt.Errorf("health: objective %q non-positive burn thresholds", o.Name)
 	}
 	switch o.Kind {
-	case KindAvailability:
+	case kindAvailability:
 		if o.Stall == 0 {
-			o.Stall = DefaultStall
+			o.Stall = defaultStall
 		}
 		if o.Stall < 0 {
 			return o, fmt.Errorf("health: objective %q negative stall", o.Name)
 		}
-	case KindLatency:
+	case kindLatency:
 		if o.Latency <= 0 {
 			return o, fmt.Errorf("health: latency objective %q needs a positive latency threshold", o.Name)
 		}
-	case KindSaturation:
+	case kindSaturation:
 		if o.Station == "" || o.Value == "" {
 			return o, fmt.Errorf("health: saturation objective %q needs station and value", o.Name)
 		}
@@ -150,15 +150,15 @@ func (o Objective) fill() (Objective, error) {
 	return o, nil
 }
 
-// DefaultObjectives is the built-in SLO set ("-health default"):
+// defaultObjectives is the built-in SLO set ("-health default"):
 // service availability with the stall rule, a degraded-array detector
 // (availability alone cannot see a RAID member failure — degraded reads
 // still succeed), and a server-CPU saturation ceiling.
-func DefaultObjectives() []Objective {
+func defaultObjectives() []Objective {
 	return []Objective{
-		{Name: "availability", Kind: KindAvailability},
-		{Name: "disk-degraded", Kind: KindSaturation, Station: "disk", Value: "degraded", Ceiling: 0.5},
-		{Name: "server-cpu", Kind: KindSaturation, Station: "cpu.server", Value: "util", Ceiling: 0.95},
+		{Name: "availability", Kind: kindAvailability},
+		{Name: "disk-degraded", Kind: kindSaturation, Station: "disk", Value: "degraded", Ceiling: 0.5},
+		{Name: "server-cpu", Kind: kindSaturation, Station: "cpu.server", Value: "util", Ceiling: 0.95},
 	}
 }
 
@@ -235,22 +235,22 @@ func (o Objective) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// Spec is the JSON SLO specification a sweep's -health flag points at:
+// spec is the JSON SLO specification a sweep's -health flag points at:
 // an optional scrape interval plus the objective list.
-type Spec struct {
+type spec struct {
 	// Interval is the scrape period as a duration string ("" =
-	// DefaultInterval).
+	// defaultInterval).
 	Interval string `json:"interval,omitempty"`
 	// SLOs is the objective list (at least one).
 	SLOs []Objective `json:"slos"`
 }
 
-// ParseSpec strictly decodes a JSON SLO spec into a monitor Config.
+// parseSpec strictly decodes a JSON SLO spec into a monitor Config.
 // Unknown fields are rejected; objective validation happens in New.
-func ParseSpec(data []byte) (Config, error) {
+func parseSpec(data []byte) (Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s Spec
+	var s spec
 	if err := dec.Decode(&s); err != nil {
 		return Config{}, fmt.Errorf("health: bad SLO spec: %w", err)
 	}
@@ -275,7 +275,7 @@ func LoadSpec(path string) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("health: %w", err)
 	}
-	return ParseSpec(data)
+	return parseSpec(data)
 }
 
 // sloState is one objective's burn-rate state machine: the ring of
@@ -330,12 +330,12 @@ func (s *sloState) burn(now, window time.Duration) float64 {
 func (s *sloState) badFraction(now time.Duration, ops []opObs, sat map[string]float64,
 	sawOp bool, lastDone time.Duration) float64 {
 	switch s.o.Kind {
-	case KindSaturation:
+	case kindSaturation:
 		if v, ok := sat[s.o.Station+"/"+s.o.Value]; ok && v > s.o.Ceiling {
 			return 1
 		}
 		return 0
-	case KindLatency:
+	case kindLatency:
 		if len(ops) == 0 {
 			return 0
 		}
@@ -346,7 +346,7 @@ func (s *sloState) badFraction(now time.Duration, ops []opObs, sat map[string]fl
 			}
 		}
 		return float64(slow) / float64(len(ops))
-	default: // KindAvailability
+	default: // kindAvailability
 		if len(ops) == 0 {
 			if sawOp && now-lastDone > s.o.Stall {
 				return 1

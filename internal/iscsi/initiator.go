@@ -42,11 +42,11 @@ var ErrReservationConflict = errors.New("iscsi: reservation conflict")
 
 var errNotLoggedIn = errors.New("iscsi: command before login")
 
-// MaxTransferBlocks caps a single SCSI command's transfer (256 KB of 4 KB
+// maxTransferBlocks caps a single SCSI command's transfer (256 KB of 4 KB
 // blocks), matching the MaxRecvDataSegmentLength we negotiate at login.
 // The filesystem's write coalescing (mean ~128 KB requests, per the paper's
 // Table 4 analysis) fits in one command.
-const MaxTransferBlocks = 64
+const maxTransferBlocks = 64
 
 // Initiator is the client-side iSCSI endpoint. It implements
 // blockdev.Device over the simulated network, so the client's ext3 mounts
@@ -64,7 +64,7 @@ type Initiator struct {
 	net    *simnet.Network
 	target *Target
 	cpu    *sim.CPU
-	cost   CostModel
+	cost   costModel
 	tracer *tracing.Tracer
 	wire   wire
 
@@ -77,10 +77,10 @@ type Initiator struct {
 	numBlocks int64
 }
 
-// DefaultInitiatorCosts returns the iSCSI client path cost (network +
+// defaultInitiatorCosts returns the iSCSI client path cost (network +
 // initiator driver).
-func DefaultInitiatorCosts() CostModel {
-	return CostModel{PerCommand: 25 * time.Microsecond, PerKB: 4 * time.Microsecond}
+func defaultInitiatorCosts() costModel {
+	return costModel{PerCommand: 25 * time.Microsecond, PerKB: 4 * time.Microsecond}
 }
 
 // NewInitiator creates an initiator speaking to target over net as one
@@ -88,7 +88,7 @@ func DefaultInitiatorCosts() CostModel {
 // untimed tests). A frame lost under failure injection is recovered by
 // re-driving the exchange after a doubling timeout.
 func NewInitiator(net *simnet.Network, target *Target, cpu *sim.CPU) *Initiator {
-	i := &Initiator{net: net, target: target, cpu: cpu, cost: DefaultInitiatorCosts()}
+	i := &Initiator{net: net, target: target, cpu: cpu, cost: defaultInitiatorCosts()}
 	i.wire = &fluidWire{i: i}
 	return i
 }
@@ -103,7 +103,7 @@ func NewInitiator(net *simnet.Network, target *Target, cpu *sim.CPU) *Initiator 
 // dynamics, delayed ACKs and RTO-driven retransmission shape every
 // transfer, and loss is recovered below the SCSI layer.
 func NewSession(net *simnet.Network, target *Target, cpu *sim.CPU, nConns int, tcpCfg tcpsim.Config) *Initiator {
-	i := &Initiator{net: net, target: target, cpu: cpu, cost: DefaultInitiatorCosts()}
+	i := &Initiator{net: net, target: target, cpu: cpu, cost: defaultInitiatorCosts()}
 	w := &tcpWire{i: i}
 	for n := 0; n < max(nConns, 1); n++ {
 		w.lanes = append(w.lanes, tcpsim.NewConn(net, tcpCfg))
@@ -210,7 +210,7 @@ func (i *Initiator) issue(at time.Duration, n int) time.Duration {
 // CAPACITY(10)), as a real initiator does at mount time.
 func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 	i.itt++
-	done, resp, err := i.wire.login(at, PDU{Opcode: OpLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
+	done, resp, err := i.wire.login(at, PDU{Opcode: opLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
 		Data: []byte("InitiatorName=iqn.2004.repro.client\x00SessionType=Normal\x00")})
 	if err != nil {
 		return done, err
@@ -246,8 +246,8 @@ func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int)
 	i.itt++
 	i.cmdSN++
 	return PDU{
-		Opcode:      OpSCSICommand,
-		Flags:       FlagFinal,
+		Opcode:      opSCSICommand,
+		Flags:       flagFinal,
 		LUN:         lun,
 		ITT:         i.itt,
 		CmdSN:       i.cmdSN,
@@ -259,7 +259,7 @@ func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int)
 }
 
 // rwPDU builds the one READ(10) or WRITE(10) that moves ext, a run of
-// whole blocks no longer than MaxTransferBlocks, at lba.
+// whole blocks no longer than maxTransferBlocks, at lba.
 func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) PDU {
 	blocks := uint16(len(ext) / i.BlockSize())
 	if write {
@@ -331,7 +331,7 @@ func (i *Initiator) NumBlocks() int64 {
 }
 
 // ReadBlocks implements blockdev.Device: READ(10) commands of at most
-// MaxTransferBlocks each, one after another on the fluid wire, dealt
+// maxTransferBlocks each, one after another on the fluid wire, dealt
 // across the connections with overlapping Data-In phases on the TCP wire.
 func (i *Initiator) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Duration, error) {
 	return i.transfer(start, lba, buf, false)
@@ -345,7 +345,7 @@ func (i *Initiator) WriteBlocks(start time.Duration, lba int64, data []byte) (ti
 
 // transfer splits an extent into commands: it divides across the wire's
 // connections so their data phases overlap, each command capped at
-// MaxTransferBlocks; how the commands are scheduled is the wire's.
+// maxTransferBlocks; how the commands are scheduled is the wire's.
 func (i *Initiator) transfer(start time.Duration, lba int64, buf []byte, write bool) (time.Duration, error) {
 	if !i.loggedIn {
 		return start, errNotLoggedIn
@@ -358,7 +358,7 @@ func (i *Initiator) transfer(start time.Duration, lba int64, buf []byte, write b
 		return start, nil
 	}
 	lanes := max(i.Conns(), 1)
-	unit := min((len(buf)/bs+lanes-1)/lanes, MaxTransferBlocks)
+	unit := min((len(buf)/bs+lanes-1)/lanes, maxTransferBlocks)
 	return i.wire.transfer(start, lba, buf, unit*bs, write)
 }
 
@@ -393,7 +393,7 @@ func (i *Initiator) reserveOut(at time.Duration, action, rtype byte) (time.Durat
 	if !i.loggedIn {
 		return at, errNotLoggedIn
 	}
-	done, _, err := i.run(at, i.nextPDU(SharedLUN, scsi.PersistentReserveOut(action, rtype), nil, 0), false)
+	done, _, err := i.run(at, i.nextPDU(sharedLUN, scsi.PersistentReserveOut(action, rtype), nil, 0), false)
 	return done, err
 }
 
@@ -413,8 +413,8 @@ func (i *Initiator) SharedWrite(at time.Duration, lba int64, data []byte) (time.
 
 func (i *Initiator) sharedRW(at time.Duration, lba int64, ext []byte, write bool) (time.Duration, error) {
 	bs := i.BlockSize()
-	if len(ext)%bs != 0 || len(ext)/bs > MaxTransferBlocks {
+	if len(ext)%bs != 0 || len(ext)/bs > maxTransferBlocks {
 		return at, fmt.Errorf("iscsi: bad shared extent %d", len(ext))
 	}
-	return i.rw(at, SharedLUN, lba, ext, write)
+	return i.rw(at, sharedLUN, lba, ext, write)
 }

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/blockdev"
@@ -18,60 +17,15 @@ import (
 	"repro/internal/tcpsim"
 )
 
-func TestPDURoundTrip(t *testing.T) {
-	pdus := []*PDU{
-		{Opcode: OpLoginRequest, ITT: 1, CmdSN: 7, Data: []byte("InitiatorName=x")},
-		{Opcode: OpSCSICommand, Flags: FlagFinal, ITT: 2, CmdSN: 8, ExpStatSN: 3,
-			ExpectedLen: 4096, CDB: scsi.Read10(100, 1).Encode()},
-		{Opcode: OpSCSIResponse, Status: scsi.StatusGood, ITT: 2, StatSN: 4,
-			ExpCmdSN: 9, MaxCmdSN: 73, Data: []byte{1, 2, 3, 4, 5}},
-		{Opcode: OpDataIn, ITT: 2, TTT: 5, DataSN: 1, BufferOff: 8192, Data: make([]byte, 512)},
-		{Opcode: OpLogoutReq, ITT: 3, CmdSN: 10},
-	}
-	for _, p := range pdus {
-		wire := p.Encode()
-		if len(wire) != p.WireSize() {
-			t.Fatalf("wire size mismatch: %d != %d", len(wire), p.WireSize())
+// WireSize is the one PDU size the simulator charges: the 48-byte basic
+// header segment plus the data segment padded to four bytes (RFC 3720).
+func TestWireSize(t *testing.T) {
+	for _, c := range []struct{ data, want int }{
+		{0, 48}, {1, 52}, {3, 52}, {4, 52}, {5, 56}, {8192, 48 + 8192},
+	} {
+		if got := (&PDU{Data: make([]byte, c.data)}).WireSize(); got != c.want {
+			t.Errorf("WireSize with %d data bytes = %d, want %d", c.data, got, c.want)
 		}
-		got, err := Decode(wire)
-		if err != nil {
-			t.Fatalf("decode op %#x: %v", p.Opcode, err)
-		}
-		if got.Opcode != p.Opcode || got.ITT != p.ITT || !bytes.Equal(got.Data, p.Data) {
-			t.Fatalf("roundtrip mismatch: %+v vs %+v", got, p)
-		}
-		if p.Opcode == OpSCSICommand && got.CDB != p.CDB {
-			t.Fatalf("CDB lost: %v vs %v", got.CDB, p.CDB)
-		}
-	}
-}
-
-// Property: command PDUs round-trip for arbitrary field values.
-func TestQuickCommandPDU(t *testing.T) {
-	f := func(itt, cmdSN, expStatSN, explen uint32, lba uint32, blocks uint16, data []byte) bool {
-		if len(data) > 8192 {
-			data = data[:8192]
-		}
-		p := &PDU{
-			Opcode: OpSCSICommand, Flags: FlagFinal | FlagWrite,
-			ITT: itt, CmdSN: cmdSN, ExpStatSN: expStatSN, ExpectedLen: explen,
-			CDB: scsi.Write10(lba, blocks).Encode(), Data: data,
-		}
-		got, err := Decode(p.Encode())
-		if err != nil {
-			return false
-		}
-		return got.ITT == itt && got.CmdSN == cmdSN && got.ExpStatSN == expStatSN &&
-			got.ExpectedLen == explen && got.CDB == p.CDB && bytes.Equal(got.Data, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeShortBufferFails(t *testing.T) {
-	if _, err := Decode(make([]byte, 10)); err == nil {
-		t.Fatal("short PDU accepted")
 	}
 }
 
@@ -140,7 +94,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 func TestOneCommandPerTransferChunk(t *testing.T) {
 	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, net *simnet.Network, at time.Duration) {
 		before, cmds := net.Stats().Messages, ini.Counters()["commands"]
-		// 128 blocks = 2 chunks of MaxTransferBlocks (64), on one lane or two.
+		// 128 blocks = 2 chunks of maxTransferBlocks (64), on one lane or two.
 		if _, err := ini.ReadBlocks(at, 0, make([]byte, 128*4096)); err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -219,7 +173,7 @@ func TestTargetCrashRejectsUntilRestartAndRelogin(t *testing.T) {
 			t.Fatal("restart left target down")
 		}
 		// Session state died with the target: commands need a fresh login.
-		req := &PDU{Opcode: OpSCSICommand, Flags: FlagFinal, ITT: 1, CDB: scsi.TestUnitReady().Encode()}
+		req := &PDU{Opcode: opSCSICommand, Flags: flagFinal, ITT: 1, CDB: scsi.CDB{Op: scsi.OpTestUnitReady}.Encode()}
 		if resp, _ := target.HandleCommand(2*time.Second, req); resp.Status == scsi.StatusGood {
 			t.Fatal("command accepted before re-login")
 		}

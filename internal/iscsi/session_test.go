@@ -111,7 +111,7 @@ func TestSessionCountsOneMessagePerCommand(t *testing.T) {
 	s, _, at := newSessionPair(t, n, 2, 0)
 	before := n.Stats().Messages
 	bs := s.BlockSize()
-	// 128 blocks at MaxTransferBlocks=64 across 2 conns -> 2 commands.
+	// 128 blocks at maxTransferBlocks=64 across 2 conns -> 2 commands.
 	if _, err := s.WriteBlocks(at, 0, make([]byte, 128*bs)); err != nil {
 		t.Fatal(err)
 	}

@@ -9,19 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// CostModel captures per-request CPU demands. The paper measured the iSCSI
+// costModel captures per-request CPU demands. The paper measured the iSCSI
 // server path (network + SCSI server layer + block driver) at roughly half
 // the NFS server path; these constants encode that asymmetry and are shared
 // with the testbed package.
-type CostModel struct {
+type costModel struct {
 	PerCommand time.Duration // fixed cost per SCSI command
 	PerKB      time.Duration // data handling (copy/checksum) per KB
 }
 
-// DefaultTargetCosts returns the iSCSI server path cost: network layer +
+// defaultTargetCosts returns the iSCSI server path cost: network layer +
 // SCSI server layer + low-level driver (three layer crossings).
-func DefaultTargetCosts() CostModel {
-	return CostModel{PerCommand: 35 * time.Microsecond, PerKB: 4 * time.Microsecond}
+func defaultTargetCosts() costModel {
+	return costModel{PerCommand: 35 * time.Microsecond, PerKB: 4 * time.Microsecond}
 }
 
 // Target is an iSCSI target exposing one LUN backed by a Local device,
@@ -32,10 +32,10 @@ type Target struct {
 
 	dev  *blockdev.Local
 	cpu  *sim.CPU
-	cost CostModel
+	cost costModel
 
 	// Shared-LUN state: every client's target exports the same device
-	// as SharedLUN and enforces the same persistent-reservation table,
+	// as sharedLUN and enforces the same persistent-reservation table,
 	// so a reservation taken through one session conflicts commands
 	// arriving through any other.
 	shared   *blockdev.Local
@@ -52,17 +52,17 @@ type Target struct {
 	dataIn []byte // READ(10) payload buffer, reused (see HandleCommand)
 }
 
-// SharedLUN is the LUN number the shared contention volume is exported
+// sharedLUN is the LUN number the shared contention volume is exported
 // under (LUN 0 remains the client's private volume).
-const SharedLUN = 1
+const sharedLUN = 1
 
 // NewTarget builds a target for dev, charging CPU demands to cpu (which may
 // be nil for untimed unit tests).
 func NewTarget(name string, dev *blockdev.Local, cpu *sim.CPU) *Target {
-	return &Target{Name: name, dev: dev, cpu: cpu, cost: DefaultTargetCosts()}
+	return &Target{Name: name, dev: dev, cpu: cpu, cost: defaultTargetCosts()}
 }
 
-// SetShared exports dev as SharedLUN under the reservation table rsv,
+// SetShared exports dev as sharedLUN under the reservation table rsv,
 // identifying commands from this target's (sole) initiator as client.
 // The reservation table is persistent SCSI state: it survives target
 // crashes, unlike the login/sequence state Crash drops.
@@ -107,7 +107,7 @@ func (t *Target) charge(at time.Duration, d time.Duration) time.Duration {
 
 // handle serves one initiator PDU: a login request or a SCSI command.
 func (t *Target) handle(at time.Duration, req *PDU) (*PDU, time.Duration) {
-	if req.Opcode == OpLoginRequest {
+	if req.Opcode == opLoginRequest {
 		return t.HandleLogin(at, req)
 	}
 	return t.HandleCommand(at, req)
@@ -123,8 +123,8 @@ func (t *Target) HandleLogin(at time.Duration, req *PDU) (*PDU, time.Duration) {
 	t.loggedIn = true
 	t.statSN++
 	resp := &PDU{
-		Opcode: OpLoginResp,
-		Flags:  FlagFinal,
+		Opcode: opLoginResp,
+		Flags:  flagFinal,
 		ITT:    req.ITT,
 		StatSN: t.statSN,
 		Data:   []byte("TargetName=" + t.Name + "\x00MaxRecvDataSegmentLength=262144\x00"),
@@ -152,7 +152,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 	}
 	t.expCmdSN = req.CmdSN + 1
 	dev := t.dev
-	if req.LUN == SharedLUN {
+	if req.LUN == sharedLUN {
 		if t.shared == nil {
 			return t.check(req, "target: no shared LUN exported"), at
 		}
@@ -161,7 +161,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 	bs := dev.BlockSize()
 	done := t.charge(at, t.cost.PerCommand)
 
-	resp := &PDU{Opcode: OpSCSIResponse, Flags: FlagFinal, ITT: req.ITT, Status: scsi.StatusGood}
+	resp := &PDU{Opcode: opSCSIResponse, Flags: flagFinal, ITT: req.ITT, Status: scsi.StatusGood}
 	switch cdb.Op {
 	case scsi.OpTestUnitReady:
 		// nothing to do
@@ -171,7 +171,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 		cap := scsi.CapacityData(uint32(dev.NumBlocks()-1), uint32(bs))
 		resp.Data = cap[:]
 	case scsi.OpPersistentReserveOut:
-		if req.LUN != SharedLUN {
+		if req.LUN != sharedLUN {
 			return t.check(req, "target: reservations only on the shared LUN"), done
 		}
 		switch cdb.Action {
@@ -185,7 +185,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 			return t.check(req, fmt.Sprintf("target: unsupported PR action 0x%02x", cdb.Action)), done
 		}
 	case scsi.OpPersistentReserveIn:
-		if req.LUN != SharedLUN {
+		if req.LUN != sharedLUN {
 			return t.check(req, "target: reservations only on the shared LUN"), done
 		}
 		holder, rtype := t.rsv.Holder()
@@ -197,22 +197,31 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 		buf[4] = rtype
 		resp.Data = buf
 	case scsi.OpRead10:
-		if req.LUN == SharedLUN && !t.rsv.AllowRead(t.clientID) {
+		if req.LUN == sharedLUN && !t.rsv.AllowRead(t.clientID) {
 			return t.conflict(req, done)
 		}
 		n := int(cdb.Length) * bs
-		if n > len(t.dataIn) {
-			t.dataIn = make([]byte, n)
+		done = t.charge(done, time.Duration(n/1024)*t.cost.PerKB)
+		// The buffer grows only for a read inside the LUN. One past its end
+		// gets the device's own refusal: the injected failure when set,
+		// which needs no buffer, or the range check's sense.
+		buf := t.dataIn[:0]
+		if int64(cdb.LBA)+int64(cdb.Length) <= dev.NumBlocks() {
+			if n > len(t.dataIn) {
+				t.dataIn = make([]byte, n)
+			}
+			buf = t.dataIn[:n]
+		} else if !dev.FailReads {
+			return t.check(req, fmt.Sprintf("blockdev: read beyond device: lba=%d n=%d cap=%d",
+				cdb.LBA, cdb.Length, dev.NumBlocks())), done
 		}
-		buf := t.dataIn[:n]
-		done = t.charge(done, time.Duration(len(buf)/1024)*t.cost.PerKB)
 		done, err = dev.ReadBlocks(done, int64(cdb.LBA), buf)
 		if err != nil {
 			return t.check(req, err.Error()), done
 		}
 		resp.Data = buf
 	case scsi.OpWrite10:
-		if req.LUN == SharedLUN && !t.rsv.AllowWrite(t.clientID) {
+		if req.LUN == sharedLUN && !t.rsv.AllowWrite(t.clientID) {
 			return t.conflict(req, done)
 		}
 		want := int(cdb.Length) * bs
@@ -245,8 +254,8 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 func (t *Target) conflict(req *PDU, done time.Duration) (*PDU, time.Duration) {
 	t.statSN++
 	return &PDU{
-		Opcode:   OpSCSIResponse,
-		Flags:    FlagFinal,
+		Opcode:   opSCSIResponse,
+		Flags:    flagFinal,
 		ITT:      req.ITT,
 		Status:   scsi.StatusReservationConflict,
 		StatSN:   t.statSN,
@@ -258,8 +267,8 @@ func (t *Target) conflict(req *PDU, done time.Duration) (*PDU, time.Duration) {
 // check builds a CHECK CONDITION response carrying sense text.
 func (t *Target) check(req *PDU, msg string) *PDU {
 	return &PDU{
-		Opcode: OpSCSIResponse,
-		Flags:  FlagFinal,
+		Opcode: opSCSIResponse,
+		Flags:  flagFinal,
 		ITT:    req.ITT,
 		Status: scsi.StatusCheckCondition,
 		Data:   []byte(msg),

@@ -99,7 +99,7 @@ func (w *fluidWire) command(at time.Duration, req PDU, _ bool) (time.Duration, *
 	i, expectIn := w.i, int(req.ExpectedLen)
 	at = i.issue(at, len(req.Data))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
-	done, resp, retries := w.roundTrip(at, &req, BHSSize+pad4(expectIn))
+	done, resp, retries := w.roundTrip(at, &req, bhsSize+pad4(expectIn))
 	w.retries += retries
 	if resp != nil && resp.Status == scsi.StatusGood && expectIn > 0 {
 		done = i.charge(done, time.Duration(expectIn/1024)*i.cost.PerKB)
@@ -164,7 +164,7 @@ func (w *tcpWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error) 
 	done, ok := w.lanes[0].Transfer(ready, req.WireSize(), simnet.ClientToServer)
 	if ok {
 		resp, svcDone := w.i.target.handle(done, &req)
-		if done, ok = w.lanes[0].Transfer(svcDone, BHSSize+pad4(len(resp.Data)), simnet.ServerToClient); ok {
+		if done, ok = w.lanes[0].Transfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient); ok {
 			return done, resp, nil
 		}
 	}
@@ -187,7 +187,7 @@ func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duratio
 	var resp *PDU
 	if ok {
 		resp, done = i.target.handle(done, &req)
-		done, ok = w.leg(c, done, "response", BHSSize+pad4(len(resp.Data)), simnet.ServerToClient)
+		done, ok = w.leg(c, done, "response", bhsSize+pad4(len(resp.Data)), simnet.ServerToClient)
 	}
 	i.tracer.End(ref, done)
 	return done, resp, ok
@@ -309,7 +309,7 @@ func (p *pipe) step() {
 		copy(ext, resp.Data)
 		p.resp = resp
 		p.tspan = tr.BeginDetached(svcDone, tracing.LayerTCP, "data-in")
-		p.xfer = p.conn.StartTransfer(svcDone, BHSSize+pad4(len(resp.Data)), simnet.ServerToClient)
+		p.xfer = p.conn.StartTransfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient)
 		return
 	}
 	tr.Enter(p.cspan)
@@ -329,7 +329,7 @@ func (p *pipe) step() {
 		if !p.settled(at, p.resp, true) {
 			return
 		}
-		at, ok = w.leg(p.conn, at, "status", BHSSize+pad4(len(p.resp.Data)), simnet.ServerToClient)
+		at, ok = w.leg(p.conn, at, "status", bhsSize+pad4(len(p.resp.Data)), simnet.ServerToClient)
 	}
 	if !p.settled(at, p.resp, ok) {
 		return

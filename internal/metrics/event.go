@@ -146,11 +146,11 @@ func (e Event) Encode() ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// Decode parses one JSONL line into a validated event. Unknown fields
+// decode parses one JSONL line into a validated event. Unknown fields
 // and trailing content after the event object are rejected, so schema
 // drift and stream corruption are caught at read time rather than
 // silently dropping data.
-func Decode(line []byte) (Event, error) {
+func decode(line []byte) (Event, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var e Event
@@ -166,8 +166,8 @@ func Decode(line []byte) (Event, error) {
 	return e, nil
 }
 
-// WriteEvent appends one validated event line to w.
-func WriteEvent(w io.Writer, e Event) error {
+// writeEvent appends one validated event line to w.
+func writeEvent(w io.Writer, e Event) error {
 	b, err := e.Encode()
 	if err != nil {
 		return err
@@ -188,7 +188,7 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		e, err := Decode(line)
+		e, err := decode(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", n, err)
 		}

@@ -28,7 +28,7 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, e := range events {
-		if err := WriteEvent(&buf, e); err != nil {
+		if err := writeEvent(&buf, e); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
@@ -86,14 +86,14 @@ func TestEventValidation(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	if _, err := Decode([]byte(`{"t":1,"subsys":"net","event":"mark","extra":true}`)); err == nil {
+	if _, err := decode([]byte(`{"t":1,"subsys":"net","event":"mark","extra":true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }
 
 func TestDecodeRejectsTrailingContent(t *testing.T) {
 	line := `{"t":1,"subsys":"net","event":"mark"}{"t":2,"subsys":"net","event":"sample","counters":{"frames":9}}`
-	if _, err := Decode([]byte(line)); err == nil {
+	if _, err := decode([]byte(line)); err == nil {
 		t.Fatal("concatenated events accepted; second event would be silently dropped")
 	}
 }

@@ -12,14 +12,14 @@ import (
 // telemetry stream and cmd/metrics can re-derive percentiles offline
 // without re-running the simulation (docs/METRICS.md).
 
-// HistBucketPrefix prefixes cumulative bucket counter names. The rest of
+// histBucketPrefix prefixes cumulative bucket counter names. The rest of
 // the name is the bucket's inclusive upper bound in nanoseconds, zero-
 // padded to 12 digits so counters sort in bound order.
-const HistBucketPrefix = "le_"
+const histBucketPrefix = "le_"
 
 // histBound renders one bucket counter name.
 func histBound(ns int64) string {
-	return HistBucketPrefix + formatBound(ns)
+	return histBucketPrefix + formatBound(ns)
 }
 
 func formatBound(ns int64) string {
@@ -75,11 +75,11 @@ func LatencyHistogram(lats []time.Duration) map[string]int64 {
 	return out
 }
 
-// HistogramQuantile inverts a LatencyHistogram counter set: it returns the
+// histogramQuantile inverts a LatencyHistogram counter set: it returns the
 // upper bound of the bucket holding the nearest-rank p-th percentile (the
 // same convention as the replay engine's exact percentiles, quantized up
 // to a bucket bound). The bool reports whether counters held a histogram.
-func HistogramQuantile(counters map[string]int64, p float64) (time.Duration, bool) {
+func histogramQuantile(counters map[string]int64, p float64) (time.Duration, bool) {
 	total := counters["count"]
 	if total <= 0 {
 		return 0, false
@@ -90,10 +90,10 @@ func HistogramQuantile(counters map[string]int64, p float64) (time.Duration, boo
 	}
 	var buckets []bucket
 	for k, v := range counters {
-		if !strings.HasPrefix(k, HistBucketPrefix) {
+		if !strings.HasPrefix(k, histBucketPrefix) {
 			continue
 		}
-		bound, err := strconv.ParseInt(k[len(HistBucketPrefix):], 10, 64)
+		bound, err := strconv.ParseInt(k[len(histBucketPrefix):], 10, 64)
 		if err != nil {
 			continue
 		}

@@ -65,7 +65,7 @@ func TestHistogramQuantile(t *testing.T) {
 		{50, float64(1 << 20)}, // exact p50 = 500us -> bucket bound 524288
 		{99, float64(1 << 21)}, // exact p99 = 990us -> bucket bound 1048576
 	} {
-		got, ok := HistogramQuantile(h, tc.p)
+		got, ok := histogramQuantile(h, tc.p)
 		if !ok {
 			t.Fatalf("p%g: no histogram found", tc.p)
 		}
@@ -76,7 +76,7 @@ func TestHistogramQuantile(t *testing.T) {
 			t.Fatalf("p%g = %v, want within [%v, %vns]", tc.p, got, exact, tc.maxBound)
 		}
 	}
-	if _, ok := HistogramQuantile(map[string]int64{"frames": 3}, 50); ok {
+	if _, ok := histogramQuantile(map[string]int64{"frames": 3}, 50); ok {
 		t.Fatal("non-histogram counters must not yield a quantile")
 	}
 }
@@ -88,7 +88,7 @@ func TestHistogramEventRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(b)
+	back, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}

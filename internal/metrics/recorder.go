@@ -63,7 +63,7 @@ func (s *Sink) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	if err := WriteEvent(s.w, e); err != nil {
+	if err := writeEvent(s.w, e); err != nil {
 		s.err = err
 		return
 	}

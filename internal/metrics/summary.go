@@ -168,9 +168,9 @@ func (s *Summary) Render(w io.Writer) {
 				fmt.Fprintf(w, "  %-24s %14d\n", k, total)
 			}
 		}
-		if p50, ok := HistogramQuantile(g.Counters, 50); ok {
-			p90, _ := HistogramQuantile(g.Counters, 90)
-			p99, _ := HistogramQuantile(g.Counters, 99)
+		if p50, ok := histogramQuantile(g.Counters, 50); ok {
+			p90, _ := histogramQuantile(g.Counters, 90)
+			p99, _ := histogramQuantile(g.Counters, 99)
 			mean := time.Duration(g.Counters["sum_ns"] / g.Counters["count"])
 			fmt.Fprintf(w, "  %-24s mean=%-12s p50<=%-12s p90<=%-12s p99<=%s\n",
 				"latency (from buckets)", mean, p50, p90, p99)

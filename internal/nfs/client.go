@@ -13,18 +13,18 @@ import (
 	"repro/internal/vfs"
 )
 
-// ClientCosts is the client-side CPU demand per RPC. The NFS client is
+// clientCosts is the client-side CPU demand per RPC. The NFS client is
 // thin — path resolution and caching logic only — which is why the paper
 // measures an order of magnitude less client CPU for NFS than for iSCSI
 // on meta-data workloads (Table 10).
-type ClientCosts struct {
+type clientCosts struct {
 	PerCall time.Duration
 	PerKB   time.Duration
 }
 
-// DefaultClientCosts returns the client path demand.
-func DefaultClientCosts() ClientCosts {
-	return ClientCosts{PerCall: 18 * time.Microsecond, PerKB: 4 * time.Microsecond}
+// defaultClientCosts returns the client path demand.
+func defaultClientCosts() clientCosts {
+	return clientCosts{PerCall: 18 * time.Microsecond, PerKB: 4 * time.Microsecond}
 }
 
 // dcKey identifies a dentry: (directory inode, name).
@@ -58,7 +58,7 @@ type Client struct {
 	rpc    *sunrpc.Client
 	srv    *Server
 	cpu    *sim.CPU
-	cost   ClientCosts
+	cost   clientCosts
 	tracer *tracing.Tracer
 
 	rootFH  FH
@@ -111,7 +111,7 @@ func NewClient(ver Version, rpcc *sunrpc.Client, srv *Server, cpu *sim.CPU) *Cli
 		rpc:              rpcc,
 		srv:              srv,
 		cpu:              cpu,
-		cost:             DefaultClientCosts(),
+		cost:             defaultClientCosts(),
 		dc:               make(map[dcKey]*dentry),
 		attrs:            make(map[uint64]*attrEntry),
 		access:           make(map[uint64]time.Duration),
@@ -119,7 +119,7 @@ func NewClient(ver Version, rpcc *sunrpc.Client, srv *Server, cpu *sim.CPU) *Cli
 		files:            make(map[uint64]*fileState),
 		pages:            newPageCache(131072, nil), // 512 MB client RAM
 		attrTTL:          attrTTL,
-		dataTTL:          DataTimeout,
+		dataTTL:          dataTimeout,
 		ReadAheadPages:   16,
 		MaxPendingWrites: 256,
 		FlushWindow:      16,
@@ -233,14 +233,14 @@ func (c *Client) callCharged(at time.Duration, p Proc, nameLen, argPayload, resP
 	at = c.charge(at, argPayload)
 	ref := c.tracer.Begin(at, tracing.LayerRPC, p.String())
 	var opErr error
-	done, rpcErr := c.rpc.Call(at, ArgSize(c.ver, p, nameLen, argPayload),
+	done, rpcErr := c.rpc.Call(at, argSize(c.ver, p, nameLen, argPayload),
 		func(arrive time.Duration) (int, time.Duration) {
 			fin, err := serve(arrive)
 			opErr = err
 			if err != nil {
-				return ResSize(c.ver, p, 0), fin
+				return resSize(c.ver, p, 0), fin
 			}
-			return ResSize(c.ver, p, resPayload), fin
+			return resSize(c.ver, p, resPayload), fin
 		})
 	if rpcErr != nil {
 		c.tracer.End(ref, done)

@@ -330,7 +330,7 @@ func (wb *writeBehind) window() int {
 // asynchronous); completion feeds the horizon.
 func (wb *writeBehind) issueAll(at time.Duration) error {
 	c := wb.c
-	maxPages := TransferSize(c.ver) / pageSize
+	maxPages := transferSize(c.ver) / pageSize
 	if wb.pseudoSync {
 		// Degenerate mode flushes page-at-a-time (the paper observed a
 		// 4.7 KB mean request size — essentially one page per RPC).
@@ -614,7 +614,7 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	}
 	first := off / pageSize
 	last := (off + int64(len(buf)) - 1) / pageSize
-	maxPages := TransferSize(c.ver) / pageSize
+	maxPages := transferSize(c.ver) / pageSize
 
 	// Fetch missing runs, holding every page of the request: a later insert
 	// of this call may evict one, and a retired page keeps its bytes until
@@ -774,7 +774,7 @@ func (c *Client) wbFlush(at time.Duration) time.Duration {
 func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
 	c := f.c
 	done := at
-	chunk := TransferSize(V2)
+	chunk := transferSize(V2)
 	written := 0
 	for written < len(data) {
 		n := len(data) - written

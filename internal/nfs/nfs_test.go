@@ -41,17 +41,17 @@ func rig(t *testing.T, ver Version) (*Client, *Server, *simnet.Network) {
 
 func TestWireSizeSanity(t *testing.T) {
 	for _, v := range []Version{V2, V3, V4} {
-		if ArgSize(v, ProcWrite, 0, 8192) < 8192 {
+		if argSize(v, ProcWrite, 0, 8192) < 8192 {
 			t.Fatalf("%v WRITE args smaller than payload", v)
 		}
-		if ResSize(v, ProcRead, 4096) < 4096 {
+		if resSize(v, ProcRead, 4096) < 4096 {
 			t.Fatalf("%v READ result smaller than payload", v)
 		}
-		if ArgSize(v, ProcLookup, 255, 0) <= ArgSize(v, ProcLookup, 1, 0) {
+		if argSize(v, ProcLookup, 255, 0) <= argSize(v, ProcLookup, 1, 0) {
 			t.Fatalf("%v LOOKUP ignores name length", v)
 		}
 	}
-	if ArgSize(V4, ProcGetattr, 0, 0) <= ArgSize(V3, ProcGetattr, 0, 0) {
+	if argSize(V4, ProcGetattr, 0, 0) <= argSize(V3, ProcGetattr, 0, 0) {
 		t.Fatal("v4 COMPOUND framing not reflected in sizes")
 	}
 }

@@ -10,19 +10,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// ServerCosts captures the per-request CPU demand of the NFS server path:
+// serverCosts captures the per-request CPU demand of the NFS server path:
 // network + RPC + nfsd + VFS + filesystem + block layer + driver. The
 // paper measured this path at roughly twice the iSCSI server path
 // (Section 5.4); the filesystem portion is charged separately by the
 // server-side ext3 instance, so these constants cover the RPC/nfsd part.
-type ServerCosts struct {
+type serverCosts struct {
 	PerRequest time.Duration
 	PerKB      time.Duration
 }
 
-// DefaultServerCosts returns the RPC/nfsd-layer demand.
-func DefaultServerCosts() ServerCosts {
-	return ServerCosts{PerRequest: 40 * time.Microsecond, PerKB: 5 * time.Microsecond}
+// defaultServerCosts returns the RPC/nfsd-layer demand.
+func defaultServerCosts() serverCosts {
+	return serverCosts{PerRequest: 40 * time.Microsecond, PerKB: 5 * time.Microsecond}
 }
 
 // Server is an NFS server exporting one filesystem. Meta-data mutations
@@ -32,7 +32,7 @@ func DefaultServerCosts() ServerCosts {
 type Server struct {
 	fs   *ext3.FS
 	cpu  *sim.CPU
-	cost ServerCosts
+	cost serverCosts
 
 	// ProcCounts tallies requests per procedure (the nfsstat analogue
 	// behind the paper's "65% of PostMark messages are meta-data" remark).
@@ -73,7 +73,7 @@ func (s *Server) syncMeta(at time.Duration, err error) (time.Duration, error) {
 func NewServer(fs *ext3.FS, cpu *sim.CPU) *Server {
 	return &Server{
 		fs: fs, cpu: cpu,
-		cost:       DefaultServerCosts(),
+		cost:       defaultServerCosts(),
 		ProcCounts: make(map[Proc]int64),
 	}
 }

@@ -131,8 +131,8 @@ func compoundOverhead(v Version) int {
 	return 0
 }
 
-// ArgSize returns the encoded argument size for (proc, name, payload).
-func ArgSize(v Version, p Proc, nameLen, payload int) int {
+// argSize returns the encoded argument size for (proc, name, payload).
+func argSize(v Version, p Proc, nameLen, payload int) int {
 	base := fhWireSize + compoundOverhead(v)
 	name := ((nameLen + 3) &^ 3) + 4
 	switch p {
@@ -171,8 +171,8 @@ func ArgSize(v Version, p Proc, nameLen, payload int) int {
 	}
 }
 
-// ResSize returns the encoded result size for (proc, payload).
-func ResSize(v Version, p Proc, payload int) int {
+// resSize returns the encoded result size for (proc, payload).
+func resSize(v Version, p Proc, payload int) int {
 	attrs := fattrSize(v)
 	base := 8 + compoundOverhead(v) // status + framing
 	switch p {
@@ -201,11 +201,11 @@ func ResSize(v Version, p Proc, payload int) int {
 	}
 }
 
-// TransferSize returns the client's read/write transfer size. The paper
+// transferSize returns the client's read/write transfer size. The paper
 // observed the Linux v2 and v3 clients both using 8 KB transfers (v3's
 // protocol allows more but the implementation does not exploit it), while
 // the v4 client used larger transfers (Section 4.4).
-func TransferSize(v Version) int {
+func transferSize(v Version) int {
 	if v == V4 {
 		return 32 << 10
 	}
@@ -225,5 +225,5 @@ func readdirEntrySize(v Version, nameLen int) int {
 // per Section 2.3 of the paper).
 const AttrTimeout = 3 * time.Second
 
-// DataTimeout is the client's cached-data consistency window (30 s).
-const DataTimeout = 30 * time.Second
+// dataTimeout is the client's cached-data consistency window (30 s).
+const dataTimeout = 30 * time.Second

@@ -1,13 +1,7 @@
-// Delegation example: the paper's Section 7 proposal, running. An
-// enhanced NFS client with directory delegation and a strongly-consistent
-// meta-data cache executes a burst of meta-data updates with iSCSI-like
-// message counts, while a second client's conflicting access exercises
-// the lease-recall path.
-package main
+package nfsplus_test
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/blockdev"
 	"repro/internal/ext3"
@@ -17,15 +11,19 @@ import (
 	"repro/internal/sunrpc"
 )
 
-func main() {
+// The paper's Section 7 proposal, running: an enhanced NFS client with
+// directory delegation and a strongly-consistent meta-data cache executes
+// a burst of meta-data updates with iSCSI-like message counts, while a
+// second client's conflicting access exercises the lease-recall path.
+func Example_delegation() {
 	// Server: an ext3 export.
 	dev := blockdev.NewTestbedArray(65536)
 	if _, err := ext3.Mkfs(0, dev, ext3.Options{}); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fs, _, err := ext3.Mount(0, dev, ext3.Options{})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	net := simnet.New(simnet.DefaultLAN())
 	srv := nfs.NewServer(fs, nil)
@@ -43,16 +41,16 @@ func main() {
 		if at, err = alice.Mkdir(at, fmt.Sprintf("/work/d%d", i), 0o755); err != nil && i == 0 {
 			// First create needs the parent.
 			if at, err = alice.Mkdir(at, "/work", 0o755); err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
 			i--
 			continue
 		} else if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 	}
 	if at, err = alice.Sync(at); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	burst := net.Stats().Messages - before
 	fmt.Printf("alice: %d mkdirs under delegation -> %d wire messages (%.2f/op)\n",
@@ -63,15 +61,20 @@ func main() {
 	// Bob reads the directory: strong consistency, no staleness window.
 	ents, at, err := bob.ReadDir(at, "/work")
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("bob:   sees %d entries immediately (no attribute-cache staleness)\n", len(ents))
 
 	// Bob's own update recalls Alice's lease.
 	if at, err = bob.Mkdir(at, "/work/from-bob", 0o755); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("coordinator: recalls=%d callbacks=%d after bob's conflicting update\n",
 		co.Recalls, co.Callbacks)
 	_ = at
+	// Output:
+	// alice: 100 mkdirs under delegation -> 12 wire messages (0.12/op)
+	// alice: localOps=101 leaseRPCs=2 flushRPCs=8
+	// bob:   sees 100 entries immediately (no attribute-cache staleness)
+	// coordinator: recalls=1 callbacks=2 after bob's conflicting update
 }

@@ -14,9 +14,9 @@ func sortSample(sample []time.Duration) []time.Duration {
 	return s
 }
 
-// Latencies extracts the per-op service latency vector from results, in
+// latencies extracts the per-op service latency vector from results, in
 // slice order.
-func Latencies(ops []OpResult) []time.Duration {
+func latencies(ops []OpResult) []time.Duration {
 	ls := make([]time.Duration, len(ops))
 	for i, op := range ops {
 		ls[i] = op.Latency()

@@ -58,7 +58,7 @@ func TestLatenciesAndMean(t *testing.T) {
 		{Start: ms(1), Done: ms(3)},
 		{Start: ms(4), Done: ms(8)},
 	}
-	lats := Latencies(ops)
+	lats := latencies(ops)
 	if lats[0] != ms(2) || lats[1] != ms(4) {
 		t.Fatalf("latencies %v", lats)
 	}

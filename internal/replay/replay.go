@@ -265,7 +265,7 @@ func Run(cl *testbed.Cluster, recs []trace.Record, opt Options) (*Result, error)
 	}
 	for i := range results {
 		res.Ops = append(res.Ops, results[i]...)
-		sorted := sortSample(Latencies(results[i]))
+		sorted := sortSample(latencies(results[i]))
 		res.PerClient = append(res.PerClient, ClientSummary{
 			Client: i,
 			Ops:    len(results[i]),
@@ -274,7 +274,7 @@ func Run(cl *testbed.Cluster, recs []trace.Record, opt Options) (*Result, error)
 			P99:    metrics.Percentile(sorted, 99),
 		})
 	}
-	sorted := sortSample(Latencies(res.Ops))
+	sorted := sortSample(latencies(res.Ops))
 	res.Mean = meanDuration(sorted)
 	res.P50 = metrics.Percentile(sorted, 50)
 	res.P90 = metrics.Percentile(sorted, 90)

@@ -122,9 +122,6 @@ func Inquiry(alloc uint16) CDB { return CDB{Op: OpInquiry, Length: alloc} }
 // ReadCapacity10 builds a READ CAPACITY(10) CDB.
 func ReadCapacity10() CDB { return CDB{Op: OpReadCapacity10} }
 
-// TestUnitReady builds a TEST UNIT READY CDB.
-func TestUnitReady() CDB { return CDB{Op: OpTestUnitReady} }
-
 // PersistentReserveOut builds a PR OUT CDB for the given service action
 // and reservation type.
 func PersistentReserveOut(action, rtype byte) CDB {

@@ -13,7 +13,7 @@ func TestCDBRoundTrip(t *testing.T) {
 		SyncCache10(7, 0),
 		Inquiry(96),
 		ReadCapacity10(),
-		TestUnitReady(),
+		{Op: OpTestUnitReady},
 	}
 	for _, c := range cases {
 		got, err := DecodeCDB(c.Encode())

@@ -7,9 +7,9 @@ import (
 	"repro/internal/tracing"
 )
 
-// DefaultCPUWindow mirrors the 2-second vmstat sampling interval the paper
+// defaultCPUWindow mirrors the 2-second vmstat sampling interval the paper
 // used when reporting CPU utilization percentiles (Tables 9 and 10).
-const DefaultCPUWindow = 2 * time.Second
+const defaultCPUWindow = 2 * time.Second
 
 // CPU models a processor with windowed busy-time accounting. Work is
 // serialized (single resource); busy time is attributed to fixed-size
@@ -32,7 +32,7 @@ type CPU struct {
 
 // NewCPU returns a CPU with the given relative speed (1.0 = reference core).
 func NewCPU(speed float64) *CPU {
-	return &CPU{Speed: speed, Window: DefaultCPUWindow, windows: make(map[int64]time.Duration)}
+	return &CPU{Speed: speed, Window: defaultCPUWindow, windows: make(map[int64]time.Duration)}
 }
 
 // SetTracer attaches a tracer that records each service interval as a span
@@ -100,7 +100,7 @@ func (c *CPU) account(begin, service time.Duration) {
 	}
 	w := c.Window
 	if w <= 0 {
-		w = DefaultCPUWindow
+		w = defaultCPUWindow
 	}
 	for service > 0 {
 		idx := int64(begin / w)
@@ -150,7 +150,7 @@ func (c *CPU) Utilization(elapsed time.Duration) float64 {
 func (c *CPU) UtilizationPercentile(p float64, elapsed time.Duration) float64 {
 	w := c.Window
 	if w <= 0 {
-		w = DefaultCPUWindow
+		w = defaultCPUWindow
 	}
 	n := int64(elapsed / w)
 	if n <= 0 {

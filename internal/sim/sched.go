@@ -208,24 +208,3 @@ func (s *Scheduler) Align() time.Duration {
 	}
 	return h
 }
-
-// Horizon reports the latest time across a set of clocks.
-func Horizon(clocks []*Clock) time.Duration {
-	var h time.Duration
-	for _, c := range clocks {
-		if t := c.Now(); t > h {
-			h = t
-		}
-	}
-	return h
-}
-
-// Align advances every clock to the set's horizon (a barrier) and returns
-// that time.
-func Align(clocks []*Clock) time.Duration {
-	h := Horizon(clocks)
-	for _, c := range clocks {
-		c.AdvanceTo(h)
-	}
-	return h
-}

@@ -10,8 +10,8 @@ import (
 // tracking (the second I/O is still seek-free).
 func TestDiskBackgroundStretch(t *testing.T) {
 	p := Ultra160()
-	base := NewDisk(p)
-	loaded := NewDisk(p)
+	base := newDisk(p)
+	loaded := newDisk(p)
 	loaded.SetBackground(0.5)
 
 	d0, err := base.IO(0, 0, 8, false)

@@ -45,42 +45,42 @@ func Ultra160() Params {
 	}
 }
 
-// Disk is one simulated drive. Access through IO; the disk serializes
+// disk is one simulated drive. Access through IO; the disk serializes
 // requests on its single arm.
-type Disk struct {
+type disk struct {
 	p       Params
 	arm     sim.Resource
 	lastEnd int64 // LBA just past the previous request (for sequentiality)
 	stats   metrics.DiskStats
 }
 
-// NewDisk creates a disk with the given parameters.
-func NewDisk(p Params) *Disk {
+// newDisk creates a disk with the given parameters.
+func newDisk(p Params) *disk {
 	if p.BlockSize <= 0 {
 		p.BlockSize = 4096
 	}
 	if p.TransferRate <= 0 {
 		p.TransferRate = 40 << 20
 	}
-	return &Disk{p: p, lastEnd: -1}
+	return &disk{p: p, lastEnd: -1}
 }
 
 // Params returns the disk's parameters.
-func (d *Disk) Params() Params { return d.p }
+func (d *disk) Params() Params { return d.p }
 
 // Stats returns a snapshot of the disk's counters.
-func (d *Disk) Stats() metrics.DiskStats { return d.stats }
+func (d *disk) Stats() metrics.DiskStats { return d.stats }
 
 // Counters exports the drive's I/O counters plus arm busy time for the
 // metrics event stream (metrics.SubsysDisk).
-func (d *Disk) Counters() map[string]int64 {
+func (d *disk) Counters() map[string]int64 {
 	c := d.stats.Counters()
 	c["busy_ns"] = int64(d.Busy())
 	return c
 }
 
 // ResetStats zeroes the counters.
-func (d *Disk) ResetStats() { d.stats = metrics.DiskStats{} }
+func (d *disk) ResetStats() { d.stats = metrics.DiskStats{} }
 
 // SetBackground declares that fraction rho of the drive's time is consumed
 // by fluid background traffic (see sim.Resource.SetBackground): foreground
@@ -88,16 +88,16 @@ func (d *Disk) ResetStats() { d.stats = metrics.DiskStats{} }
 // no positions, so it leaves the sequentiality tracking — and therefore
 // the foreground seek pattern — untouched; hybrid fleet modeling accepts
 // that simplification (internal/fleet).
-func (d *Disk) SetBackground(rho float64) { d.arm.SetBackground(rho) }
+func (d *disk) SetBackground(rho float64) { d.arm.SetBackground(rho) }
 
 // Busy reports cumulative arm busy time.
-func (d *Disk) Busy() time.Duration { return d.arm.Busy() }
+func (d *disk) Busy() time.Duration { return d.arm.Busy() }
 
 // BusyUntil reports when the arm next goes idle (the tail of its queue).
-func (d *Disk) BusyUntil() time.Duration { return d.arm.BusyUntil() }
+func (d *disk) BusyUntil() time.Duration { return d.arm.BusyUntil() }
 
 // serviceTime computes positioning plus transfer for one request.
-func (d *Disk) serviceTime(lba int64, blocks int) time.Duration {
+func (d *disk) serviceTime(lba int64, blocks int) time.Duration {
 	transfer := time.Duration(int64(blocks) * int64(d.p.BlockSize) * int64(time.Second) / d.p.TransferRate)
 	svc := d.p.CacheHitCost + transfer
 	if lba != d.lastEnd {
@@ -123,7 +123,7 @@ func (d *Disk) serviceTime(lba int64, blocks int) time.Duration {
 
 // IO performs a contiguous transfer of blocks starting at lba, beginning no
 // earlier than start, and returns the completion time.
-func (d *Disk) IO(start time.Duration, lba int64, blocks int, write bool) (done time.Duration, err error) {
+func (d *disk) IO(start time.Duration, lba int64, blocks int, write bool) (done time.Duration, err error) {
 	if blocks <= 0 {
 		return start, nil
 	}

@@ -17,7 +17,7 @@ import (
 // read-modify-write penalty (read old data + old parity, write new data +
 // new parity).
 type RAID5 struct {
-	disks       []*Disk
+	disks       []*disk
 	stripeUnit  int   // blocks per stripe unit
 	dataBlocks  int64 // logical capacity in blocks
 	stats       metrics.DiskStats
@@ -56,7 +56,7 @@ func NewRAID5(members int, p Params, stripeUnitBlocks int) (*RAID5, error) {
 	}
 	r := &RAID5{stripeUnit: stripeUnitBlocks, writebackOn: true, failed: -1}
 	for i := 0; i < members; i++ {
-		r.disks = append(r.disks, NewDisk(p))
+		r.disks = append(r.disks, newDisk(p))
 	}
 	r.dataBlocks = int64(members-1) * p.Blocks
 	return r, nil

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSequentialBeatsRandom(t *testing.T) {
-	d := NewDisk(Ultra160())
+	d := newDisk(Ultra160())
 	// Sequential streaming after the first positioning.
 	var seq time.Duration
 	at := time.Duration(0)
@@ -15,7 +15,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 		at, _ = d.IO(at, int64(i), 1, false)
 	}
 	seq = at
-	d2 := NewDisk(Ultra160())
+	d2 := newDisk(Ultra160())
 	at = 0
 	for i := 0; i < 64; i++ {
 		at, _ = d2.IO(at, int64(i*100000), 1, false)
@@ -28,7 +28,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 func TestIOBeyondDeviceFails(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100
-	d := NewDisk(p)
+	d := newDisk(p)
 	if _, err := d.IO(0, 99, 2, true); err == nil {
 		t.Fatal("overflow accepted")
 	}

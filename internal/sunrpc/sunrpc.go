@@ -36,19 +36,19 @@ func (t Transport) String() string {
 // Wire constants: ONC RPC call header with AUTH_UNIX credentials is about
 // 64 bytes; the reply header about 32. TCP adds 4 bytes of record marking.
 const (
-	CallHeaderBytes  = 64
-	ReplyHeaderBytes = 32
+	callHeaderBytes  = 64
+	replyHeaderBytes = 32
 	tcpRecordMark    = 4
 )
 
-// DefaultSlotEntries is the Linux RPC transport slot table size
+// defaultSlotEntries is the Linux RPC transport slot table size
 // (xprt_tcp_slot_table_entries / xprt_udp_slot_table_entries = 16): the
 // hard cap on in-flight calls per transport. When a client keeps more
 // RPCs outstanding than slots — e.g. a write-behind pool with a wider
 // flush window — the extra calls queue at the slot table, and the table,
 // not the wire, becomes the bottleneck. The slot-wait counters expose
 // exactly that in the telemetry stream.
-const DefaultSlotEntries = 16
+const defaultSlotEntries = 16
 
 // Stats counts RPC-layer activity.
 type Stats struct {
@@ -98,7 +98,7 @@ type Client struct {
 	// MaxRetries bounds retransmissions before the call errors out.
 	MaxRetries int
 	// SlotEntries is the transport slot table size: the cap on in-flight
-	// calls (default DefaultSlotEntries = 16, the Linux sysctl). A call
+	// calls (default defaultSlotEntries = 16, the Linux sysctl). A call
 	// arriving with every slot occupied waits for the earliest-freeing
 	// one; the wait is counted in Stats. Resize before issuing calls.
 	SlotEntries int
@@ -125,7 +125,7 @@ func NewClient(net *simnet.Network, tr Transport) *Client {
 		Transport:   tr,
 		RTO:         350 * time.Millisecond,
 		MaxRetries:  8,
-		SlotEntries: DefaultSlotEntries,
+		SlotEntries: defaultSlotEntries,
 	}
 }
 
@@ -136,7 +136,7 @@ func NewClient(net *simnet.Network, tr Transport) *Client {
 func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int) {
 	n := c.SlotEntries
 	if n <= 0 {
-		n = DefaultSlotEntries
+		n = defaultSlotEntries
 	}
 	if len(c.slots) != n {
 		c.slots = make([]time.Duration, n)
@@ -186,7 +186,7 @@ func (c *Client) ResetStats() { c.stats = Stats{} }
 func (c *Client) Gauges(now time.Duration) map[string]float64 {
 	n := c.SlotEntries
 	if n <= 0 {
-		n = DefaultSlotEntries
+		n = defaultSlotEntries
 	}
 	var used int
 	for _, h := range c.slots {
@@ -213,7 +213,7 @@ func (c *Client) sendMsg(start time.Duration, size int, d simnet.Direction) (tim
 
 // overhead returns per-message framing bytes.
 func (c *Client) overhead() (call, reply int) {
-	call, reply = CallHeaderBytes, ReplyHeaderBytes
+	call, reply = callHeaderBytes, replyHeaderBytes
 	if c.Transport == TCP {
 		call += tcpRecordMark
 		reply += tcpRecordMark

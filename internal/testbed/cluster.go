@@ -65,7 +65,7 @@ type ClusterConfig struct {
 	// TelemetryFanIn bounds per-client metric sources: above it, only a
 	// stratified sample of clients per heterogeneity stratum registers
 	// sources, tagged sampled/population/sample so summaries re-weight
-	// (docs/METRICS.md). 0 means DefaultTelemetryFanIn; negative disables
+	// (docs/METRICS.md). 0 means defaultTelemetryFanIn; negative disables
 	// sampling and registers every client.
 	TelemetryFanIn int
 	// Health, when non-nil, attaches a virtual-time health monitor: the
@@ -85,11 +85,11 @@ type ClusterConfig struct {
 	Sharing *SharingConfig
 }
 
-// DefaultTelemetryFanIn is the per-stratum client-source limit above which
+// defaultTelemetryFanIn is the per-stratum client-source limit above which
 // a cluster's telemetry switches to stratified sampling. It is comfortably
 // above every mechanistic sweep in the paper (16 clients), so sampling
 // only engages on fleet-scale runs.
-const DefaultTelemetryFanIn = 64
+const defaultTelemetryFanIn = 64
 
 // fill applies the defaults of the embedded Config plus the client count.
 func (c *ClusterConfig) fill() {
@@ -487,13 +487,13 @@ func (cl *Cluster) instrument() {
 }
 
 // sampled returns the stratum members that carry telemetry sources: all
-// of them up to the configured fan-in (0 means DefaultTelemetryFanIn,
+// of them up to the configured fan-in (0 means defaultTelemetryFanIn,
 // negative unlimited), above it a stride-selected fan-in's worth spread
 // across the stratum. Counter and gauge sources share the selection.
 func (cl *Cluster) sampled(s *stratum) []int {
 	fanIn := cl.Cfg.TelemetryFanIn
 	if fanIn == 0 {
-		fanIn = DefaultTelemetryFanIn
+		fanIn = defaultTelemetryFanIn
 	}
 	if fanIn < 0 || len(s.members) <= fanIn {
 		return s.members

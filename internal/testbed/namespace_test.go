@@ -49,7 +49,7 @@ func ext3Of(tb *testbed.Testbed) *ext3.FS {
 // still compare equal.
 func errClass(err error) string {
 	for _, e := range []error{vfs.ErrNotExist, vfs.ErrExist, vfs.ErrNotDir, vfs.ErrIsDir, vfs.ErrNotEmpty,
-		vfs.ErrNoSpace, vfs.ErrNameTooLong, vfs.ErrInvalid, vfs.ErrStale, vfs.ErrPerm, vfs.ErrIO} {
+		vfs.ErrNoSpace, vfs.ErrNameTooLong, vfs.ErrInvalid, vfs.ErrStale, vfs.ErrIO} {
 		if errors.Is(err, e) {
 			return e.Error()
 		}

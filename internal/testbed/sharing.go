@@ -16,10 +16,10 @@ import (
 // at an offset, try-lock and unlock — but the protocols underneath are
 // deliberately asymmetric, which is the point of the comparison:
 //
-//   - NFS shares a file (SharedPath on the common export). Locks are
+//   - NFS shares a file (sharedPath on the common export). Locks are
 //     byte-range NLM locks against the server's lock manager; every
 //     lock attempt, granted or denied, is one LOCK RPC.
-//   - iSCSI shares a raw LUN (iscsi.SharedLUN, exported by every
+//   - iSCSI shares a raw LUN (LUN 1, exported by every
 //     client's target over one persistent-reservation table). The only
 //     lock SPC-3 gives us is whole-LUN: an exclusive lock maps to a
 //     write-exclusive persistent reservation, and a shared lock maps to
@@ -59,13 +59,13 @@ func (s *SharingConfig) validate(kind Kind) error {
 	return nil
 }
 
-// SharedPath is the shared file every NFS client contends on (the iSCSI
+// sharedPath is the shared file every NFS client contends on (the iSCSI
 // analogue is the shared LUN, which has no name).
-const SharedPath = "/shared0"
+const sharedPath = "/shared0"
 
-// ErrBusy reports that a shared-object operation was refused because of
+// errBusy reports that a shared-object operation was refused because of
 // another client's lock or reservation; the caller should poll.
-var ErrBusy = errors.New("testbed: shared object busy")
+var errBusy = errors.New("testbed: shared object busy")
 
 // sharedEP resolves the client's shared-LUN endpoint (iSCSI stacks only).
 func (c *Client) sharedEP() (*iscsi.Initiator, bool) {
@@ -74,7 +74,7 @@ func (c *Client) sharedEP() (*iscsi.Initiator, bool) {
 }
 
 // OpenShared opens the cluster's shared object. On NFS this opens (or,
-// with create set, creates) SharedPath and holds it open for
+// with create set, creates) sharedPath and holds it open for
 // SharedReadAt/SharedWriteAt; on iSCSI the shared LUN needs no open and
 // the call costs nothing.
 func (c *Client) OpenShared(create bool) error {
@@ -86,9 +86,9 @@ func (c *Client) OpenShared(create bool) error {
 		err error
 	)
 	if create {
-		f, err = c.Create(SharedPath)
+		f, err = c.Create(sharedPath)
 	} else {
-		f, err = c.Open(SharedPath)
+		f, err = c.Open(sharedPath)
 	}
 	if err != nil {
 		return err
@@ -99,7 +99,7 @@ func (c *Client) OpenShared(create bool) error {
 
 // SharedReadAt reads len(buf) bytes at byte offset off from the shared
 // object. On iSCSI the extent must be block-aligned (the LUN is raw) and
-// a foreign exclusive-access reservation surfaces as ErrBusy.
+// a foreign exclusive-access reservation surfaces as errBusy.
 func (c *Client) SharedReadAt(off int64, buf []byte) error {
 	if ep, ok := c.sharedEP(); ok {
 		bs := int64(ep.BlockSize())
@@ -120,7 +120,7 @@ func (c *Client) SharedReadAt(off int64, buf []byte) error {
 }
 
 // SharedWriteAt writes data at byte offset off in the shared object. On
-// iSCSI any foreign reservation surfaces as ErrBusy.
+// iSCSI any foreign reservation surfaces as errBusy.
 func (c *Client) SharedWriteAt(off int64, data []byte) error {
 	if ep, ok := c.sharedEP(); ok {
 		bs := int64(ep.BlockSize())
@@ -159,7 +159,7 @@ func (c *Client) TryLockShared(off, length int64, excl bool) (bool, error) {
 	}
 	now := c.Clock.Now()
 	ref := c.beginOp(now, "lock")
-	got, done, err := c.Stack.NFSClient().Lock(now, SharedPath, off, length, excl, false)
+	got, done, err := c.Stack.NFSClient().Lock(now, sharedPath, off, length, excl, false)
 	c.Tracer.End(ref, done)
 	return got, c.run(done, err)
 }
@@ -178,16 +178,16 @@ func (c *Client) UnlockShared(off, length int64, excl bool) error {
 	}
 	now := c.Clock.Now()
 	ref := c.beginOp(now, "unlock")
-	done, err := c.Stack.NFSClient().Unlock(now, SharedPath, off, length)
+	done, err := c.Stack.NFSClient().Unlock(now, sharedPath, off, length)
 	c.Tracer.End(ref, done)
 	return c.run(done, err)
 }
 
-// shareErr maps a reservation conflict to ErrBusy (the cross-protocol
+// shareErr maps a reservation conflict to errBusy (the cross-protocol
 // "locked by someone else" signal) and passes everything else through.
 func (c *Client) shareErr(err error) error {
 	if errors.Is(err, iscsi.ErrReservationConflict) {
-		return ErrBusy
+		return errBusy
 	}
 	return err
 }

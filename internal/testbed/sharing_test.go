@@ -157,7 +157,7 @@ func TestSharedFileVisibility(t *testing.T) {
 
 // TestSharedLUNReservations checks the iSCSI side: the shared LUN is
 // visible to both clients, a write-exclusive reservation blocks foreign
-// writes (ErrBusy) while allowing foreign reads, and release restores
+// writes (errBusy) while allowing foreign reads, and release restores
 // access.
 func TestSharedLUNReservations(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
@@ -183,8 +183,8 @@ func TestSharedLUNReservations(t *testing.T) {
 	}
 	// Foreign write bounces off the reservation; foreign read passes
 	// (write-exclusive, not exclusive-access).
-	if err := c1.SharedWriteAt(4096, data); err != ErrBusy {
-		t.Fatalf("foreign write err=%v, want ErrBusy", err)
+	if err := c1.SharedWriteAt(4096, data); err != errBusy {
+		t.Fatalf("foreign write err=%v, want errBusy", err)
 	}
 	buf := make([]byte, 4096)
 	if err := c1.SharedReadAt(0, buf); err != nil {

@@ -32,8 +32,8 @@ func (k OpKind) String() string {
 	}
 }
 
-// ParseOpKind inverts OpKind.String.
-func ParseOpKind(s string) (OpKind, error) {
+// parseOpKind inverts OpKind.String.
+func parseOpKind(s string) (OpKind, error) {
 	switch s {
 	case "read":
 		return OpRead, nil
@@ -97,7 +97,7 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		if jr.Dir < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative dir %d", line, jr.Dir)
 		}
-		kind, err := ParseOpKind(jr.Kind)
+		kind, err := parseOpKind(jr.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}

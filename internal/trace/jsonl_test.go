@@ -70,13 +70,13 @@ func TestReadJSONLSkipsBlankLines(t *testing.T) {
 // TestOpKindStringParse checks the codec's kind spelling both ways.
 func TestOpKindStringParse(t *testing.T) {
 	for _, k := range []OpKind{OpRead, OpWrite} {
-		got, err := ParseOpKind(k.String())
+		got, err := parseOpKind(k.String())
 		if err != nil || got != k {
-			t.Errorf("ParseOpKind(%q) = %v, %v", k.String(), got, err)
+			t.Errorf("parseOpKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseOpKind("readdirplus"); err == nil {
-		t.Error("ParseOpKind accepted unknown kind")
+	if _, err := parseOpKind("readdirplus"); err == nil {
+		t.Error("parseOpKind accepted unknown kind")
 	}
 }
 

@@ -45,18 +45,18 @@ func (s Span) Validate() error {
 	return nil
 }
 
-// Encode renders one span as its canonical JSON line (no trailing
+// encode renders one span as its canonical JSON line (no trailing
 // newline). Map keys sort, so identical spans encode identically.
-func Encode(s Span) ([]byte, error) {
+func encode(s Span) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return json.Marshal(s)
 }
 
-// Decode parses one JSONL line strictly: unknown fields, trailing content
+// decode parses one JSONL line strictly: unknown fields, trailing content
 // and schema violations are errors.
-func Decode(line []byte) (Span, error) {
+func decode(line []byte) (Span, error) {
 	var s Span
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
@@ -76,7 +76,7 @@ func Decode(line []byte) (Span, error) {
 func WriteSpans(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range spans {
-		b, err := Encode(s)
+		b, err := encode(s)
 		if err != nil {
 			return err
 		}
@@ -100,7 +100,7 @@ func ReadSpans(r io.Reader) ([]Span, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		s, err := Decode(raw)
+		s, err := decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}

@@ -246,8 +246,8 @@ func TestDecodeRejects(t *testing.T) {
 		`{"id":1,"parent":0,"client":0,"layer":"syscall","op":"","start_ns":0,"end_ns":5}`,
 	}
 	for _, line := range bad {
-		if _, err := Decode([]byte(line)); err == nil {
-			t.Errorf("Decode accepted %s", line)
+		if _, err := decode([]byte(line)); err == nil {
+			t.Errorf("decode accepted %s", line)
 		}
 	}
 }

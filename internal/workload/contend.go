@@ -7,7 +7,7 @@ import (
 )
 
 // Contention workloads: N clients fighting over one shared object
-// (testbed.SharedPath on NFS, the shared LUN on iSCSI). Where the other
+// (one shared file on NFS, the shared LUN on iSCSI). Where the other
 // workloads in this package measure each stack's happy path, these
 // measure the sharing machinery itself — lock round trips, FIFO
 // fairness under ping-pong, and the protocol asymmetry between NFS

@@ -41,26 +41,6 @@ func runSteps(s Steps) func() error {
 	return func() error { return RunSteps(s) }
 }
 
-// chain sequences step machines: each runs to completion before the next
-// starts, preserving one-operation-per-step granularity so a scheduler
-// still interleaves the chained phases fairly against other clients.
-func chain(steps ...Steps) Steps {
-	i := 0
-	return func() (bool, error) {
-		if i >= len(steps) {
-			return false, nil
-		}
-		more, err := steps[i]()
-		if err != nil {
-			return false, err
-		}
-		if !more {
-			i++
-		}
-		return i < len(steps), nil
-	}
-}
-
 // Drivers adapts a per-client Steps slice to the raw step-function slice
 // testbed.Cluster.Run consumes (index-aligned with the cluster's clients).
 func Drivers(steps []Steps) []func() (more bool, err error) {

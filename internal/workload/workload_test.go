@@ -1,15 +1,11 @@
 package workload
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/testbed"
 )
-
-// errFailed is a sentinel for step-machine failure-path tests.
-var errFailed = errors.New("step failed")
 
 func tbFor(t *testing.T, k testbed.Kind) *testbed.Testbed {
 	t.Helper()
@@ -204,55 +200,6 @@ func TestSeqRandShape(t *testing.T) {
 	if n.rr.Elapsed <= n.sr.Elapsed || i.rr.Elapsed <= i.sr.Elapsed {
 		t.Errorf("random reads should cost more than sequential (nfs %v<=%v? iscsi %v<=%v?)",
 			n.rr.Elapsed, n.sr.Elapsed, i.rr.Elapsed, i.sr.Elapsed)
-	}
-}
-
-// TestChainSequencesStepMachines verifies Chain runs each machine to
-// completion in order, one operation per step, and stops at the first
-// error.
-func TestChainSequencesStepMachines(t *testing.T) {
-	var log []string
-	mk := func(name string, n int) Steps {
-		i := 0
-		return func() (bool, error) {
-			log = append(log, name)
-			i++
-			return i < n, nil
-		}
-	}
-	if err := RunSteps(chain(mk("a", 2), mk("b", 1), mk("c", 3))); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "a", "b", "c", "c", "c"}
-	if len(log) != len(want) {
-		t.Fatalf("ran %d steps %v, want %v", len(log), log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("step order %v, want %v", log, want)
-		}
-	}
-	// A finished chain keeps reporting done without re-running machines.
-	chain := chain(mk("d", 1))
-	if err := RunSteps(chain); err != nil {
-		t.Fatal(err)
-	}
-	if more, err := chain(); more || err != nil {
-		t.Fatalf("exhausted chain returned more=%v err=%v", more, err)
-	}
-}
-
-// TestChainStopsOnError verifies the first failing machine halts the
-// chain and surfaces its error.
-func TestChainStopsOnError(t *testing.T) {
-	ran := 0
-	boom := func() (bool, error) { return false, errFailed }
-	tail := func() (bool, error) { ran++; return false, nil }
-	if err := RunSteps(chain(boom, tail)); err != errFailed {
-		t.Fatalf("err = %v, want errFailed", err)
-	}
-	if ran != 0 {
-		t.Fatal("chain ran machines past the failure")
 	}
 }
 
