@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,7 +82,7 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
-		if len(trimSpace(raw)) == 0 {
+		if len(bytes.Trim(raw, " \t\r\n")) == 0 {
 			continue
 		}
 		var jr jsonRecord
@@ -112,15 +113,4 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return recs, nil
-}
-
-// trimSpace trims ASCII whitespace without allocating.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r' || b[len(b)-1] == '\n') {
-		b = b[:len(b)-1]
-	}
-	return b
 }

@@ -13,11 +13,19 @@
 // dominating at small time scales but read-write sharing overtaking it at
 // larger scales; and in both only a few percent of directories are
 // read-write shared by multiple clients at the 2^10-second scale.
+//
+// The simulators compare ids only for equality, so they index tables by
+// them, after relabelling all ids densely in first-seen order if any lies
+// outside [0, len(recs)]: no table is larger than the trace. Per directory
+// they keep packed sharing counts, a bitset of caching clients (⌈clients/64⌉
+// words) beside index-linked LRU slots, or a lease (writer, reader bitset).
 package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -181,92 +189,102 @@ type SharingPoint struct {
 	WrittenMultiple float64 // written (or read-write shared) by >1 client
 }
 
-// upToTwo counts distinct clients as none, one or more than one: all a
-// sharing class asks.
-type upToTwo struct {
-	first int // the only client seen so far, while n == 1
-	n     int // 0, 1, or 2 for "two or more"
+// denseIDs returns recs with ids that index a table (relabelled in a copy
+// if need be) and the two table sizes, largest id + 1.
+func denseIDs(recs []Record) (dense []Record, dirs, clients int) {
+	sparse := false
+	for _, r := range recs {
+		sparse = sparse || r.Dir < 0 || r.Dir > len(recs) || r.Client < 0 || r.Client > len(recs)
+		dirs, clients = max(dirs, r.Dir+1), max(clients, r.Client+1)
+	}
+	if !sparse {
+		return recs, dirs, clients
+	}
+	dense, seen := slices.Clone(recs), map[[2]int]int{} // {0, dir} or {1, client}: new id
+	var n [2]int
+	for i := range dense {
+		for k, id := range [2]*int{&dense[i].Dir, &dense[i].Client} {
+			to, ok := seen[[2]int{k, *id}]
+			if !ok {
+				to, n[k] = n[k], n[k]+1
+				seen[[2]int{k, *id}] = to
+			}
+			*id = to
+		}
+	}
+	return dense, n[0], n[1]
 }
 
-func (s *upToTwo) add(client int) {
-	switch {
-	case s.n == 0:
-		s.first, s.n = client, 1
-	case s.n == 1 && s.first != client:
-		s.n = 2
+// sharers counts the distinct clients of one sharing class as none, one or
+// more, packed in an int32: 0 is none, id+1 is only client id, -1 is more.
+type sharers int32
+
+func (s *sharers) add(client int) {
+	if id := sharers(client + 1); *s == 0 {
+		*s = id
+	} else if *s != id {
+		*s = -1
 	}
 }
 
-// dirStat is who touched one directory inside one window.
-type dirStat struct{ readers, writers, clients upToTwo }
+// dirSharers is who touched one directory inside one window.
+type dirSharers struct{ readers, writers, clients sharers }
 
 // AnalyzeSharing computes the paper's Figure 7 curves: for each interval
 // length T, partition the trace into windows of T and classify every
 // directory accessed in a window by who read and wrote it; report the mean
 // fraction per class, normalized by directories accessed in the window.
+// Windows without a record count for nothing, and a non-positive T has no
+// windows at all: its point is all zeros.
 func AnalyzeSharing(recs []Record, intervals []time.Duration) []SharingPoint {
 	if len(intervals) == 0 {
 		for t := 4; t <= 1024; t *= 2 {
 			intervals = append(intervals, time.Duration(t)*time.Second)
 		}
 	}
-	var out []SharingPoint
-	stats := map[int]dirStat{} // cleared per window
+	recs, dirs, _ := denseIDs(recs)
+	stats := make([]dirSharers, dirs) // zero outside the current window
+	out := make([]SharingPoint, 0, len(intervals))
 	for _, T := range intervals {
-		var acc SharingPoint
-		acc.Interval = T
-		windows := 0
-		start := time.Duration(0)
-		i := 0
-		for i < len(recs) {
-			end := start + T
-			clear(stats)
-			for i < len(recs) && recs[i].At < end {
-				r := recs[i]
-				ds := stats[r.Dir]
+		var sum [4]float64 // per class, summed over windows in order
+		windows, start := 0, time.Duration(0)
+		for i := 0; i < len(recs) && T > 0; windows++ {
+			if at := recs[i].At; at >= start+T {
+				start = at / T * T // jump over the empty windows before it
+			}
+			first, end := i, start+T
+			for ; i < len(recs) && recs[i].At < end; i++ {
+				r, ds := recs[i], &stats[recs[i].Dir]
 				if r.Kind == OpRead {
 					ds.readers.add(r.Client)
 				} else {
 					ds.writers.add(r.Client)
 				}
 				ds.clients.add(r.Client)
-				stats[r.Dir] = ds
-				i++
 			}
-			if len(stats) > 0 {
-				var r1, w1, rm, wm int
-				for _, ds := range stats {
-					if ds.readers.n == 1 {
-						r1++
-					}
-					if ds.writers.n == 1 {
-						w1++
-					}
-					if ds.readers.n > 1 {
-						rm++
-					}
-					// Read-write shared: updated by someone and touched by
-					// more than one distinct client overall.
-					if ds.writers.n >= 1 && ds.clients.n > 1 {
-						wm++
+			// The window's records list its directories: each is
+			// classified at its first record and zeroed for the next. The
+			// classes are in SharingPoint's order; read-write shared is
+			// updated by someone and touched by more than one client.
+			touched, class := 0, [4]int{}
+			for _, r := range recs[first:i] {
+				if d := stats[r.Dir]; d.clients != 0 {
+					stats[r.Dir] = dirSharers{}
+					touched++
+					for k, in := range [4]bool{d.readers > 0, d.writers > 0, d.readers < 0, d.writers != 0 && d.clients < 0} {
+						if in {
+							class[k]++
+						}
 					}
 				}
-				n := float64(len(stats))
-				acc.ReadOne += float64(r1) / n
-				acc.WriteOne += float64(w1) / n
-				acc.ReadMultiple += float64(rm) / n
-				acc.WrittenMultiple += float64(wm) / n
-				windows++
+			}
+			for k, n := range class {
+				sum[k] += float64(n) / float64(touched)
 			}
 			start = end
 		}
-		if windows > 0 {
-			acc.ReadOne /= float64(windows)
-			acc.WriteOne /= float64(windows)
-			acc.ReadMultiple /= float64(windows)
-			acc.WrittenMultiple /= float64(windows)
-		}
-		out = append(out, acc)
+		w := float64(max(windows, 1))
+		out = append(out, SharingPoint{T, sum[0] / w, sum[1] / w, sum[2] / w, sum[3] / w})
 	}
 	return out
 }
@@ -286,47 +304,105 @@ type CacheSimResult struct {
 // cache (no message); updates always go to the server, which invalidates
 // other clients' cached entries (callback messages).
 func SimulateMetadataCache(recs []Record, cacheSize int) CacheSimResult {
-	caches := map[int]*lruCache{}
-	get := func(c int) *lruCache {
-		l := caches[c]
-		if l == nil {
-			l = newLRUCache(cacheSize)
-			caches[c] = l
-		}
-		return l
-	}
-	var reads, readHits, updates, callbacks int64
+	recs, dirs, clients := denseIDs(recs)
+	caches := newDirCaches(recs, dirs, clients, max(cacheSize, 1))
+	var readHits, callbacks int64
 	for _, r := range recs {
-		l := get(r.Client)
-		if r.Kind == OpRead {
-			reads++
-			if l.touch(r.Dir) {
-				readHits++
-				continue
-			}
-			l.insert(r.Dir)
-		} else {
-			updates++
-			// The server invalidates every other client's cached entry.
-			for c, other := range caches {
-				if c == r.Client {
-					continue
-				}
-				if other.remove(r.Dir) {
-					callbacks++
-				}
-			}
+		if r.Kind != OpRead {
+			callbacks += caches.update(r.Client, r.Dir)
+		} else if caches.read(r.Client, r.Dir) {
+			readHits++
 		}
 	}
-	total := reads + updates
 	res := CacheSimResult{CacheSize: cacheSize}
-	if total > 0 {
-		res.Reduction = float64(readHits) / float64(total)
-	}
-	if total > 0 {
-		res.CallbackRatio = float64(callbacks) / float64(total)
+	if total := float64(len(recs)); total > 0 {
+		res.Reduction, res.CallbackRatio = float64(readHits)/total, float64(callbacks)/total
 	}
 	return res
+}
+
+// dirCaches is every client's LRU cache of directories. Client c owns slots
+// head[c] to head[c+1]-1: the first heads a circular list, most recent
+// first, of min(size, c's records) slots holding a directory or, last, -1.
+type dirCaches struct {
+	clients, words int
+	holders        []uint64
+	head           []int
+	slots          []struct{ prev, next, dir int }
+	at             map[int]int
+}
+
+func newDirCaches(recs []Record, dirs, clients, size int) *dirCaches {
+	head := make([]int, clients+1)
+	for _, r := range recs {
+		head[r.Client+1]++
+	}
+	for c := range clients {
+		head[c+1] = head[c] + 1 + min(size, head[c+1])
+	}
+	words := (clients + 63) / 64
+	d := &dirCaches{clients: clients, words: words, holders: make([]uint64, dirs*words), head: head}
+	d.slots, d.at = make([]struct{ prev, next, dir int }, head[clients]), make(map[int]int, head[clients]-clients)
+	for s := range d.slots {
+		d.slots[s].prev, d.slots[s].next, d.slots[s].dir = s-1, s+1, -1
+	}
+	for c := range clients {
+		d.slots[head[c]].prev, d.slots[head[c+1]-1].next = head[c+1]-1, head[c]
+	}
+	return d
+}
+
+// read reports whether the client caches dir and makes dir its most recent
+// entry, on a miss in its least recent slot, evicting what that held.
+func (d *dirCaches) read(client, dir int) (hit bool) {
+	w, bit := client/64, uint64(1)<<(client%64)
+	if d.holders[dir*d.words+w]&bit != 0 {
+		d.place(client, d.at[dir*d.clients+client], true)
+		return true
+	}
+	s := d.slots[d.head[client]].prev
+	if old := d.slots[s].dir; old >= 0 {
+		delete(d.at, old*d.clients+client)
+		d.holders[old*d.words+w] &^= bit
+	}
+	d.slots[s].dir, d.at[dir*d.clients+client] = dir, s
+	d.holders[dir*d.words+w] |= bit
+	d.place(client, s, true)
+	return false
+}
+
+// update drops dir from every cache but the writer's and returns the
+// callbacks that takes.
+func (d *dirCaches) update(writer, dir int) (callbacks int64) {
+	h := d.holders[dir*d.words : (dir+1)*d.words]
+	for i, held := range h {
+		if i == writer/64 {
+			held &^= 1 << (writer % 64)
+		}
+		h[i] &^= held
+		for ; held != 0; held &= held - 1 {
+			c := i*64 + bits.TrailingZeros64(held)
+			s := d.at[dir*d.clients+c]
+			delete(d.at, dir*d.clients+c)
+			d.slots[s].dir = -1
+			d.place(c, s, false)
+			callbacks++
+		}
+	}
+	return callbacks
+}
+
+// place moves slot s to the front of the client's list, or to its back.
+func (d *dirCaches) place(client, s int, front bool) {
+	sl := d.slots
+	p, n := sl[s].prev, sl[s].next
+	sl[p].next, sl[n].prev = n, p
+	if p = d.head[client]; !front {
+		p = sl[p].prev
+	}
+	n = sl[p].next
+	sl[s].prev, sl[s].next = p, n
+	sl[n].prev, sl[p].next = s, s
 }
 
 // DelegationResult reports the directory-delegation simulation: leases
@@ -348,55 +424,42 @@ type DelegationResult struct {
 // client's access. Acquisitions ride the first access (no extra message);
 // operations under a held lease are local.
 func SimulateDelegation(recs []Record) DelegationResult {
-	type dirLease struct {
-		writer  int // -1 = none
-		readers map[int]bool
-	}
-	leases := map[int]*dirLease{}
-	get := func(dir int) *dirLease {
-		l := leases[dir]
-		if l == nil {
-			l = &dirLease{writer: -1, readers: map[int]bool{}}
-			leases[dir] = l
-		}
-		return l
-	}
-	var local, total, recalls int64
+	recs, dirs, clients := denseIDs(recs)
+	words := (clients + 63) / 64
+	writer := make([]int32, dirs)         // the exclusive holder's id+1, 0 for none
+	readers := make([]uint64, dirs*words) // dir d's read leases: words d*words on
+	var local, recalls int64
+	// A write lease and read leases never coexist: a write clears the
+	// readers, and another client's read ends the write lease first.
 	for _, r := range recs {
-		total++
-		l := get(r.Dir)
-		if r.Kind == OpRead {
-			if l.writer != -1 && l.writer != r.Client {
+		own, wr := int32(r.Client+1), &writer[r.Dir]
+		rd := readers[r.Dir*words : (r.Dir+1)*words]
+		w, bit := r.Client/64, uint64(1)<<(r.Client%64)
+		switch {
+		case *wr == own || r.Kind == OpRead && rd[w]&bit != 0:
+			local++ // own exclusive lease, or a shared one for a read
+		case r.Kind == OpRead:
+			if *wr != 0 {
 				recalls++ // downgrade the exclusive holder
-				l.writer = -1
+				*wr = 0
 			}
-			if l.readers[r.Client] || l.writer == r.Client {
-				local++ // shared (or own exclusive) lease held
-			} else {
-				l.readers[r.Client] = true // acquisition rides this access
-			}
-		} else {
-			if l.writer == r.Client && len(l.readers) == 0 {
-				local++ // exclusive lease held: aggregated local update
-				continue
-			}
+			rd[w] |= bit // acquisition rides this access
+		default:
 			// Recall every other reader and any other writer.
-			for c := range l.readers {
-				if c != r.Client {
-					recalls++
-				}
-			}
-			if l.writer != -1 && l.writer != r.Client {
+			if *wr != 0 {
 				recalls++
 			}
-			l.readers = map[int]bool{}
-			l.writer = r.Client
+			for _, x := range rd {
+				recalls += int64(bits.OnesCount64(x))
+			}
+			recalls -= int64(rd[w] >> (r.Client % 64) & 1)
+			clear(rd)
+			*wr = own
 		}
 	}
 	res := DelegationResult{Recalls: recalls}
-	if total > 0 {
-		res.MessageReduction = float64(local) / float64(total)
-		res.RecallRatio = float64(recalls) / float64(total)
+	if total := float64(len(recs)); total > 0 {
+		res.MessageReduction, res.RecallRatio = float64(local)/total, float64(recalls)/total
 	}
 	return res
 }
