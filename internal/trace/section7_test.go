@@ -75,8 +75,9 @@ func TestSection7MatchesReference(t *testing.T) {
 		}
 		var intervals []time.Duration
 		if trial%2 == 1 {
+			// At least 10 ms: the reference steps through every empty window.
 			for k := 1 + rng.Intn(4); k > 0; k-- {
-				intervals = append(intervals, time.Duration(1+rng.Int63n(int64(20*time.Second))))
+				intervals = append(intervals, 10*time.Millisecond+time.Duration(rng.Int63n(int64(20*time.Second))))
 			}
 		}
 		recs := Synthesize(p)
