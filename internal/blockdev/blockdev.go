@@ -20,6 +20,12 @@
 // retired, and retired blocks go back to the pool between operations, when
 // only dirty or pinned blocks, which are never dropped, can still be referred
 // to (see Store and Pool).
+//
+// Block numbers are dense integers below a device's NumBlocks, so the owners
+// that look blocks up by number (Store, the ext3 buffer cache) index them
+// with a Table, a two-level radix table, not a map; a set of block numbers
+// walked in order (dirty data) is a Bits. A Table's leaves are the third
+// thing a Pool recycles, after the Stores' blocks and the caches' blocks.
 package blockdev
 
 import (
@@ -53,10 +59,10 @@ type Device interface {
 // Memory follows content, not copies. A block is in one of three states:
 //
 //   - absent: it reads as zeros (never written, or last written with zeros);
-//   - constant: its last write was one non-zero byte repeated, and the map
+//   - constant: its last write was one non-zero byte repeated, and the table
 //     holds a reference to the shared read-only block of that byte;
-//   - private: its last write mixed bytes, and the map holds the store's own
-//     copy.
+//   - private: its last write mixed bytes, and the table holds the store's
+//     own copy.
 //
 // So a synthetic payload (one fill byte per chunk) costs the host no bytes
 // however much of it is written, while ReadAt returns exactly what was
@@ -65,17 +71,18 @@ type Device interface {
 //
 // Ownership: the store never hands out a block (ReadAt copies), so it may
 // return a private block to its Pool the moment a constant write replaces it
-// and, wholesale, in Release. Shared blocks are never written, and Put
-// refuses them.
+// and, wholesale, in Release, which also gives back the table's leaves.
+// Shared blocks are never written, and Put refuses them.
 type Store struct {
 	blockSize int
 	numBlocks int64
-	blocks    map[int64][]byte // nil once released
+	blocks    Table[[]byte]
+	released  bool
 	pool      *Pool
 }
 
 // shared holds, for every fill byte, one block of that byte repeated: what a
-// constant block's map entry, and a cache block of one byte repeated, refers
+// constant block's table entry, and a cache block of one byte repeated, refers
 // to. Built here, never written again.
 var shared = func() *[256][BlockSize]byte {
 	var t [256][BlockSize]byte
@@ -89,15 +96,16 @@ var shared = func() *[256][BlockSize]byte {
 
 // NewStore creates a sparse image of numBlocks blocks of blockSize bytes.
 func NewStore(numBlocks int64, blockSize int) *Store {
-	return &Store{blockSize: blockSize, numBlocks: numBlocks, blocks: make(map[int64][]byte)}
+	return &Store{blockSize: blockSize, numBlocks: numBlocks}
 }
 
-// SetPool makes the store take its private blocks from p and return them to
-// it (nil: allocate, and leave them to the collector). A store whose blocks
-// are not BlockSize bytes ignores the pool.
+// SetPool makes the store take its private blocks and its table's leaves
+// from p and return them to it (nil: allocate, and leave them to the
+// collector). A store whose blocks are not BlockSize bytes ignores the pool.
 func (s *Store) SetPool(p *Pool) {
 	if s.blockSize == BlockSize {
 		s.pool = p
+		s.blocks.SetPool(p)
 	}
 }
 
@@ -111,7 +119,7 @@ func (s *Store) NumBlocks() int64 { return s.numBlocks }
 // buffer is not exactly one block: the representation depends on the whole
 // block's content, so a short or long buffer has no meaning.
 func (s *Store) check(op string, lba int64, n int) error {
-	if s.blocks == nil {
+	if s.released {
 		return fmt.Errorf("blockdev: %s on a released store", op)
 	}
 	if lba < 0 || lba >= s.numBlocks {
@@ -128,7 +136,7 @@ func (s *Store) ReadAt(lba int64, buf []byte) error {
 	if err := s.check("read", lba, len(buf)); err != nil {
 		return err
 	}
-	if b, ok := s.blocks[lba]; ok {
+	if b, ok := s.blocks.Get(lba); ok {
 		copy(buf, b)
 	} else {
 		clear(buf)
@@ -144,14 +152,14 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 	if err := s.check("write", lba, len(data)); err != nil {
 		return err
 	}
-	old, present := s.blocks[lba]
+	old, present := s.blocks.Get(lba)
 	private := present && !isShared(old)
 	if s.blockSize <= BlockSize && uniform(data) {
 		s.pool.Put(old) // refuses a shared block, and nil
 		if v := data[0]; v != 0 {
-			s.blocks[lba] = shared[v][:s.blockSize:s.blockSize]
+			s.blocks.Set(lba, shared[v][:s.blockSize:s.blockSize])
 		} else if present {
-			delete(s.blocks, lba)
+			s.blocks.Delete(lba)
 		}
 		return nil
 	}
@@ -161,7 +169,7 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 		} else {
 			old = make([]byte, s.blockSize)
 		}
-		s.blocks[lba] = old
+		s.blocks.Set(lba, old)
 	}
 	copy(old, data)
 	return nil
@@ -173,9 +181,9 @@ func (s *Store) zeroAt(lba int64) error {
 	if err := s.check("write", lba, s.blockSize); err != nil {
 		return err
 	}
-	if old, present := s.blocks[lba]; present {
+	if old, present := s.blocks.Get(lba); present {
 		s.pool.Put(old)
-		delete(s.blocks, lba)
+		s.blocks.Delete(lba)
 	}
 	return nil
 }
@@ -193,17 +201,21 @@ func isShared(b []byte) bool { return &b[0] == &shared[b[0]][0] }
 
 // Populated reports how many blocks are constant or private, that is, how
 // many do not currently read as all zeros (for tests).
-func (s *Store) Populated() int { return len(s.blocks) }
+func (s *Store) Populated() int { return s.blocks.Len() }
 
-// Release returns every private block to the pool and leaves the store
-// unusable: reads and writes fail from then on. It is the store's share of
-// tearing a whole assembly down (testbed's Cluster.Close); skipping it costs
-// garbage, nothing else.
+// Release returns every private block and the table's leaves to the pool and
+// leaves the store unusable: reads and writes fail from then on. It is the
+// store's share of tearing a whole assembly down (testbed's Cluster.Close);
+// skipping it costs garbage, nothing else.
 func (s *Store) Release() {
-	for _, b := range s.blocks {
-		s.pool.Put(b)
+	if s.pool != nil {
+		for lba := s.blocks.Next(0); lba >= 0; lba = s.blocks.Next(lba + 1) {
+			b, _ := s.blocks.Get(lba)
+			s.pool.Put(b)
+		}
 	}
-	s.blocks = nil
+	s.blocks.Release()
+	s.released = true
 }
 
 // Local is a directly-attached device: a Store for content plus a RAID-5

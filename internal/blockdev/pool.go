@@ -10,15 +10,18 @@ const BlockSize = 4096
 // a pool never makes one cell's high-water footprint permanent.
 const poolCap = 4096
 
-// Pool is a free list of BlockSize-byte blocks shared by the block owners of
-// the cells one sweep builds one after another: the Stores, the ext3 buffer
-// caches and the NFS client page caches (testbed.Config.Pool hands it down).
-// A block goes back where its owner drops it, so the next fetch, or the next
-// cell, takes it from here instead of from the heap.
+// Pool is a free list shared by the block owners of the cells one sweep builds
+// one after another: the Stores, the ext3 buffer caches and the NFS client
+// page caches (testbed.Config.Pool hands it down). It recycles three things:
+// the BlockSize-byte private blocks of the Stores, those of the caches, and
+// the leaves of the Tables that index Stores and buffer caches by block
+// number. A block goes back where its owner drops it, and a leaf when its
+// Table is released, so the next fetch, or the next cell, takes it from here
+// instead of from the heap.
 //
-// A nil *Pool is valid and inert: Get allocates, Put does nothing, and the
-// caches retire nothing. That is the state of every assembly built without
-// one.
+// A nil *Pool is valid and inert: Get allocates, Put does nothing, Tables
+// make their leaves and leave them to the collector, and the caches retire
+// nothing. That is the state of every assembly built without one.
 //
 // An owner holds two kinds of block. A private block is one Get handed out;
 // the owner writes it and gives it back. A shared block is the read-only block
@@ -43,11 +46,19 @@ const poolCap = 4096
 //     whole cache dies (dropAll, release). What outlives an operation refers
 //     only to dirty or pinned blocks, and those are never dropped.
 //   - After Put the owner drops its reference (data = nil).
+//   - Leaves go back only whole and emptied, in Table.Release: when a Store
+//     is released (Store.Release) and when a buffer cache dies (dropAll). A
+//     leaf never holds a value in the pool, so a free leaf keeps no block and
+//     no buffer alive. Like blocks, at most leafCap of them are kept.
 //
 // The zero Pool is empty and ready. A Pool is not safe for concurrent use;
 // concurrent sweeps take one each.
 type Pool struct {
 	free [][]byte
+	// shelves holds one free list per kind of leaf (a *[]*leaf[T]), leaves
+	// counts the leaves on all of them.
+	shelves []any
+	leaves  int
 	// Poison makes Put overwrite the block with 0xEE, a byte no workload
 	// writes, so a reference that outlived its owner reads bytes no golden
 	// expects. Tests set it.
@@ -161,3 +172,52 @@ func repeats(src []byte) (byte, bool) {
 	}
 	return src[0], true
 }
+
+// Reclaimer is a cache's side of the pool, for caches whose entries (of type
+// E) each hold one block: the ext3 buffer cache and the NFS page cache. A
+// cache that drops an entry during an operation only retires it, since the
+// operation may still read it, and Reclaim gives the blocks of what was
+// retired back once no operation is in flight. Pool is where the cache's
+// private blocks come from; nil means the heap, and then nothing is retired.
+type Reclaimer[E any] struct {
+	Pool     *Pool
+	retired  []E      // unlinked since the last Reclaim
+	replaced [][]byte // private blocks Replace swapped out of resident entries since the last Reclaim
+}
+
+// Retire remembers e, an entry the cache unlinked, for Reclaim.
+func (r *Reclaimer[E]) Retire(e E) {
+	if r.Pool != nil {
+		r.retired = append(r.retired, e)
+	}
+}
+
+// Replace is Pool.Replace for a resident entry's block: the private block a
+// shared one displaces is retired.
+func (r *Reclaimer[E]) Replace(cur, src []byte) []byte {
+	return r.Pool.Replace(cur, src, &r.replaced)
+}
+
+// Reclaim gives the pool the blocks of the retired entries and the replaced
+// blocks. data returns where a retired entry keeps its block, or nil for an
+// entry that is the cache's again and keeps it; a block goes back once and
+// its entry is left without data. Callers guarantee that no operation is in
+// flight.
+func (r *Reclaimer[E]) Reclaim(data func(E) *[]byte) {
+	var none E
+	for i, e := range r.retired {
+		if d := data(e); d != nil && *d != nil {
+			r.Pool.Put(*d)
+			*d = nil
+		}
+		r.retired[i] = none
+	}
+	r.retired = r.retired[:0]
+	r.replaced = r.Pool.PutAll(r.replaced)
+}
+
+// Retired returns the entries retired since the last Reclaim (for tests).
+func (r *Reclaimer[E]) Retired() []E { return r.retired }
+
+// Replaced reports how many replaced blocks wait for Reclaim (for tests).
+func (r *Reclaimer[E]) Replaced() int { return len(r.replaced) }

@@ -79,7 +79,7 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 	// A private block never holds one byte repeated, and the shared blocks
 	// are still what they were built as: nothing wrote through a reference.
 	for lba := int64(0); lba < blocks; lba++ {
-		if b, ok := s.blocks[lba]; ok && !isShared(b) && uniform(b) {
+		if b, ok := s.blocks.Get(lba); ok && !isShared(b) && uniform(b) {
 			t.Fatalf("block %d is private but constant (%#x)", lba, b[0])
 		}
 	}
@@ -113,7 +113,7 @@ func FuzzStoreMatchesDenseImage(f *testing.F) {
 				}
 			}
 			for lba := int64(0); lba < 8; lba++ {
-				if c, ok := pooled.blocks[lba]; ok && &b[0] == &c[0] {
+				if c, ok := pooled.blocks.Get(lba); ok && &b[0] == &c[0] {
 					t.Fatalf("block %d is in the store and in the pool", lba)
 				}
 			}
@@ -138,8 +138,8 @@ func TestStoreBlockLifecycle(t *testing.T) {
 	if s.Populated() != 4 || len(pool.free) != 0 {
 		t.Fatalf("after constant writes: populated %d, pool %d", s.Populated(), len(pool.free))
 	}
-	for lba, b := range s.blocks {
-		if !isShared(b) {
+	for lba := s.blocks.Next(0); lba >= 0; lba = s.blocks.Next(lba + 1) {
+		if b, _ := s.blocks.Get(lba); !isShared(b) {
 			t.Fatalf("constant block %d owns memory", lba)
 		}
 	}
@@ -149,7 +149,9 @@ func TestStoreBlockLifecycle(t *testing.T) {
 	if err := s.WriteAt(1, mixed); err != nil {
 		t.Fatal(err)
 	}
-	if isShared(s.blocks[0]) || &s.blocks[0][0] == &s.blocks[1][0] {
+	b0, _ := s.blocks.Get(0)
+	b1, _ := s.blocks.Get(1)
+	if isShared(b0) || &b0[0] == &b1[0] {
 		t.Fatal("mixed writes did not get private blocks of their own")
 	}
 	if shared[0xDD][BlockSize-1] != 0xDD {

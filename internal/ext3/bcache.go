@@ -56,36 +56,37 @@ type bcacheStats struct {
 // makes this safe is scoped to the operation: a *buffer obtained during one
 // file-system operation is not used after the operation returns. What
 // outlives an operation (journal.running, committed buffers awaiting their
-// checkpoint, dirtyData) refers only to dirty or pinned buffers, which are
-// never victims. Inside an operation a caller does hold buffers across
+// checkpoint, the dirty set) refers only to dirty or pinned buffers, which
+// are never victims. Inside an operation a caller does hold buffers across
 // evictions (see markDirty), so a buffer the cache unlinks is only retired,
 // and so is a private block a shared one replaces in a resident buffer (set);
 // reclaim, which FS.tick runs on entry (every operation's tail call, when
 // none is in flight) and dropAll runs first, gives retired blocks to the
 // pool. Without a pool nothing is retired.
+//
+// Resident buffers are indexed by block number in a blockdev.Table whose
+// leaves come from and go back to the pool (dropAll), and the dirty data
+// buffers are a blockdev.Bits beside it, walked in ascending order by
+// flushData. A dirty buffer is always the resident one for its lba, so the
+// set holds numbers only.
 type bcache struct {
-	dev       blockdev.Device
-	max       int
-	blocks    map[int64]*buffer
-	lru       buffer  // ring sentinel: lru.older is the most recently used buffer, lru.newer the least
-	clock     uint64  // last stamp handed out
-	blocked   *buffer // nil: nothing known to be blocked
-	stats     bcacheStats
-	dirtyData map[int64]*buffer // dirty non-journaled (file data) blocks
-	tracer    *tracing.Tracer   // cache-miss spans (nil = tracing off)
-	pool      *blockdev.Pool
-	retired   []*buffer // unlinked since the last reclaim; a reinstated buffer may be among them
-	replaced  [][]byte  // private blocks Pool.Replace swapped out of resident buffers since the last reclaim
+	dev     blockdev.Device
+	max     int
+	blocks  blockdev.Table[*buffer]
+	lru     buffer  // ring sentinel: lru.older is the most recently used buffer, lru.newer the least
+	clock   uint64  // last stamp handed out
+	blocked *buffer // nil: nothing known to be blocked
+	stats   bcacheStats
+	dirty   blockdev.Bits   // lbas of the dirty non-journaled (file data) buffers
+	tracer  *tracing.Tracer // cache-miss spans (nil = tracing off)
+	// mem holds the pool, the buffers unlinked since the last reclaim (a
+	// reinstated buffer may be among them) and the blocks set displaced.
+	mem blockdev.Reclaimer[*buffer]
 }
 
 func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
-	c := &bcache{
-		dev:       dev,
-		max:       max,
-		pool:      pool,
-		blocks:    make(map[int64]*buffer),
-		dirtyData: make(map[int64]*buffer),
-	}
+	c := &bcache{dev: dev, max: max, mem: blockdev.Reclaimer[*buffer]{Pool: pool}}
+	c.blocks.SetPool(pool)
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	return c
 }
@@ -106,7 +107,7 @@ func (c *bcache) front(b *buffer) {
 // pushFront links b in as the most recently used buffer for its lba.
 func (c *bcache) pushFront(b *buffer) {
 	c.front(b)
-	c.blocks[b.lba] = b
+	c.blocks.Set(b.lba, b)
 }
 
 func (c *bcache) insert(b *buffer) {
@@ -135,7 +136,7 @@ func (c *bcache) behind(b *buffer) *buffer {
 // If b sits at or behind blocked, the search must resume at b. A buffer
 // that is no longer resident has no place in the ring and is ignored.
 func (c *bcache) unblock(b *buffer) {
-	if b.dirty || b.pins > 0 || c.blocked == nil || c.blocks[b.lba] != b {
+	if b.dirty || b.pins > 0 || c.blocked == nil || c.peek(b.lba) != b {
 		return
 	}
 	if b.stamp <= c.blocked.stamp {
@@ -144,7 +145,7 @@ func (c *bcache) unblock(b *buffer) {
 }
 
 func (c *bcache) evictIfNeeded() {
-	for len(c.blocks) > c.max {
+	for c.blocks.Len() > c.max {
 		b := c.lru.newer
 		if c.blocked != nil {
 			b = c.blocked.newer
@@ -157,17 +158,9 @@ func (c *bcache) evictIfNeeded() {
 			return // everything dirty/pinned; allow temporary overflow
 		}
 		c.unlink(b)
-		delete(c.blocks, b.lba)
+		c.blocks.Delete(b.lba)
 		c.stats.Evictions++
-		c.retire(b)
-	}
-}
-
-// retire remembers an unlinked buffer for reclaim: whoever obtained it during
-// the operation in flight may still be using it.
-func (c *bcache) retire(b *buffer) {
-	if c.pool != nil {
-		c.retired = append(c.retired, b)
+		c.mem.Retire(b) // whoever obtained it during the operation in flight may still use it
 	}
 }
 
@@ -176,26 +169,26 @@ func (c *bcache) retire(b *buffer) {
 // markDirty reinstated is resident again and keeps its block; one retired
 // twice is put once.
 func (c *bcache) reclaim() {
-	for i, b := range c.retired {
-		if b.data != nil && c.blocks[b.lba] != b {
-			c.pool.Put(b.data)
-			b.data = nil
+	c.mem.Reclaim(func(b *buffer) *[]byte {
+		if c.peek(b.lba) == b {
+			return nil
 		}
-		c.retired[i] = nil
-	}
-	c.retired = c.retired[:0]
-	c.replaced = c.pool.PutAll(c.replaced)
+		return &b.data
+	})
 }
 
 // peek returns the cached buffer without device access, or nil.
-func (c *bcache) peek(lba int64) *buffer { return c.blocks[lba] }
+func (c *bcache) peek(lba int64) *buffer {
+	b, _ := c.blocks.Get(lba)
+	return b
+}
 
 // lookup is the one search get, view and set share, so all three count and
 // order alike: a hit moves the buffer to the front, counts, and waits for a
 // read-ahead in flight; a miss checks the address and counts, and the caller
 // fills the block.
 func (c *bcache) lookup(at time.Duration, lba int64) (*buffer, time.Duration, error) {
-	if b, ok := c.blocks[lba]; ok {
+	if b := c.peek(lba); b != nil {
 		c.touch(b)
 		done := at
 		if b.readyAt > at {
@@ -226,7 +219,7 @@ func (c *bcache) get(at time.Duration, lba int64, zero bool) (*buffer, time.Dura
 	if b == nil {
 		return c.fill(at, lba, zero)
 	}
-	b.data = c.pool.Writable(b.data)
+	b.data = c.mem.Pool.Writable(b.data)
 	if zero {
 		// Fresh allocation of a block with stale cached content (it
 		// was freed and reallocated): the caller expects zeroes.
@@ -253,11 +246,11 @@ func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Dur
 		return nil, done, err
 	}
 	if b == nil {
-		b = &buffer{lba: lba, data: c.pool.Load(src)}
+		b = &buffer{lba: lba, data: c.mem.Pool.Load(src)}
 		c.insert(b)
 		return b, at, nil
 	}
-	b.data = c.pool.Replace(b.data, src, &c.replaced)
+	b.data = c.mem.Replace(b.data, src)
 	return b, done, nil
 }
 
@@ -265,7 +258,7 @@ func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Dur
 // set, else read from the device.
 func (c *bcache) fill(at time.Duration, lba int64, zero bool) (*buffer, time.Duration, error) {
 	// A recycled block is cleared only when nothing is about to fill it.
-	b := &buffer{lba: lba, data: c.pool.Get(zero)}
+	b := &buffer{lba: lba, data: c.mem.Pool.Get(zero)}
 	done := at
 	if !zero {
 		// The miss span parents the device I/O it forces (iSCSI exchange
@@ -285,10 +278,10 @@ func (c *bcache) fill(at time.Duration, lba int64, zero bool) (*buffer, time.Dur
 // insertPrefetch caches a copy of data for lba arriving at readyAt
 // (read-ahead): shared when data is one byte repeated.
 func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
-	if _, ok := c.blocks[lba]; ok {
+	if c.peek(lba) != nil {
 		return
 	}
-	c.insert(&buffer{lba: lba, data: c.pool.Load(data), readyAt: readyAt})
+	c.insert(&buffer{lba: lba, data: c.mem.Pool.Load(data), readyAt: readyAt})
 }
 
 // markDirty flags a buffer dirty; meta selects the journaled class.
@@ -299,13 +292,13 @@ func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 // the caller's copy as the authoritative resident one, so mutations are
 // never silently lost; the copy it supersedes is retired like a victim.
 func (c *bcache) markDirty(b *buffer, meta bool) {
-	if cur, ok := c.blocks[b.lba]; !ok || cur != b {
-		if ok {
+	if cur := c.peek(b.lba); cur != b {
+		if cur != nil {
 			c.unlink(cur)
 			if cur.dirty && !cur.meta {
-				delete(c.dirtyData, cur.lba)
+				c.dirty.Remove(cur.lba)
 			}
-			c.retire(cur)
+			c.mem.Retire(cur)
 		}
 		c.pushFront(b)
 	}
@@ -314,19 +307,19 @@ func (c *bcache) markDirty(b *buffer, meta bool) {
 	}
 	if b.dirty && !b.meta && meta {
 		// Promotion from data to meta-data class (rare; e.g. block reuse).
-		delete(c.dirtyData, b.lba)
+		c.dirty.Remove(b.lba)
 	}
 	b.dirty = true
 	b.meta = meta
 	if !meta {
-		c.dirtyData[b.lba] = b
+		c.dirty.Add(b.lba)
 	}
 }
 
 // cleanData clears the dirty flag of a data buffer after flush.
 func (c *bcache) cleanData(b *buffer) {
 	b.dirty = false
-	delete(c.dirtyData, b.lba)
+	c.dirty.Remove(b.lba)
 	c.unblock(b)
 }
 
@@ -341,7 +334,7 @@ func (c *bcache) pinCommitted(b *buffer) {
 
 // unpin drops one checkpoint pin from the resident buffer for lba, if any.
 func (c *bcache) unpin(lba int64) {
-	if b := c.blocks[lba]; b != nil && b.pins > 0 {
+	if b := c.peek(lba); b != nil && b.pins > 0 {
 		b.pins--
 		c.unblock(b)
 	}
@@ -353,17 +346,19 @@ func (c *bcache) unpin(lba int64) {
 // unmounted and drop the running transaction, so no path reaches a buffer
 // afterwards: every retired and every resident block goes back to the pool,
 // and a buffer someone still holds by mistake has no data rather than
-// recycled data. Without a pool nothing is recycled, and nothing is touched.
+// recycled data; so do the index's leaves. Without a pool nothing is
+// recycled, and no buffer is touched.
 func (c *bcache) dropAll() {
 	c.reclaim()
-	if c.pool != nil {
-		for _, b := range c.blocks {
-			c.pool.Put(b.data)
+	if c.mem.Pool != nil {
+		for lba := c.blocks.Next(0); lba >= 0; lba = c.blocks.Next(lba + 1) {
+			b := c.peek(lba)
+			c.mem.Pool.Put(b.data)
 			b.data = nil
 		}
 	}
-	c.blocks = make(map[int64]*buffer)
-	c.dirtyData = make(map[int64]*buffer)
+	c.blocks.Release()
+	c.dirty.Clear()
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	c.blocked = nil
 }

@@ -144,8 +144,8 @@ func (p *cachePair) check(op string) {
 	if p.bc.stats.Evictions != p.ref.evictions {
 		p.t.Fatalf("after %s: Evictions = %d, want %d", op, p.bc.stats.Evictions, p.ref.evictions)
 	}
-	if len(p.bc.blocks) != len(p.ref.lru) {
-		p.t.Fatalf("after %s: %d blocks mapped, %d on the LRU list", op, len(p.bc.blocks), len(p.ref.lru))
+	if p.bc.blocks.Len() != len(p.ref.lru) {
+		p.t.Fatalf("after %s: %d blocks mapped, %d on the LRU list", op, p.bc.blocks.Len(), len(p.ref.lru))
 	}
 	// The invariant the cursor rests on.
 	for b := p.bc.blocked; b != nil; b = p.bc.behind(b) {
@@ -197,8 +197,8 @@ func TestBcacheEvictionMatchesLinearScan(t *testing.T) {
 				// journal.commit: every dirty meta buffer turns clean but
 				// pinned.
 				op = "commit"
-				for _, b := range bc.blocks {
-					if b.dirty && b.meta {
+				for lba := bc.blocks.Next(0); lba >= 0; lba = bc.blocks.Next(lba + 1) {
+					if b := bc.peek(lba); b.dirty && b.meta {
 						bc.pinCommitted(b)
 					}
 				}
@@ -353,8 +353,8 @@ func TestCheckpointedBuffersAreNextVictims(t *testing.T) {
 	if got := bc.stats.Evictions - evictions; got != int64(len(stuck)) {
 		t.Fatalf("%d evictions for %d inserts", got, len(stuck))
 	}
-	if len(bc.blocks) > bc.max {
-		t.Fatalf("%d blocks cached, max %d", len(bc.blocks), bc.max)
+	if bc.blocks.Len() > bc.max {
+		t.Fatalf("%d blocks cached, max %d", bc.blocks.Len(), bc.max)
 	}
 }
 
@@ -418,7 +418,7 @@ func TestCursorInvariantUnderFSOperations(t *testing.T) {
 			case k < 96: // commit; wraps the journal every few commits
 				at, err = fs.Sync(at)
 			default: // a cold insert, victim named beforehand
-				if len(bc.blocks) < bc.max {
+				if bc.blocks.Len() < bc.max {
 					continue
 				}
 				want := scanVictim(bc)
@@ -430,8 +430,8 @@ func TestCursorInvariantUnderFSOperations(t *testing.T) {
 				}
 				// An insert shrinks the cache to its bound unless everything
 				// left is dirty or pinned.
-				if v := scanVictim(bc); len(bc.blocks) > bc.max && v != nil {
-					t.Fatalf("%s: %d blocks cached (max %d) after an insert while buffer %d is evictable", when, len(bc.blocks), bc.max, v.lba)
+				if v := scanVictim(bc); bc.blocks.Len() > bc.max && v != nil {
+					t.Fatalf("%s: %d blocks cached (max %d) after an insert while buffer %d is evictable", when, bc.blocks.Len(), bc.max, v.lba)
 				}
 			}
 			if err != nil {

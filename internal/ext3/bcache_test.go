@@ -105,8 +105,8 @@ func TestBcacheEvictionSkipsDirtyAndPinned(t *testing.T) {
 	if bc.peek(2) == nil {
 		t.Fatal("pinned buffer evicted")
 	}
-	if len(bc.blocks) > 7 {
-		t.Fatalf("eviction inactive: %d cached", len(bc.blocks))
+	if bc.blocks.Len() > 7 {
+		t.Fatalf("eviction inactive: %d cached", bc.blocks.Len())
 	}
 }
 
@@ -157,17 +157,17 @@ func TestDirtyDataTracking(t *testing.T) {
 	bc, _ := newCache(t, 16)
 	b, _, _ := bc.get(0, 9, true)
 	bc.markDirty(b, false)
-	if len(bc.dirtyData) != 1 {
+	if bc.dirty.Len() != 1 {
 		t.Fatal("dirty data not tracked")
 	}
 	bc.cleanData(b)
-	if len(bc.dirtyData) != 0 || b.dirty {
+	if bc.dirty.Len() != 0 || b.dirty {
 		t.Fatal("clean did not clear state")
 	}
 	// Promotion data -> meta removes from the data set.
 	bc.markDirty(b, false)
 	bc.markDirty(b, true)
-	if len(bc.dirtyData) != 0 {
+	if bc.dirty.Len() != 0 {
 		t.Fatal("promotion left block in dirty data set")
 	}
 }
@@ -207,8 +207,8 @@ func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
 		all = append(all, b)
 	}
 	bc.dropAll()
-	if pool.Len() != 5 || len(bc.retired) != 0 {
-		t.Fatalf("after dropAll: pool holds %d blocks (want 4 resident + 1 retired), %d still retired", pool.Len(), len(bc.retired))
+	if pool.Len() != 5 || len(bc.mem.Retired()) != 0 {
+		t.Fatalf("after dropAll: pool holds %d blocks (want 4 resident + 1 retired), %d still retired", pool.Len(), len(bc.mem.Retired()))
 	}
 	for _, b := range all {
 		if b.data != nil {
@@ -247,12 +247,12 @@ func TestReclaim(t *testing.T) {
 		pool := &blockdev.Pool{Poison: true}
 		bc := newBcache(blockdev.NewTestbedArray(4096), 3, pool)
 		fill(bc, 100, 10)
-		if bc.stats.Evictions != 7 || len(bc.retired) != 7 || pool.Len() != 0 {
-			t.Fatalf("%d evictions, %d retired, pool %d; want 7, 7, 0", bc.stats.Evictions, len(bc.retired), pool.Len())
+		if bc.stats.Evictions != 7 || len(bc.mem.Retired()) != 7 || pool.Len() != 0 {
+			t.Fatalf("%d evictions, %d retired, pool %d; want 7, 7, 0", bc.stats.Evictions, len(bc.mem.Retired()), pool.Len())
 		}
 		bc.reclaim()
-		if pool.Len() != 7 || len(bc.retired) != 0 {
-			t.Fatalf("after reclaim: pool %d, %d retired; want 7, 0", pool.Len(), len(bc.retired))
+		if pool.Len() != 7 || len(bc.mem.Retired()) != 0 {
+			t.Fatalf("after reclaim: pool %d, %d retired; want 7, 0", pool.Len(), len(bc.mem.Retired()))
 		}
 		bc.reclaim()
 		if pool.Len() != 7 {
@@ -301,7 +301,7 @@ func TestReclaim(t *testing.T) {
 		bc.cleanData(held)
 		fill(bc, 4, 2) // evicts lba 1 again
 		twice := 0
-		for _, b := range bc.retired {
+		for _, b := range bc.mem.Retired() {
 			if b == held {
 				twice++
 			}
@@ -309,7 +309,7 @@ func TestReclaim(t *testing.T) {
 		if twice != 2 {
 			t.Fatalf("setup: held buffer retired %d times, want 2", twice)
 		}
-		retired := len(bc.retired)
+		retired := len(bc.mem.Retired())
 		bc.reclaim()
 		if pool.Len() != retired-1 || held.data != nil {
 			t.Fatalf("pool holds %d blocks for %d retired entries with one duplicate", pool.Len(), retired)
@@ -318,8 +318,8 @@ func TestReclaim(t *testing.T) {
 	t.Run("no pool, nothing retired", func(t *testing.T) {
 		bc := newBcache(blockdev.NewTestbedArray(4096), 2, nil)
 		fill(bc, 1, 6)
-		if bc.stats.Evictions != 4 || bc.retired != nil {
-			t.Fatalf("%d evictions, retired %v", bc.stats.Evictions, bc.retired)
+		if bc.stats.Evictions != 4 || bc.mem.Retired() != nil {
+			t.Fatalf("%d evictions, retired %v", bc.stats.Evictions, bc.mem.Retired())
 		}
 		bc.reclaim()
 		bc.dropAll()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"time"
 
 	"repro/internal/blockdev"
@@ -536,44 +535,48 @@ func (fs *FS) putInode(at time.Duration, ino Ino, n *inode) (time.Duration, erro
 // into single device writes (up to MaxCoalesce blocks — the mechanism that
 // produces the ~128 KB mean write request the paper reports in Table 4).
 func (fs *FS) flushData(at time.Duration) (time.Duration, error) {
-	if len(fs.bc.dirtyData) == 0 {
-		return at, nil
-	}
-	lbas := make([]int64, 0, len(fs.bc.dirtyData))
-	for lba := range fs.bc.dirtyData {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(a, b int) bool { return lbas[a] < lbas[b] })
-	// Issue the coalesced runs concurrently: destaging parallelizes across
-	// the array's members, and completion is the slowest run.
+	bc := fs.bc
+	return fs.writeRuns(at, bc.dirty.Next, func(lba int64) []byte { return bc.peek(lba).data }, func(lba int64) {
+		bc.cleanData(bc.peek(lba))
+	})
+}
+
+// writeRuns writes home the blocks next walks in ascending order (next
+// returns the first at or after its argument, or -1): contiguous blocks
+// coalesce into one device write of at most MaxCoalesce blocks, and the runs
+// are issued concurrently at `at`, since destaging parallelizes across the
+// array's members; completion is the slowest run. data gives a block's
+// content, and written (if not nil) is told of each block once its run is
+// on the device.
+func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int64) []byte, written func(int64)) (time.Duration, error) {
 	done := at
-	for i := 0; i < len(lbas); {
-		run := 1
-		for i+run < len(lbas) && lbas[i+run] == lbas[i]+int64(run) && run < fs.opts.MaxCoalesce {
+	for lba := next(0); lba >= 0; {
+		run := int64(1)
+		for run < int64(fs.opts.MaxCoalesce) && next(lba+run) == lba+run {
 			run++
 		}
-		buf := fs.runBuf(run)
-		for k := 0; k < run; k++ {
-			copy(buf[k*BlockSize:], fs.bc.dirtyData[lbas[i+k]].data)
+		buf := fs.runBuf(int(run))
+		for k := int64(0); k < run; k++ {
+			copy(buf[k*BlockSize:], data(lba+k))
 		}
-		d, err := fs.dev.WriteBlocks(at, lbas[i], buf)
+		d, err := fs.dev.WriteBlocks(at, lba, buf)
 		if err != nil {
 			return d, err
 		}
-		if d > done {
-			done = d
+		done = max(done, d)
+		if written != nil {
+			for k := int64(0); k < run; k++ {
+				written(lba + k)
+			}
 		}
-		for k := 0; k < run; k++ {
-			fs.bc.cleanData(fs.bc.dirtyData[lbas[i+k]])
-		}
-		i += run
+		lba = next(lba + run)
 	}
 	return done, nil
 }
 
 // dirtyWork reports whether anything needs committing.
 func (fs *FS) dirtyWork() bool {
-	return len(fs.journal.runningOrder) > 0 || len(fs.bc.dirtyData) > 0
+	return len(fs.journal.runningOrder) > 0 || fs.bc.dirty.Len() > 0
 }
 
 // tick applies the commit policy at the end of each operation: a periodic
@@ -592,7 +595,7 @@ func (fs *FS) tick(at time.Duration) (time.Duration, error) {
 	if fs.opts.SyncMetadata {
 		return fs.journal.commit(at)
 	}
-	if len(fs.bc.dirtyData) > fs.opts.MaxDirtyData {
+	if fs.bc.dirty.Len() > fs.opts.MaxDirtyData {
 		// Throttle the writer synchronously.
 		return fs.journal.commit(at)
 	}

@@ -3,8 +3,9 @@ package ext3
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
+
+	"repro/internal/blockdev"
 )
 
 // Journal block format (JBD-inspired):
@@ -161,38 +162,24 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 // sequence, and resets the journal head.
 func (j *journal) checkpointAll(at time.Duration) (time.Duration, error) {
 	done := at
+	var err error
 	if len(j.unCheckpointed) > 0 {
-		// Later transactions override earlier ones per home block.
-		final := make(map[int64][]byte)
+		// Later transactions override earlier ones per home block, and the
+		// table walks the homes in ascending order.
+		var final blockdev.Table[[]byte]
+		final.SetPool(j.fs.opts.Pool)
 		for _, t := range j.unCheckpointed {
 			for i, h := range t.homes {
-				final[h] = t.images[i]
+				final.Set(h, t.images[i])
 			}
 		}
-		lbas := make([]int64, 0, len(final))
-		for h := range final {
-			lbas = append(lbas, h)
-		}
-		sort.Slice(lbas, func(a, b int) bool { return lbas[a] < lbas[b] })
-		// Coalesce contiguous runs and issue them concurrently (checkpoint
-		// writes destage in parallel across array members).
-		for i := 0; i < len(lbas); {
-			run := 1
-			for i+run < len(lbas) && lbas[i+run] == lbas[i]+int64(run) && run < j.fs.opts.MaxCoalesce {
-				run++
-			}
-			buf := j.fs.runBuf(run)
-			for k := 0; k < run; k++ {
-				copy(buf[k*BlockSize:], final[lbas[i+k]])
-			}
-			d, err := j.fs.dev.WriteBlocks(at, lbas[i], buf)
-			if err != nil {
-				return d, err
-			}
-			if d > done {
-				done = d
-			}
-			i += run
+		done, err = j.fs.writeRuns(at, final.Next, func(lba int64) []byte {
+			img, _ := final.Get(lba)
+			return img
+		}, nil)
+		final.Release()
+		if err != nil {
+			return done, err
 		}
 		// Unpin checkpointed buffers.
 		for _, t := range j.unCheckpointed {
@@ -204,7 +191,6 @@ func (j *journal) checkpointAll(at time.Duration) (time.Duration, error) {
 		j.Checkpoints++
 	}
 	j.fs.sb.LastCheckpointSeq = j.seq
-	var err error
 	done, err = j.fs.writeSuperblock(done)
 	if err != nil {
 		return done, err

@@ -146,7 +146,7 @@ func (c *Client) SetCacheCapacity(pages int) {
 
 // SetPool makes the page cache take its pages from p and return them where
 // it drops them (see the ownership rules on pageCache).
-func (c *Client) SetPool(p *blockdev.Pool) { c.pages.pool = p }
+func (c *Client) SetPool(p *blockdev.Pool) { c.pages.mem.Pool = p }
 
 // Mount obtains the root filehandle and its attributes (MOUNT + GETATTR +
 // FSINFO in real life; message accounting starts after mount in all
@@ -169,7 +169,7 @@ func (c *Client) DropCaches() {
 	c.listings = make(map[uint64]*dirListing)
 	c.files = make(map[uint64]*fileState)
 	c.pages.release()
-	c.pages = newPageCache(c.pages.max, c.pages.pool)
+	c.pages = newPageCache(c.pages.max, c.pages.mem.Pool)
 	c.wb = newWriteBehind(c)
 	if c.deleg != nil {
 		c.delegFH = make(map[string]FH)

@@ -55,17 +55,17 @@ type page struct {
 // reclaim, which nfsFile.ReadAt and WriteAt run on entry and release runs
 // first, gives retired blocks to the pool. Without a pool nothing is retired.
 type pageCache struct {
-	max      int
-	pages    map[pageKey]*page
-	byFile   map[uint64]*page
-	lru      page
-	pool     *blockdev.Pool
-	retired  []*page  // unlinked since the last reclaim
-	replaced [][]byte // private blocks Pool.Replace swapped out of resident pages since the last reclaim
+	max    int
+	pages  map[pageKey]*page
+	byFile map[uint64]*page
+	lru    page
+	// mem holds the pool, the pages unlinked since the last reclaim and the
+	// blocks Replace displaced.
+	mem blockdev.Reclaimer[*page]
 }
 
 func newPageCache(max int, pool *blockdev.Pool) *pageCache {
-	pc := &pageCache{max: max, pool: pool, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
+	pc := &pageCache{max: max, mem: blockdev.Reclaimer[*page]{Pool: pool}, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
 	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
 	return pc
 }
@@ -118,14 +118,14 @@ func (pc *pageCache) unlink(p *page) {
 // insert's victim: the caller is about to fill or read it.
 func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page {
 	if p, ok := pc.pages[k]; ok {
-		p.data = pc.pool.Replace(p.data, data, &pc.replaced)
+		p.data = pc.mem.Replace(p.data, data)
 		if readyAt > p.readyAt {
 			p.readyAt = readyAt
 		}
 		pc.touch(p)
 		return p
 	}
-	p := &page{key: k, data: pc.pool.Load(data), readyAt: readyAt}
+	p := &page{key: k, data: pc.mem.Pool.Load(data), readyAt: readyAt}
 	pc.link(p)
 	pc.evict(p)
 	return p
@@ -151,40 +151,26 @@ func (pc *pageCache) evict(keep *page) {
 			return
 		}
 		pc.unlink(p)
-		pc.retire(p)
-	}
-}
-
-// retire remembers an unlinked page for reclaim: the syscall in flight may
-// still be using it.
-func (pc *pageCache) retire(p *page) {
-	if pc.pool != nil {
-		pc.retired = append(pc.retired, p)
+		pc.mem.Retire(p) // the syscall in flight may still be using it
 	}
 }
 
 // reclaim gives the blocks of retired pages, and the replaced blocks, to the
 // pool. Callers guarantee that no syscall is in flight.
 func (pc *pageCache) reclaim() {
-	for i, p := range pc.retired {
-		pc.pool.Put(p.data)
-		p.data = nil
-		pc.retired[i] = nil
-	}
-	pc.retired = pc.retired[:0]
-	pc.replaced = pc.pool.PutAll(pc.replaced)
+	pc.mem.Reclaim(func(p *page) *[]byte { return &p.data })
 }
 
 // release gives every retired and resident block back to the pool and leaves
 // every page without data: the cache is dead, the caller replaces it. Without
 // a pool nothing is recycled, and nothing is touched.
 func (pc *pageCache) release() {
-	if pc.pool == nil {
+	if pc.mem.Pool == nil {
 		return
 	}
 	pc.reclaim()
 	for _, p := range pc.pages {
-		pc.pool.Put(p.data)
+		pc.mem.Pool.Put(p.data)
 		p.data = nil
 	}
 }
@@ -198,7 +184,7 @@ func (pc *pageCache) dropFile(ino uint64) {
 	for p := head; p != nil; p = p.fnext {
 		delete(pc.pages, p.key)
 		lruRemove(p)
-		pc.retire(p)
+		pc.mem.Retire(p)
 	}
 	delete(pc.byFile, ino)
 }
@@ -212,9 +198,9 @@ func (pc *pageCache) truncate(ino uint64, size int64) {
 		switch off := p.key.idx * pageSize; {
 		case off >= size:
 			pc.unlink(p)
-			pc.retire(p)
+			pc.mem.Retire(p)
 		case off+pageSize > size:
-			p.data = pc.pool.Writable(p.data)
+			p.data = pc.mem.Pool.Writable(p.data)
 			clear(p.data[size-off:])
 		}
 	}
@@ -730,7 +716,7 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 			if src := data[written : written+pageSize]; p == nil {
 				p = c.pages.insert(k, src, 0)
 			} else {
-				p.data = c.pages.pool.Replace(p.data, src, &c.pages.replaced)
+				p.data = c.pages.mem.Replace(p.data, src)
 			}
 			written += pageSize
 		} else {
@@ -745,7 +731,7 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 			} else if p == nil {
 				p = c.pages.getOrCreate(k)
 			}
-			p.data = c.pages.pool.Writable(p.data)
+			p.data = c.pages.mem.Pool.Writable(p.data)
 			written += copy(p.data[bs:be], data[written:])
 		}
 		p.dirty = true
@@ -804,7 +790,7 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 					end = pageSize - bs
 				}
 				if end > 0 {
-					pg.data = c.pages.pool.Writable(pg.data)
+					pg.data = c.pages.mem.Pool.Writable(pg.data)
 					copy(pg.data[bs:bs+end], part[srcOff:srcOff+end])
 				}
 			}

@@ -348,17 +348,17 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	at = read(at, "/written")
 	before, cached := pool.Len(), len(c.pages.pages)
 	c.pages.dropFile(pages[0].key.ino)
-	if len(c.pages.pages) != cached-10 || len(c.pages.retired) != 10 || pool.Len() != before {
-		t.Fatalf("dropFile dropped %d pages, retired %d and moved the pool by %d", cached-len(c.pages.pages), len(c.pages.retired), pool.Len()-before)
+	if len(c.pages.pages) != cached-10 || len(c.pages.mem.Retired()) != 10 || pool.Len() != before {
+		t.Fatalf("dropFile dropped %d pages, retired %d and moved the pool by %d", cached-len(c.pages.pages), len(c.pages.mem.Retired()), pool.Len()-before)
 	}
 	read(at, "/written") // reclaims 10, takes 10
-	if len(c.pages.retired) != 0 || pool.Len() != before {
-		t.Fatalf("after the next read: %d retired, pool %d, want 0 and %d", len(c.pages.retired), pool.Len(), before)
+	if len(c.pages.mem.Retired()) != 0 || pool.Len() != before {
+		t.Fatalf("after the next read: %d retired, pool %d, want 0 and %d", len(c.pages.mem.Retired()), pool.Len(), before)
 	}
 	c.pages.dropFile(pages[0].key.ino)
 	c.DropCaches()
-	if len(c.pages.retired) != 0 || pool.Len() != before+10+1 {
-		t.Fatalf("DropCaches left %d retired pages, pool %d, want 0 and %d", len(c.pages.retired), pool.Len(), before+11)
+	if len(c.pages.mem.Retired()) != 0 || pool.Len() != before+10+1 {
+		t.Fatalf("DropCaches left %d retired pages, pool %d, want 0 and %d", len(c.pages.mem.Retired()), pool.Len(), before+11)
 	}
 }
 
@@ -378,15 +378,15 @@ func TestPageCacheReclaim(t *testing.T) {
 	for i := int64(4); i < 10; i++ {
 		pc.getOrCreate(pageKey{1, i}) // zeros
 	}
-	if len(pc.pages) != 3 || len(pc.retired) != 7 || pool.Len() != 0 {
-		t.Fatalf("%d pages cached, %d retired, pool %d; want 3, 7, 0", len(pc.pages), len(pc.retired), pool.Len())
+	if len(pc.pages) != 3 || len(pc.mem.Retired()) != 7 || pool.Len() != 0 {
+		t.Fatalf("%d pages cached, %d retired, pool %d; want 3, 7, 0", len(pc.pages), len(pc.mem.Retired()), pool.Len())
 	}
-	if pc.retired[0] != first || string(first.data[:5]) != "first" {
+	if pc.mem.Retired()[0] != first || string(first.data[:5]) != "first" {
 		t.Fatal("the first victim lost its bytes before reclaim")
 	}
 	pc.reclaim()
-	if pool.Len() != 1 || len(pc.retired) != 0 || first.data != nil {
-		t.Fatalf("after reclaim: pool %d, %d retired; want 1 (the mixed page), 0", pool.Len(), len(pc.retired))
+	if pool.Len() != 1 || len(pc.mem.Retired()) != 0 || first.data != nil {
+		t.Fatalf("after reclaim: pool %d, %d retired; want 1 (the mixed page), 0", pool.Len(), len(pc.mem.Retired()))
 	}
 	pc.reclaim()
 	if pool.Len() != 1 {
@@ -396,18 +396,18 @@ func TestPageCacheReclaim(t *testing.T) {
 	// Mixed content over a shared page takes a pool block; uniform content
 	// over it retires that block until the next reclaim.
 	p := pc.peek(pageKey{1, 9})
-	p.data = pool.Replace(p.data, bytes.Repeat([]byte("mixed"), pageSize/5), &pc.replaced)
-	if pool.Len() != 0 || len(pc.replaced) != 0 {
-		t.Fatalf("mixed over a shared page: pool %d, %d replaced; want 0, 0", pool.Len(), len(pc.replaced))
+	p.data = pc.mem.Replace(p.data, bytes.Repeat([]byte("mixed"), pageSize/5))
+	if pool.Len() != 0 || pc.mem.Replaced() != 0 {
+		t.Fatalf("mixed over a shared page: pool %d, %d replaced; want 0, 0", pool.Len(), pc.mem.Replaced())
 	}
 	block := p.data
-	p.data = pool.Replace(p.data, uniform, &pc.replaced)
-	if len(pc.replaced) != 1 || pool.Len() != 0 || string(block[:5]) != "mixed" {
+	p.data = pc.mem.Replace(p.data, uniform)
+	if pc.mem.Replaced() != 1 || pool.Len() != 0 || string(block[:5]) != "mixed" {
 		t.Fatal("uniform over a private page: its block must wait for reclaim")
 	}
 	pc.reclaim()
-	if pool.Len() != 1 || len(pc.replaced) != 0 || !bytes.Equal(p.data, uniform) {
-		t.Fatalf("after reclaim: pool %d, %d replaced; want 1, 0", pool.Len(), len(pc.replaced))
+	if pool.Len() != 1 || pc.mem.Replaced() != 0 || !bytes.Equal(p.data, uniform) {
+		t.Fatalf("after reclaim: pool %d, %d replaced; want 1, 0", pool.Len(), pc.mem.Replaced())
 	}
 	pc.release()
 	if pool.Len() != 1 {
@@ -419,11 +419,11 @@ func TestPageCacheReclaim(t *testing.T) {
 		heap.getOrCreate(pageKey{1, i})
 	}
 	last := heap.peek(pageKey{1, 9})
-	last.data = heap.pool.Replace(last.data, []byte("mixed"), &heap.replaced)
-	last.data = heap.pool.Replace(last.data, nil, &heap.replaced)
+	last.data = heap.mem.Replace(last.data, []byte("mixed"))
+	last.data = heap.mem.Replace(last.data, nil)
 	heap.dropFile(1)
-	if heap.retired != nil || heap.replaced != nil {
-		t.Fatalf("a cache without a pool retired %d pages and %d blocks", len(heap.retired), len(heap.replaced))
+	if heap.mem.Retired() != nil || heap.mem.Replaced() != 0 {
+		t.Fatalf("a cache without a pool retired %d pages and %d blocks", len(heap.mem.Retired()), heap.mem.Replaced())
 	}
 	heap.reclaim()
 	heap.release()
