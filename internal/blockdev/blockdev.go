@@ -23,9 +23,10 @@
 //
 // Block numbers are dense integers below a device's NumBlocks, so the owners
 // that look blocks up by number (Store, the ext3 buffer cache) index them
-// with a Table, a two-level radix table, not a map; a set of block numbers
-// walked in order (dirty data) is a Bits. A Table's leaves are the third
-// thing a Pool recycles, after the Stores' blocks and the caches' blocks.
+// with a Table, a two-level radix table walked in ascending order, not a
+// map; a set of block numbers (dirty data) is a Table too. A Table's leaves
+// are the third thing a Pool recycles, after the Stores' blocks and the
+// caches' blocks.
 package blockdev
 
 import (

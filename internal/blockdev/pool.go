@@ -47,9 +47,10 @@ const poolCap = 4096
 //     only to dirty or pinned blocks, and those are never dropped.
 //   - After Put the owner drops its reference (data = nil).
 //   - Leaves go back only whole and emptied, in Table.Release: when a Store
-//     is released (Store.Release) and when a buffer cache dies (dropAll). A
-//     leaf never holds a value in the pool, so a free leaf keeps no block and
-//     no buffer alive. Like blocks, at most leafCap of them are kept.
+//     is released (Store.Release), when a buffer cache dies (dropAll) and
+//     after each journal checkpoint. A leaf never holds a value in the pool,
+//     so a free leaf keeps no block and no buffer alive. Like blocks, at most
+//     leafCap of them are kept.
 //
 // The zero Pool is empty and ready. A Pool is not safe for concurrent use;
 // concurrent sweeps take one each.

@@ -91,7 +91,8 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 }
 
 // FuzzStoreMatchesDenseImage: random zero / constant / mixed writes and
-// overwrites in every order, with and without a (poisoning) pool.
+// overwrites in every order, with and without a (poisoning) pool, and again
+// on that pool after a release.
 func FuzzStoreMatchesDenseImage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 0x5A, 1, 3, 9, 1, 2, 0xA5, 1, 1, 0, 1, 0, 0})          // constant, mixed, constant, zero, read
@@ -118,6 +119,12 @@ func FuzzStoreMatchesDenseImage(f *testing.F) {
 				}
 			}
 		}
+		// A store built after a release on the same pool takes the released
+		// store's (poisoned) blocks and its leaf, and still matches the image.
+		pooled.Release()
+		again := NewStore(8, BlockSize)
+		again.SetPool(pool)
+		storeOps(t, again, ops)
 	})
 }
 

@@ -25,7 +25,9 @@ type leaf[T any] struct {
 // of leaf pointers that grows only as far as the highest leaf a Set touches,
 // and leaves of leafSlots values made on first touch. Nothing is sized from
 // the device, so a large device with a few blocks in use pays for a few
-// leaves. Next walks the present numbers in ascending order.
+// leaves. Next walks the present numbers in ascending order. A
+// Table[struct{}] is a set of block numbers whose leaves are bitmaps, such
+// as the ext3 buffer cache's dirty data.
 //
 // Leaves come from the Pool given to SetPool and go back to it in Release,
 // emptied, the way blocks do (see Pool); a nil pool means the heap and the
@@ -118,54 +120,6 @@ func (t *Table[T]) Release() {
 		t.top[i] = nil
 	}
 	t.n = 0
-}
-
-// Bits is a set of block numbers walked in ascending order: a bitmap that
-// grows to the highest number added, never sized from a device. The ext3
-// buffer cache's dirty data is one. The zero Bits is empty and ready.
-type Bits struct {
-	words []uint64
-	n     int
-}
-
-// Add puts lba, which is not negative, in the set.
-func (s *Bits) Add(lba int64) {
-	i := int(lba >> 6)
-	if i >= len(s.words) {
-		s.words = append(s.words, make([]uint64, i+1-len(s.words))...)
-	}
-	if w, bit := &s.words[i], uint64(1)<<(lba&63); *w&bit == 0 {
-		*w |= bit
-		s.n++
-	}
-}
-
-// Remove takes lba out of the set.
-func (s *Bits) Remove(lba int64) {
-	if i := uint64(lba) >> 6; i < uint64(len(s.words)) {
-		if w, bit := &s.words[i], uint64(1)<<(lba&63); *w&bit != 0 {
-			*w &^= bit
-			s.n--
-		}
-	}
-}
-
-// Len reports how many block numbers the set holds.
-func (s *Bits) Len() int { return s.n }
-
-// Next returns the smallest member at or after from, or -1.
-func (s *Bits) Next(from int64) int64 {
-	from = max(from, 0)
-	if from >= int64(len(s.words))<<6 {
-		return -1
-	}
-	return int64(nextBit(s.words, int(from)))
-}
-
-// Clear empties the set and keeps its memory.
-func (s *Bits) Clear() {
-	clear(s.words)
-	s.n = 0
 }
 
 // nextBit returns the index of the first set bit of words at or after from,

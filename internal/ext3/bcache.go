@@ -64,11 +64,11 @@ type bcacheStats struct {
 // none is in flight) and dropAll runs first, gives retired blocks to the
 // pool. Without a pool nothing is retired.
 //
-// Resident buffers are indexed by block number in a blockdev.Table whose
-// leaves come from and go back to the pool (dropAll), and the dirty data
-// buffers are a blockdev.Bits beside it, walked in ascending order by
-// flushData. A dirty buffer is always the resident one for its lba, so the
-// set holds numbers only.
+// Resident buffers are indexed by block number in a blockdev.Table, and the
+// lbas of the dirty data buffers are a set beside it (a Table of nothing),
+// walked in ascending order by flushData; the leaves of both come from and go
+// back to the pool (dropAll). A dirty buffer is always the resident one for
+// its lba, so the set holds numbers only.
 type bcache struct {
 	dev     blockdev.Device
 	max     int
@@ -77,8 +77,8 @@ type bcache struct {
 	clock   uint64  // last stamp handed out
 	blocked *buffer // nil: nothing known to be blocked
 	stats   bcacheStats
-	dirty   blockdev.Bits   // lbas of the dirty non-journaled (file data) buffers
-	tracer  *tracing.Tracer // cache-miss spans (nil = tracing off)
+	dirty   blockdev.Table[struct{}] // lbas of the dirty non-journaled (file data) buffers
+	tracer  *tracing.Tracer          // cache-miss spans (nil = tracing off)
 	// mem holds the pool, the buffers unlinked since the last reclaim (a
 	// reinstated buffer may be among them) and the blocks set displaced.
 	mem blockdev.Reclaimer[*buffer]
@@ -87,6 +87,7 @@ type bcache struct {
 func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
 	c := &bcache{dev: dev, max: max, mem: blockdev.Reclaimer[*buffer]{Pool: pool}}
 	c.blocks.SetPool(pool)
+	c.dirty.SetPool(pool)
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	return c
 }
@@ -296,7 +297,7 @@ func (c *bcache) markDirty(b *buffer, meta bool) {
 		if cur != nil {
 			c.unlink(cur)
 			if cur.dirty && !cur.meta {
-				c.dirty.Remove(cur.lba)
+				c.dirty.Delete(cur.lba)
 			}
 			c.mem.Retire(cur)
 		}
@@ -307,19 +308,19 @@ func (c *bcache) markDirty(b *buffer, meta bool) {
 	}
 	if b.dirty && !b.meta && meta {
 		// Promotion from data to meta-data class (rare; e.g. block reuse).
-		c.dirty.Remove(b.lba)
+		c.dirty.Delete(b.lba)
 	}
 	b.dirty = true
 	b.meta = meta
 	if !meta {
-		c.dirty.Add(b.lba)
+		c.dirty.Set(b.lba, struct{}{})
 	}
 }
 
 // cleanData clears the dirty flag of a data buffer after flush.
 func (c *bcache) cleanData(b *buffer) {
 	b.dirty = false
-	c.dirty.Remove(b.lba)
+	c.dirty.Delete(b.lba)
 	c.unblock(b)
 }
 
@@ -358,7 +359,7 @@ func (c *bcache) dropAll() {
 		}
 	}
 	c.blocks.Release()
-	c.dirty.Clear()
+	c.dirty.Release()
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	c.blocked = nil
 }

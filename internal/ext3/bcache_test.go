@@ -233,6 +233,39 @@ func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
 	}
 }
 
+// A buffer cache built after another was dropped on the same pool takes that
+// cache's index leaves and blocks: it allocates itself, its index's top array
+// (sized once, by the highest block first) and one buffer per block, and no
+// leaf or block.
+func TestDroppedCacheLeavesAreReused(t *testing.T) {
+	const blocks = 1 << 21 // the largest volume the default geometry tiles
+	dev := blockdev.NewTestbedArray(blocks)
+	lbas := []int64{blocks - 1, 0, 511, 512, 100000, 70000} // five leaves
+	mixed := make([]byte, BlockSize)
+	for i := range mixed {
+		mixed[i] = byte(i)
+	}
+	cycle := func(pool *blockdev.Pool) func() {
+		return func() {
+			bc := newBcache(dev, 64, pool)
+			for _, lba := range lbas {
+				if _, _, err := bc.set(0, lba, mixed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bc.dropAll()
+		}
+	}
+	pool := &blockdev.Pool{Poison: true}
+	own := 2 + float64(len(lbas)) // the cache, the top array, the buffers
+	if got := testing.AllocsPerRun(20, cycle(pool)); got != own {
+		t.Fatalf("a cache rebuilt on a dropped cache's pool allocates %v times, want %v", got, own)
+	}
+	if got, want := testing.AllocsPerRun(20, cycle(nil)), own+5+float64(len(lbas)); got != want {
+		t.Fatalf("without a pool a cache allocates %v times, want %v (+ 5 leaves and %d blocks)", got, want, len(lbas))
+	}
+}
+
 // reclaim puts each retired block exactly once and never a resident one.
 func TestReclaim(t *testing.T) {
 	fill := func(bc *bcache, from, n int64) {
