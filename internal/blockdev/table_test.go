@@ -222,8 +222,10 @@ func FuzzBlockTableMatchesMap(f *testing.F) {
 }
 
 // A Store built after another was released on the same pool takes that
-// store's leaves and blocks, allocating neither: only the Store itself and
-// its top array, which the first (highest) write sizes once.
+// store's leaves and blocks, allocating neither: it allocates exactly the
+// five leaves and six blocks fewer than a store without a pool. (What both
+// allocate besides, the Store and its top array, depends on the build: the
+// race detector adds one.)
 func TestReleasedStoreLeavesAreReused(t *testing.T) {
 	lbas := []int64{tableBlocks - 1, 0, 511, 512, 100000, 70000} // five leaves
 	cycle := func(pool *Pool) func() {
@@ -239,14 +241,13 @@ func TestReleasedStoreLeavesAreReused(t *testing.T) {
 		}
 	}
 	pool := &Pool{Poison: true}
-	if got := testing.AllocsPerRun(20, cycle(pool)); got != 2 {
-		t.Fatalf("a store rebuilt on its predecessor's pool allocates %v times, want 2 (store, top)", got)
+	pooled := testing.AllocsPerRun(20, cycle(pool))
+	heap := testing.AllocsPerRun(20, cycle(nil))
+	if saved := heap - pooled; saved != 5+float64(len(lbas)) {
+		t.Fatalf("a store rebuilt on its predecessor's pool allocates %v times, one without a pool %v: want 5 leaves and %d blocks fewer", pooled, heap, len(lbas))
 	}
 	if pool.leaves != 5 || pool.Len() != len(lbas) {
 		t.Fatalf("pool holds %d leaves and %d blocks, want 5 and %d", pool.leaves, pool.Len(), len(lbas))
-	}
-	if got := testing.AllocsPerRun(20, cycle(nil)); got != 2+5+float64(len(lbas)) {
-		t.Fatalf("without a pool a store allocates %v times, want 2 + 5 leaves + %d blocks", got, len(lbas))
 	}
 	// What the next store reads is zeros, not the poisoned recycled memory.
 	s := NewStore(tableBlocks, BlockSize)

@@ -347,7 +347,7 @@ func (c *bcache) unpin(lba int64) {
 // unmounted and drop the running transaction, so no path reaches a buffer
 // afterwards: every retired and every resident block goes back to the pool,
 // and a buffer someone still holds by mistake has no data rather than
-// recycled data; so do the index's leaves. Without a pool nothing is
+// recycled data. The index's leaves go back too. Without a pool nothing is
 // recycled, and no buffer is touched.
 func (c *bcache) dropAll() {
 	c.reclaim()
