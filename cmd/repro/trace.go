@@ -30,7 +30,7 @@ func traceCell(fs *flag.FlagSet) func(*env) error {
 	chromePath := fs.String("chrome", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
 	from := fs.String("from", "", "analyze an existing span JSONL instead of running a cell")
 	return func(e *env) error {
-		var spans []tracing.Span
+		var spans *tracing.Tracer
 		label := *from
 		if *from != "" {
 			f, err := os.Open(*from)
@@ -64,7 +64,7 @@ func traceCell(fs *flag.FlagSet) func(*env) error {
 			if _, err := core.RunTransportCell(cfg, cell); err != nil {
 				return err
 			}
-			spans = e.tracer.Spans()
+			spans = e.tracer
 			label = fmt.Sprintf("%s/%s %s", *stack, *transport, cell.Workload)
 		}
 		if *chromePath != "" {
@@ -73,7 +73,7 @@ func traceCell(fs *flag.FlagSet) func(*env) error {
 				return fmt.Errorf("-chrome: %w", err)
 			}
 		}
-		return renderCriticalPath(e.out, label, spans)
+		return renderCriticalPath(e.out, label, spans.Spans())
 	}
 }
 
@@ -89,7 +89,7 @@ func renderCriticalPath(w io.Writer, label string, spans []tracing.Span) error {
 		fmt.Fprintln(w, "no traced ops (sampled out?)")
 		return nil
 	}
-	perLayer := make(map[string][]time.Duration, len(tracing.Layers))
+	perLayer := make(map[tracing.Layer][]time.Duration, len(tracing.Layers))
 	var latencies []time.Duration
 	var total time.Duration
 	for _, r := range roots {
@@ -98,7 +98,7 @@ func renderCriticalPath(w io.Writer, label string, spans []tracing.Span) error {
 			return err
 		}
 		for _, l := range tracing.Layers {
-			perLayer[l] = append(perLayer[l], attr[l])
+			perLayer[l] = append(perLayer[l], attr[l.String()])
 		}
 		latencies = append(latencies, r.End-r.Start)
 		total += r.End - r.Start

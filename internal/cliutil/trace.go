@@ -19,7 +19,7 @@ type Trace struct {
 	every  int64
 	slow   time.Duration
 	tracer *tracing.Tracer
-	replay []tracing.Span
+	replay *tracing.Tracer
 }
 
 // TraceFlags registers -trace, -trace-sample and -trace-slow on fs and
@@ -58,9 +58,10 @@ func (t *Trace) Tracer() (*tracing.Tracer, error) {
 	return t.tracer, nil
 }
 
-// Replay makes Write emit spans read from an existing stream in place of
-// the tracer's own (`trace -from old.jsonl -trace checked.jsonl`).
-func (t *Trace) Replay(spans []tracing.Span) { t.replay = spans }
+// Replay makes Write emit the spans of a stream read back by
+// tracing.ReadSpans in place of the tracer's own (`trace -from old.jsonl
+// -trace checked.jsonl`).
+func (t *Trace) Replay(spans *tracing.Tracer) { t.replay = spans }
 
 // Write flushes the recorded spans to the -trace file. Safe to call when
 // tracing was off.
@@ -70,7 +71,7 @@ func (t *Trace) Write() error {
 	}
 	spans := t.replay
 	if spans == nil {
-		spans = t.tracer.Spans()
+		spans = t.tracer
 	}
 	f, err := os.Create(t.path)
 	if err != nil {

@@ -35,7 +35,7 @@ const (
 	cloneCeiling = 4
 )
 
-var guardedDirs = []string{"internal/core/", "cmd/", "internal/nfs/", "internal/replay/"}
+var guardedDirs = []string{"internal/core/", "cmd/", "internal/nfs/", "internal/replay/", "internal/metrics/", "internal/tracing/"}
 
 // codeLine is one source line of a file after folding.
 type codeLine struct {

@@ -3,10 +3,10 @@ package metrics
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // The unified telemetry event stream. Every instrumented subsystem —
@@ -136,29 +136,83 @@ func (e Event) Validate() error {
 }
 
 // Encode validates the event and returns its canonical JSON line (no
-// trailing newline). encoding/json sorts map keys, so identical events
-// always encode to identical bytes — the property the determinism goldens
-// rely on.
-func (e Event) Encode() ([]byte, error) {
+// trailing newline): the bytes encoding/json's Marshal produces, map keys
+// in sorted order, so identical events always encode to identical bytes —
+// the property the determinism goldens rely on.
+func (e Event) Encode() ([]byte, error) { return e.appendTo(nil) }
+
+// appendTo validates e and appends its canonical line to b.
+func (e Event) appendTo(b []byte) ([]byte, error) {
 	if err := e.Validate(); err != nil {
-		return nil, err
+		return b, err
 	}
-	return json.Marshal(e)
+	b = append(b, `{"t":`...)
+	b = strconv.AppendInt(b, e.T, 10)
+	b = append(b, `,"subsys":`...)
+	b = AppendString(b, e.Subsys)
+	b = append(b, `,"event":`...)
+	b = AppendString(b, e.Kind)
+	var err error
+	if len(e.Tags) > 0 {
+		b = append(b, `,"tags":`...)
+		b, _ = appendMap(b, e.Tags, appendStringValue)
+	}
+	if len(e.Counters) > 0 {
+		b = append(b, `,"counters":`...)
+		b, _ = appendMap(b, e.Counters, appendIntValue)
+	}
+	if len(e.Values) > 0 {
+		b = append(b, `,"values":`...)
+		if b, err = appendMap(b, e.Values, AppendFloat); err != nil {
+			return b, fmt.Errorf("metrics: values: %w", err)
+		}
+	}
+	return append(b, '}'), nil
 }
 
-// decode parses one JSONL line into a validated event. Unknown fields
-// and trailing content after the event object are rejected, so schema
-// drift and stream corruption are caught at read time rather than
-// silently dropping data.
+// decode parses one JSONL line into a validated event.
 func decode(line []byte) (Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
+	var s Scanner
+	return s.event(line)
+}
+
+// event parses one line strictly: unknown or repeated fields, a missing
+// t, subsys or event, a value of the wrong type, and anything after the
+// object are errors, so schema drift and stream corruption are caught at
+// read time rather than silently dropping data. The event must then pass
+// Validate.
+func (s *Scanner) event(line []byte) (Event, error) {
+	s.Reset(line)
 	var e Event
-	if err := dec.Decode(&e); err != nil {
-		return Event{}, fmt.Errorf("metrics: bad event line: %w", err)
+	var seen uint32
+	s.Object()
+	for s.More() {
+		switch s.Key() {
+		case "t":
+			s.Seen(&seen, 1<<0)
+			e.T = s.Int()
+		case "subsys":
+			s.Seen(&seen, 1<<1)
+			e.Subsys = s.String()
+		case "event":
+			s.Seen(&seen, 1<<2)
+			e.Kind = s.String()
+		case "tags":
+			s.Seen(&seen, 1<<3)
+			e.Tags = scanMap(s, (*Scanner).String)
+		case "counters":
+			s.Seen(&seen, 1<<4)
+			e.Counters = scanMap(s, (*Scanner).Int)
+		case "values":
+			s.Seen(&seen, 1<<5)
+			e.Values = scanMap(s, (*Scanner).Float)
+		default:
+			s.Unknown()
+		}
 	}
-	if dec.More() {
-		return Event{}, fmt.Errorf("metrics: trailing content after event")
+	s.Missing(seen, "t", "subsys", "event")
+	if err := s.Finish(); err != nil {
+		return Event{}, fmt.Errorf("metrics: bad event line: %w", err)
 	}
 	if err := e.Validate(); err != nil {
 		return Event{}, err
@@ -166,15 +220,19 @@ func decode(line []byte) (Event, error) {
 	return e, nil
 }
 
-// writeEvent appends one validated event line to w.
-func writeEvent(w io.Writer, e Event) error {
-	b, err := e.Encode()
-	if err != nil {
-		return err
+// scanMap reads an object of values of one type; a repeated key is an
+// error.
+func scanMap[V any](s *Scanner, val func(*Scanner) V) map[string]V {
+	m := make(map[string]V)
+	s.Object()
+	for s.More() {
+		k := s.Key()
+		if _, dup := m[k]; dup {
+			s.failf("duplicate key %q", k)
+		}
+		m[k] = val(s)
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return m
 }
 
 // ReadEvents decodes and validates an entire JSONL stream. Blank lines are
@@ -182,13 +240,14 @@ func writeEvent(w io.Writer, e Event) error {
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var s Scanner
 	var out []Event
 	for n := 1; sc.Scan(); n++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		e, err := decode(line)
+		e, err := s.event(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
@@ -201,7 +260,7 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 }
 
 // sortedKeys returns m's keys in lexicographic order (deterministic
-// iteration for rendering; the JSON codec sorts on its own).
+// iteration for rendering; the line codec sorts on its own).
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {

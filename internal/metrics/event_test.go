@@ -27,10 +27,12 @@ func TestEventRoundTrip(t *testing.T) {
 		{T: 99, Subsys: SubsysRun, Kind: KindMark, Tags: Tags{"phase": "begin"}},
 	}
 	var buf bytes.Buffer
+	sink := NewSink(&buf)
 	for _, e := range events {
-		if err := writeEvent(&buf, e); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		sink.Emit(e)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	got, err := ReadEvents(&buf)
 	if err != nil {

@@ -18,6 +18,7 @@ type Sink struct {
 	w     io.Writer
 	count int64
 	err   error
+	line  []byte // reused encode buffer
 }
 
 // NewSink wraps w. Pass nil to get a no-op sink.
@@ -63,7 +64,12 @@ func (s *Sink) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	if err := writeEvent(s.w, e); err != nil {
+	b, err := e.appendTo(s.line[:0])
+	if err == nil {
+		s.line = append(b, '\n')
+		_, err = s.w.Write(s.line)
+	}
+	if err != nil {
 		s.err = err
 		return
 	}

@@ -235,11 +235,11 @@ func rpcExec(c *Client, at time.Duration, f []string) (string, time.Duration, er
 
 // procSequence names the RPCs of spans in order, from the client's rpc-layer
 // spans. A long sequence is summarised as counts in order of first use.
-func procSequence(spans []tracing.Span) string {
+func procSequence(tr *tracing.Tracer, spans []tracing.Span) string {
 	var procs []string
 	for _, s := range spans {
-		if s.Layer == tracing.LayerRPC && s.Op != "slot-wait" {
-			procs = append(procs, s.Op)
+		if op := tr.Op(s); s.Layer == tracing.LayerRPC && op != "slot-wait" {
+			procs = append(procs, op)
 		}
 	}
 	if len(procs) <= 12 {
@@ -291,7 +291,7 @@ func TestRPCSequenceGolden(t *testing.T) {
 			st := net.Stats()
 			fmt.Fprintf(&got, "%-44s err=%v t=%d msgs=%d up=%d down=%d %s\n", line+val, err, done,
 				st.Messages-before.Messages, st.BytesSent-before.BytesSent, st.BytesRecv-before.BytesRecv,
-				procSequence(tracer.Spans()[spans:]))
+				procSequence(tracer, tracer.Spans()[spans:]))
 		}
 	}
 	path := filepath.Join("testdata", "rpc_sequence.golden")

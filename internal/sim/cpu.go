@@ -27,7 +27,7 @@ type CPU struct {
 	windows map[int64]time.Duration // window index -> busy time inside it
 
 	tracer *tracing.Tracer
-	layer  string // tracing layer ("cpu.client" / "cpu.server")
+	layer  tracing.Layer // LayerCPUClient or LayerCPUServer
 }
 
 // NewCPU returns a CPU with the given relative speed (1.0 = reference core).
@@ -38,7 +38,7 @@ func NewCPU(speed float64) *CPU {
 // SetTracer attaches a tracer that records each service interval as a span
 // in the given layer (tracing.LayerCPUClient or tracing.LayerCPUServer).
 // A nil tracer is the zero-cost disabled state.
-func (c *CPU) SetTracer(t *tracing.Tracer, layer string) {
+func (c *CPU) SetTracer(t *tracing.Tracer, layer tracing.Layer) {
 	c.tracer = t
 	c.layer = layer
 }

@@ -162,7 +162,7 @@ func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int
 func (c *Client) SetTracer(t *tracing.Tracer) { c.tracer = t }
 
 // layer names the tracing layer for this client's transport legs.
-func (c *Client) layer() string {
+func (c *Client) layer() tracing.Layer {
 	if c.Transport == UDP {
 		return tracing.LayerUDP
 	}

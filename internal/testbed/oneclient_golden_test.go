@@ -129,7 +129,7 @@ func oneClientScript(out *bytes.Buffer, kind testbed.Kind, tr testbed.Transport,
 		fmt.Fprintf(out, "%-10s %+v\n", s.name, tb.Snap())
 	}
 	var spans bytes.Buffer
-	if err := tracing.WriteSpans(&spans, tracer.Spans()); err != nil {
+	if err := tracing.WriteSpans(&spans, tracer); err != nil {
 		return err
 	}
 	lines := bytes.Split(bytes.TrimSuffix(stream.Bytes(), []byte("\n")), []byte("\n"))

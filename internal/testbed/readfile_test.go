@@ -67,7 +67,7 @@ func TestReadFileIntoMatchesReadFile(t *testing.T) {
 				}
 				var ops []string
 				for _, s := range tracing.Roots(tb.Spans()) {
-					ops = append(ops, s.Op)
+					ops = append(ops, tb.Op(s))
 				}
 				if want := []string{"stat", "open", "read", "close"}; !slices.Equal(ops, want) {
 					t.Fatalf("root spans %v, want %v", ops, want)

@@ -52,7 +52,7 @@ func traceScript(t *testing.T, kind testbed.Kind, tr testbed.Transport) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tracing.WriteSpans(&buf, tracer.Spans()); err != nil {
+	if err := tracing.WriteSpans(&buf, tracer); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -76,7 +76,7 @@ func TestTracingDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("stream does not round-trip: %v", err)
 				}
-				if len(spans) == 0 {
+				if len(spans.Spans()) == 0 {
 					t.Fatal("traced script produced no spans")
 				}
 			})
@@ -119,7 +119,7 @@ func coldReadRoot(t *testing.T, kind testbed.Kind, tr testbed.Transport) ([]trac
 	}
 	spans := tracer.Spans()
 	for _, s := range spans {
-		if s.Parent == 0 && s.Op == "read" {
+		if s.Parent == 0 && tracer.Op(s) == "read" {
 			return spans, s
 		}
 	}
@@ -132,11 +132,11 @@ func coldReadRoot(t *testing.T, kind testbed.Kind, tr testbed.Transport) ([]trac
 // partitions the op latency exactly — and compares the attribution
 // against its golden file (regenerate with -update).
 func checkColdRead(t *testing.T, spans []tracing.Span, root tracing.Span,
-	requiredLayers []string, golden string) {
+	requiredLayers []tracing.Layer, golden string) {
 	t.Helper()
 
 	inTree := map[int64]bool{root.ID: true}
-	layers := map[string]bool{}
+	layers := map[tracing.Layer]bool{}
 	for _, s := range spans { // parents precede children, one pass suffices
 		if inTree[s.Parent] {
 			inTree[s.ID] = true
@@ -161,7 +161,7 @@ func checkColdRead(t *testing.T, spans []tracing.Span, root tracing.Span,
 
 	var sb strings.Builder
 	for _, l := range tracing.Layers {
-		if d, ok := attr[l]; ok && d > 0 {
+		if d, ok := attr[l.String()]; ok && d > 0 {
 			fmt.Fprintf(&sb, "%s %d\n", l, d.Nanoseconds())
 		}
 	}
@@ -192,7 +192,7 @@ func checkColdRead(t *testing.T, spans []tracing.Span, root tracing.Span,
 // to exactly one of those layers.
 func TestNFSReadColdCacheCriticalPath(t *testing.T) {
 	spans, root := coldReadRoot(t, testbed.NFSv3, testbed.TransportTCP)
-	checkColdRead(t, spans, root, []string{
+	checkColdRead(t, spans, root, []tracing.Layer{
 		tracing.LayerSyscall, tracing.LayerRPC, tracing.LayerTCP,
 		tracing.LayerLink, tracing.LayerCPUServer, tracing.LayerDisk,
 	}, "nfs_read_critpath.golden")
@@ -204,7 +204,7 @@ func TestNFSReadColdCacheCriticalPath(t *testing.T) {
 // server CPU and disk.
 func TestISCSIReadColdCacheCriticalPath(t *testing.T) {
 	spans, root := coldReadRoot(t, testbed.ISCSI, testbed.TransportFluid)
-	checkColdRead(t, spans, root, []string{
+	checkColdRead(t, spans, root, []tracing.Layer{
 		tracing.LayerSyscall, tracing.LayerCache, tracing.LayerISCSI,
 		tracing.LayerLink, tracing.LayerCPUServer, tracing.LayerDisk,
 	}, "iscsi_read_critpath.golden")
@@ -219,7 +219,7 @@ func TestISCSIReadColdCacheCriticalPath(t *testing.T) {
 // op instead of lumping the whole pipeline.
 func TestISCSITCPReadColdCacheCriticalPath(t *testing.T) {
 	spans, root := coldReadRoot(t, testbed.ISCSI, testbed.TransportTCP)
-	checkColdRead(t, spans, root, []string{
+	checkColdRead(t, spans, root, []tracing.Layer{
 		tracing.LayerSyscall, tracing.LayerCache, tracing.LayerISCSI,
 		tracing.LayerTCP, tracing.LayerLink, tracing.LayerCPUServer,
 		tracing.LayerDisk,
@@ -228,9 +228,9 @@ func TestISCSITCPReadColdCacheCriticalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op := root.End - root.Start; 2*attr[tracing.LayerISCSI] >= op {
+	if op := root.End - root.Start; 2*attr[tracing.LayerISCSI.String()] >= op {
 		t.Errorf("iscsi layer bills %v of a %v op (≥50%%): MC/S data phases are not nesting under their command span",
-			attr[tracing.LayerISCSI], op)
+			attr[tracing.LayerISCSI.String()], op)
 	}
 }
 

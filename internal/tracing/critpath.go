@@ -3,6 +3,8 @@ package tracing
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -59,43 +61,163 @@ func CriticalPath(spans []Span, rootID int64) (Attribution, error) {
 	if root < 0 {
 		return nil, fmt.Errorf("tracing: no span with id %d", rootID)
 	}
-	// Every span with a parent, sorted by (parent, start, id, index): the
-	// children of one span are one contiguous run.
-	kids := make([]int32, 0, len(spans))
+	r := &spans[root]
+	b := biller{spans: spans, kids: indexChildren(spans)}
+	b.bill(r, r.Start, r.End)
+	// One map per call: every layer billed at least once (a zero bill
+	// included).
+	out := b.other
+	if out == nil {
+		out = make(Attribution, bits.OnesCount16(b.touched))
+	}
+	for set := b.touched; set != 0; set &= set - 1 {
+		l := Layer(bits.TrailingZeros16(set))
+		out[l.String()] = b.sum[l]
+	}
+	return out, nil
+}
+
+// children indexes every span with a parent, sorted by (parent, start, id,
+// index), so the children of one span are one contiguous run of order.
+// When the parent IDs span a range not much wider than the slice (a
+// committed tree's do), a counting sort groups them, keeping index order,
+// each group is then sorted by (start, id), and ends[p-lo] is where parent
+// p's run ends; otherwise one comparison sort orders them all and a binary
+// search finds a run.
+type children struct {
+	order []int32
+	lo    int64
+	ends  []int32
+}
+
+func indexChildren(spans []Span) children {
+	n := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range spans {
-		if spans[i].Parent != 0 {
-			kids = append(kids, int32(i))
+		if p := spans[i].Parent; p != 0 {
+			n++
+			lo, hi = min(lo, p), max(hi, p)
 		}
 	}
-	slices.SortFunc(kids, func(a, b int32) int {
-		x, y := &spans[a], &spans[b]
-		if c := cmp.Compare(x.Parent, y.Parent); c != 0 {
-			return c
+	if n == 0 {
+		return children{}
+	}
+	if d := hi - lo; d < 0 || d >= int64(2*len(spans)+64) { // d < 0: the width overflowed
+		order := make([]int32, 0, n)
+		for i := range spans {
+			if spans[i].Parent != 0 {
+				order = append(order, int32(i))
+			}
 		}
-		if c := cmp.Compare(x.Start, y.Start); c != 0 {
-			return c
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(spans[a].Parent, spans[b].Parent); c != 0 {
+				return c
+			}
+			return startOrder(spans, a, b)
+		})
+		return children{order: order}
+	}
+	// One allocation: the order, then one count per parent ID in
+	// [lo-1, hi] that the prefix sum turns into run ends.
+	buf := make([]int32, n+int(hi-lo)+2)
+	order, ends := buf[:n], buf[n:]
+	for i := range spans {
+		if p := spans[i].Parent; p != 0 {
+			ends[p-lo+1]++
 		}
-		if c := cmp.Compare(x.ID, y.ID); c != 0 {
-			return c
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	for i := range spans {
+		if p := spans[i].Parent; p != 0 {
+			order[ends[p-lo]] = int32(i)
+			ends[p-lo]++
 		}
-		return cmp.Compare(a, b)
+	}
+	ends = ends[:hi-lo+1]
+	from := int32(0)
+	for _, to := range ends {
+		run := order[from:to]
+		from = to
+		if len(run) > 32 {
+			slices.SortFunc(run, func(a, b int32) int { return startOrder(spans, a, b) })
+			continue
+		}
+		for i := 1; i < len(run); i++ { // insertion sort: runs arrive nearly sorted
+			for j := i; j > 0 && startOrder(spans, run[j-1], run[j]) > 0; j-- {
+				run[j-1], run[j] = run[j], run[j-1]
+			}
+		}
+	}
+	return children{order: order, lo: lo, ends: ends}
+}
+
+// of returns the children of the span with ID id, in start order.
+func (c children) of(spans []Span, id int64) []int32 {
+	if c.ends != nil {
+		if id < c.lo || id-c.lo >= int64(len(c.ends)) {
+			return nil
+		}
+		from := int32(0)
+		if id > c.lo {
+			from = c.ends[id-c.lo-1]
+		}
+		return c.order[from:c.ends[id-c.lo]]
+	}
+	i, _ := slices.BinarySearchFunc(c.order, id, func(k int32, id int64) int {
+		return cmp.Compare(spans[k].Parent, id)
 	})
-	r := &spans[root]
-	out := make(Attribution)
-	bill(out, spans, kids, r, r.Start, r.End)
-	return out, nil
+	j := i
+	for j < len(c.order) && spans[c.order[j]].Parent == id {
+		j++
+	}
+	return c.order[i:j]
+}
+
+// startOrder orders siblings a and b by (start, id, index).
+func startOrder(spans []Span, a, b int32) int {
+	x, y := &spans[a], &spans[b]
+	if c := cmp.Compare(x.Start, y.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.ID, y.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// biller accumulates one CriticalPath call's bills in an array indexed by
+// Layer, with a bit set of the layers billed. A layer outside the
+// vocabulary (which no Tracer records and Validate rejects) is billed by
+// name in other.
+type biller struct {
+	spans   []Span
+	kids    children
+	sum     [LayerDisk + 1]time.Duration
+	touched uint16
+	other   Attribution
+}
+
+func (b *biller) add(l Layer, d time.Duration) {
+	if int(l) >= len(b.sum) {
+		if b.other == nil {
+			b.other = make(Attribution)
+		}
+		b.other[l.String()] += d
+		return
+	}
+	b.sum[l] += d
+	b.touched |= 1 << l
 }
 
 // bill attributes the window [lo, hi) of span s: child-covered time
 // recurses, the rest lands on s.Layer. horizon tracks how far billing has
 // advanced, clipping each child to its unconsumed remainder.
-func bill(out Attribution, spans []Span, kids []int32, s *Span, lo, hi time.Duration) {
+func (b *biller) bill(s *Span, lo, hi time.Duration) {
 	horizon := lo
-	i, _ := slices.BinarySearchFunc(kids, s.ID, func(k int32, id int64) int {
-		return cmp.Compare(spans[k].Parent, id)
-	})
-	for ; i < len(kids) && spans[kids[i]].Parent == s.ID; i++ {
-		c := &spans[kids[i]]
+	for _, k := range b.kids.of(b.spans, s.ID) {
+		c := &b.spans[k]
 		cs, ce := c.Start, c.End
 		if cs < horizon {
 			cs = horizon
@@ -106,11 +228,11 @@ func bill(out Attribution, spans []Span, kids []int32, s *Span, lo, hi time.Dura
 		if ce <= cs {
 			continue
 		}
-		out[s.Layer] += cs - horizon
-		bill(out, spans, kids, c, cs, ce)
+		b.add(s.Layer, cs-horizon)
+		b.bill(c, cs, ce)
 		horizon = ce
 	}
 	if hi > horizon {
-		out[s.Layer] += hi - horizon
+		b.add(s.Layer, hi-horizon)
 	}
 }

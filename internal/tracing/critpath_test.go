@@ -54,12 +54,12 @@ func referenceBill(out Attribution, children map[int64][]Span, s Span, lo, hi ti
 		if ce <= cs {
 			continue
 		}
-		out[s.Layer] += cs - horizon
+		out[s.Layer.String()] += cs - horizon
 		referenceBill(out, children, c, cs, ce)
 		horizon = ce
 	}
 	if hi > horizon {
-		out[s.Layer] += hi - horizon
+		out[s.Layer.String()] += hi - horizon
 	}
 }
 
@@ -79,7 +79,7 @@ func randomForest(rng *rand.Rand) []Span {
 		id := int64(len(spans) + 1)
 		spans = append(spans, Span{
 			ID: id, Parent: parent, Layer: Layers[rng.Intn(len(Layers))],
-			Op: "op", Start: start, End: start + dur,
+			Start: start, End: start + dur,
 		})
 		if depth == 0 {
 			return
@@ -115,13 +115,29 @@ func randomForest(rng *rand.Rand) []Span {
 	return spans
 }
 
+// spread returns spans with every ID and parent multiplied by a large
+// factor: parent IDs far wider apart than the slice is long, which
+// CriticalPath orders by comparison instead of by counting.
+func spread(spans []Span) []Span {
+	out := slices.Clone(spans)
+	for i := range out {
+		out[i].ID *= 1 << 40
+		out[i].Parent *= 1 << 40
+	}
+	return out
+}
+
 // TestCriticalPathMatchesReference bills every root of random forests with
 // both implementations and demands identical attributions, each summing to
-// the root's window (the last span with the root's ID).
+// the root's window (the last span with the root's ID). Each forest is
+// billed as recorded (dense IDs) and spread out (sparse IDs).
 func TestCriticalPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	for n := 0; n < 2000; n++ {
+	for n := 0; n < 4000; n++ {
 		spans := randomForest(rng)
+		if n%2 == 1 {
+			spans = spread(spans)
+		}
 		for _, r := range Roots(spans) {
 			want, err := referenceCriticalPath(spans, r.ID)
 			if err != nil {
@@ -144,7 +160,7 @@ func TestCriticalPathMatchesReference(t *testing.T) {
 				t.Fatalf("forest %d root %d: bills %v, window %v", n, r.ID, got.Total(), window)
 			}
 		}
-		if _, err := CriticalPath(spans, int64(len(spans)+1)); err == nil {
+		if _, err := CriticalPath(spans, -1); err == nil {
 			t.Fatalf("forest %d: no error for an absent root", n)
 		}
 	}
@@ -154,16 +170,16 @@ func TestCriticalPathMatchesReference(t *testing.T) {
 // fixed case: two roots share ID 1 and the second one is billed.
 func TestCriticalPathDuplicateRootIsLast(t *testing.T) {
 	spans := []Span{
-		{ID: 1, Layer: LayerSyscall, Op: "read", Start: 0, End: 10},
-		{ID: 2, Parent: 1, Layer: LayerDisk, Op: "read", Start: 2, End: 6},
-		{ID: 1, Layer: LayerSyscall, Op: "write", Start: 100, End: 130},
-		{ID: 4, Parent: 1, Layer: LayerRPC, Op: "WRITE", Start: 110, End: 120},
+		{ID: 1, Layer: LayerSyscall, Start: 0, End: 10},
+		{ID: 2, Parent: 1, Layer: LayerDisk, Start: 2, End: 6},
+		{ID: 1, Layer: LayerSyscall, Start: 100, End: 130},
+		{ID: 4, Parent: 1, Layer: LayerRPC, Start: 110, End: 120},
 	}
 	got, err := CriticalPath(spans, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Attribution{LayerSyscall: 20, LayerRPC: 10}
+	want := Attribution{LayerSyscall.String(): 20, LayerRPC.String(): 10}
 	if !maps.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -172,11 +188,11 @@ func TestCriticalPathDuplicateRootIsLast(t *testing.T) {
 // chain returns one operation of n spans: a root and n-1 children in five
 // layers, each child overlapping the one before.
 func chain(n int) []Span {
-	layers := []string{LayerRPC, LayerTCP, LayerLink, LayerCPUServer, LayerDisk}
-	spans := []Span{{ID: 1, Layer: LayerSyscall, Op: "read", Start: 0, End: time.Duration(10 * n)}}
+	layers := []Layer{LayerRPC, LayerTCP, LayerLink, LayerCPUServer, LayerDisk}
+	spans := []Span{{ID: 1, Layer: LayerSyscall, Start: 0, End: time.Duration(10 * n)}}
 	for i := 1; i < n; i++ {
 		spans = append(spans, Span{
-			ID: int64(i + 1), Parent: 1, Layer: layers[i%len(layers)], Op: "x",
+			ID: int64(i + 1), Parent: 1, Layer: layers[i%len(layers)],
 			Start: time.Duration(10 * i), End: time.Duration(10*i + 15),
 		})
 	}

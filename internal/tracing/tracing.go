@@ -16,56 +16,107 @@
 // an op's latency to exactly one layer. See docs/TRACING.md.
 package tracing
 
-import "time"
+import (
+	"slices"
+	"strconv"
+	"time"
+)
 
-// Layer vocabulary: every span names the layer that did the work. The
-// critical-path analyzer and repro trace group by these strings, and
-// Span.Validate rejects anything outside the set.
+// Layer names the layer that did a span's work. The vocabulary is fixed
+// (docs/TRACING.md); the critical-path analyzer and repro trace group by
+// it, its String form is what the JSONL and Chrome exports carry, and
+// Span.Validate rejects anything outside it (the zero Layer included).
+type Layer uint8
+
+// Layer vocabulary, in display order (client to platter).
 const (
-	LayerSyscall   = "syscall"    // testbed.Client syscall surface (root spans)
-	LayerCache     = "cache"      // ext3 buffer-cache miss handling
-	LayerLock      = "lock"       // lock/reservation exchanges + delegation recall waits
-	LayerRPC       = "rpc"        // sunrpc exchange (slot waits, per-proc spans)
-	LayerISCSI     = "iscsi"      // iSCSI command exchange (initiator or MC/S session)
-	LayerUDP       = "udp"        // NFS datagram transport leg (incl. retransmit waits)
-	LayerTCP       = "tcp"        // virtual-time or fluid TCP transport leg
-	LayerLink      = "link"       // simnet frame/segment serialization + propagation
-	LayerQueue     = "queue"      // shared-bottleneck (netqueue) occupancy
-	LayerCPUClient = "cpu.client" // client CPU service
-	LayerCPUServer = "cpu.server" // server CPU service
-	LayerDisk      = "disk"       // simdisk RAID-5 phases
+	LayerSyscall   Layer = iota + 1 // testbed.Client syscall surface (root spans)
+	LayerCache                      // ext3 buffer-cache miss handling
+	LayerLock                       // lock/reservation exchanges + delegation recall waits
+	LayerRPC                        // sunrpc exchange (slot waits, per-proc spans)
+	LayerISCSI                      // iSCSI command exchange (initiator or MC/S session)
+	LayerUDP                        // NFS datagram transport leg (incl. retransmit waits)
+	LayerTCP                        // virtual-time or fluid TCP transport leg
+	LayerLink                       // simnet frame/segment serialization + propagation
+	LayerQueue                      // shared-bottleneck (netqueue) occupancy
+	LayerCPUClient                  // client CPU service
+	LayerCPUServer                  // server CPU service
+	LayerDisk                       // simdisk RAID-5 phases
 )
 
 // Layers lists the vocabulary in display order (client to platter).
-var Layers = []string{
+var Layers = []Layer{
 	LayerSyscall, LayerCache, LayerLock, LayerRPC, LayerISCSI, LayerUDP,
 	LayerTCP, LayerLink, LayerQueue, LayerCPUClient, LayerCPUServer,
 	LayerDisk,
 }
 
-// validLayer is the O(1) membership check behind Span.Validate.
-var validLayer = func() map[string]bool {
-	m := make(map[string]bool, len(Layers))
-	for _, l := range Layers {
-		m[l] = true
+// String returns the layer's name in the vocabulary.
+func (l Layer) String() string {
+	switch l {
+	case LayerSyscall:
+		return "syscall"
+	case LayerCache:
+		return "cache"
+	case LayerLock:
+		return "lock"
+	case LayerRPC:
+		return "rpc"
+	case LayerISCSI:
+		return "iscsi"
+	case LayerUDP:
+		return "udp"
+	case LayerTCP:
+		return "tcp"
+	case LayerLink:
+		return "link"
+	case LayerQueue:
+		return "queue"
+	case LayerCPUClient:
+		return "cpu.client"
+	case LayerCPUServer:
+		return "cpu.server"
+	case LayerDisk:
+		return "disk"
 	}
-	return m
-}()
+	return "layer(" + strconv.Itoa(int(l)) + ")"
+}
+
+// valid reports whether l is in the vocabulary.
+func (l Layer) valid() bool { return l >= LayerSyscall && l <= LayerDisk }
+
+// layerNamed returns the layer whose String is name.
+func layerNamed(name string) (Layer, bool) {
+	for _, l := range Layers {
+		if l.String() == name {
+			return l, true
+		}
+	}
+	return 0, false
+}
 
 // Span is one timed interval of work in one layer, causally linked to the
 // span that caused it. IDs are dense and positive; a root span (one client
 // operation) has Parent 0. Times are virtual nanoseconds from simulated
-// boot, so identical runs yield identical spans.
+// boot, so identical runs yield identical spans. A span holds no pointer:
+// its op name and tags are indices into the name table and tag arena of
+// the Tracer that recorded (or decoded) it, which resolves them
+// (Tracer.Op, WriteSpans, WriteChrome), so a stream of spans costs the
+// garbage collector nothing to scan.
 type Span struct {
-	ID     int64             `json:"id"`
-	Parent int64             `json:"parent"`
-	Client int               `json:"client"`
-	Layer  string            `json:"layer"`
-	Op     string            `json:"op"`
-	Start  time.Duration     `json:"start_ns"`
-	End    time.Duration     `json:"end_ns"`
-	Tags   map[string]string `json:"tags,omitempty"`
+	ID     int64
+	Parent int64
+	Start  time.Duration
+	End    time.Duration
+	Client int32
+	Op     uint32 // index into the owning Tracer's name table
+	tags   uint32 // the span's newest tag in the Tracer's arena; 0 for none
+	Layer  Layer
 }
+
+// tag is one key/value pair in a Tracer's tag arena; next chains a span's
+// tags, newest first, and 0 ends the chain.
+type tag struct{ key, val, next uint32 }
 
 // SpanRef is a handle to a span under construction. The zero value is
 // invalid (returned by a nil or sampling-out tracer) and safe to pass back
@@ -100,10 +151,84 @@ type Tracer struct {
 	ops    int64  // root ops seen (sampling counter)
 	nextID int64  // last committed span ID
 	client int    // client id of the in-flight root op
+
+	// The name table and the tag arena only grow, so spans of a slice
+	// returned before a later commit or Reset still resolve.
+	names  []string          // op names, tag keys and values; names[0] is ""
+	index  map[string]uint32 // position of each name in names
+	recent [32]named         // the last name interned per cheap hash
+	tags   []tag             // tag arena; tags[0] is unused
+	mark   int               // len(tags) when the in-flight root op began
+}
+
+// named is one name and its position in the name table.
+type named struct {
+	name string
+	i    uint32
 }
 
 // New returns a Tracer with the given sampling config.
-func New(cfg Config) *Tracer { return &Tracer{cfg: cfg} }
+func New(cfg Config) *Tracer {
+	return &Tracer{
+		cfg:   cfg,
+		names: []string{""},
+		index: map[string]uint32{"": 0},
+		tags:  make([]tag, 1),
+	}
+}
+
+// intern returns name's position in the name table, adding it if new.
+// Most names are string constants, so a hit in recent (slot chosen by the
+// name's length and end bytes) is confirmed by a pointer compare and
+// skips hashing the name.
+func (t *Tracer) intern(name string) uint32 {
+	h := len(name)
+	if h > 0 {
+		h += int(name[0]) + 3*int(name[h-1])
+	}
+	slot := &t.recent[h%len(t.recent)]
+	if slot.name == name {
+		return slot.i
+	}
+	i, ok := t.index[name]
+	if !ok {
+		i = uint32(len(t.names))
+		t.names = append(t.names, name)
+		t.index[name] = i
+	}
+	*slot = named{name, i}
+	return i
+}
+
+// Op returns the operation name of s, a span t recorded or decoded.
+func (t *Tracer) Op(s Span) string {
+	if t == nil || int(s.Op) >= len(t.names) {
+		return ""
+	}
+	return t.names[s.Op]
+}
+
+// tag returns the value of s's tag key, or "" if s has none.
+func (t *Tracer) tag(s Span, key string) string {
+	for i := s.tags; i != 0; i = t.tags[i].next {
+		if t.names[t.tags[i].key] == key {
+			return t.names[t.tags[i].val]
+		}
+	}
+	return ""
+}
+
+// addTag sets key to val on *s, replacing an earlier value of key.
+func (t *Tracer) addTag(s *Span, key, val uint32) {
+	for i := s.tags; i != 0; i = t.tags[i].next {
+		if t.tags[i].key == key {
+			t.tags[i].val = val
+			return
+		}
+	}
+	t.tags = append(t.tags, tag{key: key, val: val, next: s.tags})
+	s.tags = uint32(len(t.tags) - 1)
+}
 
 // Enabled reports whether the tracer is currently recording (non-nil and
 // not inside a sampled-out operation). Call sites use it to skip expensive
@@ -114,7 +239,7 @@ func (t *Tracer) Enabled() bool { return t != nil && t.skip == 0 }
 // root is born. The client id tags every span of the resulting tree.
 // Sampling decisions happen here: a sampled-out op traces nothing until
 // its matching End. Inside an already-open operation it behaves as Begin.
-func (t *Tracer) BeginOp(now time.Duration, layer, op string, client int) SpanRef {
+func (t *Tracer) BeginOp(now time.Duration, layer Layer, op string, client int) SpanRef {
 	if t == nil {
 		return SpanRef{}
 	}
@@ -131,7 +256,8 @@ func (t *Tracer) BeginOp(now time.Duration, layer, op string, client int) SpanRe
 		t.skip = 1
 		return SpanRef{}
 	}
-	t.cur = append(t.cur[:0], Span{Layer: layer, Op: op, Start: now})
+	t.mark = len(t.tags)
+	t.cur = append(t.cur[:0], Span{Layer: layer, Op: t.intern(op), Start: now})
 	t.stack = append(t.stack, 0)
 	return SpanRef{idx: 1}
 }
@@ -141,7 +267,7 @@ func (t *Tracer) BeginOp(now time.Duration, layer, op string, client int) SpanRe
 // completed intervals or async completions use Record instead. Outside any
 // open operation it records nothing (like Record): mount-time and
 // background protocol activity never starts a trace of its own.
-func (t *Tracer) Begin(now time.Duration, layer, op string) SpanRef {
+func (t *Tracer) Begin(now time.Duration, layer Layer, op string) SpanRef {
 	if t == nil {
 		return SpanRef{}
 	}
@@ -153,7 +279,7 @@ func (t *Tracer) Begin(now time.Duration, layer, op string) SpanRef {
 		return SpanRef{}
 	}
 	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: op, Start: now})
+	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: now})
 	idx := len(t.cur) - 1
 	t.stack = append(t.stack, idx)
 	return SpanRef{idx: int32(idx + 1)}
@@ -187,12 +313,12 @@ func (t *Tracer) End(ref SpanRef, now time.Duration) {
 // intervals (link frames, CPU service, disk phases) and for async or
 // interleaved completions (MC/S pipes, read-ahead) where Begin/End nesting
 // does not hold. Outside any open operation it records nothing.
-func (t *Tracer) Record(start, end time.Duration, layer, op string) SpanRef {
+func (t *Tracer) Record(start, end time.Duration, layer Layer, op string) SpanRef {
 	if t == nil || t.skip > 0 || len(t.stack) == 0 {
 		return SpanRef{}
 	}
 	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: op, Start: start, End: end})
+	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: start, End: end})
 	return SpanRef{idx: int32(len(t.cur))}
 }
 
@@ -203,12 +329,12 @@ func (t *Tracer) Record(start, end time.Duration, layer, op string) SpanRef {
 // while one synchronous slice of its work executes, bracket the slice with
 // Enter/Exit so the spans that slice records nest under it. Outside any
 // open operation it records nothing, like Record.
-func (t *Tracer) BeginDetached(now time.Duration, layer, op string) SpanRef {
+func (t *Tracer) BeginDetached(now time.Duration, layer Layer, op string) SpanRef {
 	if t == nil || t.skip > 0 || len(t.stack) == 0 {
 		return SpanRef{}
 	}
 	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: op, Start: now})
+	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: now})
 	return SpanRef{idx: int32(len(t.cur))}
 }
 
@@ -250,11 +376,7 @@ func (t *Tracer) SetTag(ref SpanRef, k, v string) {
 	if t == nil || !ref.Valid() {
 		return
 	}
-	s := &t.cur[int(ref.idx)-1]
-	if s.Tags == nil {
-		s.Tags = make(map[string]string)
-	}
-	s.Tags[k] = v
+	t.addTag(&t.cur[int(ref.idx)-1], t.intern(k), t.intern(v))
 }
 
 // commit moves the tentative tree into the committed stream, assigning
@@ -268,15 +390,16 @@ func (t *Tracer) commit() {
 	root := t.cur[0]
 	if t.cfg.Slow > 0 && root.End-root.Start < t.cfg.Slow {
 		t.cur = t.cur[:0]
+		t.tags = t.tags[:t.mark]
 		return
 	}
 	if need := len(t.spans) + len(t.cur); need > cap(t.spans) {
 		// Double into a new array, copying the stream once. Slices
 		// Spans returned earlier keep the old array, which is never
-		// written again.
-		grown := make([]Span, len(t.spans), max(2*cap(t.spans), need))
-		copy(grown, t.spans)
-		t.spans = grown
+		// written again. Span holds no pointer, so growing through
+		// append clears only the tail the copy leaves, and the
+		// collector never scans the array.
+		t.spans = slices.Grow(t.spans, max(2*cap(t.spans), need)-len(t.spans))
 	}
 	base := t.nextID
 	for i, s := range t.cur {
@@ -290,7 +413,7 @@ func (t *Tracer) commit() {
 		if s.Parent > 0 {
 			s.Parent += base
 		}
-		s.Client = t.client
+		s.Client = int32(t.client)
 		t.spans = append(t.spans, s)
 	}
 	t.nextID += int64(len(t.cur))
@@ -309,7 +432,8 @@ func (t *Tracer) Spans() []Span {
 
 // Reset discards all committed and tentative state, including the ID and
 // sampling counters — used to separate an unmeasured setup phase from the
-// measured window.
+// measured window. The name table and tag arena stay, so spans returned
+// before the Reset still resolve.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

@@ -3,6 +3,7 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,7 +56,7 @@ func TestCriticalPathExactPartition(t *testing.T) {
 	// syscall: [0,10)+[90,100) = 20us. rpc: [10,20)+[30,40)+[70? no —
 	// cpu.server child [60,80) clips to [70,80) after disk consumes
 	// [40,70), then rpc keeps [30,40) and [80,90).
-	want := Attribution{
+	want := map[Layer]time.Duration{
 		LayerSyscall:   20 * us,
 		LayerRPC:       30 * us,
 		LayerLink:      10 * us,
@@ -63,8 +64,8 @@ func TestCriticalPathExactPartition(t *testing.T) {
 		LayerCPUServer: 10 * us,
 	}
 	for l, d := range want {
-		if attr[l] != d {
-			t.Errorf("layer %s: got %v, want %v (full: %v)", l, attr[l], d, attr)
+		if attr[l.String()] != d {
+			t.Errorf("layer %s: got %v, want %v (full: %v)", l, attr[l.String()], d, attr)
 		}
 	}
 	if got, total := attr.Total(), 100*us; got != total {
@@ -92,7 +93,7 @@ func TestSlowSampling(t *testing.T) {
 	tr.End(op, 10*us) // too fast: discarded
 	buildTree(tr)     // 100us: kept
 	roots := Roots(tr.Spans())
-	if len(roots) != 1 || roots[0].Op != "read" {
+	if len(roots) != 1 || tr.Op(roots[0]) != "read" {
 		t.Fatalf("slow sampling kept %+v, want one read", roots)
 	}
 	if roots[0].ID != 1 {
@@ -215,15 +216,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.End(ref, 300*us)
 
 	var buf bytes.Buffer
-	if err := WriteSpans(&buf, tr.Spans()); err != nil {
+	if err := WriteSpans(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSpans(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(tr.Spans()) {
-		t.Fatalf("round trip lost spans: %d != %d", len(got), len(tr.Spans()))
+	if len(got.Spans()) != len(tr.Spans()) {
+		t.Fatalf("round trip lost spans: %d != %d", len(got.Spans()), len(tr.Spans()))
 	}
 	var buf2 bytes.Buffer
 	if err := WriteSpans(&buf2, got); err != nil {
@@ -232,8 +233,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("encoding is not canonical across a round trip")
 	}
-	if got[5].Tags["stack"] != "nfsv3" {
-		t.Fatalf("tag lost: %+v", got[5])
+	if s := got.Spans()[5]; got.tag(s, "stack") != "nfsv3" {
+		t.Fatalf("tag lost: %+v", s)
 	}
 }
 
@@ -246,7 +247,7 @@ func TestDecodeRejects(t *testing.T) {
 		`{"id":1,"parent":0,"client":0,"layer":"syscall","op":"","start_ns":0,"end_ns":5}`,
 	}
 	for _, line := range bad {
-		if _, err := decode([]byte(line)); err == nil {
+		if _, err := ReadSpans(strings.NewReader(line)); err == nil {
 			t.Errorf("decode accepted %s", line)
 		}
 	}
@@ -256,7 +257,7 @@ func TestChromeExport(t *testing.T) {
 	tr := New(Config{})
 	buildTree(tr)
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, tr.Spans()); err != nil {
+	if err := WriteChrome(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {
