@@ -22,6 +22,21 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// The ASCII bytes a string carries unescaped, as a 128-bit set: every
+// printable byte but the quote, the backslash and HTML's <, > and &.
+const (
+	safeLow  uint64 = 0xffffffff00000000 &^ (1<<'"' | 1<<'&' | 1<<'<' | 1<<'>')
+	safeHigh uint64 = 0xffffffffffffffff &^ (1 << ('\\' - 64))
+)
+
+// safeASCII reports whether c is an ASCII byte a string carries as is.
+func safeASCII(c byte) bool {
+	if c < 64 {
+		return safeLow>>c&1 != 0
+	}
+	return c < 128 && safeHigh>>(c-64)&1 != 0
+}
+
 // AppendString appends s to b as a JSON string literal, escaped exactly as
 // encoding/json escapes it.
 func AppendString(b []byte, s string) []byte {
@@ -29,11 +44,11 @@ func AppendString(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
+		if safeASCII(c) {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':
