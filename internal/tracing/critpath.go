@@ -80,10 +80,10 @@ func CriticalPath(spans []Span, rootID int64) (Attribution, error) {
 // children indexes every span with a parent, sorted by (parent, start, id,
 // index), so the children of one span are one contiguous run of order.
 // When the parent IDs span a range not much wider than the slice (a
-// committed tree's do), a counting sort groups them, keeping index order,
-// each group is then sorted by (start, id), and ends[p-lo] is where parent
-// p's run ends; otherwise one comparison sort orders them all and a binary
-// search finds a run.
+// committed tree's do), a counting sort groups them, each group is then
+// sorted on its own, and ends[p-lo] is where parent p's run ends;
+// otherwise one comparison sort orders them all and a binary search finds
+// a run.
 type children struct {
 	order []int32
 	lo    int64
@@ -137,18 +137,12 @@ func indexChildren(spans []Span) children {
 	}
 	ends = ends[:hi-lo+1]
 	from := int32(0)
+	siblings := func(a, b int32) int { return startOrder(spans, a, b) }
 	for _, to := range ends {
-		run := order[from:to]
+		if to-from > 1 {
+			slices.SortFunc(order[from:to], siblings)
+		}
 		from = to
-		if len(run) > 32 {
-			slices.SortFunc(run, func(a, b int32) int { return startOrder(spans, a, b) })
-			continue
-		}
-		for i := 1; i < len(run); i++ { // insertion sort: runs arrive nearly sorted
-			for j := i; j > 0 && startOrder(spans, run[j-1], run[j]) > 0; j-- {
-				run[j-1], run[j] = run[j], run[j-1]
-			}
-		}
 	}
 	return children{order: order, lo: lo, ends: ends}
 }
