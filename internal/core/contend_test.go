@@ -108,7 +108,7 @@ func TestContendDeterministicStream(t *testing.T) {
 		cfg.Stacks = []Stack{NFSv3, ISCSI}
 		cfg.Transports = []testbed.Transport{testbed.TransportFluid}
 	}
-	run := func() ([]byte, []tracing.Span) {
+	run := func() ([]byte, *tracing.Tracer) {
 		var buf bytes.Buffer
 		c := cfg
 		c.Metrics = metrics.NewRecorder(metrics.NewSink(&buf), metrics.Tags{"cmd": "contend"})
@@ -116,10 +116,11 @@ func TestContendDeterministicStream(t *testing.T) {
 		if _, err := RunContention(c); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), c.Tracer.Spans()
+		return buf.Bytes(), c.Tracer
 	}
-	a, aSpans := run()
-	b, bSpans := run()
+	a, aTracer := run()
+	b, bTracer := run()
+	aSpans, bSpans := aTracer.Spans(), bTracer.Spans()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("contend telemetry not deterministic: %d vs %d bytes", len(a), len(b))
 	}
@@ -134,7 +135,7 @@ func TestContendDeterministicStream(t *testing.T) {
 	}
 	for i := range aSpans {
 		as, bs := aSpans[i], bSpans[i]
-		if as.Layer != bs.Layer || as.Op != bs.Op || as.Start != bs.Start || as.End != bs.End {
+		if as.Layer != bs.Layer || aTracer.Op(as) != bTracer.Op(bs) || as.Start != bs.Start || as.End != bs.End {
 			t.Fatalf("span %d differs: %+v vs %+v", i, as, bs)
 		}
 	}

@@ -181,9 +181,6 @@ func (s *Scanner) failf(format string, args ...any) {
 	s.Fail(fmt.Errorf("offset %d: "+format, append([]any{s.pos}, args...)...))
 }
 
-// Err reports the first error met on the line.
-func (s *Scanner) Err() error { return s.err }
-
 func (s *Scanner) skipSpace() {
 	for s.pos < len(s.line) {
 		switch s.line[s.pos] {
@@ -339,30 +336,44 @@ func (s *Scanner) Float() float64 {
 }
 
 // String reads a string. Invalid UTF-8 and unpaired surrogate escapes are
-// errors.
+// errors. A string without escapes is interned straight from the line;
+// one with escapes is unescaped into scratch first.
 func (s *Scanner) String() string {
 	if !s.expect('"') {
 		return ""
 	}
-	start := s.pos
+	start, b, escaped := s.pos, s.scratch[:0], false
 	for s.pos < len(s.line) {
 		c := s.line[s.pos]
 		switch {
 		case c == '"':
 			s.pos++
+			if escaped {
+				s.scratch = b[:0]
+				return s.intern(b)
+			}
 			return s.intern(s.line[start : s.pos-1])
-		case c == '\\':
-			return s.escaped(start)
 		case c < 0x20:
 			s.failf("control character in string")
 			return ""
-		case c < utf8.RuneSelf:
-			s.pos++
-		default:
-			r, size := utf8.DecodeRune(s.line[s.pos:])
-			if r == utf8.RuneError && size == 1 {
-				s.failf("invalid UTF-8 in string")
+		case c == '\\':
+			if !escaped {
+				b, escaped = append(b, s.line[start:s.pos]...), true
+			}
+			if b = s.unescape(b); s.err != nil {
 				return ""
+			}
+		default:
+			size := 1
+			if c >= utf8.RuneSelf {
+				var r rune
+				if r, size = utf8.DecodeRune(s.line[s.pos:]); r == utf8.RuneError && size == 1 {
+					s.failf("invalid UTF-8 in string")
+					return ""
+				}
+			}
+			if escaped {
+				b = append(b, s.line[s.pos:s.pos+size]...)
 			}
 			s.pos += size
 		}
@@ -371,75 +382,44 @@ func (s *Scanner) String() string {
 	return ""
 }
 
-// escaped finishes a string holding an escape, unescaping into scratch.
-func (s *Scanner) escaped(start int) string {
-	b := append(s.scratch[:0], s.line[start:s.pos]...)
-	defer func() { s.scratch = b[:0] }()
-	for s.pos < len(s.line) {
-		c := s.line[s.pos]
-		switch {
-		case c == '"':
-			s.pos++
-			return s.intern(b)
-		case c < 0x20:
-			s.failf("control character in string")
-			return ""
-		case c == '\\':
-			if s.pos+1 >= len(s.line) {
-				s.failf("unterminated escape")
-				return ""
-			}
-			e := s.line[s.pos+1]
-			s.pos += 2
-			switch e {
-			case '"', '\\', '/':
-				b = append(b, e)
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := s.hex4()
-				if utf16.IsSurrogate(r) {
-					if s.pos+1 < len(s.line) && s.line[s.pos] == '\\' && s.line[s.pos+1] == 'u' {
-						s.pos += 2
-						r = utf16.DecodeRune(r, s.hex4())
-					} else {
-						r = utf8.RuneError
-					}
-					if r == utf8.RuneError {
-						s.failf("unpaired surrogate escape")
-					}
-				}
-				if s.err != nil {
-					return ""
-				}
-				b = utf8.AppendRune(b, r)
-			default:
-				s.failf("bad escape \\%c", e)
-				return ""
-			}
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			s.pos++
-		default:
-			r, size := utf8.DecodeRune(s.line[s.pos:])
-			if r == utf8.RuneError && size == 1 {
-				s.failf("invalid UTF-8 in string")
-				return ""
-			}
-			b = append(b, s.line[s.pos:s.pos+size]...)
-			s.pos += size
-		}
+// unescape appends the character the escape at the read position stands
+// for to b.
+func (s *Scanner) unescape(b []byte) []byte {
+	if s.pos+1 >= len(s.line) {
+		s.failf("unterminated escape")
+		return b
 	}
-	s.failf("unterminated string")
-	return ""
+	e := s.line[s.pos+1]
+	s.pos += 2
+	switch e {
+	case '"', '\\', '/':
+		return append(b, e)
+	case 'b':
+		return append(b, '\b')
+	case 'f':
+		return append(b, '\f')
+	case 'n':
+		return append(b, '\n')
+	case 'r':
+		return append(b, '\r')
+	case 't':
+		return append(b, '\t')
+	case 'u':
+		r := s.hex4()
+		if utf16.IsSurrogate(r) {
+			r = utf8.RuneError
+			if s.pos+1 < len(s.line) && s.line[s.pos] == '\\' && s.line[s.pos+1] == 'u' {
+				s.pos += 2
+				r = utf16.DecodeRune(r, s.hex4())
+			}
+			if r == utf8.RuneError {
+				s.failf("unpaired surrogate escape")
+			}
+		}
+		return utf8.AppendRune(b, r)
+	}
+	s.failf("bad escape \\%c", e)
+	return b
 }
 
 // hex4 reads the four hex digits of a \u escape.

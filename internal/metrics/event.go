@@ -238,25 +238,35 @@ func scanMap[V any](s *Scanner, val func(*Scanner) V) map[string]V {
 // ReadEvents decodes and validates an entire JSONL stream. Blank lines are
 // skipped; the first invalid line fails the read with its line number.
 func ReadEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	var s Scanner
 	var out []Event
+	err := EachLine(r, func(line []byte) error {
+		e, err := s.event(line)
+		out = append(out, e)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EachLine calls fn on every non-blank line of a JSONL stream, trimmed of
+// surrounding white space, and stops at the first error, which it returns
+// with the line's 1-based number.
+func EachLine(r io.Reader, fn func(line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for n := 1; sc.Scan(); n++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		e, err := s.event(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+		if err := fn(line); err != nil {
+			return fmt.Errorf("line %d: %w", n, err)
 		}
-		out = append(out, e)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sc.Err()
 }
 
 // sortedKeys returns m's keys in lexicographic order (deterministic

@@ -18,8 +18,8 @@ import (
 
 // chromeEvent is one trace_event object. Timestamps and durations are
 // microseconds (the format's unit), kept as float64 so sub-microsecond
-// virtual intervals survive; an empty Cat, a zero Dur and empty Args are
-// left out.
+// virtual intervals survive; an empty Cat (metadata events) and a zero
+// Dur are left out. Every event has args: a span its id, metadata a name.
 type chromeEvent struct {
 	Name string
 	Cat  string
@@ -52,10 +52,8 @@ func (e *chromeEvent) appendTo(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(e.PID), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(e.TID), 10)
-	if len(e.Args) > 0 {
-		b = append(b, `,"args":`...)
-		b = appendObject(b, e.Args)
-	}
+	b = append(b, `,"args":`...)
+	b = appendObject(b, e.Args)
 	return append(b, '}')
 }
 

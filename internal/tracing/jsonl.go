@@ -2,7 +2,6 @@ package tracing
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -137,7 +136,7 @@ func (t *Tracer) decode(sc *metrics.Scanner, line []byte) (Span, error) {
 			sc.Seen(&seen, 1<<3)
 			name := sc.String()
 			l, ok := layerNamed(name)
-			if !ok && sc.Err() == nil {
+			if !ok {
 				sc.Fail(fmt.Errorf("layer %q not in vocabulary", name))
 			}
 			s.Layer = l
@@ -195,24 +194,14 @@ func WriteSpans(w io.Writer, t *Tracer) error {
 // Tracer whose Spans are the stream's spans and which resolves their
 // names. Errors carry 1-based line numbers.
 func ReadSpans(r io.Reader) (*Tracer, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	t := New(Config{})
-	var lines metrics.Scanner
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		s, err := t.decode(&lines, raw)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
+	var sc metrics.Scanner
+	err := metrics.EachLine(r, func(line []byte) error {
+		s, err := t.decode(&sc, line)
 		t.spans = append(t.spans, s)
-	}
-	if err := sc.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return t, nil
