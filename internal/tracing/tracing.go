@@ -271,18 +271,22 @@ func (t *Tracer) Begin(now time.Duration, layer Layer, op string) SpanRef {
 	if t == nil {
 		return SpanRef{}
 	}
+	return t.begin(now, layer, op)
+}
+
+// begin is Begin on a tracer. The methods that open spans keep their work
+// in a second method, so that they inline: with tracing off a call costs a
+// nil test.
+func (t *Tracer) begin(now time.Duration, layer Layer, op string) SpanRef {
 	if t.skip > 0 {
 		t.skip++
 		return SpanRef{}
 	}
-	if len(t.stack) == 0 {
-		return SpanRef{}
+	ref := t.add(now, 0, layer, op)
+	if ref.Valid() {
+		t.stack = append(t.stack, int(ref.idx)-1)
 	}
-	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: now})
-	idx := len(t.cur) - 1
-	t.stack = append(t.stack, idx)
-	return SpanRef{idx: int32(idx + 1)}
+	return ref
 }
 
 // End closes the span ref at now. Closing a root op commits (or, under
@@ -314,12 +318,10 @@ func (t *Tracer) End(ref SpanRef, now time.Duration) {
 // interleaved completions (MC/S pipes, read-ahead) where Begin/End nesting
 // does not hold. Outside any open operation it records nothing.
 func (t *Tracer) Record(start, end time.Duration, layer Layer, op string) SpanRef {
-	if t == nil || t.skip > 0 || len(t.stack) == 0 {
+	if t == nil {
 		return SpanRef{}
 	}
-	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: start, End: end})
-	return SpanRef{idx: int32(len(t.cur))}
+	return t.add(start, end, layer, op)
 }
 
 // BeginDetached opens a span parented to the innermost open span without
@@ -330,11 +332,20 @@ func (t *Tracer) Record(start, end time.Duration, layer Layer, op string) SpanRe
 // Enter/Exit so the spans that slice records nest under it. Outside any
 // open operation it records nothing, like Record.
 func (t *Tracer) BeginDetached(now time.Duration, layer Layer, op string) SpanRef {
-	if t == nil || t.skip > 0 || len(t.stack) == 0 {
+	if t == nil {
+		return SpanRef{}
+	}
+	return t.add(now, 0, layer, op)
+}
+
+// add appends a span parented to the innermost open span to the in-flight
+// tree; inside a sampled-out op or outside any op it records nothing.
+func (t *Tracer) add(start, end time.Duration, layer Layer, op string) SpanRef {
+	if t.skip > 0 || len(t.stack) == 0 {
 		return SpanRef{}
 	}
 	parent := t.stack[len(t.stack)-1] + 1
-	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: now})
+	t.cur = append(t.cur, Span{Parent: int64(parent), Layer: layer, Op: t.intern(op), Start: start, End: end})
 	return SpanRef{idx: int32(len(t.cur))}
 }
 
@@ -376,6 +387,11 @@ func (t *Tracer) SetTag(ref SpanRef, k, v string) {
 	if t == nil || !ref.Valid() {
 		return
 	}
+	t.setTag(ref, k, v)
+}
+
+// setTag is SetTag on a live span, kept out of it for the reason begin is.
+func (t *Tracer) setTag(ref SpanRef, k, v string) {
 	t.addTag(&t.cur[int(ref.idx)-1], t.intern(k), t.intern(v))
 }
 
