@@ -12,6 +12,12 @@ import (
 	"unicode/utf8"
 )
 
+// decode parses one line into a validated event.
+func decode(line []byte) (Event, error) {
+	var s Scanner
+	return s.event(line)
+}
+
 // TestDecodeRejectsHostileLines: lines encoding/json's Decoder let
 // through. A closing delimiter after the object ends More's search for a
 // next value, and a case-folded key silently overrides the real one.

@@ -170,12 +170,6 @@ func (e Event) appendTo(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// decode parses one JSONL line into a validated event.
-func decode(line []byte) (Event, error) {
-	var s Scanner
-	return s.event(line)
-}
-
 // event parses one line strictly: unknown or repeated fields, a missing
 // t, subsys or event, a value of the wrong type, and anything after the
 // object are errors, so schema drift and stream corruption are caught at
