@@ -152,19 +152,13 @@ type Tracer struct {
 	nextID int64  // last committed span ID
 	client int    // client id of the in-flight root op
 
-	// The name table and the tag arena only grow, so spans of a slice
+	// Neither the name table nor the tag arena drops an entry a committed
+	// span uses (a discarded op's tags go with it), so spans of a slice
 	// returned before a later commit or Reset still resolve.
-	names  []string          // op names, tag keys and values; names[0] is ""
-	index  map[string]uint32 // position of each name in names
-	recent [32]named         // the last name interned per cheap hash
-	tags   []tag             // tag arena; tags[0] is unused
-	mark   int               // len(tags) when the in-flight root op began
-}
-
-// named is one name and its position in the name table.
-type named struct {
-	name string
-	i    uint32
+	names []string          // op names, tag keys and values; names[0] is ""
+	index map[string]uint32 // position of each name in names
+	tags  []tag             // tag arena; tags[0] is unused
+	mark  int               // len(tags) when the in-flight root op began
 }
 
 // New returns a Tracer with the given sampling config.
@@ -178,25 +172,13 @@ func New(cfg Config) *Tracer {
 }
 
 // intern returns name's position in the name table, adding it if new.
-// Most names are string constants, so a hit in recent (slot chosen by the
-// name's length and end bytes) is confirmed by a pointer compare and
-// skips hashing the name.
 func (t *Tracer) intern(name string) uint32 {
-	h := len(name)
-	if h > 0 {
-		h += int(name[0]) + 3*int(name[h-1])
+	if i, ok := t.index[name]; ok {
+		return i
 	}
-	slot := &t.recent[h%len(t.recent)]
-	if slot.name == name {
-		return slot.i
-	}
-	i, ok := t.index[name]
-	if !ok {
-		i = uint32(len(t.names))
-		t.names = append(t.names, name)
-		t.index[name] = i
-	}
-	*slot = named{name, i}
+	i := uint32(len(t.names))
+	t.names = append(t.names, name)
+	t.index[name] = i
 	return i
 }
 
