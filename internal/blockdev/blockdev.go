@@ -84,16 +84,18 @@ type Store struct {
 
 // shared holds, for every fill byte, one block of that byte repeated: what a
 // constant block's table entry, and a cache block of one byte repeated, refers
-// to. Built here, never written again.
-var shared = func() *[256][BlockSize]byte {
-	var t [256][BlockSize]byte
-	for v := range t {
-		for i := range t[v] {
-			t[v][i] = byte(v)
+// to. Filled by init, never written again. It is static data, not a heap
+// object: a megabyte the collector would count as live heap would raise every
+// cycle's goal by twice that, and the heap's peak with it.
+var shared [256][BlockSize]byte
+
+func init() {
+	for v := range shared {
+		for i := range shared[v] {
+			shared[v][i] = byte(v)
 		}
 	}
-	return &t
-}()
+}
 
 // NewStore creates a sparse image of numBlocks blocks of blockSize bytes.
 func NewStore(numBlocks int64, blockSize int) *Store {

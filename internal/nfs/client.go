@@ -168,8 +168,7 @@ func (c *Client) DropCaches() {
 	c.access = make(map[uint64]time.Duration)
 	c.listings = make(map[uint64]*dirListing)
 	c.files = make(map[uint64]*fileState)
-	c.pages.release()
-	c.pages = newPageCache(c.pages.max, c.pages.mem.Pool)
+	c.pages.drop()
 	c.wb = newWriteBehind(c)
 	if c.deleg != nil {
 		c.delegFH = make(map[string]FH)

@@ -162,8 +162,8 @@ func (pc *pageCache) reclaim() {
 }
 
 // release gives every retired and resident block back to the pool and leaves
-// every page without data: the cache is dead, the caller replaces it. Without
-// a pool nothing is recycled, and nothing is touched.
+// every page without data: the pages are dead, drop forgets them. Without a
+// pool nothing is recycled, and nothing is touched.
 func (pc *pageCache) release() {
 	if pc.mem.Pool == nil {
 		return
@@ -173,6 +173,18 @@ func (pc *pageCache) release() {
 		pc.mem.Pool.Put(p.data)
 		p.data = nil
 	}
+}
+
+// drop empties the cache, as a remount does: release, then forget every page.
+// The maps keep their storage. A cold cache refills to about the size it had,
+// and regrowing the index from nothing (8192 entries per 32 MB read) would
+// cost garbage on the read path.
+func (pc *pageCache) drop() {
+	pc.release()
+	clear(pc.pages)
+	clear(pc.byFile)
+	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
+	pc.mem = blockdev.Reclaimer[*page]{Pool: pc.mem.Pool}
 }
 
 // dropFile uncaches every page of a file: its whole chain at once.

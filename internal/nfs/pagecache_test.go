@@ -362,6 +362,26 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	}
 }
 
+// drop empties the cache in place: a refill to the size it had allocates one
+// page each and nothing for the index, and afterwards the cache holds nothing.
+func TestDropKeepsTheIndexStorage(t *testing.T) {
+	const n = 4096
+	pc := newPageCache(n, nil)
+	fill := func() {
+		for i := int64(0); i < n; i++ {
+			pc.getOrCreate(pageKey{uint64(1 + i%3), i})
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(3, func() { pc.drop(); fill() }); allocs != n {
+		t.Fatalf("drop and a refill of %d pages allocated %.0f objects, want one per page", n, allocs)
+	}
+	pc.drop()
+	if len(pc.pages) != 0 || len(pc.byFile) != 0 || pc.lru.older != &pc.lru || pc.lru.newer != &pc.lru {
+		t.Fatalf("drop left %d pages, %d files or a non-empty LRU ring", len(pc.pages), len(pc.byFile))
+	}
+}
+
 // reclaim after N evictions puts the private blocks among them: a page of
 // mixed bytes is pooled, a zero or uniform one is shared and never reaches
 // the pool. A victim keeps its bytes until then, and so does a private block
