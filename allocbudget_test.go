@@ -39,6 +39,52 @@ func TestPostMarkAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBulkReadAllocBudget keeps the data path's read direction from paying
+// a heap object per cached block: the hostbench `bulk-read` shape (a 32 MB
+// file read cold in sequence, warm at random and cold at random, on NFSv3
+// then iSCSI, without a pool, testbed builds and the file's preparation
+// included) allocated about 133 k objects while every page and buffer the
+// reads cached was a heap object of its own, and about 19 k since the caches
+// hand them out of slabs. The budget leaves room for noise, not for the
+// headers to come back (one per cached block is over 32 k).
+func TestBulkReadAllocBudget(t *testing.T) {
+	const budget = 40000
+	cfg := workload.SeqRandConfig{FileSize: 32 << 20, ChunkSize: 4096, Seed: 42}
+	const path = "/r.dat"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, kind := range []testbed.Kind{testbed.NFSv3, testbed.ISCSI} {
+		tb, err := testbed.New(testbed.Config{Kind: kind, DeviceBlocks: 131072, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []workload.Steps{
+			workload.PrepareFileSteps(tb.Client, path, cfg),
+			nil, // cold cache
+			workload.SequentialReadSteps(tb.Client, path, cfg),
+			workload.RandomReadSteps(tb.Client, path, cfg),
+			nil,
+			workload.RandomReadSteps(tb.Client, path, cfg),
+		}
+		for _, s := range steps {
+			if s == nil {
+				err = tb.ColdCache()
+			} else {
+				err = workload.RunSteps(s)
+			}
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > budget {
+		t.Errorf("bulk-read on NFSv3+iSCSI allocated %d objects, budget %d", n, budget)
+	} else {
+		t.Logf("%d objects (budget %d)", n, budget)
+	}
+}
+
 // TestSweepAllocBudget keeps a sweep's block memory following content, not
 // copies: the hostbench `cluster` RunTransport shape (32 cells, a 2 MB
 // pattern file each, a fresh testbed per cell) allocated 257 MB when every

@@ -12,16 +12,16 @@ const poolCap = 4096
 
 // Pool is a free list shared by the block owners of the cells one sweep builds
 // one after another: the Stores, the ext3 buffer caches and the NFS client
-// page caches (testbed.Config.Pool hands it down). It recycles three things:
-// the BlockSize-byte private blocks of the Stores, those of the caches, and
-// the leaves of the Tables that index Stores and buffer caches by block
-// number. A block goes back where its owner drops it, and a leaf when its
-// Table is released, so the next fetch, or the next cell, takes it from here
-// instead of from the heap.
+// page caches (testbed.Config.Pool hands it down). It recycles the
+// BlockSize-byte private blocks of the Stores and of the caches, the leaves
+// of the Tables that index Stores and buffer caches by block number, and the
+// chunks the caches' entries live in (Reclaimer). A block goes back where its
+// owner drops it, a leaf or a chunk when its Table or cache is released, so
+// the next fetch, or the next cell, takes it from here, not from the heap.
 //
-// A nil *Pool is valid and inert: Get allocates, Put does nothing, Tables
-// make their leaves and leave them to the collector, and the caches retire
-// nothing. That is the state of every assembly built without one.
+// A nil *Pool is valid and inert: Get allocates, Put does nothing, and Tables
+// and caches make leaves and chunks and leave them to the collector. That is
+// the state of every assembly built without one.
 //
 // An owner holds two kinds of block. A private block is one Get handed out;
 // the owner writes it and gives it back. A shared block is the read-only block
@@ -48,16 +48,16 @@ const poolCap = 4096
 //   - After Put the owner drops its reference (data = nil).
 //   - Leaves go back only whole and emptied, in Table.Release: when a Store
 //     is released (Store.Release), when a buffer cache dies (dropAll) and
-//     after each journal checkpoint. A leaf never holds a value in the pool,
-//     so a free leaf keeps no block and no buffer alive. Like blocks, at most
-//     leafCap of them are kept.
+//     after each journal checkpoint; chunks in Reclaimer.Release. A leaf or
+//     chunk never holds a value in the pool, so a free one keeps no block
+//     and no entry alive. Like blocks, at most leafCap of them are kept.
 //
 // The zero Pool is empty and ready. A Pool is not safe for concurrent use;
 // concurrent sweeps take one each.
 type Pool struct {
 	free [][]byte
-	// shelves holds one free list per kind of leaf (a *[]*leaf[T]), leaves
-	// counts the leaves on all of them.
+	// shelves holds one free list per kind of leaf (a *[]*leaf[T], or a
+	// chunk), leaves counts the leaves on all of them.
 	shelves []any
 	leaves  int
 	// Poison makes Put overwrite the block with 0xEE, a byte no workload
@@ -174,24 +174,48 @@ func repeats(src []byte) (byte, bool) {
 	return src[0], true
 }
 
+// chunkSlots is how many cache entries a chunk holds: 76 ext3 buffers or NFS
+// pages nearly fill a malloc size class (6144 and 6784 bytes with the 8-byte
+// header), so an entry costs no more than a heap object of its own did.
+const chunkSlots = 76
+
 // Reclaimer is a cache's side of the pool, for caches whose entries (of type
-// E) each hold one block: the ext3 buffer cache and the NFS page cache. A
-// cache that drops an entry during an operation only retires it, since the
-// operation may still read it, and Reclaim gives the blocks of what was
-// retired back once no operation is in flight. Pool is where the cache's
-// private blocks come from; nil means the heap, and then nothing is retired.
+// E) each hold one block: the ext3 buffer cache and the NFS page cache. New is
+// the only source of their entries, a slab: chunks of chunkSlots entries that
+// never move while an operation holds one. A cache that drops an entry during
+// an operation only retires it, since the operation may still read it, and
+// Reclaim frees the entry and gives its block back once no operation is in
+// flight. Pool is where the cache's private blocks and chunks come from; nil
+// means the heap, and then entries are still retired and reused, but no block
+// or chunk goes anywhere.
 type Reclaimer[E any] struct {
 	Pool     *Pool
-	retired  []E      // unlinked since the last Reclaim
+	chunks   []*[chunkSlots]E
+	used     int      // slots of chunks handed out, in order, since the last Release
+	free     []*E     // slots Reclaim freed, handed out first
+	retired  []*E     // unlinked since the last Reclaim
 	replaced [][]byte // private blocks Replace swapped out of resident entries since the last Reclaim
 }
 
-// Retire remembers e, an entry the cache unlinked, for Reclaim.
-func (r *Reclaimer[E]) Retire(e E) {
-	if r.Pool != nil {
-		r.retired = append(r.retired, e)
+// New returns a slot holding e: a freed one, else the next of the last
+// chunk, else the first of a chunk taken from the pool.
+func (r *Reclaimer[E]) New(e E) *E {
+	var p *E
+	if n := len(r.free) - 1; n >= 0 {
+		p, r.free = r.free[n], r.free[:n]
+	} else {
+		if r.used == len(r.chunks)*chunkSlots {
+			r.chunks = append(r.chunks, takeLeaf[[chunkSlots]E](r.Pool))
+		}
+		p = &r.chunks[r.used/chunkSlots][r.used%chunkSlots]
+		r.used++
 	}
+	*p = e
+	return p
 }
+
+// Retire remembers e, an entry the cache unlinked, for Reclaim.
+func (r *Reclaimer[E]) Retire(e *E) { r.retired = append(r.retired, e) }
 
 // Replace is Pool.Replace for a resident entry's block: the private block a
 // shared one displaces is retired.
@@ -199,26 +223,46 @@ func (r *Reclaimer[E]) Replace(cur, src []byte) []byte {
 	return r.Pool.Replace(cur, src, &r.replaced)
 }
 
-// Reclaim gives the pool the blocks of the retired entries and the replaced
-// blocks. data returns where a retired entry keeps its block, or nil for an
-// entry that is the cache's again and keeps it; a block goes back once and
-// its entry is left without data. Callers guarantee that no operation is in
-// flight.
-func (r *Reclaimer[E]) Reclaim(data func(E) *[]byte) {
+// Reclaim frees the retired entries, zeroed, and gives the pool their blocks
+// and the replaced blocks. data returns where a retired entry keeps its
+// block, or nil for an entry that is the cache's again and stays. One retired
+// twice has no block the second time and is freed once. Callers guarantee
+// that no operation is in flight.
+func (r *Reclaimer[E]) Reclaim(data func(*E) *[]byte) {
 	var none E
 	for i, e := range r.retired {
 		if d := data(e); d != nil && *d != nil {
 			r.Pool.Put(*d)
-			*d = nil
+			*e = none
+			r.free = append(r.free, e)
 		}
-		r.retired[i] = none
+		r.retired[i] = nil
 	}
 	r.retired = r.retired[:0]
 	r.replaced = r.Pool.PutAll(r.replaced)
 }
 
+// Release zeroes every entry, resident or retired, and gives the pool the
+// blocks data returns, the replaced blocks and the chunks; without a pool the
+// slab keeps its chunks. Callers guarantee that nothing refers to an entry.
+func (r *Reclaimer[E]) Release(data func(*E) []byte) {
+	for i, c := range r.chunks {
+		slots := c[:max(0, min(r.used-i*chunkSlots, chunkSlots))]
+		for j := range slots {
+			r.Pool.Put(data(&slots[j]))
+		}
+		clear(slots)
+		putLeaf(r.Pool, c)
+	}
+	if r.Pool != nil {
+		r.chunks = r.chunks[:0]
+	}
+	r.used, r.free, r.retired = 0, r.free[:0], r.retired[:0]
+	r.replaced = r.Pool.PutAll(r.replaced)
+}
+
 // Retired returns the entries retired since the last Reclaim (for tests).
-func (r *Reclaimer[E]) Retired() []E { return r.retired }
+func (r *Reclaimer[E]) Retired() []*E { return r.retired }
 
 // Replaced reports how many replaced blocks wait for Reclaim (for tests).
 func (r *Reclaimer[E]) Replaced() int { return len(r.replaced) }

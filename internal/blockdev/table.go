@@ -8,7 +8,7 @@ const (
 	// leafSlots is how many block numbers one leaf of a Table covers.
 	leafSlots = 1 << leafBits
 	// leafCap bounds how many free leaves a Pool keeps, over every kind of
-	// Table (12 MB at most: a Store's leaf is 12 KB, a cache's 4 KB).
+	// leaf (a Store's is 12 KB, a cache index's 4 KB, a cache chunk 6 KB).
 	leafCap = 1024
 )
 
@@ -63,7 +63,7 @@ func (t *Table[T]) Set(lba int64, v T) {
 	}
 	l := t.top[i]
 	if l == nil {
-		l = takeLeaf[T](t.pool)
+		l = takeLeaf[leaf[T]](t.pool)
 		t.top[i] = l
 	}
 	if w, bit := &l.used[j>>6], uint64(1)<<(j&63); *w&bit == 0 {
@@ -140,10 +140,10 @@ func nextBit(words []uint64, from int) int {
 	return -1
 }
 
-// takeLeaf returns an empty leaf: one p holds, or a new one.
-func takeLeaf[T any](p *Pool) *leaf[T] {
+// takeLeaf returns an empty leaf (or chunk): one p holds, or a new one.
+func takeLeaf[L any](p *Pool) *L {
 	if p != nil && p.leaves > 0 {
-		if s := shelf[T](p); len(*s) > 0 {
+		if s := shelf[L](p); len(*s) > 0 {
 			n := len(*s) - 1
 			l := (*s)[n]
 			(*s)[n] = nil
@@ -152,28 +152,28 @@ func takeLeaf[T any](p *Pool) *leaf[T] {
 			return l
 		}
 	}
-	return new(leaf[T])
+	return new(L)
 }
 
 // putLeaf gives p an empty leaf, unless p is nil or holds leafCap already.
-func putLeaf[T any](p *Pool, l *leaf[T]) {
+func putLeaf[L any](p *Pool, l *L) {
 	if p == nil || p.leaves >= leafCap {
 		return
 	}
-	s := shelf[T](p)
+	s := shelf[L](p)
 	*s = append(*s, l)
 	p.leaves++
 }
 
-// shelf returns p's free list of leaves of T, adding an empty one the first
-// time a kind of leaf is asked for. A pool sees two or three kinds.
-func shelf[T any](p *Pool) *[]*leaf[T] {
+// shelf returns p's free list of leaves of type L, adding an empty one the
+// first time a kind is asked for. A pool sees at most five kinds.
+func shelf[L any](p *Pool) *[]*L {
 	for _, s := range p.shelves {
-		if s, ok := s.(*[]*leaf[T]); ok {
+		if s, ok := s.(*[]*L); ok {
 			return s
 		}
 	}
-	s := new([]*leaf[T])
+	s := new([]*L)
 	p.shelves = append(p.shelves, s)
 	return s
 }

@@ -61,8 +61,8 @@ type bcacheStats struct {
 // evictions (see markDirty), so a buffer the cache unlinks is only retired,
 // and so is a private block a shared one replaces in a resident buffer (set);
 // reclaim, which FS.tick runs on entry (every operation's tail call, when
-// none is in flight) and dropAll runs first, gives retired blocks to the
-// pool. Without a pool nothing is retired.
+// none is in flight), frees retired buffers, which mem's slab hands out again
+// with a pool or without one, and gives their blocks to the pool.
 //
 // Resident buffers are indexed by block number in a blockdev.Table, and the
 // lbas of the dirty data buffers are a set beside it (a Table of nothing),
@@ -79,13 +79,13 @@ type bcache struct {
 	stats   bcacheStats
 	dirty   blockdev.Table[struct{}] // lbas of the dirty non-journaled (file data) buffers
 	tracer  *tracing.Tracer          // cache-miss spans (nil = tracing off)
-	// mem holds the pool, the buffers unlinked since the last reclaim (a
-	// reinstated buffer may be among them) and the blocks set displaced.
-	mem blockdev.Reclaimer[*buffer]
+	// mem holds the pool, the buffers, those unlinked since the last reclaim
+	// (a reinstated buffer may be among them) and the blocks set displaced.
+	mem blockdev.Reclaimer[buffer]
 }
 
 func newBcache(dev blockdev.Device, max int, pool *blockdev.Pool) *bcache {
-	c := &bcache{dev: dev, max: max, mem: blockdev.Reclaimer[*buffer]{Pool: pool}}
+	c := &bcache{dev: dev, max: max, mem: blockdev.Reclaimer[buffer]{Pool: pool}}
 	c.blocks.SetPool(pool)
 	c.dirty.SetPool(pool)
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
@@ -165,10 +165,10 @@ func (c *bcache) evictIfNeeded() {
 	}
 }
 
-// reclaim gives the blocks of retired buffers, and the replaced blocks, to
-// the pool. Callers guarantee that no operation is in flight. A buffer
-// markDirty reinstated is resident again and keeps its block; one retired
-// twice is put once.
+// reclaim frees retired buffers and gives their blocks, and the replaced
+// blocks, to the pool. Callers guarantee that no operation is in flight. A
+// buffer markDirty reinstated is resident again and stays; one retired twice
+// is freed once.
 func (c *bcache) reclaim() {
 	c.mem.Reclaim(func(b *buffer) *[]byte {
 		if c.peek(b.lba) == b {
@@ -247,7 +247,7 @@ func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Dur
 		return nil, done, err
 	}
 	if b == nil {
-		b = &buffer{lba: lba, data: c.mem.Pool.Load(src)}
+		b = c.mem.New(buffer{lba: lba, data: c.mem.Pool.Load(src)})
 		c.insert(b)
 		return b, at, nil
 	}
@@ -259,7 +259,7 @@ func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Dur
 // set, else read from the device.
 func (c *bcache) fill(at time.Duration, lba int64, zero bool) (*buffer, time.Duration, error) {
 	// A recycled block is cleared only when nothing is about to fill it.
-	b := &buffer{lba: lba, data: c.mem.Pool.Get(zero)}
+	b := c.mem.New(buffer{lba: lba, data: c.mem.Pool.Get(zero)})
 	done := at
 	if !zero {
 		// The miss span parents the device I/O it forces (iSCSI exchange
@@ -282,7 +282,7 @@ func (c *bcache) insertPrefetch(lba int64, data []byte, readyAt time.Duration) {
 	if c.peek(lba) != nil {
 		return
 	}
-	c.insert(&buffer{lba: lba, data: c.mem.Pool.Load(data), readyAt: readyAt})
+	c.insert(c.mem.New(buffer{lba: lba, data: c.mem.Pool.Load(data), readyAt: readyAt}))
 }
 
 // markDirty flags a buffer dirty; meta selects the journaled class.
@@ -346,18 +346,11 @@ func (c *bcache) unpin(lba int64) {
 // discussion (Section 2.3). Callers (Unmount, Crash) leave the filesystem
 // unmounted and drop the running transaction, so no path reaches a buffer
 // afterwards: every retired and every resident block goes back to the pool,
-// and a buffer someone still holds by mistake has no data rather than
-// recycled data. The index's leaves go back too. Without a pool nothing is
-// recycled, and no buffer is touched.
+// and a buffer someone still holds by mistake is zero rather than recycled.
+// The buffers' chunks and the index's leaves go back too. Without a pool
+// nothing is recycled.
 func (c *bcache) dropAll() {
-	c.reclaim()
-	if c.mem.Pool != nil {
-		for lba := c.blocks.Next(0); lba >= 0; lba = c.blocks.Next(lba + 1) {
-			b := c.peek(lba)
-			c.mem.Pool.Put(b.data)
-			b.data = nil
-		}
-	}
+	c.mem.Release(func(b *buffer) []byte { return b.data })
 	c.blocks.Release()
 	c.dirty.Release()
 	c.lru.newer, c.lru.older = &c.lru, &c.lru

@@ -234,10 +234,10 @@ func TestDropAllReturnsOnlyPoolBornBlocks(t *testing.T) {
 }
 
 // A buffer cache built after another was dropped on the same pool takes that
-// cache's index leaves and blocks: it allocates exactly the five leaves and
-// six blocks fewer than a cache without a pool. (What both allocate besides,
-// the cache, its index's top array and one buffer per block, depends on the
-// build: the race detector adds one.)
+// cache's index leaves, its chunk of buffers and its blocks: it allocates
+// exactly the five leaves, one chunk and six blocks fewer than a cache without
+// a pool. (What both allocate besides, the cache, its index's top array and
+// its list of chunks, depends on the build: the race detector adds one.)
 func TestDroppedCacheLeavesAreReused(t *testing.T) {
 	const blocks = 1 << 21 // the largest volume the default geometry tiles
 	dev := blockdev.NewTestbedArray(blocks)
@@ -259,8 +259,60 @@ func TestDroppedCacheLeavesAreReused(t *testing.T) {
 	}
 	pooled := testing.AllocsPerRun(20, cycle(&blockdev.Pool{Poison: true}))
 	heap := testing.AllocsPerRun(20, cycle(nil))
-	if saved := heap - pooled; saved != 5+float64(len(lbas)) {
-		t.Fatalf("a cache rebuilt on a dropped cache's pool allocates %v times, one without a pool %v: want 5 leaves and %d blocks fewer", pooled, heap, len(lbas))
+	if saved := heap - pooled; saved != 5+1+float64(len(lbas)) {
+		t.Fatalf("a cache rebuilt on a dropped cache's pool allocates %v times, one without a pool %v: want 5 leaves, 1 chunk and %d blocks fewer", pooled, heap, len(lbas))
+	}
+}
+
+// A warm buffer cache allocates nothing in a cycle of sets past its size,
+// the evictions they cause and the reclaim after them, with a pool and
+// without one: each new buffer is a slot the last reclaim freed, and each
+// block one it put (without a pool the blocks are the shared ones). A buffer
+// evicted while held keeps its lba and its bytes until that reclaim, and
+// only then is freed and its block poisoned.
+func TestBcacheWarmCycleAllocatesNothing(t *testing.T) {
+	mixed := make([]byte, BlockSize)
+	for i := range mixed {
+		mixed[i] = byte(i * 7)
+	}
+	for _, pool := range []*blockdev.Pool{nil, {Poison: true}} {
+		t.Run(fmt.Sprint("pool=", pool != nil), func(t *testing.T) {
+			src := bytes.Repeat([]byte{0x5a}, BlockSize)
+			if pool != nil {
+				src = mixed
+			}
+			bc := newBcache(blockdev.NewTestbedArray(4096), 8, pool)
+			from := int64(0)
+			cycle := func() {
+				for lba := from; lba < from+16; lba++ {
+					if _, _, err := bc.set(0, lba, src); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bc.reclaim()
+				from = (from + 16) % 64
+			}
+			for i := 0; i < 4; i++ {
+				cycle()
+			}
+			if n := testing.AllocsPerRun(50, cycle); n != 0 {
+				t.Fatalf("a warm cycle of 16 sets and a reclaim allocated %v objects, want 0", n)
+			}
+			held, _, err := bc.set(0, 100, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lba := int64(200); lba < 216; lba++ { // evicts lba 100
+				bc.set(0, lba, src)
+			}
+			if bc.peek(100) != nil || held.lba != 100 || !bytes.Equal(held.data, src) {
+				t.Fatalf("a held buffer evicted before reclaim: resident %v, lba %d, bytes kept %v", bc.peek(100) != nil, held.lba, bytes.Equal(held.data, src))
+			}
+			bc.reclaim()
+			if held.lba != 0 || held.data != nil {
+				t.Fatal("reclaim did not free the evicted buffer")
+			}
+		})
 	}
 }
 
@@ -346,13 +398,35 @@ func TestReclaim(t *testing.T) {
 			t.Fatalf("pool holds %d blocks for %d retired entries with one duplicate", pool.Len(), retired)
 		}
 	})
-	t.Run("no pool, nothing retired", func(t *testing.T) {
+	t.Run("no pool: headers retired and reused, no block put anywhere", func(t *testing.T) {
 		bc := newBcache(blockdev.NewTestbedArray(4096), 2, nil)
 		fill(bc, 1, 6)
-		if bc.stats.Evictions != 4 || bc.mem.Retired() != nil {
-			t.Fatalf("%d evictions, retired %v", bc.stats.Evictions, bc.mem.Retired())
+		retired := bc.mem.Retired()
+		if bc.stats.Evictions != 4 || len(retired) != 4 {
+			t.Fatalf("%d evictions, %d retired; want 4, 4", bc.stats.Evictions, len(retired))
+		}
+		freed := map[*buffer][]byte{}
+		for _, b := range retired {
+			if b.data == nil {
+				t.Fatalf("retired buffer %d lost its block before reclaim", b.lba)
+			}
+			freed[b] = b.data
 		}
 		bc.reclaim()
+		for b, data := range freed {
+			if b.data != nil || len(data) != BlockSize {
+				t.Fatal("reclaim left a freed buffer its block, or cut the block")
+			}
+		}
+		fill(bc, 7, 4) // four new buffers, in the four freed slots
+		for lba := int64(9); lba <= 10; lba++ {
+			if _, ok := freed[bc.peek(lba)]; !ok {
+				t.Fatalf("the buffer for lba %d is not one of the freed slots", lba)
+			}
+		}
+		if len(bc.mem.Retired()) != 4 {
+			t.Fatalf("%d retired after the refill, want 4", len(bc.mem.Retired()))
+		}
 		bc.dropAll()
 	})
 }

@@ -187,15 +187,16 @@ func (f *file) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 	last := (off + int64(len(buf)) - 1) / BlockSize
 	nblocks := int(last - first + 1)
 
-	// Map every touched block.
-	lbas := make([]int64, nblocks)
+	// Map every touched block, into an array of the call's up to 128 KB.
+	var lbaBuf [32]int64
+	lbas := lbaBuf[:0]
 	for i := 0; i < nblocks; i++ {
 		lba, d2, err := fs.bmap(done, n, first+int64(i), false, 0)
 		if err != nil {
 			return 0, d2, err
 		}
 		done = d2
-		lbas[i] = lba
+		lbas = append(lbas, lba)
 	}
 	// Fetch uncached contiguous runs with single device reads.
 	for i := 0; i < nblocks; {

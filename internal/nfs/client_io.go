@@ -52,20 +52,21 @@ type page struct {
 // a syscall pages are held across evictions (ReadAt copies out of pages its
 // own later inserts evicted), so evict and dropFile only retire what they
 // unlink, and a private block a shared one replaces is only retired too;
-// reclaim, which nfsFile.ReadAt and WriteAt run on entry and release runs
-// first, gives retired blocks to the pool. Without a pool nothing is retired.
+// reclaim, which nfsFile.ReadAt and WriteAt run on entry, frees retired pages,
+// which mem's slab hands out again with a pool or without one, and gives
+// their blocks to the pool.
 type pageCache struct {
 	max    int
 	pages  map[pageKey]*page
 	byFile map[uint64]*page
 	lru    page
-	// mem holds the pool, the pages unlinked since the last reclaim and the
-	// blocks Replace displaced.
-	mem blockdev.Reclaimer[*page]
+	// mem holds the pool, the pages, those unlinked since the last reclaim
+	// and the blocks Replace displaced.
+	mem blockdev.Reclaimer[page]
 }
 
 func newPageCache(max int, pool *blockdev.Pool) *pageCache {
-	pc := &pageCache{max: max, mem: blockdev.Reclaimer[*page]{Pool: pool}, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
+	pc := &pageCache{max: max, mem: blockdev.Reclaimer[page]{Pool: pool}, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
 	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
 	return pc
 }
@@ -125,7 +126,7 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		pc.touch(p)
 		return p
 	}
-	p := &page{key: k, data: pc.mem.Pool.Load(data), readyAt: readyAt}
+	p := pc.mem.New(page{key: k, data: pc.mem.Pool.Load(data), readyAt: readyAt})
 	pc.link(p)
 	pc.evict(p)
 	return p
@@ -155,36 +156,26 @@ func (pc *pageCache) evict(keep *page) {
 	}
 }
 
-// reclaim gives the blocks of retired pages, and the replaced blocks, to the
-// pool. Callers guarantee that no syscall is in flight.
+// reclaim frees retired pages and gives their blocks, and the replaced
+// blocks, to the pool. Callers guarantee that no syscall is in flight.
 func (pc *pageCache) reclaim() {
 	pc.mem.Reclaim(func(p *page) *[]byte { return &p.data })
 }
 
-// release gives every retired and resident block back to the pool and leaves
-// every page without data: the pages are dead, drop forgets them. Without a
-// pool nothing is recycled, and nothing is touched.
-func (pc *pageCache) release() {
-	if pc.mem.Pool == nil {
-		return
-	}
-	pc.reclaim()
-	for _, p := range pc.pages {
-		pc.mem.Pool.Put(p.data)
-		p.data = nil
-	}
-}
+// release gives every retired and resident block, and the pages' chunks, back
+// to the pool and zeroes every page: the pages are dead, drop forgets them.
+// Without a pool nothing is recycled, and the slab keeps its chunks.
+func (pc *pageCache) release() { pc.mem.Release(func(p *page) []byte { return p.data }) }
 
 // drop empties the cache, as a remount does: release, then forget every page.
-// The maps keep their storage. A cold cache refills to about the size it had,
-// and regrowing the index from nothing (8192 entries per 32 MB read) would
-// cost garbage on the read path.
+// The maps and the slab keep their storage. A cold cache refills to about the
+// size it had, and regrowing the index from nothing (8192 entries per 32 MB
+// read) would cost garbage on the read path.
 func (pc *pageCache) drop() {
 	pc.release()
 	clear(pc.pages)
 	clear(pc.byFile)
 	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
-	pc.mem = blockdev.Reclaimer[*page]{Pool: pc.mem.Pool}
 }
 
 // dropFile uncaches every page of a file: its whole chain at once.

@@ -316,6 +316,7 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
+	ino := pages[0].key.ino // the dropped pages' slots are reused below
 	reply := c.srv.reply[:pageSize]
 	last := append([]byte(nil), reply...)
 	c.DropCaches()
@@ -347,7 +348,7 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	// dropFile retires a file's pages; the next syscall's reclaim puts them.
 	at = read(at, "/written")
 	before, cached := pool.Len(), len(c.pages.pages)
-	c.pages.dropFile(pages[0].key.ino)
+	c.pages.dropFile(ino)
 	if len(c.pages.pages) != cached-10 || len(c.pages.mem.Retired()) != 10 || pool.Len() != before {
 		t.Fatalf("dropFile dropped %d pages, retired %d and moved the pool by %d", cached-len(c.pages.pages), len(c.pages.mem.Retired()), pool.Len()-before)
 	}
@@ -355,15 +356,16 @@ func TestDropCachesReturnsOnlyPoolBornPages(t *testing.T) {
 	if len(c.pages.mem.Retired()) != 0 || pool.Len() != before {
 		t.Fatalf("after the next read: %d retired, pool %d, want 0 and %d", len(c.pages.mem.Retired()), pool.Len(), before)
 	}
-	c.pages.dropFile(pages[0].key.ino)
+	c.pages.dropFile(ino)
 	c.DropCaches()
 	if len(c.pages.mem.Retired()) != 0 || pool.Len() != before+10+1 {
 		t.Fatalf("DropCaches left %d retired pages, pool %d, want 0 and %d", len(c.pages.mem.Retired()), pool.Len(), before+11)
 	}
 }
 
-// drop empties the cache in place: a refill to the size it had allocates one
-// page each and nothing for the index, and afterwards the cache holds nothing.
+// drop empties the cache in place: a refill to the size it had allocates
+// nothing, neither pages (the slab keeps its chunks) nor the index, and
+// afterwards the cache holds nothing.
 func TestDropKeepsTheIndexStorage(t *testing.T) {
 	const n = 4096
 	pc := newPageCache(n, nil)
@@ -373,8 +375,8 @@ func TestDropKeepsTheIndexStorage(t *testing.T) {
 		}
 	}
 	fill()
-	if allocs := testing.AllocsPerRun(3, func() { pc.drop(); fill() }); allocs != n {
-		t.Fatalf("drop and a refill of %d pages allocated %.0f objects, want one per page", n, allocs)
+	if allocs := testing.AllocsPerRun(3, func() { pc.drop(); fill() }); allocs != 0 {
+		t.Fatalf("drop and a refill of %d pages allocated %.0f objects, want 0", n, allocs)
 	}
 	pc.drop()
 	if len(pc.pages) != 0 || len(pc.byFile) != 0 || pc.lru.older != &pc.lru || pc.lru.newer != &pc.lru {
@@ -385,8 +387,8 @@ func TestDropKeepsTheIndexStorage(t *testing.T) {
 // reclaim after N evictions puts the private blocks among them: a page of
 // mixed bytes is pooled, a zero or uniform one is shared and never reaches
 // the pool. A victim keeps its bytes until then, and so does a private block
-// a shared one replaced in a resident page. Without a pool nothing is
-// retired.
+// a shared one replaced in a resident page. Without a pool pages are retired
+// and reused, and no block is.
 func TestPageCacheReclaim(t *testing.T) {
 	pool := &blockdev.Pool{Poison: true}
 	pc := newPageCache(3, pool)
@@ -442,11 +444,71 @@ func TestPageCacheReclaim(t *testing.T) {
 	last.data = heap.mem.Replace(last.data, []byte("mixed"))
 	last.data = heap.mem.Replace(last.data, nil)
 	heap.dropFile(1)
-	if heap.mem.Retired() != nil || heap.mem.Replaced() != 0 {
-		t.Fatalf("a cache without a pool retired %d pages and %d blocks", len(heap.mem.Retired()), heap.mem.Replaced())
+	if len(heap.mem.Retired()) != 10 || heap.mem.Replaced() != 0 {
+		t.Fatalf("a cache without a pool retired %d pages and %d blocks, want 10 and 0", len(heap.mem.Retired()), heap.mem.Replaced())
+	}
+	freed := map[*page]bool{}
+	for _, p := range heap.mem.Retired() {
+		freed[p] = true
 	}
 	heap.reclaim()
+	if len(heap.mem.Retired()) != 0 || last.data != nil {
+		t.Fatal("reclaim kept a retired page, or left it its block")
+	}
+	for i := int64(0); i < 3; i++ {
+		if !freed[heap.getOrCreate(pageKey{2, i})] {
+			t.Fatalf("page %d of a refill is not one of the freed slots", i)
+		}
+	}
 	heap.release()
+}
+
+// A warm page cache allocates nothing in a cycle of inserts past its size,
+// the evictions they cause and the reclaim after them, with a pool and
+// without one: each new page is a slot the last reclaim freed, and each block
+// one it put (without a pool the blocks are the shared ones). A page evicted
+// while held keeps its key and its bytes until that reclaim, and only then is
+// freed and its block poisoned.
+func TestPageCacheWarmCycleAllocatesNothing(t *testing.T) {
+	mixed := make([]byte, pageSize)
+	for i := range mixed {
+		mixed[i] = byte(i * 7)
+	}
+	for _, pool := range []*blockdev.Pool{nil, {Poison: true}} {
+		t.Run(fmt.Sprint("pool=", pool != nil), func(t *testing.T) {
+			src := bytes.Repeat([]byte{0x5a}, pageSize)
+			if pool != nil {
+				src = mixed
+			}
+			pc := newPageCache(8, pool)
+			from := int64(0)
+			cycle := func() {
+				for idx := from; idx < from+16; idx++ {
+					pc.insert(pageKey{1, idx}, src, 0)
+				}
+				pc.reclaim()
+				from = (from + 16) % 64
+			}
+			for i := 0; i < 4; i++ {
+				cycle()
+			}
+			if n := testing.AllocsPerRun(50, cycle); n != 0 {
+				t.Fatalf("a warm cycle of 16 inserts and a reclaim allocated %v objects, want 0", n)
+			}
+			k := pageKey{2, 100}
+			held := pc.insert(k, src, 0)
+			for idx := int64(200); idx < 216; idx++ { // evicts page k
+				pc.insert(pageKey{1, idx}, src, 0)
+			}
+			if pc.peek(k) != nil || held.key != k || !bytes.Equal(held.data, src) {
+				t.Fatalf("a held page evicted before reclaim: resident %v, key %v, bytes kept %v", pc.peek(k) != nil, held.key, bytes.Equal(held.data, src))
+			}
+			pc.reclaim()
+			if held.key != (pageKey{}) || held.data != nil {
+				t.Fatal("reclaim did not free the evicted page")
+			}
+		})
+	}
 }
 
 // sharedIntact fails the test if a block of one byte repeated no longer reads
