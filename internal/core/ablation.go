@@ -13,7 +13,7 @@ import (
 // journal commit interval (update aggregation window), the synchronous
 // meta-data export mode (durability vs. performance), the client's
 // async-write pool bound (pseudo-synchronous degeneration), and access
-// time maintenance. Each returns the measured effect so DESIGN.md's
+// time maintenance. Each returns the measured effect so the paper's
 // causal claims are checkable, not narrative.
 
 // AblationResult is one knob setting's measurement.

@@ -7,7 +7,7 @@
 // in one place (cell.go): onBed for a one-client testbed, runCell for a
 // cluster.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index:
 //
 //	Table 2/3   — RunTable2 / RunTable3 (cold/warm syscall message counts)
 //	Figure 3    — RunFigure3 (iSCSI meta-data update aggregation)

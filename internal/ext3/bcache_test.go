@@ -398,7 +398,7 @@ func TestReclaim(t *testing.T) {
 			t.Fatalf("pool holds %d blocks for %d retired entries with one duplicate", pool.Len(), retired)
 		}
 	})
-	t.Run("no pool: headers retired and reused, no block put anywhere", func(t *testing.T) {
+	t.Run("no pool, headers retired and reused, no block put anywhere", func(t *testing.T) {
 		bc := newBcache(blockdev.NewTestbedArray(4096), 2, nil)
 		fill(bc, 1, 6)
 		retired := bc.mem.Retired()
