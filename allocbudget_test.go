@@ -44,11 +44,12 @@ func TestPostMarkAllocBudget(t *testing.T) {
 // file read cold in sequence, warm at random and cold at random, on NFSv3
 // then iSCSI, without a pool, testbed builds and the file's preparation
 // included) allocated about 133 k objects while every page and buffer the
-// reads cached was a heap object of its own, and about 19 k since the caches
-// hand them out of slabs. The budget leaves room for noise, not for the
-// headers to come back (one per cached block is over 32 k).
+// reads cached was a heap object of its own, about 19 k once the caches
+// handed them out of slabs, and about 2.1 k since an iSCSI response is a
+// value. The budget leaves room for noise, not for the headers to come back
+// (one per cached block is over 32 k) or for an object per command.
 func TestBulkReadAllocBudget(t *testing.T) {
-	const budget = 40000
+	const budget = 5000
 	cfg := workload.SeqRandConfig{FileSize: 32 << 20, ChunkSize: 4096, Seed: 42}
 	const path = "/r.dat"
 	var before, after runtime.MemStats
@@ -90,12 +91,15 @@ func TestBulkReadAllocBudget(t *testing.T) {
 // pattern file each, a fresh testbed per cell) allocated 257 MB when every
 // cached block and every stored block was a fresh 4 KB, 82 MB once constant
 // blocks cost the Store nothing and the cells handed their blocks to each
-// other through the sweep's pool, and about 29 MB now that a cache gives a
-// block back where it drops it and the read path fills pool blocks from
-// reused run and reply buffers. The budget has room for noise, not for one
-// of those copies to come back.
+// other through the sweep's pool, about 29 MB once a cache gave a block back
+// where it drops it and the read path filled pool blocks from reused run and
+// reply buffers, 14.4 MB and 80 k objects with the caches' entries in slabs,
+// and about 4.5 MB and 6.5 k objects since a TCP window round, an iSCSI
+// response and a filesystem's run buffer cost the heap nothing. The budgets
+// have room for noise, not for one of those copies or per-round objects to
+// come back.
 func TestSweepAllocBudget(t *testing.T) {
-	const budget = 50e6
+	const budget, objectBudget = 10e6, 15000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	cells, err := core.RunTransport(core.TransportConfig{
@@ -111,9 +115,11 @@ func TestSweepAllocBudget(t *testing.T) {
 	if err != nil || len(cells) == 0 {
 		t.Fatalf("%d cells, err %v", len(cells), err)
 	}
-	if n := float64(after.TotalAlloc - before.TotalAlloc); n > budget {
-		t.Errorf("RunTransport (%d cells) allocated %.0f MB, budget %.0f MB", len(cells), n/1e6, budget/1e6)
+	n, objects := float64(after.TotalAlloc-before.TotalAlloc), after.Mallocs-before.Mallocs
+	if n > budget || objects > objectBudget {
+		t.Errorf("RunTransport (%d cells) allocated %.1f MB and %d objects, budget %.0f MB and %d",
+			len(cells), n/1e6, objects, budget/1e6, objectBudget)
 	} else {
-		t.Logf("%d cells, %.0f MB (budget %.0f MB)", len(cells), n/1e6, budget/1e6)
+		t.Logf("%d cells, %.1f MB and %d objects (budget %.0f MB and %d)", len(cells), n/1e6, objects, budget/1e6, objectBudget)
 	}
 }

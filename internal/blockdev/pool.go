@@ -14,10 +14,12 @@ const poolCap = 4096
 // one after another: the Stores, the ext3 buffer caches and the NFS client
 // page caches (testbed.Config.Pool hands it down). It recycles the
 // BlockSize-byte private blocks of the Stores and of the caches, the leaves
-// of the Tables that index Stores and buffer caches by block number, and the
-// chunks the caches' entries live in (Reclaimer). A block goes back where its
-// owner drops it, a leaf or a chunk when its Table or cache is released, so
-// the next fetch, or the next cell, takes it from here, not from the heap.
+// of the Tables that index Stores and buffer caches by block number, the
+// chunks the caches' entries live in (Reclaimer), and the filesystems' run
+// buffers (TakeRun). A block goes back where its owner drops it, a leaf or a
+// chunk when its Table or cache is released, a run buffer when its
+// filesystem's caches die, so the next fetch, or the next cell, takes it from
+// here, not from the heap.
 //
 // A nil *Pool is valid and inert: Get allocates, Put does nothing, and Tables
 // and caches make leaves and chunks and leave them to the collector. That is

@@ -8,7 +8,8 @@ const (
 	// leafSlots is how many block numbers one leaf of a Table covers.
 	leafSlots = 1 << leafBits
 	// leafCap bounds how many free leaves a Pool keeps, over every kind of
-	// leaf (a Store's is 12 KB, a cache index's 4 KB, a cache chunk 6 KB).
+	// leaf (a Store's is 12 KB, a cache index's 4 KB, a cache chunk 6 KB, a
+	// run buffer 128 KB, of which a cell frees one per filesystem).
 	leafCap = 1024
 )
 
@@ -140,6 +141,20 @@ func nextBit(words []uint64, from int) int {
 	return -1
 }
 
+// RunBlocks is the length of the run buffers a Pool recycles: ext3's default
+// coalescing limit, 128 KB.
+const RunBlocks = 32
+
+// Run is one run buffer: a coalescing buffer for RunBlocks contiguous blocks.
+type Run = [RunBlocks * BlockSize]byte
+
+// TakeRun returns a run buffer p holds, or a new one. Its content is
+// unspecified; the caller overwrites what it uses.
+func (p *Pool) TakeRun() *Run { return takeLeaf[Run](p) }
+
+// PutRun gives p back a run buffer nothing refers to any more.
+func (p *Pool) PutRun(r *Run) { putLeaf(p, r) }
+
 // takeLeaf returns an empty leaf (or chunk): one p holds, or a new one.
 func takeLeaf[L any](p *Pool) *L {
 	if p != nil && p.leaves > 0 {
@@ -166,7 +181,7 @@ func putLeaf[L any](p *Pool, l *L) {
 }
 
 // shelf returns p's free list of leaves of type L, adding an empty one the
-// first time a kind is asked for. A pool sees at most five kinds.
+// first time a kind is asked for. A pool sees at most six kinds.
 func shelf[L any](p *Pool) *[]*L {
 	for _, s := range p.shelves {
 		if s, ok := s.(*[]*L); ok {

@@ -53,17 +53,27 @@ type FS struct {
 
 	// coalesce carries one contiguous run to or from the device at a time
 	// (flushData, checkpoint, ReadAt, readahead); see the ownership rule on
-	// bcache.
+	// bcache. run is the pool's run buffer it was taken from, if any.
 	coalesce []byte
+	run      *blockdev.Run
 }
 
 // runBuf returns the coalescing buffer sized for run blocks. Its content is
-// whatever the previous run left; callers overwrite all of it.
+// whatever the previous run left; callers overwrite all of it. With a pool,
+// a run of up to blockdev.RunBlocks (the default MaxCoalesce) gets the pool's
+// run buffer, which goes back where the caches die (dropCaches); otherwise
+// the buffer grows to exactly the longest run asked for.
 func (fs *FS) runBuf(run int) []byte {
-	if n := run * BlockSize; n > len(fs.coalesce) {
-		fs.coalesce = make([]byte, n)
+	n := run * BlockSize
+	if n > len(fs.coalesce) {
+		if fs.opts.Pool != nil && run <= blockdev.RunBlocks {
+			fs.run = fs.opts.Pool.TakeRun()
+			fs.coalesce = fs.run[:]
+		} else {
+			fs.coalesce = make([]byte, n)
+		}
 	}
-	return fs.coalesce[:run*BlockSize]
+	return fs.coalesce[:n]
 }
 
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
@@ -652,12 +662,22 @@ func (fs *FS) Unmount(at time.Duration) (time.Duration, error) {
 	if done, err = fs.writeSuperblock(done); err != nil {
 		return done, err
 	}
+	fs.dropCaches()
+	return done, nil
+}
+
+// dropCaches discards every cache and gives the pool the run buffer, leaving
+// the filesystem unmounted (Unmount, Crash).
+func (fs *FS) dropCaches() {
 	fs.bc.dropAll()
+	if fs.run != nil {
+		fs.opts.Pool.PutRun(fs.run)
+	}
+	fs.run, fs.coalesce = nil, nil
 	fs.icache = make(map[Ino]*inode)
 	fs.dcache = make(map[dcacheKey]Ino)
 	fs.names = make(map[Ino]dirIndex)
 	fs.mounted = false
-	return done, nil
 }
 
 // Crash models a client power failure: all volatile state (caches, the
@@ -665,15 +685,11 @@ func (fs *FS) Unmount(at time.Duration) (time.Duration, error) {
 // remain on the device for recovery at next mount. The superblock stays
 // dirty, so the next Mount runs recovery.
 func (fs *FS) Crash() {
-	fs.bc.dropAll()
-	fs.icache = make(map[Ino]*inode)
-	fs.dcache = make(map[dcacheKey]Ino)
-	fs.names = make(map[Ino]dirIndex)
+	fs.dropCaches()
 	fs.journal.running = make(map[int64]*buffer)
 	fs.journal.runningOrder = nil
 	fs.journal.unCheckpointed = nil
 	fs.crashed = true
-	fs.mounted = false
 }
 
 // InjectCrashDuringCommit arms (or disarms) a fault: the next commit writes

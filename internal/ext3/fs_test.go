@@ -604,3 +604,44 @@ func TestRemountOnRecycledBlocks(t *testing.T) {
 	}
 	check(fs, at, "after crash recovery")
 }
+
+// With a pool the coalescing buffer is the pool's run buffer: Crash and
+// Unmount give it back, and the next filesystem's first run takes the same
+// one again. Without a pool it grows to exactly the longest run asked for.
+func TestRunBufferGoesBackToThePool(t *testing.T) {
+	dev := blockdev.NewTestbedArray(32768)
+	opts := Options{Pool: &blockdev.Pool{}}
+	if _, err := Mkfs(0, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, at, err := Mount(0, dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &fs.runBuf(blockdev.RunBlocks)[0]
+	if fs.run == nil || first != &fs.run[0] {
+		t.Fatal("a run of RunBlocks did not get the pool's run buffer")
+	}
+	fs.Crash()
+	if fs.run != nil || fs.coalesce != nil {
+		t.Fatal("Crash kept the run buffer")
+	}
+	if fs, at, err = Mount(at, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := &fs.runBuf(1)[0]; got != first {
+		t.Fatal("the next filesystem did not take the run buffer Crash gave back")
+	}
+	if at, err = fs.Unmount(at); err != nil || fs.run != nil {
+		t.Fatalf("Unmount kept the run buffer (err %v)", err)
+	}
+
+	opts.Pool = nil
+	if fs, _, err = Mount(at, dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs.runBuf(3)
+	if fs.run != nil || len(fs.coalesce) != 3*BlockSize {
+		t.Fatalf("without a pool a 3-block run left a %d-byte buffer", len(fs.coalesce))
+	}
+}

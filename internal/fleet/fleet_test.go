@@ -149,6 +149,28 @@ func TestSolveUtilizationCapped(t *testing.T) {
 	}
 }
 
+// TestSolveBackgroundUtilInRange drives a cohort that saturates every
+// station, shared pipe included, with and without foreground clients: each
+// injected background utilization stays inside [0, 1), so the cluster's
+// hybrid path can never reach the panics in sim.Resource.SetBackground and
+// simnet.Network.SetBackground.
+func TestSolveBackgroundUtilInRange(t *testing.T) {
+	d := Demand{ServerCPU: 3 * time.Millisecond, Disk: 3 * time.Millisecond, UpBytes: 3 << 10, DownBytes: 3 << 10}
+	for _, fg := range []int{0, 1, 64} {
+		for _, clients := range []int{1, 1000, 1000000} {
+			op, err := Solve(fg, []Cohort{{Clients: clients, Demand: d}}, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range op.BackgroundUtil {
+				if !(u >= 0 && u < 1) {
+					t.Errorf("%d foreground, %d background: station %d background util %g outside [0, 1)", fg, clients, i, u)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveErrors verifies input validation.
 func TestSolveErrors(t *testing.T) {
 	good := Demand{ServerCPU: time.Millisecond, Think: time.Millisecond}

@@ -298,7 +298,7 @@ func describe(req *PDU) string {
 // buffer: valid until the next command.
 func (i *Initiator) run(at time.Duration, req PDU, leading bool) (time.Duration, []byte, error) {
 	done, resp, ok := i.wire.command(at, req, leading)
-	if err := status(&req, resp, ok); err != nil {
+	if err := status(&req, &resp, ok); err != nil {
 		return done, nil, err
 	}
 	i.expStatSN = resp.StatSN

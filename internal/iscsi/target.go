@@ -106,7 +106,7 @@ func (t *Target) charge(at time.Duration, d time.Duration) time.Duration {
 }
 
 // handle serves one initiator PDU: a login request or a SCSI command.
-func (t *Target) handle(at time.Duration, req *PDU) (*PDU, time.Duration) {
+func (t *Target) handle(at time.Duration, req *PDU) (PDU, time.Duration) {
 	if req.Opcode == opLoginRequest {
 		return t.HandleLogin(at, req)
 	}
@@ -115,14 +115,14 @@ func (t *Target) handle(at time.Duration, req *PDU) (*PDU, time.Duration) {
 
 // HandleLogin processes a login request PDU and returns the response (a
 // CHECK CONDITION reject while the target is crashed).
-func (t *Target) HandleLogin(at time.Duration, req *PDU) (*PDU, time.Duration) {
+func (t *Target) HandleLogin(at time.Duration, req *PDU) (PDU, time.Duration) {
 	if t.down {
 		return t.check(req, "target: down"), at
 	}
 	done := t.charge(at, t.cost.PerCommand)
 	t.loggedIn = true
 	t.statSN++
-	resp := &PDU{
+	resp := PDU{
 		Opcode: opLoginResp,
 		Flags:  flagFinal,
 		ITT:    req.ITT,
@@ -134,9 +134,10 @@ func (t *Target) HandleLogin(at time.Duration, req *PDU) (*PDU, time.Duration) {
 
 // HandleCommand executes one SCSI command PDU and returns the response PDU
 // (with inline Data-In payload for reads) and the service completion time.
+// The response is a value, so a command costs the target no heap object.
 // A READ(10) payload is the target's one Data-In buffer: it is valid until
 // the next HandleCommand, so initiators copy it out before issuing another.
-func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration) {
+func (t *Target) HandleCommand(at time.Duration, req *PDU) (PDU, time.Duration) {
 	if t.down {
 		return t.check(req, "target: down"), at
 	}
@@ -161,7 +162,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 	bs := dev.BlockSize()
 	done := t.charge(at, t.cost.PerCommand)
 
-	resp := &PDU{Opcode: opSCSIResponse, Flags: flagFinal, ITT: req.ITT, Status: scsi.StatusGood}
+	resp := PDU{Opcode: opSCSIResponse, Flags: flagFinal, ITT: req.ITT, Status: scsi.StatusGood}
 	switch cdb.Op {
 	case scsi.OpTestUnitReady:
 		// nothing to do
@@ -251,9 +252,9 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (*PDU, time.Duration)
 // conflict builds a RESERVATION CONFLICT response: the command was
 // legal but another initiator's persistent reservation excludes it. The
 // status sequence advances — the command was serviced, just refused.
-func (t *Target) conflict(req *PDU, done time.Duration) (*PDU, time.Duration) {
+func (t *Target) conflict(req *PDU, done time.Duration) (PDU, time.Duration) {
 	t.statSN++
-	return &PDU{
+	return PDU{
 		Opcode:   opSCSIResponse,
 		Flags:    flagFinal,
 		ITT:      req.ITT,
@@ -265,8 +266,8 @@ func (t *Target) conflict(req *PDU, done time.Duration) (*PDU, time.Duration) {
 }
 
 // check builds a CHECK CONDITION response carrying sense text.
-func (t *Target) check(req *PDU, msg string) *PDU {
-	return &PDU{
+func (t *Target) check(req *PDU, msg string) PDU {
+	return PDU{
 		Opcode: opSCSIResponse,
 		Flags:  flagFinal,
 		ITT:    req.ITT,

@@ -20,13 +20,13 @@ import (
 type wire interface {
 	// login brings the transport up and carries the login request,
 	// which the wire may extend with its own negotiation keys.
-	login(at time.Duration, req PDU) (done time.Duration, resp *PDU, err error)
+	login(at time.Duration, req PDU) (done time.Duration, resp PDU, err error)
 	// command carries one command PDU and waits for its response,
 	// charging the client CPU and tracing as this wire does. leading
 	// pins it to the connection that carried the login instead of taking
 	// the next one in rotation. ok=false means the frames were lost for
 	// good; resp is then meaningless.
-	command(at time.Duration, req PDU, leading bool) (done time.Duration, resp *PDU, ok bool)
+	command(at time.Duration, req PDU, leading bool) (done time.Duration, resp PDU, ok bool)
 	// transfer moves buf to or from lba in commands of unit bytes (the
 	// last may be shorter) and returns when the last one completes.
 	transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error)
@@ -61,32 +61,28 @@ func (w *fluidWire) counters(m map[string]int64) { m["retries"] = w.retries }
 // roundTrip drives req to the target and a respBytes response frame back.
 // A lost frame is retried with the same task tag after a doubling
 // recovery timeout (as TCP retransmission would recover it on a real
-// initiator); responses are never retried, whatever their status. It
-// returns a nil response when the retries are exhausted.
-func (w *fluidWire) roundTrip(at time.Duration, req *PDU, respBytes int) (time.Duration, *PDU, int64) {
+// initiator); responses are never retried, whatever their status. ok is
+// false when the retries are exhausted.
+func (w *fluidWire) roundTrip(at time.Duration, req *PDU, respBytes int) (done time.Duration, resp PDU, ok bool, retries int64) {
 	rto := recoveryRTO
-	for retries := int64(0); ; retries++ {
-		var resp *PDU
+	for ; ; retries++ {
 		done, ok := w.i.net.RoundTrip(at, req.WireSize(), respBytes, func(arrive time.Duration) time.Duration {
 			var t time.Duration
 			resp, t = w.i.target.handle(arrive, req)
 			return t
 		})
-		if ok && resp != nil {
-			return done, resp, retries
-		}
-		if retries >= maxCommandRetries {
-			return done, nil, retries
+		if ok || retries >= maxCommandRetries {
+			return done, resp, ok, retries
 		}
 		at = done + rto
 		rto *= 2
 	}
 }
 
-func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error) {
-	done, resp, _ := w.roundTrip(at, &req, 128)
-	if resp == nil {
-		return done, nil, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
+func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, PDU, error) {
+	done, resp, ok, _ := w.roundTrip(at, &req, 128)
+	if !ok {
+		return done, resp, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
 	}
 	return done, resp, nil
 }
@@ -95,17 +91,17 @@ func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error
 // Data-In handling when the response has arrived; one span covers the
 // exchange, recovery timeouts included. The response frame is sized from
 // the expected transfer length.
-func (w *fluidWire) command(at time.Duration, req PDU, _ bool) (time.Duration, *PDU, bool) {
+func (w *fluidWire) command(at time.Duration, req PDU, _ bool) (time.Duration, PDU, bool) {
 	i, expectIn := w.i, int(req.ExpectedLen)
 	at = i.issue(at, len(req.Data))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
-	done, resp, retries := w.roundTrip(at, &req, bhsSize+pad4(expectIn))
+	done, resp, ok, retries := w.roundTrip(at, &req, bhsSize+pad4(expectIn))
 	w.retries += retries
-	if resp != nil && resp.Status == scsi.StatusGood && expectIn > 0 {
+	if ok && resp.Status == scsi.StatusGood && expectIn > 0 {
 		done = i.charge(done, time.Duration(expectIn/1024)*i.cost.PerKB)
 	}
 	i.tracer.End(ref, done)
-	return done, resp, resp != nil
+	return done, resp, ok
 }
 
 // transfer issues the commands one after another.
@@ -150,12 +146,12 @@ func (w *tcpWire) leg(c *tcpsim.Conn, at time.Duration, name string, size int, d
 
 // login connects every connection and performs the login exchange on the
 // leading one, announcing the connection count.
-func (w *tcpWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error) {
+func (w *tcpWire) login(at time.Duration, req PDU) (time.Duration, PDU, error) {
 	ready := at
 	for n, c := range w.lanes {
 		done, err := c.Connect(at)
 		if err != nil {
-			return done, nil, fmt.Errorf("iscsi: session conn %d: %w", n, err)
+			return done, PDU{}, fmt.Errorf("iscsi: session conn %d: %w", n, err)
 		}
 		ready = max(ready, done)
 	}
@@ -168,13 +164,13 @@ func (w *tcpWire) login(at time.Duration, req PDU) (time.Duration, *PDU, error) 
 			return done, resp, nil
 		}
 	}
-	return done, nil, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
+	return done, PDU{}, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
 }
 
 // command performs one synchronous command on one connection: request PDU
 // up, target service, response (with inline Data-In) down. Used where
 // there is nothing to overlap.
-func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duration, *PDU, bool) {
+func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duration, PDU, bool) {
 	i, c := w.i, w.lanes[0]
 	if !leading {
 		c = w.lanes[w.rr]
@@ -184,7 +180,7 @@ func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duratio
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	i.net.CountMessage()
 	done, ok := w.leg(c, at, "request", req.WireSize(), simnet.ClientToServer)
-	var resp *PDU
+	var resp PDU
 	if ok {
 		resp, done = i.target.handle(done, &req)
 		done, ok = w.leg(c, done, "response", bhsSize+pad4(len(resp.Data)), simnet.ServerToClient)
@@ -198,7 +194,8 @@ func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duratio
 // pipelines so the data phases overlap.
 func (w *tcpWire) transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error) {
 	n, cmds := len(w.lanes), (len(buf)+unit-1)/unit
-	pipes := make([]pipe, 0, min(n, cmds))
+	var local [8]pipe // sessions this narrow keep the pipes off the heap
+	pipes := local[:0]
 	for ci, c := range w.lanes {
 		// Command j rides connection (rr+j) mod n, so connection ci
 		// starts at command (ci-rr) mod n and takes every n-th after it.
@@ -226,17 +223,18 @@ type pipe struct {
 	off, unit, stride int             // the next command's extent in buf, and the distance to the one after
 	at                time.Duration   // when the next command may issue: the previous one's completion
 	req               PDU             // the command in flight
-	resp              *PDU            // its response
+	resp              PDU             // its response
 	cspan             tracing.SpanRef // its detached iscsi span
 	tspan             tracing.SpanRef // its data phase's detached tcp span
-	xfer              *tcpsim.Transfer
+	xfer              tcpsim.Transfer // its data phase, while busy
+	busy              bool
 	err               error
 }
 
 func (p *pipe) done() bool { return p.err != nil || p.off >= len(p.buf) }
 
 func (p *pipe) nextAt() time.Duration {
-	if p.xfer != nil {
+	if p.busy {
 		return p.xfer.NextAt()
 	}
 	return p.at
@@ -281,7 +279,7 @@ func (p *pipe) settled(at time.Duration, resp *PDU, ok bool) bool {
 // status time; everything a step causes nests under it.
 func (p *pipe) step() {
 	w, i, tr := p.w, p.w.i, p.w.i.tracer
-	if p.xfer == nil {
+	if !p.busy {
 		ext := p.buf[p.off:min(p.off+p.unit, len(p.buf))]
 		p.req = i.rwPDU(0, p.lba+int64(p.off/i.BlockSize()), ext, p.write)
 		at := i.issue(p.at, len(ext))
@@ -291,7 +289,7 @@ func (p *pipe) step() {
 		i.net.CountMessage()
 		if p.write {
 			p.tspan = tr.BeginDetached(at, tracing.LayerTCP, "data-out")
-			p.xfer = p.conn.StartTransfer(at, p.req.WireSize(), simnet.ClientToServer)
+			p.xfer, p.busy = p.conn.StartTransfer(at, p.req.WireSize(), simnet.ClientToServer), true
 			return
 		}
 		arrive, ok := w.leg(p.conn, at, "request", p.req.WireSize(), simnet.ClientToServer)
@@ -300,7 +298,7 @@ func (p *pipe) step() {
 			return
 		}
 		resp, svcDone := i.target.handle(arrive, &p.req)
-		if !p.settled(svcDone, resp, true) {
+		if !p.settled(svcDone, &resp, true) {
 			return
 		}
 		// The payload lives in the target's reused Data-In buffer, and other
@@ -309,7 +307,7 @@ func (p *pipe) step() {
 		copy(ext, resp.Data)
 		p.resp = resp
 		p.tspan = tr.BeginDetached(svcDone, tracing.LayerTCP, "data-in")
-		p.xfer = p.conn.StartTransfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient)
+		p.xfer, p.busy = p.conn.StartTransfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient), true
 		return
 	}
 	tr.Enter(p.cspan)
@@ -326,17 +324,17 @@ func (p *pipe) step() {
 	if ok && p.write {
 		// Data-Out is at the target: it executes, and the status PDU returns.
 		p.resp, at = i.target.handle(at, &p.req)
-		if !p.settled(at, p.resp, true) {
+		if !p.settled(at, &p.resp, true) {
 			return
 		}
 		at, ok = w.leg(p.conn, at, "status", bhsSize+pad4(len(p.resp.Data)), simnet.ServerToClient)
 	}
-	if !p.settled(at, p.resp, ok) {
+	if !p.settled(at, &p.resp, ok) {
 		return
 	}
 	i.expStatSN = p.resp.StatSN
 	tr.EndDetached(p.cspan, at)
 	p.at = at
-	p.xfer, p.resp = nil, nil
+	p.busy = false
 	p.off += p.stride
 }

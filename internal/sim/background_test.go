@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -27,10 +28,10 @@ func TestResourceBackgroundStretch(t *testing.T) {
 	}
 }
 
-// TestResourceBackgroundBounds verifies rho outside [0, 1) panics: a
-// saturated resource has no residual capacity to simulate against.
+// TestResourceBackgroundBounds verifies rho outside [0, 1), or NaN, panics:
+// a saturated resource has no residual capacity to simulate against.
 func TestResourceBackgroundBounds(t *testing.T) {
-	for _, rho := range []float64{-0.1, 1.0, 1.5} {
+	for _, rho := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

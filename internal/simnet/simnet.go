@@ -129,11 +129,11 @@ func (n *Network) Shared() *netqueue.Endpoint { return n.shared }
 // direction's serialization runs at the residual bandwidth (1-rho) x
 // capacity, covering the fluid path, TCP segment pacing and control
 // frames alike. Propagation delay and loss are per-frame properties and
-// stay untouched. rho outside [0, 1) panics — a saturated wire has no
-// residual capacity to simulate against.
+// stay untouched. rho outside [0, 1), NaN included, panics — a saturated
+// wire has no residual capacity to simulate against.
 func (n *Network) SetBackground(up, down float64) {
 	for _, rho := range [2]float64{up, down} {
-		if rho < 0 || rho >= 1 {
+		if !(rho >= 0 && rho < 1) {
 			panic("simnet: background utilization out of [0, 1)")
 		}
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"repro/internal/netqueue"
 
+	"math"
 	"testing"
 	"time"
 )
@@ -290,5 +291,27 @@ func TestSharedQueueDropReadsAsLoss(t *testing.T) {
 	// Control frames are assured: they queue but never drop.
 	if arr := n.SendControl(0, 0, ClientToServer); arr <= 0 {
 		t.Fatalf("control frame arrival %v", arr)
+	}
+}
+
+// SetBackground refuses a utilization outside [0, 1) in either direction,
+// NaN included: a saturated wire has no residual capacity to simulate.
+func TestSetBackgroundRefusesOutOfRange(t *testing.T) {
+	for _, rho := range []float64{-0.1, 1, math.NaN()} {
+		for _, up := range []bool{true, false} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SetBackground with %g (up %v) did not panic", rho, up)
+					}
+				}()
+				n := New(DefaultLAN())
+				if up {
+					n.SetBackground(rho, 0)
+				} else {
+					n.SetBackground(0, rho)
+				}
+			}()
+		}
 	}
 }

@@ -15,7 +15,9 @@
 // round structure as a step machine so concurrent connections sharing one
 // link (iSCSI MC/S, N clients on a segment) interleave in virtual-time
 // order; Conn.Transfer runs a single flow to completion and satisfies
-// simnet.Transport.
+// simnet.Transport. A Transfer is a value its caller steps in place, and a
+// round's scratch belongs to its Conn, so window rounds cost the heap
+// nothing once a connection is warm.
 //
 // Everything is a pure function of virtual time and the deterministic
 // link RNG: identical seeds give byte-identical timelines.
@@ -160,6 +162,11 @@ type Conn struct {
 	established bool
 	broken      bool
 	stats       Stats
+
+	// One window round's arrival times, duplicate-ACK arrivals and lost
+	// segment indexes: scratch Step reuses, never read past its return.
+	arr, dup    []time.Duration
+	lost, still []int
 }
 
 // NewConn builds a connection over net. Connect must be called before

@@ -11,7 +11,8 @@ import (
 // fate, and the ACK clock that releases the next flight. Sessions holding
 // several connections interleave their transfers by always stepping the
 // one with the earliest NextAt, so segments reach the shared link in
-// virtual-time order.
+// virtual-time order. It is a value: the caller keeps what StartTransfer
+// returns (a local, a field) and steps it in place.
 type Transfer struct {
 	c    *Conn
 	h    *half
@@ -28,10 +29,11 @@ type Transfer struct {
 // StartTransfer begins a transfer of size bytes in direction d. The first
 // flight leaves once the direction's send window admits the bytes: earlier
 // transfers' un-ACKed data pipelines ahead of it on the stream, so
-// back-to-back messages overlap up to the window cap.
-func (c *Conn) StartTransfer(start time.Duration, size int, d simnet.Direction) *Transfer {
+// back-to-back messages overlap up to the window cap. The Transfer is a
+// value the caller keeps and steps in place; it costs the heap nothing.
+func (c *Conn) StartTransfer(start time.Duration, size int, d simnet.Direction) Transfer {
 	h := c.sender(d)
-	t := &Transfer{c: c, h: h, dir: d, size: size, remaining: size, next: start, delivered: start}
+	t := Transfer{c: c, h: h, dir: d, size: size, remaining: size, next: start, delivered: start}
 	if c.broken || !c.established {
 		t.done, t.failed = true, true
 		c.stats.Failures++
@@ -58,65 +60,63 @@ func (t *Transfer) NextAt() time.Duration { return t.next }
 // completion time once Done).
 func (t *Transfer) Delivered() time.Duration { return t.delivered }
 
-// flightSizes returns the segment payload sizes for the next flight under
-// the current window, honouring Nagle's algorithm: a sub-MSS tail is held
-// back while full segments are in flight (it ships alone in the following
-// round), unless Nagle is disabled.
-func (t *Transfer) flightSizes() []int {
+// flight returns the next flight under the current window: n full
+// segments, then a sub-MSS tail of tail bytes (0 when none ships). Nagle's
+// algorithm holds a tail back while full segments are in flight (it ships
+// alone in the following round), unless Nagle is disabled.
+func (t *Transfer) flight() (n, tail int) {
 	mss := t.c.cfg.MSS
 	wnd := t.c.windowSegs(t.h)
-	full := t.remaining / mss
-	tail := t.remaining % mss
-	n := full
-	if n > wnd {
-		n = wnd
+	full, rest := t.remaining/mss, t.remaining%mss
+	n = min(full, wnd)
+	// Window and data must leave room for the tail this round.
+	if rest > 0 && n == full && n < wnd && (n == 0 || t.c.cfg.DisableNagle) {
+		tail = rest
 	}
-	sizes := make([]int, 0, n+1)
-	for i := 0; i < n; i++ {
-		sizes = append(sizes, mss)
-	}
-	if tail > 0 && n == full && n < wnd {
-		// Window and data leave room for the tail this round.
-		if n == 0 || t.c.cfg.DisableNagle {
-			sizes = append(sizes, tail)
-		}
-	}
-	return sizes
+	return n, tail
 }
 
-// Step simulates one window round.
+// segSize is the payload of segment i of a flight of n full segments.
+func (t *Transfer) segSize(i, n, tail int) int {
+	if i < n {
+		return t.c.cfg.MSS
+	}
+	return tail
+}
+
+// Step simulates one window round. Arrival times and losses go to the
+// connection's scratch, which no round keeps past its return.
 func (t *Transfer) Step() {
 	if t.done {
 		return
 	}
 	c := t.c
-	sizes := t.flightSizes()
-	flightBytes := 0
-	for _, s := range sizes {
-		flightBytes += s
+	n, tail := t.flight()
+	segs, flightBytes := n, n*c.cfg.MSS+tail
+	if tail > 0 {
+		segs++
 	}
 
 	// The flight's segments serialize behind one another at link
 	// bandwidth; loss injection decides each segment's fate.
 	sendAt := t.next
-	arr := make([]time.Duration, len(sizes))
-	var lost []int
+	c.arr, c.lost = c.arr[:0], c.lost[:0]
 	cursor := sendAt
-	for i, sz := range sizes {
-		sent, a, ok := c.net.SendSegment(cursor, sz, t.dir)
+	for i := range segs {
+		sent, a, ok := c.net.SendSegment(cursor, t.segSize(i, n, tail), t.dir)
 		cursor = sent
 		c.stats.Segments++
-		arr[i] = a
+		c.arr = append(c.arr, a)
 		if !ok {
-			lost = append(lost, i)
+			c.lost = append(c.lost, i)
 		}
 	}
 
-	if len(lost) == 0 {
-		t.cleanRound(sendAt, arr, flightBytes)
+	if len(c.lost) == 0 {
+		t.cleanRound(sendAt, c.arr, flightBytes)
 		return
 	}
-	t.recoverRound(sendAt, arr, sizes, lost, flightBytes)
+	t.recoverRound(sendAt, n, tail, flightBytes)
 }
 
 // cleanRound handles a fully delivered flight: delayed-ACK generation,
@@ -182,26 +182,24 @@ func (t *Transfer) growWindow(acks int) {
 // later segments survive to generate triple duplicate ACKs, otherwise a
 // retransmission timeout; lost retransmissions escalate through backed-off
 // RTOs until MaxRetries kills the connection.
-func (t *Transfer) recoverRound(sendAt time.Duration, arr []time.Duration, sizes, lost []int, flightBytes int) {
-	c, h := t.c, t.h
-	first := lost[0]
-	flightSegs := len(sizes)
+func (t *Transfer) recoverRound(sendAt time.Duration, n, tail, flightBytes int) {
+	c, h, arr := t.c, t.h, t.c.arr
+	first := c.lost[0]
+	flightSegs := len(arr)
 
 	// Survivors after the first hole each trigger an immediate duplicate
 	// ACK at the receiver (delayed ACKs are suppressed on out-of-order
-	// arrival).
-	isLost := make(map[int]bool, len(lost))
-	for _, i := range lost {
-		isLost[i] = true
-	}
-	var dupArr []time.Duration
-	for i := first + 1; i < flightSegs; i++ {
-		if !isLost[i] {
-			a := c.net.SendControl(arr[i], 0, reverse(t.dir))
-			c.stats.Acks++
-			dupArr = append(dupArr, a)
+	// arrival). lost is ascending, so one walk skips the holes.
+	c.dup = c.dup[:0]
+	for i, k := first+1, 1; i < flightSegs; i++ {
+		if k < len(c.lost) && c.lost[k] == i {
+			k++
+			continue
 		}
+		c.dup = append(c.dup, c.net.SendControl(arr[i], 0, reverse(t.dir)))
+		c.stats.Acks++
 	}
+	dupArr := c.dup
 
 	// Classic fast retransmit wants three duplicate ACKs. With more of
 	// this transfer still to send, limited transmit (RFC 3042, in Linux
@@ -237,8 +235,7 @@ func (t *Transfer) recoverRound(sendAt time.Duration, arr []time.Duration, sizes
 
 	// Retransmit every hole (SACK-style recovery); a lost retransmission
 	// escalates to a backed-off timeout.
-	retries := 0
-	for len(lost) > 0 {
+	for retries := 0; ; retries++ {
 		if retries > c.cfg.MaxRetries {
 			c.broken = true
 			c.stats.Failures++
@@ -246,11 +243,11 @@ func (t *Transfer) recoverRound(sendAt time.Duration, arr []time.Duration, sizes
 			t.delivered = recoverAt
 			return
 		}
-		var still []int
+		still := c.still[:0]
 		var lastArr time.Duration
 		cursor := recoverAt
-		for _, i := range lost {
-			sent, a, ok := c.net.SendSegment(cursor, sizes[i], t.dir)
+		for _, i := range c.lost {
+			sent, a, ok := c.net.SendSegment(cursor, t.segSize(i, n, tail), t.dir)
 			cursor = sent
 			c.stats.Segments++
 			c.stats.Retransmits++
@@ -282,8 +279,7 @@ func (t *Transfer) recoverRound(sendAt time.Duration, arr []time.Duration, sizes
 		recoverAt += c.rto
 		c.backoffRTO()
 		h.cwnd = 1
-		lost = still
-		retries++
+		c.lost, c.still = still, c.lost
 	}
 }
 
