@@ -251,11 +251,7 @@ func newLocalAt(store *Store, raid *simdisk.RAID5, offset int64) *Local {
 func NewTestbedArray(numBlocks int64) *Local {
 	p := simdisk.Ultra160()
 	p.Blocks = numBlocks // per-member capacity; logical capacity is 4x
-	raid, err := simdisk.NewRAID5(5, p, 8)
-	if err != nil {
-		panic(err) // static configuration; cannot fail
-	}
-	return newLocal(NewStore(numBlocks, 4096), raid)
+	return newLocal(NewStore(numBlocks, 4096), simdisk.NewRAID5(p))
 }
 
 // NewClusterArraySized builds one shared 4+p RAID-5 array partitioned into
@@ -279,14 +275,11 @@ func NewClusterArraySized(n int, numBlocks int64, capacityClients int) []*Local 
 	// aggregate capacity (capacityClients*numBlocks per member, 4x logical
 	// slack), so the seek model — which scales with member capacity — is
 	// identical whether the array backs one NFS export or n iSCSI LUNs.
-	// Round up to the stripe unit so the top of the address space cannot
-	// map past a member's last block.
+	// Round up to the array's 8-block stripe unit so the top of the address
+	// space cannot map past a member's last block.
 	const stripeUnit = 8
 	p.Blocks = (int64(capacityClients)*numBlocks + stripeUnit - 1) / stripeUnit * stripeUnit
-	raid, err := simdisk.NewRAID5(5, p, stripeUnit)
-	if err != nil {
-		panic(err) // static configuration; cannot fail
-	}
+	raid := simdisk.NewRAID5(p)
 	luns := make([]*Local, n)
 	for i := range luns {
 		luns[i] = newLocalAt(NewStore(numBlocks, 4096), raid, int64(i)*numBlocks)

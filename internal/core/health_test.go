@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,14 +12,12 @@ import (
 	"repro/internal/testbed"
 )
 
-var updateHealth = flag.Bool("update-health", false, "rewrite the health detection golden")
-
 // TestHealthCrashDetectionGolden is the PR's acceptance cell: the
 // server-crash detection report on all four stacks must show a
 // time-to-detect strictly inside (0, TTR), a post-recovery resolve,
 // zero false positives — and the fault-free control cells must stay
 // quiet. The rendered table is pinned under a golden (regenerate with
-// go test ./internal/core -run HealthCrash -update-health).
+// go test ./internal/core -run HealthCrash -update).
 func TestHealthCrashDetectionGolden(t *testing.T) {
 	cfg := HealthConfig{
 		Families:   []fault.Family{fault.ServerCrash},
@@ -63,7 +60,7 @@ func TestHealthCrashDetectionGolden(t *testing.T) {
 	var buf bytes.Buffer
 	RenderHealth(&buf, cells)
 	path := filepath.Join("testdata", "health_crash.golden")
-	if *updateHealth {
+	if *update {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +68,11 @@ func TestHealthCrashDetectionGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-health): %v", err)
+		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("detection table drifted from golden:\n--- got ---\n%s--- want ---\n%s"+
-			"(regenerate with -update-health if the change is intended)", buf.Bytes(), want)
+			"(regenerate with -update if the change is intended)", buf.Bytes(), want)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"repro/internal/testbed"
 )
 
-var update = flag.Bool("update", false, "rewrite the sweep goldens under testdata/")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // TestSweepGoldens pins every sweep's behaviour at a tiny config: the
 // rendered table byte for byte, plus the SHA-256 of the JSONL metrics

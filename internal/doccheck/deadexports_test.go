@@ -37,12 +37,6 @@ var deadExportAllow = map[string]string{
 	// step deletes the Benchmark* functions hostbench already covers.
 	"core.FindMicroOp": "Unfreeze the design: events are the interface, one sweep engine, cells in parallel",
 	"core.MicroCount":  "Unfreeze the design: events are the interface, one sweep engine, cells in parallel",
-	// nfsplus has no caller but its tests and Example_delegation: the item
-	// folds it into a testbed stack or deletes it.
-	"nfsplus.AggregationFactor": "Section 7 as a stack, not a sidecar",
-	"nfsplus.NewClient":         "Section 7 as a stack, not a sidecar",
-	"nfsplus.NewCoordinator":    "Section 7 as a stack, not a sidecar",
-	"nfsplus.Stack":             "Section 7 as a stack, not a sidecar",
 }
 
 // exportDecl is one exported top-level name of an internal package.

@@ -17,11 +17,10 @@ import (
 // calls. One file system, two places to put it.
 //
 // The engine is also the trust boundary. Handles, names, targets and sizes
-// arrive from clients that need not have checked them (nfsplus.Client sends
-// what it is given), so they are checked here and only here: every operation
-// that adds or removes an entry runs its names through enter, SymlinkAt checks
-// its target, SetAttrAt its size, RenameAt that a directory does not move
-// below itself. Each check comes before anything is allocated or written, the
+// arrive from a client on the wire, which need not have checked them, so they
+// are checked here and only here: every operation that adds or removes an
+// entry runs its names through enter, SymlinkAt checks its target, SetAttrAt
+// its size, RenameAt that a directory does not move below itself. Each check comes before anything is allocated or written, the
 // argument checks before any virtual time passes. ops.go validates path
 // syntax (vfs.RelPath) and nothing else.
 

@@ -353,12 +353,12 @@ func TestServerReadHostileCounts(t *testing.T) {
 	}
 }
 
-// TestServerRefusesHostileArguments sends the server what a client that
-// validates nothing could send (nfsplus.Client sends what it is given): entry
-// names that are empty, dot, dot-dot, over-long or contain a slash, symlink
-// targets that are empty or larger than a block, sizes no file can have, a
-// size on a directory, a directory renamed into itself, data for a directory
-// or for a file that is gone. Each is refused with the error the iSCSI
+// TestServerRefusesHostileArguments sends the server what a client on the
+// wire that validates nothing could send: entry names that are empty, dot,
+// dot-dot, over-long or contain a slash, symlink targets that are empty or
+// larger than a block, sizes no file can have, a size on a directory, a
+// directory renamed into itself, data for a directory or for a file that is
+// gone. Each is refused with the error the iSCSI
 // client's file system returns for the same mistake, and a refused request
 // leaves no trace: free counts and the listing are what they were. A bad
 // name, target or size is refused before the export is looked at: no virtual

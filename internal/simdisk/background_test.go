@@ -47,14 +47,7 @@ func TestDiskBackgroundStretch(t *testing.T) {
 // every member: a striped read completes at twice its unloaded time under
 // rho = 0.5.
 func TestRAID5BackgroundSpreads(t *testing.T) {
-	mk := func() *RAID5 {
-		r, err := NewRAID5(5, Ultra160(), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base, loaded := mk(), mk()
+	base, loaded := NewRAID5(Ultra160()), NewRAID5(Ultra160())
 	loaded.SetBackground(0.5)
 	d0, err := base.Read(0, 0, 64)
 	if err != nil {

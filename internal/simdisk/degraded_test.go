@@ -6,23 +6,18 @@ import (
 )
 
 // small array helper: 5 members, tiny capacity so rebuilds finish fast.
-func smallRAID(t *testing.T, blocks int64) *RAID5 {
-	t.Helper()
+func smallRAID(blocks int64) *RAID5 {
 	p := Ultra160()
 	p.Blocks = blocks
-	r, err := NewRAID5(5, p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return NewRAID5(p)
 }
 
 // TestDegradedReadAmplifies: after a member fails, reads whose data lived
 // on it fan out to every surviving member (parity reconstruction), so
 // degraded reads are slower and the degraded_reads counter moves.
 func TestDegradedReadAmplifies(t *testing.T) {
-	healthy := smallRAID(t, 10000)
-	degraded := smallRAID(t, 10000)
+	healthy := smallRAID(10000)
+	degraded := smallRAID(10000)
 	if err := degraded.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +49,7 @@ func TestDegradedReadAmplifies(t *testing.T) {
 // TestDegradedWritesSkipDeadMember: both write paths survive a failed
 // data or parity member and still complete.
 func TestDegradedWritesSkipDeadMember(t *testing.T) {
-	r := smallRAID(t, 10000)
+	r := smallRAID(10000)
 	if err := r.FailDisk(2); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func TestDegradedWritesSkipDeadMember(t *testing.T) {
 // through the member arms, reports monotone progress, and returns the
 // array to healthy once every row is rebuilt.
 func TestRebuildRestoresArray(t *testing.T) {
-	r := smallRAID(t, 512) // 64 rows of 8-block units per member
+	r := smallRAID(512) // 64 rows of 8-block units per member
 	if err := r.StartRebuild(); err == nil {
 		t.Fatal("rebuild on healthy array accepted")
 	}

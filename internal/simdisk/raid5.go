@@ -18,7 +18,6 @@ import (
 // new parity).
 type RAID5 struct {
 	disks       []*disk
-	stripeUnit  int   // blocks per stripe unit
 	dataBlocks  int64 // logical capacity in blocks
 	stats       metrics.DiskStats
 	writebackOn bool // controller write-back cache absorbs some latency
@@ -45,21 +44,21 @@ type RAID5 struct {
 	runs []diskRun
 }
 
-// NewRAID5 builds an array from n identical member disks (n >= 3) with the
-// given stripe unit in blocks.
-func NewRAID5(members int, p Params, stripeUnitBlocks int) (*RAID5, error) {
-	if members < 3 {
-		return nil, fmt.Errorf("simdisk: RAID-5 needs >= 3 members, got %d", members)
-	}
-	if stripeUnitBlocks <= 0 {
-		stripeUnitBlocks = 8 // 32 KB stripe units on 4 KB blocks
-	}
-	r := &RAID5{stripeUnit: stripeUnitBlocks, writebackOn: true, failed: -1}
-	for i := 0; i < members; i++ {
+// The paper's array geometry: five members (4+p) and 32 KB stripe units of
+// 4 KB blocks.
+const (
+	raidMembers = 5
+	stripeUnit  = 8 // blocks per stripe unit
+)
+
+// NewRAID5 builds a 4+p array of identical member disks.
+func NewRAID5(p Params) *RAID5 {
+	r := &RAID5{writebackOn: true, failed: -1}
+	for i := 0; i < raidMembers; i++ {
 		r.disks = append(r.disks, newDisk(p))
 	}
-	r.dataBlocks = int64(members-1) * p.Blocks
-	return r, nil
+	r.dataBlocks = int64(raidMembers-1) * p.Blocks
+	return r
 }
 
 // SetTracer attaches a tracer that records each logical array request as a
@@ -116,17 +115,15 @@ func (r *RAID5) Busy() time.Duration {
 // left-symmetric parity rotation.
 func (r *RAID5) locate(lba int64) (disk int, plba int64, stripe int64) {
 	n := int64(len(r.disks))
-	su := int64(r.stripeUnit)
-	unit := lba / su        // logical stripe-unit index
-	off := lba % su         // block offset within unit
-	stripe = unit / (n - 1) // stripe row
-	col := unit % (n - 1)   // data column within the row
-	parity := (n - 1 - stripe%n + n) % n
+	unit := lba / stripeUnit // logical stripe-unit index
+	off := lba % stripeUnit  // block offset within unit
+	stripe = unit / (n - 1)  // stripe row
+	col := unit % (n - 1)    // data column within the row
 	d := col
-	if d >= parity {
+	if d >= int64(r.parityDisk(stripe)) {
 		d++
 	}
-	return int(d), stripe*su + off, stripe
+	return int(d), stripe*stripeUnit + off, stripe
 }
 
 // parityDisk returns the parity member for a stripe row.
@@ -147,8 +144,7 @@ func (r *RAID5) split(lba int64, blocks int) []diskRun {
 	runs := r.runs[:0]
 	for blocks > 0 {
 		d, plba, stripe := r.locate(lba)
-		su := int64(r.stripeUnit)
-		inUnit := int(su - lba%su)
+		inUnit := int(stripeUnit - lba%stripeUnit)
 		if inUnit > blocks {
 			inUnit = blocks
 		}
@@ -191,30 +187,54 @@ func (r *RAID5) Read(start time.Duration, lba int64, blocks int) (done time.Dura
 			// Dagenais measures on real Linux RAID.
 			r.stats.DegradedReads++
 			op = "read_degraded"
-			for i := range r.disks {
-				if i == r.failed {
-					continue
-				}
-				t, err := r.disks[i].IO(start, run.plba, run.blocks, false)
-				if err != nil {
-					return start, err
-				}
-				if t > done {
-					done = t
-				}
+			if err := r.reconstruct(&done, start, run.plba, run.blocks); err != nil {
+				return start, err
 			}
 			continue
 		}
-		t, err := r.disks[run.disk].IO(start, run.plba, run.blocks, false)
-		if err != nil {
+		if _, err := r.io(&done, run.disk, start, run.plba, run.blocks, false); err != nil {
 			return start, err
-		}
-		if t > done {
-			done = t
 		}
 	}
 	r.tracer.Record(start, done, tracing.LayerDisk, op)
 	return done, nil
+}
+
+// io issues one member I/O at start and raises *latest to its completion,
+// which it also returns.
+func (r *RAID5) io(latest *time.Duration, member int, start time.Duration, plba int64, blocks int, write bool) (time.Duration, error) {
+	t, err := r.disks[member].IO(start, plba, blocks, write)
+	if err == nil && t > *latest {
+		*latest = t
+	}
+	return t, err
+}
+
+// rmw reads an extent of one member at start and writes it back once the
+// read is done: a read-modify-write. *latest rises to the write's
+// completion.
+func (r *RAID5) rmw(latest *time.Duration, member int, start time.Duration, plba int64, blocks int) error {
+	rd, err := r.io(latest, member, start, plba, blocks, false)
+	if err != nil {
+		return err
+	}
+	_, err = r.io(latest, member, rd, plba, blocks, true)
+	return err
+}
+
+// reconstruct reads the same physical extent from every surviving member
+// at start, in member order, and raises *latest to the last completion:
+// what a degraded read, a reconstruct-write and a rebuild row all do.
+func (r *RAID5) reconstruct(latest *time.Duration, start time.Duration, plba int64, blocks int) error {
+	for i := range r.disks {
+		if i == r.failed {
+			continue
+		}
+		if _, err := r.io(latest, i, start, plba, blocks, false); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Controller characteristics: the ServeRAID adapter has a battery-backed
@@ -241,12 +261,9 @@ func (r *RAID5) Write(start time.Duration, lba int64, blocks int) (done time.Dur
 	}
 	r.stats.Writes++
 	r.stats.BlocksWrit += int64(blocks)
-	n := int64(len(r.disks))
-	fullStripeBlocks := int(n-1) * r.stripeUnit
-	su := int64(r.stripeUnit)
+	fullStripeBlocks := (len(r.disks) - 1) * stripeUnit
 	bs := int64(r.disks[0].p.BlockSize)
 
-	runs := r.split(lba, blocks)
 	mechDone := start
 	streaming := false
 	for i, t := range r.streamTails {
@@ -260,121 +277,55 @@ func (r *RAID5) Write(start time.Duration, lba int64, blocks int) (done time.Dur
 		r.streamTails[r.streamNext] = lba + int64(blocks)
 		r.streamNext = (r.streamNext + 1) % len(r.streamTails)
 	}
-	if blocks >= fullStripeBlocks || streaming {
-		// Stripe-width or larger — or a streaming append the controller
-		// cache merges with its predecessor (journal writes are always
-		// appends) — destages as full stripes: data members write their
-		// shares, parity written once per touched row, no preliminary
-		// reads.
-		seen := make(map[int64]bool)
-		for _, run := range runs {
-			if run.disk != r.failed {
-				t, err := r.disks[run.disk].IO(start, run.plba, run.blocks, true)
-				if err != nil {
-					return start, err
-				}
-				if t > mechDone {
-					mechDone = t
-				}
-			}
-			first := run.stripe
-			last := (run.plba + int64(run.blocks) - 1) / su
-			for s := first; s <= last; s++ {
-				if seen[s] {
-					continue
-				}
-				seen[s] = true
-				pd := r.parityDisk(s)
-				if pd == r.failed {
-					continue // parity for this row died with the member
-				}
-				t, err := r.disks[pd].IO(start, s*su, r.stripeUnit, true)
-				if err != nil {
-					return start, err
-				}
-				if t > mechDone {
-					mechDone = t
-				}
-			}
+	// Stripe-width or larger — or a streaming append the controller cache
+	// merges with its predecessor (journal writes are always appends) —
+	// destages as full stripes: data members write their shares, parity is
+	// written once per touched row, no preliminary reads. Anything else is
+	// a partial-stripe write: read old data + old parity, write new data +
+	// new parity. A failed data member turns the pre-read into a
+	// reconstruct-write (read every surviving member, recompute parity, no
+	// data write); a row whose parity member failed skips the parity
+	// update — the data write alone suffices.
+	full := blocks >= fullStripeBlocks || streaming
+	// nextRow is the first stripe row no earlier run has reached: split
+	// returns runs in logical order, so rows only grow and each row's
+	// parity is updated once.
+	nextRow := int64(0)
+	for _, run := range r.split(lba, blocks) {
+		parityAt := start // when this run's parity writes may start
+		switch {
+		case run.disk == r.failed && full:
+			// the data share dies with the member; parity still carries it
+		case run.disk == r.failed:
+			parityAt = 0
+			err = r.reconstruct(&parityAt, start, run.plba, run.blocks)
+		case full:
+			_, err = r.io(&mechDone, run.disk, start, run.plba, run.blocks, true)
+		default:
+			err = r.rmw(&mechDone, run.disk, start, run.plba, run.blocks)
 		}
-	} else {
-		// Partial-stripe write: read old data + old parity, write new data
-		// + new parity. A failed data member turns the pre-read into a
-		// reconstruct-write (read every surviving member, recompute
-		// parity, no data write); a failed parity member skips the
-		// parity update entirely — the data write alone suffices.
-		parityDone := make(map[int64]bool)
-		for _, run := range runs {
-			if run.disk == r.failed {
-				var rd time.Duration
-				for i := range r.disks {
-					if i == r.failed {
-						continue
-					}
-					t, err := r.disks[i].IO(start, run.plba, run.blocks, false)
-					if err != nil {
-						return start, err
-					}
-					if t > rd {
-						rd = t
-					}
-				}
-				first := run.stripe
-				last := (run.plba + int64(run.blocks) - 1) / su
-				for s := first; s <= last; s++ {
-					if parityDone[s] {
-						continue
-					}
-					parityDone[s] = true
-					pwr, err := r.disks[r.parityDisk(s)].IO(rd, s*su, r.stripeUnit, true)
-					if err != nil {
-						return start, err
-					}
-					if pwr > mechDone {
-						mechDone = pwr
-					}
-				}
-				continue
+		if err != nil {
+			return start, err
+		}
+		lastRow := (run.plba + int64(run.blocks) - 1) / stripeUnit
+		for row := max(run.stripe, nextRow); row <= lastRow; row++ {
+			pd := r.parityDisk(row)
+			switch {
+			case pd == r.failed:
+				// parity for this row died with the member
+			case full || run.disk == r.failed:
+				_, err = r.io(&mechDone, pd, parityAt, row*stripeUnit, stripeUnit, true)
+			default:
+				err = r.rmw(&mechDone, pd, start, row*stripeUnit, stripeUnit)
 			}
-			rd, err := r.disks[run.disk].IO(start, run.plba, run.blocks, false)
 			if err != nil {
 				return start, err
 			}
-			wr, err := r.disks[run.disk].IO(rd, run.plba, run.blocks, true)
-			if err != nil {
-				return start, err
-			}
-			if wr > mechDone {
-				mechDone = wr
-			}
-			first := run.stripe
-			last := (run.plba + int64(run.blocks) - 1) / su
-			for s := first; s <= last; s++ {
-				if parityDone[s] {
-					continue
-				}
-				pd := r.parityDisk(s)
-				if pd == r.failed {
-					parityDone[s] = true
-					continue
-				}
-				prd, err := r.disks[pd].IO(start, s*su, r.stripeUnit, false)
-				if err != nil {
-					return start, err
-				}
-				pwr, err := r.disks[pd].IO(prd, s*su, r.stripeUnit, true)
-				if err != nil {
-					return start, err
-				}
-				parityDone[s] = true
-				if pwr > mechDone {
-					mechDone = pwr
-				}
-			}
 		}
+		nextRow = max(nextRow, lastRow+1)
 	}
 	op := "write_rmw"
-	if blocks >= fullStripeBlocks || streaming {
+	if full {
 		op = "write_full"
 	}
 	if !r.writebackOn {
@@ -454,7 +405,7 @@ func (r *RAID5) StartRebuild() error {
 }
 
 // rebuildRows is the member row count a full rebuild must reconstruct.
-func (r *RAID5) rebuildRows() int64 { return r.disks[0].p.Blocks / int64(r.stripeUnit) }
+func (r *RAID5) rebuildRows() int64 { return r.disks[0].p.Blocks / stripeUnit }
 
 // Rebuilding reports whether a rebuild is in progress.
 func (r *RAID5) Rebuilding() bool { return r.rebuilding }
@@ -482,30 +433,20 @@ func (r *RAID5) RebuildStep(start time.Duration, rows int) (done time.Duration, 
 	if !r.rebuilding {
 		return start, r.failed < 0, nil
 	}
-	su := int64(r.stripeUnit)
 	total := r.rebuildRows()
 	done = start
 	for n := 0; n < rows && r.rebuildRow < total; n++ {
-		row := r.rebuildRow
+		plba := r.rebuildRow * stripeUnit
 		readDone := done
-		for i := range r.disks {
-			if i == r.failed {
-				continue
-			}
-			t, err := r.disks[i].IO(done, row*su, r.stripeUnit, false)
-			if err != nil {
-				return done, false, err
-			}
-			if t > readDone {
-				readDone = t
-			}
+		if err := r.reconstruct(&readDone, done, plba, stripeUnit); err != nil {
+			return done, false, err
 		}
-		t, err := r.disks[r.failed].IO(readDone, row*su, r.stripeUnit, true)
+		t, err := r.disks[r.failed].IO(readDone, plba, stripeUnit, true)
 		if err != nil {
 			return done, false, err
 		}
 		done = t
-		r.stats.RebuildBlocks += int64(len(r.disks)) * int64(r.stripeUnit)
+		r.stats.RebuildBlocks += int64(len(r.disks)) * stripeUnit
 		r.rebuildRow++
 	}
 	if r.rebuildRow >= total {

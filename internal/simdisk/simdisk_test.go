@@ -37,15 +37,9 @@ func TestIOBeyondDeviceFails(t *testing.T) {
 func TestRAID5Geometry(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 10000
-	r, err := NewRAID5(5, p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Blocks() != 40000 {
-		t.Fatalf("logical capacity %d", r.Blocks())
-	}
-	if _, err := NewRAID5(2, p, 8); err == nil {
-		t.Fatal("2-member RAID-5 accepted")
+	r := NewRAID5(p)
+	if r.Members() != 5 || r.Blocks() != 40000 {
+		t.Fatalf("%d members, logical capacity %d", r.Members(), r.Blocks())
 	}
 }
 
@@ -54,7 +48,7 @@ func TestRAID5Geometry(t *testing.T) {
 func TestQuickRAID5Mapping(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100000
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	f := func(lbaRaw uint32) bool {
 		lba := int64(lbaRaw) % r.Blocks()
 		d, plba, stripe := r.locate(lba)
@@ -72,7 +66,7 @@ func TestQuickRAID5Mapping(t *testing.T) {
 func TestQuickRAID5Bijective(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 4096
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	seen := map[[2]int64]int64{}
 	for lba := int64(0); lba < 2048; lba++ {
 		d, plba, _ := r.locate(lba)
@@ -87,7 +81,7 @@ func TestQuickRAID5Bijective(t *testing.T) {
 func TestSmallWritePaysRMW(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100000
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	// Partial-stripe write: member stats show reads (the RMW penalty).
 	if _, err := r.Write(0, 12345, 1); err != nil {
 		t.Fatal(err)
@@ -104,7 +98,7 @@ func TestSmallWritePaysRMW(t *testing.T) {
 func TestFullStripeAvoidsRMW(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100000
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	if _, err := r.Write(0, 0, 32); err != nil { // exactly one stripe row
 		t.Fatal(err)
 	}
@@ -120,7 +114,7 @@ func TestFullStripeAvoidsRMW(t *testing.T) {
 func TestWritebackCacheAbsorbsLatency(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100000
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	done, err := r.Write(0, 777, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +131,7 @@ func TestWritebackCacheAbsorbsLatency(t *testing.T) {
 func TestStreamingAppendsMergeInNVRAM(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 100000
-	r, _ := NewRAID5(5, p, 8)
+	r := NewRAID5(p)
 	// A journal-like append stream: contiguous small writes.
 	at := time.Duration(0)
 	var err error

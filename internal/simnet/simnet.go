@@ -418,27 +418,6 @@ func (n *Network) RoundTrip(start time.Duration, reqBytes, respBytes int,
 	return reply, true
 }
 
-// ServerRoundTrip models a server-initiated transaction (e.g. an NFS v4
-// delegation callback): request travels server->client, the client handles
-// it, and the response returns. Counts one Message.
-func (n *Network) ServerRoundTrip(start time.Duration, reqBytes, respBytes int,
-	handle func(arrive time.Duration) time.Duration) (done time.Duration, ok bool) {
-	n.stats.Messages++
-	arrive, ok := n.transmit(start, reqBytes, ServerToClient, false)
-	if !ok {
-		return arrive, false
-	}
-	finished := handle(arrive)
-	if finished < arrive {
-		finished = arrive
-	}
-	reply, ok := n.transmit(finished, respBytes, ClientToServer, false)
-	if !ok {
-		return reply, false
-	}
-	return reply, true
-}
-
 // CountRetransmit records a duplicated request (and its wasted bandwidth)
 // caused by a client-side RPC timeout. The retransmitted frame occupies
 // the uplink like any other traffic.

@@ -64,21 +64,6 @@ func TestSetRTTMidRun(t *testing.T) {
 	}
 }
 
-func TestServerRoundTrip(t *testing.T) {
-	n := New(DefaultLAN())
-	handled := false
-	_, ok := n.ServerRoundTrip(0, 64, 32, func(a time.Duration) time.Duration {
-		handled = true
-		return a
-	})
-	if !ok || !handled {
-		t.Fatal("server-initiated round trip failed")
-	}
-	if n.Stats().Messages != 1 {
-		t.Fatalf("callback not counted as a message")
-	}
-}
-
 func TestSendLossAccounting(t *testing.T) {
 	// A dropped frame still occupies the wire: frames and bytes count,
 	// Dropped increments, and the would-be arrival time is still usable
@@ -103,40 +88,39 @@ func TestSendLossAccounting(t *testing.T) {
 	}
 }
 
-func TestServerRoundTripRequestLost(t *testing.T) {
-	// 100% loss kills the server->client request; the handler must not
-	// run, and the message is still counted (it was attempted).
+func TestRoundTripRequestLost(t *testing.T) {
+	// 100% loss kills the client->server request; the server must not
+	// serve it, and the message is still counted (it was attempted).
 	n := New(Config{RTT: time.Millisecond, Bandwidth: 1 << 30, LossRate: 1.0, Seed: 2})
-	handled := false
-	_, ok := n.ServerRoundTrip(0, 64, 32, func(a time.Duration) time.Duration {
-		handled = true
+	served := false
+	_, ok := n.RoundTrip(0, 64, 32, func(a time.Duration) time.Duration {
+		served = true
 		return a
 	})
 	if ok {
 		t.Fatal("round trip survived a dead link")
 	}
-	if handled {
-		t.Fatal("handler ran although the request frame was lost")
+	if served {
+		t.Fatal("server ran although the request frame was lost")
 	}
 	if s := n.Stats(); s.Messages != 1 || s.Dropped != 1 || s.Frames != 1 {
 		t.Fatalf("stats after lost request: %+v", s)
 	}
 }
 
-func TestServerRoundTripReplyLost(t *testing.T) {
-	// Drop only the second frame: the handler runs, the reply dies, and
-	// the caller sees ok=false with both frames accounted.
-	n := New(Config{RTT: time.Millisecond, Bandwidth: 1 << 30, LossRate: 0.5, Seed: 0})
-	// Find a seed/draw alignment where frame 1 survives and frame 2 drops.
+func TestRoundTripReplyLost(t *testing.T) {
+	// Drop only the second frame: the server runs, the reply dies on the
+	// down link, and the caller sees ok=false with both frames accounted
+	// and the lost reply's bytes on the down link.
 	for seed := int64(0); seed < 64; seed++ {
-		n = New(Config{RTT: time.Millisecond, Bandwidth: 1 << 30, LossRate: 0.5, Seed: seed})
-		handled := false
-		_, ok := n.ServerRoundTrip(0, 64, 32, func(a time.Duration) time.Duration {
-			handled = true
+		n := New(Config{RTT: time.Millisecond, Bandwidth: 1 << 30, PerFrameOverhead: 66, LossRate: 0.5, Seed: seed})
+		served := false
+		_, ok := n.RoundTrip(0, 64, 32, func(a time.Duration) time.Duration {
+			served = true
 			return a
 		})
-		if handled && !ok {
-			if s := n.Stats(); s.Frames != 2 || s.Dropped != 1 {
+		if served && !ok {
+			if s := n.Stats(); s.Frames != 2 || s.Dropped != 1 || s.BytesSent != 64+66 || s.BytesRecv != 32+66 {
 				t.Fatalf("stats after lost reply: %+v", s)
 			}
 			return
