@@ -274,11 +274,11 @@ func (f *file) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 // never blocks the caller; completions land in the buffer cache with
 // their arrival times.
 func (fs *FS) readahead(at time.Duration, ino Ino, n *inode, first, count int64) {
-	ra := fs.ra[ino]
-	if ra == nil {
-		ra = &raState{window: 4}
-		fs.ra[ino] = ra
+	ra, ok := fs.ra[ino]
+	if !ok {
+		ra = raState{window: 4}
 	}
+	defer func() { fs.ra[ino] = ra }()
 	if first != ra.next {
 		// Non-sequential: disable read-ahead, shrink the window.
 		ra.window = 4

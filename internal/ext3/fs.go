@@ -34,8 +34,10 @@ type FS struct {
 	groupFreeInodes []uint32
 
 	icache  map[Ino]*inode
+	free    []*inode // what freeInode took out of icache, for newInode
 	journal *journal
-	ra      map[Ino]*raState
+	ra      map[Ino]raState
+	files   map[Ino]*file // one open-file handle per inode number
 
 	lastDirGroup int         // round-robin pointer for directory spreading
 	dirGroup     map[Ino]int // parent dir -> block group for its child dirs
@@ -236,7 +238,8 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 		sb:       sb,
 		bc:       bc,
 		icache:   make(map[Ino]*inode),
-		ra:       make(map[Ino]*raState),
+		ra:       make(map[Ino]raState),
+		files:    make(map[Ino]*file),
 		dirGroup: make(map[Ino]int),
 		dcache:   make(map[dcacheKey]Ino),
 		names:    make(map[Ino]dirIndex),
@@ -486,6 +489,9 @@ func (fs *FS) freeInode(at time.Duration, ino Ino) (time.Duration, error) {
 	fs.journal.add(b)
 	fs.groupFreeInodes[g]++
 	fs.sb.FreeInodes++
+	if n := fs.icache[ino]; n != nil {
+		fs.free = append(fs.free, n)
+	}
 	delete(fs.icache, ino)
 	delete(fs.names, ino)
 	return done, nil
@@ -517,9 +523,33 @@ func (fs *FS) getInode(at time.Duration, ino Ino) (*inode, time.Duration, error)
 	if err != nil {
 		return nil, done, err
 	}
-	n := decodeInode(b.data[off : off+InodeSize])
+	n := fs.newInode(decodeInode(b.data[off : off+InodeSize]))
 	fs.icache[ino] = n
 	return n, done, nil
+}
+
+// newInode returns v in an inode for the icache, reusing one freeInode
+// released: nothing uses an inode after the operation that freed it.
+func (fs *FS) newInode(v inode) *inode {
+	var n *inode
+	if k := len(fs.free) - 1; k >= 0 {
+		n, fs.free = fs.free[k], fs.free[:k]
+	} else {
+		n = new(inode)
+	}
+	*n = v
+	return n
+}
+
+// handle returns ino's open-file handle, the immutable pair (fs, ino): one
+// per inode number serves every open of it until the caches drop.
+func (fs *FS) handle(ino Ino) *file {
+	f := fs.files[ino]
+	if f == nil {
+		f = &file{fs: fs, ino: ino}
+		fs.files[ino] = f
+	}
+	return f
 }
 
 // putInode writes an inode through to its table block and the journal.
@@ -675,6 +705,8 @@ func (fs *FS) dropCaches() {
 	}
 	fs.run, fs.coalesce = nil, nil
 	fs.icache = make(map[Ino]*inode)
+	fs.free = nil
+	clear(fs.files)
 	fs.dcache = make(map[dcacheKey]Ino)
 	fs.names = make(map[Ino]dirIndex)
 	fs.mounted = false

@@ -645,3 +645,46 @@ func TestRunBufferGoesBackToThePool(t *testing.T) {
 		t.Fatalf("without a pool a 3-block run left a %d-byte buffer", len(fs.coalesce))
 	}
 }
+
+// TestWarmOpenReadCloseAllocatesNothing holds the meta-data path to no heap
+// object per operation: once a file's inode, handle, names and blocks are
+// cached, opening it by path, reading it whole and closing it allocate
+// nothing. Every call runs at time 0, inside the first commit interval, so no
+// journal commit (one allocation each) falls inside the cycle.
+func TestWarmOpenReadCloseAllocatesNothing(t *testing.T) {
+	fs, _ := newTestFS(t)
+	if _, err := fs.Mkdir(0, "/d", 0o755); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	f, _, err := fs.Create(0, "/d/f", 0o644)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	payload := bytes.Repeat([]byte("warm"), 2048) // two blocks
+	if _, _, err := f.WriteAt(0, 0, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, err := f.Close(0); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	buf := make([]byte, len(payload))
+	cycle := func() {
+		f, _, err := fs.Open(0, "/d/f")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if n, _, err := f.ReadAt(0, 0, buf); err != nil || n != len(buf) {
+			t.Fatalf("read: n=%d err=%v", n, err)
+		}
+		if _, err := f.Close(0); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm open, read and close allocated %v objects, want 0", n)
+	}
+	if !bytes.Equal(buf, payload) {
+		t.Fatal("read-back mismatch")
+	}
+}

@@ -294,13 +294,13 @@ func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (In
 	direntInitBlock(b.data, ino, dir)
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
-	n := &inode{
+	n := fs.newInode(inode{
 		Mode:   uint16((mode & vfs.PermMask) | vfs.ModeDir),
 		Links:  2,
 		Size:   BlockSize,
 		Blocks: 1,
 		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
+	})
 	n.Direct[0] = uint32(lba)
 	if done, err = fs.putInode(done, ino, n); err != nil {
 		return 0, vfs.Stat{}, done, err
@@ -345,11 +345,11 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 	if err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
-	n := &inode{
+	n := fs.newInode(inode{
 		Mode:  uint16((mode & vfs.PermMask) | vfs.ModeRegular),
 		Links: 1,
 		Atime: int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
+	})
 	if done, err = fs.putInode(done, ino, n); err != nil {
 		return 0, vfs.Stat{}, done, err
 	}
@@ -387,13 +387,13 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 	copy(b.data, target) // get zeroed the rest
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
-	n := &inode{
+	n := fs.newInode(inode{
 		Mode:   uint16(vfs.ModeSymlink | 0o777),
 		Links:  1,
 		Size:   uint64(len(target)),
 		Blocks: 1,
 		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
-	}
+	})
 	n.Direct[0] = uint32(lba)
 	if done, err = fs.putInode(done, ino, n); err != nil {
 		return 0, vfs.Stat{}, done, err

@@ -204,6 +204,26 @@ func fuzzSeedFromScript(t testing.TB) []byte {
 	return e.Bytes()
 }
 
+// checkInodeReuse fails t if an inode is both cached and free for reuse, or
+// cached under two numbers: freeInode gives an inode to the free list only
+// as the icache forgets it, and newInode gives it to one number at a time. An
+// inode shared by two numbers would carry one file's changes into another.
+func checkInodeReuse(t *testing.T, fs *FS) {
+	t.Helper()
+	owner := make(map[*inode]Ino, len(fs.icache))
+	for ino, n := range fs.icache {
+		if other, ok := owner[n]; ok {
+			t.Fatalf("inodes %d and %d share one cached inode", other, ino)
+		}
+		owner[n] = ino
+	}
+	for _, n := range fs.free {
+		if ino, ok := owner[n]; ok {
+			t.Fatalf("inode %d is cached and free for reuse", ino)
+		}
+	}
+}
+
 // FuzzInodeOps decodes bytes into by-inode calls, the surface nfs.Server
 // hands to whatever a client sends: no call may panic or hang whatever inode
 // numbers, names, targets and sizes it is given, no size it accepts may be one
@@ -276,6 +296,7 @@ func FuzzInodeOps(f *testing.F) {
 			case fzRemount:
 				fs, now = fuzzRemount(t, fs, dev, now)
 			}
+			checkInodeReuse(t, fs)
 		}
 		fs, now = fuzzRemount(t, fs, dev, now)
 		seen, queue := 0, []Ino{RootIno}

@@ -173,8 +173,8 @@ func encodeInode(ino *inode, slot []byte) {
 }
 
 // decodeInode parses a 128-byte slot.
-func decodeInode(slot []byte) *inode {
-	ino := &inode{
+func decodeInode(slot []byte) inode {
+	ino := inode{
 		Mode:  binary.BigEndian.Uint16(slot[0:]),
 		Links: binary.BigEndian.Uint16(slot[2:]),
 		UID:   binary.BigEndian.Uint32(slot[4:]),

@@ -171,7 +171,7 @@ func (fs *FS) Create(at time.Duration, path string, mode vfs.Mode) (vfs.File, ti
 	if err != nil {
 		return nil, done, err
 	}
-	return &file{fs: fs, ino: ino}, done, nil
+	return fs.handle(ino), done, nil
 }
 
 // Open implements vfs.FileSystem (existing regular files).
@@ -187,5 +187,5 @@ func (fs *FS) Open(at time.Duration, path string) (vfs.File, time.Duration, erro
 	if vfs.Mode(n.Mode).IsDir() {
 		return nil, done, vfs.ErrIsDir
 	}
-	return &file{fs: fs, ino: ino}, fs.charge(done, 1), nil
+	return fs.handle(ino), fs.charge(done, 1), nil
 }

@@ -113,7 +113,7 @@ func TestQuickInodeEncode(t *testing.T) {
 		slot := make([]byte, InodeSize)
 		encodeInode(in, slot)
 		out := decodeInode(slot)
-		return *out == *in
+		return out == *in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -288,6 +288,7 @@ func randomizedOpsAgainstModel(t *testing.T, pool *blockdev.Pool, cacheBlocks in
 				t.Fatalf("step %d unlink %s: %v", step, name, err)
 			}
 			delete(model, name)
+			checkInodeReuse(t, fs)
 		case 4: // truncate
 			mf := model[name]
 			if mf == nil {

@@ -152,7 +152,7 @@ func TestSolveUtilizationCapped(t *testing.T) {
 // TestSolveBackgroundUtilInRange drives a cohort that saturates every
 // station, shared pipe included, with and without foreground clients: each
 // injected background utilization stays inside [0, 1), so the cluster's
-// hybrid path can never reach the panics in sim.Resource.SetBackground and
+// hybrid path never meets the errors of sim.Resource.SetBackground and
 // simnet.Network.SetBackground.
 func TestSolveBackgroundUtilInRange(t *testing.T) {
 	d := Demand{ServerCPU: 3 * time.Millisecond, Disk: 3 * time.Millisecond, UpBytes: 3 << 10, DownBytes: 3 << 10}

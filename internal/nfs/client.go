@@ -64,12 +64,13 @@ type Client struct {
 	rootFH  FH
 	mounted bool
 
-	dc       map[dcKey]*dentry
-	attrs    map[uint64]*attrEntry
+	dc       map[dcKey]dentry
+	attrs    map[uint64]attrEntry
 	access   map[uint64]time.Duration // v4 per-directory ACCESS cache
 	listings map[uint64]*dirListing
 	pages    *pageCache
-	files    map[uint64]*fileState
+	files    map[uint64]fileState
+	handles  map[FH]*nfsFile // one open-file handle per filehandle
 	wb       *writeBehind
 
 	attrTTL time.Duration
@@ -112,11 +113,12 @@ func NewClient(ver Version, rpcc *sunrpc.Client, srv *Server, cpu *sim.CPU) *Cli
 		srv:              srv,
 		cpu:              cpu,
 		cost:             defaultClientCosts(),
-		dc:               make(map[dcKey]*dentry),
-		attrs:            make(map[uint64]*attrEntry),
+		dc:               make(map[dcKey]dentry),
+		attrs:            make(map[uint64]attrEntry),
 		access:           make(map[uint64]time.Duration),
 		listings:         make(map[uint64]*dirListing),
-		files:            make(map[uint64]*fileState),
+		files:            make(map[uint64]fileState),
+		handles:          make(map[FH]*nfsFile),
 		pages:            newPageCache(131072, nil), // 512 MB client RAM
 		attrTTL:          attrTTL,
 		dataTTL:          dataTimeout,
@@ -162,12 +164,14 @@ func (c *Client) Mount(at time.Duration) (time.Duration, error) {
 }
 
 // DropCaches models unmount/remount cache emptying (the cold-cache knob).
+// The maps keep their storage: a cold cache refills to about its old size.
 func (c *Client) DropCaches() {
-	c.dc = make(map[dcKey]*dentry)
-	c.attrs = make(map[uint64]*attrEntry)
-	c.access = make(map[uint64]time.Duration)
-	c.listings = make(map[uint64]*dirListing)
-	c.files = make(map[uint64]*fileState)
+	clear(c.dc)
+	clear(c.attrs)
+	clear(c.access)
+	clear(c.listings)
+	clear(c.files)
+	clear(c.handles)
 	c.pages.drop()
 	c.wb = newWriteBehind(c)
 	if c.deleg != nil {
@@ -304,23 +308,16 @@ func (c *Client) refresh(at time.Duration, fh FH) time.Duration {
 
 // ---- cache plumbing ----
 
-// putAttrs caches fh's attributes, refreshing an existing entry in place:
-// nothing holds an *attrEntry across a call that can reach here and then
-// reads the old values.
+// putAttrs caches fh's attributes.
 func (c *Client) putAttrs(fh FH, st vfs.Stat, now time.Duration) {
-	if a := c.attrs[fh.Ino]; a != nil {
-		a.st, a.fetchedAt = st, now
-		return
-	}
-	c.attrs[fh.Ino] = &attrEntry{st: st, fetchedAt: now}
+	c.attrs[fh.Ino] = attrEntry{st: st, fetchedAt: now}
 }
 
-func (c *Client) freshAttrs(fh FH, now time.Duration) (*attrEntry, bool) {
-	a := c.attrs[fh.Ino]
-	if a == nil {
-		return nil, false
-	}
-	return a, now-a.fetchedAt <= c.attrTTL
+// freshAttrs returns fh's cached attributes, whether there are any, and
+// whether they are within the attribute timeout.
+func (c *Client) freshAttrs(fh FH, now time.Duration) (a attrEntry, ok, fresh bool) {
+	a, ok = c.attrs[fh.Ino]
+	return a, ok, ok && now-a.fetchedAt <= c.attrTTL
 }
 
 // putDentry caches (dir, name) -> fh. "." and ".." are looked up every time,
@@ -330,7 +327,7 @@ func (c *Client) putDentry(dir FH, name string, fh FH, now time.Duration) {
 	if name == "." || name == ".." {
 		return
 	}
-	c.dc[dcKey{dir.Ino, name}] = &dentry{fh: fh, cachedAt: now}
+	c.dc[dcKey{dir.Ino, name}] = dentry{fh: fh, cachedAt: now}
 }
 
 // accessRPC performs the v4 per-directory ACCESS check when its cache
@@ -362,7 +359,7 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 				return FH{}, at, vfs.ErrNotExist
 			}
 			delete(c.dc, key)
-		} else if _, fresh := c.freshAttrs(d.fh, at); fresh {
+		} else if _, _, fresh := c.freshAttrs(d.fh, at); fresh {
 			return d.fh, at, nil // cache hit, no traffic
 		} else {
 			// Stale: one revalidation GETATTR (the consistency check the
@@ -370,6 +367,7 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 			_, done, err := c.attrCall(at, d.fh, ProcGetattr)
 			if err == nil {
 				d.cachedAt = done
+				c.dc[key] = d
 				return d.fh, done, nil
 			}
 			if err != vfs.ErrStale && err != vfs.ErrNotExist {
@@ -383,7 +381,7 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 		return c.srv.Lookup(arrive, dir, name)
 	})
 	if err == vfs.ErrNotExist {
-		c.dc[key] = &dentry{negative: true, cachedAt: done}
+		c.dc[key] = dentry{negative: true, cachedAt: done}
 	}
 	if err != nil {
 		return FH{}, done, err
@@ -426,8 +424,8 @@ func (c *Client) walk(at time.Duration, start FH, rel string, followFinal bool, 
 			return FH{}, done, err
 		}
 		final := rel == ""
-		st := c.attrs[fh.Ino]
-		isLink := st != nil && st.st.Mode.IsSymlink()
+		mode := c.attrs[fh.Ino].st.Mode // 0 when none is cached
+		isLink := mode.IsSymlink()
 		if isLink && (!final || followFinal) {
 			if depth >= maxSymlinkDepth {
 				return FH{}, done, vfs.ErrInvalid
@@ -447,7 +445,7 @@ func (c *Client) walk(at time.Duration, start FH, rel string, followFinal bool, 
 			}
 		}
 		cur = fh
-		if !final || st != nil && st.st.Mode.IsDir() {
+		if !final || mode.IsDir() {
 			// v4 checks access on a directory target too.
 			if done, err = c.accessRPC(done, cur); err != nil {
 				return FH{}, done, err
@@ -698,7 +696,7 @@ func (c *Client) Stat(at time.Duration, path string) (vfs.Stat, time.Duration, e
 	}
 	// stat(2) fetches attributes even when the cache is fresh for v2/v3
 	// (observed client behaviour: a GETATTR accompanies the syscall).
-	if a, fresh := c.freshAttrs(fh, done); fresh && c.ver == V4 {
+	if a, _, fresh := c.freshAttrs(fh, done); fresh && c.ver == V4 {
 		return a.st, done, nil
 	}
 	return c.attrCall(done, fh, ProcGetattr)

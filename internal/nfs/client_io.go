@@ -216,15 +216,6 @@ type fileState struct {
 	raPrefetched int64
 }
 
-func (c *Client) fileState(ino uint64) *fileState {
-	fsx, ok := c.files[ino]
-	if !ok {
-		fsx = &fileState{raWindow: 4}
-		c.files[ino] = fsx
-	}
-	return fsx
-}
-
 // writeBehind is the client's bounded async-write pool. Dirty pages queue
 // here; flushes issue unstable WRITE RPCs with a bounded in-flight window.
 // When the pool overflows, the writer blocks until in-flight writes finish
@@ -299,7 +290,7 @@ func (wb *writeBehind) maybeFlush(at time.Duration) (time.Duration, error) {
 			at = wb.horizon
 		}
 		wb.issued = 0
-		wb.inflight = nil
+		wb.inflight = wb.inflight[:0]
 	}
 	return at, nil
 }
@@ -389,16 +380,16 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 		// Track our own writes' post-op attributes so the next
 		// revalidation does not mistake them for a foreign change and
 		// dump the page cache.
-		if a := c.attrs[k.ino]; a != nil {
+		if a, ok := c.attrs[k.ino]; ok {
 			if st.Size < a.st.Size {
 				st.Size = a.st.Size // later queued pages not yet flushed
 			}
 			c.putAttrs(fh, st, a.fetchedAt)
 		}
-		wb.inflight = append(wb.inflight, done)
-		if len(wb.inflight) > 64 {
-			wb.inflight = wb.inflight[len(wb.inflight)-64:]
+		if len(wb.inflight) == 64 { // keep the last 64, in the same array
+			wb.inflight = wb.inflight[:copy(wb.inflight, wb.inflight[1:])]
 		}
+		wb.inflight = append(wb.inflight, done)
 		if done > wb.horizon {
 			wb.horizon = done
 		}
@@ -428,7 +419,7 @@ func (wb *writeBehind) drain(at time.Duration) (time.Duration, error) {
 		done = wb.horizon
 	}
 	wb.issued = 0
-	wb.inflight = nil
+	wb.inflight = wb.inflight[:0]
 	if c.ver >= V3 && wb.dirtySinceCommit {
 		var err error
 		done, err = c.call(done, ProcCommit, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
@@ -483,7 +474,18 @@ func (c *Client) Create(at time.Duration, path string, mode vfs.Mode) (vfs.File,
 	c.putDentry(dir, name, fh, done)
 	c.invalidateDir(dir)
 	c.pages.dropFile(fh.Ino)
-	return &nfsFile{c: c, fh: fh}, done, nil
+	return c.handle(fh), done, nil
+}
+
+// handle returns fh's open-file handle, the immutable pair (c, fh): one per
+// filehandle serves every open of it until DropCaches.
+func (c *Client) handle(fh FH) *nfsFile {
+	f := c.handles[fh]
+	if f == nil {
+		f = &nfsFile{c: c, fh: fh}
+		c.handles[fh] = f
+	}
+	return f
 }
 
 // open sends v4's OPEN of name in dir (creating it when create is set) and
@@ -509,7 +511,7 @@ func (c *Client) Open(at time.Duration, path string) (vfs.File, time.Duration, e
 	if err != nil {
 		return nil, done, err
 	}
-	if a := c.attrs[fh.Ino]; a != nil && a.st.Mode.IsDir() {
+	if c.attrs[fh.Ino].st.Mode.IsDir() {
 		return nil, done, vfs.ErrIsDir
 	}
 	if c.ver == V4 {
@@ -526,34 +528,25 @@ func (c *Client) Open(at time.Duration, path string) (vfs.File, time.Duration, e
 	if err != nil {
 		return nil, done, err
 	}
-	return &nfsFile{c: c, fh: fh}, done, nil
+	return c.handle(fh), done, nil
 }
 
 // ---- file I/O ----
 
 // cachedSize returns the client's view of the file size.
 func (c *Client) cachedSize(fh FH) int64 {
-	if a := c.attrs[fh.Ino]; a != nil {
-		return a.st.Size
-	}
-	return 0
+	return c.attrs[fh.Ino].st.Size
 }
 
 // revalidate refreshes attributes when the consistency window expired; on
 // an mtime change the cached pages are invalidated (weak consistency).
 func (c *Client) revalidate(at time.Duration, fh FH) (time.Duration, error) {
-	a, fresh := c.freshAttrs(fh, at)
+	a, known, fresh := c.freshAttrs(fh, at)
 	if fresh {
 		return at, nil
 	}
-	// The GETATTR refreshes a in place: compare against what it held before.
-	known := a != nil
-	var mtime time.Duration
-	if known {
-		mtime = a.st.Mtime
-	}
 	st, done, err := c.attrCall(at, fh, ProcGetattr)
-	if err == nil && known && st.Mtime != mtime {
+	if err == nil && known && st.Mtime != a.st.Mtime {
 		c.pages.dropFile(fh.Ino)
 	}
 	return done, err
@@ -648,7 +641,11 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	done = c.charge(done, copied)
 
 	// Read-ahead: sequential access only (random access disables it).
-	fsx := c.fileState(f.fh.Ino)
+	fsx, ok := c.files[f.fh.Ino]
+	if !ok {
+		fsx = fileState{raWindow: 4}
+	}
+	defer func() { c.files[f.fh.Ino] = fsx }()
 	n := last - first + 1
 	if first != fsx.raNext {
 		fsx.raWindow = 4
@@ -741,9 +738,10 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 		c.wb.add(k)
 	}
 	// Update the local size view.
-	if a := c.attrs[f.fh.Ino]; a != nil {
+	if a, ok := c.attrs[f.fh.Ino]; ok {
 		if ns := off + int64(len(data)); ns > a.st.Size {
 			a.st.Size = ns
+			c.attrs[f.fh.Ino] = a
 		}
 	}
 	done = c.wbFlush(done)

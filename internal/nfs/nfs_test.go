@@ -498,3 +498,50 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 		t.Errorf("file after the refused requests: size %d, %v", st.Size, err)
 	}
 }
+
+// TestWarmOpenReadCloseAllocatesNothing holds the client's meta-data path to
+// no heap object per operation: once a file's handle, name, attributes and
+// pages are cached, opening it, reading it whole and closing it allocate
+// nothing on any version, the RPCs each version sends included (v2 and v3
+// revalidate with GETATTR, v4 sends OPEN, OPEN_CONFIRM and CLOSE).
+func TestWarmOpenReadCloseAllocatesNothing(t *testing.T) {
+	for _, ver := range []Version{V2, V3, V4} {
+		c, _, _ := rig(t, ver)
+		at, err := c.Mkdir(0, "/d", 0o755)
+		if err != nil {
+			t.Fatalf("%v mkdir: %v", ver, err)
+		}
+		f, at, err := c.Create(at, "/d/f", 0o644)
+		if err != nil {
+			t.Fatalf("%v create: %v", ver, err)
+		}
+		payload := bytes.Repeat([]byte("warm"), 2048) // two pages
+		if _, at, err = f.WriteAt(at, 0, payload); err != nil {
+			t.Fatalf("%v write: %v", ver, err)
+		}
+		if at, err = f.Close(at); err != nil {
+			t.Fatalf("%v close: %v", ver, err)
+		}
+		buf := make([]byte, len(payload))
+		cycle := func() {
+			f, done, err := c.Open(at, "/d/f")
+			if err != nil {
+				t.Fatalf("%v open: %v", ver, err)
+			}
+			n, done, err := f.ReadAt(done, 0, buf)
+			if err != nil || n != len(buf) {
+				t.Fatalf("%v read: n=%d err=%v", ver, n, err)
+			}
+			if at, err = f.Close(done); err != nil {
+				t.Fatalf("%v close: %v", ver, err)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%v: a warm open, read and close allocated %v objects, want 0", ver, n)
+		}
+		if !bytes.Equal(buf, payload) {
+			t.Fatalf("%v read-back mismatch", ver)
+		}
+	}
+}

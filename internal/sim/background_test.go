@@ -15,7 +15,9 @@ func TestResourceBackgroundStretch(t *testing.T) {
 	if done := r.Acquire(0, 10*time.Millisecond); done != 10*time.Millisecond {
 		t.Fatalf("no-background acquire done = %v", done)
 	}
-	r.SetBackground(0.5)
+	if err := r.SetBackground(0.5); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.Background(); got != 0.5 {
 		t.Fatalf("Background() = %g", got)
 	}
@@ -28,19 +30,18 @@ func TestResourceBackgroundStretch(t *testing.T) {
 	}
 }
 
-// TestResourceBackgroundBounds verifies rho outside [0, 1), or NaN, panics:
-// a saturated resource has no residual capacity to simulate against.
+// TestResourceBackgroundBounds verifies rho outside [0, 1), or NaN, is an
+// error that leaves the background as it was: a saturated resource has no
+// residual capacity to simulate against.
 func TestResourceBackgroundBounds(t *testing.T) {
 	for _, rho := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetBackground(%g) did not panic", rho)
-				}
-			}()
-			var r Resource
-			r.SetBackground(rho)
-		}()
+		var r Resource
+		if err := r.SetBackground(rho); err == nil {
+			t.Errorf("SetBackground(%g) returned no error", rho)
+		}
+		if got := r.Background(); got != 0 {
+			t.Errorf("refused SetBackground(%g) left background %g", rho, got)
+		}
 	}
 }
 
@@ -49,7 +50,9 @@ func TestResourceBackgroundBounds(t *testing.T) {
 // windows, for both run-queue and interrupt-style work.
 func TestCPUBackgroundStretch(t *testing.T) {
 	c := NewCPU(1.0)
-	c.SetBackground(0.75)
+	if err := c.SetBackground(0.75); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Background(); got != 0.75 {
 		t.Fatalf("Background() = %g", got)
 	}

@@ -49,7 +49,7 @@ func (c *CPU) SetTracer(t *tracing.Tracer, layer tracing.Layer) {
 // utilization windows account the stretched occupancy. The background
 // load's own busy time is not accounted here — harnesses report it from
 // the fluid operating point (internal/fleet) instead.
-func (c *CPU) SetBackground(rho float64) { c.res.SetBackground(rho) }
+func (c *CPU) SetBackground(rho float64) error { return c.res.SetBackground(rho) }
 
 // Background reports the CPU's fluid background utilization (0 when none).
 func (c *CPU) Background() float64 { return c.res.Background() }

@@ -28,14 +28,15 @@ type Resource struct {
 
 // SetBackground declares that fraction rho of the resource's capacity is
 // consumed by fluid background load. Foreground service times stretch by
-// 1/(1-rho) from now on. rho must lie in [0, 1), which NaN does not: a
-// background load that saturates the resource has no residual capacity to
-// simulate against.
-func (r *Resource) SetBackground(rho float64) {
+// 1/(1-rho) from now on. A rho outside [0, 1), NaN included, is an error
+// and changes nothing: a background load that saturates the resource has no
+// residual capacity to simulate against.
+func (r *Resource) SetBackground(rho float64) error {
 	if !(rho >= 0 && rho < 1) {
-		panic(fmt.Sprintf("sim: background utilization %g outside [0, 1)", rho))
+		return fmt.Errorf("sim: background utilization %g outside [0, 1)", rho)
 	}
 	r.bg = rho
+	return nil
 }
 
 // Background reports the fluid background utilization (0 when none).

@@ -12,7 +12,9 @@ func TestDiskBackgroundStretch(t *testing.T) {
 	p := Ultra160()
 	base := newDisk(p)
 	loaded := newDisk(p)
-	loaded.SetBackground(0.5)
+	if err := loaded.SetBackground(0.5); err != nil {
+		t.Fatal(err)
+	}
 
 	d0, err := base.IO(0, 0, 8, false)
 	if err != nil {
@@ -45,10 +47,15 @@ func TestDiskBackgroundStretch(t *testing.T) {
 
 // TestRAID5BackgroundSpreads verifies array-level background load reaches
 // every member: a striped read completes at twice its unloaded time under
-// rho = 0.5.
+// rho = 0.5, and a saturating rho is refused without changing it.
 func TestRAID5BackgroundSpreads(t *testing.T) {
 	base, loaded := NewRAID5(Ultra160()), NewRAID5(Ultra160())
-	loaded.SetBackground(0.5)
+	if err := loaded.SetBackground(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.SetBackground(1); err == nil {
+		t.Fatal("SetBackground(1) returned no error")
+	}
 	d0, err := base.Read(0, 0, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -87,8 +87,8 @@ func (d *disk) ResetStats() { d.stats = metrics.DiskStats{} }
 // requests are served at the residual rate. The closed-form load carries
 // no positions, so it leaves the sequentiality tracking — and therefore
 // the foreground seek pattern — untouched; hybrid fleet modeling accepts
-// that simplification (internal/fleet).
-func (d *disk) SetBackground(rho float64) { d.arm.SetBackground(rho) }
+// that simplification (internal/fleet). A rho outside [0, 1) is an error.
+func (d *disk) SetBackground(rho float64) error { return d.arm.SetBackground(rho) }
 
 // Busy reports cumulative arm busy time.
 func (d *disk) Busy() time.Duration { return d.arm.Busy() }

@@ -93,11 +93,15 @@ func (r *RAID5) ResetStats() {
 // SetBackground spreads fluid background utilization rho over every member
 // disk: the closed-form load of clients that are not mechanistically
 // simulated (internal/fleet). Foreground I/O on each member runs at the
-// residual rate 1-rho.
-func (r *RAID5) SetBackground(rho float64) {
+// residual rate 1-rho. A rho outside [0, 1) is an error, which the first
+// member returns before any member changes.
+func (r *RAID5) SetBackground(rho float64) error {
 	for _, d := range r.disks {
-		d.SetBackground(rho)
+		if err := d.SetBackground(rho); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Busy reports the max member busy time (the array bottleneck).

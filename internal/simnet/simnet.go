@@ -12,6 +12,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -129,15 +130,17 @@ func (n *Network) Shared() *netqueue.Endpoint { return n.shared }
 // direction's serialization runs at the residual bandwidth (1-rho) x
 // capacity, covering the fluid path, TCP segment pacing and control
 // frames alike. Propagation delay and loss are per-frame properties and
-// stay untouched. rho outside [0, 1), NaN included, panics — a saturated
-// wire has no residual capacity to simulate against.
-func (n *Network) SetBackground(up, down float64) {
+// stay untouched. A rho outside [0, 1), NaN included, in either direction
+// is an error and changes nothing — a saturated wire has no residual
+// capacity to simulate against.
+func (n *Network) SetBackground(up, down float64) error {
 	for _, rho := range [2]float64{up, down} {
 		if !(rho >= 0 && rho < 1) {
-			panic("simnet: background utilization out of [0, 1)")
+			return fmt.Errorf("simnet: background utilization %g outside [0, 1)", rho)
 		}
 	}
 	n.bg[ClientToServer], n.bg[ServerToClient] = up, down
+	return nil
 }
 
 // Background reports the fluid background utilization per direction.

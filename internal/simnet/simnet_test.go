@@ -279,23 +279,24 @@ func TestSharedQueueDropReadsAsLoss(t *testing.T) {
 }
 
 // SetBackground refuses a utilization outside [0, 1) in either direction,
-// NaN included: a saturated wire has no residual capacity to simulate.
+// NaN included, with an error that leaves both directions as they were: a
+// saturated wire has no residual capacity to simulate.
 func TestSetBackgroundRefusesOutOfRange(t *testing.T) {
 	for _, rho := range []float64{-0.1, 1, math.NaN()} {
 		for _, up := range []bool{true, false} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("SetBackground with %g (up %v) did not panic", rho, up)
-					}
-				}()
-				n := New(DefaultLAN())
-				if up {
-					n.SetBackground(rho, 0)
-				} else {
-					n.SetBackground(0, rho)
-				}
-			}()
+			n := New(DefaultLAN())
+			var err error
+			if up {
+				err = n.SetBackground(rho, 0.5)
+			} else {
+				err = n.SetBackground(0.5, rho)
+			}
+			if err == nil {
+				t.Errorf("SetBackground with %g (up %v) returned no error", rho, up)
+			}
+			if u, d := n.Background(); u != 0 || d != 0 {
+				t.Errorf("refused SetBackground with %g (up %v) left background %g/%g", rho, up, u, d)
+			}
 		}
 	}
 }

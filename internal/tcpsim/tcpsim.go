@@ -170,16 +170,19 @@ type Conn struct {
 }
 
 // NewConn builds a connection over net. Connect must be called before
-// transfers.
+// transfers. The round scratch and in-flight lists share one array per type:
+// arrival times for a window plus a tail, and 8 of each of the rest, which a
+// lossy round or a burst of small messages may outgrow.
 func NewConn(net *simnet.Network, cfg Config) *Conn {
 	cfg.fill()
-	cap := float64(cfg.WindowBytes / cfg.MSS)
-	if cap < 1 {
-		cap = 1
-	}
+	w := max(cfg.WindowBytes/cfg.MSS, 1)
 	c := &Conn{net: net, cfg: cfg, rto: cfg.InitRTO}
-	c.up = half{cwnd: float64(cfg.InitCwnd), ssthresh: cap}
-	c.down = half{cwnd: float64(cfg.InitCwnd), ssthresh: cap}
+	c.up = half{cwnd: float64(cfg.InitCwnd), ssthresh: float64(w)}
+	c.down = half{cwnd: float64(cfg.InitCwnd), ssthresh: float64(w)}
+	times, idx, refs := make([]time.Duration, w+1+8), make([]int, 16), make([]inflightRef, 16)
+	c.arr, c.dup = times[:0:w+1], times[w+1:w+1]
+	c.lost, c.still = idx[:0:8], idx[8:8]
+	c.up.inflight, c.down.inflight = refs[:0:8], refs[8:8]
 	return c
 }
 

@@ -371,18 +371,22 @@ func (cl *Cluster) applyFluid() error {
 	if err != nil {
 		return err
 	}
-	cl.ServerCPU.SetBackground(op.BackgroundUtil[fleet.StationCPU])
-	cl.Array().SetBackground(op.BackgroundUtil[fleet.StationDisk])
+	if err := cl.ServerCPU.SetBackground(op.BackgroundUtil[fleet.StationCPU]); err != nil {
+		return err
+	}
+	if err := cl.Array().SetBackground(op.BackgroundUtil[fleet.StationDisk]); err != nil {
+		return err
+	}
 	switch {
 	case cl.Link != nil:
 		up := int64(op.BackgroundUtil[fleet.StationUp] * float64(linkBps))
 		down := int64(op.BackgroundUtil[fleet.StationDown] * float64(linkBps))
-		if err := cl.Link.SetBackground(up, down); err != nil {
-			return err
-		}
+		err = cl.Link.SetBackground(up, down)
 	case cl.Net != nil:
-		cl.Net.SetBackground(op.BackgroundUtil[fleet.StationUp],
-			op.BackgroundUtil[fleet.StationDown])
+		err = cl.Net.SetBackground(op.BackgroundUtil[fleet.StationUp], op.BackgroundUtil[fleet.StationDown])
+	}
+	if err != nil {
+		return err
 	}
 	cl.fluid = &op
 	return nil

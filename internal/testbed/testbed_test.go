@@ -54,6 +54,47 @@ func TestBothStacksBasicOps(t *testing.T) {
 	}
 }
 
+// TestSecondOpenOutlivesTheFirst: two opens of one file may share a handle,
+// one per cached inode on every stack, and closing one open ends nothing the
+// other needs. After the first is closed, the second reads the file, writes
+// to it and closes, and the file holds both writes.
+func TestSecondOpenOutlivesTheFirst(t *testing.T) {
+	for _, k := range AllKinds {
+		t.Run(k.String(), func(t *testing.T) {
+			tb := mk(t, k)
+			payload := bytes.Repeat([]byte("open"), 3000) // 12 KB
+			if err := tb.WriteFile("/f", payload); err != nil {
+				t.Fatalf("write file: %v", err)
+			}
+			first, err := tb.Open("/f")
+			if err != nil {
+				t.Fatalf("first open: %v", err)
+			}
+			second, err := tb.Open("/f")
+			if err != nil {
+				t.Fatalf("second open: %v", err)
+			}
+			if err := tb.Close(first); err != nil {
+				t.Fatalf("close first: %v", err)
+			}
+			got := make([]byte, len(payload))
+			if n, err := tb.ReadFileAt(second, 0, got); err != nil || n != len(payload) || !bytes.Equal(got, payload) {
+				t.Fatalf("read through the second: n=%d err=%v", n, err)
+			}
+			tail := []byte("second")
+			if n, err := tb.WriteFileAt(second, int64(len(payload)), tail); err != nil || n != len(tail) {
+				t.Fatalf("write through the second: n=%d err=%v", n, err)
+			}
+			if err := tb.Close(second); err != nil {
+				t.Fatalf("close second: %v", err)
+			}
+			if got, err := tb.ReadFile("/f"); err != nil || !bytes.Equal(got, append(payload, tail...)) {
+				t.Fatalf("file after both closes: %d bytes, err %v", len(got), err)
+			}
+		})
+	}
+}
+
 // TestDataSurvivesColdCache ensures cold-cache emulation preserves data.
 func TestDataSurvivesColdCache(t *testing.T) {
 	for _, k := range []Kind{NFSv3, ISCSI} {

@@ -59,6 +59,7 @@ type postmarkRun struct {
 	live    []int
 	sizes   map[int]int
 	next    int
+	names   []string // by id: each file's path once name has built it
 	nameBuf []byte
 	text    []byte // every write's payload in turn: no layer keeps a WriteAt argument
 	readBuf []byte
@@ -81,15 +82,21 @@ func newPostmarkRun(c Ops, cfg PostMarkConfig) (*postmarkRun, error) {
 }
 
 // name maps a file id to its pool path ("Dir/f7", or "Dir/s3/f7" with
-// subdirectories), assembled in a reused buffer: one allocation, the string.
+// subdirectories), assembled once per id in a reused buffer: one allocation,
+// the string, which every later use of the file shares.
 func (p *postmarkRun) name(i int) string {
-	b := append(p.nameBuf[:0], p.cfg.Dir...)
-	if n := p.cfg.Subdirectories; n > 0 {
-		b = strconv.AppendInt(append(b, "/s"...), int64(i%n), 10)
+	for len(p.names) <= i {
+		p.names = append(p.names, "")
 	}
-	b = strconv.AppendInt(append(b, "/f"...), int64(i), 10)
-	p.nameBuf = b
-	return string(b)
+	if p.names[i] == "" {
+		b := append(p.nameBuf[:0], p.cfg.Dir...)
+		if n := p.cfg.Subdirectories; n > 0 {
+			b = strconv.AppendInt(append(b, "/s"...), int64(i%n), 10)
+		}
+		p.nameBuf = strconv.AppendInt(append(b, "/f"...), int64(i), 10)
+		p.names[i] = string(p.nameBuf)
+	}
+	return p.names[i]
 }
 
 func (p *postmarkRun) createFile() error {
