@@ -1,12 +1,13 @@
-// Package cliutil is the flag vocabulary of cmd/repro: comma-separated
-// axis lists (client counts, connection counts, loss rates, RTTs) with
-// uniform range checks, the stack/transport name vocabularies, flags that
-// apply those checks as they are parsed (flags.go), and the three flag
-// groups an experiment may be offered: profiles, span traces, the health
-// monitor. Every flag registers on the flag.FlagSet it is given, and a
-// value outside its range fails with one message shape:
+package main
+
+// The flag vocabulary: comma-separated axis lists (client counts,
+// connection counts, loss rates, RTTs) with uniform range checks, the
+// stack/transport name vocabularies, flags that apply those checks as they
+// are parsed (flagvalues.go), and the three flag groups an experiment may
+// be offered: profiles (profile.go), span traces (traceflags.go), the
+// health monitor (health.go). Every flag registers on the flag.FlagSet it
+// is given, and a value outside its range fails with one message shape:
 // `bad -<flag> value "x" (...)`.
-package cliutil
 
 import (
 	"fmt"

@@ -5,29 +5,28 @@ import (
 	"flag"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
 )
 
 // The flags more than one experiment takes are each registered here, once,
 // with one range, into the config field they set; -stacks, -transports and
-// -workloads are cliutil's.
+// -workloads are flagvalues.go's.
 
 // wireFlags registers the pair every TCP-capable experiment takes.
 func wireFlags(fs *flag.FlagSet, conns, windowBytes *int) {
-	cliutil.RangeVar(fs, conns, "conns", 1, 1, cliutil.MaxConns, "iSCSI MC/S connection count under TCP")
-	cliutil.ScaledVar(fs, windowBytes, "window", 1<<10, 64, 1, 1<<20, "per-connection TCP window cap in KB")
+	RangeVar(fs, conns, "conns", 1, 1, MaxConns, "iSCSI MC/S connection count under TCP")
+	ScaledVar(fs, windowBytes, "window", 1<<10, 64, 1, 1<<20, "per-connection TCP window cap in KB")
 }
 
 // connCountsFlag is the list -conns of the transport sweep: one cell per
 // count, each in the range the wire group's scalar takes.
 func connCountsFlag(fs *flag.FlagSet, p *[]int) {
-	cliutil.NumbersVar(fs, p, "conns", "1,2,4", 1, cliutil.MaxConns, "iSCSI MC/S connection counts (comma separated)")
+	NumbersVar(fs, p, "conns", "1,2,4", 1, MaxConns, "iSCSI MC/S connection counts (comma separated)")
 }
 
 func blocksFlag(fs *flag.FlagSet, p *int64) {
-	cliutil.RangeVar(fs, p, "blocks", 16384, 1024, 1<<30, "volume size in 4 KB blocks")
+	RangeVar(fs, p, "blocks", 16384, 1024, 1<<30, "volume size in 4 KB blocks")
 }
 
 func seedFlag(fs *flag.FlagSet, p *int64, def int64) {
@@ -36,7 +35,7 @@ func seedFlag(fs *flag.FlagSet, p *int64, def int64) {
 
 // clientsFlag is the scalar -clients: one cluster of that many machines.
 func clientsFlag(fs *flag.FlagSet, p *int, def, min int, usage string) {
-	cliutil.RangeVar(fs, p, "clients", def, min, cliutil.MaxMechClients, usage)
+	RangeVar(fs, p, "clients", def, min, MaxMechClients, usage)
 }
 
 // clientCountsFlag is the list -clients: one cell per count. The counts are
@@ -46,24 +45,24 @@ func clientCountsFlag(fs *flag.FlagSet) *string {
 }
 
 func chunkFlag(fs *flag.FlagSet, p *int) {
-	cliutil.RangeVar(fs, p, "chunk", 4096, 1, 1<<20, "per-syscall unit in bytes")
+	RangeVar(fs, p, "chunk", 4096, 1, 1<<20, "per-syscall unit in bytes")
 }
 
 // sizeFlag is a file size of at least one unit (1<<20: MB, 1<<10: KB).
 func sizeFlag(fs *flag.FlagSet, bytes *int64, unit, def, max int64, usage string) {
-	cliutil.ScaledVar(fs, bytes, "size", unit, def, 1, max, usage)
+	ScaledVar(fs, bytes, "size", unit, def, 1, max, usage)
 }
 
 func scaleFlag(fs *flag.FlagSet, usage string) *float64 {
 	scale := new(float64)
-	cliutil.RangeVar(fs, scale, "scale", 1, 0.01, 100, usage)
+	RangeVar(fs, scale, "scale", 1, 0.01, 100, usage)
 	return scale
 }
 
 // lossFlag is the scalar -loss, in percent.
 func lossFlag(fs *flag.FlagSet) *float64 {
 	percent := new(float64)
-	cliutil.RangeVar(fs, percent, "loss", 0, 0, cliutil.MaxLossPercent, "frame loss rate in % (0..50)")
+	RangeVar(fs, percent, "loss", 0, 0, MaxLossPercent, "frame loss rate in % (0..50)")
 	return percent
 }
 
@@ -71,16 +70,16 @@ func lossFlag(fs *flag.FlagSet) *float64 {
 // `health` share into a core.FaultConfig (health copies it into its own
 // config) and returns the check to run once the flags are parsed.
 func faultPlanFlags(fs *flag.FlagSet, plan *core.FaultConfig) (check func() error) {
-	cliutil.ListVar(fs, &plan.Families, "families", "all",
+	ListVar(fs, &plan.Families, "families", "all",
 		"fault families (all or server-crash,disk-fail,link-flap,client-crash)",
-		cliutil.Each("families", fault.Families, fault.ParseFamily))
-	cliutil.StacksVar(fs, &plan.Stacks, "all")
-	cliutil.TransportsVar(fs, &plan.Transports, "fluid,tcp")
+		Each("families", fault.Families, fault.ParseFamily))
+	StacksVar(fs, &plan.Stacks, "all")
+	TransportsVar(fs, &plan.Transports, "fluid,tcp")
 	clientsFlag(fs, &plan.Clients, 2, 1, "cluster size (a victim and witnesses)")
 	fs.DurationVar(&plan.Warmup, "warmup", time.Second, "fault-free lead-in before the first inject")
 	fs.DurationVar(&plan.Outage, "outage", 2*time.Second, "inject-to-heal distance per fault")
-	cliutil.RangeVar(fs, &plan.Flaps, "flaps", 3, 1, 64, "link-flap cycle count")
-	cliutil.RangeVar(fs, &plan.Victim, "victim", 0, 0, cliutil.MaxMechClients, "victim client / array member index")
+	RangeVar(fs, &plan.Flaps, "flaps", 3, 1, 64, "link-flap cycle count")
+	RangeVar(fs, &plan.Victim, "victim", 0, 0, MaxMechClients, "victim client / array member index")
 	wireFlags(fs, &plan.Conns, &plan.WindowBytes)
 	blocksFlag(fs, &plan.DeviceBlocks)
 	seedFlag(fs, &plan.Seed, 0)

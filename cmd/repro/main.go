@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cliutil"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/tracing"
@@ -89,7 +88,7 @@ type env struct {
 	metrics *metrics.Recorder // nil without -metrics
 	tracer  *tracing.Tracer   // nil without -trace
 	health  *health.Config    // nil without -health
-	trace   *cliutil.Trace
+	trace   *Trace
 }
 
 // show renders what a core.Run* call returned, or passes its error on:
@@ -127,17 +126,17 @@ func listing(w io.Writer) {
 func (x *experiment) run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("repro "+x.name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // run prints the error once; -h is handled below
-	metricsPath, prof, hlt := new(string), &cliutil.Profile{}, &cliutil.Health{}
-	var trc *cliutil.Trace
+	metricsPath, prof, hlt := new(string), &Profile{}, &Health{}
+	var trc *Trace
 	if x.with&observed != 0 {
 		fs.StringVar(metricsPath, "metrics", "", "write JSONL telemetry events to this file (see docs/METRICS.md)")
-		prof = cliutil.ProfileFlags(fs)
+		prof = ProfileFlags(fs)
 	}
 	if x.with&(traced|tracesAlways) != 0 {
-		trc = cliutil.TraceFlags(fs, x.with&tracesAlways != 0)
+		trc = TraceFlags(fs, x.with&tracesAlways != 0)
 	}
 	if x.with&monitored != 0 {
-		hlt = cliutil.HealthFlags(fs)
+		hlt = HealthFlags(fs)
 	}
 	body := x.setup(fs)
 

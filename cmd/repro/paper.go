@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -18,8 +17,8 @@ import (
 
 func microbench(fs *flag.FlagSet) func(*env) error {
 	var table, figure int
-	cliutil.RangeVar(fs, &table, "table", 0, 2, 3, "table to regenerate (2 or 3)")
-	cliutil.RangeVar(fs, &figure, "figure", 0, 3, 5, "figure to regenerate (3, 4 or 5)")
+	RangeVar(fs, &table, "table", 0, 2, 3, "table to regenerate (2 or 3)")
+	RangeVar(fs, &figure, "figure", 0, 3, 5, "figure to regenerate (3, 4 or 5)")
 	all := fs.Bool("all", false, "run every micro-benchmark")
 	check := fs.Bool("check", false, "run paper-shape conformance checks on the tables")
 	return func(e *env) error {
@@ -135,7 +134,7 @@ func latency(fs *flag.FlagSet) func(*env) error {
 	var fileSize int64
 	var step int
 	sizeFlag(fs, &fileSize, 1<<20, 128, 16384, "file size in MB (paper: 128)")
-	cliutil.RangeVar(fs, &step, "step", 20, 1, 80, "RTT step in ms (paper plots 10ms steps; 1..80)")
+	RangeVar(fs, &step, "step", 20, 1, 80, "RTT step in ms (paper plots 10ms steps; 1..80)")
 	loss := lossFlag(fs)
 	return func(e *env) error {
 		var rtts []time.Duration

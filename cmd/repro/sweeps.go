@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/netqueue"
@@ -21,18 +20,18 @@ import (
 func scale(fs *flag.FlagSet) func(*env) error {
 	var cfg core.ScaleConfig
 	clients := clientCountsFlag(fs)
-	cliutil.WorkloadsVar(fs, &cfg.Workloads, "seq-write,rand-read,postmark", core.ScaleWorkloads)
-	cliutil.StacksVar(fs, &cfg.Stacks, "all")
+	WorkloadsVar(fs, &cfg.Workloads, "seq-write,rand-read,postmark", core.ScaleWorkloads)
+	StacksVar(fs, &cfg.Stacks, "all")
 	sizeFlag(fs, &cfg.FileSize, 1<<20, 4, 16384, "per-client file size in MB (seq/rand workloads)")
-	cliutil.RangeVar(fs, &cfg.PostMarkFiles, "pm-files", 50, 1, 1<<20, "per-client PostMark pool size")
-	cliutil.RangeVar(fs, &cfg.PostMarkTransactions, "pm-txns", 250, 1, 1<<20, "per-client PostMark transactions")
+	RangeVar(fs, &cfg.PostMarkFiles, "pm-files", 50, 1, 1<<20, "per-client PostMark pool size")
+	RangeVar(fs, &cfg.PostMarkTransactions, "pm-txns", 250, 1, 1<<20, "per-client PostMark transactions")
 	seedFlag(fs, &cfg.Seed, 0)
 	background := fs.Bool("background", false,
 		"hybrid fleet mode: counts beyond -foreground run as calibrated fluid background load")
-	cliutil.RangeVar(fs, &cfg.Foreground, "foreground", 8, 1, cliutil.MaxMechClients,
+	RangeVar(fs, &cfg.Foreground, "foreground", 8, 1, MaxMechClients,
 		"mechanistic clients per hybrid cell (with -background)")
 	return func(e *env) (err error) {
-		if cfg.Counts, err = cliutil.ClientCounts(*clients, *background); err != nil {
+		if cfg.Counts, err = ClientCounts(*clients, *background); err != nil {
 			return err
 		}
 		if !*background {
@@ -48,14 +47,14 @@ func transport(fs *flag.FlagSet) func(*env) error {
 	var rttMs, windowKB []float64
 	sizeFlag(fs, &cfg.FileSize, 1<<20, 2, 16384, "file size in MB per workload pass")
 	chunkFlag(fs, &cfg.ChunkSize)
-	cliutil.NumbersVar(fs, &rttMs, "rtts", "0.2,40", 0, 10000, "RTTs to sweep, in ms (comma separated)")
-	cliutil.ListVar(fs, &cfg.LossRates, "loss", "0,1", "frame loss rates to sweep, in % (comma separated)",
-		func(s string) ([]float64, error) { return cliutil.LossPercents(s, "loss") })
-	cliutil.NumbersVar(fs, &windowKB, "windows", "64", 1, 1<<20,
+	NumbersVar(fs, &rttMs, "rtts", "0.2,40", 0, 10000, "RTTs to sweep, in ms (comma separated)")
+	ListVar(fs, &cfg.LossRates, "loss", "0,1", "frame loss rates to sweep, in % (comma separated)",
+		func(s string) ([]float64, error) { return LossPercents(s, "loss") })
+	NumbersVar(fs, &windowKB, "windows", "64", 1, 1<<20,
 		"per-connection TCP window caps, in KB (comma separated)")
 	connCountsFlag(fs, &cfg.Conns)
-	cliutil.StacksVar(fs, &cfg.Stacks, "nfsv3,iscsi")
-	cliutil.WorkloadsVar(fs, &cfg.Workloads, "seq-read,seq-write", core.TransportWorkloads)
+	StacksVar(fs, &cfg.Stacks, "nfsv3,iscsi")
+	WorkloadsVar(fs, &cfg.Workloads, "seq-read,seq-write", core.TransportWorkloads)
 	seedFlag(fs, &cfg.Seed, 42)
 	return func(e *env) error {
 		for _, ms := range rttMs {
@@ -75,10 +74,10 @@ func replay(fs *flag.FlagSet) func(*env) error {
 	file := fs.String("file", "", "replay a JSONL op log instead of a built-in profile")
 	dump := fs.String("dump", "", "write the selected profile's trace as JSONL to this file and exit")
 	clientsFlag(fs, &cfg.Clients, 4, 1, "cluster size (traced client ids fold onto it)")
-	cliutil.RangeVar(fs, &cfg.MaxOps, "ops", 2000, 0, 1<<30, "max ops replayed per trace (0 = all)")
-	cliutil.RangeVar(fs, &cfg.DirMod, "dirs", 64, 1, 1<<20, "directory namespace size (trace dirs fold onto it)")
-	cliutil.StacksVar(fs, &cfg.Stacks, "all")
-	cliutil.TransportsVar(fs, &cfg.Transports, "fluid,tcp")
+	RangeVar(fs, &cfg.MaxOps, "ops", 2000, 0, 1<<30, "max ops replayed per trace (0 = all)")
+	RangeVar(fs, &cfg.DirMod, "dirs", 64, 1, 1<<20, "directory namespace size (trace dirs fold onto it)")
+	StacksVar(fs, &cfg.Stacks, "all")
+	TransportsVar(fs, &cfg.Transports, "fluid,tcp")
 	wireFlags(fs, &cfg.Conns, &cfg.WindowBytes)
 	seedFlag(fs, &cfg.Seed, 42)
 	return func(e *env) error {
@@ -151,25 +150,25 @@ func wan(fs *flag.FlagSet) func(*env) error {
 	var cfg core.WANConfig
 	var capacityMB []float64
 	clients := clientCountsFlag(fs)
-	cliutil.StacksVar(fs, &cfg.Stacks, "all")
-	cliutil.WorkloadsVar(fs, &cfg.Workloads, "seq-write", core.WANWorkloads)
-	cliutil.TransportsVar(fs, &cfg.Transports, "tcp")
-	cliutil.NumbersVar(fs, &capacityMB, "capacities", "117,12", 0.125, 100000,
+	StacksVar(fs, &cfg.Stacks, "all")
+	WorkloadsVar(fs, &cfg.Workloads, "seq-write", core.WANWorkloads)
+	TransportsVar(fs, &cfg.Transports, "tcp")
+	NumbersVar(fs, &capacityMB, "capacities", "117,12", 0.125, 100000,
 		"bottleneck capacities in MB/s (comma separated)")
-	cliutil.ListVar(fs, &cfg.Disciplines, "qdisc", "droptail,drr", "queue disciplines (droptail,drr)",
-		cliutil.Each("qdisc", nil, netqueue.ParseDiscipline))
-	cliutil.ListVar(fs, &cfg.Mixes, "mixes", "lan,straggler",
+	ListVar(fs, &cfg.Disciplines, "qdisc", "droptail,drr", "queue disciplines (droptail,drr)",
+		Each("qdisc", nil, netqueue.ParseDiscipline))
+	ListVar(fs, &cfg.Mixes, "mixes", "lan,straggler",
 		"per-client RTT/loss mixes ("+strings.Join(core.WANMixes, ",")+")",
-		cliutil.Each("mixes", nil, func(m string) (string, error) {
+		Each("mixes", nil, func(m string) (string, error) {
 			_, err := core.MixClients(m, 1)
 			return m, err
 		}))
-	cliutil.ScaledVar(fs, &cfg.QueueBytes, "queue", 1<<10, 256, 1, 1<<20, "bottleneck buffer per direction in KB")
+	ScaledVar(fs, &cfg.QueueBytes, "queue", 1<<10, 256, 1, 1<<20, "bottleneck buffer per direction in KB")
 	wireFlags(fs, &cfg.Conns, &cfg.WindowBytes)
 	sizeFlag(fs, &cfg.FileSize, 1<<10, 1024, 1<<20, "per-client file size in KB")
 	seedFlag(fs, &cfg.Seed, 0)
 	return func(e *env) (err error) {
-		if cfg.Counts, err = cliutil.Ints(*clients, "clients", 1, cliutil.MaxMechClients); err != nil {
+		if cfg.Counts, err = Ints(*clients, "clients", 1, MaxMechClients); err != nil {
 			return err
 		}
 		for _, mb := range capacityMB {
@@ -240,12 +239,12 @@ func healthSweep(fs *flag.FlagSet) func(*env) error {
 
 func contend(fs *flag.FlagSet) func(*env) error {
 	var cfg core.ContendConfig
-	cliutil.WorkloadsVar(fs, &cfg.Workloads, "all", core.ContendWorkloads)
-	cliutil.StacksVar(fs, &cfg.Stacks, "all")
-	cliutil.TransportsVar(fs, &cfg.Transports, "fluid,tcp")
+	WorkloadsVar(fs, &cfg.Workloads, "all", core.ContendWorkloads)
+	StacksVar(fs, &cfg.Stacks, "all")
+	TransportsVar(fs, &cfg.Transports, "fluid,tcp")
 	clientsFlag(fs, &cfg.Clients, 4, 2, "cluster size contending on the shared object")
-	cliutil.RangeVar(fs, &cfg.Iters, "iters", 50, 1, 1<<20, "locked operations per client")
-	cliutil.RangeVar(fs, &cfg.RecordSize, "record", 4096, 1, 1<<20, "shared record size in bytes")
+	RangeVar(fs, &cfg.Iters, "iters", 50, 1, 1<<20, "locked operations per client")
+	RangeVar(fs, &cfg.RecordSize, "record", 4096, 1, 1<<20, "shared record size in bytes")
 	fs.DurationVar(&cfg.PollInterval, "poll", 2*time.Millisecond, "denied-lock poll backoff")
 	wireFlags(fs, &cfg.Conns, &cfg.WindowBytes)
 	blocksFlag(fs, &cfg.DeviceBlocks)

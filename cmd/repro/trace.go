@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/tracing"
@@ -44,11 +43,11 @@ func traceCell(fs *flag.FlagSet) func(*env) error {
 			}
 			e.trace.Replay(spans)
 		} else {
-			stacks, err := cliutil.Stacks(*stack)
+			stacks, err := Stacks(*stack)
 			if err != nil || len(stacks) != 1 {
 				return fmt.Errorf("bad -stack value %q (one of nfsv2, nfsv3, nfsv4, iscsi)", *stack)
 			}
-			transports, err := cliutil.Transports(*transport)
+			transports, err := Transports(*transport)
 			if err != nil || len(transports) != 1 {
 				return fmt.Errorf("bad -transport value %q (one of fluid, udp, tcp)", *transport)
 			}

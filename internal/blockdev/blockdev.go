@@ -13,7 +13,7 @@
 // written, and only a block of mixed bytes is the owner's own (private). A
 // cached shared block becomes private the first time a partial write lands in
 // it (Pool.Writable); a whole-block write makes it whatever the new content
-// is (Pool.Replace). Private blocks can come from and return to a Pool, the
+// is (Pool.replace). Private blocks can come from and return to a Pool, the
 // explicit free list that the block owners of an assembly and of the
 // short-lived assemblies after it share. The one rule for every owner: it
 // holds whole pool blocks or shared ones only, a private block it drops is
@@ -49,9 +49,6 @@ type Device interface {
 	ReadBlocks(start time.Duration, lba int64, buf []byte) (done time.Duration, err error)
 	// WriteBlocks writes len(data)/BlockSize blocks starting at lba.
 	WriteBlocks(start time.Duration, lba int64, data []byte) (done time.Duration, err error)
-	// Flush is a write barrier: it returns once previously written data is
-	// on stable storage (used for journal commit records).
-	Flush(start time.Duration) (done time.Duration, err error)
 }
 
 // Store is a sparse in-memory block image: the "platters". It carries no
@@ -111,12 +108,6 @@ func (s *Store) SetPool(p *Pool) {
 		s.blocks.SetPool(p)
 	}
 }
-
-// BlockSize returns the block size in bytes.
-func (s *Store) BlockSize() int { return s.blockSize }
-
-// NumBlocks returns capacity in blocks.
-func (s *Store) NumBlocks() int64 { return s.numBlocks }
 
 // check rejects a request outside the store, on a released store, or whose
 // buffer is not exactly one block: the representation depends on the whole
@@ -377,7 +368,8 @@ func (l *Local) checkRange(op string, lba int64, n int) error {
 	return nil
 }
 
-// Flush implements Device; the local array's write-back cache drains by
+// Flush is the write barrier an iSCSI target runs for SYNCHRONIZE CACHE;
+// the local array's write-back cache drains by
 // the time the last member completes, which Acquire ordering guarantees,
 // so this is a timing no-op.
 func (l *Local) Flush(start time.Duration) (time.Duration, error) { return start, nil }

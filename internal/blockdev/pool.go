@@ -121,14 +121,14 @@ func (p *Pool) Load(src []byte) []byte {
 	return b
 }
 
-// Replace returns the block that holds src (at most BlockSize bytes,
+// replace returns the block that holds src (at most BlockSize bytes,
 // zero-extended) in place of cur, a block Get or Load handed out: a shared
 // block when the result is one byte repeated, else cur itself overwritten
 // when it is private, else a private block from the pool. A shared block is
 // never written. A private block a shared one displaces is retired: appended
-// to *retired, for PutAll once the operation is over (a nil pool retires
+// to *retired, for putAll once the operation is over (a nil pool retires
 // nothing).
-func (p *Pool) Replace(cur, src []byte, retired *[][]byte) []byte {
+func (p *Pool) replace(cur, src []byte, retired *[][]byte) []byte {
 	if v, ok := repeats(src); ok {
 		if p != nil && !isShared(cur) {
 			*retired = append(*retired, cur)
@@ -142,9 +142,9 @@ func (p *Pool) Replace(cur, src []byte, retired *[][]byte) []byte {
 	return cur
 }
 
-// PutAll puts every block of retired and returns it emptied, its references
+// putAll puts every block of retired and returns it emptied, its references
 // dropped, for reuse.
-func (p *Pool) PutAll(retired [][]byte) [][]byte {
+func (p *Pool) putAll(retired [][]byte) [][]byte {
 	for i, b := range retired {
 		p.Put(b)
 		retired[i] = nil
@@ -219,10 +219,10 @@ func (r *Reclaimer[E]) New(e E) *E {
 // Retire remembers e, an entry the cache unlinked, for Reclaim.
 func (r *Reclaimer[E]) Retire(e *E) { r.retired = append(r.retired, e) }
 
-// Replace is Pool.Replace for a resident entry's block: the private block a
+// Replace is Pool.replace for a resident entry's block: the private block a
 // shared one displaces is retired.
 func (r *Reclaimer[E]) Replace(cur, src []byte) []byte {
-	return r.Pool.Replace(cur, src, &r.replaced)
+	return r.Pool.replace(cur, src, &r.replaced)
 }
 
 // Reclaim frees the retired entries, zeroed, and gives the pool their blocks
@@ -241,7 +241,7 @@ func (r *Reclaimer[E]) Reclaim(data func(*E) *[]byte) {
 		r.retired[i] = nil
 	}
 	r.retired = r.retired[:0]
-	r.replaced = r.Pool.PutAll(r.replaced)
+	r.replaced = r.Pool.putAll(r.replaced)
 }
 
 // Release zeroes every entry, resident or retired, and gives the pool the
@@ -260,7 +260,7 @@ func (r *Reclaimer[E]) Release(data func(*E) []byte) {
 		r.chunks = r.chunks[:0]
 	}
 	r.used, r.free, r.retired = 0, r.free[:0], r.retired[:0]
-	r.replaced = r.Pool.PutAll(r.replaced)
+	r.replaced = r.Pool.putAll(r.replaced)
 }
 
 // Retired returns the entries retired since the last Reclaim (for tests).

@@ -177,35 +177,35 @@ func TestPoolReplace(t *testing.T) {
 	uniformA := bytes.Repeat([]byte{0xA1}, BlockSize)
 	mixed := ramp[5 : 5+BlockSize]
 
-	b := p.Replace(p.Load(uniformA), bytes.Repeat([]byte{0x42}, BlockSize), &retired)
+	b := p.replace(p.Load(uniformA), bytes.Repeat([]byte{0x42}, BlockSize), &retired)
 	if !isShared(b) || b[0] != 0x42 || len(retired) != 0 {
 		t.Fatal("uniform over shared: want the new shared block and nothing retired")
 	}
-	b = p.Replace(b, mixed, &retired)
+	b = p.replace(b, mixed, &retired)
 	if isShared(b) || !bytes.Equal(b, mixed) || len(retired) != 0 {
 		t.Fatal("mixed over shared: want a private copy and nothing retired")
 	}
 	priv := b
-	b = p.Replace(priv, ramp[9:9+BlockSize], &retired)
+	b = p.replace(priv, ramp[9:9+BlockSize], &retired)
 	if &b[0] != &priv[0] || !bytes.Equal(b, ramp[9:9+BlockSize]) || len(retired) != 0 {
 		t.Fatal("mixed over private: want the same block overwritten")
 	}
-	b = p.Replace(priv, []byte("abc"), &retired)
+	b = p.replace(priv, []byte("abc"), &retired)
 	if &b[0] != &priv[0] || string(b[:3]) != "abc" || !bytes.Equal(b[3:], make([]byte, BlockSize-3)) || len(retired) != 0 {
 		t.Fatal("short mixed over private: want the same block, zero-extended")
 	}
-	b = p.Replace(priv, uniformA, &retired)
+	b = p.replace(priv, uniformA, &retired)
 	if !isShared(b) || b[0] != 0xA1 || len(retired) != 1 || &retired[0][0] != &priv[0] || priv[0] != 'a' {
 		t.Fatal("uniform over private: want the shared block, and the private one retired intact")
 	}
-	if b = p.Replace(p.Load(nil), nil, &retired); !isShared(b) || b[0] != 0 || len(retired) != 1 {
+	if b = p.replace(p.Load(nil), nil, &retired); !isShared(b) || b[0] != 0 || len(retired) != 1 {
 		t.Fatal("nothing over shared zeros: want shared zeros")
 	}
-	if retired = p.PutAll(retired); len(retired) != 0 || p.Len() != 1 || priv[0] != 0xEE {
+	if retired = p.putAll(retired); len(retired) != 0 || p.Len() != 1 || priv[0] != 0xEE {
 		t.Fatalf("PutAll left %d retired, pool %d", len(retired), p.Len())
 	}
 	var none *Pool
-	if b = none.Replace(none.Load(mixed), uniformA, &retired); !isShared(b) || len(retired) != 0 {
+	if b = none.replace(none.Load(mixed), uniformA, &retired); !isShared(b) || len(retired) != 0 {
 		t.Fatal("a nil pool retired a block")
 	}
 	sharedIntact(t)

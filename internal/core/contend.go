@@ -109,8 +109,8 @@ type ContendCell struct {
 	WaitTotal, WaitMax time.Duration
 }
 
-// Label names the variant the way the tables print it.
-func (c ContendCell) Label() string { return variantLabel(c.Stack, c.Transport) }
+// label names the variant the way the tables print it.
+func (c ContendCell) label() string { return variantLabel(c.Stack, c.Transport) }
 
 // RunContention sweeps contention workloads over stacks and transports.
 // Cells come out in deterministic order; identical seeds give
@@ -228,7 +228,7 @@ func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error
 // RenderContention prints the sweep: one panel per workload, one row per
 // stack/transport variant.
 func RenderContention(w io.Writer, cells []ContendCell) {
-	g := groupCells(cells, func(c ContendCell) (string, string) { return c.Workload, c.Label() })
+	g := groupCells(cells, func(c ContendCell) (string, string) { return c.Workload, c.label() })
 	for _, wl := range g.keys {
 		fmt.Fprintf(w, "contend: %s\n", wl)
 		fmt.Fprintf(w, "%-16s %10s %10s %8s %8s %12s %12s\n",

@@ -31,7 +31,7 @@ func TestContendSweepShape(t *testing.T) {
 		t.Fatalf("%d cells, want %d", len(cells), want)
 	}
 	for _, c := range cells {
-		name := c.Workload + "/" + c.Label()
+		name := c.Workload + "/" + c.label()
 		if c.Ops != int64(cfg.Iters)*int64(cfg.Clients) {
 			t.Errorf("%s: ops=%d want %d", name, c.Ops, int64(cfg.Iters)*int64(cfg.Clients))
 		}

@@ -129,8 +129,8 @@ type ReplayCell struct {
 	SlowestClientMean time.Duration
 }
 
-// Label names the cell's variant the way the tables print it.
-func (c ReplayCell) Label() string {
+// label names the cell's variant the way the tables print it.
+func (c ReplayCell) label() string {
 	l := variantLabel(c.Stack, c.Transport)
 	if c.Stack == ISCSI && c.Conns > 1 {
 		l += fmt.Sprintf(" x%d", c.Conns)
@@ -239,7 +239,7 @@ func runReplayCell(cfg ReplayConfig, name string, recs []trace.Record, v variant
 // RenderReplay prints the sweep grouped by trace: one row per (stack,
 // transport) variant with latency percentiles and throughput.
 func RenderReplay(w io.Writer, cells []ReplayCell) {
-	g := groupCells(cells, func(c ReplayCell) (string, string) { return c.Profile, c.Label() })
+	g := groupCells(cells, func(c ReplayCell) (string, string) { return c.Profile, c.label() })
 	for _, p := range g.keys {
 		titled := false
 		g.rows(p, func(l string, c ReplayCell) {

@@ -63,13 +63,13 @@ func TestRunReplaySmall(t *testing.T) {
 	}
 	for _, c := range cells {
 		if c.Ops != maxOps {
-			t.Errorf("%s: replayed %d ops, want %d", c.Label(), c.Ops, maxOps)
+			t.Errorf("%s: replayed %d ops, want %d", c.label(), c.Ops, maxOps)
 		}
 		if c.P50 > c.P90 || c.P90 > c.P99 {
-			t.Errorf("%s: percentiles out of order: %v %v %v", c.Label(), c.P50, c.P90, c.P99)
+			t.Errorf("%s: percentiles out of order: %v %v %v", c.label(), c.P50, c.P90, c.P99)
 		}
 		if c.P99 <= 0 || c.OpsPerSec <= 0 || c.Elapsed <= 0 {
-			t.Errorf("%s: degenerate cell %+v", c.Label(), c)
+			t.Errorf("%s: degenerate cell %+v", c.label(), c)
 		}
 	}
 }

@@ -127,9 +127,9 @@ type TransportCell struct {
 	TCPTimeouts int64
 }
 
-// Label names the variant the way the tables print it (nfs v3/udp,
+// label names the variant the way the tables print it (nfs v3/udp,
 // iscsi tcpx4, ...).
-func (c TransportCell) Label() string {
+func (c TransportCell) label() string {
 	if c.Stack == ISCSI {
 		return fmt.Sprintf("%s tcpx%d", c.Stack, c.Conns)
 	}
@@ -218,7 +218,7 @@ func RunTransportCell(cfg TransportConfig, c TransportCell) (TransportCell, erro
 // RenderTransport prints the sweep grouped by workload: one row per
 // (variant, window, rtt, loss) cell in sweep order.
 func RenderTransport(w io.Writer, cells []TransportCell) {
-	g := groupCells(cells, func(c TransportCell) (string, string) { return c.Workload, c.Label() })
+	g := groupCells(cells, func(c TransportCell) (string, string) { return c.Workload, c.label() })
 	for _, wl := range g.keys {
 		fmt.Fprintf(w, "Transport sweep: %s (virtual-time TCP under every stack)\n", wl)
 		fmt.Fprintf(w, "%-16s %-8s %-8s %-6s %10s %12s %8s %8s %8s\n",
@@ -229,7 +229,7 @@ func RenderTransport(w io.Writer, cells []TransportCell) {
 				window = fmt.Sprintf("%dK", c.Window>>10)
 			}
 			fmt.Fprintf(w, "%-16s %-8s %-8s %-6s %10.2f %12s %8d %8d %8d\n",
-				c.Label(),
+				c.label(),
 				window,
 				c.RTT.String(),
 				fmt.Sprintf("%.1f%%", c.Loss*100),

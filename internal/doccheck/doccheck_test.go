@@ -17,7 +17,7 @@ import (
 // checkedPackages lists the package directories (relative to the repo
 // root) held to the exported-doc-comment standard.
 var checkedPackages = []string{
-	"internal/cliutil",
+	"cmd/repro",
 	"internal/health",
 	"internal/metrics",
 	"internal/netqueue",

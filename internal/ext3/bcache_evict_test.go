@@ -439,7 +439,7 @@ func TestCursorInvariantUnderFSOperations(t *testing.T) {
 			}
 			checkCursor(t, bc, when)
 		}
-		if _, checkpoints := fs.JournalStats(); checkpoints == 0 || bc.stats.Evictions == 0 {
+		if _, checkpoints := fs.journalStats(); checkpoints == 0 || bc.stats.Evictions == 0 {
 			t.Fatalf("seed %d: %d checkpoints, %d evictions; the run exercised nothing", seed, checkpoints, bc.stats.Evictions)
 		}
 	}

@@ -724,9 +724,9 @@ func (fs *FS) Crash() {
 	fs.crashed = true
 }
 
-// InjectCrashDuringCommit arms (or disarms) a fault: the next commit writes
+// injectCrashDuringCommit arms (or disarms) a fault: the next commit writes
 // the journal body but "crashes" before the commit record.
-func (fs *FS) InjectCrashDuringCommit(on bool) { fs.journal.failAfterBody = on }
+func (fs *FS) injectCrashDuringCommit(on bool) { fs.journal.failAfterBody = on }
 
 // AsyncHorizon exposes the background-work completion time (for drains).
 func (fs *FS) AsyncHorizon() time.Duration { return fs.async.Horizon() }
@@ -736,8 +736,8 @@ func (fs *FS) CacheStats() (hits, misses, evictions int64) {
 	return fs.bc.stats.Hits, fs.bc.stats.Misses, fs.bc.stats.Evictions
 }
 
-// JournalStats reports commit/checkpoint counts.
-func (fs *FS) JournalStats() (commits, checkpoints int64) {
+// journalStats reports commit/checkpoint counts.
+func (fs *FS) journalStats() (commits, checkpoints int64) {
 	return fs.journal.Commits, fs.journal.Checkpoints
 }
 

@@ -378,7 +378,7 @@ func TestCrashDuringCommitDiscardsTxn(t *testing.T) {
 	fs.Mkdir(0, "/before", 0o755)
 	fs.Sync(0)
 	fs.Mkdir(time.Second, "/during", 0o755)
-	fs.InjectCrashDuringCommit(true)
+	fs.injectCrashDuringCommit(true)
 	if _, err := fs.Sync(2 * time.Second); err != errCrashed {
 		t.Fatalf("expected injected crash, got %v", err)
 	}

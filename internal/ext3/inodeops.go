@@ -147,23 +147,29 @@ func (fs *FS) entered(dir Ino, name string, s dirSlot) {
 	}
 }
 
-// removeEntry deletes name from directory dir. In an indexed directory it
-// steps to the block the index names and removes the entry there.
-func (fs *FS) removeEntry(at time.Duration, dir Ino, dn *inode, name string) (time.Duration, error) {
+// removeEntry fetches directory dir's inode and deletes name from it. In an
+// indexed directory it steps to the block the index names and removes the
+// entry there. It returns the directory's inode.
+func (fs *FS) removeEntry(at time.Duration, dir Ino, name string) (*inode, time.Duration, error) {
+	dn, done, err := fs.getInode(at, dir)
+	if err != nil {
+		return nil, done, err
+	}
 	idx := fs.names[dir]
 	slot, indexed := idx[name]
-	it := fs.dirBlocks(at, dn)
+	it := fs.dirBlocks(done, dn)
 	for it.next() {
 		if (idx == nil || indexed && it.cur == slot.fb) && direntRemove(it.b.data, name) {
 			delete(fs.dcache, dcacheKey{dir, name})
 			delete(idx, name)
-			return fs.touchDir(it.done, dir, dn, it.b)
+			done, err = fs.touchDir(it.done, dir, dn, it.b)
+			return dn, done, err
 		}
 	}
 	if it.err != nil {
-		return it.done, it.err
+		return dn, it.done, it.err
 	}
-	return it.done, vfs.ErrNotExist
+	return dn, it.done, vfs.ErrNotExist
 }
 
 // absent is the prelude of an operation about to add name to dir: it returns
@@ -269,6 +275,26 @@ func (fs *FS) SetAttrAt(at time.Duration, ino Ino, sa SetAttr) (vfs.Stat, time.D
 	return statFromInode(ino, n), done, err
 }
 
+// enterNew is the tail of every create: it writes new inode n, enters it in
+// directory dir (whose inode is pn) as name, and charges the CPU. A new
+// directory's ".." is one more link to dir and one more unit of work.
+func (fs *FS) enterNew(at time.Duration, dir Ino, pn *inode, name string, ino Ino, n *inode, ftype byte) (Ino, vfs.Stat, time.Duration, error) {
+	done, err := fs.putInode(at, ino, n)
+	if err != nil {
+		return 0, vfs.Stat{}, done, err
+	}
+	units := 3
+	if ftype == ftDir {
+		pn.Links++
+		units++
+	}
+	if done, err = fs.addEntry(done, dir, pn, name, ino, ftype); err != nil {
+		return 0, vfs.Stat{}, done, err
+	}
+	done, err = fs.tick(fs.charge(done, units))
+	return ino, statFromInode(ino, n), done, err
+}
+
 // MkdirAt creates directory name in dir.
 func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (Ino, vfs.Stat, time.Duration, error) {
 	if err := fs.enter(name); err != nil {
@@ -302,15 +328,7 @@ func (fs *FS) MkdirAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (In
 		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
 	})
 	n.Direct[0] = uint32(lba)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	pn.Links++
-	if done, err = fs.addEntry(done, dir, pn, name, ino, ftDir); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	done, err = fs.tick(fs.charge(done, 4))
-	return ino, statFromInode(ino, n), done, err
+	return fs.enterNew(done, dir, pn, name, ino, n, ftDir)
 }
 
 // CreateAt creates regular file name in dir, or truncates the file already
@@ -350,14 +368,7 @@ func (fs *FS) CreateAt(at time.Duration, dir Ino, name string, mode vfs.Mode) (I
 		Links: 1,
 		Atime: int64(done), Mtime: int64(done), Ctime: int64(done),
 	})
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	if done, err = fs.addEntry(done, dir, pn, name, ino, ftRegular); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	done, err = fs.tick(fs.charge(done, 3))
-	return ino, statFromInode(ino, n), done, err
+	return fs.enterNew(done, dir, pn, name, ino, n, ftRegular)
 }
 
 // SymlinkAt creates symlink name -> target in dir.
@@ -395,14 +406,7 @@ func (fs *FS) SymlinkAt(at time.Duration, dir Ino, name, target string) (Ino, vf
 		Atime:  int64(done), Mtime: int64(done), Ctime: int64(done),
 	})
 	n.Direct[0] = uint32(lba)
-	if done, err = fs.putInode(done, ino, n); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	if done, err = fs.addEntry(done, dir, pn, name, ino, ftSymlink); err != nil {
-		return 0, vfs.Stat{}, done, err
-	}
-	done, err = fs.tick(fs.charge(done, 3))
-	return ino, statFromInode(ino, n), done, err
+	return fs.enterNew(done, dir, pn, name, ino, n, ftSymlink)
 }
 
 // ReadlinkAt reads a symlink's target by inode.
@@ -457,11 +461,7 @@ func (fs *FS) RemoveAt(at time.Duration, dir Ino, name string) (time.Duration, e
 	if ft == ftDir {
 		return done, vfs.ErrIsDir
 	}
-	pn, done, err := fs.getInode(done, dir)
-	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, dir, pn, name); err != nil {
+	if _, done, err = fs.removeEntry(done, dir, name); err != nil {
 		return done, err
 	}
 	n, done, err := fs.getInode(done, ino)
@@ -510,11 +510,8 @@ func (fs *FS) RmdirAt(at time.Duration, dir Ino, name string) (time.Duration, er
 	if it.err != nil {
 		return it.done, it.err
 	}
-	pn, done, err := fs.getInode(it.done, dir)
+	pn, done, err := fs.removeEntry(it.done, dir, name)
 	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, dir, pn, name); err != nil {
 		return done, err
 	}
 	pn.Links--
@@ -589,11 +586,8 @@ func (fs *FS) RenameAt(at time.Duration, odir Ino, oname string, ndir Ino, nname
 	} else {
 		done = d2
 	}
-	opn, done, err := fs.getInode(done, odir)
+	opn, done, err := fs.removeEntry(done, odir, oname)
 	if err != nil {
-		return done, err
-	}
-	if done, err = fs.removeEntry(done, odir, opn, oname); err != nil {
 		return done, err
 	}
 	npn, done, err := fs.getInode(done, ndir)

@@ -272,7 +272,7 @@ func TestNamespaceOpsGolden(t *testing.T) {
 		val, done, err := nsExec(fs, now, f)
 		now = done
 		hits, misses, evictions := fs.CacheStats()
-		commits, checkpoints := fs.JournalStats()
+		commits, checkpoints := fs.journalStats()
 		fmt.Fprintf(&got, "%-44s err=%v t=%d cache=%d/%d/%d journal=%d/%d disk=%+v free=%d/%d\n",
 			line+val, err, done, hits, misses, evictions, commits, checkpoints, dev.Stats(), fs.FreeBlocks(), fs.FreeInodes())
 	}

@@ -407,7 +407,7 @@ func TestJournalWrapForcesCheckpoint(t *testing.T) {
 			at = d2
 		}
 	}
-	_, checkpoints := fs.JournalStats()
+	_, checkpoints := fs.journalStats()
 	if checkpoints == 0 {
 		t.Fatal("tiny journal never checkpointed")
 	}

@@ -170,14 +170,6 @@ func (m *Monitor) ObserveOp(done, latency time.Duration, ok bool) {
 	m.ops = append(m.ops, opObs{done: done, latency: latency, ok: ok})
 }
 
-// Interval reports the scrape period.
-func (m *Monitor) Interval() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.interval
-}
-
 // Scrapes reports how many scrapes have run.
 func (m *Monitor) Scrapes() int64 {
 	if m == nil {

@@ -44,8 +44,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(zero): %v", err)
 	}
-	if m.Interval() != defaultInterval {
-		t.Fatalf("default interval = %v, want %v", m.Interval(), defaultInterval)
+	if m.interval != defaultInterval {
+		t.Fatalf("default interval = %v, want %v", m.interval, defaultInterval)
 	}
 }
 
@@ -317,7 +317,7 @@ func TestNilMonitor(t *testing.T) {
 	m.Bind(nil)
 	m.Register(Source{Station: "x", Fn: func(time.Duration) map[string]float64 { return nil }})
 	m.Scrape(time.Second)
-	if m.Interval() != 0 || m.Scrapes() != 0 || m.GaugeEvents() != 0 || m.Transitions() != nil {
+	if m.Scrapes() != 0 || m.GaugeEvents() != 0 || m.Transitions() != nil {
 		t.Fatal("nil monitor reported state")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {

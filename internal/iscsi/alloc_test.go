@@ -27,16 +27,16 @@ func TestWarmCommandsAllocateNothing(t *testing.T) {
 	data := pattern(8 * dev.BlockSize())
 	for _, c := range []struct {
 		name string
-		req  PDU
+		req  pdu
 	}{
-		{"write", PDU{Opcode: opSCSICommand, Flags: flagFinal | flagWrite, CDB: scsi.Write10(4, 8).Encode(), Data: data}},
-		{"read", PDU{Opcode: opSCSICommand, Flags: flagFinal | flagRead, CDB: scsi.Read10(4, 8).Encode()}},
+		{"write", pdu{Opcode: opSCSICommand, Flags: flagFinal | flagWrite, CDB: scsi.Write10(4, 8).Encode(), Data: data}},
+		{"read", pdu{Opcode: opSCSICommand, Flags: flagFinal | flagRead, CDB: scsi.Read10(4, 8).Encode()}},
 	} {
 		serve := func() {
 			c.req.ITT++
 			c.req.CmdSN++
-			var resp PDU
-			if resp, at = target.HandleCommand(at, &c.req); resp.Status != scsi.StatusGood {
+			var resp pdu
+			if resp, at = target.handleCommand(at, &c.req); resp.Status != scsi.StatusGood {
 				t.Fatalf("%s: status %#x: %s", c.name, resp.Status, resp.Data)
 			}
 		}

@@ -210,7 +210,7 @@ func (i *Initiator) issue(at time.Duration, n int) time.Duration {
 // CAPACITY(10)), as a real initiator does at mount time.
 func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 	i.itt++
-	done, resp, err := i.wire.login(at, PDU{Opcode: opLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
+	done, resp, err := i.wire.login(at, pdu{Opcode: opLoginRequest, ITT: i.itt, CmdSN: i.cmdSN,
 		Data: []byte("InitiatorName=iqn.2004.repro.client\x00SessionType=Normal\x00")})
 	if err != nil {
 		return done, err
@@ -242,10 +242,10 @@ func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 // nextPDU allocates the task tag and command sequence number of one SCSI
 // command and builds its PDU. Command PDUs travel by value so that one
 // command costs the host no allocation of its own.
-func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int) PDU {
+func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int) pdu {
 	i.itt++
 	i.cmdSN++
-	return PDU{
+	return pdu{
 		Opcode:      opSCSICommand,
 		Flags:       flagFinal,
 		LUN:         lun,
@@ -260,7 +260,7 @@ func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int)
 
 // rwPDU builds the one READ(10) or WRITE(10) that moves ext, a run of
 // whole blocks no longer than maxTransferBlocks, at lba.
-func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) PDU {
+func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) pdu {
 	blocks := uint16(len(ext) / i.BlockSize())
 	if write {
 		return i.nextPDU(lun, scsi.Write10(uint32(lba), blocks), ext, 0)
@@ -274,7 +274,7 @@ func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) PDU {
 // wraps simnet.ErrTransportBroken. RESERVATION CONFLICT is the sentinel
 // shared-LUN callers poll on; any other status is a hard error carrying
 // the target's sense text.
-func status(req, resp *PDU, ok bool) error {
+func status(req, resp *pdu, ok bool) error {
 	switch {
 	case !ok:
 		return fmt.Errorf("iscsi: %s lost: %w", describe(req), simnet.ErrTransportBroken)
@@ -287,7 +287,7 @@ func status(req, resp *PDU, ok bool) error {
 }
 
 // describe names a command PDU for an error message.
-func describe(req *PDU) string {
+func describe(req *pdu) string {
 	cdb, _ := scsi.DecodeCDB(req.CDB)
 	return fmt.Sprintf("%s lun=%d lba=%d", opName(cdb.Op), req.LUN, cdb.LBA)
 }
@@ -296,7 +296,7 @@ func describe(req *PDU) string {
 // connection when leading is set: login-time discovery) and returns its
 // completion time and Data-In payload. The payload is the target's
 // buffer: valid until the next command.
-func (i *Initiator) run(at time.Duration, req PDU, leading bool) (time.Duration, []byte, error) {
+func (i *Initiator) run(at time.Duration, req pdu, leading bool) (time.Duration, []byte, error) {
 	done, resp, ok := i.wire.command(at, req, leading)
 	if err := status(&req, &resp, ok); err != nil {
 		return done, nil, err
@@ -362,8 +362,8 @@ func (i *Initiator) transfer(start time.Duration, lba int64, buf []byte, write b
 	return i.wire.transfer(start, lba, buf, unit*bs, write)
 }
 
-// Flush implements blockdev.Device via SYNCHRONIZE CACHE(10).
-func (i *Initiator) Flush(start time.Duration) (time.Duration, error) {
+// flush is a write barrier: SYNCHRONIZE CACHE(10).
+func (i *Initiator) flush(start time.Duration) (time.Duration, error) {
 	if !i.loggedIn {
 		return start, errNotLoggedIn
 	}

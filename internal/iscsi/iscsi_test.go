@@ -23,7 +23,7 @@ func TestWireSize(t *testing.T) {
 	for _, c := range []struct{ data, want int }{
 		{0, 48}, {1, 52}, {3, 52}, {4, 52}, {5, 56}, {8192, 48 + 8192},
 	} {
-		if got := (&PDU{Data: make([]byte, c.data)}).WireSize(); got != c.want {
+		if got := (&pdu{Data: make([]byte, c.data)}).wireSize(); got != c.want {
 			t.Errorf("WireSize with %d data bytes = %d, want %d", c.data, got, c.want)
 		}
 	}
@@ -85,7 +85,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		if done <= at {
 			t.Fatal("virtual time did not advance")
 		}
-		if _, err := ini.Flush(done); err != nil {
+		if _, err := ini.flush(done); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
 	})
@@ -115,7 +115,7 @@ func TestWriteBeforeLoginFails(t *testing.T) {
 			blk := make([]byte, 4096)
 			_, rerr := ini.ReadBlocks(0, 0, blk)
 			_, werr := ini.WriteBlocks(0, 0, blk)
-			_, ferr := ini.Flush(0)
+			_, ferr := ini.flush(0)
 			_, _, verr := ini.Reserve(0, scsi.TypeWriteExclusive)
 			_, lerr := ini.Release(0)
 			for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr, "reserve": verr, "release": lerr} {
@@ -136,7 +136,7 @@ func TestInjectedCommandFailure(t *testing.T) {
 		blk := make([]byte, 4096)
 		_, rerr := ini.ReadBlocks(at, 0, blk)
 		_, werr := ini.WriteBlocks(at, 0, blk)
-		_, ferr := ini.Flush(at)
+		_, ferr := ini.flush(at)
 		_, lerr := ini.Login(at)
 		for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr, "discovery": lerr} {
 			// A CHECK CONDITION is a hard error, never a collapse.
@@ -157,7 +157,7 @@ func TestTargetCrashRejectsUntilRestartAndRelogin(t *testing.T) {
 			t.Fatal("rig not logged in")
 		}
 		target.Crash()
-		if !target.Down() || target.LoggedIn() {
+		if !target.down || target.LoggedIn() {
 			t.Fatal("crash left target serving or logged in")
 		}
 		// Commands and logins both bounce while the machine is down.
@@ -169,12 +169,12 @@ func TestTargetCrashRejectsUntilRestartAndRelogin(t *testing.T) {
 		}
 
 		target.Restart()
-		if target.Down() {
+		if target.down {
 			t.Fatal("restart left target down")
 		}
 		// Session state died with the target: commands need a fresh login.
-		req := &PDU{Opcode: opSCSICommand, Flags: flagFinal, ITT: 1, CDB: scsi.CDB{Op: scsi.OpTestUnitReady}.Encode()}
-		if resp, _ := target.HandleCommand(2*time.Second, req); resp.Status == scsi.StatusGood {
+		req := &pdu{Opcode: opSCSICommand, Flags: flagFinal, ITT: 1, CDB: scsi.CDB{Op: scsi.OpTestUnitReady}.Encode()}
+		if resp, _ := target.handleCommand(2*time.Second, req); resp.Status == scsi.StatusGood {
 			t.Fatal("command accepted before re-login")
 		}
 		done, err := ini.Login(3 * time.Second)
@@ -267,7 +267,7 @@ func TestLostFlushIsTransportBroken(t *testing.T) {
 		blk := make([]byte, 4096)
 		_, rerr := ini.ReadBlocks(at, 0, blk)
 		_, werr := ini.WriteBlocks(at, 0, blk)
-		_, ferr := ini.Flush(at)
+		_, ferr := ini.flush(at)
 		for op, err := range map[string]error{"read": rerr, "write": werr, "flush": ferr} {
 			if !errors.Is(err, simnet.ErrTransportBroken) {
 				t.Errorf("%s with every frame lost: %v, want simnet.ErrTransportBroken", op, err)
@@ -293,7 +293,7 @@ func TestOneCommandPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	once := map[string]int{"Login": 0, "ReadBlocks": 0, "WriteBlocks": 0, "Flush": 0, "BlockSize": 0, "NumBlocks": 0,
+	once := map[string]int{"Login": 0, "ReadBlocks": 0, "WriteBlocks": 0, "flush": 0, "BlockSize": 0, "NumBlocks": 0,
 		"Reserve": 0, "Release": 0, "SharedRead": 0, "SharedWrite": 0}
 	for _, f := range pkgs["iscsi"].Files {
 		for _, d := range f.Decls {

@@ -43,8 +43,8 @@ const (
 
 // PDU is an iSCSI protocol data unit as the simulator passes it: the header
 // fields the initiator and target read, and the data segment. It is never
-// encoded; WireSize charges its exact RFC 3720 size.
-type PDU struct {
+// encoded; wireSize charges its exact RFC 3720 size.
+type pdu struct {
 	Opcode      byte
 	Flags       byte
 	Status      byte // SCSI status
@@ -63,5 +63,5 @@ type PDU struct {
 // pad4 returns n rounded up to a multiple of 4 (data segments are padded).
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// WireSize returns the encoded size of the PDU including data padding.
-func (p *PDU) WireSize() int { return bhsSize + pad4(len(p.Data)) }
+// wireSize returns the encoded size of the PDU including data padding.
+func (p *pdu) wireSize() int { return bhsSize + pad4(len(p.Data)) }

@@ -49,7 +49,7 @@ type Target struct {
 	// FailCommands injects CHECK CONDITION on every command when set.
 	FailCommands bool
 
-	dataIn []byte // READ(10) payload buffer, reused (see HandleCommand)
+	dataIn []byte // READ(10) payload buffer, reused (see handleCommand)
 }
 
 // sharedLUN is the LUN number the shared contention volume is exported
@@ -90,9 +90,6 @@ func (t *Target) Crash() {
 // Restart brings a crashed target back into service (sessions stay gone).
 func (t *Target) Restart() { t.down = false }
 
-// Down reports whether the target is crashed.
-func (t *Target) Down() bool { return t.down }
-
 // LoggedIn reports whether an initiator currently holds a session (fault
 // recovery uses it to detect logins a target crash invalidated).
 func (t *Target) LoggedIn() bool { return t.loggedIn }
@@ -106,23 +103,23 @@ func (t *Target) charge(at time.Duration, d time.Duration) time.Duration {
 }
 
 // handle serves one initiator PDU: a login request or a SCSI command.
-func (t *Target) handle(at time.Duration, req *PDU) (PDU, time.Duration) {
+func (t *Target) handle(at time.Duration, req *pdu) (pdu, time.Duration) {
 	if req.Opcode == opLoginRequest {
-		return t.HandleLogin(at, req)
+		return t.handleLogin(at, req)
 	}
-	return t.HandleCommand(at, req)
+	return t.handleCommand(at, req)
 }
 
-// HandleLogin processes a login request PDU and returns the response (a
+// handleLogin processes a login request PDU and returns the response (a
 // CHECK CONDITION reject while the target is crashed).
-func (t *Target) HandleLogin(at time.Duration, req *PDU) (PDU, time.Duration) {
+func (t *Target) handleLogin(at time.Duration, req *pdu) (pdu, time.Duration) {
 	if t.down {
 		return t.check(req, "target: down"), at
 	}
 	done := t.charge(at, t.cost.PerCommand)
 	t.loggedIn = true
 	t.statSN++
-	resp := PDU{
+	resp := pdu{
 		Opcode: opLoginResp,
 		Flags:  flagFinal,
 		ITT:    req.ITT,
@@ -132,12 +129,12 @@ func (t *Target) HandleLogin(at time.Duration, req *PDU) (PDU, time.Duration) {
 	return resp, done
 }
 
-// HandleCommand executes one SCSI command PDU and returns the response PDU
+// handleCommand executes one SCSI command PDU and returns the response PDU
 // (with inline Data-In payload for reads) and the service completion time.
 // The response is a value, so a command costs the target no heap object.
 // A READ(10) payload is the target's one Data-In buffer: it is valid until
-// the next HandleCommand, so initiators copy it out before issuing another.
-func (t *Target) HandleCommand(at time.Duration, req *PDU) (PDU, time.Duration) {
+// the next handleCommand, so initiators copy it out before issuing another.
+func (t *Target) handleCommand(at time.Duration, req *pdu) (pdu, time.Duration) {
 	if t.down {
 		return t.check(req, "target: down"), at
 	}
@@ -162,7 +159,7 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (PDU, time.Duration) 
 	bs := dev.BlockSize()
 	done := t.charge(at, t.cost.PerCommand)
 
-	resp := PDU{Opcode: opSCSIResponse, Flags: flagFinal, ITT: req.ITT, Status: scsi.StatusGood}
+	resp := pdu{Opcode: opSCSIResponse, Flags: flagFinal, ITT: req.ITT, Status: scsi.StatusGood}
 	switch cdb.Op {
 	case scsi.OpTestUnitReady:
 		// nothing to do
@@ -252,9 +249,9 @@ func (t *Target) HandleCommand(at time.Duration, req *PDU) (PDU, time.Duration) 
 // conflict builds a RESERVATION CONFLICT response: the command was
 // legal but another initiator's persistent reservation excludes it. The
 // status sequence advances — the command was serviced, just refused.
-func (t *Target) conflict(req *PDU, done time.Duration) (PDU, time.Duration) {
+func (t *Target) conflict(req *pdu, done time.Duration) (pdu, time.Duration) {
 	t.statSN++
-	return PDU{
+	return pdu{
 		Opcode:   opSCSIResponse,
 		Flags:    flagFinal,
 		ITT:      req.ITT,
@@ -266,8 +263,8 @@ func (t *Target) conflict(req *PDU, done time.Duration) (PDU, time.Duration) {
 }
 
 // check builds a CHECK CONDITION response carrying sense text.
-func (t *Target) check(req *PDU, msg string) PDU {
-	return PDU{
+func (t *Target) check(req *pdu, msg string) pdu {
+	return pdu{
 		Opcode: opSCSIResponse,
 		Flags:  flagFinal,
 		ITT:    req.ITT,

@@ -19,7 +19,7 @@ const lunBlocks = 16
 func loggedIn(t *testing.T, dev *blockdev.Local, cpu *sim.CPU) (*Target, time.Duration) {
 	t.Helper()
 	target := NewTarget("iqn.test:vol", dev, cpu)
-	resp, at := target.HandleLogin(0, &PDU{Opcode: opLoginRequest, ITT: 1})
+	resp, at := target.handleLogin(0, &pdu{Opcode: opLoginRequest, ITT: 1})
 	if resp.Opcode != opLoginResp {
 		t.Fatalf("login refused: %q", resp.Data)
 	}
@@ -35,8 +35,8 @@ func TestReadPastTheEndSizesNoBuffer(t *testing.T) {
 		dev := blockdev.NewTestbedArray(lunBlocks)
 		dev.FailReads = failReads
 		target, at := loggedIn(t, dev, sim.NewCPU(1))
-		req := &PDU{Opcode: opSCSICommand, Flags: flagFinal | flagRead, ITT: 2, CDB: scsi.Read10(lba, blocks).Encode()}
-		resp, done := target.HandleCommand(at, req)
+		req := &pdu{Opcode: opSCSICommand, Flags: flagFinal | flagRead, ITT: 2, CDB: scsi.Read10(lba, blocks).Encode()}
+		resp, done := target.handleCommand(at, req)
 
 		n := blocks * dev.BlockSize()
 		_, want := dev.ReadBlocks(0, lba, make([]byte, n))
@@ -97,10 +97,10 @@ func FuzzTargetCommand(f *testing.F) {
 			rsv.Reserve(1, rtype)
 		}
 
-		req := &PDU{Opcode: opSCSICommand, Flags: flagFinal, ITT: 2, LUN: lun,
+		req := &pdu{Opcode: opSCSICommand, Flags: flagFinal, ITT: 2, LUN: lun,
 			Data: bytes.Repeat([]byte{0xEE}, int(payload%(3*lunBlocks*4096)))}
 		copy(req.CDB[:], cdb)
-		resp, _ := target.HandleCommand(at, req)
+		resp, _ := target.handleCommand(at, req)
 		switch resp.Status {
 		case scsi.StatusGood, scsi.StatusCheckCondition, scsi.StatusReservationConflict:
 		default:

@@ -20,13 +20,13 @@ import (
 type wire interface {
 	// login brings the transport up and carries the login request,
 	// which the wire may extend with its own negotiation keys.
-	login(at time.Duration, req PDU) (done time.Duration, resp PDU, err error)
+	login(at time.Duration, req pdu) (done time.Duration, resp pdu, err error)
 	// command carries one command PDU and waits for its response,
 	// charging the client CPU and tracing as this wire does. leading
 	// pins it to the connection that carried the login instead of taking
 	// the next one in rotation. ok=false means the frames were lost for
 	// good; resp is then meaningless.
-	command(at time.Duration, req PDU, leading bool) (done time.Duration, resp PDU, ok bool)
+	command(at time.Duration, req pdu, leading bool) (done time.Duration, resp pdu, ok bool)
 	// transfer moves buf to or from lba in commands of unit bytes (the
 	// last may be shorter) and returns when the last one completes.
 	transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error)
@@ -63,10 +63,10 @@ func (w *fluidWire) counters(m map[string]int64) { m["retries"] = w.retries }
 // recovery timeout (as TCP retransmission would recover it on a real
 // initiator); responses are never retried, whatever their status. ok is
 // false when the retries are exhausted.
-func (w *fluidWire) roundTrip(at time.Duration, req *PDU, respBytes int) (done time.Duration, resp PDU, ok bool, retries int64) {
+func (w *fluidWire) roundTrip(at time.Duration, req *pdu, respBytes int) (done time.Duration, resp pdu, ok bool, retries int64) {
 	rto := recoveryRTO
 	for ; ; retries++ {
-		done, ok := w.i.net.RoundTrip(at, req.WireSize(), respBytes, func(arrive time.Duration) time.Duration {
+		done, ok := w.i.net.RoundTrip(at, req.wireSize(), respBytes, func(arrive time.Duration) time.Duration {
 			var t time.Duration
 			resp, t = w.i.target.handle(arrive, req)
 			return t
@@ -79,7 +79,7 @@ func (w *fluidWire) roundTrip(at time.Duration, req *PDU, respBytes int) (done t
 	}
 }
 
-func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, PDU, error) {
+func (w *fluidWire) login(at time.Duration, req pdu) (time.Duration, pdu, error) {
 	done, resp, ok, _ := w.roundTrip(at, &req, 128)
 	if !ok {
 		return done, resp, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
@@ -91,7 +91,7 @@ func (w *fluidWire) login(at time.Duration, req PDU) (time.Duration, PDU, error)
 // Data-In handling when the response has arrived; one span covers the
 // exchange, recovery timeouts included. The response frame is sized from
 // the expected transfer length.
-func (w *fluidWire) command(at time.Duration, req PDU, _ bool) (time.Duration, PDU, bool) {
+func (w *fluidWire) command(at time.Duration, req pdu, _ bool) (time.Duration, pdu, bool) {
 	i, expectIn := w.i, int(req.ExpectedLen)
 	at = i.issue(at, len(req.Data))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
@@ -146,31 +146,31 @@ func (w *tcpWire) leg(c *tcpsim.Conn, at time.Duration, name string, size int, d
 
 // login connects every connection and performs the login exchange on the
 // leading one, announcing the connection count.
-func (w *tcpWire) login(at time.Duration, req PDU) (time.Duration, PDU, error) {
+func (w *tcpWire) login(at time.Duration, req pdu) (time.Duration, pdu, error) {
 	ready := at
 	for n, c := range w.lanes {
 		done, err := c.Connect(at)
 		if err != nil {
-			return done, PDU{}, fmt.Errorf("iscsi: session conn %d: %w", n, err)
+			return done, pdu{}, fmt.Errorf("iscsi: session conn %d: %w", n, err)
 		}
 		ready = max(ready, done)
 	}
 	req.Data = append(req.Data, fmt.Sprintf("MaxConnections=%d\x00", len(w.lanes))...)
 	w.i.net.CountMessage()
-	done, ok := w.lanes[0].Transfer(ready, req.WireSize(), simnet.ClientToServer)
+	done, ok := w.lanes[0].Transfer(ready, req.wireSize(), simnet.ClientToServer)
 	if ok {
 		resp, svcDone := w.i.target.handle(done, &req)
 		if done, ok = w.lanes[0].Transfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient); ok {
 			return done, resp, nil
 		}
 	}
-	return done, PDU{}, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
+	return done, pdu{}, fmt.Errorf("iscsi: login lost: %w", simnet.ErrTransportBroken)
 }
 
 // command performs one synchronous command on one connection: request PDU
 // up, target service, response (with inline Data-In) down. Used where
 // there is nothing to overlap.
-func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duration, PDU, bool) {
+func (w *tcpWire) command(at time.Duration, req pdu, leading bool) (time.Duration, pdu, bool) {
 	i, c := w.i, w.lanes[0]
 	if !leading {
 		c = w.lanes[w.rr]
@@ -179,8 +179,8 @@ func (w *tcpWire) command(at time.Duration, req PDU, leading bool) (time.Duratio
 	at = i.issue(at, len(req.Data)+int(req.ExpectedLen))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	i.net.CountMessage()
-	done, ok := w.leg(c, at, "request", req.WireSize(), simnet.ClientToServer)
-	var resp PDU
+	done, ok := w.leg(c, at, "request", req.wireSize(), simnet.ClientToServer)
+	var resp pdu
 	if ok {
 		resp, done = i.target.handle(done, &req)
 		done, ok = w.leg(c, done, "response", bhsSize+pad4(len(resp.Data)), simnet.ServerToClient)
@@ -222,8 +222,8 @@ type pipe struct {
 
 	off, unit, stride int             // the next command's extent in buf, and the distance to the one after
 	at                time.Duration   // when the next command may issue: the previous one's completion
-	req               PDU             // the command in flight
-	resp              PDU             // its response
+	req               pdu             // the command in flight
+	resp              pdu             // its response
 	cspan             tracing.SpanRef // its detached iscsi span
 	tspan             tracing.SpanRef // its data phase's detached tcp span
 	xfer              tcpsim.Transfer // its data phase, while busy
@@ -267,7 +267,7 @@ func runPipes(pipes []pipe) (time.Duration, error) {
 
 // settled closes the command in flight at 'at' if the wire lost it or
 // the target refused it, and reports whether it may go on.
-func (p *pipe) settled(at time.Duration, resp *PDU, ok bool) bool {
+func (p *pipe) settled(at time.Duration, resp *pdu, ok bool) bool {
 	if p.err = status(&p.req, resp, ok); p.err != nil {
 		p.w.i.tracer.EndDetached(p.cspan, at)
 	}
@@ -289,10 +289,10 @@ func (p *pipe) step() {
 		i.net.CountMessage()
 		if p.write {
 			p.tspan = tr.BeginDetached(at, tracing.LayerTCP, "data-out")
-			p.xfer, p.busy = p.conn.StartTransfer(at, p.req.WireSize(), simnet.ClientToServer), true
+			p.xfer, p.busy = p.conn.StartTransfer(at, p.req.wireSize(), simnet.ClientToServer), true
 			return
 		}
-		arrive, ok := w.leg(p.conn, at, "request", p.req.WireSize(), simnet.ClientToServer)
+		arrive, ok := w.leg(p.conn, at, "request", p.req.wireSize(), simnet.ClientToServer)
 		if !ok {
 			p.settled(arrive, nil, false)
 			return

@@ -321,8 +321,8 @@ func (s *Scanner) Int() int64 {
 	return v
 }
 
-// Float reads a number that fits in a float64.
-func (s *Scanner) Float() float64 {
+// float reads a number that fits in a float64.
+func (s *Scanner) float() float64 {
 	lit, _ := s.number()
 	if s.err != nil {
 		return 0

@@ -159,7 +159,7 @@ func FuzzCodecMatchesEncodingJSON(f *testing.F) {
 			{T: ts, Subsys: s1, Kind: KindMark, Tags: Tags{s2: s1}},
 		}
 		for _, e := range events {
-			if e.Validate() != nil {
+			if e.validate() != nil {
 				continue
 			}
 			got, err := e.Encode()

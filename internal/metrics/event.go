@@ -87,8 +87,8 @@ type Event struct {
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
-// Validate checks the event against the documented schema.
-func (e Event) Validate() error {
+// validate checks the event against the documented schema.
+func (e Event) validate() error {
 	if e.T < 0 {
 		return fmt.Errorf("metrics: negative timestamp %d", e.T)
 	}
@@ -143,7 +143,7 @@ func (e Event) Encode() ([]byte, error) { return e.appendTo(nil) }
 
 // appendTo validates e and appends its canonical line to b.
 func (e Event) appendTo(b []byte) ([]byte, error) {
-	if err := e.Validate(); err != nil {
+	if err := e.validate(); err != nil {
 		return b, err
 	}
 	b = append(b, `{"t":`...)
@@ -199,7 +199,7 @@ func (s *Scanner) event(line []byte) (Event, error) {
 			e.Counters = scanMap(s, (*Scanner).Int)
 		case "values":
 			s.Seen(&seen, 1<<5)
-			e.Values = scanMap(s, (*Scanner).Float)
+			e.Values = scanMap(s, (*Scanner).float)
 		default:
 			s.Unknown()
 		}
@@ -208,7 +208,7 @@ func (s *Scanner) event(line []byte) (Event, error) {
 	if err := s.Finish(); err != nil {
 		return Event{}, fmt.Errorf("metrics: bad event line: %w", err)
 	}
-	if err := e.Validate(); err != nil {
+	if err := e.validate(); err != nil {
 		return Event{}, err
 	}
 	return e, nil

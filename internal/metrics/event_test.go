@@ -29,7 +29,7 @@ func TestEventRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewSink(&buf)
 	for _, e := range events {
-		sink.Emit(e)
+		sink.emit(e)
 	}
 	if err := sink.Err(); err != nil {
 		t.Fatalf("write: %v", err)
@@ -74,15 +74,15 @@ func TestEventValidation(t *testing.T) {
 	for _, tc := range cases {
 		e := validEvent()
 		tc.mut(&e)
-		if err := e.Validate(); err == nil {
+		if err := e.validate(); err == nil {
 			t.Errorf("%s: validation passed, want error", tc.name)
 		}
 	}
 	if err := (Event{T: 1, Subsys: SubsysRun, Kind: KindMark,
-		Counters: map[string]int64{"x": 1}}).Validate(); err == nil {
+		Counters: map[string]int64{"x": 1}}).validate(); err == nil {
 		t.Error("mark with payload: validation passed, want error")
 	}
-	if err := (Event{T: 1, Subsys: SubsysRun, Kind: KindPoint}).Validate(); err == nil {
+	if err := (Event{T: 1, Subsys: SubsysRun, Kind: KindPoint}).validate(); err == nil {
 		t.Error("point without values: validation passed, want error")
 	}
 }
@@ -150,8 +150,8 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	rec.Mark(0, nil)
 	rec.Point(0, SubsysRun, nil, map[string]float64{"v": 1})
 	var sink *Sink
-	sink.Emit(validEvent())
-	if sink.Count() != 0 || sink.Err() != nil {
+	sink.emit(validEvent())
+	if sink.Err() != nil {
 		t.Fatal("nil sink not inert")
 	}
 	if NewRecorder(nil, nil) != nil {

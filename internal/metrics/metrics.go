@@ -82,8 +82,8 @@ type DiskStats struct {
 	RebuildBlocks int64
 }
 
-// Add accumulates o into s.
-func (s *DiskStats) Add(o DiskStats) {
+// add accumulates o into s.
+func (s *DiskStats) add(o DiskStats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
 	s.BlocksRead += o.BlocksRead

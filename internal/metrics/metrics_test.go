@@ -47,7 +47,7 @@ func TestDiskStats(t *testing.T) {
 		t.Fatalf("sub: %+v", d)
 	}
 	var acc DiskStats
-	acc.Add(a)
+	acc.add(a)
 	if acc != a {
 		t.Fatalf("add: %+v", acc)
 	}

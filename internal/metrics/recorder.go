@@ -14,11 +14,10 @@ import (
 // ordered stream. A nil *Sink (and the nil *Recorder it yields) is a
 // valid no-op: un-instrumented runs pay one pointer test per call site.
 type Sink struct {
-	mu    sync.Mutex
-	w     io.Writer
-	count int64
-	err   error
-	line  []byte // reused encode buffer
+	mu   sync.Mutex
+	w    io.Writer
+	err  error
+	line []byte // reused encode buffer
 }
 
 // NewSink wraps w. Pass nil to get a no-op sink.
@@ -53,9 +52,9 @@ func OpenFileSink(path string) (*Sink, func() error, error) {
 	return NewSink(bw), closeFn, nil
 }
 
-// Emit validates and writes one event. The first write error sticks and
+// emit validates and writes one event. The first write error sticks and
 // suppresses further output.
-func (s *Sink) Emit(e Event) {
+func (s *Sink) emit(e Event) {
 	if s == nil {
 		return
 	}
@@ -71,19 +70,7 @@ func (s *Sink) Emit(e Event) {
 	}
 	if err != nil {
 		s.err = err
-		return
 	}
-	s.count++
-}
-
-// Count reports how many events have been written.
-func (s *Sink) Count() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
 }
 
 // Err reports the first write or validation error, if any.
@@ -140,7 +127,7 @@ func (r *Recorder) Emit(t time.Duration, subsys, kind string, extra Tags,
 	if r == nil {
 		return
 	}
-	r.sink.Emit(Event{
+	r.sink.emit(Event{
 		T:        int64(t),
 		Subsys:   subsys,
 		Kind:     kind,

@@ -33,8 +33,8 @@ type Group struct {
 	Values map[string][]float64
 }
 
-// Key renders the group identity ("net stack=iscsi transport=tcp").
-func (g Group) Key() string {
+// key renders the group identity ("net stack=iscsi transport=tcp").
+func (g Group) key() string {
 	parts := []string{g.Subsys}
 	for _, k := range sortedKeys(g.Tags) {
 		parts = append(parts, k+"="+g.Tags[k])
@@ -54,7 +54,7 @@ type Summary struct {
 // counters are summed, point values collected, and the active virtual
 // window recorded. Mark events count toward Events and the window only.
 func Summarize(events []Event, by []string) *Summary {
-	// Group keys are built in sorted-tag order (matching Group.Key) once
+	// Group keys are built in sorted-tag order (matching Group.key) once
 	// per event, without materializing a Group per lookup.
 	keys := append([]string(nil), by...)
 	sort.Strings(keys)
@@ -158,7 +158,7 @@ func Percentile[T ~int64 | ~float64](sorted []T, p float64) T {
 func (s *Summary) Render(w io.Writer) {
 	for _, g := range s.Groups {
 		window := time.Duration(g.LastT - g.FirstT)
-		fmt.Fprintf(w, "%s  (%d events, window %s)\n", g.Key(), g.Events, window)
+		fmt.Fprintf(w, "%s  (%d events, window %s)\n", g.key(), g.Events, window)
 		for _, k := range sortedKeys(g.Counters) {
 			total := g.Counters[k]
 			if window > 0 {
@@ -202,9 +202,9 @@ func (s *Summary) Render(w io.Writer) {
 type Window struct {
 	// Start is the bucket's start in virtual ns.
 	Start int64
-	// Groups maps Group.Key -> counter sums within the bucket.
+	// Groups maps Group.key -> counter sums within the bucket.
 	Groups map[string]map[string]int64
-	// Gauges maps Group.Key -> per-gauge level statistics within the
+	// Gauges maps Group.key -> per-gauge level statistics within the
 	// bucket. Gauges are instantaneous levels, so they aggregate as
 	// min/mean/max — never as rate-convertible sums.
 	Gauges map[string]map[string]GaugeStat
@@ -220,8 +220,8 @@ type GaugeStat struct {
 	N   int
 }
 
-// Mean is the average scraped level (0 for an empty stat).
-func (g GaugeStat) Mean() float64 {
+// mean is the average scraped level (0 for an empty stat).
+func (g GaugeStat) mean() float64 {
 	if g.N == 0 {
 		return 0
 	}
@@ -328,7 +328,7 @@ func RenderWindows(w io.Writer, windows []Window, width time.Duration) {
 			parts := make([]string, 0, len(stats))
 			for _, k := range sortedKeys(stats) {
 				s := stats[k]
-				parts = append(parts, fmt.Sprintf("%s=%.4g/%.4g/%.4g", k, s.Min, s.Mean(), s.Max))
+				parts = append(parts, fmt.Sprintf("%s=%.4g/%.4g/%.4g", k, s.Min, s.mean(), s.Max))
 			}
 			fmt.Fprintf(w, "  %-40s %s\n", key, strings.Join(parts, " "))
 		}

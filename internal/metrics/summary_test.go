@@ -112,10 +112,10 @@ func TestGaugeWindowsFold(t *testing.T) {
 	if util.N != 5 || util.Min != 0.2 || util.Max != 1 {
 		t.Fatalf("util stat = %+v, want n=5 min=0.2 max=1", util)
 	}
-	if got, want := util.Mean(), (0.2+0.4+0.9+1+0.5)/5; got != want {
+	if got, want := util.mean(), (0.2+0.4+0.9+1+0.5)/5; got != want {
 		t.Fatalf("util mean = %g, want %g", got, want)
 	}
-	if (GaugeStat{}).Mean() != 0 {
+	if (GaugeStat{}).mean() != 0 {
 		t.Fatal("empty GaugeStat mean not 0")
 	}
 	// Gauge levels must never leak into the counter groups (where a

@@ -19,7 +19,7 @@ func TestLinkBackgroundResidualRate(t *testing.T) {
 	if err := l.SetBackground(1<<19, 0); err != nil {
 		t.Fatal(err)
 	}
-	up, down := l.Background()
+	up, down := l.background()
 	if up != 1<<19 || down != 0 {
 		t.Fatalf("Background() = %d/%d", up, down)
 	}

@@ -155,14 +155,6 @@ func (s Stats) Drops() int64 { return s.Up.QueueDrops + s.Down.QueueDrops }
 // HOLWait sums head-of-line wait over both directions.
 func (s Stats) HOLWait() time.Duration { return s.Up.HOLWait + s.Down.HOLWait }
 
-// MaxDepthBytes is the deeper direction's high-water backlog.
-func (s Stats) MaxDepthBytes() int64 {
-	if s.Up.MaxDepthBytes > s.Down.MaxDepthBytes {
-		return s.Up.MaxDepthBytes
-	}
-	return s.Down.MaxDepthBytes
-}
-
 // pend is one frame accepted onto the wire but not yet departed.
 type pend struct {
 	depart time.Duration
@@ -202,11 +194,6 @@ func (l *Link) SetOutage(from, until time.Duration) {
 	l.outageFrom, l.outageUntil = from, until
 }
 
-// Outage reports the scheduled partition window.
-func (l *Link) Outage() (from, until time.Duration) {
-	return l.outageFrom, l.outageUntil
-}
-
 // SetBackground declares closed-form fluid background load on the pipe:
 // up and down are the aggregate bytes/sec of clients that are not
 // mechanistically simulated (internal/fleet cohorts). Mechanistic frames
@@ -226,8 +213,8 @@ func (l *Link) SetBackground(up, down int64) error {
 	return nil
 }
 
-// Background reports the fluid background load in bytes/sec per direction.
-func (l *Link) Background() (up, down int64) { return l.bg[Up], l.bg[Down] }
+// background reports the fluid background load in bytes/sec per direction.
+func (l *Link) background() (up, down int64) { return l.bg[Up], l.bg[Down] }
 
 // New builds a link with the given configuration.
 func New(cfg Config) *Link {
@@ -295,9 +282,6 @@ func (l *Link) Endpoint(cfg EndpointConfig) *Endpoint {
 	}
 	return &Endpoint{l: l, id: id, cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
 }
-
-// ID reports the endpoint's attachment index.
-func (e *Endpoint) ID() int { return e.id }
 
 // serialization returns the frame's wire occupancy in direction d at the
 // residual rate left by any fluid background load.
@@ -438,9 +422,9 @@ func (e *Endpoint) SendControl(now time.Duration, size int, d Direction) (sent, 
 	return depart, depart + e.cfg.Delay
 }
 
-// Backlog reports the direction's standing queue in bytes at time now
+// backlog reports the direction's standing queue in bytes at time now
 // (an instantaneous gauge; the high-water mark is in Stats).
-func (l *Link) Backlog(now time.Duration, d Direction) int64 {
+func (l *Link) backlog(now time.Duration, d Direction) int64 {
 	return l.lanes[d].prune(now)
 }
 
@@ -449,7 +433,7 @@ func (l *Link) Backlog(now time.Duration, d Direction) int64 {
 // time now. Cumulative HOL wait and drop totals live in Counters.
 func (l *Link) Gauges(now time.Duration) map[string]float64 {
 	return map[string]float64{
-		"up_depth_bytes":   float64(l.Backlog(now, Up)),
-		"down_depth_bytes": float64(l.Backlog(now, Down)),
+		"up_depth_bytes":   float64(l.backlog(now, Up)),
+		"down_depth_bytes": float64(l.backlog(now, Down)),
 	}
 }

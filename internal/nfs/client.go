@@ -130,9 +130,6 @@ func NewClient(ver Version, rpcc *sunrpc.Client, srv *Server, cpu *sim.CPU) *Cli
 	return c
 }
 
-// Version reports the protocol generation.
-func (c *Client) Version() Version { return c.ver }
-
 // SetTracer attaches a tracer: every RPC issued through the client's call
 // funnel becomes a tracing.LayerRPC span named after its procedure, with
 // transport legs and server work nested beneath it.
@@ -154,7 +151,7 @@ func (c *Client) SetPool(p *blockdev.Pool) { c.pages.mem.Pool = p }
 // FSINFO in real life; message accounting starts after mount in all
 // experiments, as the paper counts per-syscall traffic).
 func (c *Client) Mount(at time.Duration) (time.Duration, error) {
-	c.rootFH = c.srv.RootFH()
+	c.rootFH = c.srv.rootFH()
 	_, done, err := c.attrCall(at, c.rootFH, ProcGetattr)
 	if err != nil {
 		return done, err
@@ -277,9 +274,9 @@ func (c *Client) fhCall(at time.Duration, p Proc, nameLen, argPayload int,
 // ProcAccess (the server checks permission and replies with the same
 // attributes).
 func (c *Client) attrCall(at time.Duration, fh FH, p Proc) (vfs.Stat, time.Duration, error) {
-	serve := c.srv.Getattr
+	serve := c.srv.getattr
 	if p == ProcAccess {
-		serve = c.srv.Access
+		serve = c.srv.access
 	}
 	_, st, done, err := c.fhCall(at, p, 0, 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
 		st, done, err := serve(arrive, fh)
@@ -291,7 +288,7 @@ func (c *Client) attrCall(at time.Duration, fh FH, p Proc) (vfs.Stat, time.Durat
 // setattrCall sends SETATTR for fh.
 func (c *Client) setattrCall(at time.Duration, fh FH, sa ext3.SetAttr) (vfs.Stat, time.Duration, error) {
 	_, st, done, err := c.fhCall(at, ProcSetattr, 0, 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-		st, done, err := c.srv.Setattr(arrive, fh, sa)
+		st, done, err := c.srv.setattr(arrive, fh, sa)
 		return fh, st, done, err
 	})
 	return st, done, err
@@ -378,7 +375,7 @@ func (c *Client) lookupComponent(at time.Duration, dir FH, name string) (FH, tim
 		}
 	}
 	fh, _, done, err := c.fhCall(at, ProcLookup, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-		return c.srv.Lookup(arrive, dir, name)
+		return c.srv.lookup(arrive, dir, name)
 	})
 	if err == vfs.ErrNotExist {
 		c.dc[key] = dentry{negative: true, cachedAt: done}
@@ -509,7 +506,7 @@ func (c *Client) readlinkRPC(at time.Duration, fh FH) (string, time.Duration, er
 	var target string
 	done, err := c.call(at, ProcReadlink, 0, 0, 64, func(arrive time.Duration) (time.Duration, error) {
 		var e error
-		target, arrive, e = c.srv.Readlink(arrive, fh)
+		target, arrive, e = c.srv.readlink(arrive, fh)
 		return arrive, e
 	})
 	return target, done, err
@@ -572,7 +569,7 @@ func (c *Client) removeName(at time.Duration, path string, p Proc,
 // Mkdir implements vfs.FileSystem.
 func (c *Client) Mkdir(at time.Duration, path string, mode vfs.Mode) (time.Duration, error) {
 	fh, done, err := c.addName(at, path, ProcMkdir, 0, func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
-		return c.srv.Mkdir(arrive, dir, name, mode)
+		return c.srv.mkdir(arrive, dir, name, mode)
 	})
 	if err == nil && c.ver == V4 {
 		// Post-op attribute refresh (observed v4 client behaviour).
@@ -583,13 +580,13 @@ func (c *Client) Mkdir(at time.Duration, path string, mode vfs.Mode) (time.Durat
 
 // Rmdir implements vfs.FileSystem.
 func (c *Client) Rmdir(at time.Duration, path string) (time.Duration, error) {
-	return c.removeName(at, path, ProcRmdir, c.srv.Rmdir)
+	return c.removeName(at, path, ProcRmdir, c.srv.rmdir)
 }
 
 // Symlink implements vfs.FileSystem.
 func (c *Client) Symlink(at time.Duration, target, path string) (time.Duration, error) {
 	_, done, err := c.addName(at, path, ProcSymlink, len(target), func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
-		return c.srv.Symlink(arrive, dir, name, target)
+		return c.srv.symlink(arrive, dir, name, target)
 	})
 	return done, err
 }
@@ -610,7 +607,7 @@ func (c *Client) Link(at time.Duration, oldpath, newpath string) (time.Duration,
 		return done, err
 	}
 	_, done, err = c.addName(done, newpath, ProcLink, 0, func(arrive time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
-		st, done, err := c.srv.Link(arrive, target, dir, name)
+		st, done, err := c.srv.link(arrive, target, dir, name)
 		return FH{Ino: st.Ino}, st, done, err
 	})
 	if err != nil {
@@ -622,7 +619,7 @@ func (c *Client) Link(at time.Duration, oldpath, newpath string) (time.Duration,
 
 // Unlink implements vfs.FileSystem.
 func (c *Client) Unlink(at time.Duration, path string) (time.Duration, error) {
-	return c.removeName(at, path, ProcRemove, c.srv.Remove)
+	return c.removeName(at, path, ProcRemove, c.srv.remove)
 }
 
 // Rename implements vfs.FileSystem.
@@ -636,7 +633,7 @@ func (c *Client) Rename(at time.Duration, oldpath, newpath string) (time.Duratio
 		return done, err
 	}
 	done, err = c.call(done, ProcRename, len(oname)+len(nname), 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		return c.srv.Rename(arrive, odir, oname, ndir, nname)
+		return c.srv.rename(arrive, odir, oname, ndir, nname)
 	})
 	if err != nil {
 		return done, err
@@ -666,7 +663,7 @@ func (c *Client) ReadDir(at time.Duration, path string) ([]vfs.DirEntry, time.Du
 	// Known defect, kept: the reply is charged as empty (ROADMAP, "READDIR replies").
 	done, err = c.call(done, ProcReaddir, 0, 0, payload, func(arrive time.Duration) (time.Duration, error) {
 		var e error
-		ents, arrive, e = c.srv.Readdir(arrive, fh, plus)
+		ents, arrive, e = c.srv.readdir(arrive, fh, plus)
 		for _, ent := range ents {
 			payload += readdirEntrySize(c.ver, len(ent.Name))
 		}
@@ -770,15 +767,4 @@ func (c *Client) Access(at time.Duration, path string, _ int) (time.Duration, er
 // Sync implements vfs.FileSystem: flush the write-behind pool and COMMIT.
 func (c *Client) Sync(at time.Duration) (time.Duration, error) {
 	return c.wb.drain(at)
-}
-
-// Unmount implements vfs.FileSystem.
-func (c *Client) Unmount(at time.Duration) (time.Duration, error) {
-	done, err := c.wb.drain(at)
-	if err != nil {
-		return done, err
-	}
-	c.DropCaches()
-	c.mounted = false
-	return done, nil
 }

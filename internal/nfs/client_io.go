@@ -40,7 +40,7 @@ type page struct {
 // Block memory follows content (see package blockdev): a page's data is
 // either the shared read-only block of one byte repeated or one whole private
 // block from pool (nil: the heap). insert and a whole-page write make a page
-// whatever its new content is (Pool.Load, Pool.Replace); a page becomes private
+// whatever its new content is (Pool.Load, Pool.replace); a page becomes private
 // where bytes land in only part of it: WriteAt's partial pages, writeSync's
 // coherence copy and truncate's clear (Pool.Writable). Nothing else writes a
 // page's data.
@@ -423,7 +423,7 @@ func (wb *writeBehind) drain(at time.Duration) (time.Duration, error) {
 	if c.ver >= V3 && wb.dirtySinceCommit {
 		var err error
 		done, err = c.call(done, ProcCommit, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-			return c.srv.Commit(arrive, c.rootFH)
+			return c.srv.commit(arrive, c.rootFH)
 		})
 		if err != nil {
 			return done, err
@@ -462,7 +462,7 @@ func (c *Client) Create(at time.Duration, path string, mode vfs.Mode) (vfs.File,
 	} else {
 		// creat(2) truncates: the client follows CREATE with SETATTR(size=0).
 		fh, _, done, err = c.fhCall(done, ProcCreate, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-			return c.srv.Create(arrive, dir, name, mode)
+			return c.srv.create(arrive, dir, name, mode)
 		})
 		if err == nil {
 			_, done, err = c.setattrCall(done, fh, truncate)
@@ -493,12 +493,12 @@ func (c *Client) handle(fh FH) *nfsFile {
 // as of the confirmation.
 func (c *Client) open(at time.Duration, dir FH, name string, create bool, mode vfs.Mode) (FH, time.Duration, error) {
 	fh, st, done, err := c.fhCall(at, ProcOpen, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-		return c.srv.Open(arrive, dir, name, create, mode)
+		return c.srv.open(arrive, dir, name, create, mode)
 	})
 	if err != nil {
 		return FH{}, done, err
 	}
-	if done, err = c.call(done, ProcOpenConfirm, 0, 0, 0, c.srv.OpenConfirm); err != nil {
+	if done, err = c.call(done, ProcOpenConfirm, 0, 0, 0, c.srv.openConfirm); err != nil {
 		return FH{}, done, err
 	}
 	c.putAttrs(fh, st, done)
@@ -561,7 +561,7 @@ func (f *nfsFile) readRun(at time.Duration, idx int64, run int, held []*page) ([
 	var data []byte
 	done, err := c.call(at, ProcRead, 0, 0, run*pageSize, func(arrive time.Duration) (time.Duration, error) {
 		var e error
-		data, _, arrive, e = c.srv.Read(arrive, f.fh, idx*pageSize, run*pageSize)
+		data, _, arrive, e = c.srv.read(arrive, f.fh, idx*pageSize, run*pageSize)
 		return arrive, e
 	})
 	if err != nil {
@@ -826,7 +826,7 @@ func (f *nfsFile) Close(at time.Duration) (time.Duration, error) {
 		return done, err
 	}
 	if c.ver == V4 {
-		if done, err = c.call(done, ProcClose, 0, 0, 0, c.srv.Close); err != nil {
+		if done, err = c.call(done, ProcClose, 0, 0, 0, c.srv.close); err != nil {
 			return done, err
 		}
 	}

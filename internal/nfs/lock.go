@@ -101,7 +101,7 @@ func (c *Client) Lock(at time.Duration, path string, off, length int64, excl, re
 	var granted bool
 	done, err := c.call(at, ProcLock, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
 		var e error
-		granted, arrive, e = c.srv.Lock(arrive, fh, c.shareID, off, length, excl, reclaim)
+		granted, arrive, e = c.srv.lock(arrive, fh, c.shareID, off, length, excl, reclaim)
 		return arrive, e
 	})
 	c.tracer.End(span, done)
@@ -122,7 +122,7 @@ func (c *Client) Unlock(at time.Duration, path string, off, length int64) (time.
 	}
 	span := c.tracer.Begin(at, tracing.LayerLock, "unlock")
 	done, err := c.call(at, ProcUnlock, 0, 0, 0, func(arrive time.Duration) (time.Duration, error) {
-		return c.srv.Unlock(arrive, fh, c.shareID, off, length)
+		return c.srv.unlock(arrive, fh, c.shareID, off, length)
 	})
 	c.tracer.End(span, done)
 	if err != nil {
@@ -218,7 +218,7 @@ func (c *Client) delegStat(at time.Duration, path, name string) (vfs.Stat, time.
 		st, done, err = c.attrCall(at, fh, ProcGetattr)
 	} else {
 		fh, st, done, err = c.fhCall(at, ProcLookup, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-			return c.srv.Lookup(arrive, c.rootFH, name)
+			return c.srv.lookup(arrive, c.rootFH, name)
 		})
 	}
 	if err == nil {
@@ -230,7 +230,7 @@ func (c *Client) delegStat(at time.Duration, path, name string) (vfs.Stat, time.
 // delegUtimes serves utimes(2) under the delegation regime: a holder of
 // an uncontested write delegation aggregates the update locally (zero
 // messages); otherwise one message carries the update — SETATTR on a
-// cached handle, or the SetattrNamed COMPOUND when the handle is
+// cached handle, or the setattrNamed COMPOUND when the handle is
 // unknown — and the write delegation rides it.
 func (c *Client) delegUtimes(at time.Duration, path, name string, atime, mtime time.Duration) (time.Duration, error) {
 	local, recalls := c.deleg.Write(c.shareID, path)
@@ -251,7 +251,7 @@ func (c *Client) delegUtimes(at time.Duration, path, name string, atime, mtime t
 		st, done, err = c.setattrCall(at, fh, sa)
 	} else {
 		fh, st, done, err = c.fhCall(at, ProcSetattr, len(name), 0, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-			return c.srv.SetattrNamed(arrive, c.rootFH, name, sa)
+			return c.srv.setattrNamed(arrive, c.rootFH, name, sa)
 		})
 	}
 	if err == nil {

@@ -324,7 +324,7 @@ func TestServerReadHostileCounts(t *testing.T) {
 		off   int64
 		count int
 	}{{0, -1}, {0, math.MinInt}, {-1, 10}, {-4096, 4096}} {
-		if _, _, _, err := srv.Read(at, fh, bad.off, bad.count); err == nil {
+		if _, _, _, err := srv.read(at, fh, bad.off, bad.count); err == nil {
 			t.Errorf("READ off=%d count=%d accepted", bad.off, bad.count)
 		}
 	}
@@ -336,7 +336,7 @@ func TestServerReadHostileCounts(t *testing.T) {
 		want []byte
 	}{{0, payload}, {9000, payload[9000:]}, {10000, nil}, {1 << 50, nil}} {
 		for _, count := range []int{1 << 40, math.MaxInt} {
-			data, eof, _, err := srv.Read(at, fh, tc.off, count)
+			data, eof, _, err := srv.read(at, fh, tc.off, count)
 			if err != nil || !bytes.Equal(data, tc.want) || !eof {
 				t.Errorf("READ off=%d count=%d: %d bytes, eof=%v, err=%v; want %d bytes at EOF",
 					tc.off, count, len(data), eof, err, len(tc.want))
@@ -347,7 +347,7 @@ func TestServerReadHostileCounts(t *testing.T) {
 		}
 	}
 	// An ordinary short count still gets exactly what it asked for.
-	data, eof, _, err := srv.Read(at, fh, 100, 50)
+	data, eof, _, err := srv.read(at, fh, 100, 50)
 	if err != nil || !bytes.Equal(data, payload[100:150]) || eof {
 		t.Errorf("READ off=100 count=50: %q eof=%v err=%v", data, eof, err)
 	}
@@ -367,25 +367,25 @@ func TestServerReadHostileCounts(t *testing.T) {
 // every bad name costs an inode, and the bad targets and sizes succeed.
 func TestServerRefusesHostileArguments(t *testing.T) {
 	_, srv, _ := rig(t, V3)
-	root := srv.RootFH()
-	dir, _, _, err := srv.Mkdir(0, root, "d", 0o755)
+	root := srv.rootFH()
+	dir, _, _, err := srv.mkdir(0, root, "d", 0o755)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, _, _, err := srv.Create(0, root, "f", 0o644)
+	file, _, _, err := srv.create(0, root, "f", 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, _, _, err := srv.Create(0, dir, "gone", 0o644)
+	gone, _, _, err := srv.create(0, dir, "gone", 0o644)
 	if err == nil {
-		_, err = srv.Remove(0, dir, "gone")
+		_, err = srv.remove(0, dir, "gone")
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	listing := func() string {
 		t.Helper()
-		ents, _, err := srv.Readdir(0, root, false)
+		ents, _, err := srv.readdir(0, root, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,26 +413,26 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 		name := n.name
 		for what, send := range map[string]func(at time.Duration) (time.Duration, error){
 			"CREATE": func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.Create(at, root, name, 0o644)
+				_, _, d, e := srv.create(at, root, name, 0o644)
 				return d, e
 			},
 			"OPEN(create)": func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.Open(at, root, name, true, 0o644)
+				_, _, d, e := srv.open(at, root, name, true, 0o644)
 				return d, e
 			},
 			"MKDIR": func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.Mkdir(at, root, name, 0o755)
+				_, _, d, e := srv.mkdir(at, root, name, 0o755)
 				return d, e
 			},
 			"SYMLINK": func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.Symlink(at, root, name, "t")
+				_, _, d, e := srv.symlink(at, root, name, "t")
 				return d, e
 			},
-			"LINK":        func(at time.Duration) (time.Duration, error) { _, d, e := srv.Link(at, file, root, name); return d, e },
-			"REMOVE":      func(at time.Duration) (time.Duration, error) { return srv.Remove(at, root, name) },
-			"RMDIR":       func(at time.Duration) (time.Duration, error) { return srv.Rmdir(at, root, name) },
-			"RENAME from": func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, name, root, "g") },
-			"RENAME to":   func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, "f", root, name) },
+			"LINK":        func(at time.Duration) (time.Duration, error) { _, d, e := srv.link(at, file, root, name); return d, e },
+			"REMOVE":      func(at time.Duration) (time.Duration, error) { return srv.remove(at, root, name) },
+			"RMDIR":       func(at time.Duration) (time.Duration, error) { return srv.rmdir(at, root, name) },
+			"RENAME from": func(at time.Duration) (time.Duration, error) { return srv.rename(at, root, name, root, "g") },
+			"RENAME to":   func(at time.Duration) (time.Duration, error) { return srv.rename(at, root, "f", root, name) },
 		} {
 			requests = append(requests, request{fmt.Sprintf("%s %.8q", what, name), n.want, true, send})
 		}
@@ -440,14 +440,14 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 	for _, target := range []string{"", strings.Repeat("t", ext3.BlockSize+1), strings.Repeat("t", 5000)} {
 		requests = append(requests, request{fmt.Sprintf("SYMLINK to %.8q", target), vfs.ErrInvalid, true,
 			func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.Symlink(at, root, "s", target)
+				_, _, d, e := srv.symlink(at, root, "s", target)
 				return d, e
 			}})
 	}
 	for _, size := range []int64{-1, -1 << 62, 1 << 33, 1 << 62} {
 		requests = append(requests, request{fmt.Sprintf("SETATTR size %d", size), vfs.ErrInvalid, true,
 			func(at time.Duration) (time.Duration, error) {
-				_, d, e := srv.Setattr(at, file, ext3.SetAttr{Size: &size})
+				_, d, e := srv.setattr(at, file, ext3.SetAttr{Size: &size})
 				return d, e
 			}})
 	}
@@ -455,16 +455,16 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 	requests = append(requests,
 		request{"SETATTR size on a directory", vfs.ErrIsDir, false,
 			func(at time.Duration) (time.Duration, error) {
-				_, d, e := srv.Setattr(at, dir, ext3.SetAttr{Size: &zero})
+				_, d, e := srv.setattr(at, dir, ext3.SetAttr{Size: &zero})
 				return d, e
 			}},
 		request{"SETATTR by name, size on a directory", vfs.ErrIsDir, false,
 			func(at time.Duration) (time.Duration, error) {
-				_, _, d, e := srv.SetattrNamed(at, root, "d", ext3.SetAttr{Size: &zero})
+				_, _, d, e := srv.setattrNamed(at, root, "d", ext3.SetAttr{Size: &zero})
 				return d, e
 			}},
 		request{"RENAME a directory into itself", vfs.ErrInvalid, false,
-			func(at time.Duration) (time.Duration, error) { return srv.Rename(at, root, "d", dir, "inside") }},
+			func(at time.Duration) (time.Duration, error) { return srv.rename(at, root, "d", dir, "inside") }},
 		request{"WRITE to a directory", vfs.ErrInvalid, false,
 			func(at time.Duration) (time.Duration, error) {
 				_, d, e := srv.Write(at, dir, 0, []byte("not entries"), true)
@@ -494,7 +494,7 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 	if after := listing(); after != before {
 		t.Errorf("refused requests changed the export's root: %q -> %q", before, after)
 	}
-	if st, _, err := srv.Getattr(0, file); err != nil || st.Size != 0 {
+	if st, _, err := srv.getattr(0, file); err != nil || st.Size != 0 {
 		t.Errorf("file after the refused requests: size %d, %v", st.Size, err)
 	}
 }

@@ -112,11 +112,11 @@ func (s *Server) begin(at time.Duration, p Proc, payload int) (time.Duration, er
 	return s.cpu.Run(at, d), nil
 }
 
-// RootFH returns the export's root filehandle (what MOUNT would return).
-func (s *Server) RootFH() FH { return FH{Ino: uint64(ext3.RootIno)} }
+// rootFH returns the export's root filehandle (what MOUNT would return).
+func (s *Server) rootFH() FH { return FH{Ino: uint64(ext3.RootIno)} }
 
-// Getattr serves GETATTR.
-func (s *Server) Getattr(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {
+// getattr serves GETATTR.
+func (s *Server) getattr(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcGetattr, 0)
 	if err != nil {
 		return vfs.Stat{}, at, err
@@ -124,8 +124,8 @@ func (s *Server) Getattr(at time.Duration, fh FH) (vfs.Stat, time.Duration, erro
 	return s.fs.GetAttrAt(at, ext3.Ino(fh.Ino))
 }
 
-// Setattr serves SETATTR.
-func (s *Server) Setattr(at time.Duration, fh FH, sa ext3.SetAttr) (vfs.Stat, time.Duration, error) {
+// setattr serves SETATTR.
+func (s *Server) setattr(at time.Duration, fh FH, sa ext3.SetAttr) (vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcSetattr, 0)
 	if err != nil {
 		return vfs.Stat{}, at, err
@@ -135,8 +135,8 @@ func (s *Server) Setattr(at time.Duration, fh FH, sa ext3.SetAttr) (vfs.Stat, ti
 	return st, done, err
 }
 
-// Lookup serves LOOKUP.
-func (s *Server) Lookup(at time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
+// lookup serves LOOKUP.
+func (s *Server) lookup(at time.Duration, dir FH, name string) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcLookup, 0)
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err
@@ -148,8 +148,8 @@ func (s *Server) Lookup(at time.Duration, dir FH, name string) (FH, vfs.Stat, ti
 	return FH{Ino: uint64(ino)}, st, done, nil
 }
 
-// Access serves ACCESS (v3/v4): permission check at the server.
-func (s *Server) Access(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {
+// access serves ACCESS (v3/v4): permission check at the server.
+func (s *Server) access(at time.Duration, fh FH) (vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcAccess, 0)
 	if err != nil {
 		return vfs.Stat{}, at, err
@@ -157,8 +157,8 @@ func (s *Server) Access(at time.Duration, fh FH) (vfs.Stat, time.Duration, error
 	return s.fs.GetAttrAt(at, ext3.Ino(fh.Ino))
 }
 
-// Readlink serves READLINK.
-func (s *Server) Readlink(at time.Duration, fh FH) (string, time.Duration, error) {
+// readlink serves READLINK.
+func (s *Server) readlink(at time.Duration, fh FH) (string, time.Duration, error) {
 	at, err := s.begin(at, ProcReadlink, 0)
 	if err != nil {
 		return "", at, err
@@ -166,11 +166,11 @@ func (s *Server) Readlink(at time.Duration, fh FH) (string, time.Duration, error
 	return s.fs.ReadlinkAt(at, ext3.Ino(fh.Ino))
 }
 
-// Read serves READ: up to count bytes from off. The returned slice is never
+// read serves READ: up to count bytes from off. The returned slice is never
 // larger than what the file holds past off. It is the server's reply buffer,
 // valid until the next Read: callers copy what they keep before anything
 // else reaches the server. A negative offset or count is an error.
-func (s *Server) Read(at time.Duration, fh FH, off int64, count int) ([]byte, bool, time.Duration, error) {
+func (s *Server) read(at time.Duration, fh FH, off int64, count int) ([]byte, bool, time.Duration, error) {
 	if off < 0 || count < 0 {
 		return nil, false, at, vfs.ErrInvalid
 	}
@@ -218,11 +218,11 @@ func (s *Server) Write(at time.Duration, fh FH, off int64, data []byte, stable b
 	return st, done, err
 }
 
-// Commit serves COMMIT (v3/v4): flush cached writes to stable storage.
+// commit serves COMMIT (v3/v4): flush cached writes to stable storage.
 // An async export (the Linux default the paper's testbed ran) acknowledges
 // from memory — the server's own journal ticks flush in the background —
 // which is precisely the durability hole of that configuration.
-func (s *Server) Commit(at time.Duration, fh FH) (time.Duration, error) {
+func (s *Server) commit(at time.Duration, fh FH) (time.Duration, error) {
 	at, err := s.begin(at, ProcCommit, 0)
 	if err != nil {
 		return at, err
@@ -233,8 +233,8 @@ func (s *Server) Commit(at time.Duration, fh FH) (time.Duration, error) {
 	return s.fs.Sync(at)
 }
 
-// Create serves CREATE.
-func (s *Server) Create(at time.Duration, dir FH, name string, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
+// create serves CREATE.
+func (s *Server) create(at time.Duration, dir FH, name string, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcCreate, 0)
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err
@@ -246,8 +246,8 @@ func (s *Server) Create(at time.Duration, dir FH, name string, mode vfs.Mode) (F
 	return FH{Ino: uint64(ino)}, st, done, nil
 }
 
-// Mkdir serves MKDIR.
-func (s *Server) Mkdir(at time.Duration, dir FH, name string, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
+// mkdir serves MKDIR.
+func (s *Server) mkdir(at time.Duration, dir FH, name string, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcMkdir, 0)
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err
@@ -259,8 +259,8 @@ func (s *Server) Mkdir(at time.Duration, dir FH, name string, mode vfs.Mode) (FH
 	return FH{Ino: uint64(ino)}, st, done, nil
 }
 
-// Symlink serves SYMLINK.
-func (s *Server) Symlink(at time.Duration, dir FH, name, target string) (FH, vfs.Stat, time.Duration, error) {
+// symlink serves SYMLINK.
+func (s *Server) symlink(at time.Duration, dir FH, name, target string) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcSymlink, len(target))
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err
@@ -272,8 +272,8 @@ func (s *Server) Symlink(at time.Duration, dir FH, name, target string) (FH, vfs
 	return FH{Ino: uint64(ino)}, st, done, nil
 }
 
-// Remove serves REMOVE.
-func (s *Server) Remove(at time.Duration, dir FH, name string) (time.Duration, error) {
+// remove serves REMOVE.
+func (s *Server) remove(at time.Duration, dir FH, name string) (time.Duration, error) {
 	at, err := s.begin(at, ProcRemove, 0)
 	if err != nil {
 		return at, err
@@ -282,8 +282,8 @@ func (s *Server) Remove(at time.Duration, dir FH, name string) (time.Duration, e
 	return s.syncMeta(done, err)
 }
 
-// Rmdir serves RMDIR.
-func (s *Server) Rmdir(at time.Duration, dir FH, name string) (time.Duration, error) {
+// rmdir serves RMDIR.
+func (s *Server) rmdir(at time.Duration, dir FH, name string) (time.Duration, error) {
 	at, err := s.begin(at, ProcRmdir, 0)
 	if err != nil {
 		return at, err
@@ -292,8 +292,8 @@ func (s *Server) Rmdir(at time.Duration, dir FH, name string) (time.Duration, er
 	return s.syncMeta(done, err)
 }
 
-// Rename serves RENAME.
-func (s *Server) Rename(at time.Duration, odir FH, oname string, ndir FH, nname string) (time.Duration, error) {
+// rename serves RENAME.
+func (s *Server) rename(at time.Duration, odir FH, oname string, ndir FH, nname string) (time.Duration, error) {
 	at, err := s.begin(at, ProcRename, 0)
 	if err != nil {
 		return at, err
@@ -302,8 +302,8 @@ func (s *Server) Rename(at time.Duration, odir FH, oname string, ndir FH, nname 
 	return s.syncMeta(done, err)
 }
 
-// Link serves LINK.
-func (s *Server) Link(at time.Duration, target FH, dir FH, name string) (vfs.Stat, time.Duration, error) {
+// link serves LINK.
+func (s *Server) link(at time.Duration, target FH, dir FH, name string) (vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcLink, 0)
 	if err != nil {
 		return vfs.Stat{}, at, err
@@ -313,8 +313,8 @@ func (s *Server) Link(at time.Duration, target FH, dir FH, name string) (vfs.Sta
 	return st, done, err
 }
 
-// Readdir serves READDIR/READDIRPLUS.
-func (s *Server) Readdir(at time.Duration, dir FH, plus bool) ([]vfs.DirEntry, time.Duration, error) {
+// readdir serves READDIR/READDIRPLUS.
+func (s *Server) readdir(at time.Duration, dir FH, plus bool) ([]vfs.DirEntry, time.Duration, error) {
 	p := ProcReaddir
 	if plus {
 		p = ProcReaddirPlus
@@ -326,9 +326,9 @@ func (s *Server) Readdir(at time.Duration, dir FH, plus bool) ([]vfs.DirEntry, t
 	return s.fs.ReadDirAt(at, ext3.Ino(dir.Ino))
 }
 
-// Open serves the v4 OPEN operation (we model its server work as a lookup
+// open serves the v4 OPEN operation (we model its server work as a lookup
 // plus state establishment).
-func (s *Server) Open(at time.Duration, dir FH, name string, create bool, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
+func (s *Server) open(at time.Duration, dir FH, name string, create bool, mode vfs.Mode) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcOpen, 0)
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err
@@ -347,21 +347,21 @@ func (s *Server) Open(at time.Duration, dir FH, name string, create bool, mode v
 	return FH{Ino: uint64(ino)}, st, done, nil
 }
 
-// OpenConfirm serves v4 OPEN_CONFIRM.
-func (s *Server) OpenConfirm(at time.Duration) (time.Duration, error) {
+// openConfirm serves v4 OPEN_CONFIRM.
+func (s *Server) openConfirm(at time.Duration) (time.Duration, error) {
 	return s.begin(at, ProcOpenConfirm, 0)
 }
 
-// Close serves v4 CLOSE.
-func (s *Server) Close(at time.Duration) (time.Duration, error) {
+// close serves v4 CLOSE.
+func (s *Server) close(at time.Duration) (time.Duration, error) {
 	return s.begin(at, ProcClose, 0)
 }
 
-// Lock serves one LOCK request against the server's lock manager: a
+// lock serves one LOCK request against the server's lock manager: a
 // reclaim during the post-restart grace window, or a normal try-lock
 // (denied requests join the manager's FIFO queue; the client polls).
 // Returns whether the lock was granted.
-func (s *Server) Lock(at time.Duration, fh FH, owner int, off, length int64, excl, reclaim bool) (bool, time.Duration, error) {
+func (s *Server) lock(at time.Duration, fh FH, owner int, off, length int64, excl, reclaim bool) (bool, time.Duration, error) {
 	at, err := s.begin(at, ProcLock, 0)
 	if err != nil {
 		return false, at, err
@@ -375,8 +375,8 @@ func (s *Server) Lock(at time.Duration, fh FH, owner int, off, length int64, exc
 	return s.Locks.TryLock(at, owner, fh.Ino, off, length, excl), at, nil
 }
 
-// Unlock serves one UNLOCK request.
-func (s *Server) Unlock(at time.Duration, fh FH, owner int, off, length int64) (time.Duration, error) {
+// unlock serves one UNLOCK request.
+func (s *Server) unlock(at time.Duration, fh FH, owner int, off, length int64) (time.Duration, error) {
 	at, err := s.begin(at, ProcUnlock, 0)
 	if err != nil {
 		return at, err
@@ -388,12 +388,12 @@ func (s *Server) Unlock(at time.Duration, fh FH, owner int, off, length int64) (
 	return at, nil
 }
 
-// SetattrNamed is the v4 COMPOUND (PUTFH;LOOKUP;SETATTR) a delegation
+// setattrNamed is the v4 COMPOUND (PUTFH;LOOKUP;SETATTR) a delegation
 // holder sends when it must push an update for a path it has no cached
 // handle for: one message, one logical operation (counted as SETATTR,
 // consistent with how this package folds COMPOUNDs — see Proc). The
 // server resolves name under dir and applies the update in one round.
-func (s *Server) SetattrNamed(at time.Duration, dir FH, name string, sa ext3.SetAttr) (FH, vfs.Stat, time.Duration, error) {
+func (s *Server) setattrNamed(at time.Duration, dir FH, name string, sa ext3.SetAttr) (FH, vfs.Stat, time.Duration, error) {
 	at, err := s.begin(at, ProcSetattr, 0)
 	if err != nil {
 		return FH{}, vfs.Stat{}, at, err

@@ -54,9 +54,9 @@ type OpResult struct {
 // Latency is the service time: issue to completion.
 func (r OpResult) Latency() time.Duration { return r.Done - r.Start }
 
-// QueueDelay is how long the op waited behind its predecessor past its
+// queueDelay is how long the op waited behind its predecessor past its
 // scheduled issue time (0 when the client was idle at the timestamp).
-func (r OpResult) QueueDelay() time.Duration { return r.Start - r.At }
+func (r OpResult) queueDelay() time.Duration { return r.Start - r.At }
 
 // ClientSummary aggregates one traced client's ops.
 type ClientSummary struct {

@@ -200,14 +200,14 @@ func TestReplayBurstQueues(t *testing.T) {
 	var prev time.Duration
 	for i, op := range res.Ops {
 		if i > 0 {
-			if op.QueueDelay() <= prev {
-				t.Fatalf("op %d queue delay %v did not grow past %v", i, op.QueueDelay(), prev)
+			if op.queueDelay() <= prev {
+				t.Fatalf("op %d queue delay %v did not grow past %v", i, op.queueDelay(), prev)
 			}
 			if op.Start != res.Ops[i-1].Done {
 				t.Fatalf("op %d queued start %v != predecessor done %v", i, op.Start, res.Ops[i-1].Done)
 			}
 		}
-		prev = op.QueueDelay()
+		prev = op.queueDelay()
 	}
 }
 

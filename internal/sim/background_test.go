@@ -18,7 +18,7 @@ func TestResourceBackgroundStretch(t *testing.T) {
 	if err := r.SetBackground(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Background(); got != 0.5 {
+	if got := r.background(); got != 0.5 {
 		t.Fatalf("Background() = %g", got)
 	}
 	done := r.Acquire(10*time.Millisecond, 10*time.Millisecond)
@@ -39,7 +39,7 @@ func TestResourceBackgroundBounds(t *testing.T) {
 		if err := r.SetBackground(rho); err == nil {
 			t.Errorf("SetBackground(%g) returned no error", rho)
 		}
-		if got := r.Background(); got != 0 {
+		if got := r.background(); got != 0 {
 			t.Errorf("refused SetBackground(%g) left background %g", rho, got)
 		}
 	}

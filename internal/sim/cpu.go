@@ -52,7 +52,7 @@ func (c *CPU) SetTracer(t *tracing.Tracer, layer tracing.Layer) {
 func (c *CPU) SetBackground(rho float64) error { return c.res.SetBackground(rho) }
 
 // Background reports the CPU's fluid background utilization (0 when none).
-func (c *CPU) Background() float64 { return c.res.Background() }
+func (c *CPU) Background() float64 { return c.res.background() }
 
 // Run executes a demand of the given reference-CPU duration, starting no
 // earlier than start, and returns the completion time.
@@ -87,7 +87,6 @@ func (c *CPU) Interrupt(start, demand time.Duration) (done time.Duration) {
 	}
 	service := c.res.stretch(time.Duration(float64(demand) / c.Speed))
 	c.res.busy += service
-	c.res.count++
 	c.account(start, service)
 	c.tracer.Record(start, start+service, c.layer, "interrupt")
 	return start + service
@@ -124,9 +123,6 @@ func (c *CPU) Counters() map[string]int64 {
 	return map[string]int64{"busy_ns": int64(c.res.Busy())}
 }
 
-// BusyUntil reports when the CPU next goes idle.
-func (c *CPU) BusyUntil() time.Duration { return c.res.BusyUntil() }
-
 // Gauges exports the CPU's instantaneous saturation state for the health
 // scraper (metrics.SubsysGauge): runq_ns is how far the run queue extends
 // past now, the virtual-time analogue of load average.
@@ -136,11 +132,6 @@ func (c *CPU) Gauges(now time.Duration) map[string]float64 {
 		runq = 0
 	}
 	return map[string]float64{"runq_ns": float64(runq)}
-}
-
-// Utilization returns mean utilization over [0, elapsed].
-func (c *CPU) Utilization(elapsed time.Duration) float64 {
-	return c.res.Utilization(elapsed)
 }
 
 // UtilizationPercentile reports the p-th percentile (0 < p <= 1) of
@@ -179,10 +170,4 @@ func (c *CPU) UtilizationPercentile(p float64, elapsed time.Duration) float64 {
 		idx = len(samples) - 1
 	}
 	return samples[idx]
-}
-
-// Reset clears accounting (busy horizon preserved).
-func (c *CPU) Reset() {
-	c.res.Reset()
-	c.windows = make(map[int64]time.Duration)
 }

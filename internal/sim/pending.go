@@ -7,7 +7,6 @@ import "time"
 // virtual-time analogue of waiting for dirty data to reach stable storage.
 type Pending struct {
 	horizon time.Duration
-	count   int64
 }
 
 // Add records an asynchronous completion at time t.
@@ -15,12 +14,8 @@ func (p *Pending) Add(t time.Duration) {
 	if t > p.horizon {
 		p.horizon = t
 	}
-	p.count++
 }
 
 // Horizon reports the latest known asynchronous completion time; a caller
 // draining at time now should advance to max(now, Horizon()).
 func (p *Pending) Horizon() time.Duration { return p.horizon }
-
-// Count reports how many asynchronous completions were recorded.
-func (p *Pending) Count() int64 { return p.count }

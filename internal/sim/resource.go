@@ -22,7 +22,6 @@ import (
 type Resource struct {
 	busyUntil time.Duration
 	busy      time.Duration // cumulative service time (stretched)
-	count     int64         // number of acquisitions
 	bg        float64       // fluid background utilization in [0, 1)
 }
 
@@ -39,8 +38,8 @@ func (r *Resource) SetBackground(rho float64) error {
 	return nil
 }
 
-// Background reports the fluid background utilization (0 when none).
-func (r *Resource) Background() float64 { return r.bg }
+// background reports the fluid background utilization (0 when none).
+func (r *Resource) background() float64 { return r.bg }
 
 // stretch expands a foreground service time to the residual-capacity rate.
 func (r *Resource) stretch(service time.Duration) time.Duration {
@@ -65,7 +64,6 @@ func (r *Resource) Acquire(start, service time.Duration) (done time.Duration) {
 	done = begin + service
 	r.busyUntil = done
 	r.busy += service
-	r.count++
 	return done
 }
 
@@ -74,22 +72,3 @@ func (r *Resource) BusyUntil() time.Duration { return r.busyUntil }
 
 // Busy reports cumulative busy (service) time.
 func (r *Resource) Busy() time.Duration { return r.busy }
-
-// Count reports the number of acquisitions served.
-func (r *Resource) Count() int64 { return r.count }
-
-// Utilization returns busy time as a fraction of elapsed. Returns 0 for a
-// non-positive elapsed window.
-func (r *Resource) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(elapsed)
-}
-
-// Reset clears accounting but leaves the busy horizon intact, so resets
-// mid-simulation do not create time travel.
-func (r *Resource) Reset() {
-	r.busy = 0
-	r.count = 0
-}

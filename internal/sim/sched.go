@@ -16,18 +16,6 @@ type Proc struct {
 	idx   int // position in the scheduler's live heap, -1 once done
 }
 
-// Clock returns the process's timeline.
-func (p *Proc) Clock() *Clock { return p.clock }
-
-// Done reports whether the process has finished (or failed).
-func (p *Proc) Done() bool { return p.done }
-
-// Steps reports how many steps the process has executed.
-func (p *Proc) Steps() int64 { return p.steps }
-
-// Err returns the error that terminated the process, if any.
-func (p *Proc) Err() error { return p.err }
-
 // Scheduler coordinates multiple processes, each on its own Clock, over
 // shared busy-until resources. At every tick it steps the process whose
 // clock is earliest (ties broken by registration order), so operations
@@ -184,11 +172,11 @@ func (s *Scheduler) Run() error {
 // it should retire instead of scraping an idle cluster forever.
 func (s *Scheduler) Live() int { return len(s.heap) }
 
-// Horizon reports the latest clock across all registered processes: the
+// horizon reports the latest clock across all registered processes: the
 // wall-clock analogue of "when the last client finished". It iterates the
 // processes directly rather than materializing a clock slice, so polling
 // it over a 10,000-proc fleet allocates nothing.
-func (s *Scheduler) Horizon() time.Duration {
+func (s *Scheduler) horizon() time.Duration {
 	var h time.Duration
 	for _, p := range s.procs {
 		if t := p.clock.now; t > h {
@@ -198,11 +186,11 @@ func (s *Scheduler) Horizon() time.Duration {
 	return h
 }
 
-// Align advances every process clock to the scheduler horizon (a barrier:
+// align advances every process clock to the scheduler horizon (a barrier:
 // the point where a cluster-wide measurement window can close) and returns
 // that time. Like Horizon it allocates nothing.
-func (s *Scheduler) Align() time.Duration {
-	h := s.Horizon()
+func (s *Scheduler) align() time.Duration {
+	h := s.horizon()
 	for _, p := range s.procs {
 		p.clock.AdvanceTo(h)
 	}

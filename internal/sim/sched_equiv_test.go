@@ -221,11 +221,11 @@ func TestSchedulerStepAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Scheduler.Step allocates %.2f objects per step, want 0", avg)
 	}
-	avgH := testing.AllocsPerRun(100, func() { s.Horizon() })
+	avgH := testing.AllocsPerRun(100, func() { s.horizon() })
 	if avgH != 0 {
 		t.Fatalf("Scheduler.Horizon allocates %.2f objects per call, want 0", avgH)
 	}
-	avgA := testing.AllocsPerRun(100, func() { s.Align() })
+	avgA := testing.AllocsPerRun(100, func() { s.align() })
 	if avgA != 0 {
 		t.Fatalf("Scheduler.Align allocates %.2f objects per call, want 0", avgA)
 	}

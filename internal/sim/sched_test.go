@@ -40,10 +40,10 @@ func TestSchedulerInterleavesByClock(t *testing.T) {
 	if shared.Busy() != 10*time.Millisecond {
 		t.Fatalf("shared busy = %v", shared.Busy())
 	}
-	if h := s.Horizon(); h != 10*time.Millisecond {
+	if h := s.horizon(); h != 10*time.Millisecond {
 		t.Fatalf("horizon = %v", h)
 	}
-	if a := s.Align(); a != 10*time.Millisecond || fast.Now() != a || slow.Now() != a {
+	if a := s.align(); a != 10*time.Millisecond || fast.Now() != a || slow.Now() != a {
 		t.Fatalf("align: %v fast=%v slow=%v", a, fast.Now(), slow.Now())
 	}
 }
@@ -67,7 +67,7 @@ func TestSchedulerDeterministic(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return s.Horizon()
+		return s.horizon()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic schedule: %v vs %v", a, b)
@@ -90,7 +90,7 @@ func TestSchedulerErrorStopsProc(t *testing.T) {
 	if err := s.Run(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if !bad.Done() || bad.Err() != boom {
+	if !bad.done || bad.err != boom {
 		t.Fatal("failed proc not marked done with error")
 	}
 	// The healthy process can still be driven to completion.
@@ -103,7 +103,7 @@ func TestSchedulerErrorStopsProc(t *testing.T) {
 			break
 		}
 	}
-	if !ok.Done() || ok.Steps() != 3 {
-		t.Fatalf("surviving proc: done=%v steps=%d", ok.Done(), ok.Steps())
+	if !ok.done || ok.steps != 3 {
+		t.Fatalf("surviving proc: done=%v steps=%d", ok.done, ok.steps)
 	}
 }

@@ -43,9 +43,6 @@ func TestResourceSerializes(t *testing.T) {
 	if r.Busy() != 30*time.Millisecond {
 		t.Fatalf("busy accounting: %v", r.Busy())
 	}
-	if u := r.Utilization(60 * time.Millisecond); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization: %v", u)
-	}
 }
 
 // Property: completions never precede starts and never overlap.
@@ -125,8 +122,8 @@ func TestPendingHorizon(t *testing.T) {
 	var p Pending
 	p.Add(5 * time.Second)
 	p.Add(2 * time.Second)
-	if p.Horizon() != 5*time.Second || p.Count() != 2 {
-		t.Fatalf("horizon=%v count=%d", p.Horizon(), p.Count())
+	if p.Horizon() != 5*time.Second {
+		t.Fatalf("horizon=%v", p.Horizon())
 	}
 }
 

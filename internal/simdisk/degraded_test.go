@@ -21,7 +21,7 @@ func TestDegradedReadAmplifies(t *testing.T) {
 	if err := degraded.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}
-	if !degraded.Degraded() || degraded.FailedMember() != 0 {
+	if !degraded.degraded() || degraded.failedMember() != 0 {
 		t.Fatal("FailDisk did not mark the array degraded")
 	}
 	// Read a whole stripe width: some run lands on the failed member.
@@ -85,8 +85,8 @@ func TestRebuildRestoresArray(t *testing.T) {
 	if err := r.StartRebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if r.RebuildProgress() != 0 || !r.Rebuilding() {
-		t.Fatalf("rebuild not armed: progress=%v", r.RebuildProgress())
+	if r.rebuildProgress() != 0 || !r.rebuilding {
+		t.Fatalf("rebuild not armed: progress=%v", r.rebuildProgress())
 	}
 	var at time.Duration
 	prev := 0.0
@@ -99,7 +99,7 @@ func TestRebuildRestoresArray(t *testing.T) {
 			t.Fatalf("rebuild time went backwards: %v < %v", done, at)
 		}
 		at = done
-		if p := r.RebuildProgress(); p < prev {
+		if p := r.rebuildProgress(); p < prev {
 			t.Fatalf("rebuild progress went backwards: %v < %v", p, prev)
 		} else {
 			prev = p
@@ -108,7 +108,7 @@ func TestRebuildRestoresArray(t *testing.T) {
 			break
 		}
 	}
-	if r.Degraded() || r.Rebuilding() {
+	if r.degraded() || r.rebuilding {
 		t.Fatal("rebuild did not restore the array")
 	}
 	if r.Stats().RebuildBlocks == 0 {

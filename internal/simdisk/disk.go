@@ -79,9 +79,6 @@ func (d *disk) Counters() map[string]int64 {
 	return c
 }
 
-// ResetStats zeroes the counters.
-func (d *disk) ResetStats() { d.stats = metrics.DiskStats{} }
-
 // SetBackground declares that fraction rho of the drive's time is consumed
 // by fluid background traffic (see sim.Resource.SetBackground): foreground
 // requests are served at the residual rate. The closed-form load carries

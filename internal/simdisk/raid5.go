@@ -65,8 +65,8 @@ func NewRAID5(p Params) *RAID5 {
 // tracing.LayerDisk span (nil = tracing off).
 func (r *RAID5) SetTracer(t *tracing.Tracer) { r.tracer = t }
 
-// Blocks reports logical (data) capacity in blocks.
-func (r *RAID5) Blocks() int64 { return r.dataBlocks }
+// blocks reports logical (data) capacity in blocks.
+func (r *RAID5) blocks() int64 { return r.dataBlocks }
 
 // Members reports the number of member disks.
 func (r *RAID5) Members() int { return len(r.disks) }
@@ -80,14 +80,6 @@ func (r *RAID5) Counters() map[string]int64 {
 	c := r.stats.Counters()
 	c["busy_ns"] = int64(r.Busy())
 	return c
-}
-
-// ResetStats zeroes array and member counters.
-func (r *RAID5) ResetStats() {
-	r.stats = metrics.DiskStats{}
-	for _, d := range r.disks {
-		d.ResetStats()
-	}
 }
 
 // SetBackground spreads fluid background utilization rho over every member
@@ -361,13 +353,13 @@ func (r *RAID5) Gauges(now time.Duration) map[string]float64 {
 		}
 	}
 	degraded := 0.0
-	if r.Degraded() {
+	if r.degraded() {
 		degraded = 1
 	}
 	return map[string]float64{
 		"queue_ns": float64(queue),
 		"degraded": degraded,
-		"rebuild":  r.RebuildProgress(),
+		"rebuild":  r.rebuildProgress(),
 	}
 }
 
@@ -388,11 +380,11 @@ func (r *RAID5) FailDisk(member int) error {
 	return nil
 }
 
-// Degraded reports whether the array is running with a failed member.
-func (r *RAID5) Degraded() bool { return r.failed >= 0 }
+// degraded reports whether the array is running with a failed member.
+func (r *RAID5) degraded() bool { return r.failed >= 0 }
 
-// FailedMember returns the dead member index, or -1 when healthy.
-func (r *RAID5) FailedMember() int { return r.failed }
+// failedMember returns the dead member index, or -1 when healthy.
+func (r *RAID5) failedMember() int { return r.failed }
 
 // StartRebuild installs a hot-spare replacement for the failed member and
 // arms the rebuild cursor at row zero. The reconstruction traffic itself
@@ -411,12 +403,9 @@ func (r *RAID5) StartRebuild() error {
 // rebuildRows is the member row count a full rebuild must reconstruct.
 func (r *RAID5) rebuildRows() int64 { return r.disks[0].p.Blocks / stripeUnit }
 
-// Rebuilding reports whether a rebuild is in progress.
-func (r *RAID5) Rebuilding() bool { return r.rebuilding }
-
-// RebuildProgress reports the rebuilt fraction of the replacement member,
+// rebuildProgress reports the rebuilt fraction of the replacement member,
 // 0..1 (1 when healthy).
-func (r *RAID5) RebuildProgress() float64 {
+func (r *RAID5) rebuildProgress() float64 {
 	if r.failed < 0 {
 		return 1
 	}

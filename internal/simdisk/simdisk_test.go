@@ -38,8 +38,8 @@ func TestRAID5Geometry(t *testing.T) {
 	p := Ultra160()
 	p.Blocks = 10000
 	r := NewRAID5(p)
-	if r.Members() != 5 || r.Blocks() != 40000 {
-		t.Fatalf("%d members, logical capacity %d", r.Members(), r.Blocks())
+	if r.Members() != 5 || r.blocks() != 40000 {
+		t.Fatalf("%d members, logical capacity %d", r.Members(), r.blocks())
 	}
 }
 
@@ -50,7 +50,7 @@ func TestQuickRAID5Mapping(t *testing.T) {
 	p.Blocks = 100000
 	r := NewRAID5(p)
 	f := func(lbaRaw uint32) bool {
-		lba := int64(lbaRaw) % r.Blocks()
+		lba := int64(lbaRaw) % r.blocks()
 		d, plba, stripe := r.locate(lba)
 		if d < 0 || d >= 5 || plba < 0 {
 			return false

@@ -40,7 +40,7 @@ func TestOutageWindowDropsSegments(t *testing.T) {
 	if _, _, ok := n.SendSegment(5*time.Millisecond, 1460, ClientToServer); !ok {
 		t.Fatal("segment after the window dropped")
 	}
-	if from, until := n.Outage(); from != 0 || until != 5*time.Millisecond {
+	if from, until := n.outage(); from != 0 || until != 5*time.Millisecond {
 		t.Fatalf("Outage() = %v, %v", from, until)
 	}
 }

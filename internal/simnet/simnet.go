@@ -122,10 +122,6 @@ func (n *Network) SetTracer(t *tracing.Tracer) { n.tracer = t }
 // the byte stream underneath would deliver them.
 func (n *Network) AttachShared(ep *netqueue.Endpoint) { n.shared = ep }
 
-// Shared reports the attached bottleneck endpoint (nil when this network
-// owns its own private wire).
-func (n *Network) Shared() *netqueue.Endpoint { return n.shared }
-
 // SetBackground injects fluid background load on the wire: each
 // direction's serialization runs at the residual bandwidth (1-rho) x
 // capacity, covering the fluid path, TCP segment pacing and control
@@ -143,8 +139,8 @@ func (n *Network) SetBackground(up, down float64) error {
 	return nil
 }
 
-// Background reports the fluid background utilization per direction.
-func (n *Network) Background() (up, down float64) {
+// background reports the fluid background utilization per direction.
+func (n *Network) background() (up, down float64) {
 	return n.bg[ClientToServer], n.bg[ServerToClient]
 }
 
@@ -175,8 +171,8 @@ func (n *Network) SetOutage(from, until time.Duration) {
 	n.outageFrom, n.outageUntil = from, until
 }
 
-// Outage reports the scheduled partition window.
-func (n *Network) Outage() (from, until time.Duration) {
+// outage reports the scheduled partition window.
+func (n *Network) outage() (from, until time.Duration) {
 	return n.outageFrom, n.outageUntil
 }
 
@@ -191,9 +187,6 @@ func (n *Network) Stats() metrics.NetStats { return n.stats }
 // Counters exports the link counters for the metrics event stream
 // (metrics.SubsysNet; see docs/METRICS.md).
 func (n *Network) Counters() map[string]int64 { return n.stats.Counters() }
-
-// ResetStats zeroes the counters (busy horizons are preserved).
-func (n *Network) ResetStats() { n.stats = metrics.NetStats{} }
 
 // dir returns the resource for a direction.
 func (n *Network) dir(d Direction) *sim.Resource {

@@ -294,7 +294,7 @@ func TestSetBackgroundRefusesOutOfRange(t *testing.T) {
 			if err == nil {
 				t.Errorf("SetBackground with %g (up %v) returned no error", rho, up)
 			}
-			if u, d := n.Background(); u != 0 || d != 0 {
+			if u, d := n.background(); u != 0 || d != 0 {
 				t.Errorf("refused SetBackground with %g (up %v) left background %g/%g", rho, up, u, d)
 			}
 		}

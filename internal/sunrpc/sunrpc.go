@@ -177,9 +177,6 @@ func (c *Client) SetConn(t simnet.Transport) { c.conn = t }
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters.
-func (c *Client) ResetStats() { c.stats = Stats{} }
-
 // Gauges exports the transport slot table's instantaneous occupancy for
 // the health scraper (metrics.SubsysGauge): slots whose completion
 // horizon lies past now, both as a count and as a fraction of the table.

@@ -198,8 +198,8 @@ func (c *Conn) Established() bool { return c.established && !c.broken }
 // as when the retransmission budget breaks the connection from inside.
 func (c *Conn) Break() { c.broken = true }
 
-// Config returns the (filled) connection configuration.
-func (c *Conn) Config() Config { return c.cfg }
+// config returns the (filled) connection configuration.
+func (c *Conn) config() Config { return c.cfg }
 
 // Gauges exports the connection's instantaneous congestion state for the
 // health scraper (metrics.SubsysGauge): the client->server sender's

@@ -44,7 +44,7 @@ func TestSlowStartPacesSmallTransfer(t *testing.T) {
 	// growth), then the rest: at least 3 window rounds on a high-RTT link.
 	rtt := 40 * time.Millisecond
 	c, start := connect(t, wan(rtt, 0, 1), Config{WindowBytes: 1 << 20})
-	size := 10 * c.Config().MSS
+	size := 10 * c.config().MSS
 	done, ok := c.Transfer(start, size, simnet.ClientToServer)
 	if !ok {
 		t.Fatal("transfer failed")
@@ -121,9 +121,9 @@ func TestNagleHoldsSubMSSTail(t *testing.T) {
 	// ACKed (a second round); TCP_NODELAY ships both in one round.
 	rtt := 40 * time.Millisecond
 	nagle, s1 := connect(t, wan(rtt, 0, 1), Config{})
-	d1, _ := nagle.Transfer(s1, nagle.Config().MSS+1, simnet.ClientToServer)
+	d1, _ := nagle.Transfer(s1, nagle.config().MSS+1, simnet.ClientToServer)
 	nodelay, s2 := connect(t, wan(rtt, 0, 1), Config{DisableNagle: true})
-	d2, _ := nodelay.Transfer(s2, nodelay.Config().MSS+1, simnet.ClientToServer)
+	d2, _ := nodelay.Transfer(s2, nodelay.config().MSS+1, simnet.ClientToServer)
 	if (d1-s1)-(d2-s2) < rtt/2 {
 		t.Fatalf("nagle=%v nodelay=%v: tail not held for a round", d1-s1, d2-s2)
 	}
@@ -134,7 +134,7 @@ func TestDelayedAckStallsOddFlights(t *testing.T) {
 	// eating one delayed-ACK timer; quickack avoids it.
 	rtt := time.Millisecond
 	delack, s1 := connect(t, wan(rtt, 0, 1), Config{})
-	size := 5 * delack.Config().MSS
+	size := 5 * delack.config().MSS
 	d1, _ := delack.Transfer(s1, size, simnet.ClientToServer)
 	quick, s2 := connect(t, wan(rtt, 0, 1), Config{DisableDelAck: true})
 	d2, _ := quick.Transfer(s2, size, simnet.ClientToServer)

@@ -142,7 +142,7 @@ type Cluster struct {
 
 	// Net is the shared segment in independent-links mode; nil when
 	// per-client networks are in play (a Shared bottleneck or PerClient
-	// heterogeneity) — use ClientNetwork / Snap then.
+	// heterogeneity) — use clientNetwork / Snap then.
 	Net *simnet.Network
 	// Link is the shared bottleneck every client's network admits
 	// through (nil unless Cfg.Shared was set).
@@ -295,7 +295,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.Tracer != nil {
 			cpu.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
 		}
-		h := hw{net: cl.ClientNetwork(i), cpu: cpu, cfg: cfg.Config}
+		h := hw{net: cl.clientNetwork(i), cpu: cpu, cfg: cfg.Config}
 		var st Stack
 		if cfg.Kind == ISCSI {
 			name := fmt.Sprintf("iqn.2004.repro:vol%d", i)
@@ -409,9 +409,9 @@ func (cl *Cluster) fleetCounters() map[string]int64 {
 	}
 }
 
-// ClientNetwork returns client i's network (the shared segment when the
+// clientNetwork returns client i's network (the shared segment when the
 // cluster runs in independent-links mode).
-func (cl *Cluster) ClientNetwork(i int) *simnet.Network {
+func (cl *Cluster) clientNetwork(i int) *simnet.Network {
 	if len(cl.nets) == 1 {
 		return cl.nets[0]
 	}

@@ -231,11 +231,11 @@ func TestClusterPerClientWithoutBottleneck(t *testing.T) {
 	if cl.Link != nil {
 		t.Fatal("no Shared config, but a bottleneck link was built")
 	}
-	if cl.ClientNetwork(0) == cl.ClientNetwork(1) {
+	if cl.clientNetwork(0) == cl.clientNetwork(1) {
 		t.Fatal("PerClient heterogeneity did not split the networks")
 	}
-	if cl.ClientNetwork(1).RTT() != 20*time.Millisecond {
-		t.Fatalf("client 1 RTT = %v", cl.ClientNetwork(1).RTT())
+	if cl.clientNetwork(1).RTT() != 20*time.Millisecond {
+		t.Fatalf("client 1 RTT = %v", cl.clientNetwork(1).RTT())
 	}
 }
 

@@ -20,12 +20,12 @@ import (
 // — the determinism tests compare them byte for byte. docs/TRACING.md
 // documents the schema.
 
-// Validate checks a span's numbers and layer against the schema: positive
+// validate checks a span's numbers and layer against the schema: positive
 // dense ID, a parent that precedes it (or 0 for roots), a non-negative
 // client, a layer from the vocabulary and a well-ordered interval. Names
 // (a non-empty op, non-empty tag keys and values) are checked where the
 // Tracer resolves them, on encode and decode.
-func (s Span) Validate() error {
+func (s Span) validate() error {
 	if s.ID <= 0 {
 		return fmt.Errorf("tracing: span id %d not positive", s.ID)
 	}
@@ -46,7 +46,7 @@ func (s Span) Validate() error {
 
 // validate checks s and the names it carries in t.
 func (t *Tracer) validate(s Span) error {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return err
 	}
 	if t.Op(s) == "" {

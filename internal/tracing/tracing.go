@@ -25,7 +25,7 @@ import (
 // Layer names the layer that did a span's work. The vocabulary is fixed
 // (docs/TRACING.md); the critical-path analyzer and repro trace group by
 // it, its String form is what the JSONL and Chrome exports carry, and
-// Span.Validate rejects anything outside it (the zero Layer included).
+// Span.validate rejects anything outside it (the zero Layer included).
 type Layer uint8
 
 // Layer vocabulary, in display order (client to platter).
@@ -124,8 +124,8 @@ type tag struct{ key, val, next uint32 }
 // operation ends.
 type SpanRef struct{ idx int32 }
 
-// Valid reports whether the ref names a live span.
-func (r SpanRef) Valid() bool { return r.idx != 0 }
+// valid reports whether the ref names a live span.
+func (r SpanRef) valid() bool { return r.idx != 0 }
 
 // Config selects which operations a Tracer keeps.
 type Config struct {
@@ -265,7 +265,7 @@ func (t *Tracer) begin(now time.Duration, layer Layer, op string) SpanRef {
 		return SpanRef{}
 	}
 	ref := t.add(now, 0, layer, op)
-	if ref.Valid() {
+	if ref.valid() {
 		t.stack = append(t.stack, int(ref.idx)-1)
 	}
 	return ref
@@ -281,7 +281,7 @@ func (t *Tracer) End(ref SpanRef, now time.Duration) {
 		t.skip--
 		return
 	}
-	if !ref.Valid() {
+	if !ref.valid() {
 		return
 	}
 	i := int(ref.idx) - 1
@@ -335,7 +335,7 @@ func (t *Tracer) add(start, end time.Duration, layer Layer, op string) SpanRef {
 // the LIFO stack or the sampling nesting counter, so it is safe to call
 // from a different synchronous slice than the BeginDetached.
 func (t *Tracer) EndDetached(ref SpanRef, now time.Duration) {
-	if t == nil || !ref.Valid() {
+	if t == nil || !ref.valid() {
 		return
 	}
 	t.cur[int(ref.idx)-1].End = now
@@ -346,7 +346,7 @@ func (t *Tracer) EndDetached(ref SpanRef, now time.Duration) {
 // must be matched by an Exit on the same ref within the same slice;
 // Enter/Exit pairs nest like Begin/End.
 func (t *Tracer) Enter(ref SpanRef) {
-	if t == nil || !ref.Valid() {
+	if t == nil || !ref.valid() {
 		return
 	}
 	t.stack = append(t.stack, int(ref.idx)-1)
@@ -355,7 +355,7 @@ func (t *Tracer) Enter(ref SpanRef) {
 // Exit pops the span pushed by the matching Enter. The span stays open —
 // only EndDetached closes it.
 func (t *Tracer) Exit(ref SpanRef) {
-	if t == nil || !ref.Valid() {
+	if t == nil || !ref.valid() {
 		return
 	}
 	if n := len(t.stack); n > 0 && t.stack[n-1] == int(ref.idx)-1 {
@@ -366,7 +366,7 @@ func (t *Tracer) Exit(ref SpanRef) {
 // SetTag attaches a key/value to a live span ref. Kept separate from
 // Begin/Record so the disabled path never materializes tag arguments.
 func (t *Tracer) SetTag(ref SpanRef, k, v string) {
-	if t == nil || !ref.Valid() {
+	if t == nil || !ref.valid() {
 		return
 	}
 	t.setTag(ref, k, v)

@@ -34,7 +34,7 @@ func TestSpanTreeShape(t *testing.T) {
 		t.Fatalf("bad root: %+v", root)
 	}
 	for _, s := range spans {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatal(err)
 		}
 		if s.Client != 3 {
@@ -142,7 +142,7 @@ func TestDetachedSpans(t *testing.T) {
 		t.Fatalf("detached ends wrong: %+v", spans)
 	}
 	for _, s := range spans {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestDetachedAbandonedSpanClamped(t *testing.T) {
 		t.Fatalf("abandoned span not clamped: %+v", spans[1])
 	}
 	for _, s := range spans {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatal(err)
 		}
 	}

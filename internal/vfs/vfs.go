@@ -115,6 +115,4 @@ type FileSystem interface {
 	Open(at time.Duration, path string) (f File, done time.Duration, err error)
 	// Sync flushes all dirty state (data and meta-data) to stable storage.
 	Sync(at time.Duration) (done time.Duration, err error)
-	// Unmount syncs and detaches.
-	Unmount(at time.Duration) (done time.Duration, err error)
 }

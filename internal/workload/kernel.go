@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/sim"
@@ -41,47 +42,65 @@ func (cfg KernelConfig) object(d, f int) string { return fmt.Sprintf("/src/dir%0
 // small-file writes), a meta-data intensive workload.
 func KernelUntar(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 	rng := sim.NewRNG(cfg.Seed)
-	var text []byte
-	return firstResult(measure(tb, "tar -xzf", func() error {
-		if err := tb.Mkdir("/src"); err != nil {
-			return err
-		}
-		for d := 0; d < cfg.Dirs; d++ {
-			if err := tb.Mkdir(cfg.dir(d)); err != nil {
-				return err
-			}
-			for f := 0; f < cfg.FilesPerDir; f++ {
-				size := cfg.MeanSize/2 + rng.Intn(cfg.MeanSize)
-				text = randomText(rng, text, size)
-				if err := tb.WriteFile(cfg.file(d, f), text); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}))
+	return measure(tb, "tar -xzf", func() error {
+		return cfg.writeTree(tb, rng, false)
+	})
 }
 
 // KernelList models "ls -lR > /dev/null": readdir + stat of every entry.
 func KernelList(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
-	return firstResult(measure(tb, "ls -lR", func() error {
-		return lsR(tb, "/src")
-	}))
+	return measure(tb, "ls -lR", func() error {
+		return walkTree(tb, "/src", false)
+	})
 }
 
-func lsR(tb *testbed.Testbed, path string) error {
-	ents, err := tb.ReadDir(path)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		p := path + "/" + e.Name
-		st, err := tb.Stat(p)
-		if err != nil {
+// KernelCompile models "make": read every source file, burn compile CPU,
+// write an object file of comparable size.
+func KernelCompile(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
+	rng := sim.NewRNG(cfg.Seed + 1)
+	return measure(tb, "kernel compile", func() error {
+		return cfg.writeTree(tb, rng, true)
+	})
+}
+
+// KernelRemove models "rm -rf": unlink everything, remove directories.
+func KernelRemove(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
+	return measure(tb, "rm -rf", func() error {
+		return walkTree(tb, "/src", true)
+	})
+}
+
+// writeTree is the per-file loop under untar and compile: it writes one
+// file of generated text for every source file of the tree. Untar first
+// makes each directory and writes the source file itself; compile reads the
+// source, computes on it and writes its object file.
+func (cfg KernelConfig) writeTree(tb *testbed.Testbed, rng *rand.Rand, compile bool) error {
+	if !compile {
+		if err := tb.Mkdir("/src"); err != nil {
 			return err
 		}
-		if st.Mode.IsDir() {
-			if err := lsR(tb, p); err != nil {
+	}
+	var text []byte
+	for d := 0; d < cfg.Dirs; d++ {
+		if !compile {
+			if err := tb.Mkdir(cfg.dir(d)); err != nil {
+				return err
+			}
+		}
+		for f := 0; f < cfg.FilesPerDir; f++ {
+			path, size := cfg.file(d, f), 0
+			if compile {
+				src, err := tb.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				tb.Compute(cfg.CompileCPU)
+				path, size = cfg.object(d, f), len(src)/2+rng.Intn(len(src)+1)
+			} else {
+				size = cfg.MeanSize/2 + rng.Intn(cfg.MeanSize)
+			}
+			text = randomText(rng, text, size)
+			if err := tb.WriteFile(path, text); err != nil {
 				return err
 			}
 		}
@@ -89,55 +108,38 @@ func lsR(tb *testbed.Testbed, path string) error {
 	return nil
 }
 
-// KernelCompile models "make": read every source file, burn compile CPU,
-// write an object file of comparable size.
-func KernelCompile(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
-	rng := sim.NewRNG(cfg.Seed + 1)
-	var text []byte
-	return firstResult(measure(tb, "kernel compile", func() error {
-		for d := 0; d < cfg.Dirs; d++ {
-			for f := 0; f < cfg.FilesPerDir; f++ {
-				src, err := tb.ReadFile(cfg.file(d, f))
-				if err != nil {
-					return err
-				}
-				tb.Compute(cfg.CompileCPU)
-				objSize := len(src)/2 + rng.Intn(len(src)+1)
-				text = randomText(rng, text, objSize)
-				if err := tb.WriteFile(cfg.object(d, f), text); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}))
-}
-
-// KernelRemove models "rm -rf": unlink everything, remove directories.
-func KernelRemove(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
-	return firstResult(measure(tb, "rm -rf", func() error {
-		return rmRF(tb, "/src")
-	}))
-}
-
-func rmRF(tb *testbed.Testbed, path string) error {
+// walkTree is the tree walk under "ls -lR" and "rm -rf": it lists path and
+// visits every entry depth-first. Listing stats each entry and descends
+// into the directories; removing descends into the directories, unlinks
+// everything else and removes path once it is empty.
+func walkTree(tb *testbed.Testbed, path string, remove bool) error {
 	ents, err := tb.ReadDir(path)
 	if err != nil {
 		return err
 	}
 	for _, e := range ents {
 		p := path + "/" + e.Name
-		if e.Mode.IsDir() {
-			if err := rmRF(tb, p); err != nil {
+		dir := e.Mode.IsDir()
+		if !remove {
+			st, err := tb.Stat(p)
+			if err != nil {
 				return err
 			}
-		} else {
+			dir = st.Mode.IsDir()
+		}
+		switch {
+		case dir:
+			if err := walkTree(tb, p, remove); err != nil {
+				return err
+			}
+		case remove:
 			if err := tb.Unlink(p); err != nil && err != vfs.ErrNotExist {
 				return err
 			}
 		}
 	}
-	return tb.Rmdir(path)
+	if remove {
+		return tb.Rmdir(path)
+	}
+	return nil
 }
-
-func firstResult(r Result, err error) (Result, error) { return r, err }
