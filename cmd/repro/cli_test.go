@@ -82,6 +82,7 @@ func TestHostileCommandLines(t *testing.T) {
 		{"trace -loss 200", 2, "bad -loss value 200"},
 		{"replay -window -1", 2, "bad -window value -1"},
 		{"replay -dirs -1", 2, "bad -dirs value -1"},
+		{"replay -profile both -dump refused.jsonl", 1, "-dump needs exactly one -profile (eecs or campus)"},
 		{"scale -clients 1 -workloads seq-write,postmark -stacks nfsv3 -size 1 -pm-files -5", 2, "bad -pm-files value -5"},
 		{"scale -pm-txns 0", 2, "bad -pm-txns value 0"},
 		{"fault -conns 17", 2, "bad -conns value 17 (range 1..16)"},

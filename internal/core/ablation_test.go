@@ -74,11 +74,11 @@ func TestAblateNoAtime(t *testing.T) {
 // TestShapeChecks runs the conformance checker against regenerated data
 // for a representative subset.
 func TestShapeChecks(t *testing.T) {
-	op, _ := FindMicroOp("mkdir")
+	op, _ := findMicroOp("mkdir")
 	row := SyscallRow{Op: "mkdir", Depth0: map[Stack]int64{}, Depth3: map[Stack]int64{}}
 	for _, s := range []Stack{NFSv3, NFSv4, ISCSI} {
 		for _, d := range []int{0, 3} {
-			n, err := MicroCount(testOpts(), op, d, s, false)
+			n, err := microCount(testOpts(), op, d, s, false)
 			if err != nil {
 				t.Fatal(err)
 			}

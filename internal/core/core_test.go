@@ -12,13 +12,13 @@ func testOpts() Options { return Options{DeviceBlocks: 65536} }
 // representative operations.
 func TestTable2Shapes(t *testing.T) {
 	for _, name := range []string{"mkdir", "chdir", "stat"} {
-		op, err := FindMicroOp(name)
+		op, err := findMicroOp(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		counts := map[Stack]int64{}
 		for _, s := range []Stack{NFSv2, NFSv3, NFSv4, ISCSI} {
-			n, err := MicroCount(testOpts(), op, 0, s, false)
+			n, err := microCount(testOpts(), op, 0, s, false)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, s, err)
 			}

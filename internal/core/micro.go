@@ -8,27 +8,28 @@ import (
 	"repro/internal/vfs"
 )
 
-// MicroOp defines one of the paper's Table 1 system calls as a
+// microOp defines one of the paper's Table 1 system calls as a
 // cold/warm-measurable experiment. Setup creates whatever objects the call
-// needs (before the cache is emptied); Run makes one invocation: Cold is the
-// cold-cache one, WarmPrime and Warm form the warm-cache pair — a priming
-// call followed, after a gap, by a "similar though not identical" call,
-// exactly the paper's protocol (Section 4.1 and its footnote).
-type MicroOp struct {
+// needs (before the cache is emptied); Run makes one invocation: phaseCold
+// is the cold-cache one, phaseWarmPrime and phaseWarm form the warm-cache
+// pair — a priming call followed, after a gap, by a "similar though not
+// identical" call, exactly the paper's protocol (Section 4.1 and its
+// footnote).
+type microOp struct {
 	Name  string
 	Setup func(tb *testbed.Testbed, dir string) error
-	Run   func(tb *testbed.Testbed, dir string, which MicroPhase) error
+	Run   func(tb *testbed.Testbed, dir string, which microPhase) error
 }
 
-// MicroPhase says which of a MicroOp's three invocations Run makes. Each call
+// microPhase says which of a microOp's three invocations Run makes. Each call
 // below indexes its object name or argument by it.
-type MicroPhase int
+type microPhase int
 
-// The invocations of a MicroOp.
+// The invocations of a microOp.
 const (
-	Cold MicroPhase = iota
-	WarmPrime
-	Warm
+	phaseCold microPhase = iota
+	phaseWarmPrime
+	phaseWarm
 )
 
 // touch creates an empty file.
@@ -52,10 +53,10 @@ func each(dir string, names [3]string, f func(string) error) error {
 
 // microOps lists the paper's sixteen file and directory calls (Table 1;
 // rename appears in Table 2 as a seventeenth row).
-var microOps = []MicroOp{
+var microOps = []microOp{
 	{
 		Name: "mkdir",
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Mkdir(join(d, [3]string{"n0", "w1", "w2"}[w]))
 		},
 	},
@@ -67,7 +68,7 @@ var microOps = []MicroOp{
 			}
 			return tb.Mkdir(join(d, "t2"))
 		},
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Chdir(join(d, [3]string{"t1", "t1", "t2"}[w]))
 		},
 	},
@@ -79,21 +80,21 @@ var microOps = []MicroOp{
 			}
 			return each(d, [3]string{"t1/e0", "t1/e1", "t1/e2"}, func(p string) error { return touch(tb, p) })
 		},
-		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, _ microPhase) error {
 			_, err := tb.ReadDir(join(d, "t1"))
 			return err
 		},
 	},
 	{
 		Name: "symlink",
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Symlink("target", join(d, [3]string{"s0", "s1", "s2"}[w]))
 		},
 	},
 	{
 		Name:  "readlink",
 		Setup: func(tb *testbed.Testbed, d string) error { return tb.Symlink("target", join(d, "l1")) },
-		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, _ microPhase) error {
 			_, err := tb.Readlink(join(d, "l1"))
 			return err
 		},
@@ -103,7 +104,7 @@ var microOps = []MicroOp{
 		Setup: func(tb *testbed.Testbed, d string) error {
 			return each(d, [3]string{"u0", "u1", "u2"}, func(p string) error { return touch(tb, p) })
 		},
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Unlink(join(d, [3]string{"u0", "u1", "u2"}[w]))
 		},
 	},
@@ -112,20 +113,20 @@ var microOps = []MicroOp{
 		Setup: func(tb *testbed.Testbed, d string) error {
 			return each(d, [3]string{"r0", "r1", "r2"}, tb.Mkdir)
 		},
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Rmdir(join(d, [3]string{"r0", "r1", "r2"}[w]))
 		},
 	},
 	{
 		Name: "creat",
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return touch(tb, join(d, [3]string{"c0", "c1", "c2"}[w]))
 		},
 	},
 	{
 		Name:  "open",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "o1")) },
-		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, _ microPhase) error {
 			f, err := tb.Open(join(d, "o1"))
 			if err != nil {
 				return err
@@ -136,7 +137,7 @@ var microOps = []MicroOp{
 	{
 		Name:  "link",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "src")) },
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Link(join(d, "src"), join(d, [3]string{"l0", "la", "lb"}[w]))
 		},
 	},
@@ -145,7 +146,7 @@ var microOps = []MicroOp{
 		Setup: func(tb *testbed.Testbed, d string) error {
 			return each(d, [3]string{"m0", "m1", "m2"}, func(p string) error { return touch(tb, p) })
 		},
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			from := join(d, [3]string{"m0", "m1", "m2"}[w])
 			return tb.Rename(from, from+"x")
 		},
@@ -155,21 +156,21 @@ var microOps = []MicroOp{
 		Setup: func(tb *testbed.Testbed, d string) error {
 			return tb.WriteFile(join(d, "tr"), make([]byte, 8192))
 		},
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Truncate(join(d, "tr"), [3]int64{4096, 2048, 1024}[w])
 		},
 	},
 	{
 		Name:  "chmod",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ch")) },
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			return tb.Chmod(join(d, "ch"), [3]vfs.Mode{0o640, 0o600, 0o644}[w])
 		},
 	},
 	{
 		Name:  "chown",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "cw")) },
-		Run: func(tb *testbed.Testbed, d string, w MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, w microPhase) error {
 			id := [3]uint32{10, 11, 12}[w]
 			return tb.Chown(join(d, "cw"), id, id)
 		},
@@ -177,12 +178,12 @@ var microOps = []MicroOp{
 	{
 		Name:  "access",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ac")) },
-		Run:   func(tb *testbed.Testbed, d string, _ MicroPhase) error { return tb.Access(join(d, "ac")) },
+		Run:   func(tb *testbed.Testbed, d string, _ microPhase) error { return tb.Access(join(d, "ac")) },
 	},
 	{
 		Name:  "stat",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "stt")) },
-		Run: func(tb *testbed.Testbed, d string, _ MicroPhase) error {
+		Run: func(tb *testbed.Testbed, d string, _ microPhase) error {
 			_, err := tb.Stat(join(d, "stt"))
 			return err
 		},
@@ -190,26 +191,26 @@ var microOps = []MicroOp{
 	{
 		Name:  "utime",
 		Setup: func(tb *testbed.Testbed, d string) error { return touch(tb, join(d, "ut")) },
-		Run:   func(tb *testbed.Testbed, d string, _ MicroPhase) error { return tb.Utimes(join(d, "ut")) },
+		Run:   func(tb *testbed.Testbed, d string, _ microPhase) error { return tb.Utimes(join(d, "ut")) },
 	},
 }
 
-// FindMicroOp looks an operation up by name.
-func FindMicroOp(name string) (MicroOp, error) {
+// findMicroOp looks an operation up by name.
+func findMicroOp(name string) (microOp, error) {
 	for _, op := range microOps {
 		if op.Name == name {
 			return op, nil
 		}
 	}
-	return MicroOp{}, fmt.Errorf("core: unknown micro op %q", name)
+	return microOp{}, fmt.Errorf("core: unknown micro op %q", name)
 }
 
-// MicroCount measures one (op, depth, stack, warm) cell: the number of
+// microCount measures one (op, depth, stack, warm) cell: the number of
 // protocol transactions from invocation to quiescence.
-func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (msgs int64, err error) {
-	mode, which := "cold", Cold
+func microCount(opts Options, op microOp, depth int, stack Stack, warm bool) (msgs int64, err error) {
+	mode, which := "cold", phaseCold
 	if warm {
-		mode, which = "warm", Warm
+		mode, which = "warm", phaseWarm
 	}
 	tags := metrics.Tags{"op": op.Name, "depth": itoa(depth), "mode": mode}
 	err = opts.onBed("micro", tags, testbed.Config{Kind: stack}, func(tb *testbed.Testbed) error {
@@ -226,7 +227,7 @@ func MicroCount(opts Options, op MicroOp, depth int, stack Stack, warm bool) (ms
 			return err
 		}
 		if warm {
-			if err := op.Run(tb, dir, WarmPrime); err != nil {
+			if err := op.Run(tb, dir, phaseWarmPrime); err != nil {
 				return fmt.Errorf("%s warm prime: %w", op.Name, err)
 			}
 			if err := settle(tb); err != nil {
@@ -259,7 +260,7 @@ func runSyscallTable(opts Options, warm bool) ([]SyscallRow, error) {
 		row := SyscallRow{Op: op.Name, Depth0: map[Stack]int64{}, Depth3: map[Stack]int64{}}
 		for _, stack := range testbed.AllKinds {
 			for _, depth := range []int{0, 3} {
-				n, err := MicroCount(opts, op, depth, stack, warm)
+				n, err := microCount(opts, op, depth, stack, warm)
 				if err != nil {
 					return nil, fmt.Errorf("%s depth %d on %v: %w", op.Name, depth, stack, err)
 				}
@@ -303,7 +304,7 @@ func RunFigure4(opts Options, depths []int) ([]DepthSeries, error) {
 	}
 	var out []DepthSeries
 	for _, name := range []string{"mkdir", "chdir", "readdir"} {
-		op, err := FindMicroOp(name)
+		op, err := findMicroOp(name)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +313,7 @@ func RunFigure4(opts Options, depths []int) ([]DepthSeries, error) {
 			for _, d := range depths {
 				pt := DepthPoint{Depth: d, Messages: map[Stack]int64{}}
 				for _, stack := range testbed.AllKinds {
-					n, err := MicroCount(opts, op, d, stack, warm)
+					n, err := microCount(opts, op, d, stack, warm)
 					if err != nil {
 						return nil, err
 					}

@@ -38,22 +38,20 @@ import (
 // counts for the method of every type that implements the interface, and a
 // method of a generic type counts through its origin. Methods that the
 // standard library calls on a caller's behalf (stdMethods) count as used.
-// Struct fields are not scanned: hostbench's pin reads every exported field
-// of a cell by reflection.
+// A method of an unexported type, whatever its name, is held to the same
+// rules except that its own package is where it belongs: it is dead when
+// nothing selects it, tests included, and no call through an interface it
+// satisfies reaches it. Struct fields are not scanned: hostbench's pin reads
+// every exported field of a cell by reflection.
 //
 // A name used nowhere is dead (delete it); a name used only at home should
 // not be exported (unexport it). deadExportAllow holds what is left on
-// either list, each with the title of the ROADMAP item it waits for. An
-// allowlisted name counts as used from outside, so what it exposes needs no
-// entry of its own. The list may only shrink, like the clone ceiling: a new
-// finding fails, and so does an entry that is no longer a finding. Methods
-// have no allowlist.
-var deadExportAllow = map[string]string{
-	// The root benchmarks time one micro-op per stack; the item's first
-	// step deletes the Benchmark* functions hostbench already covers.
-	"core.FindMicroOp": "Unfreeze the design: events are the interface, one sweep engine, cells in parallel",
-	"core.MicroCount":  "Unfreeze the design: events are the interface, one sweep engine, cells in parallel",
-}
+// either list, each with the title of the ROADMAP item it waits for (none
+// is left). An allowlisted name counts as used from outside, so what it
+// exposes needs no entry of its own. The list may only shrink, like the
+// clone ceiling: a new finding fails, and so does an entry that is no longer
+// a finding. Methods have no allowlist.
+var deadExportAllow = map[string]string{}
 
 // stdMethods are the method names the standard library calls through its
 // own interfaces (fmt.Stringer, error, flag.Value, io.Writer, the json
@@ -77,6 +75,7 @@ type exportScan struct {
 	outside, atHome map[string]bool
 
 	methods                   map[string]bool // every exported method of an exported type
+	hidden                    map[string]bool // every method of an unexported type
 	methodOutside, methodHome map[string]bool
 }
 
@@ -360,7 +359,7 @@ func scanExports(root string) (*exportScan, error) {
 	s := &exportScan{
 		decls: map[string]*exportDecl{}, blocks: map[int][]string{},
 		outside: map[string]bool{}, atHome: map[string]bool{},
-		methods: map[string]bool{}, methodOutside: map[string]bool{}, methodHome: map[string]bool{},
+		methods: map[string]bool{}, hidden: map[string]bool{}, methodOutside: map[string]bool{}, methodHome: map[string]bool{},
 	}
 	typeDeps := map[string][]string{} // type key -> what its methods name, and its consts
 	// Interface methods called, by the universe and interface they were
@@ -385,18 +384,22 @@ func scanExports(root string) (*exportScan, error) {
 		}
 		for _, name := range c.pkg.Scope().Names() {
 			tn, ok := c.pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() {
+			if !ok || tn.IsAlias() {
 				continue
 			}
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
+				if m := named.Method(i); !tn.Exported() {
+					s.hidden[methodKey(m)] = true
+				} else if m.Exported() {
 					s.methods[methodKey(m)] = true
 				}
 			}
 			if iface, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
-					if m := iface.ExplicitMethod(i); m.Exported() {
+					if m := iface.ExplicitMethod(i); !tn.Exported() {
+						s.hidden[methodKey(m)] = true
+					} else if m.Exported() {
 						s.methods[methodKey(m)] = true
 					}
 				}
@@ -611,12 +614,20 @@ func (s *exportScan) findings(kept map[string]string) (dead, home []string) {
 			dead = append(dead, key)
 		}
 	}
+	called := func(key string) bool {
+		return s.methodOutside[key] || stdMethods[key[strings.LastIndex(key, ".")+1:]]
+	}
 	for key := range s.methods {
 		switch {
-		case s.methodOutside[key] || stdMethods[key[strings.LastIndex(key, ".")+1:]]:
+		case called(key):
 		case s.methodHome[key]:
 			home = append(home, key)
 		default:
+			dead = append(dead, key)
+		}
+	}
+	for key := range s.hidden {
+		if !called(key) && !s.methodHome[key] {
 			dead = append(dead, key)
 		}
 	}
@@ -650,7 +661,8 @@ func exportedSurface(typ ast.Expr) ast.Node {
 // TestDeadExports fails when an exported top-level name under internal/ is
 // named by no non-test file, or only by its own package, and is not in
 // deadExportAllow; when an exported method of an exported type there is
-// selected by no file, or only by its own package's; and when an entry of
+// selected by no file, or only by its own package's; when a method of an
+// unexported type there is selected by no file; and when an entry of
 // deadExportAllow is neither.
 func TestDeadExports(t *testing.T) {
 	start := time.Now()
@@ -676,7 +688,7 @@ func TestDeadExports(t *testing.T) {
 		found[key] = true
 	}
 	t.Logf("%d exported names and methods used by nothing, %d only by their own package; %d allowlisted; %d methods scanned; %v",
-		len(dead), len(home), len(deadExportAllow), len(scan.methods), time.Since(start).Round(time.Millisecond))
+		len(dead), len(home), len(deadExportAllow), len(scan.methods)+len(scan.hidden), time.Since(start).Round(time.Millisecond))
 	for key, reason := range deadExportAllow {
 		if reason == "" {
 			t.Errorf("%s is allowlisted without the ROADMAP item it waits for", key)

@@ -160,9 +160,6 @@ type file struct {
 	ino Ino
 }
 
-// Ino exposes the file's inode number.
-func (f *file) Ino() uint64 { return uint64(f.ino) }
-
 // ReadAt implements vfs.File. Contiguous uncached block runs within one
 // call coalesce into single device reads (a 32 KB database extent read is
 // one SCSI command, per the paper's TPC-H traffic analysis); sequential

@@ -83,7 +83,7 @@ func TestScannerAcceptsCommittedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths = append(paths, "../../hostbench/baseline.jsonl", "../../bench/trajectory.jsonl")
+	paths = append(paths, "../../hostbench/baseline.jsonl")
 	for _, p := range paths {
 		raw, err := os.ReadFile(p)
 		if err != nil {

@@ -40,7 +40,7 @@ const (
 	SubsysExt3  = "ext3"  // ext3 buffer-cache and journal counters
 	SubsysCPU   = "cpu"   // simulated processor busy time
 	SubsysRun   = "run"   // experiment harness marks and cell results
-	SubsysBench = "bench" // go test -benchjson headline metrics
+	SubsysBench = "bench" // host benchmark results (hostbench/baseline.jsonl)
 	SubsysFleet = "fleet" // fluid background-cohort aggregates
 	SubsysHist  = "hist"  // per-op latency histograms (log-spaced buckets)
 	SubsysLock  = "lock"  // byte-range lock manager / SCSI reservation counters

@@ -65,19 +65,8 @@ func newDisk(p Params) *disk {
 	return &disk{p: p, lastEnd: -1}
 }
 
-// Params returns the disk's parameters.
-func (d *disk) Params() Params { return d.p }
-
 // Stats returns a snapshot of the disk's counters.
 func (d *disk) Stats() metrics.DiskStats { return d.stats }
-
-// Counters exports the drive's I/O counters plus arm busy time for the
-// metrics event stream (metrics.SubsysDisk).
-func (d *disk) Counters() map[string]int64 {
-	c := d.stats.Counters()
-	c["busy_ns"] = int64(d.Busy())
-	return c
-}
 
 // SetBackground declares that fraction rho of the drive's time is consumed
 // by fluid background traffic (see sim.Resource.SetBackground): foreground
