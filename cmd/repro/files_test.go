@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -42,11 +43,16 @@ func TestReplayDumpReadsBack(t *testing.T) {
 // TestSLOSpecFile: `health -slo` and `-health` on any monitored sweep read
 // an SLO spec file. A one-objective spec alerts under that objective's name
 // alone; a missing or malformed file is an error naming the flag's cause,
-// exit 1, and nothing on stdout.
+// exit 1, and nothing on stdout. A spec's interval paces the gauge stream,
+// and the sweep's interval flag overrides it.
 func TestSLOSpecFile(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "spec.json")
 	if err := os.WriteFile(spec, []byte(`{"slos":[{"name":"only-avail","kind":"availability"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	paced := filepath.Join(dir, "paced.json")
+	if err := os.WriteFile(paced, []byte(`{"interval":"250ms","slos":[{"name":"only-avail","kind":"availability"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	malformed := filepath.Join(dir, "malformed.json")
@@ -55,22 +61,17 @@ func TestSLOSpecFile(t *testing.T) {
 	}
 	missing := filepath.Join(dir, "missing.json")
 	cell := "-families server-crash -stacks nfsv3 -transports fluid"
-	for _, sweep := range []struct{ name, flag string }{{"health", "-slo"}, {"fault", "-health"}} {
+	for _, sweep := range []struct{ name, flag, interval string }{
+		{"health", "-slo", "-interval"},
+		{"fault", "-health", "-health-interval"},
+	} {
 		stream := filepath.Join(dir, sweep.name+".jsonl")
 		line := sweep.name + " " + cell + " -metrics " + stream + " " + sweep.flag + " "
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(line+spec), &stdout, &stderr); code != 0 {
 			t.Fatalf("repro %s: exit %d, stderr %q", line+spec, code, stderr.String())
 		}
-		f, err := os.Open(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := metrics.ReadEvents(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := readStream(t, stream)
 		fires := 0
 		for _, e := range events {
 			if e.Subsys != metrics.SubsysAlert {
@@ -86,6 +87,26 @@ func TestSLOSpecFile(t *testing.T) {
 		if fires == 0 {
 			t.Errorf("repro %s: the spec's objective never fired on a server crash", sweep.name)
 		}
+		if got := scrapeInterval(events); got != 100*time.Millisecond {
+			t.Errorf("repro %s: scrapes %v apart without an interval, want the monitor's 100ms", sweep.name, got)
+		}
+
+		for _, pace := range []struct {
+			flags string
+			want  time.Duration
+		}{
+			{"", 250 * time.Millisecond},
+			{" " + sweep.interval + " 50ms", 50 * time.Millisecond},
+		} {
+			args := line + paced + pace.flags
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+				t.Fatalf("repro %s: exit %d, stderr %q", args, code, stderr.String())
+			}
+			if got := scrapeInterval(readStream(t, stream)); got != pace.want {
+				t.Errorf("repro %s: scrapes %v apart, want %v", args, got, pace.want)
+			}
+		}
 
 		for _, bad := range []struct{ path, stderr string }{
 			{missing, "no such file or directory"},
@@ -99,4 +120,38 @@ func TestSLOSpecFile(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readStream decodes the -metrics stream at path.
+func readStream(t *testing.T, path string) []metrics.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := metrics.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// scrapeInterval is the gauge period a stream shows: the smallest step
+// between two scrapes of one cell (every cell of these sweeps has its
+// own family tag), or 0 when no cell scraped twice.
+func scrapeInterval(events []metrics.Event) time.Duration {
+	last := map[string]int64{}
+	var step int64
+	for _, e := range events {
+		if e.Subsys != metrics.SubsysGauge {
+			continue
+		}
+		cell := e.Tags["family"]
+		if prev, ok := last[cell]; ok && e.T > prev && (step == 0 || e.T-prev < step) {
+			step = e.T - prev
+		}
+		last[cell] = e.T
+	}
+	return time.Duration(step)
 }

@@ -67,8 +67,8 @@ func lossFlag(fs *flag.FlagSet) *float64 {
 }
 
 // faultPlanFlags registers the cluster and fault timeline `fault` and
-// `health` share into a core.FaultConfig (health copies it into its own
-// config) and returns the check to run once the flags are parsed.
+// `health` share into the core.FaultConfig both run, and returns the check
+// to run once the flags are parsed.
 func faultPlanFlags(fs *flag.FlagSet, plan *core.FaultConfig) (check func() error) {
 	ListVar(fs, &plan.Families, "families", "all",
 		"fault families (all or server-crash,disk-fail,link-flap,client-crash)",

@@ -48,16 +48,30 @@ func (h *Health) Config(metricsPath string) (*health.Config, error) {
 	if h.interval < 0 {
 		return nil, fmt.Errorf("-health-interval: %v must not be negative", h.interval)
 	}
-	var cfg health.Config
-	if h.spec != "default" {
-		loaded, err := health.LoadSpec(h.spec)
-		if err != nil {
-			return nil, fmt.Errorf("-health: %w", err)
-		}
-		cfg = loaded
+	path := h.spec
+	if path == "default" {
+		path = ""
 	}
-	if h.interval > 0 {
-		cfg.Interval = h.interval
+	cfg, err := sloSpec(path, h.interval)
+	if err != nil {
+		return nil, fmt.Errorf("-health: %w", err)
 	}
 	return &cfg, nil
+}
+
+// sloSpec builds the monitor spec `health -slo/-interval` and
+// `-health/-health-interval` name: the SLO spec at path ("" for the
+// built-in objectives), a positive interval overriding the spec's.
+func sloSpec(path string, interval time.Duration) (health.Config, error) {
+	var cfg health.Config
+	if path != "" {
+		var err error
+		if cfg, err = health.LoadSpec(path); err != nil {
+			return cfg, err
+		}
+	}
+	if interval > 0 {
+		cfg.Interval = interval
+	}
+	return cfg, nil
 }

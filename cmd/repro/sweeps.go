@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/netqueue"
 	"repro/internal/trace"
 )
@@ -192,47 +191,24 @@ func faultSweep(fs *flag.FlagSet) func(*env) error {
 }
 
 func healthSweep(fs *flag.FlagSet) func(*env) error {
-	var plan core.FaultConfig
-	check := faultPlanFlags(fs, &plan)
+	var cfg core.FaultConfig
+	check := faultPlanFlags(fs, &cfg)
 	slo := fs.String("slo", "", "SLO spec JSON (see docs/HEALTH.md; default: the built-in objectives)")
 	interval := fs.Duration("interval", 0, "gauge scrape period (default 100ms, or the spec's interval)")
-	cooldown := fs.Duration("cooldown", core.DefaultHealthCooldown,
+	fs.DurationVar(&cfg.Cooldown, "cooldown", core.DefaultHealthCooldown,
 		"run past the last heal this long so resolves land in-cell")
 	return func(e *env) error {
 		if err := check(); err != nil {
 			return err
 		}
-		if *interval < 0 || *cooldown <= 0 {
+		if *interval < 0 || cfg.Cooldown <= 0 {
 			return errors.New("bad -interval/-cooldown: durations must be positive")
 		}
-		cfg := core.HealthConfig{
-			Families:     plan.Families,
-			Stacks:       plan.Stacks,
-			Transports:   plan.Transports,
-			Clients:      plan.Clients,
-			Warmup:       plan.Warmup,
-			Outage:       plan.Outage,
-			Flaps:        plan.Flaps,
-			Victim:       plan.Victim,
-			Conns:        plan.Conns,
-			WindowBytes:  plan.WindowBytes,
-			DeviceBlocks: plan.DeviceBlocks,
-			Seed:         plan.Seed,
-			Interval:     *interval,
-			Cooldown:     *cooldown,
-			Metrics:      e.metrics,
-			Tracer:       e.tracer,
+		spec, err := sloSpec(*slo, *interval)
+		if err != nil {
+			return err
 		}
-		if *slo != "" {
-			spec, err := health.LoadSpec(*slo)
-			if err != nil {
-				return err
-			}
-			cfg.Objectives = spec.Objectives
-			if cfg.Interval == 0 {
-				cfg.Interval = spec.Interval
-			}
-		}
+		cfg.Health, cfg.Metrics, cfg.Tracer = &spec, e.metrics, e.tracer
 		return show(e.out, core.RenderHealth)(core.RunHealth(cfg))
 	}
 }

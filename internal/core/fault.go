@@ -47,13 +47,18 @@ type FaultConfig struct {
 	DeviceBlocks int64
 	// Seed drives fault-instant jitter, loss and workload randomness.
 	Seed int64
+	// Cooldown extends each run past the last heal (default: the fault
+	// runner's 2s under RunFault, DefaultHealthCooldown under RunHealth).
+	Cooldown time.Duration
 	// Health, when non-nil, attaches a gauge scraper + SLO engine to
 	// every cell (alert state is per-cell: each cell gets its own
-	// monitor built from this spec). Nil keeps the sweep byte-identical
-	// to a health-free run.
+	// monitor built from this spec). Nil keeps RunFault byte-identical
+	// to a health-free run; RunHealth always monitors, with the
+	// monitor's own interval and objectives when Health is nil.
 	Health *health.Config
 	// Metrics, when non-nil, receives per-cell telemetry tagged with the
-	// sweep axes as experiment=fault (see docs/METRICS.md).
+	// sweep axes as experiment=fault or experiment=health (see
+	// docs/METRICS.md).
 	Metrics *metrics.Recorder
 	// Tracer, when non-nil, records per-op span trees for every cell.
 	Tracer *tracing.Tracer
@@ -132,15 +137,16 @@ func RunFault(cfg FaultConfig) ([]FaultCell, error) {
 
 // runPlanCell is the fault-plan cell the fault and health sweeps share:
 // a fresh cluster (with its own monitor when cfg.Health is set), family
-// f's seeded plan run against it under run's cooldown/dry-run settings,
-// and results deriving the end mark's values. The whole cell — working-
-// set setup, fault timeline, recovery — sits between the begin/end marks.
-// tag is the family the stream carries (the health sweep's dry-run
-// control cells replay a real family's timeline under their own name).
-// Like runCell, it returns a transport collapse as the error it is.
-func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Family, run fault.Config,
-	results func(*testbed.Cluster, fault.Result) map[string]float64) (err error) {
-	run.Plan, err = fault.NewPlan(f, fault.PlanConfig{
+// f's seeded plan run against it with cfg's cooldown (only its timeline
+// when dryRun), and results deriving the end mark's values. The whole
+// cell — working-set setup, fault timeline, recovery — sits between the
+// begin/end marks. tag is the family the stream carries (the health
+// sweep's dry-run control cells replay a real family's timeline under
+// their own name). A transport collapse sets *collapse instead of
+// failing the cell.
+func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Family, dryRun bool,
+	collapse *bool, results func(*testbed.Cluster, fault.Result) map[string]float64) error {
+	plan, err := fault.NewPlan(f, fault.PlanConfig{
 		Warmup: cfg.Warmup,
 		Outage: cfg.Outage,
 		Flaps:  cfg.Flaps,
@@ -150,7 +156,7 @@ func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Fam
 	if err != nil {
 		return err
 	}
-	return runCell(cellSpec{
+	err = runCell(cellSpec{
 		experiment: experiment,
 		v:          v,
 		clients:    cfg.Clients,
@@ -165,19 +171,23 @@ func runPlanCell(experiment string, cfg FaultConfig, v variant, tag, f fault.Fam
 			Pool:         cfg.pool,
 		}},
 	}, nil, func(cl *testbed.Cluster) (map[string]float64, error) {
-		res, err := fault.Run(cl, run)
+		res, err := fault.Run(cl, fault.Config{Plan: plan, Cooldown: cfg.Cooldown, DryRun: dryRun})
 		if err != nil {
 			return nil, err
 		}
 		return results(cl, res), nil
 	})
+	if collapsed(err) {
+		*collapse, err = true, nil
+	}
+	return err
 }
 
 // runFaultCell runs one fault plan and reports the recovery measurements
 // (or Collapsed: the service never recovered, or a transport died).
 func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error) {
 	cell := FaultCell{Family: f, Stack: v.stack, Transport: v.transport, Clients: cfg.Clients}
-	err := runPlanCell("fault", cfg, v, f, f, fault.Config{},
+	err := runPlanCell("fault", cfg, v, f, f, false, &cell.Collapsed,
 		func(_ *testbed.Cluster, res fault.Result) map[string]float64 {
 			cell.Inject, cell.Healed, cell.Recovered, cell.TTR = res.Inject, res.Healed, res.Recovered, res.TTR
 			cell.PreRate, cell.DegradedRate, cell.PostRate = res.PreRate, res.DegradedRate, res.PostRate
@@ -203,9 +213,6 @@ func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error)
 				"dropped_frames":       float64(cell.Dropped),
 			}
 		})
-	if collapsed(err) {
-		cell.Collapsed, err = true, nil
-	}
 	return cell, err
 }
 

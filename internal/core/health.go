@@ -5,12 +5,9 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/blockdev"
 	"repro/internal/fault"
 	"repro/internal/health"
-	"repro/internal/metrics"
 	"repro/internal/testbed"
-	"repro/internal/tracing"
 )
 
 // Health experiment: detection quality against fault ground truth. Each
@@ -28,57 +25,11 @@ import (
 // land inside the cell (the fault sweep's own 2s default cuts that off).
 const DefaultHealthCooldown = 4 * time.Second
 
-// HealthConfig parameterizes the detection-quality sweep.
-type HealthConfig struct {
-	// Families restricts the fault families (default all four).
-	Families []fault.Family
-	// Stacks restricts the sweep (default all four).
-	Stacks []Stack
-	// Transports are the wire models swept (default fluid and TCP).
-	Transports []testbed.Transport
-	// Clients is the cluster size (default 2: a victim and a witness).
-	Clients int
-	// Warmup is the fault-free lead-in; Outage each inject-to-heal
-	// distance; Flaps the link-flap cycle count (see fault.PlanConfig).
-	Warmup, Outage time.Duration
-	Flaps          int
-	// Victim selects the crashed client / failed array member.
-	Victim int
-	// Conns is the iSCSI MC/S connection count under TCP (default 1).
-	Conns int
-	// WindowBytes caps each TCP connection's window (default 64 KB).
-	WindowBytes int
-	// DeviceBlocks sizes each volume in 4 KB blocks (default 16384).
-	DeviceBlocks int64
-	// Seed drives fault-instant jitter, loss and workload randomness.
-	Seed int64
-	// Interval is the gauge scrape period (default: the monitor's, 100 ms).
-	Interval time.Duration
-	// Objectives is the SLO set each cell evaluates (default: the
-	// monitor's own set).
-	Objectives []health.Objective
-	// Cooldown extends each run past the last heal (default
-	// DefaultHealthCooldown).
-	Cooldown time.Duration
-	// Metrics, when non-nil, receives per-cell telemetry tagged with the
-	// sweep axes as experiment=health (see docs/METRICS.md).
-	Metrics *metrics.Recorder
-	// Tracer, when non-nil, records per-op span trees for every cell.
-	Tracer *tracing.Tracer
-
-	pool *blockdev.Pool // the cells' shared block pool; see sweepPool
-}
-
-// fill defaults the fields shared with FaultConfig as the fault sweep does.
-func (c *HealthConfig) fill() {
-	p := c.planConfig()
-	p.fill()
-	c.Families, c.Stacks, c.Transports = p.Families, p.Stacks, p.Transports
-	c.Clients, c.Conns, c.DeviceBlocks = p.Clients, p.Conns, p.DeviceBlocks
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultHealthCooldown
-	}
-}
+// HealthConfig is the fault sweep's config: a health cell is a fault-plan
+// cell with a monitor. RunHealth reads Health as the monitor spec and
+// defaults Cooldown to DefaultHealthCooldown. The second name is the one
+// hostbench's observed workload spells.
+type HealthConfig = FaultConfig
 
 // HealthCell is one (family, stack, transport) detection measurement —
 // or a fault-free control cell (Control set, Family "control").
@@ -127,6 +78,12 @@ const controlFamily = fault.Family("control")
 // skipped.
 func RunHealth(cfg HealthConfig) ([]HealthCell, error) {
 	cfg.fill()
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = DefaultHealthCooldown
+	}
+	if cfg.Health == nil {
+		cfg.Health = &health.Config{}
+	}
 	cfg.pool = sweepPool(cfg.pool)
 	var cells []HealthCell
 	for _, v := range variants(cfg.Stacks, cfg.Transports, cfg.Conns) {
@@ -146,29 +103,6 @@ func RunHealth(cfg HealthConfig) ([]HealthCell, error) {
 	return cells, nil
 }
 
-// planConfig is the fault-plan cell this sweep runs: the fault sweep's,
-// with a monitor on every cell.
-func (c HealthConfig) planConfig() FaultConfig {
-	return FaultConfig{
-		Families:     c.Families,
-		Stacks:       c.Stacks,
-		Transports:   c.Transports,
-		Clients:      c.Clients,
-		Conns:        c.Conns,
-		Warmup:       c.Warmup,
-		Outage:       c.Outage,
-		Flaps:        c.Flaps,
-		Victim:       c.Victim,
-		WindowBytes:  c.WindowBytes,
-		DeviceBlocks: c.DeviceBlocks,
-		Seed:         c.Seed,
-		Health:       &health.Config{Interval: c.Interval, Objectives: c.Objectives},
-		Metrics:      c.Metrics,
-		Tracer:       c.Tracer,
-		pool:         c.pool,
-	}
-}
-
 // runHealthCell is a fault-plan cell with a mandatory monitor (alert
 // state is per-cell), a cooldown, a dry-run for the control, and the
 // alert timeline scored against the plan's ground truth.
@@ -178,8 +112,7 @@ func runHealthCell(cfg HealthConfig, f fault.Family, v variant, control bool) (H
 		family = controlFamily
 	}
 	cell := HealthCell{Family: family, Stack: v.stack, Transport: v.transport, Control: control}
-	err := runPlanCell("health", cfg.planConfig(), v, family, f,
-		fault.Config{Cooldown: cfg.Cooldown, DryRun: control},
+	err := runPlanCell("health", cfg, v, family, f, control, &cell.Collapsed,
 		func(cl *testbed.Cluster, res fault.Result) map[string]float64 {
 			mon := cl.Health()
 			cell.Scrapes, cell.GaugeEvents = mon.Scrapes(), mon.GaugeEvents()
@@ -220,9 +153,6 @@ func runHealthCell(cfg HealthConfig, f fault.Family, v variant, control bool) (H
 			}
 			return results
 		})
-	if collapsed(err) {
-		cell.Collapsed, err = true, nil
-	}
 	return cell, err
 }
 

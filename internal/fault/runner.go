@@ -207,17 +207,6 @@ func (r *runner) fileName(client int, seq int64) string {
 
 func (r *runner) arr() *simdisk.RAID5 { return r.cl.Array() }
 
-// outageActive reports whether t falls inside any planned inject→heal
-// window (the fault is present and repair has not begun).
-func (r *runner) outageActive(t time.Duration) bool {
-	for i := 0; i+1 < len(r.events); i += 2 {
-		if t >= r.events[i].At && t < r.events[i+1].At {
-			return true
-		}
-	}
-	return false
-}
-
 // victimDown returns the end of the down window containing t, for the
 // crashed client's driver to sleep through.
 func (r *runner) victimDown(t time.Duration) (until time.Duration, down bool) {
@@ -295,15 +284,14 @@ func (r *runner) driver(i int) func() (bool, error) {
 			return true, nil
 		}
 		st.failed++
-		// Past the last heal with no outage in force, a still-broken
-		// transport won't repair itself (a TCP connection that died
-		// after the heal event fired, say): remount as a real client's
-		// retry loop would. Inside an outage window, back off only —
-		// the heal event owns repair.
-		if done >= r.healAt && !r.outageActive(done) {
-			if d2, did, rerr := r.cl.RecoverClient(i, done, false); rerr == nil && did {
-				c.Clock.AdvanceTo(d2)
-			}
+		// Past the last heal (every planned outage window ends at or
+		// before it), a still-broken transport won't repair itself (a
+		// TCP connection that died after the heal event fired, say):
+		// remount as a real client's retry loop would. A failed remount
+		// only means the next op fails and backs off again. Before the
+		// heal, back off only — the heal event owns repair.
+		if done >= r.healAt {
+			_ = r.recoverClient(i, done, false)
 		}
 		c.Idle(r.cfg.Backoff)
 		return true, nil
@@ -360,16 +348,11 @@ func (r *runner) fire(idx int, ev Event) error {
 			return fmt.Errorf("fault: server restart: %w", err)
 		}
 		r.fc.AdvanceTo(done)
-		for i, c := range r.cl.Clients {
-			at := c.Clock.Now()
-			if at < done {
-				at = done // no mounting against a server still booting
-			}
-			d2, _, err := r.cl.RecoverClient(i, at, true)
-			if err != nil {
+		for i := range r.cl.Clients {
+			// No mounting against a server still booting.
+			if err := r.recoverClient(i, done, true); err != nil {
 				return err
 			}
-			c.Clock.AdvanceTo(d2)
 		}
 	case DiskFail:
 		if ev.Action == Inject {
@@ -386,36 +369,31 @@ func (r *runner) fire(idx int, ev Event) error {
 			r.cl.PartitionNet(ev.At, r.events[idx+1].At)
 			return nil
 		}
-		for i, c := range r.cl.Clients {
-			at := c.Clock.Now()
-			if at < now {
-				at = now
-			}
-			d2, did, err := r.cl.RecoverClient(i, at, false)
-			if err != nil {
+		for i := range r.cl.Clients {
+			if err := r.recoverClient(i, now, false); err != nil {
 				return err
-			}
-			if did {
-				c.Clock.AdvanceTo(d2)
 			}
 		}
 	case ClientCrash:
-		c := r.cl.Clients[r.victim]
 		if ev.Action == Inject {
 			r.cl.CrashClient(r.victim)
 			return nil
 		}
-		at := c.Clock.Now()
-		if at < now {
-			at = now
-		}
-		d2, _, err := r.cl.RecoverClient(r.victim, at, true)
-		if err != nil {
-			return err
-		}
-		c.Clock.AdvanceTo(d2)
+		return r.recoverClient(r.victim, now, true)
 	}
 	return nil
+}
+
+// recoverClient remounts client i (only if its stack is damaged, unless
+// force) no earlier than from or its own clock, and advances its clock to
+// the remount's completion.
+func (r *runner) recoverClient(i int, from time.Duration, force bool) error {
+	c := r.cl.Clients[i]
+	done, did, err := r.cl.RecoverClient(i, max(c.Clock.Now(), from), force)
+	if err == nil && did {
+		c.Clock.AdvanceTo(done)
+	}
+	return err
 }
 
 // result classifies the recorded op completions into the pre/degraded/

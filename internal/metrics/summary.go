@@ -34,13 +34,7 @@ type Group struct {
 }
 
 // key renders the group identity ("net stack=iscsi transport=tcp").
-func (g Group) key() string {
-	parts := []string{g.Subsys}
-	for _, k := range sortedKeys(g.Tags) {
-		parts = append(parts, k+"="+g.Tags[k])
-	}
-	return strings.Join(parts, " ")
-}
+func (g Group) key() string { return groupKey(g.Subsys, g.Tags, sortedKeys(g.Tags)) }
 
 // Summary is a full-stream roll-up.
 type Summary struct {
@@ -59,19 +53,8 @@ func Summarize(events []Event, by []string) *Summary {
 	keys := append([]string(nil), by...)
 	sort.Strings(keys)
 	groups := map[string]*Group{}
-	var sb strings.Builder
 	for _, e := range events {
-		sb.Reset()
-		sb.WriteString(e.Subsys)
-		for _, k := range keys {
-			if v, ok := e.Tags[k]; ok {
-				sb.WriteByte(' ')
-				sb.WriteString(k)
-				sb.WriteByte('=')
-				sb.WriteString(v)
-			}
-		}
-		key := sb.String()
+		key := groupKey(e.Subsys, e.Tags, keys)
 		g, ok := groups[key]
 		if !ok {
 			tags := Tags{}
@@ -112,6 +95,22 @@ func Summarize(events []Event, by []string) *Summary {
 		s.Groups = append(s.Groups, groups[k])
 	}
 	return s
+}
+
+// groupKey renders a group identity: the subsystem, then key=value for
+// each of the sorted keys the tags carry.
+func groupKey(subsys string, tags Tags, keys []string) string {
+	var sb strings.Builder
+	sb.WriteString(subsys)
+	for _, k := range keys {
+		if v, ok := tags[k]; ok {
+			sb.WriteByte(' ')
+			sb.WriteString(k)
+			sb.WriteByte('=')
+			sb.WriteString(v)
+		}
+	}
+	return sb.String()
 }
 
 // sampleWeight returns the population re-weighting factor for an event:
@@ -253,7 +252,6 @@ func Windows(events []Event, width time.Duration, by []string) []Window {
 	keys := append([]string(nil), by...)
 	sort.Strings(keys)
 	buckets := map[int64]*Window{}
-	var sb strings.Builder
 	for _, e := range events {
 		gauge := e.Kind == KindPoint && e.Subsys == SubsysGauge
 		if e.Kind != KindSample && !gauge {
@@ -269,17 +267,7 @@ func Windows(events []Event, width time.Duration, by []string) []Window {
 			}
 			buckets[start] = b
 		}
-		sb.Reset()
-		sb.WriteString(e.Subsys)
-		for _, k := range keys {
-			if v, ok := e.Tags[k]; ok {
-				sb.WriteByte(' ')
-				sb.WriteString(k)
-				sb.WriteByte('=')
-				sb.WriteString(v)
-			}
-		}
-		key := sb.String()
+		key := groupKey(e.Subsys, e.Tags, keys)
 		if gauge {
 			if b.Gauges[key] == nil {
 				b.Gauges[key] = map[string]GaugeStat{}

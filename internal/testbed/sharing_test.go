@@ -1,8 +1,12 @@
 package testbed
 
 import (
+	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/health"
+	"repro/internal/metrics"
 )
 
 // TestLockGracePeriod walks the NLM/NSM crash-recovery protocol end to
@@ -207,5 +211,92 @@ func TestSharedLUNReservations(t *testing.T) {
 	}
 	if err := c1.SharedWriteAt(4096, data); err != nil {
 		t.Fatalf("write after takeover: %v", err)
+	}
+}
+
+// TestSharingTelemetry reads the sharing stations back from the stream of
+// a delegating NFSv4 cluster with a monitor: a byte-range lock held across
+// scrapes shows in the lock station's gauges, and the delegation counters
+// (subsys=lease) add up to the lease table's own recall count.
+func TestSharingTelemetry(t *testing.T) {
+	var buf bytes.Buffer
+	mon, err := health.New(health.Config{Interval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(ClusterConfig{
+		Config: Config{
+			Kind:    NFSv4,
+			Metrics: metrics.NewRecorder(metrics.NewSink(&buf), nil),
+		},
+		Clients: 2,
+		Sharing: &SharingConfig{Delegation: true},
+		Health:  mon,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := cl.Clients[0], cl.Clients[1]
+	if err := c0.WriteFile("/f", make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	// Both clients take read delegations on /f; client 1's update
+	// recalls client 0's, and client 0's next read recalls client 1's
+	// write delegation.
+	for _, op := range []func() error{
+		func() error { _, err := c0.Stat("/f"); return err },
+		func() error { _, err := c1.Stat("/f"); return err },
+		func() error { return c1.Utimes("/f") },
+		func() error { _, err := c0.Stat("/f"); return err },
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cl.Delegations().Recalls(); got != 2 {
+		t.Fatalf("%d recalls, want 2", got)
+	}
+
+	if err := c0.OpenShared(true); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c0.TryLockShared(0, 4096, true); err != nil || !got {
+		t.Fatalf("lock: got=%v err=%v", got, err)
+	}
+	drivers := make([]func() (bool, error), len(cl.Clients))
+	for i, c := range cl.Clients {
+		c, steps := c, 0
+		drivers[i] = func() (bool, error) {
+			c.Idle(10 * time.Millisecond)
+			steps++
+			return steps < 4, nil
+		}
+	}
+	if err := cl.Run(drivers); err != nil {
+		t.Fatal(err)
+	}
+	cl.EmitSample()
+
+	events, err := metrics.ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lockScrapes, held, recalls int64
+	for _, e := range events {
+		switch {
+		case e.Subsys == metrics.SubsysGauge && e.Tags["station"] == "lock":
+			lockScrapes++
+			if e.Values["held"] == 1 && e.Values["waiters"] == 0 {
+				held++
+			}
+		case e.Subsys == metrics.SubsysLease:
+			recalls += e.Counters["recalls"]
+		}
+	}
+	if lockScrapes == 0 || held != lockScrapes {
+		t.Errorf("%d lock station scrapes, %d of them with the one held lock; want some, all", lockScrapes, held)
+	}
+	if recalls != cl.Delegations().Recalls() {
+		t.Errorf("lease counters sum to %d recalls, the table counted %d", recalls, cl.Delegations().Recalls())
 	}
 }
