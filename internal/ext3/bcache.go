@@ -14,6 +14,7 @@ type buffer struct {
 	data    []byte
 	dirty   bool
 	meta    bool          // part of the running journal transaction when dirty
+	running bool          // in journal.running (padding after meta: 80 bytes stay 80)
 	pins    int           // committed-but-not-checkpointed; not evictable
 	readyAt time.Duration // async read-ahead completion time
 	stamp   uint64        // recency: bcache.clock at the last move to the LRU front

@@ -32,6 +32,11 @@ type FS struct {
 
 	groupFreeBlocks []uint32
 	groupFreeInodes []uint32
+	// groupFull holds, per group, one run of its block bitmap known to be
+	// all set (see scanBlocks): host CPU only, the allocator picks the same
+	// block without it. Only allocBlock and freeBlock write a block bitmap
+	// while the filesystem is mounted; Mount starts every run empty.
+	groupFull []fullRun
 
 	icache  map[Ino]*inode
 	free    []*inode // what freeInode took out of icache, for newInode
@@ -255,6 +260,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 	}
 	fs.groupFreeBlocks = make([]uint32, sb.GroupCount)
 	fs.groupFreeInodes = make([]uint32, sb.GroupCount)
+	fs.groupFull = make([]fullRun, sb.GroupCount)
 	for g := uint32(0); g < sb.GroupCount; g++ {
 		fs.groupFreeBlocks[g] = binary.BigEndian.Uint32(gdt[g*gdtEntrySize:])
 		fs.groupFreeInodes[g] = binary.BigEndian.Uint32(gdt[g*gdtEntrySize+4:])
@@ -359,9 +365,9 @@ func (fs *FS) allocBlock(at time.Duration, goal int64) (int64, time.Duration, er
 				from = 0
 			}
 		}
-		idx := firstClear(b.data, from, bpg)
+		idx := fs.scanBlocks(g, b.data, from, bpg)
 		if idx < 0 {
-			idx = firstClear(b.data, 0, from) // wrap around below the goal
+			idx = fs.scanBlocks(g, b.data, 0, from) // wrap around below the goal
 		}
 		if idx < 0 {
 			continue
@@ -376,10 +382,36 @@ func (fs *FS) allocBlock(at time.Duration, goal int64) (int64, time.Duration, er
 	return 0, at, vfs.ErrNoSpace
 }
 
+// fullRun is the bits [lo, hi) of one group's block bitmap, all set.
+type fullRun struct{ lo, hi int }
+
+// scanBlocks is firstClear over group g's block bitmap bm in [from, end),
+// started past g's full run when from lies inside it. The caller sets the
+// bit it returns, so a hit at idx grows the run to [lo, idx+1) when from lay
+// inside the run or at its end, and makes it [from, idx+1) otherwise. A file
+// grown by 4 KB writes asks from its indirect block every time; without the
+// run each allocation would rescan every block the file owns.
+func (fs *FS) scanBlocks(g int, bm []byte, from, end int) int {
+	r := &fs.groupFull[g]
+	start := from
+	if r.lo <= from && from < r.hi {
+		start = r.hi
+	}
+	idx := firstClear(bm, start, end)
+	if idx < 0 {
+		return -1
+	}
+	if r.lo <= from && from <= r.hi {
+		r.hi = idx + 1
+	} else {
+		*r = fullRun{from, idx + 1}
+	}
+	return idx
+}
+
 // firstClear returns the lowest clear bit of bitmap bm in [lo, hi), or -1: bit
 // by bit up to a 64-bit boundary, a word at a time (Linux's find_next_zero_bit),
-// then the tail. A file grown by 4 KB writes searches from its indirect block
-// across every block it owns on each call: thousands of bits an allocation.
+// then the tail. It is the reference scanBlocks must agree with.
 // hi ≤ 8·len(bm): bm is one block, and checkGeometry bounds both per-group
 // counts by a block's bits.
 func firstClear(bm []byte, lo, hi int) int {
@@ -414,6 +446,9 @@ func (fs *FS) freeBlock(at time.Duration, lba int64) (time.Duration, error) {
 		return done, fmt.Errorf("ext3: double free of block %d", lba)
 	}
 	b.data[idx/8] &^= 1 << uint(idx%8)
+	if r := &fs.groupFull[g]; r.lo <= int(idx) && int(idx) < r.hi {
+		r.hi = int(idx) // the run ends at the freed bit
+	}
 	fs.bc.markDirty(b, true)
 	fs.journal.add(b)
 	fs.groupFreeBlocks[g]++
@@ -616,7 +651,7 @@ func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int6
 
 // dirtyWork reports whether anything needs committing.
 func (fs *FS) dirtyWork() bool {
-	return len(fs.journal.runningOrder) > 0 || fs.bc.dirty.Len() > 0
+	return len(fs.journal.running) > 0 || fs.bc.dirty.Len() > 0
 }
 
 // tick applies the commit policy at the end of each operation: a periodic
@@ -717,9 +752,8 @@ func (fs *FS) dropCaches() {
 // remain on the device for recovery at next mount. The superblock stays
 // dirty, so the next Mount runs recovery.
 func (fs *FS) Crash() {
-	fs.dropCaches()
-	fs.journal.running = make(map[int64]*buffer)
-	fs.journal.runningOrder = nil
+	fs.dropCaches() // the running transaction's buffers, and their flags, go with them
+	fs.journal.dropRunning(len(fs.journal.running))
 	fs.journal.unCheckpointed = nil
 	fs.crashed = true
 }

@@ -42,8 +42,9 @@ type journal struct {
 	head  int64 // next free offset within the journal
 	seq   uint64
 
-	running      map[int64]*buffer
-	runningOrder []int64
+	// running is the running transaction's buffers in the order they
+	// joined it; a member has its running flag set until commit.
+	running []*buffer
 
 	unCheckpointed []*jtxn
 	lastCommit     time.Duration
@@ -57,20 +58,23 @@ type journal struct {
 }
 
 func newJournal(fs *FS, start, size int64) *journal {
-	return &journal{
-		fs:      fs,
-		start:   start,
-		size:    size,
-		running: make(map[int64]*buffer),
-	}
+	return &journal{fs: fs, start: start, size: size}
 }
 
 // add places a dirty meta-data buffer into the running transaction.
 func (j *journal) add(b *buffer) {
-	if _, ok := j.running[b.lba]; !ok {
-		j.running[b.lba] = b
-		j.runningOrder = append(j.runningOrder, b.lba)
+	if !b.running {
+		b.running = true
+		j.running = append(j.running, b)
 	}
+}
+
+// dropRunning takes the first n buffers out of the running transaction,
+// keeping the rest at the front of the same array.
+func (j *journal) dropRunning(n int) {
+	left := copy(j.running, j.running[n:])
+	clear(j.running[left:])
+	j.running = j.running[:left]
 }
 
 // errCrashed is returned by commit when a crash is injected mid-commit.
@@ -89,8 +93,8 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		return done, err
 	}
 
-	for len(j.runningOrder) > 0 {
-		chunk := len(j.runningOrder)
+	for len(j.running) > 0 {
+		chunk := len(j.running)
 		if chunk > maxDescEntries {
 			chunk = maxDescEntries
 		}
@@ -102,7 +106,7 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 				return done, err
 			}
 		}
-		lbas := j.runningOrder[:chunk]
+		bufs := j.running[:chunk]
 		seq := j.seq + 1
 
 		// Build descriptor + frozen images as one contiguous write. The
@@ -115,11 +119,11 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		binary.BigEndian.PutUint64(body[8:], seq)
 		binary.BigEndian.PutUint32(body[16:], uint32(chunk))
 		txn := &jtxn{seq: seq, homes: make([]int64, chunk), images: make([][]byte, chunk)}
-		for i, lba := range lbas {
-			binary.BigEndian.PutUint64(body[20+8*i:], uint64(lba))
+		for i, b := range bufs {
+			binary.BigEndian.PutUint64(body[20+8*i:], uint64(b.lba))
 			img := body[(1+i)*BlockSize : (2+i)*BlockSize : (2+i)*BlockSize]
-			copy(img, j.running[lba].data)
-			txn.homes[i] = lba
+			copy(img, b.data)
+			txn.homes[i] = b.lba
 			txn.images[i] = img
 		}
 		done, err = j.fs.dev.WriteBlocks(done, j.start+j.head, body)
@@ -144,11 +148,11 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 
 		// Bookkeeping: buffers are clean (their images are durable) but
 		// pinned until checkpointed home.
-		for _, lba := range lbas {
-			j.fs.bc.pinCommitted(j.running[lba])
-			delete(j.running, lba)
+		for _, b := range bufs {
+			j.fs.bc.pinCommitted(b)
+			b.running = false
 		}
-		j.runningOrder = j.runningOrder[chunk:]
+		j.dropRunning(chunk)
 		j.head += int64(chunk) + 2
 		j.seq = seq
 		j.unCheckpointed = append(j.unCheckpointed, txn)

@@ -320,3 +320,40 @@ func TestOneCommandPath(t *testing.T) {
 		}
 	}
 }
+
+// TestFluidCountersReportRetries: on a lossy fluid wire, every lost frame of
+// a command is one retry of it (a frame the target never saw, or a response
+// that never came back), and Counters reports as many as the network lost
+// after login; the TCP wires recover below SCSI and report none.
+func TestFluidCountersReportRetries(t *testing.T) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cfg := simnet.DefaultLAN()
+			cfg.LossRate, cfg.Seed = 0.05, 3
+			net := simnet.New(cfg)
+			ini := w.dial(net, NewTarget("iqn.test:vol", blockdev.NewTestbedArray(8192), nil))
+			at, err := ini.Login(0)
+			if err != nil {
+				t.Fatalf("login: %v", err)
+			}
+			lost := net.Stats().Dropped
+			data := make([]byte, 4096)
+			for i := int64(0); i < 200; i++ {
+				if at, err = ini.WriteBlocks(at, i, data); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+			}
+			lost = net.Stats().Dropped - lost
+			retries, ok := ini.Counters()["retries"]
+			if w.name != "fluid" {
+				if ok {
+					t.Fatalf("the %s wire reports %d retries", w.name, retries)
+				}
+				return
+			}
+			if lost == 0 || retries != lost {
+				t.Fatalf("the network lost %d frames after login, the initiator reports %d retries", lost, retries)
+			}
+		})
+	}
+}

@@ -11,9 +11,30 @@ import (
 // pageSize is the client page cache granularity (4 KB, like Linux).
 const pageSize = blockdev.BlockSize
 
+// pageKey names page idx of file ino. The page cache and the write-behind
+// queue index it as one word, id.
 type pageKey struct {
 	ino uint64
 	idx int64
+}
+
+// maxPageWord bounds both halves of a packed page key: an ext3 inode number
+// is 32 bits, and an ext3 file has fewer than 2^21 pages.
+const maxPageWord = 1<<32 - 1
+
+// id packs k as ino<<32 | idx, exact for every key pageRange admits.
+func (k pageKey) id() uint64 { return k.ino<<32 | uint64(k.idx) }
+
+// pageRange returns the first and last page of n bytes at off in file ino,
+// refusing with vfs.ErrInvalid a range whose keys id cannot pack exactly
+// (a negative offset, an index or inode number past 32 bits) rather than
+// folding it onto another file's or another offset's page.
+func pageRange(ino uint64, off, n int64) (first, last int64, err error) {
+	first, last = off/pageSize, (off+n-1)/pageSize
+	if ino > maxPageWord || off < 0 || last > maxPageWord {
+		return 0, 0, vfs.ErrInvalid
+	}
+	return first, last, nil
 }
 
 type page struct {
@@ -57,7 +78,7 @@ type page struct {
 // their blocks to the pool.
 type pageCache struct {
 	max    int
-	pages  map[pageKey]*page
+	pages  map[uint64]*page // by key id
 	byFile map[uint64]*page
 	lru    page
 	// mem holds the pool, the pages, those unlinked since the last reclaim
@@ -66,12 +87,12 @@ type pageCache struct {
 }
 
 func newPageCache(max int, pool *blockdev.Pool) *pageCache {
-	pc := &pageCache{max: max, mem: blockdev.Reclaimer[page]{Pool: pool}, pages: make(map[pageKey]*page), byFile: make(map[uint64]*page)}
+	pc := &pageCache{max: max, mem: blockdev.Reclaimer[page]{Pool: pool}, pages: make(map[uint64]*page), byFile: make(map[uint64]*page)}
 	pc.lru.newer, pc.lru.older = &pc.lru, &pc.lru
 	return pc
 }
 
-func (pc *pageCache) peek(k pageKey) *page { return pc.pages[k] }
+func (pc *pageCache) peek(k pageKey) *page { return pc.pages[k.id()] }
 
 // touch makes p the most recently used page.
 func (pc *pageCache) touch(p *page) {
@@ -89,7 +110,7 @@ func lruRemove(p *page) { p.newer.older, p.older.newer = p.older, p.newer }
 // link adds a new page as the most recently used one and the head of its
 // file's chain.
 func (pc *pageCache) link(p *page) {
-	pc.pages[p.key] = p
+	pc.pages[p.key.id()] = p
 	pc.pushFront(p)
 	if p.fnext = pc.byFile[p.key.ino]; p.fnext != nil {
 		p.fnext.fprev = p
@@ -99,7 +120,7 @@ func (pc *pageCache) link(p *page) {
 
 // unlink removes p from the map, the LRU ring and its file's chain.
 func (pc *pageCache) unlink(p *page) {
-	delete(pc.pages, p.key)
+	delete(pc.pages, p.key.id())
 	lruRemove(p)
 	if p.fnext != nil {
 		p.fnext.fprev = p.fprev
@@ -118,7 +139,7 @@ func (pc *pageCache) unlink(p *page) {
 // data is short (the tail of a file, or none). The new page is never its own
 // insert's victim: the caller is about to fill or read it.
 func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page {
-	if p, ok := pc.pages[k]; ok {
+	if p, ok := pc.pages[k.id()]; ok {
 		p.data = pc.mem.Replace(p.data, data)
 		if readyAt > p.readyAt {
 			p.readyAt = readyAt
@@ -133,7 +154,7 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 }
 
 func (pc *pageCache) getOrCreate(k pageKey) *page {
-	if p, ok := pc.pages[k]; ok {
+	if p, ok := pc.pages[k.id()]; ok {
 		pc.touch(p)
 		return p
 	}
@@ -185,7 +206,7 @@ func (pc *pageCache) dropFile(ino uint64) {
 		return
 	}
 	for p := head; p != nil; p = p.fnext {
-		delete(pc.pages, p.key)
+		delete(pc.pages, p.key.id())
 		lruRemove(p)
 		pc.mem.Retire(p)
 	}
@@ -224,7 +245,7 @@ type fileState struct {
 type writeBehind struct {
 	c                *Client
 	queue            []pageKey
-	queued           map[pageKey]bool
+	queued           map[uint64]bool // by key id
 	inflight         []time.Duration // completion times of recent WRITE RPCs
 	horizon          time.Duration
 	issued           int // pages issued since the last stall/drain
@@ -244,12 +265,12 @@ type writeBehind struct {
 }
 
 func newWriteBehind(c *Client) *writeBehind {
-	return &writeBehind{c: c, queued: make(map[pageKey]bool), flushTrigger: 64}
+	return &writeBehind{c: c, queued: make(map[uint64]bool), flushTrigger: 64}
 }
 
 func (wb *writeBehind) add(k pageKey) {
-	if !wb.queued[k] {
-		wb.queued[k] = true
+	if !wb.queued[k.id()] {
+		wb.queued[k.id()] = true
 		wb.queue = append(wb.queue, k)
 	}
 	wb.dirtySinceCommit = true
@@ -260,7 +281,7 @@ func (wb *writeBehind) dropFile(ino uint64) {
 	keep := wb.queue[:0]
 	for _, k := range wb.queue {
 		if k.ino == ino {
-			delete(wb.queued, k)
+			delete(wb.queued, k.id())
 			continue
 		}
 		keep = append(keep, k)
@@ -347,7 +368,7 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 				// Stale pages beyond a truncation: drop them.
 				for j := 0; j < run; j++ {
 					pk := pageKey{k.ino, k.idx + int64(j)}
-					delete(wb.queued, pk)
+					delete(wb.queued, pk.id())
 					if p := c.pages.peek(pk); p != nil {
 						p.dirty = false
 					}
@@ -396,7 +417,7 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 		wb.issued += run
 		for j := 0; j < run; j++ {
 			pk := pageKey{k.ino, k.idx + int64(j)}
-			delete(wb.queued, pk)
+			delete(wb.queued, pk.id())
 			if p := c.pages.peek(pk); p != nil {
 				p.dirty = false
 			}
@@ -594,8 +615,10 @@ func (f *nfsFile) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Dur
 	if off+int64(len(buf)) > size {
 		buf = buf[:size-off]
 	}
-	first := off / pageSize
-	last := (off + int64(len(buf)) - 1) / pageSize
+	first, last, err := pageRange(f.fh.Ino, off, int64(len(buf)))
+	if err != nil {
+		return 0, done, err
+	}
 	maxPages := transferSize(c.ver) / pageSize
 
 	// Fetch missing runs, holding every page of the request: a later insert
@@ -696,9 +719,11 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 	if c.ver == V2 {
 		return f.writeSync(at, off, data)
 	}
+	first, last, err := pageRange(f.fh.Ino, off, int64(len(data)))
+	if err != nil {
+		return 0, at, err
+	}
 	done := c.charge(at, len(data))
-	first := off / pageSize
-	last := (off + int64(len(data)) - 1) / pageSize
 	size := c.cachedSize(f.fh)
 	written := 0
 	for idx := first; idx <= last; idx++ {
@@ -809,8 +834,8 @@ func (f *nfsFile) Fsync(at time.Duration) (time.Duration, error) {
 // flushFile drains the write-behind pool if it holds a page of the file (v2
 // writes through and never does).
 func (c *Client) flushFile(at time.Duration, ino uint64) (time.Duration, error) {
-	for k := range c.wb.queued {
-		if k.ino == ino {
+	for id := range c.wb.queued {
+		if id>>32 == ino {
 			return c.wb.drain(at)
 		}
 	}

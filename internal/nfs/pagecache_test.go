@@ -94,7 +94,7 @@ func (pc *pageCache) order(t *testing.T) (keys []pageKey, state []string) {
 	for p := pc.lru.older; p != &pc.lru; p = p.older {
 		keys = append(keys, p.key)
 		state = append(state, fmt.Sprint(p.key, p.dirty, p.readyAt))
-		if pc.pages[p.key] != p {
+		if pc.pages[p.key.id()] != p {
 			t.Fatalf("page %v is on the LRU ring but not in the map", p.key)
 		}
 		if p.older.newer != p || p.newer.older != p {
@@ -111,7 +111,7 @@ func (pc *pageCache) order(t *testing.T) (keys []pageKey, state []string) {
 		}
 		for p := head; p != nil; p = p.fnext {
 			chained++
-			if p.key.ino != ino || pc.pages[p.key] != p {
+			if p.key.ino != ino || pc.pages[p.key.id()] != p {
 				t.Fatalf("file %d: chain holds %v, which is not its cached page", ino, p.key)
 			}
 			if p.fnext != nil && p.fnext.fprev != p {
@@ -241,7 +241,7 @@ func TestDropFileTouchesOnlyThatFile(t *testing.T) {
 			kept = append(kept, p)
 		}
 	}
-	pc.pages = map[pageKey]*page{}
+	pc.pages = map[uint64]*page{}
 
 	pc.dropFile(target)
 

@@ -72,9 +72,12 @@ const (
 	ProcClose       // v4
 	ProcLock        // NLM LOCK (v2/v3 sideband) / v4 LOCK
 	ProcUnlock      // NLM UNLOCK / v4 LOCKU
+
+	procCount // the number of procedures; stays last
 )
 
-var procNames = map[Proc]string{
+// procNames is indexed by Proc: String runs on every RPC, tracing or not.
+var procNames = [procCount]string{
 	ProcNull: "NULL", ProcGetattr: "GETATTR", ProcSetattr: "SETATTR",
 	ProcLookup: "LOOKUP", ProcAccess: "ACCESS", ProcReadlink: "READLINK",
 	ProcRead: "READ", ProcWrite: "WRITE", ProcCreate: "CREATE",
@@ -87,10 +90,10 @@ var procNames = map[Proc]string{
 }
 
 func (p Proc) String() string {
-	if s, ok := procNames[p]; ok {
-		return s
+	if p < 0 || p >= procCount {
+		return "UNKNOWN"
 	}
-	return "UNKNOWN"
+	return procNames[p]
 }
 
 // FH is an NFS file handle: the server-side inode number plus generation.

@@ -24,7 +24,7 @@ type CPU struct {
 	Window time.Duration
 
 	res     Resource
-	windows map[int64]time.Duration // window index -> busy time inside it
+	windows []time.Duration // busy time inside each window, by index; grown by account
 
 	tracer *tracing.Tracer
 	layer  tracing.Layer // LayerCPUClient or LayerCPUServer
@@ -32,7 +32,7 @@ type CPU struct {
 
 // NewCPU returns a CPU with the given relative speed (1.0 = reference core).
 func NewCPU(speed float64) *CPU {
-	return &CPU{Speed: speed, Window: defaultCPUWindow, windows: make(map[int64]time.Duration)}
+	return &CPU{Speed: speed, Window: defaultCPUWindow}
 }
 
 // SetTracer attaches a tracer that records each service interval as a span
@@ -94,9 +94,6 @@ func (c *CPU) Interrupt(start, demand time.Duration) (done time.Duration) {
 
 // account spreads service time across sampling windows [begin, begin+service).
 func (c *CPU) account(begin, service time.Duration) {
-	if c.windows == nil {
-		c.windows = make(map[int64]time.Duration)
-	}
 	w := c.Window
 	if w <= 0 {
 		w = defaultCPUWindow
@@ -108,7 +105,12 @@ func (c *CPU) account(begin, service time.Duration) {
 		if slice > service {
 			slice = service
 		}
-		c.windows[idx] += slice
+		if idx >= 0 { // no window before time 0 is ever read
+			if n := int(idx) + 1; n > len(c.windows) {
+				c.windows = append(c.windows, make([]time.Duration, n-len(c.windows))...)
+			}
+			c.windows[idx] += slice
+		}
 		begin += slice
 		service -= slice
 	}
@@ -149,7 +151,10 @@ func (c *CPU) UtilizationPercentile(p float64, elapsed time.Duration) float64 {
 	}
 	samples := make([]float64, 0, n)
 	for i := int64(0); i < n; i++ {
-		u := float64(c.windows[i]) / float64(w)
+		var u float64 // a window past the last busy one was idle
+		if i < int64(len(c.windows)) {
+			u = float64(c.windows[i]) / float64(w)
+		}
 		if u > 1 {
 			u = 1 // saturated window
 		}

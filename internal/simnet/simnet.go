@@ -269,8 +269,13 @@ func (n *Network) serialize(start time.Duration, wire int, ser time.Duration, d 
 // survived the shared queue (if any) and loss injection.
 func (n *Network) transmit(start time.Duration, size int, d Direction, fragment bool) (arrive time.Duration, ok bool) {
 	wire, ser := n.account(size, d)
-	sent, ok := n.serialize(start, wire, ser, d, fragment)
-	if ok && n.inOutage(start) {
+	var sent time.Duration
+	if n.shared != nil && !fragment && n.inOutage(start) {
+		// The partition kills a stream frame on this wire, before the
+		// shared link would admit it assured: the link never sees it. (A
+		// datagram goes on and dies at the link's own outage, a queue drop.)
+		sent = start + ser
+	} else if sent, ok = n.serialize(start, wire, ser, d, fragment); ok && n.inOutage(start) {
 		ok = false
 	} else if p := n.lossProb(size, fragment); ok && p > 0 && n.rng.Float64() < p {
 		ok = false

@@ -285,66 +285,96 @@ func TestClusterSingleClientHeterogeneous(t *testing.T) {
 }
 
 // TestPartitionNetOnSharedBottleneck: a partition of a cluster behind a
-// shared bottleneck drops frames at the bottleneck only while it lasts.
-// Writes issued before [from, until) see no drop; writes issued inside it
-// lose frames at the bottleneck and complete once it ends; writes after it
-// pass without a drop. The wire is TCP: its segments are the droppable
-// frames the bottleneck admits (fluid stream messages pass it assured).
+// shared bottleneck drops frames only while it lasts. Writes issued before
+// [from, until) see no drop; writes issued inside it lose frames and
+// complete once it ends; writes after it pass without a drop. On the TCP
+// wire the drops are the bottleneck's: its segments are the droppable frames
+// the link admits. On the fluid wire a stream frame dies on the client's own
+// wire, before the link would admit it assured, so in every phase the link
+// carries exactly the frames that survived the client wires.
 func TestPartitionNetOnSharedBottleneck(t *testing.T) {
 	for _, kind := range []Kind{NFSv3, ISCSI} {
 		t.Run(kind.Tag(), func(t *testing.T) {
-			cl := sharedCluster(t, kind, TransportTCP, 2, netqueue.Config{}, nil, nil)
-			defer cl.Close()
-			data := make([]byte, 16<<10)
-			write := func(phase string) {
-				t.Helper()
-				drivers := make([]func() (bool, error), len(cl.Clients))
-				for i, c := range cl.Clients {
-					c, path := c, fmt.Sprintf("/%s-%d", phase, i)
-					drivers[i] = func() (bool, error) {
-						if err := c.WriteFile(path, data); err != nil {
-							return false, err
+			for _, tr := range []Transport{TransportTCP, TransportFluid} {
+				t.Run(tr.String(), func(t *testing.T) {
+					cl := sharedCluster(t, kind, tr, 2, netqueue.Config{}, nil, nil)
+					defer cl.Close()
+					// crossed is what the client wires passed on to the link,
+					// and carried what the link counted.
+					crossed := func() (crossed, carried int64) {
+						for _, n := range cl.nets {
+							s := n.Stats()
+							crossed += s.Frames - s.Dropped
 						}
-						return false, c.Drain()
+						s := cl.Link.Stats()
+						return crossed, s.Up.Frames + s.Down.Frames
 					}
-				}
-				if err := cl.Run(drivers); err != nil {
-					t.Fatalf("%s the partition: %v", phase, err)
-				}
-			}
-			drops := func() int64 { return cl.Link.Stats().Drops() }
+					drops := func() int64 {
+						if tr == TransportTCP {
+							return cl.Link.Stats().Drops()
+						}
+						var d int64
+						for _, n := range cl.nets {
+							d += n.Stats().Dropped
+						}
+						return d
+					}
+					data := make([]byte, 16<<10)
+					write := func(phase string) {
+						t.Helper()
+						crossed0, carried0 := crossed()
+						drivers := make([]func() (bool, error), len(cl.Clients))
+						for i, c := range cl.Clients {
+							c, path := c, fmt.Sprintf("/%s-%d", phase, i)
+							drivers[i] = func() (bool, error) {
+								if err := c.WriteFile(path, data); err != nil {
+									return false, err
+								}
+								return false, c.Drain()
+							}
+						}
+						if err := cl.Run(drivers); err != nil {
+							t.Fatalf("%s the partition: %v", phase, err)
+						}
+						if crossed1, carried1 := crossed(); tr == TransportFluid && carried1-carried0 != crossed1-crossed0 {
+							t.Errorf("%s the partition: the link carried %d frames, the client wires passed it %d",
+								phase, carried1-carried0, crossed1-crossed0)
+						}
+					}
 
-			from := cl.Align() + 200*time.Millisecond
-			until := from + 500*time.Millisecond
-			cl.PartitionNet(from, until)
+					from := cl.Align() + 200*time.Millisecond
+					until := from + 500*time.Millisecond
+					cl.PartitionNet(from, until)
 
-			write("before")
-			for i, c := range cl.Clients {
-				if now := c.Clock.Now(); now >= from {
-					t.Fatalf("client %d finished its first write at %v, not before the partition at %v", i, now, from)
-				}
-			}
-			if d := drops(); d != 0 {
-				t.Fatalf("%d frames dropped before the partition", d)
-			}
+					write("before")
+					for i, c := range cl.Clients {
+						if now := c.Clock.Now(); now >= from {
+							t.Fatalf("client %d finished its first write at %v, not before the partition at %v", i, now, from)
+						}
+					}
+					if d := drops(); d != 0 {
+						t.Fatalf("%d frames dropped before the partition", d)
+					}
 
-			for _, c := range cl.Clients {
-				c.IdleUntil(from)
-			}
-			write("during")
-			inside := drops()
-			if inside == 0 {
-				t.Fatal("no frame dropped at the bottleneck during the partition")
-			}
-			for i, c := range cl.Clients {
-				if now := c.Clock.Now(); now < until {
-					t.Errorf("client %d finished a write issued in the partition at %v, before it ends at %v", i, now, until)
-				}
-			}
+					for _, c := range cl.Clients {
+						c.IdleUntil(from)
+					}
+					write("during")
+					inside := drops()
+					if inside == 0 {
+						t.Fatal("no frame dropped during the partition")
+					}
+					for i, c := range cl.Clients {
+						if now := c.Clock.Now(); now < until {
+							t.Errorf("client %d finished a write issued in the partition at %v, before it ends at %v", i, now, until)
+						}
+					}
 
-			write("after")
-			if d := drops() - inside; d != 0 {
-				t.Errorf("%d frames dropped after the partition ended", d)
+					write("after")
+					if d := drops() - inside; d != 0 {
+						t.Errorf("%d frames dropped after the partition ended", d)
+					}
+				})
 			}
 		})
 	}
