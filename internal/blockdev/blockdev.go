@@ -21,6 +21,14 @@
 // only dirty or pinned blocks, which are never dropped, can still be referred
 // to (see Store and Pool).
 //
+// A block moves down the write path by reference, not by copy: from the NFS
+// client's page cache to the server's buffer cache, and from a buffer cache
+// through the iSCSI initiator and target (WriteRun) to the Store. A callee
+// handed a block only reads it during the call; it keeps a shared block as
+// itself, known by its address without comparing a byte again, and copies a
+// private one. So a block is tested for one byte repeated once, where it
+// first enters a cache.
+//
 // Block numbers are dense integers below a device's NumBlocks, so the owners
 // that look blocks up by number (Store, the ext3 buffer cache) index them
 // with a Table, a two-level radix table walked in ascending order, not a
@@ -141,14 +149,16 @@ func (s *Store) ReadAt(lba int64, buf []byte) error {
 // WriteAt stores data (len == blockSize) at block lba. One byte repeated
 // stores no bytes: zeros make the block absent, any other byte makes it a
 // reference to that byte's shared block, and a private block it replaces
-// goes back to the pool. Mixed data is copied into a private block.
+// goes back to the pool. Mixed data is copied into a private block. data is
+// only read: a shared block is known by its address and not compared again,
+// and any other block is never kept.
 func (s *Store) WriteAt(lba int64, data []byte) error {
 	if err := s.check("write", lba, len(data)); err != nil {
 		return err
 	}
 	old, present := s.blocks.Get(lba)
 	private := present && !isShared(old)
-	if s.blockSize <= BlockSize && uniform(data) {
+	if isShared(data) || s.blockSize <= BlockSize && s.pool.uniform(data) {
 		s.pool.Put(old) // refuses a shared block, and nil
 		if v := data[0]; v != 0 {
 			s.blocks.Set(lba, shared[v][:s.blockSize:s.blockSize])
@@ -182,16 +192,25 @@ func (s *Store) zeroAt(lba int64) error {
 	return nil
 }
 
-// uniform reports whether b is one byte repeated: every byte equals its
-// predecessor, which bytes.Equal checks at memory-compare speed and leaves
-// at the first difference, so mixed data pays for a few bytes.
+// uniform reports whether b (at most BlockSize bytes) is one byte repeated:
+// it equals the shared block of its first byte, which bytes.Equal checks at
+// memory-compare speed on two aligned blocks and leaves at the first
+// difference, so mixed data pays for a few bytes.
 func uniform(b []byte) bool {
-	return len(b) > 0 && bytes.Equal(b[1:], b[:len(b)-1])
+	return len(b) > 0 && len(b) <= BlockSize && bytes.Equal(b, shared[b[0]][:len(b)])
 }
 
 // isShared reports whether b (a block a store or cache holds, never empty)
-// refers to a shared block rather than to memory its owner owns.
+// refers to a shared block rather than to memory its owner owns: the
+// uniformity test, without a compare, of a block some owner already tested.
 func isShared(b []byte) bool { return &b[0] == &shared[b[0]][0] }
+
+// Holds reports whether the store keeps b itself, not a copy of it, as block
+// lba (for tests: only a shared block may be kept so).
+func (s *Store) Holds(lba int64, b []byte) bool {
+	held, ok := s.blocks.Get(lba)
+	return ok && len(b) > 0 && &held[0] == &b[0]
+}
 
 // Populated reports how many blocks are constant or private, that is, how
 // many do not currently read as all zeros (for tests).
@@ -321,15 +340,9 @@ func (l *Local) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Dur
 
 // WriteBlocks implements Device.
 func (l *Local) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
-	if l.FailWrites {
-		return start, fmt.Errorf("blockdev: injected write failure at lba=%d", lba)
-	}
 	bs := l.store.blockSize
-	if len(data)%bs != 0 {
-		return start, fmt.Errorf("blockdev: write buffer not block-multiple: %d", len(data))
-	}
 	n := len(data) / bs
-	if err := l.checkRange("write", lba, n); err != nil {
+	if err := l.writable(lba, n, len(data)); err != nil {
 		return start, err
 	}
 	for i := 0; i < n; i++ {
@@ -340,15 +353,44 @@ func (l *Local) WriteBlocks(start time.Duration, lba int64, data []byte) (time.D
 	return l.raid.Write(start, l.offset+lba, n)
 }
 
+// WriteRun writes blocks, each one whole block, at lba onwards: WriteBlocks
+// of their concatenation in every check, in what the store holds afterwards
+// and in the one request the array sees, without the concatenation. A cache
+// hands its blocks over by reference: the store only reads them, keeps a
+// shared block as itself without comparing it again and copies any other.
+func (l *Local) WriteRun(start time.Duration, lba int64, blocks [][]byte) (time.Duration, error) {
+	if err := l.writable(lba, len(blocks), runBytes(blocks, l.store.blockSize)); err != nil {
+		return start, err
+	}
+	for i, b := range blocks {
+		if err := l.store.WriteAt(lba+int64(i), b); err != nil {
+			return start, err
+		}
+	}
+	return l.raid.Write(start, l.offset+lba, len(blocks))
+}
+
+// runBytes returns how many bytes blocks hold, or -1 when they are no run of
+// whole blocks of bs bytes. Only a last block shorter than bs (but not empty)
+// is let through: its run is refused as WriteBlocks refuses the
+// concatenation, by the length.
+func runBytes(blocks [][]byte, bs int) int {
+	n := 0
+	for i, b := range blocks {
+		if len(b) != bs && (i < len(blocks)-1 || len(b) == 0 || len(b) > bs) {
+			return -1
+		}
+		n += len(b)
+	}
+	return n
+}
+
 // WriteZeros writes n blocks of zeros at lba. It is WriteBlocks of a zero
 // buffer in every check, in what the store holds afterwards and in the one
 // request the array sees, so no simulated number can tell them apart; the host
 // is spared comparing the zeros (ext3.Mkfs clears 8 MB of journal per cell).
 func (l *Local) WriteZeros(start time.Duration, lba int64, n int) (time.Duration, error) {
-	if l.FailWrites {
-		return start, fmt.Errorf("blockdev: injected write failure at lba=%d", lba)
-	}
-	if err := l.checkRange("write", lba, n); err != nil {
+	if err := l.writable(lba, n, max(n, 0)*l.store.blockSize); err != nil {
 		return start, err
 	}
 	for i := 0; i < n; i++ {
@@ -357,6 +399,23 @@ func (l *Local) WriteZeros(start time.Duration, lba int64, n int) (time.Duration
 		}
 	}
 	return l.raid.Write(start, l.offset+lba, n)
+}
+
+// writable runs the checks every write makes before a block is touched, in
+// their order: the injected failure, a length of size bytes that is no whole
+// number of blocks (negative: not a run of whole blocks), then n blocks at
+// lba past the device.
+func (l *Local) writable(lba int64, n, size int) error {
+	if l.FailWrites {
+		return fmt.Errorf("blockdev: injected write failure at lba=%d", lba)
+	}
+	if size < 0 {
+		return fmt.Errorf("blockdev: write run of %d blocks is not of whole blocks", n)
+	}
+	if size%l.store.blockSize != 0 {
+		return fmt.Errorf("blockdev: write buffer not block-multiple: %d", size)
+	}
+	return l.checkRange("write", lba, n)
 }
 
 // checkRange rejects a request that is not wholly inside the device before

@@ -42,7 +42,9 @@ type bcacheStats struct {
 //
 // Buffer ownership: a slice passed to Device.WriteBlocks or insertPrefetch
 // may be reused by the caller on return (every device here copies
-// synchronously, and so does insertPrefetch).
+// synchronously, and so does insertPrefetch). Dirty blocks go home by
+// reference (writeRuns, device.WriteRun): the device only reads them
+// during the call, keeps a shared one as itself and copies a private one.
 //
 // Block memory follows content (see package blockdev): a buffer's data is
 // either the shared read-only block of one byte repeated or one whole private
@@ -241,7 +243,8 @@ func (c *bcache) view(at time.Duration, lba int64) (*buffer, time.Duration, erro
 
 // set makes src, one whole block, the content of lba without reading it: a
 // get with zero set followed by a copy, in every counter, wait and eviction,
-// except that uniform src makes the data shared.
+// except that uniform src makes the data shared. src is only read: a shared
+// src (an NFS client's page, by reference) is taken as itself uncompared.
 func (c *bcache) set(at time.Duration, lba int64, src []byte) (*buffer, time.Duration, error) {
 	b, done, err := c.lookup(at, lba)
 	if err != nil {

@@ -170,6 +170,9 @@ func (f *file) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 	if !fs.mounted {
 		return 0, at, vfs.ErrStale
 	}
+	if off < 0 {
+		return 0, at, vfs.ErrInvalid
+	}
 	n, done, err := fs.getInode(at, f.ino)
 	if err != nil {
 		return 0, done, err
@@ -388,11 +391,23 @@ func (fs *FS) bmapPeek(n *inode, fb int64) int64 {
 // in the cache until the next journal commit flushes them — the update
 // aggregation and write coalescing at the heart of the paper's results.
 func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
+	return f.write(at, off, len(data), data, nil)
+}
+
+// write is WriteAt of count bytes given either as data or, cut at block
+// boundaries, as blocks (see FS.WriteFileAt): the bytes for file block fb
+// are data from what the blocks before it took, or blocks[fb-first]. A
+// whole block of either goes to the cache by reference, which copies what
+// it keeps.
+func (f *file) write(at time.Duration, off int64, count int, data []byte, blocks [][]byte) (int, time.Duration, error) {
 	fs := f.fs
 	if !fs.mounted {
 		return 0, at, vfs.ErrStale
 	}
-	if len(data) == 0 {
+	if off < 0 {
+		return 0, at, vfs.ErrInvalid
+	}
+	if count == 0 {
 		return 0, at, nil
 	}
 	n, done, err := fs.getInode(at, f.ino)
@@ -415,7 +430,7 @@ func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 		}
 	}
 	first := off / BlockSize
-	last := (off + int64(len(data)) - 1) / BlockSize
+	last := (off + int64(count) - 1) / BlockSize
 	written := 0
 	var goal int64
 	for fb := first; fb <= last; fb++ {
@@ -424,7 +439,13 @@ func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 			bs = off % BlockSize
 		}
 		if fb == last {
-			be = (off+int64(len(data))-1)%BlockSize + 1
+			be = (off+int64(count)-1)%BlockSize + 1
+		}
+		var src []byte
+		if blocks != nil {
+			src = blocks[fb-first]
+		} else {
+			src = data[written:]
 		}
 		fullBlock := bs == 0 && be == BlockSize
 		// Establish whether the block existed before (partial writes of
@@ -444,7 +465,7 @@ func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 		var b *buffer
 		if fullBlock {
 			// No read needed, and a block of one byte repeated is shared.
-			b, d2, err = fs.bc.set(done, lba, data[written:written+BlockSize])
+			b, d2, err = fs.bc.set(done, lba, src[:BlockSize])
 		} else {
 			// A fresh allocation reads as zeros without a read.
 			b, d2, err = fs.bc.get(done, lba, !hadBlock)
@@ -454,12 +475,12 @@ func (f *file) WriteAt(at time.Duration, off int64, data []byte) (int, time.Dura
 		}
 		done = d2
 		if !fullBlock {
-			copy(b.data[bs:be], data[written:])
+			copy(b.data[bs:be], src)
 		}
 		written += int(be - bs)
 		fs.bc.markDirty(b, false)
 	}
-	if newSize := uint64(off + int64(len(data))); newSize > n.Size {
+	if newSize := uint64(off + int64(count)); newSize > n.Size {
 		n.Size = newSize
 	}
 	n.Mtime = int64(done)

@@ -23,9 +23,21 @@ const (
 // gdtEntrySize is the on-disk size of one group descriptor.
 const gdtEntrySize = 16
 
+// device is what a file system mounts: a block device that also writes a
+// run of blocks handed over by reference, as both blockdev.Local and the
+// iSCSI initiator do. The cache writes its dirty blocks home this way,
+// without gathering them into one buffer.
+type device interface {
+	blockdev.Device
+	// WriteRun writes blocks, each one whole block, at lba onwards, as
+	// WriteBlocks writes their concatenation. It only reads the blocks and
+	// keeps none but a shared one.
+	WriteRun(start time.Duration, lba int64, blocks [][]byte) (done time.Duration, err error)
+}
+
 // FS is a mounted filesystem instance.
 type FS struct {
-	dev  blockdev.Device
+	dev  device
 	opts Options
 	sb   *superblock
 	bc   *bcache
@@ -58,11 +70,15 @@ type FS struct {
 	crashed bool
 	mounted bool
 
-	// coalesce carries one contiguous run to or from the device at a time
-	// (flushData, checkpoint, ReadAt, readahead); see the ownership rule on
-	// bcache. run is the pool's run buffer it was taken from, if any.
+	// coalesce carries one contiguous run from the device at a time
+	// (ReadAt, readahead); see the ownership rule on bcache. run is the
+	// pool's run buffer it was taken from, if any.
 	coalesce []byte
 	run      *blockdev.Run
+	// refs hands one run of blocks to the device by reference (writeRuns;
+	// a run past the default MaxCoalesce takes a slice of its own); it is
+	// cleared after each run, so it keeps no block reachable.
+	refs [blockdev.RunBlocks][]byte
 }
 
 // runBuf returns the coalescing buffer sized for run blocks. Its content is
@@ -221,7 +237,7 @@ func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, e
 
 // Mount attaches a filesystem, recovering the journal if the previous
 // instance crashed. Returns the FS and mount completion time.
-func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Duration, error) {
+func Mount(at time.Duration, dev device, opts Options) (*FS, time.Duration, error) {
 	opts.fill()
 	blk := make([]byte, BlockSize)
 	done, err := dev.ReadBlocks(at, sbBlock, blk)
@@ -621,8 +637,9 @@ func (fs *FS) flushData(at time.Duration) (time.Duration, error) {
 // coalesce into one device write of at most MaxCoalesce blocks, and the runs
 // are issued concurrently at `at`, since destaging parallelizes across the
 // array's members; completion is the slowest run. data gives a block's
-// content, and written (if not nil) is told of each block once its run is
-// on the device.
+// content, which goes to the device by reference (a cached block is not
+// copied or compared again on the way), and written (if not nil) is told of
+// each block once its run is on the device.
 func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int64) []byte, written func(int64)) (time.Duration, error) {
 	done := at
 	for lba := next(0); lba >= 0; {
@@ -630,11 +647,12 @@ func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int6
 		for run < int64(fs.opts.MaxCoalesce) && next(lba+run) == lba+run {
 			run++
 		}
-		buf := fs.runBuf(int(run))
+		refs := fs.refs[:0]
 		for k := int64(0); k < run; k++ {
-			copy(buf[k*BlockSize:], data(lba+k))
+			refs = append(refs, data(lba+k))
 		}
-		d, err := fs.dev.WriteBlocks(at, lba, buf)
+		d, err := fs.dev.WriteRun(at, lba, refs)
+		clear(refs)
 		if err != nil {
 			return d, err
 		}

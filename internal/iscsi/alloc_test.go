@@ -19,6 +19,16 @@ func pattern(n int) []byte {
 	return b
 }
 
+// blocksOf cuts data into blocks of bs bytes, the last one short when data
+// is not whole blocks: a WRITE(10)'s Data-Out.
+func blocksOf(data []byte, bs int) [][]byte {
+	var blocks [][]byte
+	for off := 0; off < len(data); off += bs {
+		blocks = append(blocks, data[off:min(off+bs, len(data))])
+	}
+	return blocks
+}
+
 // Warm READ(10) and WRITE(10) commands cost the target no heap object: the
 // response is a value and the Data-In buffer is reused.
 func TestWarmCommandsAllocateNothing(t *testing.T) {
@@ -29,7 +39,7 @@ func TestWarmCommandsAllocateNothing(t *testing.T) {
 		name string
 		req  pdu
 	}{
-		{"write", pdu{Opcode: opSCSICommand, Flags: flagFinal | flagWrite, CDB: scsi.Write10(4, 8).Encode(), Data: data}},
+		{"write", pdu{Opcode: opSCSICommand, Flags: flagFinal | flagWrite, CDB: scsi.Write10(4, 8).Encode(), Blocks: blocksOf(data, dev.BlockSize())}},
 		{"read", pdu{Opcode: opSCSICommand, Flags: flagFinal | flagRead, CDB: scsi.Read10(4, 8).Encode()}},
 	} {
 		serve := func() {

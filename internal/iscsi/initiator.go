@@ -3,6 +3,7 @@ package iscsi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/scsi"
@@ -75,6 +76,10 @@ type Initiator struct {
 
 	blockSize int
 	numBlocks int64
+
+	// refs holds the block references of the WRITE in flight when the caller
+	// gave contiguous data; it is cleared when the command is done.
+	refs [][]byte
 }
 
 // defaultInitiatorCosts returns the iSCSI client path cost (network +
@@ -240,9 +245,10 @@ func (i *Initiator) Login(at time.Duration) (time.Duration, error) {
 }
 
 // nextPDU allocates the task tag and command sequence number of one SCSI
-// command and builds its PDU. Command PDUs travel by value so that one
-// command costs the host no allocation of its own.
-func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int) pdu {
+// command and builds its PDU, with blocks as the Data-Out of a WRITE.
+// Command PDUs travel by value so that one command costs the host no
+// allocation of its own.
+func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, blocks [][]byte, expectIn int) pdu {
 	i.itt++
 	i.cmdSN++
 	return pdu{
@@ -253,19 +259,48 @@ func (i *Initiator) nextPDU(lun uint64, cdb scsi.CDB, data []byte, expectIn int)
 		CmdSN:       i.cmdSN,
 		ExpStatSN:   i.expStatSN,
 		CDB:         cdb.Encode(),
-		Data:        data,
+		Blocks:      blocks,
 		ExpectedLen: uint32(expectIn),
 	}
 }
 
+// extent is what one transfer moves: buf, which a READ fills, or blocks,
+// the whole blocks a WRITE sends by reference.
+type extent struct {
+	buf    []byte
+	blocks [][]byte
+	write  bool
+}
+
+// size returns the extent's length in bytes.
+func (e extent) size() int {
+	if !e.write {
+		return len(e.buf)
+	}
+	n := 0
+	for _, b := range e.blocks {
+		n += len(b)
+	}
+	return n
+}
+
+// slice returns bytes lo to hi of the extent, both on block boundaries.
+func (e extent) slice(lo, hi, bs int) extent {
+	if e.write {
+		e.blocks = e.blocks[lo/bs : hi/bs]
+	} else {
+		e.buf = e.buf[lo:hi]
+	}
+	return e
+}
+
 // rwPDU builds the one READ(10) or WRITE(10) that moves ext, a run of
 // whole blocks no longer than maxTransferBlocks, at lba.
-func (i *Initiator) rwPDU(lun uint64, lba int64, ext []byte, write bool) pdu {
-	blocks := uint16(len(ext) / i.BlockSize())
-	if write {
-		return i.nextPDU(lun, scsi.Write10(uint32(lba), blocks), ext, 0)
+func (i *Initiator) rwPDU(lun uint64, lba int64, ext extent) pdu {
+	if ext.write {
+		return i.nextPDU(lun, scsi.Write10(uint32(lba), uint16(len(ext.blocks))), ext.blocks, 0)
 	}
-	return i.nextPDU(lun, scsi.Read10(uint32(lba), blocks), nil, len(ext))
+	return i.nextPDU(lun, scsi.Read10(uint32(lba), uint16(len(ext.buf)/i.BlockSize())), nil, len(ext.buf))
 }
 
 // status is the one mapping from what a wire brought back for req to the
@@ -306,10 +341,10 @@ func (i *Initiator) run(at time.Duration, req pdu, leading bool) (time.Duration,
 }
 
 // rw moves ext with one command: READ(10) into it or WRITE(10) from it.
-func (i *Initiator) rw(at time.Duration, lun uint64, lba int64, ext []byte, write bool) (time.Duration, error) {
-	done, data, err := i.run(at, i.rwPDU(lun, lba, ext, write), false)
-	if err == nil && !write {
-		copy(ext, data)
+func (i *Initiator) rw(at time.Duration, lun uint64, lba int64, ext extent) (time.Duration, error) {
+	done, data, err := i.run(at, i.rwPDU(lun, lba, ext), false)
+	if err == nil && !ext.write {
+		copy(ext.buf, data)
 	}
 	return done, err
 }
@@ -334,32 +369,56 @@ func (i *Initiator) NumBlocks() int64 {
 // maxTransferBlocks each, one after another on the fluid wire, dealt
 // across the connections with overlapping Data-In phases on the TCP wire.
 func (i *Initiator) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Duration, error) {
-	return i.transfer(start, lba, buf, false)
+	return i.transfer(start, lba, extent{buf: buf})
 }
 
-// WriteBlocks implements blockdev.Device: WRITE(10) commands, chunked
-// and scheduled like ReadBlocks.
+// WriteBlocks implements blockdev.Device: WriteRun of data's blocks.
 func (i *Initiator) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
-	return i.transfer(start, lba, data, true)
+	done, err := i.WriteRun(start, lba, i.refsOf(data))
+	clear(i.refs)
+	return done, err
+}
+
+// WriteRun writes blocks, each one whole block, as WriteBlocks writes their
+// concatenation: WRITE(10) commands, chunked and scheduled like ReadBlocks,
+// whose Data-Out is blocks by reference, down to the target's device.
+func (i *Initiator) WriteRun(start time.Duration, lba int64, blocks [][]byte) (time.Duration, error) {
+	return i.transfer(start, lba, extent{blocks: blocks, write: true})
+}
+
+// refsOf returns data cut into blocks (the last one short when data is not
+// whole blocks), referring to data, in the initiator's scratch.
+func (i *Initiator) refsOf(data []byte) [][]byte {
+	bs := i.BlockSize()
+	refs := slices.Grow(i.refs[:0], (len(data)+bs-1)/bs)
+	for off := 0; off < len(data); off += bs {
+		refs = append(refs, data[off:min(off+bs, len(data))])
+	}
+	i.refs = refs
+	return refs
 }
 
 // transfer splits an extent into commands: it divides across the wire's
 // connections so their data phases overlap, each command capped at
 // maxTransferBlocks; how the commands are scheduled is the wire's.
-func (i *Initiator) transfer(start time.Duration, lba int64, buf []byte, write bool) (time.Duration, error) {
+func (i *Initiator) transfer(start time.Duration, lba int64, ext extent) (time.Duration, error) {
 	if !i.loggedIn {
 		return start, errNotLoggedIn
 	}
 	bs := i.BlockSize()
-	if len(buf)%bs != 0 {
-		return start, fmt.Errorf("iscsi: transfer not block-multiple: %d", len(buf))
+	size := ext.size()
+	if size%bs != 0 {
+		return start, fmt.Errorf("iscsi: transfer not block-multiple: %d", size)
 	}
-	if len(buf) == 0 {
+	if ext.write && size != len(ext.blocks)*bs {
+		return start, fmt.Errorf("iscsi: write of %d blocks is not of whole blocks", len(ext.blocks))
+	}
+	if size == 0 {
 		return start, nil
 	}
 	lanes := max(i.Conns(), 1)
-	unit := min((len(buf)/bs+lanes-1)/lanes, maxTransferBlocks)
-	return i.wire.transfer(start, lba, buf, unit*bs, write)
+	unit := min((size/bs+lanes-1)/lanes, maxTransferBlocks)
+	return i.wire.transfer(start, lba, ext, unit*bs)
 }
 
 // flush is a write barrier: SYNCHRONIZE CACHE(10).
@@ -408,13 +467,19 @@ func (i *Initiator) SharedRead(at time.Duration, lba int64, buf []byte) (time.Du
 // SharedWrite writes to the shared LUN; ErrReservationConflict when a
 // foreign reservation excludes the write.
 func (i *Initiator) SharedWrite(at time.Duration, lba int64, data []byte) (time.Duration, error) {
-	return i.sharedRW(at, lba, data, true)
+	done, err := i.sharedRW(at, lba, data, true)
+	clear(i.refs)
+	return done, err
 }
 
-func (i *Initiator) sharedRW(at time.Duration, lba int64, ext []byte, write bool) (time.Duration, error) {
+func (i *Initiator) sharedRW(at time.Duration, lba int64, data []byte, write bool) (time.Duration, error) {
 	bs := i.BlockSize()
-	if len(ext)%bs != 0 || len(ext)/bs > maxTransferBlocks {
-		return at, fmt.Errorf("iscsi: bad shared extent %d", len(ext))
+	if len(data)%bs != 0 || len(data)/bs > maxTransferBlocks {
+		return at, fmt.Errorf("iscsi: bad shared extent %d", len(data))
 	}
-	return i.rw(at, sharedLUN, lba, ext, write)
+	ext := extent{buf: data}
+	if write {
+		ext = extent{blocks: i.refsOf(data), write: true}
+	}
+	return i.rw(at, sharedLUN, lba, ext)
 }

@@ -26,6 +26,10 @@ func TestWireSize(t *testing.T) {
 		if got := (&pdu{Data: make([]byte, c.data)}).wireSize(); got != c.want {
 			t.Errorf("WireSize with %d data bytes = %d, want %d", c.data, got, c.want)
 		}
+		// A WRITE's Data-Out by reference is the same segment.
+		if got := (&pdu{Blocks: blocksOf(make([]byte, c.data), 4096)}).wireSize(); got != c.want {
+			t.Errorf("WireSize with %d data bytes in blocks = %d, want %d", c.data, got, c.want)
+		}
 	}
 }
 

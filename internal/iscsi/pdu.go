@@ -43,7 +43,9 @@ const (
 
 // PDU is an iSCSI protocol data unit as the simulator passes it: the header
 // fields the initiator and target read, and the data segment. It is never
-// encoded; wireSize charges its exact RFC 3720 size.
+// encoded; wireSize charges its exact RFC 3720 size. A WRITE(10)'s data
+// segment is Blocks, the whole blocks it writes, by reference: the initiator's
+// caller owns them, and the target only reads them.
 type pdu struct {
 	Opcode      byte
 	Flags       byte
@@ -58,10 +60,20 @@ type pdu struct {
 	MaxCmdSN    uint32
 	CDB         [16]byte
 	Data        []byte
+	Blocks      [][]byte
 }
 
 // pad4 returns n rounded up to a multiple of 4 (data segments are padded).
 func pad4(n int) int { return (n + 3) &^ 3 }
 
+// dataLen returns the length of the data segment.
+func (p *pdu) dataLen() int {
+	n := len(p.Data)
+	for _, b := range p.Blocks {
+		n += len(b)
+	}
+	return n
+}
+
 // wireSize returns the encoded size of the PDU including data padding.
-func (p *pdu) wireSize() int { return bhsSize + pad4(len(p.Data)) }
+func (p *pdu) wireSize() int { return bhsSize + pad4(p.dataLen()) }

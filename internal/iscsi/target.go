@@ -223,11 +223,13 @@ func (t *Target) handleCommand(at time.Duration, req *pdu) (pdu, time.Duration) 
 			return t.conflict(req, done)
 		}
 		want := int(cdb.Length) * bs
-		if len(req.Data) < want {
-			return t.check(req, fmt.Sprintf("target: short write payload %d < %d", len(req.Data), want)), done
+		if got := req.dataLen(); got < want || len(req.Blocks) < int(cdb.Length) {
+			return t.check(req, fmt.Sprintf("target: short write payload %d < %d", got, want)), done
 		}
 		done = t.charge(done, time.Duration(want/1024)*t.cost.PerKB)
-		done, err = dev.WriteBlocks(done, int64(cdb.LBA), req.Data[:want])
+		// The initiator's blocks go down by reference: the device copies
+		// what it keeps.
+		done, err = dev.WriteRun(done, int64(cdb.LBA), req.Blocks[:cdb.Length])
 		if err != nil {
 			return t.check(req, err.Error()), done
 		}

@@ -98,7 +98,7 @@ func FuzzTargetCommand(f *testing.F) {
 		}
 
 		req := &pdu{Opcode: opSCSICommand, Flags: flagFinal, ITT: 2, LUN: lun,
-			Data: bytes.Repeat([]byte{0xEE}, int(payload%(3*lunBlocks*4096)))}
+			Blocks: blocksOf(bytes.Repeat([]byte{0xEE}, int(payload%(3*lunBlocks*4096))), 4096)}
 		copy(req.CDB[:], cdb)
 		resp, _ := target.handleCommand(at, req)
 		switch resp.Status {
@@ -129,7 +129,7 @@ func FuzzTargetCommand(f *testing.F) {
 				}
 				want := images[i][b*bs : (b+1)*bs]
 				if off := b - int64(dec.LBA); i == written && off >= 0 && off < int64(dec.Length) {
-					want = req.Data[off*bs : (off+1)*bs]
+					want = req.Blocks[off]
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("LUN %d block %d changed by %+v (status %#x)", i, b, dec, resp.Status)

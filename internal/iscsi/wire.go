@@ -27,9 +27,9 @@ type wire interface {
 	// the next one in rotation. ok=false means the frames were lost for
 	// good; resp is then meaningless.
 	command(at time.Duration, req pdu, leading bool) (done time.Duration, resp pdu, ok bool)
-	// transfer moves buf to or from lba in commands of unit bytes (the
+	// transfer moves ext to or from lba in commands of unit bytes (the
 	// last may be shorter) and returns when the last one completes.
-	transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error)
+	transfer(at time.Duration, lba int64, ext extent, unit int) (time.Duration, error)
 	// conns lists the wire's TCP connections (none on the fluid wire).
 	conns() []*tcpsim.Conn
 	// counters adds the wire's own counters to the initiator's.
@@ -93,7 +93,7 @@ func (w *fluidWire) login(at time.Duration, req pdu) (time.Duration, pdu, error)
 // the expected transfer length.
 func (w *fluidWire) command(at time.Duration, req pdu, _ bool) (time.Duration, pdu, bool) {
 	i, expectIn := w.i, int(req.ExpectedLen)
-	at = i.issue(at, len(req.Data))
+	at = i.issue(at, req.dataLen())
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	done, resp, ok, retries := w.roundTrip(at, &req, bhsSize+pad4(expectIn))
 	w.retries += retries
@@ -105,10 +105,10 @@ func (w *fluidWire) command(at time.Duration, req pdu, _ bool) (time.Duration, p
 }
 
 // transfer issues the commands one after another.
-func (w *fluidWire) transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error) {
-	bs := w.i.BlockSize()
-	for off := 0; off < len(buf); off += unit {
-		done, err := w.i.rw(at, 0, lba+int64(off/bs), buf[off:min(off+unit, len(buf))], write)
+func (w *fluidWire) transfer(at time.Duration, lba int64, ext extent, unit int) (time.Duration, error) {
+	bs, size := w.i.BlockSize(), ext.size()
+	for off := 0; off < size; off += unit {
+		done, err := w.i.rw(at, 0, lba+int64(off/bs), ext.slice(off, min(off+unit, size), bs))
 		if err != nil {
 			return done, err
 		}
@@ -176,7 +176,7 @@ func (w *tcpWire) command(at time.Duration, req pdu, leading bool) (time.Duratio
 		c = w.lanes[w.rr]
 		w.rr = (w.rr + 1) % len(w.lanes)
 	}
-	at = i.issue(at, len(req.Data)+int(req.ExpectedLen))
+	at = i.issue(at, req.dataLen()+int(req.ExpectedLen))
 	ref := i.tracer.Begin(at, tracing.LayerISCSI, opName(req.CDB[0]))
 	i.net.CountMessage()
 	done, ok := w.leg(c, at, "request", req.wireSize(), simnet.ClientToServer)
@@ -192,15 +192,16 @@ func (w *tcpWire) command(at time.Duration, req pdu, leading bool) (time.Duratio
 // transfer deals the commands round-robin onto the connections from the
 // dispatch cursor on, advancing it, and interleaves the per-connection
 // pipelines so the data phases overlap.
-func (w *tcpWire) transfer(at time.Duration, lba int64, buf []byte, unit int, write bool) (time.Duration, error) {
-	n, cmds := len(w.lanes), (len(buf)+unit-1)/unit
+func (w *tcpWire) transfer(at time.Duration, lba int64, ext extent, unit int) (time.Duration, error) {
+	size := ext.size()
+	n, cmds := len(w.lanes), (size+unit-1)/unit
 	var local [8]pipe // sessions this narrow keep the pipes off the heap
 	pipes := local[:0]
 	for ci, c := range w.lanes {
 		// Command j rides connection (rr+j) mod n, so connection ci
 		// starts at command (ci-rr) mod n and takes every n-th after it.
-		if first := (ci - w.rr + n) % n * unit; first < len(buf) {
-			pipes = append(pipes, pipe{w: w, conn: c, lba: lba, buf: buf, write: write,
+		if first := (ci - w.rr + n) % n * unit; first < size {
+			pipes = append(pipes, pipe{w: w, conn: c, lba: lba, ext: ext, size: size,
 				off: first, unit: unit, stride: n * unit, at: at})
 		}
 	}
@@ -214,13 +215,13 @@ func (w *tcpWire) transfer(at time.Duration, lba int64, buf []byte, unit int, wr
 // segment flight so the pipelines of one transfer share the link in
 // virtual-time order.
 type pipe struct {
-	w     *tcpWire
-	conn  *tcpsim.Conn
-	lba   int64
-	buf   []byte
-	write bool
+	w    *tcpWire
+	conn *tcpsim.Conn
+	lba  int64
+	ext  extent
+	size int // of ext, in bytes
 
-	off, unit, stride int             // the next command's extent in buf, and the distance to the one after
+	off, unit, stride int             // the next command's extent in ext, and the distance to the one after
 	at                time.Duration   // when the next command may issue: the previous one's completion
 	req               pdu             // the command in flight
 	resp              pdu             // its response
@@ -231,7 +232,7 @@ type pipe struct {
 	err               error
 }
 
-func (p *pipe) done() bool { return p.err != nil || p.off >= len(p.buf) }
+func (p *pipe) done() bool { return p.err != nil || p.off >= p.size }
 
 func (p *pipe) nextAt() time.Duration {
 	if p.busy {
@@ -280,14 +281,15 @@ func (p *pipe) settled(at time.Duration, resp *pdu, ok bool) bool {
 func (p *pipe) step() {
 	w, i, tr := p.w, p.w.i, p.w.i.tracer
 	if !p.busy {
-		ext := p.buf[p.off:min(p.off+p.unit, len(p.buf))]
-		p.req = i.rwPDU(0, p.lba+int64(p.off/i.BlockSize()), ext, p.write)
-		at := i.issue(p.at, len(ext))
+		bs := i.BlockSize()
+		ext := p.ext.slice(p.off, min(p.off+p.unit, p.size), bs)
+		p.req = i.rwPDU(0, p.lba+int64(p.off/bs), ext)
+		at := i.issue(p.at, ext.size())
 		p.cspan = tr.BeginDetached(at, tracing.LayerISCSI, opName(p.req.CDB[0]))
 		tr.Enter(p.cspan)
 		defer tr.Exit(p.cspan)
 		i.net.CountMessage()
-		if p.write {
+		if ext.write {
 			p.tspan = tr.BeginDetached(at, tracing.LayerTCP, "data-out")
 			p.xfer, p.busy = p.conn.StartTransfer(at, p.req.wireSize(), simnet.ClientToServer), true
 			return
@@ -304,7 +306,7 @@ func (p *pipe) step() {
 		// The payload lives in the target's reused Data-In buffer, and other
 		// pipes' commands run before this transfer ends: take it now. The
 		// caller sees buf only if every transfer is delivered.
-		copy(ext, resp.Data)
+		copy(ext.buf, resp.Data)
 		p.resp = resp
 		p.tspan = tr.BeginDetached(svcDone, tracing.LayerTCP, "data-in")
 		p.xfer, p.busy = p.conn.StartTransfer(svcDone, bhsSize+pad4(len(resp.Data)), simnet.ServerToClient), true
@@ -321,7 +323,7 @@ func (p *pipe) step() {
 	at, ok := p.xfer.Delivered(), !p.xfer.Failed()
 	tr.EndDetached(p.tspan, at)
 	tr.Exit(p.tspan)
-	if ok && p.write {
+	if ok && p.ext.write {
 		// Data-Out is at the target: it executes, and the status PDU returns.
 		p.resp, at = i.target.handle(at, &p.req)
 		if !p.settled(at, &p.resp, true) {

@@ -147,6 +147,11 @@ func (pc *pageCache) insert(k pageKey, data []byte, readyAt time.Duration) *page
 		pc.touch(p)
 		return p
 	}
+	return pc.add(k, data, readyAt)
+}
+
+// add is insert of a page k the caller has just looked up and not found.
+func (pc *pageCache) add(k pageKey, data []byte, readyAt time.Duration) *page {
 	p := pc.mem.New(page{key: k, data: pc.mem.Pool.Load(data), readyAt: readyAt})
 	pc.link(p)
 	pc.evict(p)
@@ -158,7 +163,7 @@ func (pc *pageCache) getOrCreate(k pageKey) *page {
 		pc.touch(p)
 		return p
 	}
-	return pc.insert(k, nil, 0)
+	return pc.add(k, nil, 0)
 }
 
 // evict drops least recently used clean pages other than keep until the
@@ -259,9 +264,11 @@ type writeBehind struct {
 	// flushTrigger starts background flushing once this many pages queue.
 	flushTrigger int
 
-	// payload assembles one WRITE's payload at a time: the server copies it
-	// into its buffer cache before Write returns.
-	payload []byte
+	// held is one WRITE's run of pages (at most a v4 transfer's 8), looked
+	// up once, and refs their data, handed to the server by reference; both
+	// are cleared after each call, so they keep no page reachable.
+	held [8]*page
+	refs [8][]byte
 }
 
 func newWriteBehind(c *Client) *writeBehind {
@@ -269,8 +276,9 @@ func newWriteBehind(c *Client) *writeBehind {
 }
 
 func (wb *writeBehind) add(k pageKey) {
-	if !wb.queued[k.id()] {
-		wb.queued[k.id()] = true
+	// One map operation: the key is new when the map grew.
+	n := len(wb.queued)
+	if wb.queued[k.id()] = true; len(wb.queued) > n {
 		wb.queue = append(wb.queue, k)
 	}
 	wb.dirtySinceCommit = true
@@ -348,37 +356,34 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 			}
 			run++
 		}
-		// Assemble payload from the page cache, clamping the final page to
-		// the file size so flushing never extends the file.
-		if len(wb.payload) < run*pageSize {
-			wb.payload = make([]byte, maxPages*pageSize)
-		}
-		data := wb.payload[:run*pageSize]
+		held := wb.held[:0]
 		for j := 0; j < run; j++ {
-			dst := data[j*pageSize : (j+1)*pageSize]
-			if p := c.pages.peek(pageKey{k.ino, k.idx + int64(j)}); p != nil {
-				copy(dst, p.data)
-			} else {
-				clear(dst)
-			}
+			held = append(held, c.pages.peek(pageKey{k.ino, k.idx + int64(j)}))
 		}
+		// The payload is the run's pages, clamped to the file size so
+		// flushing never extends the file.
+		count := run * pageSize
 		if size := c.cachedSize(FH{Ino: k.ino}); size > 0 {
 			off := k.idx * pageSize
 			if off >= size {
 				// Stale pages beyond a truncation: drop them.
-				for j := 0; j < run; j++ {
-					pk := pageKey{k.ino, k.idx + int64(j)}
-					delete(wb.queued, pk.id())
-					if p := c.pages.peek(pk); p != nil {
-						p.dirty = false
-					}
-				}
+				wb.clean(k, held)
 				i += run
 				continue
 			}
-			if off+int64(len(data)) > size {
-				data = data[:size-off]
+			count = int(min(int64(count), size-off))
+		}
+		// The server takes the pages by reference and copies what it keeps;
+		// a page no longer cached is zeros (Load of nothing: the shared block).
+		refs := wb.refs[:0]
+		for j, p := range held[:(count+pageSize-1)/pageSize] {
+			var data []byte
+			if p != nil {
+				data = p.data
+			} else {
+				data = c.pages.mem.Pool.Load(nil)
 			}
+			refs = append(refs, data[:min(pageSize, count-j*pageSize)])
 		}
 		start := at
 		if w := wb.window(); len(wb.inflight) >= w {
@@ -390,11 +395,12 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 		off := k.idx * pageSize
 		stable := c.ver == V2
 		var st vfs.Stat
-		done, err := c.asyncCall(start, ProcWrite, 0, len(data), 0, func(arrive time.Duration) (time.Duration, error) {
+		done, err := c.asyncCall(start, ProcWrite, 0, count, 0, func(arrive time.Duration) (time.Duration, error) {
 			var e error
-			st, arrive, e = c.srv.Write(arrive, fh, off, data, stable)
+			st, arrive, e = c.srv.Write(arrive, fh, off, refs, stable)
 			return arrive, e
 		})
+		clear(refs)
 		if err != nil {
 			return err
 		}
@@ -415,17 +421,23 @@ func (wb *writeBehind) issueAll(at time.Duration) error {
 			wb.horizon = done
 		}
 		wb.issued += run
-		for j := 0; j < run; j++ {
-			pk := pageKey{k.ino, k.idx + int64(j)}
-			delete(wb.queued, pk.id())
-			if p := c.pages.peek(pk); p != nil {
-				p.dirty = false
-			}
-		}
+		wb.clean(k, held)
 		i += run
 	}
 	wb.queue = wb.queue[:0]
 	return nil
+}
+
+// clean takes the run of pages from k on, held, off the queue and marks the
+// cached ones clean, then clears held.
+func (wb *writeBehind) clean(k pageKey, held []*page) {
+	for j, p := range held {
+		delete(wb.queued, pageKey{k.ino, k.idx + int64(j)}.id())
+		if p != nil {
+			p.dirty = false
+		}
+	}
+	clear(held)
 }
 
 // drain flushes everything and issues COMMIT (v3/v4), returning when all
@@ -739,7 +751,7 @@ func (f *nfsFile) WriteAt(at time.Duration, off int64, data []byte) (int, time.D
 		if bs == 0 && be == pageSize {
 			// A whole page: what it held does not matter.
 			if src := data[written : written+pageSize]; p == nil {
-				p = c.pages.insert(k, src, 0)
+				p = c.pages.add(k, src, 0)
 			} else {
 				p.data = c.pages.mem.Replace(p.data, src)
 			}
@@ -782,8 +794,11 @@ func (c *Client) wbFlush(at time.Duration) time.Duration {
 }
 
 // writeSync is the v2 path: every chunk is a stable WRITE (server syncs
-// data and meta-data before replying).
+// data and meta-data before replying). A negative offset is refused.
 func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time.Duration, error) {
+	if off < 0 {
+		return 0, at, vfs.ErrInvalid
+	}
 	c := f.c
 	done := at
 	chunk := transferSize(V2)
@@ -795,8 +810,10 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 		}
 		part := data[written : written+n]
 		o := off + int64(written)
+		var cut [3][]byte // a chunk of two pages touches at most three
+		pages := cutPages(cut[:0], o, part)
 		_, _, d2, err := c.fhCall(done, ProcWrite, 0, n, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
-			st, done, err := c.srv.Write(arrive, f.fh, o, part, true)
+			st, done, err := c.srv.Write(arrive, f.fh, o, pages, true)
 			return f.fh, st, done, err
 		})
 		if err != nil {
@@ -824,6 +841,17 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 		written += n
 	}
 	return written, c.charge(done, len(data)), nil
+}
+
+// cutPages appends data, bound for file offset off (not negative), to dst
+// cut at page boundaries: the payload Server.Write takes.
+func cutPages(dst [][]byte, off int64, data []byte) [][]byte {
+	for len(data) > 0 {
+		n := min(len(data), pageSize-int(off%pageSize))
+		dst = append(dst, data[:n])
+		data, off = data[n:], off+int64(n)
+	}
+	return dst
 }
 
 // Fsync implements vfs.File.

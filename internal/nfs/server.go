@@ -199,13 +199,23 @@ func (s *Server) read(at time.Duration, fh FH, off int64, count int) ([]byte, bo
 
 // Write serves WRITE. With stable set (v2, or v3 FILE_SYNC), the data and
 // meta-data are durable before the reply; otherwise the server caches the
-// write and durability waits for COMMIT.
-func (s *Server) Write(at time.Duration, fh FH, off int64, data []byte, stable bool) (vfs.Stat, time.Duration, error) {
-	at, err := s.begin(at, ProcWrite, len(data))
+// write and durability waits for COMMIT. The payload is the client's pages,
+// cut at page boundaries (see cutPages and ext3's WriteFileAt), by
+// reference: the server's cache copies what it keeps. A negative offset is
+// an error.
+func (s *Server) Write(at time.Duration, fh FH, off int64, pages [][]byte, stable bool) (vfs.Stat, time.Duration, error) {
+	if off < 0 {
+		return vfs.Stat{}, at, vfs.ErrInvalid
+	}
+	n := 0
+	for _, p := range pages {
+		n += len(p)
+	}
+	at, err := s.begin(at, ProcWrite, n)
 	if err != nil {
 		return vfs.Stat{}, at, err
 	}
-	_, done, err := s.fs.WriteFileAt(at, ext3.Ino(fh.Ino), off, data)
+	_, done, err := s.fs.WriteFileAt(at, ext3.Ino(fh.Ino), off, pages)
 	if err != nil {
 		return vfs.Stat{}, done, err
 	}

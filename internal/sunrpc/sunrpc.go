@@ -103,8 +103,10 @@ type Client struct {
 	// one; the wait is counted in Stats. Resize before issuing calls.
 	SlotEntries int
 
-	// slots holds each occupied slot's completion horizon.
-	slots []time.Duration
+	// slots is the slot table, and head the first cell of its ring (see
+	// slotEntry).
+	slots []slotEntry
+	head  int
 
 	// conn, when set, is a reliable byte-stream transport (a tcpsim
 	// connection) the calls ride instead of fluid datagrams: loss
@@ -116,6 +118,17 @@ type Client struct {
 
 	stats  Stats
 	tracer *tracing.Tracer
+}
+
+// slotEntry is entry i of the slot table: slot i's completion horizon, and
+// cell i of a ring that lists the slots sorted by (horizon, index) from
+// head, so the earliest-freeing slot, the lowest index on a tie, is
+// slots[head].order without a scan; place is slot i's cell. A call takes the
+// head and, as calls mostly complete in the order they were issued, goes
+// back at the tail: advancing head is the whole move.
+type slotEntry struct {
+	free         time.Duration
+	order, place int
 }
 
 // NewClient builds an RPC client over net.
@@ -131,29 +144,74 @@ func NewClient(net *simnet.Network, tr Transport) *Client {
 
 // acquireSlot admits one call into the transport slot table no earlier
 // than start: with every slot occupied it waits for the earliest-freeing
-// one (accounted in the slot-wait counters). The caller records the call's
-// completion time in c.slots[slot].
+// one, the lowest index on a tie (accounted in the slot-wait counters). The
+// caller records the call's completion time with release.
 func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int) {
 	n := c.SlotEntries
 	if n <= 0 {
 		n = defaultSlotEntries
 	}
 	if len(c.slots) != n {
-		c.slots = make([]time.Duration, n)
-	}
-	idx := 0
-	for i, h := range c.slots {
-		if h < c.slots[idx] {
-			idx = i
+		c.slots, c.head = make([]slotEntry, n), 0
+		for i := range c.slots {
+			c.slots[i].order, c.slots[i].place = i, i
 		}
 	}
+	slot = c.slots[c.head].order
 	admit = start
-	if free := c.slots[idx]; free > admit {
+	if free := c.slots[slot].free; free > admit {
 		admit = free
 		c.stats.SlotWaits++
 		c.stats.SlotWaitNs += int64(free - start)
 	}
-	return admit, idx
+	return admit, slot
+}
+
+// release records that the call holding slot completes at done and moves
+// the slot to its place in order: from the head to the tail, then towards
+// the head past every slot that frees later, or towards the tail past every
+// slot that frees sooner.
+func (c *Client) release(slot int, done time.Duration) {
+	n := len(c.slots)
+	c.slots[slot].free = done
+	cell := c.slots[slot].place
+	if cell == c.head {
+		c.head = c.next(c.head) // the head's cell is now the tail's
+	}
+	for cell != c.head {
+		prev := (cell + n - 1) % n
+		if !c.sooner(slot, c.slots[prev].order) {
+			break
+		}
+		c.swap(cell, prev)
+		cell = prev
+	}
+	for next := c.next(cell); next != c.head && c.sooner(c.slots[next].order, slot); next = c.next(cell) {
+		c.swap(cell, next)
+		cell = next
+	}
+}
+
+// next returns the cell after cell in the ring.
+func (c *Client) next(cell int) int {
+	if cell++; cell == len(c.slots) {
+		return 0
+	}
+	return cell
+}
+
+// sooner reports whether slot a frees before slot b, or at the same time
+// with a lower index.
+func (c *Client) sooner(a, b int) bool {
+	fa, fb := c.slots[a].free, c.slots[b].free
+	return fa < fb || fa == fb && a < b
+}
+
+// swap exchanges the slots in cells i and j of the ring.
+func (c *Client) swap(i, j int) {
+	s := c.slots
+	s[i].order, s[j].order = s[j].order, s[i].order
+	s[s[i].order].place, s[s[j].order].place = i, j
 }
 
 // SetTracer attaches a tracer that records slot-table waits
@@ -186,8 +244,8 @@ func (c *Client) Gauges(now time.Duration) map[string]float64 {
 		n = defaultSlotEntries
 	}
 	var used int
-	for _, h := range c.slots {
-		if h > now {
+	for _, e := range c.slots {
+		if e.free > now {
 			used++
 		}
 	}
@@ -245,7 +303,7 @@ func (c *Client) Call(start time.Duration, argBytes int,
 	} else {
 		done, err = c.callDatagram(admit, callOH+argBytes, replyOH, serve)
 	}
-	c.slots[slot] = done
+	c.release(slot, done)
 	return done, err
 }
 
