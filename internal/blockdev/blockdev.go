@@ -158,7 +158,7 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 	}
 	old, present := s.blocks.Get(lba)
 	private := present && !isShared(old)
-	if isShared(data) || s.blockSize <= BlockSize && s.pool.uniform(data) {
+	if isShared(data) || s.blockSize <= BlockSize && uniform(data) {
 		s.pool.Put(old) // refuses a shared block, and nil
 		if v := data[0]; v != 0 {
 			s.blocks.Set(lba, shared[v][:s.blockSize:s.blockSize])
@@ -197,19 +197,31 @@ func (s *Store) zeroAt(lba int64) error {
 // memory-compare speed on two aligned blocks and leaves at the first
 // difference, so mixed data pays for a few bytes.
 func uniform(b []byte) bool {
+	if compared != nil {
+		compared()
+	}
 	return len(b) > 0 && len(b) <= BlockSize && bytes.Equal(b, shared[b[0]][:len(b)])
 }
+
+// compared, when set, is called by every uniformity test: tests count what a
+// block costs on its way down.
+var compared func()
 
 // isShared reports whether b (a block a store or cache holds, never empty)
 // refers to a shared block rather than to memory its owner owns: the
 // uniformity test, without a compare, of a block some owner already tested.
 func isShared(b []byte) bool { return &b[0] == &shared[b[0]][0] }
 
-// Holds reports whether the store keeps b itself, not a copy of it, as block
-// lba (for tests: only a shared block may be kept so).
-func (s *Store) Holds(lba int64, b []byte) bool {
-	held, ok := s.blocks.Get(lba)
-	return ok && len(b) > 0 && &held[0] == &b[0]
+// SharedIntact reports an error when a shared block holds a byte other than
+// its own: something wrote through a reference to it (for tests). It counts
+// the bytes rather than asking uniform, which compares a block with them.
+func (*Pool) SharedIntact() error {
+	for v := range shared {
+		if n := bytes.Count(shared[v][:], []byte{byte(v)}); n != BlockSize {
+			return fmt.Errorf("blockdev: shared block %#x holds %d other bytes", v, BlockSize-n)
+		}
+	}
+	return nil
 }
 
 // Populated reports how many blocks are constant or private, that is, how

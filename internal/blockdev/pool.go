@@ -62,8 +62,6 @@ type Pool struct {
 	// chunk), leaves counts the leaves on all of them.
 	shelves []any
 	leaves  int
-	// compares counts the uniformity tests of blocks on this pool.
-	compares int
 	// Poison makes Put overwrite the block with 0xEE, a byte no workload
 	// writes, so a reference that outlived its owner reads bytes no golden
 	// expects. Tests set it.
@@ -115,7 +113,7 @@ func (p *Pool) Put(b []byte) {
 // a whole block: the shared block of that byte when the result is one byte
 // repeated, else a private block from the pool.
 func (p *Pool) Load(src []byte) []byte {
-	if v, ok := p.repeats(src); ok {
+	if v, ok := repeats(src); ok {
 		return shared[v][:]
 	}
 	b := p.Get(len(src) < BlockSize)
@@ -131,7 +129,7 @@ func (p *Pool) Load(src []byte) []byte {
 // to *retired, for putAll once the operation is over (a nil pool retires
 // nothing).
 func (p *Pool) replace(cur, src []byte, retired *[][]byte) []byte {
-	if v, ok := p.repeats(src); ok {
+	if v, ok := repeats(src); ok {
 		if p != nil && !isShared(cur) {
 			*retired = append(*retired, cur)
 		}
@@ -169,35 +167,16 @@ func (p *Pool) Writable(b []byte) []byte {
 // repeats reports the byte that src zero-extended to BlockSize repeats, if it
 // is one byte repeated. A whole shared block is known by its address: it was
 // compared where it entered the cache it came from.
-func (p *Pool) repeats(src []byte) (byte, bool) {
+func repeats(src []byte) (byte, bool) {
 	switch {
 	case len(src) == 0:
 		return 0, true
 	case len(src) == BlockSize && isShared(src):
 		return src[0], true
-	case !p.uniform(src), len(src) < BlockSize && src[0] != 0:
+	case !uniform(src), len(src) < BlockSize && src[0] != 0:
 		return 0, false
 	}
 	return src[0], true
-}
-
-// uniform is the package's uniform counted in the pool's Compares, the one
-// way a block owner tests content.
-func (p *Pool) uniform(b []byte) bool {
-	if p != nil {
-		p.compares++
-	}
-	return uniform(b)
-}
-
-// Compares reports how many times the owners on this pool have compared a
-// block's bytes to test it for one byte repeated (for tests: a block that
-// travels by reference is compared once, where it enters a cache).
-func (p *Pool) Compares() int {
-	if p == nil {
-		return 0
-	}
-	return p.compares
 }
 
 // chunkSlots is how many cache entries a chunk holds: 76 ext3 buffers or NFS

@@ -83,11 +83,7 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 			t.Fatalf("block %d is private but constant (%#x)", lba, b[0])
 		}
 	}
-	for v := range shared {
-		if b := shared[v][:]; b[0] != byte(v) || !uniform(b) {
-			t.Fatalf("shared block %#x was written", v)
-		}
-	}
+	sharedIntact(t)
 }
 
 // FuzzStoreMatchesDenseImage: random zero / constant / mixed writes and

@@ -7,6 +7,21 @@ import (
 	"time"
 )
 
+// countCompares returns how many uniformity tests f makes.
+func countCompares(f func()) int {
+	n := 0
+	compared = func() { n++ }
+	defer func() { compared = nil }()
+	f()
+	return n
+}
+
+// holds reports whether s keeps b itself, not a copy of it, as block lba.
+func holds(s *Store, lba int64, b []byte) bool {
+	held, ok := s.blocks.Get(lba)
+	return ok && &held[0] == &b[0]
+}
+
 // A shared block is known by its address: handing one to a Store or loading
 // it into a cache block compares no byte, while a private block, uniform or
 // mixed, is compared once per owner. Only the shared block is kept as itself.
@@ -15,9 +30,9 @@ func TestSharedBlocksAreNotComparedAgain(t *testing.T) {
 	s := NewStore(8, BlockSize)
 	s.SetPool(p)
 	uniform := bytes.Repeat([]byte{0x5A}, BlockSize)
-	sh := p.Load(uniform)
-	if !isShared(sh) || p.Compares() != 1 {
-		t.Fatalf("loading uniform bytes: shared %v after %d compares, want a shared block after 1", isShared(sh), p.Compares())
+	var sh []byte
+	if n := countCompares(func() { sh = p.Load(uniform) }); !isShared(sh) || n != 1 {
+		t.Fatalf("loading uniform bytes: shared %v after %d compares, want a shared block after 1", isShared(sh), n)
 	}
 	for _, step := range []struct {
 		what     string
@@ -30,18 +45,20 @@ func TestSharedBlocksAreNotComparedAgain(t *testing.T) {
 		{"Store.WriteAt of a uniform private block", func() []byte { return uniform }, 1},
 		{"Store.WriteAt of a mixed private block", func() []byte { return ramp[:BlockSize] }, 1},
 	} {
-		before := p.Compares()
-		b := step.do()
-		if err := s.WriteAt(3, b); err != nil {
-			t.Fatal(err)
+		var b []byte
+		n := countCompares(func() {
+			if b = step.do(); s.WriteAt(3, b) != nil {
+				t.Fatal("write failed")
+			}
+		})
+		if n != step.compares {
+			t.Errorf("%s: %d compares, want %d", step.what, n, step.compares)
 		}
-		if got := p.Compares() - before; got != step.compares {
-			t.Errorf("%s: %d compares, want %d", step.what, got, step.compares)
-		}
-		if kept, shared := s.Holds(3, b), isShared(b); kept != shared {
+		if kept, shared := holds(s, 3, b), isShared(b); kept != shared {
 			t.Errorf("%s: the store keeps the block itself: %v, shared: %v", step.what, kept, shared)
 		}
 	}
+	sharedIntact(t)
 }
 
 // runBlocks draws the blocks of one run, one byte of kinds each: 0 a shared
@@ -101,9 +118,10 @@ func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
 			ops = ops[2+len(kinds):]
 			blocks := runBlocks(kinds, byte(lba))
 			whole.FailWrites, byRef.FailWrites = fail, fail
-			c0, c1 := whole.pool.Compares(), byRef.pool.Compares()
-			d0, err0 := whole.WriteBlocks(at, lba, bytes.Join(blocks, nil))
-			d1, err1 := byRef.WriteRun(at, lba, blocks)
+			var d0, d1 time.Duration
+			var err0, err1 error
+			dw := countCompares(func() { d0, err0 = whole.WriteBlocks(at, lba, bytes.Join(blocks, nil)) })
+			dr := countCompares(func() { d1, err1 = byRef.WriteRun(at, lba, blocks) })
 			what := fmt.Sprintf("run of %d at %d (kinds %v, fail %v)", len(blocks), lba, kinds, fail)
 			if fmt.Sprint(err0) != fmt.Sprint(err1) || d0 != d1 {
 				t.Fatalf("%s: WriteBlocks done %v err %v, WriteRun done %v err %v", what, d0, err0, d1, err1)
@@ -115,11 +133,11 @@ func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
 					if isShared(b) {
 						sharedBlocks++
 					}
-					if kept := byRef.Store().Holds(lba+int64(i), b); kept != (isShared(b) && b[0] != 0) {
+					if kept := holds(byRef.Store(), lba+int64(i), b); kept != (isShared(b) && b[0] != 0) {
 						t.Fatalf("%s: block %d kept by reference: %v", what, i, kept)
 					}
 				}
-				if dw, dr := whole.pool.Compares()-c0, byRef.pool.Compares()-c1; dr != dw-sharedBlocks {
+				if dr != dw-sharedBlocks {
 					t.Fatalf("%s: %d compares by reference, %d for the joined run with %d shared blocks", what, dr, dw, sharedBlocks)
 				}
 			}
@@ -146,6 +164,7 @@ func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
 				}
 			}
 		}
+		sharedIntact(t)
 	})
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// scanSlots is the slot table as it was before the sorted ring, kept as the
+// scanSlots is the slot table as it was before its sorted order, kept as the
 // reference: every admission scans all horizons for the earliest, the lowest
 // index on a tie.
 type scanSlots struct {
@@ -32,7 +32,7 @@ func (r *scanSlots) acquire(n int, start time.Duration) (time.Duration, int) {
 	return admit, idx
 }
 
-// FuzzSlotTableMatchesScan drives the ring-ordered slot table and the scan
+// FuzzSlotTableMatchesScan drives the sorted slot table and the scan
 // through the same calls: admissions at any time, completions in any order
 // (later or earlier than the admission, ties included, calls overlapping and
 // nested), and resizes of an idle table. Every admission must pick the same
@@ -42,6 +42,7 @@ func FuzzSlotTableMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 0x81, 0x81, 0x81, 1, 1})                   // three at once, all complete, two more
 	f.Add([]byte{0xFF, 2, 5, 5, 5, 0x85, 0xC3, 5})                   // a 3-slot table, a queued call, an early completion
 	f.Add([]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0, 0, 0, 0, 0}) // ties everywhere: the lowest index wins
+	f.Add([]byte{0xFF, 2, 0, 0x85, 0, 0x85, 0})                      // two slots free at once, released in index order
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := NewClient(nil, TCP)
 		var ref scanSlots

@@ -11,6 +11,7 @@ package sunrpc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/simnet"
@@ -103,10 +104,11 @@ type Client struct {
 	// one; the wait is counted in Stats. Resize before issuing calls.
 	SlotEntries int
 
-	// slots is the slot table, and head the first cell of its ring (see
-	// slotEntry).
-	slots []slotEntry
-	head  int
+	// slots holds each slot's completion horizon, and order the slots
+	// sorted by (horizon, index): order[0] is the earliest-freeing slot,
+	// the lowest index on a tie.
+	slots []time.Duration
+	order []int
 
 	// conn, when set, is a reliable byte-stream transport (a tcpsim
 	// connection) the calls ride instead of fluid datagrams: loss
@@ -118,17 +120,6 @@ type Client struct {
 
 	stats  Stats
 	tracer *tracing.Tracer
-}
-
-// slotEntry is entry i of the slot table: slot i's completion horizon, and
-// cell i of a ring that lists the slots sorted by (horizon, index) from
-// head, so the earliest-freeing slot, the lowest index on a tie, is
-// slots[head].order without a scan; place is slot i's cell. A call takes the
-// head and, as calls mostly complete in the order they were issued, goes
-// back at the tail: advancing head is the whole move.
-type slotEntry struct {
-	free         time.Duration
-	order, place int
 }
 
 // NewClient builds an RPC client over net.
@@ -152,14 +143,14 @@ func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int
 		n = defaultSlotEntries
 	}
 	if len(c.slots) != n {
-		c.slots, c.head = make([]slotEntry, n), 0
-		for i := range c.slots {
-			c.slots[i].order, c.slots[i].place = i, i
+		c.slots, c.order = make([]time.Duration, n), make([]int, n)
+		for i := range c.order {
+			c.order[i] = i
 		}
 	}
-	slot = c.slots[c.head].order
+	slot = c.order[0]
 	admit = start
-	if free := c.slots[slot].free; free > admit {
+	if free := c.slots[slot]; free > admit {
 		admit = free
 		c.stats.SlotWaits++
 		c.stats.SlotWaitNs += int64(free - start)
@@ -168,50 +159,19 @@ func (c *Client) acquireSlot(start time.Duration) (admit time.Duration, slot int
 }
 
 // release records that the call holding slot completes at done and moves
-// the slot to its place in order: from the head to the tail, then towards
-// the head past every slot that frees later, or towards the tail past every
-// slot that frees sooner.
+// the slot to its place in order, searched from the end: calls mostly
+// complete in the order they were admitted.
 func (c *Client) release(slot int, done time.Duration) {
-	n := len(c.slots)
-	c.slots[slot].free = done
-	cell := c.slots[slot].place
-	if cell == c.head {
-		c.head = c.next(c.head) // the head's cell is now the tail's
-	}
-	for cell != c.head {
-		prev := (cell + n - 1) % n
-		if !c.sooner(slot, c.slots[prev].order) {
+	i := slices.Index(c.order, slot)
+	order := slices.Delete(c.order, i, i+1)
+	c.slots[slot] = done
+	j := len(order)
+	for ; j > 0; j-- {
+		if h := c.slots[order[j-1]]; h < done || h == done && order[j-1] < slot {
 			break
 		}
-		c.swap(cell, prev)
-		cell = prev
 	}
-	for next := c.next(cell); next != c.head && c.sooner(c.slots[next].order, slot); next = c.next(cell) {
-		c.swap(cell, next)
-		cell = next
-	}
-}
-
-// next returns the cell after cell in the ring.
-func (c *Client) next(cell int) int {
-	if cell++; cell == len(c.slots) {
-		return 0
-	}
-	return cell
-}
-
-// sooner reports whether slot a frees before slot b, or at the same time
-// with a lower index.
-func (c *Client) sooner(a, b int) bool {
-	fa, fb := c.slots[a].free, c.slots[b].free
-	return fa < fb || fa == fb && a < b
-}
-
-// swap exchanges the slots in cells i and j of the ring.
-func (c *Client) swap(i, j int) {
-	s := c.slots
-	s[i].order, s[j].order = s[j].order, s[i].order
-	s[s[i].order].place, s[s[j].order].place = i, j
+	c.order = slices.Insert(order, j, slot)
 }
 
 // SetTracer attaches a tracer that records slot-table waits
@@ -244,8 +204,8 @@ func (c *Client) Gauges(now time.Duration) map[string]float64 {
 		n = defaultSlotEntries
 	}
 	var used int
-	for _, e := range c.slots {
-		if e.free > now {
+	for _, h := range c.slots {
+		if h > now {
 			used++
 		}
 	}

@@ -11,25 +11,12 @@ import (
 	"repro/internal/vfs"
 )
 
-// sharedIntact writes a block of each byte 0-255 to a fresh store through the
-// public API and reads it back, and loads each from a pool: a write that
-// landed in one of the shared read-only blocks the caches and stores refer to
-// shows as a byte the block was not built with.
+// sharedIntact fails the test if a shared block was written: a write landed
+// in one of the read-only blocks the caches and stores refer to.
 func sharedIntact(t *testing.T) {
 	t.Helper()
-	s := blockdev.NewStore(256, blockdev.BlockSize)
-	got := make([]byte, blockdev.BlockSize)
-	for v := 0; v < 256; v++ {
-		want := bytes.Repeat([]byte{byte(v)}, blockdev.BlockSize)
-		if err := s.WriteAt(int64(v), want); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ReadAt(int64(v), got); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("a stored block of %#x reads back otherwise (err %v): a write landed in a shared block", v, err)
-		}
-		if !bytes.Equal((*blockdev.Pool)(nil).Load(want), want) {
-			t.Fatalf("the shared block of %#x was written", v)
-		}
+	if err := (*blockdev.Pool)(nil).SharedIntact(); err != nil {
+		t.Fatal(err)
 	}
 }
 
