@@ -40,6 +40,7 @@ package blockdev
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -55,8 +56,13 @@ type Device interface {
 	NumBlocks() int64
 	// ReadBlocks reads len(buf)/BlockSize blocks starting at lba into buf.
 	ReadBlocks(start time.Duration, lba int64, buf []byte) (done time.Duration, err error)
-	// WriteBlocks writes len(data)/BlockSize blocks starting at lba.
-	WriteBlocks(start time.Duration, lba int64, data []byte) (done time.Duration, err error)
+	// WriteRun writes blocks, each one whole block, at lba onwards as one
+	// request. The blocks are handed over by reference: the device only
+	// reads them during the call, keeps a shared block as itself and copies
+	// any other. A run Cut would not make of its bytes at offset 0 (see
+	// CutSize), or whose bytes are no whole number of blocks, is refused
+	// before any block is written.
+	WriteRun(start time.Duration, lba int64, blocks [][]byte) (done time.Duration, err error)
 }
 
 // Store is a sparse in-memory block image: the "platters". It carries no
@@ -179,19 +185,6 @@ func (s *Store) WriteAt(lba int64, data []byte) error {
 	return nil
 }
 
-// zeroAt makes block lba absent, which is what WriteAt does with a block of
-// zeros, without a block of zeros to look at.
-func (s *Store) zeroAt(lba int64) error {
-	if err := s.check("write", lba, s.blockSize); err != nil {
-		return err
-	}
-	if old, present := s.blocks.Get(lba); present {
-		s.pool.Put(old)
-		s.blocks.Delete(lba)
-	}
-	return nil
-}
-
 // uniform reports whether b (at most BlockSize bytes) is one byte repeated:
 // it equals the shared block of its first byte, which bytes.Equal checks at
 // memory-compare speed on two aligned blocks and leaves at the first
@@ -254,6 +247,8 @@ type Local struct {
 	offset int64
 	// FailReads/FailWrites inject I/O errors when set (failure testing).
 	FailReads, FailWrites bool
+	// refs holds WriteBlocks' data cut into blocks during the call.
+	refs [][]byte
 }
 
 // newLocal wraps store with raid timing.
@@ -350,28 +345,17 @@ func (l *Local) ReadBlocks(start time.Duration, lba int64, buf []byte) (time.Dur
 	return l.raid.Read(start, l.offset+lba, n)
 }
 
-// WriteBlocks implements Device.
+// WriteBlocks writes data, whole blocks, at lba: WriteRun of data cut into
+// blocks.
 func (l *Local) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
-	bs := l.store.blockSize
-	n := len(data) / bs
-	if err := l.writable(lba, n, len(data)); err != nil {
-		return start, err
-	}
-	for i := 0; i < n; i++ {
-		if err := l.store.WriteAt(lba+int64(i), data[i*bs:(i+1)*bs]); err != nil {
-			return start, err
-		}
-	}
-	return l.raid.Write(start, l.offset+lba, n)
+	l.refs = Cut(l.refs[:0], 0, data)
+	defer clear(l.refs)
+	return l.WriteRun(start, lba, l.refs)
 }
 
-// WriteRun writes blocks, each one whole block, at lba onwards: WriteBlocks
-// of their concatenation in every check, in what the store holds afterwards
-// and in the one request the array sees, without the concatenation. A cache
-// hands its blocks over by reference: the store only reads them, keeps a
-// shared block as itself without comparing it again and copies any other.
+// WriteRun implements Device: one request to the array for the whole run.
 func (l *Local) WriteRun(start time.Duration, lba int64, blocks [][]byte) (time.Duration, error) {
-	if err := l.writable(lba, len(blocks), runBytes(blocks, l.store.blockSize)); err != nil {
+	if err := l.writable(lba, blocks); err != nil {
 		return start, err
 	}
 	for i, b := range blocks {
@@ -382,52 +366,53 @@ func (l *Local) WriteRun(start time.Duration, lba int64, blocks [][]byte) (time.
 	return l.raid.Write(start, l.offset+lba, len(blocks))
 }
 
-// runBytes returns how many bytes blocks hold, or -1 when they are no run of
-// whole blocks of bs bytes. Only a last block shorter than bs (but not empty)
-// is let through: its run is refused as WriteBlocks refuses the
-// concatenation, by the length.
-func runBytes(blocks [][]byte, bs int) int {
-	n := 0
-	for i, b := range blocks {
-		if len(b) != bs && (i < len(blocks)-1 || len(b) == 0 || len(b) > bs) {
-			return -1
-		}
-		n += len(b)
-	}
-	return n
-}
-
-// WriteZeros writes n blocks of zeros at lba. It is WriteBlocks of a zero
-// buffer in every check, in what the store holds afterwards and in the one
-// request the array sees, so no simulated number can tell them apart; the host
-// is spared comparing the zeros (ext3.Mkfs clears 8 MB of journal per cell).
-func (l *Local) WriteZeros(start time.Duration, lba int64, n int) (time.Duration, error) {
-	if err := l.writable(lba, n, max(n, 0)*l.store.blockSize); err != nil {
-		return start, err
-	}
-	for i := 0; i < n; i++ {
-		if err := l.store.zeroAt(lba + int64(i)); err != nil {
-			return start, err
-		}
-	}
-	return l.raid.Write(start, l.offset+lba, n)
-}
-
 // writable runs the checks every write makes before a block is touched, in
-// their order: the injected failure, a length of size bytes that is no whole
-// number of blocks (negative: not a run of whole blocks), then n blocks at
-// lba past the device.
-func (l *Local) writable(lba int64, n, size int) error {
+// their order: the injected failure, a run that is no cut of its bytes, bytes
+// that are no whole number of blocks, then a run past the device.
+func (l *Local) writable(lba int64, blocks [][]byte) error {
 	if l.FailWrites {
 		return fmt.Errorf("blockdev: injected write failure at lba=%d", lba)
 	}
-	if size < 0 {
-		return fmt.Errorf("blockdev: write run of %d blocks is not of whole blocks", n)
+	size, ok := CutSize(0, blocks)
+	if !ok {
+		return fmt.Errorf("blockdev: write run of %d blocks is not of whole blocks", len(blocks))
 	}
 	if size%l.store.blockSize != 0 {
 		return fmt.Errorf("blockdev: write buffer not block-multiple: %d", size)
 	}
-	return l.checkRange("write", lba, n)
+	return l.checkRange("write", lba, len(blocks))
+}
+
+// Cut appends data, bound for byte offset off (not negative) of a device or
+// a file, to dst cut at block boundaries: the first piece runs from off to
+// the end of its block, every later one from the start of its block, and
+// all but the last to the end. The pieces refer to data; nothing is copied.
+func Cut(dst [][]byte, off int64, data []byte) [][]byte {
+	dst = slices.Grow(dst, (int(off%BlockSize)+len(data)+BlockSize-1)/BlockSize)
+	for len(data) > 0 {
+		n := min(len(data), BlockSize-int(off%BlockSize))
+		dst = append(dst, data[:n:n])
+		data, off = data[n:], off+int64(n)
+	}
+	return dst
+}
+
+// CutSize returns how many bytes blocks hold, and whether they are what Cut
+// makes of some data at off: off is not negative, no piece is empty or
+// reaches past its block, and every piece but the last runs to the end of
+// its block.
+func CutSize(off int64, blocks [][]byte) (int, bool) {
+	if off < 0 {
+		return 0, false
+	}
+	room, n := BlockSize-int(off%BlockSize), 0
+	for i, b := range blocks {
+		if len(b) == 0 || len(b) > room || i < len(blocks)-1 && len(b) != room {
+			return 0, false
+		}
+		n, room = n+len(b), BlockSize
+	}
+	return n, true
 }
 
 // checkRange rejects a request that is not wholly inside the device before

@@ -121,6 +121,10 @@ func (p *Pool) Load(src []byte) []byte {
 	return b
 }
 
+// Shared returns the shared read-only block of byte v repeated: a block to
+// hand down by reference (see Device.WriteRun), never to write.
+func Shared(v byte) []byte { return shared[v][:] }
+
 // replace returns the block that holds src (at most BlockSize bytes,
 // zero-extended) in place of cur, a block Get or Load handed out: a shared
 // block when the result is one byte repeated, else cur itself overwritten

@@ -19,7 +19,8 @@ var ramp = func() (r [BlockSize + 256]byte) {
 // three representations in every order: zeros, one non-zero byte repeated,
 // mixed bytes (derived from value, never constant), a mixed block whose
 // bytes differ only in the last position (the constant test's worst case),
-// and zeroAt, which must leave what a write of zeros leaves.
+// and the shared block of zeros, which must leave what a write of zeros
+// leaves without being compared.
 func storeOps(t *testing.T, s *Store, ops []byte) {
 	t.Helper()
 	const blocks = 8
@@ -51,13 +52,11 @@ func storeOps(t *testing.T, s *Store, ops []byte) {
 		case 5:
 			clear(data)
 		}
-		var err error
+		w := data
 		if kind == 5 {
-			err = s.zeroAt(lba)
-		} else {
-			err = s.WriteAt(lba, data)
+			w = shared[0][:]
 		}
-		if err != nil {
+		if err := s.WriteAt(lba, w); err != nil {
 			t.Fatalf("write %d: %v", lba, err)
 		}
 		copy(dense[lba*BlockSize:], data)
@@ -94,7 +93,7 @@ func FuzzStoreMatchesDenseImage(f *testing.F) {
 	f.Add([]byte{1, 2, 0x5A, 1, 3, 9, 1, 2, 0xA5, 1, 1, 0, 1, 0, 0})          // constant, mixed, constant, zero, read
 	f.Add([]byte{0, 3, 7, 1, 3, 7, 0, 2, 0xDB, 1, 4, 0xDB, 0, 1, 0, 1, 2, 0}) // private blocks recycled through the pool
 	f.Add([]byte{2, 4, 0xFF, 2, 2, 0xFF, 2, 4, 0, 2, 1, 0, 3, 2, 0, 3, 0, 0}) // last byte differs; constant 0 is zero
-	f.Add([]byte{4, 3, 1, 4, 5, 0, 5, 2, 9, 5, 5, 0, 6, 5, 0, 4, 3, 2})       // zeroAt over private, constant, absent
+	f.Add([]byte{4, 3, 1, 4, 5, 0, 5, 2, 9, 5, 5, 0, 6, 5, 0, 4, 3, 2})       // the shared zero block over private, constant, absent
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		storeOps(t, NewStore(8, BlockSize), ops)
 		pooled := NewStore(8, BlockSize)

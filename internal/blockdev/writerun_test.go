@@ -2,7 +2,9 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -85,19 +87,54 @@ func runBlocks(kinds []byte, seed byte) [][]byte {
 	return blocks
 }
 
+// zeroRefs is a run of references to the shared block of zeros, the run a
+// format writes over a journal.
+var zeroRefs = func() (run [64][]byte) {
+	for i := range run {
+		run[i] = shared[0][:]
+	}
+	return run
+}()
+
+// writeJoined is the reference the write path is held to: the run's bytes
+// joined into one buffer, the checks every write makes (an injected failure,
+// no whole number of blocks, past the device), each block stored with
+// Store.WriteAt, then one request to the array.
+func writeJoined(l *Local, at time.Duration, lba int64, blocks [][]byte) (time.Duration, error) {
+	data := bytes.Join(blocks, nil)
+	n := len(data) / BlockSize
+	switch {
+	case l.FailWrites:
+		return at, errors.New("injected failure")
+	case len(data)%BlockSize != 0:
+		return at, errors.New("not whole blocks")
+	case lba < 0 || lba+int64(n) > l.NumBlocks():
+		return at, errors.New("past the device")
+	}
+	for i := 0; i < n; i++ {
+		if err := l.store.WriteAt(lba+int64(i), data[i*BlockSize:(i+1)*BlockSize]); err != nil {
+			return at, err
+		}
+	}
+	return l.raid.Write(at, l.offset+lba, n)
+}
+
 // FuzzWriteRunMatchesWriteBlocks holds WriteRun of a run of blocks by
-// reference to WriteBlocks of their concatenation on a twin LUN: the same
-// error, completion time and array counters, the same store content, the same
-// Populated and pool Len, over shared, private, uniform-but-private and short
-// final blocks, injected failures and runs past either end. The by-reference
-// side compares every block but a shared one, which the store keeps as
-// itself, and keeps no private block: poisoning the blocks afterwards changes
-// nothing it holds.
+// reference, and the WriteBlocks wrapper of their concatenation, to
+// writeJoined on twin LUNs: the same errors, completion time and array
+// counters, the same store content, the same Populated and pool Len, over
+// shared, private, uniform-but-private and short final blocks, runs of
+// references to the shared zero block over every kind of block, injected
+// failures, runs past either end and a released store. WriteRun compares
+// every block but a shared one, which the store keeps as itself, and keeps no
+// private block: poisoning the blocks afterwards changes nothing it holds.
 func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
-	f.Add([]byte{10, 4, 0, 1, 2, 3, 1})                    // one of each whole kind
-	f.Add([]byte{20, 3, 2, 2, 4, 20, 2, 0, 0, 0})          // a short last block, then shared over private
-	f.Add([]byte{250, 6, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 3}) // past the end, then a run from 0
-	f.Add([]byte{5, 3, 3, 2, 2, 0x85, 5, 1, 3, 1, 0, 0})   // a failure injected
+	f.Add([]byte{10, 4, 0, 1, 2, 3, 1})                                 // one of each whole kind
+	f.Add([]byte{20, 3, 2, 2, 4, 20, 2, 0, 0, 0})                       // a short last block, then shared over private
+	f.Add([]byte{250, 6, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 3})              // past the end, then a run from 0
+	f.Add([]byte{5, 3, 3, 2, 2, 0x85, 5, 1, 3, 1, 0, 0})                // a failure injected
+	f.Add([]byte{6, 6, 2, 3, 2, 0, 2, 3, 1, 0xBF, 0x7E, 0x87, 0, 0x81}) // zeros over private and constant blocks, past either end
+	f.Add([]byte{3, 3, 0, 2, 3, 2, 0xC4, 5, 0x87})                      // zeros after a release
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type twin struct {
 			*Local
@@ -108,37 +145,64 @@ func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
 			d.Store().SetPool(d.pool)
 			return d
 		}
-		whole, byRef := mk(), mk()
+		twins := [3]twin{mk(), mk(), mk()} // writeJoined, WriteRun, WriteBlocks
 		var at time.Duration
+		released := false
 		got, want := make([]byte, BlockSize), make([]byte, BlockSize)
 		for len(ops) >= 2 {
-			// One op: lba (0x80 set: the writes fail), run length, kinds.
-			lba, n, fail := int64(ops[0]&0x7F)*2-2, int(ops[1]%7), ops[0]&0x80 != 0
-			kinds := ops[2:min(2+n, len(ops))]
-			ops = ops[2+len(kinds):]
-			blocks := runBlocks(kinds, byte(lba))
-			whole.FailWrites, byRef.FailWrites = fail, fail
-			var d0, d1 time.Duration
-			var err0, err1 error
-			dw := countCompares(func() { d0, err0 = whole.WriteBlocks(at, lba, bytes.Join(blocks, nil)) })
-			dr := countCompares(func() { d1, err1 = byRef.WriteRun(at, lba, blocks) })
-			what := fmt.Sprintf("run of %d at %d (kinds %v, fail %v)", len(blocks), lba, kinds, fail)
-			if fmt.Sprint(err0) != fmt.Sprint(err1) || d0 != d1 {
-				t.Fatalf("%s: WriteBlocks done %v err %v, WriteRun done %v err %v", what, d0, err0, d1, err1)
+			// One op: lba (0x80 set: the writes fail), then the run. Its
+			// byte's top bits pick: 0 or 1, n%7 blocks of the kinds that
+			// follow; 2, 1 to 64 references to the shared zero block; 3,
+			// release the stores first, then as 0.
+			lba, fail := int64(ops[0]&0x7F)*2-2, ops[0]&0x80 != 0
+			var blocks [][]byte
+			if form := ops[1] >> 6; form == 2 {
+				blocks, ops = zeroRefs[:ops[1]&0x3F+1], ops[2:]
+			} else {
+				if form == 3 && !released {
+					for _, d := range twins {
+						d.Store().Release()
+					}
+					released = true
+				}
+				kinds := ops[2:min(2+int(ops[1]%7), len(ops))]
+				blocks, ops = runBlocks(kinds, byte(lba)), ops[2+len(kinds):]
 			}
-			at = d0
-			if err0 == nil {
+			var done [3]time.Duration
+			var errs [3]error
+			var compares [3]int
+			for i, d := range twins {
+				d.FailWrites = fail
+				compares[i] = countCompares(func() {
+					switch i {
+					case 0:
+						done[i], errs[i] = writeJoined(d.Local, at, lba, blocks)
+					case 1:
+						done[i], errs[i] = d.WriteRun(at, lba, blocks)
+					case 2:
+						done[i], errs[i] = d.WriteBlocks(at, lba, bytes.Join(blocks, nil))
+					}
+				})
+			}
+			what := fmt.Sprintf("run of %d at %d (fail %v, released %v)", len(blocks), lba, fail, released)
+			if (errs[0] == nil) != (errs[1] == nil) || fmt.Sprint(errs[1]) != fmt.Sprint(errs[2]) || done[0] != done[1] || done[1] != done[2] {
+				t.Fatalf("%s: writeJoined done %v err %v, WriteRun done %v err %v, WriteBlocks done %v err %v",
+					what, done[0], errs[0], done[1], errs[1], done[2], errs[2])
+			}
+			at = done[0]
+			if errs[0] == nil {
 				sharedBlocks := 0
 				for i, b := range blocks {
 					if isShared(b) {
 						sharedBlocks++
 					}
-					if kept := holds(byRef.Store(), lba+int64(i), b); kept != (isShared(b) && b[0] != 0) {
+					if kept := holds(twins[1].Store(), lba+int64(i), b); kept != (isShared(b) && b[0] != 0) {
 						t.Fatalf("%s: block %d kept by reference: %v", what, i, kept)
 					}
 				}
-				if dr != dw-sharedBlocks {
-					t.Fatalf("%s: %d compares by reference, %d for the joined run with %d shared blocks", what, dr, dw, sharedBlocks)
+				if compares[1] != compares[0]-sharedBlocks || compares[2] != compares[0] {
+					t.Fatalf("%s: %d compares by reference and %d by WriteBlocks, %d for the joined run with %d shared blocks",
+						what, compares[1], compares[2], compares[0], sharedBlocks)
 				}
 			}
 			for _, b := range blocks {
@@ -148,19 +212,22 @@ func FuzzWriteRunMatchesWriteBlocks(f *testing.F) {
 					}
 				}
 			}
-			if sa, sb := whole.Stats(), byRef.Stats(); sa != sb {
-				t.Fatalf("%s: array counters %+v against %+v", what, sa, sb)
-			}
-			if whole.Store().Populated() != byRef.Store().Populated() || whole.pool.Len() != byRef.pool.Len() {
-				t.Fatalf("%s: store holds %d / %d blocks, pool %d / %d", what,
-					whole.Store().Populated(), byRef.Store().Populated(), whole.pool.Len(), byRef.pool.Len())
-			}
-			for b := max(lba, 0); b < min(lba+int64(len(blocks)), 256); b++ {
-				if err := whole.Store().ReadAt(b, want); err != nil {
-					t.Fatal(err)
+			ref := twins[0]
+			for _, d := range twins[1:] {
+				if sa, sb := ref.Stats(), d.Stats(); sa != sb {
+					t.Fatalf("%s: array counters %+v against %+v", what, sa, sb)
 				}
-				if err := byRef.Store().ReadAt(b, got); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%s: block %d differs", what, b)
+				if ref.Store().Populated() != d.Store().Populated() || ref.pool.Len() != d.pool.Len() {
+					t.Fatalf("%s: store holds %d / %d blocks, pool %d / %d", what,
+						ref.Store().Populated(), d.Store().Populated(), ref.pool.Len(), d.pool.Len())
+				}
+				for b := max(lba, 0); !released && b < min(lba+int64(len(blocks)), 256); b++ {
+					if err := ref.Store().ReadAt(b, want); err != nil {
+						t.Fatal(err)
+					}
+					if err := d.Store().ReadAt(b, got); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: block %d differs", what, b)
+					}
 				}
 			}
 		}
@@ -187,4 +254,61 @@ func TestWriteRunRefusesBrokenRuns(t *testing.T) {
 	if d.Store().Populated() != 0 || d.Stats() != (NewTestbedArray(64).Stats()) {
 		t.Fatal("a refused run stored a block or reached the array")
 	}
+}
+
+// FuzzCutIsARun: whatever the data and its offset (not negative), Cut's
+// pieces join into the data, each lies within one block and all but the
+// last run to the end of theirs, and CutSize accepts them with the data's
+// length. CutSize refuses the same pieces with one of them emptied, one of
+// them reaching past its block, one before the last cut short, or at a
+// negative offset.
+func FuzzCutIsARun(f *testing.F) {
+	f.Add(int64(0), []byte{}, uint(0))
+	f.Add(int64(1), ramp[:BlockSize+2], uint(1))
+	f.Add(int64(BlockSize-1), append(ramp[:], ramp[:]...), uint(2))
+	f.Add(int64(3*BlockSize+5), ramp[:300], uint(0))
+	f.Add(int64(-7), ramp[:BlockSize], uint(3))
+	f.Fuzz(func(t *testing.T, off int64, data []byte, pick uint) {
+		if off < 0 {
+			off = ^off
+		}
+		off %= 1 << 48 // no overflow past the data's end
+		pieces := Cut(nil, off, data)
+		if !bytes.Equal(bytes.Join(pieces, nil), data) {
+			t.Fatalf("at %d: the pieces do not join into the data", off)
+		}
+		start := off
+		for i, p := range pieces {
+			end := start + int64(len(p))
+			if len(p) == 0 || (end-1)/BlockSize != start/BlockSize || i < len(pieces)-1 && end%BlockSize != 0 {
+				t.Fatalf("at %d: piece %d covers %d to %d, not one block to its end", off, i, start, end)
+			}
+			start = end
+		}
+		if n, ok := CutSize(off, pieces); !ok || n != len(data) {
+			t.Fatalf("at %d: CutSize of the cut of %d bytes is %d, %v", off, len(data), n, ok)
+		}
+		if _, ok := CutSize(^off, pieces); ok {
+			t.Fatalf("at %d: the cut accepted at %d", off, ^off)
+		}
+		if len(pieces) == 0 {
+			return
+		}
+		i := int(pick % uint(len(pieces)))
+		room := BlockSize
+		if i == 0 {
+			room -= int(off % BlockSize)
+		}
+		broken := map[string][]byte{"emptied": {}, "past its block": make([]byte, room+1)}
+		if i < len(pieces)-1 {
+			broken["cut short"] = pieces[i][:len(pieces[i])-1]
+		}
+		for what, p := range broken {
+			run := slices.Clone(pieces)
+			run[i] = p
+			if _, ok := CutSize(off, run); ok {
+				t.Fatalf("at %d: piece %d of %d %s accepted", off, i, len(pieces), what)
+			}
+		}
+	})
 }

@@ -40,11 +40,11 @@ type bcacheStats struct {
 // (cleanData, unpin), which moves it to just behind that buffer; stamps
 // order any two buffers without walking the ring.
 //
-// Buffer ownership: a slice passed to Device.WriteBlocks or insertPrefetch
-// may be reused by the caller on return (every device here copies
-// synchronously, and so does insertPrefetch). Dirty blocks go home by
-// reference (writeRuns, device.WriteRun): the device only reads them
-// during the call, keeps a shared one as itself and copies a private one.
+// Buffer ownership: a slice passed to insertPrefetch may be reused by the
+// caller on return (it copies synchronously). Every write reaches the device
+// by reference (Device.WriteRun, from writeRuns and writeCut): the device
+// only reads the blocks during the call, keeps a shared one as itself and
+// copies a private one, so dirty blocks go home without a copy.
 //
 // Block memory follows content (see package blockdev): a buffer's data is
 // either the shared read-only block of one byte repeated or one whole private

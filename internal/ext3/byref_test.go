@@ -12,18 +12,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// cutBlocks cuts data, bound for file offset off, at block boundaries: the
-// payload WriteFileAt takes.
-func cutBlocks(off int64, data []byte) [][]byte {
-	var blocks [][]byte
-	for len(data) > 0 {
-		n := min(len(data), BlockSize-int(off%BlockSize))
-		blocks = append(blocks, data[:n])
-		data, off = data[n:], off+int64(n)
-	}
-	return blocks
-}
-
 // handedDownPayload is eight blocks: the even ones each one (distinct,
 // non-zero) byte repeated, the odd ones mixed bytes.
 func handedDownPayload() []byte {
@@ -172,7 +160,7 @@ func TestWriteFileAtTakesBlocksCutAtBoundaries(t *testing.T) {
 		}
 	}
 	for _, off := range []int64{0, 100, BlockSize - 10, 5 * BlockSize} {
-		n, d, err := fs.WriteFileAt(at, ino, off, cutBlocks(off, data))
+		n, d, err := fs.WriteFileAt(at, ino, off, blockdev.Cut(nil, off, data))
 		if err != nil || n != len(data) {
 			t.Fatalf("WriteFileAt at %d: %d bytes, %v", off, n, err)
 		}

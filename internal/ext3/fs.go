@@ -23,21 +23,18 @@ const (
 // gdtEntrySize is the on-disk size of one group descriptor.
 const gdtEntrySize = 16
 
-// device is what a file system mounts: a block device that also writes a
-// run of blocks handed over by reference, as both blockdev.Local and the
-// iSCSI initiator do. The cache writes its dirty blocks home this way,
-// without gathering them into one buffer.
-type device interface {
-	blockdev.Device
-	// WriteRun writes blocks, each one whole block, at lba onwards, as
-	// WriteBlocks writes their concatenation. It only reads the blocks and
-	// keeps none but a shared one.
-	WriteRun(start time.Duration, lba int64, blocks [][]byte) (done time.Duration, err error)
-}
+// zeroRun is 64 references to the shared block of zeros: what Mkfs writes
+// over the journal, 64 blocks a request. It is never written.
+var zeroRun = func() (run [64][]byte) {
+	for i := range run {
+		run[i] = blockdev.Shared(0)
+	}
+	return run
+}()
 
 // FS is a mounted filesystem instance.
 type FS struct {
-	dev  device
+	dev  blockdev.Device
 	opts Options
 	sb   *superblock
 	bc   *bcache
@@ -75,10 +72,12 @@ type FS struct {
 	// pool's run buffer it was taken from, if any.
 	coalesce []byte
 	run      *blockdev.Run
-	// refs hands one run of blocks to the device by reference (writeRuns;
-	// a run past the default MaxCoalesce takes a slice of its own); it is
-	// cleared after each run, so it keeps no block reachable.
-	refs [blockdev.RunBlocks][]byte
+	// refs hands one run of blocks to the device by reference (writeRuns,
+	// writeCut), in refsArray until a run is longer; it keeps the longest
+	// run's slice and is cleared after each run, so it keeps no block
+	// reachable.
+	refs      [][]byte
+	refsArray [blockdev.RunBlocks][]byte
 }
 
 // runBuf returns the coalescing buffer sized for run blocks. Its content is
@@ -100,9 +99,7 @@ func (fs *FS) runBuf(run int) []byte {
 }
 
 // Mkfs formats dev with a fresh filesystem and returns the completion time.
-// What is formatted is always the array itself (an export, or a LUN before its
-// target serves it): the concrete type is what offers WriteZeros.
-func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, error) {
+func Mkfs(at time.Duration, dev blockdev.Device, opts Options) (time.Duration, error) {
 	opts.fill()
 	if dev.BlockSize() != BlockSize {
 		return at, fmt.Errorf("ext3: device block size %d != %d", dev.BlockSize(), BlockSize)
@@ -139,13 +136,15 @@ func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, e
 	// Zero the journal so stale records can never replay, 64 blocks a request.
 	for off := int64(0); off < opts.JournalBlocks; off += 64 {
 		n := min(opts.JournalBlocks-off, 64)
-		if done, err = dev.WriteZeros(done, jStart+off, int(n)); err != nil {
+		if done, err = dev.WriteRun(done, jStart+off, zeroRun[:n]); err != nil {
 			return done, err
 		}
 	}
 
-	gdt := make([]byte, BlockSize)
-	bm := make([]byte, BlockSize) // every bitmap in turn; WriteBlocks does not retain it
+	// One block buffer serves every block in turn: the device keeps none.
+	var refs [][]byte
+	blk := make([]byte, BlockSize)
+	var groupFreeBlocks, groupFreeInodes [BlockSize / gdtEntrySize]uint32
 	var freeBlocksTotal, freeInodesTotal uint64
 	for g := int64(0); g < groupCount; g++ {
 		gStart := firstGroup + g*bpg
@@ -154,61 +153,59 @@ func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, e
 			gBlocks = total - gStart
 		}
 		// Block bitmap: overhead blocks and past-device tail marked used.
-		clear(bm)
+		clear(blk)
 		used := overhead
 		if used > gBlocks {
 			used = gBlocks
 		}
 		for i := int64(0); i < used; i++ {
-			bm[i/8] |= 1 << uint(i%8)
+			blk[i/8] |= 1 << uint(i%8)
 		}
 		for i := gBlocks; i < bpg; i++ {
-			bm[i/8] |= 1 << uint(i%8)
+			blk[i/8] |= 1 << uint(i%8)
 		}
 		freeB := gBlocks - used
 		if freeB < 0 {
 			freeB = 0
 		}
-		done, err = dev.WriteBlocks(done, gStart, bm)
+		done, err = writeCut(dev, done, gStart, blk, &refs)
 		if err != nil {
 			return done, err
 		}
 		// Inode bitmap: inodes 1 (reserved) and 2 (root) used in group 0.
-		clear(bm)
+		clear(blk)
 		freeI := ipg
 		if g == 0 {
-			bm[0] |= 0b11 // inode indices 0,1 => inos 1,2
+			blk[0] |= 0b11 // inode indices 0,1 => inos 1,2
 			freeI -= 2
 		}
-		done, err = dev.WriteBlocks(done, gStart+1, bm)
+		done, err = writeCut(dev, done, gStart+1, blk, &refs)
 		if err != nil {
 			return done, err
 		}
 		freeBlocksTotal += uint64(freeB)
 		freeInodesTotal += uint64(freeI)
-		binary.BigEndian.PutUint32(gdt[g*gdtEntrySize:], uint32(freeB))
-		binary.BigEndian.PutUint32(gdt[g*gdtEntrySize+4:], uint32(freeI))
+		groupFreeBlocks[g], groupFreeInodes[g] = uint32(freeB), uint32(freeI)
 	}
 
 	// Root directory: inode 2, one data block with "." and "..".
 	rootDataLBA := firstGroup + overhead // first data block of group 0
 	// Mark it used in group 0's bitmap.
-	done, err = dev.ReadBlocks(done, firstGroup, bm)
+	done, err = dev.ReadBlocks(done, firstGroup, blk)
 	if err != nil {
 		return done, err
 	}
 	idx := rootDataLBA - firstGroup
-	bm[idx/8] |= 1 << uint(idx%8)
-	done, err = dev.WriteBlocks(done, firstGroup, bm)
+	blk[idx/8] |= 1 << uint(idx%8)
+	done, err = writeCut(dev, done, firstGroup, blk, &refs)
 	if err != nil {
 		return done, err
 	}
 	freeBlocksTotal--
-	binary.BigEndian.PutUint32(gdt[0:], binary.BigEndian.Uint32(gdt[0:])-1)
+	groupFreeBlocks[0]--
 
-	dirBlk := make([]byte, BlockSize)
-	direntInitBlock(dirBlk, RootIno, RootIno)
-	done, err = dev.WriteBlocks(done, rootDataLBA, dirBlk)
+	direntInitBlock(blk, RootIno, RootIno)
+	done, err = writeCut(dev, done, rootDataLBA, blk, &refs)
 	if err != nil {
 		return done, err
 	}
@@ -219,25 +216,25 @@ func Mkfs(at time.Duration, dev *blockdev.Local, opts Options) (time.Duration, e
 		Blocks: 1,
 	}
 	root.Direct[0] = uint32(rootDataLBA)
-	itBlk := make([]byte, BlockSize)
-	encodeInode(root, itBlk[InodeSize:2*InodeSize]) // ino 2 = index 1
-	done, err = dev.WriteBlocks(done, firstGroup+2, itBlk)
+	clear(blk)
+	encodeInode(root, blk[InodeSize:2*InodeSize]) // ino 2 = index 1
+	done, err = writeCut(dev, done, firstGroup+2, blk, &refs)
 	if err != nil {
 		return done, err
 	}
 
-	done, err = dev.WriteBlocks(done, gdtBlock, gdt)
+	done, err = writeCut(dev, done, gdtBlock, encodeGDT(blk, groupFreeBlocks[:groupCount], groupFreeInodes[:groupCount]), &refs)
 	if err != nil {
 		return done, err
 	}
 	sb.FreeBlocks = freeBlocksTotal
 	sb.FreeInodes = freeInodesTotal
-	return dev.WriteBlocks(done, sbBlock, sb.encode(bm))
+	return writeCut(dev, done, sbBlock, sb.encode(blk), &refs)
 }
 
 // Mount attaches a filesystem, recovering the journal if the previous
 // instance crashed. Returns the FS and mount completion time.
-func Mount(at time.Duration, dev device, opts Options) (*FS, time.Duration, error) {
+func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Duration, error) {
 	opts.fill()
 	blk := make([]byte, BlockSize)
 	done, err := dev.ReadBlocks(at, sbBlock, blk)
@@ -265,11 +262,12 @@ func Mount(at time.Duration, dev device, opts Options) (*FS, time.Duration, erro
 		dcache:   make(map[dcacheKey]Ino),
 		names:    make(map[Ino]dirIndex),
 	}
+	fs.refs = fs.refsArray[:0]
 	fs.journal = newJournal(fs, int64(sb.JournalStart), int64(sb.JournalBlocks))
 	fs.journal.lastCommit = at
 
-	// Group descriptor table.
-	gdt := make([]byte, BlockSize)
+	// Group descriptor table, read into the superblock's buffer.
+	gdt := blk
 	done, err = dev.ReadBlocks(done, gdtBlock, gdt)
 	if err != nil {
 		return nil, done, err
@@ -302,17 +300,33 @@ func Mount(at time.Duration, dev device, opts Options) (*FS, time.Duration, erro
 // writeSuperblock persists the superblock (direct write, not journaled —
 // matching how ext3 treats its own superblock fields we model).
 func (fs *FS) writeSuperblock(at time.Duration) (time.Duration, error) {
-	return fs.dev.WriteBlocks(at, sbBlock, fs.sb.encode(fs.runBuf(1)))
+	return writeCut(fs.dev, at, sbBlock, fs.sb.encode(fs.runBuf(1)), &fs.refs)
 }
 
 // writeGDT persists group free counts.
 func (fs *FS) writeGDT(at time.Duration) (time.Duration, error) {
-	gdt := make([]byte, BlockSize)
-	for g := range fs.groupFreeBlocks {
-		binary.BigEndian.PutUint32(gdt[g*gdtEntrySize:], fs.groupFreeBlocks[g])
-		binary.BigEndian.PutUint32(gdt[g*gdtEntrySize+4:], fs.groupFreeInodes[g])
+	gdt := encodeGDT(make([]byte, BlockSize), fs.groupFreeBlocks, fs.groupFreeInodes)
+	return writeCut(fs.dev, at, gdtBlock, gdt, &fs.refs)
+}
+
+// encodeGDT fills b, one block, with the group descriptors of groups whose
+// free blocks and inodes freeBlocks and freeInodes count, and returns it.
+func encodeGDT(b []byte, freeBlocks, freeInodes []uint32) []byte {
+	clear(b)
+	for g := range freeBlocks {
+		binary.BigEndian.PutUint32(b[g*gdtEntrySize:], freeBlocks[g])
+		binary.BigEndian.PutUint32(b[g*gdtEntrySize+4:], freeInodes[g])
 	}
-	return fs.dev.WriteBlocks(at, gdtBlock, gdt)
+	return b
+}
+
+// writeCut writes data, whole blocks, at lba as one run handed to dev by
+// reference: data cut into *refs, scratch that is cleared again, so it keeps
+// no block reachable.
+func writeCut(dev blockdev.Device, at time.Duration, lba int64, data []byte, refs *[][]byte) (time.Duration, error) {
+	*refs = blockdev.Cut((*refs)[:0], 0, data)
+	defer clear(*refs)
+	return dev.WriteRun(at, lba, *refs)
 }
 
 // charge bills CPU demand for an operation touching nblocks blocks.
@@ -653,6 +667,7 @@ func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int6
 		}
 		d, err := fs.dev.WriteRun(at, lba, refs)
 		clear(refs)
+		fs.refs = refs
 		if err != nil {
 			return d, err
 		}

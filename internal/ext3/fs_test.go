@@ -529,6 +529,33 @@ func TestMkfsOverDirtyJournalReplaysNothing(t *testing.T) {
 	}
 }
 
+// Mkfs leaves the journal area holding no block, whatever it held: the
+// store keeps the format's meta-data blocks only (superblock, GDT, three
+// block bitmaps, group 0's inode bitmap, the root's directory block and its
+// inode-table block), and the old journal's private blocks go back to the
+// pool, which the format's own blocks then come from.
+func TestMkfsLeavesNoJournalBlock(t *testing.T) {
+	pool := &blockdev.Pool{}
+	dev := blockdev.NewTestbedArray(smallBlocks)
+	dev.Store().SetPool(pool)
+	old := make([][]byte, smallGeometry.JournalBlocks)
+	for i := range old {
+		if old[i] = blockdev.Shared(0x5A); i%2 == 0 {
+			old[i] = make([]byte, BlockSize)
+			old[i][0] = byte(i) + 1 // mixed: a private block
+		}
+	}
+	if _, err := dev.WriteRun(0, jStart, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Mkfs(0, dev, smallGeometry); err != nil {
+		t.Fatal(err)
+	}
+	if n, back := dev.Store().Populated(), pool.Len(); n != 8 || back != len(old)/2-8 {
+		t.Fatalf("after the format the store holds %d blocks and the pool %d; want 8 and %d", n, back, len(old)/2-8)
+	}
+}
+
 // A filesystem whose caches recycle blocks through a pool (poisoned on every
 // release) keeps its content through unmount, remount, crash and recovery:
 // nothing reads a block after dropAll gave it away, and nothing relies on a

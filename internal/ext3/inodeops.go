@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/vfs"
 )
 
@@ -697,26 +698,10 @@ func (fs *FS) ReadFileAt(at time.Duration, ino Ino, off int64, buf []byte) (int,
 // cache copies what it keeps, and a shared block is not compared again); a
 // payload cut otherwise, or a negative offset, is vfs.ErrInvalid.
 func (fs *FS) WriteFileAt(at time.Duration, ino Ino, off int64, blocks [][]byte) (int, time.Duration, error) {
-	count, ok := cutBytes(off, blocks)
+	count, ok := blockdev.CutSize(off, blocks)
 	if !ok {
 		return 0, at, vfs.ErrInvalid
 	}
 	f := &file{fs: fs, ino: ino}
 	return f.write(at, off, count, nil, blocks)
-}
-
-// cutBytes returns how many bytes blocks hold, and whether they are a payload
-// for off cut at block boundaries (see WriteFileAt), no piece of it empty.
-func cutBytes(off int64, blocks [][]byte) (int, bool) {
-	if off < 0 {
-		return 0, false
-	}
-	room, n := BlockSize-int(off%BlockSize), 0
-	for i, b := range blocks {
-		if len(b) == 0 || len(b) > room || i < len(blocks)-1 && len(b) != room {
-			return 0, false
-		}
-		n, room = n+len(b), BlockSize
-	}
-	return n, true
 }

@@ -292,7 +292,7 @@ func FuzzInodeOps(f *testing.F) {
 				fs.ReadDirAt(now, d.ino())
 			case fzWrite:
 				ino, content := d.ino(), d.str()
-				fs.WriteFileAt(now, ino, 0, cutBlocks(0, bytes.Repeat([]byte(content), 40)))
+				fs.WriteFileAt(now, ino, 0, blockdev.Cut(nil, 0, bytes.Repeat([]byte(content), 40)))
 			case fzRemount:
 				fs, now = fuzzRemount(t, fs, dev, now)
 			}

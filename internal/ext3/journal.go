@@ -126,7 +126,7 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 			txn.homes[i] = b.lba
 			txn.images[i] = img
 		}
-		done, err = j.fs.dev.WriteBlocks(done, j.start+j.head, body)
+		done, err = writeCut(j.fs.dev, done, j.start+j.head, body, &j.fs.refs)
 		if err != nil {
 			return done, err
 		}
@@ -141,7 +141,7 @@ func (j *journal) commit(at time.Duration) (time.Duration, error) {
 		binary.BigEndian.PutUint32(cb[0:], jMagic)
 		binary.BigEndian.PutUint32(cb[4:], jCommitRec)
 		binary.BigEndian.PutUint64(cb[8:], seq)
-		done, err = j.fs.dev.WriteBlocks(done, j.start+j.head+int64(chunk)+1, cb)
+		done, err = writeCut(j.fs.dev, done, j.start+j.head+int64(chunk)+1, cb, &j.fs.refs)
 		if err != nil {
 			return done, err
 		}
@@ -248,7 +248,7 @@ func recoverJournal(at time.Duration, fs *FS) (replayed int, done time.Duration,
 			return replayed, done, err
 		}
 		for i := int64(0); i < count; i++ {
-			done, err = fs.dev.WriteBlocks(done, homes[i], images[i*BlockSize:(i+1)*BlockSize])
+			done, err = writeCut(fs.dev, done, homes[i], images[i*BlockSize:(i+1)*BlockSize], &fs.refs)
 			if err != nil {
 				return replayed, done, err
 			}

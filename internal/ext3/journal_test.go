@@ -1,6 +1,7 @@
 package ext3
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"unsafe"
@@ -76,5 +77,46 @@ func TestJournalAddsABufferOnce(t *testing.T) {
 	commit(b)
 	if pa := fs.bc.peek(a); pa == nil || pa.running || pa.pins != 1 {
 		t.Fatalf("block %d after its commit: %+v, want resident, not running, one pin", a, pa)
+	}
+}
+
+// TestCheckpointWritesTheCommittedImages: a committed transaction's images
+// are frozen when its body goes to the journal. A buffer changed again
+// afterwards, in the running transaction, does not reach its home block
+// through the checkpoint: home gets what was committed, as a replay of the
+// journal would write it.
+func TestCheckpointWritesTheCommittedImages(t *testing.T) {
+	dev := blockdev.NewTestbedArray(32768)
+	if _, err := Mkfs(0, dev, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fs, _, err := Mount(0, dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, lba := fs.journal, fs.groupStart(1)
+	b, _, err := fs.bc.get(0, lba, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.data[0] = 0x11
+	fs.bc.markDirty(b, true)
+	j.add(b)
+	if _, err := j.commit(0); err != nil {
+		t.Fatal(err)
+	}
+	committed := bytes.Clone(b.data)
+	b.data[0] = 0x22 // the next transaction, not committed
+	fs.bc.markDirty(b, true)
+	j.add(b)
+	if _, err := j.checkpointAll(0); err != nil {
+		t.Fatal(err)
+	}
+	home := make([]byte, BlockSize)
+	if _, err := dev.ReadBlocks(0, lba, home); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(home, committed) {
+		t.Fatalf("the checkpoint wrote %#x.. home, the transaction committed %#x..", home[0], committed[0])
 	}
 }

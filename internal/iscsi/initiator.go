@@ -3,9 +3,9 @@ package iscsi
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/scsi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -372,30 +372,19 @@ func (i *Initiator) ReadBlocks(start time.Duration, lba int64, buf []byte) (time
 	return i.transfer(start, lba, extent{buf: buf})
 }
 
-// WriteBlocks implements blockdev.Device: WriteRun of data's blocks.
+// WriteBlocks writes data, whole blocks, at lba: WriteRun of data cut into
+// blocks.
 func (i *Initiator) WriteBlocks(start time.Duration, lba int64, data []byte) (time.Duration, error) {
-	done, err := i.WriteRun(start, lba, i.refsOf(data))
-	clear(i.refs)
-	return done, err
+	i.refs = blockdev.Cut(i.refs[:0], 0, data)
+	defer clear(i.refs)
+	return i.WriteRun(start, lba, i.refs)
 }
 
-// WriteRun writes blocks, each one whole block, as WriteBlocks writes their
-// concatenation: WRITE(10) commands, chunked and scheduled like ReadBlocks,
-// whose Data-Out is blocks by reference, down to the target's device.
+// WriteRun implements blockdev.Device: WRITE(10) commands, chunked and
+// scheduled like ReadBlocks, whose Data-Out is blocks by reference, down to
+// the target's device.
 func (i *Initiator) WriteRun(start time.Duration, lba int64, blocks [][]byte) (time.Duration, error) {
 	return i.transfer(start, lba, extent{blocks: blocks, write: true})
-}
-
-// refsOf returns data cut into blocks (the last one short when data is not
-// whole blocks), referring to data, in the initiator's scratch.
-func (i *Initiator) refsOf(data []byte) [][]byte {
-	bs := i.BlockSize()
-	refs := slices.Grow(i.refs[:0], (len(data)+bs-1)/bs)
-	for off := 0; off < len(data); off += bs {
-		refs = append(refs, data[off:min(off+bs, len(data))])
-	}
-	i.refs = refs
-	return refs
 }
 
 // transfer splits an extent into commands: it divides across the wire's
@@ -410,7 +399,7 @@ func (i *Initiator) transfer(start time.Duration, lba int64, ext extent) (time.D
 	if size%bs != 0 {
 		return start, fmt.Errorf("iscsi: transfer not block-multiple: %d", size)
 	}
-	if ext.write && size != len(ext.blocks)*bs {
+	if _, ok := blockdev.CutSize(0, ext.blocks); !ok {
 		return start, fmt.Errorf("iscsi: write of %d blocks is not of whole blocks", len(ext.blocks))
 	}
 	if size == 0 {
@@ -479,7 +468,8 @@ func (i *Initiator) sharedRW(at time.Duration, lba int64, data []byte, write boo
 	}
 	ext := extent{buf: data}
 	if write {
-		ext = extent{blocks: i.refsOf(data), write: true}
+		i.refs = blockdev.Cut(i.refs[:0], 0, data)
+		ext = extent{blocks: i.refs, write: true}
 	}
 	return i.rw(at, sharedLUN, lba, ext)
 }

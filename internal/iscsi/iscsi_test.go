@@ -111,6 +111,26 @@ func TestOneCommandPerTransferChunk(t *testing.T) {
 	})
 }
 
+// A write run that is no cut of whole blocks is refused before a command is
+// sent, even when its bytes add up to whole blocks.
+func TestBrokenWriteRunSendsNothing(t *testing.T) {
+	onWires(t, func(t *testing.T, ini *Initiator, _ *Target, net *simnet.Network, at time.Duration) {
+		before := net.Stats()
+		for _, run := range [][][]byte{
+			{make([]byte, 2048), make([]byte, 6144)},
+			{make([]byte, 4096), {}, make([]byte, 4096)},
+			{make([]byte, 4096), make([]byte, 100)},
+		} {
+			if _, err := ini.WriteRun(at, 0, run); err == nil {
+				t.Errorf("a run of %d pieces of %d.. bytes was written", len(run), len(run[0]))
+			}
+		}
+		if after := net.Stats(); after != before {
+			t.Fatalf("refused runs crossed the wire: %+v, then %+v", before, after)
+		}
+	})
+}
+
 func TestWriteBeforeLoginFails(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {

@@ -110,7 +110,8 @@ func TestReadEventsReportsLineNumbers(t *testing.T) {
 
 func TestRecorderSampleDeltasAndReset(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(NewSink(&buf), Tags{"experiment": "x"})
+	sink := NewSink(&buf)
+	rec := NewRecorder(sink, Tags{"experiment": "x"})
 	cur := map[string]int64{"calls": 5}
 	rec.Register(SubsysRPC, Tags{"client": "0"}, func() map[string]int64 { return cur })
 
@@ -119,9 +120,18 @@ func TestRecorderSampleDeltasAndReset(t *testing.T) {
 	rec.Sample(time.Duration(20))
 	// No movement: no event.
 	rec.Sample(time.Duration(30))
-	// Counter reset (cold-cache rebuilt the client): full value is the delta.
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// A counter below its previous value (a source rebuilt without carrying
+	// its totals forward) is the sink's error, and nothing more is written.
 	cur = map[string]int64{"calls": 2}
 	rec.Sample(time.Duration(40))
+	if err := sink.Err(); err == nil || !strings.Contains(err.Error(), `"calls" fell from 8 to 2`) {
+		t.Fatalf("a counter that fell: sink error %v", err)
+	}
+	cur = map[string]int64{"calls": 20}
+	rec.Sample(time.Duration(50))
 
 	events, err := ReadEvents(&buf)
 	if err != nil {
@@ -131,7 +141,7 @@ func TestRecorderSampleDeltasAndReset(t *testing.T) {
 	for _, e := range events {
 		deltas = append(deltas, e.Counters["calls"])
 	}
-	want := []int64{5, 3, 2}
+	want := []int64{5, 3}
 	if !reflect.DeepEqual(deltas, want) {
 		t.Fatalf("deltas = %v, want %v", deltas, want)
 	}

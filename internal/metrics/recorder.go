@@ -73,7 +73,17 @@ func (s *Sink) emit(e Event) {
 	}
 }
 
-// Err reports the first write or validation error, if any.
+// fail makes err the sink's error unless it has one already; like a write
+// error, it suppresses further output.
+func (s *Sink) fail(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// Err reports the first write, validation or counter error, if any.
 func (s *Sink) Err() error {
 	if s == nil {
 		return nil
@@ -161,9 +171,10 @@ func (r *Recorder) Register(subsys string, extra Tags, fn func() map[string]int6
 
 // Sample polls every registered source and emits one sample event per
 // source whose counters moved since the previous sample, stamped at t.
-// A counter observed below its previous value (the source was reset, e.g.
-// by a cold-cache remount rebuilding a protocol client) contributes its
-// full current value as the delta.
+// Counters only grow: a source rebuilt mid-run (a cold-cache remount
+// rebuilding a protocol client) carries its predecessor's totals forward.
+// A counter observed below its previous value is the sink's error, and the
+// stream ends there rather than carry a wrong delta.
 func (r *Recorder) Sample(t time.Duration) {
 	if r == nil {
 		return
@@ -172,12 +183,11 @@ func (r *Recorder) Sample(t time.Duration) {
 		cur := s.fn()
 		delta := make(map[string]int64, len(cur))
 		for k, v := range cur {
-			prev := s.last[k]
-			d := v - prev
-			if v < prev {
-				d = v
+			if v < s.last[k] {
+				r.sink.fail(fmt.Errorf("metrics: %s counter %q fell from %d to %d at t=%d", s.subsys, k, s.last[k], v, t))
+				return
 			}
-			if d != 0 {
+			if d := v - s.last[k]; d != 0 {
 				delta[k] = d
 			}
 		}

@@ -120,20 +120,3 @@ func TestNegativeOffsetIsInvalid(t *testing.T) {
 		t.Error("refused READ or WRITE was counted as a request")
 	}
 }
-
-// cutPages cuts a payload at page boundaries, whatever its offset.
-func TestCutPages(t *testing.T) {
-	data := bytes.Repeat([]byte("0123456789"), 1000)
-	for _, off := range []int64{0, 1, pageSize - 1, pageSize, 3*pageSize + 5} {
-		pages := cutPages(nil, off, data)
-		if got := bytes.Join(pages, nil); !bytes.Equal(got, data) {
-			t.Fatalf("at %d: the pages do not join into the payload", off)
-		}
-		for i, p := range pages {
-			start := off + int64(len(bytes.Join(pages[:i], nil)))
-			if end := start + int64(len(p)); i < len(pages)-1 && end%pageSize != 0 || (end-1)/pageSize != start/pageSize {
-				t.Fatalf("at %d: piece %d covers %d to %d, not one page", off, i, start, end)
-			}
-		}
-	}
-}

@@ -811,7 +811,7 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 		part := data[written : written+n]
 		o := off + int64(written)
 		var cut [3][]byte // a chunk of two pages touches at most three
-		pages := cutPages(cut[:0], o, part)
+		pages := blockdev.Cut(cut[:0], o, part)
 		_, _, d2, err := c.fhCall(done, ProcWrite, 0, n, func(arrive time.Duration) (FH, vfs.Stat, time.Duration, error) {
 			st, done, err := c.srv.Write(arrive, f.fh, o, pages, true)
 			return f.fh, st, done, err
@@ -841,17 +841,6 @@ func (f *nfsFile) writeSync(at time.Duration, off int64, data []byte) (int, time
 		written += n
 	}
 	return written, c.charge(done, len(data)), nil
-}
-
-// cutPages appends data, bound for file offset off (not negative), to dst
-// cut at page boundaries: the payload Server.Write takes.
-func cutPages(dst [][]byte, off int64, data []byte) [][]byte {
-	for len(data) > 0 {
-		n := min(len(data), pageSize-int(off%pageSize))
-		dst = append(dst, data[:n])
-		data, off = data[n:], off+int64(n)
-	}
-	return dst
 }
 
 // Fsync implements vfs.File.

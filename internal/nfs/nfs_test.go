@@ -200,7 +200,7 @@ func TestForeignWriteSeenAfterAttrTimeout(t *testing.T) {
 		if _, at, err = f.ReadAt(at, 0, got); err != nil || !bytes.Equal(got, mine) {
 			t.Fatalf("%v: own write read back as %.8q, %v", ver, got, err)
 		}
-		if _, at, err = srv.Write(at+time.Second, f.(*nfsFile).fh, 0, cutPages(nil, 0, theirs), true); err != nil {
+		if _, at, err = srv.Write(at+time.Second, f.(*nfsFile).fh, 0, blockdev.Cut(nil, 0, theirs), true); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err = f.ReadAt(at+2*time.Minute, 0, got); err != nil || !bytes.Equal(got, theirs) {
@@ -467,12 +467,12 @@ func TestServerRefusesHostileArguments(t *testing.T) {
 			func(at time.Duration) (time.Duration, error) { return srv.rename(at, root, "d", dir, "inside") }},
 		request{"WRITE to a directory", vfs.ErrInvalid, false,
 			func(at time.Duration) (time.Duration, error) {
-				_, d, e := srv.Write(at, dir, 0, cutPages(nil, 0, []byte("not entries")), true)
+				_, d, e := srv.Write(at, dir, 0, blockdev.Cut(nil, 0, []byte("not entries")), true)
 				return d, e
 			}},
 		request{"WRITE to a removed file", vfs.ErrStale, false,
 			func(at time.Duration) (time.Duration, error) {
-				_, d, e := srv.Write(at, gone, 0, cutPages(nil, 0, []byte("freed inode")), true)
+				_, d, e := srv.Write(at, gone, 0, blockdev.Cut(nil, 0, []byte("freed inode")), true)
 				return d, e
 			}})
 

@@ -200,7 +200,7 @@ func (s *Server) read(at time.Duration, fh FH, off int64, count int) ([]byte, bo
 // Write serves WRITE. With stable set (v2, or v3 FILE_SYNC), the data and
 // meta-data are durable before the reply; otherwise the server caches the
 // write and durability waits for COMMIT. The payload is the client's pages,
-// cut at page boundaries (see cutPages and ext3's WriteFileAt), by
+// cut at page boundaries (see blockdev.Cut and ext3's WriteFileAt), by
 // reference: the server's cache copies what it keeps. A negative offset is
 // an error.
 func (s *Server) Write(at time.Duration, fh FH, off int64, pages [][]byte, stable bool) (vfs.Stat, time.Duration, error) {

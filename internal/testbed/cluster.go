@@ -654,9 +654,10 @@ func (cl *Cluster) Drain() error {
 // ColdCache empties every cache in the cluster, the protocol the paper
 // uses before each cold-cache measurement (Section 4.1): all clients
 // drain, the NFS server (if any) restarts exactly once, and every client
-// drops its caches and remounts. The quiesced pre-reset counters are
-// flushed into a sample before any protocol client is rebuilt, so the
-// rebuild (which re-zeroes protocol clients) can never lose deltas.
+// drops its caches and remounts. The quiesced counters are flushed into a
+// sample before any protocol client is rebuilt, so the stream closes a
+// window at the quiesced instant; the stacks carry the rebuilt clients'
+// counters forward (their *Base folds), so no counter falls.
 func (cl *Cluster) ColdCache() error {
 	if err := cl.Drain(); err != nil {
 		return err

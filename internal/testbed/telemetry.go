@@ -10,10 +10,8 @@ import (
 // to the unified metrics event stream (docs/METRICS.md). Sources are
 // registered once per client and read through the stack at sample time;
 // stacks keep their counters monotonic across cold-cache rebuilds by
-// folding retired endpoints into *Base accumulators, and ColdCache
-// additionally flushes a sample before any rebuild, so stream totals are
-// exact. The recorder's reset rule remains as a backstop for sources
-// reset outside those paths.
+// folding retired endpoints into *Base accumulators, so stream totals are
+// exact. A counter that falls anyway is the recorder's error (Sink.Err).
 
 // clientTag returns the client tag set for client id.
 func clientTag(id int) metrics.Tags {
