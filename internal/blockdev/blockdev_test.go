@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestStoreSparseReadsZero(t *testing.T) {
@@ -202,5 +203,79 @@ func TestLocalRejectsRequestsCrossingTheEnd(t *testing.T) {
 	}
 	if _, err := dev.WriteBlocks(0, 1020, data); err != nil {
 		t.Fatalf("write ending at the last block: %v", err)
+	}
+}
+
+// Zeroing, a WriteRun of references to the shared block of zeros, must be
+// WriteBlocks of a zero buffer in everything but host cost: the same
+// completion times, array counters, store content, blocks back in the pool,
+// and the same refusals. Two LUNs of one kind run the same script, one
+// through each call.
+func TestWriteZerosMatchesWriteBlocksOfZeros(t *testing.T) {
+	type dev struct {
+		*Local
+		pool  *Pool
+		zeros func(at time.Duration, lba int64, n int) (time.Duration, error)
+	}
+	mk := func() *dev {
+		d := &dev{Local: NewClusterArraySized(2, 1024, 2)[1], pool: &Pool{}} // a LUN at an offset
+		d.Store().SetPool(d.pool)
+		return d
+	}
+	a, b := mk(), mk()
+	a.zeros = func(at time.Duration, lba int64, n int) (time.Duration, error) {
+		return a.WriteBlocks(at, lba, make([]byte, n*BlockSize))
+	}
+	b.zeros = func(at time.Duration, lba int64, n int) (time.Duration, error) {
+		return b.WriteRun(at, lba, zeroRefs[:n])
+	}
+	var at [2]time.Duration
+	both := func(what string, op func(d *dev, at time.Duration) (time.Duration, error)) {
+		t.Helper()
+		var errs [2]error
+		for i, d := range []*dev{a, b} {
+			at[i], errs[i] = op(d, at[i])
+		}
+		if (errs[0] == nil) != (errs[1] == nil) || at[0] != at[1] {
+			t.Fatalf("%s: WriteBlocks done=%v err=%v, zero run done=%v err=%v", what, at[0], errs[0], at[1], errs[1])
+		}
+		if sa, sb := a.Stats(), b.Stats(); sa != sb {
+			t.Fatalf("%s: array counters %+v against %+v", what, sa, sb)
+		}
+		if a.Store().Populated() != b.Store().Populated() || a.pool.Len() != b.pool.Len() {
+			t.Fatalf("%s: store holds %d / %d blocks, pool %d / %d", what,
+				a.Store().Populated(), b.Store().Populated(), a.pool.Len(), b.pool.Len())
+		}
+	}
+	zeros := func(lba int64, n int) func(*dev, time.Duration) (time.Duration, error) {
+		return func(d *dev, at time.Duration) (time.Duration, error) { return d.zeros(at, lba, n) }
+	}
+	// Private blocks at 10..29, constant ones at 30..39, the rest absent.
+	both("mixed", func(d *dev, at time.Duration) (time.Duration, error) {
+		buf := make([]byte, 20*BlockSize)
+		for i := range buf {
+			buf[i] = byte(i) ^ byte(i>>12)
+		}
+		return d.WriteBlocks(at, 10, buf)
+	})
+	both("constant", func(d *dev, at time.Duration) (time.Duration, error) {
+		return d.WriteBlocks(at, 30, bytes.Repeat([]byte{0x5A}, 10*BlockSize))
+	})
+	both("over absent, private and constant blocks", zeros(0, 64))
+	if n, back := b.Store().Populated(), b.pool.Len(); n != 0 || back != 20 {
+		t.Fatalf("after zeroing: %d blocks populated, %d back in the pool; want 0 and 20", n, back)
+	}
+	both("again, all absent", zeros(0, 64))
+	both("the last block", zeros(1023, 1))
+	both("crossing the end", zeros(1000, 64))
+	both("negative lba", zeros(-1, 2))
+	a.FailWrites, b.FailWrites = true, true
+	both("injected failure", zeros(0, 8))
+	a.FailWrites, b.FailWrites = false, false
+	a.Store().Release()
+	b.Store().Release()
+	both("released store", zeros(0, 8))
+	if _, err := b.WriteRun(0, 0, zeroRefs[:8]); err == nil {
+		t.Fatal("a zero run on a released store accepted")
 	}
 }
