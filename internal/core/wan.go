@@ -98,11 +98,6 @@ type WANConfig struct {
 	WindowBytes int
 	// FileSize is the per-client file size (default 1 MB).
 	FileSize int64
-	// ChunkSize is the per-op transfer unit (default 4 KB).
-	ChunkSize int
-	// DeviceBlocks is the per-client volume size in 4 KB blocks
-	// (default sized from FileSize; the NFS export scales by count).
-	DeviceBlocks int64
 	// Seed for loss injection and workload randomness.
 	Seed int64
 	// Health, when non-nil, attaches a gauge scraper + SLO engine to
@@ -151,16 +146,11 @@ func (c *WANConfig) fill() {
 	if c.FileSize == 0 {
 		c.FileSize = 1 << 20
 	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 4096
-	}
-	if c.DeviceBlocks == 0 {
-		c.DeviceBlocks = 16384
-		if need := c.FileSize / 4096 * 2; need > c.DeviceBlocks {
-			c.DeviceBlocks = need
-		}
-	}
 }
+
+// wanChunkSize is the WAN sweep's per-op transfer unit. runWANCell passes
+// it to the scale drivers, which it hands an unfilled ScaleConfig.
+const wanChunkSize = 4096
 
 // WANCell is one (workload, stack, transport, mix, discipline, capacity,
 // client-count) measurement over the shared bottleneck.
@@ -243,7 +233,7 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 	if err != nil {
 		return WANCell{}, err
 	}
-	scfg := ScaleConfig{FileSize: cfg.FileSize, ChunkSize: cfg.ChunkSize, Seed: cfg.Seed}
+	scfg := ScaleConfig{FileSize: cfg.FileSize, ChunkSize: wanChunkSize, Seed: cfg.Seed}
 	err = runDriverCell(cellSpec{
 		experiment: "wan",
 		v:          v,
@@ -258,7 +248,9 @@ func runWANCell(cfg WANConfig, wl, mix string, q netqueue.Discipline,
 		metrics: cfg.Metrics,
 		cluster: testbed.ClusterConfig{
 			Config: testbed.Config{
-				DeviceBlocks: exportBlocks(cfg.DeviceBlocks, v.stack, n),
+				// A client's volume holds its file twice over, 16384
+				// blocks at least; the NFS export scales by count.
+				DeviceBlocks: exportBlocks(max(16384, cfg.FileSize/4096*2), v.stack, n),
 				Seed:         cfg.Seed,
 				WindowBytes:  cfg.WindowBytes,
 				Tracer:       cfg.Tracer,

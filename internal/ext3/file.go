@@ -206,7 +206,7 @@ func (f *file) ReadAt(at time.Duration, off int64, buf []byte) (int, time.Durati
 		}
 		run := 1
 		for i+run < nblocks && lbas[i+run] == lbas[i]+int64(run) &&
-			fs.bc.peek(lbas[i+run]) == nil && run < fs.opts.MaxCoalesce {
+			fs.bc.peek(lbas[i+run]) == nil && run < maxCoalesce {
 			run++
 		}
 		data := fs.runBuf(run)
@@ -286,23 +286,12 @@ func (fs *FS) readahead(at time.Duration, ino Ino, n *inode, first, count int64)
 		ra.prefetched = first + count
 		return
 	}
-	if ra.window < fs.opts.ReadAheadWindow {
-		ra.window *= 2
-		if ra.window > fs.opts.ReadAheadWindow {
-			ra.window = fs.opts.ReadAheadWindow
-		}
-	}
+	ra.window = min(ra.window*2, readAheadWindow)
 	ra.next = first + count
 	if first+count < ra.prefetched {
 		return
 	}
-	unit := count // prefetch request size mirrors the foreground read
-	if unit < 1 {
-		unit = 1
-	}
-	if unit > int64(fs.opts.MaxCoalesce) {
-		unit = int64(fs.opts.MaxCoalesce)
-	}
+	unit := min(max(count, 1), maxCoalesce) // prefetch request size mirrors the foreground read
 	end := first + count + int64(ra.window)
 	maxFB := (int64(n.Size) + BlockSize - 1) / BlockSize
 	if end > maxFB {

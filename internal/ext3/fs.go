@@ -82,7 +82,7 @@ type FS struct {
 
 // runBuf returns the coalescing buffer sized for run blocks. Its content is
 // whatever the previous run left; callers overwrite all of it. With a pool,
-// a run of up to blockdev.RunBlocks (the default MaxCoalesce) gets the pool's
+// a run of up to blockdev.RunBlocks (maxCoalesce) gets the pool's
 // run buffer, which goes back where the caches die (dropCaches); otherwise
 // the buffer grows to exactly the longest run asked for.
 func (fs *FS) runBuf(run int) []byte {
@@ -637,7 +637,7 @@ func (fs *FS) putInode(at time.Duration, ino Ino, n *inode) (time.Duration, erro
 // ---- flushing, commit policy ----
 
 // flushData writes all dirty file-data blocks, coalescing contiguous runs
-// into single device writes (up to MaxCoalesce blocks — the mechanism that
+// into single device writes (up to maxCoalesce blocks — the mechanism that
 // produces the ~128 KB mean write request the paper reports in Table 4).
 func (fs *FS) flushData(at time.Duration) (time.Duration, error) {
 	bc := fs.bc
@@ -648,7 +648,7 @@ func (fs *FS) flushData(at time.Duration) (time.Duration, error) {
 
 // writeRuns writes home the blocks next walks in ascending order (next
 // returns the first at or after its argument, or -1): contiguous blocks
-// coalesce into one device write of at most MaxCoalesce blocks, and the runs
+// coalesce into one device write of at most maxCoalesce blocks, and the runs
 // are issued concurrently at `at`, since destaging parallelizes across the
 // array's members; completion is the slowest run. data gives a block's
 // content, which goes to the device by reference (a cached block is not
@@ -658,7 +658,7 @@ func (fs *FS) writeRuns(at time.Duration, next func(int64) int64, data func(int6
 	done := at
 	for lba := next(0); lba >= 0; {
 		run := int64(1)
-		for run < int64(fs.opts.MaxCoalesce) && next(lba+run) == lba+run {
+		for run < maxCoalesce && next(lba+run) == lba+run {
 			run++
 		}
 		refs := fs.refs[:0]
@@ -703,7 +703,7 @@ func (fs *FS) tick(at time.Duration) (time.Duration, error) {
 	if fs.opts.SyncMetadata {
 		return fs.journal.commit(at)
 	}
-	if fs.bc.dirty.Len() > fs.opts.MaxDirtyData {
+	if fs.bc.dirty.Len() > maxDirtyData {
 		// Throttle the writer synchronously.
 		return fs.journal.commit(at)
 	}

@@ -195,6 +195,18 @@ func decodeInode(slot []byte) inode {
 	return ino
 }
 
+// The filesystem's fixed limits, in blocks.
+const (
+	// maxCoalesce bounds a single coalesced device write: 32 blocks =
+	// 128 KB, matching the paper's observed mean iSCSI write request size.
+	maxCoalesce = 32
+	// maxDirtyData throttles writers: beyond this many dirty data blocks
+	// a synchronous flush is forced (49152 blocks = 192 MB).
+	maxDirtyData = 49152
+	// readAheadWindow bounds read-ahead.
+	readAheadWindow = 32
+)
+
 // Options configure a filesystem instance.
 type Options struct {
 	// CommitInterval is the journal commit interval (ext3 default: 5 s).
@@ -203,15 +215,6 @@ type Options struct {
 	NoAtime bool
 	// CacheBlocks bounds the buffer cache (0 = 131072 blocks = 512 MB).
 	CacheBlocks int
-	// MaxCoalesce bounds a single coalesced device write, in blocks
-	// (0 = 32 blocks = 128 KB, matching the paper's observed mean
-	// iSCSI write request size).
-	MaxCoalesce int
-	// MaxDirtyData throttles writers: beyond this many dirty data blocks
-	// a synchronous flush is forced (0 = 49152 blocks = 192 MB).
-	MaxDirtyData int
-	// ReadAheadWindow bounds read-ahead, in blocks (0 = 32).
-	ReadAheadWindow int
 	// JournalBlocks sizes the journal at mkfs time (0 = 2048 = 8 MB).
 	JournalBlocks int64
 	// BlocksPerGroup/InodesPerGroup size block groups at mkfs time
@@ -251,15 +254,6 @@ func (o *Options) fill() {
 	}
 	if o.CacheBlocks <= 0 {
 		o.CacheBlocks = 131072
-	}
-	if o.MaxCoalesce <= 0 {
-		o.MaxCoalesce = 32
-	}
-	if o.MaxDirtyData <= 0 {
-		o.MaxDirtyData = 49152
-	}
-	if o.ReadAheadWindow <= 0 {
-		o.ReadAheadWindow = 32
 	}
 	if o.JournalBlocks <= 0 {
 		o.JournalBlocks = 2048

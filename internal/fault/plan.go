@@ -89,6 +89,9 @@ type Event struct {
 	Action Action
 }
 
+// flapGap is the up-time between consecutive flaps of a LinkFlap plan.
+const flapGap = 500 * time.Millisecond
+
 // PlanConfig shapes a generated plan.
 type PlanConfig struct {
 	// Warmup is the fault-free lead-in before the first inject
@@ -99,8 +102,6 @@ type PlanConfig struct {
 	// Flaps is the number of inject/heal cycles for LinkFlap (default
 	// 3); other families always run one cycle.
 	Flaps int
-	// FlapGap is the up-time between consecutive flaps (default 500ms).
-	FlapGap time.Duration
 	// Jitter is the maximum seeded perturbation added to every event
 	// gap (default 100ms), so plans with different seeds place faults
 	// at different — but reproducible — instants.
@@ -121,9 +122,6 @@ func (c *PlanConfig) fill() {
 	}
 	if c.Flaps <= 0 {
 		c.Flaps = 3
-	}
-	if c.FlapGap <= 0 {
-		c.FlapGap = 500 * time.Millisecond
 	}
 	if c.Jitter < 0 {
 		c.Jitter = 0
@@ -170,7 +168,7 @@ func NewPlan(f Family, cfg PlanConfig) (Plan, error) {
 	t := cfg.Warmup + jit()
 	for i := 0; i < cycles; i++ {
 		if i > 0 {
-			t += cfg.FlapGap + jit()
+			t += flapGap + jit()
 		}
 		p.Events = append(p.Events, Event{At: t, Action: Inject})
 		t += cfg.Outage + jit()

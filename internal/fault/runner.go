@@ -9,23 +9,27 @@ import (
 	"repro/internal/testbed"
 )
 
+// Every client's fixed workload shape.
+const (
+	// files is each client's working-set size.
+	files = 4
+	// syncEvery makes every n-th op cycle a durable-sync probe (a client
+	// drain) instead of a read/write: asynchronous stacks mask a dead
+	// server behind dirty caches until a sync forces the backlog to the
+	// wire.
+	syncEvery = 8
+	// think is the per-op think time; it also prices the ops a crashed
+	// client never issues.
+	think = 10 * time.Millisecond
+	// backoff delays the next op after a failed one.
+	backoff = 100 * time.Millisecond
+)
+
 // Config parameterizes one fault run against a cluster.
 type Config struct {
 	Plan Plan
-	// Files is each client's working-set size (default 4 files).
-	Files int
 	// FileSize is each file's size in bytes (default 64 KB).
 	FileSize int
-	// SyncEvery makes every n-th op cycle a durable-sync probe (a client
-	// drain) instead of a read/write (default 8): asynchronous stacks
-	// mask a dead server behind dirty caches until a sync forces the
-	// backlog to the wire. 0 disables the probes.
-	SyncEvery int
-	// Think is the per-op think time (default 10ms); it also prices the
-	// ops a crashed client never issues.
-	Think time.Duration
-	// Backoff delays the next op after a failed one (default 100ms).
-	Backoff time.Duration
 	// Cooldown extends the run past the last heal event (default 2s) so
 	// the post-recovery window is measurable.
 	Cooldown time.Duration
@@ -37,22 +41,8 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Files <= 0 {
-		c.Files = 4
-	}
 	if c.FileSize <= 0 {
 		c.FileSize = 64 << 10
-	}
-	if c.SyncEvery < 0 {
-		c.SyncEvery = 0
-	} else if c.SyncEvery == 0 {
-		c.SyncEvery = 8
-	}
-	if c.Think <= 0 {
-		c.Think = 10 * time.Millisecond
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
@@ -164,7 +154,7 @@ func Run(cl *testbed.Cluster, cfg Config) (Result, error) {
 	// Seed the working set and quiesce: the measured window starts with
 	// clean caches-of-record and aligned clocks.
 	for i, c := range cl.Clients {
-		for f := int64(0); f < int64(cfg.Files); f++ {
+		for f := int64(0); f < files; f++ {
 			if err := c.WriteFile(r.fileName(i, f), r.data); err != nil {
 				return Result{}, fmt.Errorf("fault: setup client %d: %w", i, err)
 			}
@@ -202,7 +192,7 @@ func Run(cl *testbed.Cluster, cfg Config) (Result, error) {
 }
 
 func (r *runner) fileName(client int, seq int64) string {
-	return fmt.Sprintf("/fault-c%d-f%d", client, seq%int64(r.cfg.Files))
+	return fmt.Sprintf("/fault-c%d-f%d", client, seq%files)
 }
 
 func (r *runner) arr() *simdisk.RAID5 { return r.cl.Array() }
@@ -220,7 +210,7 @@ func (r *runner) victimDown(t time.Duration) (until time.Duration, down bool) {
 
 // driver returns client i's step function: one op cycle per scheduler
 // step — alternating whole-file writes and reads over the seeded working
-// set, with a durable-sync probe every SyncEvery cycles — recording each
+// set, with a durable-sync probe every syncEvery cycles — recording each
 // completion on the client's own timeline. Failed ops back off and
 // retry; after the last heal a client that still can't reach the server
 // rebuilds its stack the way a real mount retry loop would.
@@ -254,7 +244,7 @@ func (r *runner) driver(i int) func() (bool, error) {
 				// Powered off: the client issues nothing until its
 				// reboot at the heal event. The ops it would have
 				// issued are lost, not failed.
-				st.skipped += int64((until - now) / r.cfg.Think)
+				st.skipped += int64((until - now) / think)
 				c.IdleUntil(until)
 				return true, nil
 			}
@@ -263,7 +253,7 @@ func (r *runner) driver(i int) func() (bool, error) {
 		st.seq++
 		var err error
 		switch {
-		case r.cfg.SyncEvery > 0 && seq%int64(r.cfg.SyncEvery) == int64(r.cfg.SyncEvery)-1:
+		case seq%syncEvery == syncEvery-1:
 			err = c.Drain()
 		case seq%2 == 0:
 			err = c.WriteFile(r.fileName(i, seq), r.data)
@@ -280,7 +270,7 @@ func (r *runner) driver(i int) func() (bool, error) {
 			if done >= r.healAt {
 				st.recovered = true
 			}
-			c.Idle(r.cfg.Think)
+			c.Idle(think)
 			return true, nil
 		}
 		st.failed++
@@ -293,7 +283,7 @@ func (r *runner) driver(i int) func() (bool, error) {
 		if done >= r.healAt {
 			_ = r.recoverClient(i, done, false)
 		}
-		c.Idle(r.cfg.Backoff)
+		c.Idle(backoff)
 		return true, nil
 	}
 }

@@ -1,7 +1,5 @@
 package lockmgr
 
-import "time"
-
 // Delegations is the server's NFSv4-style delegation table, keyed by
 // path. Its state machine is deliberately *identical* to the Section-7
 // simulator in internal/trace (trace.SimulateDelegation), which is the
@@ -12,15 +10,9 @@ import "time"
 // turns "local" into zero RPCs and "non-local" into exactly one, so the
 // replayed message reduction equals the oracle's by construction.
 //
-// Recalls are state flips here; their latency cost is the conflicting
-// op's to pay. RecallLatency is how long that op stalls waiting for the
-// server's callback round to the delegation holders (0 = instantaneous,
-// the oracle's model).
+// Recalls are state flips here and cost the conflicting op nothing, the
+// oracle's instantaneous-recall model.
 type Delegations struct {
-	// RecallLatency stalls the op that triggered a recall, modeling the
-	// CB_RECALL round trip to the holders.
-	RecallLatency time.Duration
-
 	leases map[string]*dirLease
 
 	reads       int64
@@ -40,8 +32,8 @@ type dirLease struct {
 }
 
 // NewDelegations builds an empty delegation table.
-func NewDelegations(recallLatency time.Duration) *Delegations {
-	return &Delegations{RecallLatency: recallLatency, leases: make(map[string]*dirLease)}
+func NewDelegations() *Delegations {
+	return &Delegations{leases: make(map[string]*dirLease)}
 }
 
 func (d *Delegations) lease(path string) *dirLease {
@@ -54,51 +46,47 @@ func (d *Delegations) lease(path string) *dirLease {
 }
 
 // Read records client reading path. It returns whether the access is
-// served locally under an existing delegation (zero messages) and how
-// many outstanding delegations it recalled.
-func (d *Delegations) Read(client int, path string) (local bool, recalls int) {
+// served locally under an existing delegation (zero messages).
+func (d *Delegations) Read(client int, path string) bool {
 	d.reads++
 	l := d.lease(path)
 	// A read against an outstanding foreign write delegation recalls it.
 	if l.writer != -1 && l.writer != client {
-		recalls++
+		d.recalls++
 		l.writer = -1
 	}
 	if l.readers[client] || l.writer == client {
-		local = true
 		d.localReads++
-	} else {
-		l.readers[client] = true
-		d.readGrants++
+		return true
 	}
-	d.recalls += int64(recalls)
-	return local, recalls
+	l.readers[client] = true
+	d.readGrants++
+	return false
 }
 
 // Write records client updating path: local if the client already holds
 // an uncontested write delegation, otherwise it recalls every other
 // holder and takes the write delegation (the acquisition riding the
 // update itself — one message).
-func (d *Delegations) Write(client int, path string) (local bool, recalls int) {
+func (d *Delegations) Write(client int, path string) bool {
 	d.writes++
 	l := d.lease(path)
 	if l.writer == client && len(l.readers) == 0 {
 		d.localWrites++
-		return true, 0
+		return true
 	}
 	for c := range l.readers {
 		if c != client {
-			recalls++
+			d.recalls++
 		}
 	}
 	if l.writer != -1 && l.writer != client {
-		recalls++
+		d.recalls++
 	}
 	l.readers = make(map[int]bool)
 	l.writer = client
 	d.writeGrants++
-	d.recalls += int64(recalls)
-	return false, recalls
+	return false
 }
 
 // Reset drops all lease state, opening a fresh measurement window (the

@@ -290,15 +290,15 @@ func TestDelegationsMatchOracle(t *testing.T) {
 		}
 		want := trace.SimulateDelegation(recs)
 
-		d := NewDelegations(0)
+		d := NewDelegations()
 		var local int64
 		for _, r := range recs {
 			dir := "/t" + strconv.Itoa(r.Dir)
 			var isLocal bool
 			if r.Kind == trace.OpWrite {
-				isLocal, _ = d.Write(r.Client, dir)
+				isLocal = d.Write(r.Client, dir)
 			} else {
-				isLocal, _ = d.Read(r.Client, dir)
+				isLocal = d.Read(r.Client, dir)
 			}
 			if isLocal {
 				local++

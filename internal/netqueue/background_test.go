@@ -10,9 +10,9 @@ import (
 // the drop-tail buffer keeps acting on mechanistic bytes only.
 func TestLinkBackgroundResidualRate(t *testing.T) {
 	l := New(Config{Bandwidth: 1 << 20, QueueBytes: 64 << 10})
-	ep := l.Endpoint(EndpointConfig{})
+	ep := l.Endpoint()
 
-	sent, _, ok := ep.Send(0, 1<<20, Up)
+	sent, ok := ep.Send(0, 1<<20, Up)
 	if !ok || sent != time.Second {
 		t.Fatalf("full-rate send = %v ok=%v, want 1s", sent, ok)
 	}
@@ -24,12 +24,12 @@ func TestLinkBackgroundResidualRate(t *testing.T) {
 		t.Fatalf("Background() = %d/%d", up, down)
 	}
 	start := 2 * time.Second
-	sent, _, ok = ep.Send(start, 1<<20, Up)
+	sent, ok = ep.Send(start, 1<<20, Up)
 	if !ok || sent != start+2*time.Second {
 		t.Fatalf("half-rate up send = %v ok=%v, want %v", sent, ok, start+2*time.Second)
 	}
 	// Down direction carries no background and still runs at full rate.
-	sent, _, ok = ep.Send(start, 1<<20, Down)
+	sent, ok = ep.Send(start, 1<<20, Down)
 	if !ok || sent != start+time.Second {
 		t.Fatalf("down send = %v ok=%v, want %v", sent, ok, start+time.Second)
 	}

@@ -17,24 +17,18 @@
 // conserving and account queue depth, drops and head-of-line wait
 // byte-exactly (see Stats).
 //
-// Endpoints optionally carry their own propagation delay and loss rate,
-// so WAN stragglers are first-class: a 40 ms / 1% endpoint shares the
-// same bottleneck buffer as its LAN peers. The testbed attaches
-// per-client simnet networks with zero delay/loss and keeps charging
-// propagation and loss itself (per-client RTT heterogeneity lives in
-// simnet.Config); standalone users and the property tests use the
-// endpoint knobs directly.
+// An endpoint is only an admission handle: propagation delay and frame
+// loss belong to each client's simnet network, which charges them around
+// the link (per-client RTT heterogeneity lives in simnet.Config), so a
+// 40 ms / 1% straggler shares the same bottleneck buffer as its LAN peers.
 //
-// Everything is a pure function of virtual time and the deterministic
-// RNG: identical seeds and call sequences give byte-identical timelines.
+// Everything is a pure function of virtual time: identical call sequences
+// give byte-identical timelines.
 package netqueue
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Direction of a one-way frame through the link.
@@ -127,15 +121,12 @@ func (c Config) Validate() error {
 
 // DirStats are one direction's cumulative counters.
 type DirStats struct {
-	// Frames and Bytes count traffic accepted onto the wire (including
-	// frames later killed by endpoint loss injection).
+	// Frames and Bytes count traffic accepted onto the wire.
 	Frames int64
 	Bytes  int64
 	// QueueDrops / DropBytes count arrivals rejected by the full buffer.
 	QueueDrops int64
 	DropBytes  int64
-	// Lost counts accepted frames killed by endpoint loss injection.
-	Lost int64
 	// HOLWait accumulates time frames spent waiting on traffic ahead of
 	// them (departure minus arrival minus full-rate serialization).
 	HOLWait time.Duration
@@ -233,10 +224,10 @@ func (l *Link) Stats() Stats {
 // Counters exports the link counters for the metrics event stream
 // (metrics.SubsysNet with a {"link":"shared"} tag; see docs/METRICS.md).
 // Keys are direction-prefixed: up_frames, up_bytes, up_queue_drops,
-// up_drop_bytes, up_lost, up_hol_wait_ns, up_depth_max_bytes, and the
+// up_drop_bytes, up_hol_wait_ns, up_depth_max_bytes, and the
 // down_ equivalents. All values are monotonic.
 func (l *Link) Counters() map[string]int64 {
-	out := make(map[string]int64, 14)
+	out := make(map[string]int64, 12)
 	for _, d := range []Direction{Up, Down} {
 		s := l.lanes[d].stats
 		p := d.String()
@@ -244,43 +235,27 @@ func (l *Link) Counters() map[string]int64 {
 		out[p+"_bytes"] = s.Bytes
 		out[p+"_queue_drops"] = s.QueueDrops
 		out[p+"_drop_bytes"] = s.DropBytes
-		out[p+"_lost"] = s.Lost
 		out[p+"_hol_wait_ns"] = int64(s.HOLWait)
 		out[p+"_depth_max_bytes"] = s.MaxDepthBytes
 	}
 	return out
 }
 
-// EndpointConfig parameterizes one attached endpoint.
-type EndpointConfig struct {
-	// Delay is the endpoint's one-way propagation delay (half its RTT),
-	// added after the frame clears the bottleneck. Default 0 — the
-	// testbed keeps propagation in each client's simnet network instead.
-	Delay time.Duration
-	// LossRate is the probability an accepted frame dies on this
-	// endpoint's path (after serializing through the queue). Default 0.
-	LossRate float64
-	// Seed seeds the endpoint's loss RNG.
-	Seed int64
-}
-
 // Endpoint is one machine's admission handle into the shared link.
 type Endpoint struct {
-	l   *Link
-	id  int
-	cfg EndpointConfig
-	rng *rand.Rand
+	l  *Link
+	id int
 }
 
 // Endpoint attaches a new endpoint to the link. Endpoints must be minted
 // in a deterministic order (the cluster does so in client order).
-func (l *Link) Endpoint(cfg EndpointConfig) *Endpoint {
+func (l *Link) Endpoint() *Endpoint {
 	id := l.neps
 	l.neps++
 	for d := range l.lanes {
 		l.lanes[d].epHorizon = append(l.lanes[d].epHorizon, 0)
 	}
-	return &Endpoint{l: l, id: id, cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
+	return &Endpoint{l: l, id: id}
 }
 
 // serialization returns the frame's wire occupancy in direction d at the
@@ -395,31 +370,21 @@ func (l *Link) DepthHighWater() int64 {
 }
 
 // Send runs one frame through the bottleneck. It returns the sender-side
-// completion (when the frame's last byte clears the pipe) and the arrival
-// at the far side (completion plus the endpoint's propagation delay).
-// ok is false when the frame was dropped at the full buffer or killed by
-// endpoint loss injection; the returned times still model when the loss
-// becomes knowable, for timeout modeling.
-func (e *Endpoint) Send(now time.Duration, size int, d Direction) (sent, arrive time.Duration, ok bool) {
-	depart, accepted := e.l.admit(now, size, e.id, d, true)
-	if !accepted {
-		return now, now + e.cfg.Delay, false
-	}
-	if p := e.cfg.LossRate; p > 0 && e.rng.Float64() < p {
-		e.l.lanes[d].stats.Lost++
-		return depart, depart + e.cfg.Delay, false
-	}
-	return depart, depart + e.cfg.Delay, true
+// completion (when the frame's last byte clears the pipe); ok is false
+// when the frame was dropped at the full buffer or in an outage, and sent
+// is then the drop time, when the loss becomes knowable.
+func (e *Endpoint) Send(now time.Duration, size int, d Direction) (sent time.Duration, ok bool) {
+	return e.l.admit(now, size, e.id, d, true)
 }
 
 // SendControl runs a control frame (a pure TCP ACK) through the
-// bottleneck: it serializes and queues like data but is exempt from both
-// the drop-tail check and loss injection — cumulative acknowledgment
-// makes streams robust to individual ACK loss, so modeling it would only
-// add noise (the same convention as simnet.SendControl).
-func (e *Endpoint) SendControl(now time.Duration, size int, d Direction) (sent, arrive time.Duration) {
-	depart, _ := e.l.admit(now, size, e.id, d, false)
-	return depart, depart + e.cfg.Delay
+// bottleneck: it serializes and queues like data but is exempt from the
+// drop-tail check — cumulative acknowledgment makes streams robust to
+// individual ACK loss, so modeling it would only add noise (the same
+// convention as simnet.SendControl).
+func (e *Endpoint) SendControl(now time.Duration, size int, d Direction) (sent time.Duration) {
+	sent, _ = e.l.admit(now, size, e.id, d, false)
+	return sent
 }
 
 // backlog reports the direction's standing queue in bytes at time now

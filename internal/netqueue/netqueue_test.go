@@ -22,7 +22,7 @@ func driveBacklogged(l *Link, n, frameBytes, frames int) ([]int64, time.Duration
 	left := make([]int, n)
 	got := make([]int64, n)
 	for i := range eps {
-		eps[i] = l.Endpoint(EndpointConfig{})
+		eps[i] = l.Endpoint()
 		left[i] = frames
 	}
 	var last time.Duration
@@ -40,7 +40,7 @@ func driveBacklogged(l *Link, n, frameBytes, frames int) ([]int64, time.Duration
 		if sel < 0 {
 			return got, last
 		}
-		sent, _, ok := eps[sel].Send(next[sel], frameBytes, Up)
+		sent, ok := eps[sel].Send(next[sel], frameBytes, Up)
 		left[sel]--
 		if ok {
 			got[sel] += int64(frameBytes)
@@ -81,8 +81,8 @@ func TestWorkConservation(t *testing.T) {
 func TestFIFOOrdering(t *testing.T) {
 	const bw = 1_000_000
 	l := testLink(bw, 1<<30, DropTail)
-	a := l.Endpoint(EndpointConfig{})
-	b := l.Endpoint(EndpointConfig{})
+	a := l.Endpoint()
+	b := l.Endpoint()
 	arrivals := []struct {
 		ep   *Endpoint
 		at   time.Duration
@@ -101,7 +101,7 @@ func TestFIFOOrdering(t *testing.T) {
 			want = prev
 		}
 		want += time.Duration(int64(f.size) * int64(time.Second) / bw)
-		sent, _, ok := f.ep.Send(f.at, f.size, Up)
+		sent, ok := f.ep.Send(f.at, f.size, Up)
 		if !ok {
 			t.Fatalf("frame %d dropped unexpectedly", i)
 		}
@@ -131,13 +131,13 @@ func TestDRRFairness(t *testing.T) {
 	// the whole queue; under DRR it waits at most ~2x its serialization.
 	for _, q := range []Discipline{DropTail, DRR} {
 		l := testLink(bw, 1<<30, q)
-		heavy := l.Endpoint(EndpointConfig{})
-		light := l.Endpoint(EndpointConfig{})
+		heavy := l.Endpoint()
+		light := l.Endpoint()
 		cursor := time.Duration(0)
 		for i := 0; i < 100; i++ { // ~15 ms of backlog
-			cursor, _, _ = heavy.Send(cursor, 1500, Up)
+			cursor, _ = heavy.Send(cursor, 1500, Up)
 		}
-		sent, _, _ := light.Send(time.Millisecond, 1500, Up)
+		sent, _ := light.Send(time.Millisecond, 1500, Up)
 		lat := sent - time.Millisecond
 		ser := time.Duration(1500 * int64(time.Second) / bw)
 		if q == DRR && lat > 4*ser {
@@ -157,13 +157,13 @@ func TestDropAccounting(t *testing.T) {
 	const qb = 8000
 	for _, q := range []Discipline{DropTail, DRR} {
 		l := testLink(bw, qb, q)
-		ep := l.Endpoint(EndpointConfig{})
+		ep := l.Endpoint()
 		var offered, delivered int64
 		cursor := time.Duration(0)
 		for i := 0; i < 200; i++ {
 			size := 1000 + (i%7)*100
 			offered += int64(size)
-			_, _, ok := ep.Send(cursor, size, Up)
+			_, ok := ep.Send(cursor, size, Up)
 			if ok {
 				delivered += int64(size)
 			}
@@ -192,44 +192,12 @@ func TestDropAccounting(t *testing.T) {
 // arrivals that find backlog), or large datagrams could never leave.
 func TestOversizedFrameOnIdleLink(t *testing.T) {
 	l := testLink(1_000_000, 4000, DropTail)
-	ep := l.Endpoint(EndpointConfig{})
-	if _, _, ok := ep.Send(0, 8192, Up); !ok {
+	ep := l.Endpoint()
+	if _, ok := ep.Send(0, 8192, Up); !ok {
 		t.Fatal("oversized frame dropped on an idle link")
 	}
-	if _, _, ok := ep.Send(0, 8192, Up); ok {
+	if _, ok := ep.Send(0, 8192, Up); ok {
 		t.Fatal("second oversized frame accepted over a full backlog")
-	}
-}
-
-// TestEndpointDelayAndLoss: per-endpoint propagation adds to arrival
-// only, and loss injection kills accepted frames deterministically per
-// seed while still counting their wire occupancy.
-func TestEndpointDelayAndLoss(t *testing.T) {
-	l := testLink(1_000_000, 1<<20, DropTail)
-	ep := l.Endpoint(EndpointConfig{Delay: 20 * time.Millisecond})
-	sent, arrive, ok := ep.Send(0, 1000, Down)
-	if !ok {
-		t.Fatal("frame dropped")
-	}
-	if arrive-sent != 20*time.Millisecond {
-		t.Fatalf("propagation %v, want 20ms", arrive-sent)
-	}
-
-	lossy := l.Endpoint(EndpointConfig{LossRate: 0.5, Seed: 7})
-	losses := 0
-	cursor := time.Duration(0)
-	for i := 0; i < 200; i++ {
-		s, _, ok := lossy.Send(cursor, 100, Up)
-		cursor = s
-		if !ok {
-			losses++
-		}
-	}
-	if losses < 60 || losses > 140 {
-		t.Fatalf("lost %d/200 at p=0.5", losses)
-	}
-	if got := l.Stats().Up.Lost; got != int64(losses) {
-		t.Fatalf("Lost counter %d, want %d", got, losses)
 	}
 }
 
@@ -237,7 +205,7 @@ func TestEndpointDelayAndLoss(t *testing.T) {
 // the monotonic stats counter keeps the lifetime peak.
 func TestRearmDepth(t *testing.T) {
 	l := testLink(1_000_000, 1<<20, DropTail)
-	ep := l.Endpoint(EndpointConfig{})
+	ep := l.Endpoint()
 	ep.Send(0, 4000, Up)
 	ep.Send(0, 4000, Up) // 8000 deep
 	if got := l.DepthHighWater(); got != 8000 {
@@ -256,21 +224,21 @@ func TestRearmDepth(t *testing.T) {
 	}
 }
 
-// TestDeterminism: identical seeds and call sequences give identical
-// timelines and counters.
+// TestDeterminism: identical call sequences give identical timelines and
+// counters.
 func TestDeterminism(t *testing.T) {
 	run := func() (Stats, time.Duration) {
 		l := testLink(5_000_000, 32<<10, DRR)
-		a := l.Endpoint(EndpointConfig{LossRate: 0.05, Seed: 3})
-		b := l.Endpoint(EndpointConfig{LossRate: 0.2, Seed: 4, Delay: time.Millisecond})
+		a := l.Endpoint()
+		b := l.Endpoint()
 		var last time.Duration
 		ca, cb := time.Duration(0), time.Duration(0)
 		for i := 0; i < 300; i++ {
 			if i%2 == 0 {
-				s, _, _ := a.Send(ca, 1500, Up)
+				s, _ := a.Send(ca, 1500, Up)
 				ca = s
 			} else {
-				s, _, _ := b.Send(cb, 700, Up)
+				s, _ := b.Send(cb, 700, Up)
 				cb = s
 			}
 			if ca > last {

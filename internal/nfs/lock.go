@@ -183,27 +183,13 @@ func (c *Client) delegated(path string) (string, bool) {
 	return name, !strings.ContainsRune(name, '/')
 }
 
-// recallWait stalls the conflicting op for the server's CB_RECALL round
-// to the delegation holders it displaced.
-func (c *Client) recallWait(at time.Duration, recalls int) time.Duration {
-	if recalls == 0 || c.deleg.RecallLatency <= 0 {
-		return at
-	}
-	span := c.tracer.Begin(at, tracing.LayerLock, "recall")
-	at += c.deleg.RecallLatency
-	c.tracer.End(span, at)
-	return at
-}
-
 // delegStat serves stat(2) under the delegation regime: zero messages
 // when this client holds a lease on the path, exactly one otherwise —
 // a GETATTR when the handle is cached, a LOOKUP (which returns handle
 // plus attributes) when it is not. The lease acquisition rides that one
 // message, mirroring the oracle's accounting.
 func (c *Client) delegStat(at time.Duration, path, name string) (vfs.Stat, time.Duration, error) {
-	local, recalls := c.deleg.Read(c.shareID, path)
-	at = c.recallWait(at, recalls)
-	if local {
+	if c.deleg.Read(c.shareID, path) {
 		if st, ok := c.delegAttrs[path]; ok {
 			return st, c.charge(at, 0), nil
 		}
@@ -233,9 +219,7 @@ func (c *Client) delegStat(at time.Duration, path, name string) (vfs.Stat, time.
 // cached handle, or the setattrNamed COMPOUND when the handle is
 // unknown — and the write delegation rides it.
 func (c *Client) delegUtimes(at time.Duration, path, name string, atime, mtime time.Duration) (time.Duration, error) {
-	local, recalls := c.deleg.Write(c.shareID, path)
-	at = c.recallWait(at, recalls)
-	if local {
+	if c.deleg.Write(c.shareID, path) {
 		if st, ok := c.delegAttrs[path]; ok {
 			st.Atime, st.Mtime = atime, mtime
 			c.delegAttrs[path] = st

@@ -255,11 +255,9 @@ func qdir(d Direction) netqueue.Direction {
 func (n *Network) serialize(start time.Duration, wire int, ser time.Duration, d Direction, droppable bool) (sent time.Duration, ok bool) {
 	if n.shared != nil {
 		if !droppable {
-			sent, _ := n.shared.SendControl(start, wire, qdir(d))
-			return sent, true
+			return n.shared.SendControl(start, wire, qdir(d)), true
 		}
-		sent, _, ok := n.shared.Send(start, wire, qdir(d))
-		return sent, ok
+		return n.shared.Send(start, wire, qdir(d))
 	}
 	return n.dir(d).Acquire(start, ser), true
 }
@@ -336,9 +334,7 @@ func (n *Network) SendSegment(start time.Duration, size int, d Direction) (sent,
 	arrive = sent
 	ok = true
 	if n.shared != nil {
-		depart, _, accepted := n.shared.Send(sent, wire, qdir(d))
-		arrive = depart
-		ok = accepted
+		arrive, ok = n.shared.Send(sent, wire, qdir(d))
 	}
 	if ok && n.inOutage(start) {
 		ok = false
@@ -369,7 +365,7 @@ func (n *Network) SendSegment(start time.Duration, size int, d Direction) (sent,
 func (n *Network) SendControl(start time.Duration, size int, d Direction) (arrive time.Duration) {
 	wire, ser := n.account(size, d)
 	if n.shared != nil {
-		sent, _ := n.shared.SendControl(start, wire, qdir(d))
+		sent := n.shared.SendControl(start, wire, qdir(d))
 		n.tracer.Record(start, sent, tracing.LayerQueue, "ack")
 		return sent + n.cfg.RTT/2
 	}
@@ -378,21 +374,14 @@ func (n *Network) SendControl(start time.Duration, size int, d Direction) (arriv
 }
 
 // Transport is a one-way message carrier a protocol stack ships its bytes
-// through. Two implementations exist: *Network itself (the fluid path —
-// each message is one lossy datagram serialized at link bandwidth plus
-// half-RTT propagation) and tcpsim.Conn (a virtual-time TCP connection
-// with congestion control and internal retransmission, under which ok is
-// false only when the connection has died).
+// through: a tcpsim.Conn, a virtual-time TCP connection with congestion
+// control and internal retransmission, under which ok is false only when
+// the connection has died.
 type Transport interface {
 	// Transfer ships size bytes in direction d starting at start and
 	// returns the time the last byte is available at the receiver. ok
 	// reports whether the transfer was delivered.
 	Transfer(start time.Duration, size int, d Direction) (arrive time.Duration, ok bool)
-}
-
-// Transfer implements Transport over the fluid path: one datagram.
-func (n *Network) Transfer(start time.Duration, size int, d Direction) (arrive time.Duration, ok bool) {
-	return n.transmit(start, size, d, false)
 }
 
 // RoundTrip models one protocol transaction initiated by the client: a

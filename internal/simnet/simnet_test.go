@@ -214,8 +214,8 @@ func TestSharedBottleneckCouplesNetworks(t *testing.T) {
 	link := netqueue.New(netqueue.Config{Bandwidth: 1 << 20, QueueBytes: 1 << 20})
 	a := New(Config{RTT: 0, Bandwidth: 1 << 20, PerFrameOverhead: 0})
 	b := New(Config{RTT: 0, Bandwidth: 1 << 20, PerFrameOverhead: 0})
-	a.AttachShared(link.Endpoint(netqueue.EndpointConfig{}))
-	b.AttachShared(link.Endpoint(netqueue.EndpointConfig{}))
+	a.AttachShared(link.Endpoint())
+	b.AttachShared(link.Endpoint())
 
 	// A's 100 KB frame occupies the pipe ~100 ms; B's frame at t=1ms
 	// must wait it out.
@@ -242,7 +242,7 @@ func TestSharedBottleneckCouplesNetworks(t *testing.T) {
 func TestSharedQueueDropReadsAsLoss(t *testing.T) {
 	link := netqueue.New(netqueue.Config{Bandwidth: 1 << 20, QueueBytes: 4 << 10})
 	n := New(Config{RTT: 0, Bandwidth: 1 << 20, PerFrameOverhead: 0})
-	n.AttachShared(link.Endpoint(netqueue.EndpointConfig{}))
+	n.AttachShared(link.Endpoint())
 	if _, ok := n.SendDatagram(0, 4<<10, ClientToServer); !ok {
 		t.Fatal("first datagram dropped on an idle pipe")
 	}

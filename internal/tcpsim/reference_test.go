@@ -79,7 +79,7 @@ func (t *refTransfer) Step() {
 // recoverRound handles a flight with losses: fast retransmit when enough
 // later segments survive to generate triple duplicate ACKs, otherwise a
 // retransmission timeout; lost retransmissions escalate through backed-off
-// RTOs until MaxRetries kills the connection.
+// RTOs until maxRetries kills the connection.
 func (t *refTransfer) recoverRound(sendAt time.Duration, arr []time.Duration, sizes, lost []int, flightBytes int) {
 	c, h := t.c, t.h
 	first := lost[0]
@@ -137,7 +137,7 @@ func (t *refTransfer) recoverRound(sendAt time.Duration, arr []time.Duration, si
 	// escalates to a backed-off timeout.
 	retries := 0
 	for len(lost) > 0 {
-		if retries > c.cfg.MaxRetries {
+		if retries > maxRetries {
 			c.broken = true
 			c.stats.Failures++
 			t.done, t.failed = true, true

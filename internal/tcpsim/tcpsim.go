@@ -43,25 +43,28 @@ type Config struct {
 	// InitCwnd is the initial congestion window in segments (default 3,
 	// RFC 3390).
 	InitCwnd int
-	// DelAckDelay is the delayed-ACK timer (default 40 ms, the Linux
-	// quick-ack floor). DisableDelAck turns delayed ACKs off.
-	DelAckDelay   time.Duration
+	// DisableDelAck turns delayed ACKs off.
 	DisableDelAck bool
 	// DisableNagle turns off Nagle's algorithm (TCP_NODELAY): sub-MSS
 	// tails are sent without waiting for outstanding data to be ACKed.
 	DisableNagle bool
-	// InitRTO, MinRTO and MaxRTO bound the retransmission timer
-	// (defaults 1 s, 200 ms, 60 s — RFC 6298 with the Linux floor).
-	InitRTO time.Duration
-	MinRTO  time.Duration
-	MaxRTO  time.Duration
-	// MaxRetries bounds consecutive retransmissions of one segment
-	// before the connection is declared dead (default 15, the Linux
-	// tcp_retries2 analogue).
-	MaxRetries int
-	// MaxSynRetries bounds connection-establishment attempts (default 5).
-	MaxSynRetries int
 }
+
+// The stack's fixed timers and retry budgets, those of a 2.6-era Linux.
+const (
+	// delAckDelay is the delayed-ACK timer, the Linux quick-ack floor.
+	delAckDelay = 40 * time.Millisecond
+	// initRTO, minRTO and maxRTO bound the retransmission timer: RFC 6298
+	// with the Linux floor.
+	initRTO = time.Second
+	minRTO  = 200 * time.Millisecond
+	maxRTO  = 60 * time.Second
+	// maxRetries bounds consecutive retransmissions of one segment before
+	// the connection is declared dead (the Linux tcp_retries2 analogue).
+	maxRetries = 15
+	// maxSynRetries bounds connection-establishment attempts.
+	maxSynRetries = 5
+)
 
 func (c *Config) fill() {
 	if c.MSS <= 0 {
@@ -76,24 +79,6 @@ func (c *Config) fill() {
 	if c.InitCwnd <= 0 {
 		c.InitCwnd = 3
 	}
-	if c.DelAckDelay <= 0 {
-		c.DelAckDelay = 40 * time.Millisecond
-	}
-	if c.InitRTO <= 0 {
-		c.InitRTO = time.Second
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 60 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 15
-	}
-	if c.MaxSynRetries <= 0 {
-		c.MaxSynRetries = 5
-	}
 }
 
 // Stats counts connection-level activity.
@@ -103,7 +88,7 @@ type Stats struct {
 	Retransmits     int64 // data segments re-sent (fast retransmit or RTO)
 	FastRetransmits int64 // recoveries triggered by triple duplicate ACKs
 	Timeouts        int64 // recoveries (and handshake retries) driven by RTO
-	Failures        int64 // transfers abandoned after MaxRetries
+	Failures        int64 // transfers abandoned after maxRetries
 }
 
 // Add accumulates o into s (aggregating MC/S connections).
@@ -176,7 +161,7 @@ type Conn struct {
 func NewConn(net *simnet.Network, cfg Config) *Conn {
 	cfg.fill()
 	w := max(cfg.WindowBytes/cfg.MSS, 1)
-	c := &Conn{net: net, cfg: cfg, rto: cfg.InitRTO}
+	c := &Conn{net: net, cfg: cfg, rto: initRTO}
 	c.up = half{cwnd: float64(cfg.InitCwnd), ssthresh: float64(w)}
 	c.down = half{cwnd: float64(cfg.InitCwnd), ssthresh: float64(w)}
 	times, idx, refs := make([]time.Duration, w+1+8), make([]int, 16), make([]inflightRef, 16)
@@ -299,22 +284,13 @@ func (c *Conn) observeRTT(sample time.Duration) {
 		c.rttvar = (3*c.rttvar + d) / 4
 		c.srtt = (7*c.srtt + sample) / 8
 	}
-	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
-	}
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
-	}
+	c.rto = min(max(c.srtt+4*c.rttvar, minRTO), maxRTO)
 }
 
 // backoffRTO doubles the retransmission timer (Karn's algorithm on a
 // timeout; the next clean sample re-derives it from srtt).
 func (c *Conn) backoffRTO() {
-	c.rto *= 2
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
-	}
+	c.rto = min(2*c.rto, maxRTO)
 }
 
 // Connect performs the three-way handshake starting at 'at' and returns
@@ -322,8 +298,8 @@ func (c *Conn) backoffRTO() {
 // are subject to loss injection; each failed attempt burns one doubled
 // handshake timeout.
 func (c *Conn) Connect(at time.Duration) (time.Duration, error) {
-	rto := c.cfg.InitRTO
-	for attempt := 0; attempt <= c.cfg.MaxSynRetries; attempt++ {
+	rto := initRTO
+	for attempt := 0; attempt <= maxSynRetries; attempt++ {
 		c.stats.Segments++
 		_, synArr, ok := c.net.SendSegment(at, 0, simnet.ClientToServer)
 		if ok {
@@ -342,13 +318,13 @@ func (c *Conn) Connect(at time.Duration) (time.Duration, error) {
 		rto *= 2
 	}
 	c.broken = true
-	return at, fmt.Errorf("tcpsim: connect failed after %d SYN attempts", c.cfg.MaxSynRetries+1)
+	return at, fmt.Errorf("tcpsim: connect failed after %d SYN attempts", maxSynRetries+1)
 }
 
 // Transfer ships size bytes in direction d, running the window rounds to
 // completion, and returns the time the last in-order byte is available at
 // the receiver. It implements simnet.Transport; ok is false only when the
-// connection has died (MaxRetries exceeded, or never established).
+// connection has died (maxRetries exceeded, or never established).
 func (c *Conn) Transfer(start time.Duration, size int, d simnet.Direction) (time.Duration, bool) {
 	x := c.StartTransfer(start, size, d)
 	for !x.Done() {

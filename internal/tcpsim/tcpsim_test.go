@@ -211,5 +211,4 @@ func TestInterleavedTransfersShareTheLink(t *testing.T) {
 
 func TestTransportInterfaceSatisfied(t *testing.T) {
 	var _ simnet.Transport = (*Conn)(nil)
-	var _ simnet.Transport = (*simnet.Network)(nil)
 }

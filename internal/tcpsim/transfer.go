@@ -136,7 +136,7 @@ func (t *Transfer) cleanRound(sendAt time.Duration, arr []time.Duration, flightB
 	// data outstanding waits out the delayed-ACK timer.
 	delay := time.Duration(0)
 	if stride == 2 && n%2 == 1 && t.remaining > flightBytes {
-		delay = c.cfg.DelAckDelay
+		delay = delAckDelay
 	}
 	var ackArr time.Duration
 	for i := 0; i < acks; i++ {
@@ -181,7 +181,7 @@ func (t *Transfer) growWindow(acks int) {
 // recoverRound handles a flight with losses: fast retransmit when enough
 // later segments survive to generate triple duplicate ACKs, otherwise a
 // retransmission timeout; lost retransmissions escalate through backed-off
-// RTOs until MaxRetries kills the connection.
+// RTOs until maxRetries kills the connection.
 func (t *Transfer) recoverRound(sendAt time.Duration, n, tail, flightBytes int) {
 	c, h, arr := t.c, t.h, t.c.arr
 	first := c.lost[0]
@@ -236,7 +236,7 @@ func (t *Transfer) recoverRound(sendAt time.Duration, n, tail, flightBytes int) 
 	// Retransmit every hole (SACK-style recovery); a lost retransmission
 	// escalates to a backed-off timeout.
 	for retries := 0; ; retries++ {
-		if retries > c.cfg.MaxRetries {
+		if retries > maxRetries {
 			c.broken = true
 			c.stats.Failures++
 			t.done, t.failed = true, true

@@ -211,7 +211,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for i := range cl.nets {
 			n := cfg.clientNetCfg(i).network()
 			if cl.Link != nil {
-				n.AttachShared(cl.Link.Endpoint(netqueue.EndpointConfig{}))
+				n.AttachShared(cl.Link.Endpoint())
 			}
 			cl.nets[i] = n
 		}
@@ -273,13 +273,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			// The lock table lives on the protocol server, which
 			// survives export restarts; a crash-restart resets it and
 			// opens the grace window (see fault.go).
-			cl.locks = lockmgr.NewManager(lockmgr.Config{
-				LeaseTTL:    cfg.Sharing.LeaseTTL,
-				GracePeriod: cfg.Sharing.GracePeriod,
-			})
+			cl.locks = lockmgr.NewManager(lockmgr.Config{GracePeriod: cfg.Sharing.GracePeriod})
 			cl.srv.srv.Locks = cl.locks
 			if cfg.Sharing.Delegation {
-				cl.deleg = lockmgr.NewDelegations(cfg.Sharing.RecallLatency)
+				cl.deleg = lockmgr.NewDelegations()
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/netqueue"
 )
 
 // bgCohort is a hand-built background demand for wiring tests (calibrated
@@ -117,6 +118,68 @@ func TestClusterHybridBackground(t *testing.T) {
 	}
 	if msgs != int64(op.BackgroundX*op.Demand.MsgsPerOp*hyb.Horizon().Seconds()) {
 		t.Fatalf("streamed fleet messages = %d", msgs)
+	}
+}
+
+// TestClusterHybridBehindSharedLink verifies the fluid cohorts' wire share
+// lands on a shared bottleneck: the link carries the solved background
+// utilization of each direction times its bandwidth, and a foreground
+// write behind it completes later than on the same cluster without
+// cohorts.
+func TestClusterHybridBehindSharedLink(t *testing.T) {
+	const bw = 12 << 20
+	write := func(bg []fleet.Cohort) (*Cluster, time.Duration) {
+		cl, err := NewCluster(ClusterConfig{
+			Config:     Config{Kind: ISCSI, DeviceBlocks: 8192, Seed: 5},
+			Clients:    2,
+			Shared:     &netqueue.Config{Bandwidth: bw},
+			Background: bg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cl.Clients[0]
+		if err := c.WriteFile("/f", make([]byte, 256<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return cl, c.Clock.Now()
+	}
+	co := bgCohort(30)
+	co.Demand.UpBytes, co.Demand.DownBytes = 8192, 512
+	_, alone := write(nil)
+	hyb, behind := write([]fleet.Cohort{co})
+
+	op := hyb.Fluid()
+	if op == nil {
+		t.Fatal("hybrid cluster has no fluid operating point")
+	}
+	if got := hyb.Link.Config().Bandwidth; got != bw {
+		t.Fatalf("link bandwidth %d, want %d", got, bw)
+	}
+	// An idle link serializes a frame at the rate the background leaves.
+	ep := hyb.Link.Endpoint()
+	at := hyb.Horizon() + time.Hour
+	for _, d := range []struct {
+		dir     netqueue.Direction
+		station int
+	}{{netqueue.Up, fleet.StationUp}, {netqueue.Down, fleet.StationDown}} {
+		load := int64(op.BackgroundUtil[d.station] * float64(bw))
+		if load <= 0 {
+			t.Fatalf("%s: solved background %d bytes/s, want positive", d.dir, load)
+		}
+		const size = 1 << 20
+		sent, ok := ep.Send(at, size, d.dir)
+		if want := at + time.Duration(size*int64(time.Second)/(bw-load)); !ok || sent != want {
+			t.Fatalf("%s: 1 MiB frame sent at %v ok=%v, want %v (background %d bytes/s)", d.dir, sent, ok, want, load)
+		}
+	}
+	t.Logf("background up/down %.3f/%.3f of the link; write done at %v alone, %v behind the cohorts",
+		op.BackgroundUtil[fleet.StationUp], op.BackgroundUtil[fleet.StationDown], alone, behind)
+	if behind <= alone {
+		t.Fatalf("write behind the background finished at %v, alone at %v: the cohorts had no effect", behind, alone)
 	}
 }
 

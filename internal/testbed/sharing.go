@@ -37,21 +37,14 @@ type SharingConfig struct {
 	// clients serve operations on leased paths locally and the server
 	// recalls leases on conflict, mirroring trace.SimulateDelegation.
 	Delegation bool
-	// LeaseTTL expires a client's locks when it issues no lock traffic
-	// for this long (0 = never).
-	LeaseTTL time.Duration
 	// GracePeriod is the reclaim-only window after a server restart.
 	GracePeriod time.Duration
-	// RecallLatency is the virtual-time cost a conflicting operation
-	// pays for the server's CB_RECALL round (0 matches the simulator's
-	// instantaneous-recall model).
-	RecallLatency time.Duration
 }
 
 // validate rejects unusable sharing parameters.
 func (s *SharingConfig) validate(kind Kind) error {
-	if s.LeaseTTL < 0 || s.GracePeriod < 0 || s.RecallLatency < 0 {
-		return fmt.Errorf("testbed: negative sharing duration")
+	if s.GracePeriod < 0 {
+		return fmt.Errorf("testbed: negative grace period %v", s.GracePeriod)
 	}
 	if s.Delegation && kind != NFSv4 {
 		return fmt.Errorf("testbed: delegation requires NFSv4, got %s", kind)
