@@ -27,8 +27,9 @@ const (
 	cloneWindow   = 8
 	cloneMinIdent = 12
 	// cloneCeiling is the most windows a file may repeat within itself or
-	// share with any other file. Two sit at it: testbed/stack.go alone,
-	// and ext3/inodeops.go with ext3/ops.go.
+	// share with any other file. One pair sits at it, ext3/inodeops.go
+	// with ext3/ops.go: two error-checked calls in a row, a coincidence of
+	// tokens rather than a decision made twice.
 	cloneCeiling = 2
 )
 

@@ -236,3 +236,25 @@ func TestOutageWindowSpansHeal(t *testing.T) {
 		t.Fatalf("recovery overshot the heal: ttr=%v outage=%v", res.TTR, plan.Heal()-plan.Inject())
 	}
 }
+
+// TestPlanString checks the compact timeline a plan renders as: its
+// family, then every event as action@offset in schedule order. Without
+// jitter a two-flap plan's offsets follow from the config alone: warm-up,
+// outage, the fixed gap between flaps, outage.
+func TestPlanString(t *testing.T) {
+	if got := fault.Inject.String() + "/" + fault.Heal.String(); got != "inject/heal" {
+		t.Fatalf("actions render as %q, want inject/heal", got)
+	}
+	plan, err := fault.NewPlan(fault.LinkFlap, fault.PlanConfig{
+		Warmup: time.Second, Outage: 2 * time.Second, Flaps: 2, Jitter: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.String(), "link-flap inject@1s heal@3s inject@3.5s heal@5.5s"; got != want {
+		t.Fatalf("plan = %q, want %q", got, want)
+	}
+	if got, want := (fault.Plan{Family: fault.DiskFail}).String(), "disk-fail"; got != want {
+		t.Fatalf("empty plan = %q, want %q", got, want)
+	}
+}

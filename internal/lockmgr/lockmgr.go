@@ -1,6 +1,6 @@
 // Package lockmgr implements the server-side state for cross-client
-// sharing: an NLM-style byte-range lock manager with leases and a
-// post-restart grace period (this file), and NFSv4-style per-directory
+// sharing: an NLM-style byte-range lock manager with a post-restart
+// grace period (this file), and NFSv4-style per-directory
 // read/write delegations with recall-on-conflict (deleg.go).
 //
 // Everything here is deterministic simulation state, not a concurrent
@@ -19,9 +19,6 @@ import "time"
 
 // Config parameterizes a Manager.
 type Config struct {
-	// LeaseTTL expires a client's locks when it has not renewed (issued
-	// any lock traffic) for this long. Zero means leases never expire.
-	LeaseTTL time.Duration
 	// GracePeriod is the reclaim-only window entered on server restart:
 	// NLM/NSM recovery, where clients re-claim locks they held before
 	// the crash and fresh requests are denied until the window closes.
@@ -66,22 +63,19 @@ type Manager struct {
 	held    []Lock // grant order
 	waiters []Lock // FIFO arrival order of blocked requests
 
-	lastRenew map[int]time.Duration // per-client last lease renewal
-
 	inGrace  bool
 	graceEnd time.Duration
 
 	grants        int64
 	denials       int64
 	unlocks       int64
-	expiries      int64
 	graceDenials  int64
 	graceReclaims int64
 }
 
 // NewManager builds an empty lock table.
 func NewManager(cfg Config) *Manager {
-	return &Manager{cfg: cfg, lastRenew: make(map[int]time.Duration)}
+	return &Manager{cfg: cfg}
 }
 
 // TryLock attempts to acquire a byte-range lock for client at virtual
@@ -90,8 +84,6 @@ func NewManager(cfg Config) *Manager {
 // poll blocked locks. A denied request joins the FIFO waiter queue and
 // later polls for the same range keep its place.
 func (m *Manager) TryLock(now time.Duration, client int, ino uint64, off, length int64, excl bool) bool {
-	m.expire(now)
-	m.renew(now, client)
 	if m.graceActive(now) {
 		m.graceDenials++
 		return false
@@ -103,8 +95,6 @@ func (m *Manager) TryLock(now time.Duration, client int, ino uint64, off, length
 // Reclaim re-asserts a lock the client held before a server restart.
 // It is the only acquisition path open during the grace period.
 func (m *Manager) Reclaim(now time.Duration, client int, ino uint64, off, length int64, excl bool) bool {
-	m.expire(now)
-	m.renew(now, client)
 	req := Lock{Client: client, Ino: ino, Off: off, Len: length, Excl: excl}
 	for _, h := range m.held {
 		if h == req {
@@ -166,9 +156,7 @@ func (m *Manager) admit(req Lock) bool {
 // are no wakeups to deliver — blocked clients poll — so release is just
 // table surgery; the FIFO queue guarantees the oldest waiter wins the
 // next round of polls.
-func (m *Manager) Unlock(now time.Duration, client int, ino uint64, off, length int64) bool {
-	m.expire(now)
-	m.renew(now, client)
+func (m *Manager) Unlock(client int, ino uint64, off, length int64) bool {
 	for i, h := range m.held {
 		if h.Client == client && h.Ino == ino && h.Off == off && h.Len == length {
 			m.held = append(m.held[:i], m.held[i+1:]...)
@@ -177,37 +165,6 @@ func (m *Manager) Unlock(now time.Duration, client int, ino uint64, off, length 
 		}
 	}
 	return false
-}
-
-func (m *Manager) renew(now time.Duration, client int) {
-	m.lastRenew[client] = now
-}
-
-// expire drops the locks and queue slots of clients whose lease lapsed.
-func (m *Manager) expire(now time.Duration) {
-	if m.cfg.LeaseTTL <= 0 {
-		return
-	}
-	lapsed := func(client int) bool {
-		last, ok := m.lastRenew[client]
-		return ok && now > last+m.cfg.LeaseTTL
-	}
-	kept := m.held[:0]
-	for _, h := range m.held {
-		if lapsed(h.Client) {
-			m.expiries++
-			continue
-		}
-		kept = append(kept, h)
-	}
-	m.held = kept
-	keptW := m.waiters[:0]
-	for _, w := range m.waiters {
-		if !lapsed(w.Client) {
-			keptW = append(keptW, w)
-		}
-	}
-	m.waiters = keptW
 }
 
 // EnterGrace starts the reclaim-only window (server restart).
@@ -235,7 +192,6 @@ func (m *Manager) graceActive(now time.Duration) bool {
 func (m *Manager) Reset() {
 	m.held = nil
 	m.waiters = nil
-	m.lastRenew = make(map[int]time.Duration)
 	m.inGrace = false
 }
 
@@ -260,8 +216,7 @@ func (m *Manager) waiterIndex(req Lock) int {
 
 // Gauges exports the manager's instantaneous queue state for the health
 // scraper (metrics.SubsysGauge): held locks and blocked waiters at time
-// now. It is read-only — expiry stays with the request path, so scraping
-// never perturbs the lock timeline.
+// now. It is read-only, so scraping never perturbs the lock timeline.
 func (m *Manager) Gauges(now time.Duration) map[string]float64 {
 	return map[string]float64{
 		"held":    float64(len(m.held)),
@@ -276,7 +231,6 @@ func (m *Manager) Counters() map[string]int64 {
 		"grants":         m.grants,
 		"denials":        m.denials,
 		"unlocks":        m.unlocks,
-		"lease_expiries": m.expiries,
 		"grace_denials":  m.graceDenials,
 		"grace_reclaims": m.graceReclaims,
 	}

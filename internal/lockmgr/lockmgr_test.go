@@ -44,7 +44,7 @@ func TestMutualExclusion(t *testing.T) {
 					best = &l
 				}
 			}
-			if !m.Unlock(now, best.Client, best.Ino, best.Off, best.Len) {
+			if !m.Unlock(best.Client, best.Ino, best.Off, best.Len) {
 				t.Fatalf("unlock of held lock failed: %+v", best)
 			}
 			delete(held, key{best.Client, best.Ino, best.Off, best.Len})
@@ -91,7 +91,7 @@ func TestFIFOGrantOrder(t *testing.T) {
 	if m.TryLock(2, 2, 1, 0, 0, true) {
 		t.Fatal("conflicting lock granted")
 	}
-	if !m.Unlock(3, 0, 1, 0, 0) {
+	if !m.Unlock(0, 1, 0, 0) {
 		t.Fatal("unlock failed")
 	}
 	// Client 2 polls first but client 1 queued first.
@@ -105,7 +105,7 @@ func TestFIFOGrantOrder(t *testing.T) {
 	if m.TryLock(6, 2, 1, 0, 0, true) {
 		t.Fatal("lock granted while held by client 1")
 	}
-	if !m.Unlock(7, 1, 1, 0, 0) {
+	if !m.Unlock(1, 1, 0, 0) {
 		t.Fatal("unlock failed")
 	}
 	if !m.TryLock(8, 2, 1, 0, 0, true) {
@@ -132,7 +132,7 @@ func TestNoLostWakeups(t *testing.T) {
 		if m.TryLock(1, 1, 9, off, length, true) {
 			t.Fatal("conflicting lock granted")
 		}
-		m.Unlock(2, 0, 9, off, length)
+		m.Unlock(0, 9, off, length)
 		if !m.TryLock(3, 1, 9, off, length, true) {
 			t.Fatalf("iter %d: waiter's poll after release denied (lost wakeup)", i)
 		}
@@ -152,7 +152,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 		t.Fatal("exclusive lock granted over shared holders")
 	}
 	for c := 0; c < 3; c++ {
-		m.Unlock(time.Duration(4+c), c, 1, 0, 0)
+		m.Unlock(c, 1, 0, 0)
 	}
 	if !m.TryLock(8, 3, 1, 0, 0, true) {
 		t.Fatal("exclusive lock denied after shared holders released")
@@ -171,32 +171,6 @@ func TestDisjointRangesCoexist(t *testing.T) {
 	}
 	if m.TryLock(2, 2, 1, 50, 100, true) {
 		t.Fatal("overlapping lock [50,150) granted")
-	}
-}
-
-// TestLeaseExpiry checks that an unrenewed client's locks lapse and
-// become grantable to others, counted as lease_expiries.
-func TestLeaseExpiry(t *testing.T) {
-	m := NewManager(Config{LeaseTTL: time.Second})
-	if !m.TryLock(0, 0, 1, 0, 0, true) {
-		t.Fatal("initial lock denied")
-	}
-	if m.TryLock(500*time.Millisecond, 1, 1, 0, 0, true) {
-		t.Fatal("lock granted inside holder's lease")
-	}
-	// Holder goes silent past its TTL.
-	if !m.TryLock(1500*time.Millisecond, 1, 1, 0, 0, true) {
-		t.Fatal("lock denied after holder's lease expired")
-	}
-	if got := m.Counters()["lease_expiries"]; got != 1 {
-		t.Fatalf("lease_expiries = %d, want 1", got)
-	}
-	// Renewal keeps a lease alive.
-	m2 := NewManager(Config{LeaseTTL: time.Second})
-	m2.TryLock(0, 0, 1, 0, 0, true)
-	m2.renew(900*time.Millisecond, 0)
-	if m2.TryLock(1500*time.Millisecond, 1, 1, 0, 0, true) {
-		t.Fatal("lock granted despite holder's renewed lease")
 	}
 }
 
@@ -225,7 +199,7 @@ func TestGracePeriod(t *testing.T) {
 	if m.TryLock(13*time.Second, 1, 1, 0, 0, true) {
 		t.Fatal("lock granted over reclaimed lock after grace")
 	}
-	m.Unlock(14*time.Second, 0, 1, 0, 0)
+	m.Unlock(0, 1, 0, 0)
 	if !m.TryLock(15*time.Second, 1, 1, 0, 0, true) {
 		t.Fatal("normal grant denied after grace closed")
 	}
@@ -235,7 +209,7 @@ func TestGracePeriod(t *testing.T) {
 // (call, arguments, outcome, counters) into one string.
 func timeline(seed int64, iters int) string {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewManager(Config{LeaseTTL: 10 * time.Second})
+	m := NewManager(Config{})
 	now := time.Duration(0)
 	out := ""
 	for i := 0; i < iters; i++ {
@@ -246,7 +220,7 @@ func timeline(seed int64, iters int) string {
 		length := int64(rng.Intn(3)) * 32
 		switch rng.Intn(4) {
 		case 0:
-			ok := m.Unlock(now, client, ino, off, length)
+			ok := m.Unlock(client, ino, off, length)
 			out += fmt.Sprintf("%d unlock c%d i%d [%d+%d] -> %v\n", now, client, ino, off, length, ok)
 		default:
 			excl := rng.Intn(2) == 0

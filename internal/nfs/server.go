@@ -394,7 +394,7 @@ func (s *Server) unlock(at time.Duration, fh FH, owner int, off, length int64) (
 	if s.Locks == nil {
 		return at, vfs.ErrInvalid
 	}
-	s.Locks.Unlock(at, owner, fh.Ino, off, length)
+	s.Locks.Unlock(owner, fh.Ino, off, length)
 	return at, nil
 }
 

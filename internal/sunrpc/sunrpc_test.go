@@ -259,3 +259,13 @@ func TestSlotTableStreamPath(t *testing.T) {
 		t.Fatalf("stream path slot stats: %+v (first call done %v)", s, d1)
 	}
 }
+
+// TestTransportNames checks the names the transports print as, which tag
+// the RPC layer's counters and error messages.
+func TestTransportNames(t *testing.T) {
+	for tr, want := range map[Transport]string{UDP: "udp", TCP: "tcp"} {
+		if got := tr.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", int(tr), got, want)
+		}
+	}
+}

@@ -95,199 +95,167 @@ func (c *Client) Compute(d time.Duration) {
 
 // ---- clock-advancing syscall wrappers (workload surface) ----
 
-// beginOp opens the root span for one syscall, tagged with the stack under
-// test so a mixed trace file remains self-describing.
-func (c *Client) beginOp(now time.Duration, op string) tracing.SpanRef {
+// frame is the one frame every clock-advancing syscall runs in: it opens
+// the op's root span (tagged with the stack under test, so a mixed trace
+// file remains self-describing), runs call at the clock's current time,
+// ends the span at call's completion, advances the clock to it and counts
+// the op. A new syscall is one call of frame.
+func frame[T any](c *Client, op string, call func(now time.Duration) (T, time.Duration, error)) (T, error) {
+	now := c.Clock.Now()
 	ref := c.Tracer.BeginOp(now, tracing.LayerSyscall, op, c.ID)
 	c.Tracer.SetTag(ref, "stack", c.Stack.Kind().Tag())
-	return ref
-}
-
-// run advances the clock to the completion of op.
-func (c *Client) run(done time.Duration, err error) error {
+	v, done, err := call(now)
+	c.Tracer.End(ref, done)
 	c.Clock.AdvanceTo(done)
 	c.ops++
+	return v, err
+}
+
+// do is frame for a syscall that returns only an error.
+func (c *Client) do(op string, call func(now time.Duration) (time.Duration, error)) error {
+	_, err := frame(c, op, func(now time.Duration) (struct{}, time.Duration, error) {
+		done, err := call(now)
+		return struct{}{}, done, err
+	})
 	return err
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "mkdir")
-	done, err := c.FS.Mkdir(now, c.Env.Abs(path), 0o755)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("mkdir", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Mkdir(now, c.Env.Abs(path), 0o755)
+	})
 }
 
 // Rmdir removes a directory.
 func (c *Client) Rmdir(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "rmdir")
-	done, err := c.FS.Rmdir(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("rmdir", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Rmdir(now, c.Env.Abs(path))
+	})
 }
 
 // Chdir changes the working directory.
 func (c *Client) Chdir(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "chdir")
-	done, err := c.Env.Chdir(now, path)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("chdir", func(now time.Duration) (time.Duration, error) {
+		return c.Env.Chdir(now, path)
+	})
 }
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "readdir")
-	ents, done, err := c.FS.ReadDir(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return ents, c.run(done, err)
+	return frame(c, "readdir", func(now time.Duration) ([]vfs.DirEntry, time.Duration, error) {
+		return c.FS.ReadDir(now, c.Env.Abs(path))
+	})
 }
 
 // Symlink creates a symbolic link.
 func (c *Client) Symlink(target, path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "symlink")
-	done, err := c.FS.Symlink(now, target, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("symlink", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Symlink(now, target, c.Env.Abs(path))
+	})
 }
 
 // Readlink reads a symbolic link.
 func (c *Client) Readlink(path string) (string, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "readlink")
-	t, done, err := c.FS.Readlink(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return t, c.run(done, err)
+	return frame(c, "readlink", func(now time.Duration) (string, time.Duration, error) {
+		return c.FS.Readlink(now, c.Env.Abs(path))
+	})
 }
 
 // Link creates a hard link.
 func (c *Client) Link(oldpath, newpath string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "link")
-	done, err := c.FS.Link(now, c.Env.Abs(oldpath), c.Env.Abs(newpath))
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("link", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Link(now, c.Env.Abs(oldpath), c.Env.Abs(newpath))
+	})
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "unlink")
-	done, err := c.FS.Unlink(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("unlink", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Unlink(now, c.Env.Abs(path))
+	})
 }
 
 // Rename moves a file or directory.
 func (c *Client) Rename(oldpath, newpath string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "rename")
-	done, err := c.FS.Rename(now, c.Env.Abs(oldpath), c.Env.Abs(newpath))
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("rename", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Rename(now, c.Env.Abs(oldpath), c.Env.Abs(newpath))
+	})
 }
 
 // Stat queries attributes.
 func (c *Client) Stat(path string) (vfs.Stat, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "stat")
-	st, done, err := c.FS.Stat(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return st, c.run(done, err)
+	return frame(c, "stat", func(now time.Duration) (vfs.Stat, time.Duration, error) {
+		return c.FS.Stat(now, c.Env.Abs(path))
+	})
 }
 
 // Chmod changes permissions.
 func (c *Client) Chmod(path string, mode vfs.Mode) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "chmod")
-	done, err := c.FS.Chmod(now, c.Env.Abs(path), mode)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("chmod", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Chmod(now, c.Env.Abs(path), mode)
+	})
 }
 
 // Chown changes ownership.
 func (c *Client) Chown(path string, uid, gid uint32) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "chown")
-	done, err := c.FS.Chown(now, c.Env.Abs(path), uid, gid)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("chown", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Chown(now, c.Env.Abs(path), uid, gid)
+	})
 }
 
 // Utimes sets timestamps.
 func (c *Client) Utimes(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "utimes")
-	done, err := c.FS.Utimes(now, c.Env.Abs(path), now, now)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("utimes", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Utimes(now, c.Env.Abs(path), now, now)
+	})
 }
 
 // Truncate changes a file's size.
 func (c *Client) Truncate(path string, size int64) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "truncate")
-	done, err := c.FS.Truncate(now, c.Env.Abs(path), size)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("truncate", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Truncate(now, c.Env.Abs(path), size)
+	})
 }
 
 // Access checks permissions.
 func (c *Client) Access(path string) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "access")
-	done, err := c.FS.Access(now, c.Env.Abs(path), vfs.AccessRead)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("access", func(now time.Duration) (time.Duration, error) {
+		return c.FS.Access(now, c.Env.Abs(path), vfs.AccessRead)
+	})
 }
 
 // Create makes a file (creat semantics).
 func (c *Client) Create(path string) (vfs.File, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "create")
-	f, done, err := c.FS.Create(now, c.Env.Abs(path), 0o644)
-	c.Tracer.End(ref, done)
-	return f, c.run(done, err)
+	return frame(c, "create", func(now time.Duration) (vfs.File, time.Duration, error) {
+		return c.FS.Create(now, c.Env.Abs(path), 0o644)
+	})
 }
 
 // Open opens an existing file.
 func (c *Client) Open(path string) (vfs.File, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "open")
-	f, done, err := c.FS.Open(now, c.Env.Abs(path))
-	c.Tracer.End(ref, done)
-	return f, c.run(done, err)
+	return frame(c, "open", func(now time.Duration) (vfs.File, time.Duration, error) {
+		return c.FS.Open(now, c.Env.Abs(path))
+	})
 }
 
 // ReadFileAt reads from an open file, advancing the clock.
 func (c *Client) ReadFileAt(f vfs.File, off int64, buf []byte) (int, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "read")
-	n, done, err := f.ReadAt(now, off, buf)
-	c.Tracer.End(ref, done)
-	return n, c.run(done, err)
+	return frame(c, "read", func(now time.Duration) (int, time.Duration, error) {
+		return f.ReadAt(now, off, buf)
+	})
 }
 
 // WriteFileAt writes to an open file, advancing the clock.
 func (c *Client) WriteFileAt(f vfs.File, off int64, data []byte) (int, error) {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "write")
-	n, done, err := f.WriteAt(now, off, data)
-	c.Tracer.End(ref, done)
-	return n, c.run(done, err)
+	return frame(c, "write", func(now time.Duration) (int, time.Duration, error) {
+		return f.WriteAt(now, off, data)
+	})
 }
 
 // Close closes an open file.
 func (c *Client) Close(f vfs.File) error {
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "close")
-	done, err := f.Close(now)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
+	return c.do("close", f.Close)
 }
 
 // WriteFile creates path with the given content and closes it. The three

@@ -60,29 +60,19 @@ const sharedPath = "/shared0"
 // another client's lock or reservation; the caller should poll.
 var errBusy = errors.New("testbed: shared object busy")
 
-// sharedEP resolves the client's shared-LUN endpoint (iSCSI stacks only).
-func (c *Client) sharedEP() (*iscsi.Initiator, bool) {
-	ep := c.Stack.Initiator()
-	return ep, ep != nil
-}
-
 // OpenShared opens the cluster's shared object. On NFS this opens (or,
 // with create set, creates) sharedPath and holds it open for
 // SharedReadAt/SharedWriteAt; on iSCSI the shared LUN needs no open and
 // the call costs nothing.
 func (c *Client) OpenShared(create bool) error {
-	if _, ok := c.sharedEP(); ok {
+	if c.Stack.Initiator() != nil {
 		return nil
 	}
-	var (
-		f   vfs.File
-		err error
-	)
+	open := c.Open
 	if create {
-		f, err = c.Create(sharedPath)
-	} else {
-		f, err = c.Open(sharedPath)
+		open = c.Create
 	}
+	f, err := open(sharedPath)
 	if err != nil {
 		return err
 	}
@@ -94,42 +84,38 @@ func (c *Client) OpenShared(create bool) error {
 // object. On iSCSI the extent must be block-aligned (the LUN is raw) and
 // a foreign exclusive-access reservation surfaces as errBusy.
 func (c *Client) SharedReadAt(off int64, buf []byte) error {
-	if ep, ok := c.sharedEP(); ok {
-		bs := int64(ep.BlockSize())
-		if off%bs != 0 || int64(len(buf))%bs != 0 {
-			return fmt.Errorf("testbed: unaligned shared read [%d,+%d)", off, len(buf))
-		}
-		now := c.Clock.Now()
-		ref := c.beginOp(now, "read")
-		done, err := ep.SharedRead(now, off/bs, buf)
-		c.Tracer.End(ref, done)
-		return c.shareErr(c.run(done, err))
-	}
-	if c.sharedF == nil {
-		return fmt.Errorf("testbed: shared file not open")
-	}
-	_, err := c.ReadFileAt(c.sharedF, off, buf)
-	return err
+	return c.sharedIO("read", off, buf, (*iscsi.Initiator).SharedRead, c.ReadFileAt)
 }
 
 // SharedWriteAt writes data at byte offset off in the shared object. On
 // iSCSI any foreign reservation surfaces as errBusy.
 func (c *Client) SharedWriteAt(off int64, data []byte) error {
-	if ep, ok := c.sharedEP(); ok {
-		bs := int64(ep.BlockSize())
-		if off%bs != 0 || int64(len(data))%bs != 0 {
-			return fmt.Errorf("testbed: unaligned shared write [%d,+%d)", off, len(data))
+	return c.sharedIO("write", off, data, (*iscsi.Initiator).SharedWrite, c.WriteFileAt)
+}
+
+// sharedIO is one read or write of the shared object: lun on the shared
+// LUN's initiator, or file on the NFS handle OpenShared holds.
+func (c *Client) sharedIO(op string, off int64, p []byte,
+	lun func(*iscsi.Initiator, time.Duration, int64, []byte) (time.Duration, error),
+	file func(vfs.File, int64, []byte) (int, error)) error {
+	ep := c.Stack.Initiator()
+	if ep == nil {
+		if c.sharedF == nil {
+			return fmt.Errorf("testbed: shared file not open")
 		}
-		now := c.Clock.Now()
-		ref := c.beginOp(now, "write")
-		done, err := ep.SharedWrite(now, off/bs, data)
-		c.Tracer.End(ref, done)
-		return c.shareErr(c.run(done, err))
+		_, err := file(c.sharedF, off, p)
+		return err
 	}
-	if c.sharedF == nil {
-		return fmt.Errorf("testbed: shared file not open")
+	bs := int64(ep.BlockSize())
+	if off%bs != 0 || int64(len(p))%bs != 0 {
+		return fmt.Errorf("testbed: unaligned shared %s [%d,+%d)", op, off, len(p))
 	}
-	_, err := c.WriteFileAt(c.sharedF, off, data)
+	err := c.do(op, func(now time.Duration) (time.Duration, error) {
+		return lun(ep, now, off/bs, p)
+	})
+	if errors.Is(err, iscsi.ErrReservationConflict) {
+		return errBusy // the cross-protocol "locked by someone else" signal
+	}
 	return err
 }
 
@@ -140,47 +126,28 @@ func (c *Client) SharedWriteAt(off int64, data []byte) error {
 // (the byte range is ignored — SPC-3 has nothing finer) and a shared
 // lock is a free no-op, since only writers need excluding.
 func (c *Client) TryLockShared(off, length int64, excl bool) (bool, error) {
-	if ep, ok := c.sharedEP(); ok {
-		if !excl {
-			return true, nil
-		}
-		now := c.Clock.Now()
-		ref := c.beginOp(now, "lock")
-		got, done, err := ep.Reserve(now, scsi.TypeWriteExclusive)
-		c.Tracer.End(ref, done)
-		return got, c.run(done, err)
+	ep := c.Stack.Initiator()
+	if ep != nil && !excl {
+		return true, nil
 	}
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "lock")
-	got, done, err := c.Stack.NFSClient().Lock(now, sharedPath, off, length, excl, false)
-	c.Tracer.End(ref, done)
-	return got, c.run(done, err)
+	return frame(c, "lock", func(now time.Duration) (bool, time.Duration, error) {
+		if ep != nil {
+			return ep.Reserve(now, scsi.TypeWriteExclusive)
+		}
+		return c.Stack.NFSClient().Lock(now, sharedPath, off, length, excl, false)
+	})
 }
 
 // UnlockShared releases a lock taken with TryLockShared.
 func (c *Client) UnlockShared(off, length int64, excl bool) error {
-	if ep, ok := c.sharedEP(); ok {
-		if !excl {
-			return nil
+	ep := c.Stack.Initiator()
+	if ep != nil && !excl {
+		return nil
+	}
+	return c.do("unlock", func(now time.Duration) (time.Duration, error) {
+		if ep != nil {
+			return ep.Release(now)
 		}
-		now := c.Clock.Now()
-		ref := c.beginOp(now, "unlock")
-		done, err := ep.Release(now)
-		c.Tracer.End(ref, done)
-		return c.run(done, err)
-	}
-	now := c.Clock.Now()
-	ref := c.beginOp(now, "unlock")
-	done, err := c.Stack.NFSClient().Unlock(now, sharedPath, off, length)
-	c.Tracer.End(ref, done)
-	return c.run(done, err)
-}
-
-// shareErr maps a reservation conflict to errBusy (the cross-protocol
-// "locked by someone else" signal) and passes everything else through.
-func (c *Client) shareErr(err error) error {
-	if errors.Is(err, iscsi.ErrReservationConflict) {
-		return errBusy
-	}
-	return err
+		return c.Stack.NFSClient().Unlock(now, sharedPath, off, length)
+	})
 }

@@ -160,17 +160,14 @@ func (s *nfsServer) restart(now time.Duration) (time.Duration, error) {
 	return s.mount(done)
 }
 
-// sync flushes the server's own background commits and returns the time
-// everything is on stable storage.
-func (s *nfsServer) sync(now time.Duration) (time.Duration, error) {
-	done, err := s.fs.Sync(now)
+// quiesce syncs fs, its background commits included, and returns the time
+// everything it holds is on stable storage.
+func quiesce(fs *ext3.FS, now time.Duration) (time.Duration, error) {
+	done, err := fs.Sync(now)
 	if err != nil {
 		return now, err
 	}
-	if h := s.fs.AsyncHorizon(); h > done {
-		done = h
-	}
-	return done, nil
+	return max(done, fs.AsyncHorizon()), nil
 }
 
 // nfsStack is one client's NFS mount of a (possibly shared) server export.
@@ -266,7 +263,7 @@ func (st *nfsStack) Drain(now time.Duration) (time.Duration, error) {
 	if err != nil {
 		return now, err
 	}
-	return st.srv.sync(done)
+	return quiesce(st.srv.fs, done)
 }
 
 func (st *nfsStack) ColdCache(now time.Duration) (time.Duration, error) {
@@ -382,14 +379,7 @@ func (st *iscsiStack) Drain(now time.Duration) (time.Duration, error) {
 	if !st.fs.Mounted() {
 		return now, nil
 	}
-	done, err := st.fs.Sync(now)
-	if err != nil {
-		return now, err
-	}
-	if h := st.fs.AsyncHorizon(); h > done {
-		done = h
-	}
-	return done, nil
+	return quiesce(st.fs, now)
 }
 
 func (st *iscsiStack) ColdCache(now time.Duration) (time.Duration, error) {

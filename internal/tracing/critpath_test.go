@@ -296,3 +296,35 @@ func dense(t *testing.T, spans []Span) {
 		}
 	}
 }
+
+// TestAttributionAddSumsOperations checks that Add folds one operation's
+// attribution into a running total layer by layer: a layer only one side
+// has is carried over, a layer both have is summed, the total is the sum
+// of the two roots' durations, and the added attribution is left as it was.
+func TestAttributionAddSumsOperations(t *testing.T) {
+	spans := []Span{
+		{ID: 1, Layer: LayerSyscall, Start: 0, End: 10},
+		{ID: 2, Parent: 1, Layer: LayerRPC, Start: 2, End: 8},
+		{ID: 3, Layer: LayerSyscall, Start: 20, End: 50},
+		{ID: 4, Parent: 3, Layer: LayerDisk, Start: 25, End: 45},
+	}
+	sum := Attribution{}
+	for _, root := range []int64{1, 3} {
+		a, err := CriticalPath(spans, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := maps.Clone(a)
+		sum.Add(a)
+		if !maps.Equal(a, before) {
+			t.Fatalf("Add changed its argument: %v, was %v", a, before)
+		}
+	}
+	want := Attribution{LayerSyscall.String(): 4 + 10, LayerRPC.String(): 6, LayerDisk.String(): 20}
+	if !maps.Equal(sum, want) {
+		t.Fatalf("sum = %v, want %v", sum, want)
+	}
+	if got := sum.Total(); got != 10+30 {
+		t.Fatalf("Total = %v, want the two roots' 40ns", got)
+	}
+}
