@@ -16,48 +16,73 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/metrics"
 )
 
-func main() {
-	by := flag.String("by", "experiment,stack,transport", "comma-separated tag keys to group by")
-	rate := flag.Duration("rate", 0, "bucket sample deltas into virtual-time windows of this width (0 = off)")
-	validate := flag.Bool("validate", false, "only validate the streams against the schema")
-	input := flag.String("metrics", "", "an additional JSONL stream to read (same as a positional argument)")
-	flag.Parse()
+// errUsage marks a command line that cannot be run as given (exit 2); the
+// flag set has already printed why and the usage. Any other error is a
+// failed run (exit 1).
+var errUsage = errors.New("usage")
 
-	paths := flag.Args()
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "metrics:", err)
+		os.Exit(1)
+	}
+}
+
+// run reads the streams the command line names and writes the roll-up, the
+// rate windows or the validation line to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
+	by := fs.String("by", "experiment,stack,transport", "comma-separated tag keys to group by")
+	rate := fs.Duration("rate", 0, "bucket sample deltas into virtual-time windows of this width (0 = off)")
+	validate := fs.Bool("validate", false, "only validate the streams against the schema")
+	input := fs.String("metrics", "", "an additional JSONL stream to read (same as a positional argument)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+
+	paths := fs.Args()
 	if *input != "" {
 		paths = append(paths, *input)
 	}
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "metrics: no input streams (pass JSONL files)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(fs.Output(), "metrics: no input streams (pass JSONL files)")
+		fs.Usage()
+		return errUsage
 	}
 
 	var events []metrics.Event
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			fatal(err.Error())
+			return err
 		}
 		evs, err := metrics.ReadEvents(f)
 		f.Close()
 		if err != nil {
-			fatal(path + ": " + err.Error())
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		events = append(events, evs...)
 	}
 	if *validate {
-		fmt.Printf("ok: %d events across %d stream(s) validate against docs/METRICS.md\n",
+		fmt.Fprintf(stdout, "ok: %d events across %d stream(s) validate against docs/METRICS.md\n",
 			len(events), len(paths))
-		return
+		return nil
 	}
 
 	var keys []string
@@ -67,13 +92,9 @@ func main() {
 		}
 	}
 	if *rate > 0 {
-		metrics.RenderWindows(os.Stdout, metrics.Windows(events, *rate, keys), *rate)
-		return
+		metrics.RenderWindows(stdout, metrics.Windows(events, *rate, keys), *rate)
+		return nil
 	}
-	metrics.Summarize(events, keys).Render(os.Stdout)
-}
-
-func fatal(msg string) {
-	fmt.Fprintln(os.Stderr, "metrics:", msg)
-	os.Exit(1)
+	metrics.Summarize(events, keys).Render(stdout)
+	return nil
 }

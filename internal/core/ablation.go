@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/nfs"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -93,7 +94,7 @@ func AblateSyncExport(opts Options, ops int) (async, sync AblationResult, err er
 	run := func(setting string, syncMode bool) (AblationResult, error) {
 		return ablate(opts, "export-durability", setting, testbed.Config{Kind: NFSv3},
 			func(tb *testbed.Testbed) error {
-				tb.Stack.NFSServer().SyncMetadataUpdates = syncMode
+				tb.Cluster.NFSServer().SyncMetadataUpdates = syncMode
 				return nil
 			},
 			func(tb *testbed.Testbed) error { return mkdirBurst(tb, "se", ops, 0) })
@@ -121,7 +122,7 @@ func AblateWritePool(opts Options, bounds []int, fileSize int64) ([]AblationResu
 		// The workload frames its own window, as in Table 4.
 		tags := metrics.Tags{"knob": "write-pool", "setting": itoa(bound)}
 		err := opts.onBed("ablate", tags, testbed.Config{Kind: NFSv3}, func(tb *testbed.Testbed) error {
-			tb.Stack.NFSClient().MaxPendingWrites = bound
+			tb.FS.(*nfs.Client).MaxPendingWrites = bound
 			res, err := workload.SequentialWrite(tb, workload.SeqRandConfig{
 				FileSize: fileSize, ChunkSize: 4096, Seed: 7,
 			})

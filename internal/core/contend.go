@@ -132,20 +132,6 @@ func RunContention(cfg ContendConfig) ([]ContendCell, error) {
 	return cells, nil
 }
 
-// shareCounters reads the cell's admission counters from whichever
-// sharing table the stack uses.
-func shareCounters(cl *testbed.Cluster) (grants, denials int64) {
-	if m := cl.Locks(); m != nil {
-		c := m.Counters()
-		return c["grants"], c["denials"] + c["grace_denials"]
-	}
-	if r := cl.Reservations(); r != nil {
-		c := r.Counters()
-		return c["reserves"], c["conflicts"]
-	}
-	return 0, 0
-}
-
 // runContendCell builds one sharing-enabled cluster and drives one
 // contention workload across its clients.
 func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error) {
@@ -195,13 +181,13 @@ func runContendCell(cfg ContendConfig, wl string, v variant) (ContendCell, error
 		}
 		return nil
 	}, func(cl *testbed.Cluster) (map[string]float64, error) {
-		g0, d0 := shareCounters(cl)
+		g0, d0 := cl.ShareCounters()
 		t0 := cl.Align()
 		if err := cl.Run(workload.Drivers(steps)); err != nil {
 			return nil, err
 		}
 		cell.Elapsed = cl.Align() - t0
-		g1, d1 := shareCounters(cl)
+		g1, d1 := cl.ShareCounters()
 		cell.Grants, cell.Denials = g1-g0, d1-d0
 		if cell.Elapsed > 0 {
 			cell.Rate = float64(cell.Ops) / cell.Elapsed.Seconds()

@@ -101,7 +101,7 @@ func RunFigure6(opts Options, fileSize int64, rtts []time.Duration) ([]LatencyPo
 			for _, w := range seqRand {
 				tags := metrics.Tags{"workload": w.slug, "rtt": rtt.String()}
 				err := opts.onBed("figure6", tags, testbed.Config{Kind: stack}, func(tb *testbed.Testbed) error {
-					tb.SetRTT(rtt)
+					tb.Cluster.Net.SetRTT(rtt)
 					res, err := w.run(tb, cfg)
 					pt.Seconds[stack][w.slug] = res.Elapsed.Seconds()
 					return err

@@ -205,11 +205,11 @@ func RunTransportCell(cfg TransportConfig, c TransportCell) (TransportCell, erro
 		if err != nil {
 			return err
 		}
-		counters := tb.Client.Stack.Counters()
+		counters := tb.Counters()
 		c.Elapsed, c.Messages = res.Elapsed, res.Messages
 		c.BytesPerSec = float64(seqRand[w].bytes(src)) / res.Elapsed.Seconds()
 		c.RPCRetrans, c.TCPRetrans, c.TCPTimeouts = counters.RPC.Retransmits, counters.TCP.Retransmits, counters.TCP.Timeouts
-		tb.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, nil, map[string]float64{"bytes_per_sec": c.BytesPerSec})
+		tb.Cluster.Metrics().Point(tb.Clock.Now(), metrics.SubsysRun, nil, map[string]float64{"bytes_per_sec": c.BytesPerSec})
 		return nil
 	})
 	return c, err

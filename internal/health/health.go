@@ -143,9 +143,9 @@ func (m *Monitor) Bind(rec *metrics.Recorder) {
 }
 
 // Register adds a gauge source. Sources are scraped in registration
-// order, so register deterministically (the testbed mirrors its counter
-// registration order). Sources with no Fn or an empty station are
-// dropped.
+// order, so register deterministically (the testbed registers gauge and
+// counter sources in one walk of one station list). Sources with no Fn or
+// an empty station are dropped.
 func (m *Monitor) Register(src Source) {
 	if m == nil || src.Fn == nil || src.Station == "" {
 		return

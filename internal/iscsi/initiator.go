@@ -124,7 +124,9 @@ func NewSession(net *simnet.Network, target *Target, cpu *sim.CPU, nConns int, t
 // reported separately under metrics.SubsysTCP via Stats.
 func (i *Initiator) Counters() map[string]int64 {
 	m := map[string]int64{"commands": int64(i.cmdSN)}
-	i.wire.counters(m)
+	if w, ok := i.wire.(*fluidWire); ok {
+		m["retries"] = w.retries
+	}
 	return m
 }
 

@@ -14,9 +14,9 @@ import (
 // responses back. What the frames cost is the wire's business and differs
 // between the two implementations on purpose: when the client CPU demand
 // of Data-In is charged, the size of the response frame, the login text,
-// who counts the protocol message, the shape of the spans and the
-// wire-level counters. What the PDUs say and what a response means is the
-// initiator's.
+// who counts the protocol message and the shape of the spans; only the
+// fluid wire counts retries, which Initiator.Counters reads from it. What
+// the PDUs say and what a response means is the initiator's.
 type wire interface {
 	// login brings the transport up and carries the login request,
 	// which the wire may extend with its own negotiation keys.
@@ -32,8 +32,6 @@ type wire interface {
 	transfer(at time.Duration, lba int64, ext extent, unit int) (time.Duration, error)
 	// conns lists the wire's TCP connections (none on the fluid wire).
 	conns() []*tcpsim.Conn
-	// counters adds the wire's own counters to the initiator's.
-	counters(m map[string]int64)
 }
 
 // ---- the fluid datagram ----
@@ -55,8 +53,7 @@ type fluidWire struct {
 	retries int64 // commands re-driven after a lost frame
 }
 
-func (w *fluidWire) conns() []*tcpsim.Conn       { return nil }
-func (w *fluidWire) counters(m map[string]int64) { m["retries"] = w.retries }
+func (w *fluidWire) conns() []*tcpsim.Conn { return nil }
 
 // roundTrip drives req to the target and a respBytes response frame back.
 // A lost frame is retried with the same task tag after a doubling
@@ -133,8 +130,7 @@ type tcpWire struct {
 	rr    int // round-robin dispatch cursor
 }
 
-func (w *tcpWire) conns() []*tcpsim.Conn     { return w.lanes }
-func (w *tcpWire) counters(map[string]int64) {}
+func (w *tcpWire) conns() []*tcpsim.Conn { return w.lanes }
 
 // leg ships one PDU over c inside a tracing.LayerTCP span.
 func (w *tcpWire) leg(c *tcpsim.Conn, at time.Duration, name string, size int, d simnet.Direction) (time.Duration, bool) {

@@ -20,9 +20,9 @@ type Client struct {
 	Clock *sim.Clock
 	// CPU is the client's processor (the paper's 1 GHz uniprocessor).
 	CPU *sim.CPU
-	// Stack is the mounted protocol stack.
-	Stack Stack
-	// FS is the client-visible filesystem (tracks Stack.FS across
+	// stack is the mounted protocol stack.
+	stack stack
+	// FS is the client-visible filesystem (tracks the stack's FS across
 	// cold-cache remounts).
 	FS vfs.FileSystem
 	// Env adds cwd handling on top of FS.
@@ -42,7 +42,7 @@ type Client struct {
 
 // mount brings the client's stack up at the clock's current time.
 func (c *Client) mount() error {
-	done, err := c.Stack.Mount(c.Clock.Now())
+	done, err := c.stack.Mount(c.Clock.Now())
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func (c *Client) mount() error {
 // syncFS refreshes FS/Env after operations that can replace the
 // client-visible filesystem (cold-cache remounts).
 func (c *Client) syncFS() {
-	c.FS = c.Stack.FS()
+	c.FS = c.stack.FS()
 	if c.Env == nil {
 		c.Env = vfs.NewEnv(c.FS)
 	} else {
@@ -65,13 +65,17 @@ func (c *Client) syncFS() {
 // Drain flushes this client's dirty state to stable server storage and
 // advances its clock to quiescence.
 func (c *Client) Drain() error {
-	done, err := c.Stack.Drain(c.Clock.Now())
+	done, err := c.stack.Drain(c.Clock.Now())
 	if err != nil {
 		return err
 	}
 	c.Clock.AdvanceTo(done)
 	return nil
 }
+
+// Counters reports the client's protocol-level statistics (SunRPC on NFS,
+// tcpsim under TransportTCP), cumulative across remounts.
+func (c *Client) Counters() StackCounters { return c.stack.Counters() }
 
 // Ops reports how many syscalls the client has issued (a scaling metric).
 func (c *Client) Ops() int64 { return c.ops }
@@ -103,7 +107,7 @@ func (c *Client) Compute(d time.Duration) {
 func frame[T any](c *Client, op string, call func(now time.Duration) (T, time.Duration, error)) (T, error) {
 	now := c.Clock.Now()
 	ref := c.Tracer.BeginOp(now, tracing.LayerSyscall, op, c.ID)
-	c.Tracer.SetTag(ref, "stack", c.Stack.Kind().Tag())
+	c.Tracer.SetTag(ref, "stack", c.stack.Kind().Tag())
 	v, done, err := call(now)
 	c.Tracer.End(ref, done)
 	c.Clock.AdvanceTo(done)

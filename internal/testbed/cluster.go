@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/blockdev"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/metrics"
 	"repro/internal/netqueue"
+	"repro/internal/nfs"
 	"repro/internal/scsi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -70,7 +70,7 @@ type ClusterConfig struct {
 	TelemetryFanIn int
 	// Health, when non-nil, attaches a virtual-time health monitor: the
 	// cluster registers its per-station gauge sources on it (see
-	// gauges.go) and Run spawns its scrape loop alongside the drivers,
+	// telemetry.go) and Run spawns its scrape loop alongside the drivers,
 	// so gauge and alert events stream through Metrics in virtual time
 	// (docs/HEALTH.md). Alert state is per-monitor, so give each
 	// experiment cell its own. Nil is the inert state: no gauge sources,
@@ -200,6 +200,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Kind:      cfg.Kind,
 		Cfg:       cfg,
 		ServerCPU: sim.NewCPU(1.87), // 2 x 933 MHz
+		health:    cfg.Health,
 	}
 	if cfg.Shared != nil {
 		cl.Link = netqueue.New(*cfg.Shared)
@@ -293,7 +294,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			cpu.SetTracer(cfg.Tracer, tracing.LayerCPUClient)
 		}
 		h := hw{net: cl.clientNetwork(i), cpu: cpu, cfg: cfg.Config}
-		var st Stack
+		var st stack
 		if cfg.Kind == ISCSI {
 			name := fmt.Sprintf("iqn.2004.repro:vol%d", i)
 			tgt := iscsi.NewTarget(name, cl.vols[i], cl.ServerCPU)
@@ -310,7 +311,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 			st = ns
 		}
-		c := &Client{ID: i, Clock: sim.NewClock(), CPU: cpu, Stack: st, Tracer: cfg.Tracer}
+		c := &Client{ID: i, Clock: sim.NewClock(), CPU: cpu, stack: st, Tracer: cfg.Tracer}
 		// Clients boot once the server is up; mounts then contend for
 		// the shared segment and server CPU in client order.
 		c.Clock.AdvanceTo(serverReady)
@@ -320,8 +321,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.Clients = append(cl.Clients, c)
 	}
 	cl.rec = cfg.Metrics.With(metrics.Tags{"transport": cfg.Transport.String()})
-	cl.instrument()
-	cl.attachHealth(cfg.Health)
+	cl.instrument(cfg.Health)
 	return cl, nil
 }
 
@@ -337,7 +337,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // calling it twice is harmless.
 func (cl *Cluster) Close() {
 	for _, c := range cl.Clients {
-		c.Stack.shutdown()
+		c.stack.shutdown()
 	}
 	if cl.srv != nil {
 		cl.srv.fs.Crash()
@@ -415,139 +415,22 @@ func (cl *Cluster) clientNetwork(i int) *simnet.Network {
 	return cl.nets[i]
 }
 
-// clientAxisTags returns the straggler-attribution tags for client i's
-// metric sources: rtt/loss in heterogeneous (per-client network) mode,
-// nil otherwise — so homogeneous streams stay byte-identical.
-func (cl *Cluster) clientAxisTags(i int) metrics.Tags {
-	if cl.Net != nil {
-		return nil
-	}
-	n := cl.nets[i]
-	return metrics.Tags{
-		"rtt":  n.RTT().String(),
-		"loss": strconv.FormatFloat(n.LossRate(), 'g', -1, 64),
-	}
-}
-
-// instrument registers the cluster's counter sources: shared hardware
-// (bottleneck link and/or segment, array, server CPU), the shared NFS
-// server (if any), then each client's stack in client order. In
-// heterogeneous mode every client's sources — including its own network
-// — carry that client's rtt/loss tags.
-func (cl *Cluster) instrument() {
-	if cl.rec == nil {
-		return
-	}
-	if cl.Link != nil {
-		cl.rec.Register(metrics.SubsysNet, metrics.Tags{"link": "shared"}, cl.Link.Counters)
-	}
-	if cl.Net != nil {
-		cl.rec.Register(metrics.SubsysNet, nil, cl.Net.Counters)
-	}
-	cl.rec.Register(metrics.SubsysDisk, nil, cl.vols[0].Counters)
-	cl.rec.Register(metrics.SubsysCPU, metrics.Tags{"host": "server"}, cl.ServerCPU.Counters)
-	if cl.locks != nil {
-		cl.rec.Register(metrics.SubsysLock, nil, cl.locks.Counters)
-	}
-	if cl.deleg != nil {
-		cl.rec.Register(metrics.SubsysLease, nil, cl.deleg.Counters)
-	}
-	if cl.rsv != nil {
-		cl.rec.Register(metrics.SubsysLock, metrics.Tags{"proto": "scsi"}, cl.rsv.Counters)
-	}
-	if cl.fluid != nil {
-		cl.rec.Register(metrics.SubsysFleet,
-			metrics.Tags{"background": strconv.Itoa(cl.fluid.Background)}, cl.fleetCounters)
-	}
-	if cl.srv != nil {
-		cl.srv.registerSources(cl.rec)
-	}
-	for _, s := range cl.strata() {
-		sel := cl.sampled(s)
-		var sampleTags metrics.Tags
-		if len(sel) < len(s.members) {
-			// Tag the sampled sources so summaries re-weight counter
-			// totals by population/sample (docs/METRICS.md).
-			sampleTags = metrics.Tags{
-				metrics.TagSampled:    "true",
-				metrics.TagPopulation: strconv.Itoa(len(s.members)),
-				metrics.TagSample:     strconv.Itoa(len(sel)),
-			}
-		}
-		for _, i := range sel {
-			extra := cl.clientAxisTags(i)
-			if extra == nil && sampleTags != nil {
-				extra = metrics.Tags{}
-			}
-			for k, v := range sampleTags {
-				extra[k] = v
-			}
-			cl.registerClient(i, extra)
-		}
-	}
-}
-
-// sampled returns the stratum members that carry telemetry sources: all
-// of them up to the configured fan-in (0 means defaultTelemetryFanIn,
-// negative unlimited), above it a stride-selected fan-in's worth spread
-// across the stratum. Counter and gauge sources share the selection.
-func (cl *Cluster) sampled(s *stratum) []int {
-	fanIn := cl.Cfg.TelemetryFanIn
-	if fanIn == 0 {
-		fanIn = defaultTelemetryFanIn
-	}
-	if fanIn < 0 || len(s.members) <= fanIn {
-		return s.members
-	}
-	sel := make([]int, fanIn)
-	for j := range sel {
-		sel[j] = s.members[j*len(s.members)/fanIn]
-	}
-	return sel
-}
-
-// stratum is one telemetry sampling stratum: the clients sharing a
-// heterogeneity tag set (rtt/loss), in registration order.
-type stratum struct {
-	members []int
-}
-
-// strata partitions clients by their axis tags, preserving client order
-// within and across strata, so stratified sampling covers every
-// heterogeneity class rather than whatever a uniform sample happens to
-// hit.
-func (cl *Cluster) strata() []*stratum {
-	out := []*stratum{}
-	index := map[string]*stratum{}
-	for i := range cl.Clients {
-		tags := cl.clientAxisTags(i)
-		key := tags["rtt"] + "|" + tags["loss"]
-		s, ok := index[key]
-		if !ok {
-			s = &stratum{}
-			index[key] = s
-			out = append(out, s)
-		}
-		s.members = append(s.members, i)
-	}
-	return out
-}
-
 // Metrics exposes the cluster's recorder (nil when un-instrumented).
 func (cl *Cluster) Metrics() *metrics.Recorder { return cl.rec }
-
-// Locks exposes the NFS byte-range lock manager (nil unless Sharing is
-// enabled on an NFS cluster).
-func (cl *Cluster) Locks() *lockmgr.Manager { return cl.locks }
 
 // Delegations exposes the v4 lease table (nil unless Sharing.Delegation
 // is enabled on an NFSv4 cluster). The replay oracle test resets it at
 // window open and reads its counters at close.
 func (cl *Cluster) Delegations() *lockmgr.Delegations { return cl.deleg }
 
-// Reservations exposes the iSCSI persistent-reservation table (nil
-// unless Sharing is enabled on an iSCSI cluster).
-func (cl *Cluster) Reservations() *scsi.Reservations { return cl.rsv }
+// NFSServer exposes the export's protocol server (nil for iSCSI
+// clusters), for experiments that change how it serves.
+func (cl *Cluster) NFSServer() *nfs.Server {
+	if cl.srv == nil {
+		return nil
+	}
+	return cl.srv.srv
+}
 
 // ServerRequests reports the cumulative NFS server request count (0 for
 // iSCSI clusters): the message-side counter the delegation oracle
@@ -676,7 +559,7 @@ func (cl *Cluster) ColdCache() error {
 	}
 	for _, c := range cl.Clients {
 		c.Clock.AdvanceTo(now)
-		done, err := c.Stack.ColdCache(c.Clock.Now())
+		done, err := c.stack.ColdCache(c.Clock.Now())
 		if err != nil {
 			return err
 		}
@@ -702,7 +585,7 @@ func (cl *Cluster) Snap() Snapshot {
 	}
 	for _, c := range cl.Clients {
 		s.ClientBusy += c.CPU.Busy()
-		s.RPC.Add(c.Stack.Counters().RPC)
+		s.RPC.Add(c.stack.Counters().RPC)
 	}
 	return s
 }

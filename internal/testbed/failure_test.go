@@ -30,10 +30,10 @@ func TestNFSSurvivesFrameLoss(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("data corrupted by loss recovery: %v", err)
 	}
-	if tb.Stack.RPC().Stats().Retransmits == 0 {
+	if tb.Counters().RPC.Retransmits == 0 {
 		t.Error("15% loss produced no retransmissions")
 	}
-	if tb.Net.Stats().Dropped == 0 {
+	if tb.Cluster.Net.Stats().Dropped == 0 {
 		t.Error("loss injection inactive")
 	}
 }
@@ -51,14 +51,14 @@ func TestISCSIDiskFailureSurfaces(t *testing.T) {
 	if err := tb.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	tb.Stack.Target().Device().FailWrites = true
+	tb.stack.(*iscsiStack).target.Device().FailWrites = true
 	// Writes land in the client cache; the failure surfaces at flush.
 	werr := tb.WriteFile("/during", bytes.Repeat([]byte("x"), 8192))
 	derr := tb.Drain()
 	if werr == nil && derr == nil {
 		t.Fatal("device write failure never surfaced")
 	}
-	tb.Stack.Target().Device().FailWrites = false
+	tb.stack.(*iscsiStack).target.Device().FailWrites = false
 	got, err := tb.ReadFile("/before")
 	if err != nil || string(got) != "pre-failure" {
 		t.Fatalf("pre-failure data lost: %v", err)
@@ -83,7 +83,7 @@ func TestClientCrashDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash without draining: /volatile sits in the running transaction.
-	tb.Stack.ClientFS().Crash()
+	tb.stack.(*iscsiStack).fs.Crash()
 	// Remount over the same volume (recovery replays the journal).
 	if err := tb.ColdCache(); err == nil {
 		if _, err := tb.Stat("/durable"); err != nil {
@@ -103,7 +103,7 @@ func TestHighLatencyCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.SetRTT(80 * time.Millisecond)
+		tb.Cluster.Net.SetRTT(80 * time.Millisecond)
 		payload := bytes.Repeat([]byte("wan"), 5000)
 		start := tb.Clock.Now()
 		if err := tb.WriteFile("/wan", payload); err != nil {

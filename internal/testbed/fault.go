@@ -32,8 +32,9 @@ func (cl *Cluster) CrashServer() {
 		return
 	}
 	for _, c := range cl.Clients {
-		c.Stack.Target().Crash()
-		c.Stack.Initiator().Abort()
+		st := c.stack.(*iscsiStack)
+		st.target.Crash()
+		st.endpoint.Abort()
 	}
 }
 
@@ -63,7 +64,7 @@ func (cl *Cluster) RestartServer(now time.Duration) (time.Duration, error) {
 		return done, nil
 	}
 	for _, c := range cl.Clients {
-		c.Stack.Target().Restart()
+		c.stack.(*iscsiStack).target.Restart()
 	}
 	return now, nil
 }
@@ -73,7 +74,7 @@ func (cl *Cluster) RestartServer(now time.Duration) (time.Duration, error) {
 // client's ext3 crashes outright (journal left dirty on the LUN, to be
 // replayed at the reboot remount); an NFS client loses its caches and
 // its connection while the server keeps serving everyone else.
-func (cl *Cluster) CrashClient(i int) { cl.Clients[i].Stack.crash() }
+func (cl *Cluster) CrashClient(i int) { cl.Clients[i].stack.crash() }
 
 // RecoverClient repairs client i's stack at now after a fault and
 // returns the completion time plus whether any repair was performed.
@@ -88,20 +89,20 @@ func (cl *Cluster) CrashClient(i int) { cl.Clients[i].Stack.crash() }
 // the clock and should advance it to the returned time.
 func (cl *Cluster) RecoverClient(i int, now time.Duration, force bool) (time.Duration, bool, error) {
 	c := cl.Clients[i]
-	if !force && !c.Stack.damaged() {
+	if !force && !c.stack.damaged() {
 		return now, false, nil
 	}
-	if fs := c.Stack.ClientFS(); fs != nil && fs.Mounted() {
+	if st, ok := c.stack.(*iscsiStack); ok && st.fs.Mounted() {
 		// Failed writes aborted the journal; only a crash-remount
 		// (replaying the committed records) brings the fs back.
-		fs.Crash()
+		st.fs.Crash()
 	}
-	done, err := c.Stack.Mount(now)
+	done, err := c.stack.Mount(now)
 	if err != nil {
 		return now, true, fmt.Errorf("testbed: recover client %d: %w", i, err)
 	}
 	c.syncFS()
-	if st, ok := c.Stack.(*nfsStack); ok && st.sharing && st.client.HeldLockCount() > 0 {
+	if st, ok := c.stack.(*nfsStack); ok && st.sharing && st.client.HeldLockCount() > 0 {
 		// Re-assert locks held before the fault through the server's
 		// grace window (each reclaim is one LOCK RPC).
 		done, err = st.client.ReclaimLocks(done)

@@ -27,7 +27,7 @@ func metricsRun(t *testing.T, kind Kind, transport Transport) []byte {
 		t.Fatalf("%v/%v: %v", kind, transport, err)
 	}
 	tb.EmitSample() // flush mount traffic
-	tb.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "begin"})
+	tb.Cluster.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "begin"})
 	if err := tb.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func metricsRun(t *testing.T, kind Kind, transport Transport) []byte {
 		t.Fatal(err)
 	}
 	tb.EmitSample()
-	tb.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "end"})
+	tb.Cluster.Metrics().Mark(tb.Clock.Now(), metrics.Tags{"phase": "end"})
 	return buf.Bytes()
 }
 
@@ -110,7 +110,7 @@ func TestColdCacheCountersStayExact(t *testing.T) {
 	if err := tb.WriteFile("/pre", make([]byte, 16<<10)); err != nil {
 		t.Fatal(err)
 	}
-	st := tb.Client.Stack.(*iscsiStack)
+	st := tb.stack.(*iscsiStack)
 	preMisses := st.fsCounters()["cache_misses"]
 	if err := tb.ColdCache(); err != nil {
 		t.Fatal(err)
@@ -229,14 +229,14 @@ func TestSlotTableBindsFlushPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.Stack.RPC().SlotEntries = slots
+		tb.stack.(*nfsStack).rpc.SlotEntries = slots
 		if err := tb.WriteFile("/big", make([]byte, 2<<20)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.Stack.RPC().Stats().SlotWaits
+		return tb.Counters().RPC.SlotWaits
 	}
 	if w := run(0); w != 0 { // 0: the default table
 		t.Fatalf("default slot table queued %d calls under write-behind", w)

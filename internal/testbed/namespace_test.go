@@ -39,10 +39,10 @@ func sys(tb *testbed.Testbed, call func(fs vfs.FileSystem, at time.Duration) (ti
 
 // ext3Of is the one ext3 a testbed has: the iSCSI client's, or the NFS export.
 func ext3Of(tb *testbed.Testbed) *ext3.FS {
-	if fs := tb.Stack.ClientFS(); fs != nil {
+	if fs, ok := tb.FS.(*ext3.FS); ok {
 		return fs
 	}
-	return tb.Stack.NFSServer().FS()
+	return tb.Cluster.NFSServer().FS()
 }
 
 // errClass names the vfs error err is, so that stacks that wrap differently

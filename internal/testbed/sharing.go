@@ -52,6 +52,22 @@ func (s *SharingConfig) validate(kind Kind) error {
 	return nil
 }
 
+// ShareCounters reports the sharing machinery's admission counts: lock
+// grants and denied polls (grace-period denials included) on NFS,
+// reservations taken and reservation conflicts on iSCSI, zero without
+// Sharing.
+func (cl *Cluster) ShareCounters() (grants, denials int64) {
+	if cl.locks != nil {
+		c := cl.locks.Counters()
+		return c["grants"], c["denials"] + c["grace_denials"]
+	}
+	if cl.rsv != nil {
+		c := cl.rsv.Counters()
+		return c["reserves"], c["conflicts"]
+	}
+	return 0, 0
+}
+
 // sharedPath is the shared file every NFS client contends on (the iSCSI
 // analogue is the shared LUN, which has no name).
 const sharedPath = "/shared0"
@@ -65,7 +81,7 @@ var errBusy = errors.New("testbed: shared object busy")
 // SharedReadAt/SharedWriteAt; on iSCSI the shared LUN needs no open and
 // the call costs nothing.
 func (c *Client) OpenShared(create bool) error {
-	if c.Stack.Initiator() != nil {
+	if c.initiator() != nil {
 		return nil
 	}
 	open := c.Open
@@ -77,6 +93,15 @@ func (c *Client) OpenShared(create bool) error {
 		return err
 	}
 	c.sharedF = f
+	return nil
+}
+
+// initiator returns the endpoint that addresses an iSCSI client's shared
+// LUN, and nil on NFS.
+func (c *Client) initiator() *iscsi.Initiator {
+	if st, ok := c.stack.(*iscsiStack); ok {
+		return st.endpoint
+	}
 	return nil
 }
 
@@ -98,7 +123,7 @@ func (c *Client) SharedWriteAt(off int64, data []byte) error {
 func (c *Client) sharedIO(op string, off int64, p []byte,
 	lun func(*iscsi.Initiator, time.Duration, int64, []byte) (time.Duration, error),
 	file func(vfs.File, int64, []byte) (int, error)) error {
-	ep := c.Stack.Initiator()
+	ep := c.initiator()
 	if ep == nil {
 		if c.sharedF == nil {
 			return fmt.Errorf("testbed: shared file not open")
@@ -126,7 +151,7 @@ func (c *Client) sharedIO(op string, off int64, p []byte,
 // (the byte range is ignored — SPC-3 has nothing finer) and a shared
 // lock is a free no-op, since only writers need excluding.
 func (c *Client) TryLockShared(off, length int64, excl bool) (bool, error) {
-	ep := c.Stack.Initiator()
+	ep := c.initiator()
 	if ep != nil && !excl {
 		return true, nil
 	}
@@ -134,13 +159,13 @@ func (c *Client) TryLockShared(off, length int64, excl bool) (bool, error) {
 		if ep != nil {
 			return ep.Reserve(now, scsi.TypeWriteExclusive)
 		}
-		return c.Stack.NFSClient().Lock(now, sharedPath, off, length, excl, false)
+		return c.stack.(*nfsStack).client.Lock(now, sharedPath, off, length, excl, false)
 	})
 }
 
 // UnlockShared releases a lock taken with TryLockShared.
 func (c *Client) UnlockShared(off, length int64, excl bool) error {
-	ep := c.Stack.Initiator()
+	ep := c.initiator()
 	if ep != nil && !excl {
 		return nil
 	}
@@ -148,6 +173,6 @@ func (c *Client) UnlockShared(off, length int64, excl bool) error {
 		if ep != nil {
 			return ep.Release(now)
 		}
-		return c.Stack.NFSClient().Unlock(now, sharedPath, off, length)
+		return c.stack.(*nfsStack).client.Unlock(now, sharedPath, off, length)
 	})
 }

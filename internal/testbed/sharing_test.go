@@ -45,10 +45,10 @@ func TestLockGracePeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Locks().InGrace(ready) {
+	if !cl.locks.InGrace(ready) {
 		t.Fatal("restart did not open the grace window")
 	}
-	if got := len(cl.Locks().Held()); got != 0 {
+	if got := len(cl.locks.Held()); got != 0 {
 		t.Fatalf("lock table survived the crash: %d held", got)
 	}
 	c0.Clock.AdvanceTo(ready)
@@ -63,7 +63,7 @@ func TestLockGracePeriod(t *testing.T) {
 	if got {
 		t.Fatal("fresh lock granted during grace period")
 	}
-	if c := cl.Locks().Counters(); c["grace_denials"] == 0 {
+	if c := cl.locks.Counters(); c["grace_denials"] == 0 {
 		t.Fatalf("no grace denials counted: %v", c)
 	}
 
@@ -77,11 +77,11 @@ func TestLockGracePeriod(t *testing.T) {
 		t.Fatal("forced recovery did nothing")
 	}
 	c0.Clock.AdvanceTo(done)
-	held := cl.Locks().Held()
+	held := cl.locks.Held()
 	if len(held) != 1 || held[0].Client != 0 {
 		t.Fatalf("reclaim did not restore the lock: %v", held)
 	}
-	if c := cl.Locks().Counters(); c["grace_reclaims"] == 0 {
+	if c := cl.locks.Counters(); c["grace_reclaims"] == 0 {
 		t.Fatalf("no grace reclaims counted: %v", c)
 	}
 
@@ -105,6 +105,13 @@ func TestLockGracePeriod(t *testing.T) {
 	got, err = c1.TryLockShared(0, 4096, true)
 	if err != nil || !got {
 		t.Fatalf("lock after holder released: got=%v err=%v", got, err)
+	}
+
+	// The cell's admission counts fold the grace-window denials into the
+	// denied polls.
+	c := cl.locks.Counters()
+	if g, d := cl.ShareCounters(); g != c["grants"] || d != c["denials"]+c["grace_denials"] || c["denials"] == 0 {
+		t.Errorf("ShareCounters = %d grants, %d denials; lock table %v", g, d, c)
 	}
 }
 
@@ -161,8 +168,9 @@ func TestSharedFileVisibility(t *testing.T) {
 
 // TestSharedLUNReservations checks the iSCSI side: the shared LUN is
 // visible to both clients, a write-exclusive reservation blocks foreign
-// writes (errBusy) while allowing foreign reads, and release restores
-// access.
+// writes (errBusy) while allowing foreign reads, release restores access,
+// and ShareCounters reads reservations and conflicts off the table (and
+// zero off a cluster without one).
 func TestSharedLUNReservations(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		Config: Config{
@@ -211,6 +219,19 @@ func TestSharedLUNReservations(t *testing.T) {
 	}
 	if err := c1.SharedWriteAt(4096, data); err != nil {
 		t.Fatalf("write after takeover: %v", err)
+	}
+
+	// Two reservations were taken; the foreign write and the foreign
+	// reserve each conflicted.
+	if g, d := cl.ShareCounters(); g != 2 || d != 2 {
+		t.Errorf("ShareCounters = %d reserves, %d conflicts; want 2, 2", g, d)
+	}
+	plain, err := NewCluster(ClusterConfig{Config: Config{Kind: ISCSI}, Clients: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, d := plain.ShareCounters(); g != 0 || d != 0 {
+		t.Errorf("a cluster without Sharing counts %d grants, %d denials", g, d)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/ext3"
-	"repro/internal/health"
 	"repro/internal/iscsi"
 	"repro/internal/lockmgr"
 	"repro/internal/nfs"
@@ -17,15 +16,16 @@ import (
 	"repro/internal/vfs"
 )
 
-// Stack is the protocol-specific half of one client: the client-visible
+// stack is the protocol-specific half of one client: the client-visible
 // filesystem plus the control operations a harness needs around it. Both
 // the NFS path (v2/v3/v4 over SunRPC) and the iSCSI path (local ext3 on a
-// remote block device) implement it, so the cluster assembles, measures
-// and instruments stacks without protocol switches: a new stack is a new
-// implementation of these methods.
+// remote block device) implement it, and nothing outside the package sees
+// either: the cluster assembles, measures and instruments stacks through
+// these methods, and the few hooks that need one protocol's parts (the
+// shared object, server crash and client recovery) use the concrete stack.
 //
 // All methods take and return virtual times; the caller owns the clock.
-type Stack interface {
+type stack interface {
 	// Kind identifies the protocol variant.
 	Kind() Kind
 	// FS is the client-visible filesystem. It changes identity across
@@ -45,19 +45,6 @@ type Stack interface {
 	// network/disk/CPU counters, cumulative across every rebuild.
 	Counters() StackCounters
 
-	// The live protocol objects, for experiment code that tunes or
-	// breaks one of them. They are read through the stack at call time —
-	// Mount rebuilds the protocol clients, ColdCache the client
-	// filesystem — and are nil on a stack that has no such part (an
-	// iSCSI stack's Initiator rides the fluid wire or, under
-	// TransportTCP, an MC/S session of Config.Conns connections).
-	RPC() *sunrpc.Client
-	NFSClient() *nfs.Client
-	NFSServer() *nfs.Server
-	Initiator() *iscsi.Initiator
-	Target() *iscsi.Target
-	ClientFS() *ext3.FS
-
 	// shutdown powers the client off without I/O: caches are dropped (their
 	// blocks go back to the pool) and the filesystem is left unmounted, so
 	// every later syscall fails. Cluster.Close calls it.
@@ -69,11 +56,9 @@ type Stack interface {
 	// (Cluster.RecoverClient).
 	damaged() bool
 
-	// counterSources and gaugeSources list what the stack contributes
-	// per client to the metrics stream and to a health monitor, in
-	// registration order (telemetry.go, gauges.go).
-	counterSources() []counterSource
-	gaugeSources() []health.Source
+	// stations lists what the stack contributes per client to the metrics
+	// stream and to a health monitor, in registration order (telemetry.go).
+	stations() []station
 }
 
 // StackCounters are the protocol-level statistics a stack exposes.
@@ -285,13 +270,6 @@ func (st *nfsStack) crash() {
 // damaged: the TCP connection died.
 func (st *nfsStack) damaged() bool { return st.conn != nil && !st.conn.Established() }
 
-func (st *nfsStack) RPC() *sunrpc.Client         { return st.rpc }
-func (st *nfsStack) NFSClient() *nfs.Client      { return st.client }
-func (st *nfsStack) NFSServer() *nfs.Server      { return st.srv.srv }
-func (st *nfsStack) Initiator() *iscsi.Initiator { return nil }
-func (st *nfsStack) Target() *iscsi.Target       { return nil }
-func (st *nfsStack) ClientFS() *ext3.FS          { return nil }
-
 // ---- iSCSI ----
 
 // iscsiStack is one client's iSCSI session: an initiator (over the fluid
@@ -328,13 +306,6 @@ func (st *iscsiStack) crash() { st.fs.Crash() }
 func (st *iscsiStack) damaged() bool {
 	return !st.fs.Mounted() || !st.target.LoggedIn() || st.endpoint.Broken()
 }
-
-func (st *iscsiStack) RPC() *sunrpc.Client         { return nil }
-func (st *iscsiStack) NFSClient() *nfs.Client      { return nil }
-func (st *iscsiStack) NFSServer() *nfs.Server      { return nil }
-func (st *iscsiStack) Initiator() *iscsi.Initiator { return st.endpoint }
-func (st *iscsiStack) Target() *iscsi.Target       { return st.target }
-func (st *iscsiStack) ClientFS() *ext3.FS          { return st.fs }
 
 // endpointCounters exports the cumulative iSCSI command counters across
 // every endpoint this stack has had.

@@ -8,8 +8,8 @@
 // around one server, and the paper's testbed is a one-client cluster.
 // Testbed (this file) is that cluster seen through its only client, so
 // N = 1 runs exactly the code N = 16 does. The protocol-specific plumbing
-// lives behind the Stack interface (stack.go); the per-client machine and
-// syscall surface is Client (client.go).
+// lives behind the package's stack interface (stack.go); the per-client
+// machine and syscall surface is Client (client.go).
 //
 // The cluster also provides the paper's measurement controls: cold-cache
 // emulation (unmount/remount plus server restart), warm-cache gaps, drain
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
 	"repro/internal/tcpsim"
@@ -226,13 +225,7 @@ type Testbed struct {
 	*Client
 	// Cluster is the assembly this testbed is a view of.
 	Cluster *Cluster
-
-	Kind Kind
-	Net  *simnet.Network
-	// ClientCPU is the 1 GHz client processor; ServerCPU the server's
-	// two 933 MHz processors folded into one resource.
-	ClientCPU *sim.CPU
-	ServerCPU *sim.CPU
+	Kind    Kind
 }
 
 // New builds and mounts a testbed: NewCluster with one client.
@@ -241,17 +234,8 @@ func New(cfg Config) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := cl.Clients[0]
-	return &Testbed{Client: c, Cluster: cl, Kind: cl.Kind, Net: cl.Net,
-		ClientCPU: c.CPU, ServerCPU: cl.ServerCPU}, nil
+	return &Testbed{Client: cl.Clients[0], Cluster: cl, Kind: cl.Kind}, nil
 }
-
-// SetRTT adjusts network latency mid-run (the NISTNet knob of Figure 6).
-func (tb *Testbed) SetRTT(rtt time.Duration) { tb.Net.SetRTT(rtt) }
-
-// Metrics exposes the testbed's recorder (nil when un-instrumented), so
-// harnesses can emit marks and result points into the same stream.
-func (tb *Testbed) Metrics() *metrics.Recorder { return tb.Cluster.Metrics() }
 
 // EmitSample streams every registered counter's delta since the previous
 // sample: one closed measurement window in the telemetry stream.

@@ -44,7 +44,7 @@ func TestTCPTransportBasicOpsAllStacks(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("%v read-back mismatch over TCP transport", k)
 		}
-		if tb.Client.Stack.Counters().TCP.Segments == 0 {
+		if tb.Counters().TCP.Segments == 0 {
 			t.Fatalf("%v ran no TCP segments under TransportTCP", k)
 		}
 	}
@@ -79,20 +79,20 @@ func TestNFSUDPTransportForced(t *testing.T) {
 	if err := tb.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Stack.RPC().Stats().Retransmits == 0 {
+	if tb.Counters().RPC.Retransmits == 0 {
 		t.Fatal("5% frame loss on the UDP transport produced no RPC retransmissions")
 	}
-	if tb.Client.Stack.Counters().TCP.Segments != 0 {
+	if tb.Counters().TCP.Segments != 0 {
 		t.Fatal("UDP transport sent TCP segments")
 	}
 }
 
-// TestAccessorsReadThroughTheStack: the protocol objects the Stack
-// accessors hand out are the live ones, whatever rebuilt them. ColdCache
-// replaces the iSCSI client filesystem and keeps sessions and RPC
-// clients; a forced recovery (the remount a reboot does) rebuilds the
-// MC/S session and the RPC client, whose own statistics restart while
-// the stack's Counters stay cumulative.
+// TestAccessorsReadThroughTheStack: what a Client hands out (FS and
+// Counters) reads through the stack at call time, whatever rebuilt its
+// parts. ColdCache replaces the iSCSI client filesystem and keeps sessions
+// and RPC clients; a forced recovery (the remount a reboot does) rebuilds
+// the MC/S session and the RPC client, whose own statistics restart while
+// the client's Counters stay cumulative.
 func TestAccessorsReadThroughTheStack(t *testing.T) {
 	work := func(tb *Testbed) {
 		t.Helper()
@@ -114,55 +114,49 @@ func TestAccessorsReadThroughTheStack(t *testing.T) {
 
 	t.Run("iscsi", func(t *testing.T) {
 		tb := mkTCP(t, ISCSI, 4)
-		st := tb.Stack
-		if st.RPC() != nil || st.NFSClient() != nil || st.NFSServer() != nil {
-			t.Fatal("iSCSI/TCP stack exposes NFS parts")
-		}
-		fs0, s0 := st.ClientFS(), st.Initiator()
-		if fs0 == nil || s0 == nil || s0.Conns() != 4 || st.Target() == nil {
-			t.Fatalf("fs=%v initiator=%v target=%v, want all live and 4 conns", fs0, s0, st.Target())
+		st := tb.stack.(*iscsiStack)
+		fs0, s0 := st.fs, st.endpoint
+		if fs0 != tb.FS || s0.Conns() != 4 {
+			t.Fatalf("fs=%v initiator=%v, want the mounted fs and 4 conns", fs0, s0)
 		}
 		work(tb)
-		if st.ClientFS() == fs0 || st.ClientFS() != tb.FS {
-			t.Fatal("ClientFS does not follow the cold-cache remount")
+		if st.fs == fs0 || st.fs != tb.FS {
+			t.Fatal("FS does not follow the cold-cache remount")
 		}
-		if st.Initiator() != s0 {
+		if st.endpoint != s0 {
 			t.Fatal("ColdCache rebuilt the initiator")
 		}
-		before := st.Counters().TCP.Segments
+		before := tb.Counters().TCP.Segments
 		recover(tb)
-		if s := st.Initiator(); s == s0 || s.Conns() != 4 {
-			t.Fatalf("Initiator() after recovery: rebuilt=%v conns=%d", s != s0, s.Conns())
+		if s := st.endpoint; s == s0 || s.Conns() != 4 {
+			t.Fatalf("initiator after recovery: rebuilt=%v conns=%d", s != s0, s.Conns())
 		}
-		if st.Initiator().Stats().Segments >= before || st.Counters().TCP.Segments <= before {
+		if st.endpoint.Stats().Segments >= before || tb.Counters().TCP.Segments <= before {
 			t.Fatalf("segments: live session %d, cumulative %d, before recovery %d",
-				st.Initiator().Stats().Segments, st.Counters().TCP.Segments, before)
+				st.endpoint.Stats().Segments, tb.Counters().TCP.Segments, before)
 		}
 	})
 
 	t.Run("nfs", func(t *testing.T) {
 		tb := mkTCP(t, NFSv3, 1)
-		st := tb.Stack
-		if st.Initiator() != nil || st.Target() != nil || st.ClientFS() != nil {
-			t.Fatal("NFS stack exposes iSCSI parts")
-		}
-		rpc0, c0 := st.RPC(), st.NFSClient()
-		if rpc0 == nil || c0 == nil || st.NFSServer() == nil {
-			t.Fatal("NFS accessors nil on a mounted stack")
+		st := tb.stack.(*nfsStack)
+		rpc0, c0 := st.rpc, st.client
+		if c0 != tb.FS {
+			t.Fatal("FS is not the mounted NFS client")
 		}
 		work(tb)
-		if st.RPC() != rpc0 || st.NFSClient() != c0 {
+		if st.rpc != rpc0 || st.client != c0 {
 			t.Fatal("ColdCache rebuilt the protocol client")
 		}
-		before := st.Counters().RPC.Calls
+		before := tb.Counters().RPC.Calls
 		if before == 0 || rpc0.Stats().Calls != before {
 			t.Fatalf("calls before recovery: live %d, cumulative %d", rpc0.Stats().Calls, before)
 		}
 		recover(tb)
-		if st.RPC() == rpc0 || st.NFSClient() == c0 || st.NFSClient() != tb.FS {
-			t.Fatal("accessors still return the retired protocol client")
+		if st.rpc == rpc0 || st.client == c0 || st.client != tb.FS {
+			t.Fatal("the client still reads the retired protocol client")
 		}
-		if live, cum := st.RPC().Stats().Calls, st.Counters().RPC.Calls; live >= before || cum != before+live {
+		if live, cum := st.rpc.Stats().Calls, tb.Counters().RPC.Calls; live >= before || cum != before+live {
 			t.Fatalf("calls after recovery: live %d, cumulative %d, before %d", live, cum, before)
 		}
 	})

@@ -62,8 +62,8 @@ func measure(tb *testbed.Testbed, name string, run func() error) (Result, error)
 		Elapsed:   elapsed,
 		Messages:  d.Messages,
 		Bytes:     d.Bytes,
-		ServerCPU: tb.ServerCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
-		ClientCPU: tb.ClientCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
+		ServerCPU: tb.Cluster.ServerCPU.UtilizationPercentile(0.95, tb.Clock.Now()),
+		ClientCPU: tb.CPU.UtilizationPercentile(0.95, tb.Clock.Now()),
 	}
 	tb.Cluster.EndWindow(wl, map[string]float64{
 		"elapsed_ns": float64(res.Elapsed),
