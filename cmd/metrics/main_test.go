@@ -13,14 +13,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// ablateStream writes, to a file, the stream `repro ablate` writes for the
+// ablateStream writes, to a file, the stream `repro paper -ablations` writes for the
 // export-durability knob: the same core call, under a recorder tagged as
 // repro tags it. It returns the path and the number of events.
 func ablateStream(t *testing.T) (string, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := metrics.NewSink(&buf)
-	opts := core.Options{DeviceBlocks: 8192, Metrics: metrics.NewRecorder(sink, metrics.Tags{"cmd": "ablate"})}
+	opts := core.Options{DeviceBlocks: 8192, Metrics: metrics.NewRecorder(sink, metrics.Tags{"cmd": "paper"})}
 	if _, _, err := core.AblateSyncExport(opts, 20); err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,14 @@ func TestHostileCommandLines(t *testing.T) {
 		{"contend -workloads pingpong,nope", 2, `bad -workloads value "nope" (have pingpong, append, readerwriter)`},
 		{"fault -families meteor", 2, `unknown fault family "meteor"`},
 		{"health -stacks nfs", 2, `bad -stacks value "nfs"`},
-		{"microbench -table 1", 2, "bad -table value 1 (range 2..3)"},
-		{"postmark -scale 0.01 extra args", 2, `unexpected argument "extra"`},
-		{"microbench", 2, "pick one of -table, -figure, -all"},
+		{"paper -table 1", 2, "bad -table value 1 (range 2..10)"},
+		{"paper -figure 3,8", 2, "bad -figure value 8 (range 3..7)"},
+		{"paper -table 5 -scale 0.01 extra args", 2, `unexpected argument "extra"`},
+		{"paper", 2, "pick one of -table, -figure, -section7, -ablations, -all"},
+		{"paper -scale 0.01", 2, "pick one of -table, -figure, -section7, -ablations, -all"},
 		{"nosuch -x", 2, `repro: unknown experiment "nosuch"`},
 		{"", 2, "repro: no experiment named"},
-		{"seqrand -clients 2", 2, "flag provided but not defined: -clients"},
+		{"paper -table 4 -clients 2", 2, "flag provided but not defined: -clients"},
 		{"scale -trace-sample 5", 1, "-trace-sample/-trace-slow require -trace"},
 		{"fault -health default", 1, "-health requires -metrics"},
 	}
@@ -109,6 +111,32 @@ func TestHostileCommandLines(t *testing.T) {
 			t.Errorf("repro %s: exit %d, stderr %q, %d bytes on stdout; want exit %d, stderr containing %q, empty stdout",
 				r.line, code, stderr.String(), stdout.Len(), r.code, r.stderr)
 		}
+	}
+}
+
+// TestPaperSelection: the seven experiments paper replaced are unknown
+// names, not aliases; selected artefacts run in the artefact table's order
+// whatever order the flags name them in; Tables 9 and 10 are one run.
+func TestPaperSelection(t *testing.T) {
+	for _, old := range strings.Fields("microbench macrobench postmark seqrand latency ablate tracesim") {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{old, "-all"}, &stdout, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), `repro: unknown experiment "`+old+`"`) {
+			t.Errorf("repro %s: exit %d, stderr %q; want exit 2 as an unknown experiment", old, code, stderr.String())
+		}
+	}
+	stdout := func(line string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(line), &stdout, &stderr); code != 0 {
+			t.Fatalf("repro %s: exit %d, stderr %q", line, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	if got, want := stdout("paper -table 3,2"), stdout("paper -table 2")+stdout("paper -table 3"); got != want {
+		t.Errorf("paper -table 3,2 is not Table 2 then Table 3:\n%s", got)
+	}
+	if got, want := stdout("paper -table 10,9 -scale 0.01"), stdout("paper -table 9 -scale 0.01"); got != want {
+		t.Errorf("paper -table 10,9 is not one run of Tables 9 and 10:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -4,60 +4,27 @@ package main
 // `repro <name> -h`, the `cmd` tag of the experiment's metric stream, and
 // the command table in README.md (a test compares the two).
 var experiments = []experiment{
-	{"microbench", observed, microbench,
-		"Tables 2, 3 (syscall message counts, cold/warm) and Figures 3, 4, 5 (batching, depth, size)",
-		`Regenerates the paper's micro-benchmark results: Tables 2 and 3 (cold- and
-warm-cache message counts for the Table 1 system calls), Figure 3 (iSCSI
-meta-data update aggregation), Figure 4 (directory-depth sensitivity) and
-Figure 5 (request-size sensitivity).
+	{"paper", observed, paperExperiment,
+		"Tables 2-10, Figures 3-7, Section 7 and the ablations, each selected by flag",
+		`Regenerates the paper's results. Each flag selects artefacts, and the
+selected ones run in this order:
 
-  repro microbench -table 2         # cold-cache syscall table
-  repro microbench -table 3 -check  # warm-cache table, checked against the paper's claims
-  repro microbench -figure 3        # batching curves (4: depth, 5: size)
-  repro microbench -all             # everything`},
-	{"macrobench", observed, macrobench,
-		"Tables 6-10 (TPC-C, TPC-H, tar/ls/compile/rm, client and server CPU)",
-		`Regenerates the database and shell macro-benchmarks: Table 6 (TPC-C),
-Table 7 (TPC-H), Table 8 (tar/ls/compile/rm) and the CPU utilization
-Tables 9 and 10.
+  -table 2,3     syscall message counts, cold and warm cache
+  -table 4       sequential and random reads and writes of a large file (-size)
+  -table 5       PostMark completion times and message counts (-scale)
+  -table 6,7,8   TPC-C, TPC-H, tar/ls/compile/rm (-scale)
+  -table 9,10    client and server CPU utilization, one run (-scale)
+  -figure 3,4,5  meta-data update aggregation, directory depth, request size
+  -figure 6      completion time against WAN round-trip latency (-size, -step, -loss)
+  -figure 7      directory sharing in the EECS-like and Campus-like traces
+  -section7      read-only meta-data cache and directory delegation on those traces
+  -ablations     commit interval, sync export, write pool bound, atime
 
-  repro macrobench -bench tpcc      # or tpch, kernel
-  repro macrobench -cpu
-  repro macrobench -all`},
-	{"postmark", observed, postmark,
-		"Table 5 (PostMark completion times and message counts)",
-		`Regenerates Table 5: PostMark completion times and message counts at pool
-sizes of 1,000, 5,000 and 25,000 files with 100,000 transactions, on NFS v3
-and iSCSI.`},
-	{"seqrand", observed, seqrand,
-		"Table 4 (sequential and random reads and writes of a large file)",
-		`Regenerates Table 4: completion times, message counts and bytes transferred
-for sequential and random reads and writes of a large file over NFS v3 and
-iSCSI.`},
-	{"latency", observed, latency,
-		"Figure 6 (completion time against wide-area round-trip latency)",
-		`Regenerates Figure 6: the NISTNet wide-area experiment sweeping round-trip
-latency from 10 to 90 ms and measuring sequential and random read/write
-completion times on NFS v3 and iSCSI. -loss injects frame loss on the
-emulated WAN path, extending the sweep to lossy long-haul links (see
-transport for the full transport cross-product).`},
-	{"ablate", observed, ablate,
-		"the four ablations behind the results (commit interval, sync export, write pool, atime)",
-		`Runs the ablation experiments that isolate the causes behind the paper's
-results: journal commit interval (update aggregation window), sync vs. async
-export (durability pricing), the NFS client's async-write pool bound
-(pseudo-synchronous degeneration), and access-time maintenance.`},
-	{"tracesim", observed, tracesim,
-		"Figure 7 (directory sharing in the traces) and the Section 7 enhancements",
-		`Regenerates the paper's Section 7 results: Figure 7 (directory sharing
-characteristics of the EECS-like and Campus-like traces) and the trace-driven
-evaluation of the proposed enhancements, the strongly-consistent read-only
-meta-data cache (reduction and callback ratio versus cache size) and
-directory delegation.
+-check adds the paper-shape checks of Tables 2-5 and fails the run if one fails.
 
-  repro tracesim -figure7
-  repro tracesim -enhance
-  repro tracesim -all`},
+  repro paper -table 3 -check
+  repro paper -figure 6 -size 16 -loss 1
+  repro paper -all`},
 	{"scale", observed | traced, scale,
 		"N clients on one server: throughput, latency, server CPU; hybrid fleets of 10,000+",
 		`Runs the multi-client scaling experiment: N concurrent clients drive one

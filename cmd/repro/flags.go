@@ -19,12 +19,6 @@ func wireFlags(fs *flag.FlagSet, conns, windowBytes *int) {
 	ScaledVar(fs, windowBytes, "window", 1<<10, 64, 1, 1<<20, "per-connection TCP window cap in KB")
 }
 
-// connCountsFlag is the list -conns of the transport sweep: one cell per
-// count, each in the range the wire group's scalar takes.
-func connCountsFlag(fs *flag.FlagSet, p *[]int) {
-	NumbersVar(fs, p, "conns", "1,2,4", 1, MaxConns, "iSCSI MC/S connection counts (comma separated)")
-}
-
 func blocksFlag(fs *flag.FlagSet, p *int64) {
 	RangeVar(fs, p, "blocks", 16384, 1024, 1<<30, "volume size in 4 KB blocks")
 }

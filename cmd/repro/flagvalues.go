@@ -63,12 +63,12 @@ func (l *listValue[T]) Set(s string) error {
 	return err
 }
 
-// ListVar registers a comma-separated list flag on fs. The default goes
+// ListVar registers a comma-separated list flag on fs. A default goes
 // through the same parser as a value from the command line, so a default
-// the parser refuses is a bug and panics.
+// the parser refuses is a bug and panics; an empty one leaves *p nil.
 func ListVar[T any](fs *flag.FlagSet, p *[]T, name, def, usage string, parse func(string) ([]T, error)) {
 	l := &listValue[T]{p: p, parse: parse}
-	if err := l.Set(def); err != nil {
+	if err := l.Set(def); def != "" && err != nil {
 		panic(err)
 	}
 	fs.Var(l, name, usage)

@@ -16,28 +16,27 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/cli.golden from this run")
 
 // experimentNames is every experiment the CLI must offer, in help order.
-var experimentNames = strings.Fields("microbench macrobench postmark seqrand latency ablate " +
-	"tracesim scale transport replay wan fault health contend trace")
+var experimentNames = strings.Fields("paper scale transport replay wan fault health contend trace")
 
 // goldenCases is one tiny invocation per mode of every experiment. $T is a
 // scratch directory shared by the whole list (trace -from reads what the
 // case before it wrote); every file a case names under it is hashed after
 // the case ran.
 var goldenCases = []string{
-	"microbench -table 2 -metrics $T/microbench-t2.jsonl",
-	"microbench -table 3 -check -metrics $T/microbench-t3.jsonl",
-	"microbench -figure 4 -metrics $T/microbench-f4.jsonl",
-	"microbench -figure 3 -metrics $T/microbench-f3.jsonl",
-	"microbench -figure 5 -metrics $T/microbench-f5.jsonl",
-	"macrobench -bench tpcc -scale 0.02 -metrics $T/macrobench-tpcc.jsonl",
-	"macrobench -cpu -scale 0.02 -metrics $T/macrobench-cpu.jsonl",
-	"macrobench -bench tpch -scale 0.02 -metrics $T/macrobench-tpch.jsonl",
-	"macrobench -bench kernel -scale 0.05 -metrics $T/macrobench-kernel.jsonl",
-	"postmark -scale 0.01 -metrics $T/postmark.jsonl",
-	"seqrand -size 1 -metrics $T/seqrand.jsonl",
-	"latency -size 1 -step 80 -metrics $T/latency.jsonl",
-	"ablate -metrics $T/ablate.jsonl",
-	"tracesim -figure7 -metrics $T/tracesim.jsonl",
+	"paper -table 2 -metrics $T/paper-t2.jsonl",
+	"paper -table 3 -check -metrics $T/paper-t3.jsonl",
+	"paper -figure 4 -metrics $T/paper-f4.jsonl",
+	"paper -figure 3 -metrics $T/paper-f3.jsonl",
+	"paper -figure 5 -metrics $T/paper-f5.jsonl",
+	"paper -table 6 -scale 0.02 -metrics $T/paper-t6.jsonl",
+	"paper -table 9 -scale 0.02 -metrics $T/paper-t9.jsonl",
+	"paper -table 7 -scale 0.02 -metrics $T/paper-t7.jsonl",
+	"paper -table 8 -scale 0.05 -metrics $T/paper-t8.jsonl",
+	"paper -table 5 -scale 0.01 -metrics $T/paper-t5.jsonl",
+	"paper -table 4 -size 1 -metrics $T/paper-t4.jsonl",
+	"paper -figure 6 -size 1 -step 80 -metrics $T/paper-f6.jsonl",
+	"paper -ablations -metrics $T/paper-ablations.jsonl",
+	"paper -figure 7 -metrics $T/paper-f7.jsonl",
 	"scale -clients 1,2 -workloads seq-write -stacks nfsv3,iscsi -size 1 -metrics $T/scale.jsonl",
 	"scale -clients 16,10000 -background -stacks iscsi -workloads seq-write -size 1 -metrics $T/scale-fleet.jsonl",
 	"transport -stacks nfsv3,iscsi -workloads seq-read -rtts 0.2 -loss 0,1 -conns 1,2 -size 1 -metrics $T/transport.jsonl",
@@ -51,11 +50,14 @@ var goldenCases = []string{
 }
 
 // slowCase is skipped under -short (it synthesises both Section 7 traces).
-const slowCase = "tracesim -figure7"
+const slowCase = "paper -figure 7"
 
 // TestCLIGolden locks what every experiment prints and streams. The file
 // was generated by the fifteen separate binaries this CLI replaced, so it
 // passing without -update is the proof that the move changed no output.
+// The paper cases were regenerated once, when seven experiments became
+// `paper`: each one's stdout is its old command's, and its stream differs
+// only in the cmd tag (see CHANGES.md).
 func TestCLIGolden(t *testing.T) {
 	if *update && testing.Short() {
 		t.Fatal("-update needs the full case list; drop -short")

@@ -1,5 +1,6 @@
-// Command repro is the one binary that builds a simulator: every table and
-// figure of the paper and every sweep that extends it is an experiment,
+// Command repro is the one binary that builds a simulator: the paper's
+// tables and figures (one experiment, paper) and every sweep that extends
+// them are experiments,
 //
 //	repro <experiment> [flags]
 //	repro help                 # the experiments, one line each

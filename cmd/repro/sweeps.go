@@ -51,7 +51,7 @@ func transport(fs *flag.FlagSet) func(*env) error {
 		func(s string) ([]float64, error) { return LossPercents(s, "loss") })
 	NumbersVar(fs, &windowKB, "windows", "64", 1, 1<<20,
 		"per-connection TCP window caps, in KB (comma separated)")
-	connCountsFlag(fs, &cfg.Conns)
+	NumbersVar(fs, &cfg.Conns, "conns", "1,2,4", 1, MaxConns, "iSCSI MC/S connection counts (comma separated)")
 	StacksVar(fs, &cfg.Stacks, "nfsv3,iscsi")
 	WorkloadsVar(fs, &cfg.Workloads, "seq-read,seq-write", core.TransportWorkloads)
 	seedFlag(fs, &cfg.Seed, 42)

@@ -88,16 +88,16 @@ func renderCriticalPath(w io.Writer, label string, spans []tracing.Span) error {
 		fmt.Fprintln(w, "no traced ops (sampled out?)")
 		return nil
 	}
+	paths, err := tracing.CriticalPaths(spans, roots)
+	if err != nil {
+		return err
+	}
 	perLayer := make(map[tracing.Layer][]time.Duration, len(tracing.Layers))
 	var latencies []time.Duration
 	var total time.Duration
-	for _, r := range roots {
-		attr, err := tracing.CriticalPath(spans, r.ID)
-		if err != nil {
-			return err
-		}
+	for i, r := range roots {
 		for _, l := range tracing.Layers {
-			perLayer[l] = append(perLayer[l], attr[l.String()])
+			perLayer[l] = append(perLayer[l], paths[i][l.String()])
 		}
 		latencies = append(latencies, r.End-r.Start)
 		total += r.End - r.Start

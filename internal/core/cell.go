@@ -135,20 +135,22 @@ type variant struct {
 
 // variants crosses stacks with transports in sweep order, dropping the
 // pair no deployment has (iSCSI over UDP: the protocol requires TCP) and
-// resolving the connection count: the sweep's MC/S knob applies to iSCSI
-// over TCP only, every other variant runs one connection.
-func variants(stacks []Stack, transports []testbed.Transport, conns int) []variant {
+// resolving the connection counts: the sweep's MC/S knob applies to iSCSI
+// over TCP only, one variant per count in order; every other variant runs
+// one connection.
+func variants(stacks []Stack, transports []testbed.Transport, conns ...int) []variant {
 	var vs []variant
 	for _, stack := range stacks {
 		for _, tr := range transports {
-			if stack == ISCSI && tr == testbed.TransportUDP {
-				continue
+			switch {
+			case stack == ISCSI && tr == testbed.TransportUDP: // no such deployment
+			case stack == ISCSI && tr == testbed.TransportTCP:
+				for _, n := range conns {
+					vs = append(vs, variant{stack, tr, n})
+				}
+			default:
+				vs = append(vs, variant{stack, tr, 1})
 			}
-			v := variant{stack, tr, 1}
-			if stack == ISCSI && tr == testbed.TransportTCP {
-				v.conns = conns
-			}
-			vs = append(vs, v)
 		}
 	}
 	return vs

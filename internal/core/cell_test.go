@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,20 +60,25 @@ func TestClientCountsNeverPanic(t *testing.T) {
 }
 
 // TestVariants: the one place that knows which stack/transport pairs
-// exist and where the MC/S connection knob applies.
+// exist and where the MC/S connection knob applies. The second case is the
+// transport sweep's list, in the order its cells (and hostbench's pinned
+// cluster cells) come out: UDP before TCP, one iSCSI cell per count.
 func TestVariants(t *testing.T) {
-	got := variants([]Stack{NFSv3, ISCSI},
-		[]testbed.Transport{testbed.TransportFluid, testbed.TransportUDP, testbed.TransportTCP}, 4)
-	want := []variant{
-		{NFSv3, testbed.TransportFluid, 1}, {NFSv3, testbed.TransportUDP, 1}, {NFSv3, testbed.TransportTCP, 1},
-		{ISCSI, testbed.TransportFluid, 1}, {ISCSI, testbed.TransportTCP, 4},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("variants = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("variant %d = %+v, want %+v", i, got[i], want[i])
+	fluid, udp, tcp := testbed.TransportFluid, testbed.TransportUDP, testbed.TransportTCP
+	for _, c := range []struct {
+		transports []testbed.Transport
+		conns      []int
+		want       []variant
+	}{
+		{[]testbed.Transport{fluid, udp, tcp}, []int{4}, []variant{
+			{NFSv3, fluid, 1}, {NFSv3, udp, 1}, {NFSv3, tcp, 1}, {ISCSI, fluid, 1}, {ISCSI, tcp, 4},
+		}},
+		{[]testbed.Transport{udp, tcp}, []int{1, 2, 4}, []variant{
+			{NFSv3, udp, 1}, {NFSv3, tcp, 1}, {ISCSI, tcp, 1}, {ISCSI, tcp, 2}, {ISCSI, tcp, 4},
+		}},
+	} {
+		if got := variants([]Stack{NFSv3, ISCSI}, c.transports, c.conns...); !slices.Equal(got, c.want) {
+			t.Errorf("variants(%v, %v) = %+v, want %+v", c.transports, c.conns, got, c.want)
 		}
 	}
 	if l := variantLabel(ISCSI, testbed.TransportTCP); l != "iSCSI/tcp" {

@@ -48,8 +48,8 @@ type Options struct {
 	DeviceBlocks int64
 	// Seed for workload randomness.
 	Seed int64
-	// LossRate injects frame loss on the testbed link, so the WAN sweeps
-	// (Figure 6 and repro latency) can model lossy long-haul paths.
+	// LossRate injects frame loss on the testbed link, so the WAN sweep
+	// (Figure 6, repro paper -figure 6 -loss) can model lossy long-haul paths.
 	LossRate float64
 	// Metrics, when non-nil, receives telemetry from every experiment
 	// run with these Options: each cell's testbed streams tagged counter

@@ -87,28 +87,15 @@ func (c *FaultConfig) fill() {
 	}
 }
 
-// FaultCell is one (family, stack, transport) recovery measurement.
+// FaultCell is one (family, stack, transport) recovery measurement: the
+// fault runner's result for the cell's plan. Its Collapsed also marks a
+// cell whose transport died during setup.
 type FaultCell struct {
 	Family    fault.Family
 	Stack     Stack
 	Transport testbed.Transport
 	Clients   int
-
-	// Inject/Healed/Recovered are absolute virtual times; TTR is the
-	// client-visible outage, repair included (see fault.Result).
-	Inject, Healed, Recovered, TTR time.Duration
-	// Window throughputs in successful ops/sec, and the matching counts.
-	PreRate, DegradedRate, PostRate float64
-	PreOps, DegradedOps, PostOps    int64
-	// FailedOps are op errors clients observed; LostOps adds the ops a
-	// crashed client never issued.
-	FailedOps, LostOps int64
-	// Fault-path traffic: RAID rebuild member blocks, wire + RPC
-	// retransmissions, frames the partition ate.
-	RebuildBlocks, Retransmits, Dropped int64
-	// Collapsed marks a cell whose service never recovered before the
-	// run's hard stop (or whose transport died during setup).
-	Collapsed bool
+	fault.Result
 }
 
 // Label names the variant the way the tables print it.
@@ -189,12 +176,7 @@ func runFaultCell(cfg FaultConfig, f fault.Family, v variant) (FaultCell, error)
 	cell := FaultCell{Family: f, Stack: v.stack, Transport: v.transport, Clients: cfg.Clients}
 	err := runPlanCell("fault", cfg, v, f, f, false, &cell.Collapsed,
 		func(_ *testbed.Cluster, res fault.Result) map[string]float64 {
-			cell.Inject, cell.Healed, cell.Recovered, cell.TTR = res.Inject, res.Healed, res.Recovered, res.TTR
-			cell.PreRate, cell.DegradedRate, cell.PostRate = res.PreRate, res.DegradedRate, res.PostRate
-			cell.PreOps, cell.DegradedOps, cell.PostOps = res.PreOps, res.DegradedOps, res.PostOps
-			cell.FailedOps, cell.LostOps = res.FailedOps, res.LostOps
-			cell.RebuildBlocks, cell.Retransmits, cell.Dropped = res.RebuildBlocks, res.Retransmits, res.Dropped
-			cell.Collapsed = res.Collapsed
+			cell.Result = res
 			if cell.Collapsed {
 				return map[string]float64{"collapsed": 1}
 			}

@@ -90,19 +90,6 @@ func (c *TransportConfig) fill() {
 	}
 }
 
-// variants returns the transport arrangements swept for a stack: NFS
-// compares datagram UDP against stream TCP; iSCSI scales MC/S connections.
-func (c TransportConfig) variants(stack Stack) []variant {
-	if stack == ISCSI {
-		vs := make([]variant, 0, len(c.Conns))
-		for _, n := range c.Conns {
-			vs = append(vs, variant{stack, testbed.TransportTCP, n})
-		}
-		return vs
-	}
-	return []variant{{stack, testbed.TransportUDP, 1}, {stack, testbed.TransportTCP, 1}}
-}
-
 // TransportCell is one (stack, transport, workload, rtt, loss, window)
 // measurement.
 type TransportCell struct {
@@ -142,27 +129,28 @@ func (c TransportCell) label() string {
 func RunTransport(cfg TransportConfig) ([]TransportCell, error) {
 	cfg.fill()
 	cfg.pool = sweepPool(cfg.pool)
+	// NFS compares datagram UDP against stream TCP; iSCSI scales MC/S
+	// connections.
+	vs := variants(cfg.Stacks, []testbed.Transport{testbed.TransportUDP, testbed.TransportTCP}, cfg.Conns...)
 	var cells []TransportCell
 	for _, wl := range cfg.Workloads {
-		for _, stack := range cfg.Stacks {
-			for _, v := range cfg.variants(stack) {
-				windows := cfg.Windows
-				if v.transport == testbed.TransportUDP {
-					// The window cap is a TCP knob; one UDP cell per
-					// {rtt x loss} point, rendered with a blank window.
-					windows = []int{0}
-				}
-				for _, window := range windows {
-					for _, rtt := range cfg.RTTs {
-						for _, loss := range cfg.LossRates {
-							cell, err := RunTransportCell(cfg, TransportCell{Stack: stack, Transport: v.transport,
-								Conns: v.conns, Workload: wl, RTT: rtt, Loss: loss, Window: window})
-							if err != nil {
-								return nil, fmt.Errorf("transport %s/%v(%v x%d)/rtt=%v/loss=%g: %w",
-									wl, stack, v.transport, v.conns, rtt, loss, err)
-							}
-							cells = append(cells, cell)
+		for _, v := range vs {
+			windows := cfg.Windows
+			if v.transport == testbed.TransportUDP {
+				// The window cap is a TCP knob; one UDP cell per {rtt x
+				// loss} point, rendered with a blank window.
+				windows = []int{0}
+			}
+			for _, window := range windows {
+				for _, rtt := range cfg.RTTs {
+					for _, loss := range cfg.LossRates {
+						cell, err := RunTransportCell(cfg, TransportCell{Stack: v.stack, Transport: v.transport,
+							Conns: v.conns, Workload: wl, RTT: rtt, Loss: loss, Window: window})
+						if err != nil {
+							return nil, fmt.Errorf("transport %s/%v(%v x%d)/rtt=%v/loss=%g: %w",
+								wl, v.stack, v.transport, v.conns, rtt, loss, err)
 						}
+						cells = append(cells, cell)
 					}
 				}
 			}

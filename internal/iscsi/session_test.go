@@ -2,6 +2,7 @@ package iscsi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -117,5 +118,31 @@ func TestSessionCountsOneMessagePerCommand(t *testing.T) {
 	}
 	if got := n.Stats().Messages - before; got != 2 {
 		t.Fatalf("128-block write counted %d messages, want 2", got)
+	}
+}
+
+// TestKnownDefectFailedStripedTransferReportsTimeZero asserts today's wrong
+// behaviour (ROADMAP, "a failed striped TCP transfer reports time 0"): when
+// the connections of an MC/S session die under a striped transfer, runPipes
+// returns 0 instead of the instant the transfer failed, so ReadBlocks and
+// WriteBlocks complete before they were issued. The fix moves a simulated
+// number, and inverts the time check below.
+func TestKnownDefectFailedStripedTransferReportsTimeZero(t *testing.T) {
+	s, _, at := newSessionPair(t, sessionNet(200*time.Microsecond, 0, 1), 4, 0)
+	for _, c := range s.wire.conns() {
+		c.Break() // the connections die and the login stays: the transfer fails
+	}
+	buf := make([]byte, 16*s.BlockSize())
+	for _, op := range []struct {
+		name string
+		rw   func(time.Duration, int64, []byte) (time.Duration, error)
+	}{{"ReadBlocks", s.ReadBlocks}, {"WriteBlocks", s.WriteBlocks}} {
+		done, err := op.rw(at, 0, buf)
+		if !errors.Is(err, simnet.ErrTransportBroken) {
+			t.Fatalf("%s on broken connections: %v, want the transport's break", op.name, err)
+		}
+		if done != 0 {
+			t.Errorf("%s issued at %v failed at %v, not at time 0: the defect is mended, invert this test", op.name, at, done)
+		}
 	}
 }

@@ -318,3 +318,38 @@ func TestRPCSequenceGolden(t *testing.T) {
 		t.Errorf("%d lines, golden has %d", len(gl), len(wl))
 	}
 }
+
+// TestKnownDefectReaddirReplyChargedEmpty asserts today's wrong behaviour
+// (ROADMAP, "READDIR replies are charged as empty"): ReadDir hands the call
+// its reply payload by value before the server's entries are summed, so on
+// v3 a READDIR of a 1-entry and of a 40-entry directory put the same bytes
+// on the wire (rpc_sequence.golden reads down=194 for both). The fix sizes
+// the reply after the sum and inverts the equality below.
+func TestKnownDefectReaddirReplyChargedEmpty(t *testing.T) {
+	c, net, _ := timedRig(t, V3)
+	at := time.Second
+	replyBytes := func(dir string, entries int) int64 {
+		t.Helper()
+		var err error
+		if at, err = c.Mkdir(at, dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if _, at, err = c.Create(at, fmt.Sprintf("%s/file-with-a-long-name-to-fill-blocks-%04d", dir, i), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := net.Stats()
+		ents, done, err := c.ReadDir(at, dir)
+		st := net.Stats()
+		if at = done; err != nil || len(ents) != entries || st.Messages-before.Messages != 1 {
+			t.Fatalf("readdir %s: %d entries in %d messages, %v; want %d entries in one READDIR",
+				dir, len(ents), st.Messages-before.Messages, err, entries)
+		}
+		return st.BytesRecv - before.BytesRecv
+	}
+	one, forty := replyBytes("/one", 1), replyBytes("/forty", 40)
+	if one != forty {
+		t.Errorf("READDIR replies: %d bytes for 1 entry, %d for 40: the defect is mended, invert this test", one, forty)
+	}
+}

@@ -61,11 +61,40 @@ func CriticalPath(spans []Span, rootID int64) (Attribution, error) {
 	if root < 0 {
 		return nil, fmt.Errorf("tracing: no span with id %d", rootID)
 	}
+	return indexChildren(spans).bill(spans, root), nil
+}
+
+// CriticalPaths is CriticalPath for each of roots (the spans Roots
+// returns, or any spans of spans), in order, billed from one index of the
+// children: linear in the spans, where a CriticalPath call per root
+// re-indexes them all for every root.
+func CriticalPaths(spans, roots []Span) ([]Attribution, error) {
+	last := make(map[int64]int, len(roots)) // the span each root ID bills
+	for _, r := range roots {
+		last[r.ID] = -1
+	}
+	for i := range spans {
+		if _, ok := last[spans[i].ID]; ok {
+			last[spans[i].ID] = i
+		}
+	}
+	kids := indexChildren(spans)
+	paths := make([]Attribution, len(roots))
+	for i, r := range roots {
+		if last[r.ID] < 0 {
+			return nil, fmt.Errorf("tracing: no span with id %d", r.ID)
+		}
+		paths[i] = kids.bill(spans, last[r.ID])
+	}
+	return paths, nil
+}
+
+// bill attributes the tree under spans[root], one map per call: every
+// layer billed at least once (a zero bill included).
+func (c children) bill(spans []Span, root int) Attribution {
 	r := &spans[root]
-	b := biller{spans: spans, kids: indexChildren(spans)}
+	b := biller{spans: spans, kids: c}
 	b.bill(r, r.Start, r.End)
-	// One map per call: every layer billed at least once (a zero bill
-	// included).
 	out := b.other
 	if out == nil {
 		out = make(Attribution, bits.OnesCount16(b.touched))
@@ -74,7 +103,7 @@ func CriticalPath(spans []Span, rootID int64) (Attribution, error) {
 		l := Layer(bits.TrailingZeros16(set))
 		out[l.String()] = b.sum[l]
 	}
-	return out, nil
+	return out
 }
 
 // children indexes every span with a parent, sorted by (parent, start, id,

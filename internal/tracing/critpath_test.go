@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -163,6 +164,67 @@ func TestCriticalPathMatchesReference(t *testing.T) {
 		if _, err := CriticalPath(spans, -1); err == nil {
 			t.Fatalf("forest %d: no error for an absent root", n)
 		}
+	}
+}
+
+// TestCriticalPathsMatchesPerRoot bills every root of random forests (trees
+// shuffled into one another, a duplicate root ID, dense and sparse IDs)
+// from one index and demands what one CriticalPath call per root returns.
+// The last case is a span stream as `repro trace -from` reads it, whose
+// three trees interleave line by line.
+func TestCriticalPathsMatchesPerRoot(t *testing.T) {
+	same := func(name string, spans []Span) []Attribution {
+		t.Helper()
+		roots := Roots(spans)
+		paths, err := CriticalPaths(spans, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range roots {
+			want, err := CriticalPath(spans, r.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(paths[i], want) {
+				t.Fatalf("%s root %d: got %v, want %v\nspans: %+v", name, r.ID, paths[i], want, spans)
+			}
+		}
+		if _, err := CriticalPaths(spans, []Span{{ID: -1}}); err == nil {
+			t.Fatalf("%s: no error for an absent root", name)
+		}
+		return paths
+	}
+	rng := rand.New(rand.NewSource(53))
+	for n := 0; n < 2000; n++ {
+		spans := randomForest(rng)
+		if n%2 == 1 {
+			spans = spread(spans)
+		}
+		same(fmt.Sprint("forest ", n), spans)
+	}
+
+	var stream strings.Builder
+	for _, s := range []Span{
+		{ID: 1, Layer: LayerSyscall, Start: 0, End: 100},
+		{ID: 2, Layer: LayerSyscall, Start: 10, End: 90},
+		{ID: 3, Parent: 1, Layer: LayerRPC, Start: 5, End: 60},
+		{ID: 4, Parent: 2, Layer: LayerISCSI, Start: 20, End: 80},
+		{ID: 5, Layer: LayerSyscall, Start: 50, End: 70},
+		{ID: 6, Parent: 3, Layer: LayerTCP, Start: 10, End: 40},
+		{ID: 7, Parent: 5, Layer: LayerCPUClient, Start: 55, End: 65},
+		{ID: 8, Parent: 4, Layer: LayerDisk, Start: 30, End: 50},
+		{ID: 9, Parent: 1, Layer: LayerCPUClient, Start: 70, End: 95},
+	} {
+		fmt.Fprintf(&stream, `{"id":%d,"parent":%d,"client":%d,"layer":%q,"op":"op","start_ns":%d,"end_ns":%d}`+"\n",
+			s.ID, s.Parent, s.ID%2, s.Layer, s.Start, s.End)
+	}
+	spans, err := ReadSpans(strings.NewReader(stream.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := same("interleaved stream", spans.Spans())
+	if want := (Attribution{"syscall": 20, "rpc": 25, "tcp": 30, "cpu.client": 25}); !maps.Equal(paths[0], want) {
+		t.Errorf("first tree of the stream billed %v, want %v", paths[0], want)
 	}
 }
 
