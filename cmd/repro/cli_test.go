@@ -176,3 +176,17 @@ func TestREADMEListsTheExperiments(t *testing.T) {
 		t.Errorf("README.md's experiment table is stale; replace the block between the markers with the output of `go run ./cmd/repro help`:\n%s", help.String())
 	}
 }
+
+// TestWANDefaultCapacities: without -capacities, wan runs the sweep's own
+// bottlenecks, 117 and 12 MiB/s (122.7 and 12.6 MB/s), not 117 and 12 MB/s.
+func TestWANDefaultCapacities(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("wan -clients 1 -stacks nfsv3 -mixes lan -qdisc droptail -size 64"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	for _, pipe := range []string{"pipe=122.7 MB/s", "pipe=12.6 MB/s"} {
+		if !strings.Contains(stdout.String(), pipe) {
+			t.Errorf("no %q in\n%s", pipe, stdout.String())
+		}
+	}
+}

@@ -152,8 +152,8 @@ func wan(fs *flag.FlagSet) func(*env) error {
 	StacksVar(fs, &cfg.Stacks, "all")
 	WorkloadsVar(fs, &cfg.Workloads, "seq-write", core.WANWorkloads)
 	TransportsVar(fs, &cfg.Transports, "tcp")
-	NumbersVar(fs, &capacityMB, "capacities", "117,12", 0.125, 100000,
-		"bottleneck capacities in MB/s (comma separated)")
+	NumbersVar(fs, &capacityMB, "capacities", "", 0.125, 100000,
+		"bottleneck capacities in MB/s, comma separated (default: the sweep's own 117 and 12 MiB/s)")
 	ListVar(fs, &cfg.Disciplines, "qdisc", "droptail,drr", "queue disciplines (droptail,drr)",
 		Each("qdisc", nil, netqueue.ParseDiscipline))
 	ListVar(fs, &cfg.Mixes, "mixes", "lan,straggler",

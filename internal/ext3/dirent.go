@@ -131,8 +131,15 @@ func (w *direntWalker) next() bool {
 		name = b[off+direntHeader : off+direntHeader+nlen]
 	}
 	w.prev, w.off, w.rec, w.name = w.off, off, rec, name
+	if parsed != nil {
+		parsed()
+	}
 	return true
 }
+
+// parsed, when set, is called for every record a walk yields: tests count
+// the records an operation parses.
+var parsed func()
 
 func (w *direntWalker) ino() Ino    { return Ino(binary.BigEndian.Uint32(w.block[w.off:])) }
 func (w *direntWalker) ftype() byte { return w.block[w.off+7] }
@@ -164,9 +171,9 @@ func direntList(block []byte) ([]dirent, error) {
 }
 
 // direntAdd inserts an entry into a block if space permits, splitting an
-// existing record's slack. Returns false if no record before the end of the
-// walk has room.
-func direntAdd(block []byte, name string, ino Ino, ftype byte) bool {
+// existing record's slack. It returns false if no record before the end of
+// the walk has room, and then slack is the largest room it walked past.
+func direntAdd(block []byte, name string, ino Ino, ftype byte) (slack int, ok bool) {
 	need := direntRecLen(len(name))
 	w := direntWalker{block: block}
 	for w.next() {
@@ -175,6 +182,7 @@ func direntAdd(block []byte, name string, ino Ino, ftype byte) bool {
 			used = direntRecLen(len(w.name))
 		}
 		if w.rec-used < need {
+			slack = max(slack, w.rec-used)
 			continue
 		}
 		// Reuse a free record in place; shrink a live one and insert after.
@@ -188,9 +196,9 @@ func direntAdd(block []byte, name string, ino Ino, ftype byte) bool {
 		block[insOff+6] = byte(len(name))
 		block[insOff+7] = ftype
 		copy(block[insOff+direntHeader:], name)
-		return true
+		return 0, true
 	}
-	return false
+	return slack, false
 }
 
 // direntRemove deletes name from a block, merging its space into the

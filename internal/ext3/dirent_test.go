@@ -53,7 +53,7 @@ func TestDirentCorruptBlocks(t *testing.T) {
 			if direntRemove(block, "victim") {
 				t.Error("direntRemove reported success")
 			}
-			if direntAdd(block, "victim", 77, ftRegular) {
+			if _, ok := direntAdd(block, "victim", 77, ftRegular); ok {
 				t.Error("direntAdd reported success")
 			}
 			if direntEmpty(block) {
@@ -89,7 +89,7 @@ func fullDirBlock() (block []byte, last string) {
 	direntInitBlock(block, 2, 2)
 	for i := 0; ; i++ {
 		name := fmt.Sprintf("f%d", i)
-		if !direntAdd(block, name, Ino(10+i), ftRegular) {
+		if _, ok := direntAdd(block, name, Ino(10+i), ftRegular); !ok {
 			return block, last
 		}
 		last = name
@@ -186,7 +186,10 @@ func FuzzDirentBlock(f *testing.F) {
 		if removed := direntRemove(block, name); removed != found {
 			t.Fatalf("direntFind = %v but direntRemove = %v", found, removed)
 		}
-		added := len(name) > 0 && len(name) <= 255 && direntAdd(block, name, 99, ftRegular)
+		added := false
+		if len(name) > 0 && len(name) <= 255 {
+			_, added = direntAdd(block, name, 99, ftRegular)
+		}
 		if added {
 			if ino, ft, ok := direntFind(block, name); !ok || ino != 99 || ft != ftRegular {
 				t.Fatalf("added %q, found (%d, %d, %v)", name, ino, ft, ok)

@@ -61,7 +61,7 @@ type FS struct {
 	// directory's blocks. names holds the index of each directory past one
 	// block, which is host CPU only: the blocks are fetched as without it.
 	dcache map[dcacheKey]Ino
-	names  map[Ino]dirIndex
+	names  map[Ino]*dirIndex
 
 	async   sim.Pending
 	crashed bool
@@ -260,7 +260,7 @@ func Mount(at time.Duration, dev blockdev.Device, opts Options) (*FS, time.Durat
 		files:    make(map[Ino]*file),
 		dirGroup: make(map[Ino]int),
 		dcache:   make(map[dcacheKey]Ino),
-		names:    make(map[Ino]dirIndex),
+		names:    make(map[Ino]*dirIndex),
 	}
 	fs.refs = fs.refsArray[:0]
 	fs.journal = newJournal(fs, int64(sb.JournalStart), int64(sb.JournalBlocks))
@@ -776,7 +776,7 @@ func (fs *FS) dropCaches() {
 	fs.free = nil
 	clear(fs.files)
 	fs.dcache = make(map[dcacheKey]Ino)
-	fs.names = make(map[Ino]dirIndex)
+	fs.names = make(map[Ino]*dirIndex)
 	fs.mounted = false
 }
 

@@ -111,13 +111,21 @@ func (fs *FS) touchDir(at time.Duration, dir Ino, dn *inode, b *buffer) (time.Du
 }
 
 // addEntry inserts (name -> ino) into directory dir, growing it if needed.
+// Every block is fetched; in an indexed directory a block whose hint says
+// the record cannot fit is not parsed.
 func (fs *FS) addEntry(at time.Duration, dir Ino, dn *inode, name string, ino Ino, ftype byte) (time.Duration, error) {
+	idx, need := fs.names[dir], direntRecLen(len(name))
 	it := fs.dirBlocks(at, dn)
 	for it.next() {
-		if direntAdd(it.b.data, name, ino, ftype) {
+		if !idx.fits(it.cur, need) {
+			continue
+		}
+		slack, ok := direntAdd(it.b.data, name, ino, ftype)
+		if ok {
 			fs.entered(dir, name, dirSlot{it.cur, ino, ftype})
 			return fs.touchDir(it.done, dir, dn, it.b)
 		}
+		idx.full(it.cur, slack)
 	}
 	if it.err != nil {
 		return it.done, it.err
@@ -132,7 +140,7 @@ func (fs *FS) addEntry(at time.Duration, dir Ino, dn *inode, name string, ino In
 		return done, err
 	}
 	direntInitEmpty(b.data)
-	if !direntAdd(b.data, name, ino, ftype) {
+	if _, ok := direntAdd(b.data, name, ino, ftype); !ok {
 		return done, vfs.ErrNameTooLong
 	}
 	fs.entered(dir, name, dirSlot{it.nfb, ino, ftype})
@@ -144,7 +152,8 @@ func (fs *FS) addEntry(at time.Duration, dir Ino, dn *inode, name string, ino In
 func (fs *FS) entered(dir Ino, name string, s dirSlot) {
 	fs.dcache[dcacheKey{dir, name}] = s.ino
 	if idx := fs.names[dir]; idx != nil {
-		idx[name] = s
+		idx.slots[name] = s
+		idx.touched(s.fb)
 	}
 }
 
@@ -157,12 +166,15 @@ func (fs *FS) removeEntry(at time.Duration, dir Ino, name string) (*inode, time.
 		return nil, done, err
 	}
 	idx := fs.names[dir]
-	slot, indexed := idx[name]
+	slot, indexed := idx.slot(name)
 	it := fs.dirBlocks(done, dn)
 	for it.next() {
 		if (idx == nil || indexed && it.cur == slot.fb) && direntRemove(it.b.data, name) {
 			delete(fs.dcache, dcacheKey{dir, name})
-			delete(idx, name)
+			if idx != nil {
+				delete(idx.slots, name)
+				idx.touched(it.cur)
+			}
 			done, err = fs.touchDir(it.done, dir, dn, it.b)
 			return dn, done, err
 		}

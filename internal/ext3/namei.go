@@ -31,17 +31,60 @@ type dcacheKey struct {
 // The dcache, by contrast, is simulated behaviour: its hit fetches none of
 // the directory's blocks.
 //
+// Beside the names it keeps each block's insert hint, room: 1 + the largest
+// record slack (rec - used) a failed insert walked past in that block, 0
+// where that is unknown. An insert needing more skips the block's parse, not
+// its fetch: the full walk would choose the same record.
+//
 // Invariant: while mounted, a directory's blocks change only through
-// addEntry and removeEntry, which keep its index current, and RenameAt's ".."
-// rewrite, which drops it. WriteFileAt and SetAttrAt refuse directories, and
-// the shared LUN carries no file system. freeInode drops the index, because
-// inode numbers are reused; Unmount and Crash drop every index.
-type dirIndex map[string]dirSlot
+// addEntry and removeEntry, which keep its index current and forget the hint
+// of the block they touch, and RenameAt's ".." rewrite, which drops the
+// index. WriteFileAt and SetAttrAt refuse directories, and the shared LUN
+// carries no file system. freeInode drops the index, because inode numbers
+// are reused; Unmount and Crash drop every index.
+type dirIndex struct {
+	slots map[string]dirSlot
+	room  []uint16 // by file block
+}
 
 type dirSlot struct {
 	fb  int64 // file block holding the entry
 	ino Ino
 	ft  byte
+}
+
+// slot returns name's entry in the index; x may be nil (no index).
+func (x *dirIndex) slot(name string) (dirSlot, bool) {
+	if x == nil {
+		return dirSlot{}, false
+	}
+	s, ok := x.slots[name]
+	return s, ok
+}
+
+// fits reports whether file block fb may have room for a record of need
+// bytes: false only when a failed insert found less there and no entry was
+// added to or removed from the block since.
+func (x *dirIndex) fits(fb int64, need int) bool {
+	return x == nil || fb >= int64(len(x.room)) || x.room[fb] == 0 || int(x.room[fb]) > need
+}
+
+// full records that a failed insert found at most slack bytes in fb.
+func (x *dirIndex) full(fb int64, slack int) {
+	if x == nil {
+		return
+	}
+	for int64(len(x.room)) <= fb {
+		x.room = append(x.room, 0)
+	}
+	x.room[fb] = uint16(slack + 1)
+}
+
+// touched forgets fb's hint: an entry was added to or removed from it.
+func (x *dirIndex) touched(fb int64) {
+	if x != nil && fb < int64(len(x.room)) {
+		x.room[fb] = 0
+	}
 }
 
 // dirRef is a block a lookup walked past, kept to build the index from.
@@ -76,7 +119,7 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 		}
 	}
 	idx := fs.names[dirIno]
-	slot, indexed := idx[name]
+	slot, indexed := idx.slot(name)
 	build := idx == nil && dn.Size > BlockSize
 	var local [4]dirRef
 	walked := local[:0]
@@ -110,23 +153,23 @@ func (fs *FS) dirLookup(at time.Duration, dirIno Ino, name string) (Ino, byte, t
 // indexDir gives directory dir the index of the blocks a lookup walked. A
 // corrupt record or a repeated name leaves it unindexed, and lookups scan.
 func (fs *FS) indexDir(dir Ino, blocks []dirRef) {
-	idx := make(dirIndex)
+	slots := make(map[string]dirSlot)
 	for _, b := range blocks {
 		w := direntWalker{block: b.data}
 		for w.next() {
 			if w.name == nil {
 				continue
 			}
-			if _, dup := idx[string(w.name)]; dup {
+			if _, dup := slots[string(w.name)]; dup {
 				return
 			}
-			idx[string(w.name)] = dirSlot{b.fb, w.ino(), w.ftype()}
+			slots[string(w.name)] = dirSlot{b.fb, w.ino(), w.ftype()}
 		}
 		if w.err != nil {
 			return
 		}
 	}
-	fs.names[dir] = idx
+	fs.names[dir] = &dirIndex{slots: slots}
 }
 
 // namei resolves path to an inode number. followFinal selects whether a

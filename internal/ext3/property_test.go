@@ -25,7 +25,7 @@ func TestQuickDirentPackUnpack(t *testing.T) {
 			}
 			name := fmt.Sprintf("n%d-%d", i, b)
 			ino := Ino(100 + i)
-			if direntAdd(block, name, ino, ftRegular) {
+			if _, ok := direntAdd(block, name, ino, ftRegular); ok {
 				want[name] = ino
 			}
 		}
@@ -73,7 +73,7 @@ func TestQuickDirentAddRemove(t *testing.T) {
 				}
 				delete(live, name)
 			} else if !live[name] {
-				if direntAdd(block, name, Ino(3+int(op)), ftRegular) {
+				if _, ok := direntAdd(block, name, Ino(3+int(op)), ftRegular); ok {
 					live[name] = true
 				}
 			}

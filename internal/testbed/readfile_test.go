@@ -125,3 +125,29 @@ func TestReadFileIntoWarmAllocatesNoFileBuffer(t *testing.T) {
 		})
 	}
 }
+
+// TestKnownDefectFailedReadLeavesFileOpen records a defect, ROADMAP's
+// "ReadFile/WriteFile leave the file open on failure": ReadFile returns a
+// failed read's error without closing the file it opened. The iSCSI
+// client's metadata for /f is warm, so inside the fault window (the target
+// crashed) stat and open succeed from its caches and the read of the cold
+// data fails: the trace holds one more open than close. Closing the file
+// on the error path inverts the assertion.
+func TestKnownDefectFailedReadLeavesFileOpen(t *testing.T) {
+	tb, tracer := readBed(t, testbed.ISCSI, bytes.Repeat([]byte{0x5a}, 64<<10))
+	if _, err := tb.Stat("/f"); err != nil {
+		t.Fatal(err)
+	}
+	tracer.Reset()
+	tb.Cluster.CrashServer()
+	if _, err := tb.ReadFile("/f"); err == nil {
+		t.Fatal("a read from the crashed target succeeded")
+	}
+	calls := map[string]int{}
+	for _, s := range tracing.Roots(tracer.Spans()) {
+		calls[tracer.Op(s)]++
+	}
+	if calls["open"] != 1 || calls["open"]-calls["close"] != 1 {
+		t.Errorf("root spans %v; the known defect leaves one open without its close", calls)
+	}
+}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/sim"
@@ -41,7 +40,7 @@ func (cfg KernelConfig) object(d, f int) string { return fmt.Sprintf("/src/dir%0
 // KernelUntar models "tar -xzf": creating the tree (directory creation +
 // small-file writes), a meta-data intensive workload.
 func KernelUntar(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewSource(cfg.Seed)
 	return measure(tb, "tar -xzf", func() error {
 		return cfg.writeTree(tb, rng, false)
 	})
@@ -57,7 +56,7 @@ func KernelList(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 // KernelCompile models "make": read every source file, burn compile CPU,
 // write an object file of comparable size.
 func KernelCompile(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
-	rng := sim.NewRNG(cfg.Seed + 1)
+	rng := sim.NewSource(cfg.Seed + 1)
 	return measure(tb, "kernel compile", func() error {
 		return cfg.writeTree(tb, rng, true)
 	})
@@ -74,7 +73,7 @@ func KernelRemove(tb *testbed.Testbed, cfg KernelConfig) (Result, error) {
 // file of generated text for every source file of the tree. Untar first
 // makes each directory and writes the source file itself; compile reads the
 // source, computes on it and writes its object file.
-func (cfg KernelConfig) writeTree(tb *testbed.Testbed, rng *rand.Rand, compile bool) error {
+func (cfg KernelConfig) writeTree(tb *testbed.Testbed, rng *sim.Source, compile bool) error {
 	if !compile {
 		if err := tb.Mkdir("/src"); err != nil {
 			return err

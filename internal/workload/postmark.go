@@ -3,7 +3,6 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/sim"
@@ -50,7 +49,7 @@ type PostMarkStats struct {
 type postmarkRun struct {
 	c     Ops
 	cfg   PostMarkConfig
-	rng   *rand.Rand
+	rng   *sim.Source
 	stats PostMarkStats
 
 	phase int // 0 setup, 1 create pool, 2 transactions, 3 delete, 4 done
@@ -75,7 +74,7 @@ func newPostmarkRun(c Ops, cfg PostMarkConfig) (*postmarkRun, error) {
 	return &postmarkRun{
 		c:     c,
 		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed),
+		rng:   sim.NewSource(cfg.Seed),
 		live:  make([]int, 0, cfg.Files*2),
 		sizes: make(map[int]int),
 	}, nil
@@ -248,25 +247,36 @@ func PostMark(tb *testbed.Testbed, cfg PostMarkConfig) (Result, PostMarkStats, e
 }
 
 // randomText produces n PostMark-style filler bytes in buf, which it replaces
-// when too short: one rng draw per 8-byte stride (the pinned sizes downstream
-// depend on the draw sequence), the drawn character repeated across the
-// stride with a single store.
-func randomText(rng *rand.Rand, buf []byte, n int) []byte {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz \n"
+// when too short: one draw of Intn(28) per 8-byte stride (the pinned sizes
+// downstream depend on the draw sequence), the drawn character repeated
+// across the stride with a single store.
+func randomText(src *sim.Source, buf []byte, n int) []byte {
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	b := buf[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		ch := alphabet[rng.Intn(len(alphabet))]
-		binary.LittleEndian.PutUint64(b[i:], uint64(ch)*0x0101010101010101)
+		binary.LittleEndian.PutUint64(b[i:], uint64(textChar(src))*0x0101010101010101)
 	}
 	if i < n {
-		ch := alphabet[rng.Intn(len(alphabet))]
+		ch := textChar(src)
 		for ; i < n; i++ {
 			b[i] = ch
 		}
 	}
 	return b
+}
+
+// textChar is alphabet[src.Intn(len(alphabet))] with Intn's rejection bound
+// and modulus as constants.
+func textChar(src *sim.Source) byte {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz \n"
+	const n = int32(len(alphabet))
+	const bound = int32(1<<31 - 1 - (1<<31)%len(alphabet))
+	for {
+		if v := src.Int31(); v <= bound {
+			return alphabet[v%n]
+		}
+	}
 }

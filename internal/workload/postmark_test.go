@@ -23,19 +23,19 @@ func randomTextByteLoop(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestRandomTextKeepsBytesAndDraws: the one-store-per-stride fill produces
-// the same bytes from the same draws as the byte loop, at every length
-// around a stride boundary, and leaves the generator in the same state (the
-// pinned file sizes come from the draws that follow).
+// TestRandomTextKeepsBytesAndDraws: the one-store-per-stride fill from a
+// sim.Source produces the same bytes as the byte loop drawing from math/rand,
+// at every length around a stride boundary, and leaves the generator in the
+// same state (the pinned file sizes come from the draws that follow).
 func TestRandomTextKeepsBytesAndDraws(t *testing.T) {
-	got, want := sim.NewRNG(42), sim.NewRNG(42)
+	got, want := sim.NewSource(42), rand.New(rand.NewSource(42))
 	var buf []byte // reused and regrown, as postmarkRun does: stale bytes must not show
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 500, 4096, 9999, 10000, 17, 9} {
 		buf = randomText(got, buf, n)
 		if a, b := buf, randomTextByteLoop(want, n); !bytes.Equal(a, b) {
 			t.Fatalf("n=%d: bytes differ", n)
 		}
-		if a, b := got.Int63(), want.Int63(); a != b {
+		if a, b := got.Int31(), want.Int31(); a != b {
 			t.Fatalf("n=%d: generators diverged (%d vs %d)", n, a, b)
 		}
 	}
